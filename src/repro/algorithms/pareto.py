@@ -13,7 +13,7 @@ propagates against IREC's parallel single-criterion RACs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from repro.algorithms.base import (

@@ -11,7 +11,7 @@ selection algorithms have real work to do.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.algorithms.base import CandidateBeacon
 from repro.core.beacon import Beacon, BeaconBuilder

@@ -24,7 +24,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from repro.exceptions import AlgebraError
 

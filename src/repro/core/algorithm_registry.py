@@ -19,7 +19,7 @@ Two components implement this:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 from repro.crypto.hashing import algorithm_hash
 from repro.exceptions import AlgorithmIntegrityError, UnknownAlgorithmError

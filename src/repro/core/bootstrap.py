@@ -19,9 +19,8 @@ two mechanisms, both implemented here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
-from repro.core.beacon import Beacon
 from repro.core.control_service import IrecControlService
 from repro.core.databases import RegisteredPath, StoredBeacon
 from repro.core.rac import RACSelection

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.algorithms.base import RoutingAlgorithm
 from repro.core.algorithm_registry import AlgorithmFetcher, AlgorithmRepository

@@ -22,7 +22,7 @@ control plane:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.beacon import Beacon, BeaconBuilder, DEFAULT_VALIDITY_MS
 from repro.core.databases import EgressDatabase, PathService, RegisteredPath

@@ -21,7 +21,7 @@ re-received L-hop extension from O(L) HMACs into O(1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from repro.core.beacon import Beacon
 from repro.core.databases import IngressDatabase, StoredBeacon

@@ -52,7 +52,7 @@ cost O(1) — see the ROADMAP's flood fast-path invariants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import ClassVar, NamedTuple, Optional, Tuple
 
 from repro.core.beacon import Beacon, _memo

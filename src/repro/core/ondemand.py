@@ -19,7 +19,7 @@ into an executable :class:`~repro.algorithms.base.RoutingAlgorithm`:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.algorithms.base import RoutingAlgorithm
 from repro.algorithms.registry import AlgorithmCatalog, decode_payload, default_catalog

@@ -20,12 +20,11 @@ Every policy is a callable ``(beacon, local_as) -> None`` that raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import FrozenSet, Iterable, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import FrozenSet, Iterable, Optional, Tuple
 
 from repro.core.beacon import Beacon
 from repro.exceptions import ConfigurationError, PolicyViolationError
-from repro.topology.entities import Relationship
 from repro.topology.graph import Topology
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import ast
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.algorithms.base import (
     CandidateBeacon,

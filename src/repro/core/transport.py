@@ -20,10 +20,9 @@ abstracted behind a small protocol so that
 * the micro-benchmarks can run a single control service with a
   :class:`NullTransport` that swallows messages.
 
-``send_beacon`` and ``send_revocation`` are kept as thin wrappers over
-:meth:`send_message` — existing callers (the egress gateway, the
-revocation flood) stay source-compatible while every message rides the
-same fabric underneath.
+``send_beacon`` is kept as a thin wrapper over :meth:`send_message` that
+owns the PCB envelope framing — the egress gateway stays
+source-compatible while every message rides the same fabric underneath.
 """
 
 from __future__ import annotations
@@ -53,9 +52,6 @@ class ControlPlaneTransport(Protocol):
 
     def fetch_algorithm(self, requester_as: int, origin_as: int, algorithm_id: str) -> bytes:
         """Fetch an on-demand algorithm payload from ``origin_as``."""
-
-    def send_revocation(self, sender_as: int, egress_interface: int, revocation) -> None:
-        """Deliver ``revocation`` over the link attached to ``egress_interface``."""
 
 
 @dataclass
@@ -118,10 +114,6 @@ class NullTransport:
             raise SimulationError(
                 f"no payload configured for ({origin_as}, {algorithm_id!r})"
             ) from None
-
-    def send_revocation(self, sender_as: int, egress_interface: int, revocation) -> None:
-        """Record the revocation without delivering it."""
-        self.send_message(sender_as, egress_interface, revocation)
 
 
 @dataclass
@@ -199,7 +191,3 @@ class LoopbackTransport:
         if service is None:
             raise UnknownASError(origin_as)
         return service.serve_algorithm(algorithm_id)
-
-    def send_revocation(self, sender_as: int, egress_interface: int, revocation) -> None:
-        """Deliver ``revocation`` synchronously to the far end of the link."""
-        self.send_message(sender_as, egress_interface, revocation)

@@ -10,14 +10,14 @@ of the :class:`~repro.core.databases.PathService` and the data-plane types.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.core.criteria import CriteriaSet
 from repro.core.databases import PathService, RegisteredPath
 from repro.core.query import PathQueryFrontend
 from repro.dataplane.packet import Packet
-from repro.dataplane.path import ForwardingPath, forwarding_path_from_segment
+from repro.dataplane.path import forwarding_path_from_segment
 from repro.exceptions import DataPlaneError
 
 #: A path-selection policy: maps the candidate registered paths to an

@@ -15,13 +15,13 @@ transports or fast-failover tunnels need on top of the path service:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Set
 
 from repro.core.databases import PathService, RegisteredPath
 from repro.dataplane.network import DataPlaneNetwork, DeliveryReport
 from repro.dataplane.packet import Packet
-from repro.dataplane.path import ForwardingPath, forwarding_path_from_segment
+from repro.dataplane.path import forwarding_path_from_segment
 from repro.exceptions import DataPlaneError
 from repro.simulation.failures import LinkFailureInjector, LinkState
 from repro.topology.entities import LinkID

@@ -12,7 +12,7 @@ match what the data plane experiences.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.dataplane.packet import Packet
 from repro.dataplane.router import BorderRouter

@@ -9,8 +9,7 @@ and destination endpoints and an opaque payload.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from repro.dataplane.path import ForwardingPath, HopField
 from repro.exceptions import ForwardingError

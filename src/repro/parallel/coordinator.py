@@ -4,11 +4,11 @@
 :class:`~repro.simulation.beaconing.BeaconingSimulation` runs, split
 across worker processes.  The topology is partitioned by
 :func:`repro.parallel.partition.partition_topology`; each worker forks
-with one partition and materializes only its shard's control services;
-the coordinator drives the same period structure the single-process
-driver uses (deliver → originate → deliver → RAC round → deliver →
-period-end bookkeeping) as a sequence of barriers and conservative
-advance windows.
+with one partition and materializes only its shard's control services.
+The period structure is not re-implemented here: this class is the fork
+provider of :class:`~repro.simulation.beaconing.PeriodDriver`'s
+operations — each one a broadcast of the same-named command to every
+worker, with ``advance`` split into conservative lookahead windows.
 
 **Why the result is the same.** Per-AS inboxes are the fabric's only
 inter-AS seam.  A cross-shard send runs its sender side (metrics,
@@ -21,25 +21,23 @@ simulate up to ``t_next + lookahead`` (the global next event time plus
 the minimum cross-shard ``link latency + processing delay``): any export
 generated at ``u >= t_next`` arrives no earlier than ``u + lookahead``,
 i.e. outside the window, so no worker ever receives a message in its
-past.  Timeline events are global barriers: every worker advances to the
-event time, the event is broadcast (each shard applies the slice it
-owns), then the aggregated revocation flush runs — reproducing the
-single-process probe/dispatch/flush ordering.  The golden-digest tests
-pin all of this bit-for-bit against the single-process traces.
+past.  Timeline events are global barriers: the driver advances every
+worker to the event time, the event is broadcast (each shard applies the
+slice it owns), then the aggregated revocation flush runs.  The
+golden-digest tests pin all of this bit-for-bit against the in-process
+traces.
 """
 
 from __future__ import annotations
 
-import heapq
 import multiprocessing
 import pickle
 import time
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.control_service import RoundReport
 from repro.crypto.keys import KeyStore
-from repro.exceptions import ConfigurationError, SimulationError, UnknownASError
+from repro.exceptions import ConfigurationError, SimulationError
 from repro.obs import spans as _spans
 from repro.parallel.partition import (
     Partition,
@@ -47,56 +45,14 @@ from repro.parallel.partition import (
     partition_topology,
 )
 from repro.parallel.shard import shard_worker_main
-from repro.simulation.collector import ConvergenceCollector, MetricsCollector
-from repro.simulation.events import (
-    BeaconPeriodChange,
-    LinkFailure,
-    LinkFlap,
-    LinkRecovery,
-    RACSwap,
-    TimedEvent,
-    TopologyGrowth,
-)
-from repro.simulation.failures import LinkState
+from repro.simulation.beaconing import PeriodDriver
+from repro.simulation.collector import MetricsCollector
+from repro.simulation.events import RACSwap, TimedEvent, TopologyGrowth
 from repro.simulation.scenario import ScenarioConfig
 from repro.topology.graph import Topology
 
 
-@dataclass
-class ShardedSimulationResult:
-    """Aggregated outcome of a sharded run.
-
-    Mirrors :class:`~repro.simulation.beaconing.SimulationResult` where
-    aggregation is possible: the merged collector, the coordinator's
-    convergence records and the final link state are identical to a
-    single-process run's.  Control services live (and die) in the worker
-    processes, so instead of a ``services`` mapping the result carries
-    the per-AS revocation statistics the analyses read off services.
-    """
-
-    topology: Topology
-    collector: MetricsCollector
-    convergence: ConvergenceCollector
-    link_state: LinkState
-    round_reports: List[RoundReport] = field(default_factory=list)
-    periods_run: int = 0
-    final_time_ms: float = 0.0
-    service_count: int = 0
-    #: AS id → (revocations rejected as invalid, duplicate revocations).
-    revocation_stats: Dict[int, Tuple[int, int]] = field(default_factory=dict)
-
-    @property
-    def rejected_invalid_total(self) -> int:
-        """Return revocations rejected for bad signatures, all ASes."""
-        return sum(rejected for rejected, _dupes in self.revocation_stats.values())
-
-    @property
-    def duplicates_total(self) -> int:
-        """Return duplicate revocations dropped inside dedup windows."""
-        return sum(dupes for _rejected, dupes in self.revocation_stats.values())
-
-
-class ShardedBeaconingSimulation:
+class ShardedBeaconingSimulation(PeriodDriver):
     """Drives one scenario over ``workers`` forked shard processes."""
 
     def __init__(
@@ -121,7 +77,7 @@ class ShardedBeaconingSimulation:
                 raise ConfigurationError(
                     "a RACSwap to an on-demand RAC cannot run sharded"
                 )
-        scenario.timeline.validate(topology)
+        super().__init__(topology, scenario)
         try:
             self._context = multiprocessing.get_context("fork")
         except ValueError as exc:  # pragma: no cover - non-POSIX platforms
@@ -129,8 +85,6 @@ class ShardedBeaconingSimulation:
                 "sharded simulation requires the fork start method"
             ) from exc
 
-        self.topology = topology
-        self.scenario = scenario
         self.workers = workers
         self.key_store = key_store if key_store is not None else KeyStore()
         self.partition: Partition = partition_topology(
@@ -151,24 +105,8 @@ class ShardedBeaconingSimulation:
                 "leaves no safe window"
             )
 
-        self.convergence = ConvergenceCollector()
-        self.watched_pairs: List[Tuple[int, int]] = []
-        self.round_reports: List[RoundReport] = []
-        self.period_listeners: List = []
-        self._periods_run = 0
-        self._interval_ms = scenario.propagation_interval_ms
-        self._next_period_start_ms = 0.0
-        self._overload_snapshot = (0, 0, 0)
-
-        # Event barriers: (time, seq, TimedEvent).  Timeline events take
-        # seqs 0..n-1 in insertion order — reproducing the scheduler's
-        # FIFO tie-break — and dynamically synthesized events (flap
-        # toggles) continue the sequence, exactly like mid-run
-        # schedule_at calls take later sequence numbers.
-        self._barriers: List[Tuple[float, int, TimedEvent]] = []
-        self._barrier_seq = 0
-        for timed in scenario.timeline.events:
-            self._push_barrier(timed)
+        #: The coordinator's clock: the latest time every shard has reached.
+        self.now_ms = 0.0
 
         #: Cross-shard traffic and synchronization telemetry.
         self.cross_shard_messages = 0
@@ -237,25 +175,24 @@ class ShardedBeaconingSimulation:
         started = time.perf_counter()
         blob = self._conns[index].recv_bytes()
         self.barrier_wait_s += time.perf_counter() - started
-        status, payload, exports, next_time = pickle.loads(blob)
+        status, payload, exports, next_time, busy_s = pickle.loads(blob)
         if status == "error":
             raise SimulationError(f"shard worker {index} failed:\n{payload}")
         self._next_times[index] = next_time
+        self.worker_busy_s[index] = busy_s
         return payload, exports
 
-    def _broadcast(self, command: str, payloads) -> List:
+    def _broadcast(self, command: str, *args) -> List:
+        """Send one command with the same arguments to every worker."""
+        return self._scatter(command, [args] * self.workers)
+
+    def _scatter(self, command: str, per_worker_args: Sequence[tuple]) -> List:
         """Send one command to every worker in parallel; route exports.
 
-        ``payloads`` is either a single value (same payload everywhere)
-        or a per-worker list.  Returns the per-worker reply payloads.
+        Returns the per-worker reply payloads.
         """
-        per_worker = (
-            payloads
-            if isinstance(payloads, list) and len(payloads) == self.workers
-            else [payloads] * self.workers
-        )
         for index in range(self.workers):
-            self._send(index, command, per_worker[index])
+            self._send(index, command, per_worker_args[index])
         results = []
         exports: List[tuple] = []
         for index in range(self.workers):
@@ -282,9 +219,9 @@ class ShardedBeaconingSimulation:
                 self._route_exports(worker_exports)
 
     # ------------------------------------------------------------------
-    # the conservative advance loop
+    # the driver's operations, broadcast
     # ------------------------------------------------------------------
-    def _advance(self, target_ms: float, inclusive: bool = True) -> None:
+    def advance(self, target_ms: float, inclusive: bool = True) -> None:
         """Advance every shard to ``target_ms`` in lookahead windows.
 
         Repeatedly: find the global next event time across all shards; if
@@ -295,6 +232,7 @@ class ShardedBeaconingSimulation:
         are all scheduled at or after the window's end, never in any
         shard's past.
         """
+        self.now_ms = max(self.now_ms, target_ms)
         with _spans.span("parallel.advance"):
             while True:
                 times = [t for t in self._next_times if t is not None]
@@ -302,7 +240,7 @@ class ShardedBeaconingSimulation:
                 if t_next is None or (
                     t_next > target_ms if inclusive else t_next >= target_ms
                 ):
-                    self._broadcast("run", (target_ms, inclusive))
+                    self._broadcast("advance", target_ms, inclusive)
                     return
                 window_end = t_next + self._lookahead_ms
                 if inclusive and window_end > target_ms:
@@ -311,205 +249,87 @@ class ShardedBeaconingSimulation:
                     horizon, window_inclusive = target_ms, False
                 else:
                     horizon, window_inclusive = window_end, False
-                self._broadcast("run", (horizon, window_inclusive))
+                self._broadcast("advance", horizon, window_inclusive)
 
-    def _push_barrier(self, timed: TimedEvent) -> None:
-        heapq.heappush(self._barriers, (timed.time_ms, self._barrier_seq, timed))
-        self._barrier_seq += 1
+    def originate(self, now_ms: float) -> None:
+        """Originate PCBs at every online AS of every shard."""
+        self._broadcast("originate", now_ms)
 
-    def _run_to(self, target_ms: float, inclusive: bool = True) -> None:
-        """Advance to ``target_ms``, dispatching event barriers on the way."""
-        while self._barriers:
-            barrier_time = self._barriers[0][0]
-            if barrier_time > target_ms if inclusive else barrier_time >= target_ms:
-                break
-            self._advance(barrier_time, inclusive=False)
-            group: List[TimedEvent] = []
-            while self._barriers and self._barriers[0][0] == barrier_time:
-                group.append(heapq.heappop(self._barriers)[2])
-            self._dispatch_group(barrier_time, group)
-        self._advance(target_ms, inclusive)
-
-    def _dispatch_group(self, now_ms: float, group: List[TimedEvent]) -> None:
-        """Apply all barrier events sharing one timestamp, then flush.
-
-        Mirrors the single-process ordering exactly: per event — probe
-        the watched pairs, apply, probe again, record convergence; after
-        the tick's last event — one aggregated revocation flush.
-        """
-        with _spans.span("parallel.barrier"):
-            for timed in group:
-                event = timed.event
-                before, _times, _messages_before, _overload = self._probe()
-                own_target: Optional[int] = None
-                if isinstance(event, TopologyGrowth):
-                    own_target = min(
-                        range(self.workers),
-                        key=lambda index: (len(self._owned[index]), index),
-                    )
-                    self._owned[own_target].add(event.new_as)
-                    self._owner[event.new_as] = own_target
-                self._broadcast(
-                    "apply_event",
-                    [
-                        (timed, index == own_target)
-                        for index in range(self.workers)
-                    ],
-                )
-                if isinstance(event, BeaconPeriodChange):
-                    self._interval_ms = event.interval_ms
-                elif isinstance(event, LinkFlap):
-                    # The shards only install the loss rates; the toggles
-                    # become coordinator barriers, replaying the failure /
-                    # recovery machinery globally like the single-process
-                    # driver's self-scheduled toggles.
-                    for index, offset in enumerate(event.schedule):
-                        toggle = (
-                            LinkFailure(link_id=event.link_id)
-                            if index % 2 == 0
-                            else LinkRecovery(link_id=event.link_id)
-                        )
-                        self._push_barrier(
-                            TimedEvent(time_ms=now_ms + offset, event=toggle)
-                        )
-                elif isinstance(event, TopologyGrowth):
-                    for neighbor_as in event.attach_to:
-                        if self._owner[neighbor_as] != own_target:
-                            self._lookahead_ms = min(
-                                self._lookahead_ms,
-                                event.latency_ms + self.scenario.processing_delay_ms,
-                            )
-                after, _times, messages_after, _overload = self._probe()
-                self.convergence.on_event(
-                    event_label=event.trace_label(),
-                    now_ms=now_ms,
-                    pair_paths={pair: (before[pair], after[pair]) for pair in before},
-                    messages_total=messages_after,
-                )
-            self._broadcast("flush", now_ms)
-
-    def _probe(self):
-        """Probe watched pairs and counters across all shards.
-
-        Returns ``(counts, registered_at, messages_total, overload)``.
-        """
-        pairs_by_shard: List[List[Tuple[int, int]]] = [[] for _ in range(self.workers)]
-        for pair in self.watched_pairs:
-            pairs_by_shard[self._owner[pair[0]]].append(pair)
-        replies = self._broadcast("probe", pairs_by_shard)
-        counts: Dict[Tuple[int, int], int] = {}
-        registered_at: Dict[Tuple[int, int], Tuple[float, ...]] = {}
-        messages_total = 0
-        overload = [0, 0, 0]
-        for reply in replies:
-            for pair, (count, times) in reply["pairs"].items():
-                counts[pair] = count
-                registered_at[pair] = times
-            messages_total += reply["messages_total"]
-            for slot in range(3):
-                overload[slot] += reply["overload"][slot]
-        return counts, registered_at, messages_total, tuple(overload)
-
-    # ------------------------------------------------------------------
-    # public driving API (mirrors BeaconingSimulation)
-    # ------------------------------------------------------------------
-    def watch_pair(self, source_as: int, destination_as: int) -> None:
-        """Track convergence of ``source_as`` → ``destination_as``."""
-        for as_id in (source_as, destination_as):
-            if as_id not in self.topology:
-                raise UnknownASError(as_id)
-        pair = (source_as, destination_as)
-        if pair not in self.watched_pairs:
-            self.watched_pairs.append(pair)
-
-    def add_period_listener(self, listener) -> None:
-        """Register a ``(now_ms,)`` callback fired at every period end."""
-        self.period_listeners.append(listener)
-
-    @property
-    def periods_run(self) -> int:
-        """Return how many beaconing periods have completed so far."""
-        return self._periods_run
-
-    def run_period(self) -> None:
-        """Run one complete beaconing period across all shards."""
-        period_start_ms = self._next_period_start_ms
-        mid_period_ms = period_start_ms + self._interval_ms / 2.0
-        period_end_ms = period_start_ms + self._interval_ms
-
-        self._run_to(period_start_ms, inclusive=True)
-        with _spans.span("parallel.originate"):
-            self._broadcast("originate", period_start_ms)
-        self._run_to(mid_period_ms, inclusive=True)
-        with _spans.span("parallel.rac_round"):
-            report_lists = self._broadcast("rac_round", mid_period_ms)
-        self._run_to(period_end_ms, inclusive=True)
-
-        # Merge this period's round reports in global AS order — the
-        # order the single-process driver appends them in.
-        merged = sorted(
+    def rac_round(self, now_ms: float) -> List[RoundReport]:
+        """Run one RAC round everywhere; return the reports in AS order —
+        the order the in-process provider produces them in."""
+        report_lists = self._broadcast("rac_round", now_ms)
+        return sorted(
             (report for reports in report_lists for report in reports),
             key=lambda report: report.as_id,
         )
-        self.round_reports.extend(merged)
 
-        counts, registered_at, messages_total, overload = self._probe()
-        if self.watched_pairs:
-            self.convergence.on_period_end(
-                now_ms=period_end_ms,
-                pair_paths=counts,
-                messages_total=messages_total,
-                pair_registered_at=registered_at,
+    def apply_event(self, timed: TimedEvent) -> None:
+        """Apply one timeline event on every shard.
+
+        Topology growth first assigns the new AS to the lightest shard and
+        afterwards tightens the lookahead for its cross-shard attach links.
+        """
+        event = timed.event
+        with _spans.span("parallel.barrier"):
+            if not isinstance(event, TopologyGrowth):
+                self._broadcast("apply_event", timed)
+                return
+            owner = min(
+                range(self.workers), key=lambda index: (len(self._owned[index]), index)
             )
-        if overload != self._overload_snapshot:
-            previous = self._overload_snapshot
-            self._overload_snapshot = overload
-            self.convergence.on_overload(
-                period_end_ms,
-                dropped=overload[0] - previous[0],
-                marked=overload[1] - previous[1],
-                deferred=overload[2] - previous[2],
-            )
+            self._owned[owner].add(event.new_as)
+            self._owner[event.new_as] = owner
+            self._send(owner, "adopt", (event.new_as,))
+            self._recv(owner)
+            self._broadcast("apply_event", timed)
+            for neighbor_as in event.attach_to:
+                if self._owner[neighbor_as] != owner:
+                    self._lookahead_ms = min(
+                        self._lookahead_ms,
+                        event.latency_ms + self.scenario.processing_delay_ms,
+                    )
 
-        self._periods_run += 1
-        self._next_period_start_ms = period_end_ms
-        for listener in self.period_listeners:
-            listener(period_end_ms)
+    def flush(self, now_ms: float) -> None:
+        """Flush every shard's queued revocations."""
+        self._broadcast("flush", now_ms)
 
-    def run(self, periods: Optional[int] = None) -> ShardedSimulationResult:
-        """Run the scenario; gather, stop the workers, return the result."""
-        total = periods if periods is not None else self.scenario.periods
-        for _ in range(total):
-            self.run_period()
-        # Final in-flight flush: deliveries only; barrier events landing
-        # in this window stay queued (deferred), like the single-process
-        # horizon suppression.
-        final_ms = self._next_period_start_ms + 1.0
-        self._advance(final_ms, inclusive=True)
+    def probe(self, pairs: Sequence[Tuple[int, int]], with_times: bool = False):
+        """Probe each pair on the shard owning its source AS; sum the totals."""
+        pairs_by_shard: List[List[Tuple[int, int]]] = [[] for _ in range(self.workers)]
+        for pair in pairs:
+            pairs_by_shard[self._owner[pair[0]]].append(pair)
+        replies = self._scatter(
+            "probe", [(shard_pairs, with_times) for shard_pairs in pairs_by_shard]
+        )
+        counts: Dict[Tuple[int, int], int] = {}
+        registered_at: Optional[Dict[Tuple[int, int], Tuple[float, ...]]] = (
+            {} if with_times else None
+        )
+        messages_total = 0
+        overload = [0, 0, 0]
+        for shard_counts, shard_times, shard_messages, shard_overload in replies:
+            counts.update(shard_counts)
+            if with_times:
+                registered_at.update(shard_times)
+            messages_total += shard_messages
+            for slot in range(3):
+                overload[slot] += shard_overload[slot]
+        return counts, registered_at, messages_total, tuple(overload)
 
+    def gather(self):
+        """Merge the shards' collectors and stats; stop the workers."""
         with _spans.span("parallel.gather"):
-            snapshots = self._broadcast("gather", None)
+            snapshots = self._broadcast("gather")
         collector = MetricsCollector(period_ms=self.scenario.propagation_interval_ms)
         revocation_stats: Dict[int, Tuple[int, int]] = {}
-        service_count = 0
-        for index, snapshot in enumerate(snapshots):
-            collector.merge(snapshot["collector"])
-            revocation_stats.update(snapshot["revocation_stats"])
-            service_count += snapshot["service_count"]
-            self.worker_busy_s[index] = snapshot["busy_s"]
-        link_state = snapshots[0]["link_state"]
+        for shard_collector, _link_state, shard_stats in snapshots:
+            collector.merge(shard_collector)
+            revocation_stats.update(shard_stats)
+        # Every shard applied every link/AS state change: any replica will do.
+        link_state = snapshots[0][1]
         self.close()
-        return ShardedSimulationResult(
-            topology=self.topology,
-            collector=collector,
-            convergence=self.convergence,
-            link_state=link_state,
-            round_reports=list(self.round_reports),
-            periods_run=self._periods_run,
-            final_time_ms=final_ms,
-            service_count=service_count,
-            revocation_stats=dict(sorted(revocation_stats.items())),
-        )
+        return collector, link_state, dict(sorted(revocation_stats.items()))
 
     # ------------------------------------------------------------------
     # telemetry

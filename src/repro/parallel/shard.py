@@ -6,11 +6,14 @@ mode — services only for its owned ASes, every cross-shard fabric send
 diverted to an export buffer — and then executes coordinator commands off
 a pipe until told to stop.
 
-The command loop is strictly synchronous: one request, one reply.  Every
-reply carries (a) the command's payload, (b) the cross-shard exports the
-command produced, and (c) the shard's next pending event time, so the
-coordinator's conservative-lookahead advance never needs a separate poll
-round trip.
+The command loop is strictly synchronous: one request, one reply.  A
+command is the name of one of the driver operations the shard simulation
+implements (:data:`OPERATIONS`) plus its arguments, so the worker runs
+the very methods the in-process driver calls.  Every reply carries (a)
+the operation's result, (b) the cross-shard exports it produced, (c) the
+shard's next pending event time, so the coordinator's
+conservative-lookahead advance never needs a separate poll round trip,
+and (d) the worker's accumulated busy time.
 
 Workers are started with the ``fork`` method on purpose: scenario objects
 carry callables (algorithm factories, policies) that cannot be pickled,
@@ -24,15 +27,16 @@ from __future__ import annotations
 import pickle
 import time
 import traceback
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
-from repro.core.control_service import RoundReport
 from repro.crypto.keys import KeyStore
 from repro.simulation.beaconing import BeaconingSimulation, ShardContext
-from repro.simulation.events import TopologyGrowth
 
-#: Protocol version guard: bumped if the command tuple shapes change.
-PROTOCOL_VERSION = 1
+#: The :class:`~repro.simulation.beaconing.PeriodDriver` operations a
+#: worker answers with its shard simulation's own methods.
+OPERATIONS = frozenset(
+    {"advance", "originate", "rac_round", "apply_event", "flush", "probe", "gather"}
+)
 
 
 class _ShardRuntime:
@@ -61,78 +65,19 @@ class _ShardRuntime:
         exports, self.exports[:] = list(self.exports), []
         return exports
 
-    # ------------------------------------------------------------------
-    # command handlers; each returns the reply payload
-    # ------------------------------------------------------------------
-    def handle(self, command: str, payload):
-        sim = self.sim
-        if command == "run":
-            horizon, inclusive = payload
-            sim.scheduler.run_window(horizon, inclusive=inclusive)
-            return None
+    def handle(self, command: str, args: tuple):
+        """Execute one coordinator command; return the reply payload."""
+        if command in OPERATIONS:
+            return getattr(self.sim, command)(*args)
         if command == "inject":
-            for item in payload:
-                sim.transport.inject_import(*item)
+            for item in args:
+                self.sim.transport.inject_import(*item)
             return None
-        if command == "originate":
-            now_ms = payload
-            for service in sim._services_in_order():
-                if sim.link_state.is_as_up(service.as_id):
-                    service.originate(now_ms=now_ms)
+        if command == "adopt":
+            # The coordinator designated this shard the owner of an AS a
+            # TopologyGrowth event is about to create.
+            self.shard.owned_ases.update(args)
             return None
-        if command == "rac_round":
-            now_ms = payload
-            reports = []
-            for service in sim._services_in_order():
-                if not sim.link_state.is_as_up(service.as_id):
-                    continue
-                report = service.run_round(now_ms=now_ms)
-                if isinstance(report, RoundReport):
-                    reports.append(report)
-            return reports
-        if command == "apply_event":
-            timed, own_new_as = payload
-            if own_new_as and isinstance(timed.event, TopologyGrowth):
-                self.shard.owned_ases.add(timed.event.new_as)
-            sim._dispatch_event(timed.event, timed.time_ms)
-            return None
-        if command == "flush":
-            if sim._pending_failed_links or sim._pending_failed_ases:
-                sim._flush_revocations(payload)
-            return None
-        if command == "probe":
-            pairs = payload
-            results: Dict[Tuple[int, int], Tuple[int, Tuple[float, ...]]] = {}
-            for source_as, destination_as in pairs:
-                results[(source_as, destination_as)] = (
-                    sim.usable_path_count(source_as, destination_as),
-                    sim._usable_registration_times(source_as, destination_as),
-                )
-            return {
-                "pairs": results,
-                "messages_total": sim.collector.control_messages_total(),
-                "overload": (
-                    sim.collector.inbox_dropped_total(),
-                    sim.collector.inbox_marked_total(),
-                    sim.collector.inbox_deferred_total(),
-                ),
-            }
-        if command == "gather":
-            revocation_stats = {
-                as_id: (
-                    service.revocations.rejected_invalid,
-                    service.revocations.duplicates,
-                )
-                for as_id, service in sorted(sim.services.items())
-            }
-            return {
-                "collector": sim.collector,
-                "link_state": sim.link_state,
-                "revocation_stats": revocation_stats,
-                "service_count": len(sim.services),
-                "busy_s": self.busy_s,
-                "processed_events": sim.scheduler.processed_events,
-            }
         raise ValueError(f"unknown shard command {command!r}")
 
 
@@ -147,9 +92,9 @@ def shard_worker_main(
     runtime: Optional[_ShardRuntime] = None
     try:
         runtime = _ShardRuntime(topology, scenario, owned_ases, deployment_secret)
-        conn.send_bytes(pickle.dumps(("ok", PROTOCOL_VERSION, [], None)))
+        conn.send_bytes(pickle.dumps(("ok", None, [], None, 0.0)))
     except Exception:  # noqa: BLE001 - report construction failure to parent
-        conn.send_bytes(pickle.dumps(("error", traceback.format_exc(), [], None)))
+        conn.send_bytes(pickle.dumps(("error", traceback.format_exc(), [], None, 0.0)))
         return
     while True:
         try:
@@ -158,7 +103,7 @@ def shard_worker_main(
             return
         command, payload = pickle.loads(blob)
         if command == "stop":
-            conn.send_bytes(pickle.dumps(("ok", None, [], None)))
+            conn.send_bytes(pickle.dumps(("ok", None, [], None, runtime.busy_s)))
             return
         started = time.perf_counter()
         try:
@@ -169,8 +114,9 @@ def shard_worker_main(
                 result,
                 runtime.drain_exports(),
                 runtime.sim.scheduler.next_event_time(),
+                runtime.busy_s,
             )
         except Exception:  # noqa: BLE001 - ship the traceback to the parent
             runtime.busy_s += time.perf_counter() - started
-            reply = ("error", traceback.format_exc(), [], None)
+            reply = ("error", traceback.format_exc(), [], None, runtime.busy_s)
         conn.send_bytes(pickle.dumps(reply))

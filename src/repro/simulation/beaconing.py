@@ -12,20 +12,32 @@ after every period so that the PD experiment can run inside the same
 simulation.
 
 Dynamic scenarios add a timeline of typed events
-(:mod:`repro.simulation.events`) that the driver schedules on its
-discrete-event scheduler, so a link failure scheduled mid-period really
-interrupts propagation: in-flight PCBs on the link are lost, the ASes
-adjacent to the failure originate signed
-:class:`~repro.core.revocation.RevocationMessage`\\ s that flood hop-by-hop
-through the simulated transport (each AS withdraws state crossing the
-failed element when the revocation *arrives*, then re-forwards it), and
-the :class:`~repro.simulation.collector.ConvergenceCollector` measures how
+(:mod:`repro.simulation.events`).  Timeline events do not live on the
+discrete-event scheduler: :class:`PeriodDriver` keeps them on a barrier
+heap, runs the scheduler up to (not including) each event's time, applies
+the events sharing that time and flushes their revocations once — so a
+link failure scheduled mid-period really interrupts propagation: in-flight
+PCBs on the link are lost, the ASes adjacent to the failure originate
+signed :class:`~repro.core.revocation.RevocationMessage`\\ s that flood
+hop-by-hop through the simulated transport (each AS withdraws state
+crossing the failed element when the revocation *arrives*, then
+re-forwards it), and the
+:class:`~repro.simulation.collector.ConvergenceCollector` measures how
 watched AS pairs recover over the following periods — with withdrawal
-timing now topology-dependent instead of instantaneous.
+timing topology-dependent instead of instantaneous.
+
+The period structure exists once, in :class:`PeriodDriver`, written
+against six operations plus a final gather.  :class:`BeaconingSimulation`
+provides them over its own scheduler and services (the 1-shard case);
+:class:`repro.parallel.ShardedBeaconingSimulation` provides them by
+broadcasting the same commands to forked shard workers, each of which
+answers with the operations of its own shard-mode
+:class:`BeaconingSimulation`.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
@@ -79,9 +91,9 @@ class ShardContext:
     coordinator routes it to the owning shard, which replays the receiver
     side via
     :meth:`~repro.simulation.network.SimulatedTransport.inject_import`).
-    Timeline events are *not* self-scheduled in shard mode: the
-    coordinator drives them as global barriers so probes and the
-    aggregated revocation flush see a consistent cross-shard state.
+    A shard never calls :meth:`PeriodDriver.run_period`: the coordinator
+    drives the period and invokes the shard's operations, so probes and
+    the aggregated revocation flush see a consistent cross-shard state.
 
     Attributes:
         owned_ases: AS ids whose control services this shard runs.  The
@@ -97,7 +109,12 @@ class ShardContext:
 
 @dataclass
 class SimulationResult:
-    """Everything a finished simulation exposes to the analysis code."""
+    """Everything a finished simulation exposes to the analysis code.
+
+    A sharded run returns the same type: its control services live (and
+    die) in the worker processes, so ``services`` is empty there and the
+    per-AS ``revocation_stats`` carry what the analyses read off services.
+    """
 
     topology: Topology
     services: Dict[int, AnyControlService]
@@ -107,6 +124,8 @@ class SimulationResult:
     final_time_ms: float = 0.0
     convergence: ConvergenceCollector = field(default_factory=ConvergenceCollector)
     link_state: LinkState = field(default_factory=LinkState)
+    #: AS id → (revocations rejected as invalid, duplicate revocations).
+    revocation_stats: Dict[int, Tuple[int, int]] = field(default_factory=dict)
 
     def service(self, as_id: int) -> AnyControlService:
         """Return the control service of ``as_id``."""
@@ -119,8 +138,261 @@ class SimulationResult:
         """Return the paths registered at ``at_as`` towards ``origin_as``."""
         return self.service(at_as).path_service.paths_to(origin_as)
 
+    @property
+    def service_count(self) -> int:
+        """Return how many control services the run ended with."""
+        return len(self.revocation_stats)
 
-class BeaconingSimulation:
+    @property
+    def rejected_invalid_total(self) -> int:
+        """Return revocations rejected for bad signatures, all ASes."""
+        return sum(rejected for rejected, _dupes in self.revocation_stats.values())
+
+    @property
+    def duplicates_total(self) -> int:
+        """Return duplicate revocations dropped inside dedup windows."""
+        return sum(dupes for _rejected, dupes in self.revocation_stats.values())
+
+
+class PeriodDriver:
+    """The one implementation of the beaconing period structure.
+
+    Written against operations its two providers implement — the
+    in-process :class:`BeaconingSimulation` and the fork coordinator
+    :class:`repro.parallel.ShardedBeaconingSimulation`:
+
+    * ``now_ms`` — the provider's simulated clock,
+    * ``advance(target_ms, inclusive=True)`` — deliver in-flight messages
+      up to (``inclusive``) or strictly before ``target_ms``,
+    * ``originate(now_ms)`` / ``rac_round(now_ms)`` — the two per-period
+      passes over the online ASes; the latter returns the
+      :class:`RoundReport`\\ s in AS order,
+    * ``apply_event(timed)`` — one timeline event's state changes,
+    * ``flush(now_ms)`` — originate the revocations queued since the last
+      flush, one aggregated message per origin,
+    * ``probe(pairs, with_times=False)`` — ``(usable-path count per pair,
+      first-registration times per pair or None, control messages sent,
+      (dropped, marked, deferred) inbox totals)``,
+    * ``gather()`` — ``(collector, link_state, revocation_stats)`` of the
+      finished run.
+
+    Timeline events are *barriers*: they sit on a heap ordered by
+    ``(time, insertion)``, everything strictly earlier is delivered before
+    a barrier applies, and all barriers sharing a timestamp apply before
+    anything else scheduled at that time — the flush included, so same-time
+    failures batch into one revocation per origin.
+    """
+
+    def __init__(self, topology: Topology, scenario: ScenarioConfig) -> None:
+        self.topology = topology
+        self.scenario = scenario
+        #: Empty when the services live in shard workers.
+        self.services: Dict[int, AnyControlService] = {}
+        self.convergence = ConvergenceCollector()
+        self.round_reports: List[RoundReport] = []
+        self.watched_pairs: List[Tuple[int, int]] = []
+        #: Callbacks ``(now_ms,)`` invoked at the end of every completed
+        #: beaconing period — the observatory's time-series sampler hook.
+        #: Fired once per period (never on a message path) and after all
+        #: convergence/overload bookkeeping, so listeners observe the
+        #: period's final state and cannot perturb golden traces.
+        self.period_listeners: List = []
+        #: How many beaconing periods have completed so far.
+        self.periods_run = 0
+        self._interval_ms = scenario.propagation_interval_ms
+        self._next_period_start_ms = 0.0
+        #: (dropped, marked, deferred) totals at the last period boundary,
+        #: for per-period overload trace deltas.
+        self._overload_snapshot = (0, 0, 0)
+        #: ``(time, seq, TimedEvent)``: timeline events take seqs in
+        #: insertion order, flap toggles synthesized mid-run continue the
+        #: sequence, so same-time barriers apply first-scheduled first.
+        self._barriers: List[Tuple[float, int, TimedEvent]] = []
+        self._barrier_seq = 0
+        self._load_timeline()
+
+    def _load_timeline(self) -> None:
+        """Validate the scenario timeline and queue it as barriers.
+
+        Impossible schedules (a recovery of a link that was never failed,
+        a rejoin of an AS that never left) raise
+        :class:`~repro.exceptions.ConfigurationError` from
+        :meth:`ScenarioTimeline.validate`; failures, churn and swaps aimed
+        at links or ASes the topology does not have raise
+        :class:`~repro.exceptions.SimulationError` here instead of
+        silently no-opping mid-run.
+        """
+        self.scenario.timeline.validate(self.topology)
+        for timed in self.scenario.timeline:
+            event = timed.event
+            if isinstance(event, (LinkFailure, LinkRecovery)):
+                if event.link_id not in self.topology.links:
+                    raise SimulationError(
+                        f"timeline event {timed.trace_label()!r} references an unknown link"
+                    )
+                targets: Tuple[int, ...] = ()
+            elif isinstance(event, (ASLeave, ASJoin)):
+                targets = (event.as_id,)
+            elif isinstance(event, (PolicySwap, RACSwap)):
+                targets = event.as_ids or ()
+            else:
+                targets = ()
+            for as_id in targets:
+                if as_id not in self.topology:
+                    raise SimulationError(
+                        f"timeline event {timed.trace_label()!r} targets unknown AS {as_id}"
+                    )
+            self._push_barrier(timed)
+
+    def _push_barrier(self, timed: TimedEvent) -> None:
+        heapq.heappush(self._barriers, (timed.time_ms, self._barrier_seq, timed))
+        self._barrier_seq += 1
+
+    def watch_pair(self, source_as: int, destination_as: int) -> None:
+        """Track convergence of the paths registered at ``source_as``
+        towards ``destination_as`` across dynamic events."""
+        for as_id in (source_as, destination_as):
+            if as_id not in self.topology:
+                raise UnknownASError(as_id)
+        pair = (source_as, destination_as)
+        if pair not in self.watched_pairs:
+            self.watched_pairs.append(pair)
+
+    def add_period_listener(self, listener) -> None:
+        """Register a ``(now_ms,)`` callback fired at every period end."""
+        self.period_listeners.append(listener)
+
+    def end_period(self, now_ms: float) -> None:
+        """Provider hook after a period's last delivery phase, before its
+        convergence probe; the in-process simulation advances its pull
+        orchestrators here."""
+
+    def _run_to(self, target_ms: float) -> None:
+        """Advance to ``target_ms``, applying the barriers on the way.
+
+        Barriers not later than the clock — events that landed in a
+        previous :meth:`run`'s final flush window, beyond that run's
+        horizon — apply first, at the clock, before anything else of the
+        continuing run; they were deferred, not dropped.
+        """
+        target_ms = max(target_ms, self.now_ms)
+        barriers = self._barriers
+        while barriers and barriers[0][0] <= target_ms:
+            now_ms = max(barriers[0][0], self.now_ms)
+            self.advance(now_ms, inclusive=False)
+            # Popped one by one: a flap toggle pushed at this very
+            # timestamp joins the group and shares its flush.
+            while barriers and barriers[0][0] <= now_ms:
+                self._apply_barrier(heapq.heappop(barriers)[2], now_ms)
+            self.flush(now_ms)
+        self.advance(target_ms)
+
+    def _apply_barrier(self, timed: TimedEvent, now_ms: float) -> None:
+        """Apply one timeline event between two watched-pair probes and
+        feed the convergence collector."""
+        event = timed.event
+        before = self.probe(self.watched_pairs)[0]
+        self.apply_event(timed)
+        if isinstance(event, BeaconPeriodChange):
+            self._interval_ms = event.interval_ms
+        elif isinstance(event, LinkFlap):
+            # Each toggle replays the full LinkFailure / LinkRecovery
+            # machinery (revocations, negative-cache clearing, convergence
+            # records), so a flapping link is loud like a scripted failure.
+            for index, offset in enumerate(event.schedule):
+                toggle = LinkRecovery if index % 2 else LinkFailure
+                self._push_barrier(
+                    TimedEvent(time_ms=now_ms + offset, event=toggle(link_id=event.link_id))
+                )
+        after, _times, messages_total, _overload = self.probe(self.watched_pairs)
+        self.convergence.on_event(
+            event_label=event.trace_label(),
+            now_ms=now_ms,
+            pair_paths={pair: (before[pair], after[pair]) for pair in before},
+            messages_total=messages_total,
+        )
+
+    def run_period(self) -> List[RoundReport]:
+        """Run one complete beaconing period.
+
+        The period consists of: origination at every AS, delivery of all
+        in-flight PCBs (their latencies are tiny compared to the period),
+        one RAC round at every AS, another delivery phase so that freshly
+        propagated PCBs reach their neighbours before the period ends, and
+        finally an advancement step for every pull orchestrator.
+
+        Timeline events apply inside the delivery phases (in time order
+        with in-flight PCBs), offline ASes neither originate nor run
+        rounds, and at the period boundary every watched pair is probed
+        for convergence.  A period change applies from the next period
+        onwards.
+        """
+        period_start_ms = self._next_period_start_ms
+        mid_period_ms = period_start_ms + self._interval_ms / 2.0
+        period_end_ms = period_start_ms + self._interval_ms
+
+        self._run_to(period_start_ms)
+        self.originate(self.now_ms)
+        self._run_to(mid_period_ms)
+        reports = self.rac_round(self.now_ms)
+        self._run_to(period_end_ms)
+        now_ms = self.now_ms
+        self.end_period(now_ms)
+
+        counts, registered_at, messages_total, overload = self.probe(
+            self.watched_pairs, with_times=True
+        )
+        if self.watched_pairs:
+            self.convergence.on_period_end(
+                now_ms=now_ms,
+                pair_paths=counts,
+                messages_total=messages_total,
+                pair_registered_at=registered_at,
+            )
+        if overload != self._overload_snapshot:
+            previous = self._overload_snapshot
+            self._overload_snapshot = overload
+            # Only overloaded periods emit a trace line, so unlimited runs
+            # (the PR-5 default) keep a bit-identical golden trace.
+            self.convergence.on_overload(
+                now_ms,
+                dropped=overload[0] - previous[0],
+                marked=overload[1] - previous[1],
+                deferred=overload[2] - previous[2],
+            )
+
+        self.round_reports.extend(reports)
+        self.periods_run += 1
+        self._next_period_start_ms = period_end_ms
+        for listener in self.period_listeners:
+            listener(now_ms)
+        return reports
+
+    def run(self, periods: Optional[int] = None) -> SimulationResult:
+        """Run ``periods`` beaconing periods (default: the scenario's count)."""
+        total = periods if periods is not None else self.scenario.periods
+        for _ in range(total):
+            self.run_period()
+        # Flush any remaining in-flight deliveries.  Timeline events in the
+        # flush window are beyond the horizon — no period of this run would
+        # observe their effects — and stay queued for a continuing run().
+        self.advance(self._next_period_start_ms + 1.0)
+        final_time_ms = self.now_ms
+        collector, link_state, revocation_stats = self.gather()
+        return SimulationResult(
+            topology=self.topology,
+            services=dict(self.services),
+            collector=collector,
+            round_reports=list(self.round_reports),
+            periods_run=self.periods_run,
+            final_time_ms=final_time_ms,
+            convergence=self.convergence,
+            link_state=link_state,
+            revocation_stats=revocation_stats,
+        )
+
+
+class BeaconingSimulation(PeriodDriver):
     """Drives periodic beaconing over a topology according to a scenario."""
 
     def __init__(
@@ -131,15 +403,13 @@ class BeaconingSimulation:
         intra_domain: Optional[IntraDomainRegistry] = None,
         shard: Optional[ShardContext] = None,
     ) -> None:
-        self.topology = topology
-        self.scenario = scenario
+        super().__init__(topology, scenario)
         self.shard = shard
         self.key_store = key_store or KeyStore()
         self.intra_domain = intra_domain or IntraDomainRegistry()
         self.scheduler = EventScheduler()
         self.collector = MetricsCollector(period_ms=scenario.propagation_interval_ms)
         self.link_state = LinkState()
-        self.convergence = ConvergenceCollector()
         for as_id in scenario.inbox_profiles:
             if as_id not in topology:
                 raise ConfigurationError(
@@ -157,10 +427,7 @@ class BeaconingSimulation:
             loss_seed=scenario.loss_seed,
             exporter=shard.exporter if shard is not None else None,
         )
-        self.services: Dict[int, AnyControlService] = {}
         self.orchestrators: List[PullBasedDisjointnessOrchestrator] = []
-        self.round_reports: List[RoundReport] = []
-        self.watched_pairs: List[Tuple[int, int]] = []
         #: Callbacks ``(event, now_ms)`` invoked after a timeline event has
         #: been applied; the traffic engine subscribes here so failures
         #: break active flows the instant they fire.
@@ -171,38 +438,15 @@ class BeaconingSimulation:
         #: traffic engine subscribes here to break flows at withdrawal
         #: time.
         self.revocation_listeners: List = []
-        #: Callbacks ``(now_ms,)`` invoked at the end of every completed
-        #: beaconing period — the observatory's time-series sampler hook.
-        #: Fired once per period (never on a message path) and after all
-        #: convergence/overload bookkeeping, so listeners observe the
-        #: period's final state and cannot perturb golden traces.
-        self.period_listeners: List = []
-        self._periods_run = 0
-        self._interval_ms = scenario.propagation_interval_ms
-        self._next_period_start_ms = 0.0
-        self._horizon_reached = False
-        self._deferred_events: List[TimedEvent] = []
         #: Failures queued by same-tick events for aggregated revocation
         #: origination: one flush per tick batches co-owned failures into
         #: multi-element messages (one flood per origin, not per element).
         self._pending_failed_links: List[Tuple] = []
         self._pending_failed_ases: List[int] = []
-        #: time_ms → scheduled timeline events not yet applied at that
-        #: time; the flush runs when the last same-time event finishes.
-        self._scheduled_event_counts: Dict[float, int] = {}
-        self._applying_deferred = False
-        #: (dropped, marked, deferred) totals at the last period boundary,
-        #: for per-period overload trace deltas.
-        self._overload_snapshot = (0, 0, 0)
         #: Per-AS deployed RAC specs, kept in sync by RACSwap so a churned
         #: AS can be cold-restarted with its *current* deployment.
         self._deployed_specs: Dict[int, Dict[str, AlgorithmSpec]] = {}
         self._build_services()
-        if shard is None:
-            self._schedule_timeline()
-        # In shard mode the coordinator validates the timeline once and
-        # drives every event as a cross-shard barrier, so the shard never
-        # self-schedules (or defers) timeline events.
 
     # ------------------------------------------------------------------
     # construction
@@ -276,71 +520,6 @@ class BeaconingSimulation:
                 use_targets=spec.use_targets,
             )
 
-    def _schedule_timeline(self) -> None:
-        """Schedule every timeline event on the discrete-event scheduler.
-
-        Events beyond the simulated horizon (``periods`` × interval, as
-        modified by period changes) do not fire during the run; ones
-        landing in the final in-flight flush window are deferred to the
-        next ``run()`` (if any).  Events sharing a timestamp with PCB
-        deliveries apply first: they were scheduled earlier, and the
-        scheduler breaks ties FIFO.
-
-        The timeline is validated first: impossible schedules (a recovery
-        of a link that was never failed, a rejoin of an AS that never
-        left) raise :class:`~repro.exceptions.ConfigurationError` here
-        instead of silently no-opping mid-run.
-        """
-        self.scenario.timeline.validate(self.topology)
-        grown_ases = {
-            timed.event.new_as
-            for timed in self.scenario.timeline
-            if isinstance(timed.event, TopologyGrowth)
-        }
-        for timed in self.scenario.timeline:
-            link_kinds = (LinkFailure, LinkRecovery, LinkFlap, GrayFailure, GrayRecovery)
-            if isinstance(timed.event, link_kinds) and timed.event.link_id not in self.topology.links:
-                raise SimulationError(
-                    f"timeline event {timed.trace_label()!r} references an unknown link"
-                )
-            if isinstance(timed.event, (ASLeave, ASJoin)) and timed.event.as_id not in self.topology:
-                raise SimulationError(
-                    f"timeline event {timed.trace_label()!r} references an unknown AS"
-                )
-            if isinstance(timed.event, (PolicySwap, RACSwap)) and timed.event.as_ids is not None:
-                for as_id in timed.event.as_ids:
-                    if as_id not in self.services:
-                        raise SimulationError(
-                            f"timeline event {timed.trace_label()!r} targets unknown AS {as_id}"
-                        )
-            if isinstance(timed.event, RevocationForgery):
-                if timed.event.link_id not in self.topology.links:
-                    raise SimulationError(
-                        f"timeline event {timed.trace_label()!r} references an unknown link"
-                    )
-                byzantine_targets = (timed.event.attacker_as, timed.event.claimed_origin)
-            elif isinstance(timed.event, RevocationReplay):
-                byzantine_targets = (timed.event.attacker_as,)
-            elif isinstance(timed.event, ForwardingSuppression):
-                byzantine_targets = timed.event.as_ids
-            else:
-                byzantine_targets = ()
-            for as_id in byzantine_targets:
-                # Grown ASes are legitimate targets once their growth
-                # event has fired; the timeline validator enforces the
-                # ordering, so membership alone suffices here.
-                if as_id not in self.topology and as_id not in grown_ases:
-                    raise SimulationError(
-                        f"timeline event {timed.trace_label()!r} targets unknown AS {as_id}"
-                    )
-            self._scheduled_event_counts[timed.time_ms] = (
-                self._scheduled_event_counts.get(timed.time_ms, 0) + 1
-            )
-            self.scheduler.schedule_at(
-                timed.time_ms,
-                lambda now_ms, _timed=timed: self._apply_event(_timed, now_ms),
-            )
-
     # ------------------------------------------------------------------
     # orchestrators (pull-based disjointness)
     # ------------------------------------------------------------------
@@ -369,29 +548,10 @@ class BeaconingSimulation:
     # ------------------------------------------------------------------
     # dynamic events and convergence
     # ------------------------------------------------------------------
-    def watch_pair(self, source_as: int, destination_as: int) -> None:
-        """Track convergence of the paths registered at ``source_as``
-        towards ``destination_as`` across dynamic events."""
-        for as_id in (source_as, destination_as):
-            if as_id not in self.topology:
-                raise UnknownASError(as_id)
-        pair = (source_as, destination_as)
-        if pair not in self.watched_pairs:
-            self.watched_pairs.append(pair)
-
     def add_event_listener(self, listener) -> None:
         """Register a ``(event, now_ms)`` callback fired after each applied
         timeline event (failures, recoveries, churn, swaps)."""
         self.event_listeners.append(listener)
-
-    def add_period_listener(self, listener) -> None:
-        """Register a ``(now_ms,)`` callback fired at every period end."""
-        self.period_listeners.append(listener)
-
-    @property
-    def periods_run(self) -> int:
-        """Return how many beaconing periods have completed so far."""
-        return self._periods_run
 
     def usable_path_count(self, source_as: int, destination_as: int) -> int:
         """Return how many registered paths of the pair are usable right now.
@@ -405,11 +565,6 @@ class BeaconingSimulation:
         return sum(
             1 for path in paths if self.link_state.path_available(path.segment.links())
         )
-
-    def _watched_counts(self) -> Dict[Tuple[int, int], int]:
-        return {
-            pair: self.usable_path_count(*pair) for pair in self.watched_pairs
-        }
 
     def _usable_registration_times(
         self, source_as: int, destination_as: int
@@ -432,42 +587,35 @@ class BeaconingSimulation:
             if self.link_state.path_available(path.segment.links())
         )
 
-    def _apply_event(self, timed: TimedEvent, now_ms: float) -> None:
-        """Apply one timeline event and feed the convergence collector."""
-        if self._horizon_reached:
-            # Events landing in the final in-flight flush (just past the
-            # last period) are beyond the simulated horizon: no period of
-            # this run would observe their effects.  They are deferred, not
-            # dropped, so a later run() continuing the simulation still
-            # applies them (at the start of its first period).
-            self._deferred_events.append(timed)
-            self._finish_event(timed, now_ms)
-            return
-        before = self._watched_counts()
-        event = timed.event
-        self._dispatch_event(event, now_ms)
-        after = self._watched_counts()
-        self.convergence.on_event(
-            event_label=event.trace_label(),
-            now_ms=now_ms,
-            pair_paths={pair: (before[pair], after[pair]) for pair in before},
-            messages_total=self.collector.control_messages_total(),
-        )
-        for listener in self.event_listeners:
-            listener(event, now_ms)
-        self._finish_event(timed, now_ms)
+    def probe(self, pairs: Sequence[Tuple[int, int]], with_times: bool = False):
+        """Probe ``pairs`` and the collector totals (see :class:`PeriodDriver`).
 
-    def _dispatch_event(self, event, now_ms: float) -> None:
-        """Apply one timeline event's state changes (no bookkeeping).
-
-        The isinstance chain shared by the single-process wrapper
-        (:meth:`_apply_event`, which adds convergence probes, listeners
-        and the flush trigger around it) and the sharded worker loop
-        (where the coordinator performs that bookkeeping globally and
-        each shard only applies the state changes, guarded to the
-        services it owns).
+        Event probes are counts-only; the registration times are gathered
+        once per period end (``with_times``).
         """
-        owned = None if self.shard is None else self.shard.owned_ases
+        collector = self.collector
+        return (
+            {pair: self.usable_path_count(*pair) for pair in pairs},
+            {pair: self._usable_registration_times(*pair) for pair in pairs}
+            if with_times
+            else None,
+            collector.control_messages_total(),
+            (
+                collector.inbox_dropped_total(),
+                collector.inbox_marked_total(),
+                collector.inbox_deferred_total(),
+            ),
+        )
+
+    def apply_event(self, timed: TimedEvent) -> None:
+        """Apply one timeline event's state changes, then tell the listeners.
+
+        In a sharded run every shard applies its replica of the event,
+        guarded to the services it owns (``as_id in self.services``); the
+        probes and convergence bookkeeping around it are the driver's.
+        """
+        event = timed.event
+        now_ms = self.scheduler.now_ms
         if isinstance(event, LinkFailure):
             self.link_state.fail_link(event.link_id)
             self._queue_revocations(failed_link=event.link_id)
@@ -483,7 +631,7 @@ class BeaconingSimulation:
             # The departing AS restarts cold; its neighbours detect the
             # loss and originate revocations, so everyone *reachable*
             # withdraws state crossing it as the flood arrives.
-            if owned is None or event.as_id in owned:
+            if event.as_id in self.services:
                 self._cold_restart(self.services[event.as_id])
             self._queue_revocations(failed_as=event.as_id)
         elif isinstance(event, ASJoin):
@@ -491,22 +639,12 @@ class BeaconingSimulation:
             for service in self._services_in_order():
                 service.revocations.clear_revoked_as(event.as_id)
         elif isinstance(event, ServiceRateChange):
-            targets = (
-                sorted(event.as_ids)
-                if event.as_ids is not None
-                else sorted(self.services)
-            )
-            for as_id in targets:
-                if owned is not None and as_id not in owned:
-                    continue
-                self.transport.set_inbox_budget(as_id, event.budget_per_tick)
+            for service in self._event_targets(event.as_ids):
+                self.transport.set_inbox_budget(service.as_id, event.budget_per_tick)
         elif isinstance(event, BeaconFlood):
-            if owned is not None and event.attacker_as not in owned:
-                pass
-            elif self.link_state.is_as_up(event.attacker_as):
-                attacker = self.services[event.attacker_as]
+            if self._attacks(event.attacker_as):
                 for _ in range(event.bursts):
-                    attacker.originate(now_ms=now_ms)
+                    self.services[event.attacker_as].originate(now_ms=now_ms)
         elif isinstance(event, PolicySwap):
             # Both service flavours expose set_policies (the legacy ingress
             # gateway honours admission policies too).
@@ -535,8 +673,6 @@ class BeaconingSimulation:
                 specs = self._deployed_specs.setdefault(service.as_id, {})
                 specs.pop(event.target_rac_id, None)
                 specs[event.spec.rac_id] = event.spec
-        elif isinstance(event, BeaconPeriodChange):
-            self._interval_ms = event.interval_ms
         elif isinstance(event, LinkFlap):
             self._start_flap(event, now_ms)
         elif isinstance(event, GrayFailure):
@@ -548,44 +684,21 @@ class BeaconingSimulation:
         elif isinstance(event, GrayRecovery):
             self.link_state.clear_gray(event.link_id)
         elif isinstance(event, RevocationForgery):
-            if owned is not None and event.attacker_as not in owned:
-                pass
-            elif self.link_state.is_as_up(event.attacker_as):
+            if self._attacks(event.attacker_as):
                 self._forge_revocations(event, now_ms)
         elif isinstance(event, RevocationReplay):
-            if owned is not None and event.attacker_as not in owned:
-                pass
-            elif self.link_state.is_as_up(event.attacker_as):
+            if self._attacks(event.attacker_as):
                 self._replay_revocations(event)
         elif isinstance(event, ForwardingSuppression):
-            for as_id in sorted(event.as_ids):
-                if owned is not None and as_id not in owned:
-                    continue
-                self.services[as_id].set_revocation_forwarding(not event.suppress)
+            for service in self._event_targets(event.as_ids):
+                service.set_revocation_forwarding(not event.suppress)
         elif isinstance(event, TopologyGrowth):
             self._grow_topology(event)
-        else:
+        elif not isinstance(event, BeaconPeriodChange):
+            # (The period length is driver state: PeriodDriver applies it.)
             raise SimulationError(f"unsupported scenario event {event!r}")
-
-    def _finish_event(self, timed: TimedEvent, now_ms: float) -> None:
-        """Flush queued revocations once the tick's last event has applied.
-
-        The flush must run before any *other* same-time scheduler callback
-        (traffic rounds, drains) observes the failures, so it happens
-        synchronously here — once the per-time counter built by
-        :meth:`_schedule_timeline` says no further timeline event shares
-        this timestamp.  During a deferred-event replay the caller
-        (:meth:`run_period`) flushes once after the whole batch instead.
-        """
-        remaining = self._scheduled_event_counts.get(timed.time_ms, 1) - 1
-        if remaining > 0:
-            self._scheduled_event_counts[timed.time_ms] = remaining
-            return
-        self._scheduled_event_counts.pop(timed.time_ms, None)
-        if self._applying_deferred:
-            return
-        if self._pending_failed_links or self._pending_failed_ases:
-            self._flush_revocations(now_ms)
+        for listener in self.event_listeners:
+            listener(event, now_ms)
 
     def _cold_restart(self, service: AnyControlService) -> None:
         """Wipe a departing AS's volatile control-plane state.
@@ -605,18 +718,16 @@ class BeaconingSimulation:
                 self._install_rac(service, spec)
 
     def _event_targets(self, as_ids: Optional[Tuple[int, ...]]) -> List[AnyControlService]:
+        """Return the local services an event addresses (``None``: all), in
+        AS order.  The driver validated explicit targets up front; in a
+        sharded run the ones on other shards are theirs to apply."""
         if as_ids is None:
             return self._services_in_order()
-        if self.shard is not None:
-            # Explicit targets on other shards are theirs to apply; the
-            # coordinator validated the full target list up front.
-            return [
-                self.services[as_id] for as_id in sorted(as_ids) if as_id in self.services
-            ]
-        for as_id in as_ids:
-            if as_id not in self.services:
-                raise UnknownASError(as_id)
-        return [self.services[as_id] for as_id in sorted(as_ids)]
+        return [self.services[as_id] for as_id in sorted(as_ids) if as_id in self.services]
+
+    def _attacks(self, attacker_as: int) -> bool:
+        """Return whether a Byzantine event's attacker acts here and now."""
+        return attacker_as in self.services and self.link_state.is_as_up(attacker_as)
 
     def _queue_revocations(
         self, failed_link: Optional[Tuple] = None, failed_as: Optional[int] = None
@@ -624,9 +735,8 @@ class BeaconingSimulation:
         """Queue a failure for aggregated revocation origination.
 
         Failures are not revoked one message per element: every failure of
-        the current scheduler tick is collected, and one flush — run by
-        :meth:`_finish_event` after the tick's last timeline event — has
-        each adjacent AS originate a single
+        the current tick is collected, and one :meth:`flush` — run by the
+        driver after the tick's last timeline event — has each adjacent AS originate a single
         :class:`~repro.core.revocation.RevocationMessage` batching *all*
         the elements it detected.  A revocation storm of N simultaneous
         failures therefore costs each origin one flood, not N.
@@ -636,7 +746,7 @@ class BeaconingSimulation:
         if failed_as is not None:
             self._pending_failed_ases.append(failed_as)
 
-    def _flush_revocations(self, now_ms: float) -> None:
+    def flush(self, now_ms: float) -> None:
         """Originate the queued failures' revocations, one message per origin.
 
         The endpoints of each failed link (and the neighbours of each
@@ -658,12 +768,10 @@ class BeaconingSimulation:
             for as_id in self.topology.neighbors(gone_as):
                 per_origin.setdefault(as_id, ([], []))[1].append(gone_as)
         for as_id in sorted(per_origin):
-            if self.shard is not None and as_id not in self.shard.owned_ases:
-                # Another shard owns this origin; it queued (and will
-                # flush) the same failure from its own replica of the
-                # event, so exactly one shard originates per origin.
-                continue
-            if not self.link_state.is_as_up(as_id):
+            # In a sharded run another shard may own this origin; it queued
+            # (and will flush) the same failure from its own replica of the
+            # event, so exactly one shard originates per origin.
+            if as_id not in self.services or not self.link_state.is_as_up(as_id):
                 continue
             links, ases = per_origin[as_id]
             self.collector.record_revocation_batch(len(links) + len(ases))
@@ -677,15 +785,11 @@ class BeaconingSimulation:
     # adversarial & gray-failure events
     # ------------------------------------------------------------------
     def _start_flap(self, event: LinkFlap, now_ms: float) -> None:
-        """Install a flap's loss rates and schedule its on/off toggles.
+        """Install a flap's loss rates and schedule their removal.
 
-        Each toggle replays the full :class:`LinkFailure` /
-        :class:`LinkRecovery` machinery (revocation origination, negative
-        cache clearing, convergence records, listeners) via
-        :meth:`_apply_event`, so a flapping link is loud exactly like a
-        scripted failure.  Toggle times are registered in the per-tick
-        event counter first, keeping the aggregated revocation flush
-        correct when a toggle shares a tick with other timeline events.
+        The on/off toggles are barriers the driver synthesizes; only the
+        per-direction loss — fabric state, like the dice that roll it —
+        lives here.
         """
         key = event.link_id
         (as_a, _if_a), (as_b, _if_b) = key
@@ -701,24 +805,6 @@ class BeaconingSimulation:
             self.scheduler.schedule_at(
                 clear_at,
                 lambda _t, _key=key: self.link_state.clear_link_loss(_key),
-            )
-        if self.shard is not None:
-            # Toggles replay the LinkFailure/LinkRecovery machinery, which
-            # in a sharded run must be a coordinator-driven barrier (probe,
-            # broadcast, flush) — the coordinator synthesizes and
-            # dispatches them; the shard only installs the loss rates.
-            return
-        for index, offset in enumerate(event.schedule):
-            toggle = (
-                LinkFailure(link_id=key) if index % 2 == 0 else LinkRecovery(link_id=key)
-            )
-            timed_toggle = TimedEvent(time_ms=now_ms + offset, event=toggle)
-            self._scheduled_event_counts[timed_toggle.time_ms] = (
-                self._scheduled_event_counts.get(timed_toggle.time_ms, 0) + 1
-            )
-            self.scheduler.schedule_at(
-                timed_toggle.time_ms,
-                lambda t, _timed=timed_toggle: self._apply_event(_timed, t),
             )
 
     def _forge_revocations(self, event: RevocationForgery, now_ms: float) -> None:
@@ -834,118 +920,55 @@ class BeaconingSimulation:
         return notify
 
     # ------------------------------------------------------------------
-    # execution
+    # the driver's operations, in process
     # ------------------------------------------------------------------
-    def run_period(self) -> List[RoundReport]:
-        """Run one complete beaconing period.
+    @property
+    def now_ms(self) -> float:
+        """Return the simulated clock (the scheduler's)."""
+        return self.scheduler.now_ms
 
-        The period consists of: origination at every AS, delivery of all
-        in-flight PCBs (their latencies are tiny compared to the period),
-        one RAC round at every AS, another delivery phase so that freshly
-        propagated PCBs reach their neighbours before the period ends, and
-        finally an advancement step for every pull orchestrator.
+    def advance(self, target_ms: float, inclusive: bool = True) -> None:
+        """Deliver everything in flight up to ``target_ms``."""
+        self.scheduler.run_until(target_ms, inclusive)
 
-        Timeline events fire inside the delivery phases (the scheduler
-        processes them in time order with in-flight PCBs), offline ASes
-        neither originate nor run rounds, and at the period boundary every
-        watched pair is probed for convergence.  A period change applies
-        from the next period onwards.
-        """
-        period_start_ms = self._next_period_start_ms
-        mid_period_ms = period_start_ms + self._interval_ms / 2.0
-        period_end_ms = period_start_ms + self._interval_ms
-
-        self.scheduler.run_until(period_start_ms)
-        if self._deferred_events:
-            # Events deferred by a previous run()'s flush apply now, at the
-            # first instant a period can observe them.
-            deferred, self._deferred_events = self._deferred_events, []
-            self._applying_deferred = True
-            try:
-                for timed in deferred:
-                    self._apply_event(timed, self.scheduler.now_ms)
-            finally:
-                self._applying_deferred = False
-            if self._pending_failed_links or self._pending_failed_ases:
-                self._flush_revocations(self.scheduler.now_ms)
+    def originate(self, now_ms: float) -> None:
+        """Originate PCBs at every online AS."""
         with _spans.span("sim.originate"):
             for service in self._services_in_order():
                 if self.link_state.is_as_up(service.as_id):
-                    service.originate(now_ms=self.scheduler.now_ms)
-        self.scheduler.run_until(mid_period_ms)
+                    service.originate(now_ms=now_ms)
 
+    def rac_round(self, now_ms: float) -> List[RoundReport]:
+        """Run one RAC round at every online AS; return the IREC reports."""
         reports: List[RoundReport] = []
         with _spans.span("sim.rac_round"):
             for service in self._services_in_order():
                 if not self.link_state.is_as_up(service.as_id):
                     continue
-                report = service.run_round(now_ms=self.scheduler.now_ms)
+                report = service.run_round(now_ms=now_ms)
                 if isinstance(report, RoundReport):
                     reports.append(report)
-        self.scheduler.run_until(period_end_ms)
+        return reports
 
+    def end_period(self, now_ms: float) -> None:
+        """Start or advance every pull orchestrator of an online AS."""
         for orchestrator in self.orchestrators:
             if not self.link_state.is_as_up(orchestrator.service.as_id):
                 continue
             if orchestrator.state is PullState.IDLE:
-                orchestrator.start(now_ms=self.scheduler.now_ms)
+                orchestrator.start(now_ms=now_ms)
             else:
-                orchestrator.advance(now_ms=self.scheduler.now_ms)
+                orchestrator.advance(now_ms=now_ms)
 
-        if self.watched_pairs:
-            self.convergence.on_period_end(
-                now_ms=self.scheduler.now_ms,
-                pair_paths=self._watched_counts(),
-                messages_total=self.collector.control_messages_total(),
-                pair_registered_at={
-                    pair: self._usable_registration_times(*pair)
-                    for pair in self.watched_pairs
-                },
-            )
-
-        snapshot = (
-            self.collector.inbox_dropped_total(),
-            self.collector.inbox_marked_total(),
-            self.collector.inbox_deferred_total(),
-        )
-        if snapshot != self._overload_snapshot:
-            previous = self._overload_snapshot
-            self._overload_snapshot = snapshot
-            # Only overloaded periods emit a trace line, so unlimited runs
-            # (the PR-5 default) keep a bit-identical golden trace.
-            self.convergence.on_overload(
-                self.scheduler.now_ms,
-                dropped=snapshot[0] - previous[0],
-                marked=snapshot[1] - previous[1],
-                deferred=snapshot[2] - previous[2],
-            )
-
-        self.round_reports.extend(reports)
-        self._periods_run += 1
-        self._next_period_start_ms = period_end_ms
-        for listener in self.period_listeners:
-            listener(self.scheduler.now_ms)
-        return reports
-
-    def run(self, periods: Optional[int] = None) -> SimulationResult:
-        """Run ``periods`` beaconing periods (default: the scenario's count)."""
-        total = periods if periods is not None else self.scenario.periods
-        for _ in range(total):
-            self.run_period()
-        # Flush any remaining in-flight deliveries; timeline events in the
-        # flush window are beyond the horizon and suppressed.
-        self._horizon_reached = True
-        self.scheduler.run_until(self._next_period_start_ms + 1.0)
-        self._horizon_reached = False
-        return SimulationResult(
-            topology=self.topology,
-            services=dict(self.services),
-            collector=self.collector,
-            round_reports=list(self.round_reports),
-            periods_run=self._periods_run,
-            final_time_ms=self.scheduler.now_ms,
-            convergence=self.convergence,
-            link_state=self.link_state,
+    def gather(self):
+        """Return ``(collector, link_state, per-AS revocation stats)``."""
+        return (
+            self.collector,
+            self.link_state,
+            {
+                as_id: (service.revocations.rejected_invalid, service.revocations.duplicates)
+                for as_id, service in sorted(self.services.items())
+            },
         )
 
     def _services_in_order(self) -> List[AnyControlService]:

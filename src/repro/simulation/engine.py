@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 from repro.exceptions import SimulationError
 from repro.obs import spans as _spans
@@ -82,39 +82,18 @@ class EventScheduler:
         """Cancel a previously scheduled event (it will be skipped)."""
         event.cancelled = True
 
-    def run_until(self, horizon_ms: float) -> int:
+    def run_until(self, horizon_ms: float, inclusive: bool = True) -> int:
         """Process events up to and including ``horizon_ms``.
+
+        With ``inclusive=False`` only events *strictly before* the horizon
+        are processed — what a timeline barrier needs (the barrier applies
+        before anything else scheduled at its time) and what the sharded
+        simulation's conservative-lookahead window needs (cross-shard
+        imports may still land exactly on the window boundary).
 
         Returns:
             The number of events processed.  The current time advances to
             ``horizon_ms`` even if the queue drains earlier.
-        """
-        frame = _spans.push("scheduler.dispatch") if _spans.ENABLED else None
-        try:
-            processed = 0
-            while self._queue and self._queue[0].time_ms <= horizon_ms:
-                event = heapq.heappop(self._queue)
-                if event.cancelled:
-                    continue
-                self.now_ms = event.time_ms
-                event.callback(self.now_ms)
-                processed += 1
-                self.processed_events += 1
-            self.now_ms = max(self.now_ms, horizon_ms)
-            return processed
-        finally:
-            if frame is not None:
-                _spans.pop(frame)
-
-    def run_window(self, horizon_ms: float, inclusive: bool = True) -> int:
-        """Process events up to ``horizon_ms``; exclusive windows stop short.
-
-        ``inclusive=True`` behaves exactly like :meth:`run_until`.  With
-        ``inclusive=False`` only events *strictly before* the horizon are
-        processed — the conservative-lookahead window of the sharded
-        simulation, which must leave events at the window boundary for
-        the next window (cross-shard imports may still land exactly on
-        it).  Either way the clock advances to ``horizon_ms``.
         """
         frame = _spans.push("scheduler.dispatch") if _spans.ENABLED else None
         try:

@@ -746,10 +746,6 @@ class SimulatedTransport:
             ),
         )
 
-    def send_revocation(self, sender_as: int, egress_interface: int, revocation) -> None:
-        """Send a revocation message (already a typed control message)."""
-        self.send_message(sender_as, egress_interface, revocation)
-
     # ------------------------------------------------------------------
     # path-travel deliveries (not link-routed)
     # ------------------------------------------------------------------

@@ -10,7 +10,7 @@ ready-made :class:`AlgorithmSpec` lists (paper §VIII-B).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.algorithms.base import RoutingAlgorithm
 from repro.algorithms.delay import DelayOptimizationAlgorithm

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Tuple, Union
+from typing import Dict, Iterable, List, Union
 
 from repro.exceptions import TopologyError
 from repro.topology.entities import ASInfo, Interface, Link, Relationship

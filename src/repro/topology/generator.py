@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.exceptions import ConfigurationError
 from repro.topology.entities import ASInfo, Interface, Link, Relationship

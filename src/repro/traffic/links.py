@@ -26,8 +26,8 @@ one path or saturates at least one link, bounding the loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
 
 from repro.exceptions import ConfigurationError
 from repro.topology.entities import LinkID

@@ -156,22 +156,14 @@ def run_family_scenario(family, factory=None):
     simulation = factory(topology, scenario)
     simulation.watch_pair(5, 1)
     result = simulation.run()
-    if hasattr(result, "services"):
-        rejected = sum(s.revocations.rejected_invalid for s in result.services.values())
-        duplicates = sum(s.revocations.duplicates for s in result.services.values())
-        ases = len(result.services)
-    else:  # a sharded result carries per-AS stats instead of live services
-        rejected = result.rejected_invalid_total
-        duplicates = result.duplicates_total
-        ases = result.service_count
     summary = (
         f"sent={result.collector.total_sent}"
         f" dropped={result.collector.total_dropped}"
         f" gray={result.collector.gray_dropped_total()}"
         f" revocations={result.collector.total_revocations}"
-        f" rejected={rejected}"
-        f" duplicates={duplicates}"
-        f" ases={ases}"
+        f" rejected={result.rejected_invalid_total}"
+        f" duplicates={result.duplicates_total}"
+        f" ases={result.service_count}"
         f" final={result.final_time_ms:.3f}"
         f" records={len(result.convergence.records)}"
     )

@@ -1,4 +1,4 @@
-"""Sharded parallel simulation: partitioner, coordinator, crypto pool.
+"""Sharded parallel simulation: partitioner, coordinator, worker pool.
 
 The centerpiece is determinism: a sharded run — any worker count, any
 partition seed — must reproduce the single-process golden traces
@@ -13,9 +13,6 @@ import hashlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto.hashing import perf_counters, reset_perf_counters
-from repro.crypto.keys import KeyStore
-from repro.crypto.pool import CryptoPool, PooledSigner, PooledVerifier
 from repro.exceptions import ConfigurationError, UnknownASError
 from repro.obs.registry import MetricsRegistry
 from repro.obs.bridge import bind_parallel
@@ -25,6 +22,7 @@ from repro.parallel import (
     partition_topology,
 )
 from repro.parallel.partition import degradable_link_groups
+from repro.simulation.beaconing import BeaconingSimulation
 from repro.simulation.scenario import don_scenario
 from repro.units import minutes
 
@@ -155,16 +153,18 @@ class TestCoordinatorContract:
                 topology, don_scenario(periods=1, verify_signatures=False), workers=0
             )
 
-    def test_watch_pair_validates_as_ids(self):
+    @pytest.mark.parametrize(
+        "factory", [BeaconingSimulation, ShardedBeaconingSimulation], ids=["in_process", "sharded"]
+    )
+    def test_watch_pair_validates_as_ids(self, factory):
         topology = line_topology(3)
-        simulation = ShardedBeaconingSimulation(
-            topology, don_scenario(periods=1, verify_signatures=False), workers=2
-        )
+        simulation = factory(topology, don_scenario(periods=1, verify_signatures=False))
         try:
             with pytest.raises(UnknownASError):
                 simulation.watch_pair(1, 99)
         finally:
-            simulation.close()
+            if factory is ShardedBeaconingSimulation:
+                simulation.close()  # stop the forked workers
 
     def test_counters_and_utilization_shapes(self):
         topology = line_topology(4)
@@ -223,6 +223,32 @@ class TestShardedGoldenTraces:
             f"single-process golden trace; got {digest!r}:\n{trace}"
         )
 
+    def test_sharded_result_equals_in_process_where_digests_do_not_look(self):
+        """One driver, one result type: the fields the golden digest does
+        not cover agree between the in-process and the 2-worker run."""
+        results = []
+
+        def capture(simulation):
+            run = simulation.run
+
+            def run_and_keep():
+                results.append(run())
+                return results[-1]
+
+            simulation.run = run_and_keep
+
+        run_scenario(instrument=capture)
+        run_scenario(instrument=capture, factory=_sharded_factory(2, 0))
+        single, sharded = results
+        assert type(sharded) is type(single)
+        assert sharded.periods_run == single.periods_run > 0
+        assert sharded.final_time_ms == single.final_time_ms
+        assert [r.as_id for r in sharded.round_reports] == [
+            r.as_id for r in single.round_reports
+        ]
+        assert sharded.revocation_stats == single.revocation_stats
+        assert sharded.service_count == len(single.services)
+
     @pytest.mark.parametrize("family", sorted(FAMILY_DIGESTS))
     def test_sharded_run_matches_family_digests(self, family):
         """Loss dice, signature rejection, flap toggles and topology growth
@@ -261,87 +287,3 @@ class TestWorkerPool:
             WorkerPool(max_workers=0)
         with pytest.raises(ConfigurationError):
             WorkerPool().executor(min_workers=0)
-
-
-# ---------------------------------------------------------------------------
-# Crypto offload pool
-# ---------------------------------------------------------------------------
-
-
-class TestCryptoPool:
-    def _pool(self, **overrides):
-        options = dict(
-            key_store=KeyStore(deployment_secret=b"pool-test"),
-            pool=WorkerPool(max_workers=2),
-            chunk_size=16,
-            offload_threshold=8,
-            workers=2,
-        )
-        options.update(overrides)
-        return CryptoPool(**options)
-
-    def test_offloaded_signatures_match_inline(self):
-        crypto = self._pool()
-        signer = PooledSigner(as_id=3, crypto_pool=crypto)
-        messages = [f"msg-{i}".encode() for i in range(40)]
-        try:
-            batched = signer.sign_batch(messages)
-        finally:
-            crypto.pool.shutdown()
-        assert batched == [signer.sign(message) for message in messages]
-        assert crypto.offloaded_batches == 1
-        assert crypto.offloaded_messages == 40
-
-    def test_offloaded_verify_matches_inline_and_rejects_forgeries(self):
-        crypto = self._pool()
-        signer = PooledSigner(as_id=3, crypto_pool=crypto)
-        verifier = PooledVerifier(crypto_pool=crypto)
-        messages = [f"msg-{i}".encode() for i in range(30)]
-        signatures = [signer.sign(message) for message in messages]
-        items = [(3, m, s) for m, s in zip(messages, signatures)]
-        # Forge every third signature (wrong AS key) — exact verdict parity.
-        wrong = KeyStore(deployment_secret=b"pool-test").key_for(9)
-        for index in range(0, len(items), 3):
-            items[index] = (3, messages[index], wrong.sign(messages[index]))
-        try:
-            verdicts = verifier.verify_batch(items)
-        finally:
-            crypto.pool.shutdown()
-        expected = [index % 3 != 0 for index in range(len(items))]
-        assert verdicts == expected
-
-    def test_small_batches_stay_inline(self):
-        crypto = self._pool(offload_threshold=100)
-        signer = PooledSigner(as_id=1, crypto_pool=crypto)
-        signer.sign_batch([b"a", b"b"])
-        assert crypto.counters() == {
-            "offloaded_batches": 0,
-            "offloaded_messages": 0,
-            "inline_messages": 2,
-        }
-
-    def test_perf_counter_parity_between_inline_and_offloaded(self):
-        """The process-global sign counter advances identically whether a
-        batch ran inline or in the worker pool (parent-side accounting)."""
-        messages = [f"msg-{i}".encode() for i in range(32)]
-
-        reset_perf_counters()
-        inline = self._pool(offload_threshold=1_000)
-        PooledSigner(as_id=2, crypto_pool=inline).sign_batch(messages)
-        inline_ops = perf_counters().get("signature_sign", 0)
-
-        reset_perf_counters()
-        offloaded = self._pool(offload_threshold=8)
-        try:
-            PooledSigner(as_id=2, crypto_pool=offloaded).sign_batch(messages)
-        finally:
-            offloaded.pool.shutdown()
-        offloaded_ops = perf_counters().get("signature_sign", 0)
-
-        assert inline_ops == offloaded_ops == len(messages)
-
-    def test_rejections(self):
-        with pytest.raises(ConfigurationError):
-            self._pool(chunk_size=0)
-        with pytest.raises(ConfigurationError):
-            self._pool(offload_threshold=0)
