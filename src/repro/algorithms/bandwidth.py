@@ -10,7 +10,7 @@ within a latency bound (Figure 1, example #2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 from repro.algorithms.base import (
     CandidateBeacon,
@@ -37,14 +37,7 @@ class WidestPathAlgorithm(RoutingAlgorithm):
 
     def execute(self, context: ExecutionContext) -> ExecutionResult:
         """Return the widest beacons for every egress interface."""
-        bounded = _bound(context, self.paths_per_interface)
-        return select_per_interface(bounded, self._score)
-
-    @staticmethod
-    def _score(
-        candidate: CandidateBeacon, _egress_interface: int, _context: ExecutionContext
-    ) -> Tuple[float]:
-        return (-candidate.beacon.bottleneck_bandwidth_mbps(),)
+        return select_per_interface(context, self.paths_per_interface, _widest)
 
     def describe(self) -> str:
         return f"highest bottleneck bandwidth, {self.paths_per_interface} per interface"
@@ -70,15 +63,7 @@ class ShortestWidestAlgorithm(RoutingAlgorithm):
 
     def execute(self, context: ExecutionContext) -> ExecutionResult:
         """Return the shortest-widest beacons for every egress interface."""
-        bounded = _bound(context, self.paths_per_interface)
-        return select_per_interface(bounded, self._score)
-
-    @staticmethod
-    def _score(
-        candidate: CandidateBeacon, _egress_interface: int, _context: ExecutionContext
-    ) -> Tuple[float, float]:
-        beacon = candidate.beacon
-        return (-beacon.bottleneck_bandwidth_mbps(), beacon.total_latency_ms())
+        return select_per_interface(context, self.paths_per_interface, _widest_then_latency)
 
     def describe(self) -> str:
         return f"shortest-widest, {self.paths_per_interface} per interface"
@@ -111,29 +96,31 @@ class LatencyBoundedWidestAlgorithm(RoutingAlgorithm):
         self.name = f"widest-latency<={self.latency_bound_ms:g}ms"
 
     def execute(self, context: ExecutionContext) -> ExecutionResult:
-        """Return the widest within-bound beacons for every egress interface."""
-        bounded = _bound(context, self.paths_per_interface)
-        return select_per_interface(bounded, self._score, admit=self._admit)
+        """Return the widest within-bound beacons for every egress interface.
 
-    def _latency(
-        self, candidate: CandidateBeacon, egress_interface: int, context: ExecutionContext
-    ) -> float:
-        latency = candidate.beacon.total_latency_ms()
-        if self.use_extended_paths and candidate.ingress_interface is not None:
-            latency += context.intra_latency_ms(candidate.ingress_interface, egress_interface)
-        return latency
+        On received paths the bound is part of the per-candidate key (rank
+        once); on extended paths bound and tie-breaking latency are checked
+        per egress interface on top of the same per-candidate base.
+        """
+        bound = self.latency_bound_ms
 
-    def _admit(
-        self, candidate: CandidateBeacon, egress_interface: int, context: ExecutionContext
-    ) -> bool:
-        return self._latency(candidate, egress_interface, context) <= self.latency_bound_ms
+        def within(key: Tuple[float, float]) -> Optional[Tuple[float, float]]:
+            return key if key[1] <= bound else None
 
-    def _score(
-        self, candidate: CandidateBeacon, egress_interface: int, context: ExecutionContext
-    ) -> Tuple[float, float]:
-        return (
-            -candidate.beacon.bottleneck_bandwidth_mbps(),
-            self._latency(candidate, egress_interface, context),
+        if not self.use_extended_paths:
+            return select_per_interface(
+                context, self.paths_per_interface, lambda c: within(_widest_then_latency(c))
+            )
+        intra_latency_ms = context.intra_latency_ms
+
+        def term(candidate: CandidateBeacon, key: Tuple, egress_interface: int) -> Optional[Tuple]:
+            if candidate.ingress_interface is None:
+                return within(key)
+            intra = intra_latency_ms(candidate.ingress_interface, egress_interface)
+            return within((key[0], key[1] + intra))
+
+        return select_per_interface(
+            context, self.paths_per_interface, _widest_then_latency, term
         )
 
     def describe(self) -> str:
@@ -143,13 +130,12 @@ class LatencyBoundedWidestAlgorithm(RoutingAlgorithm):
         )
 
 
-def _bound(context: ExecutionContext, paths_per_interface: int) -> ExecutionContext:
-    """Return a copy of ``context`` with the per-interface limit tightened."""
-    return ExecutionContext(
-        local_as=context.local_as,
-        candidates=context.candidates,
-        egress_interfaces=context.egress_interfaces,
-        max_paths_per_interface=min(paths_per_interface, context.max_paths_per_interface),
-        intra_latency_ms=context.intra_latency_ms,
-        parameters=context.parameters,
-    )
+def _widest(candidate: CandidateBeacon) -> Tuple[float]:
+    """Per-candidate key: bottleneck bandwidth, descending."""
+    return (-candidate.beacon.bottleneck_bandwidth_mbps(),)
+
+
+def _widest_then_latency(candidate: CandidateBeacon) -> Tuple[float, float]:
+    """Per-candidate key: bottleneck bandwidth (descending), then latency."""
+    beacon = candidate.beacon
+    return (-beacon.bottleneck_bandwidth_mbps(), beacon.total_latency_ms())

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.beacon import Beacon
@@ -131,47 +132,70 @@ class RoutingAlgorithm(abc.ABC):
         return f"<{type(self).__name__} {self.describe()}>"
 
 
-#: A scoring function maps (candidate, egress interface, context) to a sort
-#: key; lower keys are better.
-ScoreFunction = Callable[[CandidateBeacon, int, ExecutionContext], Tuple]
+#: Per-candidate sort key (lower is better); ``None`` excludes the candidate.
+CandidateKey = Callable[[CandidateBeacon], Optional[Tuple]]
+
+#: Optional per-interface refinement: maps (candidate, its per-candidate key,
+#: egress interface) to the final sort key, or ``None`` to exclude the
+#: candidate on that interface.
+InterfaceTerm = Callable[[CandidateBeacon, Tuple, int], Optional[Tuple]]
 
 
 def select_per_interface(
     context: ExecutionContext,
-    score: ScoreFunction,
-    admit: Optional[Callable[[CandidateBeacon, int, ExecutionContext], bool]] = None,
+    paths_per_interface: int,
+    key: CandidateKey,
+    interface_term: Optional[InterfaceTerm] = None,
 ) -> ExecutionResult:
     """Shared selection skeleton: rank candidates per egress interface.
 
-    For each egress interface, candidates are filtered by ``admit`` (if
-    given), sorted by ``score`` (ascending; ties broken deterministically by
-    AS path then beacon digest) and the best ``max_paths_per_interface`` are
-    selected.
+    Every loop-free candidate is keyed **once** by ``key``; ties are broken
+    deterministically by AS path then beacon digest, and the best
+    ``min(paths_per_interface, context.max_paths_per_interface)`` are
+    selected.  Without an ``interface_term`` the key cannot depend on the
+    egress interface, so candidates are ranked once and every interface
+    gets its own copy of that one ranking.  With one, the per-candidate key
+    is refined and the candidates re-ranked per interface — only algorithms
+    whose criterion really reads the interface (extended paths) pay
+    O(candidates × interfaces).
 
     Beacons whose path already contains the local AS are never selected:
     propagating them would create a loop.
     """
     result = ExecutionResult()
-    limit = context.max_paths_per_interface
-    if limit <= 0:
+    limit = min(paths_per_interface, context.max_paths_per_interface)
+    if limit <= 0 or not context.egress_interfaces:
         return result
-    # The loop check and the deterministic tie-break key do not depend on
-    # the egress interface; compute them once per candidate instead of once
-    # per (candidate, interface).  Both lean on the beacon's memoized
-    # as_path/digest, so repeated rounds over the same bucket are cheap.
-    admissible: List[Tuple[CandidateBeacon, Tuple]] = [
-        (candidate, (candidate.beacon.as_path(), candidate.beacon.digest()))
-        for candidate in context.candidates
-        if not candidate.beacon.contains_as(context.local_as)
-    ]
+    # (key, tie-break, candidate) per admissible candidate; the tie-break
+    # leans on the beacon's memoized as_path/digest.
+    keyed: List[Tuple[Tuple, Tuple, CandidateBeacon]] = []
+    local_as = context.local_as
+    for candidate in context.candidates:
+        beacon = candidate.beacon
+        if beacon.contains_as(local_as):
+            continue
+        base = key(candidate)
+        if base is not None:
+            keyed.append((base, (beacon.as_path(), beacon.digest()), candidate))
+    shared = None if interface_term is not None else _best(keyed, limit)
     for egress_interface in context.egress_interfaces:
-        ranked: List[Tuple[Tuple, Beacon]] = []
-        for candidate, tie_break in admissible:
-            if admit is not None and not admit(candidate, egress_interface, context):
-                continue
-            key = score(candidate, egress_interface, context)
-            ranked.append((tuple(key) + tie_break, candidate.beacon))
-        ranked.sort(key=lambda item: item[0])
-        for _key, beacon in ranked[:limit]:
-            result.add(egress_interface, beacon)
+        best = shared
+        if best is None:
+            refined = []
+            for base, tie_break, candidate in keyed:
+                final = interface_term(candidate, base, egress_interface)
+                if final is not None:
+                    refined.append((final, tie_break, candidate))
+            best = _best(refined, limit)
+        if best:
+            result.selections.setdefault(egress_interface, []).extend(best)
     return result
+
+
+_KEY_THEN_TIE_BREAK = itemgetter(0, 1)
+
+
+def _best(keyed: List[Tuple[Tuple, Tuple, CandidateBeacon]], limit: int) -> List[Beacon]:
+    """Return the beacons of the ``limit`` lowest ``(key, tie-break)`` entries."""
+    keyed.sort(key=_KEY_THEN_TIE_BREAK)
+    return [candidate.beacon for _key, _tie_break, candidate in keyed[:limit]]

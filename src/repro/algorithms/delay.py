@@ -32,6 +32,10 @@ from repro.algorithms.base import (
 from repro.exceptions import AlgorithmError
 
 
+def _latency(candidate: CandidateBeacon) -> Tuple[float]:
+    return (candidate.beacon.total_latency_ms(),)
+
+
 @dataclass
 class DelayOptimizationAlgorithm(RoutingAlgorithm):
     """Select the lowest-latency beacons per egress interface.
@@ -55,25 +59,21 @@ class DelayOptimizationAlgorithm(RoutingAlgorithm):
         self.name = "dob" if self.use_extended_paths else "don"
 
     def execute(self, context: ExecutionContext) -> ExecutionResult:
-        """Return the lowest-delay beacons for every egress interface."""
-        effective_limit = min(self.paths_per_interface, context.max_paths_per_interface)
-        bounded = ExecutionContext(
-            local_as=context.local_as,
-            candidates=context.candidates,
-            egress_interfaces=context.egress_interfaces,
-            max_paths_per_interface=effective_limit,
-            intra_latency_ms=context.intra_latency_ms,
-            parameters=context.parameters,
-        )
-        return select_per_interface(bounded, self._score)
+        """Return the lowest-delay beacons for every egress interface.
 
-    def _score(
-        self, candidate: CandidateBeacon, egress_interface: int, context: ExecutionContext
-    ) -> Tuple[float]:
-        latency = candidate.beacon.total_latency_ms()
-        if self.use_extended_paths and candidate.ingress_interface is not None:
-            latency += context.intra_latency_ms(candidate.ingress_interface, egress_interface)
-        return (latency,)
+        DON's key ignores the egress interface, so it ranks once; DOB adds
+        the intra-AS term to the same per-candidate base.
+        """
+        term = None
+        if self.use_extended_paths:
+            intra_latency_ms = context.intra_latency_ms
+
+            def term(candidate: CandidateBeacon, key: Tuple, egress_interface: int) -> Tuple:
+                if candidate.ingress_interface is None:
+                    return key
+                return (key[0] + intra_latency_ms(candidate.ingress_interface, egress_interface),)
+
+        return select_per_interface(context, self.paths_per_interface, _latency, term)
 
     def describe(self) -> str:
         variant = "extended paths" if self.use_extended_paths else "received paths"

@@ -19,6 +19,10 @@ The second rule reproduces the behaviour the paper reports in Figure 8c —
 subsequent periods", giving HD a much lower steady-state overhead than the
 uniform-propagation algorithms — while still letting the registered
 disjointness grow as genuinely new disjoint paths appear.
+
+Only the link overlap of a candidate depends on the pair; hop count,
+latency, AS path and link tuple are read once per execution and the
+candidates ordered by them once, so a pair costs its overlap checks only.
 """
 
 from __future__ import annotations
@@ -27,11 +31,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Set, Tuple
 
 from repro.algorithms.base import (
-    CandidateBeacon,
     ExecutionContext,
     ExecutionResult,
     RoutingAlgorithm,
 )
+from repro.core.beacon import Beacon
 from repro.exceptions import AlgorithmError
 from repro.topology.entities import LinkID
 
@@ -78,69 +82,71 @@ class HeuristicDisjointnessAlgorithm(RoutingAlgorithm):
             return result
 
         loop_free = [
-            candidate
+            candidate.beacon
             for candidate in context.candidates
             if not candidate.beacon.contains_as(context.local_as)
         ]
         if not loop_free:
             return result
-        origin = loop_free[0].beacon.origin_as
+        origin = loop_free[0].origin_as
+        # Everything but the overlap is the same for every pair: order the
+        # candidates once by the overlap-independent rest of the score (the
+        # sort is stable, so full ties keep their bucket order).
+        loop_free.sort(key=lambda b: (b.hop_count, b.total_latency_ms(), b.as_path()))
+        ordered = [(beacon.digest(), beacon.links(), beacon) for beacon in loop_free]
 
         for egress_interface in context.egress_interfaces:
-            state = self._state_for(egress_interface, origin)
-            selected = self._select_for_pair(loop_free, state, limit)
-            for candidate in selected:
-                result.add(egress_interface, candidate.beacon)
+            state = _PairState()
             if self.remember_propagations:
-                self._persist(state, selected)
+                state = self._state.setdefault((egress_interface, origin), state)
+            selected = self._select_for_pair(ordered, state, limit)
+            if selected:
+                result.selections.setdefault(egress_interface, []).extend(selected)
         return result
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _state_for(self, egress_interface: int, origin: int) -> _PairState:
-        if not self.remember_propagations:
-            return _PairState()
-        return self._state.setdefault((egress_interface, origin), _PairState())
-
+    @staticmethod
     def _select_for_pair(
-        self, candidates: List[CandidateBeacon], state: _PairState, limit: int
-    ) -> List[CandidateBeacon]:
-        """Greedy minimum-overlap selection for one (interface, origin) pair."""
-        used: Dict[LinkID, int] = dict(state.used_links)
-        remaining = [
-            candidate
-            for candidate in candidates
-            if candidate.beacon.digest() not in state.served_digests
-        ]
-        selected: List[CandidateBeacon] = []
+        ordered: List[Tuple[str, Tuple[LinkID, ...], Beacon]], state: _PairState, limit: int
+    ) -> List[Beacon]:
+        """Greedy minimum-overlap selection for one (interface, origin) pair.
+
+        ``ordered`` is sorted by (hop count, latency, AS path), so the
+        best candidate is the first one with the least overlap and a
+        zero-overlap candidate ends the scan.  The selection is recorded
+        in ``state`` as it is made.
+        """
+        used = state.used_links
+        used_keys = used.keys()
+        steady = state.first_round_done
+        remaining = [item for item in ordered if item[0] not in state.served_digests]
+        selected: List[Beacon] = []
         while remaining and len(selected) < limit:
-            best = min(remaining, key=lambda candidate: self._score(candidate, used))
-            overlap = sum(used.get(link, 0) for link in best.beacon.links())
-            if state.first_round_done and overlap > 0:
-                # Steady state: only propagate paths that add entirely new
-                # links; anything overlapping was covered in earlier rounds.
+            best, best_overlap = None, 0
+            for item in remaining:
+                if used_keys.isdisjoint(item[1]):
+                    best = item
+                    break
+                if steady:
+                    # Steady state: only propagate paths that add entirely
+                    # new links; anything overlapping was covered in
+                    # earlier rounds.
+                    continue
+                overlap = sum(used.get(link, 0) for link in item[1])
+                if best is None or overlap < best_overlap:
+                    best, best_overlap = item, overlap
+            if best is None:
                 break
             remaining.remove(best)
-            selected.append(best)
-            for link in best.beacon.links():
+            digest, links, beacon = best
+            selected.append(beacon)
+            state.served_digests.add(digest)
+            for link in links:
                 used[link] = used.get(link, 0) + 1
-        return selected
-
-    def _persist(self, state: _PairState, selected: List[CandidateBeacon]) -> None:
-        for candidate in selected:
-            state.served_digests.add(candidate.beacon.digest())
-            for link in candidate.beacon.links():
-                state.used_links[link] = state.used_links.get(link, 0) + 1
         state.first_round_done = True
-
-    @staticmethod
-    def _score(
-        candidate: CandidateBeacon, used_links: Dict[LinkID, int]
-    ) -> Tuple[int, int, float, Tuple[int, ...]]:
-        beacon = candidate.beacon
-        overlap = sum(used_links.get(link, 0) for link in beacon.links())
-        return (overlap, beacon.hop_count, beacon.total_latency_ms(), beacon.as_path())
+        return selected
 
     def reset_memory(self) -> None:
         """Forget all per-pair state (used between simulations)."""

@@ -22,7 +22,7 @@ Two pieces implement this in the library:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, Sequence, Tuple
+from typing import FrozenSet, Optional, Sequence, Tuple
 
 from repro.algorithms.base import (
     CandidateBeacon,
@@ -31,6 +31,7 @@ from repro.algorithms.base import (
     RoutingAlgorithm,
     select_per_interface,
 )
+from repro.algorithms.shortest_path import hops_then_latency
 from repro.exceptions import AlgorithmError
 from repro.topology.entities import InterfaceID, LinkID, normalize_link_id
 
@@ -67,37 +68,17 @@ class LinkAvoidingAlgorithm(RoutingAlgorithm):
 
     def execute(self, context: ExecutionContext) -> ExecutionResult:
         """Return the shortest avoid-set-compliant beacons per egress interface."""
-        bounded = ExecutionContext(
-            local_as=context.local_as,
-            candidates=context.candidates,
-            egress_interfaces=context.egress_interfaces,
-            max_paths_per_interface=min(
-                self.paths_per_interface, context.max_paths_per_interface
-            ),
-            intra_latency_ms=context.intra_latency_ms,
-            parameters=context.parameters,
-        )
-        return select_per_interface(bounded, self._score, admit=self._admit)
-
-    def _forbidden(self, context: ExecutionContext) -> FrozenSet[LinkID]:
         extra = context.parameters.get("avoid_links", ())
-        normalised = frozenset(normalize_link_id(tuple(a), tuple(b)) for a, b in extra)
-        return self.avoid_links | normalised
+        forbidden = self.avoid_links | frozenset(
+            normalize_link_id(tuple(a), tuple(b)) for a, b in extra
+        )
 
-    def _admit(
-        self, candidate: CandidateBeacon, _egress_interface: int, context: ExecutionContext
-    ) -> bool:
-        forbidden = self._forbidden(context)
-        if not forbidden:
-            return True
-        return not any(link in forbidden for link in candidate.beacon.links())
+        def key(candidate: CandidateBeacon) -> Optional[Tuple[float, float]]:
+            if not forbidden.isdisjoint(candidate.beacon.links()):
+                return None
+            return hops_then_latency(candidate)
 
-    @staticmethod
-    def _score(
-        candidate: CandidateBeacon, _egress_interface: int, _context: ExecutionContext
-    ) -> Tuple[float, float]:
-        beacon = candidate.beacon
-        return (float(beacon.hop_count), beacon.total_latency_ms())
+        return select_per_interface(context, self.paths_per_interface, key)
 
     def describe(self) -> str:
         return (

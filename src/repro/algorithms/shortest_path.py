@@ -26,6 +26,12 @@ from repro.exceptions import AlgorithmError
 LEGACY_PATH_COUNT = 20
 
 
+def hops_then_latency(candidate: CandidateBeacon) -> Tuple[float, float]:
+    """Per-candidate key: AS-hop count, ties broken by accumulated latency."""
+    beacon = candidate.beacon
+    return (float(beacon.hop_count), beacon.total_latency_ms())
+
+
 @dataclass
 class KShortestPathAlgorithm(RoutingAlgorithm):
     """Select the ``k`` shortest beacons per origin, by AS-hop count.
@@ -49,23 +55,7 @@ class KShortestPathAlgorithm(RoutingAlgorithm):
 
     def execute(self, context: ExecutionContext) -> ExecutionResult:
         """Return the ``k`` hop-count-shortest beacons for every egress interface."""
-        effective_limit = min(self.k, context.max_paths_per_interface)
-        bounded = ExecutionContext(
-            local_as=context.local_as,
-            candidates=context.candidates,
-            egress_interfaces=context.egress_interfaces,
-            max_paths_per_interface=effective_limit,
-            intra_latency_ms=context.intra_latency_ms,
-            parameters=context.parameters,
-        )
-        return select_per_interface(bounded, self._score)
-
-    @staticmethod
-    def _score(
-        candidate: CandidateBeacon, _egress_interface: int, _context: ExecutionContext
-    ) -> Tuple[float, float]:
-        beacon = candidate.beacon
-        return (float(beacon.hop_count), beacon.total_latency_ms())
+        return select_per_interface(context, self.k, hops_then_latency)
 
     def describe(self) -> str:
         return f"{self.k} shortest paths by AS-hop count"

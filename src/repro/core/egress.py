@@ -14,15 +14,15 @@ control plane:
   neighbours,
 * **pull return** — sending pull-based beacons whose target is the local AS
   back to their origin instead of propagating them, and
-* **path registration** — terminating selected beacons and registering them
-  at the local path service, tagged with the criteria they were optimized
-  for.
+* **path registration** — terminating selected beacons (once per beacon and
+  arrival interface) and registering them at the local path service, tagged
+  with the criteria they were optimized for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.beacon import Beacon, BeaconBuilder, DEFAULT_VALIDITY_MS
 from repro.core.databases import EgressDatabase, PathService, RegisteredPath
@@ -73,6 +73,10 @@ class EgressGateway:
     _registered_feed: List[Tuple[RegisteredPath, Optional[int]]] = field(
         default_factory=list
     )
+    #: Terminated (signed) segment per ``(beacon digest, arrival interface)``:
+    #: a selection repeated round after round is terminated once, not once
+    #: per round.  :meth:`expire` drops the segments that ran out.
+    _terminated: Dict[Tuple[str, Optional[int]], Beacon] = field(default_factory=dict)
 
     def take_registered(self) -> List[Tuple[RegisteredPath, Optional[int]]]:
         """Drain and return the collected ``(path, arrival_interface)`` pairs."""
@@ -172,9 +176,9 @@ class EgressGateway:
     ) -> List[int]:
         """Drop egress interfaces whose neighbouring AS is already on the path."""
         result = []
+        neighbor_as = self.view.neighbor_as
         for interface_id in interfaces:
-            neighbor_as, _neighbor_interface = self.view.neighbor_of(interface_id)
-            if beacon.contains_as(neighbor_as):
+            if beacon.contains_as(neighbor_as(interface_id)):
                 self.stats.suppressed_loops += 1
                 continue
             result.append(interface_id)
@@ -216,16 +220,21 @@ class EgressGateway:
             beacon = selection.beacon
             if beacon.origin_as == self.as_id:
                 continue
-            try:
-                segment = self.builder.terminate(
-                    beacon,
-                    ingress_interface=selection.stored.received_on_interface,
-                    static_info=self.view.static_info_for(
-                        selection.stored.received_on_interface, None
-                    ),
-                )
-            except LoopError as exc:
-                raise GatewayError(f"cannot terminate beacon for registration: {exc}") from exc
+            arrival_interface = selection.stored.received_on_interface
+            key = (beacon.digest(), arrival_interface)
+            segment = self._terminated.get(key)
+            if segment is None:
+                try:
+                    segment = self.builder.terminate(
+                        beacon,
+                        ingress_interface=arrival_interface,
+                        static_info=self.view.static_info_for(arrival_interface, None),
+                    )
+                except LoopError as exc:
+                    raise GatewayError(
+                        f"cannot terminate beacon for registration: {exc}"
+                    ) from exc
+                self._terminated[key] = segment
             path = RegisteredPath(
                 segment=segment,
                 criteria_tags=(selection.criteria_tag,),
@@ -235,13 +244,16 @@ class EgressGateway:
                 self.stats.registered += 1
                 registered += 1
                 if self.collect_registered:
-                    self._registered_feed.append(
-                        (path, selection.stored.received_on_interface)
-                    )
+                    self._registered_feed.append((path, arrival_interface))
         return registered
 
     def expire(self, now_ms: float) -> Tuple[int, int]:
         """Expire outdated entries from the egress database and path service."""
+        self._terminated = {
+            key: segment
+            for key, segment in self._terminated.items()
+            if not segment.is_expired(now_ms)
+        }
         return (
             self.database.remove_expired(now_ms),
             self.path_service.remove_expired(now_ms),

@@ -41,6 +41,12 @@ class LocalTopologyView:
     _interface_ids: Optional[Tuple[int, ...]] = field(
         default=None, init=False, repr=False, compare=False
     )
+    #: Interface -> neighbouring AS, filled on first use; the egress
+    #: gateway's loop check asks per (selection, interface).  Invalidated
+    #: with ``_interface_ids``.
+    _neighbor_as: Dict[int, int] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def from_topology(
@@ -84,6 +90,7 @@ class LocalTopologyView:
         self.as_info.interface(interface_id)  # raises if missing
         self.links_by_interface[interface_id] = link
         self._interface_ids = None
+        self._neighbor_as.clear()
 
     def link_of(self, interface_id: int) -> Link:
         """Return the inter-domain link attached to ``interface_id``."""
@@ -98,6 +105,13 @@ class LocalTopologyView:
         """Return the (AS, interface) at the far end of a local interface."""
         link = self.link_of(interface_id)
         return link.other_end((self.as_id, interface_id))
+
+    def neighbor_as(self, interface_id: int) -> int:
+        """Return the AS at the far end of a local interface (memoized)."""
+        neighbor = self._neighbor_as.get(interface_id)
+        if neighbor is None:
+            neighbor = self._neighbor_as[interface_id] = self.neighbor_of(interface_id)[0]
+        return neighbor
 
     def intra_latency_ms(self, interface_a: int, interface_b: int) -> float:
         """Return the intra-AS latency between two local interfaces."""

@@ -26,7 +26,7 @@ from __future__ import annotations
 import ast
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.algorithms.base import (
     CandidateBeacon,
@@ -244,10 +244,11 @@ class RestrictedPythonAlgorithm(RoutingAlgorithm):
     """A routing algorithm defined by a restricted-Python scoring expression.
 
     The expression is evaluated once per (candidate, egress interface) pair
-    with the candidate's metrics bound to local variables; candidates are
-    ranked by ascending score.  A score of ``float("inf")`` (or any score
-    above :attr:`rejection_threshold`) excludes the candidate, which is how
-    payloads express hard constraints.
+    — once per candidate when it reads neither ``intra_latency_ms`` nor
+    ``egress_interface`` — with the candidate's metrics bound to local
+    variables; candidates are ranked by ascending score.  A score of
+    ``float("inf")`` (or any score above :attr:`rejection_threshold`)
+    excludes the candidate, which is how payloads express hard constraints.
     """
 
     source: str = "latency_ms"
@@ -260,53 +261,61 @@ class RestrictedPythonAlgorithm(RoutingAlgorithm):
     def __post_init__(self) -> None:
         self._tree = validate_restricted_source(self.source)
         self._evaluator = MeteredEvaluator(tree=self._tree, step_budget=self.step_budget)
+        # A payload that names neither interface-dependent variable scores a
+        # candidate the same on every egress interface: evaluate it once.
+        self._reads_interface = any(
+            isinstance(node, ast.Name) and node.id in ("intra_latency_ms", "egress_interface")
+            for node in ast.walk(self._tree)
+        )
 
     def execute(self, context: ExecutionContext) -> ExecutionResult:
         """Rank candidates by the payload's score, per egress interface."""
         deadline = time.perf_counter() + self.time_budget_ms / 1000.0
 
-        def score(
-            candidate: CandidateBeacon, egress_interface: int, ctx: ExecutionContext
-        ) -> Tuple[float]:
+        def evaluate(
+            candidate: CandidateBeacon,
+            _key: Optional[Tuple] = None,
+            egress_interface: Optional[int] = None,
+        ) -> Optional[Tuple[float]]:
             if time.perf_counter() > deadline:
                 raise SandboxResourceError(
                     f"algorithm exceeded its time budget of {self.time_budget_ms} ms"
                 )
-            return (self.score_candidate(candidate, egress_interface, ctx),)
+            score = self.score_candidate(candidate, egress_interface, context)
+            return (score,) if score < self.rejection_threshold else None
 
-        def admit(
-            candidate: CandidateBeacon, egress_interface: int, ctx: ExecutionContext
-        ) -> bool:
-            return score(candidate, egress_interface, ctx)[0] < self.rejection_threshold
-
-        bounded = ExecutionContext(
-            local_as=context.local_as,
-            candidates=context.candidates,
-            egress_interfaces=context.egress_interfaces,
-            max_paths_per_interface=min(
-                self.paths_per_interface, context.max_paths_per_interface
-            ),
-            intra_latency_ms=context.intra_latency_ms,
-            parameters=context.parameters,
-        )
-        return select_per_interface(bounded, score, admit=admit)
+        # ``evaluate`` is the per-interface term of a payload that reads the
+        # interface, and the whole per-candidate key of one that does not.
+        if self._reads_interface:
+            return select_per_interface(
+                context, self.paths_per_interface, lambda candidate: (), evaluate
+            )
+        return select_per_interface(context, self.paths_per_interface, evaluate)
 
     def score_candidate(
-        self, candidate: CandidateBeacon, egress_interface: int, context: ExecutionContext
+        self,
+        candidate: CandidateBeacon,
+        egress_interface: Optional[int],
+        context: ExecutionContext,
     ) -> float:
-        """Evaluate the payload expression for one candidate."""
+        """Evaluate the payload expression for one candidate.
+
+        ``egress_interface`` is ``None`` when the payload reads neither
+        interface-dependent variable; both are then left unbound.
+        """
         beacon = candidate.beacon
-        intra = 0.0
-        if candidate.ingress_interface is not None:
-            intra = context.intra_latency_ms(candidate.ingress_interface, egress_interface)
         variables = {
             "latency_ms": beacon.total_latency_ms(),
             "bandwidth_mbps": beacon.bottleneck_bandwidth_mbps(),
             "hop_count": float(beacon.hop_count),
-            "intra_latency_ms": intra,
-            "egress_interface": float(egress_interface),
             "inf": float("inf"),
         }
+        if egress_interface is not None:
+            intra = 0.0
+            if candidate.ingress_interface is not None:
+                intra = context.intra_latency_ms(candidate.ingress_interface, egress_interface)
+            variables["intra_latency_ms"] = intra
+            variables["egress_interface"] = float(egress_interface)
         return self._evaluator.evaluate(variables)
 
     def describe(self) -> str:

@@ -10,9 +10,11 @@ from repro.core.ingress import IngressGateway
 from repro.core.local_view import LocalTopologyView
 from repro.core.rac import RACSelection
 from repro.core.transport import NullTransport
+from repro.crypto.hashing import perf_counters
 from repro.crypto.keys import KeyStore
 from repro.crypto.signer import Signer, Verifier
 from repro.exceptions import PolicyViolationError
+from repro.topology.entities import Link, Relationship
 
 from tests.conftest import figure1_topology, make_beacon
 
@@ -221,3 +223,98 @@ class TestEgressGateway:
         removed_egress, removed_paths = egress.expire(now_ms=1_000.0)
         assert removed_egress == 1
         assert removed_paths == 1
+
+    def test_repeated_registration_terminates_once_and_keeps_path_service_semantics(
+        self, topology, key_store
+    ):
+        """Round after round the same selection comes back: the segment is
+        terminated and signed once per (digest, arrival interface), while the
+        path service still sees every registration."""
+        _ingress, egress, _transport = gateway_pair(topology, 3, key_store)
+        notified = []
+        egress.path_service.add_invalidation_listener(notified.append)
+        beacon = make_beacon(key_store, [(1, None, 1), (2, 1, 2)])
+        other = make_beacon(key_store, [(1, None, 2), (4, 1, 2), (5, 1, 3)])
+        first = self._selection(key_store, beacon, egress_interfaces=[2], tag="1sp")
+        second = self._selection(key_store, beacon, egress_interfaces=[3], tag="don")
+
+        signed = perf_counters()["signature_sign"]
+        assert egress.register([first], now_ms=5.0) == 1
+        assert perf_counters()["signature_sign"] == signed + 1
+        digest = egress.path_service.paths_to(1)[0].segment.digest()
+
+        # Same beacon, same arrival interface, another RAC, a later round.
+        assert egress.register([first, second], now_ms=9.0) == 2
+        assert perf_counters()["signature_sign"] == signed + 1
+        (path,) = egress.path_service.paths_to(1)
+        assert path.segment.digest() == digest
+        assert path.criteria_tags == ("1sp", "don")
+        assert (path.registered_at_ms, path.last_registered_at_ms) == (5.0, 9.0)
+        assert notified == [1, 1, 1]
+        assert egress.stats.registered == 3
+
+        # A never-seen pair is signed: another arrival interface, another beacon.
+        elsewhere = self._selection(key_store, beacon, egress_interfaces=[2], received_on=2)
+        unseen = self._selection(key_store, other, egress_interfaces=[2], received_on=3)
+        egress.register([elsewhere, unseen, first], now_ms=10.0)
+        assert perf_counters()["signature_sign"] == signed + 3
+        assert len(egress._terminated) == 3
+
+    def test_withdrawn_path_is_registered_again_from_the_kept_segment(self, topology, key_store):
+        _ingress, egress, _transport = gateway_pair(topology, 3, key_store)
+        beacon = make_beacon(key_store, [(1, None, 1), (2, 1, 2)])
+        selection = self._selection(key_store, beacon, egress_interfaces=[2])
+        egress.register([selection], now_ms=0.0)
+        digest = egress.path_service.paths_to(1)[0].segment.digest()
+        assert egress.path_service.remove_crossing_link(((1, 1), (2, 1))) == 1
+        assert egress.path_service.paths_to(1) == []
+
+        # The beacon is still in the ingress database, so the next round
+        # selects it again: it must come back, dated by that round.
+        signed = perf_counters()["signature_sign"]
+        assert egress.register([selection], now_ms=7.0) == 1
+        (path,) = egress.path_service.paths_to(1)
+        assert path.segment.digest() == digest
+        assert path.registered_at_ms == 7.0
+        assert perf_counters()["signature_sign"] == signed
+
+    def test_expiry_sweep_empties_the_termination_memo(self, topology, key_store):
+        _ingress, egress, _transport = gateway_pair(topology, 3, key_store)
+        short = make_beacon(key_store, [(1, None, 1), (2, 1, 2)], validity_ms=10.0)
+        long = make_beacon(key_store, [(1, None, 2), (4, 1, 2), (5, 1, 3)], validity_ms=50.0)
+        egress.register(
+            [
+                self._selection(key_store, short, egress_interfaces=[2]),
+                self._selection(key_store, long, egress_interfaces=[2], received_on=3),
+            ],
+            now_ms=0.0,
+        )
+        assert len(egress._terminated) == 2
+        egress.expire(now_ms=20.0)
+        assert [segment.origin_interface for segment in egress._terminated.values()] == [2]
+        egress.expire(now_ms=1_000.0)
+        assert egress._terminated == {}
+
+    def test_loop_suppression_follows_links_attached_later(self, topology, key_store):
+        """The interface -> neighbour memo is dropped by ``attach_link``."""
+        _ingress, egress, _transport = gateway_pair(topology, 3, key_store)
+        beacon = make_beacon(key_store, [(1, None, 1), (2, 1, 2)])
+        selection = self._selection(key_store, beacon, egress_interfaces=[1, 2, 3])
+        assert egress.propagate([selection]) == 2
+        assert egress.stats.suppressed_loops == 1  # interface 1 leads back to AS 2
+        assert egress.view.neighbor_as(3) == 5
+
+        # Interface 3 is re-homed to AS 2: the next beacon must not go there.
+        egress.view.attach_link(
+            3,
+            Link(
+                interface_a=(2, 9),
+                interface_b=(3, 3),
+                latency_ms=1.0,
+                bandwidth_mbps=10.0,
+                relationship=Relationship.PEER,
+            ),
+        )
+        again = make_beacon(key_store, [(1, None, 1), (2, 1, 2)], created_at_ms=1.0)
+        assert egress.propagate([self._selection(key_store, again, [1, 2, 3])]) == 1
+        assert egress.stats.suppressed_loops == 3

@@ -1,10 +1,10 @@
 """Equivalence tests for the beacon fast path.
 
 The hot-path optimizations (memoized encodings/digests, the sweep-based
-Pareto frontier and the ingress gateway's incremental signature
-verification) are pure performance work: they must be observationally
-identical to the naive implementations.  These property tests pin that
-down:
+Pareto frontier, the ingress gateway's incremental signature
+verification and rank-once selection) are pure performance work: they
+must be observationally identical to the naive implementations.  These
+property tests pin that down:
 
 * the memoized digest equals an independent, from-scratch re-encoding and
   re-hashing of the beacon after arbitrary ``with_entry``/termination
@@ -15,7 +15,12 @@ down:
   metrics, including duplicates and maximize-objective metrics, and
 * incremental verification accepts exactly what full verification accepts
   and rejects beacons tampered at every entry position, with or without a
-  warm verified-prefix cache.
+  warm verified-prefix cache, and
+* ranking a bucket once per candidate (``select_per_interface`` with a
+  per-candidate key and an optional per-interface term; HD's pre-ordered
+  candidates) selects exactly what scoring every (candidate, interface)
+  pair selects, for every builtin algorithm, over buckets full of ties,
+  parallel links, looping candidates and empty interface sets.
 """
 
 from __future__ import annotations
@@ -26,6 +31,16 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.algorithms.bandwidth import (
+    LatencyBoundedWidestAlgorithm,
+    ShortestWidestAlgorithm,
+    WidestPathAlgorithm,
+)
+from repro.algorithms.base import CandidateBeacon, ExecutionContext
+from repro.algorithms.delay import DelayOptimizationAlgorithm
+from repro.algorithms.disjointness import HeuristicDisjointnessAlgorithm
+from repro.algorithms.pull_disjoint import LinkAvoidingAlgorithm
+from repro.algorithms.shortest_path import KShortestPathAlgorithm, legacy_scion_algorithm
 from repro.core.algebra import (
     BANDWIDTH,
     HOP_COUNT,
@@ -38,10 +53,14 @@ from repro.core.algebra import (
 from repro.core.beacon import Beacon, BeaconBuilder
 from repro.core.extensions import ExtensionSet
 from repro.core.ingress import IngressGateway, VerifiedPrefixCache
+from repro.core.sandbox import RestrictedPythonAlgorithm
 from repro.core.staticinfo import StaticInfo
 from repro.crypto.keys import KeyStore
 from repro.crypto.signer import Signer, Verifier
 from repro.exceptions import SignatureError
+from repro.topology.entities import normalize_link_id
+
+from tests.conftest import make_beacon
 
 # ----------------------------------------------------------------------
 # strategies
@@ -334,3 +353,312 @@ class TestIncrementalVerification:
         assert len(cache) == 3
         assert "digest-0" not in cache
         assert "digest-4" in cache
+
+
+# ----------------------------------------------------------------------
+# (d) selection: rank once ≡ score every (candidate, interface) pair
+# ----------------------------------------------------------------------
+LOCAL_AS = 99
+
+
+def naive_select(context, paths_per_interface, score, admit=None):
+    """The pre-fast-path skeleton: score every (candidate, interface) pair.
+
+    Kept here as the reference: no per-candidate key, no shared ranking,
+    one admit call and one score call per pair, one sort per interface.
+    """
+    selections = {}
+    limit = min(paths_per_interface, context.max_paths_per_interface)
+    if limit <= 0:
+        return selections
+    for egress_interface in context.egress_interfaces:
+        ranked = []
+        for candidate in context.candidates:
+            beacon = candidate.beacon
+            if beacon.contains_as(context.local_as):
+                continue
+            if admit is not None and not admit(candidate, egress_interface, context):
+                continue
+            key = tuple(score(candidate, egress_interface, context))
+            ranked.append((key + (beacon.as_path(), beacon.digest()), beacon))
+        ranked.sort(key=lambda item: item[0])
+        for _key, beacon in ranked[:limit]:
+            selections.setdefault(egress_interface, []).append(beacon)
+    return selections
+
+
+class NaiveHeuristicDisjointness:
+    """The pre-fast-path HD: re-scores every candidate for every pick."""
+
+    def __init__(self, paths_per_interface, remember_propagations):
+        self.paths_per_interface = paths_per_interface
+        self.remember_propagations = remember_propagations
+        self.state = {}
+
+    def execute(self, context):
+        selections = {}
+        limit = min(self.paths_per_interface, context.max_paths_per_interface)
+        loop_free = [
+            c.beacon for c in context.candidates if not c.beacon.contains_as(context.local_as)
+        ]
+        if limit <= 0 or not loop_free:
+            return selections
+        origin = loop_free[0].origin_as
+        for egress_interface in context.egress_interfaces:
+            fresh = {"used": {}, "served": set(), "done": False}
+            state = fresh
+            if self.remember_propagations:
+                state = self.state.setdefault((egress_interface, origin), fresh)
+            used = dict(state["used"])
+            remaining = [b for b in loop_free if b.digest() not in state["served"]]
+            selected = []
+
+            def score(beacon):
+                overlap = sum(used.get(link, 0) for link in beacon.links())
+                return (overlap, beacon.hop_count, beacon.total_latency_ms(), beacon.as_path())
+
+            while remaining and len(selected) < limit:
+                best = min(remaining, key=score)
+                if state["done"] and score(best)[0] > 0:
+                    break
+                remaining.remove(best)
+                selected.append(best)
+                for link in best.links():
+                    used[link] = used.get(link, 0) + 1
+            for beacon in selected:
+                selections.setdefault(egress_interface, []).append(beacon)
+                state["served"].add(beacon.digest())
+                for link in beacon.links():
+                    state["used"][link] = state["used"].get(link, 0) + 1
+            state["done"] = True
+        return selections
+
+
+def _latency(candidate, egress_interface, context, extended):
+    latency = candidate.beacon.total_latency_ms()
+    if extended and candidate.ingress_interface is not None:
+        latency += context.intra_latency_ms(candidate.ingress_interface, egress_interface)
+    return latency
+
+
+def _hops_then_latency(candidate, _egress_interface, _context):
+    return (float(candidate.beacon.hop_count), candidate.beacon.total_latency_ms())
+
+
+def _delay(extended):
+    return lambda c, e, ctx: (_latency(c, e, ctx, extended),)
+
+
+def _bounded(bound, extended):
+    score = lambda c, e, ctx: (  # noqa: E731
+        -c.beacon.bottleneck_bandwidth_mbps(),
+        _latency(c, e, ctx, extended),
+    )
+    return score, lambda c, e, ctx: _latency(c, e, ctx, extended) <= bound
+
+
+#: A link every ``via 2`` pool beacon crosses on origin interface 1.
+AVOIDED_LINK = ((1, 1), (2, 7))
+
+
+def _avoids(extra=()):
+    forbidden = {normalize_link_id(*AVOIDED_LINK)} | {normalize_link_id(*link) for link in extra}
+    return lambda c, _e, _ctx: forbidden.isdisjoint(c.beacon.links())
+
+
+def _payload(source):
+    """Reference scoring of a restricted-Python payload: one full-variable
+    evaluation per pair on an instance of its own."""
+    reference = RestrictedPythonAlgorithm(source=source)
+    score = lambda c, e, ctx: (reference.score_candidate(c, e, ctx),)  # noqa: E731
+    return score, lambda c, e, ctx: score(c, e, ctx)[0] < reference.rejection_threshold
+
+
+PAYLOADS = (
+    "latency_ms * 2 + hop_count",
+    "0 - bandwidth_mbps if latency_ms <= 25 else inf",
+    "latency_ms + intra_latency_ms",
+    "latency_ms if egress_interface != 2 else inf",
+    "min(latency_ms, 20) + (intra_latency_ms if hop_count > 2 else egress_interface)",
+)
+
+#: name -> (algorithm factory, its paths_per_interface, naive score, naive admit)
+SKELETON_ALGORITHMS = {
+    "1sp": (lambda: KShortestPathAlgorithm(k=1), 1, _hops_then_latency, None),
+    "5sp": (lambda: KShortestPathAlgorithm(k=5), 5, _hops_then_latency, None),
+    "legacy-20": (legacy_scion_algorithm, 20, _hops_then_latency, None),
+    "don": (lambda: DelayOptimizationAlgorithm(paths_per_interface=3), 3, _delay(False), None),
+    "dob": (
+        lambda: DelayOptimizationAlgorithm(paths_per_interface=3, use_extended_paths=True),
+        3,
+        _delay(True),
+        None,
+    ),
+    "widest": (
+        lambda: WidestPathAlgorithm(paths_per_interface=3),
+        3,
+        lambda c, _e, _ctx: (-c.beacon.bottleneck_bandwidth_mbps(),),
+        None,
+    ),
+    "shortest-widest": (
+        lambda: ShortestWidestAlgorithm(paths_per_interface=3),
+        3,
+        lambda c, _e, _ctx: (-c.beacon.bottleneck_bandwidth_mbps(), c.beacon.total_latency_ms()),
+        None,
+    ),
+    "latency-bounded": (
+        lambda: LatencyBoundedWidestAlgorithm(latency_bound_ms=22.0, paths_per_interface=3),
+        3,
+        *_bounded(22.0, False),
+    ),
+    "latency-bounded-extended": (
+        lambda: LatencyBoundedWidestAlgorithm(
+            latency_bound_ms=22.0, paths_per_interface=3, use_extended_paths=True
+        ),
+        3,
+        *_bounded(22.0, True),
+    ),
+    "link-avoiding": (
+        lambda: LinkAvoidingAlgorithm(avoid_links=frozenset({AVOIDED_LINK}), paths_per_interface=3),
+        3,
+        _hops_then_latency,
+        _avoids(),
+    ),
+    **{
+        f"restricted-python:{source}": (
+            lambda source=source: RestrictedPythonAlgorithm(source=source, paths_per_interface=3),
+            3,
+            *_payload(source),
+        )
+        for source in PAYLOADS
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def beacon_pool():
+    """Beacons of one origin that tie in every way the selection can see.
+
+    Every AS path exists over two parallel origin links (same AS path, same
+    metrics, different digest), with two latencies and two bandwidths;
+    paths through ``LOCAL_AS`` are the looping candidates.
+    """
+    key_store = KeyStore()
+    pool = []
+    for mids in ((2,), (3,), (2, 3), (3, 2), (2, 4), (LOCAL_AS,), (2, LOCAL_AS), (2, 3, 4)):
+        for origin_interface in (1, 2):
+            for latency in (5.0, 10.0):
+                for bandwidth in (100.0, 1000.0):
+                    hops = [(1, None, origin_interface)] + [(mid, 7, 8) for mid in mids]
+                    pool.append(
+                        make_beacon(
+                            key_store,
+                            hops,
+                            link_latencies=[latency] * len(hops),
+                            link_bandwidths=[bandwidth] * len(hops),
+                        )
+                    )
+    return pool
+
+
+#: Candidate = (index into the pool, ingress interface or None).
+candidate_specs = st.lists(
+    st.tuples(st.integers(0, 63), st.sampled_from((None, 1, 2, 3))), max_size=14
+)
+interface_sets = st.lists(st.integers(1, 4), max_size=4, unique=True)
+#: Intra-AS latencies drawn from {0, 5}: ties between extended paths too.
+intra_tables = st.lists(st.sampled_from((0.0, 5.0)), min_size=16, max_size=16)
+
+
+def selection_context(pool, specs, interfaces, limit, intra, parameters=None):
+    return ExecutionContext(
+        local_as=LOCAL_AS,
+        candidates=tuple(
+            CandidateBeacon(beacon=pool[index], ingress_interface=ingress)
+            for index, ingress in specs
+        ),
+        egress_interfaces=tuple(interfaces),
+        max_paths_per_interface=limit,
+        intra_latency_ms=lambda a, b: intra[(a % 4) * 4 + b % 4],
+        parameters=parameters or {},
+    )
+
+
+def digests_of(selections):
+    return {interface: [b.digest() for b in beacons] for interface, beacons in selections.items()}
+
+
+def assert_lists_are_not_shared(selections):
+    lists = list(selections.values())
+    assert len({id(beacons) for beacons in lists}) == len(lists)
+    if len(lists) > 1:
+        before = [list(beacons) for beacons in lists[1:]]
+        lists[0].clear()
+        assert [list(beacons) for beacons in lists[1:]] == before
+
+
+class TestSelectionEquivalence:
+    @pytest.mark.parametrize("name", sorted(SKELETON_ALGORITHMS))
+    @given(
+        specs=candidate_specs,
+        interfaces=interface_sets,
+        limit=st.sampled_from((0, 1, 4, 20)),
+        intra=intra_tables,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_skeleton_algorithm_matches_per_pair_reference(
+        self, beacon_pool, name, specs, interfaces, limit, intra
+    ):
+        factory, paths_per_interface, score, admit = SKELETON_ALGORITHMS[name]
+        context = selection_context(beacon_pool, specs, interfaces, limit, intra)
+        result = factory().execute(context)
+        expected = naive_select(context, paths_per_interface, score, admit)
+        assert digests_of(result.selections) == digests_of(expected)
+        # Selected beacons are the candidates' own objects, never copies.
+        offered = {id(candidate.beacon) for candidate in context.candidates}
+        assert all(id(b) in offered for bs in result.selections.values() for b in bs)
+        assert_lists_are_not_shared(result.selections)
+
+    @given(specs=candidate_specs, interfaces=interface_sets, intra=intra_tables)
+    @settings(max_examples=40, deadline=None)
+    def test_link_avoiding_unions_the_context_avoid_set(
+        self, beacon_pool, specs, interfaces, intra
+    ):
+        extra = [((1, 2), (3, 7))]
+        context = selection_context(
+            beacon_pool, specs, interfaces, 4, intra, {"avoid_links": [list(map(list, extra[0]))]}
+        )
+        algorithm = LinkAvoidingAlgorithm(
+            avoid_links=frozenset({AVOIDED_LINK}), paths_per_interface=3
+        )
+        expected = naive_select(context, 3, _hops_then_latency, _avoids(extra))
+        assert digests_of(algorithm.execute(context).selections) == digests_of(expected)
+
+    @given(
+        rounds=st.lists(candidate_specs, min_size=3, max_size=5),
+        interfaces=interface_sets,
+        limit=st.sampled_from((0, 1, 4)),
+        paths_per_interface=st.sampled_from((1, 3)),
+        remember=st.booleans(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_hd_matches_reference_over_consecutive_executions(
+        self, beacon_pool, rounds, interfaces, limit, paths_per_interface, remember
+    ):
+        algorithm = HeuristicDisjointnessAlgorithm(
+            paths_per_interface=paths_per_interface, remember_propagations=remember
+        )
+        reference = NaiveHeuristicDisjointness(paths_per_interface, remember)
+        for specs in rounds:
+            context = selection_context(beacon_pool, specs, interfaces, limit, [0.0] * 16)
+            result = algorithm.execute(context)
+            assert digests_of(result.selections) == digests_of(reference.execute(context))
+            assert_lists_are_not_shared(result.selections)
+        # The memory that drives every later round agrees as well.
+        assert {
+            pair: (state.used_links, state.served_digests, state.first_round_done)
+            for pair, state in algorithm._state.items()
+        } == {
+            pair: (state["used"], state["served"], state["done"])
+            for pair, state in reference.state.items()
+        }

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.algorithms.registry import encode_builtin_payload, encode_criteria_payload
+from repro.algorithms.disjointness import HeuristicDisjointnessAlgorithm
 from repro.algorithms.shortest_path import KShortestPathAlgorithm
 from repro.core.algorithm_registry import AlgorithmFetcher
 from repro.core.criteria import widest_with_latency_bound
@@ -110,6 +111,72 @@ class TestStaticRAC:
         assert grouped_report.buckets == 2
         assert merged_report.buckets == 1
         assert merged_report.candidates == 2
+
+    def test_every_process_call_is_a_full_pass(self, key_store):
+        """No result survives a call: an unchanged database is executed
+        again, once per bucket, and a stateless algorithm repeats itself."""
+        database = database_with(
+            key_store,
+            [
+                ([(1, None, 1), (2, 1, 2)], None),
+                ([(1, None, 2), (3, 1, 2)], None),
+                ([(5, None, 1), (2, 1, 2)], None),
+            ],
+        )
+        algorithm = KShortestPathAlgorithm(k=5)
+        contexts = []
+        execute = algorithm.execute
+        algorithm.execute = lambda context: contexts.append(context) or execute(context)
+        rac = RoutingAlgorithmContainer(config=RACConfig(rac_id="5sp"), algorithm=algorithm)
+        passes = [
+            rac.process(
+                database=database,
+                egress_interfaces=(8, 9),
+                intra_latency_ms=zero_intra,
+                local_as=100,
+            )
+            for _ in range(2)
+        ]
+        assert [len(context.candidates) for context in contexts] == [2, 1, 2, 1]
+        summaries = [
+            (
+                [(s.beacon.digest(), s.egress_interfaces) for s in selections],
+                (report.buckets, report.candidates, report.selections),
+            )
+            for selections, report in passes
+        ]
+        assert summaries[0] == summaries[1]
+        assert summaries[0][1] == (2, 3, 6)
+
+    def test_hd_second_pass_over_an_unchanged_bucket_differs(self, key_store):
+        """Why an unchanged bucket cannot be skipped: HD remembers what it
+        propagated, so the same input selects something else next time."""
+        database = database_with(
+            key_store,
+            [
+                ([(1, None, 1), (2, 1, 2)], None),
+                ([(1, None, 1), (2, 1, 3), (3, 1, 2)], None),  # shares the origin link
+                ([(1, None, 2), (4, 1, 2), (5, 1, 2)], None),  # disjoint from the first
+            ],
+        )
+        rac = RoutingAlgorithmContainer(
+            config=RACConfig(rac_id="hd"),
+            algorithm=HeuristicDisjointnessAlgorithm(paths_per_interface=1),
+        )
+
+        def run():
+            selections, _report = rac.process(
+                database=database, egress_interfaces=(9,), intra_latency_ms=zero_intra, local_as=100
+            )
+            return [(s.beacon.as_path(), s.egress_interfaces) for s in selections]
+
+        # First pass: the shortest path fills the one-path quota.
+        assert run() == [((1, 2), [9])]
+        # Second pass, same bucket: that path was served, the quota is free
+        # again and goes to the only candidate sharing no link with it.
+        assert run() == [((1, 4, 5), [9])]
+        # Third pass: what is left overlaps what was propagated.
+        assert run() == []
 
     def test_targets_skipped_when_disabled(self, key_store):
         database = database_with(

@@ -497,7 +497,9 @@ class TestByzantineRejection:
         ).signed(signer)
 
         if tamper == "signature":
-            forged = replace(authentic, signature=b"\x00" + authentic.signature[1:])
+            # Flip, not overwrite: one signature in 256 already starts with 0x00.
+            flipped = bytes([authentic.signature[0] ^ 0xFF])
+            forged = replace(authentic, signature=flipped + authentic.signature[1:])
         elif tamper == "origin":
             # Same signature bytes, different claimed origin.
             forged = replace(authentic, origin_as=3)

@@ -146,6 +146,56 @@ class TestRestrictedPythonAlgorithm:
         algorithm = RestrictedPythonAlgorithm(source="0 - bandwidth_mbps", paths_per_interface=1)
         assert algorithm.execute(context_for(candidates)).beacons_for(1)[0].digest() == wide.digest()
 
+    def test_one_evaluation_per_candidate_and_interface(self, key_store):
+        """The payload runs once per pair it scores -- not once to admit and
+        once more to rank -- and once per candidate when it names neither
+        interface-dependent variable."""
+        beacons = [
+            make_beacon(key_store, [(1, None, 1), (as_id, 1, 2)], link_latencies=[5.0, as_id])
+            for as_id in (2, 3, 4)
+        ]
+        candidates = [CandidateBeacon(beacon=b, ingress_interface=1) for b in beacons]
+        context = context_for(candidates, egress_interfaces=(1, 2, 3, 4))
+        for source, expected in (
+            ("latency_ms + intra_latency_ms", 3 * 4),
+            ("latency_ms + egress_interface", 3 * 4),
+            ("latency_ms if hop_count < 9 else inf", 3),
+        ):
+            algorithm = RestrictedPythonAlgorithm(source=source, paths_per_interface=2)
+            calls = []
+            evaluate = algorithm._evaluator.evaluate
+            algorithm._evaluator.evaluate = lambda variables: calls.append(1) or evaluate(variables)
+            result = algorithm.execute(context)
+            assert len(calls) == expected, source
+            assert {i: len(result.beacons_for(i)) for i in (1, 2, 3, 4)} == dict.fromkeys(
+                (1, 2, 3, 4), 2
+            )
+
+    @pytest.mark.parametrize("source", ["latency_ms", "latency_ms + intra_latency_ms"])
+    def test_budgets_still_abort_the_execution(self, key_store, source):
+        beacon = make_beacon(key_store, [(1, None, 1), (2, 1, 2)])
+        context = context_for([CandidateBeacon(beacon=beacon, ingress_interface=1)])
+        over_steps = RestrictedPythonAlgorithm(source="1 + " * 50 + source, step_budget=10)
+        with pytest.raises(SandboxResourceError, match="step budget"):
+            over_steps.execute(context)
+        # The budget is per evaluation: a payload within it may run any
+        # number of times in one execution.
+        within = RestrictedPythonAlgorithm(source=source, step_budget=10, paths_per_interface=20)
+        assert within.execute(context_for([CandidateBeacon(beacon, 1)] * 30)).total_selected() == 20
+        past_deadline = RestrictedPythonAlgorithm(source=source, time_budget_ms=-1.0)
+        with pytest.raises(SandboxResourceError, match="time budget"):
+            past_deadline.execute(context)
+
+    def test_rejection_threshold_excludes_per_interface(self, key_store):
+        beacon = make_beacon(key_store, [(1, None, 1), (2, 1, 2)])
+        context = context_for(
+            [CandidateBeacon(beacon=beacon, ingress_interface=1)], egress_interfaces=(1, 2)
+        )
+        algorithm = RestrictedPythonAlgorithm(source="1 if egress_interface < 2 else inf")
+        result = algorithm.execute(context)
+        assert len(result.beacons_for(1)) == 1 and result.beacons_for(2) == []
+        assert 2 not in result.selections
+
 
 class TestSandboxRuntime:
     def test_setup_recreates_restricted_python(self):
