@@ -460,7 +460,7 @@ class PathService:
         query: merges refresh ``last_registered_at_ms``, so this tells how
         recently the control plane confirmed *any* path to the origin.
         (Recovery dating uses first-registration times of usable paths
-        instead — see ``BeaconingSimulation._latest_usable_registration``.)
+        instead — see ``BeaconingSimulation._usable_registration_times``.)
         """
         by_digest = self._by_digest
         times = [
@@ -486,6 +486,19 @@ class PathService:
             for digest, path in self._by_digest.items()
             if path.segment.is_expired(horizon)
         )
+
+    def origins_crossing_link(self, link_id: LinkID) -> Set[int]:
+        """Return the origin ASes of the registered paths crossing ``link_id``.
+
+        Indexed like :meth:`remove_crossing_link`: the convergence probe
+        maps a link whose availability changed to the ``(this AS, origin)``
+        pairs whose usable-path count may have moved.
+        """
+        by_digest = self._by_digest
+        return {
+            by_digest[digest].segment.origin_as
+            for digest in self._by_link.get(normalize_link_id(*link_id), ())
+        }
 
     def remove_crossing_link(self, link_id: LinkID) -> int:
         """Withdraw every path crossing ``link_id``; return the count.

@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.control_service import ControlServiceConfig, IrecControlService, RoundReport
+from repro.core.databases import PathService, RegisteredPath
 from repro.core.local_view import LocalTopologyView
 from repro.core.messages import RevocationMessage
 from repro.core.pull import PullBasedDisjointnessOrchestrator, PullState
@@ -73,7 +74,7 @@ from repro.simulation.events import (
 from repro.simulation.failures import LinkState
 from repro.simulation.network import SimulatedTransport
 from repro.simulation.scenario import AlgorithmSpec, ScenarioConfig
-from repro.topology.entities import ASInfo, Interface, Link
+from repro.topology.entities import ASInfo, Interface, Link, LinkID
 from repro.topology.geo import GeoCoordinate
 from repro.topology.graph import Topology
 from repro.topology.intra_domain import IntraDomainRegistry
@@ -172,7 +173,8 @@ class PeriodDriver:
       flush, one aggregated message per origin,
     * ``probe(pairs, with_times=False)`` — ``(usable-path count per pair,
       first-registration times per pair or None, control messages sent,
-      (dropped, marked, deferred) inbox totals)``,
+      (dropped, marked, deferred) inbox totals)``; the counts are current
+      at every call, however the provider maintains them,
     * ``gather()`` — ``(collector, link_state, revocation_stats)`` of the
       finished run.
 
@@ -308,7 +310,12 @@ class PeriodDriver:
         self.convergence.on_event(
             event_label=event.trace_label(),
             now_ms=now_ms,
-            pair_paths={pair: (before[pair], after[pair]) for pair in before},
+            # Only a drop opens or deepens a disruption.
+            pair_paths={
+                pair: (count, after[pair])
+                for pair, count in before.items()
+                if after[pair] < count
+            },
             messages_total=messages_total,
         )
 
@@ -446,6 +453,16 @@ class BeaconingSimulation(PeriodDriver):
         #: Per-AS deployed RAC specs, kept in sync by RACSwap so a churned
         #: AS can be cold-restarted with its *current* deployment.
         self._deployed_specs: Dict[int, Dict[str, AlgorithmSpec]] = {}
+        #: Usable-path count of every probed pair that nothing has moved
+        #: since it was counted; :meth:`probe` recounts the pairs missing
+        #: here.  Entries are evicted by the two sources of truth only: the
+        #: invalidation listener on the path service of each watched source
+        #: AS (``_probe_sources``), and the difference between the link
+        #: state and the copy of it the previous probe saw.
+        self._probe_counts: Dict[Tuple[int, int], int] = {}
+        self._probe_sources: Dict[int, PathService] = {}
+        self._probed_failed_links: Set[LinkID] = set()
+        self._probed_offline_ases: Set[int] = set()
         self._build_services()
 
     # ------------------------------------------------------------------
@@ -553,18 +570,25 @@ class BeaconingSimulation(PeriodDriver):
         timeline event (failures, recoveries, churn, swaps)."""
         self.event_listeners.append(listener)
 
-    def usable_path_count(self, source_as: int, destination_as: int) -> int:
-        """Return how many registered paths of the pair are usable right now.
+    def _usable_paths(self, source_as: int, destination_as: int) -> List[RegisteredPath]:
+        """Return the registered paths of the pair that are usable right now.
 
         A registered path is usable when the watched endpoints are online
         and every inter-domain link on its segment is currently available.
         """
-        if not (self.link_state.is_as_up(source_as) and self.link_state.is_as_up(destination_as)):
-            return 0
-        paths = self.services[source_as].path_service.paths_to(destination_as)
-        return sum(
-            1 for path in paths if self.link_state.path_available(path.segment.links())
-        )
+        link_state = self.link_state
+        if not (link_state.is_as_up(source_as) and link_state.is_as_up(destination_as)):
+            return []
+        return [
+            path
+            for path in self.services[source_as].path_service.paths_to(destination_as)
+            if link_state.path_available(path.segment.links())
+        ]
+
+    def usable_path_count(self, source_as: int, destination_as: int) -> int:
+        """Return how many registered paths of the pair are usable right now
+        (a full recount; :meth:`probe` serves the maintained value)."""
+        return len(self._usable_paths(source_as, destination_as))
 
     def _usable_registration_times(
         self, source_as: int, destination_as: int
@@ -579,23 +603,35 @@ class BeaconingSimulation(PeriodDriver):
         recovery (``last_registered_at_ms`` is refreshed by exactly those
         merges and would).
         """
-        if not (self.link_state.is_as_up(source_as) and self.link_state.is_as_up(destination_as)):
-            return ()
         return tuple(
-            path.registered_at_ms
-            for path in self.services[source_as].path_service.paths_to(destination_as)
-            if self.link_state.path_available(path.segment.links())
+            path.registered_at_ms for path in self._usable_paths(source_as, destination_as)
         )
 
     def probe(self, pairs: Sequence[Tuple[int, int]], with_times: bool = False):
         """Probe ``pairs`` and the collector totals (see :class:`PeriodDriver`).
 
-        Event probes are counts-only; the registration times are gathered
+        Counts are maintained state: a pair is recounted only when it was
+        never probed, a path towards its origin was registered, merged,
+        withdrawn or purged at its source since it was counted, or a link
+        one of its registered paths crosses (or any AS) changed
+        availability since the previous probe.  Event probes are
+        counts-only; the registration times are gathered in a full pass
         once per period end (``with_times``).
         """
+        self._evict_moved_counts()
+        cached = self._probe_counts
+        counts: Dict[Tuple[int, int], int] = {}
+        for pair in pairs:
+            count = cached.get(pair)
+            if count is None:
+                self._listen_at(pair[0])
+                # Looked up per recount: a span patched onto the instance
+                # attribute sees exactly the pairs recounted.
+                count = cached[pair] = self.usable_path_count(*pair)
+            counts[pair] = count
         collector = self.collector
         return (
-            {pair: self.usable_path_count(*pair) for pair in pairs},
+            counts,
             {pair: self._usable_registration_times(*pair) for pair in pairs}
             if with_times
             else None,
@@ -606,6 +642,42 @@ class BeaconingSimulation(PeriodDriver):
                 collector.inbox_deferred_total(),
             ),
         )
+
+    def _listen_at(self, source_as: int) -> None:
+        """Subscribe, once per watched source AS, to its path service."""
+        if source_as in self._probe_sources:
+            return
+        path_service = self.services[source_as].path_service
+        cached = self._probe_counts
+        path_service.add_invalidation_listener(
+            lambda origin_as: cached.pop((source_as, origin_as), None)
+        )
+        self._probe_sources[source_as] = path_service
+
+    def _evict_moved_counts(self) -> None:
+        """Evict the counts a link-state change since the last probe may
+        have moved.
+
+        Compared by value with this simulation's own copy, so a change made
+        directly on :attr:`link_state` is seen and a failure restored
+        between two probes evicts nothing.  A changed link touches the
+        pairs whose source has a registered path across it (paths that
+        came or went in between evicted their pair themselves); a changed
+        offline set takes whole ASes' links and endpoints with it and is
+        rare: everything is recounted.
+        """
+        link_state = self.link_state
+        cached = self._probe_counts
+        if link_state.offline_ases != self._probed_offline_ases:
+            self._probed_offline_ases = set(link_state.offline_ases)
+            cached.clear()
+        if link_state.failed_links != self._probed_failed_links:
+            moved = link_state.failed_links ^ self._probed_failed_links
+            self._probed_failed_links = set(link_state.failed_links)
+            for source_as, path_service in self._probe_sources.items():
+                for link in moved:
+                    for origin_as in path_service.origins_crossing_link(link):
+                        cached.pop((source_as, origin_as), None)
 
     def apply_event(self, timed: TimedEvent) -> None:
         """Apply one timeline event's state changes, then tell the listeners.

@@ -467,7 +467,9 @@ class ConvergenceCollector:
         Args:
             event_label: The event's stable trace label.
             now_ms: Time the event fired.
-            pair_paths: Per watched pair, (usable paths before, after).
+            pair_paths: Per watched pair, (usable paths before, after);
+                may hold only the pairs the event changed — only a drop
+                (``after < before``) is acted on.
             messages_total: Control-message counter snapshot.
         """
         self.trace.append(f"{now_ms:.3f} event {event_label}")

@@ -1,6 +1,10 @@
 """Tests for the ingress database, egress database and path service."""
 
+from functools import lru_cache
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.databases import (
     EgressDatabase,
@@ -10,6 +14,7 @@ from repro.core.databases import (
     StoredBeacon,
 )
 from repro.core.extensions import ExtensionSet
+from repro.crypto.keys import KeyStore
 from repro.exceptions import GatewayError
 
 from tests.conftest import make_beacon
@@ -319,3 +324,122 @@ class TestIndexedInvalidation:
         assert service.register(
             RegisteredPath(segment=crossing, criteria_tags=("x",), registered_at_ms=1.0)
         )
+
+
+# ---------------------------------------------------------------------------
+# Index ⇔ store consistency of the path service (convergence probes trust it)
+# ---------------------------------------------------------------------------
+
+_ORIGINS, _MIDS, _TERMINAL = (1, 2, 3), (4, 5), 6
+
+
+@lru_cache(maxsize=1)
+def _segment_pool():
+    """Three-hop segments, 3 origins x 2 transits, long- and short-lived.
+
+    Segments through one transit share its link towards the terminal AS
+    whatever their origin; the short-lived twins cross the same links
+    under another digest and are what ``remove_expired(5_000)`` purges.
+    """
+    key_store = KeyStore()
+    return tuple(
+        make_beacon(
+            key_store,
+            [(origin, None, mid), (mid, origin, 9), (_TERMINAL, mid, None)],
+            validity_ms=validity_ms,
+        )
+        for origin in _ORIGINS
+        for mid in _MIDS
+        for validity_ms in (1_000.0, 3_600_000.0)
+    )
+
+
+def _pool_links():
+    return sorted({link for segment in _segment_pool() for link in segment.links()})
+
+
+_POOL_INDEX = st.integers(0, len(_ORIGINS) * len(_MIDS) * 2 - 1)
+_PATH_SERVICE_OPS = st.one_of(
+    st.tuples(st.just("register"), _POOL_INDEX, st.sampled_from(["a", "b"])),
+    st.tuples(st.just("remove_crossing_link"), st.integers(0, 8)),
+    st.tuples(st.just("remove_crossing_as"), st.sampled_from(_ORIGINS + _MIDS)),
+    st.tuples(st.just("remove_matching"), st.sets(_POOL_INDEX, max_size=4)),
+    st.tuples(st.just("remove_expired"), st.sampled_from([0.0, 5_000.0])),
+)
+
+
+def _records_by_origin(service):
+    """Origin → [(digest, record object)], in store order."""
+    snapshot = {}
+    for digest, path in service._by_digest.items():
+        snapshot.setdefault(path.segment.origin_as, []).append((digest, path))
+    return snapshot
+
+
+def _same_records(before, after):
+    return len(before) == len(after) and all(
+        old_digest == new_digest and old is new
+        for (old_digest, old), (new_digest, new) in zip(before, after)
+    )
+
+
+class TestPathServiceIndexConsistency:
+    @settings(max_examples=60, deadline=None)
+    @given(ops=st.lists(_PATH_SERVICE_OPS, max_size=30))
+    def test_indexes_equal_a_rebuild_from_the_store(self, ops):
+        """Property: after every register / merge / withdrawal / purge the
+        four indexes equal a rebuild from ``_by_digest``, the crossing-link
+        accessor equals a scan, and the listeners were told exactly the
+        origins whose digest set or record changed."""
+        pool, links = _segment_pool(), _pool_links()
+        service = PathService(max_paths_per_key=1)
+        notified = []
+        service.add_invalidation_listener(notified.append)
+        for step, (name, argument, *rest) in enumerate(ops):
+            before = _records_by_origin(service)
+            del notified[:]
+            if name == "register":
+                service.register(
+                    RegisteredPath(
+                        segment=pool[argument],
+                        criteria_tags=tuple(rest),
+                        registered_at_ms=float(step),
+                    )
+                )
+            elif name == "remove_crossing_link":
+                service.remove_crossing_link(links[argument % len(links)])
+            elif name == "remove_matching":
+                doomed = {pool[index].digest() for index in argument}
+                service.remove_matching(lambda path: path.segment.digest() in doomed)
+            else:
+                getattr(service, name)(argument)
+
+            after = _records_by_origin(service)
+            changed = {
+                origin
+                for origin in before.keys() | after.keys()
+                if not _same_records(before.get(origin, []), after.get(origin, []))
+            }
+            assert set(notified) == changed
+
+            by_link, by_as, by_origin, by_terminal = {}, {}, {}, {}
+            for digest, path in service._by_digest.items():
+                segment = path.segment
+                for link in segment.links():
+                    by_link.setdefault(link, set()).add(digest)
+                for as_id in segment.as_path():
+                    by_as.setdefault(as_id, set()).add(digest)
+                by_origin.setdefault(segment.origin_as, []).append(digest)
+                by_terminal.setdefault(segment.last_as, []).append(digest)
+            assert {key: set(members) for key, members in service._by_link.items()} == by_link
+            assert {key: set(members) for key, members in service._by_as.items()} == by_as
+            assert {key: list(members) for key, members in service._by_origin.items()} == by_origin
+            assert {
+                key: list(members) for key, members in service._by_terminal.items()
+            } == by_terminal
+            for link in links:
+                assert service.origins_crossing_link(link) == {
+                    path.segment.origin_as
+                    for path in service.all_paths()
+                    if link in path.segment.links()
+                }

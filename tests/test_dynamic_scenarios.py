@@ -6,6 +6,7 @@ RAC hot-swaps, period changes) and the convergence metrics the collector
 derives from watched AS pairs.
 """
 
+import itertools
 import random
 
 import pytest
@@ -36,6 +37,7 @@ from repro.simulation.scenario import (
 from repro.units import minutes
 
 from tests.conftest import line_topology
+from tests.test_golden_trace import FAMILY_DIGESTS, run_family_scenario, run_scenario
 
 
 def _mid_period(period: int, interval_ms: float = minutes(10)) -> float:
@@ -522,3 +524,175 @@ class TestRandomGenerators:
         )
         result = BeaconingSimulation(topology, scenario).run()
         assert result.periods_run == 3
+
+
+# ---------------------------------------------------------------------------
+# PR 17: the convergence probe serves maintained counts
+# ---------------------------------------------------------------------------
+
+
+def _check_probes(simulation):
+    """Make every probe of ``simulation`` prove itself against a full
+    recount; return the (growing) list of pairs the probes recounted.
+
+    The reference is the unpatched ``usable_path_count``; the counting
+    wrapper sits on the instance attribute, the seam ``probe`` recounts
+    through (and irecbench's span is patched onto).
+    """
+    recounted = []
+    probe, full_recount = simulation.probe, simulation.usable_path_count
+
+    def counted_recount(source_as, destination_as):
+        recounted.append((source_as, destination_as))
+        return full_recount(source_as, destination_as)
+
+    def checked_probe(pairs, with_times=False):
+        result = probe(pairs, with_times)
+        assert result[0] == {pair: full_recount(*pair) for pair in pairs}
+        return result
+
+    simulation.usable_path_count = counted_recount
+    simulation.probe = checked_probe
+    return recounted
+
+
+def _listener_count(simulation):
+    return sum(
+        len(service.path_service._invalidation_listeners)
+        for service in simulation.services.values()
+    )
+
+
+def _warm_line():
+    """A converged four-AS line with probes checked; no pair watched yet."""
+    topology = line_topology(4)
+    simulation = BeaconingSimulation(
+        topology, don_scenario(periods=3, verify_signatures=False)
+    )
+    recounted = _check_probes(simulation)
+    simulation.run()
+    return topology, simulation, recounted
+
+
+class TestMaintainedProbeCounts:
+    @pytest.mark.parametrize("family", [None, *sorted(FAMILY_DIGESTS)])
+    def test_cached_probe_equals_full_recount_on_golden_scenarios(self, family):
+        """Every probe of the golden and the four family scenarios, with
+        every AS pair watched, returns what a full recount returns — across
+        failures, flaps, gray loss, forged/replayed revocations, an AS
+        leaving (cold restart) and rejoining, and topology growth."""
+        built = []
+
+        def build(topology, scenario):
+            simulation = BeaconingSimulation(topology, scenario)
+            as_ids = list(topology.as_ids())
+            for pair in itertools.permutations(as_ids, 2):
+                simulation.watch_pair(*pair)
+            built.append((simulation, _check_probes(simulation), len(as_ids)))
+            return simulation
+
+        if family is None:
+            run_scenario(factory=build)
+        else:
+            run_family_scenario(family, factory=build)
+        (simulation, recounted, sources), = built
+        # The check above ran on warm counts, not on a recount per probe.
+        events = sum(1 for line in simulation.convergence.trace if " event " in line)
+        probes = 2 * events + simulation.periods_run
+        assert len(recounted) < probes * len(simulation.watched_pairs)
+        assert _listener_count(simulation) == len(simulation.services) + sources
+
+    def test_link_state_changed_behind_the_drivers_back_is_seen(self):
+        topology, simulation, recounted = _warm_line()
+        pairs = [(3, 1), (4, 3), (1, 2)]
+        link = topology.link_ids()[1]  # the 2-3 link: only (3, 1) crosses it
+        healthy = simulation.probe(pairs)[0]
+        assert all(healthy.values())
+        del recounted[:]
+        simulation.link_state.fail_link(link)
+        assert simulation.probe(pairs)[0] == {**healthy, (3, 1): 0}
+        simulation.link_state.restore_link(link)
+        assert simulation.probe(pairs)[0] == healthy
+        assert recounted == [(3, 1), (3, 1)]
+
+    def test_fail_and_restore_between_two_probes_recounts_nothing(self):
+        topology, simulation, recounted = _warm_line()
+        pairs = [(3, 1), (4, 1)]
+        before = simulation.probe(pairs)[0]
+        del recounted[:]
+        simulation.link_state.fail_link(topology.link_ids()[1])
+        simulation.link_state.restore_link(topology.link_ids()[1])
+        assert simulation.probe(pairs)[0] == before
+        assert recounted == []
+
+    def test_offline_as_change_recounts_everything(self):
+        _topology, simulation, recounted = _warm_line()
+        pairs = [(3, 1), (4, 3), (1, 2)]
+        healthy = simulation.probe(pairs)[0]
+        del recounted[:]
+        simulation.link_state.set_as_offline(2)
+        assert simulation.probe(pairs)[0] == {(3, 1): 0, (4, 3): healthy[4, 3], (1, 2): 0}
+        assert sorted(recounted) == sorted(pairs)
+
+    def test_pair_watched_mid_run_joins_the_maintained_counts(self):
+        topology = line_topology(4)
+        scenario = don_scenario(periods=6, verify_signatures=False)
+        link = topology.link_ids()[1]
+        scenario.at(_mid_period(3)).fail_link(link).at(_mid_period(4)).recover_link(link)
+        simulation = BeaconingSimulation(topology, scenario)
+        _check_probes(simulation)
+        simulation.watch_pair(3, 1)
+        simulation.run(periods=3)
+        simulation.watch_pair(4, 1)
+        simulation.watch_pair(4, 2)
+        result = simulation.run(periods=3)
+        disrupted = {record.pair for record in result.convergence.records}
+        assert disrupted == {(3, 1), (4, 1), (4, 2)}
+
+    def test_watched_source_that_cold_restarts_keeps_reporting(self):
+        topology = line_topology(4)
+        scenario = don_scenario(periods=7, verify_signatures=False)
+        scenario.at(_mid_period(2)).as_leave(3).at(_mid_period(3)).as_join(3)
+        simulation = BeaconingSimulation(topology, scenario)
+        _check_probes(simulation)
+        simulation.watch_pair(3, 1)
+        path_service = simulation.services[3].path_service
+        result = simulation.run()
+        (record,) = result.convergence.records
+        assert record.pair == (3, 1) and record.paths_after == 0 and record.recovered
+        # The restart wiped the path service in place: one subscription
+        # served the whole run.
+        assert simulation.services[3].path_service is path_service
+        assert _listener_count(simulation) == len(simulation.services) + 1
+
+    def test_pair_dropped_from_the_argument_list_is_not_served_stale(self):
+        topology, simulation, recounted = _warm_line()
+        healthy = simulation.probe([(3, 1), (4, 3)])[0]
+        assert all(healthy.values())
+        simulation.link_state.fail_link(topology.link_ids()[1])
+        # (3, 1) moves while only (4, 3) is asked for ...
+        assert simulation.probe([(4, 3)])[0] == {(4, 3): healthy[4, 3]}
+        # ... and a later link change must not be needed to notice.
+        assert simulation.probe([(3, 1), (4, 3)])[0] == {**healthy, (3, 1): 0}
+
+    def test_unwatched_simulation_subscribes_to_no_path_service(self):
+        """The three irecbench workloads without watched pairs pay nothing."""
+        topology = line_topology(4)
+        scenario = don_scenario(periods=3, verify_signatures=False)
+        scenario.at(_mid_period(1)).fail_link(topology.link_ids()[1])
+        simulation = BeaconingSimulation(topology, scenario)
+        fresh = _listener_count(simulation)
+        simulation.run()
+        assert _listener_count(simulation) == fresh
+
+    def test_one_subscription_per_watched_source(self):
+        topology = line_topology(5)
+        scenario = don_scenario(periods=5, verify_signatures=False)
+        link = topology.link_ids()[1]
+        scenario.at(_mid_period(2)).fail_link(link).at(_mid_period(3)).recover_link(link)
+        simulation = BeaconingSimulation(topology, scenario)
+        fresh = _listener_count(simulation)
+        for pair in [(3, 1), (3, 2), (3, 4), (5, 1), (5, 2), (5, 3), (5, 4)]:
+            simulation.watch_pair(*pair)
+        simulation.run()
+        assert _listener_count(simulation) == fresh + 2  # sources 3 and 5
