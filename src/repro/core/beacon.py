@@ -22,26 +22,38 @@ identity used for deduplication everywhere), the prefix-digest chain and
 the accumulated path metrics are all computed at most once per object and
 memoized in the instance ``__dict__`` (dataclass equality and hashing only
 consider declared fields, so the memos are invisible to comparisons).
-Because :class:`ASEntry` objects are shared between a beacon and every
-beacon derived from it via :meth:`Beacon.with_entry`, extending a beacon
-re-encodes only the appended entry — the parent's per-entry encodings are
-cache hits — so building an ``L``-hop beacon costs ``O(L)`` entry encodings
-in total instead of ``O(L²)``.
 
-The digest is defined as ``sha256(header | entry_0 | … | entry_{L-1})`` and
-is computed via an incrementally-updated hash state whose intermediate
-snapshots form the :meth:`Beacon.prefix_digests` chain: element ``i`` is
-the digest the beacon had when entry ``i`` was its last entry.  The ingress
-gateway keys its verified-prefix cache on this chain, so both dedup and
-incremental re-verification come out of one pass over the encoding.
+A child beacon is its parent plus one entry, so it **inherits** what the
+parent has already derived instead of deriving it again: the parent's
+:class:`ASEntry` objects (each keeps one encoding), the same
+header-encoding string, the parent's AS path and link ids plus one element
+each, and — as a *known prefix* to continue from — the parent's encoded
+bytes and digest chain.  A chain of ``L`` beacons therefore holds ``O(L)``
+digest strings, link ids and entry encodings in total instead of
+``O(L²)``, and extending costs ``O(1)`` derived state.  Only
+:meth:`Beacon.with_entry` — the one place that knows "child = parent + one
+entry" — hands state down, and what it hands down are derived immutables
+(``bytes`` / ``tuple`` / ``str``), never the parent object: ancestors are
+not kept alive, and a beacon built any other way (constructed directly,
+``dataclasses.replace``d, hence every tampered copy) starts cold.  Every
+derivation is written once, as "continue from the longest known prefix";
+cold is its empty-prefix case, not a second implementation.
+
+The digest is defined as ``sha256(header | entry_0 | … | entry_{L-1})``;
+element ``i`` of the :meth:`Beacon.prefix_digests` chain is the digest the
+beacon had when entry ``i`` was its last entry.  The ingress gateway keys
+its verified-prefix cache on this chain, so both dedup and incremental
+re-verification come out of one pass over the encoding.  Signatures are
+always checked against the entries' own encodings, never against
+inherited state.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
-from dataclasses import dataclass, field, replace
-from typing import Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import List, Optional, Tuple
 
 from repro.crypto.hashing import beacon_digest, count_crypto_op
 from repro.crypto.signer import Signer, Verifier
@@ -72,6 +84,40 @@ def _memo(obj, key: str, compute):
     return cached
 
 
+def _encode_unsigned(
+    as_id: int, ingress: Optional[int], egress: Optional[int], static_info: StaticInfo
+) -> str:
+    """Return the canonical encoding of an entry's fields without its signature."""
+    return f"entry(as={as_id},in={ingress},out={egress},{static_info.encode()})"
+
+
+def _encode_header(
+    origin_as: int, created_at_ms: float, validity_ms: float, extensions: ExtensionSet
+) -> str:
+    """Return the canonical encoding of a beacon header."""
+    return (
+        f"pcb(origin={origin_as},created={created_at_ms:.3f},"
+        f"validity={validity_ms:.3f},{extensions.encode()})"
+    )
+
+
+def _extend_as_path(known: Tuple[int, ...], entries: Tuple["ASEntry", ...]) -> Tuple[int, ...]:
+    """Continue ``known``, the AS path of a prefix of ``entries``, to the last entry."""
+    return known + tuple(entry.as_id for entry in entries[len(known) :])
+
+
+def _extend_links(known: Tuple[LinkID, ...], entries: Tuple["ASEntry", ...]) -> Tuple[LinkID, ...]:
+    """Continue ``known``, the link ids among a prefix of ``entries``, to the last entry."""
+    result = list(known)
+    for previous, current in zip(entries[len(known) :], entries[len(known) + 1 :]):
+        if previous.egress_interface is None or current.ingress_interface is None:
+            raise BeaconError("interior beacon entries must specify both interfaces")
+        a: InterfaceID = (previous.as_id, previous.egress_interface)
+        b: InterfaceID = (current.as_id, current.ingress_interface)
+        result.append(normalize_link_id(a, b))
+    return tuple(result)
+
+
 @dataclass(frozen=True)
 class ASEntry:
     """One AS hop of a beacon.
@@ -97,22 +143,24 @@ class ASEntry:
     def encode_unsigned(self) -> str:
         """Return the canonical encoding of the entry without its signature.
 
+        An entry keeps one encoding: this is :meth:`encode` minus its
+        ``sig(<hex>)`` tail, whose length the signature fixes.
+        """
+        return self.encode()[: -(len("sig()") + 2 * len(self.signature))]
+
+    def encode(self) -> str:
+        """Return the canonical encoding including the signature.
+
         The encoding is memoized: entries are immutable, so it is computed
         at most once per entry object.
         """
         return _memo(
             self,
-            "_encoded_unsigned",
-            lambda: (
-                f"entry(as={self.as_id},in={self.ingress_interface},"
-                f"out={self.egress_interface},{self.static_info.encode()})"
-            ),
-        )
-
-    def encode(self) -> str:
-        """Return the canonical encoding including the signature (memoized)."""
-        return _memo(
-            self, "_encoded", lambda: f"{self.encode_unsigned()}sig({self.signature.hex()})"
+            "_encoded",
+            lambda: _encode_unsigned(
+                self.as_id, self.ingress_interface, self.egress_interface, self.static_info
+            )
+            + f"sig({self.signature.hex()})",
         )
 
 
@@ -188,11 +236,11 @@ class Beacon:
 
     def as_path(self) -> Tuple[int, ...]:
         """Return the sequence of AS identifiers from the origin onwards."""
-        return _memo(self, "_as_path", lambda: tuple(entry.as_id for entry in self.entries))
+        return _memo(self, "_as_path", lambda: _extend_as_path((), self.entries))
 
     def contains_as(self, as_id: int) -> bool:
         """Return whether ``as_id`` already appears on the beacon's path."""
-        return as_id in _memo(self, "_as_set", lambda: frozenset(self.as_path()))
+        return as_id in self.as_path()
 
     def links(self) -> Tuple[LinkID, ...]:
         """Return the inter-domain links traversed, as normalised link ids.
@@ -203,18 +251,7 @@ class Beacon:
         every in-flight delivery of a dynamic scenario and revocation
         purges probe it per stored beacon, so the walk must not repeat.
         """
-
-        def compute() -> Tuple[LinkID, ...]:
-            result: List[LinkID] = []
-            for previous, current in zip(self.entries, self.entries[1:]):
-                if previous.egress_interface is None or current.ingress_interface is None:
-                    raise BeaconError("interior beacon entries must specify both interfaces")
-                a: InterfaceID = (previous.as_id, previous.egress_interface)
-                b: InterfaceID = (current.as_id, current.ingress_interface)
-                result.append(normalize_link_id(a, b))
-            return tuple(result)
-
-        return _memo(self, "_links", compute)
+        return _memo(self, "_links", lambda: _extend_links((), self.entries))
 
     def link_set(self) -> frozenset:
         """Return :meth:`links` as a memoized frozenset for containment checks."""
@@ -280,48 +317,34 @@ class Beacon:
         return _memo(
             self,
             "_header_encoding",
-            lambda: (
-                f"pcb(origin={self.origin_as},created={self.created_at_ms:.3f},"
-                f"validity={self.validity_ms:.3f},{self.extensions.encode()})"
+            lambda: _encode_header(
+                self.origin_as, self.created_at_ms, self.validity_ms, self.extensions
             ),
         )
 
-    def _entry_encodings(self) -> Tuple[str, ...]:
-        """Return the cached full encodings of all entries.
+    def _known_prefix(self) -> Tuple[bytes, Tuple[str, ...]]:
+        """Return the encoding and digest chain of the longest known prefix.
 
-        Each element comes from :meth:`ASEntry.encode`, which memoizes on
-        the entry object itself; since entries are shared with every beacon
-        derived through :meth:`with_entry`, only entries never encoded
-        before (typically just the newly-appended one) do real work.
+        That is all entries but the last when :meth:`with_entry` left the
+        parent's bytes and chain, otherwise the header alone with an empty
+        chain — the cold case.  The chain's length says how many entries
+        the prefix covers.
         """
-        return _memo(
-            self,
-            "_entry_encodings_cache",
-            lambda: tuple(entry.encode() for entry in self.entries),
-        )
-
-    def signed_prefix(self, upto: int) -> bytes:
-        """Return the byte string signed by the AS that appended entry ``upto``.
-
-        The signed material covers the header, all fully-encoded previous
-        entries (including their signatures) and the unsigned encoding of
-        entry ``upto`` itself, which chains the signatures together.
-        """
-        if not 0 <= upto < len(self.entries):
-            raise BeaconError(f"entry index {upto} out of range")
-        parts = [self.header_encoding()]
-        parts.extend(self._entry_encodings()[:upto])
-        parts.append(self.entries[upto].encode_unsigned())
-        return "|".join(parts).encode("utf-8")
+        memo = self.__dict__
+        digests = memo.get("_parent_digests")
+        if digests is None:
+            return self.header_encoding().encode("utf-8"), ()
+        return memo["_parent_encoded"], digests
 
     def encode(self) -> bytes:
         """Return the full canonical encoding (used for hashing/dedup, memoized)."""
 
         def compute() -> bytes:
             count_crypto_op("beacon_encode")
-            parts = [self.header_encoding()]
-            parts.extend(self._entry_encodings())
-            return "|".join(parts).encode("utf-8")
+            prefix, known = self._known_prefix()
+            parts = [prefix]
+            parts.extend(entry.encode().encode("utf-8") for entry in self.entries[len(known) :])
+            return b"|".join(parts)
 
         return _memo(self, "_encoded", compute)
 
@@ -331,19 +354,21 @@ class Beacon:
         Element ``i`` is the SHA-256 hex digest of
         ``header | entry_0 | … | entry_i`` — i.e. exactly the
         :meth:`digest` the beacon had when entry ``i`` was its last entry.
-        The whole chain is produced in one pass by snapshotting an
-        incrementally-updated hash state, so it costs one traversal of the
-        encoding regardless of the hop count.  The ingress gateway keys its
+        The chain continues the known prefix's: it hashes that prefix's
+        bytes and then each further entry, snapshotting the state after
+        every one, so it is one pass over the encoding and never
+        materialises this beacon's own.  The ingress gateway keys its
         verified-prefix cache on these values.
         """
         def compute() -> Tuple[str, ...]:
             count_crypto_op("beacon_digest")
-            state = hashlib.sha256(self.header_encoding().encode("utf-8"))
-            digests: List[str] = []
-            for encoded_entry in self._entry_encodings():
+            prefix, known = self._known_prefix()
+            state = hashlib.sha256(prefix)
+            digests = list(known)
+            for entry in self.entries[len(known) :]:
                 state.update(b"|")
-                state.update(encoded_entry.encode("utf-8"))
-                digests.append(state.copy().hexdigest())
+                state.update(entry.encode().encode("utf-8"))
+                digests.append(state.hexdigest())
             return tuple(digests)
 
         return _memo(self, "_prefix_digests", compute)
@@ -369,8 +394,9 @@ class Beacon:
         """Verify the signatures of entries ``first_entry`` onwards.
 
         The signed prefixes are built from one growing buffer instead of
-        being re-joined from scratch per entry, and the per-entry encodings
-        are cache hits, so the string work is linear in the encoding size.
+        being re-joined from scratch per entry, out of the entries' own
+        (memoized) encodings — never out of inherited state — so the string
+        work is linear in the encoding size.
         Skipping already-verified prefixes is only sound when the caller
         knows the prefix ending at ``first_entry - 1`` was verified against
         the same key material — that is what the ingress gateway's
@@ -385,37 +411,59 @@ class Beacon:
             raise BeaconError("cannot verify a beacon without entries")
         if not 0 <= first_entry <= len(self.entries):
             raise BeaconError(f"entry index {first_entry} out of range")
-        encodings = self._entry_encodings()
         prefix_parts = [self.header_encoding()]
-        prefix_parts.extend(encodings[:first_entry])
+        prefix_parts.extend(entry.encode() for entry in self.entries[:first_entry])
         prefix = "|".join(prefix_parts)
-        for index in range(first_entry, len(self.entries)):
-            entry = self.entries[index]
+        for entry in self.entries[first_entry:]:
             signed = f"{prefix}|{entry.encode_unsigned()}".encode("utf-8")
             verifier.verify(entry.as_id, signed, entry.signature)
-            prefix = f"{prefix}|{encodings[index]}"
+            prefix = f"{prefix}|{entry.encode()}"
 
     # ------------------------------------------------------------------
     # derivation
     # ------------------------------------------------------------------
-    def with_entry(self, entry: ASEntry) -> "Beacon":
-        """Return a new beacon with ``entry`` appended (no loop allowed)."""
+    def require_extendable_by(self, as_id: int) -> None:
+        """Raise unless ``as_id`` may append an entry (open beacon, no loop)."""
         if self.is_terminated:
             raise BeaconError("cannot extend a terminated beacon")
-        if self.contains_as(entry.as_id):
+        if self.contains_as(as_id):
             raise LoopError(
-                f"AS {entry.as_id} already on path {self.as_path()}; refusing to create a loop"
+                f"AS {as_id} already on path {self.as_path()}; refusing to create a loop"
             )
-        return replace(self, entries=self.entries + (entry,), beacon_id=next(_beacon_sequence))
+
+    def with_entry(self, entry: ASEntry) -> "Beacon":
+        """Return a new beacon with ``entry`` appended (no loop allowed).
+
+        The child inherits what this beacon has already derived (see the
+        module docstring): the values land in its memo ``__dict__`` under
+        the keys the accessors read, the encoded bytes and the digest chain
+        as the prefix :meth:`_known_prefix` continues from.
+        """
+        self.require_extendable_by(entry.as_id)
+        entries = self.entries + (entry,)
+        child = Beacon(
+            self.origin_as, self.created_at_ms, entries, self.extensions, self.validity_ms
+        )
+        derived, inherited = self.__dict__, child.__dict__
+        inherited["_header_encoding"] = self.header_encoding()
+        inherited["_as_path"] = _extend_as_path(self.as_path(), entries)
+        # An entry without an ingress interface is left for links() to reject.
+        if "_links" in derived and entry.ingress_interface is not None:
+            inherited["_links"] = _extend_links(derived["_links"], entries)
+        if "_encoded" in derived and "_prefix_digests" in derived:
+            inherited["_parent_encoded"] = derived["_encoded"]
+            inherited["_parent_digests"] = derived["_prefix_digests"]
+        return child
 
 
 @dataclass
 class BeaconBuilder:
     """Creates, extends and terminates beacons on behalf of one AS.
 
-    The builder encapsulates the signing logic: entries are first appended
-    unsigned, then the signature over the correctly chained prefix is
-    computed and substituted in.  It is owned by the AS's egress gateway.
+    The builder encapsulates the signing logic: it signs the new entry over
+    the correctly chained prefix *before* it constructs anything, so every
+    operation makes one signed :class:`ASEntry` and one :class:`Beacon`.
+    It is owned by the AS's egress gateway.
     """
 
     as_id: int
@@ -430,20 +478,10 @@ class BeaconBuilder:
         validity_ms: float = DEFAULT_VALIDITY_MS,
     ) -> Beacon:
         """Create a fresh beacon leaving this AS over ``egress_interface``."""
-        entry = ASEntry(
-            as_id=self.as_id,
-            ingress_interface=None,
-            egress_interface=egress_interface,
-            static_info=static_info or StaticInfo(),
-        )
-        beacon = Beacon(
-            origin_as=self.as_id,
-            created_at_ms=created_at_ms,
-            entries=(entry,),
-            extensions=extensions or ExtensionSet(),
-            validity_ms=validity_ms,
-        )
-        return self._sign_last_entry(beacon)
+        extensions = extensions or ExtensionSet()
+        header = _encode_header(self.as_id, created_at_ms, validity_ms, extensions)
+        entry = self._signed_entry(header.encode("utf-8"), None, egress_interface, static_info)
+        return Beacon(self.as_id, created_at_ms, (entry,), extensions, validity_ms)
 
     def extend(
         self,
@@ -453,13 +491,10 @@ class BeaconBuilder:
         static_info: Optional[StaticInfo] = None,
     ) -> Beacon:
         """Append this AS's hop to ``beacon`` for propagation."""
-        entry = ASEntry(
-            as_id=self.as_id,
-            ingress_interface=ingress_interface,
-            egress_interface=egress_interface,
-            static_info=static_info or StaticInfo(),
+        beacon.require_extendable_by(self.as_id)
+        return beacon.with_entry(
+            self._signed_entry(beacon.encode(), ingress_interface, egress_interface, static_info)
         )
-        return self._sign_last_entry(beacon.with_entry(entry))
 
     def terminate(
         self,
@@ -468,41 +503,25 @@ class BeaconBuilder:
         static_info: Optional[StaticInfo] = None,
     ) -> Beacon:
         """Append a terminal (no-egress) entry, producing a registrable segment."""
-        entry = ASEntry(
-            as_id=self.as_id,
-            ingress_interface=ingress_interface,
-            egress_interface=None,
-            static_info=static_info or StaticInfo(),
+        beacon.require_extendable_by(self.as_id)
+        return beacon.with_entry(
+            self._signed_entry(beacon.encode(), ingress_interface, None, static_info)
         )
-        return self._sign_last_entry(beacon.with_entry(entry))
 
-    def _sign_last_entry(self, beacon: Beacon) -> Beacon:
-        """Replace the last entry with a signed copy."""
-        index = len(beacon.entries) - 1
-        signature = self.signer.sign(beacon.signed_prefix(index))
-        signed_entry = replace(beacon.entries[index], signature=signature)
-        entries = beacon.entries[:index] + (signed_entry,)
-        return replace(beacon, entries=entries)
+    def _signed_entry(
+        self,
+        prefix: bytes,
+        ingress_interface: Optional[int],
+        egress_interface: Optional[int],
+        static_info: Optional[StaticInfo],
+    ) -> ASEntry:
+        """Return this AS's entry, signed over ``prefix`` and its own unsigned encoding.
 
-
-def dedupe_beacons(beacons: Iterable[Beacon]) -> List[Beacon]:
-    """Return ``beacons`` with exact duplicates (by digest) removed.
-
-    Order is preserved; the first occurrence of each digest wins.
-    """
-    seen = set()
-    result: List[Beacon] = []
-    for beacon in beacons:
-        digest = beacon.digest()
-        if digest not in seen:
-            seen.add(digest)
-            result.append(beacon)
-    return result
-
-
-def beacons_per_origin(beacons: Sequence[Beacon]) -> dict:
-    """Group beacons by origin AS (helper shared by stores and algorithms)."""
-    grouped: dict = {}
-    for beacon in beacons:
-        grouped.setdefault(beacon.origin_as, []).append(beacon)
-    return grouped
+        ``prefix`` is what precedes the entry: the header at origination,
+        otherwise the beacon's full encoding, previous signatures included,
+        which chains the signatures together.
+        """
+        static_info = static_info or StaticInfo()
+        unsigned = _encode_unsigned(self.as_id, ingress_interface, egress_interface, static_info)
+        signature = self.signer.sign(prefix + b"|" + unsigned.encode("utf-8"))
+        return ASEntry(self.as_id, ingress_interface, egress_interface, static_info, signature)

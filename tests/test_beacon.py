@@ -1,14 +1,23 @@
 """Tests for PCBs: construction, extension, metrics, signatures, expiry."""
 
+import dataclasses
+import hashlib
+
 import pytest
 
-from repro.core.beacon import Beacon, BeaconBuilder, dedupe_beacons, beacons_per_origin
+from repro.core.beacon import ASEntry, Beacon, BeaconBuilder
 from repro.core.extensions import ExtensionSet
 from repro.core.staticinfo import StaticInfo
+from repro.crypto.hashing import perf_counters
 from repro.crypto.signer import Signer, Verifier
 from repro.exceptions import BeaconError, LoopError, SignatureError
 
 from tests.conftest import make_beacon
+from tests.test_perf_equivalence import naive_encode
+
+
+def builder_for(as_id, key_store):
+    return BeaconBuilder(as_id=as_id, signer=Signer(as_id=as_id, key_store=key_store))
 
 
 class TestOrigination:
@@ -37,23 +46,30 @@ class TestExtension:
     def test_loop_rejected(self, key_store, beacon_factory):
         beacon = beacon_factory([(1, None, 1), (2, 1, 2)])
         builder = BeaconBuilder(as_id=1, signer=Signer(as_id=1, key_store=key_store))
+        signed = perf_counters()["signature_sign"]
         with pytest.raises(LoopError):
             builder.extend(beacon, ingress_interface=3, egress_interface=4)
+        with pytest.raises(LoopError):
+            builder.terminate(beacon, ingress_interface=3)
+        # The check runs before anything is signed.
+        assert perf_counters()["signature_sign"] == signed
 
     def test_terminated_beacon_cannot_be_extended(self, key_store, beacon_factory):
         beacon = beacon_factory([(1, None, 1), (2, 1, None)])
         assert beacon.is_terminated
         builder = BeaconBuilder(as_id=3, signer=Signer(as_id=3, key_store=key_store))
+        signed = perf_counters()["signature_sign"]
         with pytest.raises(BeaconError):
             builder.extend(beacon, ingress_interface=1, egress_interface=2)
+        with pytest.raises(BeaconError):
+            builder.terminate(beacon, ingress_interface=1)
+        assert perf_counters()["signature_sign"] == signed
 
     def test_signature_chain_verifies_after_extension(self, key_store, beacon_factory):
         beacon = beacon_factory([(1, None, 1), (2, 1, 2), (3, 2, None)])
         beacon.verify(Verifier(key_store=key_store))
 
     def test_tampering_breaks_verification(self, key_store, beacon_factory):
-        import dataclasses
-
         beacon = beacon_factory([(1, None, 1), (2, 1, 2)])
         tampered_entry = dataclasses.replace(beacon.entries[0], egress_interface=9)
         tampered = dataclasses.replace(beacon, entries=(tampered_entry, beacon.entries[1]))
@@ -141,8 +157,6 @@ class TestExtensionsOnBeacons:
         assert beacon.interface_group_id == 3
 
     def test_extensions_covered_by_signature(self, key_store):
-        import dataclasses
-
         extensions = ExtensionSet().with_target(9)
         beacon = make_beacon(key_store, [(1, None, 1)], extensions=extensions)
         stripped = dataclasses.replace(beacon, extensions=ExtensionSet())
@@ -150,14 +164,89 @@ class TestExtensionsOnBeacons:
             stripped.verify(Verifier(key_store=key_store))
 
 
-class TestHelpers:
-    def test_dedupe_beacons(self, key_store, beacon_factory):
-        a = beacon_factory([(1, None, 1), (2, 1, 2)])
-        b = beacon_factory([(1, None, 1), (3, 1, 2)])
-        assert dedupe_beacons([a, a, b, a]) == [a, b]
+class TestInheritedState:
+    """A child beacon shares what its parent derived; nothing else does."""
 
-    def test_beacons_per_origin(self, key_store, beacon_factory):
-        a = beacon_factory([(1, None, 1), (2, 1, 2)])
-        b = beacon_factory([(5, None, 1), (2, 1, 2)])
-        grouped = beacons_per_origin([a, b])
-        assert set(grouped) == {1, 5}
+    def test_a_chain_holds_one_digest_and_one_link_id_per_hop(self, key_store):
+        # Every prefix of a 12-hop chain stays alive and is digested and
+        # link-indexed before it is extended, as by the ingress databases
+        # along a path.  Re-deriving per beacon would hold 78 digest strings
+        # and 66 link ids; inheriting holds one per hop.
+        beacon = builder_for(1, key_store).originate(egress_interface=1, created_at_ms=0.0)
+        prefixes = [beacon]
+        for as_id in range(2, 13):
+            beacon.digest()
+            beacon.links()
+            beacon = builder_for(as_id, key_store).extend(
+                beacon, ingress_interface=2, egress_interface=1
+            )
+            prefixes.append(beacon)
+        assert beacon.hop_count == 12
+        assert beacon.digest() == hashlib.sha256(naive_encode(beacon)).hexdigest()
+        digests = {id(digest) for prefix in prefixes for digest in prefix.prefix_digests()}
+        link_ids = {id(link) for prefix in prefixes for link in prefix.links()}
+        headers = {id(prefix.header_encoding()) for prefix in prefixes}
+        assert (len(digests), len(link_ids), len(headers)) == (12, 11, 1)
+        assert [prefix.prefix_digests() for prefix in prefixes] == [
+            beacon.prefix_digests()[: index + 1] for index in range(12)
+        ]
+
+    def test_each_operation_makes_one_beacon_and_one_signature(self, key_store, monkeypatch):
+        made = []
+        for cls in (Beacon, ASEntry):
+            def counting(self, *args, _init=cls.__init__, **kwargs):
+                made.append(type(self))
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        signed = perf_counters()["signature_sign"]
+        origin = builder_for(1, key_store).originate(egress_interface=1, created_at_ms=0.0)
+        extended = builder_for(2, key_store).extend(origin, ingress_interface=2, egress_interface=1)
+        segment = builder_for(3, key_store).terminate(extended, ingress_interface=2)
+        assert perf_counters()["signature_sign"] == signed + 3
+        assert (made.count(Beacon), made.count(ASEntry)) == (3, 3)
+        assert [extended.beacon_id, segment.beacon_id] == [
+            origin.beacon_id + 1,
+            origin.beacon_id + 2,
+        ]
+        for parent, child in ((origin, extended), (extended, segment)):
+            assert len(child.entries) == len(parent.entries) + 1
+            assert all(mine is theirs for mine, theirs in zip(child.entries, parent.entries))
+        segment.verify(Verifier(key_store=key_store))
+
+    def test_tampered_copy_of_a_warm_child_inherits_nothing(self, key_store, beacon_factory):
+        parent = beacon_factory([(1, None, 1), (2, 1, 2), (3, 1, 2)])
+        parent.digest()
+        parent.links()
+        child = builder_for(4, key_store).extend(parent, ingress_interface=1, egress_interface=2)
+        assert child.prefix_digests()[:-1] == parent.prefix_digests()
+        forged = dataclasses.replace(child.entries[1], egress_interface=9)
+        tampered = dataclasses.replace(
+            child, entries=child.entries[:1] + (forged,) + child.entries[2:]
+        )
+        assert tampered.digest() == hashlib.sha256(naive_encode(tampered)).hexdigest()
+        assert tampered.digest() != child.digest()
+        assert tampered.prefix_digests()[0] == child.prefix_digests()[0]
+        assert set(tampered.prefix_digests()[1:]).isdisjoint(child.prefix_digests())
+        assert tampered.links()[1] == ((2, 9), (3, 1))
+
+    def test_with_entry_continues_the_chain_only_from_known_bytes(self, beacon_factory):
+        # Digesting a cold beacon does not materialise its encoding, so a
+        # direct with_entry has no bytes to hand down and the child is cold.
+        parent = beacon_factory([(1, None, 1), (2, 1, 2)])
+        parent.digest()
+        child = parent.with_entry(ASEntry(as_id=3, ingress_interface=1, egress_interface=2))
+        assert child.prefix_digests()[:-1] == parent.prefix_digests()
+        assert child.digest() == hashlib.sha256(naive_encode(child)).hexdigest()
+        assert child.encode() == naive_encode(child)
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_entry_without_ingress_interface_fails_in_links(self, key_store, beacon_factory, warm):
+        parent = beacon_factory([(1, None, 1), (2, 1, 2)])
+        if warm:
+            parent.digest()
+            parent.links()
+        child = builder_for(3, key_store).extend(parent, ingress_interface=None, egress_interface=2)
+        assert child.as_path() == (1, 2, 3)
+        with pytest.raises(BeaconError):
+            child.links()

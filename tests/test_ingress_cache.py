@@ -9,7 +9,9 @@ Three properties the fast path must never lose:
   verifier through :meth:`IngressGateway.use_verifier` must clear it (and
   beacons signed under the old keys must be rejected afterwards), and
 * a **tampered extension of a verified prefix is still rejected** — a
-  cache hit on the prefix must not leak trust into the new entries.
+  cache hit on the prefix must not leak trust into the new entries, and a
+  tampered copy of a beacon must not inherit the digest chain the genuine
+  one was cached under.
 """
 
 from dataclasses import replace
@@ -142,3 +144,25 @@ class TestTamperedExtensionStillRejected:
         # The genuine extension is still accepted, via the cached prefix.
         assert gateway.receive(child, on_interface=1, now_ms=0.0)
         assert gateway.stats.incremental_verifications >= 1
+
+    def test_tampered_copy_of_a_cached_warm_child_rejected(self):
+        key_store = KeyStore()
+        gateway = IngressGateway(as_id=999, verifier=Verifier(key_store=key_store))
+        beacon = two_hop_beacon(key_store)
+        assert gateway.receive(beacon, on_interface=1, now_ms=0.0)
+        # The child continues the digest chain its parent derived above, and
+        # the cache now holds every prefix of it.
+        child = extend(beacon, key_store)
+        assert gateway.receive(child, on_interface=1, now_ms=0.0)
+        assert all(digest in gateway.verified_prefixes for digest in child.prefix_digests())
+
+        # A copy with a forged inherited entry starts cold: its chain is
+        # derived from its own content, misses the cache from the forged
+        # entry on and fails full verification.
+        forged = replace(child.entries[1], egress_interface=9)
+        tampered = replace(child, entries=child.entries[:1] + (forged,) + child.entries[2:])
+        assert not any(
+            digest in gateway.verified_prefixes for digest in tampered.prefix_digests()[1:]
+        )
+        assert not gateway.receive(tampered, on_interface=1, now_ms=0.0)
+        assert gateway.stats.rejected_signature == 1

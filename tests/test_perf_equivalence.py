@@ -8,8 +8,10 @@ property tests pin that down:
 
 * the memoized digest equals an independent, from-scratch re-encoding and
   re-hashing of the beacon after arbitrary ``with_entry``/termination
-  chains, and every element of the prefix-digest chain equals the digest
-  of the corresponding prefix beacon,
+  chains, every element of the prefix-digest chain equals the digest
+  of the corresponding prefix beacon, and a child that inherited any
+  combination of its parent's derived values equals a cold twin in every
+  accessor, also after a pickle round trip,
 * the sweep/skyline ``pareto_frontier`` returns exactly the same labelled
   pairs (same order) as the quadratic reference on random vectors with 2–4
   metrics, including duplicates and maximize-objective metrics, and
@@ -26,6 +28,7 @@ property tests pin that down:
 from __future__ import annotations
 
 import hashlib
+import pickle
 from dataclasses import replace
 
 import pytest
@@ -75,8 +78,12 @@ hop_specs = st.lists(
 )
 
 
-def build_chain(key_store, hops, terminate=False, extensions=None):
-    """Build a signed beacon from (intra_latency, link_latency, bandwidth) hops."""
+def build_chain(key_store, hops, terminate=False, extensions=None, before_extending=None):
+    """Build a signed beacon from (intra_latency, link_latency, bandwidth) hops.
+
+    ``before_extending`` is called with every intermediate beacon just
+    before the next hop is appended to it.
+    """
     origin_builder = BeaconBuilder(
         as_id=10, signer=Signer(as_id=10, key_store=key_store)
     )
@@ -91,6 +98,8 @@ def build_chain(key_store, hops, terminate=False, extensions=None):
         as_id = 10 + index
         builder = BeaconBuilder(as_id=as_id, signer=Signer(as_id=as_id, key_store=key_store))
         last = terminate and index == len(hops) - 1
+        if before_extending is not None:
+            before_extending(beacon)
         info = StaticInfo(
             intra_latency_ms=intra,
             link_latency_ms=0.0 if last else link,
@@ -123,6 +132,20 @@ def naive_encode(beacon: Beacon) -> bytes:
 # ----------------------------------------------------------------------
 # (a) digests
 # ----------------------------------------------------------------------
+#: Every memoized accessor of a beacon; a child inherits some of them.
+DERIVED = (
+    "encode",
+    "digest",
+    "prefix_digests",
+    "header_encoding",
+    "as_path",
+    "links",
+    "link_set",
+    "total_latency_ms",
+    "bottleneck_bandwidth_mbps",
+)
+
+
 class TestDigestEquivalence:
     @given(hops=hop_specs, terminate=st.booleans(), with_extension=st.booleans())
     @settings(max_examples=60, deadline=None)
@@ -151,6 +174,39 @@ class TestDigestEquivalence:
             prefix = replace(beacon, entries=beacon.entries[: index + 1])
             assert chain[index] == hashlib.sha256(naive_encode(prefix)).hexdigest()
         assert beacon.digest() == chain[-1]
+
+    @given(
+        hops=st.lists(st.tuples(latencies, latencies, bandwidths), min_size=1, max_size=13),
+        terminate=st.booleans(),
+        with_extension=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_warm_child_equals_cold_twin(self, hops, terminate, with_extension, data):
+        # Each parent has derived a drawn subset of its values when it is
+        # extended, so the child inherits an arbitrary combination of them.
+        def derive_some(parent):
+            for name in data.draw(st.sets(st.sampled_from(DERIVED)), label="derived"):
+                getattr(parent, name)()
+
+        def derived_values(beacon):
+            values = {name: getattr(beacon, name)() for name in DERIVED}
+            values["contains_as"] = [beacon.contains_as(as_id) for as_id in range(8, 26)]
+            return values
+
+        child = build_chain(
+            KeyStore(),
+            hops,
+            terminate=terminate and len(hops) > 1,
+            extensions=ExtensionSet().with_interface_group(3) if with_extension else None,
+            before_extending=derive_some,
+        )
+        shipped = pickle.loads(pickle.dumps(child))
+        expected = derived_values(replace(child))
+        assert expected["encode"] == naive_encode(child)
+        assert expected["digest"] == hashlib.sha256(naive_encode(child)).hexdigest()
+        assert derived_values(shipped) == expected
+        assert derived_values(child) == expected
 
     def test_extension_reuses_parent_entry_encodings(self, key_store):
         parent = build_chain(key_store, [(0.0, 5.0, 100.0), (1.0, 5.0, 100.0)])
