@@ -32,7 +32,7 @@ from repro.exceptions import AlgorithmError
 IntraLatencyOracle = Callable[[int, int], float]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CandidateBeacon:
     """A beacon as presented to an algorithm.
 

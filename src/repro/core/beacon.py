@@ -20,8 +20,10 @@ Beacons and their entries are **immutable**, which makes every derived
 value cacheable: canonical encodings, the SHA-256 digest (the canonical
 identity used for deduplication everywhere), the prefix-digest chain and
 the accumulated path metrics are all computed at most once per object and
-memoized in the instance ``__dict__`` (dataclass equality and hashing only
-consider declared fields, so the memos are invisible to comparisons).
+memoized in a declared slot of the record (``init=False``,
+``compare=False``, so the memos are invisible to construction, equality,
+hashing and ``repr``).  An accessor reads its slot and only on ``None``
+computes and stores; neither record has a per-instance dictionary.
 
 A child beacon is its parent plus one entry, so it **inherits** what the
 parent has already derived instead of deriving it again: the parent's
@@ -69,19 +71,9 @@ DEFAULT_VALIDITY_MS = 6.0 * 60.0 * 60.0 * 1000.0
 _beacon_sequence = itertools.count(1)
 
 
-def _memo(obj, key: str, compute):
-    """Return ``obj.__dict__[key]``, computing and storing it on first use.
-
-    The single memoization primitive of the beacon fast path.  It works on
-    frozen dataclasses because writing to the instance ``__dict__``
-    bypasses the frozen ``__setattr__``, and stays invisible to dataclass
-    equality/hashing, which only consider declared fields.
-    """
-    cached = obj.__dict__.get(key)
-    if cached is None:
-        cached = compute()
-        obj.__dict__[key] = cached
-    return cached
+def _slot():
+    """Declare a derived value's slot: reset by ``replace``, outside ``==`` / hash / repr."""
+    return field(default=None, init=False, repr=False, compare=False)
 
 
 def _encode_unsigned(
@@ -118,7 +110,7 @@ def _extend_links(known: Tuple[LinkID, ...], entries: Tuple["ASEntry", ...]) -> 
     return tuple(result)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ASEntry:
     """One AS hop of a beacon.
 
@@ -139,6 +131,7 @@ class ASEntry:
     egress_interface: Optional[int]
     static_info: StaticInfo = field(default_factory=StaticInfo)
     signature: bytes = b""
+    _encoded: Optional[str] = _slot()
 
     def encode_unsigned(self) -> str:
         """Return the canonical encoding of the entry without its signature.
@@ -154,17 +147,16 @@ class ASEntry:
         The encoding is memoized: entries are immutable, so it is computed
         at most once per entry object.
         """
-        return _memo(
-            self,
-            "_encoded",
-            lambda: _encode_unsigned(
+        encoded = self._encoded
+        if encoded is None:
+            encoded = _encode_unsigned(
                 self.as_id, self.ingress_interface, self.egress_interface, self.static_info
-            )
-            + f"sig({self.signature.hex()})",
-        )
+            ) + f"sig({self.signature.hex()})"
+            object.__setattr__(self, "_encoded", encoded)
+        return encoded
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Beacon:
     """An immutable path-construction beacon.
 
@@ -176,6 +168,10 @@ class Beacon:
         extensions: IREC extensions set by the origin AS.
         beacon_id: Monotonic identifier, unique within one process; used
             only for diagnostics, never for protocol decisions.
+
+    The underscored slots hold derived values, ``None`` until asked for or
+    handed down by :meth:`with_entry` (``_parent_*``: the known prefix);
+    :meth:`repro.core.criteria.StandardMetrics.vector_for` keeps ``_metric_vectors``.
     """
 
     origin_as: int
@@ -184,6 +180,18 @@ class Beacon:
     extensions: ExtensionSet = field(default_factory=ExtensionSet)
     validity_ms: float = DEFAULT_VALIDITY_MS
     beacon_id: int = field(default_factory=lambda: next(_beacon_sequence))
+    _as_path: Optional[Tuple[int, ...]] = _slot()
+    _links: Optional[Tuple[LinkID, ...]] = _slot()
+    _link_set: Optional[frozenset] = _slot()
+    _total_latency_ms: Optional[float] = _slot()
+    _bottleneck_bandwidth_mbps: Optional[float] = _slot()
+    _header_encoding: Optional[str] = _slot()
+    _encoded: Optional[bytes] = _slot()
+    _prefix_digests: Optional[Tuple[str, ...]] = _slot()
+    _digest: Optional[str] = _slot()
+    _parent_encoded: Optional[bytes] = _slot()
+    _parent_digests: Optional[Tuple[str, ...]] = _slot()
+    _metric_vectors: Optional[dict] = _slot()
 
     # ------------------------------------------------------------------
     # structural accessors
@@ -236,7 +244,11 @@ class Beacon:
 
     def as_path(self) -> Tuple[int, ...]:
         """Return the sequence of AS identifiers from the origin onwards."""
-        return _memo(self, "_as_path", lambda: _extend_as_path((), self.entries))
+        path = self._as_path
+        if path is None:
+            path = _extend_as_path((), self.entries)
+            object.__setattr__(self, "_as_path", path)
+        return path
 
     def contains_as(self, as_id: int) -> bool:
         """Return whether ``as_id`` already appears on the beacon's path."""
@@ -251,11 +263,19 @@ class Beacon:
         every in-flight delivery of a dynamic scenario and revocation
         purges probe it per stored beacon, so the walk must not repeat.
         """
-        return _memo(self, "_links", lambda: _extend_links((), self.entries))
+        links = self._links
+        if links is None:
+            links = _extend_links((), self.entries)
+            object.__setattr__(self, "_links", links)
+        return links
 
     def link_set(self) -> frozenset:
         """Return :meth:`links` as a memoized frozenset for containment checks."""
-        return _memo(self, "_link_set", lambda: frozenset(self.links()))
+        link_set = self._link_set
+        if link_set is None:
+            link_set = frozenset(self.links())
+            object.__setattr__(self, "_link_set", link_set)
+        return link_set
 
     def interfaces(self) -> Tuple[InterfaceID, ...]:
         """Return every (AS, interface) pair that appears on the beacon."""
@@ -282,24 +302,24 @@ class Beacon:
         The value is memoized — beacons are immutable, so the walk over the
         entries happens at most once per beacon object.
         """
-        return _memo(
-            self,
-            "_total_latency_ms",
-            lambda: sum(entry.static_info.hop_latency_ms for entry in self.entries),
-        )
+        latency = self._total_latency_ms
+        if latency is None:
+            latency = sum(entry.static_info.hop_latency_ms for entry in self.entries)
+            object.__setattr__(self, "_total_latency_ms", latency)
+        return latency
 
     def bottleneck_bandwidth_mbps(self) -> float:
         """Return the bottleneck (minimum) link bandwidth along the path (memoized)."""
-
-        def compute() -> float:
+        bottleneck = self._bottleneck_bandwidth_mbps
+        if bottleneck is None:
             bandwidths = [
                 entry.static_info.link_bandwidth_mbps
                 for entry in self.entries
                 if entry.static_info.link_bandwidth_mbps is not None
             ]
-            return min(bandwidths) if bandwidths else float("inf")
-
-        return _memo(self, "_bottleneck_bandwidth_mbps", compute)
+            bottleneck = min(bandwidths) if bandwidths else float("inf")
+            object.__setattr__(self, "_bottleneck_bandwidth_mbps", bottleneck)
+        return bottleneck
 
     # ------------------------------------------------------------------
     # lifecycle and integrity
@@ -314,13 +334,13 @@ class Beacon:
 
     def header_encoding(self) -> str:
         """Return the canonical encoding of the beacon header (memoized)."""
-        return _memo(
-            self,
-            "_header_encoding",
-            lambda: _encode_header(
+        header = self._header_encoding
+        if header is None:
+            header = _encode_header(
                 self.origin_as, self.created_at_ms, self.validity_ms, self.extensions
-            ),
-        )
+            )
+            object.__setattr__(self, "_header_encoding", header)
+        return header
 
     def _known_prefix(self) -> Tuple[bytes, Tuple[str, ...]]:
         """Return the encoding and digest chain of the longest known prefix.
@@ -330,23 +350,22 @@ class Beacon:
         chain — the cold case.  The chain's length says how many entries
         the prefix covers.
         """
-        memo = self.__dict__
-        digests = memo.get("_parent_digests")
+        digests = self._parent_digests
         if digests is None:
             return self.header_encoding().encode("utf-8"), ()
-        return memo["_parent_encoded"], digests
+        return self._parent_encoded, digests
 
     def encode(self) -> bytes:
         """Return the full canonical encoding (used for hashing/dedup, memoized)."""
-
-        def compute() -> bytes:
+        encoded = self._encoded
+        if encoded is None:
             count_crypto_op("beacon_encode")
             prefix, known = self._known_prefix()
             parts = [prefix]
             parts.extend(entry.encode().encode("utf-8") for entry in self.entries[len(known) :])
-            return b"|".join(parts)
-
-        return _memo(self, "_encoded", compute)
+            encoded = b"|".join(parts)
+            object.__setattr__(self, "_encoded", encoded)
+        return encoded
 
     def prefix_digests(self) -> Tuple[str, ...]:
         """Return the digest chain of the beacon's prefixes (memoized).
@@ -360,7 +379,8 @@ class Beacon:
         materialises this beacon's own.  The ingress gateway keys its
         verified-prefix cache on these values.
         """
-        def compute() -> Tuple[str, ...]:
+        chain = self._prefix_digests
+        if chain is None:
             count_crypto_op("beacon_digest")
             prefix, known = self._known_prefix()
             state = hashlib.sha256(prefix)
@@ -369,17 +389,17 @@ class Beacon:
                 state.update(b"|")
                 state.update(entry.encode().encode("utf-8"))
                 digests.append(state.hexdigest())
-            return tuple(digests)
-
-        return _memo(self, "_prefix_digests", compute)
+            chain = tuple(digests)
+            object.__setattr__(self, "_prefix_digests", chain)
+        return chain
 
     def digest(self) -> str:
         """Return the SHA-256 hex digest of the full encoding (memoized)."""
-        return _memo(
-            self,
-            "_digest",
-            lambda: self.prefix_digests()[-1] if self.entries else beacon_digest(self.encode()),
-        )
+        digest = self._digest
+        if digest is None:
+            digest = self.prefix_digests()[-1] if self.entries else beacon_digest(self.encode())
+            object.__setattr__(self, "_digest", digest)
+        return digest
 
     def verify(self, verifier: Verifier) -> None:
         """Verify the complete signature chain.
@@ -435,24 +455,24 @@ class Beacon:
         """Return a new beacon with ``entry`` appended (no loop allowed).
 
         The child inherits what this beacon has already derived (see the
-        module docstring): the values land in its memo ``__dict__`` under
-        the keys the accessors read, the encoded bytes and the digest chain
-        as the prefix :meth:`_known_prefix` continues from.
+        module docstring): the values land in the slots the accessors
+        read, the encoded bytes and the digest chain as the prefix
+        :meth:`_known_prefix` continues from.
         """
         self.require_extendable_by(entry.as_id)
         entries = self.entries + (entry,)
         child = Beacon(
             self.origin_as, self.created_at_ms, entries, self.extensions, self.validity_ms
         )
-        derived, inherited = self.__dict__, child.__dict__
-        inherited["_header_encoding"] = self.header_encoding()
-        inherited["_as_path"] = _extend_as_path(self.as_path(), entries)
+        hand_down = object.__setattr__
+        hand_down(child, "_header_encoding", self.header_encoding())
+        hand_down(child, "_as_path", _extend_as_path(self.as_path(), entries))
         # An entry without an ingress interface is left for links() to reject.
-        if "_links" in derived and entry.ingress_interface is not None:
-            inherited["_links"] = _extend_links(derived["_links"], entries)
-        if "_encoded" in derived and "_prefix_digests" in derived:
-            inherited["_parent_encoded"] = derived["_encoded"]
-            inherited["_parent_digests"] = derived["_prefix_digests"]
+        if self._links is not None and entry.ingress_interface is not None:
+            hand_down(child, "_links", _extend_links(self._links, entries))
+        if self._encoded is not None and self._prefix_digests is not None:
+            hand_down(child, "_parent_encoded", self._encoded)
+            hand_down(child, "_parent_digests", self._prefix_digests)
         return child
 
 

@@ -156,22 +156,23 @@ def handle_path_registration(
     driven entirely by message arrival.
     """
     path = message.path
-    if path.segment.is_expired(now_ms):
+    segment = path.segment
+    if segment.is_expired(now_ms):
         return False
-    if message.register_at_origin and path.segment.origin_as != service.as_id:
-        for entry in path.segment.entries:
-            if entry.as_id == service.as_id:
-                if entry.ingress_interface is None:
-                    return False
-                service.transport.send_message(
-                    service.as_id, entry.ingress_interface, message
-                )
-                return True
-        # Not on the segment's path: a misrouted announcement, drop it.
-        return False
+    as_id = service.as_id
+    if message.register_at_origin and segment.origin_as != as_id:
+        as_path = segment.as_path()
+        if as_id not in as_path:
+            # Not on the segment's path: a misrouted announcement, drop it.
+            return False
+        ingress_interface = segment.entries[as_path.index(as_id)].ingress_interface
+        if ingress_interface is None:
+            return False
+        service.transport.send_message(as_id, ingress_interface, message)
+        return True
     return service.path_service.register(
         RegisteredPath(
-            segment=path.segment,
+            segment=segment,
             criteria_tags=path.criteria_tags,
             registered_at_ms=now_ms,
         )
@@ -272,6 +273,8 @@ def dispatch_batch(service, entries: Sequence[Tuple[ControlMessage, int]], now_m
                     accepted_digests = set()
                 accepted_digests.add(digest)
             append(accepted)
+        elif kind == "path_registration":
+            append(handle_path_registration(service, message, now_ms))
         else:
             append(dispatch_message(service, message, on_interface, now_ms))
     return results

@@ -97,10 +97,10 @@ class StandardMetrics:
         extracted values instead of re-walking the entries.
         """
         signature = tuple(metrics)
-        cache = beacon.__dict__.get("_metric_vectors")
+        cache = beacon._metric_vectors
         if cache is None:
             cache = {}
-            beacon.__dict__["_metric_vectors"] = cache
+            object.__setattr__(beacon, "_metric_vectors", cache)
         vector = cache.get(signature)
         if vector is None:
             vector = PathVector(

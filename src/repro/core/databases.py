@@ -29,7 +29,7 @@ from repro.topology.entities import LinkID, normalize_link_id
 BucketKey = Tuple[int, Optional[int], Optional[int], Optional[str]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StoredBeacon:
     """A beacon at rest in the ingress database.
 
@@ -234,7 +234,7 @@ class IngressDatabase:
         return digest in self._by_digest
 
 
-@dataclass
+@dataclass(slots=True)
 class EgressRecord:
     """Egress-database entry: which interfaces a beacon hash was sent on."""
 
@@ -293,7 +293,7 @@ class EgressDatabase:
         return digest in self._records
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RegisteredPath:
     """A path registered at the local path service.
 

@@ -53,14 +53,31 @@ cost O(1) — see the ROADMAP's flood fast-path invariants.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import ClassVar, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, ClassVar, NamedTuple, Optional, Tuple
 
-from repro.core.beacon import Beacon, _memo
+from repro.core.beacon import Beacon
 from repro.core.databases import RegisteredPath
-from repro.core.query import PathQuery
 from repro.crypto.signer import Signer, Verifier
 from repro.exceptions import ConfigurationError
 from repro.topology.entities import LinkID, normalize_link_id
+
+if TYPE_CHECKING:  # annotations only; repro.core.query imports _memo from here
+    from repro.core.query import PathQuery
+
+
+def _memo(obj, key: str, compute):
+    """Return ``obj.__dict__[key]``, computing and storing it on first use.
+
+    For the frozen message and query dataclasses, asked once per message
+    (size accounting): writing to the instance ``__dict__`` bypasses the
+    frozen ``__setattr__`` and stays invisible to dataclass equality and
+    hashing.  Beacons, read per candidate per round, use declared slots.
+    """
+    cached = obj.__dict__.get(key)
+    if cached is None:
+        cached = compute()
+        obj.__dict__[key] = cached
+    return cached
 
 
 def _format_link(link_id: LinkID) -> str:

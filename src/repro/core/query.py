@@ -30,7 +30,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
-from repro.core.beacon import _memo
+from repro.core.messages import _memo
 from repro.core.databases import PathService, RegisteredPath
 from repro.exceptions import ConfigurationError
 from repro.obs import spans as _spans

@@ -78,7 +78,7 @@ class RACConfig:
             )
 
 
-@dataclass
+@dataclass(slots=True)
 class RACSelection:
     """One beacon selected by a RAC, with the interfaces it is optimal for."""
 

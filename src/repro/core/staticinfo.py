@@ -21,7 +21,7 @@ from typing import Optional
 from repro.topology.geo import GeoCoordinate
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StaticInfo:
     """Per-hop performance metadata.
 

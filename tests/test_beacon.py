@@ -2,18 +2,22 @@
 
 import dataclasses
 import hashlib
+import pickle
 
 import pytest
 
+from repro.algorithms.base import CandidateBeacon
 from repro.core.beacon import ASEntry, Beacon, BeaconBuilder
+from repro.core.databases import EgressRecord, RegisteredPath, StoredBeacon
 from repro.core.extensions import ExtensionSet
+from repro.core.rac import RACSelection
 from repro.core.staticinfo import StaticInfo
 from repro.crypto.hashing import perf_counters
 from repro.crypto.signer import Signer, Verifier
 from repro.exceptions import BeaconError, LoopError, SignatureError
 
 from tests.conftest import make_beacon
-from tests.test_perf_equivalence import naive_encode
+from tests.test_perf_equivalence import DERIVATIONS, naive_encode
 
 
 def builder_for(as_id, key_store):
@@ -250,3 +254,103 @@ class TestInheritedState:
         assert child.as_path() == (1, 2, 3)
         with pytest.raises(BeaconError):
             child.links()
+
+
+#: The slots only :meth:`Beacon.with_entry` fills: the known prefix to continue from.
+PREFIX = {"_parent_encoded", "_parent_digests"}
+
+
+def memo_slots(cls):
+    """The derived-value slots of a record: its fields that are no ``__init__`` argument."""
+    return {field.name for field in dataclasses.fields(cls) if not field.init}
+
+
+def warm(beacon):
+    """Derive everything a beacon memoizes."""
+    for derive in DERIVATIONS.values():
+        derive(beacon)
+    return beacon
+
+
+class TestSlottedRecords:
+    """Beacons, entries and their per-store / per-round wrappers are slotted."""
+
+    @pytest.fixture
+    def records(self, beacon_factory):
+        beacon = warm(beacon_factory([(1, None, 1), (2, 1, 2), (3, 1, None)]))
+        stored = StoredBeacon(beacon, received_on_interface=1, received_at_ms=0.0)
+        return [
+            beacon,
+            beacon.entries[0],
+            beacon.entries[0].static_info,
+            stored,
+            RegisteredPath(segment=beacon, criteria_tags=("1sp",), registered_at_ms=0.0),
+            EgressRecord(expires_at_ms=1.0),
+            CandidateBeacon(beacon, ingress_interface=1),
+            RACSelection(stored, egress_interfaces=[1], criteria_tag="1sp"),
+        ]
+
+    def test_no_record_has_an_instance_dict_or_takes_an_undeclared_attribute(self, records):
+        for record in records:
+            assert not hasattr(record, "__dict__"), type(record)
+            with pytest.raises(AttributeError):
+                object.__setattr__(record, "undeclared", 1)
+
+    def test_declared_fields_of_frozen_records_stay_frozen(self, records):
+        for record in records:
+            if not type(record).__dataclass_params__.frozen:
+                continue
+            for field in dataclasses.fields(record):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(record, field.name, None)
+
+    def test_memo_slots_are_every_slot_that_is_no_protocol_field(self):
+        for cls in (Beacon, ASEntry):
+            fields = dataclasses.fields(cls)
+            assert memo_slots(cls)
+            assert [field.name for field in fields] == list(cls.__slots__)
+            for field in fields:
+                if not field.init:
+                    assert field.name.startswith("_") and field.default is None
+                    assert not field.compare and not field.repr
+
+    def test_warm_beacon_equals_its_cold_twin_which_holds_no_memo(self, records):
+        beacon = records[0]
+        twin = dataclasses.replace(beacon)
+        assert all(getattr(beacon, name) is not None for name in memo_slots(Beacon) - PREFIX)
+        assert all(getattr(twin, name) is None for name in memo_slots(Beacon))
+        assert twin == beacon and hash(twin) == hash(beacon) and repr(twin) == repr(beacon)
+        entry = beacon.entries[0]
+        assert entry._encoded is not None
+        cold_entry = dataclasses.replace(entry)
+        assert cold_entry._encoded is None
+        assert cold_entry == entry and hash(cold_entry) == hash(entry)
+
+    def test_pickled_warm_child_answers_without_deriving_again(self, key_store, beacon_factory):
+        parent = warm(beacon_factory([(1, None, 1), (2, 1, 2)]))
+        child = warm(
+            builder_for(3, key_store).extend(parent, ingress_interface=1, egress_interface=2)
+        )
+        shipped = pickle.loads(pickle.dumps(child))
+        for name in memo_slots(Beacon):
+            assert getattr(child, name) is not None, name
+            assert getattr(shipped, name) == getattr(child, name), name
+        before = perf_counters()
+        answers = (shipped.digest(), shipped.encode(), shipped.prefix_digests())
+        after = perf_counters()
+        assert answers == (child.digest(), child.encode(), child.prefix_digests())
+        assert answers[1] == naive_encode(child)
+        for counter in ("beacon_digest", "beacon_encode"):
+            assert after[counter] == before[counter]
+
+    def test_with_entry_hands_down_memo_slots_only_as_immutables(self, key_store, beacon_factory):
+        parent = warm(beacon_factory([(1, None, 1), (2, 1, 2)]))
+        child = builder_for(3, key_store).extend(parent, ingress_interface=1, egress_interface=2)
+        assert child.entries[:-1] == parent.entries and child.beacon_id != parent.beacon_id
+        for field in dataclasses.fields(Beacon):
+            if field.init and field.name not in ("entries", "beacon_id"):
+                assert getattr(child, field.name) is getattr(parent, field.name)
+        handed_down = {name for name in memo_slots(Beacon) if getattr(child, name) is not None}
+        assert handed_down == PREFIX | {"_header_encoding", "_as_path", "_links"}
+        for name in handed_down:
+            assert type(getattr(child, name)) in (bytes, tuple, str), name

@@ -16,15 +16,22 @@ pull returns on the typed fabric; down-segment registration driven by
   stale path is served after the withdrawal arrives.
 """
 
+import dataclasses
 import hashlib
 import random
 from functools import lru_cache
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.control_service import ControlServiceConfig, IrecControlService
+from repro.core.control_service import (
+    ControlServiceConfig,
+    IrecControlService,
+    dispatch_batch,
+    handle_path_registration,
+)
 from repro.core.databases import PathService, RegisteredPath
 from repro.core.local_view import LocalTopologyView
 from repro.core.messages import (
@@ -524,6 +531,59 @@ class TestDownSegmentRegistration:
         down = services[1].path_service.down_paths_to(3)
         assert [p.segment.digest() for p in down] == [segment.digest()]
         assert services[1].path_service.paths_to(1) == down
+
+    @staticmethod
+    def _announcement(segment):
+        return PathRegistrationMessage(
+            origin_as=segment.last_as,
+            sequence=1,
+            created_at_ms=0.0,
+            path=RegisteredPath(segment=segment, criteria_tags=("1sp",), registered_at_ms=0.0),
+            register_at_origin=True,
+        )
+
+    @staticmethod
+    def _isolated_service(as_id):
+        return SimpleNamespace(
+            as_id=as_id, transport=NullTransport(), path_service=PathService()
+        )
+
+    def test_every_transit_as_relays_out_its_own_ingress_interface(self, key_store):
+        # The relay resolves this AS's hop through the memoized AS path; the
+        # reference is the entry-by-entry loop it replaced.
+        hops = [(1, None, 7)] + [(as_id, 10 + as_id, 30 + as_id) for as_id in range(2, 12)]
+        segment = make_beacon(key_store, hops + [(12, 22, None)])
+        message = self._announcement(segment)
+        assert segment.hop_count == 12
+        for as_id in range(2, 13):
+            service = self._isolated_service(as_id)
+            via_loop = next(
+                entry.ingress_interface for entry in segment.entries if entry.as_id == as_id
+            )
+            assert handle_path_registration(service, message, now_ms=1.0) is True
+            assert service.transport.messages == [(as_id, via_loop, message)]
+            assert service.path_service.all_paths() == []
+        for batched in (False, True):
+            origin = self._isolated_service(1)
+            if batched:
+                assert dispatch_batch(origin, [(message, 7)], now_ms=1.0) == [True]
+            else:
+                assert handle_path_registration(origin, message, now_ms=1.0) is True
+            assert origin.transport.messages == []
+            assert [p.segment for p in origin.path_service.down_paths_to(12)] == [segment]
+
+    def test_misrouted_and_origin_entry_announcements_are_dropped_unsent(self, key_store):
+        segment = make_beacon(key_store, [(1, None, 2), (2, 1, 2), (3, 1, None)])
+        stranger = self._isolated_service(9)
+        assert handle_path_registration(stranger, self._announcement(segment), 1.0) is False
+        # A header naming another origin leaves AS 1 with the origin-side
+        # entry, which has no ingress interface to relay out of.
+        renamed = dataclasses.replace(segment, origin_as=5)
+        first_hop = self._isolated_service(1)
+        assert handle_path_registration(first_hop, self._announcement(renamed), 1.0) is False
+        for service in (stranger, first_hop):
+            assert service.transport.messages == []
+            assert service.path_service.all_paths() == []
 
     def test_simulation_flag_registers_down_segments_at_origin(self):
         def run(enabled):

@@ -28,6 +28,7 @@ property tests pin that down:
 from __future__ import annotations
 
 import hashlib
+import operator
 import pickle
 from dataclasses import replace
 
@@ -54,6 +55,7 @@ from repro.core.algebra import (
     pareto_frontier_naive,
 )
 from repro.core.beacon import Beacon, BeaconBuilder
+from repro.core.criteria import StandardMetrics
 from repro.core.extensions import ExtensionSet
 from repro.core.ingress import IngressGateway, VerifiedPrefixCache
 from repro.core.sandbox import RestrictedPythonAlgorithm
@@ -145,6 +147,13 @@ DERIVED = (
     "bottleneck_bandwidth_mbps",
 )
 
+#: Everything a beacon memoizes, by the name it is drawn under: the
+#: accessors plus ``PathVector`` extraction, which fills ``_metric_vectors``.
+DERIVATIONS = {name: operator.methodcaller(name) for name in DERIVED}
+DERIVATIONS["vector_for"] = lambda beacon: StandardMetrics.vector_for(
+    (LATENCY, HOP_COUNT, BANDWIDTH), beacon
+)
+
 
 class TestDigestEquivalence:
     @given(hops=hop_specs, terminate=st.booleans(), with_extension=st.booleans())
@@ -184,13 +193,14 @@ class TestDigestEquivalence:
     @settings(max_examples=60, deadline=None)
     def test_warm_child_equals_cold_twin(self, hops, terminate, with_extension, data):
         # Each parent has derived a drawn subset of its values when it is
-        # extended, so the child inherits an arbitrary combination of them.
-        def derive_some(parent):
-            for name in data.draw(st.sets(st.sampled_from(DERIVED)), label="derived"):
-                getattr(parent, name)()
+        # extended, so the child inherits an arbitrary combination of them;
+        # the child derives a subset of its own before it is shipped.
+        def derive_some(beacon):
+            for name in data.draw(st.sets(st.sampled_from(sorted(DERIVATIONS))), label="derived"):
+                DERIVATIONS[name](beacon)
 
         def derived_values(beacon):
-            values = {name: getattr(beacon, name)() for name in DERIVED}
+            values = {name: derive(beacon) for name, derive in DERIVATIONS.items()}
             values["contains_as"] = [beacon.contains_as(as_id) for as_id in range(8, 26)]
             return values
 
@@ -201,6 +211,7 @@ class TestDigestEquivalence:
             extensions=ExtensionSet().with_interface_group(3) if with_extension else None,
             before_extending=derive_some,
         )
+        derive_some(child)
         shipped = pickle.loads(pickle.dumps(child))
         expected = derived_values(replace(child))
         assert expected["encode"] == naive_encode(child)
