@@ -36,20 +36,26 @@ from tests.conftest import line_topology
 GOLDEN_DIGEST = "5ce362c5870d1b961141d110321bed2360d38f20be418884cfa6aac7ee21ed8d"
 
 
-def run_scenario(instrument=None, factory=None):
-    """Run the pinned golden scenario; return its trace text.
+# The same scenario with ASes 2 and 4 running the legacy SCION control
+# service (§VII-B's mixed deployment): the 2-3 failure floods through a
+# legacy AS, and legacy AS 4 leaves, cold-restarts and rejoins.  Pinned on
+# the code before the two control services were given one base class, so
+# "unchanged" covers `repro.scion.legacy` too.  `MIXED_DIGEST` is the part
+# both providers can reproduce (trace + fabric counters); a sharded run's
+# services die with its workers, so the per-AS registered segments are
+# pinned separately and checked in process only.
+MIXED_LEGACY_ASES = (2, 4)
+MIXED_DIGEST = "7f34fe8712fca68e276cf0f53cfe7e4130f724c5df11df19293d6fc9445a07a7"
+MIXED_SEGMENTS_DIGEST = "762f660ec2d4f1f1ed0bbac5ec8f600cb743099eb67758befdebd743359e27be"
 
-    ``instrument`` (if given) receives the built simulation right before
-    ``run()`` — the observatory tests use it to attach telemetry and prove
-    the digest is unchanged with instrumentation enabled.  ``factory``
-    (default :class:`BeaconingSimulation`) builds the simulation from
-    ``(topology, scenario)`` — the sharded tests pass a coordinator
-    factory to prove a multi-process run reproduces this exact trace.
-    """
+
+def _run_golden(instrument=None, factory=None, legacy_ases=()):
+    """Build and run the pinned golden scenario; return its result."""
     if factory is None:
         factory = BeaconingSimulation
     topology = line_topology(5)
     scenario = don_scenario(periods=11, verify_signatures=False)
+    scenario.legacy_ases = tuple(legacy_ases)
 
     core_link = topology.link_ids()[1]  # the 2-3 link
     scenario.at(minutes(25)).fail_link(core_link)
@@ -71,18 +77,50 @@ def run_scenario(instrument=None, factory=None):
     simulation.watch_pair(5, 1)
     if instrument is not None:
         instrument(simulation)
-    result = simulation.run()
+    return simulation.run()
 
+
+def _trace(result, extra=""):
     summary = (
         f"sent={result.collector.total_sent}"
         f" dropped={result.collector.total_dropped}"
-        f" revocations={result.collector.total_revocations}"
+        f" revocations={result.collector.total_revocations}{extra}"
         f" periods={result.periods_run}"
         f" final={result.final_time_ms:.3f}"
         f" records={len(result.convergence.records)}"
     )
     record_lines = [record.trace_label() for record in result.convergence.records]
     return "\n".join([result.convergence.trace_text(), *record_lines, summary])
+
+
+def run_scenario(instrument=None, factory=None):
+    """Run the pinned golden scenario; return its trace text.
+
+    ``instrument`` (if given) receives the built simulation right before
+    ``run()`` — the observatory tests use it to attach telemetry and prove
+    the digest is unchanged with instrumentation enabled.  ``factory``
+    (default :class:`BeaconingSimulation`) builds the simulation from
+    ``(topology, scenario)`` — the sharded tests pass a coordinator
+    factory to prove a multi-process run reproduces this exact trace.
+    """
+    return _trace(_run_golden(instrument, factory))
+
+
+def run_mixed_scenario(factory=None):
+    """Run the golden scenario with legacy ASes; return ``(trace, segments)``.
+
+    ``segments`` lists every AS's registered segments (sorted digests, one
+    line per AS) and is empty when the provider keeps no services in this
+    process (a sharded run).
+    """
+    result = _run_golden(factory=factory, legacy_ases=MIXED_LEGACY_ASES)
+    segments = "\n".join(
+        f"as={as_id} "
+        + ",".join(sorted(p.segment.digest() for p in service.path_service.all_paths()))
+        for as_id, service in sorted(result.services.items())
+    )
+    registrations = f" registrations={result.collector.total_registrations}"
+    return _trace(result, registrations), segments
 
 
 class TestGoldenTrace:
@@ -96,6 +134,22 @@ class TestGoldenTrace:
             "golden trace changed — if intentional, update GOLDEN_DIGEST to "
             f"{digest!r}; trace was:\n{trace}"
         )
+
+    def test_mixed_deployment_matches_checked_in_digests(self):
+        """Legacy and IREC ASes on one fabric: trace, counters and every
+        AS's registered segments are the ones the parent commit produced."""
+        trace, segments = run_mixed_scenario()
+        digest = hashlib.sha256(trace.encode("utf-8")).hexdigest()
+        assert digest == MIXED_DIGEST, (
+            "mixed-deployment trace changed — if intentional, update "
+            f"MIXED_DIGEST to {digest!r}; trace was:\n{trace}"
+        )
+        digest = hashlib.sha256(segments.encode("utf-8")).hexdigest()
+        assert digest == MIXED_SEGMENTS_DIGEST, (
+            "mixed-deployment registered segments changed — if intentional, "
+            f"update MIXED_SEGMENTS_DIGEST to {digest!r}; segments were:\n{segments}"
+        )
+        assert (trace, segments) == run_mixed_scenario()
 
 
 # ---------------------------------------------------------------------------

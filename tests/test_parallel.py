@@ -30,7 +30,9 @@ from tests.conftest import line_topology
 from tests.test_golden_trace import (
     FAMILY_DIGESTS,
     GOLDEN_DIGEST,
+    MIXED_DIGEST,
     run_family_scenario,
+    run_mixed_scenario,
     run_scenario,
 )
 
@@ -221,6 +223,15 @@ class TestShardedGoldenTraces:
         assert digest == GOLDEN_DIGEST, (
             f"sharded run (workers={workers}, seed={seed}) diverged from the "
             f"single-process golden trace; got {digest!r}:\n{trace}"
+        )
+
+    def test_sharded_run_matches_mixed_deployment_digest(self):
+        """Legacy ASes shard like IREC ones: the 2-worker mixed run
+        reproduces the in-process trace and fabric counters."""
+        trace, _segments = run_mixed_scenario(factory=_sharded_factory(2, 0))
+        digest = hashlib.sha256(trace.encode("utf-8")).hexdigest()
+        assert digest == MIXED_DIGEST, (
+            f"sharded mixed-deployment run diverged; got {digest!r}:\n{trace}"
         )
 
     def test_sharded_result_equals_in_process_where_digests_do_not_look(self):
