@@ -1,15 +1,20 @@
-"""The IREC control service: one AS's complete control plane.
+"""The control services: one AS's complete control plane.
 
-The control service wires together the intra-AS components of §V — ingress
-gateway, routing algorithm containers and egress gateway — and exposes the
-handlers the transport invokes (beacon delivery, pull returns, algorithm
-fetches) as well as the operations the beaconing process drives
-(origination and periodic RAC rounds).
+:class:`ControlService` is what every AS runs, whichever way it selects
+paths: identity and wiring (topology view, transport, beacon builder,
+ingress gateway, path service, query frontend, revocation state) and the
+whole fabric-facing surface — typed-message dispatch, beacon admission
+with its negative-cache bounce, the revocation flood, path-registration
+relay and path-query serving.  A flavour adds *selection* on top:
+``originate`` and ``run_round``.
 
-It replaces the legacy SCION control service of one AS; the legacy baseline
-lives in :mod:`repro.scion.legacy` and implements the same transport-facing
-interface, which is what makes mixed (backward-compatibility) deployments
-possible.
+:class:`IrecControlService` wires the intra-AS components of §V — routing
+algorithm containers and the egress gateway, plus pull-based and on-demand
+routing — onto that base.  The legacy SCION baseline
+(:class:`repro.scion.legacy.LegacyControlService`) puts its single
+20-shortest-paths selection on the same base, which is what makes mixed
+(backward-compatibility, §VII-B) deployments possible: the two differ in
+how an AS selects, not in what it speaks.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ from repro.core.messages import (
     PathRegistrationMessage,
     PCBMessage,
     PullReturnMessage,
+    RevocationMessage,
 )
 from repro.core.ondemand import OnDemandAlgorithmManager
 from repro.core.query import DEFAULT_CACHE_CAPACITY, PathQuery, PathQueryFrontend
@@ -52,24 +58,25 @@ from repro.core.rac import (
     RACSelection,
     RoutingAlgorithmContainer,
 )
-from repro.core.revocation import (
-    DEFAULT_DEDUP_WINDOW_MS,
-    RevocationMessage,
-    RevocationState,
-    bounce_if_revoked as _bounce_if_revoked,
-    handle_revocation as _handle_revocation,
-    originate_revocation as _originate_revocation,
-)
+from repro.core.revocation import DEFAULT_DEDUP_WINDOW_MS, RevocationState
 from repro.core.transport import ControlPlaneTransport
 from repro.crypto.keys import KeyStore
 from repro.crypto.signer import Signer, Verifier
-from repro.exceptions import ConfigurationError, SimulationError
+from repro.exceptions import (
+    ConfigurationError,
+    SignatureError,
+    SimulationError,
+    UnknownAlgorithmError,
+)
 from repro.topology.entities import LinkID, normalize_link_id
 
 
 @dataclass(frozen=True)
 class ControlServiceConfig:
-    """Deployment knobs of one IREC control service.
+    """Deployment knobs of one control service.
+
+    ``originate_with_groups`` and ``register_down_segments`` only mean
+    something to an IREC AS; the rest applies to either flavour.
 
     Attributes:
         verify_signatures: Whether the ingress gateway verifies PCB
@@ -105,179 +112,477 @@ class ControlServiceConfig:
     register_down_segments: bool = False
 
 
-def purge_link_state(as_id, ingress_database, path_service, link_id: LinkID) -> Tuple[int, int]:
-    """Remove beacons/paths crossing ``link_id`` from one AS's databases.
+class ControlService:
+    """The control plane every AS runs, whichever way it selects paths.
 
-    Shared between the IREC and the legacy control service (both expose the
-    same database surface).  For a stored (non-terminated) beacon the link it
-    arrived over — last entry's egress interface to the local ingress
-    interface — is part of its path as seen locally, so it counts in
-    addition to the beacon's interior links.  Control-service databases
-    resolve the removal through their link indexes in O(matches); databases
-    built without a ``local_as`` fall back to a predicate scan.
-
-    Returns:
-        ``(ingress_removed, paths_removed)`` counts.
+    Owns what a legacy SCION AS and an IREC AS share — the wiring and the
+    fabric-facing handlers below.  A flavour subclasses it with its
+    selection: ``originate(now_ms)`` and ``run_round(now_ms)``.
     """
-    failed = normalize_link_id(*link_id)
-    ingress_removed = ingress_database.remove_crossing_link(failed, arrival_as=as_id)
-    paths_removed = path_service.remove_crossing_link(failed)
-    return ingress_removed, paths_removed
 
+    def __init__(
+        self,
+        view: LocalTopologyView,
+        key_store: KeyStore,
+        transport: ControlPlaneTransport,
+        config: ControlServiceConfig,
+    ) -> None:
+        self.view = view
+        self.as_id = view.as_id
+        self.config = config
+        self.transport = transport
+        self.builder = BeaconBuilder(
+            as_id=view.as_id, signer=Signer(as_id=view.as_id, key_store=key_store)
+        )
+        self.ingress = IngressGateway(
+            as_id=view.as_id,
+            verifier=Verifier(key_store=key_store),
+            database=IngressDatabase(
+                expiry_margin_ms=config.expiry_margin_ms,
+                local_as=view.as_id,
+            ),
+            verify_signatures=config.verify_signatures,
+        )
+        self.path_service = PathService(
+            max_paths_per_key=config.registration_limit,
+            expiry_margin_ms=config.expiry_margin_ms,
+        )
+        #: The serving tier end hosts query instead of touching the path
+        #: service directly; subscribes itself to the service's
+        #: invalidation hook.  The simulation attaches its scheduler as
+        #: the frontend's clock.
+        self.query_frontend = PathQueryFrontend(
+            self.path_service, capacity=config.query_cache_capacity
+        )
+        #: Responses to queries this AS sent, as ``(response, arrived_ms)``.
+        self.query_responses: List[Tuple[PathQueryResponse, float]] = []
+        self.revocations = RevocationState(
+            dedup_window_ms=config.revocation_dedup_window_ms
+        )
+        #: Envelope sequence numbers of non-revocation messages this
+        #: service originates (revocations keep their own counter: their
+        #: (origin, sequence) pairs are the flood's dedup identity).
+        self._message_sequence = itertools.count(1)
+        #: Optional ``(message, removed_counts, now_ms)`` callback invoked
+        #: after a revocation withdrew local state; the beaconing driver
+        #: fans it out to its revocation listeners (e.g. the traffic
+        #: engine, which breaks flows when the withdrawal *arrives*).
+        self.on_withdrawal = None
 
-def purge_as_state(ingress_database, path_service, gone_as: int) -> Tuple[int, int]:
-    """Remove beacons/paths whose AS path crosses ``gone_as``.
+    def set_policies(self, policies: Sequence) -> None:
+        """Replace the ingress gateway's admission policies atomically."""
+        self.ingress.policies = list(policies)
 
-    Returns:
-        ``(ingress_removed, paths_removed)`` counts.
-    """
-    ingress_removed = ingress_database.remove_crossing_as(gone_as)
-    paths_removed = path_service.remove_crossing_as(gone_as)
-    return ingress_removed, paths_removed
+    def registered_paths_to(self, origin_as: int):
+        """Return the registered paths towards ``origin_as``."""
+        return self.path_service.paths_to(origin_as)
 
+    # ------------------------------------------------------------------
+    # dynamic-topology invalidation
+    # ------------------------------------------------------------------
+    def invalidate_link(self, link_id: LinkID) -> Tuple[int, int]:
+        """Withdraw all state crossing a failed inter-domain link.
 
-# ----------------------------------------------------------------------
-# unified message dispatch (shared by the IREC and legacy services)
-# ----------------------------------------------------------------------
-def handle_path_registration(
-    service, message: PathRegistrationMessage, now_ms: float
-) -> bool:
-    """Register a remotely offered path at ``service``'s path service.
+        Models the control plane's reaction to a revocation: beacons whose
+        path crosses the link are dropped from the ingress database (so the
+        next round re-selects on the surviving candidates and re-registers
+        paths from them) and registered paths crossing it are withdrawn
+        from the path service.  For a stored (non-terminated) beacon the
+        link it arrived over — last entry's egress interface to the local
+        ingress interface — is part of its path as seen locally, so it
+        counts in addition to the beacon's interior links.  Both stores
+        resolve the removal through their link indexes in O(matches).
 
-    The registration is re-stamped with the *arrival* time: a path that
-    reaches this AS now is fresh now, which is the timestamp contract the
-    convergence collector's sub-period recovery detection relies on.
-    Expired segments are dropped (the offer outlived its path).
+        Returns:
+            ``(ingress_removed, paths_removed)`` counts.
+        """
+        failed = normalize_link_id(*link_id)
+        return (
+            self.ingress.database.remove_crossing_link(failed, arrival_as=self.as_id),
+            self.path_service.remove_crossing_link(failed),
+        )
 
-    ``register_at_origin`` messages are down-segment announcements: a
-    transit AS on the segment forwards the message one hop toward the
-    origin (out its own reverse/ingress interface of the segment) without
-    registering, and only the origin AS registers it — registration is
-    driven entirely by message arrival.
-    """
-    path = message.path
-    segment = path.segment
-    if segment.is_expired(now_ms):
-        return False
-    as_id = service.as_id
-    if message.register_at_origin and segment.origin_as != as_id:
-        as_path = segment.as_path()
-        if as_id not in as_path:
-            # Not on the segment's path: a misrouted announcement, drop it.
+    def invalidate_as(self, gone_as: int) -> Tuple[int, int]:
+        """Withdraw all state whose AS path crosses a departed AS.
+
+        Returns:
+            ``(ingress_removed, paths_removed)`` counts.
+        """
+        return (
+            self.ingress.database.remove_crossing_as(gone_as),
+            self.path_service.remove_crossing_as(gone_as),
+        )
+
+    # ------------------------------------------------------------------
+    # revocation control-plane traffic
+    # ------------------------------------------------------------------
+    def originate_revocation(
+        self,
+        now_ms: float,
+        failed_link: Optional[LinkID] = None,
+        failed_as: Optional[int] = None,
+        failed_links: Sequence[LinkID] = (),
+        failed_ases: Sequence[int] = (),
+        ttl_ms: Optional[float] = None,
+        max_hops: Optional[int] = None,
+    ) -> RevocationMessage:
+        """Originate, locally apply and flood one signed revocation.
+
+        Called by the beaconing driver on the ASes adjacent to a failure
+        (the endpoints of a failed link; the neighbours of a departed AS).
+        The origin withdraws its own state immediately — it detected the
+        failure — and the message starts its hop-by-hop journey to
+        everyone else via :meth:`on_revocation`.  Several simultaneously
+        failed elements batch into one message via ``failed_links`` /
+        ``failed_ases`` (one flood instead of one per element); ``ttl_ms``
+        and ``max_hops`` bound the message's lifetime and propagation
+        radius (see :class:`RevocationMessage`).
+        """
+        state = self.revocations
+        message = RevocationMessage(
+            origin_as=self.as_id,
+            sequence=state.next_sequence(),
+            created_at_ms=now_ms,
+            failed_link=failed_link,
+            failed_as=failed_as,
+            failed_links=tuple(failed_links),
+            failed_ases=tuple(failed_ases),
+            ttl_ms=ttl_ms,
+            max_hops=max_hops,
+        ).signed(self.builder.signer)
+        state.originated += 1
+        # Mark the own message seen so a copy reflected back over a cycle is a
+        # duplicate, not a fresh withdrawal.
+        state.mark_seen(message.key, now_ms)
+        self._apply_revocation(message, now_ms)
+        self._forward_revocation(message, arrival_interface=None)
+        return message
+
+    def on_revocation(
+        self, message: RevocationMessage, on_interface: int, now_ms: float
+    ) -> bool:
+        """Handle a revocation delivered by a neighbouring AS.
+
+        Deduplicates by ``(origin, sequence)``, verifies the origin
+        signature (when signature checking is enabled), withdraws matching
+        state via :meth:`invalidate_link` / :meth:`invalidate_as` and
+        re-forwards the message to the other neighbours.  Returns ``True``
+        when the message was fresh and applied (and therefore
+        re-forwarded, unless its scope is exhausted); ``False`` for
+        duplicates, stale (TTL-expired) copies and invalid signatures.
+        """
+        state = self.revocations
+        state.received += 1
+        # TTL and scope are enforced here and only here (inlined rather than
+        # message methods: this handler runs once per delivered copy
+        # network-wide and method dispatch measurably costs flood throughput).
+        if message.ttl_ms is not None and now_ms - message.created_at_ms > message.ttl_ms:
+            # Not marked seen: staleness is a property of this copy's arrival
+            # time, and dropping it must not shadow an earlier in-TTL copy.
+            state.rejected_stale += 1
             return False
-        ingress_interface = segment.entries[as_path.index(as_id)].ingress_interface
-        if ingress_interface is None:
+        if message.max_hops is not None:
+            hop_path = message.hop_path
+            if not hop_path or hop_path[-1] != self.as_id:
+                # The transport stamps every delivery of a scoped message with
+                # the receiving AS, so a copy whose hop path does not end here
+                # has been tampered with (truncated to dodge the propagation
+                # bound).  Not marked seen: an authentic copy must still
+                # process.
+                state.rejected_invalid += 1
+                return False
+        key = message.key
+        if state.is_duplicate(key, now_ms):
+            state.duplicates += 1
             return False
-        service.transport.send_message(as_id, ingress_interface, message)
+        if self.ingress.verify_signatures:
+            try:
+                message.verify(self.ingress.verifier)
+            except SignatureError:
+                # Not marked seen: a later authentic copy must still process.
+                state.rejected_invalid += 1
+                return False
+        state.mark_seen(key, now_ms)
+        self._apply_revocation(message, now_ms)
+        if state.suppress_forwarding:
+            return True
+        if message.max_hops is None or len(message.hop_path) < message.max_hops:
+            self._forward_revocation(message, arrival_interface=on_interface)
         return True
-    return service.path_service.register(
-        RegisteredPath(
-            segment=segment,
-            criteria_tags=path.criteria_tags,
-            registered_at_ms=now_ms,
-        )
-    )
 
+    def set_revocation_forwarding(self, enabled: bool) -> None:
+        """Toggle re-forwarding of received revocations (Byzantine knob).
 
-def handle_path_query(
-    service, message: PathQueryMessage, on_interface: int, now_ms: float
-) -> PathQueryResponse:
-    """Serve a remote path query through ``service``'s query frontend.
+        With forwarding disabled the service still applies withdrawals
+        locally but silently swallows the flood — the
+        :class:`~repro.simulation.events.ForwardingSuppression` behaviour.
+        """
+        self.revocations.suppress_forwarding = not enabled
 
-    The response echoes the request's ``(origin_as, sequence)`` so the
-    requester can correlate it, and travels back over the interface the
-    query arrived on.  A locally dispatched query (``on_interface < 0``)
-    gets its response returned instead of sent.
-    """
-    result = service.query_frontend.query(message.query, now_ms=now_ms)
-    response = PathQueryResponse(
-        origin_as=service.as_id,
-        sequence=service.next_message_sequence(),
-        created_at_ms=now_ms,
-        query=message.query,
-        paths=result.paths,
-        cache_hit=result.cache_hit,
-        request_origin=message.origin_as,
-        request_sequence=message.sequence,
-    )
-    if on_interface >= 0:
-        service.transport.send_message(service.as_id, on_interface, response)
-    return response
+    def _apply_revocation(self, message: RevocationMessage, now_ms: float) -> None:
+        """Withdraw every revoked element's state locally; notify the listener.
 
+        A batched message withdraws all of its elements in one pass; the
+        counts handed to the listener cover the union.
+        """
+        ingress_removed = 0
+        paths_removed = 0
+        for link in message.failed_links:
+            link_ingress, link_paths = self.invalidate_link(link)
+            ingress_removed += link_ingress
+            paths_removed += link_paths
+        for gone_as in message.failed_ases:
+            as_ingress, as_paths = self.invalidate_as(gone_as)
+            ingress_removed += as_ingress
+            paths_removed += as_paths
+        self.revocations.record_applied(message.key, now_ms)
+        self.revocations.cache_revoked_elements(message, now_ms)
+        callback = self.on_withdrawal
+        if callback is not None:
+            callback(message, (ingress_removed, paths_removed), now_ms)
 
-def dispatch_message(service, message: ControlMessage, on_interface: int, now_ms: float):
-    """Dispatch one typed control message to ``service``'s handler.
+    def _forward_revocation(
+        self, message: RevocationMessage, arrival_interface: Optional[int]
+    ) -> None:
+        """Re-send ``message`` on every eligible interface.
 
-    The single entry point the transport fabric invokes for every
-    delivered message, replacing the per-type ``receive_beacon`` /
-    ``on_revocation`` transport forks.  Duck-typed over both control
-    service flavours.
-    """
-    if isinstance(message, PCBMessage):
-        return service.receive_beacon(
-            message.beacon, on_interface=on_interface, now_ms=now_ms
-        )
-    if isinstance(message, RevocationMessage):
-        return service.on_revocation(message, on_interface=on_interface, now_ms=now_ms)
-    if isinstance(message, PathRegistrationMessage):
-        return handle_path_registration(service, message, now_ms)
-    if isinstance(message, PullReturnMessage):
-        return service.receive_returned_beacon(message.beacon, now_ms=now_ms)
-    if isinstance(message, PathQueryMessage):
-        return handle_path_query(service, message, on_interface, now_ms)
-    if isinstance(message, PathQueryResponse):
-        return service.receive_query_response(message, now_ms=now_ms)
-    raise SimulationError(f"unsupported control message {message!r}")
-
-
-def dispatch_batch(service, entries: Sequence[Tuple[ControlMessage, int]], now_ms: float):
-    """Dispatch one drained inbox batch in arrival order.
-
-    Messages are processed exactly as per-message dispatch would — same
-    order, same ``now_ms`` (every entry of a batch arrived at the same
-    scheduler tick) — so database state and withdrawal timestamps are
-    identical to ``batch_size=1`` delivery.  The batch enables one
-    amortization per-message delivery cannot see: several copies of the
-    *same* beacon arriving together (parallel links, simultaneous
-    neighbours) pay one admission — signature-chain probe included — and
-    the remaining copies take the duplicate fast path, since an identical
-    digest means a byte-identical beacon whose admission verdict cannot
-    differ and whose database insert would be refused as a duplicate
-    anyway.
-
-    Returns:
-        Per-entry handler results, in entry order.
-    """
-    results = []
-    append = results.append
-    accepted_digests = None
-    # Kind strings instead of isinstance checks: this loop is the flood
-    # fast path (one call per delivered message network-wide).
-    for message, on_interface in entries:
-        kind = message.kind
-        if kind == "revocation":
-            append(service.on_revocation(message, on_interface=on_interface, now_ms=now_ms))
-        elif kind == "pcb":
-            digest = message.beacon.digest()
-            if accepted_digests is not None and digest in accepted_digests:
-                stats = service.ingress.stats
-                stats.received += 1
-                stats.duplicates += 1
-                append(False)
+        A service never transmits a revocation into an element it revokes: an
+        endpoint of a failed link knows that port is dead, and a neighbour of
+        a departed AS knows the AS is gone.  Other unavailable links are *not*
+        locally known — sends over them are attempted and dropped in flight by
+        the transport, which is exactly the "revocations crossing a failed
+        link are lost" semantics.  The element sets and transport entry point
+        are hoisted out of the per-interface loop: forwarding runs once per
+        fresh message at every AS, making this the flood's hottest loop.
+        """
+        sent = 0
+        view = self.view
+        failed_links = message.failed_link_set
+        failed_ases = message.failed_as_set
+        send = self.transport.send_message
+        as_id = self.as_id
+        for interface_id in view.interface_ids():
+            if interface_id == arrival_interface:
                 continue
-            accepted = service.receive_beacon(
+            if view.link_of(interface_id).key in failed_links:
+                continue
+            if failed_ases and view.neighbor_of(interface_id)[0] in failed_ases:
+                continue
+            send(as_id, interface_id, message)
+            sent += 1
+        self.revocations.forwarded += sent
+
+    # ------------------------------------------------------------------
+    # fabric-facing handlers
+    # ------------------------------------------------------------------
+    def on_message(self, message: ControlMessage, on_interface: int, now_ms: float):
+        """Handle one typed control message — the unified fabric entry point."""
+        if isinstance(message, PCBMessage):
+            return self.receive_beacon(
                 message.beacon, on_interface=on_interface, now_ms=now_ms
             )
-            if accepted:
-                if accepted_digests is None:
-                    accepted_digests = set()
-                accepted_digests.add(digest)
-            append(accepted)
-        elif kind == "path_registration":
-            append(handle_path_registration(service, message, now_ms))
-        else:
-            append(dispatch_message(service, message, on_interface, now_ms))
-    return results
+        if isinstance(message, RevocationMessage):
+            return self.on_revocation(message, on_interface=on_interface, now_ms=now_ms)
+        if isinstance(message, PathRegistrationMessage):
+            return self.receive_path_registration(message, now_ms)
+        if isinstance(message, PullReturnMessage):
+            return self.receive_returned_beacon(message.beacon, now_ms=now_ms)
+        if isinstance(message, PathQueryMessage):
+            return self.serve_path_query(message, on_interface, now_ms)
+        if isinstance(message, PathQueryResponse):
+            return self.receive_query_response(message, now_ms=now_ms)
+        raise SimulationError(f"unsupported control message {message!r}")
+
+    def on_message_batch(
+        self, entries: Sequence[Tuple[ControlMessage, int]], now_ms: float
+    ):
+        """Handle one drained inbox batch in arrival order.
+
+        Messages are processed exactly as per-message dispatch would — same
+        order, same ``now_ms`` (every entry of a batch arrived at the same
+        scheduler tick) — so database state and withdrawal timestamps are
+        identical to ``batch_size=1`` delivery.  The batch enables one
+        amortization per-message delivery cannot see: several copies of the
+        *same* beacon arriving together (parallel links, simultaneous
+        neighbours) pay one admission — signature-chain probe included — and
+        the remaining copies take the duplicate fast path, since an identical
+        digest means a byte-identical beacon whose admission verdict cannot
+        differ and whose database insert would be refused as a duplicate
+        anyway.
+
+        Returns:
+            Per-entry handler results, in entry order.
+        """
+        results = []
+        append = results.append
+        accepted_digests = None
+        # Kind strings instead of isinstance checks: this loop is the flood
+        # fast path (one call per delivered message network-wide).
+        for message, on_interface in entries:
+            kind = message.kind
+            if kind == "revocation":
+                append(self.on_revocation(message, on_interface=on_interface, now_ms=now_ms))
+            elif kind == "pcb":
+                digest = message.beacon.digest()
+                if accepted_digests is not None and digest in accepted_digests:
+                    stats = self.ingress.stats
+                    stats.received += 1
+                    stats.duplicates += 1
+                    append(False)
+                    continue
+                accepted = self.receive_beacon(
+                    message.beacon, on_interface=on_interface, now_ms=now_ms
+                )
+                if accepted:
+                    if accepted_digests is None:
+                        accepted_digests = set()
+                    accepted_digests.add(digest)
+                append(accepted)
+            elif kind == "path_registration":
+                append(self.receive_path_registration(message, now_ms))
+            else:
+                append(self.on_message(message, on_interface, now_ms))
+        return results
+
+    def receive_beacon(self, beacon: Beacon, on_interface: int, now_ms: float) -> bool:
+        """Handle a PCB delivered by a neighbouring AS.
+
+        Negative caching: a beacon crossing a link or AS this service
+        withdrew inside the dedup window means the sender has not heard
+        the withdrawal yet — silently admitting the beacon would resurrect
+        the dead path, silently dropping it would leave the sender
+        ignorant.  Instead the cached revocation is re-sent toward the
+        sender and the beacon is not admitted (the emptiness check keeps
+        the common no-revocations path one attribute load).
+        """
+        revocations = self.revocations
+        if revocations.revoked_links or revocations.revoked_ases:
+            revocation = revocations.revoked_recently(
+                beacon.links(), beacon.as_path(), now_ms
+            )
+            if revocation is not None:
+                revocations.reoriginated += 1
+                if on_interface is not None:
+                    self.transport.send_message(self.as_id, on_interface, revocation)
+                return False
+        return self.ingress.receive(beacon, on_interface=on_interface, now_ms=now_ms)
+
+    def receive_returned_beacon(self, beacon: Beacon, now_ms: float) -> None:
+        """Handle a returned pull-based PCB: dropped unless the flavour pulls."""
+
+    def serve_algorithm(self, algorithm_id: str) -> bytes:
+        """Serve an on-demand algorithm payload: none unless the flavour publishes."""
+        raise UnknownAlgorithmError(algorithm_id)
+
+    def send_path_registration(
+        self, egress_interface: int, path: RegisteredPath, now_ms: float
+    ) -> PathRegistrationMessage:
+        """Offer ``path`` to the neighbouring AS's path service.
+
+        Builds a :class:`PathRegistrationMessage` on the shared envelope
+        and sends it through the fabric: the offer pays per-hop latency,
+        can be lost on a failed link and is counted like every other
+        control message.
+        """
+        message = PathRegistrationMessage(
+            origin_as=self.as_id,
+            sequence=next(self._message_sequence),
+            created_at_ms=now_ms,
+            path=path,
+        )
+        self.transport.send_message(self.as_id, egress_interface, message)
+        return message
+
+    def receive_path_registration(
+        self, message: PathRegistrationMessage, now_ms: float
+    ) -> bool:
+        """Register a remotely offered path at the local path service.
+
+        The registration is re-stamped with the *arrival* time: a path that
+        reaches this AS now is fresh now, which is the timestamp contract the
+        convergence collector's sub-period recovery detection relies on.
+        Expired segments are dropped (the offer outlived its path).
+
+        ``register_at_origin`` messages are down-segment announcements: a
+        transit AS on the segment forwards the message one hop toward the
+        origin (out its own reverse/ingress interface of the segment) without
+        registering, and only the origin AS registers it — registration is
+        driven entirely by message arrival.
+        """
+        path = message.path
+        segment = path.segment
+        if segment.is_expired(now_ms):
+            return False
+        as_id = self.as_id
+        if message.register_at_origin and segment.origin_as != as_id:
+            as_path = segment.as_path()
+            if as_id not in as_path:
+                # Not on the segment's path: a misrouted announcement, drop it.
+                return False
+            ingress_interface = segment.entries[as_path.index(as_id)].ingress_interface
+            if ingress_interface is None:
+                return False
+            self.transport.send_message(as_id, ingress_interface, message)
+            return True
+        return self.path_service.register(
+            RegisteredPath(
+                segment=segment,
+                criteria_tags=path.criteria_tags,
+                registered_at_ms=now_ms,
+            )
+        )
+
+    def next_message_sequence(self) -> int:
+        """Return the next non-revocation envelope sequence number."""
+        return next(self._message_sequence)
+
+    def send_path_query(
+        self, egress_interface: int, query: PathQuery, now_ms: float
+    ) -> PathQueryMessage:
+        """Ask the neighbour over ``egress_interface`` for paths.
+
+        The answer arrives later as a :class:`PathQueryResponse` through
+        the fabric and lands in :attr:`query_responses`.
+        """
+        message = PathQueryMessage(
+            origin_as=self.as_id,
+            sequence=next(self._message_sequence),
+            created_at_ms=now_ms,
+            query=query,
+        )
+        self.transport.send_message(self.as_id, egress_interface, message)
+        return message
+
+    def serve_path_query(
+        self, message: PathQueryMessage, on_interface: int, now_ms: float
+    ) -> PathQueryResponse:
+        """Serve a remote path query through the local query frontend.
+
+        The response echoes the request's ``(origin_as, sequence)`` so the
+        requester can correlate it, and travels back over the interface the
+        query arrived on.  A locally dispatched query (``on_interface < 0``)
+        gets its response returned instead of sent.
+        """
+        result = self.query_frontend.query(message.query, now_ms=now_ms)
+        response = PathQueryResponse(
+            origin_as=self.as_id,
+            sequence=self.next_message_sequence(),
+            created_at_ms=now_ms,
+            query=message.query,
+            paths=result.paths,
+            cache_hit=result.cache_hit,
+            request_origin=message.origin_as,
+            request_sequence=message.sequence,
+        )
+        if on_interface >= 0:
+            self.transport.send_message(self.as_id, on_interface, response)
+        return response
+
+    def receive_query_response(
+        self, response: PathQueryResponse, now_ms: float
+    ) -> None:
+        """Handle the answer to a query this AS sent earlier."""
+        self.query_responses.append((response, now_ms))
 
 
 @dataclass
@@ -296,7 +601,7 @@ class RoundReport:
         return sum(report.total_ms for report in self.rac_reports)
 
 
-class IrecControlService:
+class IrecControlService(ControlService):
     """The control plane of one IREC-enabled AS."""
 
     def __init__(
@@ -307,76 +612,26 @@ class IrecControlService:
         grouping_policy: Optional[InterfaceGroupingPolicy] = None,
         config: Optional[ControlServiceConfig] = None,
     ) -> None:
-        self.view = view
-        self.config = config or ControlServiceConfig()
-        self.transport = transport
-        self.key_store = key_store
-
-        signer = Signer(as_id=view.as_id, key_store=key_store)
-        verifier = Verifier(key_store=key_store)
-        self.builder = BeaconBuilder(as_id=view.as_id, signer=signer)
-        self.ingress = IngressGateway(
-            as_id=view.as_id,
-            verifier=verifier,
-            database=IngressDatabase(
-                expiry_margin_ms=self.config.expiry_margin_ms,
-                local_as=view.as_id,
-            ),
-            verify_signatures=self.config.verify_signatures,
-        )
+        super().__init__(view, key_store, transport, config or ControlServiceConfig())
         self.egress = EgressGateway(
             view=view,
             builder=self.builder,
             transport=transport,
             database=EgressDatabase(expiry_margin_ms=self.config.expiry_margin_ms),
-            path_service=PathService(
-                max_paths_per_key=self.config.registration_limit,
-                expiry_margin_ms=self.config.expiry_margin_ms,
-            ),
+            path_service=self.path_service,
             beacon_validity_ms=self.config.beacon_validity_ms,
         )
         self.racs: List[RoutingAlgorithmContainer] = []
         self.repository = AlgorithmRepository(as_id=view.as_id)
         self.pull_results: List[Tuple[Beacon, float]] = []
-        #: The serving tier end hosts query instead of touching the path
-        #: service directly; subscribes itself to the service's
-        #: invalidation hook.  The simulation attaches its scheduler as
-        #: the frontend's clock.
-        self.query_frontend = PathQueryFrontend(
-            self.egress.path_service, capacity=self.config.query_cache_capacity
-        )
-        #: Responses to queries this AS sent, as ``(response, arrived_ms)``.
-        self.query_responses: List[Tuple[PathQueryResponse, float]] = []
         if self.config.register_down_segments:
             self.egress.collect_registered = True
-        self.revocations = RevocationState(
-            dedup_window_ms=self.config.revocation_dedup_window_ms
-        )
-        #: Envelope sequence numbers of non-revocation messages this
-        #: service originates (revocations keep their own counter: their
-        #: (origin, sequence) pairs are the flood's dedup identity).
-        self._message_sequence = itertools.count(1)
-        #: Optional ``(message, removed_counts, now_ms)`` callback invoked
-        #: after a revocation withdrew local state; the beaconing driver
-        #: fans it out to its revocation listeners (e.g. the traffic
-        #: engine, which breaks flows when the withdrawal *arrives*).
-        self.on_withdrawal = None
         policy = grouping_policy or SingleGroupPolicy()
         self.grouping: InterfaceGroupAssignment = policy.assign(view.as_info)
 
     # ------------------------------------------------------------------
-    # identity and wiring
+    # routing algorithm containers
     # ------------------------------------------------------------------
-    @property
-    def as_id(self) -> int:
-        """Return the local AS identifier."""
-        return self.view.as_id
-
-    @property
-    def path_service(self) -> PathService:
-        """Return the AS's path service."""
-        return self.egress.path_service
-
     def add_static_rac(
         self,
         rac_id: str,
@@ -440,26 +695,12 @@ class IrecControlService:
         self.racs = remaining
         return removed
 
-    def set_policies(self, policies: Sequence) -> None:
-        """Replace the ingress gateway's admission policies atomically."""
-        self.ingress.policies = list(policies)
-
     # ------------------------------------------------------------------
     # dynamic-topology invalidation
     # ------------------------------------------------------------------
     def invalidate_link(self, link_id: LinkID) -> Tuple[int, int]:
-        """Withdraw all state crossing a failed inter-domain link.
-
-        Models the control plane's reaction to a revocation: beacons whose
-        path crosses the link are dropped from the ingress database (so the
-        next RAC round re-selects on the surviving candidates and the egress
-        gateway re-registers paths from them), registered paths crossing it
-        are withdrawn from the path service, and returned pull beacons over
-        it are discarded before an orchestrator can consume them.
-
-        Returns:
-            ``(ingress_removed, paths_removed)`` counts.
-        """
+        """Withdraw all state crossing a failed link — returned pull beacons
+        over it included, before an orchestrator can consume them."""
         failed = normalize_link_id(*link_id)
         if self.pull_results:
             self.pull_results = [
@@ -467,7 +708,7 @@ class IrecControlService:
                 for beacon, at_ms in self.pull_results
                 if failed not in beacon.link_set()
             ]
-        return purge_link_state(self.as_id, self.ingress.database, self.path_service, failed)
+        return super().invalidate_link(failed)
 
     def invalidate_as(self, gone_as: int) -> Tuple[int, int]:
         """Withdraw all state whose AS path crosses a departed AS."""
@@ -477,137 +718,11 @@ class IrecControlService:
                 for beacon, at_ms in self.pull_results
                 if not beacon.contains_as(gone_as)
             ]
-        return purge_as_state(self.ingress.database, self.path_service, gone_as)
+        return super().invalidate_as(gone_as)
 
     # ------------------------------------------------------------------
-    # revocation control-plane traffic
+    # pull-based and on-demand routing
     # ------------------------------------------------------------------
-    def originate_revocation(
-        self,
-        now_ms: float,
-        failed_link: Optional[LinkID] = None,
-        failed_as: Optional[int] = None,
-        failed_links: Sequence[LinkID] = (),
-        failed_ases: Sequence[int] = (),
-        ttl_ms: Optional[float] = None,
-        max_hops: Optional[int] = None,
-    ) -> RevocationMessage:
-        """Originate, apply and flood a signed revocation for a local failure.
-
-        Called (by the beaconing driver) on the ASes adjacent to a failed
-        element; the message then propagates hop-by-hop via
-        :meth:`on_revocation` at every other AS.  Several simultaneously
-        failed elements batch into one message via ``failed_links`` /
-        ``failed_ases``; ``ttl_ms`` and ``max_hops`` bound the message's
-        lifetime and propagation radius.
-        """
-        return _originate_revocation(
-            self,
-            now_ms,
-            failed_link=failed_link,
-            failed_as=failed_as,
-            failed_links=tuple(failed_links),
-            failed_ases=tuple(failed_ases),
-            ttl_ms=ttl_ms,
-            max_hops=max_hops,
-        )
-
-    def on_revocation(
-        self, revocation: RevocationMessage, on_interface: int, now_ms: float
-    ) -> bool:
-        """Handle a revocation delivered by a neighbouring AS.
-
-        Deduplicates by ``(origin, sequence)``, verifies the origin
-        signature (when signature checking is enabled), withdraws matching
-        state via :meth:`invalidate_link` / :meth:`invalidate_as` and
-        re-forwards the message to the other neighbours.
-        """
-        return _handle_revocation(self, revocation, on_interface, now_ms)
-
-    def set_revocation_forwarding(self, enabled: bool) -> None:
-        """Toggle re-forwarding of received revocations (Byzantine knob).
-
-        With forwarding disabled the service still applies withdrawals
-        locally but silently swallows the flood — the
-        :class:`~repro.simulation.events.ForwardingSuppression` behaviour.
-        """
-        self.revocations.suppress_forwarding = not enabled
-
-    # ------------------------------------------------------------------
-    # transport-facing handlers
-    # ------------------------------------------------------------------
-    def on_message(self, message: ControlMessage, on_interface: int, now_ms: float):
-        """Handle one typed control message — the unified fabric entry point."""
-        return dispatch_message(self, message, on_interface, now_ms)
-
-    def on_message_batch(
-        self, entries: Sequence[Tuple[ControlMessage, int]], now_ms: float
-    ):
-        """Handle one drained inbox batch (see :func:`dispatch_batch`)."""
-        return dispatch_batch(self, entries, now_ms)
-
-    def send_path_registration(
-        self, egress_interface: int, path: RegisteredPath, now_ms: float
-    ) -> PathRegistrationMessage:
-        """Offer ``path`` to the neighbouring AS's path service.
-
-        Builds a :class:`PathRegistrationMessage` on the shared envelope
-        and sends it through the fabric: the offer pays per-hop latency,
-        can be lost on a failed link and is counted like every other
-        control message.
-        """
-        message = PathRegistrationMessage(
-            origin_as=self.as_id,
-            sequence=next(self._message_sequence),
-            created_at_ms=now_ms,
-            path=path,
-        )
-        self.transport.send_message(self.as_id, egress_interface, message)
-        return message
-
-    def next_message_sequence(self) -> int:
-        """Return the next non-revocation envelope sequence number."""
-        return next(self._message_sequence)
-
-    def send_path_query(
-        self, egress_interface: int, query: PathQuery, now_ms: float
-    ) -> PathQueryMessage:
-        """Ask the neighbour over ``egress_interface`` for paths.
-
-        The answer arrives later as a :class:`PathQueryResponse` through
-        the fabric and lands in :attr:`query_responses`.
-        """
-        message = PathQueryMessage(
-            origin_as=self.as_id,
-            sequence=next(self._message_sequence),
-            created_at_ms=now_ms,
-            query=query,
-        )
-        self.transport.send_message(self.as_id, egress_interface, message)
-        return message
-
-    def receive_query_response(
-        self, response: PathQueryResponse, now_ms: float
-    ) -> None:
-        """Handle the answer to a query this AS sent earlier."""
-        self.query_responses.append((response, now_ms))
-
-    def receive_beacon(self, beacon: Beacon, on_interface: int, now_ms: float) -> bool:
-        """Handle a PCB delivered by a neighbouring AS.
-
-        Negative caching: a beacon crossing an element this service
-        withdrew inside the dedup window is bounced — the cached
-        revocation is re-sent toward the sender instead of admitting the
-        resurrected path (the emptiness check keeps the common path one
-        attribute load).
-        """
-        revocations = self.revocations
-        if (
-            revocations.revoked_links or revocations.revoked_ases
-        ) and _bounce_if_revoked(self, beacon, on_interface, now_ms):
-            return False
-        return self.ingress.receive(beacon, on_interface=on_interface, now_ms=now_ms)
-
     def receive_returned_beacon(self, beacon: Beacon, now_ms: float) -> None:
         """Handle a pull-based PCB returned by its target AS."""
         if beacon.origin_as != self.as_id:
@@ -687,12 +802,12 @@ class IrecControlService:
             report.rac_reports.append(rac_report)
             all_selections.extend(selections)
 
-        report.propagated = self.egress.propagate(all_selections)
+        report.propagated = self.egress.propagate(all_selections, now_ms=now_ms)
         report.registered = self.egress.register(all_selections, now_ms=now_ms)
         if self.config.register_down_segments:
             # Announce each freshly registered path back along the segment:
             # the message hops toward the origin, which registers it as a
-            # down-segment on arrival (see handle_path_registration).
+            # down-segment on arrival (see receive_path_registration).
             for path, arrival_interface in self.egress.take_registered():
                 if arrival_interface is None:
                     continue
@@ -711,10 +826,6 @@ class IrecControlService:
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def registered_paths_to(self, origin_as: int):
-        """Return the registered paths towards ``origin_as``."""
-        return self.path_service.paths_to(origin_as)
-
     def pull_results_for(self, algorithm_id: Optional[str] = None) -> List[Tuple[Beacon, float]]:
         """Return returned pull beacons, optionally filtered by algorithm id."""
         if algorithm_id is None:

@@ -21,6 +21,7 @@ control plane:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -28,6 +29,7 @@ from repro.core.beacon import Beacon, BeaconBuilder, DEFAULT_VALIDITY_MS
 from repro.core.databases import EgressDatabase, PathService, RegisteredPath
 from repro.core.extensions import ExtensionSet
 from repro.core.local_view import LocalTopologyView
+from repro.core.messages import PCBMessage
 from repro.core.rac import RACSelection
 from repro.core.transport import ControlPlaneTransport
 from repro.exceptions import GatewayError, LoopError
@@ -77,6 +79,8 @@ class EgressGateway:
     #: a selection repeated round after round is terminated once, not once
     #: per round.  :meth:`expire` drops the segments that ran out.
     _terminated: Dict[Tuple[str, Optional[int]], Beacon] = field(default_factory=dict)
+    #: Envelope sequence numbers of the PCB messages this gateway sends.
+    _sequence: "itertools.count" = field(default_factory=lambda: itertools.count(1))
 
     def take_registered(self) -> List[Tuple[RegisteredPath, Optional[int]]]:
         """Drain and return the collected ``(path, arrival_interface)`` pairs."""
@@ -124,7 +128,16 @@ class EgressGateway:
                 extensions=extensions,
                 validity_ms=self.beacon_validity_ms,
             )
-            self.transport.send_beacon(self.as_id, interface_id, beacon)
+            self.transport.send_message(
+                self.as_id,
+                interface_id,
+                PCBMessage(
+                    origin_as=self.as_id,
+                    sequence=next(self._sequence),
+                    created_at_ms=now_ms,
+                    beacon=beacon,
+                ),
+            )
             self.stats.originated += 1
             originated.append(beacon)
         return originated
@@ -132,7 +145,7 @@ class EgressGateway:
     # ------------------------------------------------------------------
     # propagation
     # ------------------------------------------------------------------
-    def propagate(self, selections: Iterable[RACSelection]) -> int:
+    def propagate(self, selections: Iterable[RACSelection], now_ms: float) -> int:
         """Propagate RAC-selected beacons to the corresponding neighbours.
 
         Pull-based beacons whose target is the local AS are returned to
@@ -166,7 +179,16 @@ class EgressGateway:
                         selection.stored.received_on_interface, egress_interface
                     ),
                 )
-                self.transport.send_beacon(self.as_id, egress_interface, extended)
+                self.transport.send_message(
+                    self.as_id,
+                    egress_interface,
+                    PCBMessage(
+                        origin_as=self.as_id,
+                        sequence=next(self._sequence),
+                        created_at_ms=now_ms,
+                        beacon=extended,
+                    ),
+                )
                 self.stats.propagated += 1
                 sent += 1
         return sent

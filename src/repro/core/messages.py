@@ -15,11 +15,11 @@ Message types
 -------------
 
 * :class:`PCBMessage` — one path-construction beacon in flight over one
-  link (the fabric's framing of :class:`repro.core.beacon.Beacon`).
+  link (the fabric's framing of :class:`repro.core.beacon.Beacon`, built
+  by the sending AS: its id as origin, its own sequence).
 * :class:`RevocationMessage` — the signed withdrawal of one **or several**
-  failed elements (inter-domain links and/or departed ASes), migrated here
-  from :mod:`repro.core.revocation`.  Riding the shared envelope it gained
-  the ROADMAP's next steps: *batching* (several failed elements in one
+  failed elements (inter-domain links and/or departed ASes).  Riding the
+  shared envelope it gained *batching* (several failed elements in one
   message), *TTL* (``ttl_ms``: receivers drop copies older than the TTL
   instead of applying stale withdrawals) and *scope limiting*
   (``max_hops``: the flood stops re-forwarding once a copy has traversed
@@ -31,10 +31,10 @@ Message types
   the segment and is registered as a *down-segment* at the origin (core)
   AS — driven by message arrival, not by direct call.
 * :class:`PullReturnMessage` — a pull-requested beacon travelling back to
-  the AS that asked for it.  The typed replacement for the historical
-  ``transport.return_beacon_to_origin`` side channel: the transports now
-  frame the returned beacon as this message and deliver it through the
-  same ``on_message`` dispatch as every other control message.
+  the AS that asked for it.  ``transport.return_beacon_to_origin`` frames
+  the returned beacon as this message and delivers it — over the beacon's
+  own reverse path, not one link — through the same ``on_message``
+  dispatch as every other control message.
 * :class:`PathQueryMessage` / :class:`PathQueryResponse` — a typed path
   lookup against a remote AS's query frontend and its materialized
   answer, correlated by the requester's ``(origin_as, sequence)``.
@@ -213,7 +213,7 @@ class RevocationMessage(ControlMessage):
     Originated by an AS adjacent to a failure and flooded hop-by-hop; every
     receiving control service deduplicates it by ``(origin_as, sequence)``,
     withdraws matching state and re-forwards it (see
-    :mod:`repro.core.revocation` for the handler logic).
+    :meth:`repro.core.control_service.ControlService.on_revocation`).
 
     A message names **at least one** failed element.  The classic
     single-element form uses ``failed_link`` *or* ``failed_as`` (exactly
@@ -389,12 +389,11 @@ class PathRegistrationMessage(ControlMessage):
 class PullReturnMessage(ControlMessage):
     """A pull-requested beacon travelling back to the requesting AS.
 
-    The typed framing of what used to be the ``return_beacon_to_origin``
-    transport side channel.  Like a PCB, the carried beacon's own AS path
-    is the historical hop record, so no fabric-side hop stamping is
-    needed; the message travels the beacon's full reverse path in one
-    simulated step (latency = the beacon's end-to-end propagation delay),
-    exactly as the side channel did.
+    What ``transport.return_beacon_to_origin`` delivers.  Like a PCB, the
+    carried beacon's own AS path is the historical hop record, so no
+    fabric-side hop stamping is needed; the message travels the beacon's
+    full reverse path in one simulated step (latency = the beacon's
+    end-to-end propagation delay).
     """
 
     beacon: Optional[Beacon] = None

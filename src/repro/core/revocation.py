@@ -28,39 +28,29 @@ failure at all (their stale state ages out via expiry), and a revocation
 whose next hop is itself unavailable is lost in flight — all of which the
 old counter model could not express.
 
-The handler logic lives here as module-level functions operating on a
-duck-typed control service (anything exposing ``as_id``, ``view``,
-``transport``, ``revocations``, ``builder.signer``, ``ingress.verifier``,
-``ingress.verify_signatures``, ``invalidate_link``, ``invalidate_as`` and
-an optional ``on_withdrawal`` callback), so the IREC and the legacy SCION
-control service share one implementation.
-
-Since the unified message fabric (:mod:`repro.core.messages`) the
-:class:`RevocationMessage` class itself lives there — a revocation is one
-typed control message among others, sharing the common envelope — and
-gained batching (several failed elements in one message), TTL and scope
-limiting.  This module keeps the per-service state and handler logic and
-re-exports the message class for backward compatibility.
+The handlers are methods of
+:class:`repro.core.control_service.ControlService` — ``originate_revocation``,
+``on_revocation`` and the beacon bounce in ``receive_beacon`` — so the IREC
+and the legacy SCION control service share one implementation by
+inheritance.  This module keeps the per-service bookkeeping they run on,
+:class:`RevocationState`; the :class:`~repro.core.messages.RevocationMessage`
+class itself lives in :mod:`repro.core.messages`, one typed control message
+among others on the shared envelope (batching, TTL and scope limiting
+included).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.core.messages import RevocationMessage
-from repro.exceptions import SignatureError
 from repro.topology.entities import LinkID
 
-__all__ = [
-    "DEFAULT_DEDUP_WINDOW_MS",
-    "RevocationMessage",
-    "RevocationState",
-    "bounce_if_revoked",
-    "handle_revocation",
-    "originate_revocation",
-]
+if TYPE_CHECKING:  # annotations only; the message class lives in repro.core.messages
+    from repro.core.messages import RevocationMessage
+
+__all__ = ["DEFAULT_DEDUP_WINDOW_MS", "RevocationState"]
 
 #: Default dedup window: how long a control service remembers a revocation
 #: it has already processed.  One simulated hour comfortably covers any
@@ -85,7 +75,7 @@ class RevocationState:
             propagation-ordered convergence measurable.
         revoked_links: Negative cache: link → (applied revocation message,
             applied-at time).  Consulted when a beacon arrives over a
-            recently revoked element (see :func:`bounce_if_revoked`);
+            recently revoked element (see ``ControlService.receive_beacon``);
             cleared by the driver when the element recovers.
         revoked_ases: Negative cache for departed ASes, same shape.
         suppress_forwarding: Byzantine knob (PR 7): a suppressing service
@@ -220,180 +210,3 @@ class RevocationState:
             if self._seen[key] >= horizon:
                 break
             del self._seen[key]
-
-
-def _apply(service, message: RevocationMessage, now_ms: float) -> Tuple[int, int]:
-    """Withdraw every revoked element's state locally; notify the listener.
-
-    A batched message withdraws all of its elements in one pass; the
-    returned counts (and the listener notification) cover the union.
-    """
-    ingress_removed = 0
-    paths_removed = 0
-    for link in message.failed_links:
-        link_ingress, link_paths = service.invalidate_link(link)
-        ingress_removed += link_ingress
-        paths_removed += link_paths
-    for gone_as in message.failed_ases:
-        as_ingress, as_paths = service.invalidate_as(gone_as)
-        ingress_removed += as_ingress
-        paths_removed += as_paths
-    removed = (ingress_removed, paths_removed)
-    service.revocations.record_applied(message.key, now_ms)
-    service.revocations.cache_revoked_elements(message, now_ms)
-    callback = getattr(service, "on_withdrawal", None)
-    if callback is not None:
-        callback(message, removed, now_ms)
-    return removed
-
-
-def _forward(
-    service, message: RevocationMessage, arrival_interface: Optional[int]
-) -> int:
-    """Re-send ``message`` on every eligible interface; return the count.
-
-    A service never transmits a revocation into an element it revokes: an
-    endpoint of a failed link knows that port is dead, and a neighbour of
-    a departed AS knows the AS is gone.  Other unavailable links are *not*
-    locally known — sends over them are attempted and dropped in flight by
-    the transport, which is exactly the "revocations crossing a failed
-    link are lost" semantics.  The element sets and transport entry point
-    are hoisted out of the per-interface loop: forwarding runs once per
-    fresh message at every AS, making this the flood's hottest loop.
-    """
-    sent = 0
-    view = service.view
-    failed_links = message.failed_link_set
-    failed_ases = message.failed_as_set
-    send = service.transport.send_message
-    as_id = service.as_id
-    for interface_id in view.interface_ids():
-        if interface_id == arrival_interface:
-            continue
-        if view.link_of(interface_id).key in failed_links:
-            continue
-        if failed_ases and view.neighbor_of(interface_id)[0] in failed_ases:
-            continue
-        send(as_id, interface_id, message)
-        sent += 1
-    service.revocations.forwarded += sent
-    return sent
-
-
-def originate_revocation(
-    service,
-    now_ms: float,
-    failed_link: Optional[LinkID] = None,
-    failed_as: Optional[int] = None,
-    failed_links: Tuple[LinkID, ...] = (),
-    failed_ases: Tuple[int, ...] = (),
-    ttl_ms: Optional[float] = None,
-    max_hops: Optional[int] = None,
-) -> RevocationMessage:
-    """Originate, locally apply and flood one revocation from ``service``.
-
-    Called by the beaconing driver on the ASes adjacent to a failure (the
-    endpoints of a failed link; the neighbours of a departed AS).  The
-    origin withdraws its own state immediately — it detected the failure —
-    and the message starts its hop-by-hop journey to everyone else.
-
-    Several simultaneously failed elements batch into one message via
-    ``failed_links`` / ``failed_ases`` (one flood instead of one per
-    element); ``ttl_ms`` and ``max_hops`` bound the message's lifetime and
-    propagation radius (see :class:`RevocationMessage`).
-    """
-    state: RevocationState = service.revocations
-    message = RevocationMessage(
-        origin_as=service.as_id,
-        sequence=state.next_sequence(),
-        created_at_ms=now_ms,
-        failed_link=failed_link,
-        failed_as=failed_as,
-        failed_links=tuple(failed_links),
-        failed_ases=tuple(failed_ases),
-        ttl_ms=ttl_ms,
-        max_hops=max_hops,
-    ).signed(service.builder.signer)
-    state.originated += 1
-    # Mark the own message seen so a copy reflected back over a cycle is a
-    # duplicate, not a fresh withdrawal.
-    state.mark_seen(message.key, now_ms)
-    _apply(service, message, now_ms)
-    _forward(service, message, arrival_interface=None)
-    return message
-
-
-def bounce_if_revoked(service, beacon, on_interface, now_ms: float) -> bool:
-    """Negative caching: bounce a beacon crossing a recently revoked element.
-
-    A beacon arriving over a link or AS the service withdrew inside the
-    dedup window means the sender has not heard the withdrawal yet —
-    silently admitting the beacon would resurrect the dead path, silently
-    dropping it would leave the sender ignorant.  Instead the cached
-    revocation is re-originated (re-sent) toward the sender, closing the
-    information gap.  Returns ``True`` when the beacon was bounced (the
-    caller must not admit it).
-
-    Callers should guard the call with a cheap emptiness check on
-    ``service.revocations.revoked_links`` / ``revoked_ases`` so the common
-    no-revocations path stays allocation- and call-free.
-    """
-    state: RevocationState = service.revocations
-    if not state.revoked_links and not state.revoked_ases:
-        return False
-    message = state.revoked_recently(beacon.links(), beacon.as_path(), now_ms)
-    if message is None:
-        return False
-    state.reoriginated += 1
-    if on_interface is not None:
-        service.transport.send_message(service.as_id, on_interface, message)
-    return True
-
-
-def handle_revocation(
-    service, message: RevocationMessage, on_interface: int, now_ms: float
-) -> bool:
-    """Process one delivered revocation at ``service``.
-
-    Returns ``True`` when the message was fresh and applied (and therefore
-    re-forwarded, unless its scope is exhausted); ``False`` for duplicates,
-    stale (TTL-expired) copies and invalid signatures.
-    """
-    state: RevocationState = service.revocations
-    state.received += 1
-    # TTL and scope are enforced here and only here (inlined rather than
-    # message methods: this handler runs once per delivered copy
-    # network-wide and method dispatch measurably costs flood throughput).
-    if message.ttl_ms is not None and now_ms - message.created_at_ms > message.ttl_ms:
-        # Not marked seen: staleness is a property of this copy's arrival
-        # time, and dropping it must not shadow an earlier in-TTL copy.
-        state.rejected_stale += 1
-        return False
-    if message.max_hops is not None:
-        hop_path = message.hop_path
-        if not hop_path or hop_path[-1] != service.as_id:
-            # The transport stamps every delivery of a scoped message with
-            # the receiving AS, so a copy whose hop path does not end here
-            # has been tampered with (truncated to dodge the propagation
-            # bound).  Not marked seen: an authentic copy must still
-            # process.
-            state.rejected_invalid += 1
-            return False
-    key = message.key
-    if state.is_duplicate(key, now_ms):
-        state.duplicates += 1
-        return False
-    if service.ingress.verify_signatures:
-        try:
-            message.verify(service.ingress.verifier)
-        except SignatureError:
-            # Not marked seen: a later authentic copy must still process.
-            state.rejected_invalid += 1
-            return False
-    state.mark_seen(key, now_ms)
-    _apply(service, message, now_ms)
-    if state.suppress_forwarding:
-        return True
-    if message.max_hops is None or len(message.hop_path) < message.max_hops:
-        _forward(service, message, arrival_interface=on_interface)
-    return True

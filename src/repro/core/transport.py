@@ -2,15 +2,17 @@
 
 Control services interact across AS boundaries through one typed message
 fabric (:mod:`repro.core.messages`): PCBs, revocations, path
-registrations, pull returns and path queries are all
-:class:`~repro.core.messages.ControlMessage`\\ s delivered through the
-services' ``on_message`` dispatch.  ``return_beacon_to_origin`` remains on
-the protocol as a back-compat shim: it frames the returned beacon as a
-typed :class:`~repro.core.messages.PullReturnMessage` (the message travels
-the beacon's own multi-hop reverse path in one step, not a single link)
-and dispatches it like every other message.  Fetching an on-demand
-algorithm payload stays a synchronous round trip.  The transport is
-abstracted behind a small protocol so that
+registrations and path queries are all
+:class:`~repro.core.messages.ControlMessage`\\ s a sender frames itself
+and hands to :meth:`~ControlPlaneTransport.send_message`, which delivers
+them over one link to the far end's ``on_message`` dispatch.
+``return_beacon_to_origin`` is the fabric's second *routing mode*, not a
+second framing: the returned pull beacon travels its own multi-hop reverse
+path in one step (no link, no inbox), framed as a typed
+:class:`~repro.core.messages.PullReturnMessage` and dispatched like every
+other message.  Fetching an on-demand algorithm payload stays a
+synchronous round trip.  The transport is abstracted behind a small
+protocol so that
 
 * the discrete-event simulation can deliver messages with realistic link
   delays, per-AS inboxes and batched drains, and count propagated messages
@@ -19,10 +21,6 @@ abstracted behind a small protocol so that
   synchronously to in-process control services, and
 * the micro-benchmarks can run a single control service with a
   :class:`NullTransport` that swallows messages.
-
-``send_beacon`` is kept as a thin wrapper over :meth:`send_message` that
-owns the PCB envelope framing — the egress gateway stays
-source-compatible while every message rides the same fabric underneath.
 """
 
 from __future__ import annotations
@@ -43,9 +41,6 @@ class ControlPlaneTransport(Protocol):
         self, sender_as: int, egress_interface: int, message: ControlMessage
     ) -> None:
         """Deliver ``message`` over the link attached to ``egress_interface``."""
-
-    def send_beacon(self, sender_as: int, egress_interface: int, beacon: Beacon) -> None:
-        """Deliver ``beacon`` over the link attached to ``egress_interface``."""
 
     def return_beacon_to_origin(self, sender_as: int, beacon: Beacon) -> None:
         """Return a terminated pull-based ``beacon`` to its origin AS."""
@@ -76,19 +71,6 @@ class NullTransport:
             self.sent.append((sender_as, egress_interface, message.beacon))
         elif message.kind == "revocation":
             self.revoked.append((sender_as, egress_interface, message))
-
-    def send_beacon(self, sender_as: int, egress_interface: int, beacon: Beacon) -> None:
-        """Record the send without delivering it."""
-        self.send_message(
-            sender_as,
-            egress_interface,
-            PCBMessage(
-                origin_as=beacon.origin_as,
-                sequence=len(self.messages) + 1,
-                created_at_ms=0.0,
-                beacon=beacon,
-            ),
-        )
 
     def return_beacon_to_origin(self, sender_as: int, beacon: Beacon) -> None:
         """Record the return, typed, without delivering it."""
@@ -154,25 +136,13 @@ class LoopbackTransport:
             message = message.with_hop(remote_as)
         service.on_message(message, on_interface=remote_interface, now_ms=self.clock())
 
-    def send_beacon(self, sender_as: int, egress_interface: int, beacon: Beacon) -> None:
-        """Deliver ``beacon`` synchronously to the far end of the link."""
-        self.send_message(
-            sender_as,
-            egress_interface,
-            PCBMessage(
-                origin_as=beacon.origin_as,
-                sequence=next(self._sequence),
-                created_at_ms=self.clock(),
-                beacon=beacon,
-            ),
-        )
-
     def return_beacon_to_origin(self, sender_as: int, beacon: Beacon) -> None:
         """Deliver a returned pull-based beacon to its origin's control service.
 
-        Back-compat shim over the typed fabric: the beacon is framed as a
-        :class:`PullReturnMessage` and handed to the origin's ``on_message``
-        dispatch, which routes it to ``receive_returned_beacon``.
+        Path-travel delivery: the beacon is framed as a
+        :class:`PullReturnMessage` and handed straight to the origin's
+        ``on_message`` dispatch, which routes it to
+        ``receive_returned_beacon``.
         """
         service = self.services.get(beacon.origin_as)
         if service is None:

@@ -128,10 +128,7 @@ def bind_simulation(simulation, registry: Optional[MetricsRegistry] = None) -> M
           fn=lambda: collector.total_query_responses)
 
     def _frontends():
-        for service in simulation.services.values():
-            frontend = getattr(service, "query_frontend", None)
-            if frontend is not None:
-                yield frontend
+        return [service.query_frontend for service in simulation.services.values()]
 
     def _sum(attr):
         return lambda: sum(getattr(f, attr) for f in _frontends())

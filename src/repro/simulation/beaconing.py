@@ -18,7 +18,7 @@ heap, runs the scheduler up to (not including) each event's time, applies
 the events sharing that time and flushes their revocations once — so a
 link failure scheduled mid-period really interrupts propagation: in-flight
 PCBs on the link are lost, the ASes adjacent to the failure originate
-signed :class:`~repro.core.revocation.RevocationMessage`\\ s that flood
+signed :class:`~repro.core.messages.RevocationMessage`\\ s that flood
 hop-by-hop through the simulated transport (each AS withdraws state
 crossing the failed element when the revocation *arrives*, then
 re-forwards it), and the
@@ -39,9 +39,14 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.control_service import ControlServiceConfig, IrecControlService, RoundReport
+from repro.core.control_service import (
+    ControlService,
+    ControlServiceConfig,
+    IrecControlService,
+    RoundReport,
+)
 from repro.core.databases import PathService, RegisteredPath
 from repro.core.local_view import LocalTopologyView
 from repro.core.messages import RevocationMessage
@@ -79,9 +84,6 @@ from repro.topology.geo import GeoCoordinate
 from repro.topology.graph import Topology
 from repro.topology.intra_domain import IntraDomainRegistry
 
-#: A control service of either flavour.
-AnyControlService = Union[IrecControlService, LegacyControlService]
-
 
 @dataclass
 class ShardContext:
@@ -118,7 +120,7 @@ class SimulationResult:
     """
 
     topology: Topology
-    services: Dict[int, AnyControlService]
+    services: Dict[int, ControlService]
     collector: MetricsCollector
     round_reports: List[RoundReport] = field(default_factory=list)
     periods_run: int = 0
@@ -128,7 +130,7 @@ class SimulationResult:
     #: AS id → (revocations rejected as invalid, duplicate revocations).
     revocation_stats: Dict[int, Tuple[int, int]] = field(default_factory=dict)
 
-    def service(self, as_id: int) -> AnyControlService:
+    def service(self, as_id: int) -> ControlService:
         """Return the control service of ``as_id``."""
         try:
             return self.services[as_id]
@@ -189,7 +191,7 @@ class PeriodDriver:
         self.topology = topology
         self.scenario = scenario
         #: Empty when the services live in shard workers.
-        self.services: Dict[int, AnyControlService] = {}
+        self.services: Dict[int, ControlService] = {}
         self.convergence = ConvergenceCollector()
         self.round_reports: List[RoundReport] = []
         self.watched_pairs: List[Tuple[int, int]] = []
@@ -473,7 +475,7 @@ class BeaconingSimulation(PeriodDriver):
             if self.shard is None or as_info.as_id in self.shard.owned_ases:
                 self._build_service(as_info)
 
-    def _build_service(self, as_info: ASInfo) -> AnyControlService:
+    def _build_service(self, as_info: ASInfo) -> ControlService:
         """Build, wire and register the control service of one AS.
 
         Shared by initial construction and mid-run growth churn
@@ -485,12 +487,13 @@ class BeaconingSimulation(PeriodDriver):
             as_info.as_id,
             intra_domain=self.intra_domain.model_for(as_info),
         )
-        if as_info.as_id in set(self.scenario.legacy_ases):
-            service: AnyControlService = LegacyControlService(
+        if as_info.as_id in self.scenario.legacy_ases:
+            service: ControlService = LegacyControlService(
                 view=view,
                 key_store=self.key_store,
                 transport=self.transport,
                 verify_signatures=self.scenario.verify_signatures,
+                revocation_dedup_window_ms=self.scenario.revocation_dedup_window_ms,
             )
         else:
             service = IrecControlService(
@@ -508,7 +511,6 @@ class BeaconingSimulation(PeriodDriver):
             for spec in self.scenario.algorithms:
                 self._install_rac(service, spec)
                 specs[spec.rac_id] = spec
-        service.revocations.dedup_window_ms = self.scenario.revocation_dedup_window_ms
         # The serving tier reads simulated time from the scheduler, so
         # cached query responses expire on the simulation's clock.
         service.query_frontend.clock = lambda: self.scheduler.now_ms
@@ -772,7 +774,7 @@ class BeaconingSimulation(PeriodDriver):
         for listener in self.event_listeners:
             listener(event, now_ms)
 
-    def _cold_restart(self, service: AnyControlService) -> None:
+    def _cold_restart(self, service: ControlService) -> None:
         """Wipe a departing AS's volatile control-plane state.
 
         A churned AS comes back as a freshly booted deployment: empty
@@ -789,7 +791,7 @@ class BeaconingSimulation(PeriodDriver):
                 service.remove_rac(spec.rac_id)
                 self._install_rac(service, spec)
 
-    def _event_targets(self, as_ids: Optional[Tuple[int, ...]]) -> List[AnyControlService]:
+    def _event_targets(self, as_ids: Optional[Tuple[int, ...]]) -> List[ControlService]:
         """Return the local services an event addresses (``None``: all), in
         AS order.  The driver validated explicit targets up front; in a
         sharded run the ones on other shards are theirs to apply."""
@@ -809,7 +811,7 @@ class BeaconingSimulation(PeriodDriver):
         Failures are not revoked one message per element: every failure of
         the current tick is collected, and one :meth:`flush` — run by the
         driver after the tick's last timeline event — has each adjacent AS originate a single
-        :class:`~repro.core.revocation.RevocationMessage` batching *all*
+        :class:`~repro.core.messages.RevocationMessage` batching *all*
         the elements it detected.  A revocation storm of N simultaneous
         failures therefore costs each origin one flood, not N.
         """
@@ -1043,5 +1045,5 @@ class BeaconingSimulation(PeriodDriver):
             },
         )
 
-    def _services_in_order(self) -> List[AnyControlService]:
+    def _services_in_order(self) -> List[ControlService]:
         return [self.services[as_id] for as_id in sorted(self.services)]

@@ -26,7 +26,7 @@ shares its arrival timestamp, so database state and withdrawal
 (``batch_size=1``) — pinned by the dispatch-equivalence property tests —
 while the batch lets the control service amortize work across messages
 (e.g. one admission per duplicate beacon group, see
-:func:`repro.core.control_service.dispatch_batch`).
+:meth:`repro.core.control_service.ControlService.on_message_batch`).
 
 Returned pull beacons travel back to their origin with the accumulated
 latency of the path they describe, and algorithm fetches cost one round
@@ -56,6 +56,7 @@ from functools import partial
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.beacon import Beacon
+from repro.core.control_service import ControlService
 from repro.core.messages import ControlMessage, PCBMessage, PullReturnMessage
 from repro.obs import spans as _spans
 from repro.exceptions import (
@@ -252,7 +253,7 @@ class SimulatedTransport:
     inbox_profiles: Dict[int, InboxProfile] = field(default_factory=dict)
     loss_seed: int = 0
     exporter: Optional[Callable[[tuple], None]] = None
-    services: Dict[int, object] = field(default_factory=dict)
+    services: Dict[int, ControlService] = field(default_factory=dict)
     _inboxes: Dict[int, _Inbox] = field(default_factory=dict)
     _sequence: "itertools.count" = field(default_factory=lambda: itertools.count(1))
     #: (sender_as, egress_interface) → (link key, link latency, remote AS,
@@ -282,7 +283,7 @@ class SimulatedTransport:
                     "rounds; they are incompatible with deliver_immediately"
                 )
 
-    def register(self, service: object) -> None:
+    def register(self, service: ControlService) -> None:
         """Register a control service under its AS identifier."""
         as_id = service.as_id
         self.services[as_id] = service
@@ -346,7 +347,7 @@ class SimulatedTransport:
             ),
         )
 
-    def service_of(self, as_id: int) -> object:
+    def service_of(self, as_id: int) -> ControlService:
         """Return the registered control service of ``as_id``."""
         service = self.services.get(as_id)
         if service is None:
@@ -731,33 +732,16 @@ class SimulatedTransport:
             raise SimulationError(f"message kind {message.kind!r} has no drop recorder")
 
     # ------------------------------------------------------------------
-    # ControlPlaneTransport compatibility wrappers
-    # ------------------------------------------------------------------
-    def send_beacon(self, sender_as: int, egress_interface: int, beacon: Beacon) -> None:
-        """Frame ``beacon`` as a :class:`PCBMessage` and send it."""
-        self.send_message(
-            sender_as,
-            egress_interface,
-            PCBMessage(
-                origin_as=beacon.origin_as,
-                sequence=next(self._sequence),
-                created_at_ms=self.scheduler.now_ms,
-                beacon=beacon,
-            ),
-        )
-
-    # ------------------------------------------------------------------
     # path-travel deliveries (not link-routed)
     # ------------------------------------------------------------------
     def return_beacon_to_origin(self, sender_as: int, beacon: Beacon) -> None:
         """Return a terminated pull beacon to its origin over the beacon's path.
 
-        Back-compat shim over the typed fabric: the beacon is framed as a
+        The fabric's second routing mode: the beacon is framed as a
         :class:`PullReturnMessage` and delivered through the origin's
-        ``on_message`` dispatch.  Unlike link-routed messages it travels
+        ``on_message`` dispatch, but unlike link-routed messages it travels
         the beacon's full reverse path in one step (latency = the
-        beacon's end-to-end propagation delay) and bypasses the inbox —
-        the exact accounting and timing of the historical side channel.
+        beacon's end-to-end propagation delay) and bypasses the inbox.
         """
         now_ms = self.scheduler.now_ms
         origin = self.service_of(beacon.origin_as)
@@ -803,7 +787,4 @@ class SimulatedTransport:
                 f"AS {origin_as} is offline and cannot serve algorithm {algorithm_id!r}"
             )
         self.collector.record_algorithm_fetch()
-        serve = getattr(origin, "serve_algorithm", None)
-        if serve is None:
-            raise SimulationError(f"AS {origin_as} cannot serve on-demand algorithms")
-        return serve(algorithm_id)
+        return origin.serve_algorithm(algorithm_id)

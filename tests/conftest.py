@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.beacon import Beacon, BeaconBuilder
 from repro.core.extensions import ExtensionSet
+from repro.core.messages import PCBMessage
 from repro.core.staticinfo import StaticInfo
 from repro.crypto.keys import KeyStore
 from repro.crypto.signer import Signer
@@ -190,6 +191,11 @@ def make_beacon(
                 static_info=static_info,
             )
     return beacon
+
+
+def pcb_message(sender_as: int, beacon: Beacon) -> PCBMessage:
+    """Frame ``beacon`` the way a sending control service does."""
+    return PCBMessage(origin_as=sender_as, sequence=1, created_at_ms=0.0, beacon=beacon)
 
 
 @pytest.fixture

@@ -79,7 +79,7 @@ class TestRapidPropagationRAC:
             selections.extend(
                 rapid.on_beacon_arrival(stored, services[2].view.interface_ids(), now_ms=1.0)
             )
-        sent = services[2].egress.propagate(selections)
+        sent = services[2].egress.propagate(selections, now_ms=0.0)
         assert sent >= 1
         assert len(services[3].ingress.database) >= 1
 

@@ -365,7 +365,7 @@ class TestReviewRegressions:
         from repro.core.local_view import LocalTopologyView
         from repro.simulation.engine import EventScheduler
         from repro.simulation.network import SimulatedTransport
-        from tests.conftest import make_beacon
+        from tests.conftest import make_beacon, pcb_message
 
         topology = line_topology(3)
         scheduler = EventScheduler()
@@ -379,7 +379,7 @@ class TestReviewRegressions:
             transport.register(service)
 
         beacon = make_beacon(key_store, [(1, None, 2), (2, 1, 2)])
-        transport.send_beacon(2, 2, beacon)  # in flight towards AS 3
+        transport.send_message(2, 2, pcb_message(2, beacon))  # in flight towards AS 3
         link_state.fail_link(((1, 2), (2, 1)))  # beacon's first hop fails
         scheduler.run_all()
         assert len(transport.service_of(3).ingress.database) == 0

@@ -151,7 +151,7 @@ class TestEgressGateway:
         _ingress, egress, transport = gateway_pair(topology, 3, key_store)
         beacon = make_beacon(key_store, [(1, None, 1), (2, 1, 2)])
         selection = self._selection(key_store, beacon, egress_interfaces=[2, 3], received_on=1)
-        sent = egress.propagate([selection])
+        sent = egress.propagate([selection], now_ms=0.0)
         assert sent == 2
         for _sender, interface, extended in transport.sent:
             assert extended.last_as == 3
@@ -164,7 +164,7 @@ class TestEgressGateway:
         _ingress, egress, transport = gateway_pair(topology, 3, key_store)
         beacon = make_beacon(key_store, [(1, None, 1), (2, 1, 2)])
         selection = self._selection(key_store, beacon, egress_interfaces=[1], received_on=1)
-        assert egress.propagate([selection]) == 0
+        assert egress.propagate([selection], now_ms=0.0) == 0
         assert egress.stats.suppressed_loops == 1
 
     def test_propagation_deduplicates_across_racs(self, topology, key_store):
@@ -172,7 +172,7 @@ class TestEgressGateway:
         beacon = make_beacon(key_store, [(1, None, 1), (2, 1, 2)])
         first = self._selection(key_store, beacon, egress_interfaces=[2], tag="1sp")
         second = self._selection(key_store, beacon, egress_interfaces=[2, 3], tag="don")
-        sent = egress.propagate([first, second])
+        sent = egress.propagate([first, second], now_ms=0.0)
         # Interface 2 only once; interface 3 newly added by the second RAC.
         assert sent == 2
         assert egress.stats.propagated == 2
@@ -185,14 +185,14 @@ class TestEgressGateway:
             extensions=ExtensionSet().with_target(3),
         )
         selection = self._selection(key_store, pull, egress_interfaces=[2], received_on=1)
-        sent = egress.propagate([selection])
+        sent = egress.propagate([selection], now_ms=0.0)
         assert sent == 0
         assert len(transport.returned) == 1
         _sender, returned = transport.returned[0]
         assert returned.is_terminated
         assert returned.origin_as == 1
         # Returning twice is suppressed.
-        egress.propagate([selection])
+        egress.propagate([selection], now_ms=0.0)
         assert len(transport.returned) == 1
         assert egress.stats.suppressed_duplicates == 1
 
@@ -218,7 +218,7 @@ class TestEgressGateway:
         _ingress, egress, _transport = gateway_pair(topology, 3, key_store)
         beacon = make_beacon(key_store, [(1, None, 1), (2, 1, 2)], validity_ms=10.0)
         selection = self._selection(key_store, beacon, egress_interfaces=[2])
-        egress.propagate([selection])
+        egress.propagate([selection], now_ms=0.0)
         egress.register([selection], now_ms=0.0)
         removed_egress, removed_paths = egress.expire(now_ms=1_000.0)
         assert removed_egress == 1
@@ -300,7 +300,7 @@ class TestEgressGateway:
         _ingress, egress, _transport = gateway_pair(topology, 3, key_store)
         beacon = make_beacon(key_store, [(1, None, 1), (2, 1, 2)])
         selection = self._selection(key_store, beacon, egress_interfaces=[1, 2, 3])
-        assert egress.propagate([selection]) == 2
+        assert egress.propagate([selection], now_ms=0.0) == 2
         assert egress.stats.suppressed_loops == 1  # interface 1 leads back to AS 2
         assert egress.view.neighbor_as(3) == 5
 
@@ -316,5 +316,5 @@ class TestEgressGateway:
             ),
         )
         again = make_beacon(key_store, [(1, None, 1), (2, 1, 2)], created_at_ms=1.0)
-        assert egress.propagate([self._selection(key_store, again, [1, 2, 3])]) == 1
+        assert egress.propagate([self._selection(key_store, again, [1, 2, 3])], now_ms=0.0) == 1
         assert egress.stats.suppressed_loops == 3

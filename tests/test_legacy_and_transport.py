@@ -7,8 +7,10 @@ from repro.core.local_view import LocalTopologyView
 from repro.core.transport import LoopbackTransport, NullTransport
 from repro.exceptions import SimulationError, UnknownASError, UnknownAlgorithmError
 from repro.scion.legacy import LegacyControlService
+from repro.simulation.beaconing import BeaconingSimulation
+from repro.simulation.scenario import don_scenario
 
-from tests.conftest import line_topology, make_beacon
+from tests.conftest import line_topology, make_beacon, pcb_message
 
 
 def legacy_deployment(topology, key_store, paths_per_origin=20):
@@ -90,12 +92,21 @@ class TestLegacyControlService:
         assert first_round > 0
         assert second_round == 0  # nothing new to propagate
 
+    def test_propagation_dedup_store_expires_with_the_beacons(self):
+        """The sent-on-interface record of a beacon goes when the beacon
+        does: past one validity period (36 beacon periods) the store is
+        bounded by the live candidates instead of growing every round."""
+        scenario = don_scenario(periods=80, verify_signatures=False)
+        scenario.legacy_ases = (2,)
+        legacy = BeaconingSimulation(line_topology(4), scenario).run().service(2)
+        assert 0 < len(legacy._propagated) <= len(legacy.ingress.database)
+
 
 class TestNullTransport:
     def test_records_messages(self, key_store):
         transport = NullTransport()
         beacon = make_beacon(key_store, [(1, None, 1)])
-        transport.send_beacon(1, 1, beacon)
+        transport.send_message(1, 1, pcb_message(1, beacon))
         transport.return_beacon_to_origin(2, beacon)
         assert len(transport.sent) == 1
         assert len(transport.returned) == 1
@@ -113,7 +124,7 @@ class TestLoopbackTransport:
         transport = LoopbackTransport(topology=topology)
         beacon = make_beacon(key_store, [(1, None, 2)])
         with pytest.raises(UnknownASError):
-            transport.send_beacon(1, 2, beacon)
+            transport.send_message(1, 2, pcb_message(1, beacon))
 
     def test_unknown_origin_for_return(self, key_store):
         topology = line_topology(2)

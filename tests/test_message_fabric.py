@@ -33,7 +33,7 @@ from repro.simulation.scenario import don_scenario
 from repro.topology.entities import normalize_link_id
 from repro.units import minutes
 
-from tests.conftest import line_topology, make_beacon
+from tests.conftest import line_topology, make_beacon, pcb_message
 
 
 def _link(topology, index):
@@ -363,8 +363,8 @@ class TestInboxBatching:
             receiver = services[2]
             # Two copies sent at the same instant land at the same tick
             # (e.g. simultaneous re-propagation over parallel links).
-            transport.send_beacon(1, 2, beacon)
-            transport.send_beacon(1, 2, beacon)
+            transport.send_message(1, 2, pcb_message(1, beacon))
+            transport.send_message(1, 2, pcb_message(1, beacon))
             scheduler.run_until(20.0)
             return receiver
 
@@ -391,7 +391,7 @@ class TestInboxBatching:
         topology = line_topology(3)
         scheduler, transport, services = build_simulated_services(topology, key_store)
         beacon = make_beacon(key_store, [(1, None, 2)])
-        transport.send_beacon(1, 2, beacon)
+        transport.send_message(1, 2, pcb_message(1, beacon))
         assert transport.pending_messages(2) == 0  # still in flight
         scheduler.run_until(100.0)
         assert transport.pending_messages(2) == 0  # drained at its tick

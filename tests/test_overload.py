@@ -37,7 +37,7 @@ from repro.simulation.network import InboxProfile, SimulatedTransport
 from repro.simulation.scenario import don_scenario
 from repro.units import minutes
 
-from tests.conftest import line_topology, make_beacon
+from tests.conftest import line_topology, make_beacon, pcb_message
 from tests.test_golden_trace import GOLDEN_DIGEST
 from tests.test_message_fabric import _fabric_state, build_simulated_services
 
@@ -208,7 +208,7 @@ class TestServiceBudget:
             },
         )
         beacon = make_beacon(key_store, [(1, None, 2)])
-        transport.send_beacon(1, 2, beacon)  # arrives first ...
+        transport.send_message(1, 2, pcb_message(1, beacon))  # arrives first ...
         transport.send_message(1, 2, _revocation(topology, 1))  # ... same tick
         scheduler.run_until(11.0)  # 10 ms link + 1 ms processing
         # The revocation jumped the queue: applied at the arrival tick
@@ -458,7 +458,7 @@ class TestNegativeCache:
 
         # A stale beacon crossing the revoked link arrives at AS 3.
         beacon = make_beacon(key_store, [(1, None, 2), (2, 1, 2)])
-        transport.send_beacon(2, 2, beacon)
+        transport.send_message(2, 2, pcb_message(2, beacon))
         scheduler.run_until(60.0)
         # AS 3 refused it and bounced the cached revocation to the sender,
         # which deduplicates it (it already processed that revocation).
@@ -477,7 +477,7 @@ class TestNegativeCache:
         # The element recovered (the driver clears caches network-wide).
         services[3].revocations.clear_revoked_link(revoked)
         beacon = make_beacon(key_store, [(1, None, 2), (2, 1, 2)])
-        transport.send_beacon(2, 2, beacon)
+        transport.send_message(2, 2, pcb_message(2, beacon))
         scheduler.run_until(60.0)
         assert services[3].revocations.reoriginated == 0
         assert len(services[3].ingress.database) == 1
@@ -610,7 +610,7 @@ class TestKindCosts:
             },
         )
         beacon = make_beacon(key_store, [(1, None, 2)])
-        transport.send_beacon(1, 2, beacon)  # arrives first ...
+        transport.send_message(1, 2, pcb_message(1, beacon))  # arrives first ...
         transport.send_message(1, 2, _revocation(topology, 1))  # ... same tick
         scheduler.run_until(11.0)
         # Revocation (cost 1) serviced at arrival; the cost-2 PCB would

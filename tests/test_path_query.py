@@ -20,18 +20,12 @@ import dataclasses
 import hashlib
 import random
 from functools import lru_cache
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.control_service import (
-    ControlServiceConfig,
-    IrecControlService,
-    dispatch_batch,
-    handle_path_registration,
-)
+from repro.core.control_service import ControlServiceConfig, IrecControlService
 from repro.core.databases import PathService, RegisteredPath
 from repro.core.local_view import LocalTopologyView
 from repro.core.messages import (
@@ -544,9 +538,8 @@ class TestDownSegmentRegistration:
 
     @staticmethod
     def _isolated_service(as_id):
-        return SimpleNamespace(
-            as_id=as_id, transport=NullTransport(), path_service=PathService()
-        )
+        view = LocalTopologyView.from_topology(line_topology(12), as_id)
+        return IrecControlService(view=view, key_store=KeyStore(), transport=NullTransport())
 
     def test_every_transit_as_relays_out_its_own_ingress_interface(self, key_store):
         # The relay resolves this AS's hop through the memoized AS path; the
@@ -560,27 +553,27 @@ class TestDownSegmentRegistration:
             via_loop = next(
                 entry.ingress_interface for entry in segment.entries if entry.as_id == as_id
             )
-            assert handle_path_registration(service, message, now_ms=1.0) is True
+            assert service.on_message(message, on_interface=7, now_ms=1.0) is True
             assert service.transport.messages == [(as_id, via_loop, message)]
             assert service.path_service.all_paths() == []
         for batched in (False, True):
             origin = self._isolated_service(1)
             if batched:
-                assert dispatch_batch(origin, [(message, 7)], now_ms=1.0) == [True]
+                assert origin.on_message_batch([(message, 7)], now_ms=1.0) == [True]
             else:
-                assert handle_path_registration(origin, message, now_ms=1.0) is True
+                assert origin.on_message(message, on_interface=7, now_ms=1.0) is True
             assert origin.transport.messages == []
             assert [p.segment for p in origin.path_service.down_paths_to(12)] == [segment]
 
     def test_misrouted_and_origin_entry_announcements_are_dropped_unsent(self, key_store):
         segment = make_beacon(key_store, [(1, None, 2), (2, 1, 2), (3, 1, None)])
         stranger = self._isolated_service(9)
-        assert handle_path_registration(stranger, self._announcement(segment), 1.0) is False
+        assert stranger.on_message(self._announcement(segment), 7, 1.0) is False
         # A header naming another origin leaves AS 1 with the origin-side
         # entry, which has no ingress interface to relay out of.
         renamed = dataclasses.replace(segment, origin_as=5)
         first_hop = self._isolated_service(1)
-        assert handle_path_registration(first_hop, self._announcement(renamed), 1.0) is False
+        assert first_hop.on_message(self._announcement(renamed), 7, 1.0) is False
         for service in (stranger, first_hop):
             assert service.transport.messages == []
             assert service.path_service.all_paths() == []

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from repro.core.control_service import ControlServiceConfig, IrecControlService
 from repro.core.local_view import LocalTopologyView
-from repro.core.revocation import RevocationMessage, RevocationState
+from repro.core.messages import RevocationMessage
+from repro.core.revocation import RevocationState
 from repro.core.transport import LoopbackTransport
 from repro.crypto.keys import KeyStore
 from repro.crypto.signer import Signer, Verifier

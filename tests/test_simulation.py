@@ -1,5 +1,7 @@
 """Tests for the discrete-event engine, simulated transport and beaconing driver."""
 
+from collections import Counter
+
 import pytest
 
 from repro.exceptions import ConfigurationError, SimulationError
@@ -17,6 +19,7 @@ from repro.simulation.scenario import (
     paper_algorithm_suite,
 )
 from repro.topology.generator import generate_topology, small_test_config
+from repro.units import minutes
 
 from tests.conftest import line_topology
 
@@ -195,6 +198,62 @@ class TestBeaconingSimulation:
 
         with pytest.raises(UnknownASError):
             result.service(10_000)
+
+
+class TestTracerSeams:
+    """irecbench's tracer and tick hooks (``benchmarks/irecbench/tracing.py``
+    ``Tracer.install``, ``harness.py`` ``install_ticks``) wrap these handlers
+    *as instance attributes*.  A call made through the class, a bound method
+    hoisted at construction or ``__slots__`` on a service would bypass the
+    wrappers and silently zero their spans — on either flavour."""
+
+    SEAMS = ("run_round", "on_message_batch", "on_revocation", "originate_revocation")
+
+    def test_instance_level_spies_see_every_call_on_both_flavours(self):
+        topology = line_topology(4)
+        scenario = don_scenario(periods=3, verify_signatures=False)
+        scenario.legacy_ases = (2,)
+        links = topology.link_ids()
+        # 3-4 fails: AS 3's flood crosses legacy AS 2 on its way to AS 1.
+        scenario.at(minutes(12)).fail_link(links[2])
+        # 1-2 fails: IREC AS 1 and legacy AS 2 both originate.
+        scenario.at(minutes(15)).fail_link(links[0])
+        simulation = BeaconingSimulation(topology, scenario)
+        calls = Counter()
+        delivered = Counter()
+
+        def spy(owner, name, key):
+            inner = getattr(owner, name)
+
+            def call(*args, **kwargs):
+                calls[key, name] += 1
+                if name == "on_message_batch":
+                    delivered[key] += len(args[0])
+                return inner(*args, **kwargs)
+
+            setattr(owner, name, call)
+
+        spy(simulation.transport, "send_message", "fabric")
+        for as_id, service in simulation.services.items():
+            for name in self.SEAMS:
+                spy(service, name, as_id)
+        result = simulation.run()
+
+        collector = result.collector
+        assert calls["fabric", "send_message"] == collector.control_messages_total() > 0
+        assert sum(delivered.values()) == (
+            collector.control_messages_total()
+            - collector.total_dropped
+            - collector.revocations_dropped
+        )
+        for as_id, service in result.services.items():
+            assert calls[as_id, "run_round"] == scenario.periods
+            assert delivered[as_id] > 0
+            assert calls[as_id, "on_revocation"] == service.revocations.received
+            assert calls[as_id, "originate_revocation"] == service.revocations.originated
+        for as_id in (1, 2):  # one IREC, one legacy: both handlers, both flavours
+            assert calls[as_id, "on_revocation"] > 0
+            assert calls[as_id, "originate_revocation"] > 0
 
 
 class TestSimulatedTransport:
