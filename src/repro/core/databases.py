@@ -17,7 +17,7 @@ persistence across process restarts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.core.beacon import Beacon
 from repro.exceptions import GatewayError
@@ -27,6 +27,18 @@ from repro.topology.entities import LinkID, normalize_link_id
 #: A bucket key: (origin AS, interface group id or None, target AS or None,
 #: algorithm id or None).  RACs request candidates one bucket at a time.
 BucketKey = Tuple[int, Optional[int], Optional[int], Optional[str]]
+
+
+def _indexed_under_as(by_link: Dict[LinkID, Dict[str, None]], as_id: int) -> Iterator[str]:
+    """Yield the digests indexed under each link with an endpoint in ``as_id``.
+
+    How AS departure reads the link index: a key scan over the indexed
+    links, exact because every AS on a path of two or more hops ends one
+    of the path's links.
+    """
+    for link, digests in by_link.items():
+        if as_id in (link[0][0], link[1][0]):
+            yield from digests
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,11 +82,11 @@ class IngressDatabase:
     When ``local_as`` is set (control services set it; standalone
     micro-benchmark databases do not), every insert additionally indexes
     the beacon under the inter-domain links it traverses — including the
-    link it *arrived* over, which is part of its path as seen locally —
-    and under the ASes on its path.  Revocation-driven invalidation then
-    removes exactly the matching beacons instead of scanning the whole
-    store per revocation, which is what keeps a network-wide revocation
-    flood affordable.
+    link it *arrived* over, which is part of its path as seen locally.
+    Revocation-driven invalidation then removes exactly the matching
+    beacons instead of scanning the whole store per revocation, which is
+    what keeps a network-wide revocation flood affordable; an AS departure
+    reads the same index.
     """
 
     expiry_margin_ms: float = 0.0
@@ -84,8 +96,6 @@ class IngressDatabase:
     _buckets: Dict[BucketKey, Dict[str, None]] = field(default_factory=dict)
     #: Link → digests of beacons crossing it (only when ``local_as`` set).
     _by_link: Dict[LinkID, Dict[str, None]] = field(default_factory=dict)
-    #: AS → digests of beacons whose path contains it (only when ``local_as`` set).
-    _by_as: Dict[int, Dict[str, None]] = field(default_factory=dict)
 
     def insert(self, stored: StoredBeacon) -> bool:
         """Insert a beacon; return ``False`` if it was already present."""
@@ -97,8 +107,6 @@ class IngressDatabase:
         if self.local_as is not None:
             for link in self._links_of(stored):
                 self._by_link.setdefault(link, {})[digest] = None
-            for as_id in stored.beacon.as_path():
-                self._by_as.setdefault(as_id, {})[digest] = None
         return True
 
     def _links_of(self, stored: StoredBeacon) -> Tuple[LinkID, ...]:
@@ -174,9 +182,13 @@ class IngressDatabase:
         return self.remove_matching(crosses)
 
     def remove_crossing_as(self, gone_as: int) -> int:
-        """Drop every beacon whose AS path contains ``gone_as``; return the count."""
-        if self.local_as is not None:
-            return self._remove_digests(tuple(self._by_as.get(gone_as, ())))
+        """Drop every beacon whose AS path contains ``gone_as``; return the count.
+
+        Arrival links end at the local AS without it being on the path, so
+        the local AS itself is scanned for, as in a standalone database.
+        """
+        if self.local_as is not None and gone_as != self.local_as:
+            return self._remove_digests(_indexed_under_as(self._by_link, gone_as))
         return self.remove_matching(lambda stored: stored.beacon.contains_as(gone_as))
 
     def remove_matching(self, predicate: Callable[[StoredBeacon], bool]) -> int:
@@ -219,12 +231,6 @@ class IngressDatabase:
                         members.pop(digest, None)
                         if not members:
                             del self._by_link[link]
-                for as_id in stored.beacon.as_path():
-                    members = self._by_as.get(as_id)
-                    if members is not None:
-                        members.pop(digest, None)
-                        if not members:
-                            del self._by_as[as_id]
         return removed
 
     def __len__(self) -> int:
@@ -332,9 +338,9 @@ class PathService:
     quota.
 
     Registered segments are additionally indexed by the inter-domain links
-    they traverse and the ASes on their path, so revocation-driven
-    withdrawal (:meth:`remove_crossing_link` / :meth:`remove_crossing_as`)
-    costs O(matching paths) instead of a full scan per revocation.
+    they traverse, so revocation-driven withdrawal
+    (:meth:`remove_crossing_link`) costs O(matching paths) instead of a
+    full scan per revocation; :meth:`remove_crossing_as` reads the same index.
 
     ``expiry_margin_ms`` mirrors :class:`IngressDatabase`: expiry drops
     paths whose segment expires within the margin, keeping all per-AS
@@ -358,8 +364,6 @@ class PathService:
     )
     #: Link → digests of registered segments crossing it.
     _by_link: Dict[LinkID, Dict[str, None]] = field(default_factory=dict)
-    #: AS → digests of registered segments whose path contains it.
-    _by_as: Dict[int, Dict[str, None]] = field(default_factory=dict)
     #: Origin AS → digests of registered segments starting there, in
     #: insertion order (dict-as-ordered-set), so ``paths_to`` is indexed
     #: instead of a full ``_by_digest`` scan.  Merges replace the record
@@ -416,8 +420,6 @@ class PathService:
         self._consumed[digest] = tuple(consumed)
         for link in path.segment.links():
             self._by_link.setdefault(link, {})[digest] = None
-        for as_id in path.segment.as_path():
-            self._by_as.setdefault(as_id, {})[digest] = None
         origin_as = path.segment.origin_as
         self._by_origin.setdefault(origin_as, {})[digest] = None
         self._by_terminal.setdefault(path.segment.last_as, {})[digest] = None
@@ -510,7 +512,7 @@ class PathService:
 
     def remove_crossing_as(self, gone_as: int) -> int:
         """Withdraw every path whose AS path contains ``gone_as``."""
-        return self._remove_digests(tuple(self._by_as.get(gone_as, ())))
+        return self._remove_digests(_indexed_under_as(self._by_link, gone_as))
 
     def remove_matching(self, predicate: Callable[[RegisteredPath], bool]) -> int:
         """Drop every registered path satisfying ``predicate``; return the count.
@@ -552,12 +554,6 @@ class PathService:
                     members.pop(digest, None)
                     if not members:
                         del self._by_link[link]
-            for as_id in path.segment.as_path():
-                members = self._by_as.get(as_id)
-                if members is not None:
-                    members.pop(digest, None)
-                    if not members:
-                        del self._by_as[as_id]
             origin_as = path.segment.origin_as
             members = self._by_origin.get(origin_as)
             if members is not None:

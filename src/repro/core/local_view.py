@@ -47,6 +47,12 @@ class LocalTopologyView:
     _neighbor_as: Dict[int, int] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    #: (ingress, egress) -> the hop's :class:`StaticInfo`, a constant of the
+    #: pair: every beacon extended over it carries the same frozen record
+    #: (and its one encoding).  Invalidated with ``_interface_ids``.
+    _static_info: Dict[Tuple[Optional[int], Optional[int]], StaticInfo] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def from_topology(
@@ -91,6 +97,7 @@ class LocalTopologyView:
         self.links_by_interface[interface_id] = link
         self._interface_ids = None
         self._neighbor_as.clear()
+        self._static_info.clear()
 
     def link_of(self, interface_id: int) -> Link:
         """Return the inter-domain link attached to ``interface_id``."""
@@ -120,7 +127,11 @@ class LocalTopologyView:
     def static_info_for(
         self, ingress_interface: Optional[int], egress_interface: Optional[int]
     ) -> StaticInfo:
-        """Build the static-info record of this AS's hop in a beacon.
+        """Return the static-info record of this AS's hop in a beacon.
+
+        Built on the first request for an interface pair and shared from
+        then on: the link, the interface locations and the intra-domain
+        model are read once, until :meth:`attach_link` changes the view.
 
         Args:
             ingress_interface: Interface the beacon was received on, or
@@ -128,6 +139,9 @@ class LocalTopologyView:
             egress_interface: Interface the beacon leaves on, or ``None``
                 for a terminal (registration) entry.
         """
+        static_info = self._static_info.get((ingress_interface, egress_interface))
+        if static_info is not None:
+            return static_info
         intra = 0.0
         if ingress_interface is not None and egress_interface is not None:
             intra = self.intra_latency_ms(ingress_interface, egress_interface)
@@ -142,13 +156,14 @@ class LocalTopologyView:
             egress_location = self._location(egress_interface)
 
         ingress_location = self._location(ingress_interface) if ingress_interface is not None else None
-        return StaticInfo(
+        static_info = self._static_info[(ingress_interface, egress_interface)] = StaticInfo(
             intra_latency_ms=intra,
             link_latency_ms=link_latency,
             link_bandwidth_mbps=link_bandwidth,
             egress_location=egress_location,
             ingress_location=ingress_location,
         )
+        return static_info
 
     def _location(self, interface_id: int):
         try:

@@ -15,7 +15,7 @@ describing:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.topology.geo import GeoCoordinate
@@ -43,6 +43,9 @@ class StaticInfo:
     link_bandwidth_mbps: Optional[float] = None
     egress_location: Optional[GeoCoordinate] = None
     ingress_location: Optional[GeoCoordinate] = None
+    #: Memo of :meth:`encode`, a declared slot as in :mod:`repro.core.beacon`;
+    #: a view shares one record per interface pair, so it is formatted once.
+    _encoded: Optional[str] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.intra_latency_ms < 0.0:
@@ -58,7 +61,10 @@ class StaticInfo:
         return self.intra_latency_ms + self.link_latency_ms
 
     def encode(self) -> str:
-        """Return a canonical string used for signing and hashing."""
+        """Return a canonical string used for signing and hashing (memoized)."""
+        encoded = self._encoded
+        if encoded is not None:
+            return encoded
         egress = (
             f"{self.egress_location.latitude:.6f},{self.egress_location.longitude:.6f}"
             if self.egress_location is not None
@@ -72,7 +78,9 @@ class StaticInfo:
         bandwidth = (
             f"{self.link_bandwidth_mbps:.6f}" if self.link_bandwidth_mbps is not None else "-"
         )
-        return (
+        encoded = (
             f"si(intra={self.intra_latency_ms:.6f},link={self.link_latency_ms:.6f},"
             f"bw={bandwidth},egeo={egress},igeo={ingress})"
         )
+        object.__setattr__(self, "_encoded", encoded)
+        return encoded

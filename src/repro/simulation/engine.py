@@ -21,28 +21,10 @@ from repro.obs import spans as _spans
 EventCallback = Callable[[float], None]
 
 
-class _ScheduledEvent:
-    """One queued ``(time, callback)`` pair.
-
-    A plain slotted class with a hand-written ``__lt__``: heap pushes and
-    pops compare events millions of times per simulation, and the
-    dataclass-generated comparison (which builds field tuples per call)
-    showed up prominently in flood profiles.  Ordering is (time, sequence)
-    with sequence unique, exactly as before.
-    """
-
-    __slots__ = ("time_ms", "sequence", "callback", "cancelled")
-
-    def __init__(self, time_ms: float, sequence: int, callback: EventCallback) -> None:
-        self.time_ms = time_ms
-        self.sequence = sequence
-        self.callback = callback
-        self.cancelled = False
-
-    def __lt__(self, other: "_ScheduledEvent") -> bool:
-        if self.time_ms != other.time_ms:
-            return self.time_ms < other.time_ms
-        return self.sequence < other.sequence
+#: One heap entry, ``[time_ms, sequence, callback]``: a plain list, so heap
+#: pushes and pops compare entries in C, and the sequence is unique, so the
+#: comparison never reaches the callback (``None`` once cancelled).
+ScheduledEvent = list
 
 
 @dataclass
@@ -50,11 +32,11 @@ class EventScheduler:
     """Priority-queue based discrete-event scheduler."""
 
     now_ms: float = 0.0
-    _queue: List[_ScheduledEvent] = field(default_factory=list)
+    _queue: List[ScheduledEvent] = field(default_factory=list)
     _sequence: "itertools.count" = field(default_factory=lambda: itertools.count())
     processed_events: int = 0
 
-    def schedule_at(self, time_ms: float, callback: EventCallback) -> _ScheduledEvent:
+    def schedule_at(self, time_ms: float, callback: EventCallback) -> ScheduledEvent:
         """Schedule ``callback`` at absolute time ``time_ms``.
 
         Raises:
@@ -64,11 +46,11 @@ class EventScheduler:
             raise SimulationError(
                 f"cannot schedule an event at {time_ms} ms; current time is {self.now_ms} ms"
             )
-        event = _ScheduledEvent(time_ms=time_ms, sequence=next(self._sequence), callback=callback)
+        event = [time_ms, next(self._sequence), callback]
         heapq.heappush(self._queue, event)
         return event
 
-    def schedule_in(self, delay_ms: float, callback: EventCallback) -> _ScheduledEvent:
+    def schedule_in(self, delay_ms: float, callback: EventCallback) -> ScheduledEvent:
         """Schedule ``callback`` after ``delay_ms`` milliseconds.
 
         Raises:
@@ -78,9 +60,9 @@ class EventScheduler:
             raise SimulationError(f"delay must be non-negative, got {delay_ms}")
         return self.schedule_at(self.now_ms + delay_ms, callback)
 
-    def cancel(self, event: _ScheduledEvent) -> None:
+    def cancel(self, event: ScheduledEvent) -> None:
         """Cancel a previously scheduled event (it will be skipped)."""
-        event.cancelled = True
+        event[2] = None
 
     def run_until(self, horizon_ms: float, inclusive: bool = True) -> int:
         """Process events up to and including ``horizon_ms``.
@@ -100,15 +82,13 @@ class EventScheduler:
             processed = 0
             queue = self._queue
             while queue and (
-                queue[0].time_ms <= horizon_ms
-                if inclusive
-                else queue[0].time_ms < horizon_ms
+                queue[0][0] <= horizon_ms if inclusive else queue[0][0] < horizon_ms
             ):
-                event = heapq.heappop(queue)
-                if event.cancelled:
+                time_ms, _, callback = heapq.heappop(queue)
+                if callback is None:
                     continue
-                self.now_ms = event.time_ms
-                event.callback(self.now_ms)
+                self.now_ms = time_ms
+                callback(time_ms)
                 processed += 1
                 self.processed_events += 1
             self.now_ms = max(self.now_ms, horizon_ms)
@@ -130,11 +110,11 @@ class EventScheduler:
             while self._queue:
                 if processed >= max_events:
                     raise SimulationError(f"exceeded the limit of {max_events} events")
-                event = heapq.heappop(self._queue)
-                if event.cancelled:
+                time_ms, _, callback = heapq.heappop(self._queue)
+                if callback is None:
                     continue
-                self.now_ms = event.time_ms
-                event.callback(self.now_ms)
+                self.now_ms = time_ms
+                callback(time_ms)
                 processed += 1
                 self.processed_events += 1
             return processed
@@ -145,7 +125,7 @@ class EventScheduler:
     @property
     def pending(self) -> int:
         """Return the number of pending (non-cancelled) events."""
-        return sum(1 for event in self._queue if not event.cancelled)
+        return sum(1 for event in self._queue if event[2] is not None)
 
     @property
     def queue_size(self) -> int:
@@ -156,23 +136,15 @@ class EventScheduler:
         """
         return len(self._queue)
 
-    def peek_next_time(self) -> Optional[float]:
-        """Return the time of the next pending event, if any."""
-        for event in sorted(self._queue):
-            if not event.cancelled:
-                return event.time_ms
-        return None
-
     def next_event_time(self) -> Optional[float]:
         """Return the next pending event time; O(1) amortized.
 
-        Unlike :meth:`peek_next_time` (which sorts a snapshot), this
-        lazily pops cancelled entries off the heap head — safe, since a
+        Lazily pops cancelled entries off the heap head — safe, since a
         cancelled event would be skipped by the run loops anyway.  The
         sharded coordinator polls this after every window, so it must
         not cost O(n log n) per call.
         """
         queue = self._queue
-        while queue and queue[0].cancelled:
+        while queue and queue[0][2] is None:
             heapq.heappop(queue)
-        return queue[0].time_ms if queue else None
+        return queue[0][0] if queue else None

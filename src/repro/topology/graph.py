@@ -9,9 +9,7 @@ enumeration, relationship-aware (valley-free) export checks, conversion to a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.exceptions import TopologyError, UnknownASError, UnknownLinkError
 from repro.topology.entities import (
@@ -23,6 +21,9 @@ from repro.topology.entities import (
     Relationship,
     normalize_link_id,
 )
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass
@@ -225,6 +226,8 @@ class Topology:
             ``latency_ms``, ``bandwidth_mbps``, ``relationship`` and
             ``link_id`` attributes.
         """
+        import networkx as nx  # here, so that the control plane loads no graph library
+
         graph: nx.Graph = nx.MultiGraph() if multigraph else nx.Graph()
         graph.add_nodes_from(self.ases)
         for link in self.links.values():
@@ -272,7 +275,12 @@ class Topology:
         """Return whether the AS-level graph is connected."""
         if not self.ases:
             return True
-        return nx.is_connected(self.to_networkx(multigraph=False))
+        seen: Set[int] = set()
+        frontier = {next(iter(self.ases))}
+        while frontier:
+            seen |= frontier
+            frontier = set().union(*(self._neighbors[as_id] for as_id in frontier)) - seen
+        return len(seen) == len(self.ases)
 
     @property
     def num_ases(self) -> int:

@@ -16,6 +16,7 @@ from repro.core.databases import (
 from repro.core.extensions import ExtensionSet
 from repro.crypto.keys import KeyStore
 from repro.exceptions import GatewayError
+from repro.topology.entities import normalize_link_id
 
 from tests.conftest import make_beacon
 
@@ -383,12 +384,27 @@ def _same_records(before, after):
     )
 
 
+def _assert_path_indexes_equal_a_rebuild(service):
+    by_link, by_origin, by_terminal = {}, {}, {}
+    for digest, path in service._by_digest.items():
+        segment = path.segment
+        for link in segment.links():
+            by_link.setdefault(link, set()).add(digest)
+        by_origin.setdefault(segment.origin_as, []).append(digest)
+        by_terminal.setdefault(segment.last_as, []).append(digest)
+    assert {key: set(members) for key, members in service._by_link.items()} == by_link
+    assert {key: list(members) for key, members in service._by_origin.items()} == by_origin
+    assert {key: list(members) for key, members in service._by_terminal.items()} == by_terminal
+
+
 class TestPathServiceIndexConsistency:
     @settings(max_examples=60, deadline=None)
     @given(ops=st.lists(_PATH_SERVICE_OPS, max_size=30))
     def test_indexes_equal_a_rebuild_from_the_store(self, ops):
         """Property: after every register / merge / withdrawal / purge the
-        four indexes equal a rebuild from ``_by_digest``, the crossing-link
+        link, origin and terminal indexes equal a rebuild from
+        ``_by_digest`` (AS departure derives from the link index, so there
+        is no fourth one to drift), the crossing-link
         accessor equals a scan, and the listeners were told exactly the
         origins whose digest set or record changed."""
         pool, links = _segment_pool(), _pool_links()
@@ -422,24 +438,117 @@ class TestPathServiceIndexConsistency:
             }
             assert set(notified) == changed
 
-            by_link, by_as, by_origin, by_terminal = {}, {}, {}, {}
-            for digest, path in service._by_digest.items():
-                segment = path.segment
-                for link in segment.links():
-                    by_link.setdefault(link, set()).add(digest)
-                for as_id in segment.as_path():
-                    by_as.setdefault(as_id, set()).add(digest)
-                by_origin.setdefault(segment.origin_as, []).append(digest)
-                by_terminal.setdefault(segment.last_as, []).append(digest)
-            assert {key: set(members) for key, members in service._by_link.items()} == by_link
-            assert {key: set(members) for key, members in service._by_as.items()} == by_as
-            assert {key: list(members) for key, members in service._by_origin.items()} == by_origin
-            assert {
-                key: list(members) for key, members in service._by_terminal.items()
-            } == by_terminal
+            _assert_path_indexes_equal_a_rebuild(service)
             for link in links:
                 assert service.origins_crossing_link(link) == {
                     path.segment.origin_as
                     for path in service.all_paths()
                     if link in path.segment.links()
                 }
+
+
+# ---------------------------------------------------------------------------
+# AS departure is derived from the link index: it must equal the predicate scan
+# ---------------------------------------------------------------------------
+
+_LOCAL_AS = 9
+
+
+@lru_cache(maxsize=1)
+def _departure_pools():
+    """Stored beacons (held by AS 9) and registered segments for the property.
+
+    Beacons: single-entry ones (their only link is the arrival link),
+    two- and three-hop ones over parallel links between the same AS pairs,
+    pull beacons whose target is the local AS (not on their path), and one
+    whose path crosses the local AS itself.  Segments: three hops, two hops
+    over parallel links, and down-segments that start at the local AS, as
+    registered at their origin.
+    """
+    key_store = KeyStore()
+    to_local = ExtensionSet().with_target(_LOCAL_AS)
+    beacons = [
+        make_beacon(key_store, [(origin, None, egress)], extensions=extensions)
+        for origin in (1, 2)
+        for egress in (1, 2)
+        for extensions in (None, to_local)
+    ]
+    beacons += [
+        make_beacon(key_store, [(origin, None, out), (mid, out, 7)])
+        for origin in (1, 2, 3)
+        for mid in (4, 5)
+        for out in (mid, mid + 10)
+    ]
+    beacons += [
+        make_beacon(key_store, [(3, None, 4), (4, 3, 5), (5, 4, 7)], extensions=to_local),
+        make_beacon(key_store, [(1, None, 5), (5, 1, 4), (4, 5, 7)]),
+        make_beacon(key_store, [(1, None, 3), (_LOCAL_AS, 1, 2), (4, 1, 7)]),
+    ]
+    segments = [
+        make_beacon(key_store, [(origin, None, out), (mid, out, 9), (6, mid, None)])
+        for origin in (1, 2, _LOCAL_AS)
+        for mid in (4, 5)
+        for out in (mid, mid + 10)
+    ]
+    segments += [
+        make_beacon(key_store, [(origin, None, out), (6, out, None)])
+        for origin in (1, _LOCAL_AS)
+        for out in (1, 2)
+    ]
+    return tuple(beacons), tuple(segments)
+
+
+_DEPARTING = st.lists(st.sampled_from((1, 2, 3, 4, 5, 6, 7, _LOCAL_AS)), min_size=1, max_size=3)
+
+
+class TestAsDepartureEqualsTheScan:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        arrivals=st.lists(
+            st.tuples(st.integers(0, len(_departure_pools()[0]) - 1), st.sampled_from((1, 2))),
+            max_size=24,
+        ),
+        departing=_DEPARTING,
+    )
+    def test_ingress_database(self, arrivals, departing):
+        pool = _departure_pools()[0]
+        derived, scanned = IngressDatabase(local_as=_LOCAL_AS), IngressDatabase(local_as=_LOCAL_AS)
+        for index, interface in arrivals:
+            derived.insert(stored(pool[index], interface=interface))
+            scanned.insert(stored(pool[index], interface=interface))
+        for gone_as in departing:
+            assert derived.remove_crossing_as(gone_as) == scanned.remove_matching(
+                lambda s: s.beacon.contains_as(gone_as)
+            )
+            assert list(derived._by_digest) == list(scanned._by_digest)
+            assert derived._buckets == scanned._buckets
+            by_link = {}
+            for digest, held in derived._by_digest.items():
+                last = held.beacon.entries[-1]
+                arrival = normalize_link_id(
+                    (last.as_id, last.egress_interface), (_LOCAL_AS, held.received_on_interface)
+                )
+                for link in held.beacon.links() + (arrival,):
+                    by_link.setdefault(link, set()).add(digest)
+            assert {key: set(members) for key, members in derived._by_link.items()} == by_link
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        registered=st.lists(st.integers(0, len(_departure_pools()[1]) - 1), max_size=24),
+        departing=_DEPARTING,
+    )
+    def test_path_service(self, registered, departing):
+        pool = _departure_pools()[1]
+        derived, scanned = PathService(), PathService()
+        for index in registered:
+            for service in (derived, scanned):
+                service.register(
+                    RegisteredPath(segment=pool[index], criteria_tags=("x",), registered_at_ms=0.0)
+                )
+        for gone_as in departing:
+            assert derived.remove_crossing_as(gone_as) == scanned.remove_matching(
+                lambda p: p.segment.contains_as(gone_as)
+            )
+            assert list(derived._by_digest) == list(scanned._by_digest)
+            assert derived._quota == scanned._quota
+            _assert_path_indexes_equal_a_rebuild(derived)

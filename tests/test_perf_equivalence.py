@@ -12,6 +12,10 @@ property tests pin that down:
   of the corresponding prefix beacon, and a child that inherited any
   combination of its parent's derived values equals a cold twin in every
   accessor, also after a pickle round trip,
+* a beacon extended through a view whose hop-constant table is warm equals
+  one extended through a fresh view (the shared ``StaticInfo`` record and
+  its one encoding are invisible), and the event queue keeps (time,
+  sequence) order without ever comparing callbacks,
 * the sweep/skyline ``pareto_frontier`` returns exactly the same labelled
   pairs (same order) as the quadratic reference on random vectors with 2–4
   metrics, including duplicates and maximize-objective metrics, and
@@ -56,16 +60,21 @@ from repro.core.algebra import (
 )
 from repro.core.beacon import Beacon, BeaconBuilder
 from repro.core.criteria import StandardMetrics
+from repro.core.databases import StoredBeacon
 from repro.core.extensions import ExtensionSet
 from repro.core.ingress import IngressGateway, VerifiedPrefixCache
+from repro.core.local_view import LocalTopologyView
+from repro.core.rac import RACSelection
 from repro.core.sandbox import RestrictedPythonAlgorithm
 from repro.core.staticinfo import StaticInfo
 from repro.crypto.keys import KeyStore
 from repro.crypto.signer import Signer, Verifier
 from repro.exceptions import SignatureError
-from repro.topology.entities import normalize_link_id
+from repro.simulation.engine import EventScheduler
+from repro.topology.entities import Link, Relationship, normalize_link_id
 
-from tests.conftest import make_beacon
+from tests.conftest import figure1_topology, make_beacon
+from tests.test_gateways import gateway_pair
 
 # ----------------------------------------------------------------------
 # strategies
@@ -125,7 +134,7 @@ def naive_encode(beacon: Beacon) -> bytes:
     for entry in beacon.entries:
         unsigned = (
             f"entry(as={entry.as_id},in={entry.ingress_interface},"
-            f"out={entry.egress_interface},{entry.static_info.encode()})"
+            f"out={entry.egress_interface},{replace(entry.static_info).encode()})"
         )
         parts.append(f"{unsigned}sig({entry.signature.hex()})")
     return "|".join(parts).encode("utf-8")
@@ -229,6 +238,114 @@ class TestDigestEquivalence:
         assert child.entries[0] is parent.entries[0]
         assert child.digest() != parent.digest()
         assert hashlib.sha256(naive_encode(child)).hexdigest() == child.digest()
+
+
+# ----------------------------------------------------------------------
+# (a') shared hop constants and the event queue's order
+# ----------------------------------------------------------------------
+class TestSharedHopConstants:
+    """One ``StaticInfo`` per interface pair of a view, one encoding per record."""
+
+    @staticmethod
+    def _gateway(key_store):
+        _ingress, gateway, transport = gateway_pair(figure1_topology(), 3, key_store)
+        return gateway, transport
+
+    @staticmethod
+    def _propagate(gateway, transport, beacon, egress_interfaces=(2, 3)):
+        stored = StoredBeacon(beacon=beacon, received_on_interface=1, received_at_ms=0.0)
+        selection = RACSelection(
+            stored=stored, egress_interfaces=list(egress_interfaces), criteria_tag="1sp"
+        )
+        del transport.sent[:]
+        gateway.propagate([selection], now_ms=0.0)
+        return {interface: extended for _sender, interface, extended in transport.sent}
+
+    def test_warm_view_extends_exactly_like_a_fresh_one(self, key_store):
+        first = make_beacon(key_store, [(1, None, 1), (2, 1, 2)])
+        second = make_beacon(key_store, [(1, None, 1), (2, 1, 2)], created_at_ms=5.0)
+        warm, warm_transport = self._gateway(key_store)
+        earlier = self._propagate(warm, warm_transport, first)
+        through_warm = self._propagate(warm, warm_transport, second)
+        through_fresh = self._propagate(*self._gateway(key_store), second)
+        assert sorted(through_warm) == sorted(through_fresh) == [2, 3]
+        for interface, extended in through_warm.items():
+            twin = through_fresh[interface]
+            assert replace(extended, beacon_id=twin.beacon_id) == twin
+            assert extended.digest() == twin.digest()
+            assert extended.encode() == twin.encode() == naive_encode(twin)
+            # Same interface pair, same record -- across beacons, not across views.
+            shared = extended.entries[-1].static_info
+            assert shared is earlier[interface].entries[-1].static_info
+            assert shared is not twin.entries[-1].static_info
+
+    def test_attach_link_empties_the_table(self):
+        # What a ``TopologyGrowth`` event does to each attachment AS's view.
+        view = LocalTopologyView.from_topology(figure1_topology(), 3)
+        before = view.static_info_for(1, 3)
+        assert view.static_info_for(1, 3) is before
+        rehomed = Link(
+            interface_a=(2, 9),
+            interface_b=(3, 3),
+            latency_ms=1.0,
+            bandwidth_mbps=10.0,
+            relationship=Relationship.PEER,
+        )
+        view.attach_link(3, rehomed)
+        after = view.static_info_for(1, 3)
+        assert after == replace(before, link_latency_ms=1.0, link_bandwidth_mbps=10.0)
+        assert view.static_info_for(1, 3) is after
+
+    def test_encoding_memo_is_invisible_ships_warm_and_is_not_copied(self):
+        warm = StaticInfo(intra_latency_ms=1.5, link_latency_ms=7.0, link_bandwidth_mbps=100.0)
+        cold = replace(warm)
+        encoded = warm.encode()
+        assert warm._encoded == encoded and cold._encoded is None
+        assert warm == cold and hash(warm) == hash(cold) and repr(warm) == repr(cold)
+        shipped = pickle.loads(pickle.dumps(warm))
+        assert shipped == warm and shipped._encoded == encoded
+        changed = replace(warm, link_latency_ms=8.0)
+        assert changed._encoded is None
+        assert changed.encode() == encoded.replace("link=7.000000", "link=8.000000")
+        assert cold.encode() == encoded
+
+
+class _Incomparable:
+    """An event callback that refuses to be ordered or compared."""
+
+    def __init__(self, label, fired):
+        self.label, self.fired = label, fired
+
+    def __call__(self, now_ms):
+        self.fired.append((self.label, now_ms))
+
+    def _refuse(self, other):
+        raise AssertionError("the event queue compared two callbacks")
+
+    __lt__ = __le__ = __gt__ = __ge__ = __eq__ = _refuse
+    __hash__ = None
+
+
+class TestEventQueueOrder:
+    def test_time_then_sequence_with_cancellations_and_incomparable_callbacks(self):
+        scheduler = EventScheduler()
+        fired = []
+        events = {
+            label: scheduler.schedule_at(time_ms, _Incomparable(label, fired))
+            for label, time_ms in [("a", 10.0), ("b", 5.0), ("c", 10.0), ("d", 10.0), ("e", 5.0)]
+        }
+        scheduler.cancel(events["b"])
+        scheduler.cancel(events["c"])
+        # Equal-time events scheduled after a cancellation queue behind the live ones.
+        scheduler.schedule_at(10.0, _Incomparable("f", fired))
+        scheduler.schedule_at(5.0, _Incomparable("g", fired))
+        assert scheduler.queue_size == 7 and scheduler.pending == 5
+        assert scheduler.next_event_time() == 5.0
+        assert scheduler.run_until(10.0, inclusive=False) == 2
+        assert scheduler.next_event_time() == 10.0
+        assert scheduler.run_all() == 3
+        assert fired == [("e", 5.0), ("g", 5.0), ("a", 10.0), ("d", 10.0), ("f", 10.0)]
+        assert scheduler.queue_size == scheduler.pending == 0
 
 
 # ----------------------------------------------------------------------

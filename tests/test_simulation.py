@@ -72,11 +72,11 @@ class TestEventScheduler:
         with pytest.raises(SimulationError):
             scheduler.run_all(max_events=10)
 
-    def test_peek_next_time(self):
+    def test_next_event_time(self):
         scheduler = EventScheduler()
-        assert scheduler.peek_next_time() is None
+        assert scheduler.next_event_time() is None
         scheduler.schedule_at(5.0, lambda now: None)
-        assert scheduler.peek_next_time() == 5.0
+        assert scheduler.next_event_time() == 5.0
 
 
 class TestMetricsCollector:

@@ -1,5 +1,10 @@
 """Tests for the Topology container and policy queries."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.exceptions import TopologyError, UnknownASError, UnknownLinkError
@@ -10,6 +15,7 @@ from repro.topology.graph import Topology, induced_subtopology
 from tests.conftest import build_topology, line_topology
 
 LOC = (47.0, 8.0)
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def simple_triangle() -> Topology:
@@ -142,8 +148,22 @@ class TestConversionsAndSubtopology:
         assert graph[1][2]["latency_ms"] == 5.0
 
     def test_is_connected(self):
+        assert Topology().is_connected()
         assert simple_triangle().is_connected()
         assert line_topology(3).is_connected()
+        islands = line_topology(3)
+        islands.add_as(ASInfo(as_id=9))
+        assert not islands.is_connected()
+
+    def test_control_plane_imports_no_graph_library(self):
+        """``networkx`` serves ``to_networkx`` and the analysis code only."""
+        probe = "import repro.simulation.beaconing, sys; assert 'networkx' not in sys.modules"
+        subprocess.run(
+            [sys.executable, "-c", probe],
+            check=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": SRC},
+        )
 
     def test_induced_subtopology(self):
         topology = simple_triangle()
