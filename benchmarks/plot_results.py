@@ -151,133 +151,6 @@ def render_svg(
         handle.write("\n".join(parts) + "\n")
 
 
-def render_timeline_svg(
-    series: Dict[str, Sequence[Tuple[float, float]]],
-    path: str,
-    title: str = "telemetry timeline",
-    x_label: str = "time (ms)",
-) -> None:
-    """Write a multi-metric time-series line chart as a standalone SVG.
-
-    ``series`` maps metric name → ``(x, y)`` points (e.g. one per
-    beaconing period from the observatory sampler).  Metrics with wildly
-    different units share the plot by per-metric normalization: each line
-    is scaled to its own peak, annotated in the legend — the shape
-    comparison (when does backlog spike relative to PCB rate?) is the
-    point of the timeline, not absolute cross-metric values.
-    """
-    width, height = 760, 420
-    margin_left, margin_right, margin_top, margin_bottom = 60, 20, 50, 70
-    plot_w = width - margin_left - margin_right
-    plot_h = height - margin_top - margin_bottom
-
-    xs = [x for points in series.values() for x, _y in points]
-    x_min, x_max = (min(xs), max(xs)) if xs else (0.0, 1.0)
-    x_span = (x_max - x_min) or 1.0
-
-    parts: List[str] = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}"'
-        f' viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2:.1f}" y="24" text-anchor="middle"'
-        f' font-family="sans-serif" font-size="16">{title}</text>',
-        f'<line x1="{margin_left}" y1="{margin_top}" x2="{margin_left}"'
-        f' y2="{margin_top + plot_h}" stroke="black"/>',
-        f'<line x1="{margin_left}" y1="{margin_top + plot_h}"'
-        f' x2="{margin_left + plot_w}" y2="{margin_top + plot_h}" stroke="black"/>',
-        f'<text x="{margin_left + plot_w / 2:.1f}" y="{margin_top + plot_h + 30}"'
-        f' text-anchor="middle" font-family="sans-serif" font-size="12">{x_label}</text>',
-        f'<text x="{margin_left:.1f}" y="{margin_top + plot_h + 14}"'
-        f' text-anchor="middle" font-family="sans-serif" font-size="10">'
-        f"{_format_value(x_min)}</text>",
-        f'<text x="{margin_left + plot_w:.1f}" y="{margin_top + plot_h + 14}"'
-        f' text-anchor="middle" font-family="sans-serif" font-size="10">'
-        f"{_format_value(x_max)}</text>",
-    ]
-    legend_x = margin_left
-    legend_y = height - 14
-    for index, (metric, points) in enumerate(series.items()):
-        color = _PALETTE[index % len(_PALETTE)]
-        peak = max((y for _x, y in points), default=0.0)
-        scale = plot_h / peak if peak > 0 else 0.0
-        coords = " ".join(
-            f"{margin_left + (x - x_min) / x_span * plot_w:.1f},"
-            f"{margin_top + plot_h - y * scale:.1f}"
-            for x, y in points
-        )
-        if coords:
-            parts.append(
-                f'<polyline points="{coords}" fill="none" stroke="{color}"'
-                ' stroke-width="1.5"/>'
-            )
-        label = f"{metric} (peak {_format_value(peak)})"
-        parts.append(
-            f'<rect x="{legend_x}" y="{legend_y - 10}" width="12" height="12"'
-            f' fill="{color}"/>'
-        )
-        parts.append(
-            f'<text x="{legend_x + 16}" y="{legend_y}" font-family="sans-serif"'
-            f' font-size="11">{label}</text>'
-        )
-        legend_x += 16 + 7 * len(label) + 20
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(parts) + "\n")
-
-
-def render_timeline_matplotlib(
-    series: Dict[str, Sequence[Tuple[float, float]]],
-    path: str,
-    title: str = "telemetry timeline",
-    x_label: str = "time (ms)",
-) -> None:
-    """Write the same multi-metric timeline with matplotlib (normalized)."""
-    import matplotlib
-
-    matplotlib.use("Agg")
-    import matplotlib.pyplot as plt
-
-    figure, axes = plt.subplots(figsize=(7.6, 4.2))
-    for index, (metric, points) in enumerate(series.items()):
-        peak = max((y for _x, y in points), default=0.0) or 1.0
-        axes.plot(
-            [x for x, _y in points],
-            [y / peak for _x, y in points],
-            label=f"{metric} (peak {_format_value(peak)})",
-            color=_PALETTE[index % len(_PALETTE)],
-        )
-    axes.set_xlabel(x_label)
-    axes.set_ylabel("normalized to per-metric peak")
-    axes.set_title(title)
-    axes.legend(fontsize=8)
-    figure.tight_layout()
-    figure.savefig(path)
-    plt.close(figure)
-
-
-def render_timeline(
-    series: Dict[str, Sequence[Tuple[float, float]]],
-    path: str,
-    title: str = "telemetry timeline",
-    x_label: str = "time (ms)",
-) -> None:
-    """Render a timeline with matplotlib when available, else the SVG fallback.
-
-    The output format follows ``path``'s extension; a non-SVG extension
-    without matplotlib installed is rewritten to ``.svg`` (mirroring
-    :func:`_pick_backend`'s degradation for the bar charts).
-    """
-    if not path.endswith(".svg"):
-        try:
-            import matplotlib  # noqa: F401
-        except ImportError:
-            path = os.path.splitext(path)[0] + ".svg"
-        else:
-            render_timeline_matplotlib(series, path, title, x_label)
-            return
-    render_timeline_svg(series, path, title, x_label)
-
-
 # ----------------------------------------------------------------------
 # matplotlib backend
 # ----------------------------------------------------------------------

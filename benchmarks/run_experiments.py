@@ -47,7 +47,6 @@ if __package__ is None or __package__ == "":
     sys.path.insert(0, _here)
 
 from result_logger import SCHEMA_VERSION, ResultLogger
-from run_benchmarks import scale_topology_config
 
 from repro.simulation.beaconing import BeaconingSimulation
 from repro.simulation.events import (
@@ -57,7 +56,7 @@ from repro.simulation.events import (
     growth_churn,
 )
 from repro.simulation.scenario import ScenarioConfig, dob_scenario, don_scenario
-from repro.topology.generator import TopologyConfig, generate_topology
+from repro.topology.generator import TopologyConfig, generate_topology, paper_scale_config
 from repro.topology.graph import Topology
 from repro.traffic.demand import gravity_matrix
 from repro.traffic.engine import ClosedLoopDemand, TrafficEngine
@@ -181,11 +180,14 @@ POLICIES: Dict[str, Callable[[int, bool], ScenarioConfig]] = {
 }
 
 
-def scale_config(scale: str, seed: int) -> TopologyConfig:
-    """Resolve a scale name to a topology config.
+def scale_topology_config(scale: str, seed: int) -> TopologyConfig:
+    """Resolve a grid's scale name to the sweep's topology config.
 
-    ``tiny`` is sweep-local (fast enough for 5 × 2 grids and CI smoke
-    runs); everything else defers to the benchmark harness.
+    The scales are the sweep's own: ``tiny`` is fast enough for 5 × 2
+    grids and CI smoke runs, ``paper`` is the 500-AS configuration, and
+    any other name reads as ``small``.  The figure scripts
+    (``bench_fig*.py``) do not use them — they take
+    ``conftest.bench_topology_config``, whose small scale is not this one.
     """
     if scale == "tiny":
         return TopologyConfig(
@@ -201,7 +203,49 @@ def scale_config(scale: str, seed: int) -> TopologyConfig:
             max_pops_stub=1,
             seed=seed,
         )
-    return scale_topology_config(scale, seed)
+    if scale == "paper":
+        return paper_scale_config(seed=seed)
+    if scale == "large":
+        return TopologyConfig(
+            num_ases=260,
+            num_core=8,
+            num_transit=64,
+            core_parallel_links=2,
+            transit_provider_count=3,
+            stub_provider_count=2,
+            peering_probability=0.08,
+            max_pops_core=6,
+            max_pops_transit=3,
+            max_pops_stub=2,
+            seed=seed,
+        )
+    if scale == "medium":
+        return TopologyConfig(
+            num_ases=120,
+            num_core=6,
+            num_transit=30,
+            core_parallel_links=2,
+            transit_provider_count=3,
+            stub_provider_count=2,
+            peering_probability=0.1,
+            max_pops_core=6,
+            max_pops_transit=3,
+            max_pops_stub=2,
+            seed=seed,
+        )
+    return TopologyConfig(
+        num_ases=30,
+        num_core=4,
+        num_transit=9,
+        core_parallel_links=2,
+        transit_provider_count=2,
+        stub_provider_count=2,
+        peering_probability=0.15,
+        max_pops_core=5,
+        max_pops_transit=3,
+        max_pops_stub=2,
+        seed=seed,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -227,7 +271,7 @@ def run_cell(
     params = grid.get("scenarios", {}).get(scenario_name, {})
 
     started = time.perf_counter()
-    topology = generate_topology(scale_config(scale_name, seed))
+    topology = generate_topology(scale_topology_config(scale_name, seed))
     scenario = POLICIES[policy_name](periods, verify)
     scenario.loss_seed = seed
     options = SCENARIOS[scenario_name](scenario, topology, random.Random(seed + 1), params)

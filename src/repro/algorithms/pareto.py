@@ -24,7 +24,6 @@ from repro.algorithms.base import (
 from repro.core.algebra import BANDWIDTH, LATENCY, MetricDefinition, pareto_frontier
 from repro.core.criteria import StandardMetrics
 from repro.exceptions import AlgorithmError
-from repro.obs import spans as _spans
 
 
 @dataclass
@@ -78,16 +77,11 @@ class ParetoDominantAlgorithm(RoutingAlgorithm):
 
     def dominant_set(self, beacons: Sequence) -> List:
         """Return the non-dominated beacons under :attr:`metrics`."""
-        frame = _spans.push("algo.pareto") if _spans.ENABLED else None
-        try:
-            labelled = [
-                (beacon, StandardMetrics.vector_for(self.metrics, beacon))
-                for beacon in beacons
-            ]
-            return [beacon for beacon, _vector in pareto_frontier(labelled)]
-        finally:
-            if frame is not None:
-                _spans.pop(frame)
+        labelled = [
+            (beacon, StandardMetrics.vector_for(self.metrics, beacon))
+            for beacon in beacons
+        ]
+        return [beacon for beacon, _vector in pareto_frontier(labelled)]
 
     def describe(self) -> str:
         names = ", ".join(metric.name for metric in self.metrics)

@@ -46,8 +46,6 @@ from repro.core.messages import (
     PathQueryMessage,
     PathQueryResponse,
     PathRegistrationMessage,
-    PCBMessage,
-    PullReturnMessage,
     RevocationMessage,
 )
 from repro.core.ondemand import OnDemandAlgorithmManager
@@ -376,20 +374,26 @@ class ControlService:
     # fabric-facing handlers
     # ------------------------------------------------------------------
     def on_message(self, message: ControlMessage, on_interface: int, now_ms: float):
-        """Handle one typed control message — the unified fabric entry point."""
-        if isinstance(message, PCBMessage):
+        """Handle one typed control message — the unified fabric entry point.
+
+        Dispatches on ``message.kind``, the key :meth:`on_message_batch`
+        and the collector's ledgers use; each handler is looked up on the
+        instance at call time.
+        """
+        kind = message.kind
+        if kind == "pcb":
             return self.receive_beacon(
                 message.beacon, on_interface=on_interface, now_ms=now_ms
             )
-        if isinstance(message, RevocationMessage):
+        if kind == "revocation":
             return self.on_revocation(message, on_interface=on_interface, now_ms=now_ms)
-        if isinstance(message, PathRegistrationMessage):
+        if kind == "path_registration":
             return self.receive_path_registration(message, now_ms)
-        if isinstance(message, PullReturnMessage):
+        if kind == "pull_return":
             return self.receive_returned_beacon(message.beacon, now_ms=now_ms)
-        if isinstance(message, PathQueryMessage):
+        if kind == "path_query":
             return self.serve_path_query(message, on_interface, now_ms)
-        if isinstance(message, PathQueryResponse):
+        if kind == "path_query_response":
             return self.receive_query_response(message, now_ms=now_ms)
         raise SimulationError(f"unsupported control message {message!r}")
 

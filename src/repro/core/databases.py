@@ -21,7 +21,6 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tupl
 
 from repro.core.beacon import Beacon
 from repro.exceptions import GatewayError
-from repro.obs import spans as _spans
 from repro.topology.entities import LinkID, normalize_link_id
 
 #: A bucket key: (origin AS, interface group id or None, target AS or None,
@@ -205,14 +204,6 @@ class IngressDatabase:
         )
 
     def _remove_digests(self, digests: Iterable[str]) -> int:
-        frame = _spans.push("db.invalidate") if _spans.ENABLED else None
-        try:
-            return self._remove_digests_inner(digests)
-        finally:
-            if frame is not None:
-                _spans.pop(frame)
-
-    def _remove_digests_inner(self, digests: Iterable[str]) -> int:
         removed = 0
         for digest in list(digests):
             stored = self._by_digest.pop(digest, None)
@@ -527,14 +518,6 @@ class PathService:
 
     def _remove_digests(self, digests: Iterable[str]) -> int:
         """Remove paths by digest, releasing exactly the quota they consumed."""
-        frame = _spans.push("db.invalidate") if _spans.ENABLED else None
-        try:
-            return self._remove_digests_inner(digests)
-        finally:
-            if frame is not None:
-                _spans.pop(frame)
-
-    def _remove_digests_inner(self, digests: Iterable[str]) -> int:
         removed = 0
         touched_origins: Dict[int, None] = {}
         for digest in list(digests):

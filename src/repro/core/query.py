@@ -33,7 +33,6 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 from repro.core.messages import _memo
 from repro.core.databases import PathService, RegisteredPath
 from repro.exceptions import ConfigurationError
-from repro.obs import spans as _spans
 
 #: Default bound on materialized responses kept per frontend.  Sized for
 #: the simulated topologies (≤ a few hundred ASes × a handful of
@@ -181,31 +180,26 @@ class PathQueryFrontend:
 
     def query(self, query: PathQuery, now_ms: Optional[float] = None) -> QueryResult:
         """Serve ``query``, from cache when a live entry exists."""
-        frame = _spans.push("query.lookup") if _spans.ENABLED else None
-        try:
-            self.lookups += 1
-            key = query.cache_key()
-            entry = self._cache.get(key)
-            if entry is not None:
-                if now_ms is None:
-                    now_ms = self.clock() if self.clock is not None else 0.0
-                if entry.valid_until_ms is None or now_ms < entry.valid_until_ms:
-                    self.hits += 1
-                    if not entry.result.paths:
-                        self.negative_hits += 1
-                    self._cache.move_to_end(key)
-                    return entry.result
-                # Expired in cache: never serve it (satellite bugfix) —
-                # drop and fall through to a fresh materialization.
-                self.expired_entries += 1
-                self._drop_key(key)
-            self.misses += 1
+        self.lookups += 1
+        key = query.cache_key()
+        entry = self._cache.get(key)
+        if entry is not None:
             if now_ms is None:
                 now_ms = self.clock() if self.clock is not None else 0.0
-            return self._materialize(query, key, now_ms)
-        finally:
-            if frame is not None:
-                _spans.pop(frame)
+            if entry.valid_until_ms is None or now_ms < entry.valid_until_ms:
+                self.hits += 1
+                if not entry.result.paths:
+                    self.negative_hits += 1
+                self._cache.move_to_end(key)
+                return entry.result
+            # Expired in cache: never serve it (satellite bugfix) —
+            # drop and fall through to a fresh materialization.
+            self.expired_entries += 1
+            self._drop_key(key)
+        self.misses += 1
+        if now_ms is None:
+            now_ms = self.clock() if self.clock is not None else 0.0
+        return self._materialize(query, key, now_ms)
 
     def paths(self, origin_as: int, now_ms: Optional[float] = None) -> Tuple[RegisteredPath, ...]:
         """Serve the plain "all paths to ``origin_as``" lookup."""
@@ -299,7 +293,7 @@ class PathQueryFrontend:
         return self.hits / self.lookups if self.lookups else 0.0
 
     def counters(self) -> Dict[str, float]:
-        """The serving counters as one plain dict (observatory payload)."""
+        """The serving counters as one plain dict."""
         return {
             "lookups": self.lookups,
             "hits": self.hits,

@@ -13,11 +13,9 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import Dict, Iterator
 
 from repro.crypto.hashing import count_crypto_op
-from repro.obs import spans as _spans
 
 
 @dataclass(frozen=True)
@@ -35,22 +33,11 @@ class ASKeyPair:
     def sign(self, message: bytes) -> bytes:
         """Return the signature over ``message``."""
         count_crypto_op("signature_sign")
-        if _spans.ENABLED:
-            start = perf_counter()
-            signature = hmac.new(self.secret, message, hashlib.sha256).digest()
-            _spans.add("crypto.sign", perf_counter() - start)
-            return signature
         return hmac.new(self.secret, message, hashlib.sha256).digest()
 
     def verify(self, message: bytes, signature: bytes) -> bool:
         """Return ``True`` if ``signature`` is valid for ``message``."""
         count_crypto_op("signature_verify")
-        if _spans.ENABLED:
-            start = perf_counter()
-            expected = hmac.new(self.secret, message, hashlib.sha256).digest()
-            valid = hmac.compare_digest(expected, signature)
-            _spans.add("crypto.verify", perf_counter() - start)
-            return valid
         expected = hmac.new(self.secret, message, hashlib.sha256).digest()
         return hmac.compare_digest(expected, signature)
 

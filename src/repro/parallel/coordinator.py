@@ -38,7 +38,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.control_service import RoundReport
 from repro.crypto.keys import KeyStore
 from repro.exceptions import ConfigurationError, SimulationError
-from repro.obs import spans as _spans
 from repro.parallel.partition import (
     Partition,
     degradable_link_groups,
@@ -124,26 +123,25 @@ class ShardedBeaconingSimulation(PeriodDriver):
     # worker lifecycle & messaging
     # ------------------------------------------------------------------
     def _spawn_workers(self) -> None:
-        with _spans.span("parallel.spawn"):
-            for index in range(self.workers):
-                parent_conn, child_conn = self._context.Pipe()
-                process = self._context.Process(
-                    target=shard_worker_main,
-                    args=(
-                        child_conn,
-                        self.topology,
-                        self.scenario,
-                        tuple(sorted(self._owned[index])),
-                        self.key_store.deployment_secret,
-                    ),
-                    daemon=True,
-                )
-                process.start()
-                child_conn.close()
-                self._conns.append(parent_conn)
-                self._procs.append(process)
-            for index in range(self.workers):
-                self._recv(index)  # construction handshake
+        for index in range(self.workers):
+            parent_conn, child_conn = self._context.Pipe()
+            process = self._context.Process(
+                target=shard_worker_main,
+                args=(
+                    child_conn,
+                    self.topology,
+                    self.scenario,
+                    tuple(sorted(self._owned[index])),
+                    self.key_store.deployment_secret,
+                ),
+                daemon=True,
+            )
+            process.start()
+            child_conn.close()
+            self._conns.append(parent_conn)
+            self._procs.append(process)
+        for index in range(self.workers):
+            self._recv(index)  # construction handshake
 
     def close(self) -> None:
         """Stop and join the worker processes (idempotent)."""
@@ -233,23 +231,22 @@ class ShardedBeaconingSimulation(PeriodDriver):
         shard's past.
         """
         self.now_ms = max(self.now_ms, target_ms)
-        with _spans.span("parallel.advance"):
-            while True:
-                times = [t for t in self._next_times if t is not None]
-                t_next = min(times) if times else None
-                if t_next is None or (
-                    t_next > target_ms if inclusive else t_next >= target_ms
-                ):
-                    self._broadcast("advance", target_ms, inclusive)
-                    return
-                window_end = t_next + self._lookahead_ms
-                if inclusive and window_end > target_ms:
-                    horizon, window_inclusive = target_ms, True
-                elif not inclusive and window_end >= target_ms:
-                    horizon, window_inclusive = target_ms, False
-                else:
-                    horizon, window_inclusive = window_end, False
-                self._broadcast("advance", horizon, window_inclusive)
+        while True:
+            times = [t for t in self._next_times if t is not None]
+            t_next = min(times) if times else None
+            if t_next is None or (
+                t_next > target_ms if inclusive else t_next >= target_ms
+            ):
+                self._broadcast("advance", target_ms, inclusive)
+                return
+            window_end = t_next + self._lookahead_ms
+            if inclusive and window_end > target_ms:
+                horizon, window_inclusive = target_ms, True
+            elif not inclusive and window_end >= target_ms:
+                horizon, window_inclusive = target_ms, False
+            else:
+                horizon, window_inclusive = window_end, False
+            self._broadcast("advance", horizon, window_inclusive)
 
     def originate(self, now_ms: float) -> None:
         """Originate PCBs at every online AS of every shard."""
@@ -271,24 +268,23 @@ class ShardedBeaconingSimulation(PeriodDriver):
         afterwards tightens the lookahead for its cross-shard attach links.
         """
         event = timed.event
-        with _spans.span("parallel.barrier"):
-            if not isinstance(event, TopologyGrowth):
-                self._broadcast("apply_event", timed)
-                return
-            owner = min(
-                range(self.workers), key=lambda index: (len(self._owned[index]), index)
-            )
-            self._owned[owner].add(event.new_as)
-            self._owner[event.new_as] = owner
-            self._send(owner, "adopt", (event.new_as,))
-            self._recv(owner)
+        if not isinstance(event, TopologyGrowth):
             self._broadcast("apply_event", timed)
-            for neighbor_as in event.attach_to:
-                if self._owner[neighbor_as] != owner:
-                    self._lookahead_ms = min(
-                        self._lookahead_ms,
-                        event.latency_ms + self.scenario.processing_delay_ms,
-                    )
+            return
+        owner = min(
+            range(self.workers), key=lambda index: (len(self._owned[index]), index)
+        )
+        self._owned[owner].add(event.new_as)
+        self._owner[event.new_as] = owner
+        self._send(owner, "adopt", (event.new_as,))
+        self._recv(owner)
+        self._broadcast("apply_event", timed)
+        for neighbor_as in event.attach_to:
+            if self._owner[neighbor_as] != owner:
+                self._lookahead_ms = min(
+                    self._lookahead_ms,
+                    event.latency_ms + self.scenario.processing_delay_ms,
+                )
 
     def flush(self, now_ms: float) -> None:
         """Flush every shard's queued revocations."""
@@ -319,8 +315,7 @@ class ShardedBeaconingSimulation(PeriodDriver):
 
     def gather(self):
         """Merge the shards' collectors and stats; stop the workers."""
-        with _spans.span("parallel.gather"):
-            snapshots = self._broadcast("gather")
+        snapshots = self._broadcast("gather")
         collector = MetricsCollector(period_ms=self.scenario.propagation_interval_ms)
         revocation_stats: Dict[int, Tuple[int, int]] = {}
         for shard_collector, _link_state, shard_stats in snapshots:

@@ -53,7 +53,6 @@ from repro.core.messages import RevocationMessage
 from repro.core.pull import PullBasedDisjointnessOrchestrator, PullState
 from repro.crypto.keys import KeyStore
 from repro.exceptions import ConfigurationError, SimulationError, UnknownASError
-from repro.obs import spans as _spans
 from repro.scion.legacy import LegacyControlService
 from repro.simulation.collector import ConvergenceCollector, MetricsCollector
 from repro.simulation.engine import EventScheduler
@@ -195,12 +194,6 @@ class PeriodDriver:
         self.convergence = ConvergenceCollector()
         self.round_reports: List[RoundReport] = []
         self.watched_pairs: List[Tuple[int, int]] = []
-        #: Callbacks ``(now_ms,)`` invoked at the end of every completed
-        #: beaconing period — the observatory's time-series sampler hook.
-        #: Fired once per period (never on a message path) and after all
-        #: convergence/overload bookkeeping, so listeners observe the
-        #: period's final state and cannot perturb golden traces.
-        self.period_listeners: List = []
         #: How many beaconing periods have completed so far.
         self.periods_run = 0
         self._interval_ms = scenario.propagation_interval_ms
@@ -261,10 +254,6 @@ class PeriodDriver:
         pair = (source_as, destination_as)
         if pair not in self.watched_pairs:
             self.watched_pairs.append(pair)
-
-    def add_period_listener(self, listener) -> None:
-        """Register a ``(now_ms,)`` callback fired at every period end."""
-        self.period_listeners.append(listener)
 
     def end_period(self, now_ms: float) -> None:
         """Provider hook after a period's last delivery phase, before its
@@ -373,8 +362,6 @@ class PeriodDriver:
         self.round_reports.extend(reports)
         self.periods_run += 1
         self._next_period_start_ms = period_end_ms
-        for listener in self.period_listeners:
-            listener(now_ms)
         return reports
 
     def run(self, periods: Optional[int] = None) -> SimulationResult:
@@ -1007,21 +994,19 @@ class BeaconingSimulation(PeriodDriver):
 
     def originate(self, now_ms: float) -> None:
         """Originate PCBs at every online AS."""
-        with _spans.span("sim.originate"):
-            for service in self._services_in_order():
-                if self.link_state.is_as_up(service.as_id):
-                    service.originate(now_ms=now_ms)
+        for service in self._services_in_order():
+            if self.link_state.is_as_up(service.as_id):
+                service.originate(now_ms=now_ms)
 
     def rac_round(self, now_ms: float) -> List[RoundReport]:
         """Run one RAC round at every online AS; return the IREC reports."""
         reports: List[RoundReport] = []
-        with _spans.span("sim.rac_round"):
-            for service in self._services_in_order():
-                if not self.link_state.is_as_up(service.as_id):
-                    continue
-                report = service.run_round(now_ms=now_ms)
-                if isinstance(report, RoundReport):
-                    reports.append(report)
+        for service in self._services_in_order():
+            if not self.link_state.is_as_up(service.as_id):
+                continue
+            report = service.run_round(now_ms=now_ms)
+            if isinstance(report, RoundReport):
+                reports.append(report)
         return reports
 
     def end_period(self, now_ms: float) -> None:

@@ -1,12 +1,15 @@
 """Measurement collection for the large-scale simulations.
 
-The collector records every control-plane transmission: which AS sent a PCB
-over which interface during which beaconing period.  Those counts are the
-raw material of Figure 8c ("PCBs per interface per period") and of the
-general message-complexity discussion in §VIII-C.
+:class:`MetricsCollector` is the run's one message ledger.  Every
+control-plane transmission is counted under its message kind — the string
+the fabric already dispatches on — and PCBs additionally per sending
+interface and beaconing period: the raw material of Figure 8c ("PCBs per
+interface per period") and of the message-complexity discussion in
+§VIII-C.  Beside the per-kind ``sent`` / ``dropped`` counters it keeps the
+silent-loss (gray failure), overload (bounded inboxes) and revocation
+aggregation ledgers.
 
-Dynamic scenarios additionally record dropped transmissions (PCBs lost on
-failed links), revocation notifications, and — through the
+Dynamic scenarios additionally record — through the
 :class:`ConvergenceCollector` — per-event disruption records: paths lost,
 paths regained, time-to-recovery and the control-message overhead spent
 converging.
@@ -14,151 +17,219 @@ converging.
 
 from __future__ import annotations
 
+import operator
+import random
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Tuple
 
-from repro.obs.registry import QuantileReservoir
+from repro.exceptions import ConfigurationError, SimulationError
 from repro.topology.entities import InterfaceID
+
+#: The ``ControlMessage.kind`` strings of :mod:`repro.core.messages`: the
+#: keys of the per-kind ledgers.  A message type that is not listed here
+#: has no ledger, and recording it raises.
+MESSAGE_KINDS = (
+    "pcb",
+    "revocation",
+    "path_registration",
+    "pull_return",
+    "path_query",
+    "path_query_response",
+)
+
+
+class QuantileReservoir:
+    """Bounded uniform sample of a value stream with exact count/sum/max.
+
+    Algorithm R reservoir sampling over a fixed-capacity buffer: every
+    observation is included with probability ``capacity / count``, so the
+    retained sample stays uniform over the whole stream while memory is
+    bounded (one entry per serviced message would leak on long overloaded
+    runs).  The replacement RNG is a private ``random.Random(seed)``,
+    keeping runs deterministic and the global RNG (which simulations may
+    seed) untouched.
+
+    Count, sum (hence mean) and max are tracked exactly; quantiles are
+    estimated from the sample — exact until the stream outgrows
+    ``capacity``, then a uniform-sample estimate.
+    """
+
+    __slots__ = ("capacity", "count", "total", "max_value", "_sample", "_rng")
+
+    def __init__(self, capacity: int = 4096, seed: int = 0) -> None:
+        if capacity <= 0:
+            raise ConfigurationError(f"reservoir capacity must be positive, got {capacity}")
+        self.capacity = capacity
+        self.count = 0
+        self.total = 0.0
+        self.max_value = 0.0
+        self._sample: List[float] = []
+        self._rng = random.Random(seed)
+
+    def observe(self, value: float) -> None:
+        """Fold one observation into the reservoir."""
+        self.count += 1
+        self.total += value
+        if value > self.max_value:
+            self.max_value = value
+        sample = self._sample
+        if len(sample) < self.capacity:
+            sample.append(value)
+        else:
+            slot = self._rng.randrange(self.count)
+            if slot < self.capacity:
+                sample[slot] = value
+
+    @property
+    def sample_size(self) -> int:
+        """Return how many observations the reservoir currently retains."""
+        return len(self._sample)
+
+    def merge_from(self, other: "QuantileReservoir") -> None:
+        """Fold another reservoir into this one (sharded-run aggregation).
+
+        Count, sum and max stay exact.  The merged sample concatenates
+        both samples up to capacity (deterministically, no RNG draw) —
+        exact while the combined stream fits, an approximation beyond,
+        which matches the reservoir's own guarantee.
+        """
+        self.count += other.count
+        self.total += other.total
+        if other.max_value > self.max_value:
+            self.max_value = other.max_value
+        room = self.capacity - len(self._sample)
+        if room > 0:
+            self._sample.extend(other._sample[:room])
+
+    def stats(self) -> Dict[str, float]:
+        """Return ``{count, mean, max, p50, p99}`` of the stream.
+
+        Percentiles use the index convention ``sorted[min(n-1, int(q*n))]``.
+        """
+        if self.count == 0:
+            return {"count": 0, "mean": 0.0, "max": 0.0, "p50": 0.0, "p99": 0.0}
+        ordered = sorted(self._sample)
+        size = len(ordered)
+        return {
+            "count": self.count,
+            "mean": self.total / self.count,
+            "max": self.max_value,
+            "p50": ordered[min(size - 1, int(0.50 * size))],
+            "p99": ordered[min(size - 1, int(0.99 * size))],
+        }
+
+
+def _ledger(zero, combine=operator.add):
+    """Declare one ledger: ``zero()`` is its empty value, ``combine`` folds
+    two shards' readings (per key for a dict; a reservoir merges itself).
+    :meth:`MetricsCollector.merge` and :meth:`MetricsCollector.reset` walk
+    the fields declared this way, so a new ledger is merged and reset by
+    being declared."""
+    return field(default_factory=zero, metadata={"combine": combine})
+
+
+def _per_kind() -> Dict[str, int]:
+    return dict.fromkeys(MESSAGE_KINDS, 0)
+
+
+def _tally() -> Dict:
+    return defaultdict(int)
+
+
+def _kind_total(ledger: str, kind: str, doc: str) -> property:
+    return property(lambda self: getattr(self, ledger)[kind], doc=doc)
 
 
 @dataclass
 class MetricsCollector:
-    """Per-interface, per-period transmission counters.
+    """The message ledger of one run, keyed by message kind.
 
     Attributes:
-        period_ms: Length of one beaconing period; transmissions are binned
-            by ``floor(time / period_ms)``.
+        period_ms: Length of one beaconing period; per-period bins are
+            ``floor(time / period_ms)``.
+        sent: Transmissions per message kind (pull returns included).  The
+            kinds are disjoint, so :meth:`control_messages_total` — their
+            sum — counts every message exactly once.
+        dropped: Messages lost on an unavailable link, at send time or in
+            flight, per kind.
+        gray_dropped: Messages silently swallowed by a degraded link (gray
+            failure, flap loss), per kind — disjoint from ``dropped``, so
+            a gray failure never perturbs the loud-failure accounting.
+        inbox_dropped: Messages tail-dropped by a full bounded inbox.
+        inbox_marked: Messages congestion-marked instead of dropped.
+        inbox_deferred: Messages serviced later than their arrival tick.
+        revocation_batches: Aggregated revocation originations (the driver
+            batches the simultaneous failures one origin detects into one
+            multi-element ``RevocationMessage``), with their total and
+            largest element counts and how many carried more than one.
     """
 
     period_ms: float = 600_000.0
-    _counts: Dict[Tuple[InterfaceID, int], int] = field(
-        default_factory=lambda: defaultdict(int)
+    sent: Dict[str, int] = _ledger(_per_kind)
+    dropped: Dict[str, int] = _ledger(_per_kind)
+    _counts: Dict[Tuple[InterfaceID, int], int] = _ledger(_tally)
+    _revocations: Dict[int, int] = _ledger(_tally)
+    _fetches: int = _ledger(int)
+    gray_dropped: Dict[str, int] = _ledger(_tally)
+    inbox_dropped: Dict[str, int] = _ledger(_tally)
+    inbox_marked: Dict[str, int] = _ledger(_tally)
+    inbox_deferred: Dict[str, int] = _ledger(_tally)
+    _queue_high_water: Dict[int, int] = _ledger(dict, max)
+    _queue_delays: QuantileReservoir = _ledger(QuantileReservoir)
+    revocation_batches: int = _ledger(int)
+    revocation_batch_elements: int = _ledger(int)
+    revocation_batch_max: int = _ledger(int, max)
+    revocation_multi_batches: int = _ledger(int)
+
+    total_sent = _kind_total("sent", "pcb", "PCB transmissions.")
+    total_dropped = _kind_total("dropped", "pcb", "PCBs lost on unavailable links.")
+    total_revocations = _kind_total("sent", "revocation", "Revocation transmissions.")
+    revocations_dropped = _kind_total("dropped", "revocation", "Revocations lost in flight.")
+    total_registrations = _kind_total(
+        "sent", "path_registration", "Path-registration transmissions."
     )
-    _returned: Dict[int, int] = field(default_factory=lambda: defaultdict(int))
-    _revocations: Dict[int, int] = field(default_factory=lambda: defaultdict(int))
-    _registrations: Dict[int, int] = field(default_factory=lambda: defaultdict(int))
-    _queries: Dict[int, int] = field(default_factory=lambda: defaultdict(int))
-    _query_responses: Dict[int, int] = field(default_factory=lambda: defaultdict(int))
-    _fetches: int = 0
-    total_sent: int = 0
-    total_dropped: int = 0
-    total_revocations: int = 0
-    revocations_dropped: int = 0
-    total_registrations: int = 0
-    registrations_dropped: int = 0
-    total_queries: int = 0
-    total_query_responses: int = 0
-    queries_dropped: int = 0
-    gray_dropped: Dict[str, int] = field(default_factory=lambda: defaultdict(int))
-    inbox_dropped: Dict[str, int] = field(default_factory=lambda: defaultdict(int))
-    inbox_marked: Dict[str, int] = field(default_factory=lambda: defaultdict(int))
-    inbox_deferred: Dict[str, int] = field(default_factory=lambda: defaultdict(int))
-    _queue_high_water: Dict[int, int] = field(default_factory=dict)
-    # Bounded reservoir sample (was an unbounded List[float] — one entry
-    # per serviced message leaked memory on long overloaded runs).  Count,
-    # mean and max stay exact; p50/p99 come from the uniform sample, which
-    # is the full stream until it outgrows the reservoir capacity.
-    _queue_delays: QuantileReservoir = field(default_factory=QuantileReservoir)
-    revocation_batches: int = 0
-    revocation_batch_elements: int = 0
-    revocation_batch_max: int = 0
-    revocation_multi_batches: int = 0
 
-    def record_send(self, sender_as: int, interface_id: int, time_ms: float) -> None:
-        """Record one PCB transmission."""
-        period = int(time_ms // self.period_ms)
-        self._counts[((sender_as, interface_id), period)] += 1
-        self.total_sent += 1
+    def record(self, kind: str, sender_as: int, interface_id: int, time_ms: float) -> None:
+        """Record one transmission of a ``kind`` message.
 
-    def record_return(self, sender_as: int, time_ms: float) -> None:
-        """Record one pull-based beacon returned to its origin."""
-        period = int(time_ms // self.period_ms)
-        self._returned[period] += 1
+        Raises:
+            SimulationError: If ``kind`` has no ledger — silently
+                mis-binning it would corrupt the overhead accounting
+                (Figure 8c) without any error.
+        """
+        try:
+            self.sent[kind] += 1
+        except KeyError:
+            raise SimulationError(
+                f"message kind {kind!r} has no ledger; add it to MESSAGE_KINDS"
+            ) from None
+        if kind == "pcb":
+            self._counts[((sender_as, interface_id), int(time_ms // self.period_ms))] += 1
+        elif kind == "revocation":
+            self._revocations[int(time_ms // self.period_ms)] += 1
+
+    def record_drop(self, kind: str) -> None:
+        """Record one ``kind`` message lost on an unavailable link."""
+        self.dropped[kind] += 1
 
     def record_algorithm_fetch(self) -> None:
         """Record one remote algorithm payload fetch."""
         self._fetches += 1
 
-    def record_drop(self, time_ms: float) -> None:
-        """Record one PCB lost on an unavailable link (dynamic scenarios)."""
-        self.total_dropped += 1
-
-    def record_revocation(self, sender_as: int, interface_id: int, time_ms: float) -> None:
-        """Record one hop-by-hop revocation message transmission.
-
-        Revocations are real transported messages since PR 4; each
-        transmission is recorded here — and *only* here, never through
-        :meth:`record_send` — so :meth:`control_messages_total` counts every
-        revocation exactly once.
-        """
-        period = int(time_ms // self.period_ms)
-        self._revocations[period] += 1
-        self.total_revocations += 1
-
-    def record_revocation_drop(self, time_ms: float) -> None:
-        """Record one revocation lost on an unavailable link in flight."""
-        self.revocations_dropped += 1
-
-    def record_registration(self, sender_as: int, interface_id: int, time_ms: float) -> None:
-        """Record one path-registration message transmission.
-
-        Like revocations, registrations are counted disjointly from PCB
-        sends so :meth:`control_messages_total` counts each message of the
-        unified fabric exactly once.
-        """
-        period = int(time_ms // self.period_ms)
-        self._registrations[period] += 1
-        self.total_registrations += 1
-
-    def record_registration_drop(self, time_ms: float) -> None:
-        """Record one path-registration message lost on an unavailable link."""
-        self.registrations_dropped += 1
-
-    def record_query(self, sender_as: int, interface_id: int, time_ms: float) -> None:
-        """Record one path-query message transmission (disjoint per-kind)."""
-        period = int(time_ms // self.period_ms)
-        self._queries[period] += 1
-        self.total_queries += 1
-
-    def record_query_response(
-        self, sender_as: int, interface_id: int, time_ms: float
-    ) -> None:
-        """Record one path-query-response message transmission."""
-        period = int(time_ms // self.period_ms)
-        self._query_responses[period] += 1
-        self.total_query_responses += 1
-
-    def record_query_drop(self, time_ms: float) -> None:
-        """Record one query or response lost on an unavailable link."""
-        self.queries_dropped += 1
-
-    def record_gray_drop(self, kind: str, time_ms: float) -> None:
-        """Record one message silently swallowed by a degraded link (PR 7).
-
-        Gray-failure and flap-loss drops are counted per message kind,
-        *disjoint* from the hard-failure drop counters: a gray failure
-        must not perturb the loud-failure accounting (and a clean run's
-        golden trace), only this dedicated ledger.
-        """
+    def record_gray_drop(self, kind: str) -> None:
+        """Record one message silently swallowed by a degraded link."""
         self.gray_dropped[kind] += 1
 
-    def gray_dropped_total(self) -> int:
-        """Return every message silently lost to degraded links so far."""
-        return sum(self.gray_dropped.values())
-
-    # ------------------------------------------------------------------
-    # overload accounting (bounded, rate-limited inboxes — PR 6)
-    # ------------------------------------------------------------------
-    def record_inbox_drop(self, as_id: int, kind: str, time_ms: float) -> None:
+    def record_inbox_drop(self, kind: str) -> None:
         """Record one message tail-dropped by a full bounded inbox."""
         self.inbox_dropped[kind] += 1
 
-    def record_inbox_mark(self, as_id: int, kind: str, time_ms: float) -> None:
+    def record_inbox_mark(self, kind: str) -> None:
         """Record one message congestion-marked instead of dropped."""
         self.inbox_marked[kind] += 1
 
-    def record_inbox_deferral(self, as_id: int, kind: str, time_ms: float) -> None:
+    def record_inbox_deferral(self, kind: str) -> None:
         """Record one message serviced later than the tick it arrived on."""
         self.inbox_deferred[kind] += 1
 
@@ -167,19 +238,12 @@ class MetricsCollector:
         if depth > self._queue_high_water.get(as_id, 0):
             self._queue_high_water[as_id] = depth
 
-    def record_queue_delay(self, as_id: int, delay_ms: float) -> None:
+    def record_queue_delay(self, delay_ms: float) -> None:
         """Record one serviced message's queueing delay."""
         self._queue_delays.observe(delay_ms)
 
     def record_revocation_batch(self, elements: int) -> None:
-        """Record one aggregated revocation origination of ``elements`` failures.
-
-        The beaconing driver batches every simultaneous failure an origin
-        detects in one scheduler tick into a single multi-element
-        ``RevocationMessage``; these counters expose how much that
-        aggregation saves (a storm of N failures costs each origin one
-        flood, not N).
-        """
+        """Record one aggregated revocation origination of ``elements`` failures."""
         self.revocation_batches += 1
         self.revocation_batch_elements += elements
         if elements > self.revocation_batch_max:
@@ -216,7 +280,7 @@ class MetricsCollector:
 
     def returned_beacons(self) -> int:
         """Return the total number of pull-based returns recorded."""
-        return sum(self._returned.values())
+        return self.sent["pull_return"]
 
     def algorithm_fetches(self) -> int:
         """Return the total number of remote payload fetches recorded."""
@@ -227,23 +291,16 @@ class MetricsCollector:
         return self._revocations.get(period, 0)
 
     def control_messages_total(self) -> int:
-        """Return every control-plane message sent so far.
+        """Return every control-plane message sent so far, all kinds.
 
-        Sends (including ones later dropped in flight), pull returns,
-        revocation messages, path registrations and path queries (with
-        their responses) all count.  Each typed message's transmission is
-        recorded once (the per-kind recorders are disjoint), so no message
-        is double-counted; the convergence collector snapshots this to
-        attribute overhead to individual events.
+        Sends later dropped in flight count too; the convergence collector
+        snapshots this to attribute overhead to individual events.
         """
-        return (
-            self.total_sent
-            + self.returned_beacons()
-            + self.total_revocations
-            + self.total_registrations
-            + self.total_queries
-            + self.total_query_responses
-        )
+        return sum(self.sent.values())
+
+    def gray_dropped_total(self) -> int:
+        """Return every message silently lost to degraded links so far."""
+        return sum(self.gray_dropped.values())
 
     def inbox_dropped_total(self) -> int:
         """Return messages tail-dropped by bounded inboxes, all kinds."""
@@ -270,89 +327,39 @@ class MetricsCollector:
 
         Count, mean and max are exact over the whole stream; the
         percentiles are exact until the stream outgrows the bounded
-        reservoir, then a uniform-sample estimate (same index convention
-        as before, so short runs are bit-identical to the unbounded
-        implementation this replaced).
+        reservoir, then a uniform-sample estimate.
         """
         return self._queue_delays.stats()
 
     def merge(self, other: "MetricsCollector") -> None:
-        """Fold another collector's counters into this one.
+        """Fold another collector's ledgers into this one.
 
         The sharded coordinator aggregates per-worker collectors with
         this: every message is recorded by exactly one shard (sends by
-        the sender's, deliveries/drops by the receiver's), so summing the
-        disjoint ledgers reproduces the single-process totals.  High-water
-        marks take the max per AS; queue-delay quantiles merge through
-        the reservoir (exact count/mean/max, sampled percentiles).
+        the sender's, deliveries/drops by the receiver's), so combining
+        the disjoint ledgers reproduces the single-process totals.
+        Counts add, high-water marks take the max, queue-delay quantiles
+        merge through the reservoir (exact count/mean/max, sampled
+        percentiles).
         """
-        for key, value in other._counts.items():
-            self._counts[key] += value
-        for mine, theirs in (
-            (self._returned, other._returned),
-            (self._revocations, other._revocations),
-            (self._registrations, other._registrations),
-            (self._queries, other._queries),
-            (self._query_responses, other._query_responses),
-        ):
-            for period, value in theirs.items():
-                mine[period] += value
-        self._fetches += other._fetches
-        self.total_sent += other.total_sent
-        self.total_dropped += other.total_dropped
-        self.total_revocations += other.total_revocations
-        self.revocations_dropped += other.revocations_dropped
-        self.total_registrations += other.total_registrations
-        self.registrations_dropped += other.registrations_dropped
-        self.total_queries += other.total_queries
-        self.total_query_responses += other.total_query_responses
-        self.queries_dropped += other.queries_dropped
-        for mine, theirs in (
-            (self.gray_dropped, other.gray_dropped),
-            (self.inbox_dropped, other.inbox_dropped),
-            (self.inbox_marked, other.inbox_marked),
-            (self.inbox_deferred, other.inbox_deferred),
-        ):
-            for kind, value in theirs.items():
-                mine[kind] += value
-        for as_id, depth in other._queue_high_water.items():
-            if depth > self._queue_high_water.get(as_id, 0):
-                self._queue_high_water[as_id] = depth
-        self._queue_delays.merge_from(other._queue_delays)
-        self.revocation_batches += other.revocation_batches
-        self.revocation_batch_elements += other.revocation_batch_elements
-        if other.revocation_batch_max > self.revocation_batch_max:
-            self.revocation_batch_max = other.revocation_batch_max
-        self.revocation_multi_batches += other.revocation_multi_batches
+        for ledger in fields(self):
+            if "combine" not in ledger.metadata:
+                continue
+            combine = ledger.metadata["combine"]
+            mine, theirs = getattr(self, ledger.name), getattr(other, ledger.name)
+            if isinstance(mine, dict):
+                for key, value in theirs.items():
+                    mine[key] = combine(mine.get(key, 0), value)
+            elif isinstance(mine, QuantileReservoir):
+                mine.merge_from(theirs)
+            else:
+                setattr(self, ledger.name, combine(mine, theirs))
 
     def reset(self) -> None:
-        """Zero all counters."""
-        self._counts.clear()
-        self._returned.clear()
-        self._revocations.clear()
-        self._registrations.clear()
-        self._queries.clear()
-        self._query_responses.clear()
-        self._fetches = 0
-        self.total_sent = 0
-        self.total_dropped = 0
-        self.total_revocations = 0
-        self.revocations_dropped = 0
-        self.total_registrations = 0
-        self.registrations_dropped = 0
-        self.total_queries = 0
-        self.total_query_responses = 0
-        self.queries_dropped = 0
-        self.gray_dropped.clear()
-        self.inbox_dropped.clear()
-        self.inbox_marked.clear()
-        self.inbox_deferred.clear()
-        self._queue_high_water.clear()
-        self._queue_delays.clear()
-        self.revocation_batches = 0
-        self.revocation_batch_elements = 0
-        self.revocation_batch_max = 0
-        self.revocation_multi_batches = 0
+        """Empty every ledger (``period_ms`` is configuration and stays)."""
+        for ledger in fields(self):
+            if "combine" in ledger.metadata:
+                setattr(self, ledger.name, ledger.default_factory())
 
 
 @dataclass

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 from repro.exceptions import SimulationError
-from repro.obs import spans as _spans
 
 #: An event callback receives the current simulated time in milliseconds.
 EventCallback = Callable[[float], None]
@@ -77,25 +76,20 @@ class EventScheduler:
             The number of events processed.  The current time advances to
             ``horizon_ms`` even if the queue drains earlier.
         """
-        frame = _spans.push("scheduler.dispatch") if _spans.ENABLED else None
-        try:
-            processed = 0
-            queue = self._queue
-            while queue and (
-                queue[0][0] <= horizon_ms if inclusive else queue[0][0] < horizon_ms
-            ):
-                time_ms, _, callback = heapq.heappop(queue)
-                if callback is None:
-                    continue
-                self.now_ms = time_ms
-                callback(time_ms)
-                processed += 1
-                self.processed_events += 1
-            self.now_ms = max(self.now_ms, horizon_ms)
-            return processed
-        finally:
-            if frame is not None:
-                _spans.pop(frame)
+        processed = 0
+        queue = self._queue
+        while queue and (
+            queue[0][0] <= horizon_ms if inclusive else queue[0][0] < horizon_ms
+        ):
+            time_ms, _, callback = heapq.heappop(queue)
+            if callback is None:
+                continue
+            self.now_ms = time_ms
+            callback(time_ms)
+            processed += 1
+            self.processed_events += 1
+        self.now_ms = max(self.now_ms, horizon_ms)
+        return processed
 
     def run_all(self, max_events: int = 1_000_000) -> int:
         """Process every pending event (bounded by ``max_events``).
@@ -104,23 +98,18 @@ class EventScheduler:
             SimulationError: If the bound is hit, which usually indicates a
                 runaway event loop.
         """
-        frame = _spans.push("scheduler.dispatch") if _spans.ENABLED else None
-        try:
-            processed = 0
-            while self._queue:
-                if processed >= max_events:
-                    raise SimulationError(f"exceeded the limit of {max_events} events")
-                time_ms, _, callback = heapq.heappop(self._queue)
-                if callback is None:
-                    continue
-                self.now_ms = time_ms
-                callback(time_ms)
-                processed += 1
-                self.processed_events += 1
-            return processed
-        finally:
-            if frame is not None:
-                _spans.pop(frame)
+        processed = 0
+        while self._queue:
+            if processed >= max_events:
+                raise SimulationError(f"exceeded the limit of {max_events} events")
+            time_ms, _, callback = heapq.heappop(self._queue)
+            if callback is None:
+                continue
+            self.now_ms = time_ms
+            callback(time_ms)
+            processed += 1
+            self.processed_events += 1
+        return processed
 
     @property
     def pending(self) -> int:
@@ -129,11 +118,7 @@ class EventScheduler:
 
     @property
     def queue_size(self) -> int:
-        """Return the heap size, cancelled entries included.
-
-        O(1), unlike :attr:`pending` — the right shape for a registry
-        gauge polled at every snapshot.
-        """
+        """Return the heap size, cancelled entries included; O(1), unlike :attr:`pending`."""
         return len(self._queue)
 
     def next_event_time(self) -> Optional[float]:

@@ -58,11 +58,9 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 from repro.core.beacon import Beacon
 from repro.core.control_service import ControlService
 from repro.core.messages import ControlMessage, PCBMessage, PullReturnMessage
-from repro.obs import spans as _spans
 from repro.exceptions import (
     AlgorithmError,
     ConfigurationError,
-    SimulationError,
     UnknownASError,
 )
 from repro.simulation.collector import MetricsCollector
@@ -395,47 +393,19 @@ class SimulatedTransport:
         pay ``link latency + processing delay``, and enqueue into the
         receiver's inbox for the batched drain at the arrival tick.
         """
-        frame = _spans.push("fabric.send") if _spans.ENABLED else None
-        try:
-            self._send_message(sender_as, egress_interface, message)
-        finally:
-            if frame is not None:
-                _spans.pop(frame)
-
-    def _send_message(
-        self, sender_as: int, egress_interface: int, message: ControlMessage
-    ) -> None:
         route = self._routes.get((sender_as, egress_interface))
         if route is None:
             route = self._route(sender_as, egress_interface)
         link_key, latency_ms, remote_as, remote_interface, inbox = route
-        kind = message.kind
         now_ms = self.scheduler.now_ms
-        if kind == "pcb":
-            self.collector.record_send(sender_as, egress_interface, now_ms)
-        elif kind == "revocation":
-            self.collector.record_revocation(sender_as, egress_interface, now_ms)
-        elif kind == "path_registration":
-            self.collector.record_registration(sender_as, egress_interface, now_ms)
-        elif kind == "path_query":
-            self.collector.record_query(sender_as, egress_interface, now_ms)
-        elif kind == "path_query_response":
-            self.collector.record_query_response(sender_as, egress_interface, now_ms)
-        else:
-            # An unknown kind must fail loudly: silently mis-binning it
-            # would corrupt the overhead accounting (Figure 8c) without
-            # any error.  A new message type adds its recorder here.
-            raise SimulationError(
-                f"message kind {kind!r} has no metrics recorder; "
-                "register it in SimulatedTransport.send_message"
-            )
+        self.collector.record(message.kind, sender_as, egress_interface, now_ms)
 
         if (
             self.link_state is not None
             and self.link_state.impaired()
             and not self.link_state.link_key_available(link_key)
         ):
-            self._record_drop(message, now_ms)
+            self.collector.record_drop(message.kind)
             return
 
         if inbox is None:
@@ -482,18 +452,18 @@ class SimulatedTransport:
         """Receiver side of one delivery (the scheduled fabric callback).
 
         Shared verbatim between local sends (scheduled by
-        :meth:`_send_message`) and cross-shard imports (scheduled by
+        :meth:`send_message`) and cross-shard imports (scheduled by
         :meth:`inject_import`), so a message crossing a shard boundary
         passes exactly the checks it would have passed in one process.
         """
         if self.link_state is not None and self.link_state.impaired():
             if not self.link_state.link_key_available(link_key):
-                self._record_drop(message, now_ms)
+                self.collector.record_drop(message.kind)
                 return
             if isinstance(message, PCBMessage) and not self.link_state.path_available(
                 message.beacon.links()
             ):
-                self._record_drop(message, now_ms)
+                self.collector.record_drop(message.kind)
                 return
         if self.link_state is not None and self.link_state.degraded():
             # Silent degradation (gray failure / flap loss): the drop
@@ -501,7 +471,7 @@ class SimulatedTransport:
             # loud drop counter — only the gray-drop metric records it.
             rate = self.link_state.drop_probability(link_key, remote_as)
             if rate > 0.0 and (rate >= 1.0 or self._loss_rng.random() < rate):
-                self.collector.record_gray_drop(message.kind, now_ms)
+                self.collector.record_gray_drop(message.kind)
                 return
         if track:
             message = message.with_hop(remote_as)
@@ -513,10 +483,10 @@ class SimulatedTransport:
             depth = len(inbox.entries) + len(inbox.deferred)
             if inbox.capacity is not None and depth >= inbox.capacity:
                 if inbox.mark_overflow:
-                    self.collector.record_inbox_mark(remote_as, message.kind, now_ms)
+                    self.collector.record_inbox_mark(message.kind)
                     message = message.with_congestion_mark()
                 else:
-                    self.collector.record_inbox_drop(remote_as, message.kind, now_ms)
+                    self.collector.record_inbox_drop(message.kind)
                     return
             self.collector.record_queue_depth(remote_as, depth + 1)
             if inbox.budget is not None:
@@ -577,16 +547,6 @@ class SimulatedTransport:
         inbox.drain_scheduled = False
         if inbox.draining:
             return
-        if _spans.ENABLED:
-            frame = _spans.push("fabric.drain")
-            try:
-                self._drain_inbox(as_id, inbox, now_ms)
-            finally:
-                _spans.pop(frame)
-        else:
-            self._drain_inbox(as_id, inbox, now_ms)
-
-    def _drain_inbox(self, as_id: int, inbox: _Inbox, now_ms: float) -> None:
         if inbox.budget is not None:
             self._drain_limited(as_id, inbox, now_ms)
             return
@@ -679,8 +639,8 @@ class SimulatedTransport:
         for message, interface, arrival in batch3:
             delay = now_ms - arrival
             if delay > 0:
-                collector.record_queue_delay(as_id, delay)
-                collector.record_inbox_deferral(as_id, message.kind, now_ms)
+                collector.record_queue_delay(delay)
+                collector.record_inbox_deferral(message.kind)
             entries.append((message, interface))
         service = self.services[as_id]
         inbox.draining = True
@@ -717,21 +677,6 @@ class SimulatedTransport:
         return (backlog // inbox.budget) * inbox.service_interval_ms
 
     # ------------------------------------------------------------------
-    # per-kind metrics routing
-    # ------------------------------------------------------------------
-    def _record_drop(self, message: ControlMessage, now_ms: float) -> None:
-        if message.kind == "revocation":
-            self.collector.record_revocation_drop(now_ms)
-        elif message.kind == "pcb":
-            self.collector.record_drop(now_ms)
-        elif message.kind == "path_registration":
-            self.collector.record_registration_drop(now_ms)
-        elif message.kind in ("path_query", "path_query_response"):
-            self.collector.record_query_drop(now_ms)
-        else:  # unreachable: send_message rejected the kind already
-            raise SimulationError(f"message kind {message.kind!r} has no drop recorder")
-
-    # ------------------------------------------------------------------
     # path-travel deliveries (not link-routed)
     # ------------------------------------------------------------------
     def return_beacon_to_origin(self, sender_as: int, beacon: Beacon) -> None:
@@ -745,7 +690,7 @@ class SimulatedTransport:
         """
         now_ms = self.scheduler.now_ms
         origin = self.service_of(beacon.origin_as)
-        self.collector.record_return(sender_as, now_ms)
+        self.collector.record(PullReturnMessage.kind, sender_as, -1, now_ms)
         delay_ms = beacon.total_latency_ms() + self.processing_delay_ms
         message = PullReturnMessage(
             origin_as=sender_as,
@@ -762,7 +707,8 @@ class SimulatedTransport:
                 and self.link_state.impaired()
                 and not self.link_state.path_available(_message.beacon.links())
             ):
-                self.collector.record_drop(now_ms)
+                # A lost return is a lost PCB: it counts in ``total_dropped``.
+                self.collector.record_drop(PCBMessage.kind)
                 return
             _origin.on_message(_message, on_interface=-1, now_ms=now_ms)
 

@@ -56,7 +56,6 @@ from repro.dataplane.network import DataPlaneNetwork
 from repro.dataplane.packet import Packet
 from repro.dataplane.path import forwarding_path_from_segment
 from repro.exceptions import ConfigurationError, SimulationError
-from repro.obs import spans as _spans
 from repro.simulation.beaconing import BeaconingSimulation
 from repro.simulation.engine import EventScheduler
 from repro.simulation.events import ASJoin, ASLeave, LinkFailure, LinkRecovery, ScenarioEvent
@@ -396,20 +395,8 @@ class TrafficEngine:
         self.scheduler.run_until(begin + count * self.round_interval_ms)
         return self.collector
 
-    def total_flows(self) -> int:
-        """Return how many individual flows one round simulates."""
-        return self._total_flows
-
     def run_round(self, now_ms: float) -> RoundSample:
         """Execute one traffic round at simulated time ``now_ms``."""
-        frame = _spans.push("traffic.round") if _spans.ENABLED else None
-        try:
-            return self._run_round(now_ms)
-        finally:
-            if frame is not None:
-                _spans.pop(frame)
-
-    def _run_round(self, now_ms: float) -> RoundSample:
         failed_indices: Set[int] = set()
         if self.link_state.impaired():
             # O(failed + offline-AS degree), resolved through the link

@@ -97,8 +97,8 @@ def run_scenario(instrument=None, factory=None):
     """Run the pinned golden scenario; return its trace text.
 
     ``instrument`` (if given) receives the built simulation right before
-    ``run()`` — the observatory tests use it to attach telemetry and prove
-    the digest is unchanged with instrumentation enabled.  ``factory``
+    ``run()`` — the query-tier and sharded tests use it to attach probes
+    and prove the digest is unchanged with them attached.  ``factory``
     (default :class:`BeaconingSimulation`) builds the simulation from
     ``(topology, scenario)`` — the sharded tests pass a coordinator
     factory to prove a multi-process run reproduces this exact trace.

@@ -24,8 +24,9 @@ from repro.core.messages import (
 )
 from repro.core.transport import LoopbackTransport, NullTransport
 from repro.crypto.keys import KeyStore
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, SimulationError
 from repro.simulation.beaconing import BeaconingSimulation
+from repro.simulation.collector import MESSAGE_KINDS
 from repro.simulation.engine import EventScheduler
 from repro.simulation.failures import LinkState
 from repro.simulation.network import SimulatedTransport
@@ -112,6 +113,16 @@ class TestEnvelope:
         kinds = {PCBMessage.kind, RevocationMessage.kind, PathRegistrationMessage.kind}
         assert kinds == {"pcb", "revocation", "path_registration"}
         assert ControlMessage.kind == "control"
+
+    def test_every_message_type_has_a_ledger_and_an_unknown_kind_has_none(self, key_store):
+        assert {cls.kind for cls in ControlMessage.__subclasses__()} == set(MESSAGE_KINDS)
+        _scheduler, transport, _services = build_simulated_services(
+            line_topology(2), key_store
+        )
+        bare = ControlMessage(origin_as=1, sequence=1, created_at_ms=0.0)
+        with pytest.raises(SimulationError):
+            transport.send_message(1, 2, bare)
+        assert transport.collector.control_messages_total() == 0
 
     def test_hop_tracking_default_off(self, key_store):
         beacon = make_beacon(key_store, [(1, None, 2)])
@@ -323,7 +334,7 @@ class TestPathRegistrationTraffic:
         services[2].send_path_registration(egress_interface=1, path=path, now_ms=0.0)
         scheduler.run_until(100.0)
         assert services[1].path_service.paths_to(3) == []
-        assert transport.collector.registrations_dropped == 1
+        assert transport.collector.dropped["path_registration"] == 1
 
     def test_null_transport_records_typed_messages(self, key_store):
         transport = NullTransport()

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from repro.core.messages import RevocationMessage
 from repro.exceptions import ConfigurationError
 from repro.simulation.beaconing import BeaconingSimulation
+from repro.simulation.collector import MetricsCollector, QuantileReservoir
 from repro.simulation.engine import EventScheduler
 from repro.simulation.events import (
     BeaconFlood,
@@ -676,3 +677,94 @@ class TestKindCosts:
         scheduler.run_until(100.0)
         # Still one cost-5 revocation per round after the budget swap.
         assert services[2].revocations.applied_at == {(1, 1): 11.0, (1, 2): 16.0}
+
+
+# ----------------------------------------------------------------------
+# bounded queue-delay reservoir
+# ----------------------------------------------------------------------
+
+class TestQuantileReservoir:
+    def test_exact_until_capacity(self):
+        reservoir = QuantileReservoir(capacity=64)
+        values = [float(i) for i in range(50)]
+        for value in values:
+            reservoir.observe(value)
+        stats = reservoir.stats()
+        assert stats["count"] == 50
+        assert stats["mean"] == pytest.approx(sum(values) / 50)
+        assert stats["max"] == 49.0
+        ordered = sorted(values)
+        assert stats["p50"] == ordered[int(0.50 * 50)]
+        assert stats["p99"] == ordered[min(49, int(0.99 * 50))]
+
+    def test_bounded_memory_and_quantile_tolerance_100k(self):
+        """100k observations, fixed memory, p50/p99 within tolerance of
+        the exact stream quantiles."""
+        rng = random.Random(99)
+        stream = [rng.expovariate(1.0 / 40.0) for _ in range(100_000)]
+        reservoir = QuantileReservoir(capacity=4096, seed=0)
+        for value in stream:
+            reservoir.observe(value)
+        assert reservoir.sample_size == 4096  # bounded, not 100k
+        stats = reservoir.stats()
+        assert stats["count"] == 100_000
+        assert stats["mean"] == pytest.approx(sum(stream) / len(stream))
+        assert stats["max"] == max(stream)
+        ordered = sorted(stream)
+        exact_p50 = ordered[int(0.50 * len(ordered))]
+        exact_p99 = ordered[int(0.99 * len(ordered))]
+        assert stats["p50"] == pytest.approx(exact_p50, rel=0.10)
+        assert stats["p99"] == pytest.approx(exact_p99, rel=0.10)
+
+    def test_deterministic_for_fixed_seed(self):
+        def fill():
+            reservoir = QuantileReservoir(capacity=16, seed=3)
+            for index in range(1000):
+                reservoir.observe(float(index % 97))
+            return reservoir.stats()
+
+        assert fill() == fill()
+
+    def test_rejects_nonpositive_capacity(self):
+        with pytest.raises(ConfigurationError):
+            QuantileReservoir(capacity=0)
+
+
+class TestCollectorQueueDelays:
+    def test_100k_delays_stay_bounded_with_stable_stats(self):
+        collector = MetricsCollector()
+        for index in range(100_000):
+            collector.record_queue_delay(float(index % 500))
+        assert collector._queue_delays.sample_size <= 4096
+        stats = collector.queue_delay_stats()
+        assert stats["count"] == 100_000
+        assert stats["max"] == 499.0
+        assert stats["mean"] == pytest.approx(249.5, rel=0.01)
+        # The stream is uniform over [0, 500); the sampled percentiles
+        # must land near the exact ones.
+        assert stats["p50"] == pytest.approx(250.0, rel=0.10)
+        assert stats["p99"] == pytest.approx(495.0, rel=0.05)
+
+    def test_short_stream_is_bit_identical_to_unbounded_impl(self):
+        """Below the reservoir capacity the stats match a
+        sort-everything implementation exactly (golden-trace safety)."""
+        delays = [3.5, 1.0, 99.0, 42.0, 17.25, 0.5, 63.0]
+        collector = MetricsCollector()
+        for delay in delays:
+            collector.record_queue_delay(delay)
+        ordered = sorted(delays)
+        count = len(ordered)
+        expected = {
+            "count": count,
+            "mean": sum(ordered) / count,
+            "max": ordered[-1],
+            "p50": ordered[min(count - 1, int(0.50 * count))],
+            "p99": ordered[min(count - 1, int(0.99 * count))],
+        }
+        assert collector.queue_delay_stats() == expected
+
+    def test_reset_clears_reservoir(self):
+        collector = MetricsCollector()
+        collector.record_queue_delay(5.0)
+        collector.reset()
+        assert collector.queue_delay_stats()["count"] == 0

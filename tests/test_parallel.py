@@ -14,8 +14,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import ConfigurationError, UnknownASError
-from repro.obs.registry import MetricsRegistry
-from repro.obs.bridge import bind_parallel
 from repro.parallel import (
     ShardedBeaconingSimulation,
     WorkerPool,
@@ -183,18 +181,18 @@ class TestCoordinatorContract:
         assert result.periods_run == 1
         assert result.service_count == 4
 
-    def test_bind_parallel_exports_sync_gauges(self):
+    def test_sync_counters_are_the_coordinators_attributes(self):
         topology = line_topology(4)
         simulation = ShardedBeaconingSimulation(
             topology, don_scenario(periods=1, verify_signatures=False), workers=2
         )
-        registry = MetricsRegistry()
-        bind_parallel(simulation, registry)
         simulation.run()
-        snapshot = registry.snapshot()
-        assert snapshot["parallel.workers"] == 2
-        assert snapshot["parallel.cross_shard_messages_total"] > 0
-        assert set(snapshot["parallel.worker_utilization"]) == {"0", "1"}
+        counters = simulation.counters()
+        assert simulation.workers == counters["workers"] == 2
+        assert simulation.cross_shard_messages == counters["cross_shard_messages"] > 0
+        assert simulation.cross_shard_bytes == counters["cross_shard_bytes"] > 0
+        assert simulation.barrier_wait_s == counters["barrier_wait_s"]
+        assert len(simulation.worker_busy_s) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -39,8 +39,6 @@ from repro.core.transport import LoopbackTransport, NullTransport
 from repro.crypto.keys import KeyStore
 from repro.dataplane.endhost import EndHost
 from repro.exceptions import ConfigurationError
-from repro.obs.bridge import bind_query_frontend
-from repro.obs.registry import MetricsRegistry
 from repro.simulation.beaconing import BeaconingSimulation
 from repro.simulation.engine import EventScheduler
 from repro.simulation.events import revocation_storm
@@ -310,18 +308,17 @@ class TestFrontendCache:
         with pytest.raises(ConfigurationError):
             PathQueryFrontend(PathService(), capacity=0)
 
-    def test_observatory_binding_exports_counters(self, key_store):
+    def test_counters_export_the_serving_state(self, key_store):
         service = PathService()
         service.register(_registered(key_store, origin=1))
         frontend = PathQueryFrontend(service)
-        registry = bind_query_frontend(frontend, registry=MetricsRegistry())
         frontend.paths(1)
         frontend.paths(1)
-        snap = registry.snapshot()
-        assert snap["query.lookups_total"] == 2
-        assert snap["query.cache_hits_total"] == 1
-        assert snap["query.cache_hit_ratio"] == pytest.approx(0.5)
-        assert snap["query.cache_size"] == 1
+        counters = frontend.counters()
+        assert counters["lookups"] == frontend.lookups == 2
+        assert counters["hits"] == frontend.hits == 1
+        assert counters["hit_ratio"] == frontend.cache_hit_ratio == pytest.approx(0.5)
+        assert counters["cache_size"] == frontend.cache_size == 1
 
 
 class TestExpiryCoherence:
@@ -460,8 +457,8 @@ class TestQueryFabric:
         scheduler.run_until(100.0)
         assert len(services[1].query_responses) == 1
         collector = transport.collector
-        assert collector.total_queries == 1
-        assert collector.total_query_responses == 1
+        assert collector.sent["path_query"] == 1
+        assert collector.sent["path_query_response"] == 1
         assert collector.control_messages_total() == 2
 
     def test_local_dispatch_returns_response_inline(self, key_store):

@@ -317,11 +317,42 @@ class TestOverheadAccounting:
         from repro.simulation.collector import MetricsCollector
 
         collector = MetricsCollector()
-        collector.record_revocation(1, 2, 0.0)
+        collector.record("revocation", 1, 2, 0.0)
         assert collector.total_revocations == 1
         assert collector.total_sent == 0
         assert collector.pcbs_per_interface_per_period() == []
         assert collector.control_messages_total() == 1
+
+
+class TestRevocationBatchLedger:
+    """Driver-side aggregation of simultaneous failures, as the collector records it."""
+
+    def test_aggregation_counters_for_simultaneous_failures(self):
+        topology = line_topology(5)
+        scenario = don_scenario(periods=6, verify_signatures=False)
+        links = topology.link_ids()
+        # Two same-tick failures sharing AS 3: its origination batches
+        # both elements into one multi-element RevocationMessage.
+        scenario.at(minutes(25)).fail_link(links[1]).fail_link(links[2])
+        simulation = BeaconingSimulation(topology, scenario)
+        simulation.run()
+        collector = simulation.collector
+        assert collector.revocation_batches >= 2  # each endpoint originates
+        assert collector.revocation_multi_batches >= 1  # AS 3 batched two
+        assert collector.revocation_batch_max == 2
+        assert collector.revocation_batch_elements > collector.revocation_batches
+
+    def test_single_failure_batches_are_single_element(self):
+        topology = line_topology(5)
+        scenario = don_scenario(periods=6, verify_signatures=False)
+        scenario.at(minutes(25)).fail_link(topology.link_ids()[1])
+        simulation = BeaconingSimulation(topology, scenario)
+        simulation.run()
+        collector = simulation.collector
+        assert collector.revocation_batches == 2  # both endpoints
+        assert collector.revocation_multi_batches == 0
+        assert collector.revocation_batch_max == 1
+        assert collector.revocation_batch_elements == 2
 
 
 class TestLegacyParticipation:

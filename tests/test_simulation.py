@@ -1,12 +1,16 @@
 """Tests for the discrete-event engine, simulated transport and beaconing driver."""
 
+import dataclasses
+import pickle
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.simulation.beaconing import BeaconingSimulation
-from repro.simulation.collector import MetricsCollector
+from repro.simulation.collector import MESSAGE_KINDS, MetricsCollector, QuantileReservoir
 from repro.simulation.engine import EventScheduler
 from repro.simulation.network import SimulatedTransport
 from repro.simulation.scenario import (
@@ -82,10 +86,10 @@ class TestEventScheduler:
 class TestMetricsCollector:
     def test_binning_by_period(self):
         collector = MetricsCollector(period_ms=100.0)
-        collector.record_send(1, 1, 10.0)
-        collector.record_send(1, 1, 20.0)
-        collector.record_send(1, 1, 150.0)
-        collector.record_send(2, 1, 150.0)
+        collector.record("pcb", 1, 1, 10.0)
+        collector.record("pcb", 1, 1, 20.0)
+        collector.record("pcb", 1, 1, 150.0)
+        collector.record("pcb", 2, 1, 150.0)
         assert collector.count_for((1, 1), 0) == 2
         assert collector.count_for((1, 1), 1) == 1
         assert collector.total_sent == 4
@@ -95,13 +99,80 @@ class TestMetricsCollector:
 
     def test_returns_and_fetches(self):
         collector = MetricsCollector(period_ms=100.0)
-        collector.record_return(3, 10.0)
+        collector.record("pull_return", 3, -1, 10.0)
         collector.record_algorithm_fetch()
         assert collector.returned_beacons() == 1
         assert collector.algorithm_fetches() == 1
         collector.reset()
         assert collector.total_sent == 0
         assert collector.returned_beacons() == 0
+
+    def test_unknown_kind_has_no_ledger(self):
+        collector = MetricsCollector()
+        with pytest.raises(SimulationError):
+            collector.record("mystery", 1, 1, 0.0)
+        assert collector.control_messages_total() == 0
+
+
+_KIND = st.sampled_from(MESSAGE_KINDS)
+_AS = st.integers(min_value=1, max_value=4)
+#: One strategy per recorder, so a generated stream reaches every ledger.
+#: Delays are whole numbers: their float sum is then exact in any order.
+_RECORDS = (
+    st.tuples(
+        st.just("record"), _KIND, _AS, st.integers(1, 3), st.floats(0.0, 399.0)
+    ),
+    st.tuples(st.just("record_drop"), _KIND),
+    st.tuples(st.just("record_gray_drop"), _KIND),
+    st.tuples(st.just("record_inbox_drop"), _KIND),
+    st.tuples(st.just("record_inbox_mark"), _KIND),
+    st.tuples(st.just("record_inbox_deferral"), _KIND),
+    st.tuples(st.just("record_queue_depth"), _AS, st.integers(1, 50)),
+    st.tuples(st.just("record_queue_delay"), st.integers(1, 500).map(float)),
+    st.tuples(st.just("record_revocation_batch"), st.integers(1, 6)),
+    st.tuples(st.just("record_algorithm_fetch")),
+)
+
+
+def _ledgers(collector):
+    """Every dataclass field of ``collector``, the reservoir as its stats."""
+    state = {}
+    for ledger in dataclasses.fields(collector):
+        value = getattr(collector, ledger.name)
+        state[ledger.name] = value.stats() if isinstance(value, QuantileReservoir) else value
+    return state
+
+
+class TestCollectorMergeAndReset:
+    """``merge`` is what a sharded run's totals rest on: two collectors that
+    split a stream and merge must read as one that saw all of it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        one_of_each=st.tuples(*_RECORDS),
+        extra=st.lists(st.one_of(*_RECORDS), max_size=40),
+        sides=st.lists(st.booleans(), min_size=50, max_size=50),
+        order=st.randoms(use_true_random=False),
+    )
+    def test_merge_equals_one_collector_and_reset_equals_fresh(
+        self, one_of_each, extra, sides, order
+    ):
+        stream = list(one_of_each) + extra
+        order.shuffle(stream)
+        whole = MetricsCollector(period_ms=100.0)
+        halves = (MetricsCollector(period_ms=100.0), MetricsCollector(period_ms=100.0))
+        for (name, *args), side in zip(stream, sides):
+            getattr(whole, name)(*args)
+            getattr(halves[side], name)(*args)
+        left, right = halves
+        # What a fork worker ships at ``gather`` is a pickle.
+        shipped = pickle.loads(pickle.dumps(right))
+        assert _ledgers(shipped) == _ledgers(right)
+        left.merge(shipped)
+        assert _ledgers(left) == _ledgers(whole)
+        assert left.control_messages_total() == whole.control_messages_total()
+        whole.reset()
+        assert _ledgers(whole) == _ledgers(MetricsCollector(period_ms=100.0))
 
 
 class TestScenarioConfig:
