@@ -92,8 +92,9 @@ class ControlServiceConfig:
             processed revocation ``(origin, sequence)`` keys.
         query_cache_capacity: LRU bound of the path-query frontend's
             materialized-response cache.
-        register_down_segments: When enabled, every path this AS registers
-            locally is additionally announced back along the segment as a
+        register_down_segments: When enabled, every registration that adds
+            a segment or a criteria tag to this AS's path service is
+            additionally announced back along the segment as a
             ``register_at_origin`` path-registration message, so the
             origin (core) AS learns it as a down-segment on message
             arrival.  Off by default — the extra messages would change
@@ -511,7 +512,12 @@ class ControlService:
         transit AS on the segment forwards the message one hop toward the
         origin (out its own reverse/ingress interface of the segment) without
         registering, and only the origin AS registers it — registration is
-        driven entirely by message arrival.
+        driven entirely by message arrival.  The registrar sends one per
+        ``(segment, criteria tag)`` that was news to its own path service,
+        not one per round (:meth:`EgressGateway.register`), so nothing here
+        refreshes a down-segment the origin already holds: it stays until it
+        expires or is withdrawn, and a copy lost on the way is repaired by
+        the segment's successor, not by a repeat.
         """
         path = message.path
         segment = path.segment
@@ -809,9 +815,10 @@ class IrecControlService(ControlService):
         report.propagated = self.egress.propagate(all_selections, now_ms=now_ms)
         report.registered = self.egress.register(all_selections, now_ms=now_ms)
         if self.config.register_down_segments:
-            # Announce each freshly registered path back along the segment:
-            # the message hops toward the origin, which registers it as a
-            # down-segment on arrival (see receive_path_registration).
+            # Announce each registration that was news to the local path
+            # service (EgressGateway.register holds the rule) back along its
+            # segment: the message hops toward the origin, which registers it
+            # as a down-segment on arrival (see receive_path_registration).
             for path, arrival_interface in self.egress.take_registered():
                 if arrival_interface is None:
                     continue
@@ -823,6 +830,7 @@ class IrecControlService(ControlService):
                     register_at_origin=True,
                 )
                 self.transport.send_message(self.as_id, arrival_interface, announcement)
+                self.egress.stats.announced += 1
         self.ingress.expire(now_ms)
         self.egress.expire(now_ms)
         return report

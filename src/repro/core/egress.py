@@ -45,6 +45,12 @@ class EgressStats:
     suppressed_duplicates: int = 0
     suppressed_loops: int = 0
     registered: int = 0
+    #: Registrations that added neither a digest nor a criteria tag to the
+    #: local path service, and down-segment announcements sent.  Both move
+    #: only with ``collect_registered`` on; ``announced`` over ``registered``
+    #: is the share of registrations that were news.
+    reregistered: int = 0
+    announced: int = 0
 
     def reset(self) -> None:
         """Zero all counters."""
@@ -54,6 +60,8 @@ class EgressStats:
         self.suppressed_duplicates = 0
         self.suppressed_loops = 0
         self.registered = 0
+        self.reregistered = 0
+        self.announced = 0
 
 
 @dataclass
@@ -67,8 +75,9 @@ class EgressGateway:
     path_service: PathService = field(default_factory=PathService)
     beacon_validity_ms: float = DEFAULT_VALIDITY_MS
     stats: EgressStats = field(default_factory=EgressStats)
-    #: When enabled, successful registrations are additionally collected as
-    #: ``(path, arrival_interface)`` pairs until :meth:`take_registered`
+    #: When enabled, the registrations that were news to the local path
+    #: service (:meth:`register` holds the rule) are additionally collected
+    #: as ``(path, arrival_interface)`` pairs until :meth:`take_registered`
     #: drains them — the down-segment announcement feed.  Off by default so
     #: the registration hot path stays allocation-free.
     collect_registered: bool = False
@@ -234,10 +243,21 @@ class EgressGateway:
         limit through the path service's per-(criteria, origin, group)
         quota.
 
+        With ``collect_registered`` on, a registration is fed to
+        :meth:`take_registered` only when it is news to the local path
+        service: the segment's digest was not held, or the stored record did
+        not carry the selection's criteria tag.  A repeat of a known
+        ``(digest, tag)`` is registered like any other (timestamp refresh,
+        listener notification, ``stats.registered``) and counted in
+        ``stats.reregistered``.  The path service is the only memory of what
+        was fed before, so a path withdrawn by revocation, AS departure or
+        expiry is news again when it returns.
+
         Returns:
             The number of paths newly registered (or merged).
         """
         registered = 0
+        collect = self.collect_registered
         for selection in selections:
             beacon = selection.beacon
             if beacon.origin_as == self.as_id:
@@ -262,11 +282,15 @@ class EgressGateway:
                 criteria_tags=(selection.criteria_tag,),
                 registered_at_ms=now_ms,
             )
+            known = self.path_service.get(segment.digest()) if collect else None
             if self.path_service.register(path):
                 self.stats.registered += 1
                 registered += 1
-                if self.collect_registered:
-                    self._registered_feed.append((path, arrival_interface))
+                if collect:
+                    if known is None or selection.criteria_tag not in known.criteria_tags:
+                        self._registered_feed.append((path, arrival_interface))
+                    else:
+                        self.stats.reregistered += 1
         return registered
 
     def expire(self, now_ms: float) -> Tuple[int, int]:

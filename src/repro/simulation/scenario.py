@@ -98,10 +98,11 @@ class ScenarioConfig:
             flap loss).  Degraded scenarios reroll deterministically under
             the same seed; healthy scenarios never touch the RNG.
         register_down_segments: When enabled, every IREC AS announces the
-            paths it registers back along the segment as
-            ``register_at_origin`` path-registration messages, so origin
-            (core) ASes learn down-segments on message arrival.  Off by
-            default: the extra fabric traffic would change pinned traces.
+            paths it registers — once per segment and criteria tag, not once
+            per round — back along the segment as ``register_at_origin``
+            path-registration messages, so origin (core) ASes learn
+            down-segments on message arrival.  Off by default: the extra
+            fabric traffic would change pinned traces.
     """
 
     algorithms: Tuple[AlgorithmSpec, ...]

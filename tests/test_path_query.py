@@ -4,7 +4,9 @@ Typed :class:`~repro.core.query.PathQuery` lookups served by per-AS
 :class:`~repro.core.query.PathQueryFrontend` caches over the
 :class:`~repro.core.databases.PathService`; query/response messages and
 pull returns on the typed fabric; down-segment registration driven by
-``PathRegistrationMessage`` arrival at the origin.  The satellites pin:
+``PathRegistrationMessage`` arrival at the origin, announced when the
+registration is news to the registrar's own path service (PR 24, held
+against an announce-always oracle).  The satellites pin:
 
 * the ``paths_to`` origin index against the historical full scan
   (property test),
@@ -25,8 +27,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.beacon import DEFAULT_VALIDITY_MS
 from repro.core.control_service import ControlServiceConfig, IrecControlService
 from repro.core.databases import PathService, RegisteredPath
+from repro.core.egress import EgressGateway
 from repro.core.local_view import LocalTopologyView
 from repro.core.messages import (
     PathQueryMessage,
@@ -41,12 +45,18 @@ from repro.dataplane.endhost import EndHost
 from repro.exceptions import ConfigurationError
 from repro.simulation.beaconing import BeaconingSimulation
 from repro.simulation.engine import EventScheduler
-from repro.simulation.events import revocation_storm
+from repro.simulation.events import ScenarioTimeline, revocation_storm
 from repro.simulation.network import InboxProfile, SimulatedTransport
-from repro.simulation.scenario import don_scenario
+from repro.simulation.scenario import (
+    ScenarioConfig,
+    don_scenario,
+    five_shortest_paths_spec,
+    one_shortest_path_spec,
+)
+from repro.topology.entities import Relationship
 from repro.units import minutes
 
-from tests.conftest import line_topology, make_beacon
+from tests.conftest import build_topology, line_topology, make_beacon
 from tests.test_golden_trace import (
     FAMILY_DIGESTS,
     GOLDEN_DIGEST,
@@ -576,9 +586,9 @@ class TestDownSegmentRegistration:
             assert service.path_service.all_paths() == []
 
     def test_simulation_flag_registers_down_segments_at_origin(self):
-        def run(enabled):
+        def run(periods, enabled):
             topology = line_topology(4)
-            scenario = don_scenario(periods=2, verify_signatures=False)
+            scenario = don_scenario(periods=periods, verify_signatures=False)
             scenario.register_down_segments = enabled
             simulation = BeaconingSimulation(topology, scenario)
             result = simulation.run()
@@ -587,14 +597,269 @@ class TestDownSegmentRegistration:
                 terminal: len(origin_service.path_service.down_paths_to(terminal))
                 for terminal in (2, 3, 4)
             }
-            return down, result.collector.total_registrations
+            return down, result.collector.sent
 
-        down_on, registrations_on = run(enabled=True)
-        assert sum(down_on.values()) > 0
-        assert registrations_on > 0
-        down_off, registrations_off = run(enabled=False)
-        assert sum(down_off.values()) == 0
-        assert registrations_off == 0
+        # Announce-always (every merge re-announced every round) sent 72 and
+        # 306 path registrations for the same PCBs and down-segments.
+        for periods, down_segments, pcbs, announcements in (
+            (2, {2: 2, 3: 1, 4: 0}, 22, 57),
+            (4, {2: 4, 3: 3, 4: 2}, 46, 150),
+        ):
+            down_on, sent_on = run(periods, enabled=True)
+            assert down_on == down_segments
+            assert sent_on["pcb"] == pcbs
+            assert sent_on["path_registration"] == announcements
+            down_off, sent_off = run(periods, enabled=False)
+            assert sum(down_off.values()) == 0
+            assert sent_off["pcb"] == pcbs
+            assert sent_off["path_registration"] == 0
+
+
+# ---------------------------------------------------------------------------
+# Down-segments are announced when they are news, not every round
+# ---------------------------------------------------------------------------
+
+
+def _shaped_topology(shape, count):
+    """A line, a binary tree (AS ``i`` under ``i // 2``) or a ring of ASes."""
+    edges = {
+        "line": [(a, a + 1) for a in range(1, count)],
+        "tree": [(child // 2, child) for child in range(2, count + 1)],
+        "ring": [(a, a % count + 1) for a in range(1, count + 1)],
+    }[shape]
+    interfaces = {as_id: {} for as_id in range(1, count + 1)}
+    links = []
+    for a, b in edges:
+        endpoints = []
+        for member in (a, b):
+            interface_id = len(interfaces[member]) + 1
+            interfaces[member][interface_id] = (10.0, float(member) + 0.1 * interface_id)
+            endpoints.append((member, interface_id))
+        links.append((*endpoints, 10.0, 1000.0, Relationship.CUSTOMER_PROVIDER))
+    return build_topology(interfaces, links)
+
+
+def _feed_every_accepted_registration(gateway):
+    """Test oracle, the rule this PR replaced: announce always.
+
+    Registers selection by selection through the real method and feeds the
+    repeats it kept back, so merges are re-announced every round.
+    """
+
+    def register(selections, now_ms):
+        accepted = 0
+        for selection in selections:
+            fed = len(gateway._registered_feed)
+            if EgressGateway.register(gateway, [selection], now_ms):
+                accepted += 1
+                if len(gateway._registered_feed) == fed:
+                    arrival = selection.stored.received_on_interface
+                    segment = gateway._terminated[(selection.beacon.digest(), arrival)]
+                    repeat = RegisteredPath(
+                        segment=segment,
+                        criteria_tags=(selection.criteria_tag,),
+                        registered_at_ms=now_ms,
+                    )
+                    gateway._registered_feed.append((repeat, arrival))
+        return accepted
+
+    gateway.register = register
+
+
+def _feed_new_digests_only(gateway):
+    """Mutant: a new criteria tag on a segment already held is not news."""
+
+    def register(selections, now_ms):
+        accepted = 0
+        for selection in selections:
+            key = (selection.beacon.digest(), selection.stored.received_on_interface)
+            segment = gateway._terminated.get(key)
+            held = segment is not None and gateway.path_service.get(segment.digest())
+            fed = len(gateway._registered_feed)
+            accepted += EgressGateway.register(gateway, [selection], now_ms)
+            if held:
+                del gateway._registered_feed[fed:]
+        return accepted
+
+    gateway.register = register
+
+
+def _down_segment_simulation(topology, periods, specs, feed_rule=None, **scenario_kwargs):
+    scenario = ScenarioConfig(
+        algorithms=specs,
+        periods=periods,
+        verify_signatures=False,
+        register_down_segments=True,
+        **scenario_kwargs,
+    )
+    simulation = BeaconingSimulation(topology, scenario)
+    for service in simulation.services.values():
+        # The quota must not bind: a rejected announcement is no longer
+        # retried, which is the documented difference from announce-always.
+        service.path_service.max_paths_per_key = 10_000
+        if feed_rule is not None:
+            feed_rule(service.egress)
+    return simulation
+
+
+def _registered_plane(simulation):
+    """Every AS's ``(digest, sorted tags)`` set, whole and per terminal AS."""
+
+    def keys(paths):
+        return {(p.segment.digest(), tuple(sorted(p.criteria_tags))) for p in paths}
+
+    plane = {}
+    for as_id, service in simulation.services.items():
+        store = service.path_service
+        plane[as_id] = (
+            keys(store.all_paths()),
+            {t: keys(store.down_paths_to(t)) for t in simulation.services},
+        )
+    return plane
+
+
+def _assert_announces_like_the_oracle(topology, periods, specs, subject_rule=None):
+    """The subject ends every period with the announce-always oracle's
+    registered plane and never sends more path registrations; return both
+    sides' total ``sent["path_registration"]``."""
+    subject = _down_segment_simulation(topology, periods, specs, subject_rule)
+    oracle = _down_segment_simulation(
+        topology, periods, specs, _feed_every_accepted_registration
+    )
+    totals = (0, 0)
+    for _period in range(periods):
+        subject.run_period()
+        oracle.run_period()
+        assert _registered_plane(subject) == _registered_plane(oracle)
+        sent = (
+            subject.collector.sent["path_registration"],
+            oracle.collector.sent["path_registration"],
+        )
+        assert sent[0] - totals[0] <= sent[1] - totals[1]
+        totals = sent
+    assert subject.collector.sent["pcb"] == oracle.collector.sent["pcb"]
+    return totals
+
+
+_ONE_OR_TWO_RACS = (
+    (one_shortest_path_spec(),),
+    (one_shortest_path_spec(), five_shortest_paths_spec()),
+)
+
+
+class TestAnnounceWhenNews:
+    @settings(max_examples=20, deadline=None)
+    @given(
+        shape=st.sampled_from(("line", "tree", "ring")),
+        count=st.integers(min_value=3, max_value=9),
+        periods=st.integers(min_value=2, max_value=5),
+        specs=st.sampled_from(_ONE_OR_TWO_RACS),
+    )
+    def test_same_registered_plane_as_announce_always(self, shape, count, periods, specs):
+        """Property: announcing only news leaves every path service, the
+        origins' down-segments included, as announce-always leaves it."""
+        _assert_announces_like_the_oracle(_shaped_topology(shape, count), periods, specs)
+
+    def test_line_sends_strictly_fewer_and_the_mutant_is_caught(self):
+        topology = line_topology(4)
+        sent, oracle_sent = _assert_announces_like_the_oracle(topology, 4, _ONE_OR_TWO_RACS[1])
+        assert sent < oracle_sent
+        # 1SP and 5SP select the same beacon: the second tag must travel too.
+        with pytest.raises(AssertionError):
+            _assert_announces_like_the_oracle(
+                topology, 4, _ONE_OR_TWO_RACS[1], _feed_new_digests_only
+            )
+
+    def test_counters_split_registrations_into_news_and_repeats(self):
+        simulation = _down_segment_simulation(line_topology(4), 4, _ONE_OR_TWO_RACS[1])
+        result = simulation.run()
+        announced = 0
+        for service in result.services.values():
+            stats = service.egress.stats
+            assert stats.reregistered > 0
+            assert stats.announced + stats.reregistered == stats.registered
+            announced += stats.announced
+        # Every send is one hop of one announcement, so sends >= announcements.
+        assert 0 < announced <= result.collector.sent["path_registration"]
+        stats = result.services[1].egress.stats
+        stats.reset()
+        assert (stats.reregistered, stats.announced) == (0, 0)
+
+    def test_flag_off_counts_nothing(self):
+        scenario = ScenarioConfig(algorithms=_ONE_OR_TWO_RACS[1], verify_signatures=False)
+        result = BeaconingSimulation(line_topology(4), scenario).run()
+        for service in result.services.values():
+            stats = service.egress.stats
+            assert stats.registered > 0
+            assert (stats.reregistered, stats.announced) == (0, 0)
+            assert service.egress.take_registered() == []
+
+    def test_withdrawn_segment_is_announced_again_when_it_returns(self):
+        """The path service is the only memory of "already announced":
+        revocation withdraws the far registrar's segments at both ends, and
+        after recovery the origin learns the successor."""
+        topology = line_topology(4)
+        link = topology.link_ids()[1]  # the middle link, 2-3
+        timeline = ScenarioTimeline()
+        timeline.at(minutes(45)).fail_link(link).at(minutes(65)).recover_link(link)
+        simulation = _down_segment_simulation(
+            topology, 14, _ONE_OR_TWO_RACS[0], timeline=timeline
+        )
+        origin = simulation.services[1].path_service
+        registrar = simulation.services[4]
+
+        def run_periods(count):
+            for _period in range(count):
+                simulation.run_period()
+            return registrar.egress.stats.announced
+
+        announced_before = run_periods(4)
+        assert origin.down_paths_to(4)
+        assert run_periods(2) == announced_before  # the link fails at minute 45
+        assert origin.down_paths_to(4) == []
+        assert registrar.path_service.paths_to(1) == []
+        # It recovers at minute 65; AS 4 hears of AS 1 again five periods later.
+        assert run_periods(6) > announced_before
+        returned = {p.segment.digest() for p in origin.down_paths_to(4)}
+        assert returned
+        # The very same digests come back as well: dropped from both path
+        # services only, the stored beacons are selected again next round.
+        for store in (origin, registrar.path_service):
+            store.remove_matching(lambda path: path.segment.last_as == 4)
+        announced_before = run_periods(1)
+        assert {p.segment.digest() for p in origin.down_paths_to(4)} == returned
+        assert announced_before == run_periods(1)
+
+    def test_egress_side_stores_are_level_one_validity_apart(self):
+        """Steady state: nothing the announcement plane reads or writes
+        grows — each store has the same size at period k and k + validity."""
+        validity = 4
+        simulation = _down_segment_simulation(
+            _shaped_topology("tree", 7),
+            validity + 3,
+            _ONE_OR_TWO_RACS[1],
+            propagation_interval_ms=DEFAULT_VALIDITY_MS / validity,
+        )
+
+        def sizes():
+            return {
+                as_id: (
+                    len(service.egress._terminated),
+                    len(service.egress.database),
+                    len(service.egress._registered_feed),
+                    len(service.path_service),
+                )
+                for as_id, service in simulation.services.items()
+            }
+
+        by_period = []
+        for _period in range(2 * validity + 3):
+            simulation.run_period()
+            by_period.append(sizes())
+        for k in range(validity - 1, validity + 3):
+            assert by_period[k] == by_period[k + validity]
+        assert all(feed == 0 for _t, _d, feed, _p in by_period[-1].values())
+        assert any(terminated > 0 for terminated, _d, _f, _p in by_period[-1].values())
 
 
 # ---------------------------------------------------------------------------
