@@ -14,7 +14,7 @@ import pytest
 
 from repro.algorithms.registry import encode_builtin_payload
 from repro.analysis.reporting import format_table
-from repro.analysis.workloads import BENCHMARK_LOCAL_AS, synthetic_stored_beacons
+from repro.analysis.workloads import BENCHMARK_LOCAL_AS, synthetic_candidate_set
 from repro.core.algorithm_registry import AlgorithmFetcher
 from repro.core.databases import EgressDatabase, IngressDatabase
 from repro.core.extensions import ExtensionSet
@@ -48,7 +48,7 @@ def _build_rac(cache_enabled: bool):
 def _database(payload):
     extensions = ExtensionSet().with_algorithm("legacy-20sp", algorithm_hash(payload))
     database = IngressDatabase()
-    for stored in synthetic_stored_beacons(CANDIDATES, extensions=extensions):
+    for stored in synthetic_candidate_set(CANDIDATES, extensions=extensions):
         database.insert(stored)
     return database
 

@@ -6,10 +6,14 @@ with the number of RACs (they are independent processes) and (ii)
 sub-linear growth with |Φ| — larger batches amortize the per-execution
 setup and IPC overhead, so the per-beacon cost drops.
 
-This module regenerates the (RAC count, |Φ|) grid and checks both shapes.
+This module regenerates the (RAC count, |Φ|) grid and checks both shapes
+on medians of ``REPEATS`` interleaved 1-RAC and 16-RAC measurements per
+|Φ|, not on one shot each: a slow moment of the host then hits both sides.
 """
 
 from __future__ import annotations
+
+from statistics import median
 
 import pytest
 
@@ -18,6 +22,9 @@ from repro.analysis.reporting import format_table
 
 RAC_COUNTS = (1, 2, 4, 8, 16)
 CANDIDATE_SET_SIZES = (16, 64, 256)
+
+#: Measurements per (|Φ|, RAC count) the shape checks take the median of.
+REPEATS = 5
 
 
 @pytest.mark.parametrize("rac_count", (1, 4, 16))
@@ -39,10 +46,16 @@ def test_figure7_series_report(capsys):
         print("\nFigure 7 — PCB processing throughput vs. number of RACs")
         print(table)
 
-    by_key = {(p.candidate_set_size, p.rac_count): p.pcbs_per_second for p in series}
-    # (i) Throughput scales close to linearly with the RAC count.
+    medians = {}
     for size in CANDIDATE_SET_SIZES:
-        assert by_key[(size, 16)] > 8.0 * by_key[(size, 1)]
+        rounds = [
+            [measure_throughput(count, size, seed=7 + i).pcbs_per_second for count in (1, 16)]
+            for i in range(REPEATS)
+        ]
+        medians[size] = [median(column) for column in zip(*rounds)]
+    # (i) Throughput scales close to linearly with the RAC count.
+    for size, (one_rac, sixteen_racs) in medians.items():
+        assert sixteen_racs > 8.0 * one_rac
     # (ii) Larger candidate sets achieve higher per-RAC throughput
     #      (per-beacon overhead decreases), at least from 16 to 256.
-    assert by_key[(256, 1)] > by_key[(16, 1)]
+    assert medians[256][0] > medians[16][0]

@@ -7,7 +7,8 @@ of three pieces:
 
 * :class:`ExecutionContext` — what a RAC hands to an algorithm: the
   candidate beacons of one (origin AS, interface group, target) bucket,
-  each paired with the ingress interface it was received on; the egress
+  each paired with the ingress interface it was received on (the ingress
+  database's own :class:`CandidateBeacon` records); the egress
   interfaces to optimize for; the per-interface path limit; and a callback
   exposing intra-AS topology information (interface-pair latencies),
 * :class:`ExecutionResult` — what the algorithm returns: for every egress
@@ -34,17 +35,22 @@ IntraLatencyOracle = Callable[[int, int], float]
 
 @dataclass(frozen=True, slots=True)
 class CandidateBeacon:
-    """A beacon as presented to an algorithm.
+    """A received beacon: the ingress database's record and an algorithm's candidate.
+
+    The ingress database stores exactly these records and a RAC hands them
+    to its algorithm as they are, so a candidate is never re-wrapped.
 
     Attributes:
         beacon: The received beacon.
         ingress_interface: Local interface the beacon was received on, or
             ``None`` if the local AS originated it (only relevant for the
             origination path, which algorithms normally never see).
+        received_at_ms: Simulated arrival time.
     """
 
     beacon: Beacon
     ingress_interface: Optional[int]
+    received_at_ms: float = 0.0
 
 
 @dataclass(frozen=True)

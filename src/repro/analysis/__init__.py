@@ -34,7 +34,7 @@ from repro.analysis.microbench import (
 )
 from repro.analysis.overhead_eval import OverheadEvaluation, evaluate_overhead
 from repro.analysis.reporting import format_cdf_table, format_table
-from repro.analysis.workloads import synthetic_candidate_set, synthetic_stored_beacons
+from repro.analysis.workloads import synthetic_candidate_set
 
 __all__ = [
     "DelayEvaluation",
@@ -52,6 +52,5 @@ __all__ = [
     "measure_rac_latency",
     "measure_throughput",
     "synthetic_candidate_set",
-    "synthetic_stored_beacons",
     "tolerable_link_failures",
 ]

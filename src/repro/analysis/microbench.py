@@ -12,20 +12,26 @@ measured by timing ``n`` independent RAC batches and, by default, modelling
 them as running concurrently (the paper's RACs are separate processes,
 optionally on separate machines, so their throughput adds); an optional
 process-pool mode measures true parallel execution instead.
+
+Figure 6's sandbox set-up and per-call gRPC cost have no pure-Python
+counterpart and are modelled — not in milliseconds, but as multiples of the
+execution measured on the running host at the calibration size
+|Φ| = 256 (:data:`CALIBRATION_SET_SIZE`): set-up equals that execution
+and one call half of it.  The figure's shape then survives any speed-up of
+the algorithm or the host.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from statistics import median
+from typing import List, Optional, Sequence, Tuple
 
+from repro.algorithms.base import ExecutionContext
 from repro.algorithms.registry import encode_builtin_payload
 from repro.algorithms.shortest_path import legacy_scion_algorithm
-from repro.analysis.workloads import (
-    BENCHMARK_LOCAL_AS,
-    synthetic_stored_beacons,
-)
+from repro.analysis.workloads import BENCHMARK_LOCAL_AS, synthetic_candidate_set
 from repro.core.algorithm_registry import AlgorithmFetcher
 from repro.core.databases import IngressDatabase
 from repro.core.extensions import ExtensionSet
@@ -73,19 +79,23 @@ class ThroughputPoint:
 # ----------------------------------------------------------------------
 _ON_DEMAND_ALGORITHM_ID = "legacy-20sp"
 
-#: Modelled cost of setting up the sandboxed execution environment, in ms.
-#: The paper's implementation pays this to create a Wasmtime instance and
-#: instantiate the WebAssembly module before every execution; the pure-
-#: Python sandbox has no comparable cost, so the analogue is modelled.  The
-#: default is calibrated to the order of magnitude reported in Figure 6,
-#: where environment setup dominates total latency for small candidate
-#: sets.  Pass ``modelled_setup_ms=0`` to measure raw Python costs instead.
-DEFAULT_MODELLED_SETUP_MS = 15.0
+#: |Φ| the modelled costs below are stated at.  Figure 6 shows sandbox
+#: set-up dominating small candidate sets and execution dominating large
+#: ones; the reproduction puts the crossover here.
+CALIBRATION_SET_SIZE = 256
 
-#: Modelled fixed cost per gRPC call between the gateway and the RAC, in
-#: ms.  Marshalling costs still scale with |Φ| through the real
-#: serialization the IPC channel performs.
-DEFAULT_MODELLED_IPC_CALL_MS = 1.5
+#: Modelled cost of setting up the sandboxed execution environment, in
+#: units of the execution measured at :data:`CALIBRATION_SET_SIZE` on the
+#: running host.  The paper's implementation pays this to create a Wasmtime
+#: instance and instantiate the WebAssembly module before every execution;
+#: the pure-Python sandbox has no comparable cost, so the analogue is
+#: modelled.  Pass ``modelled_setup_ms=0`` to measure raw Python costs.
+MODELLED_SETUP_EXECUTIONS = 1.0
+
+#: Modelled fixed cost per gRPC call between the gateway and the RAC (two
+#: per execution), in the same unit.  Marshalling costs still scale with
+#: |Φ| through the real serialization the IPC channel performs.
+MODELLED_IPC_CALL_EXECUTIONS = 0.5
 
 
 def _on_demand_payload() -> bytes:
@@ -93,9 +103,7 @@ def _on_demand_payload() -> bytes:
 
 
 def _build_on_demand_rac(
-    paths_per_origin: int = 20,
-    modelled_setup_ms: float = DEFAULT_MODELLED_SETUP_MS,
-    modelled_ipc_call_ms: float = DEFAULT_MODELLED_IPC_CALL_MS,
+    modelled_setup_ms: float, modelled_ipc_call_ms: float, paths_per_origin: int = 20
 ) -> RoutingAlgorithmContainer:
     """Build an on-demand RAC that serves the legacy algorithm payload locally."""
     payload = _on_demand_payload()
@@ -122,8 +130,8 @@ def _database_with_candidates(size: int, seed: int) -> IngressDatabase:
         _ON_DEMAND_ALGORITHM_ID, algorithm_hash(_on_demand_payload())
     )
     database = IngressDatabase()
-    for stored in synthetic_stored_beacons(size=size, seed=seed, extensions=extensions):
-        database.insert(stored)
+    for candidate in synthetic_candidate_set(size=size, seed=seed, extensions=extensions):
+        database.insert(candidate)
     return database
 
 
@@ -134,17 +142,44 @@ def _flat_intra_latency(_interface_a: int, _interface_b: int) -> float:
 # ----------------------------------------------------------------------
 # Figure 6: latency
 # ----------------------------------------------------------------------
+def modelled_costs_ms(seed: int = 7) -> Tuple[float, float]:
+    """Return the modelled (set-up, per-call IPC) costs in ms on this host.
+
+    Both are their stated multiples of the median execution, over five
+    unmodelled rounds after one warm-up, at :data:`CALIBRATION_SET_SIZE`.
+    """
+    rounds = [
+        measure_rac_latency(CALIBRATION_SET_SIZE, seed + i, 0.0, 0.0).execution_ms
+        for i in range(6)
+    ]
+    execution_ms = median(rounds[1:])
+    return MODELLED_SETUP_EXECUTIONS * execution_ms, MODELLED_IPC_CALL_EXECUTIONS * execution_ms
+
+
+def _costs_ms(
+    seed: int, setup_ms: Optional[float], ipc_call_ms: Optional[float]
+) -> Tuple[float, float]:
+    """Fill the modelled costs left at ``None`` with their calibrated values."""
+    if setup_ms is None or ipc_call_ms is None:
+        calibrated = modelled_costs_ms(seed)
+        setup_ms = calibrated[0] if setup_ms is None else setup_ms
+        ipc_call_ms = calibrated[1] if ipc_call_ms is None else ipc_call_ms
+    return setup_ms, ipc_call_ms
+
+
 def measure_rac_latency(
     candidate_set_size: int,
     seed: int = 7,
-    modelled_setup_ms: float = DEFAULT_MODELLED_SETUP_MS,
-    modelled_ipc_call_ms: float = DEFAULT_MODELLED_IPC_CALL_MS,
+    modelled_setup_ms: Optional[float] = None,
+    modelled_ipc_call_ms: Optional[float] = None,
 ) -> LatencyBreakdown:
-    """Measure one on-demand-RAC processing round over |Φ| candidates."""
+    """Measure one on-demand-RAC processing round over |Φ| candidates.
+
+    A modelled cost left at ``None`` is calibrated (:func:`modelled_costs_ms`).
+    """
+    setup_ms, ipc_call_ms = _costs_ms(seed, modelled_setup_ms, modelled_ipc_call_ms)
     database = _database_with_candidates(candidate_set_size, seed)
-    rac = _build_on_demand_rac(
-        modelled_setup_ms=modelled_setup_ms, modelled_ipc_call_ms=modelled_ipc_call_ms
-    )
+    rac = _build_on_demand_rac(setup_ms, ipc_call_ms)
     _selections, report = rac.process(
         database=database,
         egress_interfaces=(2,),
@@ -160,18 +195,17 @@ def measure_rac_latency(
 
 
 def measure_legacy_latency(candidate_set_size: int, seed: int = 7) -> float:
-    """Measure the legacy selection latency over |Φ| candidates (ms)."""
-    from repro.algorithms.base import CandidateBeacon, ExecutionContext
+    """Measure the legacy selection latency over |Φ| candidates (ms).
 
-    stored = synthetic_stored_beacons(size=candidate_set_size, seed=seed)
-    candidates = tuple(
-        CandidateBeacon(beacon=s.beacon, ingress_interface=s.received_on_interface)
-        for s in stored
-    )
+    The candidates are built exactly like the RAC's — the same beacons,
+    inserted into an ingress database — so both selections start from the
+    same cached state.
+    """
+    candidates = _database_with_candidates(candidate_set_size, seed).all_beacons()
     algorithm = legacy_scion_algorithm()
     context = ExecutionContext(
         local_as=BENCHMARK_LOCAL_AS,
-        candidates=candidates,
+        candidates=tuple(candidates),
         egress_interfaces=(2,),
         max_paths_per_interface=20,
         intra_latency_ms=_flat_intra_latency,
@@ -184,26 +218,34 @@ def measure_legacy_latency(candidate_set_size: int, seed: int = 7) -> float:
 def latency_series(
     candidate_set_sizes: Sequence[int],
     seed: int = 7,
-    modelled_setup_ms: float = DEFAULT_MODELLED_SETUP_MS,
-    modelled_ipc_call_ms: float = DEFAULT_MODELLED_IPC_CALL_MS,
+    modelled_setup_ms: Optional[float] = None,
+    modelled_ipc_call_ms: Optional[float] = None,
+    repeats: int = 1,
 ) -> List[LatencyBreakdown]:
-    """Measure the full Figure-6 series (IREC breakdown plus legacy baseline)."""
+    """Measure the full Figure-6 series (IREC breakdown plus legacy baseline).
+
+    Every point holds the per-field medians of ``repeats`` rounds, on the
+    workloads of seeds ``seed`` … ``seed + repeats - 1``; modelled costs
+    left at ``None`` are calibrated once for the whole series.
+    """
+    setup_ms, ipc_call_ms = _costs_ms(seed, modelled_setup_ms, modelled_ipc_call_ms)
     series = []
     for size in candidate_set_sizes:
-        breakdown = measure_rac_latency(
-            size,
-            seed=seed,
-            modelled_setup_ms=modelled_setup_ms,
-            modelled_ipc_call_ms=modelled_ipc_call_ms,
-        )
-        legacy_ms = measure_legacy_latency(size, seed=seed)
+        # RAC and legacy rounds alternate, so a slow moment of the host hits both.
+        rounds = [
+            (
+                measure_rac_latency(size, seed + i, setup_ms, ipc_call_ms),
+                measure_legacy_latency(size, seed + i),
+            )
+            for i in range(repeats)
+        ]
         series.append(
             LatencyBreakdown(
                 candidate_set_size=size,
-                setup_ms=breakdown.setup_ms,
-                ipc_ms=breakdown.ipc_ms,
-                execution_ms=breakdown.execution_ms,
-                legacy_ms=legacy_ms,
+                setup_ms=median(rac.setup_ms for rac, _legacy in rounds),
+                ipc_ms=median(rac.ipc_ms for rac, _legacy in rounds),
+                execution_ms=median(rac.execution_ms for rac, _legacy in rounds),
+                legacy_ms=median(legacy for _rac, legacy in rounds),
             )
         )
     return series

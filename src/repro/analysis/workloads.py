@@ -15,7 +15,6 @@ from typing import List, Optional
 
 from repro.algorithms.base import CandidateBeacon
 from repro.core.beacon import Beacon, BeaconBuilder
-from repro.core.databases import StoredBeacon
 from repro.core.extensions import ExtensionSet
 from repro.core.staticinfo import StaticInfo
 from repro.crypto.keys import KeyStore
@@ -51,7 +50,8 @@ def synthetic_candidate_set(
 
     Returns:
         Candidate beacons with ingress interface 1, ready to feed into an
-        :class:`~repro.algorithms.base.ExecutionContext`.
+        :class:`~repro.algorithms.base.ExecutionContext` or to insert into
+        an :class:`~repro.core.databases.IngressDatabase`.
     """
     if size < 0:
         raise ValueError(f"size must be non-negative, got {size}")
@@ -69,33 +69,6 @@ def synthetic_candidate_set(
         )
         candidates.append(CandidateBeacon(beacon=beacon, ingress_interface=1))
     return candidates
-
-
-def synthetic_stored_beacons(
-    size: int,
-    origin_as: int = 1,
-    seed: int = 7,
-    max_hops: int = 6,
-    key_store: Optional[KeyStore] = None,
-    extensions: Optional[ExtensionSet] = None,
-) -> List[StoredBeacon]:
-    """Like :func:`synthetic_candidate_set` but wrapped as stored beacons."""
-    candidates = synthetic_candidate_set(
-        size=size,
-        origin_as=origin_as,
-        seed=seed,
-        max_hops=max_hops,
-        key_store=key_store,
-        extensions=extensions,
-    )
-    return [
-        StoredBeacon(
-            beacon=candidate.beacon,
-            received_on_interface=candidate.ingress_interface or 1,
-            received_at_ms=0.0,
-        )
-        for candidate in candidates
-    ]
 
 
 def _synthetic_beacon(

@@ -21,8 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set
 
+from repro.algorithms.base import CandidateBeacon
 from repro.core.control_service import IrecControlService
-from repro.core.databases import RegisteredPath, StoredBeacon
+from repro.core.databases import RegisteredPath
 from repro.core.rac import RACSelection
 from repro.exceptions import ConfigurationError
 from repro.units import seconds
@@ -51,7 +52,7 @@ class RapidPropagationRAC:
 
     def on_beacon_arrival(
         self,
-        stored: StoredBeacon,
+        stored: CandidateBeacon,
         egress_interfaces: Sequence[int],
         now_ms: float,
     ) -> List[RACSelection]:

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
+from repro.algorithms.base import CandidateBeacon
 from repro.core.beacon import Beacon
 from repro.exceptions import GatewayError
 from repro.topology.entities import LinkID, normalize_link_id
@@ -40,30 +41,13 @@ def _indexed_under_as(by_link: Dict[LinkID, Dict[str, None]], as_id: int) -> Ite
             yield from digests
 
 
-@dataclass(frozen=True, slots=True)
-class StoredBeacon:
-    """A beacon at rest in the ingress database.
+def bucket_of(beacon: Beacon) -> BucketKey:
+    """Return the bucket ``beacon`` belongs to."""
+    return (beacon.origin_as, beacon.interface_group_id, beacon.target_as, beacon.algorithm_id)
 
-    Attributes:
-        beacon: The verified beacon.
-        received_on_interface: Local interface the beacon arrived on; this
-            is what extended-path optimization and beacon termination need.
-        received_at_ms: Simulated arrival time.
-    """
 
-    beacon: Beacon
-    received_on_interface: int
-    received_at_ms: float
-
-    @property
-    def bucket(self) -> BucketKey:
-        """Return the bucket this beacon belongs to."""
-        return (
-            self.beacon.origin_as,
-            self.beacon.interface_group_id,
-            self.beacon.target_as,
-            self.beacon.algorithm_id,
-        )
+def _bucket_order(key: BucketKey) -> Tuple:
+    return (key[0], key[1] or -1, key[2] or -1, key[3] or "")
 
 
 @dataclass
@@ -71,12 +55,14 @@ class IngressDatabase:
     """Indexed store of received beacons.
 
     Beacons are deduplicated by digest: receiving the same beacon twice
-    (e.g. over two parallel links) keeps only the first copy.
+    (e.g. over two parallel links) keeps only the first copy.  The stored
+    record is the :class:`CandidateBeacon` a RAC hands its algorithm.
 
-    Bucket membership is kept in insertion-ordered dicts used as sets, so
-    expiry removes each digest from its bucket in O(1) instead of scanning
-    a list, and buckets emptied by expiry are dropped from the index
-    entirely.
+    Each bucket maps digest → record in insertion order, so expiry removes
+    a record from its bucket in O(1), a bucket is read with one
+    ``list(values())``, and buckets emptied by removal are dropped from the
+    index entirely.  The sorted bucket order :meth:`bucket_keys` returns is
+    cached until a bucket appears or empties.
 
     When ``local_as`` is set (control services set it; standalone
     micro-benchmark databases do not), every insert additionally indexes
@@ -90,25 +76,32 @@ class IngressDatabase:
 
     expiry_margin_ms: float = 0.0
     local_as: Optional[int] = None
-    _by_digest: Dict[str, StoredBeacon] = field(default_factory=dict)
-    #: Bucket → insertion-ordered set of digests (dict keys; values unused).
-    _buckets: Dict[BucketKey, Dict[str, None]] = field(default_factory=dict)
+    _by_digest: Dict[str, CandidateBeacon] = field(default_factory=dict)
+    #: Bucket → digest → record, in insertion order.
+    _buckets: Dict[BucketKey, Dict[str, CandidateBeacon]] = field(default_factory=dict)
+    #: What :meth:`bucket_keys` returns; ``None`` once a bucket appeared or emptied.
+    _bucket_order: Optional[Tuple[BucketKey, ...]] = None
     #: Link → digests of beacons crossing it (only when ``local_as`` set).
     _by_link: Dict[LinkID, Dict[str, None]] = field(default_factory=dict)
 
-    def insert(self, stored: StoredBeacon) -> bool:
+    def insert(self, stored: CandidateBeacon) -> bool:
         """Insert a beacon; return ``False`` if it was already present."""
         digest = stored.beacon.digest()
         if digest in self._by_digest:
             return False
         self._by_digest[digest] = stored
-        self._buckets.setdefault(stored.bucket, {})[digest] = None
+        bucket = bucket_of(stored.beacon)
+        members = self._buckets.get(bucket)
+        if members is None:
+            members = self._buckets[bucket] = {}
+            self._bucket_order = None
+        members[digest] = stored
         if self.local_as is not None:
             for link in self._links_of(stored):
                 self._by_link.setdefault(link, {})[digest] = None
         return True
 
-    def _links_of(self, stored: StoredBeacon) -> Tuple[LinkID, ...]:
+    def _links_of(self, stored: CandidateBeacon) -> Tuple[LinkID, ...]:
         """Return the links of a stored beacon, including its arrival link."""
         links = stored.beacon.links()
         last = stored.beacon.entries[-1]
@@ -116,28 +109,27 @@ class IngressDatabase:
             return links
         arrival = normalize_link_id(
             (last.as_id, last.egress_interface),
-            (self.local_as, stored.received_on_interface),
+            (self.local_as, stored.ingress_interface),
         )
         return links + (arrival,)
 
     def bucket_keys(self) -> Tuple[BucketKey, ...]:
         """Return all non-empty bucket keys, deterministically ordered."""
-        return tuple(
-            sorted(
-                (key for key, digests in self._buckets.items() if digests),
-                key=lambda key: (key[0], key[1] or -1, key[2] or -1, key[3] or ""),
-            )
-        )
+        order = self._bucket_order
+        if order is None:
+            order = self._bucket_order = tuple(sorted(self._buckets, key=_bucket_order))
+        return order
 
-    def beacons_in_bucket(self, bucket: BucketKey) -> List[StoredBeacon]:
+    def beacons_in_bucket(self, bucket: BucketKey) -> List[CandidateBeacon]:
         """Return the stored beacons of one bucket (insertion order)."""
-        return [self._by_digest[d] for d in self._buckets.get(bucket, ()) if d in self._by_digest]
+        members = self._buckets.get(bucket)
+        return list(members.values()) if members is not None else []
 
-    def all_beacons(self) -> List[StoredBeacon]:
+    def all_beacons(self) -> List[CandidateBeacon]:
         """Return every stored beacon (insertion order within buckets)."""
         return list(self._by_digest.values())
 
-    def get(self, digest: str) -> Optional[StoredBeacon]:
+    def get(self, digest: str) -> Optional[CandidateBeacon]:
         """Return the stored beacon with ``digest``, if present."""
         return self._by_digest.get(digest)
 
@@ -164,7 +156,7 @@ class IngressDatabase:
             return self._remove_digests(tuple(self._by_link.get(failed, ())))
         local_as = arrival_as
 
-        def crosses(stored: StoredBeacon) -> bool:
+        def crosses(stored: CandidateBeacon) -> bool:
             if failed in stored.beacon.link_set():
                 return True
             if local_as is None:
@@ -174,7 +166,7 @@ class IngressDatabase:
                 return False
             arrival = normalize_link_id(
                 (last.as_id, last.egress_interface),
-                (local_as, stored.received_on_interface),
+                (local_as, stored.ingress_interface),
             )
             return failed == arrival
 
@@ -190,7 +182,7 @@ class IngressDatabase:
             return self._remove_digests(_indexed_under_as(self._by_link, gone_as))
         return self.remove_matching(lambda stored: stored.beacon.contains_as(gone_as))
 
-    def remove_matching(self, predicate: Callable[[StoredBeacon], bool]) -> int:
+    def remove_matching(self, predicate: Callable[[CandidateBeacon], bool]) -> int:
         """Drop every stored beacon satisfying ``predicate``; return the count.
 
         This is the invalidation primitive of the dynamic-scenario engine:
@@ -210,11 +202,12 @@ class IngressDatabase:
             if stored is None:
                 continue
             removed += 1
-            bucket_digests = self._buckets.get(stored.bucket)
-            if bucket_digests is not None:
-                bucket_digests.pop(digest, None)
-                if not bucket_digests:
-                    del self._buckets[stored.bucket]
+            bucket = bucket_of(stored.beacon)
+            members = self._buckets[bucket]
+            del members[digest]
+            if not members:
+                del self._buckets[bucket]
+                self._bucket_order = None
             if self.local_as is not None:
                 for link in self._links_of(stored):
                     members = self._by_link.get(link)

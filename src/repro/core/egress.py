@@ -182,10 +182,10 @@ class EgressGateway:
             for egress_interface in fresh:
                 extended = self.builder.extend(
                     beacon,
-                    ingress_interface=selection.stored.received_on_interface,
+                    ingress_interface=selection.stored.ingress_interface,
                     egress_interface=egress_interface,
                     static_info=self.view.static_info_for(
-                        selection.stored.received_on_interface, egress_interface
+                        selection.stored.ingress_interface, egress_interface
                     ),
                 )
                 self.transport.send_message(
@@ -225,9 +225,9 @@ class EgressGateway:
             return
         terminated = self.builder.terminate(
             selection.beacon,
-            ingress_interface=selection.stored.received_on_interface,
+            ingress_interface=selection.stored.ingress_interface,
             static_info=self.view.static_info_for(
-                selection.stored.received_on_interface, None
+                selection.stored.ingress_interface, None
             ),
         )
         self.transport.return_beacon_to_origin(self.as_id, terminated)
@@ -262,7 +262,7 @@ class EgressGateway:
             beacon = selection.beacon
             if beacon.origin_as == self.as_id:
                 continue
-            arrival_interface = selection.stored.received_on_interface
+            arrival_interface = selection.stored.ingress_interface
             key = (beacon.digest(), arrival_interface)
             segment = self._terminated.get(key)
             if segment is None:

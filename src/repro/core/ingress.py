@@ -23,8 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List
 
+from repro.algorithms.base import CandidateBeacon
 from repro.core.beacon import Beacon
-from repro.core.databases import IngressDatabase, StoredBeacon
+from repro.core.databases import IngressDatabase
 from repro.crypto.signer import Verifier
 from repro.exceptions import (
     BeaconError,
@@ -164,8 +165,8 @@ class IngressGateway:
             self.stats.rejected_policy += 1
             return False
 
-        stored = StoredBeacon(
-            beacon=beacon, received_on_interface=on_interface, received_at_ms=now_ms
+        stored = CandidateBeacon(
+            beacon=beacon, ingress_interface=on_interface, received_at_ms=now_ms
         )
         if not self.database.insert(stored):
             self.stats.duplicates += 1

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import List, Mapping, Sequence, Tuple
 
 from repro.core.beacon import Beacon
 
@@ -80,12 +80,13 @@ class IPCChannel:
         self.stats.record(payload, elapsed_ms, modelled)
         return wire, elapsed_ms + modelled
 
-    def transfer_results(self, selections: Sequence[Tuple[int, Beacon]]) -> float:
-        """Model the RAC → egress gateway result transfer; return its cost in ms."""
+    def transfer_results(self, selections: Mapping[int, Sequence[Beacon]]) -> float:
+        """Model the transfer of interface → selected beacons to the egress gateway (ms)."""
         start = time.perf_counter()
         payload = 0
-        for _egress_interface, beacon in selections:
-            payload += len(beacon.encode()) + 8
+        for beacons in selections.values():
+            for beacon in beacons:
+                payload += len(beacon.encode()) + 8
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         modelled = self._modelled_latency(payload)
         self.stats.record(payload, elapsed_ms, modelled)

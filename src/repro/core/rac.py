@@ -18,12 +18,22 @@ Two RAC types exist:
 Every execution is instrumented: the container records sandbox-setup, IPC
 and algorithm-execution time separately, which is exactly the decomposition
 Figure 6 reports.
+
+One round is linear in the ingress database.  A single pass over the
+sorted bucket keys groups them into jobs (one bucket each, or every
+interface group of one origin/target/algorithm when groups are merged);
+a job's candidates are the database's own records, fetched once per
+bucket.  The result is merged in O(selections): a returned beacon is
+looked up by digest in the job's buckets — a beacon that is not among the
+job's candidates fails the job — and an interface is appended to its
+selection unless it is already the last one there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from itertools import chain
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.algorithms.base import (
     CandidateBeacon,
@@ -32,7 +42,7 @@ from repro.algorithms.base import (
     RoutingAlgorithm,
 )
 from repro.core.beacon import Beacon
-from repro.core.databases import BucketKey, IngressDatabase, StoredBeacon
+from repro.core.databases import BucketKey, IngressDatabase, bucket_of
 from repro.core.ipc import IPCChannel
 from repro.core.ondemand import OnDemandAlgorithmManager
 from repro.core.sandbox import SandboxRuntime
@@ -82,7 +92,7 @@ class RACConfig:
 class RACSelection:
     """One beacon selected by a RAC, with the interfaces it is optimal for."""
 
-    stored: StoredBeacon
+    stored: CandidateBeacon
     egress_interfaces: List[int]
     criteria_tag: str
 
@@ -103,7 +113,6 @@ class RACExecutionReport:
     setup_ms: float = 0.0
     ipc_ms: float = 0.0
     execution_ms: float = 0.0
-    skipped_buckets: int = 0
     failed_buckets: int = 0
 
     @property
@@ -148,37 +157,26 @@ class RoutingAlgorithmContainer:
     # ------------------------------------------------------------------
     # bucket handling
     # ------------------------------------------------------------------
-    def relevant_buckets(self, database: IngressDatabase) -> List[BucketKey]:
-        """Return the ingress-database buckets this RAC is responsible for."""
-        buckets = []
-        for bucket in database.bucket_keys():
-            _origin, _group, target, algorithm_id = bucket
-            if self.config.on_demand != (algorithm_id is not None):
-                continue
-            if target is not None and not self.config.use_targets:
-                continue
-            buckets.append(bucket)
-        if self.config.use_interface_groups:
-            return buckets
-        # Merge buckets that differ only in the interface group.
-        merged: Dict[Tuple, BucketKey] = {}
-        for bucket in buckets:
-            origin, _group, target, algorithm_id = bucket
-            merged.setdefault((origin, target, algorithm_id), bucket)
-        return list(merged.values())
+    def _jobs(self, bucket_keys: Sequence[BucketKey]) -> List[List[BucketKey]]:
+        """Group the sorted bucket keys into this RAC's jobs, in one pass.
 
-    def candidates_for(
-        self, database: IngressDatabase, bucket: BucketKey
-    ) -> List[StoredBeacon]:
-        """Return the stored beacons of ``bucket`` (group-merged if configured)."""
-        if self.config.use_interface_groups:
-            return database.beacons_in_bucket(bucket)
-        origin, _group, target, algorithm_id = bucket
-        result = []
-        for other in database.bucket_keys():
-            if (other[0], other[2], other[3]) == (origin, target, algorithm_id):
-                result.extend(database.beacons_in_bucket(other))
-        return result
+        A job is what one execution reads: one bucket, or — with interface
+        groups merged — every bucket of one (origin, target, algorithm), in
+        key order.  Buckets of the other RAC type, and pull buckets when
+        targets are off, belong to no job.
+        """
+        on_demand = self.config.on_demand
+        use_targets = self.config.use_targets
+        merge = not self.config.use_interface_groups
+        jobs: Dict[Tuple, List[BucketKey]] = {}
+        for key in bucket_keys:
+            origin, _group, target, algorithm_id = key
+            if on_demand != (algorithm_id is not None):
+                continue
+            if target is not None and not use_targets:
+                continue
+            jobs.setdefault((origin, target, algorithm_id) if merge else key, []).append(key)
+        return list(jobs.values())
 
     # ------------------------------------------------------------------
     # processing
@@ -198,41 +196,35 @@ class RoutingAlgorithmContainer:
         """
         report = RACExecutionReport(rac_id=self.config.rac_id)
         selections: List[RACSelection] = []
-        for bucket in self.relevant_buckets(database):
-            stored_beacons = self.candidates_for(database, bucket)
-            if not stored_beacons:
-                continue
+        for job in self._jobs(database.bucket_keys()):
+            candidates = tuple(chain.from_iterable(map(database.beacons_in_bucket, job)))
             try:
-                bucket_selections = self._process_bucket(
-                    stored_beacons, egress_interfaces, intra_latency_ms, local_as, report
+                job_selections = self._process_job(
+                    database, job, candidates, egress_interfaces, intra_latency_ms, local_as, report
                 )
             except (AlgorithmError, SandboxError):
                 report.failed_buckets += 1
                 continue
-            selections.extend(bucket_selections)
+            selections.extend(job_selections)
             report.buckets += 1
         report.selections = sum(len(s.egress_interfaces) for s in selections)
         return selections, report
 
-    def _process_bucket(
+    def _process_job(
         self,
-        stored_beacons: List[StoredBeacon],
+        database: IngressDatabase,
+        job: List[BucketKey],
+        candidates: Tuple[CandidateBeacon, ...],
         egress_interfaces: Tuple[int, ...],
         intra_latency_ms,
         local_as: int,
         report: RACExecutionReport,
     ) -> List[RACSelection]:
-        """Process one candidate bucket end to end."""
-        algorithm = self._resolve_algorithm(stored_beacons)
+        """Process one job end to end."""
+        algorithm = self._resolve_algorithm(candidates)
         prepared, setup_ms = self.sandbox.setup(algorithm)
         report.setup_ms += setup_ms
 
-        candidates = tuple(
-            CandidateBeacon(
-                beacon=stored.beacon, ingress_interface=stored.received_on_interface
-            )
-            for stored in stored_beacons
-        )
         report.candidates += len(candidates)
         _wire, marshal_ms = self.ipc.marshal_beacons([c.beacon for c in candidates])
         report.ipc_ms += marshal_ms
@@ -248,52 +240,46 @@ class RoutingAlgorithmContainer:
         result = prepared.execute(context)
         report.execution_ms += (time.perf_counter() - start) * 1000.0
 
-        flat = [
-            (interface, beacon)
-            for interface, beacons in result.selections.items()
-            for beacon in beacons
-        ]
-        report.ipc_ms += self.ipc.transfer_results(flat)
-        return self._merge_result(stored_beacons, result, prepared)
+        report.ipc_ms += self.ipc.transfer_results(result.selections)
+        return self._merge_result(database, job, result, prepared)
 
-    def _resolve_algorithm(self, stored_beacons: List[StoredBeacon]) -> RoutingAlgorithm:
-        """Return the algorithm to run for this bucket."""
+    def _resolve_algorithm(self, candidates: Tuple[CandidateBeacon, ...]) -> RoutingAlgorithm:
+        """Return the algorithm to run for this job."""
         if not self.config.on_demand:
             assert self.algorithm is not None  # enforced in __post_init__
             return self.algorithm
         assert self.on_demand_manager is not None  # enforced in __post_init__
-        reference_beacon = stored_beacons[0].beacon
+        reference_beacon = candidates[0].beacon
         if reference_beacon.extensions.algorithm is None:
             raise AlgorithmError("on-demand bucket contains a beacon without algorithm extension")
         return self.on_demand_manager.resolve(reference_beacon)
 
     def _merge_result(
         self,
-        stored_beacons: List[StoredBeacon],
+        database: IngressDatabase,
+        job: List[BucketKey],
         result: ExecutionResult,
         algorithm: RoutingAlgorithm,
     ) -> List[RACSelection]:
         """Convert an execution result into per-beacon selections."""
-        by_digest: Dict[str, StoredBeacon] = {
-            stored.beacon.digest(): stored for stored in stored_beacons
-        }
         merged: Dict[str, RACSelection] = {}
+        tag = self.config.rac_id
         for egress_interface, beacons in result.selections.items():
             for beacon in beacons:
                 digest = beacon.digest()
-                stored = by_digest.get(digest)
-                if stored is None:
-                    # The algorithm fabricated a beacon that was not among
-                    # the candidates; refuse to propagate it.
-                    raise AlgorithmError(
-                        f"algorithm {algorithm.name} returned an unknown beacon"
-                    )
                 selection = merged.get(digest)
                 if selection is None:
-                    selection = RACSelection(
-                        stored=stored, egress_interfaces=[], criteria_tag=self.config.rac_id
+                    stored = database.get(digest)
+                    if stored is None or bucket_of(stored.beacon) not in job:
+                        # The algorithm fabricated a beacon that was not among
+                        # the job's candidates; refuse to propagate it.
+                        raise AlgorithmError(
+                            f"algorithm {algorithm.name} returned an unknown beacon"
+                        )
+                    merged[digest] = RACSelection(
+                        stored=stored, egress_interfaces=[egress_interface], criteria_tag=tag
                     )
-                    merged[digest] = selection
-                if egress_interface not in selection.egress_interfaces:
+                elif selection.egress_interfaces[-1] != egress_interface:
+                    # Interfaces arrive grouped, so a repeat can only be the last one.
                     selection.egress_interfaces.append(egress_interface)
         return list(merged.values())

@@ -26,7 +26,7 @@ from repro.algorithms.base import CandidateBeacon, ExecutionContext
 from repro.algorithms.shortest_path import KShortestPathAlgorithm
 from repro.core.beacon import Beacon, DEFAULT_VALIDITY_MS
 from repro.core.control_service import ControlService, ControlServiceConfig
-from repro.core.databases import EgressDatabase, RegisteredPath, StoredBeacon
+from repro.core.databases import EgressDatabase, RegisteredPath
 from repro.core.local_view import LocalTopologyView
 from repro.core.messages import PCBMessage
 from repro.core.revocation import DEFAULT_DEDUP_WINDOW_MS
@@ -107,24 +107,22 @@ class LegacyControlService(ControlService):
         return originated
 
     def select_paths(
-        self, stored_beacons: Sequence[StoredBeacon]
-    ) -> Tuple[List[StoredBeacon], LegacyProcessingReport]:
+        self, candidates: Sequence[CandidateBeacon]
+    ) -> Tuple[List[CandidateBeacon], LegacyProcessingReport]:
         """Run the legacy selection over a candidate set and time it.
 
         This is the measured quantity of the Figure-6 baseline: no sandbox
         setup, no marshalling — just the selection algorithm over the
-        candidates of one origin AS.
+        candidates of one origin AS.  The selection comes in the
+        algorithm's ranking: (hop count, latency), ties broken by AS path
+        and digest.
         """
-        report = LegacyProcessingReport(candidates=len(stored_beacons))
-        if not stored_beacons:
+        report = LegacyProcessingReport(candidates=len(candidates))
+        if not candidates:
             return [], report
-        candidates = tuple(
-            CandidateBeacon(beacon=s.beacon, ingress_interface=s.received_on_interface)
-            for s in stored_beacons
-        )
         context = ExecutionContext(
             local_as=self.as_id,
-            candidates=candidates,
+            candidates=tuple(candidates),
             # Selection is interface-independent for the legacy algorithm,
             # so a single representative interface suffices.
             egress_interfaces=(0,),
@@ -135,10 +133,8 @@ class LegacyControlService(ControlService):
         result = self.algorithm.execute(context)
         report.execution_ms = (time.perf_counter() - start) * 1000.0
 
-        selected_digests = {b.digest() for b in result.beacons_for(0)}
-        by_digest = {s.beacon.digest(): s for s in stored_beacons}
-        selected = [by_digest[d] for d in selected_digests if d in by_digest]
-        selected.sort(key=lambda s: (s.beacon.hop_count, s.beacon.total_latency_ms()))
+        by_digest = {c.beacon.digest(): c for c in candidates}
+        selected = [by_digest[b.digest()] for b in result.beacons_for(0)]
         report.selections = len(selected)
         return selected, report
 
@@ -147,8 +143,7 @@ class LegacyControlService(ControlService):
         total = LegacyProcessingReport()
         database = self.ingress.database
         for bucket in database.bucket_keys():
-            stored_beacons = database.beacons_in_bucket(bucket)
-            selected, report = self.select_paths(stored_beacons)
+            selected, report = self.select_paths(database.beacons_in_bucket(bucket))
             total.candidates += report.candidates
             total.selections += report.selections
             total.execution_ms += report.execution_ms
@@ -159,10 +154,10 @@ class LegacyControlService(ControlService):
         self.path_service.remove_expired(now_ms)
         return total
 
-    def _propagate(self, selected: Sequence[StoredBeacon], now_ms: float) -> None:
+    def _propagate(self, selected: Sequence[CandidateBeacon], now_ms: float) -> None:
         view = self.view
         for stored in selected:
-            beacon, arrived_on = stored.beacon, stored.received_on_interface
+            beacon, arrived_on = stored.beacon, stored.ingress_interface
             loop_free = [
                 interface_id
                 for interface_id in view.interface_ids()
@@ -179,14 +174,14 @@ class LegacyControlService(ControlService):
                 )
                 self._send(interface_id, extended, now_ms)
 
-    def _register(self, selected: Sequence[StoredBeacon], now_ms: float) -> None:
+    def _register(self, selected: Sequence[CandidateBeacon], now_ms: float) -> None:
         for stored in selected:
             if stored.beacon.origin_as == self.as_id:
                 continue
             segment = self.builder.terminate(
                 stored.beacon,
-                ingress_interface=stored.received_on_interface,
-                static_info=self.view.static_info_for(stored.received_on_interface, None),
+                ingress_interface=stored.ingress_interface,
+                static_info=self.view.static_info_for(stored.ingress_interface, None),
             )
             self.path_service.register(
                 RegisteredPath(

@@ -17,7 +17,8 @@ from repro.analysis.microbench import (
 )
 from repro.analysis.overhead_eval import evaluate_overhead
 from repro.analysis.reporting import format_cdf_table, format_table
-from repro.analysis.workloads import synthetic_candidate_set, synthetic_stored_beacons
+from repro.analysis.workloads import synthetic_candidate_set
+from repro.core.databases import IngressDatabase
 from repro.simulation.beaconing import BeaconingSimulation
 from repro.simulation.scenario import disjointness_scenario, don_scenario
 from repro.topology.generator import generate_topology, small_test_config
@@ -81,8 +82,13 @@ class TestWorkloads:
         assert all(c.beacon.origin_as == 5 for c in candidates)
 
     def test_stored_variant(self):
-        stored = synthetic_stored_beacons(4)
-        assert all(s.received_on_interface == 1 for s in stored)
+        """The candidates are the records an ingress database stores."""
+        candidates = synthetic_candidate_set(4)
+        database = IngressDatabase()
+        for candidate in candidates:
+            assert database.insert(candidate)
+        assert database.all_beacons() == candidates
+        assert all(c.ingress_interface == 1 and c.received_at_ms == 0.0 for c in candidates)
 
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError):

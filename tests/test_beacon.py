@@ -8,7 +8,7 @@ import pytest
 
 from repro.algorithms.base import CandidateBeacon
 from repro.core.beacon import ASEntry, Beacon, BeaconBuilder
-from repro.core.databases import EgressRecord, RegisteredPath, StoredBeacon
+from repro.core.databases import EgressRecord, RegisteredPath
 from repro.core.extensions import ExtensionSet
 from repro.core.rac import RACSelection
 from repro.core.staticinfo import StaticInfo
@@ -278,7 +278,7 @@ class TestSlottedRecords:
     @pytest.fixture
     def records(self, beacon_factory):
         beacon = warm(beacon_factory([(1, None, 1), (2, 1, 2), (3, 1, None)]))
-        stored = StoredBeacon(beacon, received_on_interface=1, received_at_ms=0.0)
+        stored = CandidateBeacon(beacon, ingress_interface=1, received_at_ms=0.0)
         return [
             beacon,
             beacon.entries[0],

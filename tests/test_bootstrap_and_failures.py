@@ -13,7 +13,7 @@ from repro.core.bootstrap import (
     summarize_bootstrap,
 )
 from repro.core.control_service import IrecControlService
-from repro.core.databases import StoredBeacon
+from repro.algorithms.base import CandidateBeacon
 from repro.core.local_view import LocalTopologyView
 from repro.core.transport import LoopbackTransport
 from repro.exceptions import ConfigurationError, SimulationError
@@ -28,7 +28,7 @@ from tests.conftest import line_topology, make_beacon
 class TestRapidPropagationRAC:
     def _stored(self, key_store, origin=1, egress=1):
         beacon = make_beacon(key_store, [(origin, None, egress), (2, 1, 2)])
-        return StoredBeacon(beacon=beacon, received_on_interface=1, received_at_ms=0.0)
+        return CandidateBeacon(beacon=beacon, ingress_interface=1, received_at_ms=0.0)
 
     def test_first_beacon_per_origin_is_forwarded(self, key_store):
         rac = RapidPropagationRAC(rate_limit_ms=1000.0)

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.algorithms.base import CandidateBeacon
 from repro.core.databases import (
     EgressDatabase,
     IngressDatabase,
     PathService,
     RegisteredPath,
-    StoredBeacon,
+    bucket_of,
 )
 from repro.core.extensions import ExtensionSet
 from repro.crypto.keys import KeyStore
@@ -22,7 +23,7 @@ from tests.conftest import make_beacon
 
 
 def stored(beacon, interface=1, at_ms=0.0):
-    return StoredBeacon(beacon=beacon, received_on_interface=interface, received_at_ms=at_ms)
+    return CandidateBeacon(beacon=beacon, ingress_interface=interface, received_at_ms=at_ms)
 
 
 class TestIngressDatabase:
@@ -62,7 +63,7 @@ class TestIngressDatabase:
         database.insert(stored(beacon, interface=5))
         fetched = database.get(beacon.digest())
         assert fetched is not None
-        assert fetched.received_on_interface == 5
+        assert fetched.ingress_interface == 5
         assert database.get("missing") is None
 
     def test_expiry(self, key_store):
@@ -526,7 +527,7 @@ class TestAsDepartureEqualsTheScan:
             for digest, held in derived._by_digest.items():
                 last = held.beacon.entries[-1]
                 arrival = normalize_link_id(
-                    (last.as_id, last.egress_interface), (_LOCAL_AS, held.received_on_interface)
+                    (last.as_id, last.egress_interface), (_LOCAL_AS, held.ingress_interface)
                 )
                 for link in held.beacon.links() + (arrival,):
                     by_link.setdefault(link, set()).add(digest)
@@ -552,3 +553,85 @@ class TestAsDepartureEqualsTheScan:
             assert list(derived._by_digest) == list(scanned._by_digest)
             assert derived._quota == scanned._quota
             _assert_path_indexes_equal_a_rebuild(derived)
+
+
+# ---------------------------------------------------------------------------
+# The cached bucket order and the digest → record bucket index
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=1)
+def _bucket_pool():
+    """Beacons held by AS 9 over every kind of bucket key, some short-lived.
+
+    Group 0 and no group tie in the bucket sort (as do no target and
+    target 0), so the cached order must keep the index's tie order too.
+    """
+    key_store = KeyStore()
+    extension_sets = (
+        None,
+        ExtensionSet().with_interface_group(0),
+        ExtensionSet().with_interface_group(3),
+        ExtensionSet().with_target(0),
+        ExtensionSet().with_target(_LOCAL_AS).with_interface_group(3),
+        ExtensionSet().with_algorithm("a", "h"),
+    )
+    return tuple(
+        make_beacon(
+            key_store,
+            [(origin, None, out), (mid, out, 7)],
+            extensions=extensions,
+            validity_ms=validity_ms,
+        )
+        for origin in (1, 2)
+        for extensions in extension_sets
+        for mid, out, validity_ms in ((4, 1, 1_000.0), (5, 2, 60_000.0))
+    )
+
+
+def _operations():
+    pool_index = st.integers(0, len(_bucket_pool()) - 1)
+    return st.lists(
+        st.one_of(
+            st.tuples(st.just("insert"), pool_index, st.sampled_from((1, 2))),
+            st.tuples(st.just("expire"), st.sampled_from((0.0, 2_000.0, 90_000.0))),
+            st.tuples(st.just("link"), st.sampled_from((((1, 1), (4, 1)), ((5, 7), (9, 2))))),
+            st.tuples(st.just("as"), st.sampled_from((1, 2, 4, 5, _LOCAL_AS))),
+            st.tuples(st.just("match"), pool_index),
+        ),
+        max_size=30,
+    )
+
+
+class TestCachedBucketOrder:
+    @settings(max_examples=120, deadline=None)
+    @given(operations=_operations())
+    def test_cached_order_and_buckets_equal_a_fresh_read(self, operations):
+        pool = _bucket_pool()
+        database = IngressDatabase(local_as=_LOCAL_AS)
+        for operation, *arguments in operations:
+            if operation == "insert":
+                database.insert(stored(pool[arguments[0]], interface=arguments[1]))
+            elif operation == "expire":
+                database.remove_expired(arguments[0])
+            elif operation == "link":
+                database.remove_crossing_link(arguments[0])
+            elif operation == "as":
+                database.remove_crossing_as(arguments[0])
+            else:
+                digest = pool[arguments[0]].digest()
+                database.remove_matching(lambda held: held.beacon.digest() == digest)
+            # What ``bucket_keys`` computed before it was cached.
+            fresh = tuple(
+                sorted(
+                    (key for key, members in database._buckets.items() if members),
+                    key=lambda key: (key[0], key[1] or -1, key[2] or -1, key[3] or ""),
+                )
+            )
+            assert database.bucket_keys() == fresh
+            held = database.all_beacons()
+            assert set(fresh) == {bucket_of(record.beacon) for record in held}
+            for bucket in fresh:
+                assert database.beacons_in_bucket(bucket) == [
+                    record for record in held if bucket_of(record.beacon) == bucket
+                ]

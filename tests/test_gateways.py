@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.algorithms.base import CandidateBeacon
 from repro.core.beacon import BeaconBuilder
-from repro.core.databases import EgressDatabase, IngressDatabase, PathService, StoredBeacon
+from repro.core.databases import EgressDatabase, IngressDatabase, PathService
 from repro.core.egress import EgressGateway
 from repro.core.extensions import ExtensionSet
 from repro.core.ingress import IngressGateway
@@ -125,7 +126,7 @@ class TestIngressGateway:
 
 class TestEgressGateway:
     def _selection(self, key_store, beacon, egress_interfaces, received_on=1, tag="1sp"):
-        stored = StoredBeacon(beacon=beacon, received_on_interface=received_on, received_at_ms=0.0)
+        stored = CandidateBeacon(beacon=beacon, ingress_interface=received_on, received_at_ms=0.0)
         return RACSelection(stored=stored, egress_interfaces=list(egress_interfaces), criteria_tag=tag)
 
     def test_origination_sends_one_beacon_per_interface(self, topology, key_store):

@@ -1,8 +1,14 @@
 """Tests for the legacy SCION control service and the transport implementations."""
 
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from repro.core.databases import StoredBeacon
+from repro.algorithms.base import CandidateBeacon
 from repro.core.local_view import LocalTopologyView
 from repro.core.transport import LoopbackTransport, NullTransport
 from repro.exceptions import SimulationError, UnknownASError, UnknownAlgorithmError
@@ -11,6 +17,33 @@ from repro.simulation.beaconing import BeaconingSimulation
 from repro.simulation.scenario import don_scenario
 
 from tests.conftest import line_topology, make_beacon, pcb_message
+
+ROOT = Path(__file__).resolve().parents[1]
+
+#: Prints the order ``select_paths`` returns for candidates whose
+#: (hop count, latency) keys all tie: eight paths over four AS paths.
+_TIED_SELECTION = """
+from repro.algorithms.base import CandidateBeacon
+from repro.core.local_view import LocalTopologyView
+from repro.core.transport import NullTransport
+from repro.crypto.keys import KeyStore
+from repro.scion.legacy import LegacyControlService
+from tests.conftest import line_topology, make_beacon
+
+key_store = KeyStore()
+service = LegacyControlService(
+    view=LocalTopologyView.from_topology(line_topology(3), 2),
+    key_store=key_store,
+    transport=NullTransport(),
+)
+candidates = [
+    CandidateBeacon(make_beacon(key_store, [(1, None, out), (mid, 1, 2)]), ingress_interface=1)
+    for mid in (30, 10, 40, 20)
+    for out in (2, 1)
+]
+selected, _report = service.select_paths(candidates)
+print([(c.beacon.as_path(), c.beacon.digest()[:16]) for c in selected])
+"""
 
 
 def legacy_deployment(topology, key_store, paths_per_origin=20):
@@ -49,19 +82,42 @@ class TestLegacyControlService:
         services, _transport = legacy_deployment(topology, key_store, paths_per_origin=2)
         service = services[2]
         stored = [
-            StoredBeacon(
+            CandidateBeacon(
                 beacon=make_beacon(key_store, [(1, None, interface), (9 + interface, 1, 2)]),
-                received_on_interface=1,
+                ingress_interface=1,
                 received_at_ms=0.0,
             )
             for interface in range(1, 6)
         ]
         selected, report = service.select_paths(stored)
         assert len(selected) == 2
+        assert [c.beacon.as_path() for c in selected] == [(1, 10), (1, 11)]
         assert report.candidates == 5
         assert report.selections == 2
         assert report.execution_ms > 0.0
         assert report.throughput_pcbs_per_second() > 0.0
+
+    def test_select_paths_order_is_the_rankings_under_any_hash_seed(self):
+        """Ties on (hop count, latency) are broken by AS path, then digest —
+        the algorithm's ranking, not the iteration order of a ``set``."""
+        orders = [
+            subprocess.run(
+                [sys.executable, "-c", _TIED_SELECTION],
+                check=True,
+                timeout=120,
+                capture_output=True,
+                text=True,
+                env={
+                    **os.environ,
+                    "PYTHONHASHSEED": seed,
+                    "PYTHONPATH": os.pathsep.join((str(ROOT / "src"), str(ROOT))),
+                },
+            ).stdout
+            for seed in ("0", "1")
+        ]
+        assert orders[0] == orders[1]
+        paths = [as_path for as_path, _digest in ast.literal_eval(orders[0])]
+        assert paths == sorted(paths) and len(paths) == 8
 
     def test_select_paths_empty(self, key_store):
         topology = line_topology(3)

@@ -83,7 +83,7 @@ class TestIPCChannel:
     def test_transfer_results_counts_payload(self, key_store, beacon_factory):
         channel = IPCChannel()
         beacon = beacon_factory([(1, None, 1), (2, 1, 2)])
-        cost_ms = channel.transfer_results([(1, beacon), (2, beacon)])
+        cost_ms = channel.transfer_results({1: [beacon], 2: [beacon]})
         assert cost_ms >= 0.0
         assert channel.stats.bytes_transferred > 0
         assert channel.stats.calls == 1

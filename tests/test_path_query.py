@@ -653,7 +653,7 @@ def _feed_every_accepted_registration(gateway):
             if EgressGateway.register(gateway, [selection], now_ms):
                 accepted += 1
                 if len(gateway._registered_feed) == fed:
-                    arrival = selection.stored.received_on_interface
+                    arrival = selection.stored.ingress_interface
                     segment = gateway._terminated[(selection.beacon.digest(), arrival)]
                     repeat = RegisteredPath(
                         segment=segment,
@@ -672,7 +672,7 @@ def _feed_new_digests_only(gateway):
     def register(selections, now_ms):
         accepted = 0
         for selection in selections:
-            key = (selection.beacon.digest(), selection.stored.received_on_interface)
+            key = (selection.beacon.digest(), selection.stored.ingress_interface)
             segment = gateway._terminated.get(key)
             held = segment is not None and gateway.path_service.get(segment.digest())
             fed = len(gateway._registered_feed)

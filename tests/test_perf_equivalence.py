@@ -26,7 +26,11 @@ property tests pin that down:
   per-candidate key and an optional per-interface term; HD's pre-ordered
   candidates) selects exactly what scoring every (candidate, interface)
   pair selects, for every builtin algorithm, over buckets full of ties,
-  parallel links, looping candidates and empty interface sets.
+  parallel links, looping candidates and empty interface sets, and
+* a RAC round that hands the stored records to the algorithm, builds its
+  jobs in one pass and merges by lookup selects, reports and transfers
+  exactly what wrapping every candidate per bucket, rescanning the bucket
+  keys per merged bucket and merging through a digest map did.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ from repro.algorithms.bandwidth import (
     WidestPathAlgorithm,
 )
 from repro.algorithms.base import CandidateBeacon, ExecutionContext
+from repro.algorithms.registry import encode_builtin_payload
 from repro.algorithms.delay import DelayOptimizationAlgorithm
 from repro.algorithms.disjointness import HeuristicDisjointnessAlgorithm
 from repro.algorithms.pull_disjoint import LinkAvoidingAlgorithm
@@ -58,18 +63,21 @@ from repro.core.algebra import (
     pareto_frontier,
     pareto_frontier_naive,
 )
+from repro.core.algorithm_registry import AlgorithmFetcher
 from repro.core.beacon import Beacon, BeaconBuilder
 from repro.core.criteria import StandardMetrics
-from repro.core.databases import StoredBeacon
+from repro.core.databases import IngressDatabase
 from repro.core.extensions import ExtensionSet
 from repro.core.ingress import IngressGateway, VerifiedPrefixCache
 from repro.core.local_view import LocalTopologyView
-from repro.core.rac import RACSelection
+from repro.core.ondemand import OnDemandAlgorithmManager
+from repro.core.rac import RACConfig, RACExecutionReport, RACSelection, RoutingAlgorithmContainer
 from repro.core.sandbox import RestrictedPythonAlgorithm
 from repro.core.staticinfo import StaticInfo
+from repro.crypto.hashing import algorithm_hash
 from repro.crypto.keys import KeyStore
 from repro.crypto.signer import Signer, Verifier
-from repro.exceptions import SignatureError
+from repro.exceptions import AlgorithmError, SandboxError, SignatureError
 from repro.simulation.engine import EventScheduler
 from repro.topology.entities import Link, Relationship, normalize_link_id
 
@@ -253,7 +261,7 @@ class TestSharedHopConstants:
 
     @staticmethod
     def _propagate(gateway, transport, beacon, egress_interfaces=(2, 3)):
-        stored = StoredBeacon(beacon=beacon, received_on_interface=1, received_at_ms=0.0)
+        stored = CandidateBeacon(beacon=beacon, ingress_interface=1, received_at_ms=0.0)
         selection = RACSelection(
             stored=stored, egress_interfaces=list(egress_interfaces), criteria_tag="1sp"
         )
@@ -846,3 +854,191 @@ class TestSelectionEquivalence:
             pair: (state["used"], state["served"], state["done"])
             for pair, state in reference.state.items()
         }
+
+
+# ----------------------------------------------------------------------
+# (e) a RAC round: the stored record is the candidate ≡ wrap, rescan, merge
+# ----------------------------------------------------------------------
+def reference_round(rac, database, egress_interfaces, intra, local_as):
+    """A RAC round computed the way it was before records became candidates.
+
+    Kept here as the reference: the relevant buckets first, then per
+    (merged) bucket a rescan of every bucket key, a fresh wrapper per
+    candidate, the transfer payload from a flat (interface, beacon) list, a
+    digest map per bucket and a membership test per appended interface.
+    """
+    config = rac.config
+    report = RACExecutionReport(rac_id=config.rac_id)
+    selections = []
+    buckets = [
+        key
+        for key in database.bucket_keys()
+        if config.on_demand == (key[3] is not None) and (key[2] is None or config.use_targets)
+    ]
+    if not config.use_interface_groups:
+        first_of_job = {}
+        for key in buckets:
+            first_of_job.setdefault((key[0], key[2], key[3]), key)
+        buckets = list(first_of_job.values())
+    for bucket in buckets:
+        if config.use_interface_groups:
+            stored = database.beacons_in_bucket(bucket)
+        else:
+            stored = [
+                record
+                for other in database.bucket_keys()
+                if (other[0], other[2], other[3]) == (bucket[0], bucket[2], bucket[3])
+                for record in database.beacons_in_bucket(other)
+            ]
+        try:
+            if config.on_demand:
+                algorithm = rac.on_demand_manager.resolve(stored[0].beacon)
+            else:
+                algorithm = rac.algorithm
+            prepared, _setup_ms = rac.sandbox.setup(algorithm)
+            candidates = tuple(
+                CandidateBeacon(beacon=s.beacon, ingress_interface=s.ingress_interface)
+                for s in stored
+            )
+            report.candidates += len(candidates)
+            rac.ipc.marshal_beacons([c.beacon for c in candidates])
+            result = prepared.execute(
+                ExecutionContext(
+                    local_as=local_as,
+                    candidates=candidates,
+                    egress_interfaces=tuple(egress_interfaces),
+                    max_paths_per_interface=config.max_paths_per_interface,
+                    intra_latency_ms=intra,
+                )
+            )
+            flat = [(i, b) for i, beacons in result.selections.items() for b in beacons]
+            rac.ipc.stats.record(sum(len(b.encode()) + 8 for _i, b in flat), 0.0, 0.0)
+            by_digest = {s.beacon.digest(): s for s in stored}
+            merged = {}
+            for interface, beacons in result.selections.items():
+                for beacon in beacons:
+                    record = by_digest.get(beacon.digest())
+                    if record is None:
+                        raise AlgorithmError("unknown beacon")
+                    selection = merged.setdefault(
+                        beacon.digest(), RACSelection(record, [], config.rac_id)
+                    )
+                    if interface not in selection.egress_interfaces:
+                        selection.egress_interfaces.append(interface)
+        except (AlgorithmError, SandboxError):
+            report.failed_buckets += 1
+            continue
+        selections.extend(merged.values())
+        report.buckets += 1
+    report.selections = sum(len(s.egress_interfaces) for s in selections)
+    return selections, report
+
+
+_PAYLOAD = encode_builtin_payload("5sp")
+_ON_DEMAND = ExtensionSet().with_algorithm("algo", algorithm_hash(_PAYLOAD))
+#: Same algorithm id, wrong hash: resolving it fails the job.
+_TAMPERED = ExtensionSet().with_algorithm("algo", algorithm_hash(b"tampered"))
+
+#: Every extension combination a bucket key can come from; group 0 and no
+#: group (likewise no target and target 0) tie in the bucket sort.
+_BUCKET_EXTENSIONS = (
+    None,
+    ExtensionSet().with_interface_group(0),
+    ExtensionSet().with_interface_group(1),
+    ExtensionSet().with_interface_group(2),
+    ExtensionSet().with_target(50),
+    ExtensionSet().with_target(50).with_interface_group(1),
+    _ON_DEMAND,
+    _ON_DEMAND.with_interface_group(2),
+)
+
+
+@pytest.fixture(scope="module")
+def bucket_pool():
+    """Beacons of three origins spread over every kind of bucket.
+
+    Per origin and extension set: two AS paths, each over two parallel
+    origin links (ties everywhere), and one looping path through
+    ``LOCAL_AS``; origin 3's on-demand beacons carry a tampered hash.
+    """
+    key_store = KeyStore()
+    pool = []
+    for origin in (1, 2, 3):
+        for extensions in _BUCKET_EXTENSIONS:
+            if origin == 3 and extensions is not None and extensions.algorithm is not None:
+                extensions = _TAMPERED
+            for mids in ((4,), (5, 4), (LOCAL_AS,)):
+                for origin_interface in (1, 2):
+                    hops = [(origin, None, origin_interface)] + [(mid, 7, 8) for mid in mids]
+                    pool.append(make_beacon(key_store, hops, extensions=extensions))
+    return pool
+
+
+#: name -> algorithm factory (HD remembers what it propagated).
+ROUND_ALGORITHMS = {
+    "1sp": lambda: KShortestPathAlgorithm(k=1),
+    "5sp": lambda: KShortestPathAlgorithm(k=5),
+    "hd": lambda: HeuristicDisjointnessAlgorithm(paths_per_interface=2),
+    "don": lambda: DelayOptimizationAlgorithm(paths_per_interface=3),
+    "on-demand": None,
+}
+
+
+def _container(name, use_interface_groups, use_targets):
+    config = RACConfig(
+        rac_id=name,
+        on_demand=name == "on-demand",
+        max_paths_per_interface=4,
+        use_interface_groups=use_interface_groups,
+        use_targets=use_targets,
+    )
+    if config.on_demand:
+        fetcher = AlgorithmFetcher(transport=lambda _origin, _algorithm_id: _PAYLOAD)
+        return RoutingAlgorithmContainer(
+            config=config, on_demand_manager=OnDemandAlgorithmManager(fetcher=fetcher)
+        )
+    return RoutingAlgorithmContainer(config=config, algorithm=ROUND_ALGORITHMS[name]())
+
+
+class TestRACRoundEquivalence:
+    @pytest.mark.parametrize("use_interface_groups", (True, False))
+    @pytest.mark.parametrize("name", sorted(ROUND_ALGORITHMS))
+    @given(
+        arrivals=st.lists(
+            st.tuples(st.integers(0, 143), st.sampled_from((1, 2, 3))), max_size=30
+        ),
+        departures=st.lists(st.integers(0, 143), max_size=6),
+        interfaces=st.lists(st.integers(1, 4), min_size=1, max_size=3, unique=True),
+        use_targets=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_round_matches_the_wrap_rescan_merge_reference(
+        self, bucket_pool, name, use_interface_groups, arrivals, departures, interfaces,
+        use_targets,
+    ):
+        database = IngressDatabase()
+        for index, ingress in arrivals:
+            database.insert(CandidateBeacon(bucket_pool[index], ingress_interface=ingress))
+        rac = _container(name, use_interface_groups, use_targets)
+        reference = _container(name, use_interface_groups, use_targets)
+        # Two rounds around a removal: HD's memory and the cached bucket
+        # order both carry over.
+        for round_index in range(2):
+            if round_index:
+                gone = {bucket_pool[index].digest() for index in departures}
+                database.remove_matching(lambda stored: stored.beacon.digest() in gone)
+            selections, report = rac.process(database, tuple(interfaces), lambda a, b: 0.0, LOCAL_AS)
+            expected, expected_report = reference_round(
+                reference, database, interfaces, lambda a, b: 0.0, LOCAL_AS
+            )
+            assert [(id(s.stored), s.egress_interfaces, s.criteria_tag) for s in selections] == [
+                (id(s.stored), s.egress_interfaces, s.criteria_tag) for s in expected
+            ]
+            counts = ("buckets", "candidates", "selections", "failed_buckets")
+            assert [getattr(report, c) for c in counts] == [
+                getattr(expected_report, c) for c in counts
+            ]
+            assert (rac.ipc.stats.calls, rac.ipc.stats.bytes_transferred) == (
+                reference.ipc.stats.calls,
+                reference.ipc.stats.bytes_transferred,
+            )

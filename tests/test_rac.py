@@ -2,12 +2,13 @@
 
 import pytest
 
+from repro.algorithms.base import CandidateBeacon, ExecutionResult, RoutingAlgorithm
 from repro.algorithms.registry import encode_builtin_payload, encode_criteria_payload
 from repro.algorithms.disjointness import HeuristicDisjointnessAlgorithm
 from repro.algorithms.shortest_path import KShortestPathAlgorithm
 from repro.core.algorithm_registry import AlgorithmFetcher
 from repro.core.criteria import widest_with_latency_bound
-from repro.core.databases import IngressDatabase, StoredBeacon
+from repro.core.databases import IngressDatabase
 from repro.core.extensions import ExtensionSet
 from repro.core.ondemand import OnDemandAlgorithmManager
 from repro.core.rac import RACConfig, RoutingAlgorithmContainer
@@ -27,7 +28,7 @@ def database_with(key_store, beacon_specs):
     for hops, extensions in beacon_specs:
         beacon = make_beacon(key_store, hops, extensions=extensions)
         database.insert(
-            StoredBeacon(beacon=beacon, received_on_interface=1, received_at_ms=0.0)
+            CandidateBeacon(beacon=beacon, ingress_interface=1, received_at_ms=0.0)
         )
     return database
 
@@ -213,6 +214,95 @@ class TestStaticRAC:
         )
         assert len(selections) == 1
         assert sorted(selections[0].egress_interfaces) == [7, 8, 9]
+
+
+class _Appends(RoutingAlgorithm):
+    """Selects every candidate plus ``extra`` (a beacon it was not offered)."""
+
+    name = "appends"
+
+    def __init__(self, extra):
+        self.extra = extra
+
+    def execute(self, context):
+        result = ExecutionResult()
+        for candidate in context.candidates:
+            result.add(context.egress_interfaces[0], candidate.beacon)
+        result.add(context.egress_interfaces[0], self.extra)
+        return result
+
+
+class _Remembers(RoutingAlgorithm):
+    """Stateful: selects the first candidate it ever saw, in every job."""
+
+    name = "remembers"
+
+    def __init__(self):
+        self.kept = None
+
+    def execute(self, context):
+        if self.kept is None:
+            self.kept = context.candidates[0].beacon
+        result = ExecutionResult()
+        result.add(context.egress_interfaces[0], self.kept)
+        return result
+
+
+class TestUnknownBeacons:
+    """A returned beacon that is not among the job's candidates fails the job."""
+
+    @staticmethod
+    def run(algorithm, database, use_interface_groups=True):
+        rac = RoutingAlgorithmContainer(
+            config=RACConfig(rac_id="x", use_interface_groups=use_interface_groups),
+            algorithm=algorithm,
+        )
+        return rac.process(
+            database=database, egress_interfaces=(9,), intra_latency_ms=zero_intra, local_as=100
+        )
+
+    def test_a_beacon_of_another_bucket_of_the_same_database(self, key_store):
+        grouped = ExtensionSet().with_interface_group(1)
+        database = database_with(
+            key_store,
+            [
+                ([(1, None, 1), (2, 1, 2)], None),
+                ([(1, None, 2), (3, 1, 2)], grouped),
+                ([(5, None, 1), (2, 1, 2)], None),
+            ],
+        )
+        plain, in_group, other_origin = database.all_beacons()
+        # Origin 5's beacon is stored, but in no bucket of origin 1's jobs ...
+        selections, report = self.run(_Appends(other_origin.beacon), database)
+        assert (report.buckets, report.failed_buckets) == (1, 2)
+        # ... and selected twice on one interface, it is listed there once.
+        assert [(s.stored, s.egress_interfaces) for s in selections] == [(other_origin, [9])]
+        # Merged groups: the grouped beacon is a candidate of the plain
+        # bucket's job; origin 5's beacon still is not.
+        selections, report = self.run(_Appends(in_group.beacon), database, False)
+        assert (report.buckets, report.failed_buckets) == (1, 1)
+        assert [s.stored for s in selections] == [plain, in_group]
+        assert report.selections == 2
+
+    def test_a_beacon_a_stateful_algorithm_kept_from_an_earlier_job(self, key_store):
+        database = database_with(
+            key_store,
+            [
+                ([(1, None, 1), (2, 1, 2)], None),
+                ([(1, None, 2), (3, 1, 2)], None),
+                ([(5, None, 1), (2, 1, 2)], None),
+            ],
+        )
+        kept, _sibling, _other_origin = database.all_beacons()
+        algorithm = _Remembers()
+        selections, report = self.run(algorithm, database)
+        assert [s.stored for s in selections] == [kept]
+        assert (report.buckets, report.failed_buckets) == (1, 1)
+        # Once the kept beacon left the database, its own bucket fails too.
+        database.remove_matching(lambda stored: stored is kept)
+        selections, report = self.run(algorithm, database)
+        assert selections == []
+        assert (report.buckets, report.failed_buckets) == (0, 2)
 
 
 class TestOnDemandRAC:
