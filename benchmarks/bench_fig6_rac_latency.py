@@ -12,18 +12,22 @@ This module reproduces the series and prints the same rows (one per |Φ|)
 with the per-stage decomposition and the IREC/legacy ratio.  Set-up and
 per-call IPC are modelled relative to the execution measured at |Φ| = 256
 (``repro.analysis.microbench.CALIBRATION_SET_SIZE``), and every row holds
-medians of ``REPEATS`` rounds, so the shape checks hold however fast the
+medians of ``REPEATS`` series, so the shape checks hold however fast the
 algorithm or the host is.
 """
 
 from __future__ import annotations
 
+from statistics import median
+
 import pytest
 
 from repro.analysis.microbench import (
+    LatencyBreakdown,
     latency_series,
     measure_legacy_latency,
     measure_rac_latency,
+    modelled_costs_ms,
 )
 from repro.analysis.reporting import format_table
 
@@ -34,7 +38,7 @@ CANDIDATE_SET_SIZES = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512)
 #: Sizes exercised through pytest-benchmark for statistically robust timing.
 BENCHMARKED_SIZES = (16, 64, 256)
 
-#: Rounds per |Φ| whose medians the series reports.
+#: Series whose per-|Φ| medians the report prints and checks.
 REPEATS = 5
 
 
@@ -54,7 +58,18 @@ def test_legacy_processing_latency(benchmark, size):
 
 def test_figure6_series_report(capsys):
     """Regenerate and print the full Figure-6 series."""
-    series = latency_series(CANDIDATE_SET_SIZES, repeats=REPEATS)
+    costs = modelled_costs_ms()
+    runs = [latency_series(CANDIDATE_SET_SIZES, 7 + i, *costs) for i in range(REPEATS)]
+    series = [
+        LatencyBreakdown(
+            candidate_set_size=points[0].candidate_set_size,
+            setup_ms=median(point.setup_ms for point in points),
+            ipc_ms=median(point.ipc_ms for point in points),
+            execution_ms=median(point.execution_ms for point in points),
+            legacy_ms=median(point.legacy_ms for point in points),
+        )
+        for points in zip(*runs)
+    ]
     rows = []
     for point in series:
         rows.append(

@@ -6,9 +6,10 @@ with the number of RACs (they are independent processes) and (ii)
 sub-linear growth with |Φ| — larger batches amortize the per-execution
 setup and IPC overhead, so the per-beacon cost drops.
 
-This module regenerates the (RAC count, |Φ|) grid and checks both shapes
-on medians of ``REPEATS`` interleaved 1-RAC and 16-RAC measurements per
-|Φ|, not on one shot each: a slow moment of the host then hits both sides.
+This module regenerates the (RAC count, |Φ|) grid ``REPEATS`` times, then
+prints and checks the per-point medians, not one shot each: the RAC counts
+of one |Φ| are measured back to back, so a slow moment of the host hits
+all of them.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from repro.analysis.reporting import format_table
 RAC_COUNTS = (1, 2, 4, 8, 16)
 CANDIDATE_SET_SIZES = (16, 64, 256)
 
-#: Measurements per (|Φ|, RAC count) the shape checks take the median of.
+#: Grids whose per-(|Φ|, RAC count) medians the report prints and checks.
 REPEATS = 5
 
 
@@ -36,26 +37,24 @@ def test_throughput_measurement(benchmark, rac_count):
 
 def test_figure7_series_report(capsys):
     """Regenerate and print the full Figure-7 grid."""
-    series = throughput_series(RAC_COUNTS, CANDIDATE_SET_SIZES)
-    rows = [
-        [point.candidate_set_size, point.rac_count, point.pcbs_per_second]
-        for point in series
+    runs = [
+        throughput_series(RAC_COUNTS, CANDIDATE_SET_SIZES, seed=7 + i) for i in range(REPEATS)
     ]
+    medians = {
+        (points[0].candidate_set_size, points[0].rac_count): median(
+            point.pcbs_per_second for point in points
+        )
+        for points in zip(*runs)
+    }
+    rows = [[size, count, pcbs_per_second] for (size, count), pcbs_per_second in medians.items()]
     table = format_table(["|Phi|", "RACs", "PCB/s"], rows)
     with capsys.disabled():
         print("\nFigure 7 — PCB processing throughput vs. number of RACs")
         print(table)
 
-    medians = {}
-    for size in CANDIDATE_SET_SIZES:
-        rounds = [
-            [measure_throughput(count, size, seed=7 + i).pcbs_per_second for count in (1, 16)]
-            for i in range(REPEATS)
-        ]
-        medians[size] = [median(column) for column in zip(*rounds)]
     # (i) Throughput scales close to linearly with the RAC count.
-    for size, (one_rac, sixteen_racs) in medians.items():
-        assert sixteen_racs > 8.0 * one_rac
+    for size in CANDIDATE_SET_SIZES:
+        assert medians[(size, 16)] > 8.0 * medians[(size, 1)]
     # (ii) Larger candidate sets achieve higher per-RAC throughput
     #      (per-beacon overhead decreases), at least from 16 to 256.
-    assert medians[256][0] > medians[16][0]
+    assert medians[(256, 1)] > medians[(16, 1)]

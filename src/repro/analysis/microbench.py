@@ -24,7 +24,7 @@ the algorithm or the host.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from statistics import median
 from typing import List, Optional, Sequence, Tuple
 
@@ -89,7 +89,7 @@ CALIBRATION_SET_SIZE = 256
 #: running host.  The paper's implementation pays this to create a Wasmtime
 #: instance and instantiate the WebAssembly module before every execution;
 #: the pure-Python sandbox has no comparable cost, so the analogue is
-#: modelled.  Pass ``modelled_setup_ms=0`` to measure raw Python costs.
+#: modelled.  :func:`measure_rac_latency` alone measures raw Python costs.
 MODELLED_SETUP_EXECUTIONS = 1.0
 
 #: Modelled fixed cost per gRPC call between the gateway and the RAC (two
@@ -156,30 +156,19 @@ def modelled_costs_ms(seed: int = 7) -> Tuple[float, float]:
     return MODELLED_SETUP_EXECUTIONS * execution_ms, MODELLED_IPC_CALL_EXECUTIONS * execution_ms
 
 
-def _costs_ms(
-    seed: int, setup_ms: Optional[float], ipc_call_ms: Optional[float]
-) -> Tuple[float, float]:
-    """Fill the modelled costs left at ``None`` with their calibrated values."""
-    if setup_ms is None or ipc_call_ms is None:
-        calibrated = modelled_costs_ms(seed)
-        setup_ms = calibrated[0] if setup_ms is None else setup_ms
-        ipc_call_ms = calibrated[1] if ipc_call_ms is None else ipc_call_ms
-    return setup_ms, ipc_call_ms
-
-
 def measure_rac_latency(
     candidate_set_size: int,
     seed: int = 7,
-    modelled_setup_ms: Optional[float] = None,
-    modelled_ipc_call_ms: Optional[float] = None,
+    modelled_setup_ms: float = 0.0,
+    modelled_ipc_call_ms: float = 0.0,
 ) -> LatencyBreakdown:
     """Measure one on-demand-RAC processing round over |Φ| candidates.
 
-    A modelled cost left at ``None`` is calibrated (:func:`modelled_costs_ms`).
+    The modelled costs are added as given; :func:`latency_series` passes
+    the calibrated ones (:func:`modelled_costs_ms`).
     """
-    setup_ms, ipc_call_ms = _costs_ms(seed, modelled_setup_ms, modelled_ipc_call_ms)
     database = _database_with_candidates(candidate_set_size, seed)
-    rac = _build_on_demand_rac(setup_ms, ipc_call_ms)
+    rac = _build_on_demand_rac(modelled_setup_ms, modelled_ipc_call_ms)
     _selections, report = rac.process(
         database=database,
         egress_interfaces=(2,),
@@ -220,35 +209,21 @@ def latency_series(
     seed: int = 7,
     modelled_setup_ms: Optional[float] = None,
     modelled_ipc_call_ms: Optional[float] = None,
-    repeats: int = 1,
 ) -> List[LatencyBreakdown]:
     """Measure the full Figure-6 series (IREC breakdown plus legacy baseline).
 
-    Every point holds the per-field medians of ``repeats`` rounds, on the
-    workloads of seeds ``seed`` … ``seed + repeats - 1``; modelled costs
-    left at ``None`` are calibrated once for the whole series.
+    Unless both modelled costs are given, both are calibrated once for the
+    whole series (:func:`modelled_costs_ms`).
     """
-    setup_ms, ipc_call_ms = _costs_ms(seed, modelled_setup_ms, modelled_ipc_call_ms)
-    series = []
-    for size in candidate_set_sizes:
-        # RAC and legacy rounds alternate, so a slow moment of the host hits both.
-        rounds = [
-            (
-                measure_rac_latency(size, seed + i, setup_ms, ipc_call_ms),
-                measure_legacy_latency(size, seed + i),
-            )
-            for i in range(repeats)
-        ]
-        series.append(
-            LatencyBreakdown(
-                candidate_set_size=size,
-                setup_ms=median(rac.setup_ms for rac, _legacy in rounds),
-                ipc_ms=median(rac.ipc_ms for rac, _legacy in rounds),
-                execution_ms=median(rac.execution_ms for rac, _legacy in rounds),
-                legacy_ms=median(legacy for _rac, legacy in rounds),
-            )
+    if modelled_setup_ms is None or modelled_ipc_call_ms is None:
+        modelled_setup_ms, modelled_ipc_call_ms = modelled_costs_ms(seed)
+    return [
+        replace(
+            measure_rac_latency(size, seed, modelled_setup_ms, modelled_ipc_call_ms),
+            legacy_ms=measure_legacy_latency(size, seed),
         )
-    return series
+        for size in candidate_set_sizes
+    ]
 
 
 # ----------------------------------------------------------------------

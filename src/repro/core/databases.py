@@ -46,7 +46,7 @@ def bucket_of(beacon: Beacon) -> BucketKey:
     return (beacon.origin_as, beacon.interface_group_id, beacon.target_as, beacon.algorithm_id)
 
 
-def _bucket_order(key: BucketKey) -> Tuple:
+def _bucket_sort_key(key: BucketKey) -> Tuple:
     return (key[0], key[1] or -1, key[2] or -1, key[3] or "")
 
 
@@ -80,7 +80,9 @@ class IngressDatabase:
     #: Bucket → digest → record, in insertion order.
     _buckets: Dict[BucketKey, Dict[str, CandidateBeacon]] = field(default_factory=dict)
     #: What :meth:`bucket_keys` returns; ``None`` once a bucket appeared or emptied.
-    _bucket_order: Optional[Tuple[BucketKey, ...]] = None
+    _bucket_order: Optional[Tuple[BucketKey, ...]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
     #: Link → digests of beacons crossing it (only when ``local_as`` set).
     _by_link: Dict[LinkID, Dict[str, None]] = field(default_factory=dict)
 
@@ -117,7 +119,7 @@ class IngressDatabase:
         """Return all non-empty bucket keys, deterministically ordered."""
         order = self._bucket_order
         if order is None:
-            order = self._bucket_order = tuple(sorted(self._buckets, key=_bucket_order))
+            order = self._bucket_order = tuple(sorted(self._buckets, key=_bucket_sort_key))
         return order
 
     def beacons_in_bucket(self, bucket: BucketKey) -> List[CandidateBeacon]:

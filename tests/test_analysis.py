@@ -97,10 +97,10 @@ class TestWorkloads:
 
 class TestMicrobench:
     def test_rac_latency_breakdown(self):
-        breakdown = measure_rac_latency(32)
+        breakdown = measure_rac_latency(32, modelled_setup_ms=1.0, modelled_ipc_call_ms=0.5)
         assert breakdown.candidate_set_size == 32
-        assert breakdown.setup_ms > 0.0
-        assert breakdown.ipc_ms > 0.0
+        assert breakdown.setup_ms > 1.0
+        assert breakdown.ipc_ms > 2 * 0.5
         assert breakdown.execution_ms > 0.0
         assert breakdown.irec_total_ms == pytest.approx(
             breakdown.setup_ms + breakdown.ipc_ms + breakdown.execution_ms
@@ -108,7 +108,7 @@ class TestMicrobench:
 
     def test_legacy_latency_positive_and_smaller(self):
         legacy = measure_legacy_latency(32)
-        irec = measure_rac_latency(32)
+        irec = measure_rac_latency(32, modelled_setup_ms=1.0, modelled_ipc_call_ms=0.5)
         assert legacy > 0.0
         assert irec.irec_total_ms > legacy
 
