@@ -10,9 +10,9 @@ granularity is tuned with interface groups and extended-path optimization.
 The most important entry points:
 
 * :mod:`repro.topology` — topology substrate (generator, geo, PoPs),
-* :mod:`repro.core` — PCBs, criteria, gateways, RACs, control service,
+* :mod:`repro.core` — PCBs, criteria, gateways, RACs, the control service
+  (IREC, or configured as the legacy SCION baseline),
 * :mod:`repro.algorithms` — the routing algorithms executed inside RACs,
-* :mod:`repro.scion` — the legacy SCION control-service baseline,
 * :mod:`repro.simulation` — the discrete-event beaconing simulator,
 * :mod:`repro.dataplane` — the stateless data plane and end-host selection,
 * :mod:`repro.analysis` — figure/table reproduction helpers.

@@ -64,8 +64,10 @@ class KShortestPathAlgorithm(RoutingAlgorithm):
 def legacy_scion_algorithm() -> KShortestPathAlgorithm:
     """Return the legacy SCION selection: the 20 shortest paths per origin.
 
-    This is the algorithm the paper runs both inside an on-demand RAC and in
-    the legacy control service to compare the two implementations' latency
-    and throughput (Figures 6 and 7).
+    This is the algorithm the paper runs both inside an on-demand RAC and
+    bare, as the legacy control service, to compare the two
+    implementations' latency and throughput (Figures 6 and 7).  A legacy
+    AS in a simulation runs it in a static RAC
+    (:func:`repro.simulation.scenario.legacy_scion_spec`).
     """
     return KShortestPathAlgorithm(k=LEGACY_PATH_COUNT)

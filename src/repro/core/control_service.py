@@ -1,20 +1,20 @@
-"""The control services: one AS's complete control plane.
+"""The control service: one AS's complete control plane.
 
-:class:`ControlService` is what every AS runs, whichever way it selects
-paths: identity and wiring (topology view, transport, beacon builder,
-ingress gateway, path service, query frontend, revocation state) and the
-whole fabric-facing surface — typed-message dispatch, beacon admission
-with its negative-cache bounce, the revocation flood, path-registration
-relay and path-query serving.  A flavour adds *selection* on top:
-``originate`` and ``run_round``.
+:class:`IrecControlService` is what every AS runs: identity and wiring
+(topology view, transport, beacon builder, ingress gateway, path service,
+query frontend, revocation state), the whole fabric-facing surface —
+typed-message dispatch, beacon admission with its negative-cache bounce,
+the revocation flood, path-registration relay and path-query serving —
+and the intra-AS components of §V: routing algorithm containers and the
+egress gateway, plus pull-based and on-demand routing.
 
-:class:`IrecControlService` wires the intra-AS components of §V — routing
-algorithm containers and the egress gateway, plus pull-based and on-demand
-routing — onto that base.  The legacy SCION baseline
-(:class:`repro.scion.legacy.LegacyControlService`) puts its single
-20-shortest-paths selection on the same base, which is what makes mixed
-(backward-compatibility, §VII-B) deployments possible: the two differ in
-how an AS selects, not in what it speaks.
+A legacy SCION AS (the baseline of §VII-B's mixed deployments) is a
+configuration of the same class, not a second implementation: one static
+RAC running the 20-shortest-paths selection under the criteria tag
+``"legacy"`` (:func:`repro.simulation.scenario.legacy_scion_spec`), a
+single interface group, beacons originated without the group extension
+and no down-segment announcements.  The two differ in what an AS
+selects, not in what it speaks.
 """
 
 from __future__ import annotations
@@ -60,12 +60,7 @@ from repro.core.revocation import DEFAULT_DEDUP_WINDOW_MS, RevocationState
 from repro.core.transport import ControlPlaneTransport
 from repro.crypto.keys import KeyStore
 from repro.crypto.signer import Signer, Verifier
-from repro.exceptions import (
-    ConfigurationError,
-    SignatureError,
-    SimulationError,
-    UnknownAlgorithmError,
-)
+from repro.exceptions import ConfigurationError, SignatureError, SimulationError
 from repro.topology.entities import LinkID, normalize_link_id
 
 
@@ -73,8 +68,8 @@ from repro.topology.entities import LinkID, normalize_link_id
 class ControlServiceConfig:
     """Deployment knobs of one control service.
 
-    ``originate_with_groups`` and ``register_down_segments`` only mean
-    something to an IREC AS; the rest applies to either flavour.
+    A legacy SCION AS turns ``originate_with_groups`` and
+    ``register_down_segments`` off; the rest applies to every AS.
 
     Attributes:
         verify_signatures: Whether the ingress gateway verifies PCB
@@ -111,21 +106,34 @@ class ControlServiceConfig:
     register_down_segments: bool = False
 
 
-class ControlService:
-    """The control plane every AS runs, whichever way it selects paths.
+@dataclass
+class RoundReport:
+    """Outcome of one beaconing round at one AS."""
 
-    Owns what a legacy SCION AS and an IREC AS share — the wiring and the
-    fabric-facing handlers below.  A flavour subclasses it with its
-    selection: ``originate(now_ms)`` and ``run_round(now_ms)``.
-    """
+    as_id: int
+    now_ms: float
+    rac_reports: List[RACExecutionReport] = field(default_factory=list)
+    propagated: int = 0
+    registered: int = 0
+
+    @property
+    def total_processing_ms(self) -> float:
+        """Return the summed RAC processing latency of the round."""
+        return sum(report.total_ms for report in self.rac_reports)
+
+
+class IrecControlService:
+    """The control plane of one AS, IREC-enabled or configured as legacy."""
 
     def __init__(
         self,
         view: LocalTopologyView,
         key_store: KeyStore,
         transport: ControlPlaneTransport,
-        config: ControlServiceConfig,
+        grouping_policy: Optional[InterfaceGroupingPolicy] = None,
+        config: Optional[ControlServiceConfig] = None,
     ) -> None:
+        config = config or ControlServiceConfig()
         self.view = view
         self.as_id = view.as_id
         self.config = config
@@ -167,6 +175,25 @@ class ControlService:
         #: fans it out to its revocation listeners (e.g. the traffic
         #: engine, which breaks flows when the withdrawal *arrives*).
         self.on_withdrawal = None
+        self.egress = EgressGateway(
+            view=view,
+            builder=self.builder,
+            transport=transport,
+            database=EgressDatabase(expiry_margin_ms=config.expiry_margin_ms),
+            path_service=self.path_service,
+            beacon_validity_ms=config.beacon_validity_ms,
+        )
+        self.racs: List[RoutingAlgorithmContainer] = []
+        self.repository = AlgorithmRepository(as_id=view.as_id)
+        self.pull_results: List[Tuple[Beacon, float]] = []
+        if config.register_down_segments:
+            self.egress.collect_registered = True
+        self._grouping_policy = grouping_policy or SingleGroupPolicy()
+        #: The view's interface tuple the grouping was assigned for; a
+        #: link attached by topology growth replaces the tuple, and the
+        #: next origination regroups.
+        self._grouped_interfaces = view.interface_ids()
+        self.grouping: InterfaceGroupAssignment = self._grouping_policy.assign(view.as_info)
 
     def set_policies(self, policies: Sequence) -> None:
         """Replace the ingress gateway's admission policies atomically."""
@@ -175,6 +202,72 @@ class ControlService:
     def registered_paths_to(self, origin_as: int):
         """Return the registered paths towards ``origin_as``."""
         return self.path_service.paths_to(origin_as)
+
+    # ------------------------------------------------------------------
+    # routing algorithm containers
+    # ------------------------------------------------------------------
+    def add_static_rac(
+        self,
+        rac_id: str,
+        algorithm: RoutingAlgorithm,
+        max_paths_per_interface: int = 20,
+        registration_limit: Optional[int] = None,
+        use_interface_groups: bool = True,
+        use_targets: bool = True,
+    ) -> RoutingAlgorithmContainer:
+        """Create, register and return a static RAC running ``algorithm``."""
+        config = RACConfig(
+            rac_id=rac_id,
+            on_demand=False,
+            max_paths_per_interface=max_paths_per_interface,
+            registration_limit=registration_limit
+            if registration_limit is not None
+            else self.config.registration_limit,
+            use_interface_groups=use_interface_groups,
+            use_targets=use_targets,
+        )
+        rac = RoutingAlgorithmContainer(config=config, algorithm=algorithm)
+        self.racs.append(rac)
+        return rac
+
+    def add_on_demand_rac(
+        self,
+        rac_id: str,
+        max_paths_per_interface: int = 20,
+        registration_limit: Optional[int] = None,
+        cache_enabled: bool = True,
+    ) -> RoutingAlgorithmContainer:
+        """Create, register and return an on-demand RAC."""
+        fetcher = AlgorithmFetcher(
+            transport=lambda origin_as, algorithm_id: self.transport.fetch_algorithm(
+                self.as_id, origin_as, algorithm_id
+            ),
+            cache_enabled=cache_enabled,
+        )
+        manager = OnDemandAlgorithmManager(fetcher=fetcher, cache_enabled=cache_enabled)
+        config = RACConfig(
+            rac_id=rac_id,
+            on_demand=True,
+            max_paths_per_interface=max_paths_per_interface,
+            registration_limit=registration_limit
+            if registration_limit is not None
+            else self.config.registration_limit,
+        )
+        rac = RoutingAlgorithmContainer(config=config, on_demand_manager=manager)
+        self.racs.append(rac)
+        return rac
+
+    def remove_rac(self, rac_id: str) -> bool:
+        """Remove the RAC with ``rac_id``; return whether one was removed.
+
+        Hot-swapping an algorithm (dynamic scenarios) is remove + add: the
+        replacement RAC starts from fresh algorithm state, as a freshly
+        deployed container would.
+        """
+        remaining = [rac for rac in self.racs if rac.config.rac_id != rac_id]
+        removed = len(remaining) != len(self.racs)
+        self.racs = remaining
+        return removed
 
     # ------------------------------------------------------------------
     # dynamic-topology invalidation
@@ -191,11 +284,19 @@ class ControlService:
         ingress interface — is part of its path as seen locally, so it
         counts in addition to the beacon's interior links.  Both stores
         resolve the removal through their link indexes in O(matches).
+        Returned pull beacons over the link go too, before an orchestrator
+        can consume them.
 
         Returns:
             ``(ingress_removed, paths_removed)`` counts.
         """
         failed = normalize_link_id(*link_id)
+        if self.pull_results:
+            self.pull_results = [
+                (beacon, at_ms)
+                for beacon, at_ms in self.pull_results
+                if failed not in beacon.link_set()
+            ]
         return (
             self.ingress.database.remove_crossing_link(failed, arrival_as=self.as_id),
             self.path_service.remove_crossing_link(failed),
@@ -207,6 +308,12 @@ class ControlService:
         Returns:
             ``(ingress_removed, paths_removed)`` counts.
         """
+        if self.pull_results:
+            self.pull_results = [
+                (beacon, at_ms)
+                for beacon, at_ms in self.pull_results
+                if not beacon.contains_as(gone_as)
+            ]
         return (
             self.ingress.database.remove_crossing_as(gone_as),
             self.path_service.remove_crossing_as(gone_as),
@@ -473,11 +580,16 @@ class ControlService:
         return self.ingress.receive(beacon, on_interface=on_interface, now_ms=now_ms)
 
     def receive_returned_beacon(self, beacon: Beacon, now_ms: float) -> None:
-        """Handle a returned pull-based PCB: dropped unless the flavour pulls."""
+        """Handle a pull-based PCB returned by its target AS."""
+        if beacon.origin_as != self.as_id:
+            raise ConfigurationError(
+                f"AS {self.as_id} received a returned beacon originated by AS {beacon.origin_as}"
+            )
+        self.pull_results.append((beacon, now_ms))
 
     def serve_algorithm(self, algorithm_id: str) -> bytes:
-        """Serve an on-demand algorithm payload: none unless the flavour publishes."""
-        raise UnknownAlgorithmError(algorithm_id)
+        """Serve a published on-demand algorithm payload."""
+        return self.repository.fetch(algorithm_id)
 
     def send_path_registration(
         self, egress_interface: int, path: RegisteredPath, now_ms: float
@@ -594,157 +706,6 @@ class ControlService:
         """Handle the answer to a query this AS sent earlier."""
         self.query_responses.append((response, now_ms))
 
-
-@dataclass
-class RoundReport:
-    """Outcome of one beaconing round at one AS."""
-
-    as_id: int
-    now_ms: float
-    rac_reports: List[RACExecutionReport] = field(default_factory=list)
-    propagated: int = 0
-    registered: int = 0
-
-    @property
-    def total_processing_ms(self) -> float:
-        """Return the summed RAC processing latency of the round."""
-        return sum(report.total_ms for report in self.rac_reports)
-
-
-class IrecControlService(ControlService):
-    """The control plane of one IREC-enabled AS."""
-
-    def __init__(
-        self,
-        view: LocalTopologyView,
-        key_store: KeyStore,
-        transport: ControlPlaneTransport,
-        grouping_policy: Optional[InterfaceGroupingPolicy] = None,
-        config: Optional[ControlServiceConfig] = None,
-    ) -> None:
-        super().__init__(view, key_store, transport, config or ControlServiceConfig())
-        self.egress = EgressGateway(
-            view=view,
-            builder=self.builder,
-            transport=transport,
-            database=EgressDatabase(expiry_margin_ms=self.config.expiry_margin_ms),
-            path_service=self.path_service,
-            beacon_validity_ms=self.config.beacon_validity_ms,
-        )
-        self.racs: List[RoutingAlgorithmContainer] = []
-        self.repository = AlgorithmRepository(as_id=view.as_id)
-        self.pull_results: List[Tuple[Beacon, float]] = []
-        if self.config.register_down_segments:
-            self.egress.collect_registered = True
-        policy = grouping_policy or SingleGroupPolicy()
-        self.grouping: InterfaceGroupAssignment = policy.assign(view.as_info)
-
-    # ------------------------------------------------------------------
-    # routing algorithm containers
-    # ------------------------------------------------------------------
-    def add_static_rac(
-        self,
-        rac_id: str,
-        algorithm: RoutingAlgorithm,
-        max_paths_per_interface: int = 20,
-        registration_limit: Optional[int] = None,
-        use_interface_groups: bool = True,
-        use_targets: bool = True,
-    ) -> RoutingAlgorithmContainer:
-        """Create, register and return a static RAC running ``algorithm``."""
-        config = RACConfig(
-            rac_id=rac_id,
-            on_demand=False,
-            max_paths_per_interface=max_paths_per_interface,
-            registration_limit=registration_limit
-            if registration_limit is not None
-            else self.config.registration_limit,
-            use_interface_groups=use_interface_groups,
-            use_targets=use_targets,
-        )
-        rac = RoutingAlgorithmContainer(config=config, algorithm=algorithm)
-        self.racs.append(rac)
-        return rac
-
-    def add_on_demand_rac(
-        self,
-        rac_id: str,
-        max_paths_per_interface: int = 20,
-        registration_limit: Optional[int] = None,
-        cache_enabled: bool = True,
-    ) -> RoutingAlgorithmContainer:
-        """Create, register and return an on-demand RAC."""
-        fetcher = AlgorithmFetcher(
-            transport=lambda origin_as, algorithm_id: self.transport.fetch_algorithm(
-                self.as_id, origin_as, algorithm_id
-            ),
-            cache_enabled=cache_enabled,
-        )
-        manager = OnDemandAlgorithmManager(fetcher=fetcher, cache_enabled=cache_enabled)
-        config = RACConfig(
-            rac_id=rac_id,
-            on_demand=True,
-            max_paths_per_interface=max_paths_per_interface,
-            registration_limit=registration_limit
-            if registration_limit is not None
-            else self.config.registration_limit,
-        )
-        rac = RoutingAlgorithmContainer(config=config, on_demand_manager=manager)
-        self.racs.append(rac)
-        return rac
-
-    def remove_rac(self, rac_id: str) -> bool:
-        """Remove the RAC with ``rac_id``; return whether one was removed.
-
-        Hot-swapping an algorithm (dynamic scenarios) is remove + add: the
-        replacement RAC starts from fresh algorithm state, as a freshly
-        deployed container would.
-        """
-        remaining = [rac for rac in self.racs if rac.config.rac_id != rac_id]
-        removed = len(remaining) != len(self.racs)
-        self.racs = remaining
-        return removed
-
-    # ------------------------------------------------------------------
-    # dynamic-topology invalidation
-    # ------------------------------------------------------------------
-    def invalidate_link(self, link_id: LinkID) -> Tuple[int, int]:
-        """Withdraw all state crossing a failed link — returned pull beacons
-        over it included, before an orchestrator can consume them."""
-        failed = normalize_link_id(*link_id)
-        if self.pull_results:
-            self.pull_results = [
-                (beacon, at_ms)
-                for beacon, at_ms in self.pull_results
-                if failed not in beacon.link_set()
-            ]
-        return super().invalidate_link(failed)
-
-    def invalidate_as(self, gone_as: int) -> Tuple[int, int]:
-        """Withdraw all state whose AS path crosses a departed AS."""
-        if self.pull_results:
-            self.pull_results = [
-                (beacon, at_ms)
-                for beacon, at_ms in self.pull_results
-                if not beacon.contains_as(gone_as)
-            ]
-        return super().invalidate_as(gone_as)
-
-    # ------------------------------------------------------------------
-    # pull-based and on-demand routing
-    # ------------------------------------------------------------------
-    def receive_returned_beacon(self, beacon: Beacon, now_ms: float) -> None:
-        """Handle a pull-based PCB returned by its target AS."""
-        if beacon.origin_as != self.as_id:
-            raise ConfigurationError(
-                f"AS {self.as_id} received a returned beacon originated by AS {beacon.origin_as}"
-            )
-        self.pull_results.append((beacon, now_ms))
-
-    def serve_algorithm(self, algorithm_id: str) -> bytes:
-        """Serve a published on-demand algorithm payload."""
-        return self.repository.fetch(algorithm_id)
-
     # ------------------------------------------------------------------
     # origination
     # ------------------------------------------------------------------
@@ -756,10 +717,16 @@ class IrecControlService(ControlService):
         """Originate the periodic (push) beacons of this AS.
 
         One beacon is created per local interface; when interface groups
-        are enabled, each beacon carries the group of its interface.
+        are enabled, each beacon carries the group of its interface.  An
+        interface topology growth attached since the last origination is
+        grouped by the policy first, so it originates like the others.
         """
+        interfaces = self.view.interface_ids()
+        if interfaces is not self._grouped_interfaces:
+            self.grouping = self._grouping_policy.assign(self.view.as_info)
+            self._grouped_interfaces = interfaces
         originated: List[Beacon] = []
-        attached = set(self.view.interface_ids())
+        attached = set(interfaces)
         for group_id in self.grouping.group_ids():
             extensions = ExtensionSet()
             if self.config.originate_with_groups:

@@ -213,7 +213,7 @@ class RevocationMessage(ControlMessage):
     Originated by an AS adjacent to a failure and flooded hop-by-hop; every
     receiving control service deduplicates it by ``(origin_as, sequence)``,
     withdraws matching state and re-forwards it (see
-    :meth:`repro.core.control_service.ControlService.on_revocation`).
+    :meth:`repro.core.control_service.IrecControlService.on_revocation`).
 
     A message names **at least one** failed element.  The classic
     single-element form uses ``failed_link`` *or* ``failed_as`` (exactly

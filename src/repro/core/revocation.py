@@ -29,10 +29,9 @@ whose next hop is itself unavailable is lost in flight — all of which the
 old counter model could not express.
 
 The handlers are methods of
-:class:`repro.core.control_service.ControlService` — ``originate_revocation``,
-``on_revocation`` and the beacon bounce in ``receive_beacon`` — so the IREC
-and the legacy SCION control service share one implementation by
-inheritance.  This module keeps the per-service bookkeeping they run on,
+:class:`repro.core.control_service.IrecControlService` —
+``originate_revocation``, ``on_revocation`` and the beacon bounce in
+``receive_beacon`` — which IREC and legacy SCION ASes both run.  This module keeps the per-service bookkeeping they run on,
 :class:`RevocationState`; the :class:`~repro.core.messages.RevocationMessage`
 class itself lives in :mod:`repro.core.messages`, one typed control message
 among others on the shared envelope (batching, TTL and scope limiting
@@ -75,7 +74,7 @@ class RevocationState:
             propagation-ordered convergence measurable.
         revoked_links: Negative cache: link → (applied revocation message,
             applied-at time).  Consulted when a beacon arrives over a
-            recently revoked element (see ``ControlService.receive_beacon``);
+            recently revoked element (see ``IrecControlService.receive_beacon``);
             cleared by the driver when the element recovers.
         revoked_ases: Negative cache for departed ASes, same shape.
         suppress_forwarding: Byzantine knob (PR 7): a suppressing service

@@ -42,18 +42,17 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.control_service import (
-    ControlService,
     ControlServiceConfig,
     IrecControlService,
     RoundReport,
 )
 from repro.core.databases import PathService, RegisteredPath
+from repro.core.interface_groups import SingleGroupPolicy
 from repro.core.local_view import LocalTopologyView
 from repro.core.messages import RevocationMessage
 from repro.core.pull import PullBasedDisjointnessOrchestrator, PullState
 from repro.crypto.keys import KeyStore
 from repro.exceptions import ConfigurationError, SimulationError, UnknownASError
-from repro.scion.legacy import LegacyControlService
 from repro.simulation.collector import ConvergenceCollector, MetricsCollector
 from repro.simulation.engine import EventScheduler
 from repro.simulation.events import (
@@ -77,7 +76,7 @@ from repro.simulation.events import (
 )
 from repro.simulation.failures import LinkState
 from repro.simulation.network import SimulatedTransport
-from repro.simulation.scenario import AlgorithmSpec, ScenarioConfig
+from repro.simulation.scenario import AlgorithmSpec, ScenarioConfig, legacy_scion_spec
 from repro.topology.entities import ASInfo, Interface, Link, LinkID
 from repro.topology.geo import GeoCoordinate
 from repro.topology.graph import Topology
@@ -119,7 +118,7 @@ class SimulationResult:
     """
 
     topology: Topology
-    services: Dict[int, ControlService]
+    services: Dict[int, IrecControlService]
     collector: MetricsCollector
     round_reports: List[RoundReport] = field(default_factory=list)
     periods_run: int = 0
@@ -129,7 +128,7 @@ class SimulationResult:
     #: AS id → (revocations rejected as invalid, duplicate revocations).
     revocation_stats: Dict[int, Tuple[int, int]] = field(default_factory=dict)
 
-    def service(self, as_id: int) -> ControlService:
+    def service(self, as_id: int) -> IrecControlService:
         """Return the control service of ``as_id``."""
         try:
             return self.services[as_id]
@@ -190,7 +189,7 @@ class PeriodDriver:
         self.topology = topology
         self.scenario = scenario
         #: Empty when the services live in shard workers.
-        self.services: Dict[int, ControlService] = {}
+        self.services: Dict[int, IrecControlService] = {}
         self.convergence = ConvergenceCollector()
         self.round_reports: List[RoundReport] = []
         self.watched_pairs: List[Tuple[int, int]] = []
@@ -462,42 +461,37 @@ class BeaconingSimulation(PeriodDriver):
             if self.shard is None or as_info.as_id in self.shard.owned_ases:
                 self._build_service(as_info)
 
-    def _build_service(self, as_info: ASInfo) -> ControlService:
+    def _build_service(self, as_info: ASInfo) -> IrecControlService:
         """Build, wire and register the control service of one AS.
 
         Shared by initial construction and mid-run growth churn
         (:class:`~repro.simulation.events.TopologyGrowth`), so a grown AS
-        gets exactly the deployment a founding AS would.
+        gets exactly the deployment a founding AS would.  An AS in
+        ``scenario.legacy_ases`` gets the legacy SCION configuration (see
+        :attr:`ScenarioConfig.legacy_ases`).
         """
         view = LocalTopologyView.from_topology(
             self.topology,
             as_info.as_id,
             intra_domain=self.intra_domain.model_for(as_info),
         )
-        if as_info.as_id in self.scenario.legacy_ases:
-            service: ControlService = LegacyControlService(
-                view=view,
-                key_store=self.key_store,
-                transport=self.transport,
+        legacy = as_info.as_id in self.scenario.legacy_ases
+        service = IrecControlService(
+            view=view,
+            key_store=self.key_store,
+            transport=self.transport,
+            grouping_policy=SingleGroupPolicy() if legacy else self.scenario.grouping_policy,
+            config=ControlServiceConfig(
                 verify_signatures=self.scenario.verify_signatures,
                 revocation_dedup_window_ms=self.scenario.revocation_dedup_window_ms,
-            )
-        else:
-            service = IrecControlService(
-                view=view,
-                key_store=self.key_store,
-                transport=self.transport,
-                grouping_policy=self.scenario.grouping_policy,
-                config=ControlServiceConfig(
-                    verify_signatures=self.scenario.verify_signatures,
-                    revocation_dedup_window_ms=self.scenario.revocation_dedup_window_ms,
-                    register_down_segments=self.scenario.register_down_segments,
-                ),
-            )
-            specs = self._deployed_specs.setdefault(as_info.as_id, {})
-            for spec in self.scenario.algorithms:
-                self._install_rac(service, spec)
-                specs[spec.rac_id] = spec
+                originate_with_groups=not legacy,
+                register_down_segments=self.scenario.register_down_segments and not legacy,
+            ),
+        )
+        specs = self._deployed_specs.setdefault(as_info.as_id, {})
+        for spec in (legacy_scion_spec(),) if legacy else self.scenario.algorithms:
+            self._install_rac(service, spec)
+            specs[spec.rac_id] = spec
         # The serving tier reads simulated time from the scheduler, so
         # cached query responses expire on the simulation's clock.
         service.query_frontend.clock = lambda: self.scheduler.now_ms
@@ -538,7 +532,7 @@ class BeaconingSimulation(PeriodDriver):
     ) -> PullBasedDisjointnessOrchestrator:
         """Attach a PD orchestrator at ``origin_as`` towards ``target_as``."""
         service = self.services.get(origin_as)
-        if not isinstance(service, IrecControlService):
+        if service is None or origin_as in self.scenario.legacy_ases:
             raise ConfigurationError(
                 f"AS {origin_as} does not run IREC and cannot originate pull-based beacons"
             )
@@ -707,18 +701,16 @@ class BeaconingSimulation(PeriodDriver):
                 for _ in range(event.bursts):
                     self.services[event.attacker_as].originate(now_ms=now_ms)
         elif isinstance(event, PolicySwap):
-            # Both service flavours expose set_policies (the legacy ingress
-            # gateway honours admission policies too).
             for service in self._event_targets(event.as_ids):
                 service.set_policies(list(event.policies))
         elif isinstance(event, RACSwap):
             for service in self._event_targets(event.as_ids):
-                if not isinstance(service, IrecControlService):
+                if service.as_id in self.scenario.legacy_ases:
                     if event.as_ids is None:
                         continue  # broadcast swaps skip legacy ASes
                     raise SimulationError(
                         f"RAC swap explicitly targets AS {service.as_id}, "
-                        "which runs the legacy control service"
+                        "which runs legacy SCION"
                     )
                 if not service.remove_rac(event.target_rac_id):
                     if event.as_ids is None:
@@ -761,24 +753,23 @@ class BeaconingSimulation(PeriodDriver):
         for listener in self.event_listeners:
             listener(event, now_ms)
 
-    def _cold_restart(self, service: ControlService) -> None:
+    def _cold_restart(self, service: IrecControlService) -> None:
         """Wipe a departing AS's volatile control-plane state.
 
         A churned AS comes back as a freshly booted deployment: empty
-        ingress database and path service, a cold verified-prefix cache
-        and — for IREC ASes — freshly instantiated RACs of its current
-        deployment (algorithm state must not survive the restart).
+        ingress database and path service, a cold verified-prefix cache,
+        no returned pull beacons and freshly instantiated RACs of its
+        current deployment (algorithm state must not survive the restart).
         """
         service.ingress.database.remove_matching(lambda _stored: True)
         service.path_service.remove_matching(lambda _path: True)
         service.ingress.verified_prefixes.clear()
-        if isinstance(service, IrecControlService):
-            service.pull_results.clear()
-            for spec in self._deployed_specs.get(service.as_id, {}).values():
-                service.remove_rac(spec.rac_id)
-                self._install_rac(service, spec)
+        service.pull_results.clear()
+        for spec in self._deployed_specs.get(service.as_id, {}).values():
+            service.remove_rac(spec.rac_id)
+            self._install_rac(service, spec)
 
-    def _event_targets(self, as_ids: Optional[Tuple[int, ...]]) -> List[ControlService]:
+    def _event_targets(self, as_ids: Optional[Tuple[int, ...]]) -> List[IrecControlService]:
         """Return the local services an event addresses (``None``: all), in
         AS order.  The driver validated explicit targets up front; in a
         sharded run the ones on other shards are theirs to apply."""
@@ -999,15 +990,12 @@ class BeaconingSimulation(PeriodDriver):
                 service.originate(now_ms=now_ms)
 
     def rac_round(self, now_ms: float) -> List[RoundReport]:
-        """Run one RAC round at every online AS; return the IREC reports."""
-        reports: List[RoundReport] = []
-        for service in self._services_in_order():
-            if not self.link_state.is_as_up(service.as_id):
-                continue
-            report = service.run_round(now_ms=now_ms)
-            if isinstance(report, RoundReport):
-                reports.append(report)
-        return reports
+        """Run one RAC round at every online AS; return the reports."""
+        return [
+            service.run_round(now_ms=now_ms)
+            for service in self._services_in_order()
+            if self.link_state.is_as_up(service.as_id)
+        ]
 
     def end_period(self, now_ms: float) -> None:
         """Start or advance every pull orchestrator of an online AS."""
@@ -1030,5 +1018,5 @@ class BeaconingSimulation(PeriodDriver):
             },
         )
 
-    def _services_in_order(self) -> List[ControlService]:
+    def _services_in_order(self) -> List[IrecControlService]:
         return [self.services[as_id] for as_id in sorted(self.services)]

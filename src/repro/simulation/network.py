@@ -26,7 +26,7 @@ shares its arrival timestamp, so database state and withdrawal
 (``batch_size=1``) — pinned by the dispatch-equivalence property tests —
 while the batch lets the control service amortize work across messages
 (e.g. one admission per duplicate beacon group, see
-:meth:`repro.core.control_service.ControlService.on_message_batch`).
+:meth:`repro.core.control_service.IrecControlService.on_message_batch`).
 
 Returned pull beacons travel back to their origin with the accumulated
 latency of the path they describe, and algorithm fetches cost one round
@@ -56,7 +56,7 @@ from functools import partial
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.beacon import Beacon
-from repro.core.control_service import ControlService
+from repro.core.control_service import IrecControlService
 from repro.core.messages import ControlMessage, PCBMessage, PullReturnMessage
 from repro.exceptions import (
     AlgorithmError,
@@ -251,7 +251,7 @@ class SimulatedTransport:
     inbox_profiles: Dict[int, InboxProfile] = field(default_factory=dict)
     loss_seed: int = 0
     exporter: Optional[Callable[[tuple], None]] = None
-    services: Dict[int, ControlService] = field(default_factory=dict)
+    services: Dict[int, IrecControlService] = field(default_factory=dict)
     _inboxes: Dict[int, _Inbox] = field(default_factory=dict)
     _sequence: "itertools.count" = field(default_factory=lambda: itertools.count(1))
     #: (sender_as, egress_interface) → (link key, link latency, remote AS,
@@ -281,7 +281,7 @@ class SimulatedTransport:
                     "rounds; they are incompatible with deliver_immediately"
                 )
 
-    def register(self, service: ControlService) -> None:
+    def register(self, service: IrecControlService) -> None:
         """Register a control service under its AS identifier."""
         as_id = service.as_id
         self.services[as_id] = service
@@ -345,7 +345,7 @@ class SimulatedTransport:
             ),
         )
 
-    def service_of(self, as_id: int) -> ControlService:
+    def service_of(self, as_id: int) -> IrecControlService:
         """Return the registered control service of ``as_id``."""
         service = self.services.get(as_id)
         if service is None:

@@ -15,7 +15,7 @@ from typing import Callable, Dict, Optional, Tuple
 from repro.algorithms.base import RoutingAlgorithm
 from repro.algorithms.delay import DelayOptimizationAlgorithm
 from repro.algorithms.disjointness import HeuristicDisjointnessAlgorithm
-from repro.algorithms.shortest_path import KShortestPathAlgorithm
+from repro.algorithms.shortest_path import KShortestPathAlgorithm, legacy_scion_algorithm
 from repro.core.interface_groups import (
     GeographicGroupingPolicy,
     InterfaceGroupingPolicy,
@@ -71,8 +71,12 @@ class ScenarioConfig:
         periods: Number of beaconing periods to simulate.
         verify_signatures: Whether ingress gateways verify signature chains
             (disable for large topologies to keep runtime reasonable).
-        legacy_ases: ASes that run the legacy SCION control service instead
-            of IREC (used by the backward-compatibility experiment).
+        legacy_ases: ASes that run legacy SCION instead of IREC (the
+            backward-compatibility experiment, §VII-B).  A legacy AS is the
+            same control service configured as legacy: one static RAC from
+            :func:`legacy_scion_spec` instead of ``algorithms``, a single
+            interface group, beacons without the group extension and no
+            down-segment announcements.
         processing_delay_ms: Per-hop control-plane processing delay.  Also
             the per-hop processing cost of revocation messages: one
             revocation hop takes ``link latency + processing_delay_ms``.
@@ -195,6 +199,16 @@ def delay_optimization_spec(
 def on_demand_spec(registration_limit: int = 20) -> AlgorithmSpec:
     """The on-demand RAC used by pull-based disjointness."""
     return AlgorithmSpec(rac_id="on-demand", on_demand=True, registration_limit=registration_limit)
+
+
+def legacy_scion_spec() -> AlgorithmSpec:
+    """Legacy SCION: the 20 shortest paths per origin, tagged ``"legacy"``.
+
+    The one RAC of every AS in :attr:`ScenarioConfig.legacy_ases`.  Being
+    static, it skips algorithm-extension buckets, so a legacy AS does not
+    propagate on-demand (pull-based disjointness) beacons.
+    """
+    return AlgorithmSpec(rac_id="legacy", factory=legacy_scion_algorithm)
 
 
 def paper_algorithm_suite(registration_limit: int = 20) -> Tuple[AlgorithmSpec, ...]:

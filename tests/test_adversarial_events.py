@@ -394,6 +394,21 @@ class TestTopologyGrowth:
         assert neighbor_as == 2
         assert neighbor.view.link_of(neighbor_if) is result.topology.links[new_link]
 
+    @pytest.mark.parametrize("legacy_ases", [(), (3,)])
+    def test_attachment_as_originates_on_the_grown_link(self, legacy_ases):
+        """AS 3 originates over its link to the newcomer too, so AS 6 holds
+        the direct path (3, 6), not only the detour through AS 5."""
+        topology = line_topology(5)
+        scenario = don_scenario(periods=5)
+        scenario.legacy_ases = legacy_ases
+        scenario.at(minutes(15)).grow_as(6, attach_to=(3, 5))
+
+        result = _run(topology, scenario)
+
+        as_paths = {p.segment.as_path() for p in result.service(6).path_service.paths_to(3)}
+        assert (3, 6) in as_paths
+        assert (3, 4, 5, 6) in as_paths
+
     def test_growth_churn_generator_allocates_fresh_ids(self):
         topology = line_topology(4)
         events = growth_churn(

@@ -16,9 +16,12 @@ justify the change in the PR description.
 import hashlib
 import random
 
+import pytest
+
 from repro.simulation.beaconing import BeaconingSimulation
 from repro.simulation.events import random_churn, random_link_failures
-from repro.simulation.scenario import don_scenario
+from repro.simulation.scenario import disjointness_scenario, dob_scenario, don_scenario
+from repro.topology.generator import TopologyConfig, generate_topology
 from repro.units import minutes
 
 from tests.conftest import line_topology
@@ -36,11 +39,11 @@ from tests.conftest import line_topology
 GOLDEN_DIGEST = "5ce362c5870d1b961141d110321bed2360d38f20be418884cfa6aac7ee21ed8d"
 
 
-# The same scenario with ASes 2 and 4 running the legacy SCION control
-# service (§VII-B's mixed deployment): the 2-3 failure floods through a
-# legacy AS, and legacy AS 4 leaves, cold-restarts and rejoins.  Pinned on
-# the code before the two control services were given one base class, so
-# "unchanged" covers `repro.scion.legacy` too.  `MIXED_DIGEST` is the part
+# The same scenario with ASes 2 and 4 running legacy SCION (§VII-B's mixed
+# deployment): the 2-3 failure floods through a legacy AS, and legacy AS 4
+# leaves, cold-restarts and rejoins.  Pinned while a legacy AS still ran a
+# control service class of its own, so "unchanged" holds the legacy
+# configuration of the one class to it.  `MIXED_DIGEST` is the part
 # both providers can reproduce (trace + fabric counters); a sharded run's
 # services die with its workers, so the per-AS registered segments are
 # pinned separately and checked in process only.
@@ -152,6 +155,72 @@ class TestGoldenTrace:
         assert (trace, segments) == run_mixed_scenario()
 
 
+# Generated mixed deployments: a 13-AS generator topology, a seeded random
+# third of the ASes legacy and two random link failures, under three
+# algorithm suites.  Each digest covers the trace, the fabric counters and
+# every AS's registered segments with their criteria tags.  Pinned on the
+# code where a legacy AS still ran a control service class of its own, so
+# they hold a legacy AS built as a configuration of the one class to that
+# class's behaviour.
+GENERATED_MIXED_DIGESTS = {
+    "dob2000-signed": "68e2466652b83ce29eb0d66b07faffe35550aa160f63bbac8a7edbd62bfbe3ab",
+    "don": "c28359238953f93345c6476c9196b0258aa3b4e83bb2ff1adb5d14809e7ca391",
+    "1sp-hd": "2bf5946240a43a39fb757bf3d7e7e41ef08090849329e5df6e93d0aec406636f",
+}
+
+
+def run_generated_mixed(case):
+    """Run one generated mixed deployment; return its digested text."""
+    topology = generate_topology(
+        TopologyConfig(num_ases=13, num_core=3, num_transit=5, seed=1)
+    )
+    scenario, seed = {
+        "dob2000-signed": (dob_scenario(radius_km=2000, verify_signatures=True), 1),
+        "don": (don_scenario(), 2),
+        "1sp-hd": (disjointness_scenario(), 3),
+    }[case]
+    rng = random.Random(seed)
+    as_ids = sorted(topology.as_ids())
+    scenario.legacy_ases = tuple(sorted(rng.sample(as_ids, k=len(as_ids) // 3)))
+    scenario.timeline.extend(
+        random_link_failures(
+            topology,
+            count=2,
+            rng=rng,
+            start_ms=minutes(15),
+            spacing_ms=minutes(10),
+            recovery_after_ms=minutes(10),
+        )
+    )
+    simulation = BeaconingSimulation(topology, scenario)
+    for source_as in as_ids[1:]:
+        simulation.watch_pair(source_as, as_ids[0])
+    result = simulation.run()
+    segments = [
+        f"as={as_id} "
+        + ",".join(
+            sorted(
+                f"{path.segment.digest()}:{'+'.join(path.criteria_tags)}"
+                for path in service.path_service.all_paths()
+            )
+        )
+        for as_id, service in sorted(result.services.items())
+    ]
+    registrations = f" registrations={result.collector.total_registrations}"
+    return "\n".join([_trace(result, registrations), *segments])
+
+
+class TestGeneratedMixedDeployments:
+    @pytest.mark.parametrize("case", sorted(GENERATED_MIXED_DIGESTS))
+    def test_matches_checked_in_digest(self, case):
+        text = run_generated_mixed(case)
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert digest == GENERATED_MIXED_DIGESTS[case], (
+            f"generated mixed deployment {case!r} changed — if intentional, "
+            f"update GENERATED_MIXED_DIGESTS[{case!r}] to {digest!r}; it was:\n{text}"
+        )
+
+
 # ---------------------------------------------------------------------------
 # PR 7: adversarial & gray-failure family golden traces
 # ---------------------------------------------------------------------------
@@ -162,11 +231,14 @@ class TestGoldenTrace:
 # loss dice, forgery/replay/suppression dispatch, live topology growth)
 # is bit-for-bit deterministic.  Update a value (with justification) only
 # when a PR intentionally changes that family's observable behaviour.
+# churn_growth re-pinned when an AS began to originate on the interfaces
+# topology growth attaches to it: ASes 3 and 5 (and 6, once AS 7 attaches)
+# now originate on their new links too, so `sent` went 334 -> 381.
 FAMILY_DIGESTS = {
     "flap": "dcb7e8c70c5fa6ac472ced3facb84f53e92e226fec878941ebe4d4d610aa65f9",
     "gray": "8b32eaa6ae7f473d4e5d3e28d84f4da8df220e6699cb92529a004e10419be68d",
     "byzantine": "cabf009078db2dc83332a0ef98311bb85fb7327f1adc83b6507514161e46a27f",
-    "churn_growth": "88fdf89b7b30598881211d32212dc5af79545604816a3a79bd0ef7de324e0fe4",
+    "churn_growth": "58c5bbc4e1d965bb475a51adecbb17fc62e88349c499821b4044871823c6b42f",
 }
 
 

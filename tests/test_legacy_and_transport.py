@@ -1,4 +1,10 @@
-"""Tests for the legacy SCION control service and the transport implementations."""
+"""Tests for legacy SCION ASes and the transport implementations.
+
+A legacy AS is a configuration of the one control service
+(``ScenarioConfig.legacy_ases``): one static RAC from
+``legacy_scion_spec`` tagged ``"legacy"``.  These tests drive it through
+that configuration.
+"""
 
 import ast
 import os
@@ -8,96 +14,90 @@ from pathlib import Path
 
 import pytest
 
-from repro.algorithms.base import CandidateBeacon
-from repro.core.local_view import LocalTopologyView
+from repro.algorithms.shortest_path import LEGACY_PATH_COUNT, KShortestPathAlgorithm
 from repro.core.transport import LoopbackTransport, NullTransport
 from repro.exceptions import SimulationError, UnknownASError, UnknownAlgorithmError
-from repro.scion.legacy import LegacyControlService
 from repro.simulation.beaconing import BeaconingSimulation
-from repro.simulation.scenario import don_scenario
+from repro.simulation.scenario import (
+    AlgorithmSpec,
+    ScenarioConfig,
+    disjointness_scenario,
+    don_scenario,
+    one_shortest_path_spec,
+)
+from repro.units import minutes
 
 from tests.conftest import line_topology, make_beacon, pcb_message
 
 ROOT = Path(__file__).resolve().parents[1]
 
-#: Prints the order ``select_paths`` returns for candidates whose
-#: (hop count, latency) keys all tie: eight paths over four AS paths.
+#: Prints the order the legacy RAC selects candidates whose (hop count,
+#: latency) keys all tie: eight paths over four AS paths.
 _TIED_SELECTION = """
 from repro.algorithms.base import CandidateBeacon
-from repro.core.local_view import LocalTopologyView
-from repro.core.transport import NullTransport
-from repro.crypto.keys import KeyStore
-from repro.scion.legacy import LegacyControlService
+from repro.simulation.beaconing import BeaconingSimulation
+from repro.simulation.scenario import ScenarioConfig
 from tests.conftest import line_topology, make_beacon
 
-key_store = KeyStore()
-service = LegacyControlService(
-    view=LocalTopologyView.from_topology(line_topology(3), 2),
-    key_store=key_store,
-    transport=NullTransport(),
+simulation = BeaconingSimulation(
+    line_topology(3), ScenarioConfig(algorithms=(), legacy_ases=(1, 2, 3))
 )
-candidates = [
-    CandidateBeacon(make_beacon(key_store, [(1, None, out), (mid, 1, 2)]), ingress_interface=1)
-    for mid in (30, 10, 40, 20)
-    for out in (2, 1)
-]
-selected, _report = service.select_paths(candidates)
-print([(c.beacon.as_path(), c.beacon.digest()[:16]) for c in selected])
+service = simulation.services[2]
+for mid in (30, 10, 40, 20):
+    for out in (2, 1):
+        beacon = make_beacon(simulation.key_store, [(1, None, out), (mid, 1, 2)])
+        service.ingress.database.insert(CandidateBeacon(beacon, ingress_interface=1))
+(rac,) = service.racs
+selections, _report = rac.process(
+    database=service.ingress.database,
+    egress_interfaces=service.view.interface_ids(),
+    intra_latency_ms=service.view.intra_latency_ms,
+    local_as=2,
+)
+print([(s.beacon.as_path(), s.beacon.digest()[:16]) for s in selections])
 """
 
 
-def legacy_deployment(topology, key_store, paths_per_origin=20):
-    transport = LoopbackTransport(topology=topology)
-    services = {}
-    for as_info in topology:
-        view = LocalTopologyView.from_topology(topology, as_info.as_id)
-        service = LegacyControlService(
-            view=view,
-            key_store=key_store,
-            transport=transport,
-            paths_per_origin=paths_per_origin,
-        )
-        services[as_info.as_id] = service
-        transport.register(service)
-    return services, transport
+def legacy_simulation(num_ases, periods=4):
+    """A line of ``num_ases`` ASes that all run legacy SCION."""
+    return BeaconingSimulation(
+        line_topology(num_ases),
+        ScenarioConfig(
+            algorithms=(),
+            periods=periods,
+            verify_signatures=False,
+            legacy_ases=tuple(range(1, num_ases + 1)),
+        ),
+    )
 
 
 class TestLegacyControlService:
-    def test_beaconing_end_to_end(self, key_store):
-        topology = line_topology(4)
-        services, _transport = legacy_deployment(topology, key_store)
-        for round_index in range(4):
-            now = round_index * 1000.0
-            for service in services.values():
-                service.originate(now_ms=now)
-            for service in services.values():
-                service.run_round(now_ms=now + 500.0)
-        paths = services[4].path_service.paths_to(1)
+    def test_beaconing_end_to_end(self):
+        result = legacy_simulation(4).run()
+        paths = result.service(4).path_service.paths_to(1)
         assert paths
         assert paths[0].criteria_tags == ("legacy",)
         assert paths[0].segment.as_path() == (1, 2, 3, 4)
+        assert [rac.config.rac_id for rac in result.service(2).racs] == ["legacy"]
 
-    def test_select_paths_limits_to_configured_count(self, key_store):
-        topology = line_topology(3)
-        services, _transport = legacy_deployment(topology, key_store, paths_per_origin=2)
-        service = services[2]
-        stored = [
-            CandidateBeacon(
-                beacon=make_beacon(key_store, [(1, None, interface), (9 + interface, 1, 2)]),
-                ingress_interface=1,
-                received_at_ms=0.0,
-            )
-            for interface in range(1, 6)
-        ]
-        selected, report = service.select_paths(stored)
-        assert len(selected) == 2
-        assert [c.beacon.as_path() for c in selected] == [(1, 10), (1, 11)]
-        assert report.candidates == 5
-        assert report.selections == 2
-        assert report.execution_ms > 0.0
-        assert report.throughput_pcbs_per_second() > 0.0
+    def test_selects_at_most_the_legacy_path_count(self):
+        simulation = legacy_simulation(3)
+        service = simulation.services[2]
+        for mid in range(10, 10 + LEGACY_PATH_COUNT + 5):
+            beacon = make_beacon(simulation.key_store, [(1, None, 2), (mid, 1, 2)])
+            service.ingress.receive(beacon, on_interface=1, now_ms=0.0)
+        (rac,) = service.racs
+        selections, _report = rac.process(
+            database=service.ingress.database,
+            egress_interfaces=service.view.interface_ids(),
+            intra_latency_ms=service.view.intra_latency_ms,
+            local_as=2,
+        )
+        assert len(selections) == LEGACY_PATH_COUNT
+        assert [s.beacon.as_path() for s in selections[:2]] == [(1, 10), (1, 11)]
+        assert all(s.egress_interfaces == [1, 2] for s in selections)
 
-    def test_select_paths_order_is_the_rankings_under_any_hash_seed(self):
+    def test_selection_order_is_the_rankings_under_any_hash_seed(self):
         """Ties on (hop count, latency) are broken by AS path, then digest —
         the algorithm's ranking, not the iteration order of a ``set``."""
         orders = [
@@ -119,43 +119,72 @@ class TestLegacyControlService:
         paths = [as_path for as_path, _digest in ast.literal_eval(orders[0])]
         assert paths == sorted(paths) and len(paths) == 8
 
-    def test_select_paths_empty(self, key_store):
-        topology = line_topology(3)
-        services, _transport = legacy_deployment(topology, key_store)
-        selected, report = services[2].select_paths([])
-        assert selected == []
-        assert report.total_ms == 0.0
-
-    def test_no_on_demand_support(self, key_store):
-        topology = line_topology(3)
-        services, _transport = legacy_deployment(topology, key_store)
+    def test_no_on_demand_payloads(self):
+        service = legacy_simulation(3).services[1]
         with pytest.raises(UnknownAlgorithmError):
-            services[1].serve_algorithm("anything")
-        # Returned beacons are silently dropped.
-        beacon = make_beacon(key_store, [(1, None, 2), (2, 1, None)])
-        services[1].receive_returned_beacon(beacon, now_ms=0.0)
+            service.serve_algorithm("anything")
 
-    def test_propagation_does_not_resend_same_interface(self, key_store):
-        topology = line_topology(3)
-        services, transport = legacy_deployment(topology, key_store)
-        for service in services.values():
+    def test_originates_without_the_interface_group_extension(self):
+        simulation = legacy_simulation(3)
+        beacons = simulation.services[2].originate(now_ms=0.0)
+        assert [b.origin_interface for b in beacons] == [1, 2]
+        assert all(b.extensions.interface_group is None for b in beacons)
+
+    def test_propagation_does_not_resend_same_interface(self):
+        simulation = legacy_simulation(3)
+        for service in simulation.services.values():
             service.originate(now_ms=0.0)
-        before = transport.sent_count
-        services[2].run_round(now_ms=1.0)
-        first_round = transport.sent_count - before
-        services[2].run_round(now_ms=2.0)
-        second_round = transport.sent_count - before - first_round
+        simulation.advance(100.0)
+        collector = simulation.collector
+        before = collector.total_sent
+        simulation.services[2].run_round(now_ms=100.0)
+        first_round = collector.total_sent - before
+        simulation.services[2].run_round(now_ms=200.0)
+        second_round = collector.total_sent - before - first_round
         assert first_round > 0
         assert second_round == 0  # nothing new to propagate
 
-    def test_propagation_dedup_store_expires_with_the_beacons(self):
-        """The sent-on-interface record of a beacon goes when the beacon
-        does: past one validity period (36 beacon periods) the store is
-        bounded by the live candidates instead of growing every round."""
+    def test_egress_stores_expire_with_the_beacons(self):
+        """The sent-on-interface records and the terminated segments of a
+        beacon go when the beacon does: past one validity period (36 beacon
+        periods) both stores are bounded by the live candidates instead of
+        growing every round."""
         scenario = don_scenario(periods=80, verify_signatures=False)
         scenario.legacy_ases = (2,)
         legacy = BeaconingSimulation(line_topology(4), scenario).run().service(2)
-        assert 0 < len(legacy._propagated) <= len(legacy.ingress.database)
+        live = len(legacy.ingress.database)
+        assert 0 < len(legacy.egress.database) <= live
+        assert 0 < len(legacy.egress._terminated) <= live
+
+    def test_legacy_transit_drops_on_demand_beacons(self):
+        """The one behaviour a legacy AS changed when it became a
+        configuration: its RAC is static, static RACs skip algorithm-
+        extension buckets, so pull-based disjointness beacons do not cross
+        it (the former legacy class forwarded them and AS 1 got one result)."""
+        scenario = disjointness_scenario()
+        scenario.legacy_ases = (2,)
+        simulation = BeaconingSimulation(line_topology(4), scenario)
+        simulation.add_pull_disjointness(origin_as=1, target_as=4)
+        result = simulation.run()
+        assert result.service(1).pull_results == []
+        # They reached the legacy AS; it kept them and sent them nowhere.
+        buckets = result.service(2).ingress.database.bucket_keys()
+        assert any(algorithm_id is not None for _o, _g, _t, algorithm_id in buckets)
+
+    def test_broadcast_rac_swap_skips_legacy_ases(self):
+        scenario = ScenarioConfig(
+            algorithms=(one_shortest_path_spec(),),
+            periods=2,
+            verify_signatures=False,
+            legacy_ases=(2,),
+        )
+        replacement = AlgorithmSpec(
+            rac_id="2sp", factory=lambda: KShortestPathAlgorithm(k=2)
+        )
+        scenario.at(minutes(5)).swap_rac(replacement, replace_rac_id="legacy")
+        simulation = BeaconingSimulation(line_topology(3), scenario)
+        simulation.run()
+        assert [rac.config.rac_id for rac in simulation.services[2].racs] == ["legacy"]
 
 
 class TestNullTransport:
