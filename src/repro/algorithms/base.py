@@ -80,10 +80,6 @@ class ExecutionContext:
     intra_latency_ms: IntraLatencyOracle
     parameters: Mapping[str, object] = field(default_factory=dict)
 
-    def candidates_for_origin(self, origin_as: int) -> Tuple[CandidateBeacon, ...]:
-        """Return the candidates originated by ``origin_as``."""
-        return tuple(c for c in self.candidates if c.beacon.origin_as == origin_as)
-
     def origins(self) -> Tuple[int, ...]:
         """Return the distinct origin ASes among the candidates, sorted."""
         return tuple(sorted({c.beacon.origin_as for c in self.candidates}))

@@ -72,10 +72,6 @@ class EmpiricalCDF:
         indices = np.unique(np.linspace(0, n - 1, num=min(max_points, n)).astype(int))
         return [(self.values[i], (i + 1) / n) for i in indices]
 
-    def fraction_below(self, threshold: float) -> float:
-        """Alias of :meth:`probability_at_or_below` reading better in reports."""
-        return self.probability_at_or_below(threshold)
-
 
 def relative_to_baseline(
     values: Sequence[float], baseline: Sequence[float]

@@ -16,10 +16,8 @@ This package contains everything §IV and §V of the paper describe:
 * the routing mechanisms built on top: pull-based routing
   (:mod:`repro.core.pull`), on-demand routing with sandboxed algorithm
   execution (:mod:`repro.core.ondemand`, :mod:`repro.core.sandbox`,
-  :mod:`repro.core.algorithm_registry`), interface groups
-  (:mod:`repro.core.interface_groups`), and extended-path optimization
-  (:mod:`repro.core.extended_paths`), and
-* the tiered standardization model (:mod:`repro.core.standardization`).
+  :mod:`repro.core.algorithm_registry`), and interface groups
+  (:mod:`repro.core.interface_groups`).
 """
 
 from repro.core.beacon import ASEntry, Beacon, BeaconBuilder

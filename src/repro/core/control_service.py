@@ -116,11 +116,6 @@ class RoundReport:
     propagated: int = 0
     registered: int = 0
 
-    @property
-    def total_processing_ms(self) -> float:
-        """Return the summed RAC processing latency of the round."""
-        return sum(report.total_ms for report in self.rac_reports)
-
 
 class IrecControlService:
     """The control plane of one AS, IREC-enabled or configured as legacy."""

@@ -53,32 +53,14 @@ cost O(1) — see the ROADMAP's flood fast-path invariants.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, ClassVar, NamedTuple, Optional, Tuple
+from typing import ClassVar, NamedTuple, Optional, Tuple
 
-from repro.core.beacon import Beacon
+from repro.core.beacon import Beacon, _slot
 from repro.core.databases import RegisteredPath
+from repro.core.query import PathQuery
 from repro.crypto.signer import Signer, Verifier
 from repro.exceptions import ConfigurationError
 from repro.topology.entities import LinkID, normalize_link_id
-
-if TYPE_CHECKING:  # annotations only; repro.core.query imports _memo from here
-    from repro.core.query import PathQuery
-
-
-def _memo(obj, key: str, compute):
-    """Return ``obj.__dict__[key]``, computing and storing it on first use.
-
-    For the frozen message and query dataclasses, asked once per message
-    (size accounting): writing to the instance ``__dict__`` bypasses the
-    frozen ``__setattr__`` and stays invisible to dataclass equality and
-    hashing.  Beacons, read per candidate per round, use declared slots.
-    """
-    cached = obj.__dict__.get(key)
-    if cached is None:
-        cached = compute()
-        obj.__dict__[key] = cached
-    return cached
-
 
 def _format_link(link_id: LinkID) -> str:
     (as_a, if_a), (as_b, if_b) = link_id
@@ -100,7 +82,7 @@ class MessageEnvelope(NamedTuple):
     size_bytes: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ControlMessage:
     """Base of every typed control-plane message.
 
@@ -122,6 +104,9 @@ class ControlMessage:
     #: overflow mode instead of tail-dropping the message.  Not part of
     #: any message's wire encoding or identity.
     congestion_marked: bool = False
+    #: Memo of :meth:`size_bytes`: a declared slot (``init=False``), so
+    #: ``with_hop`` / ``with_congestion_mark`` copies start cold.
+    _size_bytes: Optional[int] = _slot()
 
     #: Stable short name used by the transport's per-kind metrics routing.
     kind: ClassVar[str] = "control"
@@ -169,7 +154,15 @@ class ControlMessage:
         return False
 
     def size_bytes(self) -> int:
-        """Return the estimated wire size of the message."""
+        """Return the estimated wire size of the message (memoized)."""
+        size = self._size_bytes
+        if size is None:
+            size = self._measure_size()
+            object.__setattr__(self, "_size_bytes", size)
+        return size
+
+    def _measure_size(self) -> int:
+        """Compute the wire size :meth:`size_bytes` memoizes."""
         raise NotImplementedError
 
     def trace_label(self) -> str:
@@ -177,7 +170,7 @@ class ControlMessage:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PCBMessage(ControlMessage):
     """One path-construction beacon in flight over one inter-AS link.
 
@@ -195,9 +188,9 @@ class PCBMessage(ControlMessage):
         if self.beacon is None:
             raise ConfigurationError("a PCB message carries exactly one beacon")
 
-    def size_bytes(self) -> int:
-        """Return the size of the beacon's canonical encoding (memoized)."""
-        return _memo(self, "_size_bytes", lambda: len(self.beacon.encode()))
+    def _measure_size(self) -> int:
+        """The size of the beacon's canonical encoding."""
+        return len(self.beacon.encode())
 
     def trace_label(self) -> str:
         return (
@@ -206,7 +199,7 @@ class PCBMessage(ControlMessage):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RevocationMessage(ControlMessage):
     """One signed, sequence-numbered revocation of failed network elements.
 
@@ -244,6 +237,9 @@ class RevocationMessage(ControlMessage):
     ttl_ms: Optional[float] = None
     max_hops: Optional[int] = None
     signature: bytes = b""
+    _failed_link_set: Optional[frozenset] = _slot()
+    _failed_as_set: Optional[frozenset] = _slot()
+    _encoded_unsigned: Optional[str] = _slot()
 
     kind: ClassVar[str] = "revocation"
 
@@ -287,12 +283,20 @@ class RevocationMessage(ControlMessage):
     @property
     def failed_link_set(self) -> frozenset:
         """Return the revoked links as a frozenset (memoized)."""
-        return _memo(self, "_failed_link_set", lambda: frozenset(self.failed_links))
+        links = self._failed_link_set
+        if links is None:
+            links = frozenset(self.failed_links)
+            object.__setattr__(self, "_failed_link_set", links)
+        return links
 
     @property
     def failed_as_set(self) -> frozenset:
         """Return the departed ASes as a frozenset (memoized)."""
-        return _memo(self, "_failed_as_set", lambda: frozenset(self.failed_ases))
+        ases = self._failed_as_set
+        if ases is None:
+            ases = frozenset(self.failed_ases)
+            object.__setattr__(self, "_failed_as_set", ases)
+        return ases
 
     def encode_unsigned(self) -> str:
         """Return the canonical encoding without the signature (memoized).
@@ -300,25 +304,26 @@ class RevocationMessage(ControlMessage):
         Single-element messages without TTL/scope keep the exact pre-fabric
         encoding, so their signatures are byte-identical to PR 4's.
         """
+        encoded = self._encoded_unsigned
+        if encoded is not None:
+            return encoded
+        parts = [f"link={_format_link(link)}" for link in self.failed_links]
+        parts.extend(f"as={as_id}" for as_id in self.failed_ases)
+        element = ";".join(parts)
+        extras = ""
+        if self.ttl_ms is not None:
+            extras += f",ttl={self.ttl_ms:.3f}"
+        if self.max_hops is not None:
+            extras += f",scope={self.max_hops}"
+        encoded = (
+            f"revocation(origin={self.origin_as},seq={self.sequence},"
+            f"created={self.created_at_ms:.3f},{element}{extras})"
+        )
+        object.__setattr__(self, "_encoded_unsigned", encoded)
+        return encoded
 
-        def compute() -> str:
-            parts = [f"link={_format_link(link)}" for link in self.failed_links]
-            parts.extend(f"as={as_id}" for as_id in self.failed_ases)
-            element = ";".join(parts)
-            extras = ""
-            if self.ttl_ms is not None:
-                extras += f",ttl={self.ttl_ms:.3f}"
-            if self.max_hops is not None:
-                extras += f",scope={self.max_hops}"
-            return (
-                f"revocation(origin={self.origin_as},seq={self.sequence},"
-                f"created={self.created_at_ms:.3f},{element}{extras})"
-            )
-
-        return _memo(self, "_encoded_unsigned", compute)
-
-    def size_bytes(self) -> int:
-        """Return the size of the canonical encoding plus the signature."""
+    def _measure_size(self) -> int:
+        """The size of the canonical encoding plus the signature."""
         return len(self.encode_unsigned()) + len(self.signature)
 
     def signed(self, signer: Signer) -> "RevocationMessage":
@@ -345,7 +350,7 @@ class RevocationMessage(ControlMessage):
         return f"revoke {element} origin={self.origin_as} seq={self.sequence}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PathRegistrationMessage(ControlMessage):
     """A terminated path segment offered to a neighbouring AS's path service.
 
@@ -374,9 +379,9 @@ class PathRegistrationMessage(ControlMessage):
                 "a path-registration message carries exactly one registered path"
             )
 
-    def size_bytes(self) -> int:
-        """Return the size of the carried segment's canonical encoding."""
-        return _memo(self, "_size_bytes", lambda: len(self.path.segment.encode()))
+    def _measure_size(self) -> int:
+        """The size of the carried segment's canonical encoding."""
+        return len(self.path.segment.encode())
 
     def trace_label(self) -> str:
         return (
@@ -385,7 +390,7 @@ class PathRegistrationMessage(ControlMessage):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PullReturnMessage(ControlMessage):
     """A pull-requested beacon travelling back to the requesting AS.
 
@@ -404,9 +409,9 @@ class PullReturnMessage(ControlMessage):
         if self.beacon is None:
             raise ConfigurationError("a pull-return message carries exactly one beacon")
 
-    def size_bytes(self) -> int:
-        """Return the size of the beacon's canonical encoding (memoized)."""
-        return _memo(self, "_size_bytes", lambda: len(self.beacon.encode()))
+    def _measure_size(self) -> int:
+        """The size of the beacon's canonical encoding."""
+        return len(self.beacon.encode())
 
     def trace_label(self) -> str:
         return (
@@ -415,7 +420,7 @@ class PullReturnMessage(ControlMessage):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PathQueryMessage(ControlMessage):
     """A typed path lookup sent to a neighbouring AS's query frontend.
 
@@ -432,9 +437,9 @@ class PathQueryMessage(ControlMessage):
         if self.query is None:
             raise ConfigurationError("a path-query message carries exactly one query")
 
-    def size_bytes(self) -> int:
-        """Return the (small, fixed-ish) wire size: key fields + policy."""
-        return _memo(self, "_size_bytes", lambda: 24 + len(self.query.policy_key()))
+    def _measure_size(self) -> int:
+        """The (small, fixed-ish) wire size: key fields + policy."""
+        return 24 + len(self.query.policy_key())
 
     def trace_label(self) -> str:
         return (
@@ -443,7 +448,7 @@ class PathQueryMessage(ControlMessage):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PathQueryResponse(ControlMessage):
     """The materialized answer to one :class:`PathQueryMessage`.
 
@@ -468,14 +473,12 @@ class PathQueryResponse(ControlMessage):
         if self.query is None:
             raise ConfigurationError("a path-query response names the query it answers")
 
-    def size_bytes(self) -> int:
-        """Return the summed segment encodings plus the echoed query."""
-        return _memo(
-            self,
-            "_size_bytes",
-            lambda: 24
+    def _measure_size(self) -> int:
+        """The summed segment encodings plus the echoed query."""
+        return (
+            24
             + len(self.query.policy_key())
-            + sum(len(path.segment.encode()) for path in self.paths),
+            + sum(len(path.segment.encode()) for path in self.paths)
         )
 
     def trace_label(self) -> str:

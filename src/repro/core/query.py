@@ -30,7 +30,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
-from repro.core.messages import _memo
+from repro.core.beacon import _slot
 from repro.core.databases import PathService, RegisteredPath
 from repro.exceptions import ConfigurationError
 
@@ -40,7 +40,7 @@ from repro.exceptions import ConfigurationError
 DEFAULT_CACHE_CAPACITY = 1024
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PathQuery:
     """A typed path lookup: paths to ``origin_as`` satisfying a policy.
 
@@ -61,6 +61,8 @@ class PathQuery:
     max_latency_ms: Optional[float] = None
     min_bandwidth_mbps: Optional[float] = None
     limit: Optional[int] = None
+    _policy_key: Optional[str] = _slot()
+    _cache_key: Optional[Tuple[int, str]] = _slot()
 
     def __post_init__(self) -> None:
         if self.limit is not None and self.limit <= 0:
@@ -72,20 +74,24 @@ class PathQuery:
         Tag order is normalized, so two queries asking the same thing
         share one cache entry.
         """
-        return _memo(
-            self,
-            "_policy_key",
-            lambda: "tags={};lat={};bw={};limit={}".format(
+        key = self._policy_key
+        if key is None:
+            key = "tags={};lat={};bw={};limit={}".format(
                 ",".join(sorted(self.required_tags)),
                 self.max_latency_ms,
                 self.min_bandwidth_mbps,
                 self.limit,
-            ),
-        )
+            )
+            object.__setattr__(self, "_policy_key", key)
+        return key
 
     def cache_key(self) -> Tuple[int, str]:
         """The frontend cache key: ``(origin_as, policy_key)``."""
-        return _memo(self, "_cache_key", lambda: (self.origin_as, self.policy_key()))
+        key = self._cache_key
+        if key is None:
+            key = (self.origin_as, self.policy_key())
+            object.__setattr__(self, "_cache_key", key)
+        return key
 
     def admits(self, path: RegisteredPath) -> bool:
         """Return whether ``path`` satisfies this query's policy."""

@@ -19,8 +19,8 @@ protocol so that
   per interface and period (Figure 8c),
 * unit tests can use :class:`LoopbackTransport`, which delivers
   synchronously to in-process control services, and
-* the micro-benchmarks can run a single control service with a
-  :class:`NullTransport` that swallows messages.
+* single-AS unit tests can use :class:`NullTransport`, a recording fake
+  that delivers nothing.
 """
 
 from __future__ import annotations
@@ -53,7 +53,8 @@ class ControlPlaneTransport(Protocol):
 class NullTransport:
     """A transport that records outgoing messages but delivers nothing.
 
-    Used by micro-benchmarks that exercise a single AS in isolation.
+    The recording fake for unit tests that exercise a single AS in
+    isolation.
     """
 
     sent: List[Tuple[int, int, Beacon]] = field(default_factory=list)

@@ -18,7 +18,6 @@ first submit does not pay a fresh interpreter + import of the repo.
 from __future__ import annotations
 
 import multiprocessing
-import os
 from concurrent.futures import Future, ProcessPoolExecutor
 from typing import Callable, List, Optional, Sequence
 
@@ -131,12 +130,6 @@ class WorkerPool:
         executor = self.executor(min_workers=wanted)
         futures = [executor.submit(fn, *batch) for batch in batches]
         return [future.result() for future in futures]
-
-
-#: Default worker count heuristic for callers that just want "the machine".
-def default_worker_count() -> int:
-    """Return a sensible default worker count for this machine."""
-    return max(1, os.cpu_count() or 1)
 
 
 _shared: Optional[WorkerPool] = None

@@ -135,10 +135,6 @@ class SimulationResult:
         except KeyError:
             raise UnknownASError(as_id) from None
 
-    def registered_paths(self, at_as: int, origin_as: int):
-        """Return the paths registered at ``at_as`` towards ``origin_as``."""
-        return self.service(at_as).path_service.paths_to(origin_as)
-
     @property
     def service_count(self) -> int:
         """Return how many control services the run ended with."""

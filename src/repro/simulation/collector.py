@@ -588,10 +588,6 @@ class ConvergenceCollector:
         """Return the disruptions that have not recovered yet."""
         return [record for record in self.records if not record.recovered]
 
-    def recovered_records(self) -> List[DisruptionRecord]:
-        """Return the disruptions that have healed, in open order."""
-        return [record for record in self.records if record.recovered]
-
     def trace_text(self) -> str:
         """Return the full deterministic trace as one newline-joined string."""
         return "\n".join(self.trace)

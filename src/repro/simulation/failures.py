@@ -145,10 +145,6 @@ class LinkState:
         """
         return bool(self.gray_links or self.link_loss)
 
-    def gray_rate(self, key: LinkID) -> float:
-        """Return the gray drop rate of an already-normalised link key."""
-        return self.gray_links.get(key, 0.0)
-
     def silent_loss(self, key: LinkID) -> float:
         """Return the worst-direction silent-drop probability of one link.
 

@@ -155,7 +155,6 @@ class _Inbox:
     __slots__ = (
         "entries",
         "drain_scheduled",
-        "draining",
         "limited",
         "budget",
         "capacity",
@@ -171,8 +170,6 @@ class _Inbox:
         self.entries: List[Tuple[ControlMessage, int]] = []
         #: Whether a drain/service event is already queued for this inbox.
         self.drain_scheduled = False
-        #: Re-entrancy guard for synchronous (immediate) drains.
-        self.draining = False
         #: Whether any queue bound applies (single fast-path branch flag).
         self.limited = False
         #: Messages serviced per round (``None``: everything, at arrival).
@@ -215,9 +212,6 @@ class SimulatedTransport:
         collector: Transmission counters for the overhead evaluation.
         processing_delay_ms: Fixed per-hop control-plane processing delay
             added to the link propagation delay.
-        deliver_immediately: When set, messages are delivered and
-            dispatched synchronously instead of being scheduled; used by
-            tests that do not care about timing.
         link_state: Live link/AS availability (dynamic scenarios).  Checked
             both when a message is sent and when it would be delivered, so
             a link failing mid-flight loses the messages currently on it.
@@ -244,7 +238,6 @@ class SimulatedTransport:
     scheduler: EventScheduler
     collector: MetricsCollector = field(default_factory=MetricsCollector)
     processing_delay_ms: float = 1.0
-    deliver_immediately: bool = False
     link_state: Optional[LinkState] = None
     batch_size: Optional[int] = None
     inbox_profile: Optional[InboxProfile] = None
@@ -270,16 +263,6 @@ class SimulatedTransport:
             raise ConfigurationError(
                 f"batch_size must be None or >= 1, got {self.batch_size}"
             )
-        for profile in (self.inbox_profile, *self.inbox_profiles.values()):
-            if (
-                profile is not None
-                and profile.budget_per_tick is not None
-                and self.deliver_immediately
-            ):
-                raise ConfigurationError(
-                    "finite inbox budgets need the scheduler to pace service "
-                    "rounds; they are incompatible with deliver_immediately"
-                )
 
     def register(self, service: IrecControlService) -> None:
         """Register a control service under its AS identifier."""
@@ -307,10 +290,6 @@ class SimulatedTransport:
         inbox = self._inboxes.get(as_id)
         if inbox is None:
             raise UnknownASError(as_id)
-        if profile.budget_per_tick is not None and self.deliver_immediately:
-            raise ConfigurationError(
-                "finite inbox budgets are incompatible with deliver_immediately"
-            )
         inbox.apply_profile(profile)
         if inbox.budget is None:
             inbox.arrivals = []
@@ -423,21 +402,18 @@ class SimulatedTransport:
             )
             return
 
-        deliver = partial(
-            self._deliver,
-            message,
-            remote_as,
-            remote_interface,
-            link_key,
-            inbox,
-            message.needs_hop_tracking(),
+        self.scheduler.schedule_in(
+            latency_ms + self.processing_delay_ms,
+            partial(
+                self._deliver,
+                message,
+                remote_as,
+                remote_interface,
+                link_key,
+                inbox,
+                message.needs_hop_tracking(),
+            ),
         )
-        if self.deliver_immediately:
-            deliver(now_ms + latency_ms + self.processing_delay_ms)
-        else:
-            self.scheduler.schedule_in(
-                latency_ms + self.processing_delay_ms, deliver
-            )
 
     def _deliver(
         self,
@@ -492,12 +468,7 @@ class SimulatedTransport:
             if inbox.budget is not None:
                 inbox.arrivals.append(now_ms)
         inbox.entries.append((message, interface))
-        if self.deliver_immediately:
-            # Synchronous mode: drain right away unless a drain higher
-            # up the call stack is already consuming this inbox.
-            if not inbox.draining:
-                self._drain(remote_as, now_ms)
-        elif not inbox.drain_scheduled:
+        if not inbox.drain_scheduled:
             inbox.drain_scheduled = True
             self.scheduler.schedule_at(now_ms, self._drain_callbacks[remote_as])
 
@@ -542,36 +513,26 @@ class SimulatedTransport:
         delivery time.  With a finite :attr:`batch_size` the handler is
         invoked repeatedly with at most that many entries per call, still
         within this tick.
+
+        Every delivery is scheduled, so no handler can append to the inbox
+        while it is drained: one swap takes the whole tick's batch.
         """
         inbox = self._inboxes[as_id]
         inbox.drain_scheduled = False
-        if inbox.draining:
-            return
         if inbox.budget is not None:
             self._drain_limited(as_id, inbox, now_ms)
             return
-        if not inbox.entries:
+        entries = inbox.entries
+        if not entries:
             return
+        inbox.entries = []
         service = self.services[as_id]
-        inbox.draining = True
-        try:
-            entries = inbox.entries
-            if self.batch_size is None and not self.deliver_immediately:
-                # Scheduled-mode fast path: handlers cannot enqueue into
-                # this inbox synchronously, so one swap hands over the
-                # whole tick's batch without re-checking the list.
-                inbox.entries = []
-                service.on_message_batch(entries, now_ms)
-                return
-            while inbox.entries:
-                if self.batch_size is None:
-                    batch, inbox.entries = inbox.entries, []
-                else:
-                    batch = inbox.entries[: self.batch_size]
-                    del inbox.entries[: self.batch_size]
-                service.on_message_batch(batch, now_ms)
-        finally:
-            inbox.draining = False
+        batch_size = self.batch_size
+        if batch_size is None:
+            service.on_message_batch(entries, now_ms)
+            return
+        for start in range(0, len(entries), batch_size):
+            service.on_message_batch(entries[start : start + batch_size], now_ms)
 
     def _drain_limited(self, as_id: int, inbox: _Inbox, now_ms: float) -> None:
         """Service round for a rate-limited inbox.
@@ -642,12 +603,7 @@ class SimulatedTransport:
                 collector.record_queue_delay(delay)
                 collector.record_inbox_deferral(message.kind)
             entries.append((message, interface))
-        service = self.services[as_id]
-        inbox.draining = True
-        try:
-            service.on_message_batch(entries, now_ms)
-        finally:
-            inbox.draining = False
+        self.services[as_id].on_message_batch(entries, now_ms)
         if (inbox.deferred or inbox.entries) and not inbox.drain_scheduled:
             inbox.drain_scheduled = True
             self.scheduler.schedule_in(
@@ -712,10 +668,7 @@ class SimulatedTransport:
                 return
             _origin.on_message(_message, on_interface=-1, now_ms=now_ms)
 
-        if self.deliver_immediately:
-            deliver(now_ms + delay_ms)
-        else:
-            self.scheduler.schedule_in(delay_ms, deliver)
+        self.scheduler.schedule_in(delay_ms, deliver)
 
     def fetch_algorithm(self, requester_as: int, origin_as: int, algorithm_id: str) -> bytes:
         """Fetch an on-demand payload from the origin AS's control service.

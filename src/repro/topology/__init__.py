@@ -5,8 +5,7 @@ dataset: the 500 highest-degree ASes, more than 100 000 inter-domain links,
 with business relationships and per-link geolocations that allow estimating
 propagation delay from the great-circle distance between link endpoints.
 
-This package provides everything the rest of the library needs from that
-dataset:
+This package models that dataset; nothing reads the dataset itself:
 
 * :mod:`repro.topology.geo` — geographic coordinates, great-circle
   distances and fibre propagation delays,
@@ -20,9 +19,7 @@ dataset:
   geolocations,
 * :mod:`repro.topology.generator` — a synthetic generator producing
   CAIDA-geo-rel-like topologies (heavy-tailed degrees, multi-PoP ASes,
-  customer/provider/peer relationships, geo-embedded links), and
-* :mod:`repro.topology.caida` — a reader/writer for a simple geo-rel text
-  format so that users with access to the real dataset can load it.
+  customer/provider/peer relationships, geo-embedded links).
 """
 
 from repro.topology.entities import (
@@ -38,11 +35,8 @@ from repro.topology.geo import GeoCoordinate, great_circle_km, propagation_delay
 from repro.topology.graph import Topology
 from repro.topology.intra_domain import IntraDomainModel
 from repro.topology.pops import PointOfPresence, derive_pops
-from repro.topology.validation import ValidationReport, validate_topology
 
 __all__ = [
-    "ValidationReport",
-    "validate_topology",
     "ASInfo",
     "GeoCoordinate",
     "Interface",

@@ -65,11 +65,6 @@ class FlowGroup:
                 f"flow group {self.group_id} must represent at least one flow"
             )
 
-    @property
-    def per_flow_mbps(self) -> float:
-        """Return the offered rate of one member flow."""
-        return self.demand_mbps / self.flow_count
-
 
 @dataclass(frozen=True)
 class TrafficMatrix:
@@ -99,12 +94,6 @@ class TrafficMatrix:
 
     def __iter__(self):
         return iter(self.groups)
-
-
-def _split_counts(total_flows: int, parts: int) -> List[int]:
-    """Split ``total_flows`` into ``parts`` near-equal positive counts."""
-    base, extra = divmod(total_flows, parts)
-    return [base + (1 if index < extra else 0) for index in range(parts)]
 
 
 def _build_matrix(

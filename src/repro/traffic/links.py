@@ -103,14 +103,12 @@ class CapacityLinkModel:
         self._index_of: Dict[LinkID, int] = {}
         self._link_ids: List[LinkID] = []
         self._capacity: List[float] = []
-        self._latency_ms: List[float] = []
         for link_id in topology.link_ids():
             link = topology.links[link_id]
             self._index_of[link_id] = len(self._capacity)
             self._link_ids.append(link_id)
             bandwidth = link.bandwidth_mbps or default_capacity_mbps
             self._capacity.append(bandwidth * capacity_scale)
-            self._latency_ms.append(link.latency_ms)
 
     # ------------------------------------------------------------------
     # lookups
@@ -136,10 +134,6 @@ class CapacityLinkModel:
     def capacity_of(self, index: int) -> float:
         """Return the provisioned capacity of link ``index`` in Mbit/s."""
         return self._capacity[index]
-
-    def path_latency_ms(self, link_indices: Sequence[int]) -> float:
-        """Return the propagation latency over the given links."""
-        return sum(self._latency_ms[index] for index in link_indices)
 
     @property
     def num_links(self) -> int:

@@ -161,6 +161,83 @@ class TestDelayOptimization:
         assert don.execute(context).beacons_for(3)[0].digest() == received_far.beacon.digest()
         assert dob.execute(context).beacons_for(3)[0].digest() == received_close.beacon.digest()
 
+    @pytest.fixture
+    def figure4_pair(self, key_store):
+        """P1 (70 ms, on interface 1) and P2 (72 ms, on interface 2).
+
+        The intra-AS latency to egress 3 is 30 ms from interface 1 but 5 ms
+        from interface 2; to egress 4 it is 0 ms from interface 1 and 30 ms
+        from interface 2 (paper Figure 4, numbers scaled).
+        """
+        p1 = CandidateBeacon(
+            beacon=make_beacon(key_store, [(1, None, 1), (2, 1, 2)], link_latencies=[35.0, 35.0]),
+            ingress_interface=1,
+        )
+        p2 = CandidateBeacon(
+            beacon=make_beacon(key_store, [(1, None, 1), (3, 1, 2)], link_latencies=[36.0, 36.0]),
+            ingress_interface=2,
+        )
+        table = {(1, 3): 30.0, (2, 3): 5.0, (1, 4): 0.0, (2, 4): 30.0}
+
+        def intra(a: int, b: int) -> float:
+            return table.get((a, b), table.get((b, a), 0.0))
+
+        return p1, p2, intra
+
+    def test_dob_choice_depends_on_egress_interface(self, figure4_pair):
+        p1, p2, intra = figure4_pair
+        dob = DelayOptimizationAlgorithm(paths_per_interface=1, use_extended_paths=True)
+        result = dob.execute(make_context([p1, p2], egress_interfaces=(3, 4), intra=intra))
+        assert result.beacons_for(3)[0].digest() == p2.beacon.digest()  # 72 + 5 < 70 + 30
+        assert result.beacons_for(4)[0].digest() == p1.beacon.digest()  # 70 + 0 < 72 + 30
+
+    def test_don_choice_ignores_egress_interface(self, figure4_pair):
+        p1, p2, intra = figure4_pair
+        don = DelayOptimizationAlgorithm(paths_per_interface=1, use_extended_paths=False)
+        result = don.execute(make_context([p1, p2], egress_interfaces=(3, 4), intra=intra))
+        assert result.beacons_for(3)[0].digest() == p1.beacon.digest()
+        assert result.beacons_for(4)[0].digest() == p1.beacon.digest()
+
+    def test_dob_ranks_by_received_plus_intra_latency(self, figure4_pair):
+        p1, p2, intra = figure4_pair
+        dob = DelayOptimizationAlgorithm(paths_per_interface=2, use_extended_paths=True)
+        selected = dob.execute(
+            make_context([p1, p2], egress_interfaces=(3,), intra=intra)
+        ).beacons_for(3)
+        assert [b.digest() for b in selected] == [p2.beacon.digest(), p1.beacon.digest()]
+
+    def test_dob_without_candidates_selects_nothing(self, figure4_pair):
+        _p1, _p2, intra = figure4_pair
+        dob = DelayOptimizationAlgorithm(paths_per_interface=1, use_extended_paths=True)
+        result = dob.execute(make_context([], egress_interfaces=(3, 4), intra=intra))
+        assert result.total_selected() == 0
+        assert result.beacons_for(3) == []
+
+    def test_dob_adds_no_intra_latency_without_ingress_interface(self, key_store):
+        local = CandidateBeacon(
+            beacon=make_beacon(key_store, [(1, None, 1), (2, 1, 2)], link_latencies=[35.0, 35.0]),
+            ingress_interface=None,
+        )
+        received = CandidateBeacon(
+            beacon=make_beacon(key_store, [(1, None, 1), (3, 1, 2)], link_latencies=[30.0, 30.0]),
+            ingress_interface=1,
+        )
+        dob = DelayOptimizationAlgorithm(paths_per_interface=1, use_extended_paths=True)
+        context = make_context(
+            [local, received], egress_interfaces=(3,), intra=lambda _a, _b: 20.0
+        )
+        # 70 ms with no intra term beats 60 + 20 ms.
+        assert dob.execute(context).beacons_for(3)[0].digest() == local.beacon.digest()
+
+    def test_dob_equals_don_without_intra_latency(self, candidate_set):
+        don = DelayOptimizationAlgorithm(paths_per_interface=3, use_extended_paths=False)
+        dob = DelayOptimizationAlgorithm(paths_per_interface=3, use_extended_paths=True)
+        context = make_context(candidate_set, egress_interfaces=(1, 2))
+        for interface in (1, 2):
+            assert [b.digest() for b in dob.execute(context).beacons_for(interface)] == [
+                b.digest() for b in don.execute(context).beacons_for(interface)
+            ]
+
     def test_names_reflect_variant(self):
         assert DelayOptimizationAlgorithm(use_extended_paths=False).name == "don"
         assert DelayOptimizationAlgorithm(use_extended_paths=True).name == "dob"

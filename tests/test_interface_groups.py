@@ -1,14 +1,7 @@
-"""Tests for interface grouping policies and extended-path helpers."""
+"""Tests for interface grouping policies."""
 
 import pytest
 
-from repro.algorithms.base import CandidateBeacon
-from repro.core.extended_paths import (
-    best_extended,
-    best_received,
-    extend_candidate,
-    extension_changes_decision,
-)
 from repro.core.interface_groups import (
     ExplicitGrouping,
     GeographicGroupingPolicy,
@@ -18,8 +11,6 @@ from repro.core.interface_groups import (
 from repro.exceptions import ConfigurationError
 from repro.topology.entities import ASInfo, Interface
 from repro.topology.geo import GeoCoordinate
-
-from tests.conftest import make_beacon
 
 ZURICH = GeoCoordinate(47.3769, 8.5417)
 GENEVA = GeoCoordinate(46.2044, 6.1432)
@@ -92,56 +83,3 @@ class TestGroupingPolicies:
         assignment = SingleGroupPolicy().assign(swiss_japanese_as())
         with pytest.raises(ConfigurationError):
             assignment.members(42)
-
-
-class TestExtendedPaths:
-    @pytest.fixture
-    def figure4_candidates(self, key_store):
-        """Two received paths whose preference flips under extension.
-
-        Path P1 has 70 ms received latency and arrives on interface 1;
-        path P2 has 72 ms and arrives on interface 2.  The intra-AS latency
-        to egress interface 3 is 30 ms from interface 1 but only 5 ms from
-        interface 2 (paper Figure 4, numbers scaled).
-        """
-        p1 = CandidateBeacon(
-            beacon=make_beacon(key_store, [(1, None, 1), (2, 1, 2)], link_latencies=[35.0, 35.0]),
-            ingress_interface=1,
-        )
-        p2 = CandidateBeacon(
-            beacon=make_beacon(key_store, [(1, None, 1), (3, 1, 2)], link_latencies=[36.0, 36.0]),
-            ingress_interface=2,
-        )
-        def intra(a, b):
-            table = {(1, 3): 30.0, (3, 1): 30.0, (2, 3): 5.0, (3, 2): 5.0}
-            return table.get((a, b), 0.0)
-
-        return p1, p2, intra
-
-    def test_extend_candidate(self, figure4_candidates):
-        p1, _p2, intra = figure4_candidates
-        metrics = extend_candidate(p1, egress_interface=3, intra_latency_ms=intra)
-        assert metrics.received_latency_ms == pytest.approx(70.0)
-        assert metrics.intra_latency_ms == pytest.approx(30.0)
-        assert metrics.extended_latency_ms == pytest.approx(100.0)
-
-    def test_decision_changes_under_extension(self, figure4_candidates):
-        p1, p2, intra = figure4_candidates
-        changed, received_choice, extended_choice = extension_changes_decision(
-            [p1, p2], egress_interface=3, intra_latency_ms=intra
-        )
-        assert changed
-        assert received_choice is p1
-        assert extended_choice is p2
-
-    def test_best_received_and_extended(self, figure4_candidates):
-        p1, p2, intra = figure4_candidates
-        assert best_received([p1, p2]) is p1
-        assert best_extended([p1, p2], 3, intra) is p2
-
-    def test_empty_candidate_lists(self, figure4_candidates):
-        _p1, _p2, intra = figure4_candidates
-        assert best_received([]) is None
-        assert best_extended([], 3, intra) is None
-        changed, a, b = extension_changes_decision([], 3, intra)
-        assert not changed and a is None and b is None

@@ -9,6 +9,8 @@ via a property test — that batched delivery and per-message delivery
 produce identical database state and identical withdrawal timestamps.
 """
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,11 +21,14 @@ from repro.core.local_view import LocalTopologyView
 from repro.core.messages import (
     ControlMessage,
     PCBMessage,
+    PathQueryMessage,
     PathRegistrationMessage,
     RevocationMessage,
 )
+from repro.core.query import PathQuery
 from repro.core.transport import LoopbackTransport, NullTransport
 from repro.crypto.keys import KeyStore
+from repro.crypto.signer import Signer
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.simulation.beaconing import BeaconingSimulation
 from repro.simulation.collector import MESSAGE_KINDS
@@ -135,6 +140,87 @@ class TestEnvelope:
         )
         assert not unscoped.needs_hop_tracking()
         assert scoped.needs_hop_tracking()
+
+
+class TestMessageMemos:
+    """Derived values live in declared slots: cold on copies, outside identity."""
+
+    @pytest.fixture
+    def messages(self, key_store):
+        beacon = make_beacon(key_store, [(1, None, 2)])
+        return [
+            PCBMessage(origin_as=1, sequence=1, created_at_ms=0.0, beacon=beacon),
+            RevocationMessage(
+                origin_as=1, sequence=2, created_at_ms=0.0, failed_link=((1, 2), (2, 1))
+            ),
+            PathQueryMessage(
+                origin_as=1, sequence=3, created_at_ms=0.0, query=PathQuery(origin_as=4)
+            ),
+        ]
+
+    def test_messages_carry_no_instance_dict(self, messages):
+        for message in messages:
+            assert not hasattr(message, "__dict__")
+
+    def test_size_memo_is_outside_equality_hash_and_repr(self, messages):
+        for message in messages:
+            twin = pickle.loads(pickle.dumps(message))
+            message.size_bytes()
+            assert message._size_bytes is not None
+            assert twin._size_bytes is None
+            assert message == twin and hash(message) == hash(twin)
+            assert "_size_bytes" not in repr(message)
+
+    def test_copies_start_cold_and_measure_the_same(self, messages):
+        for message in messages:
+            size = message.size_bytes()
+            for copy in (message.with_hop(2), message.with_congestion_mark()):
+                assert copy._size_bytes is None
+                assert copy.size_bytes() == size
+
+    def test_pickle_carries_warm_memos(self, messages):
+        for message in messages:
+            size = message.size_bytes()
+            restored = pickle.loads(pickle.dumps(message))
+            assert restored._size_bytes == size
+            assert restored == message
+
+    def test_signed_revocation_resizes_with_its_signature(self, key_store):
+        message = RevocationMessage(origin_as=1, sequence=1, created_at_ms=0.0, failed_as=2)
+        unsigned_size = message.size_bytes()
+        signed = message.signed(Signer(as_id=1, key_store=key_store))
+        assert signed.signature
+        assert signed.size_bytes() == unsigned_size + len(signed.signature)
+        assert signed.encode_unsigned() == message.encode_unsigned()
+
+    def test_revocation_sets_are_memoized(self):
+        message = RevocationMessage(
+            origin_as=1,
+            sequence=1,
+            created_at_ms=0.0,
+            failed_links=(((1, 2), (2, 1)),),
+            failed_ases=(7,),
+        )
+        assert message.failed_link_set is message.failed_link_set
+        assert message.failed_link_set == frozenset(message.failed_links)
+        assert message.failed_as_set is message.failed_as_set
+        assert message.failed_as_set == frozenset({7})
+
+    def test_query_keys_are_memoized_outside_identity(self):
+        warm = PathQuery(origin_as=4, required_tags=("b", "a"), limit=3)
+        cold = PathQuery(origin_as=4, required_tags=("b", "a"), limit=3)
+        assert warm.cache_key() is warm.cache_key()
+        assert warm.cache_key() == (4, warm.policy_key())
+        assert warm == cold and hash(warm) == hash(cold)
+        assert "_policy_key" not in repr(warm)
+        assert not hasattr(warm, "__dict__")
+
+    def test_query_pickle_carries_warm_memos(self):
+        query = PathQuery(origin_as=4, required_tags=("x",), max_latency_ms=50.0)
+        key = query.cache_key()
+        restored = pickle.loads(pickle.dumps(query))
+        assert restored._cache_key == key
+        assert restored == query
 
 
 class TestBatchedRevocationElements:
@@ -407,6 +493,91 @@ class TestInboxBatching:
         scheduler.run_until(100.0)
         assert transport.pending_messages(2) == 0  # drained at its tick
         assert len(services[2].ingress.database) == 1
+
+    @staticmethod
+    def _record_batches(transport, service):
+        """Wrap ``service``'s batch handler; return the log of (size, pending, now)."""
+        handle = service.on_message_batch
+        log = []
+
+        def recording(entries, now_ms):
+            log.append((len(entries), transport.pending_messages(service.as_id), now_ms))
+            handle(entries, now_ms)
+
+        service.on_message_batch = recording
+        return log
+
+    def _send_same_tick(self, key_store, count, **transport_kwargs):
+        scheduler, transport, services = build_simulated_services(
+            line_topology(3), key_store, **transport_kwargs
+        )
+        log = self._record_batches(transport, services[2])
+        for index in range(count):
+            beacon = make_beacon(key_store, [(1, None, 2)], link_latencies=[10.0 + index])
+            transport.send_message(1, 2, pcb_message(1, beacon))
+        scheduler.run_all()
+        return log, services[2]
+
+    def test_unbounded_drain_hands_over_the_whole_tick(self, key_store):
+        log, receiver = self._send_same_tick(key_store, 5)
+        assert [size for size, _pending, _now in log] == [5]
+        assert receiver.ingress.stats.received == 5
+
+    @pytest.mark.parametrize("batch_size, sizes", [(1, [1] * 5), (2, [2, 2, 1]), (5, [5])])
+    def test_finite_batch_size_slices_the_tick(self, key_store, batch_size, sizes):
+        log, receiver = self._send_same_tick(key_store, 5, batch_size=batch_size)
+        assert [size for size, _pending, _now in log] == sizes
+        # Every slice is handled within the one arrival tick.
+        assert len({now for _size, _pending, now in log}) == 1
+        assert receiver.ingress.stats.received == 5
+
+    def test_later_arrivals_drain_at_their_own_tick(self, key_store):
+        scheduler, transport, services = build_simulated_services(line_topology(3), key_store)
+        log = self._record_batches(transport, services[2])
+        first = make_beacon(key_store, [(1, None, 2)], link_latencies=[10.0])
+        second = make_beacon(key_store, [(1, None, 2)], link_latencies=[11.0])
+        transport.send_message(1, 2, pcb_message(1, first))
+        scheduler.run_until(5.0)
+        transport.send_message(1, 2, pcb_message(1, second))
+        scheduler.run_all()
+        assert [(size, now) for size, _pending, now in log] == [
+            (1, pytest.approx(11.0)),
+            (1, pytest.approx(16.0)),
+        ]
+        assert len(services[2].ingress.database) == 2
+
+    def test_inbox_is_empty_while_its_batch_is_handled(self, key_store):
+        log, _receiver = self._send_same_tick(key_store, 3, batch_size=2)
+        assert [pending for _size, pending, _now in log] == [0, 0]
+
+    def test_delivery_lands_after_link_latency_plus_processing(self, key_store):
+        log, _receiver = self._send_same_tick(key_store, 1, processing_delay_ms=2.5)
+        (_size, _pending, now_ms), = log
+        assert now_ms == pytest.approx(10.0 + 2.5)  # line_topology links: 10 ms
+
+    def test_pull_return_is_scheduled_after_path_latency(self, key_store):
+        scheduler, transport, services = build_simulated_services(line_topology(3), key_store)
+        origin = services[1]
+        handle = origin.on_message
+        arrivals = []
+
+        def recording(message, on_interface, now_ms):
+            arrivals.append((message.kind, on_interface, now_ms))
+            handle(message, on_interface=on_interface, now_ms=now_ms)
+
+        origin.on_message = recording
+        beacon = make_beacon(
+            key_store, [(1, None, 2), (2, 1, 2), (3, 1, None)], link_latencies=[10.0, 10.0]
+        )
+        transport.return_beacon_to_origin(3, beacon)
+        assert arrivals == []  # sending only schedules the return
+        scheduler.run_all()
+        assert arrivals == [
+            ("pull_return", -1, pytest.approx(20.0 + transport.processing_delay_ms))
+        ]
+        assert [returned.digest() for returned, _now in origin.pull_results] == [
+            beacon.digest()
+        ]
 
 
 def _fabric_state(result):

@@ -14,13 +14,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
-#: ROADMAP open item 4: delete these or wire them to a real caller.
+#: Delete these or wire them to a real caller.
 KNOWN_ORPHANS = {
-    "repro.core.bootstrap",
-    "repro.core.extended_paths",
-    "repro.core.standardization",
-    "repro.topology.caida",
-    "repro.topology.validation",
     # Its caller was the legacy harness's ``parallel_e2e`` stage; ROADMAP
     # items 1 (irecbench ``--workers N``) and 3 (the sharding verdict)
     # decide whether it gets one back.

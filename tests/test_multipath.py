@@ -1,4 +1,4 @@
-"""Tests for multipath failover forwarding and topology validation."""
+"""Tests for multipath failover forwarding."""
 
 import pytest
 
@@ -7,13 +7,9 @@ from repro.dataplane.multipath import FailoverForwarder, MultipathSelector
 from repro.dataplane.network import DataPlaneNetwork
 from repro.exceptions import DataPlaneError
 from repro.simulation.failures import LinkFailureInjector
-from repro.topology.entities import ASInfo, Interface, Link, Relationship
-from repro.topology.generator import generate_topology, small_test_config
-from repro.topology.geo import GeoCoordinate
-from repro.topology.graph import Topology
-from repro.topology.validation import validate_topology
+from repro.topology.entities import Relationship
 
-from tests.conftest import build_topology, figure1_topology, make_beacon
+from tests.conftest import build_topology, make_beacon
 
 
 def diamond_path_service(key_store):
@@ -126,50 +122,3 @@ class TestFailoverForwarder:
         )
         with pytest.raises(DataPlaneError):
             forwarder.deliver()
-
-
-class TestTopologyValidation:
-    def test_generated_topology_is_valid(self):
-        topology = generate_topology(small_test_config())
-        report = validate_topology(topology)
-        assert report.is_valid, [str(i) for i in report.errors]
-
-    def test_figure1_topology_warns_about_unattached_interface(self):
-        report = validate_topology(figure1_topology())
-        assert report.is_valid
-        assert any("not attached" in issue.message for issue in report.warnings)
-
-    def test_faster_than_light_link_detected(self):
-        zurich = (47.3769, 8.5417)
-        tokyo = (35.6762, 139.6503)
-        topology = build_topology(
-            {1: {1: zurich}, 2: {1: tokyo}},
-            [((1, 1), (2, 1), 0.5, 100.0, Relationship.PEER)],  # 0.5 ms Zurich-Tokyo
-        )
-        report = validate_topology(topology)
-        assert not report.is_valid
-        assert any("faster than light" in issue.message for issue in report.errors)
-
-    def test_disconnected_topology(self):
-        loc = (10.0, 10.0)
-        topology = Topology()
-        for as_id in (1, 2):
-            info = ASInfo(as_id=as_id)
-            info.add_interface(Interface(as_id=as_id, interface_id=1, location=GeoCoordinate(*loc)))
-            topology.add_as(info)
-        report_strict = validate_topology(topology, require_connected=True)
-        report_lenient = validate_topology(topology, require_connected=False)
-        assert not report_strict.is_valid
-        assert report_lenient.is_valid
-        assert report_lenient.warnings
-
-    def test_implausibly_slow_link_warns(self):
-        loc_a = (47.0, 8.0)
-        loc_b = (47.1, 8.1)
-        topology = build_topology(
-            {1: {1: loc_a}, 2: {1: loc_b}},
-            [((1, 1), (2, 1), 500.0, 100.0, Relationship.PEER)],
-        )
-        report = validate_topology(topology)
-        assert report.is_valid
-        assert any("implausibly high" in issue.message for issue in report.warnings)

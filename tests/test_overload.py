@@ -25,7 +25,6 @@ from repro.core.messages import RevocationMessage
 from repro.exceptions import ConfigurationError
 from repro.simulation.beaconing import BeaconingSimulation
 from repro.simulation.collector import MetricsCollector, QuantileReservoir
-from repro.simulation.engine import EventScheduler
 from repro.simulation.events import (
     BeaconFlood,
     ServiceRateChange,
@@ -34,7 +33,7 @@ from repro.simulation.events import (
     revocation_storm,
     slow_as_stragglers,
 )
-from repro.simulation.network import InboxProfile, SimulatedTransport
+from repro.simulation.network import InboxProfile
 from repro.simulation.scenario import don_scenario
 from repro.units import minutes
 
@@ -259,16 +258,6 @@ class TestServiceBudget:
         assert len(services[2].revocations.applied_at) == 4
         assert transport.pending_messages(2) == 0
         assert transport.queue_backlog_ms(2) == 0.0
-
-    def test_finite_budget_rejects_immediate_delivery(self, key_store):
-        topology = line_topology(3)
-        with pytest.raises(ConfigurationError):
-            SimulatedTransport(
-                topology=topology,
-                scheduler=EventScheduler(),
-                deliver_immediately=True,
-                inbox_profile=InboxProfile(budget_per_tick=1),
-            )
 
 
 # ----------------------------------------------------------------------

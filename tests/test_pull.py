@@ -1,17 +1,11 @@
-"""Tests for the pull-based disjointness orchestrator and the standardization model."""
+"""Tests for the pull-based disjointness orchestrator."""
 
 import pytest
 
 from repro.algorithms.shortest_path import KShortestPathAlgorithm
-from repro.core.algebra import Accumulation, MetricDefinition, Objective
 from repro.core.control_service import IrecControlService
 from repro.core.local_view import LocalTopologyView
 from repro.core.pull import PullBasedDisjointnessOrchestrator, PullState
-from repro.core.standardization import (
-    FeatureTier,
-    STABLE_FEATURES,
-    StandardizationRegistry,
-)
 from repro.core.transport import LoopbackTransport
 from repro.exceptions import ConfigurationError
 from repro.topology.entities import Relationship
@@ -136,41 +130,3 @@ class TestPullOrchestrator:
         )
         orchestrator.start(now_ms=0.0)
         assert orchestrator.advance(now_ms=1.0) is PullState.WAITING
-
-
-class TestStandardization:
-    def test_stable_features_present(self):
-        registry = StandardizationRegistry()
-        names = {feature.name for feature in registry.features()}
-        assert {"pcb-format", "pcb-extensions", "rac-interface", "default-algorithm"} <= names
-        assert all(feature.tier is FeatureTier.STABLE for feature in STABLE_FEATURES)
-
-    def test_publish_metric_is_append_only(self):
-        registry = StandardizationRegistry()
-        jitter = MetricDefinition(
-            name="jitter_ms", accumulation=Accumulation.ADDITIVE, objective=Objective.MINIMIZE
-        )
-        registry.publish_metric(jitter)
-        registry.publish_metric(jitter)  # idempotent
-        conflicting = MetricDefinition(
-            name="jitter_ms", accumulation=Accumulation.BOTTLENECK, objective=Objective.MINIMIZE
-        )
-        with pytest.raises(ConfigurationError):
-            registry.publish_metric(conflicting)
-        assert registry.metric("jitter_ms") == jitter
-        assert "jitter_ms" in registry.metrics()
-
-    def test_beta_and_nightly_algorithms(self):
-        registry = StandardizationRegistry()
-        registry.publish_beta_algorithm("delay")
-        registry.publish_beta_algorithm("delay")
-        registry.record_nightly_algorithm("pd-1-4-0")
-        assert registry.beta_algorithms() == ("delay",)
-        assert registry.nightly_algorithms() == ("pd-1-4-0",)
-        assert registry.tier_of("algorithm:delay") is FeatureTier.BETA
-        assert registry.tier_of("algorithm:pd-1-4-0") is FeatureTier.NIGHTLY
-        assert registry.tier_of("pcb-format") is FeatureTier.STABLE
-        assert registry.tier_of("unknown") is None
-
-    def test_default_algorithm_name(self):
-        assert StandardizationRegistry().default_algorithm == "20sp"

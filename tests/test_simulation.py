@@ -328,15 +328,13 @@ class TestTracerSeams:
 
 
 class TestSimulatedTransport:
-    def test_immediate_delivery_mode(self, small_topology, key_store):
+    def test_delivery_is_scheduled(self, small_topology, key_store):
         from repro.core.local_view import LocalTopologyView
         from repro.core.control_service import IrecControlService
         from repro.algorithms.shortest_path import KShortestPathAlgorithm
 
         scheduler = EventScheduler()
-        transport = SimulatedTransport(
-            topology=small_topology, scheduler=scheduler, deliver_immediately=True
-        )
+        transport = SimulatedTransport(topology=small_topology, scheduler=scheduler)
         services = {}
         for as_info in small_topology:
             view = LocalTopologyView.from_topology(small_topology, as_info.as_id)
@@ -347,6 +345,9 @@ class TestSimulatedTransport:
         origin = services[small_topology.as_ids()[0]]
         origin.originate(now_ms=0.0)
         assert transport.collector.total_sent > 0
-        # With immediate delivery, neighbours already hold the beacons.
+        # Sending only schedules the delivery: the neighbour holds the
+        # beacons once the scheduler has run.
         neighbor = small_topology.neighbors(origin.as_id)[0]
+        assert len(services[neighbor].ingress.database) == 0
+        scheduler.run_all()
         assert len(services[neighbor].ingress.database) > 0

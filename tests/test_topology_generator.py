@@ -1,9 +1,8 @@
-"""Tests for the synthetic topology generator and the geo-rel format."""
+"""Tests for the synthetic topology generator."""
 
 import pytest
 
-from repro.exceptions import ConfigurationError, TopologyError
-from repro.topology import caida
+from repro.exceptions import ConfigurationError
 from repro.topology.entities import Relationship
 from repro.topology.generator import (
     TopologyConfig,
@@ -11,7 +10,7 @@ from repro.topology.generator import (
     paper_scale_config,
     small_test_config,
 )
-from repro.topology.geo import GeoCoordinate
+from repro.topology.geo import propagation_delay_ms
 
 
 class TestTopologyConfig:
@@ -47,9 +46,12 @@ class TestGenerateTopology:
         b = generate_topology(small_test_config(seed=4))
         assert set(a.links) != set(b.links)
 
-    def test_connected(self):
+    def test_connected_and_every_interface_attached(self):
         topology = generate_topology(small_test_config())
         assert topology.is_connected()
+        for as_info in topology:
+            for interface in as_info:
+                assert topology.link_of_interface(interface.key) is not None
 
     def test_as_count_matches_config(self):
         config = small_test_config()
@@ -86,63 +88,66 @@ class TestGenerateTopology:
             assert link.latency_ms > 0.0
             assert link.bandwidth_mbps > 0.0
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_every_interface_on_exactly_one_link(self, seed):
+        topology = generate_topology(small_test_config(seed=seed))
+        endpoints = [
+            endpoint
+            for link in topology.links.values()
+            for endpoint in (link.interface_a, link.interface_b)
+        ]
+        assert len(endpoints) == len(set(endpoints))
+        interfaces = {interface.key for as_info in topology for interface in as_info}
+        assert set(endpoints) == interfaces
+
+    def test_default_config_is_connected_and_fully_attached(self):
+        topology = generate_topology(TopologyConfig())
+        assert topology.num_ases == TopologyConfig().num_ases
+        assert topology.is_connected()
+        for as_info in topology:
+            for interface in as_info:
+                assert topology.link_of_interface(interface.key) is not None
+
+    def test_link_latency_never_undercuts_the_geodesic(self):
+        topology = generate_topology(small_test_config())
+        for link in topology.links.values():
+            geodesic = propagation_delay_ms(
+                topology.interface(link.interface_a).location,
+                topology.interface(link.interface_b).location,
+            )
+            assert link.latency_ms >= geodesic
+            assert link.latency_ms == pytest.approx(max(0.05, geodesic))
+
+    def test_every_as_has_an_interface(self):
+        topology = generate_topology(small_test_config())
+        for as_info in topology:
+            assert as_info.degree > 0
+
+    def test_providers_sit_in_a_higher_tier(self):
+        config = small_test_config()
+        topology = generate_topology(config)
+        for link in topology.links.values():
+            if link.relationship is Relationship.CUSTOMER_PROVIDER:
+                customer, provider = link.interface_a[0], link.interface_b[0]
+                assert provider < customer
+                assert customer > config.num_core
+
+    def test_peering_only_between_transit_ases(self):
+        config = small_test_config()
+        topology = generate_topology(config)
+        transit = range(config.num_core + 1, config.num_core + config.num_transit + 1)
+        for link in topology.links.values():
+            if link.relationship is Relationship.PEER:
+                assert link.interface_a[0] in transit
+                assert link.interface_b[0] in transit
+
+    def test_bandwidth_within_configured_range(self):
+        config = small_test_config()
+        topology = generate_topology(config)
+        for link in topology.links.values():
+            assert config.min_bandwidth_mbps <= link.bandwidth_mbps <= config.max_bandwidth_mbps
+
     def test_paper_scale_config_shape(self):
         config = paper_scale_config()
         config.validate()
         assert config.num_ases == 500
-
-
-class TestCaidaFormat:
-    def test_parse_line_roundtrip(self):
-        record = caida.GeoRelRecord(
-            as_a=10,
-            as_b=20,
-            relationship=Relationship.CUSTOMER_PROVIDER,
-            location_a=GeoCoordinate(47.0, 8.0),
-            location_b=GeoCoordinate(48.0, 9.0),
-            bandwidth_mbps=5000.0,
-        )
-        parsed = caida.parse_line(caida.format_record(record))
-        assert parsed.as_a == 10
-        assert parsed.relationship is Relationship.CUSTOMER_PROVIDER
-        assert parsed.bandwidth_mbps == pytest.approx(5000.0)
-
-    def test_parse_line_default_bandwidth(self):
-        line = "1|2|p2p|47.0|8.0|48.0|9.0"
-        record = caida.parse_line(line)
-        assert record.bandwidth_mbps == caida.DEFAULT_BANDWIDTH_MBPS
-
-    def test_parse_line_malformed(self):
-        with pytest.raises(TopologyError):
-            caida.parse_line("1|2|bogus|47.0|8.0|48.0|9.0")
-        with pytest.raises(TopologyError):
-            caida.parse_line("1|2|p2p")
-
-    def test_parse_lines_skips_comments_and_blanks(self):
-        lines = ["# comment", "", "1|2|p2p|47.0|8.0|48.0|9.0"]
-        assert len(caida.parse_lines(lines)) == 1
-
-    def test_records_to_topology(self):
-        records = caida.parse_lines(
-            [
-                "1|2|p2c|47.0|8.0|48.0|9.0|1000",
-                "2|3|p2p|48.0|9.0|49.0|10.0|2000",
-            ]
-        )
-        topology = caida.records_to_topology(records)
-        assert topology.num_ases == 3
-        assert topology.num_links == 2
-        assert topology.relationship(1, 2) is Relationship.CUSTOMER_PROVIDER
-
-    def test_dump_and_load_roundtrip(self, tmp_path):
-        topology = generate_topology(small_test_config())
-        path = tmp_path / "topology.georel"
-        caida.dump_topology(topology, path)
-        loaded = caida.load_topology(path)
-        assert loaded.num_ases == topology.num_ases
-        assert loaded.num_links == topology.num_links
-
-    def test_topology_to_records_preserves_relationships(self):
-        topology = generate_topology(small_test_config())
-        records = caida.topology_to_records(topology)
-        assert len(records) == topology.num_links
