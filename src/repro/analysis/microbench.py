@@ -8,10 +8,9 @@ aggregate PCB-processing throughput as the number of RACs grows.
 
 The functions here produce exactly those series from the synthetic
 workloads of :mod:`repro.analysis.workloads`.  Throughput for ``n`` RACs is
-measured by timing ``n`` independent RAC batches and, by default, modelling
-them as running concurrently (the paper's RACs are separate processes,
-optionally on separate machines, so their throughput adds); an optional
-process-pool mode measures true parallel execution instead.
+measured by timing ``n`` independent RAC batches in turn and summing their
+throughputs (the paper's RACs are separate processes, optionally on
+separate machines, so their throughput adds).
 
 Figure 6's sandbox set-up and per-call gRPC cost have no pure-Python
 counterpart and are modelled — not in milliseconds, but as multiples of the
@@ -247,44 +246,15 @@ def measure_throughput(
     rac_count: int,
     candidate_set_size: int,
     seed: int = 7,
-    use_processes: bool = False,
 ) -> ThroughputPoint:
     """Measure aggregate PCB-processing throughput for ``rac_count`` RACs.
 
-    With ``use_processes=False`` (default) each RAC's batch is timed
-    sequentially and the aggregate throughput is the sum of the individual
-    throughputs — the paper's RACs are independent processes, so their
-    throughputs add until the machine saturates.  With
-    ``use_processes=True`` the batches run on the shared
-    :func:`repro.parallel.pool.shared_pool` and the aggregate is computed
-    from the true parallel wall-clock time.  The pool is created once and
-    reused across calls (and by the crypto offload pool), so a
-    :func:`throughput_series` grid no longer pays a fork-and-import
-    spin-up per grid point.
+    Each RAC's batch is timed in turn and the aggregate throughput is the
+    sum of the individual throughputs — the paper's RACs are independent
+    processes, so their throughputs add until the machine saturates.
     """
     if rac_count < 1:
         raise ValueError(f"rac_count must be positive, got {rac_count}")
-    if use_processes:
-        from repro.parallel.pool import shared_pool
-
-        # Acquire (and, if needed, grow) the executor before the clock
-        # starts: pool lifecycle is not part of the measured batch time.
-        executor = shared_pool().executor(min_workers=rac_count)
-        start = time.perf_counter()
-        futures = [
-            executor.submit(_one_rac_batch_seconds, candidate_set_size, seed + i)
-            for i in range(rac_count)
-        ]
-        for future in futures:
-            future.result()
-        elapsed = time.perf_counter() - start
-        total_pcbs = rac_count * candidate_set_size
-        return ThroughputPoint(
-            rac_count=rac_count,
-            candidate_set_size=candidate_set_size,
-            pcbs_per_second=total_pcbs / elapsed if elapsed > 0 else 0.0,
-        )
-
     per_rac_seconds = [
         _one_rac_batch_seconds(candidate_set_size, seed + i) for i in range(rac_count)
     ]
@@ -302,18 +272,12 @@ def throughput_series(
     rac_counts: Sequence[int],
     candidate_set_sizes: Sequence[int],
     seed: int = 7,
-    use_processes: bool = False,
 ) -> List[ThroughputPoint]:
     """Measure the Figure-7 grid of (RAC count, |Φ|) throughput points."""
     series = []
     for size in candidate_set_sizes:
         for count in rac_counts:
             series.append(
-                measure_throughput(
-                    rac_count=count,
-                    candidate_set_size=size,
-                    seed=seed,
-                    use_processes=use_processes,
-                )
+                measure_throughput(rac_count=count, candidate_set_size=size, seed=seed)
             )
     return series

@@ -207,33 +207,14 @@ class PeriodDriver:
         """Validate the scenario timeline and queue it as barriers.
 
         Impossible schedules (a recovery of a link that was never failed,
-        a rejoin of an AS that never left) raise
+        a rejoin of an AS that never left, an event aimed at a link or AS
+        the topology does not have) raise
         :class:`~repro.exceptions.ConfigurationError` from
-        :meth:`ScenarioTimeline.validate`; failures, churn and swaps aimed
-        at links or ASes the topology does not have raise
-        :class:`~repro.exceptions.SimulationError` here instead of
-        silently no-opping mid-run.
+        :meth:`ScenarioTimeline.validate` instead of silently no-opping
+        mid-run.
         """
         self.scenario.timeline.validate(self.topology)
         for timed in self.scenario.timeline:
-            event = timed.event
-            if isinstance(event, (LinkFailure, LinkRecovery)):
-                if event.link_id not in self.topology.links:
-                    raise SimulationError(
-                        f"timeline event {timed.trace_label()!r} references an unknown link"
-                    )
-                targets: Tuple[int, ...] = ()
-            elif isinstance(event, (ASLeave, ASJoin)):
-                targets = (event.as_id,)
-            elif isinstance(event, (PolicySwap, RACSwap)):
-                targets = event.as_ids or ()
-            else:
-                targets = ()
-            for as_id in targets:
-                if as_id not in self.topology:
-                    raise SimulationError(
-                        f"timeline event {timed.trace_label()!r} targets unknown AS {as_id}"
-                    )
             self._push_barrier(timed)
 
     def _push_barrier(self, timed: TimedEvent) -> None:

@@ -543,10 +543,12 @@ class ScenarioTimeline:
         :class:`TimedEvent` construction, non-positive
         :class:`ServiceRateChange` budgets at event construction.
 
-        When ``topology`` is given, :class:`ServiceRateChange` targets and
-        :class:`BeaconFlood` attackers must be member ASes — a rate limit
-        or flood aimed at an unknown AS would otherwise silently do
-        nothing — and the adversarial family is held to the same bar:
+        When ``topology`` is given, every AS an event names must be a
+        member AS or one grown earlier in the timeline — churn, swaps,
+        rate limits or floods aimed at an unknown AS would otherwise
+        silently do nothing — and every link a failure or recovery names
+        must be a topology link.  The adversarial family is held to the
+        same bar:
         :class:`LinkFlap`/:class:`GrayFailure`/:class:`GrayRecovery` must
         name known links, :class:`RevocationForgery`/:class:`RevocationReplay`
         attackers and :class:`ForwardingSuppression` targets must be known
@@ -583,8 +585,10 @@ class ScenarioTimeline:
         for timed in ordered:
             event = timed.event
             if isinstance(event, LinkFailure):
+                check_link(timed, event.link_id)
                 failed.add(event.link_id)
             elif isinstance(event, LinkRecovery):
+                check_link(timed, event.link_id)
                 if event.link_id not in failed:
                     raise ConfigurationError(
                         f"timeline event {timed.trace_label()!r} recovers a link "
@@ -593,8 +597,10 @@ class ScenarioTimeline:
                     )
                 failed.discard(event.link_id)
             elif isinstance(event, ASLeave):
+                check_as(timed, event.as_id, "targets")
                 offline.add(event.as_id)
             elif isinstance(event, ASJoin):
+                check_as(timed, event.as_id, "targets")
                 if event.as_id not in offline:
                     raise ConfigurationError(
                         f"timeline event {timed.trace_label()!r} rejoins an AS "
@@ -602,15 +608,9 @@ class ScenarioTimeline:
                         "earlier leave of the same AS"
                     )
                 offline.discard(event.as_id)
-            elif isinstance(event, ServiceRateChange):
-                if event.budget_per_tick is not None and event.budget_per_tick < 1:
-                    raise ConfigurationError(
-                        f"timeline event {timed.trace_label()!r} sets a "
-                        f"non-positive budget {event.budget_per_tick}"
-                    )
-                if event.as_ids is not None:
-                    for as_id in event.as_ids:
-                        check_as(timed, as_id, "targets")
+            elif isinstance(event, (ServiceRateChange, PolicySwap, RACSwap)):
+                for as_id in event.as_ids or ():
+                    check_as(timed, as_id, "targets")
             elif isinstance(event, BeaconFlood):
                 check_as(timed, event.attacker_as, "floods from")
             elif isinstance(event, LinkFlap):

@@ -559,39 +559,26 @@ class SimulatedTransport:
         if not pending:
             return
         budget = inbox.budget
-        kind_costs = inbox.kind_costs
-        if kind_costs is not None and budget is not None:
-            # Weighted service round: each message consumes its kind's
-            # cost from the budget (absent kinds cost 1, so the all-ones
-            # table reduces provably to ``pending[:budget]`` below).
-            total_cost = sum(kind_costs.get(item[0].kind, 1) for item in pending)
-            if total_cost > budget:
-                urgent = [item for item in pending if item[0].kind == "revocation"]
-                if urgent and len(urgent) != len(pending):
-                    bulk = [item for item in pending if item[0].kind != "revocation"]
-                    pending = urgent + bulk
-                batch3 = []
-                spent = 0
-                for item in pending:
-                    cost = kind_costs.get(item[0].kind, 1)
-                    # Progress guarantee: the round always services at
-                    # least one message, even one costing more than the
-                    # whole budget — a stuck inbox would never drain.
-                    if batch3 and spent + cost > budget:
-                        break
-                    batch3.append(item)
-                    spent += cost
-                inbox.deferred = pending[len(batch3) :]
-            else:
-                batch3 = pending
-                inbox.deferred = []
-        elif budget is not None and len(pending) > budget:
+        # Each message consumes its kind's cost from the budget; absent
+        # kinds (and every kind without a cost table) cost 1.
+        costs = inbox.kind_costs or {}
+        if sum(costs.get(item[0].kind, 1) for item in pending) > budget:
             urgent = [item for item in pending if item[0].kind == "revocation"]
             if urgent and len(urgent) != len(pending):
                 bulk = [item for item in pending if item[0].kind != "revocation"]
                 pending = urgent + bulk
-            batch3 = pending[:budget]
-            inbox.deferred = pending[budget:]
+            batch3 = []
+            spent = 0
+            for item in pending:
+                cost = costs.get(item[0].kind, 1)
+                # Progress guarantee: the round always services at least
+                # one message, even one costing more than the whole
+                # budget — a stuck inbox would never drain.
+                if batch3 and spent + cost > budget:
+                    break
+                batch3.append(item)
+                spent += cost
+            inbox.deferred = pending[len(batch3) :]
         else:
             batch3 = pending
             inbox.deferred = []

@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import pytest
 
 from repro.core.beacon import Beacon, BeaconBuilder
+from repro.core.control_service import ControlServiceConfig, IrecControlService
 from repro.core.extensions import ExtensionSet
+from repro.core.interface_groups import InterfaceGroupingPolicy
+from repro.core.local_view import LocalTopologyView
 from repro.core.messages import PCBMessage
 from repro.core.staticinfo import StaticInfo
 from repro.crypto.keys import KeyStore
 from repro.crypto.signer import Signer
+from repro.simulation.engine import EventScheduler
+from repro.simulation.network import SimulatedTransport
 from repro.topology.entities import ASInfo, Interface, Link, Relationship
 from repro.topology.generator import generate_topology, small_test_config
 from repro.topology.geo import GeoCoordinate
@@ -123,6 +128,44 @@ def figure1_topology() -> Topology:
 def multi_criteria_topology() -> Topology:
     """The Figure-1 style topology with three distinct optimal paths."""
     return figure1_topology()
+
+
+# ----------------------------------------------------------------------
+# multi-AS deployments on the message fabric
+# ----------------------------------------------------------------------
+def build_services(
+    topology: Topology,
+    key_store: KeyStore,
+    verify_signatures: bool = False,
+    config: Optional[ControlServiceConfig] = None,
+    grouping_policy: Optional[InterfaceGroupingPolicy] = None,
+    racs: Optional[Dict[str, Callable[[], object]]] = None,
+    **transport_kwargs,
+) -> Tuple[EventScheduler, SimulatedTransport, Dict[int, IrecControlService]]:
+    """Wire one IREC control service per AS over the scheduler-driven fabric.
+
+    Messages travel with link latency plus the fabric's processing delay,
+    so a test advances the scheduler (``run_until`` / ``run_all``) to
+    deliver them.  ``config`` overrides ``verify_signatures``; ``racs``
+    maps static RAC ids to algorithm factories installed at every AS;
+    ``transport_kwargs`` go to :class:`SimulatedTransport`.
+    """
+    scheduler = EventScheduler()
+    transport = SimulatedTransport(topology=topology, scheduler=scheduler, **transport_kwargs)
+    services = {}
+    for as_info in topology:
+        service = IrecControlService(
+            view=LocalTopologyView.from_topology(topology, as_info.as_id),
+            key_store=key_store,
+            transport=transport,
+            grouping_policy=grouping_policy,
+            config=config or ControlServiceConfig(verify_signatures=verify_signatures),
+        )
+        for rac_id, factory in (racs or {}).items():
+            service.add_static_rac(rac_id=rac_id, algorithm=factory())
+        services[as_info.as_id] = service
+        transport.register(service)
+    return scheduler, transport, services
 
 
 # ----------------------------------------------------------------------

@@ -165,14 +165,14 @@ class TestEngineValidation:
         topology = line_topology(3)
         scenario = don_scenario(periods=1, verify_signatures=False)
         scenario.at(10.0).fail_link(((1, 1), (99, 1)))
-        with pytest.raises(SimulationError):
+        with pytest.raises(ConfigurationError):
             BeaconingSimulation(topology, scenario)
 
     def test_unknown_as_in_timeline_rejected(self):
         topology = line_topology(3)
         scenario = don_scenario(periods=1, verify_signatures=False)
         scenario.at(10.0).as_leave(99)
-        with pytest.raises(SimulationError):
+        with pytest.raises(ConfigurationError):
             BeaconingSimulation(topology, scenario)
 
     def test_unknown_watch_pair_rejected(self):
@@ -322,7 +322,7 @@ class TestOperatorEvents:
         topology = line_topology(3)
         scenario = don_scenario(periods=1, verify_signatures=False)
         scenario.at(10.0).swap_policies([], as_ids=[99])
-        with pytest.raises(SimulationError):
+        with pytest.raises(ConfigurationError):
             BeaconingSimulation(topology, scenario)
 
     def test_rac_hot_swap_replaces_container(self):

@@ -15,9 +15,11 @@ from pathlib import Path
 import pytest
 
 from repro.algorithms.shortest_path import LEGACY_PATH_COUNT, KShortestPathAlgorithm
-from repro.core.transport import LoopbackTransport, NullTransport
+from repro.core.transport import NullTransport
 from repro.exceptions import SimulationError, UnknownASError, UnknownAlgorithmError
 from repro.simulation.beaconing import BeaconingSimulation
+from repro.simulation.engine import EventScheduler
+from repro.simulation.network import SimulatedTransport
 from repro.simulation.scenario import (
     AlgorithmSpec,
     ScenarioConfig,
@@ -203,23 +205,26 @@ class TestNullTransport:
             transport.fetch_algorithm(9, 1, "missing")
 
 
-class TestLoopbackTransport:
+class TestFabricFailFast:
+    """Sends, returns and fetches aimed at an unregistered AS raise."""
+
+    @staticmethod
+    def _empty_fabric():
+        return SimulatedTransport(topology=line_topology(2), scheduler=EventScheduler())
+
     def test_unknown_destination_raises(self, key_store):
-        topology = line_topology(2)
-        transport = LoopbackTransport(topology=topology)
+        transport = self._empty_fabric()
         beacon = make_beacon(key_store, [(1, None, 2)])
         with pytest.raises(UnknownASError):
             transport.send_message(1, 2, pcb_message(1, beacon))
 
     def test_unknown_origin_for_return(self, key_store):
-        topology = line_topology(2)
-        transport = LoopbackTransport(topology=topology)
+        transport = self._empty_fabric()
         terminated = make_beacon(key_store, [(1, None, 2), (2, 1, None)])
         with pytest.raises(UnknownASError):
             transport.return_beacon_to_origin(2, terminated)
 
     def test_fetch_algorithm_requires_registered_service(self):
-        topology = line_topology(2)
-        transport = LoopbackTransport(topology=topology)
+        transport = self._empty_fabric()
         with pytest.raises(UnknownASError):
             transport.fetch_algorithm(2, 1, "algo")

@@ -15,9 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.control_service import ControlServiceConfig, IrecControlService
 from repro.core.databases import RegisteredPath
-from repro.core.local_view import LocalTopologyView
 from repro.core.messages import (
     ControlMessage,
     PCBMessage,
@@ -26,7 +24,7 @@ from repro.core.messages import (
     RevocationMessage,
 )
 from repro.core.query import PathQuery
-from repro.core.transport import LoopbackTransport, NullTransport
+from repro.core.transport import NullTransport
 from repro.crypto.keys import KeyStore
 from repro.crypto.signer import Signer
 from repro.exceptions import ConfigurationError, SimulationError
@@ -39,48 +37,11 @@ from repro.simulation.scenario import don_scenario
 from repro.topology.entities import normalize_link_id
 from repro.units import minutes
 
-from tests.conftest import line_topology, make_beacon, pcb_message
+from tests.conftest import build_services, line_topology, make_beacon, pcb_message
 
 
 def _link(topology, index):
     return topology.link_ids()[index]
-
-
-def build_loopback_services(topology, key_store, verify_signatures=True):
-    """Wire one IREC control service per AS over a loopback transport."""
-    transport = LoopbackTransport(topology=topology)
-    services = {}
-    for as_info in topology:
-        view = LocalTopologyView.from_topology(topology, as_info.as_id)
-        service = IrecControlService(
-            view=view,
-            key_store=key_store,
-            transport=transport,
-            config=ControlServiceConfig(verify_signatures=verify_signatures),
-        )
-        services[as_info.as_id] = service
-        transport.register(service)
-    return transport, services
-
-
-def build_simulated_services(topology, key_store, verify_signatures=False, **transport_kwargs):
-    """Wire IREC control services over a scheduler-driven SimulatedTransport."""
-    scheduler = EventScheduler()
-    transport = SimulatedTransport(
-        topology=topology, scheduler=scheduler, **transport_kwargs
-    )
-    services = {}
-    for as_info in topology:
-        view = LocalTopologyView.from_topology(topology, as_info.as_id)
-        service = IrecControlService(
-            view=view,
-            key_store=key_store,
-            transport=transport,
-            config=ControlServiceConfig(verify_signatures=verify_signatures),
-        )
-        services[as_info.as_id] = service
-        transport.register(service)
-    return scheduler, transport, services
 
 
 class TestEnvelope:
@@ -121,7 +82,7 @@ class TestEnvelope:
 
     def test_every_message_type_has_a_ledger_and_an_unknown_kind_has_none(self, key_store):
         assert {cls.kind for cls in ControlMessage.__subclasses__()} == set(MESSAGE_KINDS)
-        _scheduler, transport, _services = build_simulated_services(
+        _scheduler, transport, _services = build_services(
             line_topology(2), key_store
         )
         bare = ControlMessage(origin_as=1, sequence=1, created_at_ms=0.0)
@@ -307,9 +268,7 @@ class TestBatchedRevocationElements:
 class TestRevocationTTL:
     def test_stale_copy_is_dropped_without_shadowing(self, key_store):
         topology = line_topology(3)
-        _transport, services = build_loopback_services(
-            topology, key_store, verify_signatures=False
-        )
+        _scheduler, _transport, services = build_services(topology, key_store)
         message = RevocationMessage(
             origin_as=1,
             sequence=1,
@@ -338,27 +297,29 @@ class TestRevocationScope:
     def test_scope_limited_flood_stops_at_radius(self, key_store):
         """max_hops=1: direct neighbours withdraw, the flood goes no further."""
         topology = line_topology(4)
-        _transport, services = build_loopback_services(
-            topology, key_store, verify_signatures=False
-        )
+        scheduler, transport, services = build_services(topology, key_store)
         failed = _link(topology, 0)  # the 1-2 link
+        scheduler.run_until(5.0)
         services[2].originate_revocation(
             now_ms=5.0, failed_link=failed, max_hops=1
         )
+        scheduler.run_all()
         # Origin applied and forwarded to AS 3 (its only non-revoked interface).
         assert services[2].revocations.applied_at != {}
-        # AS 3 received a copy with one traversed hop: applied, not re-forwarded.
-        assert services[3].revocations.applied_at[(2, 1)] == 0.0
+        # AS 3 received a copy with one traversed hop, one link latency
+        # plus the processing delay later: applied, not re-forwarded.
+        hop_ms = 10.0 + transport.processing_delay_ms
+        assert services[3].revocations.applied_at[(2, 1)] == 5.0 + hop_ms
         assert services[3].revocations.forwarded == 0
         # AS 4 is outside the scope and never hears about the failure.
         assert services[4].revocations.applied_at == {}
 
     def test_unscoped_flood_reaches_everyone(self, key_store):
         topology = line_topology(4)
-        _transport, services = build_loopback_services(
-            topology, key_store, verify_signatures=False
-        )
+        scheduler, _transport, services = build_services(topology, key_store)
+        scheduler.run_until(5.0)
         services[2].originate_revocation(now_ms=5.0, failed_link=_link(topology, 0))
+        scheduler.run_all()
         assert services[4].revocations.applied_at != {}
 
     def test_invalid_scope_rejected(self):
@@ -375,7 +336,7 @@ class TestPathRegistrationTraffic:
 
     def test_registration_travels_and_restamps_arrival_time(self, key_store):
         topology = line_topology(3)
-        scheduler, transport, services = build_simulated_services(topology, key_store)
+        scheduler, transport, services = build_services(topology, key_store)
         segment = self._terminated_segment(key_store)
         path = RegisteredPath(
             segment=segment, criteria_tags=("1sp",), registered_at_ms=0.0
@@ -399,7 +360,7 @@ class TestPathRegistrationTraffic:
 
     def test_expired_offer_is_dropped(self, key_store):
         topology = line_topology(3)
-        scheduler, _transport, services = build_simulated_services(topology, key_store)
+        scheduler, _transport, services = build_services(topology, key_store)
         segment = make_beacon(
             key_store, [(3, None, 1), (2, 2, None)], validity_ms=5.0
         )
@@ -411,7 +372,7 @@ class TestPathRegistrationTraffic:
     def test_registration_lost_on_failed_link(self, key_store):
         topology = line_topology(3)
         link_state = LinkState()
-        scheduler, transport, services = build_simulated_services(
+        scheduler, transport, services = build_services(
             topology, key_store, link_state=link_state
         )
         link_state.fail_link(_link(topology, 0))
@@ -454,7 +415,7 @@ class TestInboxBatching:
         beacon = make_beacon(key_store, [(1, None, 2)])
 
         def deliver_twice(batch_size):
-            scheduler, transport, services = build_simulated_services(
+            scheduler, transport, services = build_services(
                 topology, key_store, verify_signatures=True, batch_size=batch_size
             )
             receiver = services[2]
@@ -486,7 +447,7 @@ class TestInboxBatching:
 
     def test_pending_messages_visible_between_ticks(self, key_store):
         topology = line_topology(3)
-        scheduler, transport, services = build_simulated_services(topology, key_store)
+        scheduler, transport, services = build_services(topology, key_store)
         beacon = make_beacon(key_store, [(1, None, 2)])
         transport.send_message(1, 2, pcb_message(1, beacon))
         assert transport.pending_messages(2) == 0  # still in flight
@@ -508,7 +469,7 @@ class TestInboxBatching:
         return log
 
     def _send_same_tick(self, key_store, count, **transport_kwargs):
-        scheduler, transport, services = build_simulated_services(
+        scheduler, transport, services = build_services(
             line_topology(3), key_store, **transport_kwargs
         )
         log = self._record_batches(transport, services[2])
@@ -532,7 +493,7 @@ class TestInboxBatching:
         assert receiver.ingress.stats.received == 5
 
     def test_later_arrivals_drain_at_their_own_tick(self, key_store):
-        scheduler, transport, services = build_simulated_services(line_topology(3), key_store)
+        scheduler, transport, services = build_services(line_topology(3), key_store)
         log = self._record_batches(transport, services[2])
         first = make_beacon(key_store, [(1, None, 2)], link_latencies=[10.0])
         second = make_beacon(key_store, [(1, None, 2)], link_latencies=[11.0])
@@ -556,7 +517,7 @@ class TestInboxBatching:
         assert now_ms == pytest.approx(10.0 + 2.5)  # line_topology links: 10 ms
 
     def test_pull_return_is_scheduled_after_path_latency(self, key_store):
-        scheduler, transport, services = build_simulated_services(line_topology(3), key_store)
+        scheduler, transport, services = build_services(line_topology(3), key_store)
         origin = services[1]
         handle = origin.on_message
         arrivals = []
@@ -673,12 +634,14 @@ class TestHopPathIntegrity:
         """
         key_store = KeyStore()
         topology = line_topology(6)
-        _transport, services = build_loopback_services(
+        scheduler, _transport, services = build_services(
             topology, key_store, verify_signatures=True
         )
+        scheduler.run_until(5.0)
         services[2].originate_revocation(
             now_ms=5.0, failed_link=_link(topology, 0), max_hops=max_hops
         )
+        scheduler.run_all()
         assert all(
             service.revocations.rejected_invalid == 0
             for service in services.values()
@@ -693,7 +656,9 @@ class TestHopPathIntegrity:
     def test_truncated_copy_is_rejected_at_the_fabric_boundary(self, key_store):
         """A hand-injected scoped copy without stamps dies rejected_invalid."""
         topology = line_topology(3)
-        _transport, services = build_loopback_services(topology, key_store)
+        _scheduler, _transport, services = build_services(
+            topology, key_store, verify_signatures=True
+        )
         scoped = RevocationMessage(
             origin_as=1,
             sequence=3,

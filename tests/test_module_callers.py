@@ -6,6 +6,10 @@ imports it — directly, or by importing one of its names through the
 ``__init__`` that re-exports it.  The modules known to fail that rule are
 listed, and the list may only shrink: it is compared for equality, so the
 test also fails when a listed module has gained a caller or is gone.
+
+The same scan of ``src/`` holds two import rules of the sharded runtime:
+one module starts processes, and the simulation never imports the
+package that shards it.
 """
 
 import ast
@@ -14,10 +18,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
+#: The one module that imports a process API, and those APIs.
+PROCESS_SPAWNER = "repro.parallel.coordinator"
+PROCESS_MODULES = ("multiprocessing", "concurrent.futures")
+
 #: Delete these or wire them to a real caller.
 KNOWN_ORPHANS = {
     # Its caller was the legacy harness's ``parallel_e2e`` stage; ROADMAP
-    # items 1 (irecbench ``--workers N``) and 3 (the sharding verdict)
+    # items 1 (irecbench ``--workers N``) and 6 (the sharding verdict)
     # decide whether it gets one back.
     "repro.parallel.coordinator",
 }
@@ -95,3 +103,38 @@ def test_every_module_has_a_caller_outside_its_tests():
         f"new module(s) only a test or an __init__ imports: {sorted(orphans - KNOWN_ORPHANS)}; "
         f"listed but called or gone (drop from KNOWN_ORPHANS): {sorted(KNOWN_ORPHANS - orphans)}"
     )
+
+
+def _within(module: str, package: str) -> bool:
+    return module == package or module.startswith(package + ".")
+
+
+def _src_imports():
+    """Yield ``(importing module, imported module)`` for every import in ``src/``.
+
+    ``from a import b`` yields both ``a`` and ``a.b``: ``b`` may be a module.
+    """
+    for path in sorted(SRC.rglob("*.py")):
+        module = _module_name(path)
+        for base, name in _imports(path, module, is_package=path.name == "__init__.py"):
+            yield module, base
+            if name is not None:
+                yield module, f"{base}.{name}"
+
+
+def test_only_the_coordinator_imports_a_process_api():
+    importers = {
+        module
+        for module, target in _src_imports()
+        if any(_within(target, api) for api in PROCESS_MODULES)
+    }
+    assert importers == {PROCESS_SPAWNER}
+
+
+def test_the_simulation_does_not_import_the_sharded_runtime():
+    importers = {
+        module
+        for module, target in _src_imports()
+        if _within(module, "repro.simulation") and _within(target, "repro.parallel")
+    }
+    assert importers == set()

@@ -37,9 +37,9 @@ from repro.simulation.network import InboxProfile
 from repro.simulation.scenario import don_scenario
 from repro.units import minutes
 
-from tests.conftest import line_topology, make_beacon, pcb_message
+from tests.conftest import build_services, line_topology, make_beacon, pcb_message
 from tests.test_golden_trace import GOLDEN_DIGEST
-from tests.test_message_fabric import _fabric_state, build_simulated_services
+from tests.test_message_fabric import _fabric_state
 
 
 # ----------------------------------------------------------------------
@@ -155,7 +155,7 @@ class TestBoundedCapacity:
     def test_tail_drop_keeps_earliest_arrivals(self, key_store):
         """A full ``drop`` inbox tail-drops the *arriving* message."""
         topology = line_topology(3)
-        scheduler, transport, services = build_simulated_services(
+        scheduler, transport, services = build_services(
             topology, key_store, inbox_profiles={2: InboxProfile(capacity=2)}
         )
         for sequence in (1, 2, 3, 4):
@@ -171,7 +171,7 @@ class TestBoundedCapacity:
     def test_mark_mode_delivers_and_counts(self, key_store):
         """``mark`` overflow delivers every message but stamps the surplus."""
         topology = line_topology(3)
-        scheduler, transport, services = build_simulated_services(
+        scheduler, transport, services = build_services(
             topology,
             key_store,
             inbox_profiles={2: InboxProfile(capacity=2, overflow_policy="mark")},
@@ -200,7 +200,7 @@ class TestServiceBudget:
     def test_revocation_preempts_queued_pcb(self, key_store):
         """With pending > budget, revocations are serviced before PCBs."""
         topology = line_topology(3)
-        scheduler, transport, services = build_simulated_services(
+        scheduler, transport, services = build_services(
             topology,
             key_store,
             inbox_profiles={
@@ -222,7 +222,7 @@ class TestServiceBudget:
 
     def test_deferred_service_pays_queueing_delay(self, key_store):
         topology = line_topology(3)
-        scheduler, transport, services = build_simulated_services(
+        scheduler, transport, services = build_services(
             topology,
             key_store,
             inbox_profiles={
@@ -242,7 +242,7 @@ class TestServiceBudget:
 
     def test_configure_inbox_hot_swap_drains_backlog(self, key_store):
         topology = line_topology(3)
-        scheduler, transport, services = build_simulated_services(topology, key_store)
+        scheduler, transport, services = build_services(topology, key_store)
         transport.configure_inbox(
             2, InboxProfile(budget_per_tick=1, service_interval_ms=50.0)
         )
@@ -437,7 +437,7 @@ class TestSlowAsStragglers:
 class TestNegativeCache:
     def test_beacon_over_revoked_link_bounces_revocation(self, key_store):
         topology = line_topology(3)
-        scheduler, transport, services = build_simulated_services(topology, key_store)
+        scheduler, transport, services = build_services(topology, key_store)
         revoked = topology.link_ids()[0]  # the 1-2 link
         # AS 2 revokes its 1-2 link; the flood reaches AS 3 and populates
         # its negative cache.
@@ -458,7 +458,7 @@ class TestNegativeCache:
 
     def test_cache_cleared_on_recovery_admits_beacons(self, key_store):
         topology = line_topology(3)
-        scheduler, transport, services = build_simulated_services(topology, key_store)
+        scheduler, transport, services = build_services(topology, key_store)
         revoked = topology.link_ids()[0]
         services[2].originate_revocation(now_ms=0.0, failed_link=revoked)
         scheduler.run_until(20.0)
@@ -545,7 +545,7 @@ class TestKindCosts:
         """Cost-5 revocations against budget 5: one serviced per round,
         where the unweighted budget would take all three at once."""
         topology = line_topology(3)
-        scheduler, transport, services = build_simulated_services(
+        scheduler, transport, services = build_services(
             topology,
             key_store,
             inbox_profiles={
@@ -568,7 +568,7 @@ class TestKindCosts:
         """A message dearer than the whole budget still gets serviced —
         one per round — instead of deadlocking the queue."""
         topology = line_topology(3)
-        scheduler, transport, services = build_simulated_services(
+        scheduler, transport, services = build_services(
             topology,
             key_store,
             inbox_profiles={
@@ -588,7 +588,7 @@ class TestKindCosts:
         """Revocations still preempt queued PCBs under weighted costs; an
         expensive PCB defers to the next round."""
         topology = line_topology(3)
-        scheduler, transport, services = build_simulated_services(
+        scheduler, transport, services = build_services(
             topology,
             key_store,
             inbox_profiles={
@@ -614,7 +614,7 @@ class TestKindCosts:
     def test_unknown_kinds_cost_one_unit(self, key_store):
         """Kinds absent from the table keep the implicit cost of 1."""
         topology = line_topology(3)
-        scheduler, transport, services = build_simulated_services(
+        scheduler, transport, services = build_services(
             topology,
             key_store,
             inbox_profiles={
@@ -649,7 +649,7 @@ class TestKindCosts:
     def test_hot_swap_budget_preserves_cost_table(self, key_store):
         """``set_inbox_budget`` keeps the kind-cost table of the profile."""
         topology = line_topology(3)
-        scheduler, transport, services = build_simulated_services(
+        scheduler, transport, services = build_services(
             topology,
             key_store,
             inbox_profiles={

@@ -1,4 +1,4 @@
-"""Sharded parallel simulation: partitioner, coordinator, worker pool.
+"""Sharded parallel simulation: partitioner and coordinator.
 
 The centerpiece is determinism: a sharded run — any worker count, any
 partition seed — must reproduce the single-process golden traces
@@ -13,15 +13,12 @@ import hashlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.algorithms.shortest_path import KShortestPathAlgorithm
 from repro.exceptions import ConfigurationError, UnknownASError
-from repro.parallel import (
-    ShardedBeaconingSimulation,
-    WorkerPool,
-    partition_topology,
-)
+from repro.parallel import ShardedBeaconingSimulation, partition_topology
 from repro.parallel.partition import degradable_link_groups
 from repro.simulation.beaconing import BeaconingSimulation
-from repro.simulation.scenario import don_scenario
+from repro.simulation.scenario import AlgorithmSpec, don_scenario
 from repro.units import minutes
 
 from tests.conftest import line_topology
@@ -270,29 +267,35 @@ class TestShardedGoldenTraces:
         )
 
 
-# ---------------------------------------------------------------------------
-# Worker pool
-# ---------------------------------------------------------------------------
+def _two_shortest_paths():
+    # Module level: a swapped-in spec is pickled to the shard workers.
+    return KShortestPathAlgorithm(k=2)
 
 
-class TestWorkerPool:
-    def test_executor_is_reused_and_grows(self):
-        with WorkerPool() as pool:
-            first = pool.executor(min_workers=1)
-            again = pool.executor(min_workers=1)
-            assert first is again
-            assert pool.created == 1 and pool.grown == 0
-            grown = pool.executor(min_workers=2)
-            assert grown is not first
-            assert pool.grown == 1 and pool.workers == 2
+def _run_events_at_grown_as(factory):
+    """Grow AS 6, then swap its policies and a RAC, churn it out and back."""
+    topology = line_topology(5)
+    scenario = don_scenario(periods=8, verify_signatures=False)
+    replacement = AlgorithmSpec(rac_id="2sp", factory=_two_shortest_paths)
+    scenario.at(minutes(15)).grow_as(6, attach_to=(3, 5))
+    scenario.at(minutes(25)).swap_policies([], as_ids=[6], label="open")
+    scenario.at(minutes(35)).swap_rac(replacement, replace_rac_id="5sp", as_ids=[6])
+    scenario.at(minutes(45)).as_leave(6)
+    scenario.at(minutes(55)).as_join(6)
+    scenario.timeline.validate(topology)
+    simulation = factory(topology, scenario)
+    simulation.watch_pair(5, 1)
+    simulation.watch_pair(3, 1)
+    result = simulation.run()
+    return result.convergence.trace_text(), dict(result.collector.sent)
 
-    def test_run_batches_preserves_order(self):
-        with WorkerPool(max_workers=2) as pool:
-            results = pool.run_batches(pow, [(2, i) for i in range(6)])
-            assert results == [2**i for i in range(6)]
 
-    def test_rejections(self):
-        with pytest.raises(ConfigurationError):
-            WorkerPool(max_workers=0)
-        with pytest.raises(ConfigurationError):
-            WorkerPool().executor(min_workers=0)
+class TestEventsAtGrownAS:
+    def test_sharded_run_equals_in_process(self):
+        """Every event aimed at an AS grown earlier in the timeline is
+        accepted and applied identically by both providers."""
+        trace, sent = _run_events_at_grown_as(BeaconingSimulation)
+        assert "as_leave 6" in trace and "as_join 6" in trace
+        assert "rac_swap 5sp->2sp @ 6" in trace
+        assert sum(sent.values()) > 0
+        assert _run_events_at_grown_as(_sharded_factory(2, 0)) == (trace, sent)

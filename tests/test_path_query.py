@@ -28,7 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.beacon import DEFAULT_VALIDITY_MS
-from repro.core.control_service import ControlServiceConfig, IrecControlService
+from repro.core.control_service import IrecControlService
 from repro.core.databases import PathService, RegisteredPath
 from repro.core.egress import EgressGateway
 from repro.core.local_view import LocalTopologyView
@@ -39,14 +39,13 @@ from repro.core.messages import (
     PullReturnMessage,
 )
 from repro.core.query import PathQuery, PathQueryFrontend
-from repro.core.transport import LoopbackTransport, NullTransport
+from repro.core.transport import NullTransport
 from repro.crypto.keys import KeyStore
 from repro.dataplane.endhost import EndHost
 from repro.exceptions import ConfigurationError
 from repro.simulation.beaconing import BeaconingSimulation
-from repro.simulation.engine import EventScheduler
 from repro.simulation.events import ScenarioTimeline, revocation_storm
-from repro.simulation.network import InboxProfile, SimulatedTransport
+from repro.simulation.network import InboxProfile
 from repro.simulation.scenario import (
     ScenarioConfig,
     don_scenario,
@@ -56,7 +55,7 @@ from repro.simulation.scenario import (
 from repro.topology.entities import Relationship
 from repro.units import minutes
 
-from tests.conftest import build_topology, line_topology, make_beacon
+from tests.conftest import build_services, build_topology, line_topology, make_beacon
 from tests.test_golden_trace import (
     FAMILY_DIGESTS,
     GOLDEN_DIGEST,
@@ -392,43 +391,10 @@ class TestEndHostRouting:
 # ---------------------------------------------------------------------------
 
 
-def _loopback_services(topology, key_store, **config_kwargs):
-    transport = LoopbackTransport(topology=topology)
-    services = {}
-    for as_info in topology:
-        view = LocalTopologyView.from_topology(topology, as_info.as_id)
-        service = IrecControlService(
-            view=view,
-            key_store=key_store,
-            transport=transport,
-            config=ControlServiceConfig(verify_signatures=False, **config_kwargs),
-        )
-        services[as_info.as_id] = service
-        transport.register(service)
-    return transport, services
-
-
-def _simulated_services(topology, key_store, **config_kwargs):
-    scheduler = EventScheduler()
-    transport = SimulatedTransport(topology=topology, scheduler=scheduler)
-    services = {}
-    for as_info in topology:
-        view = LocalTopologyView.from_topology(topology, as_info.as_id)
-        service = IrecControlService(
-            view=view,
-            key_store=key_store,
-            transport=transport,
-            config=ControlServiceConfig(verify_signatures=False, **config_kwargs),
-        )
-        services[as_info.as_id] = service
-        transport.register(service)
-    return scheduler, transport, services
-
-
 class TestQueryFabric:
-    def test_loopback_query_round_trip(self, key_store):
+    def test_query_round_trip(self, key_store):
         topology = line_topology(3)
-        _transport, services = _loopback_services(topology, key_store)
+        scheduler, _transport, services = build_services(topology, key_store)
         services[2].path_service.register(
             RegisteredPath(
                 segment=make_beacon(key_store, [(3, None, 1), (2, 2, None)]),
@@ -437,8 +403,9 @@ class TestQueryFabric:
             )
         )
         services[1].send_path_query(
-            egress_interface=2, query=PathQuery(origin_as=3), now_ms=5.0
+            egress_interface=2, query=PathQuery(origin_as=3), now_ms=0.0
         )
+        scheduler.run_all()
         assert len(services[1].query_responses) == 1
         response, _at = services[1].query_responses[0]
         assert response.request_origin == 1
@@ -446,13 +413,14 @@ class TestQueryFabric:
         assert [p.segment.origin_as for p in response.paths] == [3]
         # The second ask is served from AS 2's response cache.
         services[1].send_path_query(
-            egress_interface=2, query=PathQuery(origin_as=3), now_ms=6.0
+            egress_interface=2, query=PathQuery(origin_as=3), now_ms=scheduler.now_ms
         )
+        scheduler.run_all()
         assert services[1].query_responses[1][0].cache_hit
 
     def test_simulated_fabric_counts_query_traffic(self, key_store):
         topology = line_topology(3)
-        scheduler, transport, services = _simulated_services(topology, key_store)
+        scheduler, transport, services = build_services(topology, key_store)
         services[2].path_service.register(
             RegisteredPath(
                 segment=make_beacon(key_store, [(3, None, 1), (2, 2, None)]),
@@ -473,7 +441,7 @@ class TestQueryFabric:
 
     def test_local_dispatch_returns_response_inline(self, key_store):
         topology = line_topology(2)
-        _transport, services = _loopback_services(topology, key_store)
+        _scheduler, _transport, services = build_services(topology, key_store)
         services[1].path_service.register(
             RegisteredPath(
                 segment=make_beacon(key_store, [(2, None, 1), (1, 2, None)]),
@@ -499,11 +467,12 @@ class TestTypedPullReturn:
         assert kinds == ["pull_return"]
         assert isinstance(transport.messages[0][2], PullReturnMessage)
 
-    def test_loopback_pull_return_reaches_origin_handler(self, key_store):
+    def test_pull_return_reaches_origin_handler(self, key_store):
         topology = line_topology(3)
-        _transport, services = _loopback_services(topology, key_store)
+        scheduler, transport, services = build_services(topology, key_store)
         beacon = make_beacon(key_store, [(1, None, 1), (2, 1, 2)])
-        _transport.return_beacon_to_origin(sender_as=2, beacon=beacon)
+        transport.return_beacon_to_origin(sender_as=2, beacon=beacon)
+        scheduler.run_all()
         assert [b.digest() for b, _t in services[1].pull_results] == [beacon.digest()]
 
 
@@ -512,7 +481,7 @@ class TestDownSegmentRegistration:
         """A transit AS relays register-at-origin announcements hop by hop
         over its own segment entry's ingress interface; the origin registers."""
         topology = line_topology(3)
-        scheduler, _transport, services = _simulated_services(topology, key_store)
+        scheduler, _transport, services = build_services(topology, key_store)
         segment = make_beacon(key_store, [(1, None, 2), (2, 1, 2), (3, 1, None)])
         message = PathRegistrationMessage(
             origin_as=3,

@@ -15,11 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.control_service import ControlServiceConfig, IrecControlService
-from repro.core.local_view import LocalTopologyView
 from repro.core.messages import RevocationMessage
 from repro.core.revocation import RevocationState
-from repro.core.transport import LoopbackTransport
 from repro.crypto.keys import KeyStore
 from repro.crypto.signer import Signer, Verifier
 from repro.exceptions import ConfigurationError
@@ -28,28 +25,11 @@ from repro.simulation.scenario import don_scenario
 from repro.topology.entities import normalize_link_id
 from repro.units import minutes
 
-from tests.conftest import line_topology
+from tests.conftest import build_services, line_topology
 
 
 def _link(topology, index):
     return topology.link_ids()[index]
-
-
-def build_loopback_services(topology, key_store, verify_signatures=True):
-    """Wire one IREC control service per AS over a loopback transport."""
-    transport = LoopbackTransport(topology=topology)
-    services = {}
-    for as_info in topology:
-        view = LocalTopologyView.from_topology(topology, as_info.as_id)
-        service = IrecControlService(
-            view=view,
-            key_store=key_store,
-            transport=transport,
-            config=ControlServiceConfig(verify_signatures=verify_signatures),
-        )
-        services[as_info.as_id] = service
-        transport.register(service)
-    return transport, services
 
 
 class TestRevocationMessage:
@@ -156,7 +136,9 @@ class TestRevocationState:
 class TestHandlerDedupAndVerification:
     def test_duplicate_messages_apply_once(self, key_store):
         topology = line_topology(3)
-        _transport, services = build_loopback_services(topology, key_store)
+        _scheduler, _transport, services = build_services(
+            topology, key_store, verify_signatures=True
+        )
         origin = services[1]
         message = RevocationMessage(
             origin_as=1,
@@ -179,7 +161,9 @@ class TestHandlerDedupAndVerification:
 
     def test_invalid_signature_rejected_not_forwarded(self, key_store):
         topology = line_topology(3)
-        transport, services = build_loopback_services(topology, key_store)
+        _scheduler, transport, services = build_services(
+            topology, key_store, verify_signatures=True
+        )
         message = RevocationMessage(
             origin_as=1,
             sequence=1,
@@ -191,7 +175,7 @@ class TestHandlerDedupAndVerification:
         assert receiver.on_revocation(message, on_interface=1, now_ms=5.0) is False
         assert receiver.revocations.rejected_invalid == 1
         assert receiver.revocations.applied_at == {}
-        assert transport.revocations_sent == 0
+        assert transport.collector.sent["revocation"] == 0
         # Not marked seen: an authentic copy arriving later must process.
         valid = RevocationMessage(
             origin_as=1,
@@ -203,9 +187,7 @@ class TestHandlerDedupAndVerification:
 
     def test_verification_skipped_when_disabled(self, key_store):
         topology = line_topology(3)
-        _transport, services = build_loopback_services(
-            topology, key_store, verify_signatures=False
-        )
+        _scheduler, _transport, services = build_services(topology, key_store)
         unsigned = RevocationMessage(
             origin_as=1,
             sequence=1,
@@ -434,7 +416,9 @@ class TestByzantineRejection:
 
     def test_forged_signature_rejected_without_seen_marking(self, key_store):
         topology = line_topology(3)
-        _transport, services = build_loopback_services(topology, key_store)
+        _scheduler, _transport, services = build_services(
+            topology, key_store, verify_signatures=True
+        )
         receiver = services[2]
         link = _link(topology, 0)
         attacker = Signer(as_id=3, key_store=key_store)
@@ -454,7 +438,9 @@ class TestByzantineRejection:
 
     def test_replayed_key_counted_as_duplicate_and_applies_once(self, key_store):
         topology = line_topology(3)
-        _transport, services = build_loopback_services(topology, key_store)
+        _scheduler, _transport, services = build_services(
+            topology, key_store, verify_signatures=True
+        )
         receiver = services[3]
         message = RevocationMessage(
             origin_as=1, sequence=4, created_at_ms=0.0, failed_link=_link(topology, 0)
@@ -473,7 +459,9 @@ class TestByzantineRejection:
     def test_truncated_hop_path_rejected_without_seen_marking(self, key_store):
         """A scoped copy whose hop path does not end here was tampered with."""
         topology = line_topology(3)
-        _transport, services = build_loopback_services(topology, key_store)
+        _scheduler, _transport, services = build_services(
+            topology, key_store, verify_signatures=True
+        )
         receiver = services[2]
         signer = Signer(as_id=1, key_store=key_store)
         scoped = RevocationMessage(
@@ -497,7 +485,9 @@ class TestByzantineRejection:
 
     def test_over_ttl_copy_rejected_with_stale_counter(self, key_store):
         topology = line_topology(3)
-        _transport, services = build_loopback_services(topology, key_store)
+        _scheduler, _transport, services = build_services(
+            topology, key_store, verify_signatures=True
+        )
         receiver = services[2]
         message = RevocationMessage(
             origin_as=1, sequence=2, created_at_ms=0.0,
@@ -520,7 +510,9 @@ class TestByzantineRejection:
         """Property: whatever the forger changes, the copy dies unseen."""
         key_store = KeyStore()
         topology = line_topology(3)
-        _transport, services = build_loopback_services(topology, key_store)
+        _scheduler, _transport, services = build_services(
+            topology, key_store, verify_signatures=True
+        )
         receiver = services[2]
         link = _link(topology, 0)
         signer = Signer(as_id=1, key_store=key_store)
