@@ -47,7 +47,7 @@ def _build_rac(cache_enabled: bool):
 
 def _database(payload):
     extensions = ExtensionSet().with_algorithm("legacy-20sp", algorithm_hash(payload))
-    database = IngressDatabase()
+    database = IngressDatabase(local_as=BENCHMARK_LOCAL_AS)
     for stored in synthetic_candidate_set(CANDIDATES, extensions=extensions):
         database.insert(stored)
     return database

@@ -8,10 +8,11 @@ pieces that a network operator would actually deploy:
    (path-length cap, valley-free enforcement, an avoided AS),
 2. the source AS selects a **maximally link-disjoint path set** from the
    registered paths,
-3. a link failure is injected, and
+3. a link fails in the data plane's :class:`LinkState`, and
 4. the **failover forwarder** keeps delivering packets over the surviving
    disjoint path without waiting for the control plane to reconverge —
-   exactly the benefit of registering disjoint paths in advance.
+   exactly the benefit of registering disjoint paths in advance — while a
+   packet forced over the failed primary is dropped.
 
 Run it with::
 
@@ -24,8 +25,9 @@ from repro.analysis.reporting import format_table
 from repro.core.policies import standard_policies
 from repro.dataplane.multipath import FailoverForwarder, MultipathSelector
 from repro.dataplane.network import DataPlaneNetwork
+from repro.dataplane.packet import Packet
+from repro.dataplane.path import forwarding_path_from_segment
 from repro.simulation.beaconing import BeaconingSimulation
-from repro.simulation.failures import LinkFailureInjector
 from repro.simulation.scenario import disjointness_scenario
 from repro.topology.generator import TopologyConfig, generate_topology
 
@@ -71,15 +73,17 @@ def main() -> None:
         print("no paths registered — increase the number of simulated periods")
         return
 
-    # 3. Inject a failure on the primary path's first inter-domain link.
-    injector = LinkFailureInjector(topology=topology)
+    # 3. Fail the primary path's first inter-domain link.  The forwarder
+    #    skips what the network's link state reports down, and the network
+    #    drops what crosses it: one failure model for both.
     network = DataPlaneNetwork(topology=topology)
-    forwarder = FailoverForwarder(network=network, paths=disjoint, failure_injector=injector)
+    forwarder = FailoverForwarder(network=network, paths=disjoint)
 
     before = forwarder.deliver()
     victim = disjoint[0].segment.links()[0]
-    injector.fail_link(victim)
+    network.link_state.fail_link(victim)
     after = forwarder.deliver()
+    forced = network.deliver(Packet(path=forwarding_path_from_segment(disjoint[0].segment)))
 
     print("\nDelivery before and after failing the primary path's first link:")
     print(
@@ -108,6 +112,7 @@ def main() -> None:
             "\nThe failover forwarder switched to a link-disjoint backup path without "
             "any control-plane reconvergence."
         )
+    print(f"A packet forced over the failed primary path: {forced.failure_reason}.")
 
 
 if __name__ == "__main__":

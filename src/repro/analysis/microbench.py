@@ -128,7 +128,7 @@ def _database_with_candidates(size: int, seed: int) -> IngressDatabase:
     extensions = ExtensionSet().with_algorithm(
         _ON_DEMAND_ALGORITHM_ID, algorithm_hash(_on_demand_payload())
     )
-    database = IngressDatabase()
+    database = IngressDatabase(local_as=BENCHMARK_LOCAL_AS)
     for candidate in synthetic_candidate_set(size=size, seed=seed, extensions=extensions):
         database.insert(candidate)
     return database

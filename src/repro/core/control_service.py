@@ -140,8 +140,7 @@ class IrecControlService:
             as_id=view.as_id,
             verifier=Verifier(key_store=key_store),
             database=IngressDatabase(
-                expiry_margin_ms=config.expiry_margin_ms,
-                local_as=view.as_id,
+                local_as=view.as_id, expiry_margin_ms=config.expiry_margin_ms
             ),
             verify_signatures=config.verify_signatures,
         )
@@ -293,7 +292,7 @@ class IrecControlService:
                 if failed not in beacon.link_set()
             ]
         return (
-            self.ingress.database.remove_crossing_link(failed, arrival_as=self.as_id),
+            self.ingress.database.remove_crossing_link(failed),
             self.path_service.remove_crossing_link(failed),
         )
 
@@ -320,8 +319,6 @@ class IrecControlService:
     def originate_revocation(
         self,
         now_ms: float,
-        failed_link: Optional[LinkID] = None,
-        failed_as: Optional[int] = None,
         failed_links: Sequence[LinkID] = (),
         failed_ases: Sequence[int] = (),
         ttl_ms: Optional[float] = None,
@@ -344,8 +341,6 @@ class IrecControlService:
             origin_as=self.as_id,
             sequence=state.next_sequence(),
             created_at_ms=now_ms,
-            failed_link=failed_link,
-            failed_as=failed_as,
             failed_links=tuple(failed_links),
             failed_ases=tuple(failed_ases),
             ttl_ms=ttl_ms,

@@ -64,18 +64,17 @@ class IngressDatabase:
     index entirely.  The sorted bucket order :meth:`bucket_keys` returns is
     cached until a bucket appears or empties.
 
-    When ``local_as`` is set (control services set it; standalone
-    micro-benchmark databases do not), every insert additionally indexes
-    the beacon under the inter-domain links it traverses — including the
-    link it *arrived* over, which is part of its path as seen locally.
+    Every insert additionally indexes the beacon under the inter-domain
+    links it traverses — including the link it *arrived* over at
+    ``local_as``, which is part of its path as seen locally.
     Revocation-driven invalidation then removes exactly the matching
     beacons instead of scanning the whole store per revocation, which is
     what keeps a network-wide revocation flood affordable; an AS departure
     reads the same index.
     """
 
+    local_as: int
     expiry_margin_ms: float = 0.0
-    local_as: Optional[int] = None
     _by_digest: Dict[str, CandidateBeacon] = field(default_factory=dict)
     #: Bucket → digest → record, in insertion order.
     _buckets: Dict[BucketKey, Dict[str, CandidateBeacon]] = field(default_factory=dict)
@@ -83,7 +82,7 @@ class IngressDatabase:
     _bucket_order: Optional[Tuple[BucketKey, ...]] = field(
         default=None, init=False, repr=False, compare=False
     )
-    #: Link → digests of beacons crossing it (only when ``local_as`` set).
+    #: Link → digests of beacons crossing it, arrival link included.
     _by_link: Dict[LinkID, Dict[str, None]] = field(default_factory=dict)
 
     def insert(self, stored: CandidateBeacon) -> bool:
@@ -98,9 +97,8 @@ class IngressDatabase:
             members = self._buckets[bucket] = {}
             self._bucket_order = None
         members[digest] = stored
-        if self.local_as is not None:
-            for link in self._links_of(stored):
-                self._by_link.setdefault(link, {})[digest] = None
+        for link in self._links_of(stored):
+            self._by_link.setdefault(link, {})[digest] = None
         return True
 
     def _links_of(self, stored: CandidateBeacon) -> Tuple[LinkID, ...]:
@@ -144,43 +142,23 @@ class IngressDatabase:
             if stored.beacon.is_expired(horizon)
         )
 
-    def remove_crossing_link(self, link_id: LinkID, arrival_as: Optional[int] = None) -> int:
+    def remove_crossing_link(self, link_id: LinkID) -> int:
         """Drop every beacon whose path (including its arrival link) crosses
         ``link_id``; return the count.
 
-        The revocation fast path: with ``local_as`` set the removal comes
-        out of the link index in O(matches).  Without it (standalone
-        databases) a predicate scan runs, using ``arrival_as`` for the
-        arrival-link check when provided.
+        The revocation fast path: the removal comes out of the link index
+        in O(matches).
         """
         failed = normalize_link_id(*link_id)
-        if self.local_as is not None:
-            return self._remove_digests(tuple(self._by_link.get(failed, ())))
-        local_as = arrival_as
-
-        def crosses(stored: CandidateBeacon) -> bool:
-            if failed in stored.beacon.link_set():
-                return True
-            if local_as is None:
-                return False
-            last = stored.beacon.entries[-1]
-            if last.egress_interface is None:
-                return False
-            arrival = normalize_link_id(
-                (last.as_id, last.egress_interface),
-                (local_as, stored.ingress_interface),
-            )
-            return failed == arrival
-
-        return self.remove_matching(crosses)
+        return self._remove_digests(tuple(self._by_link.get(failed, ())))
 
     def remove_crossing_as(self, gone_as: int) -> int:
         """Drop every beacon whose AS path contains ``gone_as``; return the count.
 
         Arrival links end at the local AS without it being on the path, so
-        the local AS itself is scanned for, as in a standalone database.
+        the local AS itself is scanned for.
         """
-        if self.local_as is not None and gone_as != self.local_as:
+        if gone_as != self.local_as:
             return self._remove_digests(_indexed_under_as(self._by_link, gone_as))
         return self.remove_matching(lambda stored: stored.beacon.contains_as(gone_as))
 
@@ -210,13 +188,12 @@ class IngressDatabase:
             if not members:
                 del self._buckets[bucket]
                 self._bucket_order = None
-            if self.local_as is not None:
-                for link in self._links_of(stored):
-                    members = self._by_link.get(link)
-                    if members is not None:
-                        members.pop(digest, None)
-                        if not members:
-                            del self._by_link[link]
+            for link in self._links_of(stored):
+                members = self._by_link.get(link)
+                if members is not None:
+                    members.pop(digest, None)
+                    if not members:
+                        del self._by_link[link]
         return removed
 
     def __len__(self) -> int:

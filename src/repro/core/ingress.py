@@ -21,7 +21,7 @@ re-received L-hop extension from O(L) HMACs into O(1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Optional
 
 from repro.algorithms.base import CandidateBeacon
 from repro.core.beacon import Beacon
@@ -116,7 +116,8 @@ class IngressGateway:
     Attributes:
         as_id: The local AS.
         verifier: Signature verifier backed by the deployment's key store.
-        database: The ingress database shared with the AS's RACs.
+        database: The ingress database shared with the AS's RACs; by
+            default an empty one indexed for ``as_id``.
         policies: Additional admission policies applied after the built-in
             signature, expiry and loop checks.
         verify_signatures: Signature verification can be disabled for
@@ -128,11 +129,15 @@ class IngressGateway:
 
     as_id: int
     verifier: Verifier
-    database: IngressDatabase = field(default_factory=IngressDatabase)
+    database: Optional[IngressDatabase] = None
     policies: List[AdmissionPolicy] = field(default_factory=list)
     verify_signatures: bool = True
     stats: IngressStats = field(default_factory=IngressStats)
     verified_prefixes: VerifiedPrefixCache = field(default_factory=VerifiedPrefixCache)
+
+    def __post_init__(self) -> None:
+        if self.database is None:
+            self.database = IngressDatabase(local_as=self.as_id)
 
     def use_verifier(self, verifier: Verifier) -> None:
         """Replace the gateway's verifier (e.g. after a key-store rotation).

@@ -208,17 +208,12 @@ class RevocationMessage(ControlMessage):
     withdraws matching state and re-forwards it (see
     :meth:`repro.core.control_service.IrecControlService.on_revocation`).
 
-    A message names **at least one** failed element.  The classic
-    single-element form uses ``failed_link`` *or* ``failed_as`` (exactly
-    one of the two); several simultaneously failed elements batch into one
-    message via ``failed_links`` / ``failed_ases``, which always hold the
-    full normalised element sets (the singular fields are folded in).
+    A message names **at least one** failed element; several
+    simultaneously failed elements batch into one message via
+    ``failed_links`` / ``failed_ases``, which hold the normalised,
+    de-duplicated element sets in naming order.
 
     Attributes:
-        failed_link: The single revoked inter-domain link (normalised), or
-            ``None``.  Kept as the single-element construction convenience;
-            iterate :attr:`failed_links` to see every revoked link.
-        failed_as: The single departed AS, or ``None``.
         failed_links: Every revoked link named by this message.
         failed_ases: Every departed AS named by this message.
         ttl_ms: Optional time-to-live: a copy delivered more than
@@ -230,8 +225,6 @@ class RevocationMessage(ControlMessage):
         signature: Signature of ``origin_as`` over the canonical encoding.
     """
 
-    failed_link: Optional[LinkID] = None
-    failed_as: Optional[int] = None
     failed_links: Tuple[LinkID, ...] = ()
     failed_ases: Tuple[int, ...] = ()
     ttl_ms: Optional[float] = None
@@ -244,22 +237,12 @@ class RevocationMessage(ControlMessage):
     kind: ClassVar[str] = "revocation"
 
     def __post_init__(self) -> None:
-        if self.failed_link is not None and self.failed_as is not None:
-            raise ConfigurationError(
-                "a revocation names exactly one failed element (link or AS) "
-                "via the singular fields; batch several via failed_links/failed_ases"
-            )
         links = []
-        if self.failed_link is not None:
-            object.__setattr__(self, "failed_link", normalize_link_id(*self.failed_link))
-            links.append(self.failed_link)
         for link in self.failed_links:
             normalised = normalize_link_id(*link)
             if normalised not in links:
                 links.append(normalised)
         ases = []
-        if self.failed_as is not None:
-            ases.append(int(self.failed_as))
         for as_id in self.failed_ases:
             if int(as_id) not in ases:
                 ases.append(int(as_id))

@@ -9,13 +9,13 @@ transports or fast-failover tunnels need on top of the path service:
   from the registered candidates (greedy, the same heuristic the HD
   algorithm applies control-plane side), and
 * :class:`FailoverForwarder` sends packets over the primary path and falls
-  back to the next disjoint path when failures (as modelled by
-  :class:`~repro.simulation.failures.LinkFailureInjector`) break it.
+  back to the next disjoint path when a failure in the network's
+  :class:`~repro.simulation.failures.LinkState` breaks it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Set
 
 from repro.core.databases import PathService, RegisteredPath
@@ -23,7 +23,7 @@ from repro.dataplane.network import DataPlaneNetwork, DeliveryReport
 from repro.dataplane.packet import Packet
 from repro.dataplane.path import forwarding_path_from_segment
 from repro.exceptions import DataPlaneError
-from repro.simulation.failures import LinkFailureInjector, LinkState
+from repro.simulation.failures import LinkState
 from repro.topology.entities import LinkID
 
 
@@ -33,12 +33,12 @@ class MultipathSelector:
 
     Attributes:
         path_service: The local AS's path service.
-        link_state: Optional live availability; paths crossing a currently
-            failed link (or offline AS) are excluded up front.
+        link_state: Live availability; paths crossing a currently failed
+            link (or offline AS) are excluded up front.
     """
 
     path_service: PathService
-    link_state: Optional[LinkState] = None
+    link_state: LinkState = field(default_factory=LinkState)
 
     def disjoint_paths(
         self,
@@ -65,7 +65,7 @@ class MultipathSelector:
             candidates = [
                 path for path in candidates if not path.segment.is_expired(now_ms)
             ]
-        if self.link_state is not None and self.link_state.impaired():
+        if self.link_state.impaired():
             candidates = [
                 path
                 for path in candidates
@@ -107,27 +107,25 @@ class FailoverForwarder:
     """Send packets over a disjoint path set with automatic failover.
 
     Attributes:
-        network: The forwarding fabric.
-        paths: Ordered candidate paths (primary first).
-        failure_injector: Optional failure model consulted before sending;
-            paths whose links are known-failed are skipped proactively, and
+        network: The forwarding fabric.  Paths its ``link_state`` reports
+            unavailable are skipped proactively — the same check
+            :meth:`DataPlaneNetwork.deliver` drops packets by — and
             deliveries that fail reactively trigger the next path.
+        paths: Ordered candidate paths (primary first).
     """
 
     network: DataPlaneNetwork
     paths: Sequence[RegisteredPath]
-    failure_injector: Optional[LinkFailureInjector] = None
 
     def deliver(self, source_host: str = "src", destination_host: str = "dst") -> FailoverReport:
         """Attempt delivery over the path set, failing over as needed."""
         if not self.paths:
             raise DataPlaneError("failover forwarder has no paths to use")
+        link_state = self.network.link_state
         attempts = 0
         for index, registered in enumerate(self.paths):
             segment = registered.segment
-            if self.failure_injector is not None and not self.failure_injector.path_survives(
-                segment.links()
-            ):
+            if not link_state.path_available(segment.links()):
                 continue
             attempts += 1
             packet = Packet(
@@ -143,9 +141,6 @@ class FailoverForwarder:
         return FailoverReport(delivered=False, attempts=attempts, used_path_index=None, delivery=None)
 
     def usable_path_count(self) -> int:
-        """Return how many of the paths currently avoid every failed link."""
-        if self.failure_injector is None:
-            return len(self.paths)
-        return sum(
-            1 for path in self.paths if self.failure_injector.path_survives(path.segment.links())
-        )
+        """Return how many of the paths are currently available end to end."""
+        link_state = self.network.link_state
+        return sum(1 for path in self.paths if link_state.path_available(path.segment.links()))

@@ -41,25 +41,25 @@ class DataPlaneNetwork:
         topology: The global topology (links and latencies).
         intra_domain: Per-AS intra-domain latency models used to charge the
             transit latency between an AS's ingress and egress interfaces.
-        link_state: Optional live link/AS availability shared with the
-            scenario engine; packets crossing a failed link (or an offline
-            AS) are dropped instead of silently delivered.  ``None`` keeps
-            the static always-up behaviour.
+        link_state: Live link/AS availability, shared with the scenario
+            engine when there is one; packets crossing a failed link (or an
+            offline AS) are dropped instead of silently delivered.  The
+            default empty state keeps every link up.
     """
 
     topology: Topology
     intra_domain: IntraDomainRegistry = field(default_factory=IntraDomainRegistry)
     routers: Dict[int, BorderRouter] = field(default_factory=dict)
-    link_state: Optional[LinkState] = None
+    link_state: LinkState = field(default_factory=LinkState)
 
     def router_for(self, as_id: int) -> BorderRouter:
         """Return (creating on demand) the border router of ``as_id``."""
         router = self.routers.get(as_id)
         if router is None:
             as_info = self.topology.as_info(as_id)
-            router = BorderRouter(
-                as_id=as_id, local_interfaces=tuple(as_info.interface_ids())
-            )
+            # The live interface mapping, not a snapshot: topology growth
+            # attaches interfaces to ASes the network already routed through.
+            router = BorderRouter(as_id=as_id, local_interfaces=as_info.interfaces)
             self.routers[as_id] = router
         return router
 
@@ -75,9 +75,7 @@ class DataPlaneNetwork:
         hops_traversed = 0
         visited: Set[int] = set()
         try:
-            if self.link_state is not None and not self.link_state.is_as_up(
-                packet.current_as
-            ):
+            if not self.link_state.is_as_up(packet.current_as):
                 raise ForwardingError(f"source AS {packet.current_as} is offline")
             while True:
                 router = self.router_for(packet.current_as)
@@ -102,10 +100,8 @@ class DataPlaneNetwork:
                     )
                 link = self.topology.link_of_interface(egress)
                 remote_as, remote_interface = link.other_end(egress)
-                if (
-                    self.link_state is not None
-                    and self.link_state.impaired()
-                    and not self.link_state.link_available(link.key)
+                if self.link_state.impaired() and not self.link_state.link_key_available(
+                    link.key
                 ):
                     raise ForwardingError(
                         f"link {link.key} between AS {egress[0]} and AS {remote_as} is down"

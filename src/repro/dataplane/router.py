@@ -11,7 +11,7 @@ hop field has no egress interface.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Container, Optional
 
 from repro.dataplane.packet import Packet
 from repro.exceptions import ForwardingError
@@ -28,11 +28,13 @@ class BorderRouter:
 
     Attributes:
         as_id: The AS this router forwards for.
-        local_interfaces: The interfaces the AS owns (for validation).
+        local_interfaces: The interfaces the AS owns (for validation); the
+            network passes the AS's live ``ASInfo.interfaces`` mapping, so
+            an interface attached later is owned from then on.
     """
 
     as_id: int
-    local_interfaces: Tuple[int, ...]
+    local_interfaces: Container[int]
 
     def forward(
         self, packet: Packet, arrived_on: Optional[int]

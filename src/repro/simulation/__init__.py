@@ -13,7 +13,9 @@ topology.  This package provides the equivalent machinery in pure Python:
   algorithms run in which ASes (the paper's 1SP/5SP/HD/DO/PD setups),
 * :mod:`repro.simulation.events` — typed dynamic events (link failures,
   churn, policy/RAC swaps, period changes), the timeline builder DSL and
-  seeded random failure/churn generators, and
+  seeded random failure/churn generators,
+* :mod:`repro.simulation.failures` — :class:`LinkState`, the live link and
+  AS availability every layer (fabric, data plane, traffic) consults, and
 * :mod:`repro.simulation.beaconing` — the periodic beaconing driver that
   originates PCBs, delivers them, runs every AS's RACs each period, applies
   the scenario timeline and measures convergence of watched AS pairs.
@@ -39,7 +41,7 @@ from repro.simulation.events import (
     random_churn,
     random_link_failures,
 )
-from repro.simulation.failures import LinkFailureInjector, LinkState
+from repro.simulation.failures import LinkState
 from repro.simulation.network import SimulatedTransport
 from repro.simulation.scenario import (
     AlgorithmSpec,
@@ -57,7 +59,6 @@ __all__ = [
     "DisruptionRecord",
     "EventScheduler",
     "LinkFailure",
-    "LinkFailureInjector",
     "LinkRecovery",
     "LinkState",
     "MetricsCollector",

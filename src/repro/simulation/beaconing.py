@@ -650,7 +650,7 @@ class BeaconingSimulation(PeriodDriver):
         now_ms = self.scheduler.now_ms
         if isinstance(event, LinkFailure):
             self.link_state.fail_link(event.link_id)
-            self._queue_revocations(failed_link=event.link_id)
+            self._pending_failed_links.append(event.link_id)
         elif isinstance(event, LinkRecovery):
             self.link_state.restore_link(event.link_id)
             # The element is alive again: every service forgets its
@@ -665,7 +665,7 @@ class BeaconingSimulation(PeriodDriver):
             # withdraws state crossing it as the flood arrives.
             if event.as_id in self.services:
                 self._cold_restart(self.services[event.as_id])
-            self._queue_revocations(failed_as=event.as_id)
+            self._pending_failed_ases.append(event.as_id)
         elif isinstance(event, ASJoin):
             self.link_state.set_as_online(event.as_id)
             for service in self._services_in_order():
@@ -758,25 +758,15 @@ class BeaconingSimulation(PeriodDriver):
         """Return whether a Byzantine event's attacker acts here and now."""
         return attacker_as in self.services and self.link_state.is_as_up(attacker_as)
 
-    def _queue_revocations(
-        self, failed_link: Optional[Tuple] = None, failed_as: Optional[int] = None
-    ) -> None:
-        """Queue a failure for aggregated revocation origination.
-
-        Failures are not revoked one message per element: every failure of
-        the current tick is collected, and one :meth:`flush` — run by the
-        driver after the tick's last timeline event — has each adjacent AS originate a single
-        :class:`~repro.core.messages.RevocationMessage` batching *all*
-        the elements it detected.  A revocation storm of N simultaneous
-        failures therefore costs each origin one flood, not N.
-        """
-        if failed_link is not None:
-            self._pending_failed_links.append(failed_link)
-        if failed_as is not None:
-            self._pending_failed_ases.append(failed_as)
-
     def flush(self, now_ms: float) -> None:
         """Originate the queued failures' revocations, one message per origin.
+
+        Failures are not revoked one message per element: :meth:`apply_event`
+        queues every failure of the current tick, and this flush — run by
+        the driver after the tick's last timeline event — has each adjacent
+        AS originate a single :class:`~repro.core.messages.RevocationMessage`
+        batching *all* the elements it detected.  A revocation storm of N
+        simultaneous failures therefore costs each origin one flood, not N.
 
         The endpoints of each failed link (and the neighbours of each
         departed AS) detect those failures locally: each origin withdraws
@@ -854,7 +844,7 @@ class BeaconingSimulation(PeriodDriver):
                 origin_as=event.claimed_origin,
                 sequence=event.sequence_base + index,
                 created_at_ms=now_ms,
-                failed_link=event.link_id,
+                failed_links=(event.link_id,),
             ).signed(attacker.builder.signer)
             for interface_id in interface_ids:
                 send(event.attacker_as, interface_id, forged)

@@ -1,23 +1,24 @@
-"""Link-failure injection.
+"""Live link and AS availability — the one failure model.
 
-The disjointness evaluation (Figure 8b) argues that a path set with a high
-tolerable-link-failure count keeps the pair connected under failures.  This
-module closes the loop: it removes concrete links from a topology, checks
-which registered paths survive, and verifies the TLF prediction empirically
-— the failure-injection counterpart used by tests and the disjointness
-example.
+A :class:`LinkState` answers "is this link up?" for every layer: the
+beaconing driver mutates it when timeline events fire, the control-plane
+fabric drops messages on unavailable links, and the data plane
+(:class:`~repro.dataplane.network.DataPlaneNetwork`, the multipath
+selector and failover forwarder, the traffic engine) drops or avoids what
+crosses them.  An empty state means everything is up, so every consumer
+holds one and none treats it as optional.  Post-hoc survivability
+analysis (Figure 8b) fails links on a fresh state and compares the
+surviving paths with
+:func:`repro.analysis.disjointness_eval.tolerable_link_failures`.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Set, Tuple
 
-from repro.core.beacon import Beacon
 from repro.exceptions import SimulationError
 from repro.topology.entities import LinkID, normalize_link_id
-from repro.topology.graph import Topology
 
 
 @dataclass
@@ -167,84 +168,3 @@ class LinkState:
         if directional:
             rate = 1.0 - (1.0 - rate) * (1.0 - directional)
         return rate
-
-
-@dataclass
-class LinkFailureInjector:
-    """Topology-validated front end for failing inter-domain links.
-
-    The actual failed-link bookkeeping lives in a :class:`LinkState` —
-    pass the state of a running :class:`BeaconingSimulation` to drive its
-    live availability, or keep the default for standalone post-hoc
-    survivability analysis (the Figure-8b usage).
-    """
-
-    topology: Topology
-    state: LinkState = field(default_factory=LinkState)
-
-    def fail_link(self, link_id: LinkID) -> None:
-        """Mark one link as failed.
-
-        Raises:
-            SimulationError: If the link does not exist in the topology.
-        """
-        normalised = normalize_link_id(*link_id)
-        if normalised not in self.topology.links:
-            raise SimulationError(f"cannot fail unknown link {link_id}")
-        self.state.fail_link(normalised)
-
-    def restore_link(self, link_id: LinkID) -> None:
-        """Clear the failure of one link (no-op if it was not failed)."""
-        self.state.restore_link(link_id)
-
-    def fail_random_links(self, count: int, rng: Optional[random.Random] = None) -> List[LinkID]:
-        """Fail ``count`` uniformly chosen distinct links; return them."""
-        if count < 0:
-            raise SimulationError(f"count must be non-negative, got {count}")
-        rng = rng or random.Random(0)
-        candidates = [
-            link for link in sorted(self.topology.links) if link not in self.state.failed_links
-        ]
-        chosen = rng.sample(candidates, k=min(count, len(candidates)))
-        for link in chosen:
-            self.state.fail_link(link)
-        return chosen
-
-    def restore_all(self) -> None:
-        """Clear every failure."""
-        self.state.failed_links.clear()
-
-    @property
-    def failed_links(self) -> Set[LinkID]:
-        """Return the currently failed links."""
-        return set(self.state.failed_links)
-
-    # ------------------------------------------------------------------
-    # queries
-    # ------------------------------------------------------------------
-    def path_survives(self, path_links: Iterable[LinkID]) -> bool:
-        """Return whether a path avoids every failed link."""
-        return all(self.state.is_link_up(link) for link in path_links)
-
-    def surviving_paths(self, segments: Sequence[Beacon]) -> List[Beacon]:
-        """Return the segments whose links all survived."""
-        return [segment for segment in segments if self.path_survives(segment.links())]
-
-    def pair_still_connected(self, segments: Sequence[Beacon]) -> bool:
-        """Return whether at least one of the segments survives the failures."""
-        return bool(self.surviving_paths(segments))
-
-
-def minimum_failures_to_disconnect(
-    segments: Sequence[Beacon], source_as: int, destination_as: int
-) -> int:
-    """Empirical counterpart of the TLF metric.
-
-    Convenience wrapper re-exporting the min-cut computation of
-    :func:`repro.analysis.disjointness_eval.tolerable_link_failures` on
-    beacon segments, so failure-injection tests can compare "predicted TLF"
-    with "failures actually needed to disconnect".
-    """
-    from repro.analysis.disjointness_eval import tolerable_link_failures
-
-    return tolerable_link_failures([s.links() for s in segments], source_as, destination_as)

@@ -215,7 +215,7 @@ class SimulatedTransport:
         link_state: Live link/AS availability (dynamic scenarios).  Checked
             both when a message is sent and when it would be delivered, so
             a link failing mid-flight loses the messages currently on it.
-            When ``None`` every link is always available (static
+            The default empty state keeps every link available (static
             scenarios).
         batch_size: Maximum messages handed to a control service per inbox
             drain.  ``None`` (the default) drains everything pending at
@@ -238,7 +238,7 @@ class SimulatedTransport:
     scheduler: EventScheduler
     collector: MetricsCollector = field(default_factory=MetricsCollector)
     processing_delay_ms: float = 1.0
-    link_state: Optional[LinkState] = None
+    link_state: LinkState = field(default_factory=LinkState)
     batch_size: Optional[int] = None
     inbox_profile: Optional[InboxProfile] = None
     inbox_profiles: Dict[int, InboxProfile] = field(default_factory=dict)
@@ -379,11 +379,8 @@ class SimulatedTransport:
         now_ms = self.scheduler.now_ms
         self.collector.record(message.kind, sender_as, egress_interface, now_ms)
 
-        if (
-            self.link_state is not None
-            and self.link_state.impaired()
-            and not self.link_state.link_key_available(link_key)
-        ):
+        link_state = self.link_state
+        if link_state.impaired() and not link_state.link_key_available(link_key):
             self.collector.record_drop(message.kind)
             return
 
@@ -432,20 +429,21 @@ class SimulatedTransport:
         :meth:`inject_import`), so a message crossing a shard boundary
         passes exactly the checks it would have passed in one process.
         """
-        if self.link_state is not None and self.link_state.impaired():
-            if not self.link_state.link_key_available(link_key):
+        link_state = self.link_state
+        if link_state.impaired():
+            if not link_state.link_key_available(link_key):
                 self.collector.record_drop(message.kind)
                 return
-            if isinstance(message, PCBMessage) and not self.link_state.path_available(
+            if isinstance(message, PCBMessage) and not link_state.path_available(
                 message.beacon.links()
             ):
                 self.collector.record_drop(message.kind)
                 return
-        if self.link_state is not None and self.link_state.degraded():
+        if link_state.degraded():
             # Silent degradation (gray failure / flap loss): the drop
             # is invisible to availability checks — no revocation, no
             # loud drop counter — only the gray-drop metric records it.
-            rate = self.link_state.drop_probability(link_key, remote_as)
+            rate = link_state.drop_probability(link_key, remote_as)
             if rate > 0.0 and (rate >= 1.0 or self._loss_rng.random() < rate):
                 self.collector.record_gray_drop(message.kind)
                 return
@@ -645,10 +643,8 @@ class SimulatedTransport:
         def deliver(now_ms: float, _origin=origin, _message=message):
             # The return travels over the beacon's own path; it is lost if
             # any of those links is unavailable when it would arrive.
-            if (
-                self.link_state is not None
-                and self.link_state.impaired()
-                and not self.link_state.path_available(_message.beacon.links())
+            if self.link_state.impaired() and not self.link_state.path_available(
+                _message.beacon.links()
             ):
                 # A lost return is a lost PCB: it counts in ``total_dropped``.
                 self.collector.record_drop(PCBMessage.kind)
@@ -665,7 +661,7 @@ class SimulatedTransport:
         behaviour.
         """
         origin = self.service_of(origin_as)
-        if self.link_state is not None and not self.link_state.is_as_up(origin_as):
+        if not self.link_state.is_as_up(origin_as):
             # AlgorithmError (not SimulationError) so the RAC round records
             # a failed bucket and the simulation continues — an unreachable
             # origin must not abort the whole run.

@@ -11,8 +11,9 @@ Per round, every flow group
 
 1. (re-)selects paths when it has none — via an
    :class:`~repro.dataplane.endhost.EndHost` and a pluggable
-   :mod:`selection policy <repro.traffic.selection>`, optionally verified
-   by delivering a probe packet over the real forwarding simulation,
+   :mod:`selection policy <repro.traffic.selection>`, among the registered
+   paths the shared :class:`~repro.simulation.failures.LinkState` reports
+   available,
 2. offers its demand onto its selected paths (ECMP splits spread both the
    demand and the max-min weight), and
 3. receives a weighted max-min fair share of every traversed link.
@@ -52,9 +53,6 @@ from repro.core.databases import PathService, RegisteredPath
 from repro.core.messages import RevocationMessage
 from repro.core.query import PathQueryFrontend
 from repro.dataplane.endhost import EndHost, PathPolicy
-from repro.dataplane.network import DataPlaneNetwork
-from repro.dataplane.packet import Packet
-from repro.dataplane.path import forwarding_path_from_segment
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.simulation.beaconing import BeaconingSimulation
 from repro.simulation.engine import EventScheduler
@@ -145,10 +143,6 @@ class TrafficEngine:
         round_interval_ms: Gap between consecutive traffic rounds.
         link_model: Capacity model; built from the topology when omitted.
         collector: Measurement sink; a fresh one when omitted.
-        probe_network: Optional forwarding fabric; when given, every fresh
-            path selection is verified by delivering one probe packet and
-            rejected if forwarding fails (catches stale control-plane state
-            the link-state check alone would miss).
         queue_delay_provider: Optional ``as_id -> delay_ms`` callable
             reporting the control-plane inbox backlog at an AS (see
             :meth:`repro.simulation.network.SimulatedTransport.queue_backlog_ms`);
@@ -161,13 +155,12 @@ class TrafficEngine:
         topology: Topology,
         path_services: Dict[int, PathService],
         matrix: TrafficMatrix,
-        link_state: Optional[LinkState] = None,
+        link_state: LinkState,
         policy: Optional[PathPolicy] = None,
         scheduler: Optional[EventScheduler] = None,
         round_interval_ms: float = 1_000.0,
         link_model: Optional[CapacityLinkModel] = None,
         collector: Optional[TrafficCollector] = None,
-        probe_network: Optional[DataPlaneNetwork] = None,
         queue_delay_provider: Optional[Callable[[int], float]] = None,
         closed_loop: Optional[ClosedLoopDemand] = None,
         query_frontends: Optional[Dict[int, PathQueryFrontend]] = None,
@@ -180,13 +173,12 @@ class TrafficEngine:
         self.topology = topology
         self.path_services = path_services
         self.matrix = matrix
-        self.link_state = link_state if link_state is not None else LinkState()
+        self.link_state = link_state
         self.policy: PathPolicy = policy if policy is not None else LatencyGreedyPolicy()
         self.scheduler = scheduler if scheduler is not None else EventScheduler()
         self.round_interval_ms = round_interval_ms
         self.link_model = link_model if link_model is not None else CapacityLinkModel(topology)
         self.collector = collector if collector is not None else TrafficCollector()
-        self.probe_network = probe_network
         self.queue_delay_provider = queue_delay_provider
         self.rounds_run = 0
         #: Per-AS serving tier the engine's end hosts query through.  If
@@ -240,7 +232,6 @@ class TrafficEngine:
         round_interval_ms: float = 60_000.0,
         link_model: Optional[CapacityLinkModel] = None,
         collector: Optional[TrafficCollector] = None,
-        probe_paths: bool = True,
         closed_loop: Optional[ClosedLoopDemand] = None,
     ) -> "TrafficEngine":
         """Attach a traffic engine to a running beaconing simulation.
@@ -252,13 +243,6 @@ class TrafficEngine:
         revocation reaches each group's source AS).  Call
         :meth:`schedule_rounds` before ``simulation.run()``.
         """
-        network = None
-        if probe_paths:
-            network = DataPlaneNetwork(
-                topology=simulation.topology,
-                intra_domain=simulation.intra_domain,
-                link_state=simulation.link_state,
-            )
         engine = cls(
             topology=simulation.topology,
             path_services={
@@ -276,7 +260,6 @@ class TrafficEngine:
             round_interval_ms=round_interval_ms,
             link_model=link_model,
             collector=collector,
-            probe_network=network,
             queue_delay_provider=simulation.transport.queue_backlog_ms,
             closed_loop=closed_loop,
         )
@@ -617,8 +600,6 @@ class TrafficEngine:
         uses: List[_PathUse] = []
         for path, weight in weighted:
             digest, link_indices = self._resolve(path)
-            if self.probe_network is not None and not self._probe(path):
-                continue
             uses.append(
                 _PathUse(
                     digest=digest,
@@ -627,9 +608,9 @@ class TrafficEngine:
                 )
             )
         share_total = sum(use.share for use in uses)
-        if not uses or share_total <= 0.0:
+        if share_total <= 0.0:
             return
-        # Renormalise in case some selected paths were rejected.
+        # Renormalise: the float quotients need not sum to exactly one.
         for use in uses:
             use.share /= share_total
         state.uses = uses
@@ -649,15 +630,6 @@ class TrafficEngine:
             cached = (link_indices, path.segment.total_latency_ms())
             self._path_cache[digest] = cached
         return digest, cached[0]
-
-    def _probe(self, path: RegisteredPath) -> bool:
-        """Deliver one probe packet over ``path``; return success."""
-        packet = Packet(
-            path=forwarding_path_from_segment(path.segment),
-            source_host="traffic-probe",
-            destination_host="traffic-probe",
-        )
-        return self.probe_network.deliver(packet).delivered
 
     # ------------------------------------------------------------------
     # reporting

@@ -1,7 +1,7 @@
 """Capacity-aware link model with weighted max-min fair allocation.
 
-The one-packet :class:`~repro.dataplane.network.DataPlaneNetwork` answers
-"is this path usable?"; this module answers "how much traffic does each
+The shared :class:`~repro.simulation.failures.LinkState` answers "is this
+path usable?"; this module answers "how much traffic does each
 flow actually get?".  Each inter-domain link has a finite capacity (the
 topology's ``bandwidth_mbps``, optionally scaled), and every traffic round
 the engine hands the model one :class:`PathLoad` per distinct forwarding

@@ -17,7 +17,7 @@ from repro.analysis.microbench import (
 )
 from repro.analysis.overhead_eval import evaluate_overhead
 from repro.analysis.reporting import format_cdf_table, format_table
-from repro.analysis.workloads import synthetic_candidate_set
+from repro.analysis.workloads import BENCHMARK_LOCAL_AS, synthetic_candidate_set
 from repro.core.databases import IngressDatabase
 from repro.simulation.beaconing import BeaconingSimulation
 from repro.simulation.scenario import disjointness_scenario, don_scenario
@@ -84,7 +84,7 @@ class TestWorkloads:
     def test_stored_variant(self):
         """The candidates are the records an ingress database stores."""
         candidates = synthetic_candidate_set(4)
-        database = IngressDatabase()
+        database = IngressDatabase(local_as=BENCHMARK_LOCAL_AS)
         for candidate in candidates:
             assert database.insert(candidate)
         assert database.all_beacons() == candidates

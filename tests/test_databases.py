@@ -22,13 +22,33 @@ from repro.topology.entities import normalize_link_id
 from tests.conftest import make_beacon
 
 
+#: The AS every ingress database in this module is held by.
+_LOCAL_AS = 9
+
+
 def stored(beacon, interface=1, at_ms=0.0):
     return CandidateBeacon(beacon=beacon, ingress_interface=interface, received_at_ms=at_ms)
 
 
+def crossing(link_id):
+    """The scan reference for ``remove_crossing_link``: a stored beacon
+    crosses a link on its path or as the link it arrived over at AS 9."""
+    failed = normalize_link_id(*link_id)
+
+    def crosses(held):
+        if failed in held.beacon.link_set():
+            return True
+        last = held.beacon.entries[-1]
+        return last.egress_interface is not None and failed == normalize_link_id(
+            (last.as_id, last.egress_interface), (_LOCAL_AS, held.ingress_interface)
+        )
+
+    return crosses
+
+
 class TestIngressDatabase:
     def test_insert_and_duplicate(self, key_store, beacon_factory):
-        database = IngressDatabase()
+        database = IngressDatabase(local_as=_LOCAL_AS)
         beacon = beacon_factory([(1, None, 1), (2, 1, 2)])
         assert database.insert(stored(beacon))
         assert not database.insert(stored(beacon))
@@ -36,7 +56,7 @@ class TestIngressDatabase:
         assert beacon.digest() in database
 
     def test_bucketing_by_origin_group_target_algorithm(self, key_store, beacon_factory):
-        database = IngressDatabase()
+        database = IngressDatabase(local_as=_LOCAL_AS)
         plain = beacon_factory([(1, None, 1), (2, 1, 2)])
         grouped = beacon_factory(
             [(1, None, 1), (3, 1, 2)], extensions=ExtensionSet().with_interface_group(2)
@@ -58,7 +78,7 @@ class TestIngressDatabase:
         assert len(database.beacons_in_bucket((1, None, None, None))) == 1
 
     def test_get_by_digest(self, key_store, beacon_factory):
-        database = IngressDatabase()
+        database = IngressDatabase(local_as=_LOCAL_AS)
         beacon = beacon_factory([(1, None, 1), (2, 1, 2)])
         database.insert(stored(beacon, interface=5))
         fetched = database.get(beacon.digest())
@@ -67,7 +87,7 @@ class TestIngressDatabase:
         assert database.get("missing") is None
 
     def test_expiry(self, key_store):
-        database = IngressDatabase()
+        database = IngressDatabase(local_as=_LOCAL_AS)
         short = make_beacon(key_store, [(1, None, 1), (2, 1, 2)], validity_ms=100.0)
         lasting = make_beacon(key_store, [(3, None, 1), (2, 1, 2)], validity_ms=10_000.0)
         database.insert(stored(short))
@@ -78,14 +98,14 @@ class TestIngressDatabase:
         assert database.get(lasting.digest()) is not None
 
     def test_expiry_margin(self, key_store):
-        database = IngressDatabase(expiry_margin_ms=1000.0)
+        database = IngressDatabase(local_as=_LOCAL_AS, expiry_margin_ms=1000.0)
         soon = make_beacon(key_store, [(1, None, 1), (2, 1, 2)], validity_ms=500.0)
         database.insert(stored(soon))
         # Not expired yet, but within the soon-to-expire margin.
         assert database.remove_expired(now_ms=0.0) == 1
 
     def test_all_beacons(self, key_store, beacon_factory):
-        database = IngressDatabase()
+        database = IngressDatabase(local_as=_LOCAL_AS)
         a = beacon_factory([(1, None, 1), (2, 1, 2)])
         b = beacon_factory([(3, None, 1), (2, 1, 2)])
         database.insert(stored(a))
@@ -218,7 +238,7 @@ class TestUnifiedExpiryMargins:
         margin = 1_000.0
         beacon = make_beacon(key_store, [(1, None, 1), (2, 1, 2)], validity_ms=500.0)
         segment = make_beacon(key_store, [(1, None, 1), (2, 1, None)], validity_ms=500.0)
-        ingress = IngressDatabase(expiry_margin_ms=margin)
+        ingress = IngressDatabase(local_as=_LOCAL_AS, expiry_margin_ms=margin)
         egress = EgressDatabase(expiry_margin_ms=margin)
         paths = PathService(expiry_margin_ms=margin)
         ingress.insert(stored(beacon))
@@ -236,7 +256,7 @@ class TestUnifiedExpiryMargins:
         margin = 100.0
         beacon = make_beacon(key_store, [(1, None, 1), (2, 1, 2)], validity_ms=5_000.0)
         segment = make_beacon(key_store, [(1, None, 1), (2, 1, None)], validity_ms=5_000.0)
-        ingress = IngressDatabase(expiry_margin_ms=margin)
+        ingress = IngressDatabase(local_as=_LOCAL_AS, expiry_margin_ms=margin)
         egress = EgressDatabase(expiry_margin_ms=margin)
         paths = PathService(expiry_margin_ms=margin)
         ingress.insert(stored(beacon))
@@ -261,13 +281,13 @@ class TestIndexedInvalidation:
         return crossing, other
 
     def test_indexed_link_removal_matches_scan(self, key_store):
-        indexed = IngressDatabase(local_as=9)
-        scanned = IngressDatabase()
+        indexed = IngressDatabase(local_as=_LOCAL_AS)
+        scanned = IngressDatabase(local_as=_LOCAL_AS)
         a_idx, b_idx = self._populate(key_store, indexed)
         self._populate(key_store, scanned)
         failed = ((1, 1), (2, 1))  # interior link of the first beacon
         assert indexed.remove_crossing_link(failed) == 1
-        assert scanned.remove_crossing_link(failed, arrival_as=9) == 1
+        assert scanned.remove_matching(crossing(failed)) == 1
         assert sorted(s.beacon.digest() for s in indexed.all_beacons()) == sorted(
             s.beacon.digest() for s in scanned.all_beacons()
         )
@@ -276,34 +296,34 @@ class TestIndexedInvalidation:
 
     def test_indexed_arrival_link_removal(self, key_store):
         # Both beacons arrived over 2.2 -> 9.1; failing that arrival link
-        # must purge them from the indexed and the scanning store alike.
-        indexed = IngressDatabase(local_as=9)
-        scanned = IngressDatabase()
+        # must purge them from the index and the scan alike.
+        indexed = IngressDatabase(local_as=_LOCAL_AS)
+        scanned = IngressDatabase(local_as=_LOCAL_AS)
         self._populate(key_store, indexed)
         self._populate(key_store, scanned)
         arrival = ((2, 2), (9, 1))
         assert indexed.remove_crossing_link(arrival) == 2
-        assert scanned.remove_crossing_link(arrival, arrival_as=9) == 2
+        assert scanned.remove_matching(crossing(arrival)) == 2
         assert len(indexed) == 0 and len(scanned) == 0
 
     def test_indexed_as_removal_matches_scan(self, key_store):
-        indexed = IngressDatabase(local_as=9)
-        scanned = IngressDatabase()
+        indexed = IngressDatabase(local_as=_LOCAL_AS)
+        scanned = IngressDatabase(local_as=_LOCAL_AS)
         self._populate(key_store, indexed)
         self._populate(key_store, scanned)
         assert indexed.remove_crossing_as(1) == 1
-        assert scanned.remove_crossing_as(1) == 1
+        assert scanned.remove_matching(lambda s: s.beacon.contains_as(1)) == 1
         assert indexed.remove_crossing_as(2) == 1
-        assert scanned.remove_crossing_as(2) == 1
+        assert scanned.remove_matching(lambda s: s.beacon.contains_as(2)) == 1
         assert len(indexed) == 0 and len(scanned) == 0
 
     def test_index_cleaned_on_generic_removal(self, key_store):
-        database = IngressDatabase(local_as=9)
-        crossing, _other = self._populate(key_store, database)
+        database = IngressDatabase(local_as=_LOCAL_AS)
+        first, _other = self._populate(key_store, database)
         # Remove through the generic predicate path, then make sure the
         # link index no longer resurrects the digest.
         assert database.remove_matching(
-            lambda s: s.beacon.digest() == crossing.digest()
+            lambda s: s.beacon.digest() == first.digest()
         ) == 1
         assert database.remove_crossing_link(((1, 1), (2, 1))) == 0
 
@@ -451,9 +471,6 @@ class TestPathServiceIndexConsistency:
 # ---------------------------------------------------------------------------
 # AS departure is derived from the link index: it must equal the predicate scan
 # ---------------------------------------------------------------------------
-
-_LOCAL_AS = 9
-
 
 @lru_cache(maxsize=1)
 def _departure_pools():

@@ -10,6 +10,8 @@ from repro.dataplane.packet import Packet
 from repro.dataplane.path import ForwardingPath, HopField, forwarding_path_from_segment
 from repro.dataplane.router import BorderRouter
 from repro.exceptions import DataPlaneError, ForwardingError, PathConstructionError
+from repro.topology.entities import ASInfo, Interface, Link, Relationship
+from repro.topology.geo import GeoCoordinate
 
 from tests.conftest import figure1_topology, make_beacon
 
@@ -134,6 +136,32 @@ class TestDataPlaneNetwork:
         # Real link latencies of the Figure-1 topology: 10 ms + 10 ms, plus a
         # sub-millisecond intra-AS transit at AS 2.
         assert report.latency_ms == pytest.approx(20.0, abs=0.5)
+
+    def test_interface_attached_after_first_delivery_is_owned(self, key_store):
+        """Topology growth gives a routed-through AS a new interface; the
+        router must own it, not the interface set of its first delivery."""
+        topology = figure1_topology()
+        network = DataPlaneNetwork(topology=topology)
+        old = make_beacon(key_store, [(3, None, 1), (2, 2, 1), (1, 1, None)])
+        assert network.deliver(Packet(path=forwarding_path_from_segment(old))).delivered
+        location = GeoCoordinate(48.0, 9.2)
+        grown = ASInfo(as_id=9)
+        grown.add_interface(Interface(as_id=9, interface_id=1, location=location))
+        topology.add_as(grown)
+        topology.as_info(2).add_interface(Interface(as_id=2, interface_id=3, location=location))
+        topology.add_link(
+            Link(
+                interface_a=(9, 1),
+                interface_b=(2, 3),
+                latency_ms=5.0,
+                bandwidth_mbps=100.0,
+                relationship=Relationship.PEER,
+            )
+        )
+        new = make_beacon(key_store, [(9, None, 1), (2, 3, 1), (1, 1, None)])
+        report = network.deliver(Packet(path=forwarding_path_from_segment(new)))
+        assert report.delivered, report.failure_reason
+        assert report.as_path == (1, 2, 9)
 
     def test_forged_path_dropped(self, key_store):
         topology = figure1_topology()

@@ -73,6 +73,18 @@ class TestExampleScripts:
         assert "Pull-based, on-demand paths" in output
         assert "live-video-60ms" in output
 
+    def test_failover_and_policies_runs(self, capsys):
+        module = load_example("failover_and_policies.py")
+        module.main()
+        output = capsys.readouterr().out
+        assert "switched to a link-disjoint backup path" in output
+        # After the failure the forwarder delivers, and not over the primary
+        # (path 0); a packet forced over the primary is dropped as down.
+        (after,) = [line.split() for line in output.splitlines() if line.startswith("after failure")]
+        delivered, used_path = after[2], after[3]
+        assert delivered == "True" and used_path != "0"
+        assert "forced over the failed primary path" in output and "is down" in output
+
     def test_dynamic_failover_runs(self, capsys):
         module = load_example("dynamic_failover.py")
         module.main()

@@ -19,7 +19,7 @@ from itertools import combinations
 
 from repro.analysis.disjointness_eval import tolerable_link_failures
 from repro.simulation.beaconing import BeaconingSimulation
-from repro.simulation.failures import LinkFailureInjector, minimum_failures_to_disconnect
+from repro.simulation.failures import LinkState
 from repro.simulation.scenario import disjointness_scenario, don_scenario
 from repro.topology.entities import Relationship
 from repro.units import minutes
@@ -72,22 +72,20 @@ class TestFig8bLoop:
 
         # Every failure set of the tolerable size keeps the pair connected.
         for failure_set in combinations(path_links, predicted_tlf):
-            injector = LinkFailureInjector(topology=topology)
+            state = LinkState()
             for link in failure_set:
-                injector.fail_link(link)
-            assert injector.pair_still_connected(segments), (
+                state.fail_link(link)
+            assert any(state.path_available(s.links()) for s in segments), (
                 f"pair disconnected by {len(failure_set)} failures, "
                 f"predicted to tolerate {predicted_tlf}: {failure_set}"
             )
 
         # One more failure — the crafted min cut — disconnects the pair.
-        injector = LinkFailureInjector(topology=topology)
-        injector.fail_link(((1, 1), (2, 1)))  # upper route, first hop
-        injector.fail_link(((1, 2), (3, 1)))  # lower route, first hop
-        assert not injector.pair_still_connected(segments)
-
-        # The empirical wrapper agrees with the analytical prediction.
-        assert minimum_failures_to_disconnect(segments, ORIGIN_AS, SOURCE_AS) == min_cut
+        state = LinkState()
+        state.fail_link(((1, 1), (2, 1)))  # upper route, first hop
+        state.fail_link(((1, 2), (3, 1)))  # lower route, first hop
+        assert not any(state.path_available(s.links()) for s in segments)
+        assert len(state.failed_links) == min_cut
 
     def test_dynamic_engine_agrees_with_prediction(self):
         topology = diamond_topology()

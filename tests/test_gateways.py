@@ -4,7 +4,7 @@ import pytest
 
 from repro.algorithms.base import CandidateBeacon
 from repro.core.beacon import BeaconBuilder
-from repro.core.databases import EgressDatabase, IngressDatabase, PathService
+from repro.core.databases import EgressDatabase, PathService
 from repro.core.egress import EgressGateway
 from repro.core.extensions import ExtensionSet
 from repro.core.ingress import IngressGateway
@@ -34,7 +34,7 @@ def gateway_pair(topology, as_id, key_store):
     view = view_for(topology, as_id)
     transport = NullTransport()
     ingress = IngressGateway(
-        as_id=as_id, verifier=Verifier(key_store=key_store), database=IngressDatabase()
+        as_id=as_id, verifier=Verifier(key_store=key_store)
     )
     egress = EgressGateway(
         view=view,

@@ -95,9 +95,9 @@ class TestEnvelope:
         assert not PCBMessage(
             origin_as=1, sequence=1, created_at_ms=0.0, beacon=beacon
         ).needs_hop_tracking()
-        unscoped = RevocationMessage(origin_as=1, sequence=1, created_at_ms=0.0, failed_as=2)
+        unscoped = RevocationMessage(origin_as=1, sequence=1, created_at_ms=0.0, failed_ases=(2,))
         scoped = RevocationMessage(
-            origin_as=1, sequence=1, created_at_ms=0.0, failed_as=2, max_hops=3
+            origin_as=1, sequence=1, created_at_ms=0.0, failed_ases=(2,), max_hops=3
         )
         assert not unscoped.needs_hop_tracking()
         assert scoped.needs_hop_tracking()
@@ -112,7 +112,7 @@ class TestMessageMemos:
         return [
             PCBMessage(origin_as=1, sequence=1, created_at_ms=0.0, beacon=beacon),
             RevocationMessage(
-                origin_as=1, sequence=2, created_at_ms=0.0, failed_link=((1, 2), (2, 1))
+                origin_as=1, sequence=2, created_at_ms=0.0, failed_links=(((1, 2), (2, 1)),)
             ),
             PathQueryMessage(
                 origin_as=1, sequence=3, created_at_ms=0.0, query=PathQuery(origin_as=4)
@@ -147,7 +147,7 @@ class TestMessageMemos:
             assert restored == message
 
     def test_signed_revocation_resizes_with_its_signature(self, key_store):
-        message = RevocationMessage(origin_as=1, sequence=1, created_at_ms=0.0, failed_as=2)
+        message = RevocationMessage(origin_as=1, sequence=1, created_at_ms=0.0, failed_ases=(2,))
         unsigned_size = message.size_bytes()
         signed = message.signed(Signer(as_id=1, key_store=key_store))
         assert signed.signature
@@ -190,8 +190,7 @@ class TestBatchedRevocationElements:
             origin_as=1,
             sequence=1,
             created_at_ms=0.0,
-            failed_link=((2, 1), (1, 2)),
-            failed_links=(((3, 2), (2, 2)), ((1, 2), (2, 1))),  # second is a dup
+            failed_links=(((2, 1), (1, 2)), ((3, 2), (2, 2)), ((1, 2), (2, 1))),  # third is a dup
             failed_ases=(9, 9),
         )
         assert message.failed_links == (
@@ -199,27 +198,16 @@ class TestBatchedRevocationElements:
             normalize_link_id((2, 2), (3, 2)),
         )
         assert message.failed_ases == (9,)
-        assert message.failed_link == normalize_link_id((1, 2), (2, 1))
 
     def test_at_least_one_element_required(self):
         with pytest.raises(ConfigurationError):
             RevocationMessage(origin_as=1, sequence=1, created_at_ms=0.0)
 
-    def test_singular_fields_stay_exclusive(self):
-        with pytest.raises(ConfigurationError):
-            RevocationMessage(
-                origin_as=1,
-                sequence=1,
-                created_at_ms=0.0,
-                failed_link=((1, 2), (2, 1)),
-                failed_as=3,
-            )
-
     def test_single_element_encoding_is_stable(self):
         # The pre-fabric canonical encoding — signatures over classic
         # single-element messages must stay byte-identical.
         message = RevocationMessage(
-            origin_as=1, sequence=1, created_at_ms=0.0, failed_link=((1, 2), (2, 1))
+            origin_as=1, sequence=1, created_at_ms=0.0, failed_links=(((1, 2), (2, 1)),)
         )
         assert message.encode_unsigned() == (
             "revocation(origin=1,seq=1,created=0.000,link=1.2-2.1)"
@@ -273,7 +261,7 @@ class TestRevocationTTL:
             origin_as=1,
             sequence=1,
             created_at_ms=0.0,
-            failed_link=_link(topology, 0),
+            failed_links=(_link(topology, 0),),
             ttl_ms=100.0,
         )
         receiver = services[2]
@@ -289,7 +277,7 @@ class TestRevocationTTL:
     def test_invalid_ttl_rejected(self):
         with pytest.raises(ConfigurationError):
             RevocationMessage(
-                origin_as=1, sequence=1, created_at_ms=0.0, failed_as=2, ttl_ms=0.0
+                origin_as=1, sequence=1, created_at_ms=0.0, failed_ases=(2,), ttl_ms=0.0
             )
 
 
@@ -301,7 +289,7 @@ class TestRevocationScope:
         failed = _link(topology, 0)  # the 1-2 link
         scheduler.run_until(5.0)
         services[2].originate_revocation(
-            now_ms=5.0, failed_link=failed, max_hops=1
+            now_ms=5.0, failed_links=(failed,), max_hops=1
         )
         scheduler.run_all()
         # Origin applied and forwarded to AS 3 (its only non-revoked interface).
@@ -318,14 +306,14 @@ class TestRevocationScope:
         topology = line_topology(4)
         scheduler, _transport, services = build_services(topology, key_store)
         scheduler.run_until(5.0)
-        services[2].originate_revocation(now_ms=5.0, failed_link=_link(topology, 0))
+        services[2].originate_revocation(now_ms=5.0, failed_links=(_link(topology, 0),))
         scheduler.run_all()
         assert services[4].revocations.applied_at != {}
 
     def test_invalid_scope_rejected(self):
         with pytest.raises(ConfigurationError):
             RevocationMessage(
-                origin_as=1, sequence=1, created_at_ms=0.0, failed_as=2, max_hops=0
+                origin_as=1, sequence=1, created_at_ms=0.0, failed_ases=(2,), max_hops=0
             )
 
 
@@ -639,7 +627,7 @@ class TestHopPathIntegrity:
         )
         scheduler.run_until(5.0)
         services[2].originate_revocation(
-            now_ms=5.0, failed_link=_link(topology, 0), max_hops=max_hops
+            now_ms=5.0, failed_links=(_link(topology, 0),), max_hops=max_hops
         )
         scheduler.run_all()
         assert all(
@@ -663,7 +651,7 @@ class TestHopPathIntegrity:
             origin_as=1,
             sequence=3,
             created_at_ms=0.0,
-            failed_link=_link(topology, 0),
+            failed_links=(_link(topology, 0),),
             max_hops=2,
         )
         receiver = services[3]

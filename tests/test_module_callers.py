@@ -7,9 +7,12 @@ imports it — directly, or by importing one of its names through the
 listed, and the list may only shrink: it is compared for equality, so the
 test also fails when a listed module has gained a caller or is gone.
 
-The same scan of ``src/`` holds two import rules of the sharded runtime:
-one module starts processes, and the simulation never imports the
-package that shards it.
+The same scan of ``src/`` holds three import rules.  Two are the sharded
+runtime's: one module starts processes, and the simulation never imports
+the package that shards it.  The third keeps one failure model: the
+traffic engine reads availability from the shared ``LinkState`` and never
+imports the packet-forwarding walk, so a second availability check cannot
+come back unnoticed.
 """
 
 import ast
@@ -21,6 +24,9 @@ SRC = ROOT / "src"
 #: The one module that imports a process API, and those APIs.
 PROCESS_SPAWNER = "repro.parallel.coordinator"
 PROCESS_MODULES = ("multiprocessing", "concurrent.futures")
+
+#: The packet-forwarding walk the traffic engine must not import.
+FORWARDING_WALK = "repro.dataplane.network"
 
 #: Delete these or wire them to a real caller.
 KNOWN_ORPHANS = {
@@ -136,5 +142,24 @@ def test_the_simulation_does_not_import_the_sharded_runtime():
         module
         for module, target in _src_imports()
         if _within(module, "repro.simulation") and _within(target, "repro.parallel")
+    }
+    assert importers == set()
+
+
+def test_the_traffic_engine_does_not_import_the_forwarding_walk():
+    package = FORWARDING_WALK.rsplit(".", 1)[0]
+    init = SRC.joinpath(*package.split(".")) / "__init__.py"
+    # ``from repro.dataplane import DataPlaneNetwork`` reaches the walk too.
+    reexported = {
+        f"{package}.{name}"
+        for base, name in _imports(init, package, is_package=True)
+        if base == FORWARDING_WALK
+    }
+    assert reexported  # the scan sees the package's re-exports
+    importers = {
+        module
+        for module, target in _src_imports()
+        if _within(module, "repro.traffic")
+        and (_within(target, FORWARDING_WALK) or target in reexported)
     }
     assert importers == set()

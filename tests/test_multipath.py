@@ -5,8 +5,9 @@ import pytest
 from repro.core.databases import PathService, RegisteredPath
 from repro.dataplane.multipath import FailoverForwarder, MultipathSelector
 from repro.dataplane.network import DataPlaneNetwork
+from repro.dataplane.packet import Packet
+from repro.dataplane.path import forwarding_path_from_segment
 from repro.exceptions import DataPlaneError
-from repro.simulation.failures import LinkFailureInjector
 from repro.topology.entities import Relationship
 
 from tests.conftest import build_topology, make_beacon
@@ -86,32 +87,58 @@ class TestFailoverForwarder:
         service, upper, lower, _overlap = diamond_path_service(key_store)
         selector = MultipathSelector(path_service=service)
         paths = selector.disjoint_paths(4, max_paths=2)
-        injector = LinkFailureInjector(topology=topology)
+        network = DataPlaneNetwork(topology=topology)
         # Fail the first link of the primary path.
-        injector.fail_link(paths[0].segment.links()[0])
-        forwarder = FailoverForwarder(
-            network=DataPlaneNetwork(topology=topology),
-            paths=paths,
-            failure_injector=injector,
-        )
+        network.link_state.fail_link(paths[0].segment.links()[0])
+        forwarder = FailoverForwarder(network=network, paths=paths)
         report = forwarder.deliver()
         assert report.delivered
         assert report.used_path_index == 1
         assert forwarder.usable_path_count() == 1
+
+    def test_failed_link_means_the_same_to_forwarder_and_network(self, key_store):
+        """The link the forwarder skips is the link the data plane drops."""
+        topology = diamond_topology()
+        service, _upper, _lower, _overlap = diamond_path_service(key_store)
+        paths = MultipathSelector(path_service=service).disjoint_paths(4, max_paths=2)
+        network = DataPlaneNetwork(topology=topology)
+        forwarder = FailoverForwarder(network=network, paths=paths)
+        assert forwarder.deliver().used_path_index == 0
+        primary = paths[0].segment
+        network.link_state.fail_link(primary.links()[0])
+        report = forwarder.deliver()
+        assert report.delivered
+        assert report.used_path_index == 1
+        assert report.attempts == 1  # the failed primary was skipped, not tried
+        forced = network.deliver(Packet(path=forwarding_path_from_segment(primary)))
+        assert not forced.delivered
+        assert "is down" in forced.failure_reason
+
+    def test_offline_transit_as_skipped_and_dropped(self, key_store):
+        """An offline AS takes its links down for the forwarder as well."""
+        topology = diamond_topology()
+        service, _upper, _lower, _overlap = diamond_path_service(key_store)
+        paths = MultipathSelector(path_service=service).disjoint_paths(4, max_paths=2)
+        network = DataPlaneNetwork(topology=topology)
+        transit = paths[0].segment.as_path()[1]
+        network.link_state.set_as_offline(transit)
+        forwarder = FailoverForwarder(network=network, paths=paths)
+        report = forwarder.deliver()
+        assert report.used_path_index == 1
+        assert report.attempts == 1
+        assert forwarder.usable_path_count() == 1
+        forced = network.deliver(Packet(path=forwarding_path_from_segment(paths[0].segment)))
+        assert not forced.delivered
 
     def test_all_paths_failed(self, key_store):
         topology = diamond_topology()
         service, *_paths = diamond_path_service(key_store)
         selector = MultipathSelector(path_service=service)
         paths = selector.disjoint_paths(4, max_paths=3)
-        injector = LinkFailureInjector(topology=topology)
+        network = DataPlaneNetwork(topology=topology)
         for path in paths:
-            injector.fail_link(path.segment.links()[0])
-        forwarder = FailoverForwarder(
-            network=DataPlaneNetwork(topology=topology),
-            paths=paths,
-            failure_injector=injector,
-        )
+            network.link_state.fail_link(path.segment.links()[0])
+        forwarder = FailoverForwarder(network=network, paths=paths)
         report = forwarder.deliver()
         assert not report.delivered
         assert report.used_path_index is None

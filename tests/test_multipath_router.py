@@ -15,7 +15,7 @@ from repro.dataplane.packet import Packet
 from repro.dataplane.path import ForwardingPath, HopField
 from repro.dataplane.router import BorderRouter
 from repro.exceptions import DataPlaneError, ForwardingError
-from repro.simulation.failures import LinkFailureInjector, LinkState
+from repro.simulation.failures import LinkState
 
 from tests.conftest import figure1_topology, make_beacon
 
@@ -127,30 +127,22 @@ class TestFailoverForwarderEdgeCases:
             forwarder.deliver()
 
     def test_all_paths_failed_proactively_skipped(self, fig1, two_path_service):
-        injector = LinkFailureInjector(topology=fig1)
-        injector.fail_link(((1, 1), (2, 1)))
-        injector.fail_link(((1, 2), (4, 1)))
-        forwarder = FailoverForwarder(
-            network=DataPlaneNetwork(topology=fig1),
-            paths=two_path_service.paths_to(3),
-            failure_injector=injector,
-        )
+        network = DataPlaneNetwork(topology=fig1)
+        network.link_state.fail_link(((1, 1), (2, 1)))
+        network.link_state.fail_link(((1, 2), (4, 1)))
+        forwarder = FailoverForwarder(network=network, paths=two_path_service.paths_to(3))
         report = forwarder.deliver()
         assert not report.delivered
         assert report.attempts == 0
         assert forwarder.usable_path_count() == 0
 
     def test_failover_to_second_path(self, fig1, two_path_service):
-        injector = LinkFailureInjector(topology=fig1)
-        injector.fail_link(((1, 1), (2, 1)))
+        network = DataPlaneNetwork(topology=fig1)
+        network.link_state.fail_link(((1, 1), (2, 1)))
         paths = sorted(
             two_path_service.paths_to(3), key=lambda p: p.segment.hop_count
         )
-        forwarder = FailoverForwarder(
-            network=DataPlaneNetwork(topology=fig1),
-            paths=paths,
-            failure_injector=injector,
-        )
+        forwarder = FailoverForwarder(network=network, paths=paths)
         report = forwarder.deliver()
         assert report.delivered
         assert report.used_path_index == 1

@@ -115,7 +115,7 @@ def _revocation(topology, sequence):
         origin_as=1,
         sequence=sequence,
         created_at_ms=0.0,
-        failed_link=topology.link_ids()[1],
+        failed_links=(topology.link_ids()[1],),
     )
 
 
@@ -441,7 +441,7 @@ class TestNegativeCache:
         revoked = topology.link_ids()[0]  # the 1-2 link
         # AS 2 revokes its 1-2 link; the flood reaches AS 3 and populates
         # its negative cache.
-        services[2].originate_revocation(now_ms=0.0, failed_link=revoked)
+        services[2].originate_revocation(now_ms=0.0, failed_links=(revoked,))
         scheduler.run_until(20.0)
         assert revoked in services[3].revocations.revoked_links
         duplicates_before = services[2].revocations.duplicates
@@ -460,7 +460,7 @@ class TestNegativeCache:
         topology = line_topology(3)
         scheduler, transport, services = build_services(topology, key_store)
         revoked = topology.link_ids()[0]
-        services[2].originate_revocation(now_ms=0.0, failed_link=revoked)
+        services[2].originate_revocation(now_ms=0.0, failed_links=(revoked,))
         scheduler.run_until(20.0)
         assert revoked in services[3].revocations.revoked_links
 

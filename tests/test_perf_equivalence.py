@@ -1016,7 +1016,7 @@ class TestRACRoundEquivalence:
         self, bucket_pool, name, use_interface_groups, arrivals, departures, interfaces,
         use_targets,
     ):
-        database = IngressDatabase()
+        database = IngressDatabase(local_as=LOCAL_AS)
         for index, ingress in arrivals:
             database.insert(CandidateBeacon(bucket_pool[index], ingress_interface=ingress))
         rac = _container(name, use_interface_groups, use_targets)

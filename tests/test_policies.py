@@ -11,7 +11,6 @@ from repro.core.policies import (
     standard_policies,
 )
 from repro.core.ingress import IngressGateway
-from repro.core.databases import IngressDatabase
 from repro.crypto.signer import Verifier
 from repro.exceptions import ConfigurationError, PolicyViolationError
 from repro.topology.entities import Relationship
@@ -132,7 +131,6 @@ class TestCompositeAndIntegration:
         gateway = IngressGateway(
             as_id=100,
             verifier=Verifier(key_store=key_store),
-            database=IngressDatabase(),
             policies=[AvoidASPolicy(avoided=frozenset({7}))],
         )
         good = beacon_factory([(1, None, 1), (2, 1, 2)])

@@ -24,7 +24,7 @@ def zero_intra(_a, _b):
 
 def database_with(key_store, beacon_specs):
     """Insert beacons described as (hops, extensions) into a fresh DB."""
-    database = IngressDatabase()
+    database = IngressDatabase(local_as=100)
     for hops, extensions in beacon_specs:
         beacon = make_beacon(key_store, hops, extensions=extensions)
         database.insert(

@@ -33,43 +33,44 @@ def _link(topology, index):
 
 
 class TestRevocationMessage:
-    def test_exactly_one_element_required(self):
+    def test_an_element_is_required(self):
         with pytest.raises(ConfigurationError):
             RevocationMessage(origin_as=1, sequence=1, created_at_ms=0.0)
-        with pytest.raises(ConfigurationError):
-            RevocationMessage(
-                origin_as=1,
-                sequence=1,
-                created_at_ms=0.0,
-                failed_link=((1, 2), (2, 1)),
-                failed_as=3,
-            )
+        both = RevocationMessage(
+            origin_as=1,
+            sequence=1,
+            created_at_ms=0.0,
+            failed_links=(((1, 2), (2, 1)),),
+            failed_ases=(3,),
+        )
+        assert both.failed_links == (((1, 2), (2, 1)),)
+        assert both.failed_ases == (3,)
 
     def test_link_id_is_normalised(self):
         message = RevocationMessage(
             origin_as=2,
             sequence=1,
             created_at_ms=0.0,
-            failed_link=((2, 1), (1, 2)),
+            failed_links=(((2, 1), (1, 2)),),
         )
-        assert message.failed_link == normalize_link_id((1, 2), (2, 1))
+        assert message.failed_links == (normalize_link_id((1, 2), (2, 1)),)
 
     def test_sequence_must_be_positive(self):
         with pytest.raises(ConfigurationError):
-            RevocationMessage(origin_as=1, sequence=0, created_at_ms=0.0, failed_as=2)
+            RevocationMessage(origin_as=1, sequence=0, created_at_ms=0.0, failed_ases=(2,))
 
     def test_sign_verify_and_tamper(self, key_store):
         signer = Signer(as_id=4, key_store=key_store)
         verifier = Verifier(key_store=key_store)
         message = RevocationMessage(
-            origin_as=4, sequence=7, created_at_ms=123.0, failed_as=9
+            origin_as=4, sequence=7, created_at_ms=123.0, failed_ases=(9,)
         ).signed(signer)
         message.verify(verifier)  # must not raise
         forged = RevocationMessage(
             origin_as=4,
             sequence=8,  # different content, reused signature
             created_at_ms=123.0,
-            failed_as=9,
+            failed_ases=(9,),
             signature=message.signature,
         )
         from repro.exceptions import SignatureError
@@ -79,10 +80,10 @@ class TestRevocationMessage:
 
     def test_trace_labels_are_stable(self):
         link_message = RevocationMessage(
-            origin_as=2, sequence=3, created_at_ms=0.0, failed_link=((2, 2), (3, 1))
+            origin_as=2, sequence=3, created_at_ms=0.0, failed_links=(((2, 2), (3, 1)),)
         )
         as_message = RevocationMessage(
-            origin_as=5, sequence=1, created_at_ms=0.0, failed_as=4
+            origin_as=5, sequence=1, created_at_ms=0.0, failed_ases=(4,)
         )
         assert link_message.trace_label() == "revoke link 2.2-3.1 origin=2 seq=3"
         assert as_message.trace_label() == "revoke as 4 origin=5 seq=1"
@@ -144,7 +145,7 @@ class TestHandlerDedupAndVerification:
             origin_as=1,
             sequence=1,
             created_at_ms=0.0,
-            failed_link=_link(topology, 0),
+            failed_links=(_link(topology, 0),),
         ).signed(origin.builder.signer)
 
         receiver = services[2]
@@ -168,7 +169,7 @@ class TestHandlerDedupAndVerification:
             origin_as=1,
             sequence=1,
             created_at_ms=0.0,
-            failed_link=_link(topology, 0),
+            failed_links=(_link(topology, 0),),
             signature=b"forged",
         )
         receiver = services[2]
@@ -181,7 +182,7 @@ class TestHandlerDedupAndVerification:
             origin_as=1,
             sequence=1,
             created_at_ms=0.0,
-            failed_link=_link(topology, 0),
+            failed_links=(_link(topology, 0),),
         ).signed(services[1].builder.signer)
         assert receiver.on_revocation(valid, on_interface=1, now_ms=6.0) is True
 
@@ -192,7 +193,7 @@ class TestHandlerDedupAndVerification:
             origin_as=1,
             sequence=1,
             created_at_ms=0.0,
-            failed_link=_link(topology, 0),
+            failed_links=(_link(topology, 0),),
         )
         assert services[2].on_revocation(unsigned, on_interface=1, now_ms=5.0) is True
 
@@ -373,9 +374,9 @@ class TestNegativeCacheAgeBound:
         state = RevocationState(dedup_window_ms=1_000.0)
         message = RevocationMessage(
             origin_as=1, sequence=1, created_at_ms=0.0,
-            failed_link=((1, 2), (2, 1)),
+            failed_links=(((1, 2), (2, 1)),),
         )
-        link = message.failed_link
+        (link,) = message.failed_links
         state.cache_revoked_elements(message, now_ms=0.0)
         assert state.revoked_recently([link], [], now_ms=500.0) is message
         # A bouncing peer refreshes the stamp long after the window ...
@@ -388,7 +389,7 @@ class TestNegativeCacheAgeBound:
     def test_as_cache_honours_the_same_age_bound(self):
         state = RevocationState(dedup_window_ms=1_000.0)
         message = RevocationMessage(
-            origin_as=1, sequence=1, created_at_ms=0.0, failed_as=3
+            origin_as=1, sequence=1, created_at_ms=0.0, failed_ases=(3,)
         )
         state.cache_revoked_elements(message, now_ms=5_000.0)
         assert state.revoked_recently([], [3], now_ms=5_100.0) is None
@@ -397,7 +398,7 @@ class TestNegativeCacheAgeBound:
     def test_stale_stamp_still_expires(self):
         state = RevocationState(dedup_window_ms=1_000.0)
         message = RevocationMessage(
-            origin_as=1, sequence=1, created_at_ms=4_900.0, failed_as=3
+            origin_as=1, sequence=1, created_at_ms=4_900.0, failed_ases=(3,)
         )
         state.cache_revoked_elements(message, now_ms=5_000.0)
         # Fresh message, fresh stamp: covered.
@@ -423,7 +424,7 @@ class TestByzantineRejection:
         link = _link(topology, 0)
         attacker = Signer(as_id=3, key_store=key_store)
         forged = RevocationMessage(
-            origin_as=1, sequence=7, created_at_ms=0.0, failed_link=link
+            origin_as=1, sequence=7, created_at_ms=0.0, failed_links=(link,)
         ).signed(attacker)
 
         assert receiver.on_revocation(forged, on_interface=1, now_ms=1.0) is False
@@ -431,7 +432,7 @@ class TestByzantineRejection:
         assert receiver.revocations.applied_at == {}
 
         authentic = RevocationMessage(
-            origin_as=1, sequence=7, created_at_ms=0.0, failed_link=link
+            origin_as=1, sequence=7, created_at_ms=0.0, failed_links=(link,)
         ).signed(Signer(as_id=1, key_store=key_store))
         assert receiver.on_revocation(authentic, on_interface=1, now_ms=2.0) is True
         assert receiver.revocations.applied_at[(1, 7)] == 2.0
@@ -443,7 +444,7 @@ class TestByzantineRejection:
         )
         receiver = services[3]
         message = RevocationMessage(
-            origin_as=1, sequence=4, created_at_ms=0.0, failed_link=_link(topology, 0)
+            origin_as=1, sequence=4, created_at_ms=0.0, failed_links=(_link(topology, 0),)
         ).signed(Signer(as_id=1, key_store=key_store))
 
         assert receiver.on_revocation(message, on_interface=1, now_ms=1.0) is True
@@ -466,7 +467,7 @@ class TestByzantineRejection:
         signer = Signer(as_id=1, key_store=key_store)
         scoped = RevocationMessage(
             origin_as=1, sequence=9, created_at_ms=0.0,
-            failed_link=_link(topology, 0), max_hops=4,
+            failed_links=(_link(topology, 0),), max_hops=4,
         ).signed(signer)
 
         # Hop path truncated to nothing: the attacker tried to reset the
@@ -491,7 +492,7 @@ class TestByzantineRejection:
         receiver = services[2]
         message = RevocationMessage(
             origin_as=1, sequence=2, created_at_ms=0.0,
-            failed_link=_link(topology, 0), ttl_ms=50.0,
+            failed_links=(_link(topology, 0),), ttl_ms=50.0,
         ).signed(Signer(as_id=1, key_store=key_store))
 
         assert receiver.on_revocation(message, on_interface=1, now_ms=500.0) is False
@@ -517,7 +518,7 @@ class TestByzantineRejection:
         link = _link(topology, 0)
         signer = Signer(as_id=1, key_store=key_store)
         authentic = RevocationMessage(
-            origin_as=1, sequence=sequence, created_at_ms=0.0, failed_link=link
+            origin_as=1, sequence=sequence, created_at_ms=0.0, failed_links=(link,)
         ).signed(signer)
 
         if tamper == "signature":
@@ -530,7 +531,7 @@ class TestByzantineRejection:
         else:
             # Same origin/signature, different revoked element.
             forged = replace(
-                authentic, failed_link=None, failed_links=(_link(topology, 1),)
+                authentic, failed_links=(_link(topology, 1),)
             )
 
         assert receiver.on_revocation(forged, on_interface=1, now_ms=1.0) is False

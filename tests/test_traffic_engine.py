@@ -303,6 +303,7 @@ class TestTrafficEngineStandalone:
             topology=fig1,
             path_services={1: fig1_service},
             matrix=matrix,
+            link_state=LinkState(),
             policy=policy,
             **kwargs,
         )
@@ -339,7 +340,7 @@ class TestTrafficEngineStandalone:
             )
         )
         engine = TrafficEngine(
-            topology=fig1, path_services={1: fig1_service}, matrix=matrix
+            topology=fig1, path_services={1: fig1_service}, matrix=matrix, link_state=LinkState()
         )
         sample = engine.run_rounds(1).samples[0]
         assert sample.blackholed_groups == 1
@@ -387,7 +388,12 @@ class TestTrafficEngineStandalone:
             )
         )
         with pytest.raises(ConfigurationError):
-            TrafficEngine(topology=fig1, path_services={1: fig1_service}, matrix=matrix)
+            TrafficEngine(
+                topology=fig1,
+                path_services={1: fig1_service},
+                matrix=matrix,
+                link_state=LinkState(),
+            )
 
 
 # ----------------------------------------------------------------------
