@@ -21,7 +21,7 @@ re-received L-hop extension from O(L) HMACs into O(1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.algorithms.base import CandidateBeacon
 from repro.core.beacon import Beacon
@@ -50,12 +50,23 @@ class VerifiedPrefixCache:
     entries are evicted in insertion order, which approximates LRU well
     enough here because beacon lifetimes are bounded anyway.
 
+    Each digest maps to the expiry of the beacon it was verified with.  A
+    prefix shares its beacon's header, so every digest of one chain shares
+    that expiry, and a beacon whose chain contains the digest expires then
+    too: :meth:`expire` drops exactly the entries no admissible beacon can
+    look up again.  The expiry objects are shared through ``_expiries``,
+    one float per distinct expiry time rather than one per digest or per
+    verification.
+
     The cache is sound to share only among verifiers backed by the same key
     store; each ingress gateway owns exactly one.
     """
 
     max_entries: int = 65536
-    _digests: Dict[str, None] = field(default_factory=dict)
+    _digests: Dict[str, float] = field(default_factory=dict)
+    #: Every expiry a cached digest may hold, mapped to itself: the one
+    #: float object all digests expiring then point at.
+    _expiries: Dict[float, float] = field(default_factory=dict)
 
     def __contains__(self, digest: str) -> bool:
         return digest in self._digests
@@ -63,21 +74,47 @@ class VerifiedPrefixCache:
     def __len__(self) -> int:
         return len(self._digests)
 
-    def add(self, digest: str) -> None:
-        """Mark ``digest`` as the digest of a verified prefix.
+    def add(self, chain: Iterable[str], expires_at_ms: float) -> None:
+        """Mark every digest of ``chain`` as verified until ``expires_at_ms``.
 
         A non-positive ``max_entries`` disables the cache entirely (every
-        verification stays a full one).
+        verification stays a full one).  A digest already cached keeps its
+        place and its expiry.
         """
-        if self.max_entries <= 0 or digest in self._digests:
+        if self.max_entries <= 0:
             return
-        while self._digests and len(self._digests) >= self.max_entries:
-            self._digests.pop(next(iter(self._digests)))
-        self._digests[digest] = None
+        digests = self._digests
+        expires_at_ms = self._expiries.setdefault(expires_at_ms, expires_at_ms)
+        for digest in chain:
+            if digest in digests:
+                continue
+            while digests and len(digests) >= self.max_entries:
+                digests.pop(next(iter(digests)))
+            digests[digest] = expires_at_ms
+
+    def expire(self, now_ms: float) -> int:
+        """Drop the digests whose beacons expired by ``now_ms``; return how many.
+
+        ``expires_at <= now`` is exactly :meth:`Beacon.is_expired
+        <repro.core.beacon.Beacon.is_expired>`, which the gateway checks
+        before it reads the cache.  Costs one pass over ``_expiries`` when
+        nothing expired, one over the cache when something did.
+        """
+        expired = [at_ms for at_ms in self._expiries if at_ms <= now_ms]
+        if not expired:
+            return 0
+        for at_ms in expired:
+            del self._expiries[at_ms]
+        before = len(self._digests)
+        self._digests = {
+            digest: at_ms for digest, at_ms in self._digests.items() if at_ms > now_ms
+        }
+        return before - len(self._digests)
 
     def clear(self) -> None:
         """Drop every cached prefix."""
         self._digests.clear()
+        self._expiries.clear()
 
 
 @dataclass
@@ -228,9 +265,12 @@ class IngressGateway:
                 self.stats.incremental_verifications += 1
             else:
                 self.stats.full_verifications += 1
-        for digest in chain:
-            self.verified_prefixes.add(digest)
+        self.verified_prefixes.add(chain, beacon.expires_at_ms())
 
     def expire(self, now_ms: float) -> int:
-        """Remove expired beacons from the ingress database."""
+        """Remove expired beacons from the ingress database and the prefix cache.
+
+        Returns the number of beacons removed from the database.
+        """
+        self.verified_prefixes.expire(now_ms)
         return self.database.remove_expired(now_ms)

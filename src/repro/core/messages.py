@@ -107,14 +107,21 @@ class ControlMessage:
     #: Memo of :meth:`size_bytes`: a declared slot (``init=False``), so
     #: ``with_hop`` / ``with_congestion_mark`` copies start cold.
     _size_bytes: Optional[int] = _slot()
+    #: Memo of :attr:`key`, the same idiom: every AS a flood reaches stores
+    #: the one tuple the shared message carries.
+    _key: Optional[Tuple[int, int]] = _slot()
 
     #: Stable short name used by the transport's per-kind metrics routing.
     kind: ClassVar[str] = "control"
 
     @property
     def key(self) -> Tuple[int, int]:
-        """Return the network-wide identity ``(origin_as, sequence)``."""
-        return (self.origin_as, self.sequence)
+        """Return the network-wide identity ``(origin_as, sequence)`` (memoized)."""
+        key = self._key
+        if key is None:
+            key = (self.origin_as, self.sequence)
+            object.__setattr__(self, "_key", key)
+        return key
 
     @property
     def hop_count(self) -> int:

@@ -66,12 +66,18 @@ class RevocationState:
     Attributes:
         dedup_window_ms: How long a processed ``(origin, sequence)`` key is
             remembered; duplicates inside the window are dropped without
-            re-applying or re-forwarding.  Entries are pruned lazily in
-            first-seen order, so the memory cost is bounded by the number
-            of distinct revocations inside one window.
+            re-applying or re-forwarding.  Every :meth:`mark_seen` prunes
+            the keys that left the window, so the dedup store holds at most
+            the keys first seen inside one window of the latest call — the
+            same size at period *k* and *k* + one window in a steady run.
         applied_at: First time each accepted revocation's withdrawal was
             applied locally — the per-AS withdrawal timestamps that make
-            propagation-ordered convergence measurable.
+            propagation-ordered convergence measurable.  The one store here
+            that grows with the run: one entry per applied revocation,
+            keyed by the message's memoized
+            :attr:`~repro.core.messages.ControlMessage.key`, so it shares
+            the tuple the dedup store holds.  The negative caches below
+            hold at most one entry per revoked element.
         revoked_links: Negative cache: link → (applied revocation message,
             applied-at time).  Consulted when a beacon arrives over a
             recently revoked element (see ``IrecControlService.receive_beacon``);
@@ -114,9 +120,7 @@ class RevocationState:
         """Return whether ``key`` was already processed inside the window.
 
         O(1) on the flood fast path: the hit checks the stored first-seen
-        timestamp directly; bulk pruning only runs once the seen-set grows
-        past a threshold, so memory stays bounded without paying an
-        iteration per message.
+        timestamp directly, and a key found past the window is dropped.
         """
         seen_at = self._seen.get(key)
         if seen_at is None:
@@ -127,10 +131,23 @@ class RevocationState:
         return True
 
     def mark_seen(self, key: Tuple[int, int], now_ms: float) -> None:
-        """Remember ``key`` so later copies inside the window are duplicates."""
-        self._seen.setdefault(key, now_ms)
-        if len(self._seen) > 4096:
-            self._prune(now_ms)
+        """Remember ``key`` so later copies inside the window are duplicates.
+
+        Then drop every key that has left the window.  ``_seen`` is ordered
+        by first-seen time (simulated time never runs backwards, and a
+        dropped key comes back at the end, stamped now), so the expired
+        keys are its front: O(1) amortized, one check per call when
+        nothing expired.  A dropped key is one :meth:`is_duplicate` would
+        have answered ``False`` for at any later time, so no answer moves.
+        """
+        seen = self._seen
+        seen.setdefault(key, now_ms)
+        window = self.dedup_window_ms
+        while seen:
+            oldest = next(iter(seen))
+            if now_ms - seen[oldest] <= window:
+                break
+            del seen[oldest]
 
     def record_applied(self, key: Tuple[int, int], now_ms: float) -> None:
         """Record when the withdrawal for ``key`` was first applied locally."""
@@ -199,13 +216,3 @@ class RevocationState:
                     continue
                 return cached[0]
         return None
-
-    def _prune(self, now_ms: float) -> None:
-        # _seen is insertion-ordered by first-seen time and first-seen
-        # times never decrease, so expired entries form a prefix.
-        horizon = now_ms - self.dedup_window_ms
-        while self._seen:
-            key = next(iter(self._seen))
-            if self._seen[key] >= horizon:
-                break
-            del self._seen[key]

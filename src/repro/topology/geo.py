@@ -51,7 +51,11 @@ def great_circle_km(a: GeoCoordinate, b: GeoCoordinate) -> float:
     """Return the great-circle distance between two coordinates.
 
     Uses the haversine formula, which is numerically stable for the small
-    and medium distances that dominate Internet topologies.
+    and medium distances that dominate Internet topologies.  Past a quarter
+    of the circumference ``asin(sqrt(h))`` grows ill-conditioned (``h``
+    tends to 1 at the antipode), so there the angle is measured back from
+    the antipode, with ``1 - h`` written as a sum of non-negative terms
+    instead of a cancellation.
     """
     lat1 = math.radians(a.latitude)
     lat2 = math.radians(b.latitude)
@@ -61,8 +65,15 @@ def great_circle_km(a: GeoCoordinate, b: GeoCoordinate) -> float:
     sin_dlat = math.sin(dlat / 2.0)
     sin_dlon = math.sin(dlon / 2.0)
     h = sin_dlat * sin_dlat + math.cos(lat1) * math.cos(lat2) * sin_dlon * sin_dlon
-    h = min(1.0, h)
-    return 2.0 * EARTH_RADIUS_KM * math.asin(math.sqrt(h))
+    if h <= 0.5:
+        return 2.0 * EARTH_RADIUS_KM * math.asin(math.sqrt(h))
+    cos_dlat = math.cos(dlat / 2.0)
+    cos_dlon = math.cos(dlon / 2.0)
+    sin_mid = math.sin((lat1 + lat2) / 2.0)
+    rest = (cos_dlat * cos_dlat * cos_dlon * cos_dlon
+            + sin_mid * sin_mid * sin_dlon * sin_dlon)
+    rest = min(1.0, rest)
+    return 2.0 * EARTH_RADIUS_KM * (math.pi / 2.0 - math.asin(math.sqrt(rest)))
 
 
 def propagation_delay_ms(a: GeoCoordinate, b: GeoCoordinate) -> float:

@@ -1,5 +1,7 @@
 """Tests for geographic primitives."""
 
+import math
+
 import pytest
 
 from repro.topology import geo
@@ -44,6 +46,20 @@ class TestGreatCircle:
         a = geo.GeoCoordinate(0.0, 0.0)
         b = geo.GeoCoordinate(0.0, 180.0)
         assert geo.great_circle_km(a, b) == pytest.approx(3.14159 * geo.EARTH_RADIUS_KM, rel=0.01)
+
+    def test_near_antipodal_distances_add_up_along_a_meridian(self):
+        # (0, 180), (-1, 0) and (-1e-5, 0) lie on one great circle, so the
+        # detour through (-1, 0) is exactly as long as the direct path;
+        # plain haversine overshot the direct path by ~5 mm here.
+        a = geo.GeoCoordinate(0.0, 180.0)
+        b = geo.GeoCoordinate(-1.0, 0.0)
+        c = geo.GeoCoordinate(-1e-5, 0.0)
+        direct = geo.great_circle_km(a, c)
+        detour = geo.great_circle_km(a, b) + geo.great_circle_km(b, c)
+        assert direct == pytest.approx(detour, abs=1e-9)
+        assert direct == pytest.approx(
+            math.pi * geo.EARTH_RADIUS_KM * (1.0 - 1e-5 / 180.0), abs=1e-9
+        )
 
     def test_delay_proportional_to_distance(self):
         a = geo.GeoCoordinate(0.0, 0.0)

@@ -1,22 +1,27 @@
 """Coverage for the ingress gateway's verified-prefix cache.
 
-Three properties the fast path must never lose:
+Four properties the fast path must never lose:
 
 * the cache is **bounded** — insertion past ``max_entries`` evicts the
   oldest entries, and a non-positive bound disables caching entirely,
 * the cache is **invalidated when the key store changes** — a cached
   prefix only proves verification against the *old* keys, so replacing the
   verifier through :meth:`IngressGateway.use_verifier` must clear it (and
-  beacons signed under the old keys must be rejected afterwards), and
+  beacons signed under the old keys must be rejected afterwards),
 * a **tampered extension of a verified prefix is still rejected** — a
   cache hit on the prefix must not leak trust into the new entries, and a
   tampered copy of a beacon must not inherit the digest chain the genuine
-  one was cached under.
+  one was cached under, and
+* **expiry pruning is count-exact** — dropping the digests of expired
+  beacons changes no verification: a gateway that prunes and a twin whose
+  cache never forgets count the same full and incremental verifications
+  and the same signatures checked.
 """
 
 from dataclasses import replace
 
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.beacon import BeaconBuilder
 from repro.core.ingress import IngressGateway, VerifiedPrefixCache
@@ -43,22 +48,22 @@ class TestCacheBound:
     def test_eviction_at_the_size_bound_is_fifo(self):
         cache = VerifiedPrefixCache(max_entries=3)
         for index in range(5):
-            cache.add(f"digest-{index}")
+            cache.add([f"digest-{index}"], expires_at_ms=1.0)
         assert len(cache) == 3
         assert "digest-0" not in cache and "digest-1" not in cache
         assert all(f"digest-{index}" in cache for index in (2, 3, 4))
 
     def test_re_adding_known_digest_does_not_evict(self):
         cache = VerifiedPrefixCache(max_entries=2)
-        cache.add("a")
-        cache.add("b")
-        cache.add("a")  # already present: no insertion, no eviction
+        cache.add(["a", "b"], expires_at_ms=1.0)
+        cache.add(["a"], expires_at_ms=1.0)  # already present: no insertion, no eviction
         assert "a" in cache and "b" in cache
 
     def test_non_positive_bound_disables_caching(self):
         cache = VerifiedPrefixCache(max_entries=0)
-        cache.add("a")
+        cache.add(["a"], expires_at_ms=1.0)
         assert len(cache) == 0
+        assert cache.expire(now_ms=1.0) == 0
 
         key_store = KeyStore()
         gateway = IngressGateway(
@@ -166,3 +171,133 @@ class TestTamperedExtensionStillRejected:
         )
         assert not gateway.receive(tampered, on_interface=1, now_ms=0.0)
         assert gateway.stats.rejected_signature == 1
+
+
+# ---------------------------------------------------------------------------
+# expiry pruning is count-exact
+# ---------------------------------------------------------------------------
+#: Origination times and validities: the cached chains expire at different
+#: times, and beacons arrive before, exactly at and after each expiry.
+CREATED_AT = (0.0, 10.0, 25.0)
+VALIDITIES = (20.0, 35.0, 50.0)
+
+
+def beacon_family(key_store, origin_as, created_at_ms, validity_ms):
+    """An origin's beacon, two extensions of it and an extension of one of
+    those: four beacons whose digest chains share prefixes."""
+
+    def signing_as(as_id):
+        return BeaconBuilder(as_id=as_id, signer=Signer(as_id=as_id, key_store=key_store))
+
+    root = signing_as(origin_as).originate(
+        egress_interface=1, created_at_ms=created_at_ms, validity_ms=validity_ms
+    )
+    left = signing_as(origin_as + 100).extend(root, ingress_interface=1, egress_interface=2)
+    right = signing_as(origin_as + 200).extend(root, ingress_interface=1, egress_interface=2)
+    deeper = signing_as(origin_as + 300).extend(left, ingress_interface=1, egress_interface=2)
+    return [root, left, right, deeper]
+
+
+@st.composite
+def pruning_runs(draw):
+    """Origins ``(created, validity)`` and time-ordered arrivals
+    ``(now, beacon index, prune first)``."""
+    origins = draw(
+        st.lists(
+            st.tuples(st.sampled_from(CREATED_AT), st.sampled_from(VALIDITIES)),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    expiries = sorted({created + validity for created, validity in origins})
+    times = st.one_of(
+        st.sampled_from(expiries),
+        st.sampled_from([at_ms - 1.0 for at_ms in expiries]),
+        st.floats(min_value=0.0, max_value=80.0, allow_nan=False),
+    )
+    arrivals = draw(
+        st.lists(
+            st.tuples(times, st.integers(0, 4 * len(origins) - 1), st.booleans()),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    return origins, sorted(arrivals, key=lambda arrival: arrival[0])
+
+
+def verification_counts(gateway):
+    stats = gateway.stats
+    return (
+        stats.full_verifications,
+        stats.incremental_verifications,
+        stats.signatures_checked,
+        stats.accepted,
+        stats.rejected_expired,
+    )
+
+
+class TestExpiryPruningIsCountExact:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        run=pruning_runs(),
+        max_entries=st.sampled_from((65536, 0, -1)),
+        rotate_at=st.integers(min_value=-1, max_value=30),
+    )
+    def test_pruned_gateway_counts_like_a_never_pruned_twin(self, run, max_entries, rotate_at):
+        """Property: a gateway pruning its cache at arbitrary instants and a
+        twin whose cache never forgets an entry verify alike, through key
+        rotations and with the cache disabled."""
+        origins, arrivals = run
+        key_store = KeyStore()
+        beacons = [
+            beacon
+            for index, (created, validity) in enumerate(origins)
+            for beacon in beacon_family(key_store, 10 + index, created, validity)
+        ]
+
+        def gateway():
+            return IngressGateway(
+                as_id=999,
+                verifier=Verifier(key_store=key_store),
+                verified_prefixes=VerifiedPrefixCache(max_entries=max_entries),
+            )
+
+        pruned, twin = gateway(), gateway()
+        for step, (now_ms, index, prune) in enumerate(arrivals):
+            if step == rotate_at:
+                for each in (pruned, twin):
+                    each.use_verifier(Verifier(key_store=key_store))
+                    assert len(each.verified_prefixes) == 0
+            if prune:
+                pruned.expire(now_ms)
+                # The twin's database forgets alike: only the caches differ.
+                twin.database.remove_expired(now_ms)
+                live = pruned.verified_prefixes._digests.values()
+                assert all(at_ms > now_ms for at_ms in live)
+            accepted = pruned.receive(beacons[index], on_interface=1, now_ms=now_ms)
+            assert accepted == twin.receive(beacons[index], on_interface=1, now_ms=now_ms)
+            assert verification_counts(pruned) == verification_counts(twin)
+            assert set(pruned.verified_prefixes._digests) <= set(twin.verified_prefixes._digests)
+        if max_entries <= 0:
+            assert len(pruned.verified_prefixes) == len(twin.verified_prefixes) == 0
+            assert twin.stats.incremental_verifications == 0
+
+    def test_expire_drops_exactly_the_expired_chains(self, key_store):
+        gateway = IngressGateway(as_id=999, verifier=Verifier(key_store=key_store))
+        short = beacon_family(key_store, 10, created_at_ms=0.0, validity_ms=20.0)
+        long = beacon_family(key_store, 11, created_at_ms=0.0, validity_ms=50.0)
+        for beacon in short + long:
+            assert gateway.receive(beacon, on_interface=1, now_ms=0.0)
+        cache = gateway.verified_prefixes
+        # Each family caches its root, two children and one grandchild.
+        assert len(cache) == 8
+        assert cache.expire(now_ms=19.0) == 0
+        assert cache.expire(now_ms=20.0) == 4
+        assert all(digest not in cache for beacon in short for digest in beacon.prefix_digests())
+        assert all(digest in cache for beacon in long for digest in beacon.prefix_digests())
+        # One shared float per expiry time, not one per digest.
+        assert list(cache._expiries) == [50.0]
+        assert len({id(at_ms) for at_ms in cache._digests.values()}) == 1
+        # A beacon of the pruned chain is rejected before the cache is read.
+        assert not gateway.receive(short[-1], on_interface=1, now_ms=20.0)
+        assert gateway.stats.rejected_expired == 1

@@ -146,6 +146,46 @@ class TestMessageMemos:
             assert restored._size_bytes == size
             assert restored == message
 
+    def test_key_memo_is_outside_equality_hash_and_repr(self, messages):
+        for message in messages:
+            twin = pickle.loads(pickle.dumps(message))
+            assert message.key is message.key
+            assert message.key == (message.origin_as, message.sequence)
+            assert twin._key is None
+            assert message == twin and hash(message) == hash(twin)
+            assert "_key" not in repr(message)
+
+    def test_key_memo_is_cold_on_copies(self, messages):
+        for message in messages:
+            key = message.key
+            for copy in (message.with_hop(2), message.with_congestion_mark()):
+                assert copy._key is None
+                assert copy.key == key and copy.key is not key
+
+    def test_pickle_carries_a_warm_key(self, messages):
+        for message in messages:
+            key = message.key
+            restored = pickle.loads(pickle.dumps(message))
+            assert restored._key == key
+            assert restored.key is restored._key
+
+    def test_an_unscoped_flood_stores_one_key_tuple_network_wide(self, key_store):
+        """Every AS's dedup store and withdrawal ledger hold the tuple the
+        shared flood message carries, not one equal tuple per AS."""
+        topology = line_topology(5)
+        scheduler, _transport, services = build_services(topology, key_store)
+        # AS 2 revokes its link to AS 1; the flood reaches ASes 3-5.
+        message = services[2].originate_revocation(
+            failed_links=(_link(topology, 0),), now_ms=0.0
+        )
+        scheduler.run_all()
+        for as_id in (2, 3, 4, 5):
+            revocations = services[as_id].revocations
+            (seen_key,) = revocations._seen
+            (applied_key,) = revocations.applied_at
+            assert seen_key is message.key, as_id
+            assert applied_key is message.key, as_id
+
     def test_signed_revocation_resizes_with_its_signature(self, key_store):
         message = RevocationMessage(origin_as=1, sequence=1, created_at_ms=0.0, failed_ases=(2,))
         unsigned_size = message.size_bytes()

@@ -540,8 +540,7 @@ class TestIncrementalVerification:
 
     def test_prefix_cache_is_bounded(self):
         cache = VerifiedPrefixCache(max_entries=3)
-        for index in range(5):
-            cache.add(f"digest-{index}")
+        cache.add([f"digest-{index}" for index in range(5)], expires_at_ms=1.0)
         assert len(cache) == 3
         assert "digest-0" not in cache
         assert "digest-4" in cache

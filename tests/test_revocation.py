@@ -9,6 +9,7 @@ semantics, the interaction with :class:`LinkState` (revocations crossing a
 failed link are lost), and the exactly-once overhead accounting.
 """
 
+import itertools
 from dataclasses import replace
 
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.messages import RevocationMessage
-from repro.core.revocation import RevocationState
+from repro.core.revocation import DEFAULT_DEDUP_WINDOW_MS, RevocationState
 from repro.crypto.keys import KeyStore
 from repro.crypto.signer import Signer, Verifier
 from repro.exceptions import ConfigurationError
@@ -30,6 +31,39 @@ from tests.conftest import build_services, line_topology
 
 def _link(topology, index):
     return topology.link_ids()[index]
+
+
+class _ThresholdDedup:
+    """Reference dedup store: expired keys pruned only past ``threshold`` keys.
+
+    What ``RevocationState`` did before it pruned the window on every
+    ``mark_seen`` (its threshold was 4,096).
+    """
+
+    def __init__(self, window_ms, threshold):
+        self.window_ms = window_ms
+        self.threshold = threshold
+        self.seen = {}
+        self.duplicates = 0
+
+    def is_duplicate(self, key, now_ms):
+        seen_at = self.seen.get(key)
+        if seen_at is None:
+            return False
+        if now_ms - seen_at > self.window_ms:
+            del self.seen[key]
+            return False
+        return True
+
+    def mark_seen(self, key, now_ms):
+        self.seen.setdefault(key, now_ms)
+        if len(self.seen) > self.threshold:
+            horizon = now_ms - self.window_ms
+            while self.seen:
+                oldest = next(iter(self.seen))
+                if self.seen[oldest] >= horizon:
+                    break
+                del self.seen[oldest]
 
 
 class TestRevocationMessage:
@@ -98,30 +132,83 @@ class TestRevocationState:
         # which is harmless because withdrawal is idempotent.
         assert not state.is_duplicate((1, 1), 5_000.0)
 
-    def test_bulk_pruning_bounds_memory_over_long_flood(self):
-        """Satellite regression: lazy bulk pruning really evicts old keys.
+    def test_window_pruning_bounds_memory_over_long_flood(self):
+        """Regression: ``mark_seen`` really evicts the keys that left the window.
 
         A long flood of distinct revocations advances simulated time far
-        past the dedup window; without the bulk prune the seen-set would
-        grow with every message forever.  With one key per millisecond and
-        a 1-second window, at most ~1000 keys are inside the window at any
-        time, so the mapping must stay bounded by the prune threshold —
-        and the evicted keys must be gone from the dict, not merely
-        expired-on-probe.
+        past the dedup window; without pruning the seen-set would grow with
+        every message forever.  With one key per millisecond and a 1-second
+        window, 1001 keys are inside the window after every call, so the
+        mapping holds exactly those — and the evicted keys must be gone
+        from the dict, not merely expired-on-probe.
         """
         state = RevocationState(dedup_window_ms=1_000.0)
         total = 20_000
         for sequence in range(1, total + 1):
             state.mark_seen((1, sequence), float(sequence))
-        # Bounded: the prune threshold (4096) plus the entry that
-        # triggered the pass, never the 20k keys seen overall.
-        assert len(state._seen) <= 4097
+            assert len(state._seen) == min(sequence, 1001)
+        # Bounded by the window, never the 20k keys seen overall.
+        assert next(iter(state._seen)) == (1, total - 1000)
         # Old entries were evicted from the mapping itself.
         assert (1, 1) not in state._seen
         assert not state.is_duplicate((1, 1), float(total))
         # Recent entries inside the window survive the pruning.
         assert (1, total) in state._seen
         assert state.is_duplicate((1, total), float(total))
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_window_pruning_answers_like_threshold_pruning(self, data):
+        """Property: pruning the window on every ``mark_seen`` gives the same
+        ``is_duplicate`` answers and duplicate count as pruning only past a
+        key-count threshold, and keeps exactly the keys first seen inside
+        the window.
+
+        The calls are the control service's: a delivery asks
+        ``is_duplicate`` and marks what was not; an origination marks its
+        own fresh sequence number (a stale key is never re-marked unasked).
+        """
+        window = data.draw(st.sampled_from((0.0, 5.0, DEFAULT_DEDUP_WINDOW_MS)), label="window")
+        gaps = st.one_of(
+            st.sampled_from((0.0, 1.0)),
+            st.sampled_from((0.5, 1.0, 1.5)).map(lambda share: share * window),
+            st.floats(min_value=0.0, max_value=2.0 * window + 2.0, allow_nan=False),
+        )
+        steps = data.draw(
+            st.lists(
+                st.tuples(
+                    gaps,
+                    st.tuples(st.integers(1, 3), st.integers(1, 4)),
+                    st.sampled_from(("deliver", "originate")),
+                ),
+                max_size=60,
+            ),
+            label="steps",
+        )
+        threshold = data.draw(st.sampled_from((2, 4096)), label="threshold")
+        state = RevocationState(dedup_window_ms=window)
+        reference = _ThresholdDedup(window, threshold)
+        now_ms = 0.0
+        own_sequence = itertools.count(1)
+        for gap, key, kind in steps:
+            now_ms += gap
+            if kind == "originate":
+                key = (0, next(own_sequence))
+            else:
+                duplicate = state.is_duplicate(key, now_ms)
+                assert duplicate == reference.is_duplicate(key, now_ms)
+                if duplicate:
+                    state.duplicates += 1
+                    reference.duplicates += 1
+                    continue
+            state.mark_seen(key, now_ms)
+            reference.mark_seen(key, now_ms)
+            assert state._seen == {
+                seen: at_ms
+                for seen, at_ms in reference.seen.items()
+                if now_ms - at_ms <= window
+            }
+        assert state.duplicates == reference.duplicates
 
     def test_applied_from_filters_by_origin(self):
         state = RevocationState()

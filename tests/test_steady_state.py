@@ -1,0 +1,140 @@
+"""Steady state is bounded: every per-AS store is level one validity apart.
+
+In a run whose inputs repeat every period, nothing a control service keeps
+may grow with the run's length.  Once beacons expire, every per-AS store
+has the same size at period *k* and at period *k* + one beacon validity:
+the ingress database, the verified-prefix cache, the egress database and
+its terminate-once memo, the path service, the revocation dedup store and
+negative caches, and the query frontend's caches.  Two signed scenarios
+cover them: a fixed topology registering down-segments, and a
+periodic-churn scenario (every period fails and recovers the same links,
+so revocations flood every period).  Both are trees, where every pair has
+one path and a period's selections repeat exactly.
+
+``RevocationState.applied_at`` is the one store exempt: it is the per-AS
+ledger of withdrawal times and grows by one entry per applied revocation
+(docs/observability.md).
+"""
+
+from repro.core.beacon import DEFAULT_VALIDITY_MS
+from repro.simulation.beaconing import BeaconingSimulation
+from repro.simulation.events import ScenarioTimeline
+from repro.simulation.scenario import (
+    ScenarioConfig,
+    five_shortest_paths_spec,
+    one_shortest_path_spec,
+)
+from repro.topology.entities import Relationship
+
+from tests.conftest import build_topology
+
+#: Beacon validity in periods, and the periods compared at both ends.
+VALIDITY = 4
+INTERVAL_MS = DEFAULT_VALIDITY_MS / VALIDITY
+PERIODS = 2 * VALIDITY + 3
+
+
+def tree_topology(count):
+    """ASes 1..count as a binary tree, AS ``i`` under ``i // 2``: one path
+    per pair, so a period's selections do not hang on digest tie-breaks."""
+    interfaces = {as_id: {} for as_id in range(1, count + 1)}
+    links = []
+    for child in range(2, count + 1):
+        endpoints = []
+        for member in (child // 2, child):
+            interface_id = len(interfaces[member]) + 1
+            interfaces[member][interface_id] = (10.0, member + 0.1 * interface_id)
+            endpoints.append((member, interface_id))
+        links.append((*endpoints, 10.0, 1000.0, Relationship.CUSTOMER_PROVIDER))
+    return build_topology(interfaces, links)
+
+
+def store_sizes(simulation):
+    """AS -> the size of every per-AS store (``applied_at`` aside)."""
+    sizes = {}
+    for as_id, service in simulation.services.items():
+        frontend = service.query_frontend
+        revocations = service.revocations
+        sizes[as_id] = {
+            "ingress": len(service.ingress.database),
+            "verified_prefixes": len(service.ingress.verified_prefixes),
+            "egress": len(service.egress.database),
+            "terminated": len(service.egress._terminated),
+            "path_service": len(service.path_service),
+            "dedup": len(revocations._seen),
+            "revoked": len(revocations.revoked_links) + len(revocations.revoked_ases),
+            "query_cache": len(frontend._cache),
+            "query_index": sum(len(keys) for keys in frontend._keys_by_origin.values()),
+        }
+    return sizes
+
+
+def sizes_by_period(simulation):
+    """Run ``PERIODS`` periods; after each, query every origin and record sizes."""
+    by_period = []
+    for _period in range(PERIODS):
+        simulation.run_period()
+        for as_id, service in simulation.services.items():
+            for origin in simulation.services:
+                if origin != as_id:
+                    service.query_frontend.paths(origin)
+        by_period.append(store_sizes(simulation))
+    return by_period
+
+
+def assert_level_one_validity_apart(by_period, stores):
+    for k in range(VALIDITY - 1, VALIDITY + 3):
+        assert by_period[k] == by_period[k + VALIDITY], f"period {k + 1}"
+    last = by_period[-1].values()
+    for store in stores:
+        assert any(sizes[store] > 0 for sizes in last), f"{store} is never used"
+
+
+def _scenario(**kwargs):
+    # 5SP keeps every period's beacon of a pair, so selections and with
+    # them the stores repeat exactly once the first beacons expire.
+    return ScenarioConfig(
+        algorithms=(one_shortest_path_spec(), five_shortest_paths_spec()),
+        periods=PERIODS,
+        propagation_interval_ms=INTERVAL_MS,
+        **kwargs,
+    )
+
+
+def signed_fixed_topology():
+    scenario = _scenario(verify_signatures=True, register_down_segments=True)
+    return BeaconingSimulation(tree_topology(7), scenario)
+
+
+def periodic_churn():
+    """The same three links fail and recover in every period."""
+    topology = tree_topology(15)
+    timeline = ScenarioTimeline()
+    for period in range(PERIODS):
+        start = period * INTERVAL_MS
+        for offset, link in enumerate(sorted(topology.link_ids())[-3:]):
+            timeline.at(start + (0.1 + 0.05 * offset) * INTERVAL_MS).fail_link(link)
+            timeline.at(start + (0.7 + 0.05 * offset) * INTERVAL_MS).recover_link(link)
+    scenario = _scenario(verify_signatures=True, timeline=timeline)
+    return BeaconingSimulation(topology, scenario)
+
+
+class TestStoresAreLevelOneValidityApart:
+    def test_signed_fixed_topology(self):
+        by_period = sizes_by_period(signed_fixed_topology())
+        assert_level_one_validity_apart(
+            by_period,
+            ("ingress", "verified_prefixes", "egress", "terminated", "path_service", "query_cache"),
+        )
+
+    def test_periodic_churn(self):
+        simulation = periodic_churn()
+        by_period = sizes_by_period(simulation)
+        assert_level_one_validity_apart(
+            by_period, ("ingress", "verified_prefixes", "terminated", "path_service", "dedup")
+        )
+        # The exemption: the withdrawal ledger keeps one entry per applied
+        # revocation of the whole run, the dedup store those of one window.
+        for service in simulation.services.values():
+            revocations = service.revocations
+            assert len(revocations.applied_at) >= PERIODS * len(revocations._seen) > 0
