@@ -17,26 +17,35 @@ Fast-path invariants
 --------------------
 
 Beacons and their entries are **immutable**, which makes every derived
-value cacheable: canonical encodings, the SHA-256 digest (the canonical
-identity used for deduplication everywhere), the prefix-digest chain and
+value cacheable: the SHA-256 digest (the canonical identity used for
+deduplication everywhere), the prefix-digest chain, the encoded size and
 the accumulated path metrics are all computed at most once per object and
 memoized in a declared slot of the record (``init=False``,
 ``compare=False``, so the memos are invisible to construction, equality,
 hashing and ``repr``).  An accessor reads its slot and only on ``None``
 computes and stores; neither record has a per-instance dictionary.
 
+**An entry owns its bytes.**  The canonical encoding is
+``header | entry_0 | … | entry_{L-1}``; an :class:`ASEntry` keeps one memo,
+its *wire part* ``b"|" + encoding``, and a beacon keeps :meth:`Beacon.wire`,
+a tuple of references: the header part, then its entries' own parts.
+:meth:`Beacon.encode` joins the parts on demand — only signing needs the
+joined bytes; the RAC's IPC marshal gathers the parts and sizes come from
+:meth:`Beacon.encoded_size`.
+
 A child beacon is its parent plus one entry, so it **inherits** what the
 parent has already derived instead of deriving it again: the parent's
-:class:`ASEntry` objects (each keeps one encoding), the same
-header-encoding string, the parent's AS path and link ids plus one element
-each, and — as a *known prefix* to continue from — the parent's encoded
-bytes and digest chain.  A chain of ``L`` beacons therefore holds ``O(L)``
-digest strings, link ids and entry encodings in total instead of
-``O(L²)``, and extending costs ``O(1)`` derived state.  Only
-:meth:`Beacon.with_entry` — the one place that knows "child = parent + one
-entry" — hands state down, and what it hands down are derived immutables
-(``bytes`` / ``tuple`` / ``str``), never the parent object: ancestors are
-not kept alive, and a beacon built any other way (constructed directly,
+:class:`ASEntry` objects, the parent's wire tuple, AS path and link ids
+plus one element each, and — as a *known prefix* to continue from — the
+parent's digest chain.  A chain of ``L`` beacons therefore holds ``O(L)``
+digest strings, link ids and bytes in total instead of ``O(L²)``, and
+extending costs ``O(1)`` derived state.  A new hop's link id is the
+topology's own ``Link.key`` object when the builder is handed it and it
+names the same link.  Only :meth:`Beacon.with_entry` — the one place that
+knows "child = parent + one entry" — hands state down, and what it hands
+down are derived immutables (tuples of bytes, AS numbers, link ids and
+digest strings), never the parent object: ancestors are not kept alive,
+and a beacon built any other way (constructed directly,
 ``dataclasses.replace``d, hence every tampered copy) starts cold.  Every
 derivation is written once, as "continue from the longest known prefix";
 cold is its empty-prefix case, not a second implementation.
@@ -45,15 +54,14 @@ The digest is defined as ``sha256(header | entry_0 | … | entry_{L-1})``;
 element ``i`` of the :meth:`Beacon.prefix_digests` chain is the digest the
 beacon had when entry ``i`` was its last entry.  The ingress gateway keys
 its verified-prefix cache on this chain, so both dedup and incremental
-re-verification come out of one pass over the encoding.  Signatures are
-always checked against the entries' own encodings, never against
-inherited state.
+re-verification come out of one pass over the parts.  Signatures are
+always checked against the beacon's own header and the entries' own wire
+parts, never against inherited state.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -67,8 +75,6 @@ from repro.topology.entities import InterfaceID, LinkID, normalize_link_id
 #: Default beacon validity: SCION caps PCB lifetimes with a global upper
 #: bound; we use six hours of simulated time.
 DEFAULT_VALIDITY_MS = 6.0 * 60.0 * 60.0 * 1000.0
-
-_beacon_sequence = itertools.count(1)
 
 
 def _slot():
@@ -85,12 +91,12 @@ def _encode_unsigned(
 
 def _encode_header(
     origin_as: int, created_at_ms: float, validity_ms: float, extensions: ExtensionSet
-) -> str:
-    """Return the canonical encoding of a beacon header."""
+) -> bytes:
+    """Return the canonical encoding of a beacon header, the first wire part."""
     return (
         f"pcb(origin={origin_as},created={created_at_ms:.3f},"
         f"validity={validity_ms:.3f},{extensions.encode()})"
-    )
+    ).encode("utf-8")
 
 
 def _extend_as_path(known: Tuple[int, ...], entries: Tuple["ASEntry", ...]) -> Tuple[int, ...]:
@@ -98,15 +104,22 @@ def _extend_as_path(known: Tuple[int, ...], entries: Tuple["ASEntry", ...]) -> T
     return known + tuple(entry.as_id for entry in entries[len(known) :])
 
 
-def _extend_links(known: Tuple[LinkID, ...], entries: Tuple["ASEntry", ...]) -> Tuple[LinkID, ...]:
-    """Continue ``known``, the link ids among a prefix of ``entries``, to the last entry."""
+def _extend_links(
+    known: Tuple[LinkID, ...], entries: Tuple["ASEntry", ...], arrival: Optional[LinkID] = None
+) -> Tuple[LinkID, ...]:
+    """Continue ``known``, the link ids among a prefix of ``entries``, to the last entry.
+
+    A derived id equal to ``arrival`` is replaced by that object, so a hop
+    extended over a topology link holds the topology's own ``Link.key``.
+    """
     result = list(known)
     for previous, current in zip(entries[len(known) :], entries[len(known) + 1 :]):
         if previous.egress_interface is None or current.ingress_interface is None:
             raise BeaconError("interior beacon entries must specify both interfaces")
         a: InterfaceID = (previous.as_id, previous.egress_interface)
         b: InterfaceID = (current.as_id, current.ingress_interface)
-        result.append(normalize_link_id(a, b))
+        link = normalize_link_id(a, b)
+        result.append(arrival if link == arrival else link)
     return tuple(result)
 
 
@@ -131,29 +144,29 @@ class ASEntry:
     egress_interface: Optional[int]
     static_info: StaticInfo = field(default_factory=StaticInfo)
     signature: bytes = b""
-    _encoded: Optional[str] = _slot()
+    _wire: Optional[bytes] = _slot()
 
-    def encode_unsigned(self) -> str:
-        """Return the canonical encoding of the entry without its signature.
+    def wire(self) -> bytes:
+        """Return the entry's part of a beacon encoding: ``b"|"`` + its canonical encoding.
 
-        An entry keeps one encoding: this is :meth:`encode` minus its
-        ``sig(<hex>)`` tail, whose length the signature fixes.
+        The entry's one encoding, memoized: every beacon whose chain holds
+        the entry holds this same ``bytes`` object.
         """
-        return self.encode()[: -(len("sig()") + 2 * len(self.signature))]
+        wire = self._wire
+        if wire is None:
+            wire = (
+                "|"
+                + _encode_unsigned(
+                    self.as_id, self.ingress_interface, self.egress_interface, self.static_info
+                )
+                + f"sig({self.signature.hex()})"
+            ).encode("utf-8")
+            object.__setattr__(self, "_wire", wire)
+        return wire
 
-    def encode(self) -> str:
-        """Return the canonical encoding including the signature.
-
-        The encoding is memoized: entries are immutable, so it is computed
-        at most once per entry object.
-        """
-        encoded = self._encoded
-        if encoded is None:
-            encoded = _encode_unsigned(
-                self.as_id, self.ingress_interface, self.egress_interface, self.static_info
-            ) + f"sig({self.signature.hex()})"
-            object.__setattr__(self, "_encoded", encoded)
-        return encoded
+    def unsigned_wire(self) -> bytes:
+        """Return :meth:`wire` minus its ``sig(<hex>)`` tail, whose length the signature fixes."""
+        return self.wire()[: -(len("sig()") + 2 * len(self.signature))]
 
 
 @dataclass(frozen=True, slots=True)
@@ -166,11 +179,11 @@ class Beacon:
         validity_ms: Lifetime after which the beacon expires.
         entries: AS entries from the origin to the current holder.
         extensions: IREC extensions set by the origin AS.
-        beacon_id: Monotonic identifier, unique within one process; used
-            only for diagnostics, never for protocol decisions.
 
-    The underscored slots hold derived values, ``None`` until asked for or
-    handed down by :meth:`with_entry` (``_parent_*``: the known prefix);
+    Equality is content equality; the :meth:`digest` is the identity the
+    databases key on.  The underscored slots hold derived values, ``None``
+    until asked for or handed down by :meth:`with_entry`
+    (``_parent_digests``: the known prefix's chain);
     :meth:`repro.core.criteria.StandardMetrics.vector_for` keeps ``_metric_vectors``.
     """
 
@@ -179,17 +192,15 @@ class Beacon:
     entries: Tuple[ASEntry, ...]
     extensions: ExtensionSet = field(default_factory=ExtensionSet)
     validity_ms: float = DEFAULT_VALIDITY_MS
-    beacon_id: int = field(default_factory=lambda: next(_beacon_sequence))
     _as_path: Optional[Tuple[int, ...]] = _slot()
     _links: Optional[Tuple[LinkID, ...]] = _slot()
     _link_set: Optional[frozenset] = _slot()
     _total_latency_ms: Optional[float] = _slot()
     _bottleneck_bandwidth_mbps: Optional[float] = _slot()
-    _header_encoding: Optional[str] = _slot()
-    _encoded: Optional[bytes] = _slot()
+    _wire: Optional[Tuple[bytes, ...]] = _slot()
+    _size: Optional[int] = _slot()
     _prefix_digests: Optional[Tuple[str, ...]] = _slot()
     _digest: Optional[str] = _slot()
-    _parent_encoded: Optional[bytes] = _slot()
     _parent_digests: Optional[Tuple[str, ...]] = _slot()
     _metric_vectors: Optional[dict] = _slot()
 
@@ -332,40 +343,36 @@ class Beacon:
         """Return the absolute simulated expiry time."""
         return self.created_at_ms + self.validity_ms
 
-    def header_encoding(self) -> str:
-        """Return the canonical encoding of the beacon header (memoized)."""
-        header = self._header_encoding
-        if header is None:
-            header = _encode_header(
-                self.origin_as, self.created_at_ms, self.validity_ms, self.extensions
-            )
-            object.__setattr__(self, "_header_encoding", header)
-        return header
+    def wire(self) -> Tuple[bytes, ...]:
+        """Return the canonical encoding as parts: the header, then every entry's wire part.
 
-    def _known_prefix(self) -> Tuple[bytes, Tuple[str, ...]]:
-        """Return the encoding and digest chain of the longest known prefix.
-
-        That is all entries but the last when :meth:`with_entry` left the
-        parent's bytes and chain, otherwise the header alone with an empty
-        chain — the cold case.  The chain's length says how many entries
-        the prefix covers.
+        ``b"".join`` of the parts is :meth:`encode`.  The tuple is memoized
+        and holds references only: each entry part is that entry's own
+        :meth:`ASEntry.wire` object, and :meth:`with_entry` hands the tuple
+        down plus one part.
         """
-        digests = self._parent_digests
-        if digests is None:
-            return self.header_encoding().encode("utf-8"), ()
-        return self._parent_encoded, digests
+        wire = self._wire
+        if wire is None:
+            wire = (self._header_wire(), *[entry.wire() for entry in self.entries])
+            object.__setattr__(self, "_wire", wire)
+        return wire
+
+    def encoded_size(self) -> int:
+        """Return ``len(self.encode())`` without joining the parts (memoized)."""
+        size = self._size
+        if size is None:
+            size = sum(map(len, self.wire()))
+            object.__setattr__(self, "_size", size)
+        return size
 
     def encode(self) -> bytes:
-        """Return the full canonical encoding (used for hashing/dedup, memoized)."""
-        encoded = self._encoded
-        if encoded is None:
-            count_crypto_op("beacon_encode")
-            prefix, known = self._known_prefix()
-            parts = [prefix]
-            parts.extend(entry.encode().encode("utf-8") for entry in self.entries[len(known) :])
-            encoded = b"|".join(parts)
-            object.__setattr__(self, "_encoded", encoded)
-        return encoded
+        """Return the full canonical encoding, joined from :meth:`wire` on every call."""
+        count_crypto_op("beacon_encode")
+        return b"".join(self.wire())
+
+    def _header_wire(self) -> bytes:
+        """Encode the header part from this beacon's own fields."""
+        return _encode_header(self.origin_as, self.created_at_ms, self.validity_ms, self.extensions)
 
     def prefix_digests(self) -> Tuple[str, ...]:
         """Return the digest chain of the beacon's prefixes (memoized).
@@ -373,21 +380,23 @@ class Beacon:
         Element ``i`` is the SHA-256 hex digest of
         ``header | entry_0 | … | entry_i`` — i.e. exactly the
         :meth:`digest` the beacon had when entry ``i`` was its last entry.
-        The chain continues the known prefix's: it hashes that prefix's
-        bytes and then each further entry, snapshotting the state after
-        every one, so it is one pass over the encoding and never
-        materialises this beacon's own.  The ingress gateway keys its
-        verified-prefix cache on these values.
+        The chain continues the known prefix's (``_parent_digests``, empty
+        when cold): it hashes the parts that prefix covers and then each
+        further part, snapshotting the state after every one, so it is one
+        pass over the parts and never joins them.  The ingress gateway keys
+        its verified-prefix cache on these values.
         """
         chain = self._prefix_digests
         if chain is None:
             count_crypto_op("beacon_digest")
-            prefix, known = self._known_prefix()
-            state = hashlib.sha256(prefix)
+            known = self._parent_digests or ()
+            wire = self.wire()
+            state = hashlib.sha256()
+            for part in wire[: len(known) + 1]:
+                state.update(part)
             digests = list(known)
-            for entry in self.entries[len(known) :]:
-                state.update(b"|")
-                state.update(entry.encode().encode("utf-8"))
+            for part in wire[len(known) + 1 :]:
+                state.update(part)
                 digests.append(state.hexdigest())
             chain = tuple(digests)
             object.__setattr__(self, "_prefix_digests", chain)
@@ -413,10 +422,10 @@ class Beacon:
     def verify_suffix(self, verifier: Verifier, first_entry: int) -> None:
         """Verify the signatures of entries ``first_entry`` onwards.
 
-        The signed prefixes are built from one growing buffer instead of
-        being re-joined from scratch per entry, out of the entries' own
-        (memoized) encodings — never out of inherited state — so the string
-        work is linear in the encoding size.
+        The signed messages are built in bytes from one growing prefix, out
+        of the header encoded from this beacon's own fields and the
+        entries' own wire parts — never out of :meth:`wire` or other
+        inherited state — so the byte work is linear in the encoding size.
         Skipping already-verified prefixes is only sound when the caller
         knows the prefix ending at ``first_entry - 1`` was verified against
         the same key material — that is what the ingress gateway's
@@ -431,13 +440,10 @@ class Beacon:
             raise BeaconError("cannot verify a beacon without entries")
         if not 0 <= first_entry <= len(self.entries):
             raise BeaconError(f"entry index {first_entry} out of range")
-        prefix_parts = [self.header_encoding()]
-        prefix_parts.extend(entry.encode() for entry in self.entries[:first_entry])
-        prefix = "|".join(prefix_parts)
+        prefix = b"".join([self._header_wire(), *[e.wire() for e in self.entries[:first_entry]]])
         for entry in self.entries[first_entry:]:
-            signed = f"{prefix}|{entry.encode_unsigned()}".encode("utf-8")
-            verifier.verify(entry.as_id, signed, entry.signature)
-            prefix = f"{prefix}|{entry.encode()}"
+            verifier.verify(entry.as_id, prefix + entry.unsigned_wire(), entry.signature)
+            prefix += entry.wire()
 
     # ------------------------------------------------------------------
     # derivation
@@ -451,13 +457,15 @@ class Beacon:
                 f"AS {as_id} already on path {self.as_path()}; refusing to create a loop"
             )
 
-    def with_entry(self, entry: ASEntry) -> "Beacon":
+    def with_entry(self, entry: ASEntry, arrival: Optional[LinkID] = None) -> "Beacon":
         """Return a new beacon with ``entry`` appended (no loop allowed).
 
         The child inherits what this beacon has already derived (see the
         module docstring): the values land in the slots the accessors
-        read, the encoded bytes and the digest chain as the prefix
-        :meth:`_known_prefix` continues from.
+        read, the digest chain as the known prefix :meth:`prefix_digests`
+        continues from.  ``arrival`` is the topology's id of the link the
+        beacon arrived on; the child's new link id is that object when it
+        names the same link.
         """
         self.require_extendable_by(entry.as_id)
         entries = self.entries + (entry,)
@@ -465,13 +473,13 @@ class Beacon:
             self.origin_as, self.created_at_ms, entries, self.extensions, self.validity_ms
         )
         hand_down = object.__setattr__
-        hand_down(child, "_header_encoding", self.header_encoding())
         hand_down(child, "_as_path", _extend_as_path(self.as_path(), entries))
         # An entry without an ingress interface is left for links() to reject.
         if self._links is not None and entry.ingress_interface is not None:
-            hand_down(child, "_links", _extend_links(self._links, entries))
-        if self._encoded is not None and self._prefix_digests is not None:
-            hand_down(child, "_parent_encoded", self._encoded)
+            hand_down(child, "_links", _extend_links(self._links, entries, arrival))
+        if self._wire is not None:
+            hand_down(child, "_wire", self._wire + (entry.wire(),))
+        if self._prefix_digests is not None:
             hand_down(child, "_parent_digests", self._prefix_digests)
         return child
 
@@ -500,7 +508,7 @@ class BeaconBuilder:
         """Create a fresh beacon leaving this AS over ``egress_interface``."""
         extensions = extensions or ExtensionSet()
         header = _encode_header(self.as_id, created_at_ms, validity_ms, extensions)
-        entry = self._signed_entry(header.encode("utf-8"), None, egress_interface, static_info)
+        entry = self._signed_entry(header, None, egress_interface, static_info)
         return Beacon(self.as_id, created_at_ms, (entry,), extensions, validity_ms)
 
     def extend(
@@ -509,11 +517,17 @@ class BeaconBuilder:
         ingress_interface: int,
         egress_interface: int,
         static_info: Optional[StaticInfo] = None,
+        arrival: Optional[LinkID] = None,
     ) -> Beacon:
-        """Append this AS's hop to ``beacon`` for propagation."""
+        """Append this AS's hop to ``beacon`` for propagation.
+
+        ``arrival`` is the topology's id of the link the beacon arrived on
+        (:meth:`Beacon.with_entry`).
+        """
         beacon.require_extendable_by(self.as_id)
         return beacon.with_entry(
-            self._signed_entry(beacon.encode(), ingress_interface, egress_interface, static_info)
+            self._signed_entry(beacon.encode(), ingress_interface, egress_interface, static_info),
+            arrival,
         )
 
     def terminate(
@@ -521,11 +535,12 @@ class BeaconBuilder:
         beacon: Beacon,
         ingress_interface: int,
         static_info: Optional[StaticInfo] = None,
+        arrival: Optional[LinkID] = None,
     ) -> Beacon:
         """Append a terminal (no-egress) entry, producing a registrable segment."""
         beacon.require_extendable_by(self.as_id)
         return beacon.with_entry(
-            self._signed_entry(beacon.encode(), ingress_interface, None, static_info)
+            self._signed_entry(beacon.encode(), ingress_interface, None, static_info), arrival
         )
 
     def _signed_entry(

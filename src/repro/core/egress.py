@@ -33,6 +33,7 @@ from repro.core.messages import PCBMessage
 from repro.core.rac import RACSelection
 from repro.core.transport import ControlPlaneTransport
 from repro.exceptions import GatewayError, LoopError
+from repro.topology.entities import LinkID
 
 
 @dataclass
@@ -179,14 +180,15 @@ class EgressGateway:
             fresh = self.database.filter_new_interfaces(
                 digest, candidate_interfaces, expires_at_ms=beacon.expires_at_ms()
             )
+            ingress_interface = selection.stored.ingress_interface
+            arrival = self._arrival(ingress_interface)
             for egress_interface in fresh:
                 extended = self.builder.extend(
                     beacon,
-                    ingress_interface=selection.stored.ingress_interface,
+                    ingress_interface=ingress_interface,
                     egress_interface=egress_interface,
-                    static_info=self.view.static_info_for(
-                        selection.stored.ingress_interface, egress_interface
-                    ),
+                    static_info=self.view.static_info_for(ingress_interface, egress_interface),
+                    arrival=arrival,
                 )
                 self.transport.send_message(
                     self.as_id,
@@ -201,6 +203,11 @@ class EgressGateway:
                 self.stats.propagated += 1
                 sent += 1
         return sent
+
+    def _arrival(self, interface_id: Optional[int]) -> Optional[LinkID]:
+        """Return the topology's ``Link.key`` of the link on a local interface, if any."""
+        link = self.view.links_by_interface.get(interface_id)
+        return None if link is None else link.key
 
     def _loop_free_interfaces(
         self, beacon: Beacon, interfaces: Sequence[int]
@@ -223,12 +230,12 @@ class EgressGateway:
         if not already_returned:
             self.stats.suppressed_duplicates += 1
             return
+        ingress_interface = selection.stored.ingress_interface
         terminated = self.builder.terminate(
             selection.beacon,
-            ingress_interface=selection.stored.ingress_interface,
-            static_info=self.view.static_info_for(
-                selection.stored.ingress_interface, None
-            ),
+            ingress_interface=ingress_interface,
+            static_info=self.view.static_info_for(ingress_interface, None),
+            arrival=self._arrival(ingress_interface),
         )
         self.transport.return_beacon_to_origin(self.as_id, terminated)
         self.stats.returned_to_origin += 1
@@ -271,6 +278,7 @@ class EgressGateway:
                         beacon,
                         ingress_interface=arrival_interface,
                         static_info=self.view.static_info_for(arrival_interface, None),
+                        arrival=self._arrival(arrival_interface),
                     )
                 except LoopError as exc:
                     raise GatewayError(

@@ -7,9 +7,12 @@ latency into (1) Wasmtime setup, (2) gRPC calls and (3) algorithm
 execution.  To reproduce that decomposition the library funnels every
 gateway↔RAC exchange through this module, which
 
-* actually serializes and deserializes the beacons being exchanged (so the
-  measured IPC cost scales with the candidate-set size, like Protobuf
-  marshalling does), and
+* actually gathers the beacons being exchanged into a wire form and charges
+  their encoded bytes (so the measured IPC cost and payload scale with the
+  candidate-set size, like Protobuf marshalling does) — the wire form is
+  every beacon's encoding parts (:meth:`Beacon.wire`), referenced rather
+  than copied, as a scatter-gather write would hand them to the socket,
+  so a stored candidate keeps no joined copy of its encoding, and
 * optionally adds a configurable per-call and per-byte latency to model the
   network/RPC overhead of a multi-machine deployment.
 
@@ -71,11 +74,19 @@ class IPCChannel:
     stats: IPCStats = field(default_factory=IPCStats)
 
     def marshal_beacons(self, beacons: Sequence[Beacon]) -> Tuple[List[bytes], float]:
-        """Serialize ``beacons`` for transfer; return (wire form, elapsed ms)."""
+        """Gather ``beacons`` for transfer; return (wire form, elapsed ms).
+
+        The wire form is the beacons' encoding parts in order, so it joins to
+        their concatenated encodings and ``sum(map(len, wire))`` is the
+        payload charged.
+        """
         start = time.perf_counter()
-        wire = [beacon.encode() for beacon in beacons]
+        wire: List[bytes] = []
+        payload = 0
+        for beacon in beacons:
+            wire += beacon.wire()
+            payload += beacon.encoded_size()
         elapsed_ms = (time.perf_counter() - start) * 1000.0
-        payload = sum(len(b) for b in wire)
         modelled = self._modelled_latency(payload)
         self.stats.record(payload, elapsed_ms, modelled)
         return wire, elapsed_ms + modelled
@@ -86,7 +97,7 @@ class IPCChannel:
         payload = 0
         for beacons in selections.values():
             for beacon in beacons:
-                payload += len(beacon.encode()) + 8
+                payload += beacon.encoded_size() + 8
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         modelled = self._modelled_latency(payload)
         self.stats.record(payload, elapsed_ms, modelled)

@@ -197,7 +197,7 @@ class PCBMessage(ControlMessage):
 
     def _measure_size(self) -> int:
         """The size of the beacon's canonical encoding."""
-        return len(self.beacon.encode())
+        return self.beacon.encoded_size()
 
     def trace_label(self) -> str:
         return (
@@ -371,7 +371,7 @@ class PathRegistrationMessage(ControlMessage):
 
     def _measure_size(self) -> int:
         """The size of the carried segment's canonical encoding."""
-        return len(self.path.segment.encode())
+        return self.path.segment.encoded_size()
 
     def trace_label(self) -> str:
         return (
@@ -401,7 +401,7 @@ class PullReturnMessage(ControlMessage):
 
     def _measure_size(self) -> int:
         """The size of the beacon's canonical encoding."""
-        return len(self.beacon.encode())
+        return self.beacon.encoded_size()
 
     def trace_label(self) -> str:
         return (
@@ -468,7 +468,7 @@ class PathQueryResponse(ControlMessage):
         return (
             24
             + len(self.query.policy_key())
-            + sum(len(path.segment.encode()) for path in self.paths)
+            + sum(path.segment.encoded_size() for path in self.paths)
         )
 
     def trace_label(self) -> str:

@@ -174,8 +174,8 @@ class TestInheritedState:
     def test_a_chain_holds_one_digest_and_one_link_id_per_hop(self, key_store):
         # Every prefix of a 12-hop chain stays alive and is digested and
         # link-indexed before it is extended, as by the ingress databases
-        # along a path.  Re-deriving per beacon would hold 78 digest strings
-        # and 66 link ids; inheriting holds one per hop.
+        # along a path.  Re-deriving per beacon would hold 78 digest strings,
+        # 66 link ids and 78 entry encodings; inheriting holds one per hop.
         beacon = builder_for(1, key_store).originate(egress_interface=1, created_at_ms=0.0)
         prefixes = [beacon]
         for as_id in range(2, 13):
@@ -189,8 +189,9 @@ class TestInheritedState:
         assert beacon.digest() == hashlib.sha256(naive_encode(beacon)).hexdigest()
         digests = {id(digest) for prefix in prefixes for digest in prefix.prefix_digests()}
         link_ids = {id(link) for prefix in prefixes for link in prefix.links()}
-        headers = {id(prefix.header_encoding()) for prefix in prefixes}
-        assert (len(digests), len(link_ids), len(headers)) == (12, 11, 1)
+        headers = {id(prefix.wire()[0]) for prefix in prefixes}
+        parts = {id(part) for prefix in prefixes for part in prefix.wire()[1:]}
+        assert (len(digests), len(link_ids), len(headers), len(parts)) == (12, 11, 1, 12)
         assert [prefix.prefix_digests() for prefix in prefixes] == [
             beacon.prefix_digests()[: index + 1] for index in range(12)
         ]
@@ -209,10 +210,6 @@ class TestInheritedState:
         segment = builder_for(3, key_store).terminate(extended, ingress_interface=2)
         assert perf_counters()["signature_sign"] == signed + 3
         assert (made.count(Beacon), made.count(ASEntry)) == (3, 3)
-        assert [extended.beacon_id, segment.beacon_id] == [
-            origin.beacon_id + 1,
-            origin.beacon_id + 2,
-        ]
         for parent, child in ((origin, extended), (extended, segment)):
             assert len(child.entries) == len(parent.entries) + 1
             assert all(mine is theirs for mine, theirs in zip(child.entries, parent.entries))
@@ -256,8 +253,8 @@ class TestInheritedState:
             child.links()
 
 
-#: The slots only :meth:`Beacon.with_entry` fills: the known prefix to continue from.
-PREFIX = {"_parent_encoded", "_parent_digests"}
+#: The slot only :meth:`Beacon.with_entry` fills: the known prefix's digest chain.
+PREFIX = {"_parent_digests"}
 
 
 def memo_slots(cls):
@@ -320,11 +317,13 @@ class TestSlottedRecords:
         assert all(getattr(beacon, name) is not None for name in memo_slots(Beacon) - PREFIX)
         assert all(getattr(twin, name) is None for name in memo_slots(Beacon))
         assert twin == beacon and hash(twin) == hash(beacon) and repr(twin) == repr(beacon)
+        assert twin.wire() == beacon.wire() and twin.encoded_size() == beacon.encoded_size()
         entry = beacon.entries[0]
-        assert entry._encoded is not None
+        assert entry._wire is not None
         cold_entry = dataclasses.replace(entry)
-        assert cold_entry._encoded is None
+        assert cold_entry._wire is None
         assert cold_entry == entry and hash(cold_entry) == hash(entry)
+        assert cold_entry.wire() == entry.wire() and cold_entry.wire() is not entry.wire()
 
     def test_pickled_warm_child_answers_without_deriving_again(self, key_store, beacon_factory):
         parent = warm(beacon_factory([(1, None, 1), (2, 1, 2)]))
@@ -336,21 +335,37 @@ class TestSlottedRecords:
             assert getattr(child, name) is not None, name
             assert getattr(shipped, name) == getattr(child, name), name
         before = perf_counters()
-        answers = (shipped.digest(), shipped.encode(), shipped.prefix_digests())
+        answers = (
+            shipped.digest(),
+            shipped.wire(),
+            shipped.encoded_size(),
+            shipped.prefix_digests(),
+        )
         after = perf_counters()
-        assert answers == (child.digest(), child.encode(), child.prefix_digests())
-        assert answers[1] == naive_encode(child)
+        assert answers == (
+            child.digest(),
+            child.wire(),
+            child.encoded_size(),
+            child.prefix_digests(),
+        )
+        assert b"".join(answers[1]) == naive_encode(child)
+        assert answers[2] == len(naive_encode(child))
+        # The pickle ships the wire tuple and every entry's part in it.
+        assert all(part is entry._wire for part, entry in zip(answers[1][1:], shipped.entries))
         for counter in ("beacon_digest", "beacon_encode"):
             assert after[counter] == before[counter]
 
     def test_with_entry_hands_down_memo_slots_only_as_immutables(self, key_store, beacon_factory):
         parent = warm(beacon_factory([(1, None, 1), (2, 1, 2)]))
         child = builder_for(3, key_store).extend(parent, ingress_interface=1, egress_interface=2)
-        assert child.entries[:-1] == parent.entries and child.beacon_id != parent.beacon_id
+        assert child.entries[:-1] == parent.entries
         for field in dataclasses.fields(Beacon):
-            if field.init and field.name not in ("entries", "beacon_id"):
+            if field.init and field.name != "entries":
                 assert getattr(child, field.name) is getattr(parent, field.name)
         handed_down = {name for name in memo_slots(Beacon) if getattr(child, name) is not None}
-        assert handed_down == PREFIX | {"_header_encoding", "_as_path", "_links"}
+        assert handed_down == PREFIX | {"_wire", "_as_path", "_links"}
         for name in handed_down:
-            assert type(getattr(child, name)) in (bytes, tuple, str), name
+            assert type(getattr(child, name)) is tuple, name
+        assert all(type(part) is bytes for part in child._wire)
+        assert all(mine is theirs for mine, theirs in zip(child._wire, parent._wire))
+        assert child._wire[-1] is child.entries[-1].wire()

@@ -1,12 +1,18 @@
 """Tests for the per-AS local topology view and the gateway↔RAC IPC model."""
 
+import pickle
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.ipc import IPCChannel, IPCStats
 from repro.core.local_view import LocalTopologyView
+from repro.crypto.keys import KeyStore
 from repro.exceptions import UnknownLinkError
 
 from tests.conftest import figure1_topology, make_beacon
+from tests.test_perf_equivalence import build_chain, hop_specs, naive_encode
 
 
 class TestLocalTopologyView:
@@ -87,6 +93,33 @@ class TestIPCChannel:
         assert cost_ms >= 0.0
         assert channel.stats.bytes_transferred > 0
         assert channel.stats.calls == 1
+
+    @given(
+        chains=st.lists(
+            st.tuples(hop_specs, st.sampled_from(["built", "replaced", "pickled"])), max_size=5
+        ),
+        repeat=st.integers(min_value=1, max_value=2),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_wire_bytes_are_the_bytes_charged_and_the_encodings(self, chains, repeat):
+        # irecbench's traced ``core.ipc.marshal_bytes`` sums ``len`` over the
+        # returned wire, so the wire must carry exactly the encodings' bytes.
+        key_store = KeyStore()
+        shapes = {
+            "built": lambda beacon: beacon,
+            "replaced": replace,
+            "pickled": lambda beacon: pickle.loads(pickle.dumps(beacon)),
+        }
+        beacons = [shapes[shape](build_chain(key_store, hops)) for hops, shape in chains] * repeat
+        encodings = [naive_encode(beacon) for beacon in beacons]
+        channel = IPCChannel()
+        wire, _ = channel.marshal_beacons(beacons)
+        assert sum(map(len, wire)) == channel.stats.bytes_transferred == sum(map(len, encodings))
+        assert b"".join(wire) == b"".join(encodings)
+        channel.stats.reset()
+        channel.transfer_results({1: beacons, 2: beacons[:1]})
+        charged = sum(len(encoded) + 8 for encoded in encodings + encodings[:1])
+        assert channel.stats.bytes_transferred == charged
 
     def test_stats_reset(self):
         stats = IPCStats()

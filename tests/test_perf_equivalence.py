@@ -12,6 +12,11 @@ property tests pin that down:
   of the corresponding prefix beacon, and a child that inherited any
   combination of its parent's derived values equals a cold twin in every
   accessor, also after a pickle round trip,
+* a beacon's wire parts join to its cold encoding and give its size and
+  digest chain, each entry part being that entry's own bytes object, for
+  builder-made, ``replace``d and pickled chains, and a hop extended over a
+  topology link holds the topology's own ``Link.key`` (a link the view does
+  not have keeps its derived id),
 * a beacon extended through a view whose hop-constant table is warm equals
   one extended through a fresh view (the shared ``StaticInfo`` record and
   its one encoding are invisible), and the event queue keeps (time,
@@ -83,6 +88,7 @@ from repro.topology.entities import Link, Relationship, normalize_link_id
 
 from tests.conftest import figure1_topology, make_beacon
 from tests.test_gateways import gateway_pair
+from tests.test_steady_state import signed_fixed_topology
 
 # ----------------------------------------------------------------------
 # strategies
@@ -156,7 +162,8 @@ DERIVED = (
     "encode",
     "digest",
     "prefix_digests",
-    "header_encoding",
+    "wire",
+    "encoded_size",
     "as_path",
     "links",
     "link_set",
@@ -248,6 +255,99 @@ class TestDigestEquivalence:
         assert hashlib.sha256(naive_encode(child)).hexdigest() == child.digest()
 
 
+class TestWireParts:
+    """A beacon's encoding is its header and its entries' own bytes, referenced."""
+
+    @given(
+        hops=hop_specs,
+        terminate=st.booleans(),
+        with_extension=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_builder_replaced_and_pickled_chains(self, hops, terminate, with_extension, data):
+        chain = []
+
+        def derive_some(beacon):
+            for name in data.draw(st.sets(st.sampled_from(sorted(DERIVATIONS))), label="derived"):
+                DERIVATIONS[name](beacon)
+            chain.append(beacon)
+
+        last = build_chain(
+            KeyStore(),
+            hops,
+            terminate=terminate and len(hops) > 1,
+            extensions=ExtensionSet().with_interface_group(3) if with_extension else None,
+            before_extending=derive_some,
+        )
+        chain.append(last)
+        for built in chain:
+            for beacon in (built, replace(built), pickle.loads(pickle.dumps(built))):
+                cold = replace(beacon)
+                wire = beacon.wire()
+                assert b"".join(wire) == cold.encode() == naive_encode(beacon)
+                assert beacon.encoded_size() == len(cold.encode())
+                prefixes = [
+                    replace(beacon, entries=beacon.entries[:n])
+                    for n in range(1, beacon.hop_count + 1)
+                ]
+                assert beacon.prefix_digests() == cold.prefix_digests() == tuple(
+                    hashlib.sha256(naive_encode(prefix)).hexdigest() for prefix in prefixes
+                )
+                assert len(wire) == beacon.hop_count + 1
+                assert all(part is entry.wire() for part, entry in zip(wire[1:], beacon.entries))
+        # Along a builder-made chain every beacon holds the same part objects.
+        for prefix in chain:
+            assert all(mine is theirs for mine, theirs in zip(prefix.wire(), last.wire()))
+
+
+class TestInternedLinkIds:
+    """A hop extended over a topology link holds the topology's ``Link.key``."""
+
+    def test_stored_and_registered_beacons_hold_the_topologys_link_ids(self):
+        simulation = signed_fixed_topology()
+        topology = simulation.topology
+        keys = {
+            link.key: link.key
+            for as_info in topology
+            for link in topology.links_of(as_info.as_id)
+        }
+        for _period in range(4):
+            simulation.run_period()
+        held = 0
+        for service in simulation.services.values():
+            beacons = [stored.beacon for stored in service.ingress.database.all_beacons()]
+            beacons += [path.segment for path in service.path_service.all_paths()]
+            for beacon in beacons:
+                for link in beacon.links():
+                    assert link is keys[link], (beacon.as_path(), link)
+                    held += 1
+        assert held > 0
+
+    def test_a_link_the_view_does_not_have_keeps_its_derived_id(self, key_store):
+        _ingress, gateway, transport = gateway_pair(figure1_topology(), 3, key_store)
+        arrival = gateway.view.link_of(1).key
+        known = make_beacon(key_store, [(1, None, 1), (2, 1, 2)])
+        # AS 2 names egress interface 7, but AS 3's interface 1 links AS 2's 2.
+        unknown = make_beacon(key_store, [(1, None, 1), (2, 1, 7)], created_at_ms=5.0)
+        for beacon in (known, unknown):
+            beacon.links()
+            stored = CandidateBeacon(beacon=beacon, ingress_interface=1, received_at_ms=0.0)
+            selection = RACSelection(stored=stored, egress_interfaces=[3], criteria_tag="1sp")
+            del transport.sent[:]
+            gateway.propagate([selection], now_ms=0.0)
+            gateway.register([selection], now_ms=0.0)
+            (_sender, _interface, extended), = transport.sent
+            segment = gateway.path_service.all_paths()[-1].segment
+            assert segment.entries[:-1] == extended.entries[:-1]
+            for built in (extended, segment):
+                assert built.links() == replace(built).links()
+                if beacon is known:
+                    assert built.links()[-1] is arrival
+                else:
+                    assert built.links()[-1] == ((2, 7), (3, 1)) != arrival
+
+
 # ----------------------------------------------------------------------
 # (a') shared hop constants and the event queue's order
 # ----------------------------------------------------------------------
@@ -279,7 +379,7 @@ class TestSharedHopConstants:
         assert sorted(through_warm) == sorted(through_fresh) == [2, 3]
         for interface, extended in through_warm.items():
             twin = through_fresh[interface]
-            assert replace(extended, beacon_id=twin.beacon_id) == twin
+            assert extended == twin
             assert extended.digest() == twin.digest()
             assert extended.encode() == twin.encode() == naive_encode(twin)
             # Same interface pair, same record -- across beacons, not across views.
