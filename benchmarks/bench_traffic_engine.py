@@ -22,6 +22,7 @@ import time
 import pytest
 
 from repro.simulation.beaconing import BeaconingSimulation
+from repro.simulation.events import LinkFailure, LinkRecovery
 from repro.simulation.scenario import don_scenario
 from repro.topology.generator import generate_topology
 from repro.traffic import (
@@ -110,8 +111,8 @@ def test_goodput_recovery_report(capsys):
     fail_ms = 2.5 * PERIOD_MS
     scenario = don_scenario(periods=periods, verify_signatures=False)
     for link in topology.links_of(victim_as):
-        scenario.at(fail_ms).fail_link(link.key)
-        scenario.at(fail_ms + 1.5 * PERIOD_MS).recover_link(link.key)
+        scenario.timeline.add(fail_ms, LinkFailure(link.key))
+        scenario.timeline.add(fail_ms + 1.5 * PERIOD_MS, LinkRecovery(link.key))
     simulation = BeaconingSimulation(topology, scenario)
     matrix = hotspot_matrix(
         topology,

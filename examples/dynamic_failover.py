@@ -30,7 +30,7 @@ import random
 
 from repro.analysis.reporting import format_table
 from repro.simulation.beaconing import BeaconingSimulation
-from repro.simulation.events import random_churn
+from repro.simulation.events import LinkFailure, LinkRecovery, random_churn
 from repro.simulation.scenario import don_scenario
 from repro.topology.generator import TopologyConfig, generate_topology
 from repro.units import minutes
@@ -50,8 +50,8 @@ def main() -> None:
 
     scenario = don_scenario(periods=8, verify_signatures=False)
     # 1. + 2. — fail the core link mid-period 3, recover it two periods later.
-    scenario.at(3.5 * PERIOD_MS).fail_link(core_link)
-    scenario.at(5.5 * PERIOD_MS).recover_link(core_link)
+    scenario.timeline.add(3.5 * PERIOD_MS, LinkFailure(core_link))
+    scenario.timeline.add(5.5 * PERIOD_MS, LinkRecovery(core_link))
     # 3. — churn one stub AS (leave, rejoin one period later), seeded.
     stub_candidates = [a for a in as_ids if a not in (source_as, origin_as)][-8:]
     scenario.timeline.extend(

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from repro.analysis.reporting import format_table, format_timeseries
 from repro.simulation.beaconing import BeaconingSimulation
+from repro.simulation.events import LinkFailure, LinkRecovery
 from repro.simulation.scenario import don_scenario
 from repro.topology.generator import TopologyConfig, generate_topology
 from repro.traffic import CapacityLinkModel, EcmpPolicy, TrafficEngine, hotspot_matrix
@@ -69,8 +70,8 @@ def build():
     victim_links = [link.key for link in topology.links_of(victim_as)]
     scenario = don_scenario(periods=7, verify_signatures=False)
     for link_id in victim_links:
-        scenario.at(2.54 * PERIOD_MS).fail_link(link_id)
-        scenario.at(4.54 * PERIOD_MS).recover_link(link_id)
+        scenario.timeline.add(2.54 * PERIOD_MS, LinkFailure(link_id))
+        scenario.timeline.add(4.54 * PERIOD_MS, LinkRecovery(link_id))
 
     simulation = BeaconingSimulation(topology, scenario)
     engine = TrafficEngine.for_simulation(

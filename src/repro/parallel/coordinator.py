@@ -38,11 +38,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.control_service import RoundReport
 from repro.crypto.keys import KeyStore
 from repro.exceptions import ConfigurationError, SimulationError
-from repro.parallel.partition import (
-    Partition,
-    degradable_link_groups,
-    partition_topology,
-)
+from repro.parallel.partition import Partition, partition_topology
 from repro.parallel.shard import shard_worker_main
 from repro.simulation.beaconing import PeriodDriver
 from repro.simulation.collector import MetricsCollector
@@ -90,7 +86,7 @@ class ShardedBeaconingSimulation(PeriodDriver):
             topology,
             workers,
             seed=partition_seed,
-            affinity_groups=degradable_link_groups(scenario.timeline),
+            affinity_groups=[timed.event.affinity() for timed in scenario.timeline],
         )
         self._owner: Dict[int, int] = dict(self.partition.owner)
         self._owned: List[set] = [set(shard) for shard in self.partition.shards]

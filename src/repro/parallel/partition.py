@@ -15,11 +15,13 @@ golden-digest tests exercise several to prove the simulation outcome is
 partition-independent.
 
 Affinity groups force sets of ASes onto one shard.  The coordinator
-derives one group per *degradable* link (a flap with loss or a gray
-failure): silent loss is rolled from the transport's seeded RNG on the
-receiver's shard, so co-locating both endpoints of every lossy link
-keeps all rolls of one run in a single stream, in delivery order —
-matching the single-process sequence.
+takes one group per timeline event from
+:meth:`~repro.simulation.events.ScenarioEvent.affinity`: the endpoints
+of every *degradable* link (a flap with loss or a gray failure).  Silent
+loss is rolled from the transport's seeded RNG on the receiver's shard,
+so co-locating both endpoints of every lossy link keeps all rolls of one
+run in a single stream, in delivery order — matching the single-process
+sequence.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.exceptions import ConfigurationError
-from repro.simulation.events import GrayFailure, LinkFlap
 from repro.topology.graph import Topology
 
 
@@ -73,30 +74,6 @@ class Partition:
         if not latencies:
             return float("inf")
         return min(latencies) + processing_delay_ms
-
-
-def degradable_link_groups(timeline: Iterable) -> List[Tuple[int, int]]:
-    """Return endpoint-AS affinity pairs for every lossy timeline link.
-
-    One pair per link that ever carries silent loss — a
-    :class:`~repro.simulation.events.LinkFlap` with a non-zero loss rate
-    or a :class:`~repro.simulation.events.GrayFailure` — so the
-    partitioner keeps each lossy link's RNG rolls on a single shard.
-    """
-    groups: List[Tuple[int, int]] = []
-    seen = set()
-    for timed in timeline:
-        event = timed.event
-        if isinstance(event, LinkFlap) and not (event.loss_ab or event.loss_ba):
-            continue
-        if not isinstance(event, (LinkFlap, GrayFailure)):
-            continue
-        (as_a, _if_a), (as_b, _if_b) = event.link_id
-        pair = (min(as_a, as_b), max(as_a, as_b))
-        if pair not in seen:
-            seen.add(pair)
-            groups.append(pair)
-    return groups
 
 
 def partition_topology(

@@ -12,8 +12,8 @@ topology.  This package provides the equivalent machinery in pure Python:
 * :mod:`repro.simulation.scenario` — declarative description of which
   algorithms run in which ASes (the paper's 1SP/5SP/HD/DO/PD setups),
 * :mod:`repro.simulation.events` — typed dynamic events (link failures,
-  churn, policy/RAC swaps, period changes), the timeline builder DSL and
-  seeded random failure/churn generators,
+  churn, policy/RAC swaps, period changes) that check themselves against
+  their timeline, and seeded random failure/churn generators,
 * :mod:`repro.simulation.failures` — :class:`LinkState`, the live link and
   AS availability every layer (fabric, data plane, traffic) consults, and
 * :mod:`repro.simulation.beaconing` — the periodic beaconing driver that

@@ -1,4 +1,4 @@
-"""Typed scenario events and the dynamic-scenario timeline DSL.
+"""Typed scenario events and the dynamic-scenario timeline.
 
 A static :class:`~repro.simulation.scenario.ScenarioConfig` describes one
 fixed deployment; real inter-domain control planes are dominated by churn
@@ -13,22 +13,29 @@ dynamism:
   replay/forwarding suppression, and mid-run topology growth,
 * a **timeline** of ``(time, event)`` pairs attached to a scenario and
   executed by the beaconing driver through its discrete-event scheduler
-  (so an event scheduled mid-period really interrupts propagation), and
-* a small **builder DSL** (``timeline.at(t).fail_link(...)``) plus seeded
-  random failure/churn generators for reproducible what-if experiments.
+  (so an event scheduled mid-period really interrupts propagation), built
+  with ``timeline.add(t, LinkFailure(link)).add(t2, LinkRecovery(link))``,
+  and
+* seeded random failure/churn generators for reproducible what-if
+  experiments.
 
-Every event renders to a stable one-line ``trace_label`` used by the
-golden-trace regression tests: two runs of the same seeded scenario must
-produce bit-for-bit identical traces.
+Each event class owns its fields, the checks its constructor runs, what
+it requires of the timeline before it (:meth:`ScenarioEvent.check`), the
+ASes a sharded run keeps on one shard (:meth:`ScenarioEvent.affinity`)
+and a stable one-line ``trace_label`` used by the golden-trace regression
+tests: two runs of the same seeded scenario must produce bit-for-bit
+identical traces.  Applying an event is the beaconing driver's job.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import List, Optional, Sequence, Set, Tuple, TYPE_CHECKING
 
 from repro.exceptions import ConfigurationError
+from repro.simulation.failures import LinkState
 from repro.topology.entities import LinkID, Relationship, normalize_link_id
 from repro.topology.graph import Topology
 
@@ -41,12 +48,82 @@ def _format_link(link_id: LinkID) -> str:
     return f"{as_a}.{if_a}-{as_b}.{if_b}"
 
 
+def _check_finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ConfigurationError(f"{name} must be finite, got {value}")
+
+
+def _targets(event: "ScenarioEvent", as_ids: Optional[Sequence[int]]) -> Optional[Tuple[int, ...]]:
+    """Return ``as_ids`` as a tuple; ``None`` (every AS) stays, ``()`` is rejected."""
+    if as_ids is None:
+        return None
+    if not as_ids:
+        raise ConfigurationError(
+            f"{type(event).__name__} needs at least one AS (as_ids=None targets every AS)"
+        )
+    return tuple(as_ids)
+
+
+def _scope(as_ids: Optional[Tuple[int, ...]]) -> str:
+    return "all" if as_ids is None else ",".join(str(a) for a in as_ids)
+
+
+@dataclass
+class _Replay:
+    """What :meth:`ScenarioTimeline.validate` knows at one point of its replay.
+
+    ``links`` holds the failed links, offline ASes and gray-failed links,
+    ``grown`` the ASes grown so far.  AS and link names are checked only
+    when a topology is given.
+    """
+
+    topology: Optional[Topology] = None
+    links: LinkState = field(default_factory=LinkState)
+    grown: Set[int] = field(default_factory=set)
+
+    def check_as(self, timed: "TimedEvent", role: str, *as_ids: int) -> None:
+        """Reject an AS that is neither a member nor grown earlier."""
+        if self.topology is None:
+            return
+        for as_id in as_ids:
+            if as_id not in self.topology and as_id not in self.grown:
+                raise ConfigurationError(
+                    f"timeline event {timed.trace_label()!r} {role} "
+                    f"unknown AS {as_id}"
+                )
+
+    def check_link(self, timed: "TimedEvent", link_id: LinkID) -> None:
+        """Reject a link the topology does not have."""
+        if self.topology is not None and link_id not in self.topology.links:
+            raise ConfigurationError(
+                f"timeline event {timed.trace_label()!r} targets "
+                f"unknown link {_format_link(link_id)}"
+            )
+
+
 class ScenarioEvent:
-    """Base class of all timed scenario events (marker + trace contract)."""
+    """Base class of all timed scenario events."""
 
     def trace_label(self) -> str:
         """Return the stable one-line representation used in traces."""
         raise NotImplementedError
+
+    def check(self, timed: "TimedEvent", replay: _Replay) -> None:
+        """Reject this event if it would silently no-op at its time, then
+        record its effect on ``replay``.
+
+        ``timed`` is this event pinned to its time; ``replay`` is the
+        timeline's state just before it.  Raises
+        :class:`ConfigurationError`; the default requires nothing.
+        """
+
+    def affinity(self) -> Tuple[int, ...]:
+        """Return the ASes a sharded run must place on one shard.
+
+        Silent loss is rolled from the transport's seeded RNG on the
+        receiver's shard, so both endpoints of a lossy link share one.
+        """
+        return ()
 
 
 @dataclass(frozen=True)
@@ -69,6 +146,10 @@ class LinkFailure(ScenarioEvent):
     def trace_label(self) -> str:
         return f"fail_link {_format_link(self.link_id)}"
 
+    def check(self, timed: "TimedEvent", replay: _Replay) -> None:
+        replay.check_link(timed, self.link_id)
+        replay.links.fail_link(self.link_id)
+
 
 @dataclass(frozen=True)
 class LinkRecovery(ScenarioEvent):
@@ -86,6 +167,16 @@ class LinkRecovery(ScenarioEvent):
     def trace_label(self) -> str:
         return f"recover_link {_format_link(self.link_id)}"
 
+    def check(self, timed: "TimedEvent", replay: _Replay) -> None:
+        replay.check_link(timed, self.link_id)
+        if replay.links.is_link_up(self.link_id):
+            raise ConfigurationError(
+                f"timeline event {timed.trace_label()!r} recovers a link "
+                "that is not failed at that time — a recovery needs an "
+                "earlier failure of the same link"
+            )
+        replay.links.restore_link(self.link_id)
+
 
 @dataclass(frozen=True)
 class ASLeave(ScenarioEvent):
@@ -102,6 +193,10 @@ class ASLeave(ScenarioEvent):
     def trace_label(self) -> str:
         return f"as_leave {self.as_id}"
 
+    def check(self, timed: "TimedEvent", replay: _Replay) -> None:
+        replay.check_as(timed, "targets", self.as_id)
+        replay.links.set_as_offline(self.as_id)
+
 
 @dataclass(frozen=True)
 class ASJoin(ScenarioEvent):
@@ -111,6 +206,16 @@ class ASJoin(ScenarioEvent):
 
     def trace_label(self) -> str:
         return f"as_join {self.as_id}"
+
+    def check(self, timed: "TimedEvent", replay: _Replay) -> None:
+        replay.check_as(timed, "targets", self.as_id)
+        if replay.links.is_as_up(self.as_id):
+            raise ConfigurationError(
+                f"timeline event {timed.trace_label()!r} rejoins an AS "
+                "that is not offline at that time — a join needs an "
+                "earlier leave of the same AS"
+            )
+        replay.links.set_as_online(self.as_id)
 
 
 @dataclass(frozen=True)
@@ -129,9 +234,15 @@ class PolicySwap(ScenarioEvent):
     as_ids: Optional[Tuple[int, ...]] = None
     label: str = "default"
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "policies", tuple(self.policies))
+        object.__setattr__(self, "as_ids", _targets(self, self.as_ids))
+
     def trace_label(self) -> str:
-        scope = "all" if self.as_ids is None else ",".join(str(a) for a in self.as_ids)
-        return f"policy_swap {self.label} @ {scope}"
+        return f"policy_swap {self.label} @ {_scope(self.as_ids)}"
+
+    def check(self, timed: "TimedEvent", replay: _Replay) -> None:
+        replay.check_as(timed, "targets", *(self.as_ids or ()))
 
 
 @dataclass(frozen=True)
@@ -147,14 +258,19 @@ class RACSwap(ScenarioEvent):
     replace_rac_id: Optional[str] = None
     as_ids: Optional[Tuple[int, ...]] = None
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "as_ids", _targets(self, self.as_ids))
+
     @property
     def target_rac_id(self) -> str:
         """Return the id of the RAC being replaced."""
         return self.replace_rac_id or self.spec.rac_id
 
     def trace_label(self) -> str:
-        scope = "all" if self.as_ids is None else ",".join(str(a) for a in self.as_ids)
-        return f"rac_swap {self.target_rac_id}->{self.spec.rac_id} @ {scope}"
+        return f"rac_swap {self.target_rac_id}->{self.spec.rac_id} @ {_scope(self.as_ids)}"
+
+    def check(self, timed: "TimedEvent", replay: _Replay) -> None:
+        replay.check_as(timed, "targets", *(self.as_ids or ()))
 
 
 @dataclass(frozen=True)
@@ -168,6 +284,7 @@ class BeaconPeriodChange(ScenarioEvent):
     interval_ms: float
 
     def __post_init__(self) -> None:
+        _check_finite("beaconing period", self.interval_ms)
         if self.interval_ms <= 0:
             raise ConfigurationError(
                 f"beaconing period must be positive, got {self.interval_ms}"
@@ -202,11 +319,14 @@ class ServiceRateChange(ScenarioEvent):
             raise ConfigurationError(
                 f"budget_per_tick must be None or >= 1, got {self.budget_per_tick}"
             )
+        object.__setattr__(self, "as_ids", _targets(self, self.as_ids))
 
     def trace_label(self) -> str:
         budget = "inf" if self.budget_per_tick is None else str(self.budget_per_tick)
-        scope = "all" if self.as_ids is None else ",".join(str(a) for a in self.as_ids)
-        return f"service_rate {budget} @ {scope}"
+        return f"service_rate {budget} @ {_scope(self.as_ids)}"
+
+    def check(self, timed: "TimedEvent", replay: _Replay) -> None:
+        replay.check_as(timed, "targets", *(self.as_ids or ()))
 
 
 @dataclass(frozen=True)
@@ -230,10 +350,18 @@ class BeaconFlood(ScenarioEvent):
     def trace_label(self) -> str:
         return f"beacon_flood {self.attacker_as} x{self.bursts}"
 
+    def check(self, timed: "TimedEvent", replay: _Replay) -> None:
+        replay.check_as(timed, "floods from", self.attacker_as)
+
 
 def _check_rate(name: str, rate: float) -> None:
     if not 0.0 <= rate <= 1.0:
         raise ConfigurationError(f"{name} must be within [0, 1], got {rate}")
+
+
+def _endpoints(link_id: LinkID) -> Tuple[int, int]:
+    (as_a, _if_a), (as_b, _if_b) = link_id
+    return (as_a, as_b)
 
 
 @dataclass(frozen=True)
@@ -276,6 +404,7 @@ class LinkFlap(ScenarioEvent):
             )
         previous = -1.0
         for offset in self.schedule:
+            _check_finite("flap schedule offsets", offset)
             if offset < 0.0:
                 raise ConfigurationError(
                     f"flap schedule offsets must be non-negative, got {offset}"
@@ -287,10 +416,12 @@ class LinkFlap(ScenarioEvent):
             previous = offset
         _check_rate("loss_ab", self.loss_ab)
         _check_rate("loss_ba", self.loss_ba)
-        if self.duration_ms is not None and self.duration_ms <= 0.0:
-            raise ConfigurationError(
-                f"flap duration_ms must be positive, got {self.duration_ms}"
-            )
+        if self.duration_ms is not None:
+            _check_finite("flap duration_ms", self.duration_ms)
+            if self.duration_ms <= 0.0:
+                raise ConfigurationError(
+                    f"flap duration_ms must be positive, got {self.duration_ms}"
+                )
 
     @property
     def ends_down(self) -> bool:
@@ -302,6 +433,18 @@ class LinkFlap(ScenarioEvent):
             f"flap_link {_format_link(self.link_id)} x{len(self.schedule)} "
             f"loss={self.loss_ab:.2f}/{self.loss_ba:.2f}"
         )
+
+    def check(self, timed: "TimedEvent", replay: _Replay) -> None:
+        replay.check_link(timed, self.link_id)
+        # Net effect only: sub-toggle interleaving with other events is
+        # not modelled here.
+        if self.ends_down:
+            replay.links.fail_link(self.link_id)
+        else:
+            replay.links.restore_link(self.link_id)
+
+    def affinity(self) -> Tuple[int, ...]:
+        return _endpoints(self.link_id) if self.loss_ab or self.loss_ba else ()
 
 
 @dataclass(frozen=True)
@@ -328,6 +471,13 @@ class GrayFailure(ScenarioEvent):
     def trace_label(self) -> str:
         return f"gray_fail {_format_link(self.link_id)} rate={self.drop_rate:.2f}"
 
+    def check(self, timed: "TimedEvent", replay: _Replay) -> None:
+        replay.check_link(timed, self.link_id)
+        replay.links.set_gray(self.link_id, self.drop_rate)
+
+    def affinity(self) -> Tuple[int, ...]:
+        return _endpoints(self.link_id)
+
 
 @dataclass(frozen=True)
 class GrayRecovery(ScenarioEvent):
@@ -340,6 +490,16 @@ class GrayRecovery(ScenarioEvent):
 
     def trace_label(self) -> str:
         return f"gray_recover {_format_link(self.link_id)}"
+
+    def check(self, timed: "TimedEvent", replay: _Replay) -> None:
+        replay.check_link(timed, self.link_id)
+        if self.link_id not in replay.links.gray_links:
+            raise ConfigurationError(
+                f"timeline event {timed.trace_label()!r} clears a gray "
+                "failure that is not active at that time — a gray "
+                "recovery needs an earlier gray failure of the same link"
+            )
+        replay.links.clear_gray(self.link_id)
 
 
 @dataclass(frozen=True)
@@ -382,6 +542,11 @@ class RevocationForgery(ScenarioEvent):
             f"link {_format_link(self.link_id)} x{self.count}"
         )
 
+    def check(self, timed: "TimedEvent", replay: _Replay) -> None:
+        replay.check_as(timed, "forges from", self.attacker_as)
+        replay.check_as(timed, "claims origin of", self.claimed_origin)
+        replay.check_link(timed, self.link_id)
+
 
 @dataclass(frozen=True)
 class RevocationReplay(ScenarioEvent):
@@ -405,6 +570,9 @@ class RevocationReplay(ScenarioEvent):
     def trace_label(self) -> str:
         return f"replay_revocations {self.attacker_as} x{self.count}"
 
+    def check(self, timed: "TimedEvent", replay: _Replay) -> None:
+        replay.check_as(timed, "replays from", self.attacker_as)
+
 
 @dataclass(frozen=True)
 class ForwardingSuppression(ScenarioEvent):
@@ -426,8 +594,10 @@ class ForwardingSuppression(ScenarioEvent):
 
     def trace_label(self) -> str:
         mode = "on" if self.suppress else "off"
-        scope = ",".join(str(a) for a in self.as_ids)
-        return f"suppress_forwarding {mode} @ {scope}"
+        return f"suppress_forwarding {mode} @ {_scope(self.as_ids)}"
+
+    def check(self, timed: "TimedEvent", replay: _Replay) -> None:
+        replay.check_as(timed, "suppresses at", *self.as_ids)
 
 
 @dataclass(frozen=True)
@@ -461,6 +631,8 @@ class TopologyGrowth(ScenarioEvent):
             raise ConfigurationError(
                 f"new AS {self.new_as} cannot attach to itself"
             )
+        _check_finite("latency_ms", self.latency_ms)
+        _check_finite("bandwidth_mbps", self.bandwidth_mbps)
         if self.latency_ms < 0.0:
             raise ConfigurationError(
                 f"latency_ms must be non-negative, got {self.latency_ms}"
@@ -471,8 +643,18 @@ class TopologyGrowth(ScenarioEvent):
             )
 
     def trace_label(self) -> str:
-        scope = ",".join(str(a) for a in self.attach_to)
-        return f"grow_as {self.new_as} attach={scope}"
+        return f"grow_as {self.new_as} attach={_scope(self.attach_to)}"
+
+    def check(self, timed: "TimedEvent", replay: _Replay) -> None:
+        if (replay.topology is not None and self.new_as in replay.topology) or (
+            self.new_as in replay.grown
+        ):
+            raise ConfigurationError(
+                f"timeline event {timed.trace_label()!r} grows an AS "
+                f"that already exists — growth must introduce a new AS"
+            )
+        replay.check_as(timed, "attaches to", *self.attach_to)
+        replay.grown.add(self.new_as)
 
 
 @dataclass(frozen=True)
@@ -483,6 +665,7 @@ class TimedEvent:
     event: ScenarioEvent
 
     def __post_init__(self) -> None:
+        _check_finite("event time", self.time_ms)
         if self.time_ms < 0:
             raise ConfigurationError(f"event time must be non-negative, got {self.time_ms}")
 
@@ -493,7 +676,7 @@ class TimedEvent:
 
 @dataclass
 class ScenarioTimeline:
-    """An ordered collection of timed events with a chaining builder DSL.
+    """An ordered collection of timed events.
 
     Events are kept in insertion order; the beaconing driver schedules them
     on its discrete-event scheduler, which orders them by time with FIFO
@@ -502,14 +685,10 @@ class ScenarioTimeline:
     Example::
 
         timeline = ScenarioTimeline()
-        timeline.at(minutes(15)).fail_link(link).at(minutes(35)).recover_link(link)
+        timeline.add(minutes(15), LinkFailure(link)).add(minutes(35), LinkRecovery(link))
     """
 
     _events: List[TimedEvent] = field(default_factory=list)
-
-    def at(self, time_ms: float) -> "TimelineCursor":
-        """Return a cursor adding events at absolute time ``time_ms``."""
-        return TimelineCursor(timeline=self, time_ms=time_ms)
 
     def add(self, time_ms: float, event: ScenarioEvent) -> "ScenarioTimeline":
         """Append one event at ``time_ms``; return the timeline (chainable)."""
@@ -533,127 +712,22 @@ class ScenarioTimeline:
         """Reject schedules that would silently no-op when executed.
 
         Replays the timeline in execution order (time, then insertion
-        order — exactly how the scheduler fires it) and raises
-        :class:`ConfigurationError` for a :class:`LinkRecovery` of a link
-        that is not failed at that point, or an :class:`ASJoin` of an AS
-        that is not offline.  Both were previously silent no-ops
-        (``LinkState`` discards unknown keys), which hid scheduling
-        mistakes like a recovery firing before its failure or a mistyped
-        link id.  Negative event times are already rejected at
-        :class:`TimedEvent` construction, non-positive
-        :class:`ServiceRateChange` budgets at event construction.
-
-        When ``topology`` is given, every AS an event names must be a
-        member AS or one grown earlier in the timeline — churn, swaps,
-        rate limits or floods aimed at an unknown AS would otherwise
-        silently do nothing — and every link a failure or recovery names
-        must be a topology link.  The adversarial family is held to the
-        same bar:
-        :class:`LinkFlap`/:class:`GrayFailure`/:class:`GrayRecovery` must
-        name known links, :class:`RevocationForgery`/:class:`RevocationReplay`
-        attackers and :class:`ForwardingSuppression` targets must be known
-        ASes, a :class:`GrayRecovery` needs an earlier gray failure, and a
-        :class:`TopologyGrowth` must introduce a genuinely new AS attached
-        to existing (or earlier-grown) ones.  Flap schedules with negative
-        or non-monotonic offsets are rejected even earlier, at
-        :class:`LinkFlap` construction.
+        order — exactly how the scheduler fires it) and lets every event
+        :meth:`~ScenarioEvent.check` itself against the state before it:
+        a recovery needs an earlier failure of the same link, a join an
+        earlier leave, a gray recovery an earlier gray failure, and growth
+        a genuinely new AS.  When ``topology`` is given, every AS an event
+        names must be a member AS or one grown earlier in the timeline,
+        and every link it names must be a topology link.  Malformed field
+        values are rejected even earlier, at event construction.
 
         The beaconing driver calls this (with its topology) before
         scheduling the timeline; call it directly to check a hand-built
-        timeline early.
+        timeline early.  Raises :class:`ConfigurationError`.
         """
-        failed: set = set()
-        offline: set = set()
-        gray: set = set()
-        grown: set = set()
-
-        def check_as(timed: TimedEvent, as_id: int, role: str) -> None:
-            if topology is not None and as_id not in topology and as_id not in grown:
-                raise ConfigurationError(
-                    f"timeline event {timed.trace_label()!r} {role} "
-                    f"unknown AS {as_id}"
-                )
-
-        def check_link(timed: TimedEvent, link_id: LinkID) -> None:
-            if topology is not None and link_id not in topology.links:
-                raise ConfigurationError(
-                    f"timeline event {timed.trace_label()!r} targets "
-                    f"unknown link {_format_link(link_id)}"
-                )
-
-        ordered = sorted(self._events, key=lambda timed: timed.time_ms)
-        for timed in ordered:
-            event = timed.event
-            if isinstance(event, LinkFailure):
-                check_link(timed, event.link_id)
-                failed.add(event.link_id)
-            elif isinstance(event, LinkRecovery):
-                check_link(timed, event.link_id)
-                if event.link_id not in failed:
-                    raise ConfigurationError(
-                        f"timeline event {timed.trace_label()!r} recovers a link "
-                        "that is not failed at that time — a recovery needs an "
-                        "earlier failure of the same link"
-                    )
-                failed.discard(event.link_id)
-            elif isinstance(event, ASLeave):
-                check_as(timed, event.as_id, "targets")
-                offline.add(event.as_id)
-            elif isinstance(event, ASJoin):
-                check_as(timed, event.as_id, "targets")
-                if event.as_id not in offline:
-                    raise ConfigurationError(
-                        f"timeline event {timed.trace_label()!r} rejoins an AS "
-                        "that is not offline at that time — a join needs an "
-                        "earlier leave of the same AS"
-                    )
-                offline.discard(event.as_id)
-            elif isinstance(event, (ServiceRateChange, PolicySwap, RACSwap)):
-                for as_id in event.as_ids or ():
-                    check_as(timed, as_id, "targets")
-            elif isinstance(event, BeaconFlood):
-                check_as(timed, event.attacker_as, "floods from")
-            elif isinstance(event, LinkFlap):
-                check_link(timed, event.link_id)
-                # Net effect on the replayed link state: an odd-length
-                # schedule leaves the link failed.  Sub-toggle interleaving
-                # with other events is not modelled here.
-                if event.ends_down:
-                    failed.add(event.link_id)
-                else:
-                    failed.discard(event.link_id)
-            elif isinstance(event, GrayFailure):
-                check_link(timed, event.link_id)
-                gray.add(event.link_id)
-            elif isinstance(event, GrayRecovery):
-                check_link(timed, event.link_id)
-                if event.link_id not in gray:
-                    raise ConfigurationError(
-                        f"timeline event {timed.trace_label()!r} clears a gray "
-                        "failure that is not active at that time — a gray "
-                        "recovery needs an earlier gray failure of the same link"
-                    )
-                gray.discard(event.link_id)
-            elif isinstance(event, RevocationForgery):
-                check_as(timed, event.attacker_as, "forges from")
-                check_as(timed, event.claimed_origin, "claims origin of")
-                check_link(timed, event.link_id)
-            elif isinstance(event, RevocationReplay):
-                check_as(timed, event.attacker_as, "replays from")
-            elif isinstance(event, ForwardingSuppression):
-                for as_id in event.as_ids:
-                    check_as(timed, as_id, "suppresses at")
-            elif isinstance(event, TopologyGrowth):
-                if (topology is not None and event.new_as in topology) or (
-                    event.new_as in grown
-                ):
-                    raise ConfigurationError(
-                        f"timeline event {timed.trace_label()!r} grows an AS "
-                        f"that already exists — growth must introduce a new AS"
-                    )
-                for as_id in event.attach_to:
-                    check_as(timed, as_id, "attaches to")
-                grown.add(event.new_as)
+        replay = _Replay(topology)
+        for timed in sorted(self._events, key=lambda timed: timed.time_ms):
+            timed.event.check(timed, replay)
 
     def __len__(self) -> int:
         return len(self._events)
@@ -662,173 +736,29 @@ class ScenarioTimeline:
         return iter(self._events)
 
 
-@dataclass
-class TimelineCursor:
-    """Builder cursor of :class:`ScenarioTimeline` pinned to one time."""
-
-    timeline: ScenarioTimeline
-    time_ms: float
-
-    def at(self, time_ms: float) -> "TimelineCursor":
-        """Move the cursor to a different absolute time."""
-        return TimelineCursor(timeline=self.timeline, time_ms=time_ms)
-
-    def _add(self, event: ScenarioEvent) -> "TimelineCursor":
-        self.timeline.add(self.time_ms, event)
-        return self
-
-    def fail_link(self, link_id: LinkID) -> "TimelineCursor":
-        """Fail an inter-domain link."""
-        return self._add(LinkFailure(link_id=link_id))
-
-    def recover_link(self, link_id: LinkID) -> "TimelineCursor":
-        """Recover a previously failed link."""
-        return self._add(LinkRecovery(link_id=link_id))
-
-    def as_leave(self, as_id: int) -> "TimelineCursor":
-        """Remove an AS from the network (churn)."""
-        return self._add(ASLeave(as_id=as_id))
-
-    def as_join(self, as_id: int) -> "TimelineCursor":
-        """Bring a previously departed AS back."""
-        return self._add(ASJoin(as_id=as_id))
-
-    def swap_policies(
-        self,
-        policies: Sequence,
-        as_ids: Optional[Sequence[int]] = None,
-        label: str = "default",
-    ) -> "TimelineCursor":
-        """Replace admission policies at ``as_ids`` (default: everywhere)."""
-        return self._add(
-            PolicySwap(
-                policies=tuple(policies),
-                as_ids=tuple(as_ids) if as_ids is not None else None,
-                label=label,
-            )
-        )
-
-    def swap_rac(
-        self,
-        spec: "AlgorithmSpec",
-        replace_rac_id: Optional[str] = None,
-        as_ids: Optional[Sequence[int]] = None,
-    ) -> "TimelineCursor":
-        """Hot-swap a RAC at ``as_ids`` (default: every IREC AS)."""
-        return self._add(
-            RACSwap(
-                spec=spec,
-                replace_rac_id=replace_rac_id,
-                as_ids=tuple(as_ids) if as_ids is not None else None,
-            )
-        )
-
-    def set_beacon_period(self, interval_ms: float) -> "TimelineCursor":
-        """Change the beaconing period for subsequent periods."""
-        return self._add(BeaconPeriodChange(interval_ms=interval_ms))
-
-    def set_service_rate(
-        self,
-        budget_per_tick: Optional[int],
-        as_ids: Optional[Sequence[int]] = None,
-    ) -> "TimelineCursor":
-        """Change the inbox service budget at ``as_ids`` (default: all)."""
-        return self._add(
-            ServiceRateChange(
-                budget_per_tick=budget_per_tick,
-                as_ids=tuple(as_ids) if as_ids is not None else None,
-            )
-        )
-
-    def flood_beacons(self, attacker_as: int, bursts: int = 10) -> "TimelineCursor":
-        """Flood ``bursts`` extra origination rounds from ``attacker_as``."""
-        return self._add(BeaconFlood(attacker_as=attacker_as, bursts=bursts))
-
-    def slow_as(self, as_id: int, budget_per_tick: int = 1) -> "TimelineCursor":
-        """Turn one AS into a straggler with a tiny service budget."""
-        return self._add(
-            ServiceRateChange(budget_per_tick=budget_per_tick, as_ids=(as_id,))
-        )
-
-    def flap_link(
-        self,
-        link_id: LinkID,
-        schedule: Sequence[float] = (),
-        loss_ab: float = 0.0,
-        loss_ba: float = 0.0,
-        duration_ms: Optional[float] = None,
-    ) -> "TimelineCursor":
-        """Flap a link on a toggle schedule with per-direction loss."""
-        return self._add(
-            LinkFlap(
-                link_id=link_id,
-                schedule=tuple(schedule),
-                loss_ab=loss_ab,
-                loss_ba=loss_ba,
-                duration_ms=duration_ms,
-            )
-        )
-
-    def gray_fail(self, link_id: LinkID, drop_rate: float = 1.0) -> "TimelineCursor":
-        """Silently gray-fail a link (no revocations ever originate)."""
-        return self._add(GrayFailure(link_id=link_id, drop_rate=drop_rate))
-
-    def gray_recover(self, link_id: LinkID) -> "TimelineCursor":
-        """Silently clear a gray failure."""
-        return self._add(GrayRecovery(link_id=link_id))
-
-    def forge_revocation(
-        self,
-        attacker_as: int,
-        claimed_origin: int,
-        link_id: LinkID,
-        count: int = 1,
-    ) -> "TimelineCursor":
-        """Flood forged revocations claiming another AS as origin."""
-        return self._add(
-            RevocationForgery(
-                attacker_as=attacker_as,
-                claimed_origin=claimed_origin,
-                link_id=link_id,
-                count=count,
-            )
-        )
-
-    def replay_revocations(self, attacker_as: int, count: int = 1) -> "TimelineCursor":
-        """Re-flood already-processed revocations from ``attacker_as``."""
-        return self._add(RevocationReplay(attacker_as=attacker_as, count=count))
-
-    def suppress_forwarding(
-        self, as_ids: Sequence[int], suppress: bool = True
-    ) -> "TimelineCursor":
-        """Make ``as_ids`` swallow revocation floods instead of re-forwarding."""
-        return self._add(
-            ForwardingSuppression(as_ids=tuple(as_ids), suppress=suppress)
-        )
-
-    def grow_as(
-        self,
-        new_as: int,
-        attach_to: Sequence[int],
-        latency_ms: float = 10.0,
-        bandwidth_mbps: float = 1000.0,
-        location: Tuple[float, float] = (0.0, 0.0),
-    ) -> "TimelineCursor":
-        """Grow the topology: a brand-new AS attaches to existing ones."""
-        return self._add(
-            TopologyGrowth(
-                new_as=new_as,
-                attach_to=tuple(attach_to),
-                latency_ms=latency_ms,
-                bandwidth_mbps=bandwidth_mbps,
-                location=location,
-            )
-        )
-
-
 # ----------------------------------------------------------------------
 # seeded random event generators
 # ----------------------------------------------------------------------
+def _draw_links(
+    topology: Topology,
+    count: int,
+    rng: random.Random,
+    candidates: Optional[Sequence[LinkID]],
+) -> List[LinkID]:
+    """Draw ``count`` distinct links from ``candidates`` (default: every link).
+
+    The pool is sorted before the draw, so a seeded ``rng`` makes it
+    reproducible.
+    """
+    if count < 0:
+        raise ConfigurationError(f"count must be non-negative, got {count}")
+    if candidates is not None:
+        pool = sorted(normalize_link_id(*link) for link in candidates)
+    else:
+        pool = list(topology.link_ids())
+    return rng.sample(pool, k=min(count, len(pool)))
+
+
 def random_link_failures(
     topology: Topology,
     count: int,
@@ -847,15 +777,8 @@ def random_link_failures(
     reproducible; restrict ``candidates`` (e.g. to the links of one AS) to
     aim the failures.
     """
-    if count < 0:
-        raise ConfigurationError(f"count must be non-negative, got {count}")
-    if candidates is not None:
-        pool = sorted(normalize_link_id(*link) for link in candidates)
-    else:
-        pool = list(topology.link_ids())
-    chosen = rng.sample(pool, k=min(count, len(pool)))
     events: List[TimedEvent] = []
-    for index, link in enumerate(chosen):
+    for index, link in enumerate(_draw_links(topology, count, rng, candidates)):
         fail_at = start_ms + index * spacing_ms
         events.append(TimedEvent(time_ms=fail_at, event=LinkFailure(link_id=link)))
         if recovery_after_ms is not None:
@@ -866,86 +789,6 @@ def random_link_failures(
                 )
             )
     return events
-
-
-def revocation_storm(
-    topology: Topology,
-    count: int,
-    rng: random.Random,
-    at_ms: float,
-    recovery_after_ms: Optional[float] = None,
-    candidates: Optional[Sequence[LinkID]] = None,
-) -> List[TimedEvent]:
-    """Generate a revocation storm: ``count`` links fail *simultaneously*.
-
-    Every failure fires at the same ``at_ms``, so the driver's
-    per-originator aggregation batches co-owned failures into
-    multi-element revocations and every inbox sees the storm as one
-    burst.  With bounded inboxes the burst exceeds per-tick budgets and
-    withdrawal times spread out load-dependently; with the unlimited
-    default the storm converges within the tick.
-    """
-    return random_link_failures(
-        topology,
-        count,
-        rng,
-        start_ms=at_ms,
-        spacing_ms=0.0,
-        recovery_after_ms=recovery_after_ms,
-        candidates=candidates,
-    )
-
-
-def slow_as_stragglers(
-    as_ids: Sequence[int],
-    budget_per_tick: int,
-    start_ms: float,
-    duration_ms: Optional[float] = None,
-) -> List[TimedEvent]:
-    """Generate straggler events: the given ASes slow to a tiny budget.
-
-    Each AS's inbox budget drops to ``budget_per_tick`` at ``start_ms``;
-    when ``duration_ms`` is given the unlimited default is restored that
-    much later (the accumulated backlog then drains promptly).
-    """
-    targets = tuple(int(a) for a in as_ids)
-    events: List[TimedEvent] = [
-        TimedEvent(
-            time_ms=start_ms,
-            event=ServiceRateChange(budget_per_tick=budget_per_tick, as_ids=targets),
-        )
-    ]
-    if duration_ms is not None:
-        events.append(
-            TimedEvent(
-                time_ms=start_ms + duration_ms,
-                event=ServiceRateChange(budget_per_tick=None, as_ids=targets),
-            )
-        )
-    return events
-
-
-def beacon_flood_dos(
-    attacker_as: int,
-    start_ms: float,
-    bursts: int = 10,
-    waves: int = 1,
-    spacing_ms: float = 0.0,
-) -> List[TimedEvent]:
-    """Generate a beacon-flood DoS: ``waves`` bursts from one attacker.
-
-    Each wave fires ``bursts`` extra origination rounds; waves are spaced
-    ``spacing_ms`` apart (0 collapses them into one same-time volley).
-    """
-    if waves < 1:
-        raise ConfigurationError(f"waves must be >= 1, got {waves}")
-    return [
-        TimedEvent(
-            time_ms=start_ms + index * spacing_ms,
-            event=BeaconFlood(attacker_as=attacker_as, bursts=bursts),
-        )
-        for index in range(waves)
-    ]
 
 
 def random_churn(
@@ -1003,17 +846,10 @@ def flapping_links(
     even number of toggles — the link always ends up.  ``loss_rate`` is
     applied symmetrically in both directions while the flap is active.
     """
-    if count < 0:
-        raise ConfigurationError(f"count must be non-negative, got {count}")
     if cycles < 1:
         raise ConfigurationError(f"cycles must be >= 1, got {cycles}")
-    if candidates is not None:
-        pool = sorted(normalize_link_id(*link) for link in candidates)
-    else:
-        pool = list(topology.link_ids())
-    chosen = rng.sample(pool, k=min(count, len(pool)))
     events: List[TimedEvent] = []
-    for link in chosen:
+    for link in _draw_links(topology, count, rng, candidates):
         schedule: List[float] = []
         offset = 0.0
         for _cycle in range(cycles):
@@ -1049,15 +885,8 @@ def gray_failures(
     No revocation ever originates for these links; the control plane
     stays blind and only end-host delivery quality degrades.
     """
-    if count < 0:
-        raise ConfigurationError(f"count must be non-negative, got {count}")
-    if candidates is not None:
-        pool = sorted(normalize_link_id(*link) for link in candidates)
-    else:
-        pool = list(topology.link_ids())
-    chosen = rng.sample(pool, k=min(count, len(pool)))
     events: List[TimedEvent] = []
-    for link in chosen:
+    for link in _draw_links(topology, count, rng, candidates):
         events.append(
             TimedEvent(time_ms=at_ms, event=GrayFailure(link_id=link, drop_rate=drop_rate))
         )

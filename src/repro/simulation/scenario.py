@@ -23,7 +23,7 @@ from repro.core.interface_groups import (
 )
 from repro.core.revocation import DEFAULT_DEDUP_WINDOW_MS
 from repro.exceptions import ConfigurationError
-from repro.simulation.events import ScenarioTimeline, TimelineCursor
+from repro.simulation.events import ScenarioTimeline
 from repro.simulation.network import InboxProfile
 from repro.units import minutes
 
@@ -137,15 +137,6 @@ class ScenarioConfig:
             raise ConfigurationError(
                 f"inbox_batch_size must be None or >= 1, got {self.inbox_batch_size}"
             )
-
-    def at(self, time_ms: float) -> TimelineCursor:
-        """Add dynamic events at ``time_ms`` via the timeline builder DSL.
-
-        Example::
-
-            scenario.at(minutes(15)).fail_link(link).at(minutes(35)).recover_link(link)
-        """
-        return self.timeline.at(time_ms)
 
 
 # ----------------------------------------------------------------------

@@ -56,7 +56,7 @@ from repro.dataplane.endhost import EndHost, PathPolicy
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.simulation.beaconing import BeaconingSimulation
 from repro.simulation.engine import EventScheduler
-from repro.simulation.events import ASJoin, ASLeave, LinkFailure, LinkRecovery, ScenarioEvent
+from repro.simulation.events import ASLeave, ScenarioEvent
 from repro.simulation.failures import LinkState
 from repro.topology.graph import Topology
 from repro.traffic.collector import RoundSample, TrafficCollector
@@ -296,8 +296,6 @@ class TrafficEngine:
         """
         if isinstance(event, ASLeave):
             self._break_endpoint_groups(event.as_id, event, now_ms)
-        elif isinstance(event, (LinkFailure, LinkRecovery, ASJoin)):
-            return
         # Policy/RAC swaps and period changes do not invalidate forwarding
         # state; withdrawn paths surface at the next round's revalidation.
 

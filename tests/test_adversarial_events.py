@@ -18,6 +18,7 @@ from repro.simulation.events import (
     ForwardingSuppression,
     GrayFailure,
     GrayRecovery,
+    LinkFailure,
     LinkFlap,
     RevocationForgery,
     RevocationReplay,
@@ -25,7 +26,6 @@ from repro.simulation.events import (
     TopologyGrowth,
     byzantine_attack,
     flapping_links,
-    gray_failures,
     growth_churn,
 )
 from repro.simulation.failures import LinkState
@@ -101,59 +101,59 @@ class TestTimelineValidation:
     def test_flap_of_unknown_link_rejected(self):
         topology = line_topology(3)
         scenario = don_scenario(periods=2)
-        scenario.at(minutes(5)).flap_link(((8, 1), (9, 1)), schedule=(0.0, 10.0))
+        scenario.timeline.add(minutes(5), LinkFlap(((8, 1), (9, 1)), schedule=(0.0, 10.0)))
         with pytest.raises(ConfigurationError):
             scenario.timeline.validate(topology)
 
     def test_gray_failure_of_unknown_link_rejected(self):
         topology = line_topology(3)
         timeline = ScenarioTimeline()
-        timeline.at(minutes(5)).gray_fail(((8, 1), (9, 1)))
+        timeline.add(minutes(5), GrayFailure(((8, 1), (9, 1))))
         with pytest.raises(ConfigurationError):
             timeline.validate(topology)
 
     def test_gray_recovery_needs_earlier_gray_failure(self):
         topology = line_topology(3)
         timeline = ScenarioTimeline()
-        timeline.at(minutes(5)).gray_recover(_link(topology, 0))
+        timeline.add(minutes(5), GrayRecovery(_link(topology, 0)))
         with pytest.raises(ConfigurationError):
             timeline.validate(topology)
         fixed = ScenarioTimeline()
-        fixed.at(minutes(2)).gray_fail(_link(topology, 0))
-        fixed.at(minutes(5)).gray_recover(_link(topology, 0))
+        fixed.add(minutes(2), GrayFailure(_link(topology, 0)))
+        fixed.add(minutes(5), GrayRecovery(_link(topology, 0)))
         fixed.validate(topology)
 
     def test_forgery_from_unknown_attacker_rejected(self):
         topology = line_topology(3)
         timeline = ScenarioTimeline()
-        timeline.at(minutes(5)).forge_revocation(
+        timeline.add(minutes(5), RevocationForgery(
             attacker_as=99, claimed_origin=1, link_id=_link(topology, 0)
-        )
+        ))
         with pytest.raises(ConfigurationError):
             timeline.validate(topology)
 
     def test_replay_and_suppression_targets_must_exist(self):
         topology = line_topology(3)
         timeline = ScenarioTimeline()
-        timeline.at(minutes(5)).replay_revocations(attacker_as=99)
+        timeline.add(minutes(5), RevocationReplay(attacker_as=99))
         with pytest.raises(ConfigurationError):
             timeline.validate(topology)
         timeline = ScenarioTimeline()
-        timeline.at(minutes(5)).suppress_forwarding((2, 99))
+        timeline.add(minutes(5), ForwardingSuppression((2, 99)))
         with pytest.raises(ConfigurationError):
             timeline.validate(topology)
 
     def test_growth_of_existing_as_rejected(self):
         topology = line_topology(3)
         timeline = ScenarioTimeline()
-        timeline.at(minutes(5)).grow_as(2, attach_to=(1,))
+        timeline.add(minutes(5), TopologyGrowth(2, attach_to=(1,)))
         with pytest.raises(ConfigurationError):
             timeline.validate(topology)
 
     def test_growth_attached_to_unknown_as_rejected(self):
         topology = line_topology(3)
         timeline = ScenarioTimeline()
-        timeline.at(minutes(5)).grow_as(9, attach_to=(42,))
+        timeline.add(minutes(5), TopologyGrowth(9, attach_to=(42,)))
         with pytest.raises(ConfigurationError):
             timeline.validate(topology)
 
@@ -161,8 +161,8 @@ class TestTimelineValidation:
         """Events may target an AS that earlier growth introduces."""
         topology = line_topology(3)
         timeline = ScenarioTimeline()
-        timeline.at(minutes(5)).grow_as(9, attach_to=(2, 3))
-        timeline.at(minutes(10)).suppress_forwarding((9,))
+        timeline.add(minutes(5), TopologyGrowth(9, attach_to=(2, 3)))
+        timeline.add(minutes(10), ForwardingSuppression((9,)))
         timeline.validate(topology)
 
 
@@ -173,7 +173,7 @@ class TestGrayFailureBehaviour:
         scenario = don_scenario(periods=4)
         scenario.loss_seed = 5
         link = _link(topology, 1)  # the 2-3 link
-        scenario.at(minutes(15)).gray_fail(link, drop_rate=1.0)
+        scenario.timeline.add(minutes(15), GrayFailure(link, drop_rate=1.0))
 
         result = _run(topology, scenario, pairs=[(4, 1)])
 
@@ -194,8 +194,8 @@ class TestGrayFailureBehaviour:
         scenario = don_scenario(periods=4)
         scenario.loss_seed = 5
         link = _link(topology, 0)
-        scenario.at(minutes(12)).gray_fail(link, drop_rate=1.0)
-        scenario.at(minutes(18)).gray_recover(link)
+        scenario.timeline.add(minutes(12), GrayFailure(link, drop_rate=1.0))
+        scenario.timeline.add(minutes(18), GrayRecovery(link))
 
         result = _run(topology, scenario)
 
@@ -210,7 +210,7 @@ class TestGrayFailureBehaviour:
             topology = line_topology(3)
             scenario = don_scenario(periods=4)
             scenario.loss_seed = 77
-            scenario.at(minutes(12)).gray_fail(_link(topology, 0), drop_rate=0.5)
+            scenario.timeline.add(minutes(12), GrayFailure(_link(topology, 0), drop_rate=0.5))
             result = _run(topology, scenario)
             counts.append(result.collector.gray_dropped_total())
         assert counts[0] == counts[1]
@@ -223,9 +223,9 @@ class TestLinkFlapBehaviour:
         topology = line_topology(4)
         scenario = don_scenario(periods=5)
         link = _link(topology, 1)
-        scenario.at(minutes(15)).flap_link(
+        scenario.timeline.add(minutes(15), LinkFlap(
             link, schedule=(0.0, minutes(5), minutes(10), minutes(15))
-        )
+        ))
 
         result = _run(topology, scenario, pairs=[(4, 1)])
 
@@ -240,10 +240,10 @@ class TestLinkFlapBehaviour:
         link = _link(topology, 0)
         # Up during [17, 23] min with loss active: the period boundary at
         # minute 20 sends PCBs into the loss dice.
-        scenario.at(minutes(15)).flap_link(
+        scenario.timeline.add(minutes(15), LinkFlap(
             link, schedule=(0.0, minutes(2), minutes(8), minutes(10)),
             loss_ab=1.0, loss_ba=1.0,
-        )
+        ))
 
         result = _run(topology, scenario)
 
@@ -264,9 +264,9 @@ class TestByzantineRevocations:
         """Counter-pinned acceptance: every forged copy dies rejected_invalid."""
         topology = line_topology(4)
         scenario = don_scenario(periods=4, verify_signatures=True)
-        scenario.at(minutes(15)).forge_revocation(
+        scenario.timeline.add(minutes(15), RevocationForgery(
             attacker_as=4, claimed_origin=1, link_id=_link(topology, 0), count=2
-        )
+        ))
 
         result = _run(topology, scenario, pairs=[(4, 1)])
 
@@ -284,9 +284,9 @@ class TestByzantineRevocations:
         """The scenario knob: what signature checking actually buys."""
         topology = line_topology(4)
         scenario = don_scenario(periods=4, verify_signatures=False)
-        scenario.at(minutes(15)).forge_revocation(
+        scenario.timeline.add(minutes(15), RevocationForgery(
             attacker_as=4, claimed_origin=1, link_id=_link(topology, 0), count=1
-        )
+        ))
 
         result = _run(topology, scenario)
 
@@ -301,11 +301,11 @@ class TestByzantineRevocations:
 
         def run(replays):
             scenario = don_scenario(periods=5, verify_signatures=True)
-            scenario.at(minutes(15)).fail_link(link)
+            scenario.timeline.add(minutes(15), LinkFailure(link))
             if replays:
-                scenario.at(minutes(16)).replay_revocations(
+                scenario.timeline.add(minutes(16), RevocationReplay(
                     attacker_as=4, count=replays
-                )
+                ))
             return _run(line_topology(4), scenario)
 
         baseline = run(replays=0)
@@ -320,8 +320,8 @@ class TestByzantineRevocations:
         """ASes behind a suppressor never hear about the failure."""
         topology = line_topology(5)
         scenario = don_scenario(periods=5)
-        scenario.at(minutes(5)).suppress_forwarding((3,))
-        scenario.at(minutes(15)).fail_link(_link(topology, 0))  # the 1-2 link
+        scenario.timeline.add(minutes(5), ForwardingSuppression((3,)))
+        scenario.timeline.add(minutes(15), LinkFailure(_link(topology, 0)))  # the 1-2 link
 
         result = _run(topology, scenario)
 
@@ -334,9 +334,9 @@ class TestByzantineRevocations:
     def test_suppression_can_be_lifted(self):
         topology = line_topology(5)
         scenario = don_scenario(periods=6)
-        scenario.at(minutes(5)).suppress_forwarding((3,))
-        scenario.at(minutes(10)).suppress_forwarding((3,), suppress=False)
-        scenario.at(minutes(15)).fail_link(_link(topology, 0))
+        scenario.timeline.add(minutes(5), ForwardingSuppression((3,)))
+        scenario.timeline.add(minutes(10), ForwardingSuppression((3,), suppress=False))
+        scenario.timeline.add(minutes(15), LinkFailure(_link(topology, 0)))
 
         result = _run(topology, scenario)
 
@@ -360,7 +360,7 @@ class TestTopologyGrowth:
     def test_grown_as_becomes_a_live_participant(self):
         topology = line_topology(3)
         scenario = don_scenario(periods=5)
-        scenario.at(minutes(15)).grow_as(9, attach_to=(2, 3))
+        scenario.timeline.add(minutes(15), TopologyGrowth(9, attach_to=(2, 3)))
 
         result = _run(topology, scenario, pairs=[(3, 1)])
 
@@ -379,7 +379,7 @@ class TestTopologyGrowth:
     def test_neighbors_learn_the_new_interface(self):
         topology = line_topology(3)
         scenario = don_scenario(periods=5)
-        scenario.at(minutes(15)).grow_as(9, attach_to=(2,))
+        scenario.timeline.add(minutes(15), TopologyGrowth(9, attach_to=(2,)))
 
         result = _run(topology, scenario)
 
@@ -401,7 +401,7 @@ class TestTopologyGrowth:
         topology = line_topology(5)
         scenario = don_scenario(periods=5)
         scenario.legacy_ases = legacy_ases
-        scenario.at(minutes(15)).grow_as(6, attach_to=(3, 5))
+        scenario.timeline.add(minutes(15), TopologyGrowth(6, attach_to=(3, 5)))
 
         result = _run(topology, scenario)
 
@@ -426,7 +426,7 @@ class TestTopologyGrowth:
         """The driver's own scheduling check mirrors timeline validation."""
         topology = line_topology(3)
         scenario = don_scenario(periods=2)
-        scenario.timeline.at(minutes(5)).replay_revocations(attacker_as=77)
+        scenario.timeline.add(minutes(5), RevocationReplay(attacker_as=77))
         with pytest.raises((ConfigurationError, SimulationError)):
             BeaconingSimulation(topology, scenario).run()
 

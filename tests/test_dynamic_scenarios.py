@@ -1,15 +1,18 @@
 """Tests for the dynamic-scenario subsystem.
 
-Covers the timeline DSL, the live link/AS state, event application inside
+Covers the timeline and its validation, the live link/AS state, event application inside
 the beaconing driver (failures interrupting propagation, churn, policy and
 RAC hot-swaps, period changes) and the convergence metrics the collector
 derives from watched AS pairs.
 """
 
+import functools
 import itertools
+import math
 import random
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from repro.exceptions import ConfigurationError, PolicyViolationError, SimulationError
 from repro.algorithms.shortest_path import KShortestPathAlgorithm
@@ -17,13 +20,23 @@ from repro.simulation.beaconing import BeaconingSimulation
 from repro.simulation.events import (
     ASJoin,
     ASLeave,
+    BeaconFlood,
     BeaconPeriodChange,
+    ForwardingSuppression,
+    GrayFailure,
+    GrayRecovery,
     LinkFailure,
+    LinkFlap,
     LinkRecovery,
     PolicySwap,
     RACSwap,
+    RevocationForgery,
+    RevocationReplay,
+    ScenarioEvent,
     ScenarioTimeline,
+    ServiceRateChange,
     TimedEvent,
+    TopologyGrowth,
     random_churn,
     random_link_failures,
 )
@@ -34,6 +47,7 @@ from repro.simulation.scenario import (
     don_scenario,
     one_shortest_path_spec,
 )
+from repro.topology.generator import TopologyConfig, generate_topology
 from repro.units import minutes
 
 from tests.conftest import line_topology
@@ -48,16 +62,12 @@ class TestTimelineDSL:
     def test_builder_chains_and_orders(self):
         timeline = ScenarioTimeline()
         link = ((1, 2), (2, 1))
-        timeline.at(100.0).fail_link(link).at(200.0).recover_link(link).as_leave(7)
+        timeline.add(100.0, LinkFailure(link)).add(200.0, LinkRecovery(link)).add(
+            200.0, ASLeave(7)
+        )
         kinds = [type(timed.event) for timed in timeline]
         assert kinds == [LinkFailure, LinkRecovery, ASLeave]
         assert [timed.time_ms for timed in timeline] == [100.0, 200.0, 200.0]
-
-    def test_scenario_at_delegates_to_timeline(self):
-        scenario = don_scenario(periods=2)
-        scenario.at(50.0).as_join(3).set_beacon_period(minutes(5))
-        assert len(scenario.timeline) == 2
-        assert isinstance(scenario.timeline.events[1].event, BeaconPeriodChange)
 
     def test_negative_time_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -85,6 +95,150 @@ class TestTimelineDSL:
             ScenarioTimeline().extend([ASLeave(as_id=1)])  # not a TimedEvent
 
 
+NON_FINITE = (math.nan, math.inf, -math.inf)
+#: Any float, with the values events must reject drawn often.
+NUMBER = st.one_of(st.floats(), st.sampled_from((0.0, -1.0) + NON_FINITE))
+
+
+class TestEventConstruction:
+    """Values an event could not act on are rejected when it is built."""
+
+    link = ((1, 2), (2, 1))
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_non_finite_event_time_rejected(self, value):
+        # A NaN or infinite time used to be accepted and then never fire.
+        with pytest.raises(ConfigurationError, match="finite"):
+            ScenarioTimeline().add(value, ASLeave(as_id=1))
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_non_finite_beacon_period_rejected(self, value):
+        with pytest.raises(ConfigurationError, match="finite"):
+            BeaconPeriodChange(interval_ms=value)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_non_finite_flap_offset_and_duration_rejected(self, value):
+        with pytest.raises(ConfigurationError, match="finite"):
+            LinkFlap(link_id=self.link, schedule=(0.0, value))
+        with pytest.raises(ConfigurationError, match="finite"):
+            LinkFlap(link_id=self.link, duration_ms=value)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_non_finite_growth_link_rejected(self, value):
+        with pytest.raises(ConfigurationError, match="finite"):
+            TopologyGrowth(new_as=9, attach_to=(1,), latency_ms=value)
+        with pytest.raises(ConfigurationError, match="finite"):
+            TopologyGrowth(new_as=9, attach_to=(1,), bandwidth_mbps=value)
+
+    def test_policy_swap_rejects_empty_targets(self):
+        with pytest.raises(ConfigurationError, match="at least one AS"):
+            PolicySwap(as_ids=())
+
+    def test_rac_swap_rejects_empty_targets(self):
+        with pytest.raises(ConfigurationError, match="at least one AS"):
+            RACSwap(spec=one_shortest_path_spec(), as_ids=())
+
+    def test_service_rate_change_rejects_empty_targets(self):
+        with pytest.raises(ConfigurationError, match="at least one AS"):
+            ServiceRateChange(budget_per_tick=1, as_ids=())
+
+    def test_sequences_are_stored_as_tuples(self):
+        swap = PolicySwap(policies=[], as_ids=[2, 3])
+        assert swap.policies == () and swap.as_ids == (2, 3)
+        assert RACSwap(spec=one_shortest_path_spec(), as_ids=[4]).as_ids == (4,)
+        assert ServiceRateChange(budget_per_tick=1, as_ids=[5]).as_ids == (5,)
+        assert LinkFlap(link_id=self.link, schedule=[0.0, 1.0]).schedule == (0.0, 1.0)
+
+
+@functools.lru_cache(maxsize=None)
+def _generated_topology():
+    return generate_topology(TopologyConfig(num_ases=12, num_core=2, num_transit=4, seed=3))
+
+
+def _event_fields(links):
+    """Map every event class to strategies of its constructor arguments,
+    bad values (NaN, ±inf, negatives, zero, empty tuples) included."""
+    rate = st.one_of(st.floats(min_value=-0.5, max_value=1.5), st.just(math.nan))
+    count = st.integers(min_value=-1, max_value=3)
+    as_id = st.integers(min_value=0, max_value=15)
+    as_list = st.lists(as_id, max_size=3).map(tuple)
+    targets = st.one_of(st.none(), as_list)
+    link = st.sampled_from(links + [((98, 1), (99, 1))])
+    return {
+        LinkFailure: {"link_id": link},
+        LinkRecovery: {"link_id": link},
+        ASLeave: {"as_id": as_id},
+        ASJoin: {"as_id": as_id},
+        PolicySwap: {"policies": st.lists(st.just(len)), "as_ids": targets},
+        RACSwap: {
+            "spec": st.just(one_shortest_path_spec()),
+            "replace_rac_id": st.sampled_from((None, "1sp", "gone")),
+            "as_ids": targets,
+        },
+        BeaconPeriodChange: {"interval_ms": NUMBER},
+        ServiceRateChange: {"budget_per_tick": st.one_of(st.none(), count), "as_ids": targets},
+        BeaconFlood: {"attacker_as": as_id, "bursts": count},
+        LinkFlap: {
+            "link_id": link,
+            "schedule": st.lists(NUMBER, max_size=4),
+            "loss_ab": rate,
+            "loss_ba": rate,
+            "duration_ms": st.one_of(st.none(), NUMBER),
+        },
+        GrayFailure: {"link_id": link, "drop_rate": rate},
+        GrayRecovery: {"link_id": link},
+        RevocationForgery: {
+            "attacker_as": as_id,
+            "claimed_origin": as_id,
+            "link_id": link,
+            "count": count,
+            "sequence_base": count,
+        },
+        RevocationReplay: {"attacker_as": as_id, "count": count},
+        ForwardingSuppression: {"as_ids": as_list, "suppress": st.booleans()},
+        TopologyGrowth: {
+            "new_as": as_id,
+            "attach_to": as_list,
+            "latency_ms": NUMBER,
+            "bandwidth_mbps": NUMBER,
+        },
+    }
+
+
+class TestLoadersFailTyped:
+    """Whatever a caller passes, building and validating a timeline either
+    succeeds or raises :class:`ConfigurationError` — never another error."""
+
+    def test_every_event_class_is_drawn(self):
+        assert set(_event_fields([])) == set(ScenarioEvent.__subclasses__())
+
+    @seed(20261017)
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_construction_and_validation_fail_typed(self, data):
+        topology = _generated_topology()
+        drawn_event = st.one_of(
+            [
+                st.tuples(st.just(cls), st.fixed_dictionaries(fields))
+                for cls, fields in _event_fields(sorted(topology.links)).items()
+            ]
+        )
+        # Each built event is validated on top of the valid prefix so far,
+        # so later events meet a replay state other events have shaped.
+        valid = []
+        for at_ms, (cls, fields) in data.draw(st.lists(st.tuples(NUMBER, drawn_event), max_size=8)):
+            try:
+                timeline = ScenarioTimeline().extend(valid).add(at_ms, cls(**fields))
+                timeline.validate(topology)
+            except ConfigurationError:
+                continue
+            valid = list(timeline)
+        for timed in valid:
+            assert math.isfinite(timed.time_ms) and timed.time_ms >= 0
+            assert isinstance(timed.trace_label(), str)
+            assert isinstance(timed.event.affinity(), tuple)
+
+
 class TestTimelineValidation:
     """Satellite: impossible schedules fail loudly instead of no-opping."""
 
@@ -92,7 +246,7 @@ class TestTimelineValidation:
 
     def test_recovery_without_failure_rejected(self):
         timeline = ScenarioTimeline()
-        timeline.at(100.0).recover_link(self.link)
+        timeline.add(100.0, LinkRecovery(self.link))
         with pytest.raises(ConfigurationError, match="not failed"):
             timeline.validate()
 
@@ -100,28 +254,28 @@ class TestTimelineValidation:
         timeline = ScenarioTimeline()
         # Insertion order is fine, execution order is not: the recovery
         # fires at 100 ms, before the 200 ms failure.
-        timeline.at(200.0).fail_link(self.link).at(100.0).recover_link(self.link)
+        timeline.add(200.0, LinkFailure(self.link)).add(100.0, LinkRecovery(self.link))
         with pytest.raises(ConfigurationError, match="not failed"):
             timeline.validate()
 
     def test_double_recovery_rejected(self):
         timeline = ScenarioTimeline()
-        timeline.at(10.0).fail_link(self.link)
-        timeline.at(20.0).recover_link(self.link).at(30.0).recover_link(self.link)
+        timeline.add(10.0, LinkFailure(self.link))
+        timeline.add(20.0, LinkRecovery(self.link)).add(30.0, LinkRecovery(self.link))
         with pytest.raises(ConfigurationError, match="not failed"):
             timeline.validate()
 
     def test_join_without_leave_rejected(self):
         timeline = ScenarioTimeline()
-        timeline.at(50.0).as_join(3)
+        timeline.add(50.0, ASJoin(3))
         with pytest.raises(ConfigurationError, match="not offline"):
             timeline.validate()
 
     def test_valid_schedules_pass(self):
         timeline = ScenarioTimeline()
-        timeline.at(10.0).fail_link(self.link).at(20.0).recover_link(self.link)
-        timeline.at(30.0).fail_link(self.link).at(40.0).recover_link(self.link)
-        timeline.at(50.0).as_leave(3).at(60.0).as_join(3)
+        timeline.add(10.0, LinkFailure(self.link)).add(20.0, LinkRecovery(self.link))
+        timeline.add(30.0, LinkFailure(self.link)).add(40.0, LinkRecovery(self.link))
+        timeline.add(50.0, ASLeave(3)).add(60.0, ASJoin(3))
         timeline.validate()  # must not raise
 
     def test_negative_event_time_rejected_with_clear_error(self):
@@ -131,7 +285,7 @@ class TestTimelineValidation:
     def test_engine_rejects_recovery_of_never_failed_link(self):
         topology = line_topology(3)
         scenario = don_scenario(periods=2, verify_signatures=False)
-        scenario.at(100.0).recover_link(topology.link_ids()[0])
+        scenario.timeline.add(100.0, LinkRecovery(topology.link_ids()[0]))
         with pytest.raises(ConfigurationError, match="not failed"):
             BeaconingSimulation(topology, scenario)
 
@@ -164,14 +318,14 @@ class TestEngineValidation:
     def test_unknown_link_in_timeline_rejected(self):
         topology = line_topology(3)
         scenario = don_scenario(periods=1, verify_signatures=False)
-        scenario.at(10.0).fail_link(((1, 1), (99, 1)))
+        scenario.timeline.add(10.0, LinkFailure(((1, 1), (99, 1))))
         with pytest.raises(ConfigurationError):
             BeaconingSimulation(topology, scenario)
 
     def test_unknown_as_in_timeline_rejected(self):
         topology = line_topology(3)
         scenario = don_scenario(periods=1, verify_signatures=False)
-        scenario.at(10.0).as_leave(99)
+        scenario.timeline.add(10.0, ASLeave(99))
         with pytest.raises(ConfigurationError):
             BeaconingSimulation(topology, scenario)
 
@@ -189,7 +343,7 @@ class TestFailureAndRecovery:
         topology = line_topology(4)
         scenario = don_scenario(periods=periods, verify_signatures=False)
         link = topology.link_ids()[1]  # the 2-3 link
-        scenario.at(fail_at_ms).fail_link(link).at(recover_at_ms).recover_link(link)
+        scenario.timeline.add(fail_at_ms, LinkFailure(link)).add(recover_at_ms, LinkRecovery(link))
         simulation = BeaconingSimulation(topology, scenario)
         simulation.watch_pair(3, 1)
         return simulation, simulation.run()
@@ -216,7 +370,7 @@ class TestFailureAndRecovery:
         topology = line_topology(4)
         scenario = don_scenario(periods=4, verify_signatures=False)
         link = topology.link_ids()[1]
-        scenario.at(_mid_period(2)).fail_link(link)
+        scenario.timeline.add(_mid_period(2), LinkFailure(link))
         simulation = BeaconingSimulation(topology, scenario)
         simulation.watch_pair(3, 1)
         result = simulation.run()
@@ -232,7 +386,7 @@ class TestFailureAndRecovery:
         topology = line_topology(4)
         scenario = don_scenario(periods=3, verify_signatures=False)
         link = topology.link_ids()[1]
-        scenario.at(_mid_period(2)).fail_link(link)
+        scenario.timeline.add(_mid_period(2), LinkFailure(link))
         simulation = BeaconingSimulation(topology, scenario)
         result = simulation.run()
         # No AS keeps an ingress beacon or registered path crossing the link.
@@ -254,7 +408,7 @@ class TestChurn:
     def test_as_leave_and_rejoin(self):
         topology = line_topology(4)
         scenario = don_scenario(periods=7, verify_signatures=False)
-        scenario.at(_mid_period(2)).as_leave(2).at(_mid_period(3)).as_join(2)
+        scenario.timeline.add(_mid_period(2), ASLeave(2)).add(_mid_period(3), ASJoin(2))
         simulation = BeaconingSimulation(topology, scenario)
         simulation.watch_pair(3, 1)
         result = simulation.run()
@@ -267,7 +421,7 @@ class TestChurn:
     def test_offline_as_neither_originates_nor_processes(self):
         topology = line_topology(3)
         scenario = don_scenario(periods=2, verify_signatures=False)
-        scenario.at(0.0).as_leave(2)
+        scenario.timeline.add(0.0, ASLeave(2))
         simulation = BeaconingSimulation(topology, scenario)
         result = simulation.run()
         # AS 2 is the only transit: nothing can traverse it while offline.
@@ -278,7 +432,7 @@ class TestChurn:
     def test_state_crossing_departed_as_withdrawn(self):
         topology = line_topology(4)
         scenario = don_scenario(periods=4, verify_signatures=False)
-        scenario.at(_mid_period(3)).as_leave(2)
+        scenario.timeline.add(_mid_period(3), ASLeave(2))
         simulation = BeaconingSimulation(topology, scenario)
         result = simulation.run()
         for as_id, service in result.services.items():
@@ -295,7 +449,9 @@ class TestOperatorEvents:
 
         topology = line_topology(3)
         scenario = don_scenario(periods=3, verify_signatures=False)
-        scenario.at(_mid_period(0)).swap_policies([reject_all], as_ids=[2], label="lockdown")
+        scenario.timeline.add(
+            _mid_period(0), PolicySwap([reject_all], as_ids=[2], label="lockdown")
+        )
         simulation = BeaconingSimulation(topology, scenario)
         result = simulation.run()
         stats = result.service(2).ingress.stats
@@ -314,14 +470,16 @@ class TestOperatorEvents:
             verify_signatures=False,
             legacy_ases=(2,),
         )
-        scenario.at(_mid_period(0)).swap_policies([reject_all], as_ids=[2], label="lockdown")
+        scenario.timeline.add(
+            _mid_period(0), PolicySwap([reject_all], as_ids=[2], label="lockdown")
+        )
         result = BeaconingSimulation(topology, scenario).run()
         assert result.service(2).ingress.stats.rejected_policy > 0
 
     def test_swap_targeting_unknown_as_rejected_at_construction(self):
         topology = line_topology(3)
         scenario = don_scenario(periods=1, verify_signatures=False)
-        scenario.at(10.0).swap_policies([], as_ids=[99])
+        scenario.timeline.add(10.0, PolicySwap([], as_ids=[99]))
         with pytest.raises(ConfigurationError):
             BeaconingSimulation(topology, scenario)
 
@@ -335,7 +493,7 @@ class TestOperatorEvents:
         replacement = AlgorithmSpec(
             rac_id="2sp", factory=lambda: KShortestPathAlgorithm(k=2)
         )
-        scenario.at(_mid_period(1)).swap_rac(replacement, replace_rac_id="1sp")
+        scenario.timeline.add(_mid_period(1), RACSwap(replacement, replace_rac_id="1sp"))
         simulation = BeaconingSimulation(topology, scenario)
         result = simulation.run()
         for service in result.services.values():
@@ -349,7 +507,7 @@ class TestOperatorEvents:
     def test_beacon_period_change_applies_to_later_periods(self):
         topology = line_topology(3)
         scenario = don_scenario(periods=3, verify_signatures=False)
-        scenario.at(_mid_period(0)).set_beacon_period(minutes(5))
+        scenario.timeline.add(_mid_period(0), BeaconPeriodChange(minutes(5)))
         simulation = BeaconingSimulation(topology, scenario)
         result = simulation.run()
         # Period 0 keeps its 10-minute length; periods 1 and 2 are 5 minutes.
@@ -393,7 +551,9 @@ class TestReviewRegressions:
         replacement = AlgorithmSpec(
             rac_id="2sp", factory=lambda: KShortestPathAlgorithm(k=2)
         )
-        scenario.at(_mid_period(0)).swap_rac(replacement, replace_rac_id="nope", as_ids=[2])
+        scenario.timeline.add(
+            _mid_period(0), RACSwap(replacement, replace_rac_id="nope", as_ids=[2])
+        )
         simulation = BeaconingSimulation(topology, scenario)
         with pytest.raises(SimulationError):
             simulation.run()
@@ -409,7 +569,7 @@ class TestReviewRegressions:
         replacement = AlgorithmSpec(
             rac_id="2sp", factory=lambda: KShortestPathAlgorithm(k=2)
         )
-        scenario.at(_mid_period(0)).swap_rac(replacement, replace_rac_id="nope")
+        scenario.timeline.add(_mid_period(0), RACSwap(replacement, replace_rac_id="nope"))
         simulation = BeaconingSimulation(topology, scenario)
         simulation.run()
         for service in simulation.services.values():
@@ -420,7 +580,7 @@ class TestReviewRegressions:
         scenario = don_scenario(periods=2, verify_signatures=False)
         link = topology.link_ids()[0]
         # Lands inside run()'s final in-flight flush window (horizon + 1 ms).
-        scenario.at(2 * minutes(10) + 0.5).fail_link(link)
+        scenario.timeline.add(2 * minutes(10) + 0.5, LinkFailure(link))
         simulation = BeaconingSimulation(topology, scenario)
         result = simulation.run()
         assert result.link_state.link_available(link)
@@ -442,7 +602,9 @@ class TestReviewRegressions:
         replacement = AlgorithmSpec(
             rac_id="2sp", factory=lambda: KShortestPathAlgorithm(k=2)
         )
-        scenario.at(_mid_period(0)).swap_rac(replacement, replace_rac_id="1sp", as_ids=[2])
+        scenario.timeline.add(
+            _mid_period(0), RACSwap(replacement, replace_rac_id="1sp", as_ids=[2])
+        )
         simulation = BeaconingSimulation(topology, scenario)
         with pytest.raises(SimulationError):
             simulation.run()
@@ -450,7 +612,7 @@ class TestReviewRegressions:
     def test_churned_as_restarts_with_fresh_racs(self):
         topology = line_topology(3)
         scenario = don_scenario(periods=4, verify_signatures=False)
-        scenario.at(_mid_period(1)).as_leave(2).at(_mid_period(2)).as_join(2)
+        scenario.timeline.add(_mid_period(1), ASLeave(2)).add(_mid_period(2), ASJoin(2))
         simulation = BeaconingSimulation(topology, scenario)
         racs_before = list(simulation.services[2].racs)
         result = simulation.run()
@@ -474,8 +636,8 @@ class TestReviewRegressions:
         scenario = don_scenario(periods=5, verify_signatures=False)
         # Both failures inside one period: no probe (and so no possible
         # recovery) in between, so the second must deepen the open record.
-        scenario.at(_mid_period(2)).fail_link(((1, 1), (2, 1)))
-        scenario.at(_mid_period(2) + 10_000.0).fail_link(((1, 2), (3, 1)))
+        scenario.timeline.add(_mid_period(2), LinkFailure(((1, 1), (2, 1))))
+        scenario.timeline.add(_mid_period(2) + 10_000.0, LinkFailure(((1, 2), (3, 1))))
         simulation = BeaconingSimulation(topology, scenario)
         simulation.watch_pair(4, 1)
         result = simulation.run()
@@ -638,7 +800,8 @@ class TestMaintainedProbeCounts:
         topology = line_topology(4)
         scenario = don_scenario(periods=6, verify_signatures=False)
         link = topology.link_ids()[1]
-        scenario.at(_mid_period(3)).fail_link(link).at(_mid_period(4)).recover_link(link)
+        scenario.timeline.add(_mid_period(3), LinkFailure(link))
+        scenario.timeline.add(_mid_period(4), LinkRecovery(link))
         simulation = BeaconingSimulation(topology, scenario)
         _check_probes(simulation)
         simulation.watch_pair(3, 1)
@@ -652,7 +815,7 @@ class TestMaintainedProbeCounts:
     def test_watched_source_that_cold_restarts_keeps_reporting(self):
         topology = line_topology(4)
         scenario = don_scenario(periods=7, verify_signatures=False)
-        scenario.at(_mid_period(2)).as_leave(3).at(_mid_period(3)).as_join(3)
+        scenario.timeline.add(_mid_period(2), ASLeave(3)).add(_mid_period(3), ASJoin(3))
         simulation = BeaconingSimulation(topology, scenario)
         _check_probes(simulation)
         simulation.watch_pair(3, 1)
@@ -679,7 +842,7 @@ class TestMaintainedProbeCounts:
         """The three irecbench workloads without watched pairs pay nothing."""
         topology = line_topology(4)
         scenario = don_scenario(periods=3, verify_signatures=False)
-        scenario.at(_mid_period(1)).fail_link(topology.link_ids()[1])
+        scenario.timeline.add(_mid_period(1), LinkFailure(topology.link_ids()[1]))
         simulation = BeaconingSimulation(topology, scenario)
         fresh = _listener_count(simulation)
         simulation.run()
@@ -689,7 +852,8 @@ class TestMaintainedProbeCounts:
         topology = line_topology(5)
         scenario = don_scenario(periods=5, verify_signatures=False)
         link = topology.link_ids()[1]
-        scenario.at(_mid_period(2)).fail_link(link).at(_mid_period(3)).recover_link(link)
+        scenario.timeline.add(_mid_period(2), LinkFailure(link))
+        scenario.timeline.add(_mid_period(3), LinkRecovery(link))
         simulation = BeaconingSimulation(topology, scenario)
         fresh = _listener_count(simulation)
         for pair in [(3, 1), (3, 2), (3, 4), (5, 1), (5, 2), (5, 3), (5, 4)]:

@@ -19,6 +19,7 @@ from itertools import combinations
 
 from repro.analysis.disjointness_eval import tolerable_link_failures
 from repro.simulation.beaconing import BeaconingSimulation
+from repro.simulation.events import LinkFailure
 from repro.simulation.failures import LinkState
 from repro.simulation.scenario import disjointness_scenario, don_scenario
 from repro.topology.entities import Relationship
@@ -94,8 +95,8 @@ class TestFig8bLoop:
         lower = ((1, 2), (3, 1))
         # Fail one route after paths exist (tolerated), then the second
         # (past the tolerable count: the pair must disconnect).
-        scenario.at(2.5 * minutes(10)).fail_link(upper)
-        scenario.at(3.5 * minutes(10)).fail_link(lower)
+        scenario.timeline.add(2.5 * minutes(10), LinkFailure(upper))
+        scenario.timeline.add(3.5 * minutes(10), LinkFailure(lower))
         simulation = BeaconingSimulation(topology, scenario)
         simulation.watch_pair(SOURCE_AS, ORIGIN_AS)
 

@@ -19,7 +19,20 @@ import random
 import pytest
 
 from repro.simulation.beaconing import BeaconingSimulation
-from repro.simulation.events import random_churn, random_link_failures
+from repro.simulation.events import (
+    ASJoin,
+    ASLeave,
+    ForwardingSuppression,
+    GrayFailure,
+    GrayRecovery,
+    LinkFailure,
+    LinkFlap,
+    LinkRecovery,
+    RevocationForgery,
+    RevocationReplay,
+    TopologyGrowth,
+    random_link_failures,
+)
 from repro.simulation.scenario import disjointness_scenario, dob_scenario, don_scenario
 from repro.topology.generator import TopologyConfig, generate_topology
 from repro.units import minutes
@@ -61,9 +74,9 @@ def _run_golden(instrument=None, factory=None, legacy_ases=()):
     scenario.legacy_ases = tuple(legacy_ases)
 
     core_link = topology.link_ids()[1]  # the 2-3 link
-    scenario.at(minutes(25)).fail_link(core_link)
-    scenario.at(minutes(45)).recover_link(core_link)
-    scenario.at(minutes(55)).as_leave(4).at(minutes(65)).as_join(4)
+    scenario.timeline.add(minutes(25), LinkFailure(core_link))
+    scenario.timeline.add(minutes(45), LinkRecovery(core_link))
+    scenario.timeline.add(minutes(55), ASLeave(4)).add(minutes(65), ASJoin(4))
     scenario.timeline.extend(
         random_link_failures(
             topology,
@@ -256,26 +269,26 @@ def run_family_scenario(family, factory=None):
     link = topology.link_ids()[1]  # the 2-3 link
 
     if family == "flap":
-        scenario.at(minutes(25)).flap_link(
+        scenario.timeline.add(minutes(25), LinkFlap(
             link,
             schedule=(0.0, minutes(6), minutes(12), minutes(18)),
             loss_ab=0.3,
             loss_ba=0.3,
-        )
+        ))
     elif family == "gray":
-        scenario.at(minutes(25)).gray_fail(link, drop_rate=0.7)
-        scenario.at(minutes(55)).gray_recover(link)
+        scenario.timeline.add(minutes(25), GrayFailure(link, drop_rate=0.7))
+        scenario.timeline.add(minutes(55), GrayRecovery(link))
     elif family == "byzantine":
-        scenario.at(minutes(25)).forge_revocation(
+        scenario.timeline.add(minutes(25), RevocationForgery(
             attacker_as=5, claimed_origin=2, link_id=link, count=2
-        )
-        scenario.at(minutes(30)).fail_link(link)
-        scenario.at(minutes(40)).recover_link(link)
-        scenario.at(minutes(45)).replay_revocations(attacker_as=5, count=1)
-        scenario.at(minutes(50)).suppress_forwarding((4,))
+        ))
+        scenario.timeline.add(minutes(30), LinkFailure(link))
+        scenario.timeline.add(minutes(40), LinkRecovery(link))
+        scenario.timeline.add(minutes(45), RevocationReplay(attacker_as=5, count=1))
+        scenario.timeline.add(minutes(50), ForwardingSuppression((4,)))
     elif family == "churn_growth":
-        scenario.at(minutes(25)).grow_as(6, attach_to=(3, 5))
-        scenario.at(minutes(45)).grow_as(7, attach_to=(6,))
+        scenario.timeline.add(minutes(25), TopologyGrowth(6, attach_to=(3, 5)))
+        scenario.timeline.add(minutes(45), TopologyGrowth(7, attach_to=(6,)))
     else:  # pragma: no cover - guard against typos in parametrization
         raise ValueError(f"unknown family {family!r}")
 
@@ -330,12 +343,12 @@ class TestAdversarialGoldenTraces:
             topology = line_topology(5)
             scenario = don_scenario(periods=6, verify_signatures=True)
             if attack:
-                scenario.at(minutes(25)).forge_revocation(
+                scenario.timeline.add(minutes(25), RevocationForgery(
                     attacker_as=5,
                     claimed_origin=2,
                     link_id=topology.link_ids()[1],
                     count=3,
-                )
+                ))
             simulation = BeaconingSimulation(topology, scenario)
             result = simulation.run()
             paths = {

@@ -19,6 +19,7 @@ from repro.core.transport import NullTransport
 from repro.exceptions import SimulationError, UnknownASError, UnknownAlgorithmError
 from repro.simulation.beaconing import BeaconingSimulation
 from repro.simulation.engine import EventScheduler
+from repro.simulation.events import RACSwap
 from repro.simulation.network import SimulatedTransport
 from repro.simulation.scenario import (
     AlgorithmSpec,
@@ -183,7 +184,7 @@ class TestLegacyControlService:
         replacement = AlgorithmSpec(
             rac_id="2sp", factory=lambda: KShortestPathAlgorithm(k=2)
         )
-        scenario.at(minutes(5)).swap_rac(replacement, replace_rac_id="legacy")
+        scenario.timeline.add(minutes(5), RACSwap(replacement, replace_rac_id="legacy"))
         simulation = BeaconingSimulation(line_topology(3), scenario)
         simulation.run()
         assert [rac.config.rac_id for rac in simulation.services[2].racs] == ["legacy"]

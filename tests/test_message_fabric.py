@@ -31,6 +31,7 @@ from repro.exceptions import ConfigurationError, SimulationError
 from repro.simulation.beaconing import BeaconingSimulation
 from repro.simulation.collector import MESSAGE_KINDS
 from repro.simulation.engine import EventScheduler
+from repro.simulation.events import LinkFailure, LinkRecovery
 from repro.simulation.failures import LinkState
 from repro.simulation.network import SimulatedTransport
 from repro.simulation.scenario import don_scenario
@@ -590,9 +591,9 @@ def _run_dynamic(batch_size, link_index, fail_minute, recover):
     scenario.inbox_batch_size = batch_size
     link = topology.link_ids()[link_index]
     fail_at = float(fail_minute) * 60_000.0
-    scenario.at(fail_at).fail_link(link)
+    scenario.timeline.add(fail_at, LinkFailure(link))
     if recover:
-        scenario.at(fail_at + minutes(10)).recover_link(link)
+        scenario.timeline.add(fail_at + minutes(10), LinkRecovery(link))
     simulation = BeaconingSimulation(topology, scenario)
     result = simulation.run()
     counters = (
@@ -636,8 +637,8 @@ class TestDispatchEquivalence:
             scenario = don_scenario(periods=6, verify_signatures=False)
             scenario.inbox_batch_size = batch_size
             link = topology.link_ids()[1]
-            scenario.at(minutes(25)).fail_link(link)
-            scenario.at(minutes(45)).recover_link(link)
+            scenario.timeline.add(minutes(25), LinkFailure(link))
+            scenario.timeline.add(minutes(45), LinkRecovery(link))
             simulation = BeaconingSimulation(topology, scenario)
             simulation.watch_pair(5, 1)
             result = simulation.run()

@@ -13,6 +13,11 @@ the package that shards it.  The third keeps one failure model: the
 traffic engine reads availability from the shared ``LinkState`` and never
 imports the packet-forwarding walk, so a second availability check cannot
 come back unnoticed.
+
+A last rule keeps each scenario event checking itself: what an event
+requires of its timeline and which ASes it ties to one shard live on the
+event class, so only the modules that apply events to their own private
+state may ``isinstance``-test one.
 """
 
 import ast
@@ -27,6 +32,14 @@ PROCESS_MODULES = ("multiprocessing", "concurrent.futures")
 
 #: The packet-forwarding walk the traffic engine must not import.
 FORWARDING_WALK = "repro.dataplane.network"
+
+#: The modules that may ``isinstance``-test a scenario event.  Compared for
+#: equality, so the list can only shrink.
+EVENT_APPLIERS = {
+    "repro.simulation.beaconing",
+    "repro.traffic.engine",
+    "repro.parallel.coordinator",
+}
 
 #: Delete these or wire them to a real caller.
 KNOWN_ORPHANS = {
@@ -163,3 +176,39 @@ def test_the_traffic_engine_does_not_import_the_forwarding_walk():
         and (_within(target, FORWARDING_WALK) or target in reexported)
     }
     assert importers == set()
+
+
+def _event_classes():
+    """Return the names of ``ScenarioEvent`` and every subclass of it."""
+    path = SRC / "repro" / "simulation" / "events.py"
+    names = {"ScenarioEvent"}
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.ClassDef) and any(
+            isinstance(base, ast.Name) and base.id in names for base in node.bases
+        ):
+            names.add(node.name)
+    return names
+
+
+def test_only_the_event_appliers_isinstance_test_an_event():
+    events = _event_classes()
+    assert {"LinkFailure", "TopologyGrowth"} <= events  # the scan sees the classes
+    testers = set()
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance"
+                and len(node.args) == 2
+            ):
+                continue
+            kind = node.args[1]
+            kinds = kind.elts if isinstance(kind, ast.Tuple) else [kind]
+            if any(getattr(k, "id", getattr(k, "attr", None)) in events for k in kinds):
+                testers.add(_module_name(path))
+    assert testers == EVENT_APPLIERS, (
+        f"isinstance-tests a ScenarioEvent outside the appliers: "
+        f"{sorted(testers - EVENT_APPLIERS)}; listed but no longer testing "
+        f"(drop from EVENT_APPLIERS): {sorted(EVENT_APPLIERS - testers)}"
+    )

@@ -26,12 +26,13 @@ from repro.exceptions import ConfigurationError
 from repro.simulation.beaconing import BeaconingSimulation
 from repro.simulation.collector import MetricsCollector, QuantileReservoir
 from repro.simulation.events import (
+    ASJoin,
+    ASLeave,
     BeaconFlood,
+    LinkFailure,
+    LinkRecovery,
     ServiceRateChange,
-    beacon_flood_dos,
     random_link_failures,
-    revocation_storm,
-    slow_as_stragglers,
 )
 from repro.simulation.network import InboxProfile
 from repro.simulation.scenario import don_scenario
@@ -52,9 +53,9 @@ def _run_dynamic(profile, link_index, fail_minute, recover):
     scenario.inbox_profile = profile
     link = topology.link_ids()[link_index]
     fail_at = float(fail_minute) * 60_000.0
-    scenario.at(fail_at).fail_link(link)
+    scenario.timeline.add(fail_at, LinkFailure(link))
     if recover:
-        scenario.at(fail_at + minutes(10)).recover_link(link)
+        scenario.timeline.add(fail_at + minutes(10), LinkRecovery(link))
     simulation = BeaconingSimulation(topology, scenario)
     result = simulation.run()
     counters = (
@@ -77,9 +78,9 @@ def _golden_digest(profile):
     scenario.inbox_profile = profile
 
     core_link = topology.link_ids()[1]
-    scenario.at(minutes(25)).fail_link(core_link)
-    scenario.at(minutes(45)).recover_link(core_link)
-    scenario.at(minutes(55)).as_leave(4).at(minutes(65)).as_join(4)
+    scenario.timeline.add(minutes(25), LinkFailure(core_link))
+    scenario.timeline.add(minutes(45), LinkRecovery(core_link))
+    scenario.timeline.add(minutes(55), ASLeave(4)).add(minutes(65), ASJoin(4))
     scenario.timeline.extend(
         random_link_failures(
             topology,
@@ -272,11 +273,12 @@ def _run_storm(budget):
             budget_per_tick=budget, service_interval_ms=5.0
         )
     scenario.timeline.extend(
-        revocation_storm(
+        random_link_failures(
             topology,
             count=3,
             rng=random.Random(7),
-            at_ms=minutes(25),
+            start_ms=minutes(25),
+            spacing_ms=0.0,
             recovery_after_ms=minutes(20),
         )
     )
@@ -304,8 +306,8 @@ def _run_cross_storm(budget):
             budget_per_tick=budget, service_interval_ms=5.0
         )
     link_a, link_b = topology.link_ids()[0], topology.link_ids()[3]
-    scenario.at(minutes(25)).fail_link(link_a).fail_link(link_b)
-    scenario.at(minutes(45)).recover_link(link_a).recover_link(link_b)
+    scenario.timeline.add(minutes(25), LinkFailure(link_a)).add(minutes(25), LinkFailure(link_b))
+    scenario.timeline.add(minutes(45), LinkRecovery(link_a)).add(minutes(45), LinkRecovery(link_b))
     simulation = BeaconingSimulation(topology, scenario)
     result = simulation.run()
     applied = {
@@ -358,7 +360,8 @@ class TestRevocationStorm:
         topology = line_topology(4)
         scenario = don_scenario(periods=4, verify_signatures=False)
         link_a, link_b = topology.link_ids()[0], topology.link_ids()[1]
-        scenario.at(minutes(15)).fail_link(link_a).fail_link(link_b)
+        scenario.timeline.add(minutes(15), LinkFailure(link_a))
+        scenario.timeline.add(minutes(15), LinkFailure(link_b))
         simulation = BeaconingSimulation(topology, scenario)
 
         captured = []
@@ -388,9 +391,7 @@ class TestBeaconFloodDoS:
             if profile is not None:
                 scenario.inbox_profiles = {2: profile}
             if flood:
-                scenario.timeline.extend(
-                    beacon_flood_dos(attacker_as=1, start_ms=minutes(12), bursts=8)
-                )
+                scenario.timeline.add(minutes(12), BeaconFlood(attacker_as=1, bursts=8))
             return BeaconingSimulation(topology, scenario).run()
 
         quiet = run(flood=False, profile=None)
@@ -403,10 +404,8 @@ class TestBeaconFloodDoS:
     def test_flood_from_offline_attacker_is_inert(self):
         topology = line_topology(4)
         scenario = don_scenario(periods=4, verify_signatures=False)
-        scenario.at(minutes(12)).as_leave(1)
-        scenario.timeline.extend(
-            beacon_flood_dos(attacker_as=1, start_ms=minutes(15), bursts=8)
-        )
+        scenario.timeline.add(minutes(12), ASLeave(1))
+        scenario.timeline.add(minutes(15), BeaconFlood(attacker_as=1, bursts=8))
         result = BeaconingSimulation(topology, scenario).run()
         assert result.collector.inbox_dropped_total() == 0
 
@@ -415,11 +414,8 @@ class TestSlowAsStragglers:
     def test_straggler_defers_then_catches_up(self):
         topology = line_topology(4)
         scenario = don_scenario(periods=8, verify_signatures=False)
-        scenario.timeline.extend(
-            slow_as_stragglers(
-                [3], budget_per_tick=1, start_ms=minutes(12), duration_ms=minutes(20)
-            )
-        )
+        scenario.timeline.add(minutes(12), ServiceRateChange(budget_per_tick=1, as_ids=(3,)))
+        scenario.timeline.add(minutes(32), ServiceRateChange(budget_per_tick=None, as_ids=(3,)))
         simulation = BeaconingSimulation(topology, scenario)
         result = simulation.run()
         collector = result.collector
@@ -486,7 +482,7 @@ class TestValidation:
     def test_timeline_rejects_unknown_service_rate_target(self):
         topology = line_topology(3)
         scenario = don_scenario(periods=2)
-        scenario.at(minutes(5)).set_service_rate(1, as_ids=(99,))
+        scenario.timeline.add(minutes(5), ServiceRateChange(1, as_ids=(99,)))
         with pytest.raises(ConfigurationError, match="unknown AS"):
             scenario.timeline.validate(topology)
         scenario.timeline.validate()  # no topology: membership unchecked
@@ -494,7 +490,7 @@ class TestValidation:
     def test_timeline_rejects_unknown_flood_attacker(self):
         topology = line_topology(3)
         scenario = don_scenario(periods=2)
-        scenario.at(minutes(5)).flood_beacons(attacker_as=42)
+        scenario.timeline.add(minutes(5), BeaconFlood(attacker_as=42))
         with pytest.raises(ConfigurationError):
             scenario.timeline.validate(topology)
 

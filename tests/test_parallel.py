@@ -16,8 +16,16 @@ from hypothesis import given, settings, strategies as st
 from repro.algorithms.shortest_path import KShortestPathAlgorithm
 from repro.exceptions import ConfigurationError, UnknownASError
 from repro.parallel import ShardedBeaconingSimulation, partition_topology
-from repro.parallel.partition import degradable_link_groups
 from repro.simulation.beaconing import BeaconingSimulation
+from repro.simulation.events import (
+    ASJoin,
+    ASLeave,
+    GrayFailure,
+    LinkFlap,
+    PolicySwap,
+    RACSwap,
+    TopologyGrowth,
+)
 from repro.simulation.scenario import AlgorithmSpec, don_scenario
 from repro.units import minutes
 
@@ -90,19 +98,20 @@ class TestPartitioner:
         partition = partition_topology(topology, 1)
         assert partition.lookahead_ms(topology, 1.0) == float("inf")
 
-    def test_degradable_link_groups_cover_lossy_links_only(self):
+    def test_affinity_covers_lossy_links_only(self):
         topology = line_topology(5)
         scenario = don_scenario(periods=2, verify_signatures=False)
         links = topology.link_ids()
-        scenario.at(minutes(5)).flap_link(links[0], schedule=(0.0, 1.0))  # lossless
-        scenario.at(minutes(6)).flap_link(links[1], schedule=(0.0, 1.0), loss_ab=0.5)
-        scenario.at(minutes(7)).gray_fail(links[2], drop_rate=0.9)
-        groups = degradable_link_groups(scenario.timeline)
+        scenario.timeline.add(minutes(5), LinkFlap(links[0], schedule=(0.0, 1.0)))  # lossless
+        scenario.timeline.add(minutes(6), LinkFlap(links[1], schedule=(0.0, 1.0), loss_ab=0.5))
+        scenario.timeline.add(minutes(7), GrayFailure(links[2], drop_rate=0.9))
+        scenario.timeline.add(minutes(8), ASLeave(3))
+        groups = {timed.event.affinity() for timed in scenario.timeline}
         lossy = {
             tuple(sorted((links[1][0][0], links[1][1][0]))),
             tuple(sorted((links[2][0][0], links[2][1][0]))),
         }
-        assert set(groups) == lossy
+        assert groups == lossy | {()}
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -277,11 +286,11 @@ def _run_events_at_grown_as(factory):
     topology = line_topology(5)
     scenario = don_scenario(periods=8, verify_signatures=False)
     replacement = AlgorithmSpec(rac_id="2sp", factory=_two_shortest_paths)
-    scenario.at(minutes(15)).grow_as(6, attach_to=(3, 5))
-    scenario.at(minutes(25)).swap_policies([], as_ids=[6], label="open")
-    scenario.at(minutes(35)).swap_rac(replacement, replace_rac_id="5sp", as_ids=[6])
-    scenario.at(minutes(45)).as_leave(6)
-    scenario.at(minutes(55)).as_join(6)
+    scenario.timeline.add(minutes(15), TopologyGrowth(6, attach_to=(3, 5)))
+    scenario.timeline.add(minutes(25), PolicySwap([], as_ids=[6], label="open"))
+    scenario.timeline.add(minutes(35), RACSwap(replacement, replace_rac_id="5sp", as_ids=[6]))
+    scenario.timeline.add(minutes(45), ASLeave(6))
+    scenario.timeline.add(minutes(55), ASJoin(6))
     scenario.timeline.validate(topology)
     simulation = factory(topology, scenario)
     simulation.watch_pair(5, 1)

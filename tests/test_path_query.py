@@ -14,7 +14,7 @@ against an announce-always oracle).  The satellites pin:
   (``expiry_margin_ms`` honoured),
 * that frontend routing + caching leave the golden and family digests
   bit-identical, and
-* cache coherence under a ``revocation_storm`` overload scenario — no
+* cache coherence under a revocation-storm overload scenario — no
   stale path is served after the withdrawal arrives.
 """
 
@@ -44,7 +44,12 @@ from repro.crypto.keys import KeyStore
 from repro.dataplane.endhost import EndHost
 from repro.exceptions import ConfigurationError
 from repro.simulation.beaconing import BeaconingSimulation
-from repro.simulation.events import ScenarioTimeline, revocation_storm
+from repro.simulation.events import (
+    LinkFailure,
+    LinkRecovery,
+    ScenarioTimeline,
+    random_link_failures,
+)
 from repro.simulation.network import InboxProfile
 from repro.simulation.scenario import (
     ScenarioConfig,
@@ -770,7 +775,7 @@ class TestAnnounceWhenNews:
         topology = line_topology(4)
         link = topology.link_ids()[1]  # the middle link, 2-3
         timeline = ScenarioTimeline()
-        timeline.at(minutes(45)).fail_link(link).at(minutes(65)).recover_link(link)
+        timeline.add(minutes(45), LinkFailure(link)).add(minutes(65), LinkRecovery(link))
         simulation = _down_segment_simulation(
             topology, 14, _ONE_OR_TWO_RACS[0], timeline=timeline
         )
@@ -898,8 +903,8 @@ class TestRevocationStormCoherence:
         scenario.inbox_profile = InboxProfile(
             budget_per_tick=8, capacity=256, service_interval_ms=5.0
         )
-        storm = revocation_storm(
-            topology, count=2, rng=random.Random(7), at_ms=2.5 * interval
+        storm = random_link_failures(
+            topology, count=2, rng=random.Random(7), start_ms=2.5 * interval, spacing_ms=0.0
         )
         scenario.timeline.extend(storm)
         failed_links = {timed.event.link_id for timed in storm}

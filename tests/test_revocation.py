@@ -22,6 +22,7 @@ from repro.crypto.keys import KeyStore
 from repro.crypto.signer import Signer, Verifier
 from repro.exceptions import ConfigurationError
 from repro.simulation.beaconing import BeaconingSimulation
+from repro.simulation.events import LinkFailure
 from repro.simulation.scenario import don_scenario
 from repro.topology.entities import normalize_link_id
 from repro.units import minutes
@@ -292,7 +293,7 @@ class TestPropagationOrderedWithdrawal:
         topology = line_topology(6)
         scenario = don_scenario(periods=3, verify_signatures=False)
         failed = _link(topology, 2)  # the 3-4 link
-        scenario.at(minutes(15)).fail_link(failed)
+        scenario.timeline.add(minutes(15), LinkFailure(failed))
         simulation = BeaconingSimulation(topology, scenario)
         result = simulation.run()
 
@@ -323,7 +324,7 @@ class TestPropagationOrderedWithdrawal:
         near = _link(topology, 1)  # the 2-3 link
         far = _link(topology, 3)  # the 4-5 link
         # Same timestamp: both links are down before any flood message moves.
-        scenario.at(minutes(15)).fail_link(near).at(minutes(15)).fail_link(far)
+        scenario.timeline.add(minutes(15), LinkFailure(near)).add(minutes(15), LinkFailure(far))
         simulation = BeaconingSimulation(topology, scenario)
         result = simulation.run()
 
@@ -344,7 +345,7 @@ class TestPropagationOrderedWithdrawal:
         scenario = don_scenario(periods=6, verify_signatures=False)
         failed = _link(topology, 1)  # the 2-3 link
         fail_at = minutes(25)
-        scenario.at(fail_at).fail_link(failed)
+        scenario.timeline.add(fail_at, LinkFailure(failed))
         simulation = BeaconingSimulation(topology, scenario)
         result = simulation.run()
         # AS 4 is one hop from origin 3: per-hop delay is link latency
@@ -368,7 +369,7 @@ class TestOverheadAccounting:
         """
         topology = line_topology(5)
         scenario = don_scenario(periods=4, verify_signatures=False)
-        scenario.at(minutes(15)).fail_link(_link(topology, 1))
+        scenario.timeline.add(minutes(15), LinkFailure(_link(topology, 1)))
         simulation = BeaconingSimulation(topology, scenario)
         result = simulation.run()
         collector = result.collector
@@ -403,7 +404,8 @@ class TestRevocationBatchLedger:
         links = topology.link_ids()
         # Two same-tick failures sharing AS 3: its origination batches
         # both elements into one multi-element RevocationMessage.
-        scenario.at(minutes(25)).fail_link(links[1]).fail_link(links[2])
+        scenario.timeline.add(minutes(25), LinkFailure(links[1]))
+        scenario.timeline.add(minutes(25), LinkFailure(links[2]))
         simulation = BeaconingSimulation(topology, scenario)
         simulation.run()
         collector = simulation.collector
@@ -415,7 +417,7 @@ class TestRevocationBatchLedger:
     def test_single_failure_batches_are_single_element(self):
         topology = line_topology(5)
         scenario = don_scenario(periods=6, verify_signatures=False)
-        scenario.at(minutes(25)).fail_link(topology.link_ids()[1])
+        scenario.timeline.add(minutes(25), LinkFailure(topology.link_ids()[1]))
         simulation = BeaconingSimulation(topology, scenario)
         simulation.run()
         collector = simulation.collector
@@ -433,7 +435,7 @@ class TestLegacyParticipation:
         scenario = don_scenario(periods=5, verify_signatures=False)
         scenario.legacy_ases = (3,)
         failed = _link(topology, 0)  # the 1-2 link
-        scenario.at(minutes(25)).fail_link(failed)
+        scenario.timeline.add(minutes(25), LinkFailure(failed))
         simulation = BeaconingSimulation(topology, scenario)
         result = simulation.run()
         legacy = result.service(3)

@@ -12,6 +12,7 @@ from repro.exceptions import ConfigurationError, SimulationError
 from repro.simulation.beaconing import BeaconingSimulation
 from repro.simulation.collector import MESSAGE_KINDS, MetricsCollector, QuantileReservoir
 from repro.simulation.engine import EventScheduler
+from repro.simulation.events import LinkFailure
 from repro.simulation.network import SimulatedTransport
 from repro.simulation.scenario import (
     AlgorithmSpec,
@@ -286,9 +287,9 @@ class TestTracerSeams:
         scenario.legacy_ases = (2,)
         links = topology.link_ids()
         # 3-4 fails: AS 3's flood crosses legacy AS 2 on its way to AS 1.
-        scenario.at(minutes(12)).fail_link(links[2])
+        scenario.timeline.add(minutes(12), LinkFailure(links[2]))
         # 1-2 fails: IREC AS 1 and legacy AS 2 both originate.
-        scenario.at(minutes(15)).fail_link(links[0])
+        scenario.timeline.add(minutes(15), LinkFailure(links[0]))
         simulation = BeaconingSimulation(topology, scenario)
         calls = Counter()
         delivered = Counter()

@@ -18,7 +18,7 @@ ledger of withdrawal times and grows by one entry per applied revocation
 
 from repro.core.beacon import DEFAULT_VALIDITY_MS
 from repro.simulation.beaconing import BeaconingSimulation
-from repro.simulation.events import ScenarioTimeline
+from repro.simulation.events import LinkFailure, LinkRecovery, ScenarioTimeline
 from repro.simulation.scenario import (
     ScenarioConfig,
     five_shortest_paths_spec,
@@ -113,8 +113,8 @@ def periodic_churn():
     for period in range(PERIODS):
         start = period * INTERVAL_MS
         for offset, link in enumerate(sorted(topology.link_ids())[-3:]):
-            timeline.at(start + (0.1 + 0.05 * offset) * INTERVAL_MS).fail_link(link)
-            timeline.at(start + (0.7 + 0.05 * offset) * INTERVAL_MS).recover_link(link)
+            timeline.add(start + (0.1 + 0.05 * offset) * INTERVAL_MS, LinkFailure(link))
+            timeline.add(start + (0.7 + 0.05 * offset) * INTERVAL_MS, LinkRecovery(link))
     scenario = _scenario(verify_signatures=True, timeline=timeline)
     return BeaconingSimulation(topology, scenario)
 

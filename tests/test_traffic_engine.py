@@ -8,6 +8,7 @@ from repro.core.databases import PathService, RegisteredPath
 from repro.dataplane.endhost import EndHost
 from repro.exceptions import ConfigurationError
 from repro.simulation.beaconing import BeaconingSimulation
+from repro.simulation.events import LinkFailure
 from repro.simulation.scenario import don_scenario
 from repro.simulation.failures import LinkState
 from repro.topology.generator import TopologyConfig, generate_topology
@@ -410,7 +411,7 @@ def build_coupled(period_count=4, fail_at_periods=2.5, round_interval_ms=minutes
     )
     scenario = don_scenario(periods=period_count, verify_signatures=False)
     for link in topology.links_of(victim_as):
-        scenario.at(fail_at_periods * minutes(10)).fail_link(link.key)
+        scenario.timeline.add(fail_at_periods * minutes(10), LinkFailure(link.key))
     simulation = BeaconingSimulation(topology, scenario)
     engine = TrafficEngine.for_simulation(
         simulation, matrix, policy=EcmpPolicy(max_paths=2),
