@@ -17,7 +17,7 @@ persistence across process restarts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.algorithms.base import CandidateBeacon
 from repro.core.beacon import Beacon
@@ -29,7 +29,7 @@ from repro.topology.entities import LinkID, normalize_link_id
 BucketKey = Tuple[int, Optional[int], Optional[int], Optional[str]]
 
 
-def _indexed_under_as(by_link: Dict[LinkID, Dict[str, None]], as_id: int) -> Iterator[str]:
+def _indexed_under_as(by_link: Dict[LinkID, List[str]], as_id: int) -> Iterator[str]:
     """Yield the digests indexed under each link with an endpoint in ``as_id``.
 
     How AS departure reads the link index: a key scan over the indexed
@@ -39,6 +39,29 @@ def _indexed_under_as(by_link: Dict[LinkID, Dict[str, None]], as_id: int) -> Ite
     for link, digests in by_link.items():
         if as_id in (link[0][0], link[1][0]):
             yield from digests
+
+
+def _index(index: Dict[Any, List[str]], key: Any, digest: str) -> None:
+    """Append ``digest`` to the list ``index[key]``, creating it if needed."""
+    members = index.get(key)
+    if members is None:
+        index[key] = [digest]
+    else:
+        members.append(digest)
+
+
+def _unindex(index: Dict[Any, List[str]], key: Any, digest: str) -> None:
+    """Remove ``digest`` from the list ``index[key]``, dropping the key once empty.
+
+    An index keeps a list per key: 64 B plus 8 B a member, where a dict or
+    set costs ≈ 200 B before its first.  ``list.remove`` scans the key's
+    members; they are the stored beacons' own digest objects, so each
+    comparison short-circuits on identity.
+    """
+    members = index[key]
+    members.remove(digest)
+    if not members:
+        del index[key]
 
 
 def bucket_of(beacon: Beacon) -> BucketKey:
@@ -58,11 +81,11 @@ class IngressDatabase:
     (e.g. over two parallel links) keeps only the first copy.  The stored
     record is the :class:`CandidateBeacon` a RAC hands its algorithm.
 
-    Each bucket maps digest → record in insertion order, so expiry removes
-    a record from its bucket in O(1), a bucket is read with one
-    ``list(values())``, and buckets emptied by removal are dropped from the
-    index entirely.  The sorted bucket order :meth:`bucket_keys` returns is
-    cached until a bucket appears or empties.
+    Each bucket is a list of its records in insertion order, read with one
+    copy.  Removal finds the record by identity, O(bucket size): expiry
+    drops the oldest records, which sit at the front.  Buckets emptied by
+    removal are dropped from the index entirely.  The sorted bucket order
+    :meth:`bucket_keys` returns is cached until a bucket appears or empties.
 
     Every insert additionally indexes the beacon under the inter-domain
     links it traverses — including the link it *arrived* over at
@@ -70,20 +93,21 @@ class IngressDatabase:
     Revocation-driven invalidation then removes exactly the matching
     beacons instead of scanning the whole store per revocation, which is
     what keeps a network-wide revocation flood affordable; an AS departure
-    reads the same index.
+    reads the same index.  Each link maps to a list of digests; removing
+    one costs O(beacons on that link).
     """
 
     local_as: int
     expiry_margin_ms: float = 0.0
     _by_digest: Dict[str, CandidateBeacon] = field(default_factory=dict)
-    #: Bucket → digest → record, in insertion order.
-    _buckets: Dict[BucketKey, Dict[str, CandidateBeacon]] = field(default_factory=dict)
+    #: Bucket → its records, in insertion order.
+    _buckets: Dict[BucketKey, List[CandidateBeacon]] = field(default_factory=dict)
     #: What :meth:`bucket_keys` returns; ``None`` once a bucket appeared or emptied.
     _bucket_order: Optional[Tuple[BucketKey, ...]] = field(
         default=None, init=False, repr=False, compare=False
     )
     #: Link → digests of beacons crossing it, arrival link included.
-    _by_link: Dict[LinkID, Dict[str, None]] = field(default_factory=dict)
+    _by_link: Dict[LinkID, List[str]] = field(default_factory=dict)
 
     def insert(self, stored: CandidateBeacon) -> bool:
         """Insert a beacon; return ``False`` if it was already present."""
@@ -94,11 +118,11 @@ class IngressDatabase:
         bucket = bucket_of(stored.beacon)
         members = self._buckets.get(bucket)
         if members is None:
-            members = self._buckets[bucket] = {}
+            members = self._buckets[bucket] = []
             self._bucket_order = None
-        members[digest] = stored
+        members.append(stored)
         for link in self._links_of(stored):
-            self._by_link.setdefault(link, {})[digest] = None
+            _index(self._by_link, link, digest)
         return True
 
     def _links_of(self, stored: CandidateBeacon) -> Tuple[LinkID, ...]:
@@ -123,7 +147,7 @@ class IngressDatabase:
     def beacons_in_bucket(self, bucket: BucketKey) -> List[CandidateBeacon]:
         """Return the stored beacons of one bucket (insertion order)."""
         members = self._buckets.get(bucket)
-        return list(members.values()) if members is not None else []
+        return list(members) if members is not None else []
 
     def all_beacons(self) -> List[CandidateBeacon]:
         """Return every stored beacon (insertion order within buckets)."""
@@ -184,16 +208,16 @@ class IngressDatabase:
             removed += 1
             bucket = bucket_of(stored.beacon)
             members = self._buckets[bucket]
-            del members[digest]
+            # By identity: ``CandidateBeacon.__eq__`` compares content.
+            for index, member in enumerate(members):
+                if member is stored:
+                    del members[index]
+                    break
             if not members:
                 del self._buckets[bucket]
                 self._bucket_order = None
             for link in self._links_of(stored):
-                members = self._by_link.get(link)
-                if members is not None:
-                    members.pop(digest, None)
-                    if not members:
-                        del self._by_link[link]
+                _unindex(self._by_link, link, digest)
         return removed
 
     def __len__(self) -> int:
@@ -205,10 +229,15 @@ class IngressDatabase:
 
 @dataclass(slots=True)
 class EgressRecord:
-    """Egress-database entry: which interfaces a beacon hash was sent on."""
+    """Egress-database entry: which interfaces a beacon hash was sent on.
+
+    A tuple, each interface once, in the order it was first sent on: most
+    beacons go out on one or two interfaces, and a set costs ≈ 200 B
+    before its first member.
+    """
 
     expires_at_ms: float
-    egress_interfaces: Set[int] = field(default_factory=set)
+    egress_interfaces: Tuple[int, ...] = ()
 
 
 @dataclass
@@ -238,8 +267,10 @@ class EgressDatabase:
             record = EgressRecord(expires_at_ms=expires_at_ms)
             self._records[digest] = record
         record.expires_at_ms = max(record.expires_at_ms, expires_at_ms)
-        fresh = [i for i in interfaces if i not in record.egress_interfaces]
-        record.egress_interfaces.update(fresh)
+        sent = record.egress_interfaces
+        fresh = [i for i in interfaces if i not in sent]
+        if fresh:
+            record.egress_interfaces = sent + tuple(dict.fromkeys(fresh))
         return fresh
 
     def interfaces_for(self, digest: str) -> Set[int]:
@@ -304,6 +335,8 @@ class PathService:
     they traverse, so revocation-driven withdrawal
     (:meth:`remove_crossing_link`) costs O(matching paths) instead of a
     full scan per revocation; :meth:`remove_crossing_as` reads the same index.
+    Every index maps a key to a list of digests in insertion order;
+    removing a digest costs O(paths under its keys).
 
     ``expiry_margin_ms`` mirrors :class:`IngressDatabase`: expiry drops
     paths whose segment expires within the margin, keeping all per-AS
@@ -319,23 +352,23 @@ class PathService:
     expiry_margin_ms: float = 0.0
     _by_digest: Dict[str, RegisteredPath] = field(default_factory=dict)
     _quota: Dict[Tuple[str, int, Optional[int]], int] = field(default_factory=dict)
-    #: Which quota keys each stored digest actually consumed a slot of, so
+    #: Which criteria tags of each stored digest actually took a quota
+    #: slot — the path's own ``criteria_tags`` when all of them did — so
     #: removal releases exactly what registration took (merged criteria
     #: tags do not consume — and therefore do not release — extra slots).
-    _consumed: Dict[str, Tuple[Tuple[str, int, Optional[int]], ...]] = field(
-        default_factory=dict
-    )
+    #: Release rebuilds each quota key from the segment.
+    _consumed: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
     #: Link → digests of registered segments crossing it.
-    _by_link: Dict[LinkID, Dict[str, None]] = field(default_factory=dict)
+    _by_link: Dict[LinkID, List[str]] = field(default_factory=dict)
     #: Origin AS → digests of registered segments starting there, in
-    #: insertion order (dict-as-ordered-set), so ``paths_to`` is indexed
-    #: instead of a full ``_by_digest`` scan.  Merges replace the record
-    #: in ``_by_digest`` without moving it, so per-origin insertion order
-    #: equals the scan's filtered order and results are identical.
-    _by_origin: Dict[int, Dict[str, None]] = field(default_factory=dict)
+    #: insertion order, so ``paths_to`` is indexed instead of a full
+    #: ``_by_digest`` scan.  Merges replace the record in ``_by_digest``
+    #: without moving it, so per-origin insertion order equals the scan's
+    #: filtered order and results are identical.
+    _by_origin: Dict[int, List[str]] = field(default_factory=dict)
     #: Terminal (registering) AS → digests ending there: the index down-
     #: segment registration at core ASes serves destination queries from.
-    _by_terminal: Dict[int, Dict[str, None]] = field(default_factory=dict)
+    _by_terminal: Dict[int, List[str]] = field(default_factory=dict)
     _invalidation_listeners: List[Callable[[int], None]] = field(default_factory=list)
 
     def add_invalidation_listener(self, listener: Callable[[int], None]) -> None:
@@ -370,22 +403,25 @@ class PathService:
                 self._notify_invalidation(existing.segment.origin_as)
             return True
 
+        segment = path.segment
+        origin_as = segment.origin_as
+        group = segment.interface_group_id
+        tags = path.criteria_tags
         consumed = []
-        for tag in path.criteria_tags:
-            key = (tag, path.segment.origin_as, path.segment.interface_group_id)
+        for tag in tags:
+            key = (tag, origin_as, group)
             used = self._quota.get(key, 0)
             if used < self.max_paths_per_key:
                 self._quota[key] = used + 1
-                consumed.append(key)
+                consumed.append(tag)
         if not consumed:
             return False
         self._by_digest[digest] = path
-        self._consumed[digest] = tuple(consumed)
-        for link in path.segment.links():
-            self._by_link.setdefault(link, {})[digest] = None
-        origin_as = path.segment.origin_as
-        self._by_origin.setdefault(origin_as, {})[digest] = None
-        self._by_terminal.setdefault(path.segment.last_as, {})[digest] = None
+        self._consumed[digest] = tags if len(consumed) == len(tags) else tuple(consumed)
+        for link in segment.links():
+            _index(self._by_link, link, digest)
+        _index(self._by_origin, origin_as, digest)
+        _index(self._by_terminal, segment.last_as, digest)
         if self._invalidation_listeners:
             self._notify_invalidation(origin_as)
         return True
@@ -497,29 +533,20 @@ class PathService:
             if path is None:
                 continue
             removed += 1
-            for key in self._consumed.pop(digest, ()):
-                used = self._quota.get(key, 0)
+            segment = path.segment
+            origin_as = segment.origin_as
+            group = segment.interface_group_id
+            for tag in self._consumed.pop(digest):
+                key = (tag, origin_as, group)
+                used = self._quota[key]
                 if used > 1:
                     self._quota[key] = used - 1
-                elif used == 1:
+                else:
                     del self._quota[key]
-            for link in path.segment.links():
-                members = self._by_link.get(link)
-                if members is not None:
-                    members.pop(digest, None)
-                    if not members:
-                        del self._by_link[link]
-            origin_as = path.segment.origin_as
-            members = self._by_origin.get(origin_as)
-            if members is not None:
-                members.pop(digest, None)
-                if not members:
-                    del self._by_origin[origin_as]
-            members = self._by_terminal.get(path.segment.last_as)
-            if members is not None:
-                members.pop(digest, None)
-                if not members:
-                    del self._by_terminal[path.segment.last_as]
+            for link in segment.links():
+                _unindex(self._by_link, link, digest)
+            _unindex(self._by_origin, origin_as, digest)
+            _unindex(self._by_terminal, segment.last_as, digest)
             touched_origins[origin_as] = None
         if touched_origins and self._invalidation_listeners:
             for origin_as in touched_origins:

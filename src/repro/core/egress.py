@@ -302,11 +302,16 @@ class EgressGateway:
         return registered
 
     def expire(self, now_ms: float) -> Tuple[int, int]:
-        """Expire outdated entries from the egress database and path service."""
+        """Expire outdated entries from the egress database and path service.
+
+        The terminate-once memo shares the egress database's horizon, so it
+        never holds a segment the path service already purged.
+        """
+        horizon = now_ms + self.database.expiry_margin_ms
         self._terminated = {
             key: segment
             for key, segment in self._terminated.items()
-            if not segment.is_expired(now_ms)
+            if not segment.is_expired(horizon)
         }
         return (
             self.database.remove_expired(now_ms),

@@ -34,16 +34,18 @@ def crossing(link_id):
     """The scan reference for ``remove_crossing_link``: a stored beacon
     crosses a link on its path or as the link it arrived over at AS 9."""
     failed = normalize_link_id(*link_id)
+    return lambda held: failed in _links_with_arrival(held)
 
-    def crosses(held):
-        if failed in held.beacon.link_set():
-            return True
-        last = held.beacon.entries[-1]
-        return last.egress_interface is not None and failed == normalize_link_id(
-            (last.as_id, last.egress_interface), (_LOCAL_AS, held.ingress_interface)
-        )
 
-    return crosses
+def _links_with_arrival(held):
+    """The links a beacon held by AS 9 is indexed under, rebuilt by hand."""
+    last = held.beacon.entries[-1]
+    if last.egress_interface is None:
+        return held.beacon.links()
+    arrival = normalize_link_id(
+        (last.as_id, last.egress_interface), (_LOCAL_AS, held.ingress_interface)
+    )
+    return held.beacon.links() + (arrival,)
 
 
 class TestIngressDatabase:
@@ -382,7 +384,7 @@ def _pool_links():
 
 _POOL_INDEX = st.integers(0, len(_ORIGINS) * len(_MIDS) * 2 - 1)
 _PATH_SERVICE_OPS = st.one_of(
-    st.tuples(st.just("register"), _POOL_INDEX, st.sampled_from(["a", "b"])),
+    st.tuples(st.just("register"), _POOL_INDEX, st.sampled_from([("a",), ("b",), ("a", "b")])),
     st.tuples(st.just("remove_crossing_link"), st.integers(0, 8)),
     st.tuples(st.just("remove_crossing_as"), st.sampled_from(_ORIGINS + _MIDS)),
     st.tuples(st.just("remove_matching"), st.sets(_POOL_INDEX, max_size=4)),
@@ -406,16 +408,24 @@ def _same_records(before, after):
 
 
 def _assert_path_indexes_equal_a_rebuild(service):
-    by_link, by_origin, by_terminal = {}, {}, {}
+    """Every index list equals a rebuild from ``_by_digest`` in store order
+    (a duplicate or a stale member fails), and the quota equals a recount
+    of the consumed tags."""
+    by_link, by_origin, by_terminal, quota = {}, {}, {}, {}
     for digest, path in service._by_digest.items():
         segment = path.segment
         for link in segment.links():
-            by_link.setdefault(link, set()).add(digest)
+            by_link.setdefault(link, []).append(digest)
         by_origin.setdefault(segment.origin_as, []).append(digest)
         by_terminal.setdefault(segment.last_as, []).append(digest)
-    assert {key: set(members) for key, members in service._by_link.items()} == by_link
-    assert {key: list(members) for key, members in service._by_origin.items()} == by_origin
-    assert {key: list(members) for key, members in service._by_terminal.items()} == by_terminal
+        for tag in service._consumed[digest]:
+            key = (tag, segment.origin_as, segment.interface_group_id)
+            quota[key] = quota.get(key, 0) + 1
+    assert service._by_link == by_link
+    assert service._by_origin == by_origin
+    assert service._by_terminal == by_terminal
+    assert service._consumed.keys() == service._by_digest.keys()
+    assert service._quota == quota
 
 
 class TestPathServiceIndexConsistency:
@@ -425,21 +435,22 @@ class TestPathServiceIndexConsistency:
         """Property: after every register / merge / withdrawal / purge the
         link, origin and terminal indexes equal a rebuild from
         ``_by_digest`` (AS departure derives from the link index, so there
-        is no fourth one to drift), the crossing-link
-        accessor equals a scan, and the listeners were told exactly the
-        origins whose digest set or record changed."""
+        is no fourth one to drift), the quota equals a recount of the tags
+        each path consumed (some register with two tags and take one slot),
+        the crossing-link accessor equals a scan, and the listeners were
+        told exactly the origins whose digest set or record changed."""
         pool, links = _segment_pool(), _pool_links()
         service = PathService(max_paths_per_key=1)
         notified = []
         service.add_invalidation_listener(notified.append)
-        for step, (name, argument, *rest) in enumerate(ops):
+        for step, (name, argument, *tags) in enumerate(ops):
             before = _records_by_origin(service)
             del notified[:]
             if name == "register":
                 service.register(
                     RegisteredPath(
                         segment=pool[argument],
-                        criteria_tags=tuple(rest),
+                        criteria_tags=tags[0],
                         registered_at_ms=float(step),
                     )
                 )
@@ -542,13 +553,9 @@ class TestAsDepartureEqualsTheScan:
             assert derived._buckets == scanned._buckets
             by_link = {}
             for digest, held in derived._by_digest.items():
-                last = held.beacon.entries[-1]
-                arrival = normalize_link_id(
-                    (last.as_id, last.egress_interface), (_LOCAL_AS, held.ingress_interface)
-                )
-                for link in held.beacon.links() + (arrival,):
-                    by_link.setdefault(link, set()).add(digest)
-            assert {key: set(members) for key, members in derived._by_link.items()} == by_link
+                for link in _links_with_arrival(held):
+                    by_link.setdefault(link, []).append(digest)
+            assert derived._by_link == by_link
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -652,3 +659,124 @@ class TestCachedBucketOrder:
                 assert database.beacons_in_bucket(bucket) == [
                     record for record in held if bucket_of(record.beacon) == bucket
                 ]
+
+
+# ---------------------------------------------------------------------------
+# Index ⇔ store consistency of the ingress database and the egress database
+# ---------------------------------------------------------------------------
+
+
+def _bucket_pool_links():
+    """Every link a ``_bucket_pool`` beacon is indexed under, over either arrival."""
+    return sorted(
+        {
+            link
+            for beacon in _bucket_pool()
+            for interface in (1, 2)
+            for link in _links_with_arrival(stored(beacon, interface=interface))
+        }
+    )
+
+
+def _ingress_operations():
+    pool_index = st.integers(0, len(_bucket_pool()) - 1)
+    return st.lists(
+        st.one_of(
+            st.tuples(st.just("insert"), pool_index, st.sampled_from((1, 2))),
+            st.tuples(st.just("remove_expired"), st.sampled_from((0.0, 2_000.0, 90_000.0))),
+            st.tuples(st.just("remove_crossing_link"), st.sampled_from(_bucket_pool_links())),
+            st.tuples(st.just("remove_crossing_as"), st.sampled_from((1, 2, 4, 5, 7, _LOCAL_AS))),
+            st.tuples(st.just("remove_matching"), st.sets(pool_index, max_size=4)),
+        ),
+        max_size=40,
+    )
+
+
+def _identities(buckets):
+    return {key: [id(record) for record in members] for key, members in buckets.items()}
+
+
+class TestIngressIndexConsistency:
+    @settings(max_examples=100, deadline=None)
+    @given(operations=_ingress_operations())
+    def test_indexes_equal_a_rebuild_from_the_store(self, operations):
+        """Property: after every insert / expiry / link or AS invalidation /
+        predicate removal, each bucket list and each ``_by_link`` list
+        equals a rebuild from ``_by_digest`` in insertion order, and
+        ``bucket_keys()`` equals the rebuild's keys sorted."""
+        pool = _bucket_pool()
+        database = IngressDatabase(local_as=_LOCAL_AS)
+        for name, argument, *rest in operations:
+            if name == "insert":
+                database.insert(stored(pool[argument], interface=rest[0]))
+            elif name == "remove_matching":
+                doomed = {pool[index].digest() for index in argument}
+                database.remove_matching(lambda held: held.beacon.digest() in doomed)
+            else:
+                getattr(database, name)(argument)
+
+            buckets, by_link = {}, {}
+            for digest, held in database._by_digest.items():
+                buckets.setdefault(bucket_of(held.beacon), []).append(held)
+                for link in _links_with_arrival(held):
+                    by_link.setdefault(link, []).append(digest)
+            # By identity: a bucket holds the stored record itself.
+            assert _identities(database._buckets) == _identities(buckets)
+            assert database._by_link == by_link
+            assert database.bucket_keys() == tuple(
+                sorted(buckets, key=lambda key: (key[0], key[1] or -1, key[2] or -1, key[3] or ""))
+            )
+
+
+_EGRESS_OPERATIONS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("filter"),
+            st.sampled_from(("a", "b", "c")),
+            st.lists(st.integers(-1, 3), max_size=5),
+            st.sampled_from((10.0, 20.0, 30.0)),
+        ),
+        st.tuples(st.just("remove_expired"), st.sampled_from((0.0, 10.0, 15.0, 25.0, 40.0))),
+    ),
+    max_size=30,
+)
+
+
+class TestEgressDatabaseEqualsASetReference:
+    @settings(max_examples=150, deadline=None)
+    @given(operations=_EGRESS_OPERATIONS, margin=st.sampled_from((0.0, 5.0)))
+    def test_filter_and_expiry_equal_the_reference(self, operations, margin):
+        """Property: against a digest → (expiry, set of interfaces)
+        reference, ``filter_new_interfaces`` returns the same fresh list
+        (duplicate inputs and the ``-1`` return-to-origin sentinel
+        included), a record's expiry is the max it was given, its tuple
+        holds each interface once in first-sent order, and expiry drops
+        the same digests."""
+        database = EgressDatabase(expiry_margin_ms=margin)
+        reference = {}
+        for name, *arguments in operations:
+            if name == "filter":
+                digest, interfaces, expires_at = arguments
+                expiry, sent, order = reference.get(digest, (expires_at, set(), []))
+                fresh = [i for i in interfaces if i not in sent]
+                for interface in fresh:
+                    if interface not in sent:
+                        sent.add(interface)
+                        order.append(interface)
+                reference[digest] = (max(expiry, expires_at), sent, order)
+                assert database.filter_new_interfaces(digest, interfaces, expires_at) == fresh
+            else:
+                horizon = arguments[0] + margin
+                doomed = [d for d, (expiry, *_sets) in reference.items() if expiry <= horizon]
+                for digest in doomed:
+                    del reference[digest]
+                assert database.remove_expired(arguments[0]) == len(doomed)
+            assert len(database) == len(reference)
+            for digest in ("a", "b", "c"):
+                assert (digest in database) == (digest in reference)
+                expiry, sent, order = reference.get(digest, (None, set(), []))
+                assert database.interfaces_for(digest) == sent
+                if digest in reference:
+                    record = database._records[digest]
+                    assert record.expires_at_ms == expiry
+                    assert record.egress_interfaces == tuple(order)

@@ -296,6 +296,25 @@ class TestEgressGateway:
         egress.expire(now_ms=1_000.0)
         assert egress._terminated == {}
 
+    def test_termination_memo_expires_on_the_shared_margin(self, topology, key_store):
+        """With an expiry margin ``m``, ``expire(T - m/2)`` purges a segment
+        expiring at ``T`` from the path service, and the memo with it."""
+        margin, expires_at = 40.0, 100.0
+        egress = EgressGateway(
+            view=view_for(topology, 3),
+            builder=BeaconBuilder(as_id=3, signer=Signer(as_id=3, key_store=key_store)),
+            transport=NullTransport(),
+            database=EgressDatabase(expiry_margin_ms=margin),
+            path_service=PathService(expiry_margin_ms=margin),
+        )
+        beacon = make_beacon(key_store, [(1, None, 1), (2, 1, 2)], validity_ms=expires_at)
+        selection = self._selection(key_store, beacon, egress_interfaces=[2])
+        egress.propagate([selection], now_ms=0.0)
+        egress.register([selection], now_ms=0.0)
+        assert len(egress._terminated) == 1
+        assert egress.expire(now_ms=expires_at - margin / 2) == (1, 1)
+        assert egress._terminated == {}
+
     def test_loop_suppression_follows_links_attached_later(self, topology, key_store):
         """The interface -> neighbour memo is dropped by ``attach_link``."""
         _ingress, egress, _transport = gateway_pair(topology, 3, key_store)

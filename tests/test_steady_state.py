@@ -5,7 +5,9 @@ may grow with the run's length.  Once beacons expire, every per-AS store
 has the same size at period *k* and at period *k* + one beacon validity:
 the ingress database, the verified-prefix cache, the egress database and
 its terminate-once memo, the path service, the revocation dedup store and
-negative caches, and the query frontend's caches.  Two signed scenarios
+negative caches, and the query frontend's caches -- and so is the entry
+count of every index over them, so an index list that keeps a removed
+member fails as surely as a store that does.  Two signed scenarios
 cover them: a fixed topology registering down-segments, and a
 periodic-churn scenario (every period fails and recovers the same links,
 so revocations flood every period).  Both are trees, where every pair has
@@ -49,22 +51,39 @@ def tree_topology(count):
     return build_topology(interfaces, links)
 
 
+def _entries(index):
+    """The members of a key -> members index, all keys together."""
+    return sum(len(members) for members in index.values())
+
+
 def store_sizes(simulation):
-    """AS -> the size of every per-AS store (``applied_at`` aside)."""
+    """AS -> the size of every per-AS store (``applied_at`` aside), and the
+    entry count of every index over one, so a list that never shrinks
+    shows."""
     sizes = {}
     for as_id, service in simulation.services.items():
         frontend = service.query_frontend
         revocations = service.revocations
+        ingress = service.ingress.database
+        paths = service.path_service
         sizes[as_id] = {
-            "ingress": len(service.ingress.database),
+            "ingress": len(ingress),
             "verified_prefixes": len(service.ingress.verified_prefixes),
             "egress": len(service.egress.database),
             "terminated": len(service.egress._terminated),
-            "path_service": len(service.path_service),
+            "path_service": len(paths),
+            "ingress_index": _entries(ingress._by_link) + _entries(ingress._buckets),
+            "path_index": _entries(paths._by_link)
+            + _entries(paths._by_origin)
+            + _entries(paths._by_terminal),
+            "egress_interfaces": sum(
+                len(record.egress_interfaces)
+                for record in service.egress.database._records.values()
+            ),
             "dedup": len(revocations._seen),
             "revoked": len(revocations.revoked_links) + len(revocations.revoked_ases),
             "query_cache": len(frontend._cache),
-            "query_index": sum(len(keys) for keys in frontend._keys_by_origin.values()),
+            "query_index": _entries(frontend._keys_by_origin),
         }
     return sizes
 
@@ -124,14 +143,33 @@ class TestStoresAreLevelOneValidityApart:
         by_period = sizes_by_period(signed_fixed_topology())
         assert_level_one_validity_apart(
             by_period,
-            ("ingress", "verified_prefixes", "egress", "terminated", "path_service", "query_cache"),
+            (
+                "ingress",
+                "ingress_index",
+                "verified_prefixes",
+                "egress",
+                "egress_interfaces",
+                "terminated",
+                "path_service",
+                "path_index",
+                "query_cache",
+            ),
         )
 
     def test_periodic_churn(self):
         simulation = periodic_churn()
         by_period = sizes_by_period(simulation)
         assert_level_one_validity_apart(
-            by_period, ("ingress", "verified_prefixes", "terminated", "path_service", "dedup")
+            by_period,
+            (
+                "ingress",
+                "ingress_index",
+                "verified_prefixes",
+                "terminated",
+                "path_service",
+                "path_index",
+                "dedup",
+            ),
         )
         # The exemption: the withdrawal ledger keeps one entry per applied
         # revocation of the whole run, the dedup store those of one window.
