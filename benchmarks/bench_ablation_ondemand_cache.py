@@ -2,8 +2,8 @@
 
 Paper §V-C: "by caching the executable, the RAC only needs to do this once
 for all PCBs with the same origin AS and algorithm ID."  This ablation
-compares on-demand RAC processing with the payload/algorithm cache enabled
-and disabled, measuring the number of remote fetches and the processing
+compares on-demand RAC processing with the algorithm cache enabled and
+disabled, measuring the number of remote fetches and the processing
 latency over repeated rounds, and additionally quantifies the benefit of
 the egress database's hash-based deduplication.
 """
@@ -15,7 +15,6 @@ import pytest
 from repro.algorithms.registry import encode_builtin_payload
 from repro.analysis.reporting import format_table
 from repro.analysis.workloads import BENCHMARK_LOCAL_AS, synthetic_candidate_set
-from repro.core.algorithm_registry import AlgorithmFetcher
 from repro.core.databases import EgressDatabase, IngressDatabase
 from repro.core.extensions import ExtensionSet
 from repro.core.ondemand import OnDemandAlgorithmManager
@@ -34,13 +33,11 @@ def _build_rac(cache_enabled: bool):
         fetch_counter["count"] += 1
         return payload
 
-    manager = OnDemandAlgorithmManager(
-        fetcher=AlgorithmFetcher(transport=transport, cache_enabled=cache_enabled),
-        cache_enabled=cache_enabled,
-    )
     rac = RoutingAlgorithmContainer(
-        config=RACConfig(rac_id="ablation", on_demand=True),
-        on_demand_manager=manager,
+        config=RACConfig(rac_id="ablation"),
+        on_demand_manager=OnDemandAlgorithmManager(
+            transport=transport, cache_enabled=cache_enabled
+        ),
     )
     return rac, payload, fetch_counter
 

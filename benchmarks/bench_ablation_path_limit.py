@@ -1,11 +1,12 @@
-"""Ablation — registration limit (paths per RAC, origin AS and interface group).
+"""Ablation — registration limit (paths per criteria, origin AS and interface group).
 
-The paper fixes the per-RAC registration limit at 20 paths (§VIII-B), which
-bounds both the path service's memory and the theoretical maximum TLF.
-This ablation sweeps the limit and reports how the number of registered
-paths and the achievable disjointness react, confirming that the limit is
-the binding constraint for disjointness-oriented algorithms but not for
-1SP.
+The paper fixes the registration limit at 20 paths per (criteria, origin,
+interface group) (§VIII-B), which bounds both the path service's memory and
+the theoretical maximum TLF.  This ablation sweeps the path service's quota
+— :attr:`ScenarioConfig.registration_limit`, which sizes every AS's
+``PathService`` — and reports how the number of registered paths and the
+achievable disjointness react, confirming that the limit is the binding
+constraint for multi-path algorithms but not for 1SP.
 """
 
 from __future__ import annotations
@@ -34,12 +35,13 @@ LIMITS = (1, 5, 20)
 def _scenario(limit: int, periods: int) -> ScenarioConfig:
     return ScenarioConfig(
         algorithms=(
-            one_shortest_path_spec(registration_limit=limit),
-            five_shortest_paths_spec(registration_limit=limit),
-            heuristic_disjointness_spec(registration_limit=limit),
+            one_shortest_path_spec(),
+            five_shortest_paths_spec(),
+            heuristic_disjointness_spec(),
         ),
         periods=periods,
         verify_signatures=False,
+        registration_limit=limit,
     )
 
 
@@ -58,24 +60,26 @@ def sweep_results():
 def test_ablation_registration_limit_report(sweep_results, capsys):
     """Print registered-path counts and TLF as the limit grows."""
     rows = []
+    registered = {}
     tlf_by_limit = {}
     for limit, result in sweep_results.items():
         as_ids = result.topology.as_ids()
         probe = as_ids[-1]
-        registered = len(result.service(probe).path_service.all_paths())
+        registered[limit] = len(result.service(probe).path_service.all_paths())
         pairs = [(as_ids[-1], as_ids[0]), (as_ids[-2], as_ids[1])]
         evaluation = evaluate_disjointness(result, tags=["hd"], as_pairs=pairs)
         tlf = sum(evaluation.tlf["hd"])
         tlf_by_limit[limit] = tlf
-        rows.append([limit, registered, tlf])
+        rows.append([limit, registered[limit], tlf])
     with capsys.disabled():
         print("\nAblation — registration limit vs. registered paths and HD disjointness")
         print(format_table(["limit", "registered paths @ probe AS", "sum TLF (HD)"], rows))
 
     # A larger limit can only help: registered paths and TLF are monotone.
-    registered_counts = [row[1] for row in rows]
-    assert registered_counts == sorted(registered_counts)
+    assert [registered[limit] for limit in LIMITS] == sorted(registered.values())
     assert tlf_by_limit[20] >= tlf_by_limit[1]
+    # And the limit binds: one path per key registers fewer than twenty.
+    assert registered[1] < registered[20]
 
 
 def test_ablation_limit_benchmark(benchmark):

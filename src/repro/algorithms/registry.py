@@ -45,7 +45,7 @@ from repro.algorithms.pareto import ParetoDominantAlgorithm
 from repro.algorithms.pull_disjoint import LinkAvoidingAlgorithm
 from repro.algorithms.shortest_path import KShortestPathAlgorithm
 from repro.core.criteria import CriteriaSet
-from repro.exceptions import AlgorithmError, UnknownAlgorithmError
+from repro.exceptions import AlgorithmError, ConfigurationError, UnknownAlgorithmError
 from repro.topology.entities import normalize_link_id
 
 #: Signature of a builtin algorithm factory: keyword parameters -> algorithm.
@@ -206,12 +206,24 @@ def decode_payload(
     """
     try:
         document = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise AlgorithmError(f"malformed algorithm payload: {exc}") from exc
     if not isinstance(document, dict) or "kind" not in document:
         raise AlgorithmError("algorithm payload must be an object with a 'kind' field")
 
     kind = document["kind"]
+    try:
+        return _decode_document(kind, document, catalog)
+    except (KeyError, TypeError, ValueError, OverflowError, ConfigurationError) as exc:
+        # A payload comes from a remote AS: a missing field or a value of
+        # the wrong type fails its bucket, not the run.
+        raise AlgorithmError(f"malformed {kind!r} algorithm payload: {exc!r}") from exc
+
+
+def _decode_document(
+    kind: object, document: Dict[str, object], catalog: Optional[AlgorithmCatalog]
+) -> RoutingAlgorithm:
+    """Build the algorithm a parsed payload document describes."""
     if kind == "criteria_set":
         criteria_set = CriteriaSet.from_spec(document["spec"])
         return CriteriaSetAlgorithm(

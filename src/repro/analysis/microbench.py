@@ -31,7 +31,6 @@ from repro.algorithms.base import ExecutionContext
 from repro.algorithms.registry import encode_builtin_payload
 from repro.algorithms.shortest_path import legacy_scion_algorithm
 from repro.analysis.workloads import BENCHMARK_LOCAL_AS, synthetic_candidate_set
-from repro.core.algorithm_registry import AlgorithmFetcher
 from repro.core.databases import IngressDatabase
 from repro.core.extensions import ExtensionSet
 from repro.core.ipc import IPCChannel
@@ -110,15 +109,9 @@ def _build_on_demand_rac(
     def transport(_origin_as: int, _algorithm_id: str) -> bytes:
         return payload
 
-    manager = OnDemandAlgorithmManager(fetcher=AlgorithmFetcher(transport=transport))
-    config = RACConfig(
-        rac_id="bench-on-demand",
-        on_demand=True,
-        max_paths_per_interface=paths_per_origin,
-    )
     return RoutingAlgorithmContainer(
-        config=config,
-        on_demand_manager=manager,
+        config=RACConfig(rac_id="bench-on-demand", max_paths_per_interface=paths_per_origin),
+        on_demand_manager=OnDemandAlgorithmManager(transport=transport),
         sandbox=SandboxRuntime(modelled_setup_ms=modelled_setup_ms),
         ipc=IPCChannel(per_call_latency_ms=modelled_ipc_call_ms),
     )

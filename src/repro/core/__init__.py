@@ -15,9 +15,8 @@ This package contains everything §IV and §V of the paper describe:
   :mod:`repro.core.control_service`),
 * the routing mechanisms built on top: pull-based routing
   (:mod:`repro.core.pull`), on-demand routing with sandboxed algorithm
-  execution (:mod:`repro.core.ondemand`, :mod:`repro.core.sandbox`,
-  :mod:`repro.core.algorithm_registry`), and interface groups
-  (:mod:`repro.core.interface_groups`).
+  execution (:mod:`repro.core.ondemand`, :mod:`repro.core.sandbox`), and
+  interface groups (:mod:`repro.core.interface_groups`).
 """
 
 from repro.core.beacon import ASEntry, Beacon, BeaconBuilder

@@ -24,8 +24,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from repro.algorithms.base import RoutingAlgorithm
-from repro.core.algorithm_registry import AlgorithmFetcher, AlgorithmRepository
-from repro.core.beacon import Beacon, BeaconBuilder, DEFAULT_VALIDITY_MS
+from repro.core.beacon import Beacon, BeaconBuilder
 from repro.core.databases import (
     EgressDatabase,
     IngressDatabase,
@@ -48,8 +47,8 @@ from repro.core.messages import (
     PathRegistrationMessage,
     RevocationMessage,
 )
-from repro.core.ondemand import OnDemandAlgorithmManager
-from repro.core.query import DEFAULT_CACHE_CAPACITY, PathQuery, PathQueryFrontend
+from repro.core.ondemand import AlgorithmRepository, OnDemandAlgorithmManager
+from repro.core.query import PathQuery, PathQueryFrontend
 from repro.core.rac import (
     RACConfig,
     RACExecutionReport,
@@ -74,19 +73,14 @@ class ControlServiceConfig:
     Attributes:
         verify_signatures: Whether the ingress gateway verifies PCB
             signature chains (disable only for very large simulations).
-        beacon_validity_ms: Lifetime of originated beacons.
         registration_limit: Per-(criteria, origin, interface-group) cap of
-            the path service — 20 in the paper's simulations.
+            the path service — 20 in the paper's simulations; the one
+            registration limit (a simulation sets it from
+            ``ScenarioConfig.registration_limit``).
         originate_with_groups: Whether originated beacons carry the
             interface-group extension.
-        expiry_margin_ms: Shared expiry horizon of the AS's three stores
-            (ingress database, egress database, path service): entries
-            expiring within the margin are dropped together, so a beacon
-            never survives in one store after another dropped it.
         revocation_dedup_window_ms: How long the service remembers
             processed revocation ``(origin, sequence)`` keys.
-        query_cache_capacity: LRU bound of the path-query frontend's
-            materialized-response cache.
         register_down_segments: When enabled, every registration that adds
             a segment or a criteria tag to this AS's path service is
             additionally announced back along the segment as a
@@ -97,12 +91,9 @@ class ControlServiceConfig:
     """
 
     verify_signatures: bool = True
-    beacon_validity_ms: float = DEFAULT_VALIDITY_MS
     registration_limit: int = 20
     originate_with_groups: bool = True
-    expiry_margin_ms: float = 0.0
     revocation_dedup_window_ms: float = DEFAULT_DEDUP_WINDOW_MS
-    query_cache_capacity: int = DEFAULT_CACHE_CAPACITY
     register_down_segments: bool = False
 
 
@@ -139,22 +130,15 @@ class IrecControlService:
         self.ingress = IngressGateway(
             as_id=view.as_id,
             verifier=Verifier(key_store=key_store),
-            database=IngressDatabase(
-                local_as=view.as_id, expiry_margin_ms=config.expiry_margin_ms
-            ),
+            database=IngressDatabase(local_as=view.as_id),
             verify_signatures=config.verify_signatures,
         )
-        self.path_service = PathService(
-            max_paths_per_key=config.registration_limit,
-            expiry_margin_ms=config.expiry_margin_ms,
-        )
+        self.path_service = PathService(max_paths_per_key=config.registration_limit)
         #: The serving tier end hosts query instead of touching the path
         #: service directly; subscribes itself to the service's
         #: invalidation hook.  The simulation attaches its scheduler as
         #: the frontend's clock.
-        self.query_frontend = PathQueryFrontend(
-            self.path_service, capacity=config.query_cache_capacity
-        )
+        self.query_frontend = PathQueryFrontend(self.path_service)
         #: Responses to queries this AS sent, as ``(response, arrived_ms)``.
         self.query_responses: List[Tuple[PathQueryResponse, float]] = []
         self.revocations = RevocationState(
@@ -173,9 +157,8 @@ class IrecControlService:
             view=view,
             builder=self.builder,
             transport=transport,
-            database=EgressDatabase(expiry_margin_ms=config.expiry_margin_ms),
+            database=EgressDatabase(),
             path_service=self.path_service,
-            beacon_validity_ms=config.beacon_validity_ms,
         )
         self.racs: List[RoutingAlgorithmContainer] = []
         self.repository = AlgorithmRepository(as_id=view.as_id)
@@ -205,18 +188,13 @@ class IrecControlService:
         rac_id: str,
         algorithm: RoutingAlgorithm,
         max_paths_per_interface: int = 20,
-        registration_limit: Optional[int] = None,
         use_interface_groups: bool = True,
         use_targets: bool = True,
     ) -> RoutingAlgorithmContainer:
         """Create, register and return a static RAC running ``algorithm``."""
         config = RACConfig(
             rac_id=rac_id,
-            on_demand=False,
             max_paths_per_interface=max_paths_per_interface,
-            registration_limit=registration_limit
-            if registration_limit is not None
-            else self.config.registration_limit,
             use_interface_groups=use_interface_groups,
             use_targets=use_targets,
         )
@@ -225,28 +203,15 @@ class IrecControlService:
         return rac
 
     def add_on_demand_rac(
-        self,
-        rac_id: str,
-        max_paths_per_interface: int = 20,
-        registration_limit: Optional[int] = None,
-        cache_enabled: bool = True,
+        self, rac_id: str, max_paths_per_interface: int = 20
     ) -> RoutingAlgorithmContainer:
         """Create, register and return an on-demand RAC."""
-        fetcher = AlgorithmFetcher(
+        manager = OnDemandAlgorithmManager(
             transport=lambda origin_as, algorithm_id: self.transport.fetch_algorithm(
                 self.as_id, origin_as, algorithm_id
-            ),
-            cache_enabled=cache_enabled,
+            )
         )
-        manager = OnDemandAlgorithmManager(fetcher=fetcher, cache_enabled=cache_enabled)
-        config = RACConfig(
-            rac_id=rac_id,
-            on_demand=True,
-            max_paths_per_interface=max_paths_per_interface,
-            registration_limit=registration_limit
-            if registration_limit is not None
-            else self.config.registration_limit,
-        )
+        config = RACConfig(rac_id=rac_id, max_paths_per_interface=max_paths_per_interface)
         rac = RoutingAlgorithmContainer(config=config, on_demand_manager=manager)
         self.racs.append(rac)
         return rac

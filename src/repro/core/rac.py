@@ -57,11 +57,8 @@ class RACConfig:
     Attributes:
         rac_id: Identifier of the container (also used as the criteria tag
             when registering paths).
-        on_demand: Whether this container runs on-demand algorithms.
         max_paths_per_interface: The maximally allowed size of the optimal
             set returned per egress interface.
-        registration_limit: How many of the selected beacons (per origin AS
-            and interface group) are registered at the path service.
         use_interface_groups: Whether candidate buckets are split per
             interface group (§IV-D); when disabled, groups are merged.
         use_targets: Whether pull-based buckets (with a target extension)
@@ -69,9 +66,7 @@ class RACConfig:
     """
 
     rac_id: str
-    on_demand: bool = False
     max_paths_per_interface: int = 20
-    registration_limit: int = 20
     use_interface_groups: bool = True
     use_targets: bool = True
 
@@ -81,10 +76,6 @@ class RACConfig:
         if self.max_paths_per_interface < 1:
             raise RACError(
                 f"max_paths_per_interface must be positive, got {self.max_paths_per_interface}"
-            )
-        if self.registration_limit < 0:
-            raise RACError(
-                f"registration_limit must be non-negative, got {self.registration_limit}"
             )
 
 
@@ -131,12 +122,14 @@ class RACExecutionReport:
 class RoutingAlgorithmContainer:
     """The RAC itself.
 
+    A container is given exactly one of ``algorithm`` and
+    ``on_demand_manager``, and is on-demand exactly when it has the latter.
+
     Attributes:
         config: Static configuration.
-        algorithm: The algorithm of a static RAC; must be ``None`` for
-            on-demand RACs.
-        on_demand_manager: Fetches, verifies and decodes on-demand payloads;
-            required when :attr:`RACConfig.on_demand` is set.
+        algorithm: The algorithm of a static RAC.
+        on_demand_manager: Fetches, verifies and decodes the payloads an
+            on-demand RAC runs.
         sandbox: Sandbox runtime used to prepare algorithm executions.
         ipc: Gateway ↔ RAC channel model.
     """
@@ -148,11 +141,11 @@ class RoutingAlgorithmContainer:
     ipc: IPCChannel = field(default_factory=IPCChannel)
 
     def __post_init__(self) -> None:
-        if self.config.on_demand:
-            if self.on_demand_manager is None:
-                raise RACError(f"on-demand RAC {self.config.rac_id} needs an algorithm manager")
-        elif self.algorithm is None:
-            raise RACError(f"static RAC {self.config.rac_id} needs an algorithm")
+        if (self.algorithm is None) == (self.on_demand_manager is None):
+            raise RACError(
+                f"RAC {self.config.rac_id} needs exactly one of an algorithm "
+                "and an on-demand manager"
+            )
 
     # ------------------------------------------------------------------
     # bucket handling
@@ -165,7 +158,7 @@ class RoutingAlgorithmContainer:
         key order.  Buckets of the other RAC type, and pull buckets when
         targets are off, belong to no job.
         """
-        on_demand = self.config.on_demand
+        on_demand = self.on_demand_manager is not None
         use_targets = self.config.use_targets
         merge = not self.config.use_interface_groups
         jobs: Dict[Tuple, List[BucketKey]] = {}
@@ -245,10 +238,9 @@ class RoutingAlgorithmContainer:
 
     def _resolve_algorithm(self, candidates: Tuple[CandidateBeacon, ...]) -> RoutingAlgorithm:
         """Return the algorithm to run for this job."""
-        if not self.config.on_demand:
+        if self.on_demand_manager is None:
             assert self.algorithm is not None  # enforced in __post_init__
             return self.algorithm
-        assert self.on_demand_manager is not None  # enforced in __post_init__
         reference_beacon = candidates[0].beacon
         if reference_beacon.extensions.algorithm is None:
             raise AlgorithmError("on-demand bucket contains a beacon without algorithm extension")

@@ -463,6 +463,7 @@ class BeaconingSimulation(PeriodDriver):
                 revocation_dedup_window_ms=self.scenario.revocation_dedup_window_ms,
                 originate_with_groups=not legacy,
                 register_down_segments=self.scenario.register_down_segments and not legacy,
+                registration_limit=self.scenario.registration_limit,
             ),
         )
         specs = self._deployed_specs.setdefault(as_info.as_id, {})
@@ -482,9 +483,7 @@ class BeaconingSimulation(PeriodDriver):
         """Install one RAC described by ``spec`` (deployment and hot-swap)."""
         if spec.on_demand:
             service.add_on_demand_rac(
-                rac_id=spec.rac_id,
-                max_paths_per_interface=spec.max_paths_per_interface,
-                registration_limit=spec.registration_limit,
+                rac_id=spec.rac_id, max_paths_per_interface=spec.max_paths_per_interface
             )
         else:
             assert spec.factory is not None  # validated by AlgorithmSpec
@@ -492,7 +491,6 @@ class BeaconingSimulation(PeriodDriver):
                 rac_id=spec.rac_id,
                 algorithm=spec.factory(),
                 max_paths_per_interface=spec.max_paths_per_interface,
-                registration_limit=spec.registration_limit,
                 use_interface_groups=spec.use_interface_groups,
                 use_targets=spec.use_targets,
             )

@@ -40,7 +40,6 @@ class AlgorithmSpec:
         rac_id: Container identifier and criteria tag (e.g. ``"1sp"``).
         factory: Creates the per-AS algorithm instance.
         max_paths_per_interface: Per-interface selection limit of the RAC.
-        registration_limit: Per-(criteria, origin, group) registration limit.
         use_interface_groups: Whether the RAC buckets by interface group.
         use_targets: Whether the RAC processes pull-based buckets.
         on_demand: Whether this is an on-demand RAC (``factory`` is ignored).
@@ -49,7 +48,6 @@ class AlgorithmSpec:
     rac_id: str
     factory: Optional[AlgorithmFactory] = None
     max_paths_per_interface: int = 20
-    registration_limit: int = 20
     use_interface_groups: bool = True
     use_targets: bool = True
     on_demand: bool = False
@@ -107,6 +105,9 @@ class ScenarioConfig:
             path-registration messages, so origin (core) ASes learn
             down-segments on message arrival.  Off by default: the extra
             fabric traffic would change pinned traces.
+        registration_limit: How many paths every AS's path service keeps per
+            (criteria tag, origin AS, interface group) — 20 in the paper's
+            simulations (§VIII-B); legacy ASes included.
     """
 
     algorithms: Tuple[AlgorithmSpec, ...]
@@ -123,6 +124,7 @@ class ScenarioConfig:
     inbox_profiles: Dict[int, InboxProfile] = field(default_factory=dict)
     loss_seed: int = 0
     register_down_segments: bool = False
+    registration_limit: int = 20
 
     def __post_init__(self) -> None:
         if not self.algorithms and not self.legacy_ases:
@@ -133,6 +135,10 @@ class ScenarioConfig:
             raise ConfigurationError(
                 f"propagation interval must be positive, got {self.propagation_interval_ms}"
             )
+        if self.registration_limit < 1:
+            raise ConfigurationError(
+                f"registration_limit must be positive, got {self.registration_limit}"
+            )
         if self.inbox_batch_size is not None and self.inbox_batch_size < 1:
             raise ConfigurationError(
                 f"inbox_batch_size must be None or >= 1, got {self.inbox_batch_size}"
@@ -142,39 +148,34 @@ class ScenarioConfig:
 # ----------------------------------------------------------------------
 # the paper's algorithm suite
 # ----------------------------------------------------------------------
-def one_shortest_path_spec(registration_limit: int = 20) -> AlgorithmSpec:
+def one_shortest_path_spec() -> AlgorithmSpec:
     """1SP: propagate the single shortest path per origin on every interface."""
     return AlgorithmSpec(
         rac_id="1sp",
         factory=lambda: KShortestPathAlgorithm(k=1),
-        registration_limit=registration_limit,
         use_interface_groups=False,
     )
 
 
-def five_shortest_paths_spec(registration_limit: int = 20) -> AlgorithmSpec:
+def five_shortest_paths_spec() -> AlgorithmSpec:
     """5SP: propagate the five shortest paths per origin on every interface."""
     return AlgorithmSpec(
         rac_id="5sp",
         factory=lambda: KShortestPathAlgorithm(k=5),
-        registration_limit=registration_limit,
         use_interface_groups=False,
     )
 
 
-def heuristic_disjointness_spec(registration_limit: int = 20) -> AlgorithmSpec:
+def heuristic_disjointness_spec() -> AlgorithmSpec:
     """HD: heuristically optimize inter-domain link disjointness."""
     return AlgorithmSpec(
         rac_id="hd",
         factory=lambda: HeuristicDisjointnessAlgorithm(paths_per_interface=5),
-        registration_limit=registration_limit,
         use_interface_groups=False,
     )
 
 
-def delay_optimization_spec(
-    extended_paths: bool, rac_id: Optional[str] = None, registration_limit: int = 20
-) -> AlgorithmSpec:
+def delay_optimization_spec(extended_paths: bool, rac_id: Optional[str] = None) -> AlgorithmSpec:
     """DO: delay optimization on received (DON) or extended (DOB) paths."""
     identifier = rac_id or ("dob" if extended_paths else "don")
     return AlgorithmSpec(
@@ -182,14 +183,13 @@ def delay_optimization_spec(
         factory=lambda: DelayOptimizationAlgorithm(
             paths_per_interface=3, use_extended_paths=extended_paths
         ),
-        registration_limit=registration_limit,
         use_interface_groups=extended_paths,
     )
 
 
-def on_demand_spec(registration_limit: int = 20) -> AlgorithmSpec:
+def on_demand_spec() -> AlgorithmSpec:
     """The on-demand RAC used by pull-based disjointness."""
-    return AlgorithmSpec(rac_id="on-demand", on_demand=True, registration_limit=registration_limit)
+    return AlgorithmSpec(rac_id="on-demand", on_demand=True)
 
 
 def legacy_scion_spec() -> AlgorithmSpec:
@@ -202,7 +202,7 @@ def legacy_scion_spec() -> AlgorithmSpec:
     return AlgorithmSpec(rac_id="legacy", factory=legacy_scion_algorithm)
 
 
-def paper_algorithm_suite(registration_limit: int = 20) -> Tuple[AlgorithmSpec, ...]:
+def paper_algorithm_suite() -> Tuple[AlgorithmSpec, ...]:
     """Return the paper's per-AS deployment: four static RACs + one on-demand RAC.
 
     The DO static RAC is instantiated in its DON flavour here; the DOB
@@ -210,11 +210,11 @@ def paper_algorithm_suite(registration_limit: int = 20) -> Tuple[AlgorithmSpec, 
     (see :func:`dob_scenario`).
     """
     return (
-        one_shortest_path_spec(registration_limit),
-        five_shortest_paths_spec(registration_limit),
-        heuristic_disjointness_spec(registration_limit),
-        delay_optimization_spec(extended_paths=False, registration_limit=registration_limit),
-        on_demand_spec(registration_limit),
+        one_shortest_path_spec(),
+        five_shortest_paths_spec(),
+        heuristic_disjointness_spec(),
+        delay_optimization_spec(extended_paths=False),
+        on_demand_spec(),
     )
 
 

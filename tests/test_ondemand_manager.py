@@ -1,14 +1,18 @@
-"""Tests for the on-demand algorithm manager (fetch → verify → decode → cache)."""
+"""Tests for the on-demand algorithm manager (fetch → verify → decode → cache).
+
+Every cache property is read off the fake transport's call log: a resolve
+that hits the cache makes no call.
+"""
 
 import pytest
 
 from repro.algorithms.criteria_algorithm import CriteriaSetAlgorithm
 from repro.algorithms.registry import encode_builtin_payload, encode_criteria_payload
 from repro.algorithms.shortest_path import KShortestPathAlgorithm
-from repro.core.algorithm_registry import AlgorithmFetcher
 from repro.core.criteria import shortest_widest
 from repro.core.extensions import ExtensionSet
 from repro.core.ondemand import OnDemandAlgorithmManager
+from repro.core.sandbox import MAX_PAYLOAD_BYTES
 from repro.crypto.hashing import algorithm_hash
 from repro.exceptions import AlgorithmError, AlgorithmIntegrityError
 
@@ -23,11 +27,7 @@ def manager_with(payloads, cache_enabled=True):
         calls.append((origin_as, algorithm_id))
         return payloads[(origin_as, algorithm_id)]
 
-    manager = OnDemandAlgorithmManager(
-        fetcher=AlgorithmFetcher(transport=transport, cache_enabled=cache_enabled),
-        cache_enabled=cache_enabled,
-    )
-    return manager, calls
+    return OnDemandAlgorithmManager(transport=transport, cache_enabled=cache_enabled), calls
 
 
 def on_demand_beacon(key_store, origin, algorithm_id, payload):
@@ -91,19 +91,7 @@ class TestCaching:
         third = manager.resolve(beacon_other_origin)
         assert first is second  # same origin + id + hash -> cached object
         assert third is not first  # different origin caches separately
-        assert manager.cached_algorithm_count() == 2
         assert calls == [(1, "five"), (2, "five")]
-
-    def test_clear_drops_decoded_cache_only(self, key_store):
-        payload = encode_builtin_payload("5sp")
-        manager, calls = manager_with({(1, "five"): payload})
-        beacon = on_demand_beacon(key_store, 1, "five", payload)
-        manager.resolve(beacon)
-        manager.clear()
-        assert manager.cached_algorithm_count() == 0
-        manager.resolve(beacon)
-        # The payload cache in the fetcher still avoids a second remote fetch.
-        assert calls == [(1, "five")]
 
     def test_cache_disabled_refetches_and_redecodes(self, key_store):
         payload = encode_builtin_payload("5sp")
@@ -111,9 +99,9 @@ class TestCaching:
         beacon = on_demand_beacon(key_store, 1, "five", payload)
         first = manager.resolve(beacon)
         second = manager.resolve(beacon)
-        assert first is not second
-        assert len(calls) == 2
-        assert manager.cached_algorithm_count() == 0
+        third = manager.resolve(beacon)
+        assert first is not second and second is not third
+        assert len(calls) == 3
 
     def test_republished_payload_with_new_hash_is_refetched(self, key_store):
         old_payload = encode_builtin_payload("5sp")
@@ -130,4 +118,36 @@ class TestCaching:
         resolved = manager.resolve(new_beacon)
         assert resolved.k == 20
         assert len(calls) == 2
-        assert manager.cached_algorithm_count() == 2
+        # Both hashes stay cached: neither resolves over the transport again.
+        assert manager.resolve(old_beacon).k == 5
+        assert manager.resolve(new_beacon) is resolved
+        assert len(calls) == 2
+
+    def test_undecodable_payload_fetched_once_and_fails_every_time(self, key_store):
+        payload = b'{"kind": "no-such-kind"}'
+        manager, calls = manager_with({(1, "odd"): payload})
+        beacon = on_demand_beacon(key_store, 1, "odd", payload)
+        errors = []
+        for _ in range(3):
+            with pytest.raises(AlgorithmError) as raised:
+                manager.resolve(beacon)
+            errors.append(raised.value)
+        assert calls == [(1, "odd")]
+        assert len({str(error) for error in errors}) == 1
+        # A hit raises a fresh error: one stored exception re-raised every
+        # round would grow its traceback each time.
+        assert errors[1] is not errors[2]
+
+    @pytest.mark.parametrize("failure", ("oversized", "wrong-hash"))
+    def test_integrity_failures_are_not_cached(self, key_store, failure):
+        if failure == "oversized":
+            # The hash matches: only the size check can refuse it.
+            announced = served = b"x" * (MAX_PAYLOAD_BYTES + 1)
+        else:
+            announced, served = encode_builtin_payload("5sp"), encode_builtin_payload("1sp")
+        manager, calls = manager_with({(1, "five"): served})
+        beacon = on_demand_beacon(key_store, 1, "five", announced)
+        for _ in range(2):
+            with pytest.raises(AlgorithmIntegrityError):
+                manager.resolve(beacon)
+        assert len(calls) == 2

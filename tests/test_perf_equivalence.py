@@ -68,7 +68,6 @@ from repro.core.algebra import (
     pareto_frontier,
     pareto_frontier_naive,
 )
-from repro.core.algorithm_registry import AlgorithmFetcher
 from repro.core.beacon import Beacon, BeaconBuilder
 from repro.core.criteria import StandardMetrics
 from repro.core.databases import IngressDatabase
@@ -967,12 +966,13 @@ def reference_round(rac, database, egress_interfaces, intra, local_as):
     digest map per bucket and a membership test per appended interface.
     """
     config = rac.config
+    on_demand = rac.on_demand_manager is not None
     report = RACExecutionReport(rac_id=config.rac_id)
     selections = []
     buckets = [
         key
         for key in database.bucket_keys()
-        if config.on_demand == (key[3] is not None) and (key[2] is None or config.use_targets)
+        if on_demand == (key[3] is not None) and (key[2] is None or config.use_targets)
     ]
     if not config.use_interface_groups:
         first_of_job = {}
@@ -990,7 +990,7 @@ def reference_round(rac, database, egress_interfaces, intra, local_as):
                 for record in database.beacons_in_bucket(other)
             ]
         try:
-            if config.on_demand:
+            if on_demand:
                 algorithm = rac.on_demand_manager.resolve(stored[0].beacon)
             else:
                 algorithm = rac.algorithm
@@ -1086,16 +1086,13 @@ ROUND_ALGORITHMS = {
 def _container(name, use_interface_groups, use_targets):
     config = RACConfig(
         rac_id=name,
-        on_demand=name == "on-demand",
         max_paths_per_interface=4,
         use_interface_groups=use_interface_groups,
         use_targets=use_targets,
     )
-    if config.on_demand:
-        fetcher = AlgorithmFetcher(transport=lambda _origin, _algorithm_id: _PAYLOAD)
-        return RoutingAlgorithmContainer(
-            config=config, on_demand_manager=OnDemandAlgorithmManager(fetcher=fetcher)
-        )
+    if name == "on-demand":
+        manager = OnDemandAlgorithmManager(transport=lambda _origin, _algorithm_id: _PAYLOAD)
+        return RoutingAlgorithmContainer(config=config, on_demand_manager=manager)
     return RoutingAlgorithmContainer(config=config, algorithm=ROUND_ALGORITHMS[name]())
 
 

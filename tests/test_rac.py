@@ -6,7 +6,6 @@ from repro.algorithms.base import CandidateBeacon, ExecutionResult, RoutingAlgor
 from repro.algorithms.registry import encode_builtin_payload, encode_criteria_payload
 from repro.algorithms.disjointness import HeuristicDisjointnessAlgorithm
 from repro.algorithms.shortest_path import KShortestPathAlgorithm
-from repro.core.algorithm_registry import AlgorithmFetcher
 from repro.core.criteria import widest_with_latency_bound
 from repro.core.databases import IngressDatabase
 from repro.core.extensions import ExtensionSet
@@ -39,16 +38,19 @@ class TestRACConfig:
             RACConfig(rac_id="")
         with pytest.raises(RACError):
             RACConfig(rac_id="x", max_paths_per_interface=0)
-        with pytest.raises(RACError):
-            RACConfig(rac_id="x", registration_limit=-1)
 
-    def test_static_rac_needs_algorithm(self):
+    def test_rac_needs_an_algorithm_or_a_manager(self):
         with pytest.raises(RACError):
             RoutingAlgorithmContainer(config=RACConfig(rac_id="x"))
 
-    def test_on_demand_rac_needs_manager(self):
+    def test_rac_rejects_both_an_algorithm_and_a_manager(self):
+        manager = OnDemandAlgorithmManager(transport=lambda _origin, _id: b"")
         with pytest.raises(RACError):
-            RoutingAlgorithmContainer(config=RACConfig(rac_id="x", on_demand=True))
+            RoutingAlgorithmContainer(
+                config=RACConfig(rac_id="x"),
+                algorithm=KShortestPathAlgorithm(k=1),
+                on_demand_manager=manager,
+            )
 
 
 class TestStaticRAC:
@@ -306,17 +308,29 @@ class TestUnknownBeacons:
 
 
 class TestOnDemandRAC:
-    def _on_demand_rac(self, payloads, cache_enabled=True):
+    def _on_demand_rac(self, payloads):
+        """Return an on-demand RAC over ``payloads`` and its transport's call log."""
+        calls = []
+
         def transport(origin_as, algorithm_id):
+            calls.append((origin_as, algorithm_id))
             return payloads[(origin_as, algorithm_id)]
 
-        manager = OnDemandAlgorithmManager(
-            fetcher=AlgorithmFetcher(transport=transport, cache_enabled=cache_enabled),
-            cache_enabled=cache_enabled,
-        )
         return RoutingAlgorithmContainer(
-            config=RACConfig(rac_id="on-demand", on_demand=True), on_demand_manager=manager
-        ), manager
+            config=RACConfig(rac_id="on-demand"),
+            on_demand_manager=OnDemandAlgorithmManager(transport=transport),
+        ), calls
+
+    def _rounds(self, rac, database, rounds):
+        return [
+            rac.process(
+                database=database,
+                egress_interfaces=(9,),
+                intra_latency_ms=zero_intra,
+                local_as=100,
+            )[1]
+            for _ in range(rounds)
+        ]
 
     def test_fetches_verifies_and_executes(self, key_store):
         payload = encode_criteria_payload(widest_with_latency_bound(50.0))
@@ -329,15 +343,14 @@ class TestOnDemandRAC:
                 ([(1, None, 2), (3, 1, 2)], extensions),
             ],
         )
-        rac, manager = self._on_demand_rac(payloads)
+        rac, calls = self._on_demand_rac(payloads)
         selections, report = rac.process(
             database=database, egress_interfaces=(9,), intra_latency_ms=zero_intra, local_as=100
         )
         assert report.buckets == 1
         assert report.failed_buckets == 0
         assert len(selections) >= 1
-        assert manager.cached_algorithm_count() == 1
-        assert manager.fetcher.remote_fetch_count() == 1
+        assert calls == [(1, "widest50")]
 
     def test_hash_mismatch_fails_bucket(self, key_store):
         good_payload = encode_builtin_payload("1sp")
@@ -345,7 +358,7 @@ class TestOnDemandRAC:
         payloads = {(1, "algo"): tampered_payload}
         extensions = ExtensionSet().with_algorithm("algo", algorithm_hash(good_payload))
         database = database_with(key_store, [([(1, None, 1), (2, 1, 2)], extensions)])
-        rac, _manager = self._on_demand_rac(payloads)
+        rac, _calls = self._on_demand_rac(payloads)
         selections, report = rac.process(
             database=database, egress_interfaces=(9,), intra_latency_ms=zero_intra, local_as=100
         )
@@ -355,7 +368,7 @@ class TestOnDemandRAC:
     def test_static_buckets_ignored(self, key_store):
         payloads = {}
         database = database_with(key_store, [([(1, None, 1), (2, 1, 2)], None)])
-        rac, _manager = self._on_demand_rac(payloads)
+        rac, _calls = self._on_demand_rac(payloads)
         _selections, report = rac.process(
             database=database, egress_interfaces=(9,), intra_latency_ms=zero_intra, local_as=100
         )
@@ -366,12 +379,25 @@ class TestOnDemandRAC:
         payloads = {(1, "algo"): payload}
         extensions = ExtensionSet().with_algorithm("algo", algorithm_hash(payload))
         database = database_with(key_store, [([(1, None, 1), (2, 1, 2)], extensions)])
-        rac, manager = self._on_demand_rac(payloads)
-        for _ in range(3):
-            rac.process(
-                database=database,
-                egress_interfaces=(9,),
-                intra_latency_ms=zero_intra,
-                local_as=100,
-            )
-        assert manager.fetcher.remote_fetch_count() == 1
+        rac, calls = self._on_demand_rac(payloads)
+        reports = self._rounds(rac, database, 3)
+        assert [report.buckets for report in reports] == [1, 1, 1]
+        assert calls == [(1, "algo")]
+
+    def test_undecodable_payload_fetched_once_failing_every_round(self, key_store):
+        payload = b'{"kind": "no-such-kind"}'
+        extensions = ExtensionSet().with_algorithm("algo", algorithm_hash(payload))
+        database = database_with(key_store, [([(1, None, 1), (2, 1, 2)], extensions)])
+        rac, calls = self._on_demand_rac({(1, "algo"): payload})
+        reports = self._rounds(rac, database, 3)
+        assert [report.failed_buckets for report in reports] == [1, 1, 1]
+        assert calls == [(1, "algo")]
+
+    def test_malformed_payload_fails_its_bucket_not_the_round(self, key_store):
+        # Verifies against its hash, but lacks the criteria spec.
+        payload = b'{"kind": "criteria_set"}'
+        extensions = ExtensionSet().with_algorithm("algo", algorithm_hash(payload))
+        database = database_with(key_store, [([(1, None, 1), (2, 1, 2)], extensions)])
+        rac, _calls = self._on_demand_rac({(1, "algo"): payload})
+        (report,) = self._rounds(rac, database, 1)
+        assert (report.buckets, report.failed_buckets) == (0, 1)

@@ -1,8 +1,12 @@
-"""Tests for algorithm catalogues, payload serialization and on-demand fetching."""
+"""Tests for algorithm catalogues, payload (de)serialization and algorithm repositories."""
+
+import json
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from repro.algorithms.bandwidth import ShortestWidestAlgorithm
+from repro.algorithms.base import RoutingAlgorithm
 from repro.algorithms.criteria_algorithm import CriteriaSetAlgorithm
 from repro.algorithms.pull_disjoint import LinkAvoidingAlgorithm
 from repro.algorithms.registry import (
@@ -15,8 +19,8 @@ from repro.algorithms.registry import (
     encode_restricted_python_payload,
 )
 from repro.algorithms.shortest_path import KShortestPathAlgorithm
-from repro.core.algorithm_registry import AlgorithmFetcher, AlgorithmRepository
 from repro.core.criteria import widest_with_latency_bound
+from repro.core.ondemand import AlgorithmRepository
 from repro.core.sandbox import MAX_PAYLOAD_BYTES, RestrictedPythonAlgorithm
 from repro.crypto.hashing import algorithm_hash
 from repro.exceptions import (
@@ -121,53 +125,99 @@ class TestAlgorithmRepository:
         assert repository.fetch("algo") == b"two"
 
 
-class TestAlgorithmFetcher:
-    def _fetcher(self, payload, cache_enabled=True):
-        calls = []
+#: Any JSON value, NaN and infinities included (``json.loads`` accepts them).
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=8), children, max_size=3),
+    max_leaves=8,
+)
+_COUNT = st.integers(-2, 4) | _JSON
+_CRITERIA_SPEC = st.sampled_from(
+    [
+        widest_with_latency_bound(30.0).to_spec(),
+        {"name": "x", "criteria": [{"metric": "latency_ms", "objective": "minimize"}]},
+        {"name": "x", "criteria": [{"metric": "nope", "objective": "minimize"}]},
+        {"name": "x", "criteria": [{"metric": "latency_ms"}]},
+        {"name": "x", "criteria": []},
+        {"name": "x", "criteria": [], "composition": "sideways"},
+        {"criteria": [{"metric": "latency_ms", "objective": "minimize"}]},
+    ]
+)
+_LINK_END = st.lists(st.integers(0, 9) | _JSON, max_size=3)
 
-        def transport(origin_as, algorithm_id):
-            calls.append((origin_as, algorithm_id))
-            return payload
 
-        return AlgorithmFetcher(transport=transport, cache_enabled=cache_enabled), calls
+def _document(kind, fields):
+    """A payload document of ``kind``; each field is drawn or left out."""
+    return st.fixed_dictionaries(
+        {"kind": st.just(kind)}, optional={name: value for name, value in fields.items()}
+    )
 
-    def test_fetch_verifies_hash(self):
-        payload = encode_builtin_payload("1sp")
-        fetcher, _calls = self._fetcher(payload)
-        assert fetcher.fetch(5, "a", algorithm_hash(payload)) == payload
-        with pytest.raises(AlgorithmIntegrityError):
-            fetcher.fetch(5, "b", "00" * 32)
 
-    def test_cache_prevents_repeat_fetches(self):
-        payload = encode_builtin_payload("1sp")
-        fetcher, calls = self._fetcher(payload)
-        expected = algorithm_hash(payload)
-        fetcher.fetch(5, "a", expected)
-        fetcher.fetch(5, "a", expected)
-        fetcher.fetch(5, "a", expected)
-        assert len(calls) == 1
-        assert fetcher.remote_fetch_count() == 1
-        assert len(fetcher.history) == 3
+#: One document strategy per payload kind, plus unknown kinds.
+_DOCUMENTS = {
+    "criteria_set": _document(
+        "criteria_set", {"spec": _CRITERIA_SPEC | _JSON, "paths_per_interface": _COUNT}
+    ),
+    "link_avoiding": _document(
+        "link_avoiding",
+        {
+            "avoid_links": st.lists(st.lists(_LINK_END, max_size=3), max_size=3) | _JSON,
+            "paths_per_interface": _COUNT,
+        },
+    ),
+    "builtin": _document(
+        "builtin",
+        {
+            "name": st.sampled_from(default_catalog().names()) | _JSON,
+            "parameters": st.dictionaries(
+                st.sampled_from(
+                    ["k", "paths_per_interface", "use_extended_paths", "latency_bound_ms"]
+                ),
+                _COUNT,
+                max_size=3,
+            )
+            | _JSON,
+        },
+    ),
+    "restricted_python": _document(
+        "restricted_python",
+        {
+            "source": st.sampled_from(["latency_ms", "hop_count * 2", "(", "__import__"])
+            | _JSON,
+            "paths_per_interface": _COUNT,
+        },
+    ),
+    "unknown": _document("mystery", {"spec": _JSON}) | _JSON,
+}
 
-    def test_cache_disabled_refetches(self):
-        payload = encode_builtin_payload("1sp")
-        fetcher, calls = self._fetcher(payload, cache_enabled=False)
-        expected = algorithm_hash(payload)
-        fetcher.fetch(5, "a", expected)
-        fetcher.fetch(5, "a", expected)
-        assert len(calls) == 2
 
-    def test_clear_cache(self):
-        payload = encode_builtin_payload("1sp")
-        fetcher, calls = self._fetcher(payload)
-        expected = algorithm_hash(payload)
-        fetcher.fetch(5, "a", expected)
-        fetcher.clear_cache()
-        fetcher.fetch(5, "a", expected)
-        assert len(calls) == 2
+class TestMalformedPayloadsFailTyped:
+    """Whatever a remote AS publishes, decoding returns an algorithm or raises
+    :class:`AlgorithmError` — never another error, which would abort the run."""
 
-    def test_oversized_fetched_payload_rejected(self):
-        big = b"x" * (MAX_PAYLOAD_BYTES + 1)
-        fetcher, _calls = self._fetcher(big)
-        with pytest.raises(AlgorithmIntegrityError):
-            fetcher.fetch(5, "a", algorithm_hash(big))
+    @seed(20261017)
+    @settings(max_examples=300, deadline=None)
+    @given(document=st.one_of(list(_DOCUMENTS.values())))
+    def test_decode_returns_algorithm_or_raises_algorithm_error(self, document):
+        payload = json.dumps(document).encode("utf-8")
+        try:
+            algorithm = decode_payload(payload)
+        except AlgorithmError:
+            return
+        assert isinstance(algorithm, RoutingAlgorithm)
+
+    @pytest.mark.parametrize(
+        "document",
+        (
+            {"kind": "criteria_set"},
+            {"kind": "criteria_set", "spec": {"name": "x", "criteria": [{"metric": "nope"}]}},
+            {"kind": "link_avoiding", "avoid_links": [[[1, 2]]]},
+            {"kind": "builtin", "name": "ksp", "parameters": {"k": "many"}},
+            {"kind": "restricted_python"},
+            {"kind": "restricted_python", "source": "1", "paths_per_interface": "two"},
+        ),
+    )
+    def test_known_malformations(self, document):
+        with pytest.raises(AlgorithmError):
+            decode_payload(json.dumps(document).encode("utf-8"))

@@ -190,6 +190,8 @@ class TestScenarioConfig:
             ScenarioConfig(
                 algorithms=(one_shortest_path_spec(),), propagation_interval_ms=0.0
             )
+        with pytest.raises(ConfigurationError):
+            ScenarioConfig(algorithms=(one_shortest_path_spec(),), registration_limit=0)
 
     def test_paper_suite_contains_expected_racs(self):
         suite = paper_algorithm_suite()
@@ -250,6 +252,21 @@ class TestBeaconingSimulation:
         paths = result.service(4).path_service.paths_to(1)
         assert paths
         assert paths[0].segment.as_path() == (1, 2, 3, 4)
+
+    def test_registration_limit_sizes_every_path_service(self):
+        scenario = ScenarioConfig(
+            algorithms=(one_shortest_path_spec(),),
+            periods=1,
+            verify_signatures=False,
+            legacy_ases=(2,),
+            registration_limit=3,
+        )
+        simulation = BeaconingSimulation(line_topology(4), scenario)
+        limits = {
+            as_id: service.path_service.max_paths_per_key
+            for as_id, service in simulation.services.items()
+        }
+        assert limits == {1: 3, 2: 3, 3: 3, 4: 3}
 
     def test_pull_orchestrator_requires_irec_as(self):
         topology = line_topology(3)
