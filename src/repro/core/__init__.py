@@ -28,12 +28,8 @@ from repro.core.extensions import (
 )
 from repro.core.messages import (
     ControlMessage,
-    MessageEnvelope,
     PCBMessage,
-    PathQueryMessage,
-    PathQueryResponse,
     PathRegistrationMessage,
-    PullReturnMessage,
     RevocationMessage,
 )
 from repro.core.query import PathQuery, PathQueryFrontend
@@ -49,15 +45,11 @@ __all__ = [
     "CriteriaSet",
     "Criterion",
     "InterfaceGroupExtension",
-    "MessageEnvelope",
     "Objective",
     "PCBMessage",
     "PathQuery",
     "PathQueryFrontend",
-    "PathQueryMessage",
-    "PathQueryResponse",
     "PathRegistrationMessage",
-    "PullReturnMessage",
     "RevocationMessage",
     "RevocationState",
     "StandardMetrics",

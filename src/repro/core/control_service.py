@@ -2,11 +2,12 @@
 
 :class:`IrecControlService` is what every AS runs: identity and wiring
 (topology view, transport, beacon builder, ingress gateway, path service,
-query frontend, revocation state), the whole fabric-facing surface —
-typed-message dispatch, beacon admission with its negative-cache bounce,
-the revocation flood, path-registration relay and path-query serving —
-and the intra-AS components of §V: routing algorithm containers and the
-egress gateway, plus pull-based and on-demand routing.
+query frontend, revocation state), the whole fabric-facing surface — one
+batched typed-message dispatch, beacon admission with its negative-cache
+bounce, the revocation flood and down-segment relay — and the intra-AS
+components of §V: routing algorithm containers and the egress gateway,
+plus pull-based and on-demand routing.  End hosts query the local query
+frontend in process.
 
 A legacy SCION AS (the baseline of §VII-B's mixed deployments) is a
 configuration of the same class, not a second implementation: one static
@@ -42,13 +43,11 @@ from repro.core.interface_groups import (
 from repro.core.local_view import LocalTopologyView
 from repro.core.messages import (
     ControlMessage,
-    PathQueryMessage,
-    PathQueryResponse,
     PathRegistrationMessage,
     RevocationMessage,
 )
 from repro.core.ondemand import AlgorithmRepository, OnDemandAlgorithmManager
-from repro.core.query import PathQuery, PathQueryFrontend
+from repro.core.query import PathQueryFrontend
 from repro.core.rac import (
     RACConfig,
     RACExecutionReport,
@@ -84,10 +83,9 @@ class ControlServiceConfig:
         register_down_segments: When enabled, every registration that adds
             a segment or a criteria tag to this AS's path service is
             additionally announced back along the segment as a
-            ``register_at_origin`` path-registration message, so the
-            origin (core) AS learns it as a down-segment on message
-            arrival.  Off by default — the extra messages would change
-            pinned traces.
+            path-registration message, so the origin (core) AS learns it
+            as a down-segment on message arrival.  Off by default — the
+            extra messages would change pinned traces.
     """
 
     verify_signatures: bool = True
@@ -139,13 +137,11 @@ class IrecControlService:
         #: invalidation hook.  The simulation attaches its scheduler as
         #: the frontend's clock.
         self.query_frontend = PathQueryFrontend(self.path_service)
-        #: Responses to queries this AS sent, as ``(response, arrived_ms)``.
-        self.query_responses: List[Tuple[PathQueryResponse, float]] = []
         self.revocations = RevocationState(
             dedup_window_ms=config.revocation_dedup_window_ms
         )
-        #: Envelope sequence numbers of non-revocation messages this
-        #: service originates (revocations keep their own counter: their
+        #: Sequence numbers of the down-segment announcements this service
+        #: originates (revocations keep their own counter: their
         #: (origin, sequence) pairs are the flood's dedup identity).
         self._message_sequence = itertools.count(1)
         #: Optional ``(message, removed_counts, now_ms)`` callback invoked
@@ -175,10 +171,6 @@ class IrecControlService:
     def set_policies(self, policies: Sequence) -> None:
         """Replace the ingress gateway's admission policies atomically."""
         self.ingress.policies = list(policies)
-
-    def registered_paths_to(self, origin_as: int):
-        """Return the registered paths towards ``origin_as``."""
-        return self.path_service.paths_to(origin_as)
 
     # ------------------------------------------------------------------
     # routing algorithm containers
@@ -436,43 +428,22 @@ class IrecControlService:
     # ------------------------------------------------------------------
     # fabric-facing handlers
     # ------------------------------------------------------------------
-    def on_message(self, message: ControlMessage, on_interface: int, now_ms: float):
-        """Handle one typed control message — the unified fabric entry point.
-
-        Dispatches on ``message.kind``, the key :meth:`on_message_batch`
-        and the collector's ledgers use; each handler is looked up on the
-        instance at call time.
-        """
-        kind = message.kind
-        if kind == "pcb":
-            return self.receive_beacon(
-                message.beacon, on_interface=on_interface, now_ms=now_ms
-            )
-        if kind == "revocation":
-            return self.on_revocation(message, on_interface=on_interface, now_ms=now_ms)
-        if kind == "path_registration":
-            return self.receive_path_registration(message, now_ms)
-        if kind == "pull_return":
-            return self.receive_returned_beacon(message.beacon, now_ms=now_ms)
-        if kind == "path_query":
-            return self.serve_path_query(message, on_interface, now_ms)
-        if kind == "path_query_response":
-            return self.receive_query_response(message, now_ms=now_ms)
-        raise SimulationError(f"unsupported control message {message!r}")
-
     def on_message_batch(
         self, entries: Sequence[Tuple[ControlMessage, int]], now_ms: float
     ):
         """Handle one drained inbox batch in arrival order.
 
-        Messages are processed exactly as per-message dispatch would — same
-        order, same ``now_ms`` (every entry of a batch arrived at the same
-        scheduler tick) — so database state and withdrawal timestamps are
-        identical to ``batch_size=1`` delivery.  The batch enables one
-        amortization per-message delivery cannot see: several copies of the
-        *same* beacon arriving together (parallel links, simultaneous
-        neighbours) pay one admission — signature-chain probe included — and
-        the remaining copies take the duplicate fast path, since an identical
+        The one fabric entry point: dispatches on ``message.kind``, the key
+        the collector's ledgers use, and raises :class:`SimulationError` on
+        a kind it has no handler for.  Each handler is looked up on the
+        instance at call time.  Messages are processed in order with one
+        ``now_ms`` (every entry of a batch arrived at the same scheduler
+        tick), so database state and withdrawal timestamps are identical to
+        ``batch_size=1`` delivery.  The batch enables one amortization
+        per-message delivery cannot see: several copies of the *same*
+        beacon arriving together (parallel links, simultaneous neighbours)
+        pay one admission — signature-chain probe included — and the
+        remaining copies take the duplicate fast path, since an identical
         digest means a byte-identical beacon whose admission verdict cannot
         differ and whose database insert would be refused as a duplicate
         anyway.
@@ -508,7 +479,7 @@ class IrecControlService:
             elif kind == "path_registration":
                 append(self.receive_path_registration(message, now_ms))
             else:
-                append(self.on_message(message, on_interface, now_ms))
+                raise SimulationError(f"unsupported control message {message!r}")
         return results
 
     def receive_beacon(self, beacon: Beacon, on_interface: int, now_ms: float) -> bool:
@@ -546,52 +517,33 @@ class IrecControlService:
         """Serve a published on-demand algorithm payload."""
         return self.repository.fetch(algorithm_id)
 
-    def send_path_registration(
-        self, egress_interface: int, path: RegisteredPath, now_ms: float
-    ) -> PathRegistrationMessage:
-        """Offer ``path`` to the neighbouring AS's path service.
-
-        Builds a :class:`PathRegistrationMessage` on the shared envelope
-        and sends it through the fabric: the offer pays per-hop latency,
-        can be lost on a failed link and is counted like every other
-        control message.
-        """
-        message = PathRegistrationMessage(
-            origin_as=self.as_id,
-            sequence=next(self._message_sequence),
-            created_at_ms=now_ms,
-            path=path,
-        )
-        self.transport.send_message(self.as_id, egress_interface, message)
-        return message
-
     def receive_path_registration(
         self, message: PathRegistrationMessage, now_ms: float
     ) -> bool:
-        """Register a remotely offered path at the local path service.
+        """Relay a down-segment announcement, or register it at its origin.
 
-        The registration is re-stamped with the *arrival* time: a path that
-        reaches this AS now is fresh now, which is the timestamp contract the
-        convergence collector's sub-period recovery detection relies on.
-        Expired segments are dropped (the offer outlived its path).
-
-        ``register_at_origin`` messages are down-segment announcements: a
-        transit AS on the segment forwards the message one hop toward the
+        A transit AS on the segment forwards the message one hop toward the
         origin (out its own reverse/ingress interface of the segment) without
-        registering, and only the origin AS registers it — registration is
-        driven entirely by message arrival.  The registrar sends one per
-        ``(segment, criteria tag)`` that was news to its own path service,
-        not one per round (:meth:`EgressGateway.register`), so nothing here
-        refreshes a down-segment the origin already holds: it stays until it
-        expires or is withdrawn, and a copy lost on the way is repaired by
-        the segment's successor, not by a repeat.
+        registering, an AS off the segment drops it, and only the origin AS
+        registers it — registration is driven entirely by message arrival.
+        The registration is re-stamped with the *arrival* time: a path that
+        reaches the origin now is fresh now, which is the timestamp contract
+        the convergence collector's sub-period recovery detection relies on.
+        Expired segments are dropped (the announcement outlived its path).
+
+        The registrar sends one per ``(segment, criteria tag)`` that was
+        news to its own path service, not one per round
+        (:meth:`EgressGateway.register`), so nothing here refreshes a
+        down-segment the origin already holds: it stays until it expires or
+        is withdrawn, and a copy lost on the way is repaired by the
+        segment's successor, not by a repeat.
         """
         path = message.path
         segment = path.segment
         if segment.is_expired(now_ms):
             return False
         as_id = self.as_id
-        if message.register_at_origin and segment.origin_as != as_id:
+        if segment.origin_as != as_id:
             as_path = segment.as_path()
             if as_id not in as_path:
                 # Not on the segment's path: a misrouted announcement, drop it.
@@ -608,58 +560,6 @@ class IrecControlService:
                 registered_at_ms=now_ms,
             )
         )
-
-    def next_message_sequence(self) -> int:
-        """Return the next non-revocation envelope sequence number."""
-        return next(self._message_sequence)
-
-    def send_path_query(
-        self, egress_interface: int, query: PathQuery, now_ms: float
-    ) -> PathQueryMessage:
-        """Ask the neighbour over ``egress_interface`` for paths.
-
-        The answer arrives later as a :class:`PathQueryResponse` through
-        the fabric and lands in :attr:`query_responses`.
-        """
-        message = PathQueryMessage(
-            origin_as=self.as_id,
-            sequence=next(self._message_sequence),
-            created_at_ms=now_ms,
-            query=query,
-        )
-        self.transport.send_message(self.as_id, egress_interface, message)
-        return message
-
-    def serve_path_query(
-        self, message: PathQueryMessage, on_interface: int, now_ms: float
-    ) -> PathQueryResponse:
-        """Serve a remote path query through the local query frontend.
-
-        The response echoes the request's ``(origin_as, sequence)`` so the
-        requester can correlate it, and travels back over the interface the
-        query arrived on.  A locally dispatched query (``on_interface < 0``)
-        gets its response returned instead of sent.
-        """
-        result = self.query_frontend.query(message.query, now_ms=now_ms)
-        response = PathQueryResponse(
-            origin_as=self.as_id,
-            sequence=self.next_message_sequence(),
-            created_at_ms=now_ms,
-            query=message.query,
-            paths=result.paths,
-            cache_hit=result.cache_hit,
-            request_origin=message.origin_as,
-            request_sequence=message.sequence,
-        )
-        if on_interface >= 0:
-            self.transport.send_message(self.as_id, on_interface, response)
-        return response
-
-    def receive_query_response(
-        self, response: PathQueryResponse, now_ms: float
-    ) -> None:
-        """Handle the answer to a query this AS sent earlier."""
-        self.query_responses.append((response, now_ms))
 
     # ------------------------------------------------------------------
     # origination
@@ -749,7 +649,6 @@ class IrecControlService:
                     sequence=next(self._message_sequence),
                     created_at_ms=now_ms,
                     path=path,
-                    register_at_origin=True,
                 )
                 self.transport.send_message(self.as_id, arrival_interface, announcement)
                 self.egress.stats.announced += 1

@@ -438,9 +438,9 @@ class PathService:
     def down_paths_to(self, terminal_as: int) -> List[RegisteredPath]:
         """Return every registered segment *ending* at ``terminal_as``.
 
-        At a core AS that accepts down-segment registrations
-        (``register_at_origin`` path-registration messages), this is the
-        destination-keyed view: segments usable to reach ``terminal_as``.
+        At a core AS that receives down-segment announcements
+        (path-registration messages), this is the destination-keyed view:
+        segments usable to reach ``terminal_as``.
         """
         by_digest = self._by_digest
         return [by_digest[d] for d in self._by_terminal.get(terminal_as, ())]

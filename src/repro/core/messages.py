@@ -1,13 +1,11 @@
 """Typed control-plane messages: the vocabulary of the unified message fabric.
 
 The control plane of the paper is one conversation among ASes — beacons,
-path registrations and revocations all travel over the same inter-AS links
-— yet the reproduction grew three parallel transport code paths, each with
-its own latency accounting, loss handling and metrics hooks.  This module
-is the common vocabulary that collapses them: every inter-AS control-plane
-interaction is a :class:`ControlMessage` carrying a shared **envelope**
-(origin AS, per-origin sequence number, origination time, hop path and a
-wire-size estimate), and one generic transport path
+down-segment announcements and revocations all travel over the same
+inter-AS links.  Every such interaction is a :class:`ControlMessage`
+carrying its origin AS, a per-origin sequence number, its origination time
+and (when it needs one) the hop path a copy traversed, and one generic
+transport path
 (:meth:`repro.simulation.network.SimulatedTransport.send_message`) routes
 all of them with uniform per-hop latency, loss and metrics treatment.
 
@@ -18,46 +16,39 @@ Message types
   link (the fabric's framing of :class:`repro.core.beacon.Beacon`, built
   by the sending AS: its id as origin, its own sequence).
 * :class:`RevocationMessage` — the signed withdrawal of one **or several**
-  failed elements (inter-domain links and/or departed ASes).  Riding the
-  shared envelope it gained *batching* (several failed elements in one
-  message), *TTL* (``ttl_ms``: receivers drop copies older than the TTL
-  instead of applying stale withdrawals) and *scope limiting*
-  (``max_hops``: the flood stops re-forwarding once a copy has traversed
-  that many hops — the envelope's hop path is the witness).
-* :class:`PathRegistrationMessage` — a terminated path segment offered to
-  a neighbouring AS's path service, turning path registration from a
-  direct method call into first-class control-plane traffic.  With
-  ``register_at_origin`` set, the message travels hop-by-hop back along
-  the segment and is registered as a *down-segment* at the origin (core)
-  AS — driven by message arrival, not by direct call.
-* :class:`PullReturnMessage` — a pull-requested beacon travelling back to
-  the AS that asked for it.  ``transport.return_beacon_to_origin`` frames
-  the returned beacon as this message and delivers it — over the beacon's
-  own reverse path, not one link — through the same ``on_message``
-  dispatch as every other control message.
-* :class:`PathQueryMessage` / :class:`PathQueryResponse` — a typed path
-  lookup against a remote AS's query frontend and its materialized
-  answer, correlated by the requester's ``(origin_as, sequence)``.
+  failed elements (inter-domain links and/or departed ASes), with
+  *batching* (several failed elements in one message), *TTL* (``ttl_ms``:
+  receivers drop copies older than the TTL instead of applying stale
+  withdrawals) and *scope limiting* (``max_hops``: the flood stops
+  re-forwarding once a copy has traversed that many hops — the hop path is
+  the witness).
+* :class:`PathRegistrationMessage` — a down-segment announcement: a
+  terminated path segment travelling hop-by-hop back along the segment to
+  its origin (core) AS, which registers it on arrival.
+
+A pull-requested beacon's return to its origin is not a message type: the
+transport delivers it over the beacon's own path straight to
+:meth:`repro.core.control_service.IrecControlService.receive_returned_beacon`
+and counts it under the ledger kind ``"pull_return"``.
 
 Hop tracking
 ------------
 
-The envelope's ``hop_path`` records the ASes a copy traversed.  Stamping a
-hop copies the (frozen) message, so the fabric only does it when a message
-*needs* it (:meth:`ControlMessage.needs_hop_tracking` — e.g. a
-scope-limited revocation).  The unscoped revocation flood therefore still
-forwards the one original object per branch, keeping the per-message flood
-cost O(1) — see the ROADMAP's flood fast-path invariants.
+``hop_path`` records the ASes a copy traversed.  Stamping a hop copies the
+(frozen) message, so the fabric only does it when a message *needs* it
+(:meth:`ControlMessage.needs_hop_tracking` — e.g. a scope-limited
+revocation).  The unscoped revocation flood therefore still forwards the
+one original object per branch, keeping the per-message flood cost O(1) —
+see the ROADMAP's flood fast-path invariants.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import ClassVar, NamedTuple, Optional, Tuple
+from typing import ClassVar, Optional, Tuple
 
 from repro.core.beacon import Beacon, _slot
 from repro.core.databases import RegisteredPath
-from repro.core.query import PathQuery
 from repro.crypto.signer import Signer, Verifier
 from repro.exceptions import ConfigurationError
 from repro.topology.entities import LinkID, normalize_link_id
@@ -65,21 +56,6 @@ from repro.topology.entities import LinkID, normalize_link_id
 def _format_link(link_id: LinkID) -> str:
     (as_a, if_a), (as_b, if_b) = link_id
     return f"{as_a}.{if_a}-{as_b}.{if_b}"
-
-
-class MessageEnvelope(NamedTuple):
-    """The shared envelope every control-plane message exposes.
-
-    A read-only view assembled on demand from the message's own fields —
-    the envelope is the *contract* (what every message must answer), not a
-    second copy of the data.
-    """
-
-    origin_as: int
-    sequence: int
-    created_at_ms: float
-    hop_path: Tuple[int, ...]
-    size_bytes: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,11 +80,9 @@ class ControlMessage:
     #: overflow mode instead of tail-dropping the message.  Not part of
     #: any message's wire encoding or identity.
     congestion_marked: bool = False
-    #: Memo of :meth:`size_bytes`: a declared slot (``init=False``), so
-    #: ``with_hop`` / ``with_congestion_mark`` copies start cold.
-    _size_bytes: Optional[int] = _slot()
-    #: Memo of :attr:`key`, the same idiom: every AS a flood reaches stores
-    #: the one tuple the shared message carries.
+    #: Memo of :attr:`key`: a declared slot (``init=False``), so
+    #: ``with_hop`` / ``with_congestion_mark`` copies start cold, and every
+    #: AS a flood reaches stores the one tuple the shared message carries.
     _key: Optional[Tuple[int, int]] = _slot()
 
     #: Stable short name used by the transport's per-kind metrics routing.
@@ -122,22 +96,6 @@ class ControlMessage:
             key = (self.origin_as, self.sequence)
             object.__setattr__(self, "_key", key)
         return key
-
-    @property
-    def hop_count(self) -> int:
-        """Return how many hops this copy has traversed."""
-        return len(self.hop_path)
-
-    @property
-    def envelope(self) -> MessageEnvelope:
-        """Return the shared envelope view of this message."""
-        return MessageEnvelope(
-            origin_as=self.origin_as,
-            sequence=self.sequence,
-            created_at_ms=self.created_at_ms,
-            hop_path=self.hop_path,
-            size_bytes=self.size_bytes(),
-        )
 
     def with_hop(self, as_id: int) -> "ControlMessage":
         """Return a copy whose hop path records arrival at ``as_id``."""
@@ -160,31 +118,15 @@ class ControlMessage:
         """
         return False
 
-    def size_bytes(self) -> int:
-        """Return the estimated wire size of the message (memoized)."""
-        size = self._size_bytes
-        if size is None:
-            size = self._measure_size()
-            object.__setattr__(self, "_size_bytes", size)
-        return size
-
-    def _measure_size(self) -> int:
-        """Compute the wire size :meth:`size_bytes` memoizes."""
-        raise NotImplementedError
-
-    def trace_label(self) -> str:
-        """Return the stable one-line trace representation of the message."""
-        raise NotImplementedError
-
 
 @dataclass(frozen=True, slots=True)
 class PCBMessage(ControlMessage):
     """One path-construction beacon in flight over one inter-AS link.
 
     The fabric's framing of a :class:`~repro.core.beacon.Beacon`: the
-    beacon itself is immutable and shared, the message adds the envelope
-    (the beacon's own AS path doubles as its historical hop record, so
-    PCBs never need fabric-side hop stamping).
+    beacon itself is immutable and shared, the message adds the sender's
+    origin, sequence and send time (the beacon's own AS path doubles as its
+    historical hop record, so PCBs never need fabric-side hop stamping).
     """
 
     beacon: Optional[Beacon] = None
@@ -194,16 +136,6 @@ class PCBMessage(ControlMessage):
     def __post_init__(self) -> None:
         if self.beacon is None:
             raise ConfigurationError("a PCB message carries exactly one beacon")
-
-    def _measure_size(self) -> int:
-        """The size of the beacon's canonical encoding."""
-        return self.beacon.encoded_size()
-
-    def trace_label(self) -> str:
-        return (
-            f"pcb digest={self.beacon.digest()[:12]} origin={self.origin_as} "
-            f"seq={self.sequence}"
-        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -312,10 +244,6 @@ class RevocationMessage(ControlMessage):
         object.__setattr__(self, "_encoded_unsigned", encoded)
         return encoded
 
-    def _measure_size(self) -> int:
-        """The size of the canonical encoding plus the signature."""
-        return len(self.encode_unsigned()) + len(self.signature)
-
     def signed(self, signer: Signer) -> "RevocationMessage":
         """Return a copy carrying ``signer``'s signature over the encoding."""
         signature = signer.sign(self.encode_unsigned().encode("utf-8"))
@@ -342,24 +270,21 @@ class RevocationMessage(ControlMessage):
 
 @dataclass(frozen=True, slots=True)
 class PathRegistrationMessage(ControlMessage):
-    """A terminated path segment offered to a neighbouring AS's path service.
+    """A down-segment announcement: a terminated segment sent to its origin.
 
-    Turns path registration — previously a direct method call on the local
-    path service — into first-class control-plane traffic: the message pays
-    per-hop latency, can be lost on a failed link, and is counted by the
-    metrics collector like every other control message.  The receiving
-    service registers the carried path with the *arrival* time as its
-    registration timestamp (the freshness contract the convergence
-    collector relies on).
+    The AS that registered the segment sends it back out the interface the
+    beacon arrived on; every transit AS on the segment forwards it one hop
+    further toward the origin (out its own ingress interface of the
+    segment) without registering it, and the origin (core) AS registers
+    it as a down-segment — driven by message arrival, not by direct call.
+    Any other AS drops it.  The message pays per-hop latency, can be lost
+    on a failed link and is counted like every other control message; the
+    origin registers the path with the *arrival* time as its registration
+    timestamp (the freshness contract the convergence collector relies
+    on).
     """
 
     path: Optional[RegisteredPath] = None
-    #: When set, the message is not for the adjacent AS but for the
-    #: segment's *origin*: transit ASes on the segment forward it one hop
-    #: toward the origin (their own reverse interface), and only the
-    #: origin registers it — as a down-segment.  Default off, so existing
-    #: neighbour registration is untouched.
-    register_at_origin: bool = False
 
     kind: ClassVar[str] = "path_registration"
 
@@ -368,111 +293,3 @@ class PathRegistrationMessage(ControlMessage):
             raise ConfigurationError(
                 "a path-registration message carries exactly one registered path"
             )
-
-    def _measure_size(self) -> int:
-        """The size of the carried segment's canonical encoding."""
-        return self.path.segment.encoded_size()
-
-    def trace_label(self) -> str:
-        return (
-            f"register origin={self.path.segment.origin_as} "
-            f"from={self.origin_as} seq={self.sequence}"
-        )
-
-
-@dataclass(frozen=True, slots=True)
-class PullReturnMessage(ControlMessage):
-    """A pull-requested beacon travelling back to the requesting AS.
-
-    What ``transport.return_beacon_to_origin`` delivers.  Like a PCB, the
-    carried beacon's own AS path is the historical hop record, so no
-    fabric-side hop stamping is needed; the message travels the beacon's
-    full reverse path in one simulated step (latency = the beacon's
-    end-to-end propagation delay).
-    """
-
-    beacon: Optional[Beacon] = None
-
-    kind: ClassVar[str] = "pull_return"
-
-    def __post_init__(self) -> None:
-        if self.beacon is None:
-            raise ConfigurationError("a pull-return message carries exactly one beacon")
-
-    def _measure_size(self) -> int:
-        """The size of the beacon's canonical encoding."""
-        return self.beacon.encoded_size()
-
-    def trace_label(self) -> str:
-        return (
-            f"pull-return digest={self.beacon.digest()[:12]} "
-            f"origin={self.origin_as} seq={self.sequence}"
-        )
-
-
-@dataclass(frozen=True, slots=True)
-class PathQueryMessage(ControlMessage):
-    """A typed path lookup sent to a neighbouring AS's query frontend.
-
-    The envelope's ``(origin_as, sequence)`` identifies the request; the
-    responder echoes it in :class:`PathQueryResponse` so the requester can
-    correlate answers.
-    """
-
-    query: Optional[PathQuery] = None
-
-    kind: ClassVar[str] = "path_query"
-
-    def __post_init__(self) -> None:
-        if self.query is None:
-            raise ConfigurationError("a path-query message carries exactly one query")
-
-    def _measure_size(self) -> int:
-        """The (small, fixed-ish) wire size: key fields + policy."""
-        return 24 + len(self.query.policy_key())
-
-    def trace_label(self) -> str:
-        return (
-            f"query origin={self.query.origin_as} from={self.origin_as} "
-            f"seq={self.sequence}"
-        )
-
-
-@dataclass(frozen=True, slots=True)
-class PathQueryResponse(ControlMessage):
-    """The materialized answer to one :class:`PathQueryMessage`.
-
-    Attributes:
-        query: The query being answered.
-        paths: The served paths, in the frontend's (registration) order.
-        cache_hit: Whether the frontend served this from its LRU cache —
-            observability only, never part of identity or wire size.
-        request_origin: ``origin_as`` of the request being answered.
-        request_sequence: ``sequence`` of the request being answered.
-    """
-
-    query: Optional[PathQuery] = None
-    paths: Tuple[RegisteredPath, ...] = ()
-    cache_hit: bool = False
-    request_origin: int = 0
-    request_sequence: int = 0
-
-    kind: ClassVar[str] = "path_query_response"
-
-    def __post_init__(self) -> None:
-        if self.query is None:
-            raise ConfigurationError("a path-query response names the query it answers")
-
-    def _measure_size(self) -> int:
-        """The summed segment encodings plus the echoed query."""
-        return (
-            24
-            + len(self.query.policy_key())
-            + sum(path.segment.encoded_size() for path in self.paths)
-        )
-
-    def trace_label(self) -> str:
-        return (
-            f"query-response origin={self.query.origin_as} paths={len(self.paths)} "
-            f"from={self.origin_as} seq={self.sequence}"
-        )

@@ -34,8 +34,7 @@ The handlers are methods of
 ``receive_beacon`` — which IREC and legacy SCION ASes both run.  This module keeps the per-service bookkeeping they run on,
 :class:`RevocationState`; the :class:`~repro.core.messages.RevocationMessage`
 class itself lives in :mod:`repro.core.messages`, one typed control message
-among others on the shared envelope (batching, TTL and scope limiting
-included).
+among others (batching, TTL and scope limiting included).
 """
 
 from __future__ import annotations

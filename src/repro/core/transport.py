@@ -1,18 +1,17 @@
 """Control-plane transport abstraction.
 
 Control services interact across AS boundaries through one typed message
-fabric (:mod:`repro.core.messages`): PCBs, revocations, path
-registrations and path queries are all
-:class:`~repro.core.messages.ControlMessage`\\ s a sender frames itself
-and hands to :meth:`~ControlPlaneTransport.send_message`, which delivers
-them over one link to the far end's ``on_message`` dispatch.
+fabric (:mod:`repro.core.messages`): PCBs, revocations and down-segment
+announcements are all :class:`~repro.core.messages.ControlMessage`\\ s a
+sender frames itself and hands to
+:meth:`~ControlPlaneTransport.send_message`, which delivers them over one
+link to the far end's ``on_message_batch`` dispatch.
 ``return_beacon_to_origin`` is the fabric's second *routing mode*, not a
-second framing: the returned pull beacon travels its own multi-hop reverse
-path in one step (no link, no inbox), framed as a typed
-:class:`~repro.core.messages.PullReturnMessage` and dispatched like every
-other message.  Fetching an on-demand algorithm payload stays a
-synchronous round trip.  The transport is abstracted behind a small
-protocol so that
+message type: the returned pull beacon travels its own multi-hop reverse
+path in one step (no link, no inbox) and is handed straight to the
+origin's ``receive_returned_beacon``.  Fetching an on-demand algorithm
+payload stays a synchronous round trip.  The transport is abstracted
+behind a small protocol so that
 
 * the discrete-event simulation can deliver messages with realistic link
   delays, per-AS inboxes and batched drains, and count propagated messages
@@ -29,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Protocol, Tuple
 
 from repro.core.beacon import Beacon
-from repro.core.messages import ControlMessage, PCBMessage, PullReturnMessage
+from repro.core.messages import ControlMessage, PCBMessage
 from repro.exceptions import SimulationError
 
 
@@ -73,20 +72,8 @@ class NullTransport:
             self.revoked.append((sender_as, egress_interface, message))
 
     def return_beacon_to_origin(self, sender_as: int, beacon: Beacon) -> None:
-        """Record the return, typed, without delivering it."""
+        """Record the return without delivering it."""
         self.returned.append((sender_as, beacon))
-        self.messages.append(
-            (
-                sender_as,
-                -1,
-                PullReturnMessage(
-                    origin_as=sender_as,
-                    sequence=len(self.messages) + 1,
-                    created_at_ms=0.0,
-                    beacon=beacon,
-                ),
-            )
-        )
 
     def fetch_algorithm(self, requester_as: int, origin_as: int, algorithm_id: str) -> bytes:
         """Serve a payload from the locally configured table."""

@@ -26,16 +26,15 @@ from typing import Dict, List, Optional, Tuple
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.topology.entities import InterfaceID
 
-#: The ``ControlMessage.kind`` strings of :mod:`repro.core.messages`: the
-#: keys of the per-kind ledgers.  A message type that is not listed here
-#: has no ledger, and recording it raises.
+#: The ``ControlMessage.kind`` strings of :mod:`repro.core.messages` plus
+#: ``"pull_return"`` (a returned pull beacon, delivered over its own path
+#: without a message type): the keys of the per-kind ledgers.  A kind that
+#: is not listed here has no ledger, and recording it raises.
 MESSAGE_KINDS = (
     "pcb",
     "revocation",
     "path_registration",
     "pull_return",
-    "path_query",
-    "path_query_response",
 )
 
 

@@ -3,7 +3,7 @@
 Implements :class:`repro.core.transport.ControlPlaneTransport` on top of
 the discrete-event scheduler as **one** generic delivery path for every
 typed control message (:mod:`repro.core.messages`): PCBs, revocations and
-path registrations sent over a link all flow through
+down-segment announcements sent over a link all flow through
 :meth:`SimulatedTransport.send_message`, which applies per-hop latency
 (link propagation + processing overhead), :class:`LinkState` loss at both
 send and delivery time, and per-kind metrics uniformly — where the
@@ -29,9 +29,9 @@ while the batch lets the control service amortize work across messages
 :meth:`repro.core.control_service.IrecControlService.on_message_batch`).
 
 Returned pull beacons travel back to their origin with the accumulated
-latency of the path they describe, and algorithm fetches cost one round
-trip over that same path; both predate the fabric and keep their
-path-travel (not link-routed) delivery.
+latency of the path they describe and are handed straight to the origin's
+``receive_returned_beacon`` (no message, no inbox); algorithm fetches are
+a synchronous call on the origin's control service.
 
 Overload (PR 6): every inbox can additionally carry an
 :class:`InboxProfile` — a per-service-round message **budget**, a bounded
@@ -44,12 +44,14 @@ queued PCBs/registrations, and the collector records drops, marks,
 deferrals, per-AS queue-depth high-water marks and the queueing-delay
 distribution.  The default profile (no budget, no capacity) takes exactly
 the pre-overload code path, which is what keeps the PR-5 golden traces
-bit-identical.
+bit-identical.  An inbox keeps the profile it adopted, so a hot swap
+(:meth:`SimulatedTransport.configure_inbox`) always starts from a whole
+profile.
 """
 
 from __future__ import annotations
 
-import itertools
+import dataclasses
 import random
 from dataclasses import dataclass, field
 from functools import partial
@@ -57,13 +59,13 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.beacon import Beacon
 from repro.core.control_service import IrecControlService
-from repro.core.messages import ControlMessage, PCBMessage, PullReturnMessage
+from repro.core.messages import ControlMessage, PCBMessage
 from repro.exceptions import (
     AlgorithmError,
     ConfigurationError,
     UnknownASError,
 )
-from repro.simulation.collector import MetricsCollector
+from repro.simulation.collector import MESSAGE_KINDS, MetricsCollector
 from repro.simulation.engine import EventScheduler
 from repro.simulation.failures import LinkState
 from repro.topology.graph import Topology
@@ -95,10 +97,11 @@ class InboxProfile:
         kind_costs: Optional per-message-kind budget costs.  ``None``
             (the default) charges every message one unit of
             ``budget_per_tick`` — the PR 6 behaviour, bit-identical.
-            With a table (e.g. ``{"revocation": 4, "path_query": 2}``),
+            With a table (e.g. ``{"revocation": 4, "path_registration": 2}``),
             servicing a message of that kind consumes that many budget
             units, so a round fits fewer expensive messages; kinds
-            absent from the table cost 1.  A service round always
+            absent from the table cost 1.  Every key must be one of
+            ``MESSAGE_KINDS``.  A service round always
             services at least one message even if its cost exceeds the
             whole budget (progress guarantee).
     """
@@ -112,6 +115,11 @@ class InboxProfile:
     def __post_init__(self) -> None:
         if self.kind_costs is not None:
             for kind, cost in self.kind_costs.items():
+                if kind not in MESSAGE_KINDS:
+                    raise ConfigurationError(
+                        f"kind_costs names unknown message kind {kind!r}; "
+                        f"known kinds: {', '.join(MESSAGE_KINDS)}"
+                    )
                 if not isinstance(cost, int) or cost < 1:
                     raise ConfigurationError(
                         f"kind_costs[{kind!r}] must be an integer >= 1, got {cost!r}"
@@ -142,25 +150,27 @@ class InboxProfile:
         return self.budget_per_tick is not None or self.capacity is not None
 
 
+#: The profile of an inbox no profile was applied to.
+_UNLIMITED = InboxProfile()
+
+
 class _Inbox:
     """One AS's pending delivered-but-undrained messages.
 
     A plain slotted class on the delivery fast path: every message pays
-    one append here, and floods push millions of them.  The queue-model
-    fields default to the unlimited profile; the delivery and drain fast
-    paths branch on :attr:`limited` / :attr:`budget` exactly once, so the
-    default configuration costs one attribute check over PR 5.
+    one append here, and floods push millions of them.  The inbox keeps the
+    :class:`InboxProfile` it adopted (the unlimited default until one is
+    applied) and copies out the two fields the fast paths branch on,
+    :attr:`limited` and :attr:`budget`, so the default configuration costs
+    one attribute check over PR 5.
     """
 
     __slots__ = (
         "entries",
         "drain_scheduled",
+        "profile",
         "limited",
         "budget",
-        "capacity",
-        "mark_overflow",
-        "service_interval_ms",
-        "kind_costs",
         "arrivals",
         "deferred",
     )
@@ -170,18 +180,12 @@ class _Inbox:
         self.entries: List[Tuple[ControlMessage, int]] = []
         #: Whether a drain/service event is already queued for this inbox.
         self.drain_scheduled = False
+        #: The queue model in force.
+        self.profile = _UNLIMITED
         #: Whether any queue bound applies (single fast-path branch flag).
         self.limited = False
         #: Messages serviced per round (``None``: everything, at arrival).
         self.budget: Optional[int] = None
-        #: Maximum queued messages (``None``: unbounded).
-        self.capacity: Optional[int] = None
-        #: Overflow policy: ``True`` marks-and-delivers, ``False`` drops.
-        self.mark_overflow = False
-        #: Gap between service rounds while a backlog exists.
-        self.service_interval_ms = 1.0
-        #: Per-kind budget costs (``None``: every message costs 1).
-        self.kind_costs: Optional[Mapping[str, int]] = None
         #: Arrival times parallel to :attr:`entries` (finite budget only).
         self.arrivals: List[float] = []
         #: (message, interface, arrival_ms) carried over from earlier
@@ -190,11 +194,8 @@ class _Inbox:
 
     def apply_profile(self, profile: InboxProfile) -> None:
         """Adopt ``profile``'s queue model (hot-swappable mid-run)."""
+        self.profile = profile
         self.budget = profile.budget_per_tick
-        self.capacity = profile.capacity
-        self.mark_overflow = profile.overflow_policy == "mark"
-        self.service_interval_ms = profile.service_interval_ms
-        self.kind_costs = profile.kind_costs
         self.limited = profile.limited
 
     def queued(self) -> int:
@@ -246,7 +247,6 @@ class SimulatedTransport:
     exporter: Optional[Callable[[tuple], None]] = None
     services: Dict[int, IrecControlService] = field(default_factory=dict)
     _inboxes: Dict[int, _Inbox] = field(default_factory=dict)
-    _sequence: "itertools.count" = field(default_factory=lambda: itertools.count(1))
     #: (sender_as, egress_interface) → (link key, link latency, remote AS,
     #: remote interface, remote inbox).  The topology's link set only
     #: changes when a new AS registers (growth churn), which clears this
@@ -314,14 +314,7 @@ class SimulatedTransport:
         if inbox is None:
             raise UnknownASError(as_id)
         self.configure_inbox(
-            as_id,
-            InboxProfile(
-                budget_per_tick=budget_per_tick,
-                capacity=inbox.capacity,
-                overflow_policy="mark" if inbox.mark_overflow else "drop",
-                service_interval_ms=inbox.service_interval_ms,
-                kind_costs=inbox.kind_costs,
-            ),
+            as_id, dataclasses.replace(inbox.profile, budget_per_tick=budget_per_tick)
         )
 
     def service_of(self, as_id: int) -> IrecControlService:
@@ -455,8 +448,9 @@ class SimulatedTransport:
             # unlimited default never enters this branch, keeping the
             # PR-5 fast path at one flag check per delivery.
             depth = len(inbox.entries) + len(inbox.deferred)
-            if inbox.capacity is not None and depth >= inbox.capacity:
-                if inbox.mark_overflow:
+            profile = inbox.profile
+            if profile.capacity is not None and depth >= profile.capacity:
+                if profile.overflow_policy == "mark":
                     self.collector.record_inbox_mark(message.kind)
                     message = message.with_congestion_mark()
                 else:
@@ -559,7 +553,7 @@ class SimulatedTransport:
         budget = inbox.budget
         # Each message consumes its kind's cost from the budget; absent
         # kinds (and every kind without a cost table) cost 1.
-        costs = inbox.kind_costs or {}
+        costs = inbox.profile.kind_costs or {}
         if sum(costs.get(item[0].kind, 1) for item in pending) > budget:
             urgent = [item for item in pending if item[0].kind == "revocation"]
             if urgent and len(urgent) != len(pending):
@@ -592,7 +586,7 @@ class SimulatedTransport:
         if (inbox.deferred or inbox.entries) and not inbox.drain_scheduled:
             inbox.drain_scheduled = True
             self.scheduler.schedule_in(
-                inbox.service_interval_ms, self._drain_callbacks[as_id]
+                inbox.profile.service_interval_ms, self._drain_callbacks[as_id]
             )
 
     def pending_messages(self, as_id: int) -> int:
@@ -615,7 +609,7 @@ class SimulatedTransport:
         backlog = len(inbox.entries) + len(inbox.deferred)
         if not backlog:
             return 0.0
-        return (backlog // inbox.budget) * inbox.service_interval_ms
+        return (backlog // inbox.budget) * inbox.profile.service_interval_ms
 
     # ------------------------------------------------------------------
     # path-travel deliveries (not link-routed)
@@ -623,35 +617,29 @@ class SimulatedTransport:
     def return_beacon_to_origin(self, sender_as: int, beacon: Beacon) -> None:
         """Return a terminated pull beacon to its origin over the beacon's path.
 
-        The fabric's second routing mode: the beacon is framed as a
-        :class:`PullReturnMessage` and delivered through the origin's
-        ``on_message`` dispatch, but unlike link-routed messages it travels
-        the beacon's full reverse path in one step (latency = the
-        beacon's end-to-end propagation delay) and bypasses the inbox.
+        The fabric's second routing mode: the return is counted under the
+        ledger kind ``"pull_return"`` and, unlike link-routed messages,
+        travels the beacon's full reverse path in one step (latency = the
+        beacon's end-to-end propagation delay plus one processing delay),
+        bypasses the inbox and is handed to the origin's
+        ``receive_returned_beacon``.
         """
-        now_ms = self.scheduler.now_ms
         origin = self.service_of(beacon.origin_as)
-        self.collector.record(PullReturnMessage.kind, sender_as, -1, now_ms)
-        delay_ms = beacon.total_latency_ms() + self.processing_delay_ms
-        message = PullReturnMessage(
-            origin_as=sender_as,
-            sequence=next(self._sequence),
-            created_at_ms=now_ms,
-            beacon=beacon,
-        )
+        self.collector.record("pull_return", sender_as, -1, self.scheduler.now_ms)
 
-        def deliver(now_ms: float, _origin=origin, _message=message):
+        def deliver(now_ms: float) -> None:
             # The return travels over the beacon's own path; it is lost if
             # any of those links is unavailable when it would arrive.
-            if self.link_state.impaired() and not self.link_state.path_available(
-                _message.beacon.links()
-            ):
+            link_state = self.link_state
+            if link_state.impaired() and not link_state.path_available(beacon.links()):
                 # A lost return is a lost PCB: it counts in ``total_dropped``.
                 self.collector.record_drop(PCBMessage.kind)
                 return
-            _origin.on_message(_message, on_interface=-1, now_ms=now_ms)
+            origin.receive_returned_beacon(beacon, now_ms=now_ms)
 
-        self.scheduler.schedule_in(delay_ms, deliver)
+        self.scheduler.schedule_in(
+            beacon.total_latency_ms() + self.processing_delay_ms, deliver
+        )
 
     def fetch_algorithm(self, requester_as: int, origin_as: int, algorithm_id: str) -> bytes:
         """Fetch an on-demand payload from the origin AS's control service.

@@ -101,9 +101,9 @@ class ScenarioConfig:
             the same seed; healthy scenarios never touch the RNG.
         register_down_segments: When enabled, every IREC AS announces the
             paths it registers — once per segment and criteria tag, not once
-            per round — back along the segment as ``register_at_origin``
-            path-registration messages, so origin (core) ASes learn
-            down-segments on message arrival.  Off by default: the extra
+            per round — back along the segment as path-registration
+            messages (down-segment announcements), so origin (core) ASes
+            learn down-segments on message arrival.  Off by default: the extra
             fabric traffic would change pinned traces.
         registration_limit: How many paths every AS's path service keeps per
             (criteria tag, origin AS, interface group) — 20 in the paper's

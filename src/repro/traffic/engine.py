@@ -208,9 +208,6 @@ class TrafficEngine:
             self._groups_by_source.setdefault(group.source_as, []).append(group_index)
         #: digest → (link indices, path latency); shared across groups.
         self._path_cache: Dict[str, Tuple[Tuple[int, ...], float]] = {}
-        #: link index → group ids currently riding the link (for event-
-        #: driven breaking without scanning every group).
-        self._groups_by_link: Dict[int, Set[int]] = {}
         #: AS id → link indices (for ASLeave fan-out).
         self._links_by_as: Dict[int, Tuple[int, ...]] = {
             as_id: tuple(
@@ -339,17 +336,9 @@ class TrafficEngine:
         state = self._state[group_index]
         if not state.assigned:
             return
-        self._unindex_group(group_index, state)
         state.uses = []
         group = self._groups[group_index]
         self.collector.on_break(group.group_id, now_ms, cause, group.flow_count)
-
-    def _unindex_group(self, group_index: int, state: _GroupState) -> None:
-        for use in state.uses:
-            for index in use.link_indices:
-                members = self._groups_by_link.get(index)
-                if members is not None:
-                    members.discard(group_index)
 
     # ------------------------------------------------------------------
     # rounds
@@ -409,7 +398,6 @@ class TrafficEngine:
             if state.assigned and not self._assignment_valid(
                 group, state, failed_indices
             ):
-                self._unindex_group(group_index, state)
                 state.uses = []
             if not state.assigned:
                 self._select_paths(group_index, now_ms, failed_indices)
@@ -612,9 +600,6 @@ class TrafficEngine:
         for use in uses:
             use.share /= share_total
         state.uses = uses
-        for use in uses:
-            for index in use.link_indices:
-                self._groups_by_link.setdefault(index, set()).add(group_index)
 
     def _resolve(self, path: RegisteredPath) -> Optional[Tuple[str, Tuple[int, ...]]]:
         """Memoize a registered path's digest and dense link indices."""

@@ -91,7 +91,7 @@ class TestFabricBeaconing:
         )
         run_rounds(scheduler, services, rounds=4)
         # AS 4 must know a path back to AS 1 (three hops away).
-        paths = services[4].registered_paths_to(1)
+        paths = services[4].path_service.paths_to(1)
         assert paths
         assert paths[0].segment.as_path() == (1, 2, 3, 4)
 
@@ -119,7 +119,7 @@ class TestFabricBeaconing:
             topology, key_store, verify_signatures=True, racs=algorithms
         )
         run_rounds(scheduler, services, rounds=4)
-        paths = services[3].registered_paths_to(1)
+        paths = services[3].path_service.paths_to(1)
         tags = {tag for path in paths for tag in path.criteria_tags}
         assert {"1sp", "don"} <= tags
 
@@ -137,7 +137,7 @@ class TestFabricBeaconing:
         )
         run_rounds(scheduler, services, rounds=5)
         # Evaluated at the source AS 1: paths towards the destination AS 3.
-        paths = services[1].registered_paths_to(3)
+        paths = services[1].path_service.paths_to(3)
         assert paths
         latencies = [p.segment.total_latency_ms() for p in paths]
         bandwidths = [p.segment.bottleneck_bandwidth_mbps() for p in paths]

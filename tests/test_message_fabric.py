@@ -1,10 +1,10 @@
 """Tests of the unified control-plane message fabric (PR 5).
 
-Everything inter-AS is one typed :class:`~repro.core.messages.ControlMessage`
-with a shared envelope, routed through one generic transport path with
-per-AS inboxes drained in batches.  These tests pin the envelope contract,
-the new message capabilities (batched revocation elements, TTL, scope
-limiting, path-registration traffic), the inbox batching semantics, and —
+Everything inter-AS is one typed :class:`~repro.core.messages.ControlMessage`,
+routed through one generic transport path with per-AS inboxes drained in
+batches.  These tests pin the message contract, the message capabilities
+(batched revocation elements, TTL, scope limiting, down-segment
+announcement traffic), the inbox batching semantics, and —
 via a property test — that batched delivery and per-message delivery
 produce identical database state and identical withdrawal timestamps.
 """
@@ -19,7 +19,6 @@ from repro.core.databases import RegisteredPath
 from repro.core.messages import (
     ControlMessage,
     PCBMessage,
-    PathQueryMessage,
     PathRegistrationMessage,
     RevocationMessage,
 )
@@ -47,16 +46,17 @@ def _link(topology, index):
 
 class TestEnvelope:
     def test_pcb_message_envelope(self, key_store):
+        """The header every message carries: origin, sequence, time, hops."""
         beacon = make_beacon(key_store, [(1, None, 2)])
         message = PCBMessage(
             origin_as=1, sequence=7, created_at_ms=42.0, beacon=beacon
         )
-        envelope = message.envelope
-        assert envelope.origin_as == 1
-        assert envelope.sequence == 7
-        assert envelope.created_at_ms == 42.0
-        assert envelope.hop_path == ()
-        assert envelope.size_bytes == len(beacon.encode()) > 0
+        assert message.origin_as == 1
+        assert message.sequence == 7
+        assert message.created_at_ms == 42.0
+        assert message.hop_path == ()
+        assert not message.congestion_marked
+        assert message.beacon is beacon
         assert message.kind == "pcb"
         assert message.key == (1, 7)
 
@@ -65,7 +65,6 @@ class TestEnvelope:
         message = PCBMessage(origin_as=1, sequence=1, created_at_ms=0.0, beacon=beacon)
         hopped = message.with_hop(2).with_hop(3)
         assert hopped.hop_path == (2, 3)
-        assert hopped.hop_count == 2
         assert message.hop_path == ()  # the original is untouched
 
     def test_pcb_message_requires_beacon(self):
@@ -82,14 +81,20 @@ class TestEnvelope:
         assert ControlMessage.kind == "control"
 
     def test_every_message_type_has_a_ledger_and_an_unknown_kind_has_none(self, key_store):
-        assert {cls.kind for cls in ControlMessage.__subclasses__()} == set(MESSAGE_KINDS)
-        _scheduler, transport, _services = build_services(
+        # Plus the pull return, which the transport ledgers without a type.
+        assert {cls.kind for cls in ControlMessage.__subclasses__()} | {
+            "pull_return"
+        } == set(MESSAGE_KINDS)
+        _scheduler, transport, services = build_services(
             line_topology(2), key_store
         )
         bare = ControlMessage(origin_as=1, sequence=1, created_at_ms=0.0)
         with pytest.raises(SimulationError):
             transport.send_message(1, 2, bare)
         assert transport.collector.control_messages_total() == 0
+        # Nor does the one dispatch have a handler for it.
+        with pytest.raises(SimulationError):
+            services[2].on_message_batch([(bare, 1)], now_ms=0.0)
 
     def test_hop_tracking_default_off(self, key_store):
         beacon = make_beacon(key_store, [(1, None, 2)])
@@ -115,37 +120,11 @@ class TestMessageMemos:
             RevocationMessage(
                 origin_as=1, sequence=2, created_at_ms=0.0, failed_links=(((1, 2), (2, 1)),)
             ),
-            PathQueryMessage(
-                origin_as=1, sequence=3, created_at_ms=0.0, query=PathQuery(origin_as=4)
-            ),
         ]
 
     def test_messages_carry_no_instance_dict(self, messages):
         for message in messages:
             assert not hasattr(message, "__dict__")
-
-    def test_size_memo_is_outside_equality_hash_and_repr(self, messages):
-        for message in messages:
-            twin = pickle.loads(pickle.dumps(message))
-            message.size_bytes()
-            assert message._size_bytes is not None
-            assert twin._size_bytes is None
-            assert message == twin and hash(message) == hash(twin)
-            assert "_size_bytes" not in repr(message)
-
-    def test_copies_start_cold_and_measure_the_same(self, messages):
-        for message in messages:
-            size = message.size_bytes()
-            for copy in (message.with_hop(2), message.with_congestion_mark()):
-                assert copy._size_bytes is None
-                assert copy.size_bytes() == size
-
-    def test_pickle_carries_warm_memos(self, messages):
-        for message in messages:
-            size = message.size_bytes()
-            restored = pickle.loads(pickle.dumps(message))
-            assert restored._size_bytes == size
-            assert restored == message
 
     def test_key_memo_is_outside_equality_hash_and_repr(self, messages):
         for message in messages:
@@ -170,6 +149,45 @@ class TestMessageMemos:
             assert restored._key == key
             assert restored.key is restored._key
 
+    @staticmethod
+    def _revocation_memos(message):
+        return (message._failed_link_set, message._failed_as_set, message._encoded_unsigned)
+
+    @staticmethod
+    def _warm(message):
+        return (message.failed_link_set, message.failed_as_set, message.encode_unsigned())
+
+    def test_copies_start_cold_and_measure_the_same(self):
+        message = RevocationMessage(
+            origin_as=1, sequence=2, created_at_ms=0.0,
+            failed_links=(((1, 2), (2, 1)),), failed_ases=(7,), max_hops=3,
+        )
+        values = self._warm(message)
+        for copy in (message.with_hop(2), message.with_congestion_mark()):
+            assert self._revocation_memos(copy) == (None, None, None)
+            assert self._warm(copy) == values
+
+    def test_pickle_carries_warm_memos(self):
+        message = RevocationMessage(
+            origin_as=1, sequence=2, created_at_ms=0.0, failed_links=(((1, 2), (2, 1)),)
+        )
+        values = self._warm(message)
+        restored = pickle.loads(pickle.dumps(message))
+        assert self._revocation_memos(restored) == values
+        assert restored == message and hash(restored) == hash(message)
+        assert "_encoded_unsigned" not in repr(message)
+
+    def test_signed_revocation_resizes_with_its_signature(self, key_store):
+        """Signing changes the signature only: the signed encoding is re-derived
+        on the copy and equals the unsigned one."""
+        message = RevocationMessage(origin_as=1, sequence=1, created_at_ms=0.0, failed_ases=(2,))
+        unsigned_encoding = message.encode_unsigned()
+        signed = message.signed(Signer(as_id=1, key_store=key_store))
+        assert signed.signature and not message.signature
+        assert signed._encoded_unsigned is None
+        assert signed.encode_unsigned() == unsigned_encoding
+        assert signed != message and signed.key == message.key
+
     def test_an_unscoped_flood_stores_one_key_tuple_network_wide(self, key_store):
         """Every AS's dedup store and withdrawal ledger hold the tuple the
         shared flood message carries, not one equal tuple per AS."""
@@ -186,14 +204,6 @@ class TestMessageMemos:
             (applied_key,) = revocations.applied_at
             assert seen_key is message.key, as_id
             assert applied_key is message.key, as_id
-
-    def test_signed_revocation_resizes_with_its_signature(self, key_store):
-        message = RevocationMessage(origin_as=1, sequence=1, created_at_ms=0.0, failed_ases=(2,))
-        unsigned_size = message.size_bytes()
-        signed = message.signed(Signer(as_id=1, key_store=key_store))
-        assert signed.signature
-        assert signed.size_bytes() == unsigned_size + len(signed.signature)
-        assert signed.encode_unsigned() == message.encode_unsigned()
 
     def test_revocation_sets_are_memoized(self):
         message = RevocationMessage(
@@ -359,44 +369,53 @@ class TestRevocationScope:
 
 
 class TestPathRegistrationTraffic:
-    def _terminated_segment(self, key_store):
-        # Origin AS 3 -> terminated at AS 2 (line topology interface ids).
-        return make_beacon(key_store, [(3, None, 1), (2, 2, None)])
+    """Down-segment announcements travel the fabric back to their origin."""
+
+    def _terminated_segment(self, key_store, **kwargs):
+        # Origin AS 3 -> transit AS 2 -> terminated at AS 1 (line topology
+        # interface ids: AS i's interface 2 faces AS i + 1's interface 1).
+        return make_beacon(key_store, [(3, None, 1), (2, 2, 1), (1, 2, None)], **kwargs)
+
+    @staticmethod
+    def _announce(transport, segment):
+        """AS 1 announces ``segment`` out the interface its beacon arrived on."""
+        message = PathRegistrationMessage(
+            origin_as=1,
+            sequence=1,
+            created_at_ms=0.0,
+            path=RegisteredPath(segment=segment, criteria_tags=("1sp",), registered_at_ms=0.0),
+        )
+        transport.send_message(1, 2, message)
+        return message
 
     def test_registration_travels_and_restamps_arrival_time(self, key_store):
         topology = line_topology(3)
         scheduler, transport, services = build_services(topology, key_store)
-        segment = self._terminated_segment(key_store)
-        path = RegisteredPath(
-            segment=segment, criteria_tags=("1sp",), registered_at_ms=0.0
-        )
-        message = services[2].send_path_registration(
-            egress_interface=1, path=path, now_ms=0.0
-        )
+        message = self._announce(transport, self._terminated_segment(key_store))
         assert message.kind == "path_registration"
-        assert message.size_bytes() > 0
-        assert services[1].path_service.paths_to(3) == []  # still in flight
+        assert services[3].path_service.paths_to(3) == []  # still in flight
         scheduler.run_until(100.0)
-        registered = services[1].path_service.paths_to(3)
+        # Relayed by transit AS 2 without registering there.
+        assert services[2].path_service.all_paths() == []
+        registered = services[3].path_service.paths_to(3)
         assert len(registered) == 1
-        # Re-stamped with the arrival time: 10 ms link + 1 ms processing.
-        assert registered[0].registered_at_ms == 11.0
+        # Re-stamped with the arrival time: two hops of 10 ms link + 1 ms
+        # processing.
+        assert registered[0].registered_at_ms == 22.0
         assert registered[0].criteria_tags == ("1sp",)
-        # Counted as fabric traffic, disjoint from PCB sends.
-        assert transport.collector.total_registrations == 1
+        # Counted as fabric traffic (one send per hop), disjoint from PCBs.
+        assert transport.collector.total_registrations == 2
         assert transport.collector.total_sent == 0
-        assert transport.collector.control_messages_total() == 1
+        assert transport.collector.control_messages_total() == 2
 
     def test_expired_offer_is_dropped(self, key_store):
         topology = line_topology(3)
-        scheduler, _transport, services = build_services(topology, key_store)
-        segment = make_beacon(
-            key_store, [(3, None, 1), (2, 2, None)], validity_ms=5.0
-        )
-        path = RegisteredPath(segment=segment, criteria_tags=("1sp",), registered_at_ms=0.0)
-        services[2].send_path_registration(egress_interface=1, path=path, now_ms=0.0)
-        scheduler.run_until(100.0)  # arrives at 11 ms, expired at 5 ms
-        assert services[1].path_service.paths_to(3) == []
+        scheduler, transport, services = build_services(topology, key_store)
+        self._announce(transport, self._terminated_segment(key_store, validity_ms=5.0))
+        scheduler.run_until(100.0)  # reaches AS 2 at 11 ms, expired at 5 ms
+        assert services[3].path_service.paths_to(3) == []
+        # Dropped at the transit AS, not relayed.
+        assert transport.collector.total_registrations == 1
 
     def test_registration_lost_on_failed_link(self, key_store):
         topology = line_topology(3)
@@ -404,25 +423,23 @@ class TestPathRegistrationTraffic:
         scheduler, transport, services = build_services(
             topology, key_store, link_state=link_state
         )
-        link_state.fail_link(_link(topology, 0))
-        segment = self._terminated_segment(key_store)
-        path = RegisteredPath(segment=segment, criteria_tags=("1sp",), registered_at_ms=0.0)
-        services[2].send_path_registration(egress_interface=1, path=path, now_ms=0.0)
+        link_state.fail_link(_link(topology, 1))  # the 2-3 link
+        self._announce(transport, self._terminated_segment(key_store))
         scheduler.run_until(100.0)
-        assert services[1].path_service.paths_to(3) == []
+        assert services[3].path_service.paths_to(3) == []
         assert transport.collector.dropped["path_registration"] == 1
 
     def test_null_transport_records_typed_messages(self, key_store):
         transport = NullTransport()
         segment = self._terminated_segment(key_store)
         message = PathRegistrationMessage(
-            origin_as=2,
+            origin_as=1,
             sequence=1,
             created_at_ms=0.0,
             path=RegisteredPath(segment=segment, criteria_tags=(), registered_at_ms=0.0),
         )
-        transport.send_message(2, 1, message)
-        assert transport.messages == [(2, 1, message)]
+        transport.send_message(1, 2, message)
+        assert transport.messages == [(1, 2, message)]
 
 
 class TestInboxBatching:
@@ -548,26 +565,35 @@ class TestInboxBatching:
     def test_pull_return_is_scheduled_after_path_latency(self, key_store):
         scheduler, transport, services = build_services(line_topology(3), key_store)
         origin = services[1]
-        handle = origin.on_message
-        arrivals = []
-
-        def recording(message, on_interface, now_ms):
-            arrivals.append((message.kind, on_interface, now_ms))
-            handle(message, on_interface=on_interface, now_ms=now_ms)
-
-        origin.on_message = recording
         beacon = make_beacon(
             key_store, [(1, None, 2), (2, 1, 2), (3, 1, None)], link_latencies=[10.0, 10.0]
         )
         transport.return_beacon_to_origin(3, beacon)
-        assert arrivals == []  # sending only schedules the return
+        assert origin.pull_results == []  # sending only schedules the return
+        assert transport.collector.sent["pull_return"] == 1
         scheduler.run_all()
-        assert arrivals == [
-            ("pull_return", -1, pytest.approx(20.0 + transport.processing_delay_ms))
+        assert [(returned.digest(), now) for returned, now in origin.pull_results] == [
+            (beacon.digest(), pytest.approx(20.0 + transport.processing_delay_ms))
         ]
-        assert [returned.digest() for returned, _now in origin.pull_results] == [
-            beacon.digest()
-        ]
+
+    def test_pull_return_over_a_failed_link_is_a_dropped_pcb(self, key_store):
+        """A return whose path has failed by arrival never reaches the origin."""
+        topology = line_topology(3)
+        link_state = LinkState()
+        scheduler, transport, services = build_services(
+            topology, key_store, link_state=link_state
+        )
+        beacon = make_beacon(
+            key_store, [(1, None, 2), (2, 1, 2), (3, 1, None)], link_latencies=[10.0, 10.0]
+        )
+        transport.return_beacon_to_origin(3, beacon)
+        scheduler.run_until(5.0)
+        link_state.fail_link(_link(topology, 0))  # fails while the return travels
+        scheduler.run_all()
+        assert services[1].pull_results == []
+        assert transport.collector.sent["pull_return"] == 1
+        assert transport.collector.dropped["pcb"] == 1
+        assert transport.collector.total_dropped == 1
 
 
 def _fabric_state(result):

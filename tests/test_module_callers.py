@@ -14,10 +14,15 @@ traffic engine reads availability from the shared ``LinkState`` and never
 imports the packet-forwarding walk, so a second availability check cannot
 come back unnoticed.
 
-A last rule keeps each scenario event checking itself: what an event
+A rule keeps each scenario event checking itself: what an event
 requires of its timeline and which ASes it ties to one shard live on the
 event class, so only the modules that apply events to their own private
 state may ``isinstance``-test one.
+
+A last rule keeps the control service free of test-only API: every public
+method of ``IrecControlService`` is referenced — as an attribute, or by a
+string naming it — somewhere in ``src/``, ``benchmarks/`` or ``examples/``
+outside a test file.
 """
 
 import ast
@@ -211,4 +216,39 @@ def test_only_the_event_appliers_isinstance_test_an_event():
         f"isinstance-tests a ScenarioEvent outside the appliers: "
         f"{sorted(testers - EVENT_APPLIERS)}; listed but no longer testing "
         f"(drop from EVENT_APPLIERS): {sorted(EVENT_APPLIERS - testers)}"
+    )
+
+
+def _non_test_sources():
+    """Every ``.py`` file of ``src/``, ``benchmarks/`` and ``examples/`` but tests."""
+    for directory in ("src", "benchmarks", "examples"):
+        for path in sorted((ROOT / directory).rglob("*.py")):
+            if not path.name.startswith("test_"):
+                yield path
+
+
+def test_every_public_control_service_method_has_a_caller_outside_the_tests():
+    path = SRC / "repro" / "core" / "control_service.py"
+    (service,) = [
+        node
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.ClassDef) and node.name == "IrecControlService"
+    ]
+    methods = {
+        node.name
+        for node in service.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    }
+    assert {"on_message_batch", "run_round"} <= methods  # the scan sees the class
+    referenced = set()
+    for source in _non_test_sources():
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                referenced.add(node.value)
+    unused = methods - referenced
+    assert not unused, (
+        f"IrecControlService method(s) only tests call: {sorted(unused)}; "
+        f"delete them or give them a caller"
     )

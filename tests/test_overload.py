@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from repro.core.messages import RevocationMessage
 from repro.exceptions import ConfigurationError
 from repro.simulation.beaconing import BeaconingSimulation
-from repro.simulation.collector import MetricsCollector, QuantileReservoir
+from repro.simulation.collector import MESSAGE_KINDS, MetricsCollector, QuantileReservoir
 from repro.simulation.events import (
     ASJoin,
     ASLeave,
@@ -617,7 +617,7 @@ class TestKindCosts:
                 2: InboxProfile(
                     budget_per_tick=3,
                     service_interval_ms=5.0,
-                    kind_costs={"path_query": 3},
+                    kind_costs={"pcb": 3},
                 )
             },
         )
@@ -635,6 +635,14 @@ class TestKindCosts:
             InboxProfile(kind_costs={"revocation": -3})
         with pytest.raises(ConfigurationError):
             InboxProfile(kind_costs={"revocation": 1.5})
+
+    @pytest.mark.parametrize("kind", ["revocaton", "path_query", "control"])
+    def test_profile_rejects_unknown_kinds(self, kind):
+        """A misspelt or retired kind is a configuration error, not a no-op."""
+        with pytest.raises(ConfigurationError, match=repr(kind)) as raised:
+            InboxProfile(budget_per_tick=2, kind_costs={kind: 4})
+        for known in MESSAGE_KINDS:
+            assert known in str(raised.value)
 
     def test_profile_freezes_cost_table(self):
         costs = {"revocation": 2}

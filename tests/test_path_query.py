@@ -2,8 +2,9 @@
 
 Typed :class:`~repro.core.query.PathQuery` lookups served by per-AS
 :class:`~repro.core.query.PathQueryFrontend` caches over the
-:class:`~repro.core.databases.PathService`; query/response messages and
-pull returns on the typed fabric; down-segment registration driven by
+:class:`~repro.core.databases.PathService` and answered inline, never over
+the fabric; pull returns over the fabric;
+down-segment registration driven by
 ``PathRegistrationMessage`` arrival at the origin, announced when the
 registration is news to the registrar's own path service (PR 24, held
 against an announce-always oracle).  The satellites pin:
@@ -32,12 +33,7 @@ from repro.core.control_service import IrecControlService
 from repro.core.databases import PathService, RegisteredPath
 from repro.core.egress import EgressGateway
 from repro.core.local_view import LocalTopologyView
-from repro.core.messages import (
-    PathQueryMessage,
-    PathQueryResponse,
-    PathRegistrationMessage,
-    PullReturnMessage,
-)
+from repro.core.messages import PathRegistrationMessage
 from repro.core.query import PathQuery, PathQueryFrontend
 from repro.core.transport import NullTransport
 from repro.crypto.keys import KeyStore
@@ -107,31 +103,6 @@ class TestPathQuery:
     def test_non_positive_limit_rejected(self):
         with pytest.raises(ConfigurationError):
             PathQuery(origin_as=1, limit=0)
-
-    def test_query_message_round_trip_fields(self, key_store):
-        query = PathQuery(origin_as=3, max_latency_ms=50.0)
-        message = PathQueryMessage(
-            origin_as=1, sequence=7, created_at_ms=0.0, query=query
-        )
-        assert message.kind == "path_query"
-        assert message.size_bytes() > 0
-        response = PathQueryResponse(
-            origin_as=2,
-            sequence=1,
-            created_at_ms=1.0,
-            query=query,
-            paths=(_registered(key_store, origin=3),),
-            cache_hit=True,
-            request_origin=1,
-            request_sequence=7,
-        )
-        assert response.kind == "path_query_response"
-        assert response.size_bytes() > 0
-        assert response.request_sequence == 7
-
-    def test_query_message_requires_query(self):
-        with pytest.raises(ConfigurationError):
-            PathQueryMessage(origin_as=1, sequence=1, created_at_ms=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -392,85 +363,66 @@ class TestEndHostRouting:
 
 
 # ---------------------------------------------------------------------------
-# Typed queries and pull returns over the fabric
+# Queries answered at the AS, pull returns over the fabric
 # ---------------------------------------------------------------------------
 
 
+def _service_with_path_to(key_store, as_id, origin):
+    """Build a 3-AS line whose AS ``as_id`` holds one path to ``origin``."""
+    scheduler, transport, services = build_services(line_topology(3), key_store)
+    services[as_id].path_service.register(
+        RegisteredPath(
+            segment=make_beacon(key_store, [(origin, None, 1), (as_id, 2, None)]),
+            criteria_tags=("1sp",),
+            registered_at_ms=0.0,
+        )
+    )
+    return scheduler, transport, services
+
+
 class TestQueryFabric:
+    """An end-host query is answered by its own AS's control service.
+
+    The fabric carries no query traffic: the control service's frontend
+    serves the lookup inline from the local path service.
+    """
+
     def test_query_round_trip(self, key_store):
-        topology = line_topology(3)
-        scheduler, _transport, services = build_services(topology, key_store)
-        services[2].path_service.register(
-            RegisteredPath(
-                segment=make_beacon(key_store, [(3, None, 1), (2, 2, None)]),
-                criteria_tags=("1sp",),
-                registered_at_ms=0.0,
-            )
-        )
-        services[1].send_path_query(
-            egress_interface=2, query=PathQuery(origin_as=3), now_ms=0.0
-        )
-        scheduler.run_all()
-        assert len(services[1].query_responses) == 1
-        response, _at = services[1].query_responses[0]
-        assert response.request_origin == 1
-        assert not response.cache_hit
-        assert [p.segment.origin_as for p in response.paths] == [3]
-        # The second ask is served from AS 2's response cache.
-        services[1].send_path_query(
-            egress_interface=2, query=PathQuery(origin_as=3), now_ms=scheduler.now_ms
-        )
-        scheduler.run_all()
-        assert services[1].query_responses[1][0].cache_hit
+        _scheduler, _transport, services = _service_with_path_to(key_store, 2, 3)
+        frontend = services[2].query_frontend
+        first = frontend.query(PathQuery(origin_as=3), now_ms=0.0)
+        assert not first.cache_hit
+        assert [p.segment.origin_as for p in first.paths] == [3]
+        # The second ask is served from the AS's response cache.
+        second = frontend.query(PathQuery(origin_as=3), now_ms=1.0)
+        assert second.cache_hit
+        assert second.paths == first.paths
 
     def test_simulated_fabric_counts_query_traffic(self, key_store):
-        topology = line_topology(3)
-        scheduler, transport, services = build_services(topology, key_store)
-        services[2].path_service.register(
-            RegisteredPath(
-                segment=make_beacon(key_store, [(3, None, 1), (2, 2, None)]),
-                criteria_tags=("1sp",),
-                registered_at_ms=0.0,
-            )
-        )
-        services[1].send_path_query(
-            egress_interface=2, query=PathQuery(origin_as=3), now_ms=0.0
-        )
-        assert services[1].query_responses == []  # still in flight
+        scheduler, transport, services = _service_with_path_to(key_store, 2, 3)
+        services[2].query_frontend.query(PathQuery(origin_as=3), now_ms=0.0)
         scheduler.run_until(100.0)
-        assert len(services[1].query_responses) == 1
         collector = transport.collector
-        assert collector.sent["path_query"] == 1
-        assert collector.sent["path_query_response"] == 1
-        assert collector.control_messages_total() == 2
+        assert collector.control_messages_total() == 0
+        assert not any("query" in kind for kind in collector.sent)
 
     def test_local_dispatch_returns_response_inline(self, key_store):
-        topology = line_topology(2)
-        _scheduler, _transport, services = build_services(topology, key_store)
-        services[1].path_service.register(
-            RegisteredPath(
-                segment=make_beacon(key_store, [(2, None, 1), (1, 2, None)]),
-                criteria_tags=("1sp",),
-                registered_at_ms=0.0,
-            )
-        )
-        message = PathQueryMessage(
-            origin_as=1, sequence=1, created_at_ms=0.0, query=PathQuery(origin_as=2)
-        )
-        response = services[1].on_message(message, on_interface=-1, now_ms=0.0)
-        assert isinstance(response, PathQueryResponse)
-        assert len(response.paths) == 1
+        scheduler, _transport, services = _service_with_path_to(key_store, 2, 3)
+        result = services[2].query_frontend.query(PathQuery(origin_as=3), now_ms=0.0)
+        # The answer is the return value: nothing was scheduled to carry it.
+        assert [p.segment.origin_as for p in result.paths] == [3]
+        assert scheduler.pending == 0
 
 
 class TestTypedPullReturn:
+    """A pull return is delivered to its origin without a message type."""
+
     def test_null_transport_frames_pull_return(self, key_store):
         transport = NullTransport()
         beacon = make_beacon(key_store, [(1, None, 1), (2, 1, 2)])
         transport.return_beacon_to_origin(sender_as=2, beacon=beacon)
         assert transport.returned == [(2, beacon)]
-        kinds = [message.kind for _s, _i, message in transport.messages]
-        assert kinds == ["pull_return"]
-        assert isinstance(transport.messages[0][2], PullReturnMessage)
+        assert transport.messages == []  # recorded as a return, not a message
 
     def test_pull_return_reaches_origin_handler(self, key_store):
         topology = line_topology(3)
@@ -483,8 +435,8 @@ class TestTypedPullReturn:
 
 class TestDownSegmentRegistration:
     def test_registration_message_forwards_toward_origin(self, key_store):
-        """A transit AS relays register-at-origin announcements hop by hop
-        over its own segment entry's ingress interface; the origin registers."""
+        """A transit AS relays down-segment announcements hop by hop over
+        its own segment entry's ingress interface; the origin registers."""
         topology = line_topology(3)
         scheduler, _transport, services = build_services(topology, key_store)
         segment = make_beacon(key_store, [(1, None, 2), (2, 1, 2), (3, 1, None)])
@@ -495,7 +447,6 @@ class TestDownSegmentRegistration:
             path=RegisteredPath(
                 segment=segment, criteria_tags=("1sp",), registered_at_ms=0.0
             ),
-            register_at_origin=True,
         )
         # AS 3 announces toward AS 2 (its beacon-arrival interface).
         _transport.send_message(3, 1, message)
@@ -514,7 +465,6 @@ class TestDownSegmentRegistration:
             sequence=1,
             created_at_ms=0.0,
             path=RegisteredPath(segment=segment, criteria_tags=("1sp",), registered_at_ms=0.0),
-            register_at_origin=True,
         )
 
     @staticmethod
@@ -534,27 +484,23 @@ class TestDownSegmentRegistration:
             via_loop = next(
                 entry.ingress_interface for entry in segment.entries if entry.as_id == as_id
             )
-            assert service.on_message(message, on_interface=7, now_ms=1.0) is True
+            assert service.on_message_batch([(message, 7)], now_ms=1.0) == [True]
             assert service.transport.messages == [(as_id, via_loop, message)]
             assert service.path_service.all_paths() == []
-        for batched in (False, True):
-            origin = self._isolated_service(1)
-            if batched:
-                assert origin.on_message_batch([(message, 7)], now_ms=1.0) == [True]
-            else:
-                assert origin.on_message(message, on_interface=7, now_ms=1.0) is True
-            assert origin.transport.messages == []
-            assert [p.segment for p in origin.path_service.down_paths_to(12)] == [segment]
+        origin = self._isolated_service(1)
+        assert origin.on_message_batch([(message, 7)], now_ms=1.0) == [True]
+        assert origin.transport.messages == []
+        assert [p.segment for p in origin.path_service.down_paths_to(12)] == [segment]
 
     def test_misrouted_and_origin_entry_announcements_are_dropped_unsent(self, key_store):
         segment = make_beacon(key_store, [(1, None, 2), (2, 1, 2), (3, 1, None)])
         stranger = self._isolated_service(9)
-        assert stranger.on_message(self._announcement(segment), 7, 1.0) is False
+        assert stranger.on_message_batch([(self._announcement(segment), 7)], 1.0) == [False]
         # A header naming another origin leaves AS 1 with the origin-side
         # entry, which has no ingress interface to relay out of.
         renamed = dataclasses.replace(segment, origin_as=5)
         first_hop = self._isolated_service(1)
-        assert first_hop.on_message(self._announcement(renamed), 7, 1.0) is False
+        assert first_hop.on_message_batch([(self._announcement(renamed), 7)], 1.0) == [False]
         for service in (stranger, first_hop):
             assert service.transport.messages == []
             assert service.path_service.all_paths() == []

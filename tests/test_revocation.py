@@ -97,9 +97,12 @@ class TestRevocationMessage:
     def test_sign_verify_and_tamper(self, key_store):
         signer = Signer(as_id=4, key_store=key_store)
         verifier = Verifier(key_store=key_store)
-        message = RevocationMessage(
+        unsigned = RevocationMessage(
             origin_as=4, sequence=7, created_at_ms=123.0, failed_ases=(9,)
-        ).signed(signer)
+        )
+        message = unsigned.signed(signer)
+        assert message.signature
+        assert message.encode_unsigned() == unsigned.encode_unsigned()
         message.verify(verifier)  # must not raise
         forged = RevocationMessage(
             origin_as=4,
