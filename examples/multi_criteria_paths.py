@@ -25,13 +25,14 @@ from __future__ import annotations
 from repro.algorithms.bandwidth import LatencyBoundedWidestAlgorithm, WidestPathAlgorithm
 from repro.analysis.reporting import format_table
 from repro.core.criteria import lowest_latency, shortest_widest, widest_with_latency_bound
-from repro.dataplane.endhost import EndHost, PathSelectionPreference
 from repro.dataplane.network import DataPlaneNetwork
+from repro.dataplane.path import forwarding_path_from_segment
 from repro.simulation.beaconing import BeaconingSimulation
 from repro.simulation.scenario import AlgorithmSpec, ScenarioConfig, one_shortest_path_spec
 from repro.topology.entities import ASInfo, Interface, Link, Relationship
 from repro.topology.geo import GeoCoordinate
 from repro.topology.graph import Topology
+from repro.traffic import CriteriaPolicy
 
 SOURCE_AS = 1
 DESTINATION_AS = 3
@@ -111,30 +112,25 @@ def main() -> None:
     )
     result = BeaconingSimulation(topology, scenario).run()
 
-    host = EndHost(
-        host_id="apps",
-        as_id=SOURCE_AS,
-        path_service=result.service(SOURCE_AS).path_service,
-    )
+    candidates = result.service(SOURCE_AS).query_frontend.paths(DESTINATION_AS)
     applications = [
-        ("VoIP (lowest latency)", PathSelectionPreference(lowest_latency())),
-        ("File transfer (shortest-widest)", PathSelectionPreference(shortest_widest())),
+        ("VoIP (lowest latency)", CriteriaPolicy(lowest_latency())),
+        ("File transfer (shortest-widest)", CriteriaPolicy(shortest_widest())),
         (
             "Live video (widest with latency <= 30.5 ms)",
-            PathSelectionPreference(widest_with_latency_bound(30.5)),
+            CriteriaPolicy(widest_with_latency_bound(30.5)),
         ),
     ]
 
     network = DataPlaneNetwork(topology=topology)
     rows = []
-    for label, preference in applications:
-        selected = host.select_paths(DESTINATION_AS, preference, limit=1)
+    for label, policy in applications:
+        selected = policy(candidates)
         if not selected:
             rows.append([label, "-", "-", "-", "-"])
             continue
-        segment = selected[0].segment
-        packet = host.build_packet(DESTINATION_AS, preference)
-        report = network.deliver(packet)
+        segment = selected[0][0].segment
+        report = network.deliver(forwarding_path_from_segment(segment))
         rows.append(
             [
                 label,

@@ -9,7 +9,8 @@ This example walks through the minimal IREC workflow:
    path and delay optimization,
 3. run a few beaconing periods in the discrete-event simulator, and
 4. query one AS's path service the way an end host would, showing that the
-   two algorithms discovered different optimal paths for their criteria.
+   two algorithms discovered different optimal paths for their criteria,
+   and let an end-host selection policy pick the lowest-latency one.
 
 Run it with::
 
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 from repro.analysis.reporting import format_table
 from repro.core.criteria import lowest_latency
-from repro.dataplane.endhost import EndHost, PathSelectionPreference
 from repro.simulation.beaconing import BeaconingSimulation
 from repro.simulation.scenario import (
     AlgorithmSpec,
@@ -29,6 +29,7 @@ from repro.simulation.scenario import (
     one_shortest_path_spec,
 )
 from repro.topology.generator import TopologyConfig, generate_topology
+from repro.traffic import CriteriaPolicy
 
 
 def main() -> None:
@@ -59,15 +60,11 @@ def main() -> None:
     )
 
     # 4. Act as an end host in the highest-numbered AS and ask the local
-    #    path service for paths towards AS 1 (a core AS).
+    #    path service, through its query frontend, for paths towards AS 1
+    #    (a core AS).
     source_as = topology.as_ids()[-1]
     destination_as = topology.as_ids()[0]
-    host = EndHost(
-        host_id="demo-host",
-        as_id=source_as,
-        path_service=result.service(source_as).path_service,
-    )
-    paths = host.available_paths(destination_as)
+    paths = result.service(source_as).query_frontend.paths(destination_as)
     rows = [
         [
             "/".join(path.criteria_tags),
@@ -80,11 +77,10 @@ def main() -> None:
     print(f"\nPaths registered at AS {source_as} towards AS {destination_as}:")
     print(format_table(["criteria", "AS path", "hops", "latency (ms)"], rows))
 
-    best = host.select_paths(destination_as, PathSelectionPreference(lowest_latency()), limit=1)
-    if best:
+    for best, _share in CriteriaPolicy(lowest_latency())(paths):
         print(
-            f"\nLowest-latency choice: {best[0].segment.as_path()} "
-            f"at {best[0].segment.total_latency_ms():.2f} ms"
+            f"\nLowest-latency choice: {best.segment.as_path()} "
+            f"at {best.segment.total_latency_ms():.2f} ms"
         )
 
 

@@ -14,7 +14,10 @@ The most important entry points:
   (IREC, or configured as the legacy SCION baseline),
 * :mod:`repro.algorithms` — the routing algorithms executed inside RACs,
 * :mod:`repro.simulation` — the discrete-event beaconing simulator,
-* :mod:`repro.dataplane` — the stateless data plane and end-host selection,
+* :mod:`repro.dataplane` — the stateless data plane: forwarding paths and
+  the packet walk,
+* :mod:`repro.traffic` — flow-level traffic over the registered paths and
+  end-host path selection,
 * :mod:`repro.analysis` — figure/table reproduction helpers.
 
 See README.md for a quickstart and DESIGN.md for the complete system map.

@@ -47,8 +47,7 @@ class PathQuery:
     Attributes:
         origin_as: The origin (destination of the lookup) AS.
         required_tags: Criteria tags of which at least one must be on the
-            path — the same any-of semantics as
-            :class:`~repro.dataplane.endhost.PathSelectionPreference`.
+            path (any-of).
         max_latency_ms: Keep only paths whose end-to-end propagation
             latency is at most this.
         min_bandwidth_mbps: Keep only paths whose bottleneck bandwidth is

@@ -1,42 +1,27 @@
 """SCION-like stateless data plane.
 
 The data plane is what makes multi-criteria path *optimization* usable:
-end hosts obtain registered path segments from their AS's path service,
-turn them into packet-carried forwarding state and send packets that encode
-the complete inter-domain path in their header; border routers forward
-purely on that state, never consulting inter-domain routing tables (paper
-§III).
+end hosts turn registered path segments into packet-carried forwarding
+state and send packets that encode the complete inter-domain path in their
+header; border routers forward purely on that state, never consulting
+inter-domain routing tables (paper §III).  End hosts choose among the
+registered paths through the policies of :mod:`repro.traffic.selection`.
 
 The package provides:
 
 * :mod:`repro.dataplane.path` — forwarding paths (hop fields) derived from
-  registered beacons,
-* :mod:`repro.dataplane.packet` — packets carrying the forwarding state,
-* :mod:`repro.dataplane.router` — border-router forwarding logic,
-* :mod:`repro.dataplane.network` — an end-to-end forwarding simulation over
-  a topology, and
-* :mod:`repro.dataplane.endhost` — endpoint path selection by application
-  criteria.
+  registered beacons, and
+* :mod:`repro.dataplane.network` — the packet walk: an end-to-end
+  forwarding simulation over a topology.
 """
 
-from repro.dataplane.endhost import EndHost, PathPolicy, PathSelectionPreference
-from repro.dataplane.multipath import FailoverForwarder, MultipathSelector
 from repro.dataplane.network import DataPlaneNetwork, DeliveryReport
-from repro.dataplane.packet import Packet
 from repro.dataplane.path import ForwardingPath, HopField, forwarding_path_from_segment
-from repro.dataplane.router import BorderRouter
 
 __all__ = [
-    "BorderRouter",
     "DataPlaneNetwork",
     "DeliveryReport",
-    "EndHost",
-    "FailoverForwarder",
     "ForwardingPath",
     "HopField",
-    "MultipathSelector",
-    "Packet",
-    "PathPolicy",
-    "PathSelectionPreference",
     "forwarding_path_from_segment",
 ]

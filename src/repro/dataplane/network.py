@@ -1,22 +1,25 @@
 """End-to-end forwarding simulation over a topology.
 
-The :class:`DataPlaneNetwork` walks a packet along its packet-carried path,
-checking at every step that the egress interface named by the hop field is
-actually attached to a link leading to the next AS on the path, and
-accumulating the real link latencies plus intra-AS transit latencies.  The
-resulting :class:`DeliveryReport` lets tests and examples confirm that
-control-plane-discovered paths are usable and that their predicted metrics
-match what the data plane experiences.
+A SCION packet carries its complete inter-domain path in its header, and
+border routers forward purely on that state (paper §III).  The
+:class:`DataPlaneNetwork` walks a :class:`~repro.dataplane.path.ForwardingPath`
+hop field by hop field the way the routers would: at every AS it checks
+that the packet arrived on the interface the hop field authorizes, that
+the AS owns the named egress interface, and that a link is attached
+there, is up and leads to the next AS on the path, accumulating the real
+link latencies plus intra-AS transit latencies.  The resulting
+:class:`DeliveryReport` lets tests and examples confirm that
+control-plane-discovered paths are usable and that their predicted
+metrics match what the data plane experiences.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set, Tuple
+from typing import Optional, Set, Tuple
 
-from repro.dataplane.packet import Packet
-from repro.dataplane.router import BorderRouter
-from repro.exceptions import ForwardingError
+from repro.dataplane.path import ForwardingPath
+from repro.exceptions import ForwardingError, UnknownLinkError
 from repro.simulation.failures import LinkState
 from repro.topology.graph import Topology
 from repro.topology.intra_domain import IntraDomainRegistry
@@ -37,8 +40,13 @@ class DeliveryReport:
 class DataPlaneNetwork:
     """Forwarding fabric over a topology.
 
+    All border routers of an AS act as one forwarding function: hop fields
+    identify interfaces, not router boxes.
+
     Attributes:
-        topology: The global topology (links and latencies).
+        topology: The global topology (links and latencies).  Each AS's
+            live ``ASInfo.interfaces`` decides which interfaces it owns, so
+            an interface attached by topology growth is owned from then on.
         intra_domain: Per-AS intra-domain latency models used to charge the
             transit latency between an AS's ingress and egress interfaces.
         link_state: Live link/AS availability, shared with the scenario
@@ -49,76 +57,79 @@ class DataPlaneNetwork:
 
     topology: Topology
     intra_domain: IntraDomainRegistry = field(default_factory=IntraDomainRegistry)
-    routers: Dict[int, BorderRouter] = field(default_factory=dict)
     link_state: LinkState = field(default_factory=LinkState)
 
-    def router_for(self, as_id: int) -> BorderRouter:
-        """Return (creating on demand) the border router of ``as_id``."""
-        router = self.routers.get(as_id)
-        if router is None:
-            as_info = self.topology.as_info(as_id)
-            # The live interface mapping, not a snapshot: topology growth
-            # attaches interfaces to ASes the network already routed through.
-            router = BorderRouter(as_id=as_id, local_interfaces=as_info.interfaces)
-            self.routers[as_id] = router
-        return router
-
-    def deliver(self, packet: Packet) -> DeliveryReport:
-        """Forward ``packet`` from its source AS to its destination AS.
+    def deliver(self, path: ForwardingPath) -> DeliveryReport:
+        """Forward a packet along ``path`` from its source to its destination AS.
 
         The walk validates the packet-carried state against the topology at
         every step; any inconsistency aborts forwarding with a failure
         report rather than an exception, mirroring how a router would drop
         the packet.
         """
-        arrived_on: Optional[int] = None
+        hops = path.hops
+        latency_ms = 0.0
         hops_traversed = 0
+        arrived_on: Optional[int] = None
         visited: Set[int] = set()
         try:
-            if not self.link_state.is_as_up(packet.current_as):
-                raise ForwardingError(f"source AS {packet.current_as} is offline")
-            while True:
-                router = self.router_for(packet.current_as)
-                if packet.current_as in visited:
+            if not self.link_state.is_as_up(path.source_as):
+                raise ForwardingError(f"source AS {path.source_as} is offline")
+            for index, hop in enumerate(hops):
+                as_id = hop.as_id
+                as_info = self.topology.as_info(as_id)
+                if as_id in visited:
+                    raise ForwardingError(f"forwarding loop: packet revisited AS {as_id}")
+                visited.add(as_id)
+                egress = hop.egress_interface
+                if hop.ingress_interface != arrived_on:
                     raise ForwardingError(
-                        f"forwarding loop: packet revisited AS {packet.current_as}"
+                        f"packet arrived on interface {arrived_on} of AS {as_id}, "
+                        f"but its hop field authorizes ingress {hop.ingress_interface}"
                     )
-                visited.add(packet.current_as)
-                egress = router.forward(packet, arrived_on=arrived_on)
+                if egress is not None and egress not in as_info.interfaces:
+                    raise ForwardingError(
+                        f"hop field names egress interface {egress}, "
+                        f"which AS {as_id} does not own"
+                    )
                 hops_traversed += 1
-                if arrived_on is not None and egress is not None:
-                    model = self.intra_domain.model_for(
-                        self.topology.as_info(packet.current_as)
-                    )
-                    packet.add_latency(model.latency_ms(arrived_on, egress[1]))
-                if egress is None:
-                    return DeliveryReport(
-                        delivered=True,
-                        latency_ms=packet.accumulated_latency_ms,
-                        as_path=packet.path.as_path(),
-                        hops_traversed=hops_traversed,
-                    )
-                link = self.topology.link_of_interface(egress)
-                remote_as, remote_interface = link.other_end(egress)
+                if egress is None:  # only the destination hop lacks one
+                    break
+                if arrived_on is not None:
+                    model = self.intra_domain.model_for(as_info)
+                    latency_ms += model.latency_ms(arrived_on, egress)
+                try:
+                    link = self.topology.link_of_interface((as_id, egress))
+                except UnknownLinkError:
+                    raise ForwardingError(
+                        f"egress interface {egress} of AS {as_id} has no link"
+                    ) from None
+                remote_as, remote_interface = link.other_end((as_id, egress))
                 if self.link_state.impaired() and not self.link_state.link_key_available(
                     link.key
                 ):
                     raise ForwardingError(
-                        f"link {link.key} between AS {egress[0]} and AS {remote_as} is down"
+                        f"link {link.key} between AS {as_id} and AS {remote_as} is down"
                     )
-                next_hop = packet.advance()
-                if next_hop.as_id != remote_as:
+                next_as = hops[index + 1].as_id
+                if next_as != remote_as:
                     raise ForwardingError(
-                        f"hop field expects AS {next_hop.as_id} after AS {egress[0]}, "
+                        f"hop field expects AS {next_as} after AS {as_id}, "
                         f"but the link leads to AS {remote_as}"
                     )
-                packet.add_latency(link.latency_ms)
+                latency_ms += link.latency_ms
                 arrived_on = remote_interface
         except ForwardingError as exc:
             return DeliveryReport(
                 delivered=False,
-                latency_ms=packet.accumulated_latency_ms,
-                as_path=packet.path.as_path(),
+                latency_ms=latency_ms,
+                as_path=path.as_path(),
                 hops_traversed=hops_traversed,
                 failure_reason=str(exc),
             )
+        return DeliveryReport(
+            delivered=True,
+            latency_ms=latency_ms,
+            as_path=path.as_path(),
+            hops_traversed=hops_traversed,
+        )

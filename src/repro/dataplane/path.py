@@ -11,11 +11,11 @@ forwarding state a border router needs to move the packet to the next AS.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.core.beacon import Beacon
 from repro.exceptions import PathConstructionError
-from repro.topology.entities import InterfaceID, LinkID, normalize_link_id
+from repro.topology.entities import LinkID, normalize_link_id
 
 
 @dataclass(frozen=True)
@@ -57,6 +57,12 @@ class ForwardingPath:
             raise PathConstructionError("the source hop must not have an ingress interface")
         if self.hops[-1].egress_interface is not None:
             raise PathConstructionError("the destination hop must not have an egress interface")
+        # Only the destination may end the walk: a hop before it without an
+        # egress would be reported delivered short of the destination.
+        if any(hop.egress_interface is None for hop in self.hops[:-1]) or any(
+            hop.ingress_interface is None for hop in self.hops[1:]
+        ):
+            raise PathConstructionError("interior hops must specify both interfaces")
 
     @property
     def source_as(self) -> int:
@@ -79,14 +85,12 @@ class ForwardingPath:
 
     def links(self) -> Tuple[LinkID, ...]:
         """Return the inter-domain links the path traverses."""
-        result: List[LinkID] = []
-        for current, nxt in zip(self.hops, self.hops[1:]):
-            if current.egress_interface is None or nxt.ingress_interface is None:
-                raise PathConstructionError("interior hops must specify both interfaces")
-            a: InterfaceID = (current.as_id, current.egress_interface)
-            b: InterfaceID = (nxt.as_id, nxt.ingress_interface)
-            result.append(normalize_link_id(a, b))
-        return tuple(result)
+        return tuple(
+            normalize_link_id(
+                (current.as_id, current.egress_interface), (nxt.as_id, nxt.ingress_interface)
+            )
+            for current, nxt in zip(self.hops, self.hops[1:])
+        )
 
     def hop_for(self, as_id: int) -> HopField:
         """Return the hop field of ``as_id``.

@@ -106,7 +106,7 @@ class SimulationError(ReproError):
 
 
 class DataPlaneError(ReproError):
-    """Raised by data-plane components (routers, packets, end hosts)."""
+    """Raised by the data plane (forwarding paths and the packet walk)."""
 
 
 class ForwardingError(DataPlaneError):

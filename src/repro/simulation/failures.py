@@ -3,9 +3,8 @@
 A :class:`LinkState` answers "is this link up?" for every layer: the
 beaconing driver mutates it when timeline events fire, the control-plane
 fabric drops messages on unavailable links, and the data plane
-(:class:`~repro.dataplane.network.DataPlaneNetwork`, the multipath
-selector and failover forwarder, the traffic engine) drops or avoids what
-crosses them.  An empty state means everything is up, so every consumer
+(:class:`~repro.dataplane.network.DataPlaneNetwork`, the traffic engine)
+drops or avoids what crosses them.  An empty state means everything is up, so every consumer
 holds one and none treats it as optional.  Post-hoc survivability
 analysis (Figure 8b) fails links on a fresh state and compares the
 surviving paths with

@@ -9,8 +9,10 @@ millions of end-host flows actually use them?":
   represent millions of flows through a few thousand flow groups,
 * :mod:`repro.traffic.links` — the capacity-aware link model: finite
   per-link bandwidth and weighted max-min fair allocation per round,
-* :mod:`repro.traffic.selection` — end-host path-selection policies
-  (latency-greedy, bandwidth-aware, ECMP splitting, criteria-tag pinning),
+* :mod:`repro.traffic.selection` — end-host path-selection policies, the
+  one place an end host chooses paths (latency-greedy, bandwidth-aware,
+  criteria-ranked, ECMP splitting, disjoint multipath, criteria-tag
+  pinning),
 * :mod:`repro.traffic.engine` — the :class:`TrafficEngine` that advances
   flows in rounds on the discrete-event scheduler and couples to the
   dynamic-scenario engine (failures break flows, rounds re-select), with
@@ -32,8 +34,11 @@ from repro.traffic.engine import ClosedLoopDemand, TrafficEngine
 from repro.traffic.links import AllocationResult, CapacityLinkModel, PathLoad
 from repro.traffic.selection import (
     BandwidthAwarePolicy,
+    CriteriaPolicy,
+    DisjointPolicy,
     EcmpPolicy,
     LatencyGreedyPolicy,
+    PathPolicy,
     TagPinnedPolicy,
     prefer_clean,
 )
@@ -43,10 +48,13 @@ __all__ = [
     "BandwidthAwarePolicy",
     "CapacityLinkModel",
     "ClosedLoopDemand",
+    "CriteriaPolicy",
+    "DisjointPolicy",
     "EcmpPolicy",
     "FlowGroup",
     "LatencyGreedyPolicy",
     "PathLoad",
+    "PathPolicy",
     "RerouteRecord",
     "RoundSample",
     "TagPinnedPolicy",

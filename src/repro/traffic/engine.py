@@ -9,11 +9,10 @@ discrete-event scheduler.
 
 Per round, every flow group
 
-1. (re-)selects paths when it has none — via an
-   :class:`~repro.dataplane.endhost.EndHost` and a pluggable
-   :mod:`selection policy <repro.traffic.selection>`, among the registered
-   paths the shared :class:`~repro.simulation.failures.LinkState` reports
-   available,
+1. (re-)selects paths when it has none — a pluggable
+   :mod:`selection policy <repro.traffic.selection>` chooses among the
+   paths its source AS's query frontend serves that the shared
+   :class:`~repro.simulation.failures.LinkState` reports available,
 2. offers its demand onto its selected paths (ECMP splits spread both the
    demand and the max-min weight), and
 3. receives a weighted max-min fair share of every traversed link.
@@ -52,7 +51,6 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 from repro.core.databases import PathService, RegisteredPath
 from repro.core.messages import RevocationMessage
 from repro.core.query import PathQueryFrontend
-from repro.dataplane.endhost import EndHost, PathPolicy
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.simulation.beaconing import BeaconingSimulation
 from repro.simulation.engine import EventScheduler
@@ -62,7 +60,7 @@ from repro.topology.graph import Topology
 from repro.traffic.collector import RoundSample, TrafficCollector
 from repro.traffic.demand import TrafficMatrix
 from repro.traffic.links import CapacityLinkModel, PathLoad
-from repro.traffic.selection import LatencyGreedyPolicy, prefer_clean
+from repro.traffic.selection import LatencyGreedyPolicy, PathPolicy, prefer_clean
 
 
 @dataclass(frozen=True)
@@ -138,7 +136,7 @@ class TrafficEngine:
         path_services: Per-AS path services flows select from.
         matrix: The demand to simulate.
         link_state: Live availability shared with the scenario engine.
-        policy: Path-selection policy applied by every group's end host.
+        policy: Path-selection policy applied to every group's candidates.
         scheduler: Discrete-event scheduler rounds are scheduled on.
         round_interval_ms: Gap between consecutive traffic rounds.
         link_model: Capacity model; built from the topology when omitted.
@@ -201,7 +199,6 @@ class TrafficEngine:
         self._groups = list(matrix.groups)
         self._total_flows = matrix.total_flows
         self._state: List[_GroupState] = [_GroupState() for _ in self._groups]
-        self._hosts: Dict[int, EndHost] = {}
         #: source AS → group indices (for revocation-driven breaking).
         self._groups_by_source: Dict[int, List[int]] = {}
         for group_index, group in enumerate(self._groups):
@@ -263,18 +260,6 @@ class TrafficEngine:
         simulation.add_event_listener(engine.on_scenario_event)
         simulation.add_revocation_listener(engine.on_revocation)
         return engine
-
-    def _host_for(self, as_id: int) -> EndHost:
-        host = self._hosts.get(as_id)
-        if host is None:
-            host = EndHost(
-                host_id=f"traffic-{as_id}",
-                as_id=as_id,
-                path_service=self.path_services[as_id],
-                query_frontend=self.query_frontends.get(as_id),
-            )
-            self._hosts[as_id] = host
-        return host
 
     # ------------------------------------------------------------------
     # scenario-event coupling
@@ -554,29 +539,24 @@ class TrafficEngine:
             and self.link_state.is_as_up(group.destination_as)
         ):
             return
-        host = self._host_for(group.source_as)
-
-        def usable_only(candidates):
-            # Filter before the policy ranks: a policy that returns only
-            # its single favourite must not pick a path that is already
-            # known-dead when alternatives exist.
-            usable = []
-            for path in candidates:
-                resolved = self._resolve(path)
-                if resolved is None:
-                    continue
-                if failed_indices and not failed_indices.isdisjoint(resolved[1]):
-                    continue
-                usable.append(path)
-            if self.closed_loop is not None and self.link_state.degraded():
-                usable = prefer_clean(
-                    usable,
-                    lambda path: self._path_silent_loss(self._resolve(path)[1]),
-                    self.closed_loop.loss_threshold,
-                )
-            return self.policy(usable)
-
-        weighted = host.select_weighted(group.destination_as, usable_only)
+        # Filter before the policy ranks: a policy that returns only its
+        # single favourite must not pick a path that is already known-dead
+        # when alternatives exist.
+        usable: List[RegisteredPath] = []
+        for path in self.query_frontends[group.source_as].paths(group.destination_as):
+            resolved = self._resolve(path)
+            if resolved is None:
+                continue
+            if failed_indices and not failed_indices.isdisjoint(resolved[1]):
+                continue
+            usable.append(path)
+        if self.closed_loop is not None and self.link_state.degraded():
+            usable = prefer_clean(
+                usable,
+                lambda path: self._path_silent_loss(self._resolve(path)[1]),
+                self.closed_loop.loss_threshold,
+            )
+        weighted = self.policy(usable)
         if not weighted:
             return
         total_weight = sum(weight for _path, weight in weighted)

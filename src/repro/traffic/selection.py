@@ -1,36 +1,51 @@
-"""End-host path-selection policies for the traffic engine.
+"""End-host path selection: the one place an end host chooses paths.
 
 The control plane registers *sets* of paths per destination, tagged by the
 criteria that selected them (paper §V-D); what traffic actually flows over
-depends on how end hosts choose.  This module provides the concrete
-:data:`~repro.dataplane.endhost.PathPolicy` implementations the traffic
-engine plugs into :meth:`EndHost.select_weighted`:
+depends on how end hosts choose.  A selection policy is one callable, a
+:data:`PathPolicy`: the registered candidates in, the chosen paths and
+their shares of the demand out.  The traffic engine applies it to the
+paths its AS's query frontend serves:
 
 * :class:`LatencyGreedyPolicy` — all demand on the lowest-latency path,
 * :class:`BandwidthAwarePolicy` — all demand on the path with the largest
   bottleneck bandwidth (ties broken by latency),
+* :class:`CriteriaPolicy` — all demand on the best path a
+  :class:`~repro.core.criteria.CriteriaSet` admits (an application's
+  criteria, paper Fig. 1),
 * :class:`EcmpPolicy` — split demand over the ``k`` best paths, equally or
   proportional to bottleneck bandwidth (multipath transports),
+* :class:`DisjointPolicy` — split demand equally over a greedily chosen,
+  maximally link-disjoint path set (paper §II-C, *Usability*: a backup
+  that shares no link with the primary survives its failure),
 * :class:`TagPinnedPolicy` — restrict candidates to paths registered under
   a criteria tag (an application trusting only one RAC's optimization),
   then delegate to an inner policy.
 
-Every policy is deterministic: candidates are pre-sorted by a stable
-metric/digest key, so two runs over the same path service pick the same
-paths in the same order.
+Every policy is deterministic: candidates are ranked by a stable
+metric key whose ties fall to the digest or to the candidates' order, so
+two runs over the same path service pick the same paths in the same
+order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import Callable, List, Sequence, Set, Tuple
 
+from repro.core.criteria import CriteriaSet
 from repro.core.databases import RegisteredPath
-from repro.dataplane.endhost import PathPolicy
 from repro.exceptions import ConfigurationError
+from repro.topology.entities import LinkID
 
 #: One policy decision: the chosen path and its share of the demand.
 WeightedPath = Tuple[RegisteredPath, float]
+
+#: A path-selection policy: maps the candidate registered paths to an
+#: ordered list of ``(path, weight)`` pairs — the paths traffic should use
+#: and the fraction of demand each should carry (weights need not be
+#: normalised).
+PathPolicy = Callable[[Sequence[RegisteredPath]], List[WeightedPath]]
 
 
 def _by_latency(path: RegisteredPath) -> Tuple[float, int, str]:
@@ -63,6 +78,26 @@ class BandwidthAwarePolicy:
             return []
         best = min(candidates, key=_by_bandwidth)
         return [(best, 1.0)]
+
+
+@dataclass(frozen=True)
+class CriteriaPolicy:
+    """Send everything over the best path an application's criteria admit.
+
+    Attributes:
+        criteria_set: Picks the best of the candidates' segments
+            (:meth:`~repro.core.criteria.CriteriaSet.best`, the head of its
+            ranking); its hard constraints rule paths out.  Ties keep the
+            candidates' order.
+    """
+
+    criteria_set: CriteriaSet
+
+    def __call__(self, candidates: Sequence[RegisteredPath]) -> List[WeightedPath]:
+        best = self.criteria_set.best([path.segment for path in candidates])
+        if best is None:
+            return []
+        return [(next(path for path in candidates if path.segment is best), 1.0)]
 
 
 @dataclass(frozen=True)
@@ -101,6 +136,47 @@ class EcmpPolicy:
                 ]
         share = 1.0 / len(chosen)
         return [(path, share) for path in chosen]
+
+
+@dataclass(frozen=True)
+class DisjointPolicy:
+    """Split demand equally over up to ``max_paths`` maximally disjoint paths.
+
+    Greedy, the heuristic the HD algorithm applies control-plane side:
+    candidates are considered in ascending (hop count, latency) order, and
+    each pick is the candidate reusing the fewest links of the paths
+    already picked.  The first pick is the primary.
+
+    Attributes:
+        max_paths: Upper bound on simultaneously used paths.
+    """
+
+    max_paths: int = 4
+
+    def __post_init__(self) -> None:
+        if self.max_paths < 1:
+            raise ConfigurationError(f"max_paths must be positive, got {self.max_paths}")
+
+    def __call__(self, candidates: Sequence[RegisteredPath]) -> List[WeightedPath]:
+        remaining = sorted(
+            candidates,
+            key=lambda path: (path.segment.hop_count, path.segment.total_latency_ms()),
+        )
+        chosen: List[RegisteredPath] = []
+        covered: Set[LinkID] = set()
+        while remaining and len(chosen) < self.max_paths:
+            best = min(
+                remaining,
+                key=lambda path: (
+                    sum(1 for link in path.segment.links() if link in covered),
+                    path.segment.hop_count,
+                    path.segment.total_latency_ms(),
+                ),
+            )
+            remaining.remove(best)
+            chosen.append(best)
+            covered.update(best.segment.links())
+        return [(path, 1.0 / len(chosen)) for path in chosen]
 
 
 @dataclass(frozen=True)

@@ -1,19 +1,26 @@
-"""Tests for the stateless data plane: paths, packets, routers, end hosts."""
+"""Tests for the stateless data plane: forwarding paths and the packet walk."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.criteria import highest_bandwidth, lowest_latency, widest_with_latency_bound
-from repro.core.databases import PathService, RegisteredPath
-from repro.dataplane.endhost import EndHost, PathSelectionPreference
 from repro.dataplane.network import DataPlaneNetwork
-from repro.dataplane.packet import Packet
 from repro.dataplane.path import ForwardingPath, HopField, forwarding_path_from_segment
-from repro.dataplane.router import BorderRouter
-from repro.exceptions import DataPlaneError, ForwardingError, PathConstructionError
+from repro.exceptions import PathConstructionError, UnknownLinkError
+from repro.simulation.failures import LinkState
 from repro.topology.entities import ASInfo, Interface, Link, Relationship
 from repro.topology.geo import GeoCoordinate
 
-from tests.conftest import figure1_topology, make_beacon
+from tests.conftest import figure1_topology, line_topology, make_beacon
+
+
+def path_of(*hops):
+    """A forwarding path over ``(as_id, ingress, egress)`` hop triples."""
+    return ForwardingPath(
+        hops=tuple(HopField(*hop) for hop in hops),
+        expected_latency_ms=0.0,
+        expected_bandwidth_mbps=1.0,
+    )
 
 
 @pytest.fixture
@@ -58,6 +65,30 @@ class TestForwardingPath:
                 expected_bandwidth_mbps=1.0,
             )
 
+    def test_only_the_destination_hop_may_lack_an_egress(self):
+        """A hop short of the destination without an egress interface would
+        end the walk there: on a 3-AS line the forged path below was
+        reported delivered at AS 2, while its destination is AS 3."""
+        with pytest.raises(PathConstructionError, match="interior hops"):
+            path_of((1, None, 2), (2, 1, None), (3, 1, None))
+        with pytest.raises(PathConstructionError, match="interior hops"):
+            path_of((1, None, None), (2, 1, None))
+
+    def test_only_the_source_hop_may_lack_an_ingress(self):
+        with pytest.raises(PathConstructionError, match="interior hops"):
+            path_of((1, None, 2), (2, None, 2), (3, 1, None))
+        with pytest.raises(PathConstructionError, match="interior hops"):
+            path_of((1, None, 2), (2, None, None))
+
+    def test_links_are_the_segment_links(self, key_store):
+        for hops in (
+            [(3, None, 1), (2, 2, 1), (1, 1, None)],
+            [(3, None, 2), (6, 2, 1), (5, 2, 1), (4, 2, 1), (1, 2, None)],
+        ):
+            segment = make_beacon(key_store, hops)
+            links = forwarding_path_from_segment(segment).links()
+            assert sorted(links) == sorted(segment.links())
+
     def test_links_and_hop_for(self, segment):
         path = forwarding_path_from_segment(segment)
         assert path.links() == (((1, 1), (2, 1)), ((2, 2), (3, 1)))
@@ -66,58 +97,136 @@ class TestForwardingPath:
             path.hop_for(99)
 
 
-class TestPacketAndRouter:
-    def test_packet_cursor(self, segment):
-        packet = Packet(path=forwarding_path_from_segment(segment))
-        assert packet.current_as == 1
-        assert not packet.at_destination
-        packet.advance()
-        assert packet.current_as == 2
-        packet.advance()
-        assert packet.at_destination
-        with pytest.raises(ForwardingError):
-            packet.advance()
+class TestPacketWalk:
+    """The border-router checks, applied at every AS of the walk."""
 
-    def test_latency_accumulation(self, segment):
-        packet = Packet(path=forwarding_path_from_segment(segment))
-        packet.add_latency(5.0)
-        packet.add_latency(2.5)
-        assert packet.accumulated_latency_ms == 7.5
-        with pytest.raises(ForwardingError):
-            packet.add_latency(-1.0)
+    def test_walk_crosses_every_hop_and_delivers_at_the_destination(self, segment):
+        report = DataPlaneNetwork(topology=figure1_topology()).deliver(
+            forwarding_path_from_segment(segment)
+        )
+        assert report.delivered, report.failure_reason
+        assert report.as_path == (1, 2, 3)
+        assert report.hops_traversed == 3
+        assert report.failure_reason is None
 
-    def test_router_forwards_on_hop_field(self, segment):
-        packet = Packet(path=forwarding_path_from_segment(segment))
-        router = BorderRouter(as_id=1, local_interfaces=(1, 2))
-        egress = router.forward(packet, arrived_on=None)
-        assert egress == (1, 1)
+    def test_latency_adds_links_and_intra_as_transit(self):
+        # Two 10 ms links and a transit through AS 2 between its interfaces.
+        report = DataPlaneNetwork(topology=line_topology(3)).deliver(
+            path_of((1, None, 2), (2, 1, 2), (3, 1, None))
+        )
+        assert report.delivered, report.failure_reason
+        assert report.latency_ms > 20.0
+        assert report.latency_ms == pytest.approx(20.0, abs=0.5)
 
-    def test_router_validates_ingress_interface(self, segment):
-        packet = Packet(path=forwarding_path_from_segment(segment))
-        packet.advance()  # now at AS 2, hop expects ingress interface 1
-        router = BorderRouter(as_id=2, local_interfaces=(1, 2))
-        with pytest.raises(ForwardingError):
-            router.forward(packet, arrived_on=2)
-        assert router.forward(packet, arrived_on=1) == (2, 2)
+    def test_arrival_on_an_unauthorized_ingress_is_dropped(self):
+        # The 1-2 link arrives on AS 2's interface 1; the hop field names 2.
+        report = DataPlaneNetwork(topology=line_topology(3)).deliver(
+            path_of((1, None, 2), (2, 2, 2), (3, 1, None))
+        )
+        assert not report.delivered
+        assert "authorizes ingress 2" in report.failure_reason
+        assert report.hops_traversed == 1
 
-    def test_router_rejects_wrong_as(self, segment):
-        packet = Packet(path=forwarding_path_from_segment(segment))
-        router = BorderRouter(as_id=9, local_interfaces=(1,))
-        with pytest.raises(ForwardingError):
-            router.forward(packet, arrived_on=None)
+    def test_an_egress_the_as_does_not_own_is_dropped(self):
+        report = DataPlaneNetwork(topology=line_topology(3)).deliver(
+            path_of((1, None, 5), (2, 1, None))
+        )
+        assert not report.delivered
+        assert "does not own" in report.failure_reason
+        assert report.hops_traversed == 0
 
-    def test_router_rejects_unknown_egress(self, segment):
-        packet = Packet(path=forwarding_path_from_segment(segment))
-        router = BorderRouter(as_id=1, local_interfaces=(5,))
-        with pytest.raises(ForwardingError):
-            router.forward(packet, arrived_on=None)
+    def test_a_link_to_another_as_than_the_next_hop_is_dropped(self):
+        report = DataPlaneNetwork(topology=line_topology(3)).deliver(
+            path_of((1, None, 2), (3, 1, None))
+        )
+        assert not report.delivered
+        assert "the link leads to AS 2" in report.failure_reason
 
-    def test_local_delivery_returns_none(self, segment):
-        packet = Packet(path=forwarding_path_from_segment(segment))
-        packet.advance()
-        packet.advance()
-        router = BorderRouter(as_id=3, local_interfaces=(1, 2, 3))
-        assert router.forward(packet, arrived_on=1) is None
+    def test_an_egress_without_a_link_is_dropped(self):
+        # AS 4 owns interface 3 in the Figure-1 topology; no link is attached.
+        report = DataPlaneNetwork(topology=figure1_topology()).deliver(
+            path_of((4, None, 3), (5, 1, None))
+        )
+        assert not report.delivered
+        assert "has no link" in report.failure_reason
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        start=st.integers(1, 6),
+        picks=st.lists(st.integers(0, 2), min_size=1, max_size=4),
+        forge=st.one_of(
+            st.none(), st.tuples(st.integers(0, 4), st.sampled_from((1, 2)), st.integers(1, 3))
+        ),
+    )
+    def test_the_walk_delivers_exactly_the_paths_the_topology_has(self, start, picks, forge):
+        """Walk the Figure-1 links from ``start`` (each pick chooses an
+        interface), then maybe forge one interface of one hop field.  The
+        walk delivers exactly the loop-free, unforged paths, and never
+        raises."""
+        topology = figure1_topology()
+        hops, as_id, ingress = [], start, None
+        for pick in picks:
+            owned = sorted(topology.as_info(as_id).interfaces)
+            egress = owned[pick % len(owned)]
+            try:
+                link = topology.link_of_interface((as_id, egress))
+            except UnknownLinkError:
+                break
+            hops.append([as_id, ingress, egress])
+            as_id, ingress = link.other_end((as_id, egress))
+        hops.append([as_id, ingress, None])
+        if len(hops) < 2:
+            return
+        genuine = len({hop[0] for hop in hops}) == len(hops)
+        if forge is not None:
+            index, column, value = forge
+            hop = hops[index % len(hops)]
+            if hop[column] not in (None, value):
+                hop[column] = value
+                genuine = False
+        path = path_of(*hops)
+        report = DataPlaneNetwork(topology=topology).deliver(path)
+        assert report.delivered == genuine, report.failure_reason
+        if genuine:
+            assert report.hops_traversed == path.hop_count
+            links = sum(topology.links[link].latency_ms for link in path.links())
+            assert report.latency_ms == pytest.approx(links, abs=1.0)
+
+    def test_loop_is_detected(self):
+        # 1 -> 2 -> 1: topologically valid hop fields that revisit AS 1.
+        report = DataPlaneNetwork(topology=figure1_topology()).deliver(
+            path_of((1, None, 1), (2, 1, 1), (1, 1, None))
+        )
+        assert not report.delivered
+        assert "loop" in report.failure_reason
+
+    def test_failed_link_drops_packet(self, segment):
+        state = LinkState()
+        network = DataPlaneNetwork(topology=figure1_topology(), link_state=state)
+        path = forwarding_path_from_segment(segment)
+        assert network.deliver(path).delivered
+        state.fail_link(path.links()[0])
+        report = network.deliver(path)
+        assert not report.delivered
+        assert "is down" in report.failure_reason
+
+    def test_offline_source_as_drops_packet(self, segment):
+        state = LinkState()
+        state.set_as_offline(1)
+        network = DataPlaneNetwork(topology=figure1_topology(), link_state=state)
+        report = network.deliver(forwarding_path_from_segment(segment))
+        assert not report.delivered
+        assert "offline" in report.failure_reason
+        assert report.hops_traversed == 0
+
+    def test_offline_transit_as_drops_packet(self, segment):
+        state = LinkState()
+        network = DataPlaneNetwork(topology=figure1_topology(), link_state=state)
+        path = forwarding_path_from_segment(segment)
+        state.set_as_offline(path.as_path()[1])
+        report = network.deliver(path)
+        assert not report.delivered
+        assert "is down" in report.failure_reason
 
 
 class TestDataPlaneNetwork:
@@ -129,8 +238,8 @@ class TestDataPlaneNetwork:
             [(3, None, 1), (2, 2, 1), (1, 1, None)],
             link_latencies=[10.0, 10.0, 0.0],
         )
-        packet = Packet(path=forwarding_path_from_segment(segment))
-        report = network.deliver(packet)
+        path = forwarding_path_from_segment(segment)
+        report = network.deliver(path)
         assert report.delivered, report.failure_reason
         assert report.as_path == (1, 2, 3)
         # Real link latencies of the Figure-1 topology: 10 ms + 10 ms, plus a
@@ -139,11 +248,11 @@ class TestDataPlaneNetwork:
 
     def test_interface_attached_after_first_delivery_is_owned(self, key_store):
         """Topology growth gives a routed-through AS a new interface; the
-        router must own it, not the interface set of its first delivery."""
+        walk reads the AS's live interfaces, not the set of its first delivery."""
         topology = figure1_topology()
         network = DataPlaneNetwork(topology=topology)
         old = make_beacon(key_store, [(3, None, 1), (2, 2, 1), (1, 1, None)])
-        assert network.deliver(Packet(path=forwarding_path_from_segment(old))).delivered
+        assert network.deliver(forwarding_path_from_segment(old)).delivered
         location = GeoCoordinate(48.0, 9.2)
         grown = ASInfo(as_id=9)
         grown.add_interface(Interface(as_id=9, interface_id=1, location=location))
@@ -159,7 +268,7 @@ class TestDataPlaneNetwork:
             )
         )
         new = make_beacon(key_store, [(9, None, 1), (2, 3, 1), (1, 1, None)])
-        report = network.deliver(Packet(path=forwarding_path_from_segment(new)))
+        report = network.deliver(forwarding_path_from_segment(new))
         assert report.delivered, report.failure_reason
         assert report.as_path == (1, 2, 9)
 
@@ -168,65 +277,7 @@ class TestDataPlaneNetwork:
         network = DataPlaneNetwork(topology=topology)
         # The segment claims AS 1 interface 1 leads to AS 5, which is false.
         forged = make_beacon(key_store, [(5, None, 1), (1, 1, None)])
-        packet = Packet(path=forwarding_path_from_segment(forged))
-        report = network.deliver(packet)
+        path = forwarding_path_from_segment(forged)
+        report = network.deliver(path)
         assert not report.delivered
         assert report.failure_reason is not None
-
-
-class TestEndHost:
-    def _path_service_with(self, key_store):
-        service = PathService()
-        fast = make_beacon(
-            key_store,
-            [(3, None, 1), (2, 2, 1), (1, 1, None)],
-            link_latencies=[10.0, 10.0, 0.0],
-            link_bandwidths=[100.0, 100.0, None],
-        )
-        wide = make_beacon(
-            key_store,
-            [(3, None, 2), (6, 2, 1), (5, 2, 1), (4, 2, 1), (1, 2, None)],
-            link_latencies=[10.0, 10.0, 10.0, 10.0, 0.0],
-            link_bandwidths=[10_000.0, 10_000.0, 10_000.0, 10_000.0, None],
-        )
-        service.register(
-            RegisteredPath(segment=fast, criteria_tags=("1sp",), registered_at_ms=0.0)
-        )
-        service.register(
-            RegisteredPath(segment=wide, criteria_tags=("widest",), registered_at_ms=0.0)
-        )
-        return service
-
-    def test_selection_by_criteria(self, key_store):
-        host = EndHost(host_id="h1", as_id=1, path_service=self._path_service_with(key_store))
-        latency_pick = host.select_paths(3, PathSelectionPreference(lowest_latency()), limit=1)
-        bandwidth_pick = host.select_paths(3, PathSelectionPreference(highest_bandwidth()), limit=1)
-        assert latency_pick[0].segment.total_latency_ms() == pytest.approx(20.0)
-        assert bandwidth_pick[0].segment.bottleneck_bandwidth_mbps() == pytest.approx(10_000.0)
-
-    def test_required_tags_filter(self, key_store):
-        host = EndHost(host_id="h1", as_id=1, path_service=self._path_service_with(key_store))
-        preference = PathSelectionPreference(lowest_latency(), required_tags=("widest",))
-        selected = host.select_paths(3, preference, limit=5)
-        assert len(selected) == 1
-        assert "widest" in selected[0].criteria_tags
-        assert host.paths_by_tag(3, "widest") == selected
-
-    def test_constraint_filters_paths(self, key_store):
-        host = EndHost(host_id="h1", as_id=1, path_service=self._path_service_with(key_store))
-        preference = PathSelectionPreference(widest_with_latency_bound(30.0))
-        selected = host.select_paths(3, preference, limit=5)
-        assert all(p.segment.total_latency_ms() <= 30.0 for p in selected)
-
-    def test_build_packet_and_no_path_error(self, key_store):
-        host = EndHost(host_id="h1", as_id=1, path_service=self._path_service_with(key_store))
-        packet = host.build_packet(3, PathSelectionPreference(lowest_latency()))
-        assert packet.path.source_as == 1
-        assert packet.path.destination_as == 3
-        with pytest.raises(DataPlaneError):
-            host.build_packet(42, PathSelectionPreference(lowest_latency()))
-
-    def test_available_paths(self, key_store):
-        host = EndHost(host_id="h1", as_id=1, path_service=self._path_service_with(key_store))
-        assert len(host.available_paths(3)) == 2
-        assert host.available_paths(42) == []

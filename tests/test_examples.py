@@ -77,12 +77,12 @@ class TestExampleScripts:
         module = load_example("failover_and_policies.py")
         module.main()
         output = capsys.readouterr().out
-        assert "switched to a link-disjoint backup path" in output
-        # After the failure the forwarder delivers, and not over the primary
+        assert "switched to the link-disjoint paths" in output
+        # After the failure traffic still flows, and not over the primary
         # (path 0); a packet forced over the primary is dropped as down.
         (after,) = [line.split() for line in output.splitlines() if line.startswith("after failure")]
-        delivered, used_path = after[2], after[3]
-        assert delivered == "True" and used_path != "0"
+        carried, primary_used = float(after[2]), after[4]
+        assert carried > 0.0 and primary_used == "False"
         assert "forced over the failed primary path" in output and "is down" in output
 
     def test_dynamic_failover_runs(self, capsys):
@@ -94,6 +94,15 @@ class TestExampleScripts:
         assert "time to recovery" in output
         # The scripted run ends fully recovered, deterministically.
         assert "Outage at the end of the run: 0 ms" in output
+
+    def test_traffic_failover_runs(self, capsys):
+        # The trace digest it prints is pinned by tests/test_traffic_engine.py.
+        module = load_example("traffic_failover.py")
+        module.main()
+        output = capsys.readouterr().out
+        assert "flow groups" in output and "Goodput (carried Mbit/s" in output
+        assert "Flow groups broken by the failure" in output
+        assert "Traffic trace digest:" in output
 
     @pytest.mark.slow
     def test_disjoint_paths_runs(self, capsys):

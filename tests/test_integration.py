@@ -13,8 +13,8 @@ from repro.algorithms.bandwidth import LatencyBoundedWidestAlgorithm, WidestPath
 from repro.algorithms.registry import encode_criteria_payload
 from repro.algorithms.shortest_path import KShortestPathAlgorithm
 from repro.core.criteria import lowest_latency, shortest_widest, widest_with_latency_bound
-from repro.dataplane.endhost import EndHost, PathSelectionPreference
 from repro.dataplane.network import DataPlaneNetwork
+from repro.dataplane.path import forwarding_path_from_segment
 from repro.simulation.beaconing import BeaconingSimulation
 from repro.simulation.scenario import (
     AlgorithmSpec,
@@ -24,8 +24,10 @@ from repro.simulation.scenario import (
 )
 from repro.analysis.disjointness_eval import evaluate_disjointness
 from repro.topology.generator import generate_topology, small_test_config
+from repro.traffic import CriteriaPolicy
 
 from tests.conftest import figure1_topology, line_topology
+from tests.test_golden_trace import MIXED_LEGACY_ASES, _run_golden
 
 
 def figure1_scenario(periods=4):
@@ -58,45 +60,55 @@ class TestFigure1MultiCriteria:
     def result(self):
         return BeaconingSimulation(figure1_topology(), figure1_scenario()).run()
 
+    @staticmethod
+    def _choice(result, criteria_set):
+        """The path an application at AS 1 picks towards AS 3."""
+        candidates = result.service(1).query_frontend.paths(3)
+        [(path, share)] = CriteriaPolicy(criteria_set)(candidates)
+        assert share == 1.0
+        return path.segment
+
     def test_voip_gets_the_low_latency_path(self, result):
-        host = EndHost(host_id="voip", as_id=1, path_service=result.service(1).path_service)
-        selected = host.select_paths(3, PathSelectionPreference(lowest_latency()), limit=1)
-        assert selected
-        assert selected[0].segment.total_latency_ms() == pytest.approx(20.0, abs=0.5)
+        segment = self._choice(result, lowest_latency())
+        assert segment.total_latency_ms() == pytest.approx(20.0, abs=0.5)
 
     def test_file_transfer_gets_the_wide_path(self, result):
-        host = EndHost(host_id="ft", as_id=1, path_service=result.service(1).path_service)
-        selected = host.select_paths(3, PathSelectionPreference(shortest_widest()), limit=1)
-        assert selected
-        assert selected[0].segment.bottleneck_bandwidth_mbps() == pytest.approx(10_000.0)
-        assert selected[0].segment.total_latency_ms() == pytest.approx(40.0, abs=0.5)
+        segment = self._choice(result, shortest_widest())
+        assert segment.bottleneck_bandwidth_mbps() == pytest.approx(10_000.0)
+        assert segment.total_latency_ms() == pytest.approx(40.0, abs=0.5)
 
     def test_live_video_gets_the_bounded_path(self, result):
-        host = EndHost(host_id="video", as_id=1, path_service=result.service(1).path_service)
-        preference = PathSelectionPreference(widest_with_latency_bound(30.5))
-        selected = host.select_paths(3, preference, limit=1)
-        assert selected
-        segment = selected[0].segment
+        segment = self._choice(result, widest_with_latency_bound(30.5))
         assert segment.total_latency_ms() <= 30.5
         assert segment.bottleneck_bandwidth_mbps() == pytest.approx(1_000.0)
 
-    def test_discovered_paths_are_forwardable(self, result):
-        """Control-plane paths actually work on the data plane (usability)."""
-        topology = result.topology
-        network = DataPlaneNetwork(topology=topology)
-        host = EndHost(host_id="h", as_id=1, path_service=result.service(1).path_service)
-        for preference in (
-            PathSelectionPreference(lowest_latency()),
-            PathSelectionPreference(shortest_widest()),
-        ):
-            packet = host.build_packet(3, preference)
-            report = network.deliver(packet)
-            assert report.delivered, report.failure_reason
-            # The latency the data plane measures matches the control-plane
-            # prediction within the intra-AS modelling error.
-            assert report.latency_ms == pytest.approx(
-                packet.path.expected_latency_ms, rel=0.1, abs=1.0
-            )
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: BeaconingSimulation(figure1_topology(), figure1_scenario()).run(),
+        _run_golden,
+        lambda: _run_golden(legacy_ases=MIXED_LEGACY_ASES),
+    ],
+    ids=["figure1", "golden", "golden-mixed"],
+)
+def test_every_registered_path_forwards_at_its_beacon_latency(run):
+    """The packet walk is the soundness oracle of the control plane: every
+    path any AS registered forwards over the run's final link state, and
+    the latency the walk accumulates, hop by hop from the topology, is the
+    one the beacon carries (usability, paper §II-C)."""
+    result = run()
+    network = DataPlaneNetwork(topology=result.topology, link_state=result.link_state)
+    segments = [
+        registered.segment
+        for _as_id, service in sorted(result.services.items())
+        for registered in service.path_service.all_paths()
+    ]
+    assert len(segments) > 50
+    for segment in segments:
+        report = network.deliver(forwarding_path_from_segment(segment))
+        assert report.delivered, report.failure_reason
+        assert report.latency_ms == pytest.approx(segment.total_latency_ms())
 
 
 class TestOnDemandSourceCriteria:

@@ -9,10 +9,11 @@ test also fails when a listed module has gained a caller or is gone.
 
 The same scan of ``src/`` holds three import rules.  Two are the sharded
 runtime's: one module starts processes, and the simulation never imports
-the package that shards it.  The third keeps one failure model: the
-traffic engine reads availability from the shared ``LinkState`` and never
-imports the packet-forwarding walk, so a second availability check cannot
-come back unnoticed.
+the package that shards it.  The third keeps one data plane per question:
+``repro.traffic`` reads availability from the shared ``LinkState``, chooses
+paths with its own policies, and imports nothing from ``repro.dataplane``,
+so neither a second availability check nor a second end-host selection
+layer can come back unnoticed.
 
 A rule keeps each scenario event checking itself: what an event
 requires of its timeline and which ASes it ties to one shard live on the
@@ -34,9 +35,6 @@ SRC = ROOT / "src"
 #: The one module that imports a process API, and those APIs.
 PROCESS_SPAWNER = "repro.parallel.coordinator"
 PROCESS_MODULES = ("multiprocessing", "concurrent.futures")
-
-#: The packet-forwarding walk the traffic engine must not import.
-FORWARDING_WALK = "repro.dataplane.network"
 
 #: The modules that may ``isinstance``-test a scenario event.  Compared for
 #: equality, so the list can only shrink.
@@ -164,21 +162,11 @@ def test_the_simulation_does_not_import_the_sharded_runtime():
     assert importers == set()
 
 
-def test_the_traffic_engine_does_not_import_the_forwarding_walk():
-    package = FORWARDING_WALK.rsplit(".", 1)[0]
-    init = SRC.joinpath(*package.split(".")) / "__init__.py"
-    # ``from repro.dataplane import DataPlaneNetwork`` reaches the walk too.
-    reexported = {
-        f"{package}.{name}"
-        for base, name in _imports(init, package, is_package=True)
-        if base == FORWARDING_WALK
-    }
-    assert reexported  # the scan sees the package's re-exports
+def test_traffic_imports_nothing_from_the_dataplane():
     importers = {
         module
         for module, target in _src_imports()
-        if _within(module, "repro.traffic")
-        and (_within(target, FORWARDING_WALK) or target in reexported)
+        if _within(module, "repro.traffic") and _within(target, "repro.dataplane")
     }
     assert importers == set()
 

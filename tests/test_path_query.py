@@ -37,7 +37,6 @@ from repro.core.messages import PathRegistrationMessage
 from repro.core.query import PathQuery, PathQueryFrontend
 from repro.core.transport import NullTransport
 from repro.crypto.keys import KeyStore
-from repro.dataplane.endhost import EndHost
 from repro.exceptions import ConfigurationError
 from repro.simulation.beaconing import BeaconingSimulation
 from repro.simulation.events import (
@@ -350,16 +349,10 @@ class TestEndHostRouting:
         service = PathService()
         service.register(_registered(key_store, origin=1, via=2))
         service.register(_registered(key_store, origin=1, via=5))
-        direct = EndHost(host_id="h", as_id=7, path_service=service)
-        cached = EndHost(
-            host_id="h",
-            as_id=7,
-            path_service=service,
-            query_frontend=PathQueryFrontend(service),
-        )
-        assert cached.available_paths(1) == direct.available_paths(1)
-        assert cached.available_paths(1) == direct.available_paths(1)  # hit path
-        assert cached.query_frontend.hits == 1
+        frontend = PathQueryFrontend(service)
+        assert list(frontend.paths(1)) == service.paths_to(1)
+        assert list(frontend.paths(1)) == service.paths_to(1)  # hit path
+        assert frontend.hits == 1
 
 
 # ---------------------------------------------------------------------------

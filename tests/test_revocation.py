@@ -13,7 +13,7 @@ import itertools
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.messages import RevocationMessage
@@ -32,6 +32,30 @@ from tests.conftest import build_services, line_topology
 
 def _link(topology, index):
     return topology.link_ids()[index]
+
+
+@st.composite
+def _dedup_cases(draw):
+    """A ``(window, threshold, steps)`` replay of dedup-store calls."""
+    window = draw(st.sampled_from((0.0, 5.0, DEFAULT_DEDUP_WINDOW_MS)), label="window")
+    gaps = st.one_of(
+        st.sampled_from((0.0, 1.0)),
+        st.sampled_from((0.5, 1.0, 1.5)).map(lambda share: share * window),
+        st.floats(min_value=0.0, max_value=2.0 * window + 2.0, allow_nan=False),
+    )
+    steps = draw(
+        st.lists(
+            st.tuples(
+                gaps,
+                st.tuples(st.integers(1, 3), st.integers(1, 4)),
+                st.sampled_from(("deliver", "originate")),
+            ),
+            max_size=60,
+        ),
+        label="steps",
+    )
+    threshold = draw(st.sampled_from((2, 4096)), label="threshold")
+    return window, threshold, steps
 
 
 class _ThresholdDedup:
@@ -59,10 +83,11 @@ class _ThresholdDedup:
     def mark_seen(self, key, now_ms):
         self.seen.setdefault(key, now_ms)
         if len(self.seen) > self.threshold:
-            horizon = now_ms - self.window_ms
             while self.seen:
                 oldest = next(iter(self.seen))
-                if self.seen[oldest] >= horizon:
+                # The window's edge as ``RevocationState`` rounds it: kept
+                # while ``now - seen <= window``.
+                if now_ms - self.seen[oldest] <= self.window_ms:
                     break
                 del self.seen[oldest]
 
@@ -161,8 +186,22 @@ class TestRevocationState:
         assert state.is_duplicate((1, total), float(total))
 
     @settings(max_examples=80, deadline=None)
-    @given(data=st.data())
-    def test_window_pruning_answers_like_threshold_pruning(self, data):
+    @given(case=_dedup_cases())
+    @example(
+        # At the window's edge ``now - seen <= window`` and
+        # ``seen >= now - window`` disagree: 3,600,001.711 - 1.711 is
+        # 3,600,000.0, but 3,600,001.711 - 3,600,000 is 1.7110000001.
+        case=(
+            3_600_000.0,
+            2,
+            [
+                (1.711, (1, 1), "deliver"),
+                (3_600_000.0, (1, 2), "deliver"),
+                (0.0, (1, 3), "deliver"),
+            ],
+        )
+    )
+    def test_window_pruning_answers_like_threshold_pruning(self, case):
         """Property: pruning the window on every ``mark_seen`` gives the same
         ``is_duplicate`` answers and duplicate count as pruning only past a
         key-count threshold, and keeps exactly the keys first seen inside
@@ -172,24 +211,7 @@ class TestRevocationState:
         ``is_duplicate`` and marks what was not; an origination marks its
         own fresh sequence number (a stale key is never re-marked unasked).
         """
-        window = data.draw(st.sampled_from((0.0, 5.0, DEFAULT_DEDUP_WINDOW_MS)), label="window")
-        gaps = st.one_of(
-            st.sampled_from((0.0, 1.0)),
-            st.sampled_from((0.5, 1.0, 1.5)).map(lambda share: share * window),
-            st.floats(min_value=0.0, max_value=2.0 * window + 2.0, allow_nan=False),
-        )
-        steps = data.draw(
-            st.lists(
-                st.tuples(
-                    gaps,
-                    st.tuples(st.integers(1, 3), st.integers(1, 4)),
-                    st.sampled_from(("deliver", "originate")),
-                ),
-                max_size=60,
-            ),
-            label="steps",
-        )
-        threshold = data.draw(st.sampled_from((2, 4096)), label="threshold")
+        window, threshold, steps = case
         state = RevocationState(dedup_window_ms=window)
         reference = _ThresholdDedup(window, threshold)
         now_ms = 0.0

@@ -3,9 +3,17 @@
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.core.criteria import (
+    highest_bandwidth,
+    latency_bandwidth_pareto,
+    lowest_latency,
+    shortest_widest,
+    widest_with_latency_bound,
+)
 from repro.core.databases import PathService, RegisteredPath
-from repro.dataplane.endhost import EndHost
 from repro.exceptions import ConfigurationError
 from repro.simulation.beaconing import BeaconingSimulation
 from repro.simulation.events import LinkFailure
@@ -16,6 +24,7 @@ from repro.traffic import (
     BandwidthAwarePolicy,
     CapacityLinkModel,
     ClosedLoopDemand,
+    CriteriaPolicy,
     EcmpPolicy,
     FlowGroup,
     LatencyGreedyPolicy,
@@ -228,32 +237,33 @@ class TestCapacityLinkModel:
 # ----------------------------------------------------------------------
 # selection policies
 # ----------------------------------------------------------------------
+def select(service, policy):
+    """Apply ``policy`` to the registered 1 -> 3 paths, as the engine does."""
+    return policy(service.paths_to(3))
+
+
 class TestSelectionPolicies:
     def test_latency_greedy(self, fig1_service):
-        host = EndHost(host_id="h", as_id=1, path_service=fig1_service)
-        selected = host.select_weighted(3, LatencyGreedyPolicy())
+        selected = select(fig1_service, LatencyGreedyPolicy())
         assert len(selected) == 1
         path, weight = selected[0]
         assert path.segment.total_latency_ms() == pytest.approx(20.0)
         assert weight == pytest.approx(1.0)
 
     def test_bandwidth_aware(self, fig1_service):
-        host = EndHost(host_id="h", as_id=1, path_service=fig1_service)
-        [(path, _weight)] = host.select_weighted(3, BandwidthAwarePolicy())
+        [(path, _weight)] = select(fig1_service, BandwidthAwarePolicy())
         assert path.segment.bottleneck_bandwidth_mbps() == pytest.approx(10_000.0)
 
     def test_ecmp_splits_evenly(self, fig1_service):
-        host = EndHost(host_id="h", as_id=1, path_service=fig1_service)
-        selected = host.select_weighted(3, EcmpPolicy(max_paths=2))
+        selected = select(fig1_service, EcmpPolicy(max_paths=2))
         assert len(selected) == 2
         assert [weight for _path, weight in selected] == [0.5, 0.5]
         latencies = [path.segment.total_latency_ms() for path, _ in selected]
         assert latencies == sorted(latencies)  # best paths first
 
     def test_ecmp_bandwidth_weighted(self, fig1_service):
-        host = EndHost(host_id="h", as_id=1, path_service=fig1_service)
-        selected = host.select_weighted(
-            3, EcmpPolicy(max_paths=3, prefer="bandwidth", weight_by_bandwidth=True)
+        selected = select(
+            fig1_service, EcmpPolicy(max_paths=3, prefer="bandwidth", weight_by_bandwidth=True)
         )
         weights = {
             path.segment.bottleneck_bandwidth_mbps(): weight for path, weight in selected
@@ -262,19 +272,83 @@ class TestSelectionPolicies:
         assert sum(weights.values()) == pytest.approx(1.0)
 
     def test_tag_pinning_and_fallback(self, fig1_service):
-        host = EndHost(host_id="h", as_id=1, path_service=fig1_service)
-        [(path, _)] = host.select_weighted(3, TagPinnedPolicy(tag="hd"))
+        [(path, _)] = select(fig1_service, TagPinnedPolicy(tag="hd"))
         assert "hd" in path.criteria_tags
-        assert host.select_weighted(3, TagPinnedPolicy(tag="nope")) == []
-        [(fallback, _)] = host.select_weighted(
-            3, TagPinnedPolicy(tag="nope", fallback=True)
-        )
+        assert select(fig1_service, TagPinnedPolicy(tag="nope")) == []
+        [(fallback, _)] = select(fig1_service, TagPinnedPolicy(tag="nope", fallback=True))
         assert fallback.segment.total_latency_ms() == pytest.approx(20.0)
+
+    def test_criteria_policy_ranks_by_the_application_criteria(self, fig1_service):
+        [(fast, weight)] = select(fig1_service, CriteriaPolicy(lowest_latency()))
+        [(wide, _)] = select(fig1_service, CriteriaPolicy(highest_bandwidth()))
+        assert fast.segment.total_latency_ms() == pytest.approx(20.0)
+        assert weight == 1.0
+        assert wide.segment.bottleneck_bandwidth_mbps() == pytest.approx(10_000.0)
+
+    def test_criteria_policy_constraints_rule_paths_out(self, fig1_service):
+        [(bounded, _)] = select(fig1_service, CriteriaPolicy(widest_with_latency_bound(30.0)))
+        assert bounded.segment.total_latency_ms() <= 30.0
+        assert bounded.segment.bottleneck_bandwidth_mbps() == pytest.approx(1_000.0)
+        assert select(fig1_service, CriteriaPolicy(widest_with_latency_bound(5.0))) == []
+
+    def test_tag_pinned_criteria_policy(self, fig1_service):
+        """Required tags pin the candidates before the criteria rank them."""
+        policy = TagPinnedPolicy(tag="hd", inner=CriteriaPolicy(lowest_latency()))
+        [(path, _)] = select(fig1_service, policy)
+        assert "hd" in path.criteria_tags
+        assert path.segment.total_latency_ms() == pytest.approx(40.0)
+
+    def test_criteria_policy_ties_keep_candidate_order(self, key_store):
+        upper = make_beacon(key_store, [(4, None, 1), (2, 2, 1), (1, 1, None)])
+        lower = make_beacon(key_store, [(4, None, 2), (3, 2, 1), (1, 2, None)])
+        assert upper.total_latency_ms() == lower.total_latency_ms()
+        paths = [
+            RegisteredPath(segment=segment, criteria_tags=("1sp",), registered_at_ms=0.0)
+            for segment in (upper, lower)
+        ]
+        policy = CriteriaPolicy(lowest_latency())
+        assert policy(paths)[0][0] is paths[0]
+        assert policy(paths[::-1])[0][0] is paths[1]
+
+    def test_criteria_policy_pareto_prefers_the_shortest_dominant_path(self, fig1_paths):
+        """All three Figure-1 paths are latency/bandwidth Pareto-optimal; the
+        criteria set's own tie-break (fewest hops, then latency) picks, not
+        the candidates' order."""
+        wide_first = [
+            RegisteredPath(segment=segment, criteria_tags=("hd",), registered_at_ms=0.0)
+            for segment in (fig1_paths[1], fig1_paths[2], fig1_paths[0])
+        ]
+        [(path, _)] = CriteriaPolicy(latency_bandwidth_pareto())(wide_first)
+        assert path is wide_first[2]
+        assert path.segment.hop_count == 3
+
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(order=st.permutations(range(3)), which=st.integers(0, 4))
+    def test_criteria_policy_picks_the_head_of_the_ranking(self, fig1_paths, order, which):
+        criteria_set = (
+            lowest_latency(),
+            highest_bandwidth(),
+            shortest_widest(),
+            widest_with_latency_bound(30.0),
+            latency_bandwidth_pareto(),
+        )[which]
+        candidates = [
+            RegisteredPath(segment=fig1_paths[i], criteria_tags=("1sp",), registered_at_ms=0.0)
+            for i in order
+        ]
+        [(path, weight)] = CriteriaPolicy(criteria_set)(candidates)
+        assert path.segment is criteria_set.rank([c.segment for c in candidates])[0]
+        assert weight == 1.0
 
     def test_policies_on_empty_candidates(self):
         for policy in (
             LatencyGreedyPolicy(),
             BandwidthAwarePolicy(),
+            CriteriaPolicy(lowest_latency()),
             EcmpPolicy(max_paths=2),
             TagPinnedPolicy(tag="x", fallback=True),
         ):
@@ -333,6 +407,24 @@ class TestTrafficEngineStandalone:
         sample = engine.run_rounds(1).samples[0]
         # Half the demand fits the wide path, half saturates the narrow one.
         assert sample.carried_mbps == pytest.approx(300.0)
+
+    @pytest.mark.parametrize(
+        "criteria_set, latency_ms",
+        [
+            (lowest_latency(), 20.0),
+            (shortest_widest(), 40.0),
+            (widest_with_latency_bound(30.5), 30.0),
+        ],
+        ids=["voip", "file-transfer", "live-video"],
+    )
+    def test_criteria_policy_steers_each_application(
+        self, fig1, fig1_service, criteria_set, latency_ms
+    ):
+        """The Figure-1 applications, as flow groups: each rides its own path."""
+        engine = self._engine(fig1, fig1_service, CriteriaPolicy(criteria_set), demand=10.0)
+        sample = engine.run_rounds(1).samples[0]
+        assert sample.carried_mbps == pytest.approx(10.0)
+        assert sample.mean_latency_ms == pytest.approx(latency_ms)
 
     def test_unserved_without_paths(self, fig1, fig1_service):
         matrix = TrafficMatrix(
