@@ -338,7 +338,6 @@ def run_cell(
         "messages_dropped": collector.total_dropped,
         "revocation_messages": collector.total_revocations,
         "control_messages": collector.control_messages_total(),
-        "inbox_dropped": collector.inbox_dropped_total(),
         "gray_dropped": collector.gray_dropped_total(),
         "convergence_records": len(records),
         "convergence_unrecovered": sum(

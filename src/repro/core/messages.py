@@ -76,13 +76,9 @@ class ControlMessage:
     sequence: int
     created_at_ms: float
     hop_path: Tuple[int, ...] = ()
-    #: ECN-style congestion signal: set by a bounded inbox in ``mark``
-    #: overflow mode instead of tail-dropping the message.  Not part of
-    #: any message's wire encoding or identity.
-    congestion_marked: bool = False
     #: Memo of :attr:`key`: a declared slot (``init=False``), so
-    #: ``with_hop`` / ``with_congestion_mark`` copies start cold, and every
-    #: AS a flood reaches stores the one tuple the shared message carries.
+    #: ``with_hop`` copies start cold, and every AS a flood reaches stores
+    #: the one tuple the shared message carries.
     _key: Optional[Tuple[int, int]] = _slot()
 
     #: Stable short name used by the transport's per-kind metrics routing.
@@ -100,14 +96,6 @@ class ControlMessage:
     def with_hop(self, as_id: int) -> "ControlMessage":
         """Return a copy whose hop path records arrival at ``as_id``."""
         return replace(self, hop_path=(*self.hop_path, int(as_id)))
-
-    def with_congestion_mark(self) -> "ControlMessage":
-        """Return a copy flagged as congestion-marked (ECN-style).
-
-        Only called by a bounded inbox in ``mark`` overflow mode, so the
-        copy cost is confined to actual overflow events.
-        """
-        return replace(self, congestion_marked=True)
 
     def needs_hop_tracking(self) -> bool:
         """Return whether the fabric must stamp hops onto this message.

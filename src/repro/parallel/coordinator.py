@@ -299,15 +299,12 @@ class ShardedBeaconingSimulation(PeriodDriver):
             {} if with_times else None
         )
         messages_total = 0
-        overload = [0, 0, 0]
-        for shard_counts, shard_times, shard_messages, shard_overload in replies:
+        for shard_counts, shard_times, shard_messages in replies:
             counts.update(shard_counts)
             if with_times:
                 registered_at.update(shard_times)
             messages_total += shard_messages
-            for slot in range(3):
-                overload[slot] += shard_overload[slot]
-        return counts, registered_at, messages_total, tuple(overload)
+        return counts, registered_at, messages_total
 
     def gather(self):
         """Merge the shards' collectors and stats; stop the workers."""

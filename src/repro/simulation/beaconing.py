@@ -58,7 +58,6 @@ from repro.simulation.engine import EventScheduler
 from repro.simulation.events import (
     ASJoin,
     ASLeave,
-    BeaconFlood,
     BeaconPeriodChange,
     ForwardingSuppression,
     GrayFailure,
@@ -70,7 +69,6 @@ from repro.simulation.events import (
     RACSwap,
     RevocationForgery,
     RevocationReplay,
-    ServiceRateChange,
     TimedEvent,
     TopologyGrowth,
 )
@@ -168,9 +166,9 @@ class PeriodDriver:
     * ``flush(now_ms)`` — originate the revocations queued since the last
       flush, one aggregated message per origin,
     * ``probe(pairs, with_times=False)`` — ``(usable-path count per pair,
-      first-registration times per pair or None, control messages sent,
-      (dropped, marked, deferred) inbox totals)``; the counts are current
-      at every call, however the provider maintains them,
+      first-registration times per pair or None, control messages sent)``;
+      the counts are current at every call, however the provider
+      maintains them,
     * ``gather()`` — ``(collector, link_state, revocation_stats)`` of the
       finished run.
 
@@ -193,9 +191,6 @@ class PeriodDriver:
         self.periods_run = 0
         self._interval_ms = scenario.propagation_interval_ms
         self._next_period_start_ms = 0.0
-        #: (dropped, marked, deferred) totals at the last period boundary,
-        #: for per-period overload trace deltas.
-        self._overload_snapshot = (0, 0, 0)
         #: ``(time, seq, TimedEvent)``: timeline events take seqs in
         #: insertion order, flap toggles synthesized mid-run continue the
         #: sequence, so same-time barriers apply first-scheduled first.
@@ -273,7 +268,7 @@ class PeriodDriver:
                 self._push_barrier(
                     TimedEvent(time_ms=now_ms + offset, event=toggle(link_id=event.link_id))
                 )
-        after, _times, messages_total, _overload = self.probe(self.watched_pairs)
+        after, _times, messages_total = self.probe(self.watched_pairs)
         self.convergence.on_event(
             event_label=event.trace_label(),
             now_ms=now_ms,
@@ -313,7 +308,7 @@ class PeriodDriver:
         now_ms = self.now_ms
         self.end_period(now_ms)
 
-        counts, registered_at, messages_total, overload = self.probe(
+        counts, registered_at, messages_total = self.probe(
             self.watched_pairs, with_times=True
         )
         if self.watched_pairs:
@@ -323,18 +318,6 @@ class PeriodDriver:
                 messages_total=messages_total,
                 pair_registered_at=registered_at,
             )
-        if overload != self._overload_snapshot:
-            previous = self._overload_snapshot
-            self._overload_snapshot = overload
-            # Only overloaded periods emit a trace line, so unlimited runs
-            # (the PR-5 default) keep a bit-identical golden trace.
-            self.convergence.on_overload(
-                now_ms,
-                dropped=overload[0] - previous[0],
-                marked=overload[1] - previous[1],
-                deferred=overload[2] - previous[2],
-            )
-
         self.round_reports.extend(reports)
         self.periods_run += 1
         self._next_period_start_ms = period_end_ms
@@ -382,11 +365,6 @@ class BeaconingSimulation(PeriodDriver):
         self.scheduler = EventScheduler()
         self.collector = MetricsCollector(period_ms=scenario.propagation_interval_ms)
         self.link_state = LinkState()
-        for as_id in scenario.inbox_profiles:
-            if as_id not in topology:
-                raise ConfigurationError(
-                    f"inbox_profiles targets unknown AS {as_id}"
-                )
         self.transport = SimulatedTransport(
             topology=topology,
             scheduler=self.scheduler,
@@ -394,8 +372,6 @@ class BeaconingSimulation(PeriodDriver):
             processing_delay_ms=scenario.processing_delay_ms,
             link_state=self.link_state,
             batch_size=scenario.inbox_batch_size,
-            inbox_profile=scenario.inbox_profile,
-            inbox_profiles=dict(scenario.inbox_profiles),
             loss_seed=scenario.loss_seed,
             exporter=shard.exporter if shard is not None else None,
         )
@@ -587,18 +563,12 @@ class BeaconingSimulation(PeriodDriver):
                 # attribute sees exactly the pairs recounted.
                 count = cached[pair] = self.usable_path_count(*pair)
             counts[pair] = count
-        collector = self.collector
         return (
             counts,
             {pair: self._usable_registration_times(*pair) for pair in pairs}
             if with_times
             else None,
-            collector.control_messages_total(),
-            (
-                collector.inbox_dropped_total(),
-                collector.inbox_marked_total(),
-                collector.inbox_deferred_total(),
-            ),
+            self.collector.control_messages_total(),
         )
 
     def _listen_at(self, source_as: int) -> None:
@@ -668,13 +638,6 @@ class BeaconingSimulation(PeriodDriver):
             self.link_state.set_as_online(event.as_id)
             for service in self._services_in_order():
                 service.revocations.clear_revoked_as(event.as_id)
-        elif isinstance(event, ServiceRateChange):
-            for service in self._event_targets(event.as_ids):
-                self.transport.set_inbox_budget(service.as_id, event.budget_per_tick)
-        elif isinstance(event, BeaconFlood):
-            if self._attacks(event.attacker_as):
-                for _ in range(event.bursts):
-                    self.services[event.attacker_as].originate(now_ms=now_ms)
         elif isinstance(event, PolicySwap):
             for service in self._event_targets(event.as_ids):
                 service.set_policies(list(event.policies))

@@ -6,8 +6,7 @@ the fabric already dispatches on — and PCBs additionally per sending
 interface and beaconing period: the raw material of Figure 8c ("PCBs per
 interface per period") and of the message-complexity discussion in
 §VIII-C.  Beside the per-kind ``sent`` / ``dropped`` counters it keeps the
-silent-loss (gray failure), overload (bounded inboxes) and revocation
-aggregation ledgers.
+silent-loss (gray failure) and revocation aggregation ledgers.
 
 Dynamic scenarios additionally record — through the
 :class:`ConvergenceCollector` — per-event disruption records: paths lost,
@@ -18,12 +17,11 @@ converging.
 from __future__ import annotations
 
 import operator
-import random
 from collections import defaultdict
 from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Tuple
 
-from repro.exceptions import ConfigurationError, SimulationError
+from repro.exceptions import SimulationError
 from repro.topology.entities import InterfaceID
 
 #: The ``ControlMessage.kind`` strings of :mod:`repro.core.messages` plus
@@ -38,90 +36,9 @@ MESSAGE_KINDS = (
 )
 
 
-class QuantileReservoir:
-    """Bounded uniform sample of a value stream with exact count/sum/max.
-
-    Algorithm R reservoir sampling over a fixed-capacity buffer: every
-    observation is included with probability ``capacity / count``, so the
-    retained sample stays uniform over the whole stream while memory is
-    bounded (one entry per serviced message would leak on long overloaded
-    runs).  The replacement RNG is a private ``random.Random(seed)``,
-    keeping runs deterministic and the global RNG (which simulations may
-    seed) untouched.
-
-    Count, sum (hence mean) and max are tracked exactly; quantiles are
-    estimated from the sample — exact until the stream outgrows
-    ``capacity``, then a uniform-sample estimate.
-    """
-
-    __slots__ = ("capacity", "count", "total", "max_value", "_sample", "_rng")
-
-    def __init__(self, capacity: int = 4096, seed: int = 0) -> None:
-        if capacity <= 0:
-            raise ConfigurationError(f"reservoir capacity must be positive, got {capacity}")
-        self.capacity = capacity
-        self.count = 0
-        self.total = 0.0
-        self.max_value = 0.0
-        self._sample: List[float] = []
-        self._rng = random.Random(seed)
-
-    def observe(self, value: float) -> None:
-        """Fold one observation into the reservoir."""
-        self.count += 1
-        self.total += value
-        if value > self.max_value:
-            self.max_value = value
-        sample = self._sample
-        if len(sample) < self.capacity:
-            sample.append(value)
-        else:
-            slot = self._rng.randrange(self.count)
-            if slot < self.capacity:
-                sample[slot] = value
-
-    @property
-    def sample_size(self) -> int:
-        """Return how many observations the reservoir currently retains."""
-        return len(self._sample)
-
-    def merge_from(self, other: "QuantileReservoir") -> None:
-        """Fold another reservoir into this one (sharded-run aggregation).
-
-        Count, sum and max stay exact.  The merged sample concatenates
-        both samples up to capacity (deterministically, no RNG draw) —
-        exact while the combined stream fits, an approximation beyond,
-        which matches the reservoir's own guarantee.
-        """
-        self.count += other.count
-        self.total += other.total
-        if other.max_value > self.max_value:
-            self.max_value = other.max_value
-        room = self.capacity - len(self._sample)
-        if room > 0:
-            self._sample.extend(other._sample[:room])
-
-    def stats(self) -> Dict[str, float]:
-        """Return ``{count, mean, max, p50, p99}`` of the stream.
-
-        Percentiles use the index convention ``sorted[min(n-1, int(q*n))]``.
-        """
-        if self.count == 0:
-            return {"count": 0, "mean": 0.0, "max": 0.0, "p50": 0.0, "p99": 0.0}
-        ordered = sorted(self._sample)
-        size = len(ordered)
-        return {
-            "count": self.count,
-            "mean": self.total / self.count,
-            "max": self.max_value,
-            "p50": ordered[min(size - 1, int(0.50 * size))],
-            "p99": ordered[min(size - 1, int(0.99 * size))],
-        }
-
-
 def _ledger(zero, combine=operator.add):
     """Declare one ledger: ``zero()`` is its empty value, ``combine`` folds
-    two shards' readings (per key for a dict; a reservoir merges itself).
+    two shards' readings (per key for a dict).
     :meth:`MetricsCollector.merge` and :meth:`MetricsCollector.reset` walk
     the fields declared this way, so a new ledger is merged and reset by
     being declared."""
@@ -155,9 +72,6 @@ class MetricsCollector:
         gray_dropped: Messages silently swallowed by a degraded link (gray
             failure, flap loss), per kind — disjoint from ``dropped``, so
             a gray failure never perturbs the loud-failure accounting.
-        inbox_dropped: Messages tail-dropped by a full bounded inbox.
-        inbox_marked: Messages congestion-marked instead of dropped.
-        inbox_deferred: Messages serviced later than their arrival tick.
         revocation_batches: Aggregated revocation originations (the driver
             batches the simultaneous failures one origin detects into one
             multi-element ``RevocationMessage``), with their total and
@@ -171,11 +85,6 @@ class MetricsCollector:
     _revocations: Dict[int, int] = _ledger(_tally)
     _fetches: int = _ledger(int)
     gray_dropped: Dict[str, int] = _ledger(_tally)
-    inbox_dropped: Dict[str, int] = _ledger(_tally)
-    inbox_marked: Dict[str, int] = _ledger(_tally)
-    inbox_deferred: Dict[str, int] = _ledger(_tally)
-    _queue_high_water: Dict[int, int] = _ledger(dict, max)
-    _queue_delays: QuantileReservoir = _ledger(QuantileReservoir)
     revocation_batches: int = _ledger(int)
     revocation_batch_elements: int = _ledger(int)
     revocation_batch_max: int = _ledger(int, max)
@@ -219,27 +128,6 @@ class MetricsCollector:
     def record_gray_drop(self, kind: str) -> None:
         """Record one message silently swallowed by a degraded link."""
         self.gray_dropped[kind] += 1
-
-    def record_inbox_drop(self, kind: str) -> None:
-        """Record one message tail-dropped by a full bounded inbox."""
-        self.inbox_dropped[kind] += 1
-
-    def record_inbox_mark(self, kind: str) -> None:
-        """Record one message congestion-marked instead of dropped."""
-        self.inbox_marked[kind] += 1
-
-    def record_inbox_deferral(self, kind: str) -> None:
-        """Record one message serviced later than the tick it arrived on."""
-        self.inbox_deferred[kind] += 1
-
-    def record_queue_depth(self, as_id: int, depth: int) -> None:
-        """Track the per-AS inbox queue-depth high-water mark."""
-        if depth > self._queue_high_water.get(as_id, 0):
-            self._queue_high_water[as_id] = depth
-
-    def record_queue_delay(self, delay_ms: float) -> None:
-        """Record one serviced message's queueing delay."""
-        self._queue_delays.observe(delay_ms)
 
     def record_revocation_batch(self, elements: int) -> None:
         """Record one aggregated revocation origination of ``elements`` failures."""
@@ -301,35 +189,6 @@ class MetricsCollector:
         """Return every message silently lost to degraded links so far."""
         return sum(self.gray_dropped.values())
 
-    def inbox_dropped_total(self) -> int:
-        """Return messages tail-dropped by bounded inboxes, all kinds."""
-        return sum(self.inbox_dropped.values())
-
-    def inbox_marked_total(self) -> int:
-        """Return messages congestion-marked by bounded inboxes, all kinds."""
-        return sum(self.inbox_marked.values())
-
-    def inbox_deferred_total(self) -> int:
-        """Return messages serviced after their arrival tick, all kinds."""
-        return sum(self.inbox_deferred.values())
-
-    def queue_high_water(self, as_id: int) -> int:
-        """Return the deepest inbox queue observed at ``as_id``."""
-        return self._queue_high_water.get(as_id, 0)
-
-    def queue_high_water_marks(self) -> Dict[int, int]:
-        """Return the per-AS inbox queue-depth high-water marks."""
-        return dict(self._queue_high_water)
-
-    def queue_delay_stats(self) -> Dict[str, float]:
-        """Return count/mean/max/p50/p99 of recorded queueing delays (ms).
-
-        Count, mean and max are exact over the whole stream; the
-        percentiles are exact until the stream outgrows the bounded
-        reservoir, then a uniform-sample estimate.
-        """
-        return self._queue_delays.stats()
-
     def merge(self, other: "MetricsCollector") -> None:
         """Fold another collector's ledgers into this one.
 
@@ -337,9 +196,7 @@ class MetricsCollector:
         this: every message is recorded by exactly one shard (sends by
         the sender's, deliveries/drops by the receiver's), so combining
         the disjoint ledgers reproduces the single-process totals.
-        Counts add, high-water marks take the max, queue-delay quantiles
-        merge through the reservoir (exact count/mean/max, sampled
-        percentiles).
+        Counts add; the largest revocation batch takes the max.
         """
         for ledger in fields(self):
             if "combine" not in ledger.metadata:
@@ -349,8 +206,6 @@ class MetricsCollector:
             if isinstance(mine, dict):
                 for key, value in theirs.items():
                     mine[key] = combine(mine.get(key, 0), value)
-            elif isinstance(mine, QuantileReservoir):
-                mine.merge_from(theirs)
             else:
                 setattr(self, ledger.name, combine(mine, theirs))
 
@@ -558,20 +413,6 @@ class ConvergenceCollector:
                     f"{recovered_at:.3f} recover ({source_as},{destination_as}) "
                     f"paths={usable} ttr={record.time_to_recovery_ms:.3f}"
                 )
-
-    def on_overload(
-        self, now_ms: float, dropped: int, marked: int, deferred: int
-    ) -> None:
-        """Record one period's inbox-overload deltas in the trace.
-
-        The driver calls this at a period end only when at least one delta
-        is nonzero, so unlimited runs (the PR-5 default) never emit these
-        lines and the golden trace is unchanged.
-        """
-        self.trace.append(
-            f"{now_ms:.3f} overload dropped={dropped} marked={marked} "
-            f"deferred={deferred}"
-        )
 
     # ------------------------------------------------------------------
     # queries

@@ -6,11 +6,10 @@ and operator activity.  This module provides the vocabulary to script that
 dynamism:
 
 * **typed events** — link failure/recovery, AS leave/join (churn), per-AS
-  admission-policy swaps, RAC hot-swaps, beaconing-period changes, the
-  overload family (PR 6): inbox service-rate changes and beacon-flood
-  DoS bursts, and the adversarial family (PR 7): flapping links with
-  per-direction loss, silent gray failures, Byzantine revocation forgery/
-  replay/forwarding suppression, and mid-run topology growth,
+  admission-policy swaps, RAC hot-swaps, beaconing-period changes, and
+  the adversarial family (PR 7): flapping links with per-direction loss,
+  silent gray failures, Byzantine revocation forgery/replay/forwarding
+  suppression, and mid-run topology growth,
 * a **timeline** of ``(time, event)`` pairs attached to a scenario and
   executed by the beaconing driver through its discrete-event scheduler
   (so an event scheduled mid-period really interrupts propagation), built
@@ -292,66 +291,6 @@ class BeaconPeriodChange(ScenarioEvent):
 
     def trace_label(self) -> str:
         return f"set_period {self.interval_ms:.3f}"
-
-
-@dataclass(frozen=True)
-class ServiceRateChange(ScenarioEvent):
-    """Change the per-tick inbox service budget of one or more ASes.
-
-    Hot-swaps the rate limit of the targeted ASes' bounded inboxes (see
-    :class:`repro.simulation.network.InboxProfile`): ``budget_per_tick``
-    messages are serviced per round, the rest queues.  ``None`` restores
-    the unlimited default (the whole backlog drains promptly).  This is
-    the timeline handle for slow-AS stragglers and operator rate-limit
-    interventions.
-
-    Attributes:
-        budget_per_tick: New per-round budget (``>= 1``), or ``None`` for
-            unlimited.
-        as_ids: ASes to reconfigure; ``None`` means every AS.
-    """
-
-    budget_per_tick: Optional[int] = None
-    as_ids: Optional[Tuple[int, ...]] = None
-
-    def __post_init__(self) -> None:
-        if self.budget_per_tick is not None and self.budget_per_tick < 1:
-            raise ConfigurationError(
-                f"budget_per_tick must be None or >= 1, got {self.budget_per_tick}"
-            )
-        object.__setattr__(self, "as_ids", _targets(self, self.as_ids))
-
-    def trace_label(self) -> str:
-        budget = "inf" if self.budget_per_tick is None else str(self.budget_per_tick)
-        return f"service_rate {budget} @ {_scope(self.as_ids)}"
-
-    def check(self, timed: "TimedEvent", replay: _Replay) -> None:
-        replay.check_as(timed, "targets", *(self.as_ids or ()))
-
-
-@dataclass(frozen=True)
-class BeaconFlood(ScenarioEvent):
-    """A designated AS floods a burst of beacon originations (DoS).
-
-    The attacker AS originates ``bursts`` extra rounds of PCBs at the
-    event time — on top of its regular period originations — pressuring
-    every downstream inbox.  With bounded inboxes the flood manifests as
-    queue growth, deferrals and drops; with the unlimited default it only
-    inflates message counts.
-    """
-
-    attacker_as: int
-    bursts: int = 10
-
-    def __post_init__(self) -> None:
-        if self.bursts < 1:
-            raise ConfigurationError(f"bursts must be >= 1, got {self.bursts}")
-
-    def trace_label(self) -> str:
-        return f"beacon_flood {self.attacker_as} x{self.bursts}"
-
-    def check(self, timed: "TimedEvent", replay: _Replay) -> None:
-        replay.check_as(timed, "floods from", self.attacker_as)
 
 
 def _check_rate(name: str, rate: float) -> None:

@@ -32,30 +32,14 @@ Returned pull beacons travel back to their origin with the accumulated
 latency of the path they describe and are handed straight to the origin's
 ``receive_returned_beacon`` (no message, no inbox); algorithm fetches are
 a synchronous call on the origin's control service.
-
-Overload (PR 6): every inbox can additionally carry an
-:class:`InboxProfile` — a per-service-round message **budget**, a bounded
-**capacity** with a tail-drop or ECN-style mark overflow policy, and a
-**service interval** — turning the previously infinite-rate control plane
-into a queueing system: messages beyond the budget are deferred to later
-service rounds (their handlers run at the *service* time, so withdrawal
-``applied_at`` timestamps become load-dependent), revocations preempt
-queued PCBs/registrations, and the collector records drops, marks,
-deferrals, per-AS queue-depth high-water marks and the queueing-delay
-distribution.  The default profile (no budget, no capacity) takes exactly
-the pre-overload code path, which is what keeps the PR-5 golden traces
-bit-identical.  An inbox keeps the profile it adopted, so a hot swap
-(:meth:`SimulatedTransport.configure_inbox`) always starts from a whole
-profile.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.beacon import Beacon
 from repro.core.control_service import IrecControlService
@@ -65,142 +49,26 @@ from repro.exceptions import (
     ConfigurationError,
     UnknownASError,
 )
-from repro.simulation.collector import MESSAGE_KINDS, MetricsCollector
+from repro.simulation.collector import MetricsCollector
 from repro.simulation.engine import EventScheduler
 from repro.simulation.failures import LinkState
 from repro.topology.graph import Topology
-
-
-@dataclass(frozen=True)
-class InboxProfile:
-    """Service-rate model and bounds of one per-AS control-plane inbox.
-
-    The default profile (all fields at their defaults) is the infinite
-    service rate + unbounded queue the fabric always had; any deviation
-    switches the inbox onto the queueing path.
-
-    Attributes:
-        budget_per_tick: Maximum messages serviced per service round.
-            ``None`` (the default) services everything at the arrival
-            tick — the PR-5 behaviour.  With a finite budget, surplus
-            messages carry over to the next round ``service_interval_ms``
-            later, so their handlers (and ``applied_at`` withdrawal
-            timestamps) run at the time they were actually serviced.
-        capacity: Maximum queued messages (pending + deferred).  ``None``
-            is unbounded; with a bound, deliveries into a full queue hit
-            :attr:`overflow_policy`.
-        overflow_policy: ``"drop"`` tail-drops the arriving message;
-            ``"mark"`` delivers it anyway but stamps it congestion-marked
-            (ECN-style) and counts the mark.
-        service_interval_ms: Gap between service rounds while a backlog
-            exists — the time one unit of queueing delay costs.
-        kind_costs: Optional per-message-kind budget costs.  ``None``
-            (the default) charges every message one unit of
-            ``budget_per_tick`` — the PR 6 behaviour, bit-identical.
-            With a table (e.g. ``{"revocation": 4, "path_registration": 2}``),
-            servicing a message of that kind consumes that many budget
-            units, so a round fits fewer expensive messages; kinds
-            absent from the table cost 1.  Every key must be one of
-            ``MESSAGE_KINDS``.  A service round always
-            services at least one message even if its cost exceeds the
-            whole budget (progress guarantee).
-    """
-
-    budget_per_tick: Optional[int] = None
-    capacity: Optional[int] = None
-    overflow_policy: str = "drop"
-    service_interval_ms: float = 1.0
-    kind_costs: Optional[Mapping[str, int]] = None
-
-    def __post_init__(self) -> None:
-        if self.kind_costs is not None:
-            for kind, cost in self.kind_costs.items():
-                if kind not in MESSAGE_KINDS:
-                    raise ConfigurationError(
-                        f"kind_costs names unknown message kind {kind!r}; "
-                        f"known kinds: {', '.join(MESSAGE_KINDS)}"
-                    )
-                if not isinstance(cost, int) or cost < 1:
-                    raise ConfigurationError(
-                        f"kind_costs[{kind!r}] must be an integer >= 1, got {cost!r}"
-                    )
-            # Freeze a private copy so later caller-side mutation cannot
-            # desynchronize inboxes that already adopted this profile.
-            object.__setattr__(self, "kind_costs", dict(self.kind_costs))
-        if self.budget_per_tick is not None and self.budget_per_tick < 1:
-            raise ConfigurationError(
-                f"budget_per_tick must be None or >= 1, got {self.budget_per_tick}"
-            )
-        if self.capacity is not None and self.capacity < 1:
-            raise ConfigurationError(
-                f"capacity must be None or >= 1, got {self.capacity}"
-            )
-        if self.overflow_policy not in ("drop", "mark"):
-            raise ConfigurationError(
-                f"overflow_policy must be 'drop' or 'mark', got {self.overflow_policy!r}"
-            )
-        if self.service_interval_ms <= 0:
-            raise ConfigurationError(
-                f"service_interval_ms must be positive, got {self.service_interval_ms}"
-            )
-
-    @property
-    def limited(self) -> bool:
-        """Return whether this profile deviates from the unlimited default."""
-        return self.budget_per_tick is not None or self.capacity is not None
-
-
-#: The profile of an inbox no profile was applied to.
-_UNLIMITED = InboxProfile()
 
 
 class _Inbox:
     """One AS's pending delivered-but-undrained messages.
 
     A plain slotted class on the delivery fast path: every message pays
-    one append here, and floods push millions of them.  The inbox keeps the
-    :class:`InboxProfile` it adopted (the unlimited default until one is
-    applied) and copies out the two fields the fast paths branch on,
-    :attr:`limited` and :attr:`budget`, so the default configuration costs
-    one attribute check over PR 5.
+    one append here, and floods push millions of them.
     """
 
-    __slots__ = (
-        "entries",
-        "drain_scheduled",
-        "profile",
-        "limited",
-        "budget",
-        "arrivals",
-        "deferred",
-    )
+    __slots__ = ("entries", "drain_scheduled")
 
     def __init__(self) -> None:
         #: (message, arrival_interface) in arrival order.
         self.entries: List[Tuple[ControlMessage, int]] = []
-        #: Whether a drain/service event is already queued for this inbox.
+        #: Whether a drain event is already queued for this inbox.
         self.drain_scheduled = False
-        #: The queue model in force.
-        self.profile = _UNLIMITED
-        #: Whether any queue bound applies (single fast-path branch flag).
-        self.limited = False
-        #: Messages serviced per round (``None``: everything, at arrival).
-        self.budget: Optional[int] = None
-        #: Arrival times parallel to :attr:`entries` (finite budget only).
-        self.arrivals: List[float] = []
-        #: (message, interface, arrival_ms) carried over from earlier
-        #: service rounds, in service priority order.
-        self.deferred: List[Tuple[ControlMessage, int, float]] = []
-
-    def apply_profile(self, profile: InboxProfile) -> None:
-        """Adopt ``profile``'s queue model (hot-swappable mid-run)."""
-        self.profile = profile
-        self.budget = profile.budget_per_tick
-        self.limited = profile.limited
-
-    def queued(self) -> int:
-        """Return how many messages are waiting (pending + deferred)."""
-        return len(self.entries) + len(self.deferred)
 
 
 @dataclass
@@ -222,9 +90,6 @@ class SimulatedTransport:
             drain.  ``None`` (the default) drains everything pending at
             the tick; ``1`` is per-message delivery, the behavioural
             reference the equivalence tests compare against.
-        inbox_profile: Default :class:`InboxProfile` applied to every
-            registered AS's inbox.  ``None`` keeps the unlimited default.
-        inbox_profiles: Per-AS profile overrides (AS id → profile).
         exporter: Shard hook.  ``None`` (the default) keeps the
             single-process fabric: every AS must be registered locally
             and sends fail fast on unknown receivers.  In a shard
@@ -241,8 +106,6 @@ class SimulatedTransport:
     processing_delay_ms: float = 1.0
     link_state: LinkState = field(default_factory=LinkState)
     batch_size: Optional[int] = None
-    inbox_profile: Optional[InboxProfile] = None
-    inbox_profiles: Dict[int, InboxProfile] = field(default_factory=dict)
     loss_seed: int = 0
     exporter: Optional[Callable[[tuple], None]] = None
     services: Dict[int, IrecControlService] = field(default_factory=dict)
@@ -268,54 +131,11 @@ class SimulatedTransport:
         """Register a control service under its AS identifier."""
         as_id = service.as_id
         self.services[as_id] = service
-        inbox = _Inbox()
-        profile = self.inbox_profiles.get(as_id, self.inbox_profile)
-        if profile is not None:
-            inbox.apply_profile(profile)
-        self._inboxes[as_id] = inbox
+        self._inboxes[as_id] = _Inbox()
         self._drain_callbacks[as_id] = (
             lambda now_ms, _as_id=as_id: self._drain(_as_id, now_ms)
         )
         self._routes.clear()  # routes close over inboxes; rebuild lazily
-
-    def configure_inbox(self, as_id: int, profile: InboxProfile) -> None:
-        """Hot-swap the queue model of ``as_id``'s inbox mid-run.
-
-        Backbone of the :class:`~repro.simulation.events.ServiceRateChange`
-        timeline event.  Switching to an infinite service rate re-queues
-        any deferred backlog for a prompt unlimited drain (the slow AS
-        caught up); switching to a finite one starts deferring from the
-        next service round on.
-        """
-        inbox = self._inboxes.get(as_id)
-        if inbox is None:
-            raise UnknownASError(as_id)
-        inbox.apply_profile(profile)
-        if inbox.budget is None:
-            inbox.arrivals = []
-            if inbox.deferred:
-                inbox.entries[0:0] = [
-                    (message, interface) for message, interface, _arrival in inbox.deferred
-                ]
-                inbox.deferred = []
-            if inbox.entries:
-                # Schedule a prompt drain even if a service round is
-                # already pending: that round sits a full (stale) service
-                # interval out, and a duplicate drain of an empty inbox
-                # is a no-op.
-                inbox.drain_scheduled = True
-                self.scheduler.schedule_at(
-                    self.scheduler.now_ms, self._drain_callbacks[as_id]
-                )
-
-    def set_inbox_budget(self, as_id: int, budget_per_tick: Optional[int]) -> None:
-        """Change only the service-rate budget of ``as_id``'s inbox."""
-        inbox = self._inboxes.get(as_id)
-        if inbox is None:
-            raise UnknownASError(as_id)
-        self.configure_inbox(
-            as_id, dataclasses.replace(inbox.profile, budget_per_tick=budget_per_tick)
-        )
 
     def service_of(self, as_id: int) -> IrecControlService:
         """Return the registered control service of ``as_id``."""
@@ -442,23 +262,6 @@ class SimulatedTransport:
                 return
         if track:
             message = message.with_hop(remote_as)
-        if inbox.limited:
-            # Queue model: bounded capacity (tail-drop or ECN mark at
-            # delivery) and queue-depth high-water tracking.  The
-            # unlimited default never enters this branch, keeping the
-            # PR-5 fast path at one flag check per delivery.
-            depth = len(inbox.entries) + len(inbox.deferred)
-            profile = inbox.profile
-            if profile.capacity is not None and depth >= profile.capacity:
-                if profile.overflow_policy == "mark":
-                    self.collector.record_inbox_mark(message.kind)
-                    message = message.with_congestion_mark()
-                else:
-                    self.collector.record_inbox_drop(message.kind)
-                    return
-            self.collector.record_queue_depth(remote_as, depth + 1)
-            if inbox.budget is not None:
-                inbox.arrivals.append(now_ms)
         inbox.entries.append((message, interface))
         if not inbox.drain_scheduled:
             inbox.drain_scheduled = True
@@ -511,9 +314,6 @@ class SimulatedTransport:
         """
         inbox = self._inboxes[as_id]
         inbox.drain_scheduled = False
-        if inbox.budget is not None:
-            self._drain_limited(as_id, inbox, now_ms)
-            return
         entries = inbox.entries
         if not entries:
             return
@@ -525,91 +325,6 @@ class SimulatedTransport:
             return
         for start in range(0, len(entries), batch_size):
             service.on_message_batch(entries[start : start + batch_size], now_ms)
-
-    def _drain_limited(self, as_id: int, inbox: _Inbox, now_ms: float) -> None:
-        """Service round for a rate-limited inbox.
-
-        At most ``budget`` messages are handed to the control service per
-        round; the remainder carries over as the deferred backlog and a
-        follow-up round is scheduled ``service_interval_ms`` later.  When
-        the pending queue exceeds the budget, revocations are serviced
-        before queued PCBs/registrations (stable within each class).
-        Every message serviced later than it arrived counts as deferred
-        and contributes its queueing delay to the collector.
-        """
-        if inbox.entries:
-            fresh = inbox.entries
-            inbox.entries = []
-            arrivals = inbox.arrivals
-            inbox.arrivals = []
-            # Arrivals can be shorter than entries after a hot swap from
-            # unlimited to limited mid-tick; pad with "now".
-            for index, (message, interface) in enumerate(fresh):
-                arrival = arrivals[index] if index < len(arrivals) else now_ms
-                inbox.deferred.append((message, interface, arrival))
-        pending = inbox.deferred
-        if not pending:
-            return
-        budget = inbox.budget
-        # Each message consumes its kind's cost from the budget; absent
-        # kinds (and every kind without a cost table) cost 1.
-        costs = inbox.profile.kind_costs or {}
-        if sum(costs.get(item[0].kind, 1) for item in pending) > budget:
-            urgent = [item for item in pending if item[0].kind == "revocation"]
-            if urgent and len(urgent) != len(pending):
-                bulk = [item for item in pending if item[0].kind != "revocation"]
-                pending = urgent + bulk
-            batch3 = []
-            spent = 0
-            for item in pending:
-                cost = costs.get(item[0].kind, 1)
-                # Progress guarantee: the round always services at least
-                # one message, even one costing more than the whole
-                # budget — a stuck inbox would never drain.
-                if batch3 and spent + cost > budget:
-                    break
-                batch3.append(item)
-                spent += cost
-            inbox.deferred = pending[len(batch3) :]
-        else:
-            batch3 = pending
-            inbox.deferred = []
-        collector = self.collector
-        entries: List[Tuple[ControlMessage, int]] = []
-        for message, interface, arrival in batch3:
-            delay = now_ms - arrival
-            if delay > 0:
-                collector.record_queue_delay(delay)
-                collector.record_inbox_deferral(message.kind)
-            entries.append((message, interface))
-        self.services[as_id].on_message_batch(entries, now_ms)
-        if (inbox.deferred or inbox.entries) and not inbox.drain_scheduled:
-            inbox.drain_scheduled = True
-            self.scheduler.schedule_in(
-                inbox.profile.service_interval_ms, self._drain_callbacks[as_id]
-            )
-
-    def pending_messages(self, as_id: int) -> int:
-        """Return how many delivered messages await draining at ``as_id``."""
-        inbox = self._inboxes.get(as_id)
-        if inbox is None:
-            return 0
-        return len(inbox.entries) + len(inbox.deferred)
-
-    def queue_backlog_ms(self, as_id: int) -> float:
-        """Estimated queueing delay a message arriving now would incur.
-
-        Rounds of backlog ahead of the new arrival times the service
-        interval; zero for unlimited inboxes or unknown ASes.  Used by
-        the traffic engine as its per-flow queue-delay provider.
-        """
-        inbox = self._inboxes.get(as_id)
-        if inbox is None or inbox.budget is None:
-            return 0.0
-        backlog = len(inbox.entries) + len(inbox.deferred)
-        if not backlog:
-            return 0.0
-        return (backlog // inbox.budget) * inbox.profile.service_interval_ms
 
     # ------------------------------------------------------------------
     # path-travel deliveries (not link-routed)

@@ -9,8 +9,9 @@ ready-made :class:`AlgorithmSpec` lists (paper §VIII-B).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from repro.algorithms.base import RoutingAlgorithm
 from repro.algorithms.delay import DelayOptimizationAlgorithm
@@ -24,7 +25,6 @@ from repro.core.interface_groups import (
 from repro.core.revocation import DEFAULT_DEDUP_WINDOW_MS
 from repro.exceptions import ConfigurationError
 from repro.simulation.events import ScenarioTimeline
-from repro.simulation.network import InboxProfile
 from repro.units import minutes
 
 #: A factory producing a fresh algorithm instance per AS (RACs must not
@@ -90,12 +90,6 @@ class ScenarioConfig:
             drains everything pending at a scheduler tick — the batched
             fast path; ``1`` forces per-message delivery, the behavioural
             reference of the dispatch-equivalence tests.
-        inbox_profile: Default bounded-inbox profile applied to every AS
-            (service budget, capacity, overflow policy, service interval);
-            ``None`` keeps the PR-5 unlimited fabric.  See
-            :class:`repro.simulation.network.InboxProfile`.
-        inbox_profiles: Per-AS profile overrides (AS id → profile); an AS
-            listed here ignores ``inbox_profile``.
         loss_seed: Seed of the transport's silent-loss RNG (gray failures,
             flap loss).  Degraded scenarios reroll deterministically under
             the same seed; healthy scenarios never touch the RNG.
@@ -120,8 +114,6 @@ class ScenarioConfig:
     timeline: ScenarioTimeline = field(default_factory=ScenarioTimeline)
     revocation_dedup_window_ms: float = DEFAULT_DEDUP_WINDOW_MS
     inbox_batch_size: Optional[int] = None
-    inbox_profile: Optional[InboxProfile] = None
-    inbox_profiles: Dict[int, InboxProfile] = field(default_factory=dict)
     loss_seed: int = 0
     register_down_segments: bool = False
     registration_limit: int = 20
@@ -131,9 +123,23 @@ class ScenarioConfig:
             raise ConfigurationError("a scenario needs at least one algorithm or legacy AS")
         if self.periods < 1:
             raise ConfigurationError(f"periods must be positive, got {self.periods}")
+        timings = ("propagation_interval_ms", "processing_delay_ms", "revocation_dedup_window_ms")
+        for name in timings:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value}")
         if self.propagation_interval_ms <= 0:
             raise ConfigurationError(
                 f"propagation interval must be positive, got {self.propagation_interval_ms}"
+            )
+        if self.processing_delay_ms < 0:
+            raise ConfigurationError(
+                f"processing_delay_ms must not be negative, got {self.processing_delay_ms}"
+            )
+        if self.revocation_dedup_window_ms < 0:
+            raise ConfigurationError(
+                "revocation_dedup_window_ms must not be negative, "
+                f"got {self.revocation_dedup_window_ms}"
             )
         if self.registration_limit < 1:
             raise ConfigurationError(

@@ -46,7 +46,7 @@ unimpaired — which is what lets a medium-scale run sustain well over the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.databases import PathService, RegisteredPath
 from repro.core.messages import RevocationMessage
@@ -141,11 +141,6 @@ class TrafficEngine:
         round_interval_ms: Gap between consecutive traffic rounds.
         link_model: Capacity model; built from the topology when omitted.
         collector: Measurement sink; a fresh one when omitted.
-        queue_delay_provider: Optional ``as_id -> delay_ms`` callable
-            reporting the control-plane inbox backlog at an AS (see
-            :meth:`repro.simulation.network.SimulatedTransport.queue_backlog_ms`);
-            :meth:`per_flow_latency_ms` adds it to path latency so
-            overloaded sources surface in per-flow latency.
     """
 
     def __init__(
@@ -159,7 +154,6 @@ class TrafficEngine:
         round_interval_ms: float = 1_000.0,
         link_model: Optional[CapacityLinkModel] = None,
         collector: Optional[TrafficCollector] = None,
-        queue_delay_provider: Optional[Callable[[int], float]] = None,
         closed_loop: Optional[ClosedLoopDemand] = None,
         query_frontends: Optional[Dict[int, PathQueryFrontend]] = None,
     ) -> None:
@@ -177,7 +171,6 @@ class TrafficEngine:
         self.round_interval_ms = round_interval_ms
         self.link_model = link_model if link_model is not None else CapacityLinkModel(topology)
         self.collector = collector if collector is not None else TrafficCollector()
-        self.queue_delay_provider = queue_delay_provider
         self.rounds_run = 0
         #: Per-AS serving tier the engine's end hosts query through.  If
         #: none is supplied (standalone construction), one frontend per
@@ -254,7 +247,6 @@ class TrafficEngine:
             round_interval_ms=round_interval_ms,
             link_model=link_model,
             collector=collector,
-            queue_delay_provider=simulation.transport.queue_backlog_ms,
             closed_loop=closed_loop,
         )
         simulation.add_event_listener(engine.on_scenario_event)
@@ -609,26 +601,3 @@ class TrafficEngine:
                 self._path_cache[use.digest][1] * use.share for use in state.uses
             )
         raise ConfigurationError(f"unknown flow group {group_id}")
-
-    def per_flow_latency_ms(self) -> Dict[int, float]:
-        """Return each assigned group's end-to-end latency estimate.
-
-        Share-weighted path propagation latency plus — when a
-        ``queue_delay_provider`` is attached — the control-plane inbox
-        backlog at the group's source AS, so slow or overloaded control
-        planes show up in the flows they steer.  Unassigned (black-holed)
-        groups are absent from the result.
-        """
-        provider = self.queue_delay_provider
-        latencies: Dict[int, float] = {}
-        for group_index, group in enumerate(self._groups):
-            state = self._state[group_index]
-            if not state.assigned:
-                continue
-            latency = sum(
-                self._path_cache[use.digest][1] * use.share for use in state.uses
-            )
-            if provider is not None:
-                latency += provider(group.source_as)
-            latencies[group.group_id] = latency
-        return latencies

@@ -20,7 +20,6 @@ from repro.simulation.beaconing import BeaconingSimulation
 from repro.simulation.events import (
     ASJoin,
     ASLeave,
-    BeaconFlood,
     BeaconPeriodChange,
     ForwardingSuppression,
     GrayFailure,
@@ -34,7 +33,6 @@ from repro.simulation.events import (
     RevocationReplay,
     ScenarioEvent,
     ScenarioTimeline,
-    ServiceRateChange,
     TimedEvent,
     TopologyGrowth,
     random_churn,
@@ -138,15 +136,10 @@ class TestEventConstruction:
         with pytest.raises(ConfigurationError, match="at least one AS"):
             RACSwap(spec=one_shortest_path_spec(), as_ids=())
 
-    def test_service_rate_change_rejects_empty_targets(self):
-        with pytest.raises(ConfigurationError, match="at least one AS"):
-            ServiceRateChange(budget_per_tick=1, as_ids=())
-
     def test_sequences_are_stored_as_tuples(self):
         swap = PolicySwap(policies=[], as_ids=[2, 3])
         assert swap.policies == () and swap.as_ids == (2, 3)
         assert RACSwap(spec=one_shortest_path_spec(), as_ids=[4]).as_ids == (4,)
-        assert ServiceRateChange(budget_per_tick=1, as_ids=[5]).as_ids == (5,)
         assert LinkFlap(link_id=self.link, schedule=[0.0, 1.0]).schedule == (0.0, 1.0)
 
 
@@ -176,8 +169,6 @@ def _event_fields(links):
             "as_ids": targets,
         },
         BeaconPeriodChange: {"interval_ms": NUMBER},
-        ServiceRateChange: {"budget_per_tick": st.one_of(st.none(), count), "as_ids": targets},
-        BeaconFlood: {"attacker_as": as_id, "bursts": count},
         LinkFlap: {
             "link_id": link,
             "schedule": st.lists(NUMBER, max_size=4),

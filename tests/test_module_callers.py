@@ -20,14 +20,17 @@ requires of its timeline and which ASes it ties to one shard live on the
 event class, so only the modules that apply events to their own private
 state may ``isinstance``-test one.
 
-A last rule keeps the control service free of test-only API: every public
-method of ``IrecControlService`` is referenced — as an attribute, or by a
-string naming it — somewhere in ``src/``, ``benchmarks/`` or ``examples/``
+A last rule keeps the control service and the transport free of test-only
+API: every public method of ``IrecControlService`` and of
+``SimulatedTransport`` is referenced — as an attribute, or by a string
+naming it — somewhere in ``src/``, ``benchmarks/`` or ``examples/``
 outside a test file.
 """
 
 import ast
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -46,9 +49,10 @@ EVENT_APPLIERS = {
 
 #: Delete these or wire them to a real caller.
 KNOWN_ORPHANS = {
-    # Its caller was the legacy harness's ``parallel_e2e`` stage; ROADMAP
-    # items 1 (irecbench ``--workers N``) and 6 (the sharding verdict)
-    # decide whether it gets one back.
+    # Its caller was the legacy harness's ``parallel_e2e`` stage.  ROADMAP
+    # item 2 drops irecbench's planned ``--workers N`` mode, and item 7's
+    # sharding verdict keeps the package as the sharded ≡ single-process
+    # oracle its tests drive.
     "repro.parallel.coordinator",
 }
 
@@ -215,19 +219,29 @@ def _non_test_sources():
                 yield path
 
 
-def test_every_public_control_service_method_has_a_caller_outside_the_tests():
-    path = SRC / "repro" / "core" / "control_service.py"
-    (service,) = [
+#: Classes whose public methods need a caller outside the tests: (file
+#: under ``src/repro/``, class, two methods the scan must see).
+API_CLASSES = {
+    "IrecControlService": ("core/control_service.py", {"on_message_batch", "run_round"}),
+    "SimulatedTransport": ("simulation/network.py", {"send_message", "inject_import"}),
+}
+
+
+@pytest.mark.parametrize("class_name", sorted(API_CLASSES))
+def test_every_public_method_has_a_caller_outside_the_tests(class_name):
+    relative, sentinels = API_CLASSES[class_name]
+    path = SRC / "repro" / relative
+    (cls,) = [
         node
         for node in ast.parse(path.read_text(encoding="utf-8")).body
-        if isinstance(node, ast.ClassDef) and node.name == "IrecControlService"
+        if isinstance(node, ast.ClassDef) and node.name == class_name
     ]
     methods = {
         node.name
-        for node in service.body
+        for node in cls.body
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
     }
-    assert {"on_message_batch", "run_round"} <= methods  # the scan sees the class
+    assert sentinels <= methods  # the scan sees the class
     referenced = set()
     for source in _non_test_sources():
         for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
@@ -237,6 +251,6 @@ def test_every_public_control_service_method_has_a_caller_outside_the_tests():
                 referenced.add(node.value)
     unused = methods - referenced
     assert not unused, (
-        f"IrecControlService method(s) only tests call: {sorted(unused)}; "
+        f"{class_name} method(s) only tests call: {sorted(unused)}; "
         f"delete them or give them a caller"
     )

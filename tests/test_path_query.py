@@ -15,7 +15,7 @@ against an announce-always oracle).  The satellites pin:
   (``expiry_margin_ms`` honoured),
 * that frontend routing + caching leave the golden and family digests
   bit-identical, and
-* cache coherence under a revocation-storm overload scenario — no
+* cache coherence under a revocation storm — no
   stale path is served after the withdrawal arrives.
 """
 
@@ -45,7 +45,6 @@ from repro.simulation.events import (
     ScenarioTimeline,
     random_link_failures,
 )
-from repro.simulation.network import InboxProfile
 from repro.simulation.scenario import (
     ScenarioConfig,
     don_scenario,
@@ -827,21 +826,18 @@ class TestGoldenTraceWithCaching:
 
 
 # ---------------------------------------------------------------------------
-# Satellite: cache coherence under a revocation-storm overload scenario
+# Cache coherence under a revocation storm
 # ---------------------------------------------------------------------------
 
 
 class TestRevocationStormCoherence:
     def test_no_stale_path_served_after_withdrawal(self):
-        """Caches are warmed before a storm hits bounded inboxes; once the
+        """Caches are warmed before a revocation storm hits; once the
         withdrawals have been applied, no lookup may serve a path crossing
         a revoked link, and served sets match the authoritative service."""
         topology = line_topology(5)
         interval = minutes(10)
         scenario = don_scenario(periods=6, verify_signatures=False)
-        scenario.inbox_profile = InboxProfile(
-            budget_per_tick=8, capacity=256, service_interval_ms=5.0
-        )
         storm = random_link_failures(
             topology, count=2, rng=random.Random(7), start_ms=2.5 * interval, spacing_ms=0.0
         )

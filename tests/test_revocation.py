@@ -27,7 +27,7 @@ from repro.simulation.scenario import don_scenario
 from repro.topology.entities import normalize_link_id
 from repro.units import minutes
 
-from tests.conftest import build_services, line_topology
+from tests.conftest import build_services, line_topology, make_beacon, pcb_message
 
 
 def _link(topology, index):
@@ -452,6 +452,35 @@ class TestRevocationBatchLedger:
         assert collector.revocation_batch_elements == 2
 
 
+class TestRevocationStorm:
+    def test_storm_aggregates_same_tick_failures(self):
+        """Simultaneous failures batch into one message per origin."""
+        topology = line_topology(4)
+        scenario = don_scenario(periods=4, verify_signatures=False)
+        link_a, link_b = topology.link_ids()[0], topology.link_ids()[1]
+        scenario.timeline.add(minutes(15), LinkFailure(link_a))
+        scenario.timeline.add(minutes(15), LinkFailure(link_b))
+        simulation = BeaconingSimulation(topology, scenario)
+
+        captured = []
+        original = simulation.services[2].originate_revocation
+
+        def spy(**kwargs):
+            captured.append(kwargs)
+            return original(**kwargs)
+
+        simulation.services[2].originate_revocation = spy
+        result = simulation.run()
+
+        # AS 2 borders both failed links yet originated a single batched
+        # revocation naming them both.
+        assert len(captured) == 1
+        assert set(captured[0]["failed_links"]) == {link_a, link_b}
+        assert result.services[2].revocations.originated == 1
+        assert result.services[1].revocations.originated == 1
+        assert result.services[3].revocations.originated == 1
+
+
 class TestLegacyParticipation:
     def test_legacy_as_forwards_and_withdraws(self):
         """Legacy SCION ASes join the flood: they withdraw on arrival and
@@ -470,6 +499,45 @@ class TestLegacyParticipation:
         assert result.service(4).revocations.applied_from(2) != []
         for path in legacy.path_service.all_paths():
             assert failed not in path.segment.links()
+
+
+class TestNegativeCache:
+    def test_beacon_over_revoked_link_bounces_revocation(self, key_store):
+        topology = line_topology(3)
+        scheduler, transport, services = build_services(topology, key_store)
+        revoked = topology.link_ids()[0]  # the 1-2 link
+        # AS 2 revokes its 1-2 link; the flood reaches AS 3 and populates
+        # its negative cache.
+        services[2].originate_revocation(now_ms=0.0, failed_links=(revoked,))
+        scheduler.run_until(20.0)
+        assert revoked in services[3].revocations.revoked_links
+        duplicates_before = services[2].revocations.duplicates
+
+        # A stale beacon crossing the revoked link arrives at AS 3.
+        beacon = make_beacon(key_store, [(1, None, 2), (2, 1, 2)])
+        transport.send_message(2, 2, pcb_message(2, beacon))
+        scheduler.run_until(60.0)
+        # AS 3 refused it and bounced the cached revocation to the sender,
+        # which deduplicates it (it already processed that revocation).
+        assert services[3].revocations.reoriginated == 1
+        assert len(services[3].ingress.database) == 0
+        assert services[2].revocations.duplicates > duplicates_before
+
+    def test_cache_cleared_on_recovery_admits_beacons(self, key_store):
+        topology = line_topology(3)
+        scheduler, transport, services = build_services(topology, key_store)
+        revoked = topology.link_ids()[0]
+        services[2].originate_revocation(now_ms=0.0, failed_links=(revoked,))
+        scheduler.run_until(20.0)
+        assert revoked in services[3].revocations.revoked_links
+
+        # The element recovered (the driver clears caches network-wide).
+        services[3].revocations.clear_revoked_link(revoked)
+        beacon = make_beacon(key_store, [(1, None, 2), (2, 1, 2)])
+        transport.send_message(2, 2, pcb_message(2, beacon))
+        scheduler.run_until(60.0)
+        assert services[3].revocations.reoriginated == 0
+        assert len(services[3].ingress.database) == 1
 
 
 class TestNegativeCacheAgeBound:

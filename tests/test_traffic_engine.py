@@ -459,21 +459,6 @@ class TestTrafficEngineStandalone:
         engine.run_rounds(1)
         assert engine.collector.samples[1].mean_latency_ms == pytest.approx(30.0)
 
-    def test_per_flow_latency_includes_queueing_delay(self, fig1, fig1_service):
-        """PR 6: per-flow latency = path latency + source-AS inbox backlog."""
-        backlogs = {1: 7.5}
-        engine = self._engine(
-            fig1, fig1_service, LatencyGreedyPolicy(),
-            queue_delay_provider=lambda as_id: backlogs.get(as_id, 0.0),
-        )
-        engine.run_rounds(1)
-        assert engine.expected_latency_ms(0) == pytest.approx(20.0)
-        assert engine.per_flow_latency_ms() == {0: pytest.approx(27.5)}
-        # Without a provider the per-flow view is the plain path latency.
-        plain = self._engine(fig1, fig1_service, LatencyGreedyPolicy())
-        plain.run_rounds(1)
-        assert plain.per_flow_latency_ms() == {0: pytest.approx(20.0)}
-
     def test_unknown_source_as_rejected(self, fig1, fig1_service):
         matrix = TrafficMatrix(
             groups=(
