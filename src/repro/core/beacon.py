@@ -18,8 +18,8 @@ Fast-path invariants
 
 Beacons and their entries are **immutable**, which makes every derived
 value cacheable: the SHA-256 digest (the canonical identity used for
-deduplication everywhere), the prefix-digest chain, the encoded size and
-the accumulated path metrics are all computed at most once per object and
+deduplication everywhere), the wire parts, the encoded size and the
+accumulated path metrics are all computed at most once per object and
 memoized in a declared slot of the record (``init=False``,
 ``compare=False``, so the memos are invisible to construction, equality,
 hashing and ``repr``).  An accessor reads its slot and only on ``None``
@@ -33,30 +33,37 @@ a tuple of references: the header part, then its entries' own parts.
 joined bytes; the RAC's IPC marshal gathers the parts and sizes come from
 :meth:`Beacon.encoded_size`.
 
-A child beacon is its parent plus one entry, so it **inherits** what the
-parent has already derived instead of deriving it again: the parent's
-:class:`ASEntry` objects, the parent's wire tuple, AS path and link ids
-plus one element each, and — as a *known prefix* to continue from — the
-parent's digest chain.  A chain of ``L`` beacons therefore holds ``O(L)``
-digest strings, link ids and bytes in total instead of ``O(L²)``, and
-extending costs ``O(1)`` derived state.  A new hop's link id is the
-topology's own ``Link.key`` object when the builder is handed it and it
-names the same link.  Only :meth:`Beacon.with_entry` — the one place that
-knows "child = parent + one entry" — hands state down, and what it hands
-down are derived immutables (tuples of bytes, AS numbers, link ids and
-digest strings), never the parent object: ancestors are not kept alive,
-and a beacon built any other way (constructed directly,
-``dataclasses.replace``d, hence every tampered copy) starts cold.  Every
-derivation is written once, as "continue from the longest known prefix";
-cold is its empty-prefix case, not a second implementation.
+**A beacon is its parent plus one hop.**  :meth:`Beacon.with_entry` — the
+one place that knows "child = parent + one entry" — fills exactly two
+slots: ``_parent``, the beacon it extends, and ``_link``, the one new link
+id (the topology's own ``Link.key`` object when the builder is handed the
+arrival link and it names the same link).  Every derivation is the
+parent's value plus one element: :meth:`Beacon.wire` and
+:meth:`Beacon.as_path` continue the parent's memo on first call,
+:meth:`Beacon.digest` hashes the parent's wire parts and then the new
+entry's part, :meth:`Beacon.links` continues the nearest ancestor's memo
+with one ``_link`` per hop (the stores' link indexes read the same walk
+through :meth:`Beacon.walk_links`, which keeps no memo), and
+:meth:`Beacon.prefix_digests` reads the ancestors' digests back along
+``_parent`` and keeps no memo either.  A chain of
+``L`` beacons therefore holds ``O(L)`` link ids, digest strings and entry
+bytes in total; the ``_as_path`` and ``_wire`` memos a RAC candidate keeps
+(the loop check, the tie-break sort key, signing and the IPC marshal read
+them) are ``O(L)`` per beacon.  Holding the parent is bounded: a child
+shares its header, and so its expiry, with every ancestor, so ``_parent``
+keeps no beacon alive past the validity of the child that holds it.  A
+beacon without a parent is *cold* (constructed directly or a
+``dataclasses.replace`` copy, hence every tampered copy) and derives from
+its own entries; cold is the no-parent case of each derivation, not a second
+implementation.  A pickled beacon ships its ancestors.
 
 The digest is defined as ``sha256(header | entry_0 | … | entry_{L-1})``;
 element ``i`` of the :meth:`Beacon.prefix_digests` chain is the digest the
 beacon had when entry ``i`` was its last entry.  The ingress gateway keys
-its verified-prefix cache on this chain, so both dedup and incremental
-re-verification come out of one pass over the parts.  Signatures are
-always checked against the beacon's own header and the entries' own wire
-parts, never against inherited state.
+its verified-prefix cache on this chain, so dedup and incremental
+re-verification share one digest per beacon.  Signatures are always
+checked against the beacon's own header and the entries' own wire parts,
+never against inherited state.
 """
 
 from __future__ import annotations
@@ -99,27 +106,15 @@ def _encode_header(
     ).encode("utf-8")
 
 
-def _extend_as_path(known: Tuple[int, ...], entries: Tuple["ASEntry", ...]) -> Tuple[int, ...]:
-    """Continue ``known``, the AS path of a prefix of ``entries``, to the last entry."""
-    return known + tuple(entry.as_id for entry in entries[len(known) :])
-
-
-def _extend_links(
-    known: Tuple[LinkID, ...], entries: Tuple["ASEntry", ...], arrival: Optional[LinkID] = None
-) -> Tuple[LinkID, ...]:
-    """Continue ``known``, the link ids among a prefix of ``entries``, to the last entry.
-
-    A derived id equal to ``arrival`` is replaced by that object, so a hop
-    extended over a topology link holds the topology's own ``Link.key``.
-    """
-    result = list(known)
-    for previous, current in zip(entries[len(known) :], entries[len(known) + 1 :]):
+def _derive_links(entries: Tuple["ASEntry", ...]) -> Tuple[LinkID, ...]:
+    """Return the link ids between consecutive ``entries``, derived from their interfaces."""
+    result = []
+    for previous, current in zip(entries, entries[1:]):
         if previous.egress_interface is None or current.ingress_interface is None:
             raise BeaconError("interior beacon entries must specify both interfaces")
         a: InterfaceID = (previous.as_id, previous.egress_interface)
         b: InterfaceID = (current.as_id, current.ingress_interface)
-        link = normalize_link_id(a, b)
-        result.append(arrival if link == arrival else link)
+        result.append(normalize_link_id(a, b))
     return tuple(result)
 
 
@@ -182,8 +177,8 @@ class Beacon:
 
     Equality is content equality; the :meth:`digest` is the identity the
     databases key on.  The underscored slots hold derived values, ``None``
-    until asked for or handed down by :meth:`with_entry`
-    (``_parent_digests``: the known prefix's chain);
+    until asked for or filled by :meth:`with_entry` (``_parent``, the
+    beacon this one extends, and ``_link``, its one new link id);
     :meth:`repro.core.criteria.StandardMetrics.vector_for` keeps ``_metric_vectors``.
     """
 
@@ -192,16 +187,15 @@ class Beacon:
     entries: Tuple[ASEntry, ...]
     extensions: ExtensionSet = field(default_factory=ExtensionSet)
     validity_ms: float = DEFAULT_VALIDITY_MS
+    _parent: Optional["Beacon"] = _slot()
+    _link: Optional[LinkID] = _slot()
     _as_path: Optional[Tuple[int, ...]] = _slot()
     _links: Optional[Tuple[LinkID, ...]] = _slot()
-    _link_set: Optional[frozenset] = _slot()
     _total_latency_ms: Optional[float] = _slot()
     _bottleneck_bandwidth_mbps: Optional[float] = _slot()
     _wire: Optional[Tuple[bytes, ...]] = _slot()
     _size: Optional[int] = _slot()
-    _prefix_digests: Optional[Tuple[str, ...]] = _slot()
     _digest: Optional[str] = _slot()
-    _parent_digests: Optional[Tuple[str, ...]] = _slot()
     _metric_vectors: Optional[dict] = _slot()
 
     # ------------------------------------------------------------------
@@ -257,7 +251,11 @@ class Beacon:
         """Return the sequence of AS identifiers from the origin onwards."""
         path = self._as_path
         if path is None:
-            path = _extend_as_path((), self.entries)
+            parent = self._parent
+            if parent is None:
+                path = tuple(entry.as_id for entry in self.entries)
+            else:
+                path = parent.as_path() + (self.entries[-1].as_id,)
             object.__setattr__(self, "_as_path", path)
         return path
 
@@ -270,23 +268,37 @@ class Beacon:
 
         The link between consecutive entries ``i`` and ``i + 1`` connects
         the egress interface of entry ``i`` with the ingress interface of
-        entry ``i + 1``.  The tuple is memoized: link-state checks run on
-        every in-flight delivery of a dynamic scenario and revocation
-        purges probe it per stored beacon, so the walk must not repeat.
+        entry ``i + 1``.  The tuple is memoized, because link-disjointness
+        algorithms read it for every candidate on every pass; a one-off
+        reader calls :meth:`walk_links` instead.
         """
         links = self._links
         if links is None:
-            links = _extend_links((), self.entries)
+            links = self.walk_links()
             object.__setattr__(self, "_links", links)
         return links
 
-    def link_set(self) -> frozenset:
-        """Return :meth:`links` as a memoized frozenset for containment checks."""
-        link_set = self._link_set
-        if link_set is None:
-            link_set = frozenset(self.links())
-            object.__setattr__(self, "_link_set", link_set)
-        return link_set
+    def walk_links(self) -> Tuple[LinkID, ...]:
+        """Return :meth:`links` without memoizing it on this beacon or an ancestor.
+
+        Walks ``_parent`` up to the nearest beacon that has a ``_links``
+        memo or no ``_link`` (a cold beacon derives from its own entries)
+        and continues from there with one ``_link`` per hop.  The stores'
+        link indexes read links this way, so a stored beacon keeps a links
+        tuple only when an algorithm asks for one.
+        """
+        hops = []
+        beacon = self
+        while beacon._links is None and beacon._link is not None:
+            hops.append(beacon._link)
+            beacon = beacon._parent
+        links = beacon._links
+        if links is None:
+            links = _derive_links(beacon.entries)
+        if hops:
+            hops.reverse()
+            links += tuple(hops)
+        return links
 
     def interfaces(self) -> Tuple[InterfaceID, ...]:
         """Return every (AS, interface) pair that appears on the beacon."""
@@ -348,12 +360,16 @@ class Beacon:
 
         ``b"".join`` of the parts is :meth:`encode`.  The tuple is memoized
         and holds references only: each entry part is that entry's own
-        :meth:`ASEntry.wire` object, and :meth:`with_entry` hands the tuple
-        down plus one part.
+        :meth:`ASEntry.wire` object, and a child's tuple is its parent's
+        plus one part.
         """
         wire = self._wire
         if wire is None:
-            wire = (self._header_wire(), *[entry.wire() for entry in self.entries])
+            parent = self._parent
+            if parent is None:
+                wire = (self._header_wire(), *[entry.wire() for entry in self.entries])
+            else:
+                wire = parent.wire() + (self.entries[-1].wire(),)
             object.__setattr__(self, "_wire", wire)
         return wire
 
@@ -375,38 +391,53 @@ class Beacon:
         return _encode_header(self.origin_as, self.created_at_ms, self.validity_ms, self.extensions)
 
     def prefix_digests(self) -> Tuple[str, ...]:
-        """Return the digest chain of the beacon's prefixes (memoized).
+        """Return the digest chain of the beacon's prefixes (not memoized).
 
         Element ``i`` is the SHA-256 hex digest of
         ``header | entry_0 | … | entry_i`` — i.e. exactly the
         :meth:`digest` the beacon had when entry ``i`` was its last entry.
-        The chain continues the known prefix's (``_parent_digests``, empty
-        when cold): it hashes the parts that prefix covers and then each
-        further part, snapshotting the state after every one, so it is one
-        pass over the parts and never joins them.  The ingress gateway keys
-        its verified-prefix cache on these values.
+        The chain is the :meth:`digest` of this beacon and of every
+        ancestor along ``_parent``; the cold beacon at the top hashes its
+        own parts, snapshotting the state after every one.  The ingress
+        gateway keys its verified-prefix cache on these values.
         """
-        chain = self._prefix_digests
-        if chain is None:
-            count_crypto_op("beacon_digest")
-            known = self._parent_digests or ()
-            wire = self.wire()
-            state = hashlib.sha256()
-            for part in wire[: len(known) + 1]:
+        below = []
+        beacon = self
+        while beacon._parent is not None:
+            below.append(beacon.digest())
+            beacon = beacon._parent
+        chain = []
+        if beacon.entries:
+            wire = beacon.wire()
+            state = hashlib.sha256(wire[0])
+            for part in wire[1:-1]:
                 state.update(part)
-            digests = list(known)
-            for part in wire[len(known) + 1 :]:
-                state.update(part)
-                digests.append(state.hexdigest())
-            chain = tuple(digests)
-            object.__setattr__(self, "_prefix_digests", chain)
-        return chain
+                chain.append(state.hexdigest())
+            chain.append(beacon.digest())
+        below.reverse()
+        return (*chain, *below)
 
     def digest(self) -> str:
-        """Return the SHA-256 hex digest of the full encoding (memoized)."""
+        """Return the SHA-256 hex digest of the full encoding (memoized).
+
+        A child hashes its parent's wire parts and then its own last entry's
+        part, so it materializes no wire tuple of its own.
+        """
         digest = self._digest
         if digest is None:
-            digest = self.prefix_digests()[-1] if self.entries else beacon_digest(self.encode())
+            if not self.entries:
+                digest = beacon_digest(self.encode())
+            else:
+                count_crypto_op("beacon_digest")
+                parent = self._parent
+                if parent is None:
+                    parts = self.wire()
+                else:
+                    parts = (*parent.wire(), self.entries[-1].wire())
+                state = hashlib.sha256()
+                for part in parts:
+                    state.update(part)
+                digest = state.hexdigest()
             object.__setattr__(self, "_digest", digest)
         return digest
 
@@ -460,27 +491,25 @@ class Beacon:
     def with_entry(self, entry: ASEntry, arrival: Optional[LinkID] = None) -> "Beacon":
         """Return a new beacon with ``entry`` appended (no loop allowed).
 
-        The child inherits what this beacon has already derived (see the
-        module docstring): the values land in the slots the accessors
-        read, the digest chain as the known prefix :meth:`prefix_digests`
-        continues from.  ``arrival`` is the topology's id of the link the
-        beacon arrived on; the child's new link id is that object when it
-        names the same link.
+        The child holds this beacon as ``_parent`` and its one new link id
+        as ``_link``, and nothing else derived (see the module docstring):
+        each accessor continues the parent's value on first call.
+        ``arrival`` is the topology's id of the link the beacon arrived on;
+        ``_link`` is that object when it names the same link.
         """
         self.require_extendable_by(entry.as_id)
         entries = self.entries + (entry,)
         child = Beacon(
             self.origin_as, self.created_at_ms, entries, self.extensions, self.validity_ms
         )
-        hand_down = object.__setattr__
-        hand_down(child, "_as_path", _extend_as_path(self.as_path(), entries))
+        object.__setattr__(child, "_parent", self)
         # An entry without an ingress interface is left for links() to reject.
-        if self._links is not None and entry.ingress_interface is not None:
-            hand_down(child, "_links", _extend_links(self._links, entries, arrival))
-        if self._wire is not None:
-            hand_down(child, "_wire", self._wire + (entry.wire(),))
-        if self._prefix_digests is not None:
-            hand_down(child, "_parent_digests", self._prefix_digests)
+        if self.entries and entry.ingress_interface is not None:
+            last = self.entries[-1]
+            link = normalize_link_id(
+                (last.as_id, last.egress_interface), (entry.as_id, entry.ingress_interface)
+            )
+            object.__setattr__(child, "_link", arrival if link == arrival else link)
         return child
 
 

@@ -246,7 +246,7 @@ class IrecControlService:
             self.pull_results = [
                 (beacon, at_ms)
                 for beacon, at_ms in self.pull_results
-                if failed not in beacon.link_set()
+                if failed not in beacon.links()
             ]
         return (
             self.ingress.database.remove_crossing_link(failed),
@@ -496,7 +496,7 @@ class IrecControlService:
         revocations = self.revocations
         if revocations.revoked_links or revocations.revoked_ases:
             revocation = revocations.revoked_recently(
-                beacon.links(), beacon.as_path(), now_ms
+                beacon.walk_links(), beacon.as_path(), now_ms
             )
             if revocation is not None:
                 revocations.reoriginated += 1

@@ -127,7 +127,7 @@ class IngressDatabase:
 
     def _links_of(self, stored: CandidateBeacon) -> Tuple[LinkID, ...]:
         """Return the links of a stored beacon, including its arrival link."""
-        links = stored.beacon.links()
+        links = stored.beacon.walk_links()
         last = stored.beacon.entries[-1]
         if last.egress_interface is None:
             return links
@@ -418,7 +418,7 @@ class PathService:
             return False
         self._by_digest[digest] = path
         self._consumed[digest] = tags if len(consumed) == len(tags) else tuple(consumed)
-        for link in segment.links():
+        for link in segment.walk_links():
             _index(self._by_link, link, digest)
         _index(self._by_origin, origin_as, digest)
         _index(self._by_terminal, segment.last_as, digest)
@@ -543,7 +543,7 @@ class PathService:
                     self._quota[key] = used - 1
                 else:
                     del self._quota[key]
-            for link in segment.links():
+            for link in segment.walk_links():
                 _unindex(self._by_link, link, digest)
             _unindex(self._by_origin, origin_as, digest)
             _unindex(self._by_terminal, segment.last_as, digest)

@@ -248,7 +248,7 @@ class SimulatedTransport:
                 self.collector.record_drop(message.kind)
                 return
             if isinstance(message, PCBMessage) and not link_state.path_available(
-                message.beacon.links()
+                message.beacon.walk_links()
             ):
                 self.collector.record_drop(message.kind)
                 return
@@ -346,7 +346,7 @@ class SimulatedTransport:
             # The return travels over the beacon's own path; it is lost if
             # any of those links is unavailable when it would arrive.
             link_state = self.link_state
-            if link_state.impaired() and not link_state.path_available(beacon.links()):
+            if link_state.impaired() and not link_state.path_available(beacon.walk_links()):
                 # A lost return is a lost PCB: it counts in ``total_dropped``.
                 self.collector.record_drop(PCBMessage.kind)
                 return

@@ -8,13 +8,14 @@ import pytest
 
 from repro.algorithms.base import CandidateBeacon
 from repro.core.beacon import ASEntry, Beacon, BeaconBuilder
-from repro.core.databases import EgressRecord, RegisteredPath
+from repro.core.databases import EgressRecord, IngressDatabase, PathService, RegisteredPath
 from repro.core.extensions import ExtensionSet
 from repro.core.rac import RACSelection
 from repro.core.staticinfo import StaticInfo
 from repro.crypto.hashing import perf_counters
 from repro.crypto.signer import Signer, Verifier
 from repro.exceptions import BeaconError, LoopError, SignatureError
+from repro.topology.entities import normalize_link_id
 
 from tests.conftest import make_beacon
 from tests.test_perf_equivalence import DERIVATIONS, naive_encode
@@ -172,23 +173,43 @@ class TestInheritedState:
     """A child beacon shares what its parent derived; nothing else does."""
 
     def test_a_chain_holds_one_digest_and_one_link_id_per_hop(self, key_store):
-        # Every prefix of a 12-hop chain stays alive and is digested and
-        # link-indexed before it is extended, as by the ingress databases
-        # along a path.  Re-deriving per beacon would hold 78 digest strings,
-        # 66 link ids and 78 entry encodings; inheriting holds one per hop.
+        # Every prefix of a 12-hop chain stays alive and is treated as the
+        # ingress database and egress gateway along a path treat it: it is
+        # digested, link-indexed, loop-checked and extended; the last one
+        # is terminated into a segment and registered.  Re-deriving per
+        # beacon would hold 78 digest strings, 66 link ids and 78 entry
+        # encodings; a beacon that is its parent plus one hop holds one per hop.
         beacon = builder_for(1, key_store).originate(egress_interface=1, created_at_ms=0.0)
-        prefixes = [beacon]
-        for as_id in range(2, 13):
-            beacon.digest()
-            beacon.links()
-            beacon = builder_for(as_id, key_store).extend(
-                beacon, ingress_interface=2, egress_interface=1
-            )
+        prefixes = []
+        for as_id in range(2, 14):
             prefixes.append(beacon)
-        assert beacon.hop_count == 12
+            assert IngressDatabase(local_as=as_id).insert(
+                CandidateBeacon(beacon, ingress_interface=2, received_at_ms=0.0)
+            )
+            builder = builder_for(as_id, key_store)
+            if as_id < 13:
+                beacon = builder.extend(beacon, ingress_interface=2, egress_interface=1)
+            else:
+                segment = builder.terminate(beacon, ingress_interface=2)
+        paths = PathService()
+        assert paths.register(RegisteredPath(segment, criteria_tags=("1sp",), registered_at_ms=0.0))
+        assert paths.paths_to(1)[0].segment is segment
+        # What a RAC candidate keeps beside its parent and link id: its AS
+        # path and wire parts, O(L) each; no links tuple and no digest
+        # chain.  A registered segment keeps no derived tuple at all.
+        derived = memo_slots(Beacon) - PREFIX
+        held = {}
+        for prefix in prefixes:
+            for name in derived:
+                if type(getattr(prefix, name)) is tuple:
+                    held[name] = held.get(name, 0) + len(getattr(prefix, name))
+        assert held == {"_as_path": 78, "_wire": 90}
+        assert not [name for name in derived if type(getattr(segment, name)) is tuple]
+        assert segment._parent is beacon and beacon.hop_count == 12
         assert beacon.digest() == hashlib.sha256(naive_encode(beacon)).hexdigest()
+        assert segment.digest() == hashlib.sha256(naive_encode(segment)).hexdigest()
         digests = {id(digest) for prefix in prefixes for digest in prefix.prefix_digests()}
-        link_ids = {id(link) for prefix in prefixes for link in prefix.links()}
+        link_ids = {id(link) for prefix in prefixes for link in prefix.walk_links()}
         headers = {id(prefix.wire()[0]) for prefix in prefixes}
         parts = {id(part) for prefix in prefixes for part in prefix.wire()[1:]}
         assert (len(digests), len(link_ids), len(headers), len(parts)) == (12, 11, 1, 12)
@@ -233,7 +254,7 @@ class TestInheritedState:
 
     def test_with_entry_continues_the_chain_only_from_known_bytes(self, beacon_factory):
         # Digesting a cold beacon does not materialise its encoding, so a
-        # direct with_entry has no bytes to hand down and the child is cold.
+        # direct with_entry child derives its bytes through its parent.
         parent = beacon_factory([(1, None, 1), (2, 1, 2)])
         parent.digest()
         child = parent.with_entry(ASEntry(as_id=3, ingress_interface=1, egress_interface=2))
@@ -253,8 +274,8 @@ class TestInheritedState:
             child.links()
 
 
-#: The slot only :meth:`Beacon.with_entry` fills: the known prefix's digest chain.
-PREFIX = {"_parent_digests"}
+#: The slots only :meth:`Beacon.with_entry` fills: the parent and the one new link id.
+PREFIX = {"_parent", "_link"}
 
 
 def memo_slots(cls):
@@ -355,17 +376,25 @@ class TestSlottedRecords:
         for counter in ("beacon_digest", "beacon_encode"):
             assert after[counter] == before[counter]
 
-    def test_with_entry_hands_down_memo_slots_only_as_immutables(self, key_store, beacon_factory):
+    def test_with_entry_fills_the_parent_and_one_link_id_only(self, key_store, beacon_factory):
         parent = warm(beacon_factory([(1, None, 1), (2, 1, 2)]))
-        child = builder_for(3, key_store).extend(parent, ingress_interface=1, egress_interface=2)
+        builder = builder_for(3, key_store)
+        # A fresh tuple equal to the derived id, as the topology's Link.key is.
+        arrival = normalize_link_id((3, 1), (2, 2))
+        child = builder.extend(parent, ingress_interface=1, egress_interface=2, arrival=arrival)
         assert child.entries[:-1] == parent.entries
         for field in dataclasses.fields(Beacon):
             if field.init and field.name != "entries":
                 assert getattr(child, field.name) is getattr(parent, field.name)
-        handed_down = {name for name in memo_slots(Beacon) if getattr(child, name) is not None}
-        assert handed_down == PREFIX | {"_wire", "_as_path", "_links"}
-        for name in handed_down:
-            assert type(getattr(child, name)) is tuple, name
-        assert all(type(part) is bytes for part in child._wire)
-        assert all(mine is theirs for mine, theirs in zip(child._wire, parent._wire))
-        assert child._wire[-1] is child.entries[-1].wire()
+        filled = {name for name in memo_slots(Beacon) if getattr(child, name) is not None}
+        assert filled == PREFIX
+        assert child._parent is parent
+        assert child._link is arrival
+        derived = builder.extend(parent, ingress_interface=1, egress_interface=2)
+        assert derived._link == arrival and derived._link is not arrival
+        # Each accessor continues the parent's memo by one element.
+        assert all(mine is theirs for mine, theirs in zip(child.wire(), parent.wire()))
+        assert child.wire()[-1] is child.entries[-1].wire()
+        assert child.as_path() == parent.as_path() + (3,)
+        assert child.links() == parent.links() + (child._link,)
+        assert child.links()[-1] is child._link

@@ -289,7 +289,7 @@ class TestBatchedRevocationElements:
         link_b = _link(topology, 3)  # 4-5
         service = simulation.services[3]
         assert any(
-            link_a in s.beacon.link_set() for s in service.ingress.database.all_beacons()
+            link_a in s.beacon.links() for s in service.ingress.database.all_beacons()
         )
         message = RevocationMessage(
             origin_as=2,
@@ -299,11 +299,11 @@ class TestBatchedRevocationElements:
         ).signed(simulation.services[2].builder.signer)
         assert service.on_revocation(message, on_interface=1, now_ms=minutes(30)) is True
         for stored in service.ingress.database.all_beacons():
-            assert link_a not in stored.beacon.link_set()
-            assert link_b not in stored.beacon.link_set()
+            assert link_a not in stored.beacon.links()
+            assert link_b not in stored.beacon.links()
         for path in service.path_service.all_paths():
-            assert link_a not in path.segment.link_set()
-            assert link_b not in path.segment.link_set()
+            assert link_a not in path.segment.links()
+            assert link_b not in path.segment.links()
         # One message, one withdrawal timestamp.
         assert service.revocations.applied_at[(2, 99)] == minutes(30)
 

@@ -873,7 +873,7 @@ class TestRevocationStormCoherence:
                 storm_applied += 1
                 for origin in origins | {1}:
                     for path in frontend.paths(origin, now_ms=final):
-                        assert not (failed_links & set(path.segment.link_set()))
+                        assert not (failed_links & set(path.segment.links()))
         assert storm_applied > 0
 
 

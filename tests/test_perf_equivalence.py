@@ -156,7 +156,7 @@ def naive_encode(beacon: Beacon) -> bytes:
 # ----------------------------------------------------------------------
 # (a) digests
 # ----------------------------------------------------------------------
-#: Every memoized accessor of a beacon; a child inherits some of them.
+#: Every derived accessor of a beacon; a child continues some of them.
 DERIVED = (
     "encode",
     "digest",
@@ -165,7 +165,6 @@ DERIVED = (
     "encoded_size",
     "as_path",
     "links",
-    "link_set",
     "total_latency_ms",
     "bottleneck_bandwidth_mbps",
 )

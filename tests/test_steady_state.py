@@ -7,7 +7,9 @@ the ingress database, the verified-prefix cache, the egress database and
 its terminate-once memo, the path service, the revocation dedup store and
 negative caches, and the query frontend's caches -- and so is the entry
 count of every index over them, so an index list that keeps a removed
-member fails as surely as a store that does.  Two signed scenarios
+member fails as surely as a store that does.  So is the number of
+distinct beacons the stores keep alive: a beacon holds its parent, so a
+``_parent`` chain that outlives its stores fails too.  Two signed scenarios
 cover them: a fixed topology registering down-segments, and a
 periodic-churn scenario (every period fails and recovers the same links,
 so revocations flood every period).  Both are trees, where every pair has
@@ -88,8 +90,28 @@ def store_sizes(simulation):
     return sizes
 
 
+def reachable_beacons(simulation):
+    """The number of distinct beacons reachable from every AS's stores,
+    following ``_parent`` from the ingress databases, path services,
+    terminate-once memos and returned pull beacons."""
+    pending = []
+    for service in simulation.services.values():
+        pending += [stored.beacon for stored in service.ingress.database.all_beacons()]
+        pending += [path.segment for path in service.path_service.all_paths()]
+        pending += service.egress._terminated.values()
+        pending += [beacon for beacon, _at_ms in service.pull_results]
+    seen = set()
+    while pending:
+        beacon = pending.pop()
+        if beacon is not None and id(beacon) not in seen:
+            seen.add(id(beacon))
+            pending.append(beacon._parent)
+    return len(seen)
+
+
 def sizes_by_period(simulation):
-    """Run ``PERIODS`` periods; after each, query every origin and record sizes."""
+    """Run ``PERIODS`` periods; after each, query every origin and record
+    the store sizes and the number of reachable beacons."""
     by_period = []
     for _period in range(PERIODS):
         simulation.run_period()
@@ -97,16 +119,17 @@ def sizes_by_period(simulation):
             for origin in simulation.services:
                 if origin != as_id:
                     service.query_frontend.paths(origin)
-        by_period.append(store_sizes(simulation))
+        by_period.append((store_sizes(simulation), reachable_beacons(simulation)))
     return by_period
 
 
 def assert_level_one_validity_apart(by_period, stores):
     for k in range(VALIDITY - 1, VALIDITY + 3):
         assert by_period[k] == by_period[k + VALIDITY], f"period {k + 1}"
-    last = by_period[-1].values()
+    last, beacons = by_period[-1]
+    assert beacons > 0
     for store in stores:
-        assert any(sizes[store] > 0 for sizes in last), f"{store} is never used"
+        assert any(sizes[store] > 0 for sizes in last.values()), f"{store} is never used"
 
 
 def _scenario(**kwargs):
