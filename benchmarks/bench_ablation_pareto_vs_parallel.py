@@ -13,17 +13,21 @@ from __future__ import annotations
 import pytest
 
 from repro.algorithms.base import ExecutionContext
-from repro.algorithms.bandwidth import WidestPathAlgorithm
+from repro.algorithms.criteria_algorithm import CriteriaSetAlgorithm
 from repro.algorithms.delay import DelayOptimizationAlgorithm
-from repro.algorithms.pareto import ParetoDominantAlgorithm
 from repro.algorithms.shortest_path import KShortestPathAlgorithm
 from repro.analysis.reporting import format_table
 from repro.analysis.workloads import BENCHMARK_LOCAL_AS, synthetic_candidate_set
+from repro.core.criteria import highest_bandwidth, latency_bandwidth_pareto
 
 CANDIDATE_SIZES = (64, 256, 1024)
 
+#: The context's path limit; the Pareto side asks for that many, so only the
+#: dominant set itself bounds what it selects.
+CONTEXT_LIMIT = 1024
 
-def _context(candidates, limit=1024):
+
+def _context(candidates, limit=CONTEXT_LIMIT):
     return ExecutionContext(
         local_as=BENCHMARK_LOCAL_AS,
         candidates=tuple(candidates),
@@ -38,7 +42,7 @@ def _parallel_selected(candidates):
     algorithms = (
         KShortestPathAlgorithm(k=1),
         DelayOptimizationAlgorithm(paths_per_interface=1),
-        WidestPathAlgorithm(paths_per_interface=1),
+        CriteriaSetAlgorithm(highest_bandwidth()),
     )
     digests = set()
     for algorithm in algorithms:
@@ -48,7 +52,8 @@ def _parallel_selected(candidates):
 
 
 def _pareto_selected(candidates):
-    result = ParetoDominantAlgorithm().execute(_context(candidates))
+    algorithm = CriteriaSetAlgorithm(latency_bandwidth_pareto(), paths_per_interface=CONTEXT_LIMIT)
+    result = algorithm.execute(_context(candidates))
     return len(result.beacons_for(1))
 
 

@@ -22,9 +22,14 @@ Run it with::
 
 from __future__ import annotations
 
-from repro.algorithms.bandwidth import LatencyBoundedWidestAlgorithm, WidestPathAlgorithm
+from repro.algorithms.criteria_algorithm import CriteriaSetAlgorithm
 from repro.analysis.reporting import format_table
-from repro.core.criteria import lowest_latency, shortest_widest, widest_with_latency_bound
+from repro.core.criteria import (
+    highest_bandwidth,
+    lowest_latency,
+    shortest_widest,
+    widest_with_latency_bound,
+)
 from repro.dataplane.network import DataPlaneNetwork
 from repro.dataplane.path import forwarding_path_from_segment
 from repro.simulation.beaconing import BeaconingSimulation
@@ -96,13 +101,13 @@ def main() -> None:
             one_shortest_path_spec(),
             AlgorithmSpec(
                 rac_id="widest",
-                factory=lambda: WidestPathAlgorithm(paths_per_interface=2),
+                factory=lambda: CriteriaSetAlgorithm(highest_bandwidth(), paths_per_interface=2),
                 use_interface_groups=False,
             ),
             AlgorithmSpec(
                 rac_id="live-video",
-                factory=lambda: LatencyBoundedWidestAlgorithm(
-                    latency_bound_ms=30.5, paths_per_interface=2
+                factory=lambda: CriteriaSetAlgorithm(
+                    widest_with_latency_bound(30.5), paths_per_interface=2
                 ),
                 use_interface_groups=False,
             ),

@@ -13,11 +13,11 @@ The package ships the algorithms the paper deploys and evaluates:
 * delay optimization (DO) with optional extended-path awareness,
 * heuristic disjointness (HD),
 * the pull-based disjointness helper algorithm (PD) that avoids a given
-  link set,
-* bandwidth-oriented algorithms (widest, shortest-widest, latency-bounded
-  widest) used in the motivation examples, and
-* a generic criteria-set algorithm plus a Pareto dominant-path algorithm
-  representing the related-work baseline.
+  link set, and
+* :class:`CriteriaSetAlgorithm`, which runs any declarative criteria set:
+  the motivation examples' widest, shortest-widest and latency-bounded
+  widest selections and the Pareto dominant-path baseline of the related
+  work are criteria sets (:mod:`repro.core.criteria`), not classes.
 """
 
 from repro.algorithms.base import (
@@ -26,15 +26,9 @@ from repro.algorithms.base import (
     ExecutionResult,
     RoutingAlgorithm,
 )
-from repro.algorithms.bandwidth import (
-    LatencyBoundedWidestAlgorithm,
-    ShortestWidestAlgorithm,
-    WidestPathAlgorithm,
-)
 from repro.algorithms.criteria_algorithm import CriteriaSetAlgorithm
 from repro.algorithms.delay import DelayOptimizationAlgorithm
 from repro.algorithms.disjointness import HeuristicDisjointnessAlgorithm
-from repro.algorithms.pareto import ParetoDominantAlgorithm
 from repro.algorithms.pull_disjoint import LinkAvoidingAlgorithm
 from repro.algorithms.registry import AlgorithmCatalog, default_catalog
 from repro.algorithms.shortest_path import (
@@ -52,13 +46,9 @@ __all__ = [
     "ExecutionResult",
     "HeuristicDisjointnessAlgorithm",
     "KShortestPathAlgorithm",
-    "LatencyBoundedWidestAlgorithm",
     "LEGACY_PATH_COUNT",
     "LinkAvoidingAlgorithm",
-    "ParetoDominantAlgorithm",
     "RoutingAlgorithm",
-    "ShortestWidestAlgorithm",
-    "WidestPathAlgorithm",
     "default_catalog",
     "legacy_scion_algorithm",
 ]

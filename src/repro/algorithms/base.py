@@ -27,7 +27,6 @@ from operator import itemgetter
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.beacon import Beacon
-from repro.exceptions import AlgorithmError
 
 #: Intra-AS latency oracle: maps (interface_a, interface_b) to milliseconds.
 IntraLatencyOracle = Callable[[int, int], float]
@@ -80,10 +79,6 @@ class ExecutionContext:
     intra_latency_ms: IntraLatencyOracle
     parameters: Mapping[str, object] = field(default_factory=dict)
 
-    def origins(self) -> Tuple[int, ...]:
-        """Return the distinct origin ASes among the candidates, sorted."""
-        return tuple(sorted({c.beacon.origin_as for c in self.candidates}))
-
 
 @dataclass
 class ExecutionResult:
@@ -98,17 +93,6 @@ class ExecutionResult:
     def beacons_for(self, egress_interface: int) -> List[Beacon]:
         """Return the selection for one egress interface (may be empty)."""
         return list(self.selections.get(egress_interface, ()))
-
-    def total_selected(self) -> int:
-        """Return the total number of (interface, beacon) selections."""
-        return sum(len(beacons) for beacons in self.selections.values())
-
-    def enforce_limit(self, limit: int) -> None:
-        """Truncate every per-interface selection to ``limit`` entries."""
-        if limit < 0:
-            raise AlgorithmError(f"limit must be non-negative, got {limit}")
-        for interface in list(self.selections):
-            self.selections[interface] = self.selections[interface][:limit]
 
 
 class RoutingAlgorithm(abc.ABC):

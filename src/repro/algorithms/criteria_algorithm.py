@@ -1,32 +1,40 @@
-"""Generic algorithm driven by a declarative criteria set.
+"""The one criteria-driven algorithm: a criteria set, run inside a RAC.
 
 This is the extensibility workhorse of the reproduction: any
 :class:`~repro.core.criteria.CriteriaSet` — including ones deserialized
 from an on-demand algorithm payload that the executing AS has never seen
-before — can be turned into a routing algorithm without writing code.
-The algorithm ranks the candidate beacons of the bucket with the criteria
-set and propagates the best ones on every egress interface.
+before — is a routing algorithm without writing code.  Widest,
+shortest-widest, latency-bounded widest, lowest-latency and the Pareto
+dominant-path baseline are all criteria sets
+(:mod:`repro.core.criteria`), not classes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
 
 from repro.algorithms.base import (
-    CandidateBeacon,
     ExecutionContext,
     ExecutionResult,
     RoutingAlgorithm,
+    select_per_interface,
 )
-from repro.core.beacon import Beacon
-from repro.core.criteria import CriteriaSet
+from repro.core.criteria import Composition, CriteriaSet
 from repro.exceptions import AlgorithmError
 
 
 @dataclass
 class CriteriaSetAlgorithm(RoutingAlgorithm):
     """Optimize beacons according to a declarative criteria set.
+
+    A lexicographic set ranks every admissible loop-free candidate by its
+    :meth:`~repro.core.criteria.CriteriaSet.sort_key` through
+    :func:`~repro.algorithms.base.select_per_interface`, whose AS-path and
+    digest tie-break makes the choice independent of the candidates'
+    order.  A Pareto set keeps the dominant candidates
+    (:meth:`~repro.core.criteria.CriteriaSet.select`, fewest hops, then
+    lowest latency, then digest first) and sends the same set on every
+    egress interface.
 
     Attributes:
         criteria_set: What "optimal" means for this algorithm.
@@ -45,37 +53,27 @@ class CriteriaSetAlgorithm(RoutingAlgorithm):
         self.name = f"criteria:{self.criteria_set.name}"
 
     def execute(self, context: ExecutionContext) -> ExecutionResult:
-        """Rank the bucket with the criteria set, per egress interface."""
+        """Select the criteria set's best beacons, per egress interface."""
+        criteria_set = self.criteria_set
+        if criteria_set.composition is Composition.LEXICOGRAPHIC:
+            admits, sort_key = criteria_set.admits, criteria_set.sort_key
+            return select_per_interface(
+                context,
+                self.paths_per_interface,
+                lambda candidate: sort_key(candidate.beacon) if admits(candidate.beacon) else None,
+            )
         result = ExecutionResult()
         limit = min(self.paths_per_interface, context.max_paths_per_interface)
-        if limit <= 0:
-            return result
-
-        loop_free = [
-            candidate
-            for candidate in context.candidates
-            if not candidate.beacon.contains_as(context.local_as)
-        ]
-        if not loop_free:
-            return result
-        by_digest: Dict[str, CandidateBeacon] = {c.beacon.digest(): c for c in loop_free}
-        selected = self.criteria_set.select([c.beacon for c in loop_free], limit=limit)
-        for egress_interface in context.egress_interfaces:
-            for beacon in selected:
-                # Reuse the exact candidate object so identity-based callers
-                # (e.g. extended-path wrappers) keep working.
-                candidate = by_digest.get(beacon.digest())
-                result.add(egress_interface, candidate.beacon if candidate else beacon)
-        return result
-
-    def best_beacon(self, context: ExecutionContext) -> Optional[Beacon]:
-        """Convenience helper: the single best admissible beacon of the bucket."""
         loop_free = [
             candidate.beacon
             for candidate in context.candidates
             if not candidate.beacon.contains_as(context.local_as)
         ]
-        return self.criteria_set.best(loop_free)
+        selected = criteria_set.select(loop_free, limit=limit)
+        if selected:
+            for egress_interface in context.egress_interfaces:
+                result.selections[egress_interface] = list(selected)
+        return result
 
     def describe(self) -> str:
         return f"criteria set {self.criteria_set.name!r}, {self.paths_per_interface} per interface"

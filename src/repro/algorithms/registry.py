@@ -13,12 +13,17 @@ A payload is a JSON document with a ``kind`` discriminator:
     A declarative criteria set (see
     :meth:`repro.core.criteria.CriteriaSet.to_spec`), interpreted by
     :class:`~repro.algorithms.criteria_algorithm.CriteriaSetAlgorithm`.
+    This is how an origin ships widest, shortest-widest, latency-bounded
+    or Pareto selection; a spec naming a metric outside
+    :data:`repro.core.criteria.METRICS` fails to decode.
 
 ``{"kind": "link_avoiding", "avoid_links": [...], "paths_per_interface": n}``
     The PD helper algorithm with an explicit link avoid set.
 
 ``{"kind": "builtin", "name": "...", "parameters": {...}}``
-    One of the catalogued built-in algorithms with keyword parameters.
+    One of the catalogued built-in algorithms with keyword parameters:
+    ``ksp``, ``1sp``, ``5sp``, ``20sp``, ``delay``, ``hd`` and
+    ``link-avoiding`` (:func:`default_catalog`).
 
 ``{"kind": "restricted_python", "source": "..."}``
     A restricted Python scoring function, validated and executed by the
@@ -32,16 +37,10 @@ import json
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.algorithms.bandwidth import (
-    LatencyBoundedWidestAlgorithm,
-    ShortestWidestAlgorithm,
-    WidestPathAlgorithm,
-)
 from repro.algorithms.base import RoutingAlgorithm
 from repro.algorithms.criteria_algorithm import CriteriaSetAlgorithm
 from repro.algorithms.delay import DelayOptimizationAlgorithm
 from repro.algorithms.disjointness import HeuristicDisjointnessAlgorithm
-from repro.algorithms.pareto import ParetoDominantAlgorithm
 from repro.algorithms.pull_disjoint import LinkAvoidingAlgorithm
 from repro.algorithms.shortest_path import KShortestPathAlgorithm
 from repro.core.criteria import CriteriaSet
@@ -114,26 +113,6 @@ def default_catalog() -> AlgorithmCatalog:
             remember_propagations=bool(remember_propagations),
         ),
     )
-    catalog.register(
-        "widest",
-        lambda paths_per_interface=1, **kw: WidestPathAlgorithm(
-            paths_per_interface=int(paths_per_interface)
-        ),
-    )
-    catalog.register(
-        "shortest-widest",
-        lambda paths_per_interface=1, **kw: ShortestWidestAlgorithm(
-            paths_per_interface=int(paths_per_interface)
-        ),
-    )
-    catalog.register(
-        "widest-bounded",
-        lambda latency_bound_ms=30.0, paths_per_interface=1, **kw: LatencyBoundedWidestAlgorithm(
-            latency_bound_ms=float(latency_bound_ms),
-            paths_per_interface=int(paths_per_interface),
-        ),
-    )
-    catalog.register("pareto", lambda **kw: ParetoDominantAlgorithm())
     catalog.register(
         "link-avoiding",
         lambda paths_per_interface=1, **kw: LinkAvoidingAlgorithm(

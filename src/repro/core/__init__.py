@@ -5,9 +5,10 @@ This package contains everything §IV and §V of the paper describe:
 * the PCB (path-construction beacon) data model with IREC's extensions
   (:mod:`repro.core.beacon`, :mod:`repro.core.staticinfo`,
   :mod:`repro.core.extensions`),
-* the routing algebra and criteria framework used to express and compose
-  optimization criteria (:mod:`repro.core.criteria`,
-  :mod:`repro.core.algebra`),
+* the criteria framework: one table of named metrics, criteria sets that
+  compose them lexicographically or by Pareto dominance and are the
+  algorithm an on-demand payload ships (:mod:`repro.core.criteria`), and
+  the dominance arithmetic they rank with (:mod:`repro.core.algebra`),
 * the intra-AS architecture — ingress gateway, routing algorithm containers
   (RACs), egress gateway, their databases, and the combined control service
   (:mod:`repro.core.ingress`, :mod:`repro.core.rac`,

@@ -1,40 +1,26 @@
-"""Routing algebra: the formal framework behind extensible criteria.
+"""Routing algebra: what ranking beacons under several criteria reads.
 
-IREC's premise is that path-optimization criteria keep evolving, so the
-library needs a principled way to *define* a criterion and to reason about
-its properties.  This module provides that foundation, following the
+IREC's premise is that path-optimization criteria keep evolving, so a
+criterion is data, not code.  This module holds the part of the
 routing-algebra literature the paper builds on (Sobrinho's work on routing
-on multiple optimality criteria, §X):
+on multiple optimality criteria, §X) that the criteria sets of
+:mod:`repro.core.criteria` rank with:
 
-* a **metric** describes how one elementary quantity accumulates along a
-  path (additively like latency, by bottleneck like bandwidth,
-  multiplicatively like reliability) and whether smaller or larger is
-  better,
+* a **metric** is a named quantity with an objective (smaller or larger is
+  better),
 * a **path vector** holds the values of several metrics for one path and
-  supports Pareto-dominance comparisons, and
-* helper functions check **isotonicity** (extension preserves preference),
-  the property whose violation by intra-AS latency motivates extended-path
-  optimization (paper §IV-E), and compute **Pareto frontiers** of
-  incomparable dominant paths.
+  knows Pareto dominance, and
+* :func:`pareto_frontier` computes the set of incomparable dominant paths.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.exceptions import AlgebraError
-
-
-class Accumulation(enum.Enum):
-    """How a metric accumulates when a path is extended by one hop."""
-
-    ADDITIVE = "additive"
-    BOTTLENECK = "bottleneck"
-    MULTIPLICATIVE = "multiplicative"
 
 
 class Objective(enum.Enum):
@@ -46,36 +32,10 @@ class Objective(enum.Enum):
 
 @dataclass(frozen=True)
 class MetricDefinition:
-    """The algebraic definition of one elementary metric.
-
-    Attributes:
-        name: Unique metric name (e.g. ``"latency_ms"``).
-        accumulation: How the metric composes along a path.
-        objective: Whether lower or higher values are preferred.
-        identity: The value of the empty path: 0 for additive metrics,
-            ``+inf`` for bottleneck-minimum metrics, 1 for multiplicative.
-    """
+    """One elementary metric: its name and whether lower or higher is better."""
 
     name: str
-    accumulation: Accumulation
     objective: Objective
-
-    @property
-    def identity(self) -> float:
-        """Return the neutral element of the accumulation operation."""
-        if self.accumulation is Accumulation.ADDITIVE:
-            return 0.0
-        if self.accumulation is Accumulation.BOTTLENECK:
-            return math.inf
-        return 1.0
-
-    def combine(self, path_value: float, hop_value: float) -> float:
-        """Extend a path value by one hop value."""
-        if self.accumulation is Accumulation.ADDITIVE:
-            return path_value + hop_value
-        if self.accumulation is Accumulation.BOTTLENECK:
-            return min(path_value, hop_value)
-        return path_value * hop_value
 
     def prefers(self, a: float, b: float) -> bool:
         """Return whether value ``a`` is strictly preferable to value ``b``."""
@@ -83,67 +43,14 @@ class MetricDefinition:
             return a < b
         return a > b
 
-    def at_least_as_good(self, a: float, b: float) -> bool:
-        """Return whether ``a`` is at least as good as ``b``."""
-        return not self.prefers(b, a)
-
-    def best(self, values: Iterable[float]) -> float:
-        """Return the best value among ``values``.
-
-        Raises:
-            AlgebraError: If ``values`` is empty.
-        """
-        values = list(values)
-        if not values:
-            raise AlgebraError(f"cannot take the best of zero values for metric {self.name}")
-        return min(values) if self.objective is Objective.MINIMIZE else max(values)
-
-    def sort_key(self) -> Callable[[float], float]:
-        """Return a key function that sorts values from best to worst."""
-        if self.objective is Objective.MINIMIZE:
-            return lambda value: value
-        return lambda value: -value
-
-
-# Standard metric definitions used throughout the library.
-LATENCY = MetricDefinition(
-    name="latency_ms", accumulation=Accumulation.ADDITIVE, objective=Objective.MINIMIZE
-)
-HOP_COUNT = MetricDefinition(
-    name="hop_count", accumulation=Accumulation.ADDITIVE, objective=Objective.MINIMIZE
-)
-BANDWIDTH = MetricDefinition(
-    name="bandwidth_mbps", accumulation=Accumulation.BOTTLENECK, objective=Objective.MAXIMIZE
-)
-RELIABILITY = MetricDefinition(
-    name="reliability", accumulation=Accumulation.MULTIPLICATIVE, objective=Objective.MAXIMIZE
-)
-
-STANDARD_METRICS: Dict[str, MetricDefinition] = {
-    metric.name: metric for metric in (LATENCY, HOP_COUNT, BANDWIDTH, RELIABILITY)
-}
-
-
-@functools.lru_cache(maxsize=None)
-def signature_index_map(
-    metrics: Tuple[MetricDefinition, ...]
-) -> Dict[MetricDefinition, int]:
-    """Return (and cache) the metric→index map of a signature.
-
-    A *signature* (tuple of metric definitions) recurs across every vector
-    of one criteria set, so the map is computed once per distinct signature
-    instead of once per lookup.
-    """
-    return {metric: index for index, metric in enumerate(metrics)}
-
 
 @dataclass(frozen=True)
 class PathVector:
     """The values of several metrics for one path.
 
     A path vector is always interpreted relative to a fixed tuple of metric
-    definitions (its *signature*); operations on vectors with different
-    signatures raise :class:`AlgebraError`.
+    definitions (its *signature*); comparing vectors with different
+    signatures raises :class:`AlgebraError`.
     """
 
     metrics: Tuple[MetricDefinition, ...]
@@ -155,87 +62,18 @@ class PathVector:
                 f"vector has {len(self.values)} values for {len(self.metrics)} metrics"
             )
 
-    @classmethod
-    def _trusted(
-        cls, metrics: Tuple[MetricDefinition, ...], values: Tuple[float, ...]
-    ) -> "PathVector":
-        """Build a vector from an already-validated signature/value pair.
-
-        Internal fast path for operations that derive a vector from an
-        existing one (the signature is known consistent), skipping the
-        dataclass ``__init__``/``__post_init__`` re-validation.
-        """
-        vector = object.__new__(cls)
-        object.__setattr__(vector, "metrics", metrics)
-        object.__setattr__(vector, "values", values)
-        return vector
-
-    @classmethod
-    def empty(cls, metrics: Sequence[MetricDefinition]) -> "PathVector":
-        """Return the vector of the empty path (each metric's identity)."""
-        metrics = tuple(metrics)
-        return cls(metrics=metrics, values=tuple(m.identity for m in metrics))
-
-    @classmethod
-    def of(cls, assignments: Mapping[MetricDefinition, float]) -> "PathVector":
-        """Build a vector from a metric-to-value mapping."""
-        metrics = tuple(assignments)
-        return cls(metrics=metrics, values=tuple(assignments[m] for m in metrics))
-
-    def value_of(self, metric: MetricDefinition) -> float:
-        """Return the value of ``metric``.
-
-        Raises:
-            AlgebraError: If the metric is not part of the signature.
-        """
-        index = signature_index_map(self.metrics).get(metric)
-        if index is None:
-            raise AlgebraError(f"metric {metric.name} not in vector signature")
-        return self.values[index]
-
-    def extend(self, hop: Mapping[MetricDefinition, float]) -> "PathVector":
-        """Return the vector of this path extended by one hop."""
-        new_values = []
-        for metric, value in zip(self.metrics, self.values):
-            hop_value = hop.get(metric)
-            if hop_value is None:
-                raise AlgebraError(f"hop does not provide metric {metric.name}")
-            new_values.append(metric.combine(value, hop_value))
-        return PathVector._trusted(self.metrics, tuple(new_values))
-
-    def _check_signature(self, other: "PathVector") -> None:
-        if self.metrics != other.metrics:
-            raise AlgebraError("cannot compare path vectors with different signatures")
-
     def dominates(self, other: "PathVector") -> bool:
         """Return whether this vector Pareto-dominates ``other``.
 
         Domination requires being at least as good on every metric and
         strictly better on at least one.
         """
-        self._check_signature(other)
-        at_least_as_good = all(
-            metric.at_least_as_good(mine, theirs)
-            for metric, mine, theirs in zip(self.metrics, self.values, other.values)
-        )
-        strictly_better = any(
-            metric.prefers(mine, theirs)
-            for metric, mine, theirs in zip(self.metrics, self.values, other.values)
-        )
-        return at_least_as_good and strictly_better
-
-    def incomparable_with(self, other: "PathVector") -> bool:
-        """Return whether neither vector dominates the other (and they differ)."""
-        self._check_signature(other)
-        return (
-            not self.dominates(other)
-            and not other.dominates(self)
-            and self.values != other.values
-        )
-
-    def as_dict(self) -> Dict[str, float]:
-        """Return a ``{metric name: value}`` mapping, handy for reports."""
-        return {metric.name: value for metric, value in zip(self.metrics, self.values)}
+        if self.metrics != other.metrics:
+            raise AlgebraError("cannot compare path vectors with different signatures")
+        pairs = tuple(zip(self.metrics, self.values, other.values))
+        if any(metric.prefers(theirs, mine) for metric, mine, theirs in pairs):
+            return False
+        return any(metric.prefers(mine, theirs) for metric, mine, theirs in pairs)
 
 
 def pareto_frontier(vectors: Sequence[Tuple[object, PathVector]]) -> List[Tuple[object, PathVector]]:
@@ -349,59 +187,3 @@ def pareto_frontier_naive(
         if not any(other.dominates(vector) for _olabel, other in vectors if other is not vector):
             result.append((label, vector))
     return result
-
-
-def is_isotone(
-    metric: MetricDefinition,
-    path_values: Sequence[float],
-    extension_values: Sequence[float],
-) -> bool:
-    """Check isotonicity of a metric over concrete value samples.
-
-    A metric is isotone when extending two paths by the same hop preserves
-    their preference order.  Additive and bottleneck metrics over
-    non-negative hop values are isotone; the *extended-path* problem of the
-    paper (Figure 4) arises because the extension value is **not** the same
-    for both paths (it depends on the ingress interface), which this helper
-    makes easy to demonstrate in tests and examples.
-
-    Args:
-        metric: Metric definition under test.
-        path_values: Candidate path values (at least two).
-        extension_values: Hop values to extend every path with.
-
-    Returns:
-        ``True`` if, for every pair of path values and every extension
-        value, the preference order is preserved after extension.
-    """
-    if len(path_values) < 2:
-        raise AlgebraError("need at least two path values to check isotonicity")
-    for extension in extension_values:
-        for a in path_values:
-            for b in path_values:
-                if metric.prefers(a, b):
-                    extended_a = metric.combine(a, extension)
-                    extended_b = metric.combine(b, extension)
-                    if metric.prefers(extended_b, extended_a):
-                        return False
-    return True
-
-
-def lexicographic_compare(
-    metrics: Sequence[MetricDefinition], a: Sequence[float], b: Sequence[float]
-) -> int:
-    """Compare two value tuples lexicographically under ``metrics``.
-
-    Returns ``-1`` if ``a`` is preferable, ``1`` if ``b`` is preferable and
-    ``0`` if they are equivalent.  Used by composite criteria such as
-    shortest-widest (prefer higher bandwidth, break ties by lower latency;
-    paper Figure 2c).
-    """
-    if not (len(metrics) == len(a) == len(b)):
-        raise AlgebraError("lexicographic comparison requires equally-sized tuples")
-    for metric, value_a, value_b in zip(metrics, a, b):
-        if metric.prefers(value_a, value_b):
-            return -1
-        if metric.prefers(value_b, value_a):
-            return 1
-    return 0

@@ -178,8 +178,7 @@ class Beacon:
     Equality is content equality; the :meth:`digest` is the identity the
     databases key on.  The underscored slots hold derived values, ``None``
     until asked for or filled by :meth:`with_entry` (``_parent``, the
-    beacon this one extends, and ``_link``, its one new link id);
-    :meth:`repro.core.criteria.StandardMetrics.vector_for` keeps ``_metric_vectors``.
+    beacon this one extends, and ``_link``, its one new link id).
     """
 
     origin_as: int
@@ -196,7 +195,6 @@ class Beacon:
     _wire: Optional[Tuple[bytes, ...]] = _slot()
     _size: Optional[int] = _slot()
     _digest: Optional[str] = _slot()
-    _metric_vectors: Optional[dict] = _slot()
 
     # ------------------------------------------------------------------
     # structural accessors

@@ -5,23 +5,26 @@ across the Internet required by at least one type of application in at
 least one end domain" (§IV-A); every routing algorithm optimizes exactly
 one criteria set.  This module turns that definition into code:
 
+* :data:`METRICS` names every metric once: a name maps to its
+  :class:`~repro.core.algebra.MetricDefinition` and to the extractor that
+  reads its value from a beacon,
 * a :class:`Criterion` binds a metric to an objective and optionally to a
   constraint (e.g. "latency at most 30 ms", Figure 1's live-video example),
 * a :class:`CriteriaSet` combines one or more criteria with a composition
-  rule (lexicographic or Pareto) and can *evaluate* and *rank* beacons, and
-* :class:`StandardMetrics` extracts metric values from beacons, which keeps
-  the mapping between PCB static info and algebraic metrics in one place.
+  rule (lexicographic or Pareto) and selects the best beacons;
+  :class:`~repro.algorithms.criteria_algorithm.CriteriaSetAlgorithm` runs
+  one inside a RAC.
 
 Criteria sets are declarative, hashable and serializable — which is what
 makes them *extensible*: an origin AS can describe a brand new criteria set
 inside an on-demand algorithm payload without any code changes at the ASes
-that execute it.
+that execute it.  A payload naming a metric outside :data:`METRICS` fails
+to decode.
 
-Fast-path note: beacons are immutable and extractor registration is
-append-only, so extracted metric values and whole :class:`PathVector`\\ s
-are memoized per beacon (see :meth:`StandardMetrics.vector_for`).  Every
-RAC re-ranks its entire bucket each beaconing period; without the memo that
-re-walks every entry of every beacon every round.
+Fast-path note: every extractor reads a value the beacon memoizes in its
+own slots (accumulated latency, bottleneck bandwidth) or holds outright
+(hop count), so a RAC re-ranking its whole bucket each beaconing period
+re-walks no entries.
 """
 
 from __future__ import annotations
@@ -31,84 +34,48 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.algebra import (
-    BANDWIDTH,
-    HOP_COUNT,
-    LATENCY,
-    MetricDefinition,
-    Objective,
-    PathVector,
-    STANDARD_METRICS,
-    pareto_frontier,
-)
+from repro.core.algebra import MetricDefinition, Objective, PathVector, pareto_frontier
 from repro.core.beacon import Beacon
 from repro.exceptions import AlgebraError, ConfigurationError
 
+LATENCY = MetricDefinition(name="latency_ms", objective=Objective.MINIMIZE)
+HOP_COUNT = MetricDefinition(name="hop_count", objective=Objective.MINIMIZE)
+BANDWIDTH = MetricDefinition(name="bandwidth_mbps", objective=Objective.MAXIMIZE)
+
+#: Every metric a criterion may name: name -> (definition, extractor).  The
+#: mapping from a beacon's static-info records to metric values is a
+#: *beta-tier* standardization concern in the paper's model (§VI): every
+#: participating AS must compute "latency" or "bandwidth" the same way for
+#: global optimization to be meaningful.  This table is that standard.
+METRICS: Dict[str, Tuple[MetricDefinition, Callable[[Beacon], float]]] = {
+    LATENCY.name: (LATENCY, lambda beacon: beacon.total_latency_ms()),
+    HOP_COUNT.name: (HOP_COUNT, lambda beacon: float(beacon.hop_count)),
+    BANDWIDTH.name: (BANDWIDTH, lambda beacon: beacon.bottleneck_bandwidth_mbps()),
+}
+
 
 class StandardMetrics:
-    """Extraction of standard metric values from beacons.
+    """Extraction of :data:`METRICS` values from beacons."""
 
-    The mapping from a beacon's static-info records to metric values is a
-    *beta-tier* standardization concern in the paper's model (§VI): every
-    participating AS must compute "latency" or "bandwidth" the same way for
-    global optimization to be meaningful.  Centralizing the extraction here
-    is this library's version of that standard.
-    """
-
-    _extractors: Dict[str, Callable[[Beacon], float]] = {
-        LATENCY.name: lambda beacon: beacon.total_latency_ms(),
-        HOP_COUNT.name: lambda beacon: float(beacon.hop_count),
-        BANDWIDTH.name: lambda beacon: beacon.bottleneck_bandwidth_mbps(),
-    }
-
-    @classmethod
-    def extract(cls, metric: MetricDefinition, beacon: Beacon) -> float:
+    @staticmethod
+    def extract(metric: MetricDefinition, beacon: Beacon) -> float:
         """Return the value of ``metric`` for ``beacon``.
 
         Raises:
-            AlgebraError: If no extractor is registered for the metric.
+            AlgebraError: If ``metric`` is not in :data:`METRICS`.
         """
-        extractor = cls._extractors.get(metric.name)
-        if extractor is None:
+        entry = METRICS.get(metric.name)
+        if entry is None:
             raise AlgebraError(f"no standard extractor for metric {metric.name}")
-        return extractor(beacon)
-
-    @classmethod
-    def register(cls, metric: MetricDefinition, extractor: Callable[[Beacon], float]) -> None:
-        """Register an extractor for a new metric (append-only, §VI beta tier)."""
-        if metric.name in cls._extractors:
-            raise AlgebraError(f"extractor for metric {metric.name} already registered")
-        cls._extractors[metric.name] = extractor
-        STANDARD_METRICS.setdefault(metric.name, metric)
-
-    @classmethod
-    def known_metrics(cls) -> Tuple[str, ...]:
-        """Return the names of all metrics with registered extractors."""
-        return tuple(sorted(cls._extractors))
+        return entry[1](beacon)
 
     @classmethod
     def vector_for(cls, metrics: Sequence[MetricDefinition], beacon: Beacon) -> PathVector:
-        """Return the :class:`PathVector` of ``beacon`` over ``metrics``.
-
-        The vector is memoized per (beacon, signature): beacons are
-        immutable and extractor registration is append-only, so the same
-        beacon evaluated by the same criteria set across rounds (the common
-        case — every RAC re-ranks its whole bucket each period) reuses the
-        extracted values instead of re-walking the entries.
-        """
-        signature = tuple(metrics)
-        cache = beacon._metric_vectors
-        if cache is None:
-            cache = {}
-            object.__setattr__(beacon, "_metric_vectors", cache)
-        vector = cache.get(signature)
-        if vector is None:
-            vector = PathVector(
-                metrics=signature,
-                values=tuple(cls.extract(metric, beacon) for metric in metrics),
-            )
-            cache[signature] = vector
-        return vector
+        """Return the :class:`PathVector` of ``beacon`` over ``metrics``."""
+        return PathVector(
+            metrics=tuple(metrics),
+            values=tuple(cls.extract(metric, beacon) for metric in metrics),
+        )
 
 
 @dataclass(frozen=True)
@@ -122,6 +89,13 @@ class Constraint:
     def __post_init__(self) -> None:
         if self.maximum is None and self.minimum is None:
             raise ConfigurationError("a constraint needs a minimum or a maximum")
+        for bound in (self.maximum, self.minimum):
+            if bound is not None and not math.isfinite(bound):
+                raise ConfigurationError(f"constraint bound must be finite: {bound}")
+        if self.maximum is not None and self.minimum is not None and self.minimum > self.maximum:
+            raise ConfigurationError(
+                f"constraint minimum {self.minimum:g} exceeds its maximum {self.maximum:g}"
+            )
 
     def satisfied_by(self, value: float) -> bool:
         """Return whether ``value`` satisfies the constraint."""
@@ -222,26 +196,13 @@ class CriteriaSet:
         """Return the lexicographic sort key of ``beacon`` (best sorts first)."""
         return tuple(criterion.sort_key(beacon) for criterion in self.criteria)
 
-    def rank(self, beacons: Sequence[Beacon]) -> List[Beacon]:
-        """Return admissible beacons sorted from best to worst.
-
-        For Pareto composition, the dominant beacons come first (in stable
-        input order), followed by the dominated ones.
-        """
-        admissible = self.filter_admissible(beacons)
-        if self.composition is Composition.LEXICOGRAPHIC:
-            return sorted(admissible, key=self.sort_key)
-        dominant = self.select(admissible, limit=len(admissible))
-        dominant_ids = {id(beacon) for beacon in dominant}
-        rest = [beacon for beacon in admissible if id(beacon) not in dominant_ids]
-        return dominant + rest
-
     def select(self, beacons: Sequence[Beacon], limit: int) -> List[Beacon]:
         """Return the best at most ``limit`` admissible beacons.
 
-        For lexicographic composition this is a simple sorted prefix; for
-        Pareto composition the dominant set is computed first and truncated
-        deterministically (shorter AS paths first) if it exceeds ``limit``.
+        For lexicographic composition this is a sorted prefix (ties keep the
+        input order); for Pareto composition the dominant set is computed
+        first and truncated deterministically — fewer AS hops, then lower
+        latency, then the digest — if it exceeds ``limit``.
         """
         if limit <= 0:
             return []
@@ -254,7 +215,9 @@ class CriteriaSet:
             (beacon, StandardMetrics.vector_for(metrics, beacon)) for beacon in admissible
         ]
         frontier = [beacon for beacon, _vector in pareto_frontier(labelled)]
-        frontier.sort(key=lambda beacon: (beacon.hop_count, beacon.total_latency_ms()))
+        frontier.sort(
+            key=lambda beacon: (beacon.hop_count, beacon.total_latency_ms(), beacon.digest())
+        )
         return frontier[:limit]
 
     def best(self, beacons: Sequence[Beacon]) -> Optional[Beacon]:
@@ -324,10 +287,10 @@ class CriteriaSet:
 
 
 def _resolve_metric(name: str) -> MetricDefinition:
-    metric = STANDARD_METRICS.get(name)
-    if metric is None:
+    entry = METRICS.get(name)
+    if entry is None:
         raise ConfigurationError(f"unknown metric {name!r}")
-    return metric
+    return entry[0]
 
 
 def _optional_float(value: object) -> Optional[float]:

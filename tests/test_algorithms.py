@@ -2,24 +2,23 @@
 
 import pytest
 
-from repro.algorithms.bandwidth import (
-    LatencyBoundedWidestAlgorithm,
-    ShortestWidestAlgorithm,
-    WidestPathAlgorithm,
-)
 from repro.algorithms.base import CandidateBeacon, ExecutionContext, ExecutionResult
 from repro.algorithms.criteria_algorithm import CriteriaSetAlgorithm
 from repro.algorithms.delay import DelayOptimizationAlgorithm
 from repro.algorithms.disjointness import HeuristicDisjointnessAlgorithm
-from repro.algorithms.pareto import ParetoDominantAlgorithm
 from repro.algorithms.pull_disjoint import LinkAvoidingAlgorithm, freeze_links
 from repro.algorithms.shortest_path import (
     LEGACY_PATH_COUNT,
     KShortestPathAlgorithm,
     legacy_scion_algorithm,
 )
-from repro.core.criteria import widest_with_latency_bound
-from repro.exceptions import AlgorithmError
+from repro.core.criteria import (
+    highest_bandwidth,
+    latency_bandwidth_pareto,
+    shortest_widest,
+    widest_with_latency_bound,
+)
+from repro.exceptions import AlgorithmError, ConfigurationError
 
 from tests.conftest import make_beacon
 
@@ -39,6 +38,11 @@ def make_context(candidates, egress_interfaces=(1,), limit=20, intra=zero_intra,
         intra_latency_ms=intra,
         parameters=parameters or {},
     )
+
+
+def total_selected(result):
+    """Return the number of (interface, beacon) selections of ``result``."""
+    return sum(len(beacons) for beacons in result.selections.values())
 
 
 @pytest.fixture
@@ -66,16 +70,7 @@ class TestExecutionResult:
         result.add(1, candidate_set[1].beacon)
         result.add(2, candidate_set[0].beacon)
         assert len(result.beacons_for(1)) == 2
-        assert result.total_selected() == 3
-
-    def test_enforce_limit(self, candidate_set):
-        result = ExecutionResult()
-        for candidate in candidate_set:
-            result.add(1, candidate.beacon)
-        result.enforce_limit(2)
-        assert len(result.beacons_for(1)) == 2
-        with pytest.raises(AlgorithmError):
-            result.enforce_limit(-1)
+        assert total_selected(result) == 3
 
 
 class TestKShortestPath:
@@ -210,7 +205,7 @@ class TestDelayOptimization:
         _p1, _p2, intra = figure4_pair
         dob = DelayOptimizationAlgorithm(paths_per_interface=1, use_extended_paths=True)
         result = dob.execute(make_context([], egress_interfaces=(3, 4), intra=intra))
-        assert result.total_selected() == 0
+        assert total_selected(result) == 0
         assert result.beacons_for(3) == []
 
     def test_dob_adds_no_intra_latency_without_ingress_interface(self, key_store):
@@ -245,7 +240,7 @@ class TestDelayOptimization:
 
 class TestBandwidthAlgorithms:
     def test_widest(self, candidate_set):
-        result = WidestPathAlgorithm().execute(make_context(candidate_set))
+        result = CriteriaSetAlgorithm(highest_bandwidth()).execute(make_context(candidate_set))
         assert result.beacons_for(1)[0].bottleneck_bandwidth_mbps() == 10_000.0
 
     def test_shortest_widest_tie_break(self, key_store):
@@ -267,11 +262,12 @@ class TestBandwidthAlgorithms:
             ),
             ingress_interface=1,
         )
-        result = ShortestWidestAlgorithm().execute(make_context([wide_long, wide_short]))
+        algorithm = CriteriaSetAlgorithm(shortest_widest())
+        result = algorithm.execute(make_context([wide_long, wide_short]))
         assert result.beacons_for(1)[0].digest() == wide_short.beacon.digest()
 
     def test_latency_bounded_widest(self, candidate_set):
-        algorithm = LatencyBoundedWidestAlgorithm(latency_bound_ms=30.0)
+        algorithm = CriteriaSetAlgorithm(widest_with_latency_bound(30.0))
         result = algorithm.execute(make_context(candidate_set))
         selected = result.beacons_for(1)[0]
         assert selected.total_latency_ms() <= 30.0
@@ -279,15 +275,15 @@ class TestBandwidthAlgorithms:
         assert selected.bottleneck_bandwidth_mbps() == 10_000.0
 
     def test_latency_bound_excludes_everything(self, candidate_set):
-        algorithm = LatencyBoundedWidestAlgorithm(latency_bound_ms=1.0)
+        algorithm = CriteriaSetAlgorithm(widest_with_latency_bound(1.0))
         result = algorithm.execute(make_context(candidate_set))
         assert result.beacons_for(1) == []
 
     def test_invalid_parameters(self):
         with pytest.raises(AlgorithmError):
-            WidestPathAlgorithm(paths_per_interface=0)
-        with pytest.raises(AlgorithmError):
-            LatencyBoundedWidestAlgorithm(latency_bound_ms=-5.0)
+            CriteriaSetAlgorithm(highest_bandwidth(), paths_per_interface=0)
+        with pytest.raises(ConfigurationError):
+            widest_with_latency_bound(-5.0)
 
 
 class TestHeuristicDisjointness:
@@ -315,7 +311,7 @@ class TestHeuristicDisjointness:
         algorithm = HeuristicDisjointnessAlgorithm(paths_per_interface=2)
         first = algorithm.execute(make_context(candidate_set))
         second = algorithm.execute(make_context(candidate_set))
-        assert first.total_selected() > 0
+        assert total_selected(first) > 0
         # Already-propagated beacons are not selected again; later rounds
         # pick different (previously unserved) beacons instead.
         first_digests = {b.digest() for b in first.beacons_for(1)}
@@ -325,10 +321,10 @@ class TestHeuristicDisjointness:
         for _ in range(len(candidate_set)):
             algorithm.execute(make_context(candidate_set))
         exhausted = algorithm.execute(make_context(candidate_set))
-        assert exhausted.total_selected() == 0
+        assert total_selected(exhausted) == 0
         algorithm.reset_memory()
         refreshed = algorithm.execute(make_context(candidate_set))
-        assert refreshed.total_selected() == first.total_selected()
+        assert total_selected(refreshed) == total_selected(first)
 
     def test_invalid_config(self):
         with pytest.raises(AlgorithmError):
@@ -370,12 +366,6 @@ class TestCriteriaSetAlgorithm:
         selected = result.beacons_for(1)[0]
         assert selected.total_latency_ms() <= 30.0
 
-    def test_best_beacon_helper(self, candidate_set):
-        algorithm = CriteriaSetAlgorithm(criteria_set=widest_with_latency_bound(30.0))
-        best = algorithm.best_beacon(make_context(candidate_set))
-        assert best is not None
-        assert best.total_latency_ms() <= 30.0
-
     def test_invalid_paths_per_interface(self):
         with pytest.raises(AlgorithmError):
             CriteriaSetAlgorithm(criteria_set=widest_with_latency_bound(30.0), paths_per_interface=0)
@@ -383,7 +373,7 @@ class TestCriteriaSetAlgorithm:
 
 class TestParetoDominant:
     def test_keeps_all_dominant_paths(self, candidate_set):
-        algorithm = ParetoDominantAlgorithm()
+        algorithm = CriteriaSetAlgorithm(latency_bandwidth_pareto(), paths_per_interface=20)
         result = algorithm.execute(make_context(candidate_set))
         selected = result.beacons_for(1)
         # The low-latency and the high-bandwidth paths are incomparable and
@@ -394,10 +384,7 @@ class TestParetoDominant:
         assert bandwidths[-1] == 10_000.0
 
     def test_pareto_set_is_larger_than_single_criterion(self, candidate_set):
-        pareto = ParetoDominantAlgorithm().execute(make_context(candidate_set))
+        algorithm = CriteriaSetAlgorithm(latency_bandwidth_pareto(), paths_per_interface=20)
+        pareto = algorithm.execute(make_context(candidate_set))
         single = KShortestPathAlgorithm(k=1).execute(make_context(candidate_set))
-        assert pareto.total_selected() > single.total_selected()
-
-    def test_invalid_metrics(self):
-        with pytest.raises(AlgorithmError):
-            ParetoDominantAlgorithm(metrics=())
+        assert total_selected(pareto) > total_selected(single)

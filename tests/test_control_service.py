@@ -125,12 +125,13 @@ class TestFabricBeaconing:
 
     def test_figure1_multi_criteria_paths_discovered(self, key_store):
         """The control plane discovers both the 20 ms and the wide path of Figure 1."""
-        from repro.algorithms.bandwidth import WidestPathAlgorithm
+        from repro.algorithms.criteria_algorithm import CriteriaSetAlgorithm
+        from repro.core.criteria import highest_bandwidth
 
         topology = figure1_topology()
         algorithms = {
             "1sp": lambda: KShortestPathAlgorithm(k=1),
-            "widest": lambda: WidestPathAlgorithm(paths_per_interface=2),
+            "widest": lambda: CriteriaSetAlgorithm(highest_bandwidth(), paths_per_interface=2),
         }
         scheduler, _transport, services = build_services(
             topology, key_store, verify_signatures=True, racs=algorithms

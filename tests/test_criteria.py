@@ -1,9 +1,17 @@
 """Tests for criteria, criteria sets and metric extraction from beacons."""
 
+import json
+import math
+
 import pytest
 
-from repro.core.algebra import BANDWIDTH, HOP_COUNT, LATENCY, Accumulation, MetricDefinition, Objective
+from repro.algorithms.registry import decode_payload
+from repro.core.algebra import MetricDefinition, Objective
 from repro.core.criteria import (
+    BANDWIDTH,
+    HOP_COUNT,
+    LATENCY,
+    METRICS,
     Composition,
     Constraint,
     CriteriaSet,
@@ -16,7 +24,7 @@ from repro.core.criteria import (
     shortest_widest,
     widest_with_latency_bound,
 )
-from repro.exceptions import AlgebraError, ConfigurationError
+from repro.exceptions import AlgebraError, AlgorithmError, ConfigurationError
 
 from tests.conftest import make_beacon
 
@@ -53,29 +61,19 @@ class TestStandardMetrics:
         assert StandardMetrics.extract(BANDWIDTH, wide) == 10_000.0
 
     def test_unknown_metric_rejected(self, three_beacons):
-        unknown = MetricDefinition(
-            name="jitter", accumulation=Accumulation.ADDITIVE, objective=Objective.MINIMIZE
-        )
+        unknown = MetricDefinition(name="jitter", objective=Objective.MINIMIZE)
         with pytest.raises(AlgebraError):
             StandardMetrics.extract(unknown, three_beacons[0])
 
-    def test_register_new_metric(self, three_beacons):
-        new_metric = MetricDefinition(
-            name="as-path-cube", accumulation=Accumulation.ADDITIVE, objective=Objective.MINIMIZE
-        )
-        StandardMetrics.register(new_metric, lambda beacon: float(beacon.hop_count) ** 3)
-        assert StandardMetrics.extract(new_metric, three_beacons[0]) == 8.0
-        with pytest.raises(AlgebraError):
-            StandardMetrics.register(new_metric, lambda beacon: 0.0)
-
     def test_vector_for(self, three_beacons):
         vector = StandardMetrics.vector_for([LATENCY, BANDWIDTH], three_beacons[0])
-        assert vector.value_of(LATENCY) == pytest.approx(20.0)
+        assert vector.metrics == (LATENCY, BANDWIDTH)
+        assert vector.values == (pytest.approx(20.0), 100.0)
 
-    def test_known_metrics_contains_standards(self):
-        names = StandardMetrics.known_metrics()
-        assert "latency_ms" in names
-        assert "bandwidth_mbps" in names
+    def test_metrics_table_names_each_metric_once(self):
+        assert sorted(METRICS) == ["bandwidth_mbps", "hop_count", "latency_ms"]
+        for name, (metric, _extractor) in METRICS.items():
+            assert metric.name == name
 
 
 class TestConstraint:
@@ -98,6 +96,30 @@ class TestConstraint:
         text = constraint.describe()
         assert "latency_ms >= 1" in text
         assert "latency_ms <= 30" in text
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            {"maximum": math.nan},
+            {"minimum": math.nan},
+            {"maximum": math.inf},
+            {"minimum": -math.inf},
+            {"minimum": 31.0, "maximum": 30.0},
+        ],
+        ids=["nan-maximum", "nan-minimum", "inf-maximum", "minus-inf-minimum", "inverted"],
+    )
+    def test_nonsense_bounds_rejected(self, bounds):
+        with pytest.raises(ConfigurationError):
+            Constraint(metric=LATENCY, **bounds)
+
+    def test_nan_bound_in_payload_fails_to_decode(self):
+        """``json.loads`` accepts ``NaN``; such a bound would admit every path."""
+        spec = widest_with_latency_bound(30.0).to_spec()
+        spec["constraints"][0]["maximum"] = math.nan
+        payload = json.dumps({"kind": "criteria_set", "spec": spec}).encode("utf-8")
+        assert b"NaN" in payload
+        with pytest.raises(AlgorithmError):
+            decode_payload(payload)
 
 
 class TestCriteriaSets:
@@ -146,7 +168,7 @@ class TestCriteriaSets:
 
     def test_rank_orders_best_first(self, three_beacons):
         fast, wide, balanced = three_beacons
-        ranked = lowest_latency().rank([wide, balanced, fast])
+        ranked = lowest_latency().select([wide, balanced, fast], limit=3)
         assert ranked[0] is fast
         assert ranked[-1] is wide
 
@@ -186,16 +208,11 @@ class TestParetoComposition:
         selected = criteria.select([fast, wide, balanced, dominated], limit=10)
         assert dominated not in selected
 
-    def test_pareto_rank_places_dominant_first(self, key_store, three_beacons):
+    def test_pareto_select_orders_by_hops_then_latency(self, three_beacons):
         fast, wide, balanced = three_beacons
-        dominated = make_beacon(
-            key_store,
-            [(1, None, 1), (7, 1, 2), (8, 1, 2)],
-            link_latencies=[30.0, 30.0, 30.0],
-            link_bandwidths=[50.0, 50.0, 50.0],
-        )
-        ranked = latency_bandwidth_pareto().rank([dominated, fast, wide, balanced])
-        assert ranked[-1] is dominated
+        criteria = latency_bandwidth_pareto()
+        assert criteria.select([wide, balanced, fast], limit=10) == [fast, balanced, wide]
+        assert criteria.select([wide, balanced, fast], limit=2) == [fast, balanced]
 
 
 class TestSpecRoundTrip:

@@ -9,10 +9,15 @@ the TLF ordering of Figure 8b.
 
 import pytest
 
-from repro.algorithms.bandwidth import LatencyBoundedWidestAlgorithm, WidestPathAlgorithm
+from repro.algorithms.criteria_algorithm import CriteriaSetAlgorithm
 from repro.algorithms.registry import encode_criteria_payload
 from repro.algorithms.shortest_path import KShortestPathAlgorithm
-from repro.core.criteria import lowest_latency, shortest_widest, widest_with_latency_bound
+from repro.core.criteria import (
+    highest_bandwidth,
+    lowest_latency,
+    shortest_widest,
+    widest_with_latency_bound,
+)
 from repro.dataplane.network import DataPlaneNetwork
 from repro.dataplane.path import forwarding_path_from_segment
 from repro.simulation.beaconing import BeaconingSimulation
@@ -37,13 +42,13 @@ def figure1_scenario(periods=4):
             one_shortest_path_spec(),
             AlgorithmSpec(
                 rac_id="widest",
-                factory=lambda: WidestPathAlgorithm(paths_per_interface=2),
+                factory=lambda: CriteriaSetAlgorithm(highest_bandwidth(), paths_per_interface=2),
                 use_interface_groups=False,
             ),
             AlgorithmSpec(
                 rac_id="live-video",
-                factory=lambda: LatencyBoundedWidestAlgorithm(
-                    latency_bound_ms=30.0, paths_per_interface=2
+                factory=lambda: CriteriaSetAlgorithm(
+                    widest_with_latency_bound(30.0), paths_per_interface=2
                 ),
                 use_interface_groups=False,
             ),

@@ -220,10 +220,16 @@ def _non_test_sources():
 
 
 #: Classes whose public methods need a caller outside the tests: (file
-#: under ``src/repro/``, class, two methods the scan must see).
+#: under ``src/repro/``, the methods the scan must see).
 API_CLASSES = {
     "IrecControlService": ("core/control_service.py", {"on_message_batch", "run_round"}),
     "SimulatedTransport": ("simulation/network.py", {"send_message", "inject_import"}),
+    "CriteriaSet": ("core/criteria.py", {"select", "sort_key"}),
+    "StandardMetrics": ("core/criteria.py", {"extract"}),
+    "PathVector": ("core/algebra.py", {"dominates"}),
+    "CriteriaSetAlgorithm": ("algorithms/criteria_algorithm.py", {"execute"}),
+    "ExecutionContext": ("algorithms/base.py", set()),
+    "ExecutionResult": ("algorithms/base.py", {"add", "beacons_for"}),
 }
 
 

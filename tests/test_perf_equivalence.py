@@ -31,7 +31,10 @@ property tests pin that down:
   per-candidate key and an optional per-interface term; HD's pre-ordered
   candidates) selects exactly what scoring every (candidate, interface)
   pair selects, for every builtin algorithm, over buckets full of ties,
-  parallel links, looping candidates and empty interface sets, and
+  parallel links, looping candidates and empty interface sets; every one
+  of them, and a Pareto criteria set, selects the same whatever the
+  candidates' order, and the Pareto set selects the quadratic frontier in
+  (hop count, latency, digest) order, and
 * a RAC round that hands the stored records to the algorithm, builds its
   jobs in one pass and merges by lookup selects, reports and transfers
   exactly what wrapping every candidate per bucket, rescanning the bucket
@@ -48,28 +51,32 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.algorithms.bandwidth import (
-    LatencyBoundedWidestAlgorithm,
-    ShortestWidestAlgorithm,
-    WidestPathAlgorithm,
-)
 from repro.algorithms.base import CandidateBeacon, ExecutionContext
+from repro.algorithms.criteria_algorithm import CriteriaSetAlgorithm
 from repro.algorithms.registry import encode_builtin_payload
 from repro.algorithms.delay import DelayOptimizationAlgorithm
 from repro.algorithms.disjointness import HeuristicDisjointnessAlgorithm
 from repro.algorithms.pull_disjoint import LinkAvoidingAlgorithm
 from repro.algorithms.shortest_path import KShortestPathAlgorithm, legacy_scion_algorithm
 from repro.core.algebra import (
-    BANDWIDTH,
-    HOP_COUNT,
-    LATENCY,
+    MetricDefinition,
+    Objective,
     PathVector,
-    RELIABILITY,
     pareto_frontier,
     pareto_frontier_naive,
 )
 from repro.core.beacon import Beacon, BeaconBuilder
-from repro.core.criteria import StandardMetrics
+from repro.core.criteria import (
+    BANDWIDTH,
+    HOP_COUNT,
+    LATENCY,
+    fewest_hops,
+    highest_bandwidth,
+    latency_bandwidth_pareto,
+    lowest_latency,
+    shortest_widest,
+    widest_with_latency_bound,
+)
 from repro.core.databases import IngressDatabase
 from repro.core.extensions import ExtensionSet
 from repro.core.ingress import IngressGateway, VerifiedPrefixCache
@@ -169,12 +176,8 @@ DERIVED = (
     "bottleneck_bandwidth_mbps",
 )
 
-#: Everything a beacon memoizes, by the name it is drawn under: the
-#: accessors plus ``PathVector`` extraction, which fills ``_metric_vectors``.
+#: Everything a beacon memoizes, by the accessor that derives it.
 DERIVATIONS = {name: operator.methodcaller(name) for name in DERIVED}
-DERIVATIONS["vector_for"] = lambda beacon: StandardMetrics.vector_for(
-    (LATENCY, HOP_COUNT, BANDWIDTH), beacon
-)
 
 
 class TestDigestEquivalence:
@@ -457,12 +460,16 @@ class TestEventQueueOrder:
 # ----------------------------------------------------------------------
 # (b) pareto frontier
 # ----------------------------------------------------------------------
+#: The frontier is generic over metrics: a fourth, maximize-objective one
+#: that no beacon extractor knows.
+FOURTH = MetricDefinition(name="fourth", objective=Objective.MAXIMIZE)
+
 METRIC_POOLS = (
     (LATENCY,),  # single-metric degenerate case: frontier = all minima
     (BANDWIDTH,),  # ...including a maximize-objective single metric
     (LATENCY, BANDWIDTH),
     (LATENCY, HOP_COUNT, BANDWIDTH),
-    (LATENCY, HOP_COUNT, BANDWIDTH, RELIABILITY),
+    (LATENCY, HOP_COUNT, BANDWIDTH, FOURTH),
 )
 
 
@@ -784,28 +791,33 @@ SKELETON_ALGORITHMS = {
         None,
     ),
     "widest": (
-        lambda: WidestPathAlgorithm(paths_per_interface=3),
+        lambda: CriteriaSetAlgorithm(highest_bandwidth(), paths_per_interface=3),
         3,
         lambda c, _e, _ctx: (-c.beacon.bottleneck_bandwidth_mbps(),),
         None,
     ),
     "shortest-widest": (
-        lambda: ShortestWidestAlgorithm(paths_per_interface=3),
+        lambda: CriteriaSetAlgorithm(shortest_widest(), paths_per_interface=3),
         3,
         lambda c, _e, _ctx: (-c.beacon.bottleneck_bandwidth_mbps(), c.beacon.total_latency_ms()),
         None,
     ),
     "latency-bounded": (
-        lambda: LatencyBoundedWidestAlgorithm(latency_bound_ms=22.0, paths_per_interface=3),
+        lambda: CriteriaSetAlgorithm(widest_with_latency_bound(22.0), paths_per_interface=3),
         3,
         *_bounded(22.0, False),
     ),
-    "latency-bounded-extended": (
-        lambda: LatencyBoundedWidestAlgorithm(
-            latency_bound_ms=22.0, paths_per_interface=3, use_extended_paths=True
-        ),
+    "lowest-latency": (
+        lambda: CriteriaSetAlgorithm(lowest_latency(), paths_per_interface=3),
         3,
-        *_bounded(22.0, True),
+        lambda c, _e, _ctx: (c.beacon.total_latency_ms(),),
+        None,
+    ),
+    "fewest-hops": (
+        lambda: CriteriaSetAlgorithm(fewest_hops(), paths_per_interface=3),
+        3,
+        lambda c, _e, _ctx: (float(c.beacon.hop_count),),
+        None,
     ),
     "link-avoiding": (
         lambda: LinkAvoidingAlgorithm(avoid_links=frozenset({AVOIDED_LINK}), paths_per_interface=3),
@@ -821,6 +833,47 @@ SKELETON_ALGORITHMS = {
         )
         for source in PAYLOADS
     },
+}
+
+
+#: Paths per interface of the Pareto entry: small enough that the
+#: (hop count, latency, digest) order decides which dominant beacons go.
+PARETO_PATHS = 3
+
+
+def pareto_algorithm():
+    return CriteriaSetAlgorithm(latency_bandwidth_pareto(), paths_per_interface=PARETO_PATHS)
+
+
+def naive_pareto_select(context, paths_per_interface):
+    """The reference Pareto selection: the quadratic frontier of the
+    loop-free candidates, fewest hops, then lowest latency, then digest
+    first, the same list on every egress interface."""
+    limit = min(paths_per_interface, context.max_paths_per_interface)
+    labelled = [
+        (
+            beacon,
+            PathVector(
+                metrics=(LATENCY, BANDWIDTH),
+                values=(beacon.total_latency_ms(), beacon.bottleneck_bandwidth_mbps()),
+            ),
+        )
+        for beacon in (candidate.beacon for candidate in context.candidates)
+        if not beacon.contains_as(context.local_as)
+    ]
+    frontier = sorted(
+        (beacon for beacon, _vector in pareto_frontier_naive(labelled)),
+        key=lambda beacon: (beacon.hop_count, beacon.total_latency_ms(), beacon.digest()),
+    )[: max(limit, 0)]
+    if not frontier:
+        return {}
+    return {interface: list(frontier) for interface in context.egress_interfaces}
+
+
+#: Every selection algorithm whose output must not depend on candidate order.
+ORDER_FREE_ALGORITHMS = {
+    **{name: entry[0] for name, entry in SKELETON_ALGORITHMS.items()},
+    "pareto": pareto_algorithm,
 }
 
 
@@ -906,6 +959,41 @@ class TestSelectionEquivalence:
         # Selected beacons are the candidates' own objects, never copies.
         offered = {id(candidate.beacon) for candidate in context.candidates}
         assert all(id(b) in offered for bs in result.selections.values() for b in bs)
+        assert_lists_are_not_shared(result.selections)
+
+    @pytest.mark.parametrize("name", sorted(ORDER_FREE_ALGORITHMS))
+    @given(
+        specs=candidate_specs,
+        interfaces=interface_sets,
+        limit=st.sampled_from((0, 1, 4, 20)),
+        intra=intra_tables,
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_selection_does_not_depend_on_candidate_order(
+        self, beacon_pool, name, specs, interfaces, limit, intra, data
+    ):
+        factory = ORDER_FREE_ALGORITHMS[name]
+        permuted = data.draw(st.permutations(specs), label="permuted")
+        context = selection_context(beacon_pool, specs, interfaces, limit, intra)
+        shuffled = selection_context(beacon_pool, permuted, interfaces, limit, intra)
+        assert digests_of(factory().execute(shuffled).selections) == digests_of(
+            factory().execute(context).selections
+        )
+
+    @given(
+        specs=candidate_specs,
+        interfaces=interface_sets,
+        limit=st.sampled_from((0, 1, 4, 20)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_pareto_set_matches_naive_frontier_reference(
+        self, beacon_pool, specs, interfaces, limit
+    ):
+        context = selection_context(beacon_pool, specs, interfaces, limit, [0.0] * 16)
+        result = pareto_algorithm().execute(context)
+        expected = naive_pareto_select(context, PARETO_PATHS)
+        assert digests_of(result.selections) == digests_of(expected)
         assert_lists_are_not_shared(result.selections)
 
     @given(specs=candidate_specs, interfaces=interface_sets, intra=intra_tables)

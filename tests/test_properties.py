@@ -7,14 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis.cdf import EmpiricalCDF
 from repro.analysis.disjointness_eval import tolerable_link_failures
-from repro.core.algebra import (
-    BANDWIDTH,
-    LATENCY,
-    PathVector,
-    is_isotone,
-    pareto_frontier,
-)
+from repro.core.algebra import PathVector, pareto_frontier
 from repro.core.beacon import BeaconBuilder
+from repro.core.criteria import BANDWIDTH, LATENCY
 from repro.core.databases import EgressDatabase
 from repro.core.sandbox import MeteredEvaluator, validate_restricted_source
 from repro.core.staticinfo import StaticInfo
@@ -63,7 +58,7 @@ class TestAlgebraProperties:
     )
     def test_pareto_frontier_is_non_dominated_and_non_empty(self, values):
         labelled = [
-            (index, PathVector.of({LATENCY: latency, BANDWIDTH: bandwidth}))
+            (index, PathVector(metrics=(LATENCY, BANDWIDTH), values=(latency, bandwidth)))
             for index, (latency, bandwidth) in enumerate(values)
         ]
         frontier = pareto_frontier(labelled)
@@ -74,20 +69,6 @@ class TestAlgebraProperties:
             assert not any(
                 other.dominates(vector) for other in all_vectors if other is not vector
             )
-
-    @given(
-        path_values=st.lists(positive_latencies, min_size=2, max_size=6),
-        extensions=st.lists(positive_latencies, min_size=1, max_size=6),
-    )
-    def test_additive_latency_is_isotone(self, path_values, extensions):
-        assert is_isotone(LATENCY, path_values, extensions)
-
-    @given(
-        path_values=st.lists(bandwidths, min_size=2, max_size=6),
-        extensions=st.lists(bandwidths, min_size=1, max_size=6),
-    )
-    def test_bottleneck_bandwidth_is_isotone(self, path_values, extensions):
-        assert is_isotone(BANDWIDTH, path_values, extensions)
 
 
 class TestBeaconProperties:

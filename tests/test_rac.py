@@ -1,5 +1,7 @@
 """Tests for routing algorithm containers (RACs)."""
 
+import json
+
 import pytest
 
 from repro.algorithms.base import CandidateBeacon, ExecutionResult, RoutingAlgorithm
@@ -401,3 +403,17 @@ class TestOnDemandRAC:
         rac, _calls = self._on_demand_rac({(1, "algo"): payload})
         (report,) = self._rounds(rac, database, 1)
         assert (report.buckets, report.failed_buckets) == (0, 1)
+
+    def test_payload_naming_an_unknown_metric_fails_its_bucket(self, key_store):
+        # ``reliability`` has a name but no extractor: the payload must fail
+        # at decode, not abort the round when the bucket is ranked.
+        spec = {
+            "name": "most-reliable",
+            "criteria": [{"metric": "reliability", "objective": "maximize"}],
+        }
+        payload = json.dumps({"kind": "criteria_set", "spec": spec}).encode("utf-8")
+        extensions = ExtensionSet().with_algorithm("algo", algorithm_hash(payload))
+        database = database_with(key_store, [([(1, None, 1), (2, 1, 2)], extensions)])
+        rac, _calls = self._on_demand_rac({(1, "algo"): payload})
+        (report,) = self._rounds(rac, database, 1)
+        assert report.failed_buckets == 1

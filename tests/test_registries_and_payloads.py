@@ -5,9 +5,9 @@ import json
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from repro.algorithms.bandwidth import ShortestWidestAlgorithm
 from repro.algorithms.base import RoutingAlgorithm
 from repro.algorithms.criteria_algorithm import CriteriaSetAlgorithm
+from repro.algorithms.delay import DelayOptimizationAlgorithm
 from repro.algorithms.pull_disjoint import LinkAvoidingAlgorithm
 from repro.algorithms.registry import (
     AlgorithmCatalog,
@@ -33,8 +33,12 @@ from repro.exceptions import (
 class TestAlgorithmCatalog:
     def test_default_catalog_contains_paper_algorithms(self):
         catalog = default_catalog()
-        for name in ("1sp", "5sp", "20sp", "delay", "hd", "widest", "shortest-widest", "pareto"):
+        for name in ("1sp", "5sp", "20sp", "delay", "hd", "link-avoiding"):
             assert name in catalog
+        # Widest, shortest-widest, latency-bounded and Pareto selection are
+        # criteria sets, shipped as ``criteria_set`` payloads.
+        for name in ("widest", "shortest-widest", "widest-bounded", "pareto"):
+            assert name not in catalog
 
     def test_create_with_parameters(self):
         catalog = default_catalog()
@@ -69,9 +73,9 @@ class TestPayloadRoundTrips:
         assert ((1, 2), (3, 4)) in algorithm.avoid_links
 
     def test_builtin_payload(self):
-        payload = encode_builtin_payload("shortest-widest", {"paths_per_interface": 2})
+        payload = encode_builtin_payload("delay", {"paths_per_interface": 2})
         algorithm = decode_payload(payload)
-        assert isinstance(algorithm, ShortestWidestAlgorithm)
+        assert isinstance(algorithm, DelayOptimizationAlgorithm)
         assert algorithm.paths_per_interface == 2
 
     def test_restricted_python_payload(self):

@@ -181,7 +181,8 @@ class TestRestrictedPythonAlgorithm:
         # The budget is per evaluation: a payload within it may run any
         # number of times in one execution.
         within = RestrictedPythonAlgorithm(source=source, step_budget=10, paths_per_interface=20)
-        assert within.execute(context_for([CandidateBeacon(beacon, 1)] * 30)).total_selected() == 20
+        result = within.execute(context_for([CandidateBeacon(beacon, 1)] * 30))
+        assert sum(len(beacons) for beacons in result.selections.values()) == 20
         past_deadline = RestrictedPythonAlgorithm(source=source, time_budget_ms=-1.0)
         with pytest.raises(SandboxResourceError, match="time budget"):
             past_deadline.execute(context)

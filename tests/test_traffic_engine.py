@@ -341,7 +341,8 @@ class TestSelectionPolicies:
             for i in order
         ]
         [(path, weight)] = CriteriaPolicy(criteria_set)(candidates)
-        assert path.segment is criteria_set.rank([c.segment for c in candidates])[0]
+        ranking = criteria_set.select([c.segment for c in candidates], limit=len(candidates))
+        assert path.segment is ranking[0]
         assert weight == 1.0
 
     def test_policies_on_empty_candidates(self):
