@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
-from repro.core.beacon import Beacon
+from repro.core.beacon import Beacon, _slot
 
 #: Intra-AS latency oracle: maps (interface_a, interface_b) to milliseconds.
 IntraLatencyOracle = Callable[[int, int], float]
@@ -45,11 +45,18 @@ class CandidateBeacon:
             ``None`` if the local AS originated it (only relevant for the
             origination path, which algorithms normally never see).
         received_at_ms: Simulated arrival time.
+
+    The record's one memo, ``_segment``, is the beacon terminated over
+    ``ingress_interface``, which the egress gateway fills the first time
+    the record is registered (a declared slot, outside ``==`` / hash /
+    repr): a selection repeated round after round is signed once, and
+    the segment goes with its record.
     """
 
     beacon: Beacon
     ingress_interface: Optional[int]
     received_at_ms: float = 0.0
+    _segment: Optional[Beacon] = _slot()
 
 
 @dataclass(frozen=True)

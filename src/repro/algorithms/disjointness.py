@@ -23,12 +23,25 @@ disjointness grow as genuinely new disjoint paths appear.
 Only the link overlap of a candidate depends on the pair; hop count,
 latency, AS path and link tuple are read once per execution and the
 candidates ordered by them once, so a pair costs its overlap checks only.
+
+The served digests of a pair are pruned exactly.  A served digest is kept
+with its beacon's expiry and filed under its beacon's bucket (interface
+group, target, algorithm; the origin is the pair's).  An execution is
+handed every stored record of each bucket it covers, so a digest of such a
+bucket that is not among the candidates is no longer stored; once its
+beacon also expired before the newest candidate arrived it can never be a
+candidate again (the ingress gateway rejects expired beacons), and it is
+dropped.  A digest of a bucket the execution does not cover may still be
+stored, expired, until the round's expiry sweep, and stays.  A bucket is
+looked at only once the newest arrival reaches the earliest expiry served
+from it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.algorithms.base import (
     ExecutionContext,
@@ -40,13 +53,80 @@ from repro.exceptions import AlgorithmError
 from repro.topology.entities import LinkID
 
 
+#: A beacon's bucket within its origin: (interface group, target, algorithm).
+_Bucket = Tuple[Optional[int], Optional[int], Optional[str]]
+
+
+def _bucket(beacon: Beacon) -> _Bucket:
+    return (beacon.interface_group_id, beacon.target_as, beacon.algorithm_id)
+
+
+@dataclass(slots=True)
+class _BucketServed:
+    """The digests a pair served from one bucket."""
+
+    digests: List[str] = field(default_factory=list)
+    #: No digest here can be forgotten before an arrival this late: the
+    #: earliest expiry among them or, while an expired one had to stay
+    #: because it is still stored, the next arrival after the one that
+    #: looked.
+    next_expiry_ms: float = math.inf
+
+
 @dataclass
 class _PairState:
     """Persisted HD state for one (egress interface, origin AS) pair."""
 
     used_links: Dict[LinkID, int] = field(default_factory=dict)
-    served_digests: Set[str] = field(default_factory=set)
+    #: Digest served → that beacon's expiry.
+    served_digests: Dict[str, float] = field(default_factory=dict)
+    served_by_bucket: Dict[_Bucket, _BucketServed] = field(default_factory=dict)
+    #: The earliest ``next_expiry_ms`` of the buckets.
+    next_expiry_ms: float = math.inf
     first_round_done: bool = False
+
+    def serve(self, digest: str, beacon: Beacon) -> None:
+        """Record that ``beacon`` was served."""
+        expires_at_ms = beacon.expires_at_ms()
+        self.served_digests[digest] = expires_at_ms
+        bucket = _bucket(beacon)
+        served = self.served_by_bucket.get(bucket)
+        if served is None:
+            served = self.served_by_bucket[bucket] = _BucketServed()
+        served.digests.append(digest)
+        served.next_expiry_ms = min(served.next_expiry_ms, expires_at_ms)
+        self.next_expiry_ms = min(self.next_expiry_ms, expires_at_ms)
+
+    def forget_expired(
+        self, buckets: Set[_Bucket], present: FrozenSet[str], newest_ms: float
+    ) -> None:
+        """Drop the served digests of ``buckets`` that can never be candidates again.
+
+        ``present`` holds the digests of every stored record of ``buckets``
+        and ``newest_ms`` is the newest arrival among them: a digest that is
+        not present and whose beacon expired by then is gone for good.
+        """
+        expiries = self.served_digests
+        by_bucket = self.served_by_bucket
+        for bucket in buckets:
+            served = by_bucket.get(bucket)
+            if served is None or served.next_expiry_ms > newest_ms:
+                continue
+            kept = []
+            for digest in served.digests:
+                if expiries[digest] <= newest_ms and digest not in present:
+                    del expiries[digest]
+                else:
+                    kept.append(digest)
+            if not kept:
+                del by_bucket[bucket]
+                continue
+            served.digests = kept
+            earliest = min(expiries[digest] for digest in kept)
+            served.next_expiry_ms = max(earliest, math.nextafter(newest_ms, math.inf))
+        self.next_expiry_ms = min(
+            (served.next_expiry_ms for served in by_bucket.values()), default=math.inf
+        )
 
 
 @dataclass
@@ -94,11 +174,21 @@ class HeuristicDisjointnessAlgorithm(RoutingAlgorithm):
         # sort is stable, so full ties keep their bucket order).
         loop_free.sort(key=lambda b: (b.hop_count, b.total_latency_ms(), b.as_path()))
         ordered = [(beacon.digest(), beacon.links(), beacon) for beacon in loop_free]
+        newest_ms = max(candidate.received_at_ms for candidate in context.candidates)
+        # The buckets and digests of this call, read once a pair may forget.
+        covered = None
 
         for egress_interface in context.egress_interfaces:
             state = _PairState()
             if self.remember_propagations:
                 state = self._state.setdefault((egress_interface, origin), state)
+                if state.next_expiry_ms <= newest_ms:
+                    if covered is None:
+                        covered = (
+                            {_bucket(beacon) for beacon in loop_free},
+                            frozenset(item[0] for item in ordered),
+                        )
+                    state.forget_expired(*covered, newest_ms)
             selected = self._select_for_pair(ordered, state, limit)
             if selected:
                 result.selections.setdefault(egress_interface, []).extend(selected)
@@ -142,7 +232,7 @@ class HeuristicDisjointnessAlgorithm(RoutingAlgorithm):
             remaining.remove(best)
             digest, links, beacon = best
             selected.append(beacon)
-            state.served_digests.add(digest)
+            state.serve(digest, beacon)
             for link in links:
                 used[link] = used.get(link, 0) + 1
         state.first_round_done = True

@@ -28,7 +28,10 @@ computes and stores; neither record has a per-instance dictionary.
 **An entry owns its bytes.**  The canonical encoding is
 ``header | entry_0 | … | entry_{L-1}``; an :class:`ASEntry` keeps one memo,
 its *wire part* ``b"|" + encoding``, and a beacon keeps :meth:`Beacon.wire`,
-a tuple of references: the header part, then its entries' own parts.
+a tuple of references: the header part, then its entries' own parts.  A
+terminal entry (no egress interface) keeps no memo: a registered segment
+is never extended, so its last part is encoded for the segment's digest
+and held only by a segment whose own wire tuple was asked for.
 :meth:`Beacon.encode` joins the parts on demand — only signing needs the
 joined bytes; the RAC's IPC marshal gathers the parts and sizes come from
 :meth:`Beacon.encoded_size`.
@@ -144,8 +147,11 @@ class ASEntry:
     def wire(self) -> bytes:
         """Return the entry's part of a beacon encoding: ``b"|"`` + its canonical encoding.
 
-        The entry's one encoding, memoized: every beacon whose chain holds
-        the entry holds this same ``bytes`` object.
+        The entry's one encoding, memoized when the entry has an egress
+        interface: every beacon whose chain holds the entry holds this same
+        ``bytes`` object.  A terminal entry keeps no memo: nothing extends
+        a segment, so its part is read once, for the segment's digest, and
+        a segment that is marshalled holds the part in its own wire tuple.
         """
         wire = self._wire
         if wire is None:
@@ -156,7 +162,8 @@ class ASEntry:
                 )
                 + f"sig({self.signature.hex()})"
             ).encode("utf-8")
-            object.__setattr__(self, "_wire", wire)
+            if self.egress_interface is not None:
+                object.__setattr__(self, "_wire", wire)
         return wire
 
     def unsigned_wire(self) -> bytes:
@@ -358,8 +365,8 @@ class Beacon:
 
         ``b"".join`` of the parts is :meth:`encode`.  The tuple is memoized
         and holds references only: each entry part is that entry's own
-        :meth:`ASEntry.wire` object, and a child's tuple is its parent's
-        plus one part.
+        :meth:`ASEntry.wire` object (a terminal entry's part is held by this
+        tuple alone), and a child's tuple is its parent's plus one part.
         """
         wire = self._wire
         if wire is None:

@@ -544,14 +544,14 @@ class IrecControlService:
             return False
         as_id = self.as_id
         if segment.origin_as != as_id:
-            as_path = segment.as_path()
-            if as_id not in as_path:
+            # The own hop, read off the entries: a relayed segment memoizes no AS path.
+            hop = next((entry for entry in segment.entries if entry.as_id == as_id), None)
+            if hop is None:
                 # Not on the segment's path: a misrouted announcement, drop it.
                 return False
-            ingress_interface = segment.entries[as_path.index(as_id)].ingress_interface
-            if ingress_interface is None:
+            if hop.ingress_interface is None:
                 return False
-            self.transport.send_message(as_id, ingress_interface, message)
+            self.transport.send_message(as_id, hop.ingress_interface, message)
             return True
         return self.path_service.register(
             RegisteredPath(

@@ -210,7 +210,11 @@ class CriteriaSet:
         if self.composition is Composition.LEXICOGRAPHIC:
             return sorted(admissible, key=self.sort_key)[:limit]
 
-        metrics = tuple(criterion.metric for criterion in self.criteria)
+        # Each criterion's own objective, which may override its metric's.
+        metrics = tuple(
+            MetricDefinition(criterion.metric.name, criterion.effective_objective)
+            for criterion in self.criteria
+        )
         labelled = [
             (beacon, StandardMetrics.vector_for(metrics, beacon)) for beacon in admissible
         ]

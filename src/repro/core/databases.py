@@ -386,6 +386,9 @@ class PathService:
         existing = self._by_digest.get(digest)
         if existing is not None:
             merged_tags = tuple(sorted(set(existing.criteria_tags) | set(path.criteria_tags)))
+            if merged_tags == existing.criteria_tags:
+                # Nothing new: keep holding the tuple the record already shares.
+                merged_tags = existing.criteria_tags
             # Re-registration keeps the original registration time but
             # refreshes the last-registered timestamp: recovery detection
             # uses it to date a path's return sub-period instead of waiting

@@ -14,16 +14,16 @@ control plane:
   neighbours,
 * **pull return** — sending pull-based beacons whose target is the local AS
   back to their origin instead of propagating them, and
-* **path registration** — terminating selected beacons (once per beacon and
-  arrival interface) and registering them at the local path service, tagged
-  with the criteria they were optimized for.
+* **path registration** — terminating selected beacons (once per stored
+  ingress record, which keeps the segment) and registering them at the
+  local path service, tagged with the criteria they were optimized for.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.beacon import Beacon, BeaconBuilder, DEFAULT_VALIDITY_MS
 from repro.core.databases import EgressDatabase, PathService, RegisteredPath
@@ -67,7 +67,13 @@ class EgressStats:
 
 @dataclass
 class EgressGateway:
-    """Originates, propagates, returns and registers beacons for one AS."""
+    """Originates, propagates, returns and registers beacons for one AS.
+
+    The gateway keeps no per-segment state of its own: :meth:`register`
+    terminates a stored record once and keeps the segment on the record
+    (``CandidateBeacon._segment``), so the segment lives exactly as long
+    as the ingress database holds the record.
+    """
 
     view: LocalTopologyView
     builder: BeaconBuilder
@@ -85,10 +91,6 @@ class EgressGateway:
     _registered_feed: List[Tuple[RegisteredPath, Optional[int]]] = field(
         default_factory=list
     )
-    #: Terminated (signed) segment per ``(beacon digest, arrival interface)``:
-    #: a selection repeated round after round is terminated once, not once
-    #: per round.  :meth:`expire` drops the segments that ran out.
-    _terminated: Dict[Tuple[str, Optional[int]], Beacon] = field(default_factory=dict)
     #: Envelope sequence numbers of the PCB messages this gateway sends.
     _sequence: "itertools.count" = field(default_factory=lambda: itertools.count(1))
 
@@ -248,12 +250,16 @@ class EgressGateway:
 
         Each RAC's registrations are capped by its configured registration
         limit through the path service's per-(criteria, origin, group)
-        quota.
+        quota.  A stored record is terminated (and signed) once: the segment
+        is kept on the record and every later registration of it reuses
+        that object.  A record withdrawn from the ingress database takes its
+        segment along, so a beacon received again is terminated again, to a
+        segment with an equal digest.
 
         With ``collect_registered`` on, a registration is fed to
         :meth:`take_registered` only when it is news to the local path
         service: the segment's digest was not held, or the stored record did
-        not carry the selection's criteria tag.  A repeat of a known
+        not carry one of the selection's criteria tags.  A repeat of a known
         ``(digest, tag)`` is registered like any other (timestamp refresh,
         listener notification, ``stats.registered``) and counted in
         ``stats.reregistered``.  The path service is the only memory of what
@@ -266,12 +272,12 @@ class EgressGateway:
         registered = 0
         collect = self.collect_registered
         for selection in selections:
-            beacon = selection.beacon
+            stored = selection.stored
+            beacon = stored.beacon
             if beacon.origin_as == self.as_id:
                 continue
-            arrival_interface = selection.stored.ingress_interface
-            key = (beacon.digest(), arrival_interface)
-            segment = self._terminated.get(key)
+            arrival_interface = stored.ingress_interface
+            segment = stored._segment
             if segment is None:
                 try:
                     segment = self.builder.terminate(
@@ -284,35 +290,22 @@ class EgressGateway:
                     raise GatewayError(
                         f"cannot terminate beacon for registration: {exc}"
                     ) from exc
-                self._terminated[key] = segment
-            path = RegisteredPath(
-                segment=segment,
-                criteria_tags=(selection.criteria_tag,),
-                registered_at_ms=now_ms,
-            )
+                object.__setattr__(stored, "_segment", segment)
+            tags = selection.criteria_tags
+            path = RegisteredPath(segment=segment, criteria_tags=tags, registered_at_ms=now_ms)
             known = self.path_service.get(segment.digest()) if collect else None
             if self.path_service.register(path):
                 self.stats.registered += 1
                 registered += 1
                 if collect:
-                    if known is None or selection.criteria_tag not in known.criteria_tags:
+                    if known is None or any(tag not in known.criteria_tags for tag in tags):
                         self._registered_feed.append((path, arrival_interface))
                     else:
                         self.stats.reregistered += 1
         return registered
 
     def expire(self, now_ms: float) -> Tuple[int, int]:
-        """Expire outdated entries from the egress database and path service.
-
-        The terminate-once memo shares the egress database's horizon, so it
-        never holds a segment the path service already purged.
-        """
-        horizon = now_ms + self.database.expiry_margin_ms
-        self._terminated = {
-            key: segment
-            for key, segment in self._terminated.items()
-            if not segment.is_expired(horizon)
-        }
+        """Expire outdated entries from the egress database and path service."""
         return (
             self.database.remove_expired(now_ms),
             self.path_service.remove_expired(now_ms),

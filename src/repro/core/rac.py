@@ -81,11 +81,16 @@ class RACConfig:
 
 @dataclass(slots=True)
 class RACSelection:
-    """One beacon selected by a RAC, with the interfaces it is optimal for."""
+    """One beacon selected by a RAC, with the interfaces it is optimal for.
+
+    ``criteria_tags`` is the selecting RAC's own ``(rac_id,)`` tuple, the
+    same object for every selection of the RAC, and the registered path
+    holds it as it is.
+    """
 
     stored: CandidateBeacon
     egress_interfaces: List[int]
-    criteria_tag: str
+    criteria_tags: Tuple[str, ...]
 
     @property
     def beacon(self) -> Beacon:
@@ -132,6 +137,8 @@ class RoutingAlgorithmContainer:
             on-demand RAC runs.
         sandbox: Sandbox runtime used to prepare algorithm executions.
         ipc: Gateway ↔ RAC channel model.
+        criteria_tags: ``(config.rac_id,)``, built once: the criteria tags
+            of every selection the RAC makes.
     """
 
     config: RACConfig
@@ -139,6 +146,7 @@ class RoutingAlgorithmContainer:
     on_demand_manager: Optional[OnDemandAlgorithmManager] = None
     sandbox: SandboxRuntime = field(default_factory=SandboxRuntime)
     ipc: IPCChannel = field(default_factory=IPCChannel)
+    criteria_tags: Tuple[str, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if (self.algorithm is None) == (self.on_demand_manager is None):
@@ -146,6 +154,7 @@ class RoutingAlgorithmContainer:
                 f"RAC {self.config.rac_id} needs exactly one of an algorithm "
                 "and an on-demand manager"
             )
+        self.criteria_tags = (self.config.rac_id,)
 
     # ------------------------------------------------------------------
     # bucket handling
@@ -255,7 +264,7 @@ class RoutingAlgorithmContainer:
     ) -> List[RACSelection]:
         """Convert an execution result into per-beacon selections."""
         merged: Dict[str, RACSelection] = {}
-        tag = self.config.rac_id
+        tags = self.criteria_tags
         for egress_interface, beacons in result.selections.items():
             for beacon in beacons:
                 digest = beacon.digest()
@@ -269,7 +278,7 @@ class RoutingAlgorithmContainer:
                             f"algorithm {algorithm.name} returned an unknown beacon"
                         )
                     merged[digest] = RACSelection(
-                        stored=stored, egress_interfaces=[egress_interface], criteria_tag=tag
+                        stored=stored, egress_interfaces=[egress_interface], criteria_tags=tags
                     )
                 elif selection.egress_interfaces[-1] != egress_interface:
                     # Interfaces arrive grouped, so a repeat can only be the last one.

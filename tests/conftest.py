@@ -236,6 +236,12 @@ def make_beacon(
     return beacon
 
 
+def terminated_segments(service: IrecControlService) -> List[Beacon]:
+    """The segments an AS's egress gateway terminated and its ingress records keep."""
+    records = service.ingress.database.all_beacons()
+    return [stored._segment for stored in records if stored._segment is not None]
+
+
 def pcb_message(sender_as: int, beacon: Beacon) -> PCBMessage:
     """Frame ``beacon`` the way a sending control service does."""
     return PCBMessage(origin_as=sender_as, sequence=1, created_at_ms=0.0, beacon=beacon)

@@ -3,13 +3,16 @@
 import dataclasses
 import hashlib
 import pickle
+from types import SimpleNamespace
 
 import pytest
 
 from repro.algorithms.base import CandidateBeacon
 from repro.core.beacon import ASEntry, Beacon, BeaconBuilder
+from repro.core.control_service import IrecControlService
 from repro.core.databases import EgressRecord, IngressDatabase, PathService, RegisteredPath
 from repro.core.extensions import ExtensionSet
+from repro.core.messages import PathRegistrationMessage
 from repro.core.rac import RACSelection
 from repro.core.staticinfo import StaticInfo
 from repro.crypto.hashing import perf_counters
@@ -193,7 +196,20 @@ class TestInheritedState:
                 segment = builder.terminate(beacon, ingress_interface=2)
         paths = PathService()
         assert paths.register(RegisteredPath(segment, criteria_tags=("1sp",), registered_at_ms=0.0))
-        assert paths.paths_to(1)[0].segment is segment
+        (path,) = paths.paths_to(1)
+        assert path.segment is segment
+        # The registered segment's terminal part was encoded for its digest
+        # and is held by nothing: no wire tuple, no entry memo.
+        assert segment._digest is not None and segment.entries[-1]._wire is None
+        # AS 7 relays the segment as a down-segment announcement toward AS 1,
+        # out its ingress interface, finding its hop without an AS path memo.
+        relayed = []
+        relay = SimpleNamespace(
+            as_id=7, transport=SimpleNamespace(send_message=lambda *sent: relayed.append(sent))
+        )
+        message = PathRegistrationMessage(origin_as=13, sequence=1, created_at_ms=0.0, path=path)
+        assert IrecControlService.receive_path_registration(relay, message, now_ms=0.0)
+        assert relayed == [(7, 2, message)] and segment._as_path is None
         # What a RAC candidate keeps beside its parent and link id: its AS
         # path and wire parts, O(L) each; no links tuple and no digest
         # chain.  A registered segment keeps no derived tuple at all.
@@ -305,7 +321,7 @@ class TestSlottedRecords:
             RegisteredPath(segment=beacon, criteria_tags=("1sp",), registered_at_ms=0.0),
             EgressRecord(expires_at_ms=1.0),
             CandidateBeacon(beacon, ingress_interface=1),
-            RACSelection(stored, egress_interfaces=[1], criteria_tag="1sp"),
+            RACSelection(stored, egress_interfaces=[1], criteria_tags=("1sp",)),
         ]
 
     def test_no_record_has_an_instance_dict_or_takes_an_undeclared_attribute(self, records):
@@ -323,7 +339,7 @@ class TestSlottedRecords:
                     setattr(record, field.name, None)
 
     def test_memo_slots_are_every_slot_that_is_no_protocol_field(self):
-        for cls in (Beacon, ASEntry):
+        for cls in (Beacon, ASEntry, CandidateBeacon):
             fields = dataclasses.fields(cls)
             assert memo_slots(cls)
             assert [field.name for field in fields] == list(cls.__slots__)
@@ -331,6 +347,16 @@ class TestSlottedRecords:
                 if not field.init:
                     assert field.name.startswith("_") and field.default is None
                     assert not field.compare and not field.repr
+
+    def test_a_stored_record_holds_one_memo_its_terminated_segment(self, records):
+        stored = records[3]
+        assert memo_slots(CandidateBeacon) == {"_segment"} and stored._segment is None
+        segment = records[0]
+        object.__setattr__(stored, "_segment", segment)
+        twin = dataclasses.replace(stored)
+        assert twin._segment is None
+        assert twin == stored and hash(twin) == hash(stored) and repr(twin) == repr(stored)
+        assert pickle.loads(pickle.dumps(stored))._segment == segment
 
     def test_warm_beacon_equals_its_cold_twin_which_holds_no_memo(self, records):
         beacon = records[0]

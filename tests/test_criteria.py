@@ -214,6 +214,20 @@ class TestParetoComposition:
         assert criteria.select([wide, balanced, fast], limit=10) == [fast, balanced, wide]
         assert criteria.select([wide, balanced, fast], limit=2) == [fast, balanced]
 
+    def test_pareto_honours_a_criterions_objective_override(self, three_beacons):
+        # Maximizing latency beside bandwidth: the slow, wide path is better
+        # on both axes, so it alone is non-dominated.  Ranked by the metric's
+        # own objective (minimize latency) all three would be incomparable.
+        fast, wide, balanced = three_beacons
+        criteria = CriteriaSet(
+            name="slowest-widest",
+            criteria=(Criterion(LATENCY, objective=Objective.MAXIMIZE), Criterion(BANDWIDTH)),
+            composition=Composition.PARETO,
+        )
+        assert criteria.select([fast, wide, balanced], limit=10) == [wide]
+        restored = CriteriaSet.from_spec(criteria.to_spec())
+        assert restored.select([fast, wide, balanced], limit=10) == [wide]
+
 
 class TestSpecRoundTrip:
     def test_to_spec_and_back(self):

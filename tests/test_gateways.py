@@ -4,7 +4,7 @@ import pytest
 
 from repro.algorithms.base import CandidateBeacon
 from repro.core.beacon import BeaconBuilder
-from repro.core.databases import EgressDatabase, PathService
+from repro.core.databases import EgressDatabase, IngressDatabase, PathService
 from repro.core.egress import EgressGateway
 from repro.core.extensions import ExtensionSet
 from repro.core.ingress import IngressGateway
@@ -127,7 +127,7 @@ class TestIngressGateway:
 class TestEgressGateway:
     def _selection(self, key_store, beacon, egress_interfaces, received_on=1, tag="1sp"):
         stored = CandidateBeacon(beacon=beacon, ingress_interface=received_on, received_at_ms=0.0)
-        return RACSelection(stored=stored, egress_interfaces=list(egress_interfaces), criteria_tag=tag)
+        return RACSelection(stored=stored, egress_interfaces=list(egress_interfaces), criteria_tags=(tag,))
 
     def test_origination_sends_one_beacon_per_interface(self, topology, key_store):
         _ingress, egress, transport = gateway_pair(topology, 1, key_store)
@@ -228,38 +228,55 @@ class TestEgressGateway:
     def test_repeated_registration_terminates_once_and_keeps_path_service_semantics(
         self, topology, key_store
     ):
-        """Round after round the same selection comes back: the segment is
-        terminated and signed once per (digest, arrival interface), while the
-        path service still sees every registration."""
+        """Round after round the same selection comes back: the stored record
+        is terminated and signed once and keeps its segment, while the path
+        service still sees every registration."""
         _ingress, egress, _transport = gateway_pair(topology, 3, key_store)
         notified = []
         egress.path_service.add_invalidation_listener(notified.append)
         beacon = make_beacon(key_store, [(1, None, 1), (2, 1, 2)])
         other = make_beacon(key_store, [(1, None, 2), (4, 1, 2), (5, 1, 3)])
-        first = self._selection(key_store, beacon, egress_interfaces=[2], tag="1sp")
-        second = self._selection(key_store, beacon, egress_interfaces=[3], tag="don")
+        # Two RACs select the one stored record, as a round hands it to both.
+        stored = CandidateBeacon(beacon=beacon, ingress_interface=1, received_at_ms=0.0)
+        first = RACSelection(stored, egress_interfaces=[2], criteria_tags=("1sp",))
+        second = RACSelection(stored, egress_interfaces=[3], criteria_tags=("don",))
 
         signed = perf_counters()["signature_sign"]
         assert egress.register([first], now_ms=5.0) == 1
         assert perf_counters()["signature_sign"] == signed + 1
-        digest = egress.path_service.paths_to(1)[0].segment.digest()
+        segment = stored._segment
+        assert egress.path_service.paths_to(1)[0].segment is segment
 
-        # Same beacon, same arrival interface, another RAC, a later round.
+        # Same record, another RAC, a later round.
         assert egress.register([first, second], now_ms=9.0) == 2
         assert perf_counters()["signature_sign"] == signed + 1
         (path,) = egress.path_service.paths_to(1)
-        assert path.segment.digest() == digest
+        assert path.segment is segment and stored._segment is segment
         assert path.criteria_tags == ("1sp", "don")
         assert (path.registered_at_ms, path.last_registered_at_ms) == (5.0, 9.0)
         assert notified == [1, 1, 1]
         assert egress.stats.registered == 3
 
-        # A never-seen pair is signed: another arrival interface, another beacon.
+        # A record never registered is signed: another arrival, another beacon.
         elsewhere = self._selection(key_store, beacon, egress_interfaces=[2], received_on=2)
         unseen = self._selection(key_store, other, egress_interfaces=[2], received_on=3)
         egress.register([elsewhere, unseen, first], now_ms=10.0)
         assert perf_counters()["signature_sign"] == signed + 3
-        assert len(egress._terminated) == 3
+        assert stored._segment is segment
+        assert elsewhere.stored._segment is not None and unseen.stored._segment is not None
+
+    def test_a_registered_path_holds_the_selections_tag_tuple(self, topology, key_store):
+        """The path and the path service's quota ledger hold the selection's
+        own tag tuple, through a re-registration that adds no tag too."""
+        _ingress, egress, _transport = gateway_pair(topology, 3, key_store)
+        beacon = make_beacon(key_store, [(1, None, 1), (2, 1, 2)])
+        selection = self._selection(key_store, beacon, egress_interfaces=[2])
+        tags = selection.criteria_tags
+        egress.register([selection], now_ms=0.0)
+        egress.register([selection], now_ms=1.0)
+        (path,) = egress.path_service.paths_to(1)
+        assert path.criteria_tags is tags and path.last_registered_at_ms == 1.0
+        assert egress.path_service._consumed[path.segment.digest()] is tags
 
     def test_withdrawn_path_is_registered_again_from_the_kept_segment(self, topology, key_store):
         _ingress, egress, _transport = gateway_pair(topology, 3, key_store)
@@ -279,27 +296,51 @@ class TestEgressGateway:
         assert path.registered_at_ms == 7.0
         assert perf_counters()["signature_sign"] == signed
 
-    def test_expiry_sweep_empties_the_termination_memo(self, topology, key_store):
-        _ingress, egress, _transport = gateway_pair(topology, 3, key_store)
-        short = make_beacon(key_store, [(1, None, 1), (2, 1, 2)], validity_ms=10.0)
-        long = make_beacon(key_store, [(1, None, 2), (4, 1, 2), (5, 1, 3)], validity_ms=50.0)
-        egress.register(
-            [
-                self._selection(key_store, short, egress_interfaces=[2]),
-                self._selection(key_store, long, egress_interfaces=[2], received_on=3),
-            ],
-            now_ms=0.0,
-        )
-        assert len(egress._terminated) == 2
-        egress.expire(now_ms=20.0)
-        assert [segment.origin_interface for segment in egress._terminated.values()] == [2]
-        egress.expire(now_ms=1_000.0)
-        assert egress._terminated == {}
+    def test_a_record_withdrawn_and_received_again_terminates_again(self, topology, key_store):
+        """The segment goes with its ingress record: a beacon withdrawn from
+        the ingress database and received again is a new record, terminated
+        again, to an equal segment."""
+        ingress, egress, _transport = gateway_pair(topology, 3, key_store)
+        beacon = make_beacon(key_store, [(1, None, 1), (2, 1, 2)])
+        link = ((2, 2), (3, 1))
 
-    def test_termination_memo_expires_on_the_shared_margin(self, topology, key_store):
-        """With an expiry margin ``m``, ``expire(T - m/2)`` purges a segment
-        expiring at ``T`` from the path service, and the memo with it."""
+        def register_stored(now_ms):
+            stored = ingress.database.get(beacon.digest())
+            egress.register(
+                [RACSelection(stored, egress_interfaces=[2], criteria_tags=("1sp",))], now_ms
+            )
+            return stored
+
+        assert ingress.receive(beacon, on_interface=1, now_ms=0.0)
+        signed = perf_counters()["signature_sign"]
+        stored = register_stored(0.0)
+        segment = stored._segment
+        assert register_stored(1.0) is stored and stored._segment is segment
+        assert perf_counters()["signature_sign"] == signed + 1
+
+        assert ingress.database.remove_crossing_link(link) == 1
+        assert egress.path_service.remove_crossing_link(link) == 1
+        assert ingress.receive(beacon, on_interface=1, now_ms=2.0)
+        again = register_stored(2.0)
+        assert again is not stored
+        assert perf_counters()["signature_sign"] == signed + 2
+        assert again._segment is not segment
+        assert again._segment == segment and again._segment.digest() == segment.digest()
+        (path,) = egress.path_service.paths_to(1)
+        assert path.segment is again._segment
+
+    def test_the_segment_expires_with_its_record_on_the_shared_margin(
+        self, topology, key_store
+    ):
+        """With an expiry margin ``m``, ``expire(T - m/2)`` drops the ingress
+        record of a beacon expiring at ``T``, with the segment it keeps, and
+        the path service purges the registered copy at the same horizon."""
         margin, expires_at = 40.0, 100.0
+        ingress = IngressGateway(
+            as_id=3,
+            verifier=Verifier(key_store=key_store),
+            database=IngressDatabase(local_as=3, expiry_margin_ms=margin),
+        )
         egress = EgressGateway(
             view=view_for(topology, 3),
             builder=BeaconBuilder(as_id=3, signer=Signer(as_id=3, key_store=key_store)),
@@ -308,12 +349,15 @@ class TestEgressGateway:
             path_service=PathService(expiry_margin_ms=margin),
         )
         beacon = make_beacon(key_store, [(1, None, 1), (2, 1, 2)], validity_ms=expires_at)
-        selection = self._selection(key_store, beacon, egress_interfaces=[2])
+        assert ingress.receive(beacon, on_interface=1, now_ms=0.0)
+        stored = ingress.database.get(beacon.digest())
+        selection = RACSelection(stored, egress_interfaces=[2], criteria_tags=("1sp",))
         egress.propagate([selection], now_ms=0.0)
         egress.register([selection], now_ms=0.0)
-        assert len(egress._terminated) == 1
+        assert stored._segment is not None
+        assert ingress.expire(now_ms=expires_at - margin / 2) == 1
+        assert beacon.digest() not in ingress.database
         assert egress.expire(now_ms=expires_at - margin / 2) == (1, 1)
-        assert egress._terminated == {}
 
     def test_loop_suppression_follows_links_attached_later(self, topology, key_store):
         """The interface -> neighbour memo is dropped by ``attach_link``."""

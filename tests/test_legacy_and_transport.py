@@ -30,7 +30,7 @@ from repro.simulation.scenario import (
 )
 from repro.units import minutes
 
-from tests.conftest import line_topology, make_beacon, pcb_message
+from tests.conftest import line_topology, make_beacon, pcb_message, terminated_segments
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -157,7 +157,7 @@ class TestLegacyControlService:
         legacy = BeaconingSimulation(line_topology(4), scenario).run().service(2)
         live = len(legacy.ingress.database)
         assert 0 < len(legacy.egress.database) <= live
-        assert 0 < len(legacy.egress._terminated) <= live
+        assert 0 < len(terminated_segments(legacy)) <= live
 
     def test_legacy_transit_drops_on_demand_beacons(self):
         """The one behaviour a legacy AS changed when it became a

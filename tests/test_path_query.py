@@ -54,7 +54,13 @@ from repro.simulation.scenario import (
 from repro.topology.entities import Relationship
 from repro.units import minutes
 
-from tests.conftest import build_services, build_topology, line_topology, make_beacon
+from tests.conftest import (
+    build_services,
+    build_topology,
+    line_topology,
+    make_beacon,
+    terminated_segments,
+)
 from tests.test_golden_trace import (
     FAMILY_DIGESTS,
     GOLDEN_DIGEST,
@@ -565,14 +571,13 @@ def _feed_every_accepted_registration(gateway):
             if EgressGateway.register(gateway, [selection], now_ms):
                 accepted += 1
                 if len(gateway._registered_feed) == fed:
-                    arrival = selection.stored.ingress_interface
-                    segment = gateway._terminated[(selection.beacon.digest(), arrival)]
+                    stored = selection.stored
                     repeat = RegisteredPath(
-                        segment=segment,
-                        criteria_tags=(selection.criteria_tag,),
+                        segment=stored._segment,
+                        criteria_tags=selection.criteria_tags,
                         registered_at_ms=now_ms,
                     )
-                    gateway._registered_feed.append((repeat, arrival))
+                    gateway._registered_feed.append((repeat, stored.ingress_interface))
         return accepted
 
     gateway.register = register
@@ -584,8 +589,7 @@ def _feed_new_digests_only(gateway):
     def register(selections, now_ms):
         accepted = 0
         for selection in selections:
-            key = (selection.beacon.digest(), selection.stored.ingress_interface)
-            segment = gateway._terminated.get(key)
+            segment = selection.stored._segment
             held = segment is not None and gateway.path_service.get(segment.digest())
             fed = len(gateway._registered_feed)
             accepted += EgressGateway.register(gateway, [selection], now_ms)
@@ -756,7 +760,7 @@ class TestAnnounceWhenNews:
         def sizes():
             return {
                 as_id: (
-                    len(service.egress._terminated),
+                    len(terminated_segments(service)),
                     len(service.egress.database),
                     len(service.egress._registered_feed),
                     len(service.path_service),

@@ -296,7 +296,13 @@ class TestWireParts:
                     hashlib.sha256(naive_encode(prefix)).hexdigest() for prefix in prefixes
                 )
                 assert len(wire) == beacon.hop_count + 1
-                assert all(part is entry.wire() for part, entry in zip(wire[1:], beacon.entries))
+                # A part is its entry's own memo; a terminal entry keeps none,
+                # so its part is equal to the entry's encoding, not the object.
+                for part, entry in zip(wire[1:], beacon.entries):
+                    if entry.egress_interface is None:
+                        assert part == entry.wire() and entry._wire is None
+                    else:
+                        assert part is entry.wire()
         # Along a builder-made chain every beacon holds the same part objects.
         for prefix in chain:
             assert all(mine is theirs for mine, theirs in zip(prefix.wire(), last.wire()))
@@ -334,7 +340,7 @@ class TestInternedLinkIds:
         for beacon in (known, unknown):
             beacon.links()
             stored = CandidateBeacon(beacon=beacon, ingress_interface=1, received_at_ms=0.0)
-            selection = RACSelection(stored=stored, egress_interfaces=[3], criteria_tag="1sp")
+            selection = RACSelection(stored=stored, egress_interfaces=[3], criteria_tags=("1sp",))
             del transport.sent[:]
             gateway.propagate([selection], now_ms=0.0)
             gateway.register([selection], now_ms=0.0)
@@ -364,7 +370,7 @@ class TestSharedHopConstants:
     def _propagate(gateway, transport, beacon, egress_interfaces=(2, 3)):
         stored = CandidateBeacon(beacon=beacon, ingress_interface=1, received_at_ms=0.0)
         selection = RACSelection(
-            stored=stored, egress_interfaces=list(egress_interfaces), criteria_tag="1sp"
+            stored=stored, egress_interfaces=list(egress_interfaces), criteria_tags=("1sp",)
         )
         del transport.sent[:]
         gateway.propagate([selection], now_ms=0.0)
@@ -903,6 +909,40 @@ def beacon_pool():
     return pool
 
 
+@pytest.fixture(scope="module")
+def expiring_pool():
+    """Beacons of one origin with three lifetimes, pushed and pulled.
+
+    Every path comes with two creation times and three validities, as a
+    push beacon and as a pull beacon for target 9 (another bucket of the
+    same origin); the one-hop beacons cross no link, so HD picks them
+    again whenever it has not served them.  The last two, pushed and
+    pulled, outlive every other.
+    """
+    key_store = KeyStore()
+    pool = []
+    for mids in ((), (2,), (3,), (2, 3)):
+        for created_at_ms in (0.0, 10.0):
+            for validity_ms in (10.0, 20.0, 30.0):
+                for extensions in (None, ExtensionSet().with_target(9)):
+                    pool.append(
+                        make_beacon(
+                            key_store,
+                            [(1, None, 1)] + [(mid, 7, 8) for mid in mids],
+                            created_at_ms=created_at_ms,
+                            validity_ms=validity_ms,
+                            extensions=extensions,
+                        )
+                    )
+    for extensions in (None, ExtensionSet().with_target(9)):
+        pool.append(
+            make_beacon(
+                key_store, [(1, None, 1), (5, 7, 8)], validity_ms=1000.0, extensions=extensions
+            )
+        )
+    return pool
+
+
 #: Candidate = (index into the pool, ingress interface or None).
 candidate_specs = st.lists(
     st.tuples(st.integers(0, 63), st.sampled_from((None, 1, 2, 3))), max_size=14
@@ -1031,14 +1071,82 @@ class TestSelectionEquivalence:
             result = algorithm.execute(context)
             assert digests_of(result.selections) == digests_of(reference.execute(context))
             assert_lists_are_not_shared(result.selections)
-        # The memory that drives every later round agrees as well.
+        # The memory that drives every later round agrees as well (nothing
+        # expires here, so no served digest is pruned).
         assert {
-            pair: (state.used_links, state.served_digests, state.first_round_done)
+            pair: (
+                state.used_links,
+                set(state.served_digests),
+                state.first_round_done,
+            )
             for pair, state in algorithm._state.items()
         } == {
             pair: (state["used"], state["served"], state["done"])
             for pair, state in reference.state.items()
         }
+
+    @given(
+        # Per pool beacon: the period it arrives in (6: never) and the one
+        # it is withdrawn for, as a revocation would (6: never); it is
+        # received again the period after.
+        arrivals=st.lists(st.integers(0, 6), min_size=48, max_size=48),
+        withdrawals=st.lists(st.integers(0, 6), min_size=48, max_size=48),
+        interfaces=st.lists(st.integers(1, 4), min_size=1, max_size=3, unique=True),
+        paths_per_interface=st.sampled_from((1, 3)),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_hd_pruning_served_digests_is_exact(
+        self, expiring_pool, arrivals, withdrawals, interfaces, paths_per_interface
+    ):
+        """Rounds over a store that admits, withdraws and expires beacons as
+        the ingress database does: HD forgets served digests that can never
+        come back, and selects exactly what the never-forgetting reference
+        selects.  Once everything else expired, one more round forgets all
+        of it."""
+        algorithm = HeuristicDisjointnessAlgorithm(paths_per_interface=paths_per_interface)
+        reference = NaiveHeuristicDisjointness(paths_per_interface, True)
+        stored = {}
+        for period in range(6):
+            now_ms = period * 10.0
+            for beacon, at_period, gone in zip(expiring_pool, arrivals, withdrawals):
+                if gone == period:
+                    stored.pop(beacon.digest(), None)
+                # The ingress gateway rejects an expired beacon and keeps the
+                # first copy of a stored one.
+                elif at_period <= period and not beacon.is_expired(now_ms):
+                    stored.setdefault(
+                        beacon.digest(),
+                        CandidateBeacon(beacon, ingress_interface=1, received_at_ms=now_ms),
+                    )
+            # One job per bucket, push before pull, as a RAC round orders them.
+            for target in (None, 9):
+                candidates = tuple(r for r in stored.values() if r.beacon.target_as == target)
+                if not candidates:
+                    continue
+                context = ExecutionContext(
+                    LOCAL_AS, candidates, tuple(interfaces), 20, lambda a, b: 0.0
+                )
+                assert digests_of(algorithm.execute(context).selections) == digests_of(
+                    reference.execute(context)
+                )
+            # The round ends with the expiry sweep.
+            stored = {d: r for d, r in stored.items() if not r.beacon.is_expired(now_ms)}
+        for pair, state in algorithm._state.items():
+            assert set(state.served_digests) <= reference.state[pair]["served"]
+        lasting = expiring_pool[48:]
+        for beacon in lasting:
+            context = ExecutionContext(
+                LOCAL_AS,
+                (CandidateBeacon(beacon, ingress_interface=1, received_at_ms=500.0),),
+                tuple(interfaces),
+                20,
+                lambda a, b: 0.0,
+            )
+            algorithm.execute(context)
+        for pair, state in algorithm._state.items():
+            assert set(state.served_digests) <= {beacon.digest() for beacon in lasting}
+            by_bucket = [d for s in state.served_by_bucket.values() for d in s.digests]
+            assert sorted(by_bucket) == sorted(state.served_digests)
 
 
 # ----------------------------------------------------------------------
@@ -1107,7 +1215,7 @@ def reference_round(rac, database, egress_interfaces, intra, local_as):
                     if record is None:
                         raise AlgorithmError("unknown beacon")
                     selection = merged.setdefault(
-                        beacon.digest(), RACSelection(record, [], config.rac_id)
+                        beacon.digest(), RACSelection(record, [], (config.rac_id,))
                     )
                     if interface not in selection.egress_interfaces:
                         selection.egress_interfaces.append(interface)
@@ -1214,8 +1322,8 @@ class TestRACRoundEquivalence:
             expected, expected_report = reference_round(
                 reference, database, interfaces, lambda a, b: 0.0, LOCAL_AS
             )
-            assert [(id(s.stored), s.egress_interfaces, s.criteria_tag) for s in selections] == [
-                (id(s.stored), s.egress_interfaces, s.criteria_tag) for s in expected
+            assert [(id(s.stored), s.egress_interfaces, s.criteria_tags) for s in selections] == [
+                (id(s.stored), s.egress_interfaces, s.criteria_tags) for s in expected
             ]
             counts = ("buckets", "candidates", "selections", "failed_buckets")
             assert [getattr(report, c) for c in counts] == [

@@ -72,7 +72,7 @@ class TestStaticRAC:
         )
         assert report.buckets == 1  # the on-demand bucket is not for this RAC
         assert len(selections) == 1
-        assert selections[0].criteria_tag == "1sp"
+        assert selections[0].criteria_tags is rac.criteria_tags == ("1sp",)
         assert selections[0].egress_interfaces == [9]
 
     def test_report_contains_timing_decomposition(self, key_store):

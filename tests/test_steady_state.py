@@ -3,9 +3,10 @@
 In a run whose inputs repeat every period, nothing a control service keeps
 may grow with the run's length.  Once beacons expire, every per-AS store
 has the same size at period *k* and at period *k* + one beacon validity:
-the ingress database, the verified-prefix cache, the egress database and
-its terminate-once memo, the path service, the revocation dedup store and
-negative caches, and the query frontend's caches -- and so is the entry
+the ingress database and the terminated segments its records keep, the
+verified-prefix cache, the egress database, the path service, HD's served
+digests, the revocation dedup store and negative caches, and the query
+frontend's caches -- and so is the entry
 count of every index over them, so an index list that keeps a removed
 member fails as surely as a store that does.  So is the number of
 distinct beacons the stores keep alive: a beacon holds its parent, so a
@@ -23,19 +24,25 @@ ledger of withdrawal times and grows by one entry per applied revocation
 from repro.core.beacon import DEFAULT_VALIDITY_MS
 from repro.simulation.beaconing import BeaconingSimulation
 from repro.simulation.events import LinkFailure, LinkRecovery, ScenarioTimeline
+from repro.algorithms.disjointness import HeuristicDisjointnessAlgorithm
 from repro.simulation.scenario import (
     ScenarioConfig,
     five_shortest_paths_spec,
+    heuristic_disjointness_spec,
     one_shortest_path_spec,
 )
 from repro.topology.entities import Relationship
 
-from tests.conftest import build_topology
+from tests.conftest import build_topology, terminated_segments
 
 #: Beacon validity in periods, and the periods compared at both ends.
+#: HD forgets a served digest the round after its beacon left the ingress
+#: database, and its first round serves more than a steady one, so the
+#: stores are compared from one validity plus two periods in.
 VALIDITY = 4
 INTERVAL_MS = DEFAULT_VALIDITY_MS / VALIDITY
-PERIODS = 2 * VALIDITY + 3
+SETTLED = VALIDITY + 1
+PERIODS = SETTLED + VALIDITY + 4
 
 
 def tree_topology(count):
@@ -72,7 +79,7 @@ def store_sizes(simulation):
             "ingress": len(ingress),
             "verified_prefixes": len(service.ingress.verified_prefixes),
             "egress": len(service.egress.database),
-            "terminated": len(service.egress._terminated),
+            "terminated": len(terminated_segments(service)),
             "path_service": len(paths),
             "ingress_index": _entries(ingress._by_link) + _entries(ingress._buckets),
             "path_index": _entries(paths._by_link)
@@ -86,19 +93,26 @@ def store_sizes(simulation):
             "revoked": len(revocations.revoked_links) + len(revocations.revoked_ases),
             "query_cache": len(frontend._cache),
             "query_index": _entries(frontend._keys_by_origin),
+            "hd_served": sum(
+                len(state.served_digests)
+                + sum(len(served.digests) for served in state.served_by_bucket.values())
+                for rac in service.racs
+                if isinstance(rac.algorithm, HeuristicDisjointnessAlgorithm)
+                for state in rac.algorithm._state.values()
+            ),
         }
     return sizes
 
 
 def reachable_beacons(simulation):
     """The number of distinct beacons reachable from every AS's stores,
-    following ``_parent`` from the ingress databases, path services,
-    terminate-once memos and returned pull beacons."""
+    following ``_parent`` from the ingress databases, the terminated
+    segments their records keep, path services and returned pull beacons."""
     pending = []
     for service in simulation.services.values():
         pending += [stored.beacon for stored in service.ingress.database.all_beacons()]
         pending += [path.segment for path in service.path_service.all_paths()]
-        pending += service.egress._terminated.values()
+        pending += terminated_segments(service)
         pending += [beacon for beacon, _at_ms in service.pull_results]
     seen = set()
     while pending:
@@ -124,7 +138,7 @@ def sizes_by_period(simulation):
 
 
 def assert_level_one_validity_apart(by_period, stores):
-    for k in range(VALIDITY - 1, VALIDITY + 3):
+    for k in range(SETTLED, SETTLED + 4):
         assert by_period[k] == by_period[k + VALIDITY], f"period {k + 1}"
     last, beacons = by_period[-1]
     assert beacons > 0
@@ -134,9 +148,15 @@ def assert_level_one_validity_apart(by_period, stores):
 
 def _scenario(**kwargs):
     # 5SP keeps every period's beacon of a pair, so selections and with
-    # them the stores repeat exactly once the first beacons expire.
+    # them the stores repeat exactly once the first beacons expire.  HD
+    # serves every new one-hop beacon (it crosses no link), so its served
+    # digests are level only if the expired ones are forgotten.
     return ScenarioConfig(
-        algorithms=(one_shortest_path_spec(), five_shortest_paths_spec()),
+        algorithms=(
+            one_shortest_path_spec(),
+            five_shortest_paths_spec(),
+            heuristic_disjointness_spec(),
+        ),
         periods=PERIODS,
         propagation_interval_ms=INTERVAL_MS,
         **kwargs,
@@ -176,6 +196,7 @@ class TestStoresAreLevelOneValidityApart:
                 "path_service",
                 "path_index",
                 "query_cache",
+                "hd_served",
             ),
         )
 
@@ -192,6 +213,7 @@ class TestStoresAreLevelOneValidityApart:
                 "path_service",
                 "path_index",
                 "dedup",
+                "hd_served",
             ),
         )
         # The exemption: the withdrawal ledger keeps one entry per applied
