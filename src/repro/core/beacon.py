@@ -52,7 +52,10 @@ through :meth:`Beacon.walk_links`, which keeps no memo), and
 ``L`` beacons therefore holds ``O(L)`` link ids, digest strings and entry
 bytes in total; the ``_as_path`` and ``_wire`` memos a RAC candidate keeps
 (the loop check, the tie-break sort key, signing and the IPC marshal read
-them) are ``O(L)`` per beacon.  Holding the parent is bounded: a child
+them) are ``O(L)`` per beacon.  A terminated beacon -- a registered
+segment, never a RAC candidate -- fills neither ``_as_path`` nor
+``_links``: both extend the parent's value and return it unstored, as its
+terminal entry's wire part is.  Holding the parent is bounded: a child
 shares its header, and so its expiry, with every ancestor, so ``_parent``
 keeps no beacon alive past the validity of the child that holds it.  A
 beacon without a parent is *cold* (constructed directly or a
@@ -253,7 +256,12 @@ class Beacon:
         return self.extensions.interface_group.group_id
 
     def as_path(self) -> Tuple[int, ...]:
-        """Return the sequence of AS identifiers from the origin onwards."""
+        """Return the sequence of AS identifiers from the origin onwards.
+
+        Memoized on an open beacon, which the loop check and the candidate
+        sort read on every round.  A terminated beacon (a registered
+        segment) extends its parent's memo without storing the result.
+        """
         path = self._as_path
         if path is None:
             parent = self._parent
@@ -261,7 +269,8 @@ class Beacon:
                 path = tuple(entry.as_id for entry in self.entries)
             else:
                 path = parent.as_path() + (self.entries[-1].as_id,)
-            object.__setattr__(self, "_as_path", path)
+            if not self.is_terminated:
+                object.__setattr__(self, "_as_path", path)
         return path
 
     def contains_as(self, as_id: int) -> bool:
@@ -273,14 +282,19 @@ class Beacon:
 
         The link between consecutive entries ``i`` and ``i + 1`` connects
         the egress interface of entry ``i`` with the ingress interface of
-        entry ``i + 1``.  The tuple is memoized, because link-disjointness
-        algorithms read it for every candidate on every pass; a one-off
-        reader calls :meth:`walk_links` instead.
+        entry ``i + 1``.  The tuple is memoized on an open beacon, because
+        link-disjointness algorithms read it for every candidate on every
+        pass; a one-off reader calls :meth:`walk_links` instead.  A
+        terminated beacon (a registered segment) returns :meth:`walk_links`:
+        its readers -- path probes, traffic selection, pull results -- read
+        it once each, and the segment would otherwise hold the tuple for
+        its whole validity.
         """
         links = self._links
         if links is None:
             links = self.walk_links()
-            object.__setattr__(self, "_links", links)
+            if not self.is_terminated:
+                object.__setattr__(self, "_links", links)
         return links
 
     def walk_links(self) -> Tuple[LinkID, ...]:

@@ -118,9 +118,11 @@ class IngressDatabase:
         bucket = bucket_of(stored.beacon)
         members = self._buckets.get(bucket)
         if members is None:
-            members = self._buckets[bucket] = []
+            # Built full: an empty list grown by one append over-allocates.
+            self._buckets[bucket] = [stored]
             self._bucket_order = None
-        members.append(stored)
+        else:
+            members.append(stored)
         for link in self._links_of(stored):
             _index(self._by_link, link, digest)
         return True
@@ -253,10 +255,17 @@ class EgressDatabase:
     records that expire within the margin, so the three per-AS stores share
     one horizon and a beacon never survives here after the ingress database
     dropped it.
+
+    The records share their expiry objects through ``_expiries``, one float
+    per distinct expiry time rather than one per record, and
+    :meth:`remove_expired` scans the records only when one of those times
+    has passed.
     """
 
     expiry_margin_ms: float = 0.0
     _records: Dict[str, EgressRecord] = field(default_factory=dict)
+    #: Expiry time -> the one float object every record expiring then holds.
+    _expiries: Dict[float, float] = field(default_factory=dict)
 
     def filter_new_interfaces(
         self, digest: str, interfaces: Iterable[int], expires_at_ms: float
@@ -264,9 +273,10 @@ class EgressDatabase:
         """Return the not-yet-used interfaces for ``digest`` and record them."""
         record = self._records.get(digest)
         if record is None:
-            record = EgressRecord(expires_at_ms=expires_at_ms)
+            record = EgressRecord(self._expiries.setdefault(expires_at_ms, expires_at_ms))
             self._records[digest] = record
-        record.expires_at_ms = max(record.expires_at_ms, expires_at_ms)
+        elif expires_at_ms > record.expires_at_ms:
+            record.expires_at_ms = self._expiries.setdefault(expires_at_ms, expires_at_ms)
         sent = record.egress_interfaces
         fresh = [i for i in interfaces if i not in sent]
         if fresh:
@@ -281,6 +291,11 @@ class EgressDatabase:
     def remove_expired(self, now_ms: float) -> int:
         """Drop records that are expired (or about to expire); return the count."""
         horizon = now_ms + self.expiry_margin_ms
+        passed = [at_ms for at_ms in self._expiries if at_ms <= horizon]
+        if not passed:
+            return 0
+        for at_ms in passed:
+            del self._expiries[at_ms]
         expired = [d for d, record in self._records.items() if record.expires_at_ms <= horizon]
         for digest in expired:
             del self._records[digest]
@@ -366,9 +381,6 @@ class PathService:
     #: without moving it, so per-origin insertion order equals the scan's
     #: filtered order and results are identical.
     _by_origin: Dict[int, List[str]] = field(default_factory=dict)
-    #: Terminal (registering) AS → digests ending there: the index down-
-    #: segment registration at core ASes serves destination queries from.
-    _by_terminal: Dict[int, List[str]] = field(default_factory=dict)
     _invalidation_listeners: List[Callable[[int], None]] = field(default_factory=list)
 
     def add_invalidation_listener(self, listener: Callable[[int], None]) -> None:
@@ -424,7 +436,6 @@ class PathService:
         for link in segment.walk_links():
             _index(self._by_link, link, digest)
         _index(self._by_origin, origin_as, digest)
-        _index(self._by_terminal, segment.last_as, digest)
         if self._invalidation_listeners:
             self._notify_invalidation(origin_as)
         return True
@@ -443,10 +454,11 @@ class PathService:
 
         At a core AS that receives down-segment announcements
         (path-registration messages), this is the destination-keyed view:
-        segments usable to reach ``terminal_as``.
+        segments usable to reach ``terminal_as``.  A scan of the store in
+        store order: nothing in the control plane asks it per round, so no
+        index is kept for it.
         """
-        by_digest = self._by_digest
-        return [by_digest[d] for d in self._by_terminal.get(terminal_as, ())]
+        return [path for path in self._by_digest.values() if path.segment.last_as == terminal_as]
 
     def get(self, digest: str) -> Optional[RegisteredPath]:
         """Return the registered path with segment ``digest``, if present.
@@ -549,7 +561,6 @@ class PathService:
             for link in segment.walk_links():
                 _unindex(self._by_link, link, digest)
             _unindex(self._by_origin, origin_as, digest)
-            _unindex(self._by_terminal, segment.last_as, digest)
             touched_origins[origin_as] = None
         if touched_origins and self._invalidation_listeners:
             for origin_as in touched_origins:

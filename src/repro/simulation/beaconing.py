@@ -118,7 +118,6 @@ class SimulationResult:
     topology: Topology
     services: Dict[int, IrecControlService]
     collector: MetricsCollector
-    round_reports: List[RoundReport] = field(default_factory=list)
     periods_run: int = 0
     final_time_ms: float = 0.0
     convergence: ConvergenceCollector = field(default_factory=ConvergenceCollector)
@@ -185,7 +184,6 @@ class PeriodDriver:
         #: Empty when the services live in shard workers.
         self.services: Dict[int, IrecControlService] = {}
         self.convergence = ConvergenceCollector()
-        self.round_reports: List[RoundReport] = []
         self.watched_pairs: List[Tuple[int, int]] = []
         #: How many beaconing periods have completed so far.
         self.periods_run = 0
@@ -295,6 +293,10 @@ class PeriodDriver:
         rounds, and at the period boundary every watched pair is probed
         for convergence.  A period change applies from the next period
         onwards.
+
+        Returns the period's :class:`RoundReport`\\ s in AS order.  The
+        driver keeps no history of them: a caller that wants the reports of
+        a whole run collects the returns.
         """
         period_start_ms = self._next_period_start_ms
         mid_period_ms = period_start_ms + self._interval_ms / 2.0
@@ -318,7 +320,6 @@ class PeriodDriver:
                 messages_total=messages_total,
                 pair_registered_at=registered_at,
             )
-        self.round_reports.extend(reports)
         self.periods_run += 1
         self._next_period_start_ms = period_end_ms
         return reports
@@ -338,7 +339,6 @@ class PeriodDriver:
             topology=self.topology,
             services=dict(self.services),
             collector=collector,
-            round_reports=list(self.round_reports),
             periods_run=self.periods_run,
             final_time_ms=final_time_ms,
             convergence=self.convergence,

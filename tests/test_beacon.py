@@ -292,6 +292,8 @@ class TestInheritedState:
 
 #: The slots only :meth:`Beacon.with_entry` fills: the parent and the one new link id.
 PREFIX = {"_parent", "_link"}
+#: The memos a terminated beacon (a registered segment) never stores.
+SEGMENT_UNSTORED = {"_as_path", "_links"}
 
 
 def memo_slots(cls):
@@ -358,13 +360,20 @@ class TestSlottedRecords:
         assert twin == stored and hash(twin) == hash(stored) and repr(twin) == repr(stored)
         assert pickle.loads(pickle.dumps(stored))._segment == segment
 
-    def test_warm_beacon_equals_its_cold_twin_which_holds_no_memo(self, records):
-        beacon = records[0]
-        twin = dataclasses.replace(beacon)
-        assert all(getattr(beacon, name) is not None for name in memo_slots(Beacon) - PREFIX)
-        assert all(getattr(twin, name) is None for name in memo_slots(Beacon))
-        assert twin == beacon and hash(twin) == hash(beacon) and repr(twin) == repr(beacon)
-        assert twin.wire() == beacon.wire() and twin.encoded_size() == beacon.encoded_size()
+    def test_warm_beacon_equals_its_cold_twin_which_holds_no_memo(self, records, beacon_factory):
+        """Every derivation fills its slot on an open beacon; a terminated
+        one (the fixture's segment) leaves the AS path and links unstored."""
+        segment = records[0]
+        beacon = warm(beacon_factory([(1, None, 1), (2, 1, 2), (3, 1, 2)]))
+        for warmed, unstored in ((beacon, set()), (segment, SEGMENT_UNSTORED)):
+            twin = dataclasses.replace(warmed)
+            derived = memo_slots(Beacon) - PREFIX
+            filled = {name for name in derived if getattr(warmed, name) is not None}
+            assert filled == derived - unstored
+            assert all(getattr(twin, name) is None for name in memo_slots(Beacon))
+            assert twin == warmed and hash(twin) == hash(warmed) and repr(twin) == repr(warmed)
+            assert twin.wire() == warmed.wire() and twin.encoded_size() == warmed.encoded_size()
+            assert twin.as_path() == warmed.as_path() and twin.links() == warmed.links()
         entry = beacon.entries[0]
         assert entry._wire is not None
         cold_entry = dataclasses.replace(entry)
@@ -373,6 +382,7 @@ class TestSlottedRecords:
         assert cold_entry.wire() == entry.wire() and cold_entry.wire() is not entry.wire()
 
     def test_pickled_warm_child_answers_without_deriving_again(self, key_store, beacon_factory):
+        """An open child: a terminated one stores no AS path or links to ship."""
         parent = warm(beacon_factory([(1, None, 1), (2, 1, 2)]))
         child = warm(
             builder_for(3, key_store).extend(parent, ingress_interface=1, egress_interface=2)

@@ -409,7 +409,8 @@ def _same_records(before, after):
 
 def _assert_path_indexes_equal_a_rebuild(service):
     """Every index list equals a rebuild from ``_by_digest`` in store order
-    (a duplicate or a stale member fails), and the quota equals a recount
+    (a duplicate or a stale member fails), the destination-keyed view
+    equals the same filter by terminal AS, and the quota equals a recount
     of the consumed tags."""
     by_link, by_origin, by_terminal, quota = {}, {}, {}, {}
     for digest, path in service._by_digest.items():
@@ -417,13 +418,14 @@ def _assert_path_indexes_equal_a_rebuild(service):
         for link in segment.links():
             by_link.setdefault(link, []).append(digest)
         by_origin.setdefault(segment.origin_as, []).append(digest)
-        by_terminal.setdefault(segment.last_as, []).append(digest)
+        by_terminal.setdefault(segment.last_as, []).append(path)
         for tag in service._consumed[digest]:
             key = (tag, segment.origin_as, segment.interface_group_id)
             quota[key] = quota.get(key, 0) + 1
     assert service._by_link == by_link
     assert service._by_origin == by_origin
-    assert service._by_terminal == by_terminal
+    for terminal_as, paths in by_terminal.items():
+        assert list(map(id, service.down_paths_to(terminal_as))) == list(map(id, paths))
     assert service._consumed.keys() == service._by_digest.keys()
     assert service._quota == quota
 
@@ -433,9 +435,10 @@ class TestPathServiceIndexConsistency:
     @given(ops=st.lists(_PATH_SERVICE_OPS, max_size=30))
     def test_indexes_equal_a_rebuild_from_the_store(self, ops):
         """Property: after every register / merge / withdrawal / purge the
-        link, origin and terminal indexes equal a rebuild from
-        ``_by_digest`` (AS departure derives from the link index, so there
-        is no fourth one to drift), the quota equals a recount of the tags
+        link and origin indexes equal a rebuild from ``_by_digest`` (AS
+        departure derives from the link index, so there is no third one to
+        drift), ``down_paths_to`` returns the store's records filtered by
+        terminal AS in store order, the quota equals a recount of the tags
         each path consumed (some register with two tags and take one slot),
         the crossing-link accessor equals a scan, and the listeners were
         told exactly the origins whose digest set or record changed."""

@@ -240,17 +240,36 @@ class TestShardedGoldenTraces:
 
     def test_sharded_result_equals_in_process_where_digests_do_not_look(self):
         """One driver, one result type: the fields the golden digest does
-        not cover agree between the in-process and the 2-worker run."""
-        results = []
+        not cover, and every period's round reports, agree between the
+        in-process and the 2-worker run."""
+        results, periods = [], []
 
         def capture(simulation):
-            run = simulation.run
+            run, run_period = simulation.run, simulation.run_period
+            reports = []
+            periods.append(reports)
 
             def run_and_keep():
                 results.append(run())
                 return results[-1]
 
+            def run_period_and_keep():
+                reports.append(
+                    [
+                        (
+                            r.as_id,
+                            r.now_ms,
+                            r.propagated,
+                            r.registered,
+                            [(rac.rac_id, rac.candidates, rac.selections) for rac in r.rac_reports],
+                        )
+                        for r in run_period()
+                    ]
+                )
+                return reports[-1]
+
             simulation.run = run_and_keep
+            simulation.run_period = run_period_and_keep
 
         run_scenario(instrument=capture)
         run_scenario(instrument=capture, factory=_sharded_factory(2, 0))
@@ -258,9 +277,8 @@ class TestShardedGoldenTraces:
         assert type(sharded) is type(single)
         assert sharded.periods_run == single.periods_run > 0
         assert sharded.final_time_ms == single.final_time_ms
-        assert [r.as_id for r in sharded.round_reports] == [
-            r.as_id for r in single.round_reports
-        ]
+        assert len(periods[1]) == len(periods[0]) == single.periods_run
+        assert periods[1] == periods[0]
         assert sharded.revocation_stats == single.revocation_stats
         assert sharded.service_count == len(single.services)
 

@@ -135,8 +135,8 @@ class TestOriginIndexEquivalence:
     )
     def test_indexed_lookup_matches_full_scan(self, ops, removals):
         """Property: after any register/merge/remove sequence, the indexed
-        ``paths_to``/``down_paths_to`` equal the pre-PR 9 full scan of the
-        digest table — same members, same order."""
+        ``paths_to`` and the scanning ``down_paths_to`` equal the pre-PR 9
+        full scan of the digest table — same members, same order."""
         pool = _segment_pool()
         service = PathService()
         for index, tag in ops:

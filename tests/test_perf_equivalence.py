@@ -89,12 +89,20 @@ from repro.crypto.hashing import algorithm_hash
 from repro.crypto.keys import KeyStore
 from repro.crypto.signer import Signer, Verifier
 from repro.exceptions import AlgorithmError, SandboxError, SignatureError
+from repro.simulation.beaconing import BeaconingSimulation
 from repro.simulation.engine import EventScheduler
+from repro.simulation.scenario import disjointness_scenario
 from repro.topology.entities import Link, Relationship, normalize_link_id
+from repro.traffic.selection import (
+    BandwidthAwarePolicy,
+    DisjointPolicy,
+    EcmpPolicy,
+    LatencyGreedyPolicy,
+)
 
 from tests.conftest import figure1_topology, make_beacon
 from tests.test_gateways import gateway_pair
-from tests.test_steady_state import signed_fixed_topology
+from tests.test_steady_state import signed_fixed_topology, tree_topology
 
 # ----------------------------------------------------------------------
 # strategies
@@ -353,6 +361,124 @@ class TestInternedLinkIds:
                     assert built.links()[-1] is arrival
                 else:
                     assert built.links()[-1] == ((2, 7), (3, 1)) != arrival
+
+
+class TestRegisteredSegmentsHoldNoReaderMemo:
+    """A registered segment costs its own hop: no reader leaves a memo on it.
+
+    After each reader of a terminated beacon runs -- the reads of
+    irecbench's end-of-beaconing soundness check, the driver's
+    ``usable_path_count``, a pull result's ``links()``, the end-host
+    policies of ``repro.traffic.selection``, and the relay of a
+    down-segment to its origin -- the segment still holds no ``_as_path``,
+    ``_links`` or ``_wire``, and its values equal its cold twin's.  An open
+    candidate, which the RAC reads every round, keeps all three.
+    """
+
+    UNSTORED = ("_as_path", "_links", "_wire")
+
+    @pytest.fixture(scope="class")
+    def simulation(self):
+        scenario = disjointness_scenario(periods=6, verify_signatures=True)
+        scenario.register_down_segments = True
+        simulation = BeaconingSimulation(tree_topology(7), scenario)
+        simulation.add_pull_disjointness(origin_as=4, target_as=7)
+        for _period in range(scenario.periods):
+            simulation.run_period()
+        return simulation
+
+    def assert_holds_no_reader_memo(self, segments):
+        assert segments
+        for segment in segments:
+            assert segment.is_terminated
+            for name in self.UNSTORED:
+                assert getattr(segment, name) is None, name
+            twin = replace(segment)
+            assert segment.as_path() == twin.as_path()
+            assert segment.links() == twin.links()
+            assert segment.digest() == twin.digest()
+            assert segment.total_latency_ms() == twin.total_latency_ms()
+            assert all(getattr(segment, name) is None for name in self.UNSTORED)
+
+    @staticmethod
+    def registered(simulation):
+        return [
+            path
+            for service in simulation.services.values()
+            for path in service.path_service.all_paths()
+        ]
+
+    def test_the_soundness_check_reads(self, simulation):
+        links = simulation.topology.links
+        for as_id, service in simulation.services.items():
+            for path in service.path_service.all_paths():
+                segment = path.segment
+                as_path = segment.as_path()
+                assert as_id in (segment.last_as, segment.origin_as)
+                assert len(set(as_path)) == len(as_path)
+                assert all(link in links for link in segment.links())
+        self.assert_holds_no_reader_memo([path.segment for path in self.registered(simulation)])
+
+    def test_usable_path_count(self, simulation):
+        counted = sum(
+            simulation.usable_path_count(source, destination)
+            for source in simulation.services
+            for destination in simulation.services
+            if source != destination
+        )
+        assert counted > 0
+        self.assert_holds_no_reader_memo([path.segment for path in self.registered(simulation)])
+
+    def test_a_pull_results_links(self, simulation):
+        returned = [beacon for beacon, _at_ms in simulation.services[4].pull_results]
+        for beacon in returned:
+            assert beacon.links()
+        self.assert_holds_no_reader_memo(returned)
+
+    def test_traffic_selection(self, simulation):
+        policies = (
+            LatencyGreedyPolicy(),
+            BandwidthAwarePolicy(),
+            EcmpPolicy(max_paths=3),
+            DisjointPolicy(max_paths=3),
+        )
+        chosen = []
+        for source, service in simulation.services.items():
+            for destination in simulation.services:
+                candidates = service.path_service.paths_to(destination)
+                for policy in policies if candidates else ():
+                    chosen += [path.segment for path, _weight in policy(candidates)]
+        self.assert_holds_no_reader_memo(chosen)
+        self.assert_holds_no_reader_memo([path.segment for path in self.registered(simulation)])
+
+    def test_a_relayed_down_segment(self, simulation):
+        relayed = [
+            path.segment
+            for as_id, service in simulation.services.items()
+            for path in service.path_service.all_paths()
+            if path.segment.origin_as == as_id and path.segment.hop_count > 2
+        ]
+        self.assert_holds_no_reader_memo(relayed)
+
+    def test_an_open_candidate_fills_its_memos(self, simulation):
+        candidates = []
+        for service in simulation.services.values():
+            for rac in service.racs:
+                rac.process(
+                    database=service.ingress.database,
+                    egress_interfaces=service.view.interface_ids(),
+                    intra_latency_ms=service.view.intra_latency_ms,
+                    local_as=service.as_id,
+                )
+            candidates += [stored.beacon for stored in service.ingress.database.all_beacons()]
+        assert candidates
+        for beacon in candidates:
+            assert not beacon.is_terminated
+            for name in self.UNSTORED:
+                assert getattr(beacon, name) is not None, name
+        cold = replace(candidates[0])
+        cold.as_path(), cold.links(), cold.wire()
+        assert all(getattr(cold, name) is not None for name in self.UNSTORED)
 
 
 # ----------------------------------------------------------------------

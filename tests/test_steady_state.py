@@ -4,13 +4,15 @@ In a run whose inputs repeat every period, nothing a control service keeps
 may grow with the run's length.  Once beacons expire, every per-AS store
 has the same size at period *k* and at period *k* + one beacon validity:
 the ingress database and the terminated segments its records keep, the
-verified-prefix cache, the egress database, the path service, HD's served
-digests, the revocation dedup store and negative caches, and the query
-frontend's caches -- and so is the entry
+verified-prefix cache, the egress database and its shared expiry floats,
+the path service, HD's served digests, the revocation dedup store and
+negative caches, and the query frontend's caches -- and so is the entry
 count of every index over them, so an index list that keeps a removed
 member fails as surely as a store that does.  So is the number of
 distinct beacons the stores keep alive: a beacon holds its parent, so a
-``_parent`` chain that outlives its stores fails too.  Two signed scenarios
+``_parent`` chain that outlives its stores fails too.  The period driver
+keeps no history either: none of its sized attributes grows from period
+*k* to *k* + one validity.  Two signed scenarios
 cover them: a fixed topology registering down-segments, and a
 periodic-churn scenario (every period fails and recovers the same links,
 so revocations flood every period).  Both are trees, where every pair has
@@ -79,12 +81,11 @@ def store_sizes(simulation):
             "ingress": len(ingress),
             "verified_prefixes": len(service.ingress.verified_prefixes),
             "egress": len(service.egress.database),
+            "egress_expiries": len(service.egress.database._expiries),
             "terminated": len(terminated_segments(service)),
             "path_service": len(paths),
             "ingress_index": _entries(ingress._by_link) + _entries(ingress._buckets),
-            "path_index": _entries(paths._by_link)
-            + _entries(paths._by_origin)
-            + _entries(paths._by_terminal),
+            "path_index": _entries(paths._by_link) + _entries(paths._by_origin),
             "egress_interfaces": sum(
                 len(record.egress_interfaces)
                 for record in service.egress.database._records.values()
@@ -123,9 +124,21 @@ def reachable_beacons(simulation):
     return len(seen)
 
 
+def driver_sizes(simulation):
+    """Attribute -> length, for every sized attribute of the driver itself."""
+    sizes = {}
+    for name, value in vars(simulation).items():
+        try:
+            sizes[name] = len(value)
+        except TypeError:
+            continue
+    return sizes
+
+
 def sizes_by_period(simulation):
     """Run ``PERIODS`` periods; after each, query every origin and record
-    the store sizes and the number of reachable beacons."""
+    the store sizes, the number of reachable beacons and the driver's
+    attribute sizes."""
     by_period = []
     for _period in range(PERIODS):
         simulation.run_period()
@@ -133,14 +146,21 @@ def sizes_by_period(simulation):
             for origin in simulation.services:
                 if origin != as_id:
                     service.query_frontend.paths(origin)
-        by_period.append((store_sizes(simulation), reachable_beacons(simulation)))
+        by_period.append(
+            (store_sizes(simulation), reachable_beacons(simulation), driver_sizes(simulation))
+        )
     return by_period
 
 
 def assert_level_one_validity_apart(by_period, stores):
     for k in range(SETTLED, SETTLED + 4):
-        assert by_period[k] == by_period[k + VALIDITY], f"period {k + 1}"
-    last, beacons = by_period[-1]
+        assert by_period[k][:2] == by_period[k + VALIDITY][:2], f"period {k + 1}"
+        # The timeline's barriers are consumed as the run goes: the driver
+        # may shrink, never grow.
+        before, after = by_period[k][2], by_period[k + VALIDITY][2]
+        grown = {name for name, size in after.items() if size > before.get(name, 0)}
+        assert not grown, f"period {k + 1}: the driver grows {sorted(grown)}"
+    last, beacons, _driver = by_period[-1]
     assert beacons > 0
     for store in stores:
         assert any(sizes[store] > 0 for sizes in last.values()), f"{store} is never used"
@@ -191,6 +211,7 @@ class TestStoresAreLevelOneValidityApart:
                 "ingress_index",
                 "verified_prefixes",
                 "egress",
+                "egress_expiries",
                 "egress_interfaces",
                 "terminated",
                 "path_service",
