@@ -318,7 +318,6 @@ def run_cell(
         "originated": 0,
         "forwarded": 0,
         "rejected_invalid": 0,
-        "rejected_stale": 0,
         "reoriginated": 0,
     }
     for service in result.services.values():

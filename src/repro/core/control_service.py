@@ -278,8 +278,6 @@ class IrecControlService:
         now_ms: float,
         failed_links: Sequence[LinkID] = (),
         failed_ases: Sequence[int] = (),
-        ttl_ms: Optional[float] = None,
-        max_hops: Optional[int] = None,
     ) -> RevocationMessage:
         """Originate, locally apply and flood one signed revocation.
 
@@ -289,9 +287,7 @@ class IrecControlService:
         failure — and the message starts its hop-by-hop journey to
         everyone else via :meth:`on_revocation`.  Several simultaneously
         failed elements batch into one message via ``failed_links`` /
-        ``failed_ases`` (one flood instead of one per element); ``ttl_ms``
-        and ``max_hops`` bound the message's lifetime and propagation
-        radius (see :class:`RevocationMessage`).
+        ``failed_ases`` (one flood instead of one per element).
         """
         state = self.revocations
         message = RevocationMessage(
@@ -300,8 +296,6 @@ class IrecControlService:
             created_at_ms=now_ms,
             failed_links=tuple(failed_links),
             failed_ases=tuple(failed_ases),
-            ttl_ms=ttl_ms,
-            max_hops=max_hops,
         ).signed(self.builder.signer)
         state.originated += 1
         # Mark the own message seen so a copy reflected back over a cycle is a
@@ -319,31 +313,12 @@ class IrecControlService:
         Deduplicates by ``(origin, sequence)``, verifies the origin
         signature (when signature checking is enabled), withdraws matching
         state via :meth:`invalidate_link` / :meth:`invalidate_as` and
-        re-forwards the message to the other neighbours.  Returns ``True``
-        when the message was fresh and applied (and therefore
-        re-forwarded, unless its scope is exhausted); ``False`` for
-        duplicates, stale (TTL-expired) copies and invalid signatures.
+        re-forwards the message to the other neighbours unless forwarding
+        is suppressed.  Returns ``True`` when the message was fresh and
+        applied; ``False`` for duplicates and invalid signatures.
         """
         state = self.revocations
         state.received += 1
-        # TTL and scope are enforced here and only here (inlined rather than
-        # message methods: this handler runs once per delivered copy
-        # network-wide and method dispatch measurably costs flood throughput).
-        if message.ttl_ms is not None and now_ms - message.created_at_ms > message.ttl_ms:
-            # Not marked seen: staleness is a property of this copy's arrival
-            # time, and dropping it must not shadow an earlier in-TTL copy.
-            state.rejected_stale += 1
-            return False
-        if message.max_hops is not None:
-            hop_path = message.hop_path
-            if not hop_path or hop_path[-1] != self.as_id:
-                # The transport stamps every delivery of a scoped message with
-                # the receiving AS, so a copy whose hop path does not end here
-                # has been tampered with (truncated to dodge the propagation
-                # bound).  Not marked seen: an authentic copy must still
-                # process.
-                state.rejected_invalid += 1
-                return False
         key = message.key
         if state.is_duplicate(key, now_ms):
             state.duplicates += 1
@@ -357,9 +332,7 @@ class IrecControlService:
                 return False
         state.mark_seen(key, now_ms)
         self._apply_revocation(message, now_ms)
-        if state.suppress_forwarding:
-            return True
-        if message.max_hops is None or len(message.hop_path) < message.max_hops:
+        if not state.suppress_forwarding:
             self._forward_revocation(message, arrival_interface=on_interface)
         return True
 
@@ -601,9 +574,8 @@ class IrecControlService:
         target_as: int,
         now_ms: float,
         algorithm_id: Optional[str] = None,
-        interfaces: Optional[Sequence[int]] = None,
     ) -> List[Beacon]:
-        """Originate pull-based beacons towards ``target_as``.
+        """Originate pull-based beacons towards ``target_as`` on every interface.
 
         When ``algorithm_id`` names a payload previously published through
         :meth:`publish_algorithm`, the beacons additionally carry the
@@ -615,7 +587,7 @@ class IrecControlService:
             extensions = extensions.with_algorithm(
                 algorithm_id, self.repository.hash_of(algorithm_id)
             )
-        return self.egress.originate(now_ms=now_ms, interfaces=interfaces, extensions=extensions)
+        return self.egress.originate(now_ms=now_ms, extensions=extensions)
 
     # ------------------------------------------------------------------
     # periodic processing

@@ -80,8 +80,7 @@ class EgressGateway:
     transport: ControlPlaneTransport
     database: EgressDatabase = field(default_factory=EgressDatabase)
     path_service: PathService = field(default_factory=PathService)
-    beacon_validity_ms: float = DEFAULT_VALIDITY_MS
-    stats: EgressStats = field(default_factory=EgressStats)
+    stats: EgressStats = field(default_factory=EgressStats, init=False)
     #: When enabled, the registrations that were news to the local path
     #: service (:meth:`register` holds the rule) are additionally collected
     #: as ``(path, arrival_interface)`` pairs until :meth:`take_registered`
@@ -138,7 +137,7 @@ class EgressGateway:
                 created_at_ms=now_ms,
                 static_info=static_info,
                 extensions=extensions,
-                validity_ms=self.beacon_validity_ms,
+                validity_ms=DEFAULT_VALIDITY_MS,
             )
             self.transport.send_message(
                 self.as_id,

@@ -13,8 +13,8 @@ gateway↔RAC exchange through this module, which
   every beacon's encoding parts (:meth:`Beacon.wire`), referenced rather
   than copied, as a scatter-gather write would hand them to the socket,
   so a stored candidate keeps no joined copy of its encoding, and
-* optionally adds a configurable per-call and per-byte latency to model the
-  network/RPC overhead of a multi-machine deployment.
+* optionally adds a configurable per-call latency to model the RPC
+  overhead of a multi-machine deployment (Fig. 6's modelled IPC cost).
 
 The measured wall-clock time of each exchange is accumulated in an
 :class:`IPCStats` object that the micro-benchmarks read.
@@ -66,12 +66,10 @@ class IPCChannel:
         per_call_latency_ms: Fixed modelled latency added per RPC, e.g. to
             emulate running the RAC on a different machine.  Defaults to
             zero (same-host deployment, like the paper's benchmark).
-        per_kilobyte_latency_ms: Modelled latency per kilobyte of payload.
     """
 
     per_call_latency_ms: float = 0.0
-    per_kilobyte_latency_ms: float = 0.0
-    stats: IPCStats = field(default_factory=IPCStats)
+    stats: IPCStats = field(default_factory=IPCStats, init=False)
 
     def marshal_beacons(self, beacons: Sequence[Beacon]) -> Tuple[List[bytes], float]:
         """Gather ``beacons`` for transfer; return (wire form, elapsed ms).
@@ -87,7 +85,7 @@ class IPCChannel:
             wire += beacon.wire()
             payload += beacon.encoded_size()
         elapsed_ms = (time.perf_counter() - start) * 1000.0
-        modelled = self._modelled_latency(payload)
+        modelled = self.per_call_latency_ms
         self.stats.record(payload, elapsed_ms, modelled)
         return wire, elapsed_ms + modelled
 
@@ -99,9 +97,6 @@ class IPCChannel:
             for beacon in beacons:
                 payload += beacon.encoded_size() + 8
         elapsed_ms = (time.perf_counter() - start) * 1000.0
-        modelled = self._modelled_latency(payload)
+        modelled = self.per_call_latency_ms
         self.stats.record(payload, elapsed_ms, modelled)
         return elapsed_ms + modelled
-
-    def _modelled_latency(self, payload_bytes: int) -> float:
-        return self.per_call_latency_ms + self.per_kilobyte_latency_ms * payload_bytes / 1024.0

@@ -3,9 +3,8 @@
 The control plane of the paper is one conversation among ASes — beacons,
 down-segment announcements and revocations all travel over the same
 inter-AS links.  Every such interaction is a :class:`ControlMessage`
-carrying its origin AS, a per-origin sequence number, its origination time
-and (when it needs one) the hop path a copy traversed, and one generic
-transport path
+carrying its origin AS, a per-origin sequence number and its origination
+time, and one generic transport path
 (:meth:`repro.simulation.network.SimulatedTransport.send_message`) routes
 all of them with uniform per-hop latency, loss and metrics treatment.
 
@@ -17,11 +16,7 @@ Message types
   by the sending AS: its id as origin, its own sequence).
 * :class:`RevocationMessage` — the signed withdrawal of one **or several**
   failed elements (inter-domain links and/or departed ASes), with
-  *batching* (several failed elements in one message), *TTL* (``ttl_ms``:
-  receivers drop copies older than the TTL instead of applying stale
-  withdrawals) and *scope limiting* (``max_hops``: the flood stops
-  re-forwarding once a copy has traversed that many hops — the hop path is
-  the witness).
+  *batching* (several failed elements in one message).
 * :class:`PathRegistrationMessage` — a down-segment announcement: a
   terminated path segment travelling hop-by-hop back along the segment to
   its origin (core) AS, which registers it on arrival.
@@ -31,15 +26,11 @@ transport delivers it over the beacon's own path straight to
 :meth:`repro.core.control_service.IrecControlService.receive_returned_beacon`
 and counts it under the ledger kind ``"pull_return"``.
 
-Hop tracking
-------------
-
-``hop_path`` records the ASes a copy traversed.  Stamping a hop copies the
-(frozen) message, so the fabric only does it when a message *needs* it
-(:meth:`ControlMessage.needs_hop_tracking` — e.g. a scope-limited
-revocation).  The unscoped revocation flood therefore still forwards the
-one original object per branch, keeping the per-message flood cost O(1) —
-see the ROADMAP's flood fast-path invariants.
+A message is never copied or altered in flight.  Within one process every
+receiver gets the very object its sender sent, so a revocation flood
+forwards the one original object per branch and costs O(1) per delivered
+copy; a cross-shard send is serialized, and the receiving shard holds the
+deserialized message, never stamped or altered.
 """
 
 from __future__ import annotations
@@ -67,18 +58,14 @@ class ControlMessage:
         sequence: Per-origin sequence number; ``(origin_as, sequence)`` is
             the message's network-wide identity for types that deduplicate.
         created_at_ms: Simulated origination time.
-        hop_path: ASes a copy traversed so far, in order.  Only populated
-            for messages whose semantics need it (see
-            :meth:`needs_hop_tracking`); the fabric stamps it on delivery.
     """
 
     origin_as: int
     sequence: int
     created_at_ms: float
-    hop_path: Tuple[int, ...] = ()
-    #: Memo of :attr:`key`: a declared slot (``init=False``), so
-    #: ``with_hop`` copies start cold, and every AS a flood reaches stores
-    #: the one tuple the shared message carries.
+    #: Memo of :attr:`key`: a declared slot (``init=False``), so copies
+    #: start cold, and every AS a flood reaches stores the one tuple the
+    #: shared message carries.
     _key: Optional[Tuple[int, int]] = _slot()
 
     #: Stable short name used by the transport's per-kind metrics routing.
@@ -93,19 +80,6 @@ class ControlMessage:
             object.__setattr__(self, "_key", key)
         return key
 
-    def with_hop(self, as_id: int) -> "ControlMessage":
-        """Return a copy whose hop path records arrival at ``as_id``."""
-        return replace(self, hop_path=(*self.hop_path, int(as_id)))
-
-    def needs_hop_tracking(self) -> bool:
-        """Return whether the fabric must stamp hops onto this message.
-
-        Stamping copies the frozen message once per delivered hop; the
-        default is ``False`` so high-volume messages (PCBs, unscoped
-        revocation floods) stay copy-free on the fast path.
-        """
-        return False
-
 
 @dataclass(frozen=True, slots=True)
 class PCBMessage(ControlMessage):
@@ -114,7 +88,7 @@ class PCBMessage(ControlMessage):
     The fabric's framing of a :class:`~repro.core.beacon.Beacon`: the
     beacon itself is immutable and shared, the message adds the sender's
     origin, sequence and send time (the beacon's own AS path doubles as its
-    historical hop record, so PCBs never need fabric-side hop stamping).
+    hop record).
     """
 
     beacon: Optional[Beacon] = None
@@ -143,19 +117,11 @@ class RevocationMessage(ControlMessage):
     Attributes:
         failed_links: Every revoked link named by this message.
         failed_ases: Every departed AS named by this message.
-        ttl_ms: Optional time-to-live: a copy delivered more than
-            ``ttl_ms`` after ``created_at_ms`` is stale and dropped
-            (neither applied nor re-forwarded).
-        max_hops: Optional scope limit: a copy that has already traversed
-            ``max_hops`` hops is applied locally but not re-forwarded.
-            Setting it enables fabric hop stamping.
         signature: Signature of ``origin_as`` over the canonical encoding.
     """
 
     failed_links: Tuple[LinkID, ...] = ()
     failed_ases: Tuple[int, ...] = ()
-    ttl_ms: Optional[float] = None
-    max_hops: Optional[int] = None
     signature: bytes = b""
     _failed_link_set: Optional[frozenset] = _slot()
     _failed_as_set: Optional[frozenset] = _slot()
@@ -181,14 +147,6 @@ class RevocationMessage(ControlMessage):
         object.__setattr__(self, "failed_ases", tuple(ases))
         if self.sequence < 1:
             raise ConfigurationError(f"sequence must be positive, got {self.sequence}")
-        if self.ttl_ms is not None and self.ttl_ms <= 0:
-            raise ConfigurationError(f"ttl_ms must be positive, got {self.ttl_ms}")
-        if self.max_hops is not None and self.max_hops < 1:
-            raise ConfigurationError(f"max_hops must be >= 1, got {self.max_hops}")
-
-    def needs_hop_tracking(self) -> bool:
-        """Scope-limited revocations need the hop path as their witness."""
-        return self.max_hops is not None
 
     @property
     def failed_link_set(self) -> frozenset:
@@ -211,8 +169,8 @@ class RevocationMessage(ControlMessage):
     def encode_unsigned(self) -> str:
         """Return the canonical encoding without the signature (memoized).
 
-        Single-element messages without TTL/scope keep the exact pre-fabric
-        encoding, so their signatures are byte-identical to PR 4's.
+        Single-element messages keep the exact pre-fabric encoding, so their
+        signatures are byte-identical to the first revocation messages'.
         """
         encoded = self._encoded_unsigned
         if encoded is not None:
@@ -220,14 +178,9 @@ class RevocationMessage(ControlMessage):
         parts = [f"link={_format_link(link)}" for link in self.failed_links]
         parts.extend(f"as={as_id}" for as_id in self.failed_ases)
         element = ";".join(parts)
-        extras = ""
-        if self.ttl_ms is not None:
-            extras += f",ttl={self.ttl_ms:.3f}"
-        if self.max_hops is not None:
-            extras += f",scope={self.max_hops}"
         encoded = (
             f"revocation(origin={self.origin_as},seq={self.sequence},"
-            f"created={self.created_at_ms:.3f},{element}{extras})"
+            f"created={self.created_at_ms:.3f},{element})"
         )
         object.__setattr__(self, "_encoded_unsigned", encoded)
         return encoded

@@ -12,20 +12,25 @@ embedded algorithm avoids every link already present in the collected set;
 each iteration contributes the first beacon returned by the target.
 :class:`PullBasedDisjointnessOrchestrator` implements that loop on top of a
 control service; the per-hop algorithm itself is
-:class:`~repro.algorithms.pull_disjoint.LinkAvoidingAlgorithm`.
+:class:`~repro.algorithms.pull_disjoint.LinkAvoidingAlgorithm`.  Every
+iteration originates on all of the origin's interfaces and waits until the
+target returns a disjoint beacon; at most :data:`MAX_ITERATIONS` run.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from repro.algorithms.registry import encode_link_avoiding_payload
 from repro.core.beacon import Beacon
 from repro.core.control_service import IrecControlService
 from repro.exceptions import ConfigurationError
 from repro.topology.entities import LinkID
+
+#: Safety bound on the number of PD iterations one orchestrator runs.
+MAX_ITERATIONS = 64
 
 
 class PullState(enum.Enum):
@@ -57,28 +62,22 @@ class PullBasedDisjointnessOrchestrator:
     the control service's returned pull beacons, closes the current
     iteration if one of them satisfies the avoid set, and starts the next
     iteration until :attr:`desired_paths` disjoint paths have been collected
-    or :attr:`max_iterations` is reached.
+    or :data:`MAX_ITERATIONS` iterations have run.
 
     Attributes:
         service: The origin AS's control service.
         target_as: The AS to which disjoint paths are sought.
         desired_paths: Number of link-disjoint paths to collect (20 in the
             paper's setup).
-        paths_per_origination: How many interfaces to originate the pull
-            beacons on per iteration (``None`` means all interfaces).
-        max_iterations: Safety bound on the number of iterations.
     """
 
     service: IrecControlService
     target_as: int
     desired_paths: int = 20
-    paths_per_origination: Optional[int] = None
-    max_iterations: int = 64
-    seed_paths: Sequence[Beacon] = ()
 
-    state: PullState = PullState.IDLE
-    collected: List[Beacon] = field(default_factory=list)
-    iterations: List[PullIteration] = field(default_factory=list)
+    state: PullState = field(default=PullState.IDLE, init=False)
+    collected: List[Beacon] = field(default_factory=list, init=False)
+    iterations: List[PullIteration] = field(default_factory=list, init=False)
     _used_links: Set[LinkID] = field(default_factory=set)
 
     def __post_init__(self) -> None:
@@ -91,12 +90,7 @@ class PullBasedDisjointnessOrchestrator:
     # lifecycle
     # ------------------------------------------------------------------
     def start(self, now_ms: float) -> None:
-        """Seed the collected set and originate the first iteration."""
-        for beacon in self.seed_paths:
-            self._accept(beacon)
-        if len(self.collected) >= self.desired_paths:
-            self.state = PullState.DONE
-            return
+        """Originate the first iteration."""
         self._begin_iteration(now_ms)
 
     def advance(self, now_ms: float) -> PullState:
@@ -124,26 +118,10 @@ class PullBasedDisjointnessOrchestrator:
 
         if len(self.collected) >= self.desired_paths:
             self.state = PullState.DONE
-        elif len(self.iterations) >= self.max_iterations:
+        elif len(self.iterations) >= MAX_ITERATIONS:
             self.state = PullState.EXHAUSTED
         else:
             self._begin_iteration(now_ms)
-        return self.state
-
-    def abort_iteration(self, now_ms: float) -> PullState:
-        """Give up on the current iteration and start the next one (or stop).
-
-        The paper's PD keeps iterating until the desired number of disjoint
-        paths is found; in sparse regions of the topology an iteration may
-        never return a disjoint beacon, so the driver can call this after a
-        timeout to move on.
-        """
-        if self.state is not PullState.WAITING:
-            return self.state
-        if len(self.iterations) >= self.max_iterations:
-            self.state = PullState.EXHAUSTED
-            return self.state
-        self._begin_iteration(now_ms)
         return self.state
 
     # ------------------------------------------------------------------
@@ -155,15 +133,8 @@ class PullBasedDisjointnessOrchestrator:
         avoid = tuple(sorted(self._used_links))
         payload = encode_link_avoiding_payload(avoid, paths_per_interface=1)
         self.service.publish_algorithm(algorithm_id, payload)
-
-        interfaces = None
-        if self.paths_per_origination is not None:
-            interfaces = self.service.view.interface_ids()[: self.paths_per_origination]
         self.service.originate_pull(
-            target_as=self.target_as,
-            now_ms=now_ms,
-            algorithm_id=algorithm_id,
-            interfaces=interfaces,
+            target_as=self.target_as, now_ms=now_ms, algorithm_id=algorithm_id
         )
         self.iterations.append(
             PullIteration(

@@ -146,23 +146,12 @@ class PathQueryFrontend:
         path_service: PathService,
         clock: Optional[Callable[[], float]] = None,
         capacity: int = DEFAULT_CACHE_CAPACITY,
-        negative_ttl_ms: Optional[float] = None,
     ) -> None:
         if capacity <= 0:
             raise ConfigurationError(f"query cache capacity must be positive, got {capacity}")
-        if negative_ttl_ms is not None and negative_ttl_ms <= 0:
-            raise ConfigurationError(
-                f"negative-cache TTL must be positive, got {negative_ttl_ms}"
-            )
         self.path_service = path_service
         self.clock = clock
         self.capacity = capacity
-        #: Lifetime of cached *empty* responses.  ``None`` (the default)
-        #: keeps the historical behavior — an empty response stays cached
-        #: until the origin is invalidated.  A TTL bounds how long a
-        #: "no paths" answer can outlive a registration the invalidation
-        #: listener missed (e.g. a frontend wired up after its service).
-        self.negative_ttl_ms = negative_ttl_ms
         self._cache: "OrderedDict[Tuple[int, str], _CacheEntry]" = OrderedDict()
         #: Origin AS → cached keys for it: the indexed invalidation path.
         self._keys_by_origin: Dict[int, Set[Tuple[int, str]]] = {}
@@ -235,12 +224,9 @@ class PathQueryFrontend:
         members = tuple(paths)
         if not members:
             # An explicit negative entry: "no paths" is a first-class
-            # cached answer (counted separately), optionally TTL-bounded.
+            # cached answer (counted separately), kept until the origin is
+            # invalidated.
             self.negative_inserts += 1
-            if self.negative_ttl_ms is not None:
-                ttl_until = now_ms + self.negative_ttl_ms
-                if valid_until is None or ttl_until < valid_until:
-                    valid_until = ttl_until
         # The entry stores a hit-labelled result so the (hot) hit path can
         # return it without allocating; only this cold path builds the
         # miss-labelled twin.

@@ -34,14 +34,20 @@ The handlers are methods of
 ``receive_beacon`` — which IREC and legacy SCION ASes both run.  This module keeps the per-service bookkeeping they run on,
 :class:`RevocationState`; the :class:`~repro.core.messages.RevocationMessage`
 class itself lives in :mod:`repro.core.messages`, one typed control message
-among others (batching, TTL and scope limiting included).
+among others (batching included).
+
+A received revocation goes through four steps, in order: dedup (a key
+seen inside the window is a duplicate), verify (an invalid signature is
+rejected and not marked seen, so an authentic copy still processes),
+apply (withdraw and record the time), and forward on every other
+interface unless this service suppresses forwarding.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.topology.entities import LinkID
 
@@ -93,23 +99,21 @@ class RevocationState:
     suppress_forwarding: bool = False
     #: (origin, sequence) → first-seen time, insertion-ordered for pruning.
     _seen: Dict[Tuple[int, int], float] = field(default_factory=dict)
-    applied_at: Dict[Tuple[int, int], float] = field(default_factory=dict)
+    applied_at: Dict[Tuple[int, int], float] = field(default_factory=dict, init=False)
     revoked_links: Dict[LinkID, Tuple[RevocationMessage, float]] = field(
-        default_factory=dict
+        default_factory=dict, init=False
     )
     revoked_ases: Dict[int, Tuple[RevocationMessage, float]] = field(
-        default_factory=dict
+        default_factory=dict, init=False
     )
     _sequence: "itertools.count" = field(default_factory=lambda: itertools.count(1))
-    received: int = 0
-    duplicates: int = 0
-    originated: int = 0
-    forwarded: int = 0
-    rejected_invalid: int = 0
-    #: Copies dropped because they exceeded their TTL (stale withdrawals).
-    rejected_stale: int = 0
+    received: int = field(default=0, init=False)
+    duplicates: int = field(default=0, init=False)
+    originated: int = field(default=0, init=False)
+    forwarded: int = field(default=0, init=False)
+    rejected_invalid: int = field(default=0, init=False)
     #: Revocations re-originated by the negative cache (beacon bounces).
-    reoriginated: int = 0
+    reoriginated: int = field(default=0, init=False)
 
     def next_sequence(self) -> int:
         """Return the next origination sequence number of this service."""
@@ -151,12 +155,6 @@ class RevocationState:
     def record_applied(self, key: Tuple[int, int], now_ms: float) -> None:
         """Record when the withdrawal for ``key`` was first applied locally."""
         self.applied_at.setdefault(key, now_ms)
-
-    def applied_from(self, origin_as: int) -> List[float]:
-        """Return the local withdrawal times of revocations from ``origin_as``."""
-        return [
-            at_ms for (origin, _seq), at_ms in self.applied_at.items() if origin == origin_as
-        ]
 
     def cache_revoked_elements(self, message: RevocationMessage, now_ms: float) -> None:
         """Remember the message's revoked elements for beacon bouncing."""

@@ -26,7 +26,7 @@ from __future__ import annotations
 import ast
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import ClassVar, Dict, Optional, Tuple
 
 from repro.algorithms.base import (
     CandidateBeacon,
@@ -42,6 +42,10 @@ DEFAULT_STEP_BUDGET = 10_000
 
 #: Default wall-clock budget per algorithm execution, in milliseconds.
 DEFAULT_TIME_BUDGET_MS = 1_000.0
+
+#: A payload score at or above this excludes the candidate (``inf`` is the
+#: idiomatic way to write it).
+REJECTION_THRESHOLD = 1e17
 
 #: Maximum accepted payload size in bytes (paper: "the RAC only allows
 #: executables up to a certain size limit").
@@ -247,7 +251,7 @@ class RestrictedPythonAlgorithm(RoutingAlgorithm):
     — once per candidate when it reads neither ``intra_latency_ms`` nor
     ``egress_interface`` — with the candidate's metrics bound to local
     variables; candidates are ranked by ascending score.  A score of
-    ``float("inf")`` (or any score above :attr:`rejection_threshold`)
+    ``float("inf")`` (or any score at or above :data:`REJECTION_THRESHOLD`)
     excludes the candidate, which is how payloads express hard constraints.
     """
 
@@ -255,8 +259,7 @@ class RestrictedPythonAlgorithm(RoutingAlgorithm):
     paths_per_interface: int = 1
     step_budget: int = DEFAULT_STEP_BUDGET
     time_budget_ms: float = DEFAULT_TIME_BUDGET_MS
-    rejection_threshold: float = 1e17
-    name: str = "restricted-python"
+    name: ClassVar[str] = "restricted-python"
 
     def __post_init__(self) -> None:
         self._tree = validate_restricted_source(self.source)
@@ -282,7 +285,7 @@ class RestrictedPythonAlgorithm(RoutingAlgorithm):
                     f"algorithm exceeded its time budget of {self.time_budget_ms} ms"
                 )
             score = self.score_candidate(candidate, egress_interface, context)
-            return (score,) if score < self.rejection_threshold else None
+            return (score,) if score < REJECTION_THRESHOLD else None
 
         # ``evaluate`` is the per-interface term of a payload that reads the
         # interface, and the whole per-candidate key of one that does not.

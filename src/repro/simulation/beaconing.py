@@ -479,7 +479,6 @@ class BeaconingSimulation(PeriodDriver):
         origin_as: int,
         target_as: int,
         desired_paths: int = 20,
-        seed_paths: Sequence = (),
     ) -> PullBasedDisjointnessOrchestrator:
         """Attach a PD orchestrator at ``origin_as`` towards ``target_as``."""
         service = self.services.get(origin_as)
@@ -491,7 +490,6 @@ class BeaconingSimulation(PeriodDriver):
             service=service,
             target_as=target_as,
             desired_paths=desired_paths,
-            seed_paths=tuple(seed_paths),
         )
         self.orchestrators.append(orchestrator)
         return orchestrator

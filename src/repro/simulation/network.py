@@ -221,7 +221,6 @@ class SimulatedTransport:
                 remote_interface,
                 link_key,
                 inbox,
-                message.needs_hop_tracking(),
             ),
         )
 
@@ -232,7 +231,6 @@ class SimulatedTransport:
         interface: int,
         link_key: tuple,
         inbox: _Inbox,
-        track: bool,
         now_ms: float,
     ) -> None:
         """Receiver side of one delivery (the scheduled fabric callback).
@@ -241,6 +239,9 @@ class SimulatedTransport:
         :meth:`send_message`) and cross-shard imports (scheduled by
         :meth:`inject_import`), so a message crossing a shard boundary
         passes exactly the checks it would have passed in one process.
+        The inbox receives the object this call was handed, unaltered: for a
+        local send the very object the sender sent, for a cross-shard
+        import the message its shard deserialized.
         """
         link_state = self.link_state
         if link_state.impaired():
@@ -260,8 +261,6 @@ class SimulatedTransport:
             if rate > 0.0 and (rate >= 1.0 or self._loss_rng.random() < rate):
                 self.collector.record_gray_drop(message.kind)
                 return
-        if track:
-            message = message.with_hop(remote_as)
         inbox.entries.append((message, interface))
         if not inbox.drain_scheduled:
             inbox.drain_scheduled = True
@@ -294,7 +293,6 @@ class SimulatedTransport:
                 remote_interface,
                 link_key,
                 inbox,
-                message.needs_hop_tracking(),
             ),
         )
 

@@ -13,13 +13,15 @@ probe reads.
 """
 
 import math
+import pickle
 
 import pytest
 
 from repro.algorithms.registry import encode_builtin_payload
 from repro.core.control_service import ControlServiceConfig, IrecControlService
 from repro.core.local_view import LocalTopologyView
-from repro.core.messages import RevocationMessage
+from repro.core.databases import RegisteredPath
+from repro.core.messages import PathRegistrationMessage, RevocationMessage
 from repro.exceptions import AlgorithmError, ConfigurationError, UnknownASError
 from repro.simulation.beaconing import BeaconingSimulation
 from repro.simulation.collector import MetricsCollector
@@ -226,6 +228,102 @@ class TestShardExport:
         scheduler.run_all()
         assert len(exports) == 1
         assert len(receiver.ingress.database) == 1
+
+
+class TestReceiversGetTheSentObject:
+    """No message is copied in flight: the inbox holds what the sender sent.
+
+    In one process a relay forwards the object it received, so every AS a
+    revocation flood or a down-segment announcement reaches holds the one
+    object its origin sent, whatever the drain's batch size.  A cross-shard
+    send is serialized: the importing shard holds an equal message.
+    """
+
+    @staticmethod
+    def _log_received(services):
+        """Wrap every service's batch handler; return {AS: [message, ...]}."""
+        received = {}
+        for as_id, service in services.items():
+            handle = service.on_message_batch
+
+            def recording(entries, now_ms, as_id=as_id, handle=handle):
+                received.setdefault(as_id, []).extend(message for message, _ in entries)
+                return handle(entries, now_ms)
+
+            service.on_message_batch = recording
+        return received
+
+    @staticmethod
+    def _send(kind, topology, key_store, transport):
+        """AS 1 sends one message of ``kind`` toward AS 2; return it and its receivers."""
+        if kind == "pcb":
+            message = pcb_message(1, _beacon(key_store))
+            receivers = (2,)
+        elif kind == "revocation":
+            # Names the 1-2 link, so AS 2 forwards it on to AS 3.
+            message = RevocationMessage(
+                origin_as=1, sequence=1, created_at_ms=0.0, failed_links=(_link(topology, 0),)
+            )
+            receivers = (2, 3)
+        else:
+            # A segment originated by AS 3, relayed by AS 2, terminated at AS 1.
+            segment = make_beacon(key_store, [(3, None, 1), (2, 2, 1), (1, 2, None)])
+            message = PathRegistrationMessage(
+                origin_as=1,
+                sequence=1,
+                created_at_ms=0.0,
+                path=RegisteredPath(segment=segment, criteria_tags=("1sp",), registered_at_ms=0.0),
+            )
+            receivers = (2, 3)
+        transport.send_message(1, 2, message)
+        return message, receivers
+
+    @pytest.mark.parametrize("batch_size", [None, 1])
+    @pytest.mark.parametrize("kind", ["pcb", "revocation", "path_registration"])
+    def test_every_receiver_holds_the_sent_object(self, key_store, kind, batch_size):
+        topology = line_topology(3)
+        scheduler, transport, services = build_services(
+            topology, key_store, batch_size=batch_size
+        )
+        received = self._log_received(services)
+        message, receivers = self._send(kind, topology, key_store, transport)
+        scheduler.run_all()
+        assert sorted(received) == list(receivers)
+        for as_id in receivers:
+            (delivered,) = received[as_id]
+            assert delivered is message
+        assert transport.collector.sent[kind] == len(receivers)
+
+    @staticmethod
+    def _content(message):
+        """What a message says, beacons and segments by digest."""
+        if message.kind == "pcb":
+            payload = message.beacon.digest()
+        elif message.kind == "revocation":
+            payload = (message.encode_unsigned(), message.signature)
+        else:
+            path = message.path
+            payload = (path.segment.digest(), path.criteria_tags, path.registered_at_ms)
+        return type(message), message.key, message.created_at_ms, payload
+
+    @pytest.mark.parametrize("kind", ["pcb", "revocation", "path_registration"])
+    def test_a_cross_shard_import_is_the_unaltered_deserialized_message(self, key_store, kind):
+        topology = line_topology(3)
+        _a_scheduler, a_transport, _a, exports = _shard(topology, key_store, owned=[1])
+        b_scheduler, b_transport, b_services, _ = _shard(topology, key_store, owned=[2, 3])
+        received = self._log_received(b_services)
+        message, receivers = self._send(kind, topology, key_store, a_transport)
+        (export,) = exports
+        b_transport.inject_import(*pickle.loads(pickle.dumps(export)))
+        b_scheduler.run_all()
+        assert sorted(received) == list(receivers)
+        (imported,) = received[2]
+        assert imported is not message
+        assert self._content(imported) == self._content(message)
+        # Inside the importing shard the relay forwards what it received.
+        for as_id in receivers[1:]:
+            (relayed,) = received[as_id]
+            assert relayed is imported
 
 
 class TestDeliveryChecks:

@@ -79,11 +79,13 @@ class TestIPCChannel:
         assert channel.stats.calls == 1
 
     def test_modelled_latency_added(self, key_store, beacon_factory):
-        channel = IPCChannel(per_call_latency_ms=5.0, per_kilobyte_latency_ms=1.0)
+        channel = IPCChannel(per_call_latency_ms=5.0)
         beacons = [beacon_factory([(1, None, 1), (2, 1, 2)])]
         _wire, cost_ms = channel.marshal_beacons(beacons)
         assert cost_ms >= 5.0
-        assert channel.stats.modelled_latency_ms >= 5.0
+        channel.transfer_results({1: beacons * 10})
+        # The model is per call, whatever the payload.
+        assert channel.stats.modelled_latency_ms == 10.0
         assert channel.stats.total_ms >= channel.stats.modelled_latency_ms
 
     def test_transfer_results_counts_payload(self, key_store, beacon_factory):

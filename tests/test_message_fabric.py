@@ -3,12 +3,13 @@
 Everything inter-AS is one typed :class:`~repro.core.messages.ControlMessage`,
 routed through one generic transport path with per-AS inboxes drained in
 batches.  These tests pin the message contract, the message capabilities
-(batched revocation elements, TTL, scope limiting, down-segment
-announcement traffic), the inbox batching semantics, and —
-via a property test — that batched delivery and per-message delivery
-produce identical database state and identical withdrawal timestamps.
+(batched revocation elements, down-segment announcement traffic), the
+inbox batching semantics, and — via a property test — that batched
+delivery and per-message delivery produce identical database state and
+identical withdrawal timestamps.
 """
 
+import dataclasses
 import pickle
 
 import pytest
@@ -24,7 +25,6 @@ from repro.core.messages import (
 )
 from repro.core.query import PathQuery
 from repro.core.transport import NullTransport
-from repro.crypto.keys import KeyStore
 from repro.crypto.signer import Signer
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.simulation.beaconing import BeaconingSimulation
@@ -51,7 +51,7 @@ def _pending(transport, as_id):
 
 class TestEnvelope:
     def test_pcb_message_envelope(self, key_store):
-        """The header every message carries: origin, sequence, time, hops."""
+        """The header every message carries: origin, sequence, time."""
         beacon = make_beacon(key_store, [(1, None, 2)])
         message = PCBMessage(
             origin_as=1, sequence=7, created_at_ms=42.0, beacon=beacon
@@ -59,17 +59,9 @@ class TestEnvelope:
         assert message.origin_as == 1
         assert message.sequence == 7
         assert message.created_at_ms == 42.0
-        assert message.hop_path == ()
         assert message.beacon is beacon
         assert message.kind == "pcb"
         assert message.key == (1, 7)
-
-    def test_with_hop_records_traversal(self, key_store):
-        beacon = make_beacon(key_store, [(1, None, 2)])
-        message = PCBMessage(origin_as=1, sequence=1, created_at_ms=0.0, beacon=beacon)
-        hopped = message.with_hop(2).with_hop(3)
-        assert hopped.hop_path == (2, 3)
-        assert message.hop_path == ()  # the original is untouched
 
     def test_pcb_message_requires_beacon(self):
         with pytest.raises(ConfigurationError):
@@ -99,18 +91,6 @@ class TestEnvelope:
         # Nor does the one dispatch have a handler for it.
         with pytest.raises(SimulationError):
             services[2].on_message_batch([(bare, 1)], now_ms=0.0)
-
-    def test_hop_tracking_default_off(self, key_store):
-        beacon = make_beacon(key_store, [(1, None, 2)])
-        assert not PCBMessage(
-            origin_as=1, sequence=1, created_at_ms=0.0, beacon=beacon
-        ).needs_hop_tracking()
-        unscoped = RevocationMessage(origin_as=1, sequence=1, created_at_ms=0.0, failed_ases=(2,))
-        scoped = RevocationMessage(
-            origin_as=1, sequence=1, created_at_ms=0.0, failed_ases=(2,), max_hops=3
-        )
-        assert not unscoped.needs_hop_tracking()
-        assert scoped.needs_hop_tracking()
 
 
 class TestMessageMemos:
@@ -142,7 +122,7 @@ class TestMessageMemos:
     def test_key_memo_is_cold_on_copies(self, messages):
         for message in messages:
             key = message.key
-            copy = message.with_hop(2)
+            copy = dataclasses.replace(message)
             assert copy._key is None
             assert copy.key == key and copy.key is not key
 
@@ -164,10 +144,10 @@ class TestMessageMemos:
     def test_copies_start_cold_and_measure_the_same(self):
         message = RevocationMessage(
             origin_as=1, sequence=2, created_at_ms=0.0,
-            failed_links=(((1, 2), (2, 1)),), failed_ases=(7,), max_hops=3,
+            failed_links=(((1, 2), (2, 1)),), failed_ases=(7,),
         )
         values = self._warm(message)
-        copy = message.with_hop(2)
+        copy = dataclasses.replace(message)
         assert self._revocation_memos(copy) == (None, None, None)
         assert self._warm(copy) == values
 
@@ -308,54 +288,8 @@ class TestBatchedRevocationElements:
         assert service.revocations.applied_at[(2, 99)] == minutes(30)
 
 
-class TestRevocationTTL:
-    def test_stale_copy_is_dropped_without_shadowing(self, key_store):
-        topology = line_topology(3)
-        _scheduler, _transport, services = build_services(topology, key_store)
-        message = RevocationMessage(
-            origin_as=1,
-            sequence=1,
-            created_at_ms=0.0,
-            failed_links=(_link(topology, 0),),
-            ttl_ms=100.0,
-        )
-        receiver = services[2]
-        # Arrives 200 ms after origination: past the TTL, dropped.
-        assert receiver.on_revocation(message, on_interface=1, now_ms=200.0) is False
-        assert receiver.revocations.rejected_stale == 1
-        assert receiver.revocations.applied_at == {}
-        # An in-TTL copy arriving later still applies: staleness is
-        # per-copy, the drop did not mark the key seen.
-        assert receiver.on_revocation(message, on_interface=1, now_ms=50.0) is True
-        assert receiver.revocations.applied_at[(1, 1)] == 50.0
-
-    def test_invalid_ttl_rejected(self):
-        with pytest.raises(ConfigurationError):
-            RevocationMessage(
-                origin_as=1, sequence=1, created_at_ms=0.0, failed_ases=(2,), ttl_ms=0.0
-            )
-
-
 class TestRevocationScope:
-    def test_scope_limited_flood_stops_at_radius(self, key_store):
-        """max_hops=1: direct neighbours withdraw, the flood goes no further."""
-        topology = line_topology(4)
-        scheduler, transport, services = build_services(topology, key_store)
-        failed = _link(topology, 0)  # the 1-2 link
-        scheduler.run_until(5.0)
-        services[2].originate_revocation(
-            now_ms=5.0, failed_links=(failed,), max_hops=1
-        )
-        scheduler.run_all()
-        # Origin applied and forwarded to AS 3 (its only non-revoked interface).
-        assert services[2].revocations.applied_at != {}
-        # AS 3 received a copy with one traversed hop, one link latency
-        # plus the processing delay later: applied, not re-forwarded.
-        hop_ms = 10.0 + transport.processing_delay_ms
-        assert services[3].revocations.applied_at[(2, 1)] == 5.0 + hop_ms
-        assert services[3].revocations.forwarded == 0
-        # AS 4 is outside the scope and never hears about the failure.
-        assert services[4].revocations.applied_at == {}
+    """A flood has no scope: it reaches every AS a path of live links reaches."""
 
     def test_unscoped_flood_reaches_everyone(self, key_store):
         topology = line_topology(4)
@@ -364,12 +298,6 @@ class TestRevocationScope:
         services[2].originate_revocation(now_ms=5.0, failed_links=(_link(topology, 0),))
         scheduler.run_all()
         assert services[4].revocations.applied_at != {}
-
-    def test_invalid_scope_rejected(self):
-        with pytest.raises(ConfigurationError):
-            RevocationMessage(
-                origin_as=1, sequence=1, created_at_ms=0.0, failed_ases=(2,), max_hops=0
-            )
 
 
 class TestPathRegistrationTraffic:
@@ -675,57 +603,3 @@ class TestDispatchEquivalence:
             return result.convergence.trace_text()
 
         assert run(None) == run(1)
-
-
-class TestHopPathIntegrity:
-    """PR 7: the truncated-hop-path check rejects tampering, never honesty."""
-
-    @given(max_hops=st.integers(min_value=1, max_value=5))
-    @settings(max_examples=10, deadline=None)
-    def test_fabric_stamping_never_trips_the_truncation_check(
-        self, max_hops
-    ):
-        """Property: every fabric-delivered scoped copy passes the check.
-
-        The transport stamps each delivery, so the hop path always ends at
-        the receiver; ``rejected_invalid`` must stay zero for any scope,
-        and the flood still reaches exactly its hop radius.
-        """
-        key_store = KeyStore()
-        topology = line_topology(6)
-        scheduler, _transport, services = build_services(
-            topology, key_store, verify_signatures=True
-        )
-        scheduler.run_until(5.0)
-        services[2].originate_revocation(
-            now_ms=5.0, failed_links=(_link(topology, 0),), max_hops=max_hops
-        )
-        scheduler.run_all()
-        assert all(
-            service.revocations.rejected_invalid == 0
-            for service in services.values()
-        )
-        # Scope radius: ASes within max_hops of origin 2 withdrew, the
-        # rest never heard (AS 1 sits across the revoked link itself).
-        for as_id in range(3, 7):
-            distance = as_id - 2
-            applied = services[as_id].revocations.applied_at != {}
-            assert applied == (distance <= max_hops)
-
-    def test_truncated_copy_is_rejected_at_the_fabric_boundary(self, key_store):
-        """A hand-injected scoped copy without stamps dies rejected_invalid."""
-        topology = line_topology(3)
-        _scheduler, _transport, services = build_services(
-            topology, key_store, verify_signatures=True
-        )
-        scoped = RevocationMessage(
-            origin_as=1,
-            sequence=3,
-            created_at_ms=0.0,
-            failed_links=(_link(topology, 0),),
-            max_hops=2,
-        )
-        receiver = services[3]
-        assert receiver.on_revocation(scoped, on_interface=1, now_ms=1.0) is False
-        assert receiver.revocations.rejected_invalid == 1
-        assert receiver.revocations.applied_at == {}

@@ -905,9 +905,9 @@ class TestNegativeCache:
         assert frontend.negative_inserts == 1
 
     def test_default_negative_entry_lives_until_invalidation(self, key_store):
-        """Without a TTL the behavior is bit-identical to pre-PR-10 caching:
-        the empty answer persists indefinitely and only the invalidation
-        listener (a registration for the origin) drops it."""
+        """A negative entry has no lifetime of its own: the empty answer
+        persists indefinitely and only the invalidation listener (a
+        registration for the origin) drops it."""
         service = PathService()
         frontend = PathQueryFrontend(service)
         frontend.query(PathQuery(origin_as=1))
@@ -919,26 +919,6 @@ class TestNegativeCache:
         refreshed = frontend.query(PathQuery(origin_as=1))
         assert not refreshed.cache_hit and len(refreshed.paths) == 1
 
-    def test_ttl_bounds_negative_entry(self):
-        service = PathService()
-        frontend = PathQueryFrontend(service, negative_ttl_ms=100.0)
-        frontend.query(PathQuery(origin_as=1), now_ms=0.0)
-        assert frontend.query(PathQuery(origin_as=1), now_ms=99.0).cache_hit
-        stale = frontend.query(PathQuery(origin_as=1), now_ms=100.0)
-        assert not stale.cache_hit
-        assert frontend.expired_entries == 1
-        assert frontend.negative_inserts == 2  # re-materialized empty
-
-    def test_ttl_does_not_touch_positive_entries(self, key_store):
-        service = PathService()
-        service.register(_registered(key_store, origin=1))
-        frontend = PathQueryFrontend(service, negative_ttl_ms=50.0)
-        first = frontend.query(PathQuery(origin_as=1), now_ms=0.0)
-        assert len(first.paths) == 1
-        # Way past the negative TTL but inside segment validity: still a hit.
-        assert frontend.query(PathQuery(origin_as=1), now_ms=1_000.0).cache_hit
-        assert frontend.negative_inserts == 0
-
     def test_counters_expose_negative_keys(self):
         frontend = PathQueryFrontend(PathService())
         counters = frontend.counters()
@@ -949,8 +929,3 @@ class TestNegativeCache:
         counters = frontend.counters()
         assert counters["negative_inserts"] == 1
         assert counters["negative_hits"] == 1
-
-    def test_invalid_negative_ttl_rejected(self):
-        for bad in (0, -5.0):
-            with pytest.raises(ConfigurationError):
-                PathQueryFrontend(PathService(), negative_ttl_ms=bad)

@@ -83,7 +83,7 @@ from repro.core.ingress import IngressGateway, VerifiedPrefixCache
 from repro.core.local_view import LocalTopologyView
 from repro.core.ondemand import OnDemandAlgorithmManager
 from repro.core.rac import RACConfig, RACExecutionReport, RACSelection, RoutingAlgorithmContainer
-from repro.core.sandbox import RestrictedPythonAlgorithm
+from repro.core.sandbox import REJECTION_THRESHOLD, RestrictedPythonAlgorithm
 from repro.core.staticinfo import StaticInfo
 from repro.crypto.hashing import algorithm_hash
 from repro.crypto.keys import KeyStore
@@ -899,7 +899,7 @@ def _payload(source):
     evaluation per pair on an instance of its own."""
     reference = RestrictedPythonAlgorithm(source=source)
     score = lambda c, e, ctx: (reference.score_candidate(c, e, ctx),)  # noqa: E731
-    return score, lambda c, e, ctx: score(c, e, ctx)[0] < reference.rejection_threshold
+    return score, lambda c, e, ctx: score(c, e, ctx)[0] < REJECTION_THRESHOLD
 
 
 PAYLOADS = (

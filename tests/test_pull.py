@@ -3,6 +3,7 @@
 import pytest
 
 from repro.algorithms.shortest_path import KShortestPathAlgorithm
+from repro.core import pull
 from repro.core.pull import PullBasedDisjointnessOrchestrator, PullState
 from repro.exceptions import ConfigurationError
 from repro.topology.entities import Relationship
@@ -79,27 +80,6 @@ class TestPullOrchestrator:
         first, second = orchestrator.collected
         assert set(first.links()).isdisjoint(set(second.links()))
 
-    def test_seed_paths_count_towards_goal(self, fabric):
-        scheduler, services = fabric
-        # Discover a seed path with a tiny pull run first.
-        seeder = PullBasedDisjointnessOrchestrator(
-            service=services[1], target_as=4, desired_paths=1
-        )
-        seeder.start(now_ms=0.0)
-        # The beacon reaches AS 2 after round 0; AS 2 forwards it in
-        # round 1, AS 4 terminates and returns it in round 2.
-        run_rounds(scheduler, services, rounds=3)
-        seeder.advance(now_ms=3000.0)
-        assert seeder.state is PullState.DONE
-        seed = seeder.collected
-
-        satisfied = PullBasedDisjointnessOrchestrator(
-            service=services[1], target_as=4, desired_paths=1, seed_paths=seed
-        )
-        satisfied.start(now_ms=4000.0)
-        assert satisfied.state is PullState.DONE
-        assert satisfied.disjoint_path_count() == 1
-
     def test_each_iteration_publishes_new_algorithm(self, fabric):
         scheduler, services = fabric
         orchestrator = PullBasedDisjointnessOrchestrator(
@@ -117,14 +97,28 @@ class TestPullOrchestrator:
         sizes = [len(iteration.avoid_links) for iteration in orchestrator.iterations]
         assert sizes == sorted(sizes)
 
-    def test_abort_iteration_starts_a_new_one(self, fabric):
+    def test_every_iteration_originates_on_all_interfaces(self, fabric):
         _scheduler, services = fabric
+        transport = services[1].transport
         orchestrator = PullBasedDisjointnessOrchestrator(
             service=services[1], target_as=4, desired_paths=2
         )
         orchestrator.start(now_ms=0.0)
-        orchestrator.abort_iteration(now_ms=1.0)
-        assert len(orchestrator.iterations) == 2
+        assert transport.collector.sent["pcb"] == len(services[1].view.interface_ids()) == 2
+
+    def test_stops_exhausted_after_the_iteration_bound(self, fabric, monkeypatch):
+        monkeypatch.setattr(pull, "MAX_ITERATIONS", 1)
+        scheduler, services = fabric
+        orchestrator = PullBasedDisjointnessOrchestrator(
+            service=services[1], target_as=4, desired_paths=2
+        )
+        orchestrator.start(now_ms=0.0)
+        run_rounds(scheduler, services, rounds=3)
+        # The first iteration found a path; the bound forbids a second.
+        assert orchestrator.advance(now_ms=3000.0) is PullState.EXHAUSTED
+        assert orchestrator.disjoint_path_count() == 1
+        assert len(orchestrator.iterations) == 1
+        assert services[1].repository.published_ids() == ("pd-1-4-0",)
 
     def test_advance_without_results_keeps_waiting(self, fabric):
         _scheduler, services = fabric
