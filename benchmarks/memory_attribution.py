@@ -11,7 +11,8 @@ object count of everything reachable from that store that no store before
 it claimed.  The owners, in their fixed order:
 
 1. the topology and every AS's local view (the hop constants beacons share),
-2. the beacons the stores keep, open and terminated apart, one row per slot,
+2. the headers of the beacons the stores keep, then the beacons, open and
+   terminated apart, one row per slot (the entry, the link id and each memo),
 3. the ingress database (records, buckets, link index, bucket order) and
    the verified-prefix cache,
 4. the egress database,
@@ -106,7 +107,7 @@ class Attribution:
 
 
 def _stored_beacons(sim) -> List[object]:
-    """Every beacon the stores keep, and every ancestor along ``_parent``."""
+    """Every beacon the stores keep, and every ancestor along ``parent``."""
     pending = []
     for service in sim.services.values():
         for stored in service.ingress.database.all_beacons():
@@ -118,7 +119,7 @@ def _stored_beacons(sim) -> List[object]:
         beacon = pending.pop()
         if beacon is not None and id(beacon) not in seen:
             seen[id(beacon)] = beacon
-            pending.append(beacon._parent)
+            pending.append(beacon.parent)
     return list(seen.values())
 
 
@@ -143,7 +144,13 @@ def attribute(sim) -> Attribution:
     attribution.claim("topology and local views", [sim.topology, *(s.view for s in services)])
 
     beacons = _stored_beacons(sim)
-    slots = [name for name in type(beacons[0]).__slots__ if name != "_parent"] if beacons else []
+    headers = {id(beacon.header): beacon.header for beacon in beacons}
+    attribution.claim("beacons: headers", headers.values())
+    # The header and the parent are rows of their own (above, and the
+    # parent's own row): a slot row holds what the one beacon adds.
+    slots = []
+    if beacons:
+        slots = [s for s in type(beacons[0]).__slots__ if s not in ("header", "parent")]
     for kind, terminated in (("open", False), ("terminated", True)):
         group = [beacon for beacon in beacons if beacon.is_terminated is terminated]
         attribution.claim_shallow("beacons, %s: objects" % kind, group)

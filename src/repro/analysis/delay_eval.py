@@ -82,7 +82,7 @@ def _path_end_delay_to_pops(
     if origin_location is not None:
         delay += propagation_delay_ms(origin_location, destination_pop.location)
 
-    terminal_location = segment.entries[-1].static_info.ingress_location
+    terminal_location = segment.entry.static_info.ingress_location
     if terminal_location is not None:
         delay += propagation_delay_ms(terminal_location, source_pop.location)
     return delay

@@ -16,69 +16,84 @@ logic in one place.
 Fast-path invariants
 --------------------
 
-Beacons and their entries are **immutable**, which makes every derived
+Beacons, headers and entries are **immutable**, which makes every derived
 value cacheable: the SHA-256 digest (the canonical identity used for
 deduplication everywhere), the wire parts, the encoded size and the
 accumulated path metrics are all computed at most once per object and
 memoized in a declared slot of the record (``init=False``,
 ``compare=False``, so the memos are invisible to construction, equality,
 hashing and ``repr``).  An accessor reads its slot and only on ``None``
-computes and stores; neither record has a per-instance dictionary.
+computes and stores; no record has a per-instance dictionary.
 
-**An entry owns its bytes.**  The canonical encoding is
-``header | entry_0 | … | entry_{L-1}``; an :class:`ASEntry` keeps one memo,
-its *wire part* ``b"|" + encoding``, and a beacon keeps :meth:`Beacon.wire`,
-a tuple of references: the header part, then its entries' own parts.  A
-terminal entry (no egress interface) keeps no memo: a registered segment
-is never extended, so its last part is encoded for the segment's digest
-and held only by a segment whose own wire tuple was asked for.
-:meth:`Beacon.encode` joins the parts on demand — only signing needs the
-joined bytes; the RAC's IPC marshal gathers the parts and sizes come from
-:meth:`Beacon.encoded_size`.
-
-**A beacon is its parent plus one hop.**  :meth:`Beacon.with_entry` — the
-one place that knows "child = parent + one entry" — fills exactly two
-slots: ``_parent``, the beacon it extends, and ``_link``, the one new link
-id (the topology's own ``Link.key`` object when the builder is handed the
-arrival link and it names the same link).  Every derivation is the
-parent's value plus one element: :meth:`Beacon.wire` and
-:meth:`Beacon.as_path` continue the parent's memo on first call,
-:meth:`Beacon.digest` hashes the parent's wire parts and then the new
-entry's part, :meth:`Beacon.links` continues the nearest ancestor's memo
-with one ``_link`` per hop (the stores' link indexes read the same walk
-through :meth:`Beacon.walk_links`, which keeps no memo), and
+**A beacon is its header, its parent and one signed hop.**  A
+:class:`Beacon` holds three fields: the :class:`BeaconHeader` the origin
+set, its ``parent`` (the beacon it extends, ``None`` at the origin) and
+its own :class:`ASEntry`.  Its entries are the chain itself:
+:attr:`Beacon.entries` walks the parents and keeps nothing, and only
+verification, the down-segment relay and the data-plane walk read it.
+Every other derivation is the parent's value plus one element:
+:meth:`Beacon.wire` and :meth:`Beacon.as_path` continue the parent's memo
+on first call, :meth:`Beacon.digest` hashes the parent's wire parts and
+then the new entry's, :meth:`Beacon.total_latency_ms` adds one hop to the
+parent's sum (left to right, as a sum over the entries would),
+:meth:`Beacon.links` continues the nearest ancestor's memo with one link id
+per hop (the stores' link indexes read the same walk through
+:meth:`Beacon.walk_links`, which keeps no memo), and
 :meth:`Beacon.prefix_digests` reads the ancestors' digests back along
-``_parent`` and keeps no memo either.  A chain of
-``L`` beacons therefore holds ``O(L)`` link ids, digest strings and entry
-bytes in total; the ``_as_path`` and ``_wire`` memos a RAC candidate keeps
-(the loop check, the tie-break sort key, signing and the IPC marshal read
-them) are ``O(L)`` per beacon.  A terminated beacon -- a registered
-segment, never a RAC candidate -- fills neither ``_as_path`` nor
-``_links``: both extend the parent's value and return it unstored, as its
-terminal entry's wire part is.  Holding the parent is bounded: a child
-shares its header, and so its expiry, with every ancestor, so ``_parent``
-keeps no beacon alive past the validity of the child that holds it.  A
-beacon without a parent is *cold* (constructed directly or a
-``dataclasses.replace`` copy, hence every tampered copy) and derives from
-its own entries; cold is the no-parent case of each derivation, not a second
-implementation.  A pickled beacon ships its ancestors.
+``parent`` and keeps no memo either.  :meth:`Beacon.with_entry` -- the
+one place that knows "child = parent + one entry" -- fills one slot,
+``_link``, the one new link id (the topology's own ``Link.key`` object
+when the builder is handed the arrival link and it names the same link).
+A chain of ``L`` beacons therefore holds ``L`` entries, link ids, digest
+strings and entry parts in total; the ``_as_path`` and ``_wire`` memos a
+RAC candidate keeps (the loop check, the tie-break sort key, signing and
+the IPC marshal read them) are ``O(L)`` per beacon.  A terminated beacon
+-- a registered segment, never a RAC candidate -- fills neither
+``_as_path`` nor ``_links``: both extend the parent's value and return it
+unstored.
+
+**The header is held once per origination.**  Every beacon of a chain
+holds its origin's one :class:`BeaconHeader`, and the builder hands the
+same header to every beacon it originates at one time with the same
+extensions, whatever the interface.  The header memoizes its encoded
+part, its expiry and its bucket key: the stores that keep an expiry hold
+that one float and the ingress databases share that one key.  A beacon
+whose parent carries another header cannot be built, so no value a child
+continues was derived from a different header.  Holding the parent is
+bounded: a child shares its header, and so its expiry, with every
+ancestor, so ``parent`` keeps no beacon alive past the validity of the
+child that holds it.  A pickled beacon ships its ancestors.
+
+**A hop's unsigned encoding is a constant of its interface pair.**  The
+canonical encoding is ``header | entry_0 | … | entry_{L-1}``, and an
+entry's part is ``b"|entry(…)"``, its fields without the signature,
+followed by ``b"sig(<hex>)"``.  :meth:`Beacon.wire` is a tuple of
+references: the header part, then two parts per entry.  The builder
+encodes the unsigned part once per interface pair and static-info record
+and every entry it signs over that pair holds the same ``bytes`` object;
+an entry keeps its own signature part, unless it is terminal (a
+registered segment is never extended, so its last signature part is
+encoded for the segment's digest and held only by a segment whose own wire
+tuple was asked for).  :meth:`Beacon.encode` joins the parts on demand --
+only signing needs the joined bytes; the RAC's IPC marshal gathers the
+parts and sizes come from :meth:`Beacon.encoded_size`.
 
 The digest is defined as ``sha256(header | entry_0 | … | entry_{L-1})``;
 element ``i`` of the :meth:`Beacon.prefix_digests` chain is the digest the
 beacon had when entry ``i`` was its last entry.  The ingress gateway keys
 its verified-prefix cache on this chain, so dedup and incremental
 re-verification share one digest per beacon.  Signatures are always
-checked against the beacon's own header and the entries' own wire parts,
-never against inherited state.
+checked against the beacon's own header and entries' encodings, never
+against a digest or another beacon's wire tuple.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.crypto.hashing import beacon_digest, count_crypto_op
+from repro.crypto.hashing import count_crypto_op
 from repro.crypto.signer import Signer, Verifier
 from repro.exceptions import BeaconError, LoopError
 from repro.core.extensions import ExtensionSet
@@ -89,6 +104,10 @@ from repro.topology.entities import InterfaceID, LinkID, normalize_link_id
 #: bound; we use six hours of simulated time.
 DEFAULT_VALIDITY_MS = 6.0 * 60.0 * 60.0 * 1000.0
 
+#: A bucket key: (origin AS, interface group id or None, target AS or None,
+#: algorithm id or None).  RACs request candidates one bucket at a time.
+BucketKey = Tuple[int, Optional[int], Optional[int], Optional[str]]
+
 
 def _slot():
     """Declare a derived value's slot: reset by ``replace``, outside ``==`` / hash / repr."""
@@ -97,31 +116,62 @@ def _slot():
 
 def _encode_unsigned(
     as_id: int, ingress: Optional[int], egress: Optional[int], static_info: StaticInfo
-) -> str:
-    """Return the canonical encoding of an entry's fields without its signature."""
-    return f"entry(as={as_id},in={ingress},out={egress},{static_info.encode()})"
-
-
-def _encode_header(
-    origin_as: int, created_at_ms: float, validity_ms: float, extensions: ExtensionSet
 ) -> bytes:
-    """Return the canonical encoding of a beacon header, the first wire part."""
-    return (
-        f"pcb(origin={origin_as},created={created_at_ms:.3f},"
-        f"validity={validity_ms:.3f},{extensions.encode()})"
-    ).encode("utf-8")
+    """Return an entry's first wire part: ``b"|"`` and its fields without the signature."""
+    return f"|entry(as={as_id},in={ingress},out={egress},{static_info.encode()})".encode("utf-8")
 
 
-def _derive_links(entries: Tuple["ASEntry", ...]) -> Tuple[LinkID, ...]:
-    """Return the link ids between consecutive ``entries``, derived from their interfaces."""
-    result = []
-    for previous, current in zip(entries, entries[1:]):
-        if previous.egress_interface is None or current.ingress_interface is None:
-            raise BeaconError("interior beacon entries must specify both interfaces")
-        a: InterfaceID = (previous.as_id, previous.egress_interface)
-        b: InterfaceID = (current.as_id, current.ingress_interface)
-        result.append(normalize_link_id(a, b))
-    return tuple(result)
+@dataclass(frozen=True, slots=True)
+class BeaconHeader:
+    """What the origin AS sets for a whole chain: one object per origination.
+
+    Attributes:
+        origin_as: AS that originated the beacon.
+        created_at_ms: Simulated creation timestamp in milliseconds.
+        extensions: IREC extensions set by the origin AS.
+        validity_ms: Lifetime after which the beacon expires.
+    """
+
+    origin_as: int
+    created_at_ms: float
+    extensions: ExtensionSet
+    validity_ms: float
+    _wire: Optional[bytes] = _slot()
+    _expires_at_ms: Optional[float] = _slot()
+    _bucket: Optional[BucketKey] = _slot()
+
+    def wire(self) -> bytes:
+        """Return the header's canonical encoding, the first wire part (memoized)."""
+        wire = self._wire
+        if wire is None:
+            wire = (
+                f"pcb(origin={self.origin_as},created={self.created_at_ms:.3f},"
+                f"validity={self.validity_ms:.3f},{self.extensions.encode()})"
+            ).encode("utf-8")
+            object.__setattr__(self, "_wire", wire)
+        return wire
+
+    def expires_at_ms(self) -> float:
+        """Return the absolute simulated expiry time, one float per header (memoized)."""
+        expires = self._expires_at_ms
+        if expires is None:
+            expires = self.created_at_ms + self.validity_ms
+            object.__setattr__(self, "_expires_at_ms", expires)
+        return expires
+
+    def bucket(self) -> BucketKey:
+        """Return the ingress bucket of every beacon under this header (memoized)."""
+        bucket = self._bucket
+        if bucket is None:
+            extensions = self.extensions
+            bucket = (
+                self.origin_as,
+                extensions.interface_group.group_id if extensions.interface_group else None,
+                extensions.target.target_as if extensions.target else None,
+                extensions.algorithm.algorithm_id if extensions.algorithm else None,
+            )
+            object.__setattr__(self, "_bucket", bucket)
+        return bucket
 
 
 @dataclass(frozen=True, slots=True)
@@ -145,58 +195,62 @@ class ASEntry:
     egress_interface: Optional[int]
     static_info: StaticInfo = field(default_factory=StaticInfo)
     signature: bytes = b""
-    _wire: Optional[bytes] = _slot()
-
-    def wire(self) -> bytes:
-        """Return the entry's part of a beacon encoding: ``b"|"`` + its canonical encoding.
-
-        The entry's one encoding, memoized when the entry has an egress
-        interface: every beacon whose chain holds the entry holds this same
-        ``bytes`` object.  A terminal entry keeps no memo: nothing extends
-        a segment, so its part is read once, for the segment's digest, and
-        a segment that is marshalled holds the part in its own wire tuple.
-        """
-        wire = self._wire
-        if wire is None:
-            wire = (
-                "|"
-                + _encode_unsigned(
-                    self.as_id, self.ingress_interface, self.egress_interface, self.static_info
-                )
-                + f"sig({self.signature.hex()})"
-            ).encode("utf-8")
-            if self.egress_interface is not None:
-                object.__setattr__(self, "_wire", wire)
-        return wire
+    _unsigned: Optional[bytes] = _slot()
+    _signature_wire: Optional[bytes] = _slot()
 
     def unsigned_wire(self) -> bytes:
-        """Return :meth:`wire` minus its ``sig(<hex>)`` tail, whose length the signature fixes."""
-        return self.wire()[: -(len("sig()") + 2 * len(self.signature))]
+        """Return the entry's first wire part, ``b"|entry(…)"``: what its signature covers.
+
+        Memoized; an entry a :class:`BeaconBuilder` signed holds the part
+        the builder shares among every entry it signs over the same
+        interface pair and static-info record.
+        """
+        unsigned = self._unsigned
+        if unsigned is None:
+            unsigned = _encode_unsigned(
+                self.as_id, self.ingress_interface, self.egress_interface, self.static_info
+            )
+            object.__setattr__(self, "_unsigned", unsigned)
+        return unsigned
+
+    def signature_wire(self) -> bytes:
+        """Return the entry's second wire part, ``b"sig(<hex>)"``.
+
+        Memoized when the entry has an egress interface.  A terminal entry
+        keeps no memo: nothing extends a segment, so its part is read once,
+        for the segment's digest, and a segment that is marshalled holds
+        the part in its own wire tuple.
+        """
+        part = self._signature_wire
+        if part is None:
+            part = b"sig(%s)" % self.signature.hex().encode("ascii")
+            if self.egress_interface is not None:
+                object.__setattr__(self, "_signature_wire", part)
+        return part
+
+    def wire(self) -> Tuple[bytes, bytes]:
+        """Return the entry's two parts of a beacon encoding: unsigned, then signature."""
+        return (self.unsigned_wire(), self.signature_wire())
 
 
 @dataclass(frozen=True, slots=True)
 class Beacon:
-    """An immutable path-construction beacon.
+    """An immutable path-construction beacon: a header, a parent and one signed hop.
 
     Attributes:
-        origin_as: AS that originated the beacon.
-        created_at_ms: Simulated creation timestamp in milliseconds.
-        validity_ms: Lifetime after which the beacon expires.
-        entries: AS entries from the origin to the current holder.
-        extensions: IREC extensions set by the origin AS.
+        header: The origin's header, shared by every beacon of the chain.
+        entry: The entry the beacon's last AS appended.
+        parent: The beacon this one extends; ``None`` for an originated one.
 
-    Equality is content equality; the :meth:`digest` is the identity the
-    databases key on.  The underscored slots hold derived values, ``None``
-    until asked for or filled by :meth:`with_entry` (``_parent``, the
-    beacon this one extends, and ``_link``, its one new link id).
+    Equality is content equality over the whole chain; the :meth:`digest`
+    is the identity the databases key on.  The underscored slots hold
+    derived values, ``None`` until asked for or filled by
+    :meth:`with_entry` (``_link``, the one new link id).
     """
 
-    origin_as: int
-    created_at_ms: float
-    entries: Tuple[ASEntry, ...]
-    extensions: ExtensionSet = field(default_factory=ExtensionSet)
-    validity_ms: float = DEFAULT_VALIDITY_MS
-    _parent: Optional["Beacon"] = _slot()
+    header: BeaconHeader
+    entry: ASEntry
+    parent: Optional["Beacon"] = None
     _link: Optional[LinkID] = _slot()
     _as_path: Optional[Tuple[int, ...]] = _slot()
     _links: Optional[Tuple[LinkID, ...]] = _slot()
@@ -206,54 +260,89 @@ class Beacon:
     _size: Optional[int] = _slot()
     _digest: Optional[str] = _slot()
 
+    def __post_init__(self) -> None:
+        parent = self.parent
+        if parent is not None and parent.header is not self.header:
+            raise BeaconError("a beacon must hold its parent's header")
+
     # ------------------------------------------------------------------
-    # structural accessors
+    # header accessors
     # ------------------------------------------------------------------
     @property
-    def hop_count(self) -> int:
-        """Return the number of AS entries (AS-level path length)."""
-        return len(self.entries)
+    def origin_as(self) -> int:
+        """Return the AS that originated the beacon."""
+        return self.header.origin_as
 
     @property
-    def last_entry(self) -> ASEntry:
-        """Return the most recently appended entry."""
-        if not self.entries:
-            raise BeaconError("beacon has no entries")
-        return self.entries[-1]
+    def created_at_ms(self) -> float:
+        """Return the simulated creation timestamp."""
+        return self.header.created_at_ms
 
     @property
-    def last_as(self) -> int:
-        """Return the AS that appended the last entry."""
-        return self.last_entry.as_id
+    def validity_ms(self) -> float:
+        """Return the lifetime after which the beacon expires."""
+        return self.header.validity_ms
 
     @property
-    def origin_interface(self) -> Optional[int]:
-        """Return the egress interface of the origin entry."""
-        if not self.entries:
-            return None
-        return self.entries[0].egress_interface
-
-    @property
-    def is_terminated(self) -> bool:
-        """Return whether the beacon has been terminated (registered)."""
-        return bool(self.entries) and self.entries[-1].egress_interface is None
-
-    @property
-    def target_as(self) -> Optional[int]:
-        """Return the pull-based target AS, if any."""
-        return self.extensions.target.target_as if self.extensions.target else None
-
-    @property
-    def algorithm_id(self) -> Optional[str]:
-        """Return the on-demand algorithm identifier, if any."""
-        return self.extensions.algorithm.algorithm_id if self.extensions.algorithm else None
+    def extensions(self) -> ExtensionSet:
+        """Return the IREC extensions set by the origin AS."""
+        return self.header.extensions
 
     @property
     def interface_group_id(self) -> Optional[int]:
         """Return the origin interface-group identifier, if any."""
-        if self.extensions.interface_group is None:
-            return None
-        return self.extensions.interface_group.group_id
+        return self.header.bucket()[1]
+
+    @property
+    def target_as(self) -> Optional[int]:
+        """Return the pull-based target AS, if any."""
+        return self.header.bucket()[2]
+
+    @property
+    def algorithm_id(self) -> Optional[str]:
+        """Return the on-demand algorithm identifier, if any."""
+        return self.header.bucket()[3]
+
+    # ------------------------------------------------------------------
+    # structural accessors
+    # ------------------------------------------------------------------
+    @property
+    def entries(self) -> Tuple[ASEntry, ...]:
+        """Return the AS entries from the origin to the holder, walked along ``parent``.
+
+        Not memoized: a chain holds each entry once, in the beacon that
+        appended it.
+        """
+        entries = []
+        beacon: Optional[Beacon] = self
+        while beacon is not None:
+            entries.append(beacon.entry)
+            beacon = beacon.parent
+        entries.reverse()
+        return tuple(entries)
+
+    @property
+    def hop_count(self) -> int:
+        """Return the number of AS entries (AS-level path length)."""
+        return len(self.as_path())
+
+    @property
+    def last_as(self) -> int:
+        """Return the AS that appended the last entry."""
+        return self.entry.as_id
+
+    @property
+    def origin_interface(self) -> Optional[int]:
+        """Return the egress interface of the origin entry."""
+        beacon = self
+        while beacon.parent is not None:
+            beacon = beacon.parent
+        return beacon.entry.egress_interface
+
+    @property
+    def is_terminated(self) -> bool:
+        """Return whether the beacon has been terminated (registered)."""
+        return self.entry.egress_interface is None
 
     def as_path(self) -> Tuple[int, ...]:
         """Return the sequence of AS identifiers from the origin onwards.
@@ -264,12 +353,10 @@ class Beacon:
         """
         path = self._as_path
         if path is None:
-            parent = self._parent
-            if parent is None:
-                path = tuple(entry.as_id for entry in self.entries)
-            else:
-                path = parent.as_path() + (self.entries[-1].as_id,)
-            if not self.is_terminated:
+            parent = self.parent
+            entry = self.entry
+            path = (entry.as_id,) if parent is None else parent.as_path() + (entry.as_id,)
+            if entry.egress_interface is not None:
                 object.__setattr__(self, "_as_path", path)
         return path
 
@@ -289,6 +376,9 @@ class Beacon:
         its readers -- path probes, traffic selection, pull results -- read
         it once each, and the segment would otherwise hold the tuple for
         its whole validity.
+
+        Raises:
+            BeaconError: If an interior entry lacks an interface.
         """
         links = self._links
         if links is None:
@@ -300,24 +390,42 @@ class Beacon:
     def walk_links(self) -> Tuple[LinkID, ...]:
         """Return :meth:`links` without memoizing it on this beacon or an ancestor.
 
-        Walks ``_parent`` up to the nearest beacon that has a ``_links``
-        memo or no ``_link`` (a cold beacon derives from its own entries)
-        and continues from there with one ``_link`` per hop.  The stores'
-        link indexes read links this way, so a stored beacon keeps a links
-        tuple only when an algorithm asks for one.
+        Walks ``parent`` up to the nearest beacon that has a ``_links``
+        memo, or to the origin, and continues from there with one link id
+        per hop.  The stores' link indexes read links this way, so a
+        stored beacon keeps a links tuple only when an algorithm asks for
+        one.
         """
         hops = []
         beacon = self
-        while beacon._links is None and beacon._link is not None:
-            hops.append(beacon._link)
-            beacon = beacon._parent
         links = beacon._links
-        if links is None:
-            links = _derive_links(beacon.entries)
+        while links is None:
+            parent = beacon.parent
+            if parent is None:
+                links = ()
+                break
+            link = beacon._link
+            if link is None:
+                link = beacon._derive_link()
+            hops.append(link)
+            beacon = parent
+            links = beacon._links
         if hops:
             hops.reverse()
             links += tuple(hops)
         return links
+
+    def _derive_link(self) -> LinkID:
+        """Derive and memoize the link id between the parent's entry and this one."""
+        previous = self.parent.entry
+        current = self.entry
+        if previous.egress_interface is None or current.ingress_interface is None:
+            raise BeaconError("interior beacon entries must specify both interfaces")
+        link = normalize_link_id(
+            (previous.as_id, previous.egress_interface), (current.as_id, current.ingress_interface)
+        )
+        object.__setattr__(self, "_link", link)
+        return link
 
     def interfaces(self) -> Tuple[InterfaceID, ...]:
         """Return every (AS, interface) pair that appears on the beacon."""
@@ -341,12 +449,15 @@ class Beacon:
         interface of the *next* AS (the one about to receive the beacon),
         matching what that AS observes when optimizing received paths.
 
-        The value is memoized — beacons are immutable, so the walk over the
-        entries happens at most once per beacon object.
+        Memoized: the parent's sum plus this hop, added left to right from
+        ``0`` as a sum over the entries would be.
         """
         latency = self._total_latency_ms
         if latency is None:
-            latency = sum(entry.static_info.hop_latency_ms for entry in self.entries)
+            parent = self.parent
+            latency = (0 if parent is None else parent.total_latency_ms()) + (
+                self.entry.static_info.hop_latency_ms
+            )
             object.__setattr__(self, "_total_latency_ms", latency)
         return latency
 
@@ -354,12 +465,11 @@ class Beacon:
         """Return the bottleneck (minimum) link bandwidth along the path (memoized)."""
         bottleneck = self._bottleneck_bandwidth_mbps
         if bottleneck is None:
-            bandwidths = [
-                entry.static_info.link_bandwidth_mbps
-                for entry in self.entries
-                if entry.static_info.link_bandwidth_mbps is not None
-            ]
-            bottleneck = min(bandwidths) if bandwidths else float("inf")
+            parent = self.parent
+            bottleneck = float("inf") if parent is None else parent.bottleneck_bandwidth_mbps()
+            bandwidth = self.entry.static_info.link_bandwidth_mbps
+            if bandwidth is not None:
+                bottleneck = min(bottleneck, bandwidth)
             object.__setattr__(self, "_bottleneck_bandwidth_mbps", bottleneck)
         return bottleneck
 
@@ -368,27 +478,26 @@ class Beacon:
     # ------------------------------------------------------------------
     def is_expired(self, now_ms: float) -> bool:
         """Return whether the beacon has passed its validity horizon."""
-        return now_ms >= self.created_at_ms + self.validity_ms
+        return now_ms >= self.header.expires_at_ms()
 
     def expires_at_ms(self) -> float:
-        """Return the absolute simulated expiry time."""
-        return self.created_at_ms + self.validity_ms
+        """Return the absolute simulated expiry time, the header's one float."""
+        return self.header.expires_at_ms()
 
     def wire(self) -> Tuple[bytes, ...]:
-        """Return the canonical encoding as parts: the header, then every entry's wire part.
+        """Return the canonical encoding as parts: the header, then two parts per entry.
 
         ``b"".join`` of the parts is :meth:`encode`.  The tuple is memoized
-        and holds references only: each entry part is that entry's own
-        :meth:`ASEntry.wire` object (a terminal entry's part is held by this
-        tuple alone), and a child's tuple is its parent's plus one part.
+        and holds references only: each entry contributes its
+        :meth:`ASEntry.wire` objects (a terminal entry's signature part is
+        held by this tuple alone), and a child's tuple is its parent's plus
+        two parts.
         """
         wire = self._wire
         if wire is None:
-            parent = self._parent
-            if parent is None:
-                wire = (self._header_wire(), *[entry.wire() for entry in self.entries])
-            else:
-                wire = parent.wire() + (self.entries[-1].wire(),)
+            parent = self.parent
+            wire = (self.header.wire(),) if parent is None else parent.wire()
+            wire += self.entry.wire()
             object.__setattr__(self, "_wire", wire)
         return wire
 
@@ -405,58 +514,38 @@ class Beacon:
         count_crypto_op("beacon_encode")
         return b"".join(self.wire())
 
-    def _header_wire(self) -> bytes:
-        """Encode the header part from this beacon's own fields."""
-        return _encode_header(self.origin_as, self.created_at_ms, self.validity_ms, self.extensions)
-
     def prefix_digests(self) -> Tuple[str, ...]:
         """Return the digest chain of the beacon's prefixes (not memoized).
 
         Element ``i`` is the SHA-256 hex digest of
         ``header | entry_0 | … | entry_i`` — i.e. exactly the
-        :meth:`digest` the beacon had when entry ``i`` was its last entry.
-        The chain is the :meth:`digest` of this beacon and of every
-        ancestor along ``_parent``; the cold beacon at the top hashes its
-        own parts, snapshotting the state after every one.  The ingress
-        gateway keys its verified-prefix cache on these values.
+        :meth:`digest` the beacon had when entry ``i`` was its last entry:
+        the :meth:`digest` of this beacon and of every ancestor along
+        ``parent``.  The ingress gateway keys its verified-prefix cache on
+        these values.
         """
-        below = []
-        beacon = self
-        while beacon._parent is not None:
-            below.append(beacon.digest())
-            beacon = beacon._parent
         chain = []
-        if beacon.entries:
-            wire = beacon.wire()
-            state = hashlib.sha256(wire[0])
-            for part in wire[1:-1]:
-                state.update(part)
-                chain.append(state.hexdigest())
+        beacon: Optional[Beacon] = self
+        while beacon is not None:
             chain.append(beacon.digest())
-        below.reverse()
-        return (*chain, *below)
+            beacon = beacon.parent
+        chain.reverse()
+        return tuple(chain)
 
     def digest(self) -> str:
         """Return the SHA-256 hex digest of the full encoding (memoized).
 
-        A child hashes its parent's wire parts and then its own last entry's
-        part, so it materializes no wire tuple of its own.
+        A child hashes its parent's wire parts and then its own entry's
+        parts, so it materializes no wire tuple of its own.
         """
         digest = self._digest
         if digest is None:
-            if not self.entries:
-                digest = beacon_digest(self.encode())
-            else:
-                count_crypto_op("beacon_digest")
-                parent = self._parent
-                if parent is None:
-                    parts = self.wire()
-                else:
-                    parts = (*parent.wire(), self.entries[-1].wire())
-                state = hashlib.sha256()
-                for part in parts:
-                    state.update(part)
-                digest = state.hexdigest()
+            count_crypto_op("beacon_digest")
+            parent = self.parent
+            state = hashlib.sha256()
+            for part in self.wire() if parent is None else parent.wire() + self.entry.wire():
+                state.update(part)
+            digest = state.hexdigest()
             object.__setattr__(self, "_digest", digest)
         return digest
 
@@ -465,7 +554,6 @@ class Beacon:
 
         Raises:
             SignatureError: If any entry's signature is invalid.
-            BeaconError: If the beacon has no entries.
         """
         self.verify_suffix(verifier, first_entry=0)
 
@@ -473,27 +561,27 @@ class Beacon:
         """Verify the signatures of entries ``first_entry`` onwards.
 
         The signed messages are built in bytes from one growing prefix, out
-        of the header encoded from this beacon's own fields and the
-        entries' own wire parts — never out of :meth:`wire` or other
-        inherited state — so the byte work is linear in the encoding size.
-        Skipping already-verified prefixes is only sound when the caller
-        knows the prefix ending at ``first_entry - 1`` was verified against
-        the same key material — that is what the ingress gateway's
-        verified-prefix cache establishes.
+        of this beacon's header part and its entries' own parts — never
+        out of :meth:`wire` or a digest — so the byte work is linear in the
+        encoding size.  Skipping already-verified prefixes is only sound
+        when the caller knows the prefix ending at ``first_entry - 1`` was
+        verified against the same key material — that is what the ingress
+        gateway's verified-prefix cache establishes.
 
         Raises:
             SignatureError: If any checked entry's signature is invalid.
-            BeaconError: If the beacon has no entries or ``first_entry`` is
-                out of range.
+            BeaconError: If ``first_entry`` is out of range.
         """
-        if not self.entries:
-            raise BeaconError("cannot verify a beacon without entries")
-        if not 0 <= first_entry <= len(self.entries):
+        entries = self.entries
+        if not 0 <= first_entry <= len(entries):
             raise BeaconError(f"entry index {first_entry} out of range")
-        prefix = b"".join([self._header_wire(), *[e.wire() for e in self.entries[:first_entry]]])
-        for entry in self.entries[first_entry:]:
-            verifier.verify(entry.as_id, prefix + entry.unsigned_wire(), entry.signature)
-            prefix += entry.wire()
+        prefix = b"".join(
+            [self.header.wire(), *[part for e in entries[:first_entry] for part in e.wire()]]
+        )
+        for entry in entries[first_entry:]:
+            unsigned, signature = entry.wire()
+            verifier.verify(entry.as_id, prefix + unsigned, entry.signature)
+            prefix += unsigned + signature
 
     # ------------------------------------------------------------------
     # derivation
@@ -510,25 +598,18 @@ class Beacon:
     def with_entry(self, entry: ASEntry, arrival: Optional[LinkID] = None) -> "Beacon":
         """Return a new beacon with ``entry`` appended (no loop allowed).
 
-        The child holds this beacon as ``_parent`` and its one new link id
-        as ``_link``, and nothing else derived (see the module docstring):
-        each accessor continues the parent's value on first call.
-        ``arrival`` is the topology's id of the link the beacon arrived on;
-        ``_link`` is that object when it names the same link.
+        The child holds this beacon's header, this beacon as its parent,
+        ``entry``, and one derived value, ``_link``, its one new link id
+        (see the module docstring): each accessor continues the parent's
+        value on first call.  ``arrival`` is the topology's id of the link
+        the beacon arrived on; ``_link`` is that object when it names the
+        same link.
         """
         self.require_extendable_by(entry.as_id)
-        entries = self.entries + (entry,)
-        child = Beacon(
-            self.origin_as, self.created_at_ms, entries, self.extensions, self.validity_ms
-        )
-        object.__setattr__(child, "_parent", self)
+        child = Beacon(self.header, entry, self)
         # An entry without an ingress interface is left for links() to reject.
-        if self.entries and entry.ingress_interface is not None:
-            last = self.entries[-1]
-            link = normalize_link_id(
-                (last.as_id, last.egress_interface), (entry.as_id, entry.ingress_interface)
-            )
-            object.__setattr__(child, "_link", arrival if link == arrival else link)
+        if entry.ingress_interface is not None and child._derive_link() == arrival:
+            object.__setattr__(child, "_link", arrival)
         return child
 
 
@@ -540,10 +621,23 @@ class BeaconBuilder:
     the correctly chained prefix *before* it constructs anything, so every
     operation makes one signed :class:`ASEntry` and one :class:`Beacon`.
     It is owned by the AS's egress gateway.
+
+    It keeps the header it last built and hands it to every beacon it
+    originates with the same creation time, extensions and validity, so
+    one origination over several interfaces holds one header.  Per
+    ``(ingress, egress)`` interface pair it keeps the unsigned part it
+    last encoded, with the static-info record it encoded it from, and
+    hands that one ``bytes`` object to every entry it signs over the pair
+    while it is given the same record (a local view shares one per pair,
+    until a link is attached).
     """
 
     as_id: int
     signer: Signer
+    _header: Optional[BeaconHeader] = field(default=None, init=False, repr=False)
+    _unsigned: Dict[Tuple[Optional[int], Optional[int]], Tuple[StaticInfo, bytes]] = field(
+        default_factory=dict, init=False, repr=False
+    )
 
     def originate(
         self,
@@ -555,9 +649,17 @@ class BeaconBuilder:
     ) -> Beacon:
         """Create a fresh beacon leaving this AS over ``egress_interface``."""
         extensions = extensions or ExtensionSet()
-        header = _encode_header(self.as_id, created_at_ms, validity_ms, extensions)
-        entry = self._signed_entry(header, None, egress_interface, static_info)
-        return Beacon(self.as_id, created_at_ms, (entry,), extensions, validity_ms)
+        header = self._header
+        if header is None or (header.created_at_ms, header.extensions, header.validity_ms) != (
+            created_at_ms,
+            extensions,
+            validity_ms,
+        ):
+            header = self._header = BeaconHeader(
+                self.as_id, created_at_ms, extensions, validity_ms
+            )
+        entry = self._signed_entry(header.wire(), None, egress_interface, static_info)
+        return Beacon(header, entry)
 
     def extend(
         self,
@@ -598,13 +700,23 @@ class BeaconBuilder:
         egress_interface: Optional[int],
         static_info: Optional[StaticInfo],
     ) -> ASEntry:
-        """Return this AS's entry, signed over ``prefix`` and its own unsigned encoding.
+        """Return this AS's entry, signed over ``prefix`` and its own unsigned part.
 
         ``prefix`` is what precedes the entry: the header at origination,
         otherwise the beacon's full encoding, previous signatures included,
         which chains the signatures together.
         """
         static_info = static_info or StaticInfo()
-        unsigned = _encode_unsigned(self.as_id, ingress_interface, egress_interface, static_info)
-        signature = self.signer.sign(prefix + b"|" + unsigned.encode("utf-8"))
-        return ASEntry(self.as_id, ingress_interface, egress_interface, static_info, signature)
+        pair = (ingress_interface, egress_interface)
+        known = self._unsigned.get(pair)
+        if known is not None and known[0] is static_info:
+            unsigned = known[1]
+        else:
+            unsigned = _encode_unsigned(
+                self.as_id, ingress_interface, egress_interface, static_info
+            )
+            self._unsigned[pair] = (static_info, unsigned)
+        signature = self.signer.sign(prefix + unsigned)
+        entry = ASEntry(self.as_id, ingress_interface, egress_interface, static_info, signature)
+        object.__setattr__(entry, "_unsigned", unsigned)
+        return entry

@@ -20,13 +20,9 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.algorithms.base import CandidateBeacon
-from repro.core.beacon import Beacon
+from repro.core.beacon import Beacon, BucketKey
 from repro.exceptions import GatewayError
 from repro.topology.entities import LinkID, normalize_link_id
-
-#: A bucket key: (origin AS, interface group id or None, target AS or None,
-#: algorithm id or None).  RACs request candidates one bucket at a time.
-BucketKey = Tuple[int, Optional[int], Optional[int], Optional[str]]
 
 
 def _indexed_under_as(by_link: Dict[LinkID, List[str]], as_id: int) -> Iterator[str]:
@@ -65,8 +61,8 @@ def _unindex(index: Dict[Any, List[str]], key: Any, digest: str) -> None:
 
 
 def bucket_of(beacon: Beacon) -> BucketKey:
-    """Return the bucket ``beacon`` belongs to."""
-    return (beacon.origin_as, beacon.interface_group_id, beacon.target_as, beacon.algorithm_id)
+    """Return the bucket ``beacon`` belongs to: its header's one key object."""
+    return beacon.header.bucket()
 
 
 def _bucket_sort_key(key: BucketKey) -> Tuple:
@@ -130,7 +126,7 @@ class IngressDatabase:
     def _links_of(self, stored: CandidateBeacon) -> Tuple[LinkID, ...]:
         """Return the links of a stored beacon, including its arrival link."""
         links = stored.beacon.walk_links()
-        last = stored.beacon.entries[-1]
+        last = stored.beacon.entry
         if last.egress_interface is None:
             return links
         arrival = normalize_link_id(

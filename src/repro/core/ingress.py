@@ -218,8 +218,6 @@ class IngressGateway:
 
     def _admit(self, beacon: Beacon, now_ms: float) -> None:
         """Run the built-in checks and every configured policy."""
-        if not beacon.entries:
-            raise PolicyViolationError("beacon has no entries")
         if beacon.is_expired(now_ms):
             raise ExpiredBeaconError(
                 f"beacon from AS {beacon.origin_as} expired at {beacon.expires_at_ms():.0f} ms"

@@ -100,7 +100,7 @@ class ValleyFreePolicy:
         if beacon.hop_count < 2:
             return  # originated by the direct neighbour: always exportable
         neighbor_as = beacon.last_as
-        received_from = beacon.entries[-2].as_id
+        received_from = beacon.parent.last_as
         try:
             allowed = self.topology.export_allowed(
                 received_from=received_from, via=neighbor_as, to_as=local_as

@@ -349,13 +349,12 @@ class SandboxRuntime:
 
     ``setup`` re-validates the payload and rebuilds the metered evaluator,
     mirroring the per-execution Wasmtime environment setup the paper
-    measures; its cost is accumulated in :attr:`stats`.
+    measures; its cost is accumulated in :attr:`stats`.  The fresh
+    environment keeps the algorithm's own step and time budgets.
     """
 
-    step_budget: int = DEFAULT_STEP_BUDGET
-    time_budget_ms: float = DEFAULT_TIME_BUDGET_MS
     modelled_setup_ms: float = 0.0
-    stats: SandboxStats = field(default_factory=SandboxStats)
+    stats: SandboxStats = field(default_factory=SandboxStats, init=False)
 
     def setup(self, algorithm: RoutingAlgorithm) -> Tuple[RoutingAlgorithm, float]:
         """Prepare ``algorithm`` for one sandboxed execution.
@@ -373,8 +372,8 @@ class SandboxRuntime:
             prepared = RestrictedPythonAlgorithm(
                 source=algorithm.source,
                 paths_per_interface=algorithm.paths_per_interface,
-                step_budget=self.step_budget,
-                time_budget_ms=self.time_budget_ms,
+                step_budget=algorithm.step_budget,
+                time_budget_ms=algorithm.time_budget_ms,
             )
         elapsed_ms = (time.perf_counter() - start) * 1000.0 + self.modelled_setup_ms
         self.stats.record(elapsed_ms)

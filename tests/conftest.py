@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import pytest
 
-from repro.core.beacon import Beacon, BeaconBuilder
+from repro.core.beacon import ASEntry, Beacon, BeaconBuilder, BeaconHeader
 from repro.core.control_service import ControlServiceConfig, IrecControlService
 from repro.core.extensions import ExtensionSet
 from repro.core.interface_groups import InterfaceGroupingPolicy
@@ -234,6 +235,25 @@ def make_beacon(
                 static_info=static_info,
             )
     return beacon
+
+
+def rebuild_chain(header: BeaconHeader, entries: Sequence[ASEntry]) -> Beacon:
+    """Return a fresh chain of ``entries`` under ``header``, one new beacon per entry.
+
+    How a test builds a tampered or a cold copy of a beacon: the beacons
+    are constructed directly, so nothing is checked or signed, and none of
+    them holds a derived value (the header and entries passed in keep
+    their own memos).
+    """
+    beacon = None
+    for entry in entries:
+        beacon = Beacon(header, entry, beacon)
+    return beacon
+
+
+def cold_twin(beacon: Beacon) -> Beacon:
+    """Return ``beacon`` rebuilt from copies of its header and entries: nothing derived."""
+    return rebuild_chain(replace(beacon.header), [replace(entry) for entry in beacon.entries])
 
 
 def terminated_segments(service: IrecControlService) -> List[Beacon]:

@@ -20,7 +20,7 @@ from repro.crypto.signer import Signer, Verifier
 from repro.exceptions import BeaconError, LoopError, SignatureError
 from repro.topology.entities import normalize_link_id
 
-from tests.conftest import make_beacon
+from tests.conftest import cold_twin, make_beacon, rebuild_chain
 from tests.test_perf_equivalence import DERIVATIONS, naive_encode
 
 
@@ -80,7 +80,7 @@ class TestExtension:
     def test_tampering_breaks_verification(self, key_store, beacon_factory):
         beacon = beacon_factory([(1, None, 1), (2, 1, 2)])
         tampered_entry = dataclasses.replace(beacon.entries[0], egress_interface=9)
-        tampered = dataclasses.replace(beacon, entries=(tampered_entry, beacon.entries[1]))
+        tampered = rebuild_chain(beacon.header, (tampered_entry, beacon.entries[1]))
         with pytest.raises(SignatureError):
             tampered.verify(Verifier(key_store=key_store))
 
@@ -143,13 +143,6 @@ class TestLifetimeAndEncoding:
         assert beacon.contains_as(2)
         assert not beacon.contains_as(3)
 
-    def test_empty_beacon_rejected_by_last_entry(self):
-        beacon = Beacon(origin_as=1, created_at_ms=0.0, entries=())
-        with pytest.raises(BeaconError):
-            _ = beacon.last_entry
-        with pytest.raises(BeaconError):
-            beacon.verify(Verifier.__new__(Verifier))  # never reaches the verifier
-
 
 class TestExtensionsOnBeacons:
     def test_target_and_algorithm_accessors(self, key_store):
@@ -167,7 +160,9 @@ class TestExtensionsOnBeacons:
     def test_extensions_covered_by_signature(self, key_store):
         extensions = ExtensionSet().with_target(9)
         beacon = make_beacon(key_store, [(1, None, 1)], extensions=extensions)
-        stripped = dataclasses.replace(beacon, extensions=ExtensionSet())
+        stripped = rebuild_chain(
+            dataclasses.replace(beacon.header, extensions=ExtensionSet()), beacon.entries
+        )
         with pytest.raises(SignatureError):
             stripped.verify(Verifier(key_store=key_store))
 
@@ -181,7 +176,8 @@ class TestInheritedState:
         # digested, link-indexed, loop-checked and extended; the last one
         # is terminated into a segment and registered.  Re-deriving per
         # beacon would hold 78 digest strings, 66 link ids and 78 entry
-        # encodings; a beacon that is its parent plus one hop holds one per hop.
+        # encodings; a beacon that is its parent plus one hop holds one per
+        # hop, and one header part for the chain.
         beacon = builder_for(1, key_store).originate(egress_interface=1, created_at_ms=0.0)
         prefixes = []
         for as_id in range(2, 14):
@@ -198,9 +194,9 @@ class TestInheritedState:
         assert paths.register(RegisteredPath(segment, criteria_tags=("1sp",), registered_at_ms=0.0))
         (path,) = paths.paths_to(1)
         assert path.segment is segment
-        # The registered segment's terminal part was encoded for its digest
-        # and is held by nothing: no wire tuple, no entry memo.
-        assert segment._digest is not None and segment.entries[-1]._wire is None
+        # The registered segment's terminal signature part was encoded for
+        # its digest and is held by nothing: no wire tuple, no entry memo.
+        assert segment._digest is not None and segment.entry._signature_wire is None
         # AS 7 relays the segment as a down-segment announcement toward AS 1,
         # out its ingress interface, finding its hop without an AS path memo.
         relayed = []
@@ -210,25 +206,26 @@ class TestInheritedState:
         message = PathRegistrationMessage(origin_as=13, sequence=1, created_at_ms=0.0, path=path)
         assert IrecControlService.receive_path_registration(relay, message, now_ms=0.0)
         assert relayed == [(7, 2, message)] and segment._as_path is None
-        # What a RAC candidate keeps beside its parent and link id: its AS
-        # path and wire parts, O(L) each; no links tuple and no digest
-        # chain.  A registered segment keeps no derived tuple at all.
+        # What a RAC candidate keeps beside its link id: its AS path and
+        # wire parts (a header part and two per entry), O(L) each; no links
+        # tuple and no digest chain.  A registered segment keeps no derived
+        # tuple at all.
         derived = memo_slots(Beacon) - PREFIX
         held = {}
         for prefix in prefixes:
             for name in derived:
                 if type(getattr(prefix, name)) is tuple:
                     held[name] = held.get(name, 0) + len(getattr(prefix, name))
-        assert held == {"_as_path": 78, "_wire": 90}
+        assert held == {"_as_path": 78, "_wire": 12 + 2 * 78}
         assert not [name for name in derived if type(getattr(segment, name)) is tuple]
-        assert segment._parent is beacon and beacon.hop_count == 12
+        assert segment.parent is beacon and beacon.hop_count == 12
         assert beacon.digest() == hashlib.sha256(naive_encode(beacon)).hexdigest()
         assert segment.digest() == hashlib.sha256(naive_encode(segment)).hexdigest()
         digests = {id(digest) for prefix in prefixes for digest in prefix.prefix_digests()}
         link_ids = {id(link) for prefix in prefixes for link in prefix.walk_links()}
         headers = {id(prefix.wire()[0]) for prefix in prefixes}
         parts = {id(part) for prefix in prefixes for part in prefix.wire()[1:]}
-        assert (len(digests), len(link_ids), len(headers), len(parts)) == (12, 11, 1, 12)
+        assert (len(digests), len(link_ids), len(headers), len(parts)) == (12, 11, 1, 24)
         assert [prefix.prefix_digests() for prefix in prefixes] == [
             beacon.prefix_digests()[: index + 1] for index in range(12)
         ]
@@ -259,9 +256,7 @@ class TestInheritedState:
         child = builder_for(4, key_store).extend(parent, ingress_interface=1, egress_interface=2)
         assert child.prefix_digests()[:-1] == parent.prefix_digests()
         forged = dataclasses.replace(child.entries[1], egress_interface=9)
-        tampered = dataclasses.replace(
-            child, entries=child.entries[:1] + (forged,) + child.entries[2:]
-        )
+        tampered = rebuild_chain(child.header, child.entries[:1] + (forged,) + child.entries[2:])
         assert tampered.digest() == hashlib.sha256(naive_encode(tampered)).hexdigest()
         assert tampered.digest() != child.digest()
         assert tampered.prefix_digests()[0] == child.prefix_digests()[0]
@@ -290,8 +285,8 @@ class TestInheritedState:
             child.links()
 
 
-#: The slots only :meth:`Beacon.with_entry` fills: the parent and the one new link id.
-PREFIX = {"_parent", "_link"}
+#: The slot only :meth:`Beacon.with_entry` fills: the one new link id.
+PREFIX = {"_link"}
 #: The memos a terminated beacon (a registered segment) never stores.
 SEGMENT_UNSTORED = {"_as_path", "_links"}
 
@@ -366,20 +361,28 @@ class TestSlottedRecords:
         segment = records[0]
         beacon = warm(beacon_factory([(1, None, 1), (2, 1, 2), (3, 1, 2)]))
         for warmed, unstored in ((beacon, set()), (segment, SEGMENT_UNSTORED)):
-            twin = dataclasses.replace(warmed)
             derived = memo_slots(Beacon) - PREFIX
             filled = {name for name in derived if getattr(warmed, name) is not None}
             assert filled == derived - unstored
-            assert all(getattr(twin, name) is None for name in memo_slots(Beacon))
+            # A copy of the beacon alone starts cold; a rebuilt chain is cold throughout.
+            copy = dataclasses.replace(warmed)
+            assert all(getattr(copy, name) is None for name in memo_slots(Beacon))
+            twin = cold_twin(warmed)
+            chain = [twin]
+            while chain[-1].parent is not None:
+                chain.append(chain[-1].parent)
+            for cold in chain:
+                assert all(getattr(cold, name) is None for name in memo_slots(Beacon))
             assert twin == warmed and hash(twin) == hash(warmed) and repr(twin) == repr(warmed)
             assert twin.wire() == warmed.wire() and twin.encoded_size() == warmed.encoded_size()
             assert twin.as_path() == warmed.as_path() and twin.links() == warmed.links()
         entry = beacon.entries[0]
-        assert entry._wire is not None
+        assert entry._unsigned is not None and entry._signature_wire is not None
         cold_entry = dataclasses.replace(entry)
-        assert cold_entry._wire is None
+        assert cold_entry._unsigned is None and cold_entry._signature_wire is None
         assert cold_entry == entry and hash(cold_entry) == hash(entry)
-        assert cold_entry.wire() == entry.wire() and cold_entry.wire() is not entry.wire()
+        assert cold_entry.wire() == entry.wire()
+        assert all(mine is not theirs for mine, theirs in zip(cold_entry.wire(), entry.wire()))
 
     def test_pickled_warm_child_answers_without_deriving_again(self, key_store, beacon_factory):
         """An open child: a terminated one stores no AS path or links to ship."""
@@ -407,30 +410,35 @@ class TestSlottedRecords:
         )
         assert b"".join(answers[1]) == naive_encode(child)
         assert answers[2] == len(naive_encode(child))
-        # The pickle ships the wire tuple and every entry's part in it.
-        assert all(part is entry._wire for part, entry in zip(answers[1][1:], shipped.entries))
+        # The pickle ships the wire tuple and every entry's two parts in it.
+        entries = shipped.entries
+        assert all(part is entry._unsigned for part, entry in zip(answers[1][1::2], entries))
+        assert all(part is entry._signature_wire for part, entry in zip(answers[1][2::2], entries))
         for counter in ("beacon_digest", "beacon_encode"):
             assert after[counter] == before[counter]
 
-    def test_with_entry_fills_the_parent_and_one_link_id_only(self, key_store, beacon_factory):
+    def test_with_entry_fills_one_link_id_only(self, key_store, beacon_factory):
         parent = warm(beacon_factory([(1, None, 1), (2, 1, 2)]))
         builder = builder_for(3, key_store)
         # A fresh tuple equal to the derived id, as the topology's Link.key is.
         arrival = normalize_link_id((3, 1), (2, 2))
         child = builder.extend(parent, ingress_interface=1, egress_interface=2, arrival=arrival)
         assert child.entries[:-1] == parent.entries
-        for field in dataclasses.fields(Beacon):
-            if field.init and field.name != "entries":
-                assert getattr(child, field.name) is getattr(parent, field.name)
+        assert [field.name for field in dataclasses.fields(Beacon) if field.init] == [
+            "header",
+            "entry",
+            "parent",
+        ]
+        assert child.header is parent.header and child.parent is parent
         filled = {name for name in memo_slots(Beacon) if getattr(child, name) is not None}
         assert filled == PREFIX
-        assert child._parent is parent
         assert child._link is arrival
         derived = builder.extend(parent, ingress_interface=1, egress_interface=2)
         assert derived._link == arrival and derived._link is not arrival
         # Each accessor continues the parent's memo by one element.
         assert all(mine is theirs for mine, theirs in zip(child.wire(), parent.wire()))
-        assert child.wire()[-1] is child.entries[-1].wire()
+        assert child.wire()[-2:] == child.entry.wire()
+        assert all(mine is theirs for mine, theirs in zip(child.wire()[-2:], child.entry.wire()))
         assert child.as_path() == parent.as_path() + (3,)
         assert child.links() == parent.links() + (child._link,)
         assert child.links()[-1] is child._link

@@ -28,7 +28,7 @@ from repro.core.ingress import IngressGateway, VerifiedPrefixCache
 from repro.crypto.keys import KeyStore
 from repro.crypto.signer import Signer, Verifier
 
-from tests.conftest import make_beacon
+from tests.conftest import make_beacon, rebuild_chain
 
 
 def two_hop_beacon(key_store, created_at_ms=0.0):
@@ -143,7 +143,7 @@ class TestTamperedExtensionStillRejected:
                 intra_latency_ms=entry.static_info.intra_latency_ms + 5.0,
             ),
         )
-        tampered = replace(child, entries=child.entries[:-1] + (tampered_entry,))
+        tampered = rebuild_chain(child.header, child.entries[:-1] + (tampered_entry,))
         assert not gateway.receive(tampered, on_interface=1, now_ms=0.0)
         assert gateway.stats.rejected_signature == 1
         # The genuine extension is still accepted, via the cached prefix.
@@ -161,11 +161,11 @@ class TestTamperedExtensionStillRejected:
         assert gateway.receive(child, on_interface=1, now_ms=0.0)
         assert all(digest in gateway.verified_prefixes for digest in child.prefix_digests())
 
-        # A copy with a forged inherited entry starts cold: its chain is
-        # derived from its own content, misses the cache from the forged
-        # entry on and fails full verification.
+        # A rebuilt chain with a forged inherited entry starts cold: its
+        # digests are derived from its own content, miss the cache from the
+        # forged entry on and fail full verification.
         forged = replace(child.entries[1], egress_interface=9)
-        tampered = replace(child, entries=child.entries[:1] + (forged,) + child.entries[2:])
+        tampered = rebuild_chain(child.header, child.entries[:1] + (forged,) + child.entries[2:])
         assert not any(
             digest in gateway.verified_prefixes for digest in tampered.prefix_digests()[1:]
         )

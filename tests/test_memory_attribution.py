@@ -47,7 +47,8 @@ def test_each_store_has_a_row_and_the_rows_add_up(workload):
     assert 0.75 * traced < attributed < traced
     for owner in (
         "beacons, open: _as_path",
-        "beacons, terminated: entries",
+        "beacons: headers",
+        "beacons, terminated: entry",
         "ingress: _buckets",
         "verified-prefix cache: _digests",
         "egress: _records",

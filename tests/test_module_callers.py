@@ -284,6 +284,7 @@ API_OPTIONS = {
     "EgressGateway": "core/egress.py",
     "IPCChannel": "core/ipc.py",
     "RestrictedPythonAlgorithm": "core/sandbox.py",
+    "SandboxRuntime": "core/sandbox.py",
 }
 
 #: Options of ``API_OPTIONS`` kept although nothing outside the tests sets
@@ -460,8 +461,9 @@ class _OptionScan:
     nothing.  Writes from the option's own class do not count: a class
     filling in its own field is not a caller choosing a value.  A value
     that forwards — reads a defaulted parameter of the calling method, a
-    field of the calling dataclass, or a local assigned only such values —
-    sets the option only if everything it forwards is set.
+    field of the calling dataclass, an option of another object whose
+    class the scan can read, or a local assigned only such values — sets
+    the option only if everything it forwards is set.
     """
 
     def __init__(self, sources=None):
@@ -641,7 +643,22 @@ class _OptionScan:
                 and not self.is_set(class_name, None, node.attr)
             ):
                 return False
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id != "self"
+                and self._reads_unset_option(node, function, class_name)
+            ):
+                return False
         return True
+
+    def _reads_unset_option(self, node, function, class_name):
+        """Whether ``node``, ``x.<attr>``, reads an unset option of a class ``x`` may hold."""
+        for held in self.types(node.value, function, class_name, None):
+            for owner in self.family(held):
+                if node.attr in self.options(owner) and not self.is_set(owner, None, node.attr):
+                    return True
+        return False
 
 
 @pytest.fixture(scope="module")
@@ -753,6 +770,15 @@ class Planner:
             True,
         ),
         ("Knobs(name=None)", "name", False),
+        # Copying an object's option onto a fresh one chooses nothing.
+        ("def fresh(knobs: Knobs):\n    return Knobs(budget=knobs.budget)", "budget", False),
+        ("def fresh(knobs: 'Knobs'):\n    return Knobs(budget=knobs.budget + 1)", "budget", False),
+        (
+            "def fresh(knobs: Knobs):\n    return Knobs(budget=knobs.budget)\n"
+            "def tune(knobs: Knobs):\n    knobs.budget = 3",
+            "budget",
+            True,
+        ),
         ("Tuned(budget=3)", "budget", True),
     ],
 )

@@ -59,6 +59,7 @@ from tests.conftest import (
     build_topology,
     line_topology,
     make_beacon,
+    rebuild_chain,
     terminated_segments,
 )
 from tests.test_golden_trace import (
@@ -496,7 +497,7 @@ class TestDownSegmentRegistration:
         assert stranger.on_message_batch([(self._announcement(segment), 7)], 1.0) == [False]
         # A header naming another origin leaves AS 1 with the origin-side
         # entry, which has no ingress interface to relay out of.
-        renamed = dataclasses.replace(segment, origin_as=5)
+        renamed = rebuild_chain(dataclasses.replace(segment.header, origin_as=5), segment.entries)
         first_hop = self._isolated_service(1)
         assert first_hop.on_message_batch([(self._announcement(renamed), 7)], 1.0) == [False]
         for service in (stranger, first_hop):

@@ -100,7 +100,7 @@ from repro.traffic.selection import (
     LatencyGreedyPolicy,
 )
 
-from tests.conftest import figure1_topology, make_beacon
+from tests.conftest import cold_twin, figure1_topology, make_beacon, rebuild_chain
 from tests.test_gateways import gateway_pair
 from tests.test_steady_state import signed_fixed_topology, tree_topology
 
@@ -213,7 +213,7 @@ class TestDigestEquivalence:
         chain = beacon.prefix_digests()
         assert len(chain) == beacon.hop_count
         for index in range(beacon.hop_count):
-            prefix = replace(beacon, entries=beacon.entries[: index + 1])
+            prefix = rebuild_chain(beacon.header, beacon.entries[: index + 1])
             assert chain[index] == hashlib.sha256(naive_encode(prefix)).hexdigest()
         assert beacon.digest() == chain[-1]
 
@@ -246,7 +246,7 @@ class TestDigestEquivalence:
         )
         derive_some(child)
         shipped = pickle.loads(pickle.dumps(child))
-        expected = derived_values(replace(child))
+        expected = derived_values(cold_twin(child))
         assert expected["encode"] == naive_encode(child)
         assert expected["digest"] == hashlib.sha256(naive_encode(child)).hexdigest()
         assert derived_values(shipped) == expected
@@ -265,7 +265,7 @@ class TestDigestEquivalence:
 
 
 class TestWireParts:
-    """A beacon's encoding is its header and its entries' own bytes, referenced."""
+    """A beacon's encoding is its header and two parts per entry, referenced."""
 
     @given(
         hops=hop_specs,
@@ -291,26 +291,31 @@ class TestWireParts:
         )
         chain.append(last)
         for built in chain:
-            for beacon in (built, replace(built), pickle.loads(pickle.dumps(built))):
-                cold = replace(beacon)
+            for beacon in (built, cold_twin(built), pickle.loads(pickle.dumps(built))):
+                cold = cold_twin(beacon)
                 wire = beacon.wire()
                 assert b"".join(wire) == cold.encode() == naive_encode(beacon)
                 assert beacon.encoded_size() == len(cold.encode())
                 prefixes = [
-                    replace(beacon, entries=beacon.entries[:n])
+                    rebuild_chain(beacon.header, beacon.entries[:n])
                     for n in range(1, beacon.hop_count + 1)
                 ]
                 assert beacon.prefix_digests() == cold.prefix_digests() == tuple(
                     hashlib.sha256(naive_encode(prefix)).hexdigest() for prefix in prefixes
                 )
-                assert len(wire) == beacon.hop_count + 1
-                # A part is its entry's own memo; a terminal entry keeps none,
-                # so its part is equal to the entry's encoding, not the object.
-                for part, entry in zip(wire[1:], beacon.entries):
+                assert len(wire) == 2 * beacon.hop_count + 1
+                assert wire[0] is beacon.header.wire()
+                # Each entry's parts are its own memos: the unsigned part,
+                # then the signature part, which a terminal entry does not
+                # keep, so that part is equal to the entry's, not the object.
+                entries = beacon.entries
+                for unsigned, signature, entry in zip(wire[1::2], wire[2::2], entries):
+                    assert unsigned is entry.unsigned_wire()
                     if entry.egress_interface is None:
-                        assert part == entry.wire() and entry._wire is None
+                        assert signature == entry.signature_wire()
+                        assert entry._signature_wire is None
                     else:
-                        assert part is entry.wire()
+                        assert signature is entry.signature_wire()
         # Along a builder-made chain every beacon holds the same part objects.
         for prefix in chain:
             assert all(mine is theirs for mine, theirs in zip(prefix.wire(), last.wire()))
@@ -356,7 +361,7 @@ class TestInternedLinkIds:
             segment = gateway.path_service.all_paths()[-1].segment
             assert segment.entries[:-1] == extended.entries[:-1]
             for built in (extended, segment):
-                assert built.links() == replace(built).links()
+                assert built.links() == cold_twin(built).links()
                 if beacon is known:
                     assert built.links()[-1] is arrival
                 else:
@@ -393,7 +398,7 @@ class TestRegisteredSegmentsHoldNoReaderMemo:
             assert segment.is_terminated
             for name in self.UNSTORED:
                 assert getattr(segment, name) is None, name
-            twin = replace(segment)
+            twin = cold_twin(segment)
             assert segment.as_path() == twin.as_path()
             assert segment.links() == twin.links()
             assert segment.digest() == twin.digest()
@@ -476,7 +481,7 @@ class TestRegisteredSegmentsHoldNoReaderMemo:
             assert not beacon.is_terminated
             for name in self.UNSTORED:
                 assert getattr(beacon, name) is not None, name
-        cold = replace(candidates[0])
+        cold = cold_twin(candidates[0])
         cold.as_path(), cold.links(), cold.wire()
         assert all(getattr(cold, name) is not None for name in self.UNSTORED)
 
@@ -712,7 +717,7 @@ def tamper(beacon: Beacon, position: int) -> Beacon:
         static_info=replace(entry.static_info, intra_latency_ms=entry.static_info.intra_latency_ms + 1.0),
     )
     entries = beacon.entries[:position] + (forged,) + beacon.entries[position + 1 :]
-    return replace(beacon, entries=entries)
+    return rebuild_chain(beacon.header, entries)
 
 
 class TestIncrementalVerification:

@@ -208,6 +208,20 @@ class TestSandboxRuntime:
         assert elapsed >= 0.0
         assert runtime.stats.setups == 1
 
+    def test_setup_keeps_the_algorithms_budgets(self, key_store):
+        beacon = make_beacon(key_store, [(1, None, 1), (2, 1, 2)])
+        context = context_for([CandidateBeacon(beacon, 1)])
+        runtime = SandboxRuntime()
+        over_steps = RestrictedPythonAlgorithm(source="1 + " * 50 + "1", step_budget=10)
+        prepared, _elapsed = runtime.setup(over_steps)
+        assert (prepared.step_budget, prepared.time_budget_ms) == (10, over_steps.time_budget_ms)
+        with pytest.raises(SandboxResourceError, match="step budget of 10"):
+            prepared.execute(context)
+        past_deadline = RestrictedPythonAlgorithm(source="latency_ms", time_budget_ms=-1.0)
+        prepared, _elapsed = runtime.setup(past_deadline)
+        with pytest.raises(SandboxResourceError, match="time budget"):
+            prepared.execute(context)
+
     def test_setup_passes_through_other_algorithms(self):
         from repro.algorithms.shortest_path import KShortestPathAlgorithm
 

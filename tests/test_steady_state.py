@@ -10,7 +10,8 @@ negative caches, and the query frontend's caches -- and so is the entry
 count of every index over them, so an index list that keeps a removed
 member fails as surely as a store that does.  So is the number of
 distinct beacons the stores keep alive: a beacon holds its parent, so a
-``_parent`` chain that outlives its stores fails too.  The period driver
+``parent`` chain that outlives its stores fails too; and so is the number
+of distinct headers they hold, one per origination.  The period driver
 keeps no history either: none of its sized attributes grows from period
 *k* to *k* + one validity.  Two signed scenarios
 cover them: a fixed topology registering down-segments, and a
@@ -106,9 +107,10 @@ def store_sizes(simulation):
 
 
 def reachable_beacons(simulation):
-    """The number of distinct beacons reachable from every AS's stores,
-    following ``_parent`` from the ingress databases, the terminated
-    segments their records keep, path services and returned pull beacons."""
+    """The numbers of distinct beacons and of distinct headers reachable
+    from every AS's stores, following ``parent`` from the ingress
+    databases, the terminated segments their records keep, path services
+    and returned pull beacons."""
     pending = []
     for service in simulation.services.values():
         pending += [stored.beacon for stored in service.ingress.database.all_beacons()]
@@ -116,12 +118,14 @@ def reachable_beacons(simulation):
         pending += terminated_segments(service)
         pending += [beacon for beacon, _at_ms in service.pull_results]
     seen = set()
+    headers = set()
     while pending:
         beacon = pending.pop()
         if beacon is not None and id(beacon) not in seen:
             seen.add(id(beacon))
-            pending.append(beacon._parent)
-    return len(seen)
+            headers.add(id(beacon.header))
+            pending.append(beacon.parent)
+    return len(seen), len(headers)
 
 
 def driver_sizes(simulation):
@@ -137,8 +141,8 @@ def driver_sizes(simulation):
 
 def sizes_by_period(simulation):
     """Run ``PERIODS`` periods; after each, query every origin and record
-    the store sizes, the number of reachable beacons and the driver's
-    attribute sizes."""
+    the store sizes, the numbers of reachable beacons and headers and the
+    driver's attribute sizes."""
     by_period = []
     for _period in range(PERIODS):
         simulation.run_period()
@@ -160,8 +164,8 @@ def assert_level_one_validity_apart(by_period, stores):
         before, after = by_period[k][2], by_period[k + VALIDITY][2]
         grown = {name for name, size in after.items() if size > before.get(name, 0)}
         assert not grown, f"period {k + 1}: the driver grows {sorted(grown)}"
-    last, beacons, _driver = by_period[-1]
-    assert beacons > 0
+    last, (beacons, headers), _driver = by_period[-1]
+    assert 0 < headers < beacons
     for store in stores:
         assert any(sizes[store] > 0 for sizes in last.values()), f"{store} is never used"
 
