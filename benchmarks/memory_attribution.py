@@ -17,7 +17,8 @@ it claimed.  The owners, in their fixed order:
    the verified-prefix cache,
 4. the egress database,
 5. the path service's records and each of its indexes,
-6. the query frontends' caches and the revocation state,
+6. the query frontends' caches, then the revocation state (dedup store,
+   withdrawal ledger, negative caches, ...), one row per attribute,
 7. everything else the control services hold (gateways, RACs and their
    algorithms' state, ...),
 8. each attribute of the period driver (scheduler and messages in flight,
@@ -160,20 +161,23 @@ def attribute(sim) -> Attribution:
                 "beacons, %s: %s" % (kind, slot), [v for v in values if v is not None]
             )
 
+    def claim_each_attribute(label, store_of):
+        for service in services:
+            store = store_of(service)
+            for name, value in vars(store).items():
+                attribution.claim("%s: %s" % (label, name), [value])
+            attribution.claim_shallow("%s: holder" % label, [store])
+
     for label, store_of in (
         ("ingress", lambda s: s.ingress.database),
         ("verified-prefix cache", lambda s: s.ingress.verified_prefixes),
         ("egress", lambda s: s.egress.database),
         ("path service", lambda s: s.path_service),
     ):
-        for service in services:
-            store = store_of(service)
-            for name, value in vars(store).items():
-                attribution.claim("%s: %s" % (label, name), [value])
-            attribution.claim_shallow("%s: holder" % label, [store])
+        claim_each_attribute(label, store_of)
     for service in services:
         attribution.claim("query caches", [service.query_frontend])
-        attribution.claim("revocation state", [service.revocations])
+    claim_each_attribute("revocation state", lambda s: s.revocations)
     attribution.claim("control services, other state", services)
     for name, value in driver:
         attribution.claim("driver: %s" % name, [value])

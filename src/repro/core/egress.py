@@ -25,7 +25,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.beacon import Beacon, BeaconBuilder, DEFAULT_VALIDITY_MS
+from repro.core.beacon import Beacon, BeaconBuilder
 from repro.core.databases import EgressDatabase, PathService, RegisteredPath
 from repro.core.extensions import ExtensionSet
 from repro.core.local_view import LocalTopologyView
@@ -137,7 +137,6 @@ class EgressGateway:
                 created_at_ms=now_ms,
                 static_info=static_info,
                 extensions=extensions,
-                validity_ms=DEFAULT_VALIDITY_MS,
             )
             self.transport.send_message(
                 self.as_id,

@@ -112,7 +112,8 @@ class RevocationMessage(ControlMessage):
     A message names **at least one** failed element; several
     simultaneously failed elements batch into one message via
     ``failed_links`` / ``failed_ases``, which hold the normalised,
-    de-duplicated element sets in naming order.
+    de-duplicated element sets in naming order.  Its ``sequence`` is a
+    64-bit field: at least 1, below 2**63.
 
     Attributes:
         failed_links: Every revoked link named by this message.
@@ -145,8 +146,12 @@ class RevocationMessage(ControlMessage):
             )
         object.__setattr__(self, "failed_links", tuple(links))
         object.__setattr__(self, "failed_ases", tuple(ases))
-        if self.sequence < 1:
-            raise ConfigurationError(f"sequence must be positive, got {self.sequence}")
+        if not 1 <= self.sequence < 2**63:
+            # A sequence is a 64-bit field: every AS's withdrawal ledger
+            # keeps it as one (repro.core.revocation.WithdrawalLedger).
+            raise ConfigurationError(
+                f"sequence must be in [1, 2**63), got {self.sequence}"
+            )
 
     @property
     def failed_link_set(self) -> frozenset:

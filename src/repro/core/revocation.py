@@ -46,15 +46,18 @@ interface unless this service suppresses forwarding.
 from __future__ import annotations
 
 import itertools
+from array import array
+from bisect import bisect_left
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, Optional, Tuple
 
 from repro.topology.entities import LinkID
 
 if TYPE_CHECKING:  # annotations only; the message class lives in repro.core.messages
     from repro.core.messages import RevocationMessage
 
-__all__ = ["DEFAULT_DEDUP_WINDOW_MS", "RevocationState"]
+__all__ = ["DEFAULT_DEDUP_WINDOW_MS", "RevocationState", "WithdrawalLedger"]
 
 #: Default dedup window: how long a control service remembers a revocation
 #: it has already processed.  One simulated hour comfortably covers any
@@ -62,6 +65,69 @@ __all__ = ["DEFAULT_DEDUP_WINDOW_MS", "RevocationState"]
 #: memory of long simulations; a replay arriving after the window is
 #: re-applied, which is harmless because withdrawal is idempotent.
 DEFAULT_DEDUP_WINDOW_MS = 60.0 * 60.0 * 1000.0
+
+
+class WithdrawalLedger(Mapping):
+    """``(origin, sequence)`` → first-applied time, 16 array bytes an entry.
+
+    A :class:`Mapping` without item assignment; only :meth:`record` writes
+    it.  Per origin it holds two flat arrays: the applied sequences in
+    ascending order (``array('q')``) and, at the same positions, their
+    first-applied times (``array('d')``).  So an entry keeps no key tuple
+    and no float object: it is one machine integer and one double.  Floods
+    from one origin arrive in sequence order, so :meth:`record` appends; a
+    late or reordered sequence is bisected in.  The arrays are sparse in
+    the sequences, so a forged sequence of 2**62 costs what sequence 1
+    does.  Reads bisect; iteration goes origin by origin, sequences
+    ascending; ``==`` with a dict holds through :class:`Mapping`.
+    """
+
+    __slots__ = ("_sequences", "_times", "_count")
+
+    def __init__(self) -> None:
+        #: origin → its applied sequences, ascending.
+        self._sequences: Dict[int, array] = {}
+        #: origin → the first-applied time of each sequence, same positions.
+        self._times: Dict[int, array] = {}
+        self._count = 0
+
+    def record(self, key: Tuple[int, int], now_ms: float) -> None:
+        """Keep ``now_ms`` for ``key`` unless ``key`` is already recorded."""
+        origin, sequence = key
+        sequences = self._sequences.get(origin)
+        if sequences is None:
+            self._sequences[origin] = array("q", (sequence,))
+            self._times[origin] = array("d", (now_ms,))
+        elif sequence > sequences[-1]:
+            sequences.append(sequence)
+            self._times[origin].append(now_ms)
+        else:
+            at = bisect_left(sequences, sequence)
+            if sequences[at] == sequence:
+                return
+            sequences.insert(at, sequence)
+            self._times[origin].insert(at, now_ms)
+        self._count += 1
+
+    def __getitem__(self, key: Tuple[int, int]) -> float:
+        origin, sequence = key
+        sequences = self._sequences.get(origin)
+        if sequences is not None:
+            at = bisect_left(sequences, sequence)
+            if at < len(sequences) and sequences[at] == sequence:
+                return self._times[origin][at]
+        raise KeyError(key)
+
+    def __iter__(self) -> Iterator[Tuple[int, int]]:
+        for origin, sequences in self._sequences.items():
+            for sequence in sequences:
+                yield origin, sequence
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __repr__(self) -> str:
+        return "%s(%r)" % (type(self).__name__, dict(self.items()))
 
 
 @dataclass
@@ -78,10 +144,11 @@ class RevocationState:
         applied_at: First time each accepted revocation's withdrawal was
             applied locally — the per-AS withdrawal timestamps that make
             propagation-ordered convergence measurable.  The one store here
-            that grows with the run: one entry per applied revocation,
-            keyed by the message's memoized
-            :attr:`~repro.core.messages.ControlMessage.key`, so it shares
-            the tuple the dedup store holds.  The negative caches below
+            that grows with the run: one entry per applied revocation, kept
+            as a :class:`WithdrawalLedger` (two flat arrays per origin,
+            16 bytes an entry, no key tuple or float object).  It is read
+            as a mapping from ``(origin, sequence)``; only
+            :meth:`record_applied` writes it.  The negative caches below
             hold at most one entry per revoked element.
         revoked_links: Negative cache: link → (applied revocation message,
             applied-at time).  Consulted when a beacon arrives over a
@@ -99,7 +166,7 @@ class RevocationState:
     suppress_forwarding: bool = False
     #: (origin, sequence) → first-seen time, insertion-ordered for pruning.
     _seen: Dict[Tuple[int, int], float] = field(default_factory=dict)
-    applied_at: Dict[Tuple[int, int], float] = field(default_factory=dict, init=False)
+    applied_at: WithdrawalLedger = field(default_factory=WithdrawalLedger, init=False)
     revoked_links: Dict[LinkID, Tuple[RevocationMessage, float]] = field(
         default_factory=dict, init=False
     )
@@ -154,7 +221,7 @@ class RevocationState:
 
     def record_applied(self, key: Tuple[int, int], now_ms: float) -> None:
         """Record when the withdrawal for ``key`` was first applied locally."""
-        self.applied_at.setdefault(key, now_ms)
+        self.applied_at.record(key, now_ms)
 
     def cache_revoked_elements(self, message: RevocationMessage, now_ms: float) -> None:
         """Remember the message's revoked elements for beacon bouncing."""

@@ -54,7 +54,9 @@ def test_each_store_has_a_row_and_the_rows_add_up(workload):
         "egress: _records",
         "path service: _by_digest",
         "path service: _by_origin",
-        "revocation state",
+        "revocation state: _seen",
+        "revocation state: applied_at",
+        "revocation state: holder",
         "driver: collector",
     ):
         assert rows[owner][0] > 0, owner

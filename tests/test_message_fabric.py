@@ -38,6 +38,7 @@ from repro.topology.entities import normalize_link_id
 from repro.units import minutes
 
 from tests.conftest import build_services, line_topology, make_beacon, pcb_message
+from tests.test_beacon_layout import reachable
 
 
 def _link(topology, index):
@@ -173,8 +174,9 @@ class TestMessageMemos:
         assert signed != message and signed.key == message.key
 
     def test_an_unscoped_flood_stores_one_key_tuple_network_wide(self, key_store):
-        """Every AS's dedup store and withdrawal ledger hold the tuple the
-        shared flood message carries, not one equal tuple per AS."""
+        """Every AS's dedup store holds the tuple the shared flood message
+        carries, not one equal tuple per AS; the withdrawal ledger holds no
+        tuple at all (its entries live in flat arrays)."""
         topology = line_topology(5)
         scheduler, _transport, services = build_services(topology, key_store)
         # AS 2 revokes its link to AS 1; the flood reaches ASes 3-5.
@@ -185,9 +187,10 @@ class TestMessageMemos:
         for as_id in (2, 3, 4, 5):
             revocations = services[as_id].revocations
             (seen_key,) = revocations._seen
-            (applied_key,) = revocations.applied_at
             assert seen_key is message.key, as_id
-            assert applied_key is message.key, as_id
+            assert list(revocations.applied_at) == [message.key], as_id
+            held = reachable([revocations.applied_at])
+            assert not [obj for obj in held if isinstance(obj, tuple)], as_id
 
     def test_revocation_sets_are_memoized(self):
         message = RevocationMessage(

@@ -10,6 +10,7 @@ failed link are lost), and the exactly-once overhead accounting.
 """
 
 import itertools
+import sys
 from dataclasses import replace
 
 import pytest
@@ -17,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.messages import RevocationMessage
-from repro.core.revocation import DEFAULT_DEDUP_WINDOW_MS, RevocationState
+from repro.core.revocation import DEFAULT_DEDUP_WINDOW_MS, RevocationState, WithdrawalLedger
 from repro.crypto.keys import KeyStore
 from repro.crypto.signer import Signer, Verifier
 from repro.exceptions import ConfigurationError
@@ -28,6 +29,7 @@ from repro.topology.entities import normalize_link_id
 from repro.units import minutes
 
 from tests.conftest import build_services, line_topology, make_beacon, pcb_message
+from tests.test_beacon_layout import reachable
 
 
 def _applied_from(service, origin_as):
@@ -127,6 +129,14 @@ class TestRevocationMessage:
     def test_sequence_must_be_positive(self):
         with pytest.raises(ConfigurationError):
             RevocationMessage(origin_as=1, sequence=0, created_at_ms=0.0, failed_ases=(2,))
+
+    def test_sequence_is_a_64_bit_field(self):
+        largest = RevocationMessage(
+            origin_as=1, sequence=2**63 - 1, created_at_ms=0.0, failed_ases=(2,)
+        )
+        assert largest.key == (1, 2**63 - 1)
+        with pytest.raises(ConfigurationError):
+            RevocationMessage(origin_as=1, sequence=2**63, created_at_ms=0.0, failed_ases=(2,))
 
     def test_sign_verify_and_tamper(self, key_store):
         signer = Signer(as_id=4, key_store=key_store)
@@ -253,6 +263,85 @@ class TestRevocationState:
         # First application wins; replays do not move the timestamp.
         state.record_applied((1, 1), 99.0)
         assert state.applied_at == {(1, 1): 10.0, (2, 1): 20.0}
+
+
+#: Sequences a ledger sees: a flood's small ones (repeated and reordered),
+#: ``RevocationForgery``'s from 1,000,000, and the 64-bit field's far end.
+_SEQUENCES = st.one_of(
+    st.integers(1, 12),
+    st.integers(1_000_000, 1_000_006),
+    st.integers(2**62 - 3, 2**62 + 3),
+    st.sampled_from((2**63 - 1,)),
+)
+
+
+def _footprint(ledger):
+    """Bytes of everything ``ledger`` holds."""
+    return sum(sys.getsizeof(obj) for obj in reachable([ledger]))
+
+
+class TestWithdrawalLedger:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(1, 4), _SEQUENCES, st.floats(0.0, 1e9)),
+            max_size=40,
+        ),
+        st.lists(st.tuples(st.integers(0, 5), _SEQUENCES), max_size=10),
+    )
+    @example([(1, sequence, float(sequence)) for sequence in range(1, 9)], [(1, 9), (1, 0)])
+    @example([(1, 5, 5.0), (1, 2, 2.0), (1, 9, 9.0), (1, 2, 7.0), (1, 5, 1.0)], [(1, 3)])
+    @example([(7, 1_000_000, 1.0), (7, 2**62, 2.0), (7, 1, 3.0)], [(7, 2**62 + 1)])
+    def test_it_reads_as_a_setdefault_dict(self, steps, probes):
+        """In order, out of order, repeated or forged: the ledger answers every
+        read as a ``dict`` filled by ``setdefault`` does."""
+        state = RevocationState()
+        reference = {}
+        for origin, sequence, at_ms in steps:
+            state.record_applied((origin, sequence), at_ms)
+            reference.setdefault((origin, sequence), at_ms)
+        ledger = state.applied_at
+        assert len(ledger) == len(reference)
+        assert set(ledger) == set(reference) and len(list(ledger)) == len(reference)
+        assert ledger == reference and reference == ledger
+        assert dict(ledger) == reference
+        for key, at_ms in reference.items():
+            assert ledger[key] == at_ms and key in ledger
+        for key in probes:
+            if key not in reference:
+                assert key not in ledger and ledger.get(key) is None
+                with pytest.raises(KeyError):
+                    ledger[key]
+
+    def test_a_flood_leaves_no_tuple_or_float_in_the_ledger(self, key_store):
+        """An entry is one integer and one double in a flat array: no key
+        tuple, no float object per applied revocation."""
+        topology = line_topology(5)
+        scheduler, _transport, services = build_services(topology, key_store)
+        # AS 2 revokes its link to AS 1 and AS 4 its link to AS 5, three
+        # times each: ASes 2-4 hear both floods.
+        for now_ms in (0.0, 1.0, 2.0):
+            for origin_as, index in ((2, 0), (4, 3)):
+                services[origin_as].originate_revocation(
+                    failed_links=(_link(topology, index),), now_ms=now_ms
+                )
+            scheduler.run_all()
+        for as_id, service in services.items():
+            ledger = service.revocations.applied_at
+            assert len(ledger) == (6 if 2 <= as_id <= 4 else 3), as_id
+            held = reachable([ledger])
+            assert not [obj for obj in held if isinstance(obj, (tuple, float))], as_id
+
+    def test_a_forged_huge_sequence_costs_what_sequence_one_costs(self):
+        """The arrays are sparse in the sequences: a forged 2**62 allocates
+        nothing per skipped sequence."""
+        small, huge = WithdrawalLedger(), WithdrawalLedger()
+        small.record((7, 1), 0.0)
+        huge.record((7, 2**62), 0.0)
+        assert _footprint(huge) == _footprint(small) < 1024
+        small.record((7, 2), 1.0)
+        huge.record((7, 2**62 + 1), 1.0)
+        assert _footprint(huge) == _footprint(small)
 
 
 class TestHandlerDedupAndVerification:

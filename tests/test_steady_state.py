@@ -20,8 +20,8 @@ so revocations flood every period).  Both are trees, where every pair has
 one path and a period's selections repeat exactly.
 
 ``RevocationState.applied_at`` is the one store exempt: it is the per-AS
-ledger of withdrawal times and grows by one entry per applied revocation
-(docs/observability.md).
+ledger of withdrawal times and grows by one entry per applied revocation,
+about 16 bytes each in its flat arrays (docs/observability.md).
 """
 
 from repro.core.beacon import DEFAULT_VALIDITY_MS
