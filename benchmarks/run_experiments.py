@@ -59,7 +59,7 @@ from repro.simulation.scenario import ScenarioConfig, dob_scenario, don_scenario
 from repro.topology.generator import TopologyConfig, generate_topology, paper_scale_config
 from repro.topology.graph import Topology
 from repro.traffic.demand import gravity_matrix
-from repro.traffic.engine import ClosedLoopDemand, TrafficEngine
+from repro.traffic.engine import TrafficEngine
 
 # ----------------------------------------------------------------------
 # registries
@@ -291,12 +291,11 @@ def run_cell(
     )
     rounds_per_period = int(traffic.get("rounds_per_period", 4))
     round_interval = scenario.propagation_interval_ms / rounds_per_period
-    closed_loop = ClosedLoopDemand() if options.get("closed_loop") else None
     engine = TrafficEngine.for_simulation(
         simulation,
         matrix,
         round_interval_ms=round_interval,
-        closed_loop=closed_loop,
+        closed_loop=bool(options.get("closed_loop")),
     )
     # First round one interval in (paths exist after the first beaconing
     # wave); last round strictly before the final period boundary.

@@ -24,7 +24,7 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.beacon import Beacon, _slot
 
@@ -75,8 +75,6 @@ class ExecutionContext:
         max_paths_per_interface: Upper bound on selected beacons per egress
             interface (configured per RAC and interface, §V-C).
         intra_latency_ms: Intra-AS latency oracle between local interfaces.
-        parameters: Free-form algorithm parameters (used by on-demand
-            payloads, e.g. the link-avoid set of the PD algorithm).
     """
 
     local_as: int
@@ -84,14 +82,13 @@ class ExecutionContext:
     egress_interfaces: Tuple[int, ...]
     max_paths_per_interface: int
     intra_latency_ms: IntraLatencyOracle
-    parameters: Mapping[str, object] = field(default_factory=dict)
 
 
 @dataclass
 class ExecutionResult:
     """The per-egress-interface optimal beacon sets returned by an algorithm."""
 
-    selections: Dict[int, List[Beacon]] = field(default_factory=dict)
+    selections: Dict[int, List[Beacon]] = field(default_factory=dict, init=False)
 
     def add(self, egress_interface: int, beacon: Beacon) -> None:
         """Append ``beacon`` to the selection of ``egress_interface``."""

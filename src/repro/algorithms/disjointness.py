@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import ClassVar, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.algorithms.base import (
     ExecutionContext,
@@ -65,7 +65,7 @@ def _bucket(beacon: Beacon) -> _Bucket:
 class _BucketServed:
     """The digests a pair served from one bucket."""
 
-    digests: List[str] = field(default_factory=list)
+    digests: List[str] = field(default_factory=list, init=False)
     #: No digest here can be forgotten before an arrival this late: the
     #: earliest expiry among them or, while an expired one had to stay
     #: because it is still stored, the next arrival after the one that
@@ -77,12 +77,12 @@ class _BucketServed:
 class _PairState:
     """Persisted HD state for one (egress interface, origin AS) pair."""
 
-    used_links: Dict[LinkID, int] = field(default_factory=dict)
+    used_links: Dict[LinkID, int] = field(default_factory=dict, init=False)
     #: Digest served → that beacon's expiry.
-    served_digests: Dict[str, float] = field(default_factory=dict)
-    served_by_bucket: Dict[_Bucket, _BucketServed] = field(default_factory=dict)
+    served_digests: Dict[str, float] = field(default_factory=dict, init=False)
+    served_by_bucket: Dict[_Bucket, _BucketServed] = field(default_factory=dict, init=False)
     #: The earliest ``next_expiry_ms`` of the buckets.
-    next_expiry_ms: float = math.inf
+    next_expiry_ms: float = field(default=math.inf, init=False)
     first_round_done: bool = False
 
     def serve(self, digest: str, beacon: Beacon) -> None:
@@ -145,7 +145,7 @@ class HeuristicDisjointnessAlgorithm(RoutingAlgorithm):
 
     paths_per_interface: int = 1
     remember_propagations: bool = True
-    name: str = "hd"
+    name: ClassVar[str] = "hd"
     _state: Dict[Tuple[int, int], _PairState] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -237,10 +237,6 @@ class HeuristicDisjointnessAlgorithm(RoutingAlgorithm):
                 used[link] = used.get(link, 0) + 1
         state.first_round_done = True
         return selected
-
-    def reset_memory(self) -> None:
-        """Forget all per-pair state (used between simulations)."""
-        self._state.clear()
 
     def describe(self) -> str:
         return (

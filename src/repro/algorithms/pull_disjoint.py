@@ -22,7 +22,7 @@ Two pieces implement this in the library:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, Optional, Sequence, Tuple
+from typing import ClassVar, FrozenSet, Optional, Tuple
 
 from repro.algorithms.base import (
     CandidateBeacon,
@@ -33,22 +33,12 @@ from repro.algorithms.base import (
 )
 from repro.algorithms.shortest_path import hops_then_latency
 from repro.exceptions import AlgorithmError
-from repro.topology.entities import InterfaceID, LinkID, normalize_link_id
-
-
-def freeze_links(links: Sequence[Tuple[InterfaceID, InterfaceID]]) -> FrozenSet[LinkID]:
-    """Normalise and freeze a collection of links into an avoid set."""
-    return frozenset(normalize_link_id(a, b) for a, b in links)
+from repro.topology.entities import LinkID, normalize_link_id
 
 
 @dataclass
 class LinkAvoidingAlgorithm(RoutingAlgorithm):
     """Select shortest beacons that do not traverse any forbidden link.
-
-    The avoid set can be provided at construction time (when instantiated
-    locally) or through the execution context's ``parameters["avoid_links"]``
-    entry (when the algorithm is reconstructed from an on-demand payload);
-    the union of both applies.
 
     Attributes:
         avoid_links: Links that selected beacons must not traverse.
@@ -57,7 +47,7 @@ class LinkAvoidingAlgorithm(RoutingAlgorithm):
 
     avoid_links: FrozenSet[LinkID] = field(default_factory=frozenset)
     paths_per_interface: int = 1
-    name: str = "link-avoiding"
+    name: ClassVar[str] = "link-avoiding"
 
     def __post_init__(self) -> None:
         if self.paths_per_interface < 1:
@@ -68,10 +58,7 @@ class LinkAvoidingAlgorithm(RoutingAlgorithm):
 
     def execute(self, context: ExecutionContext) -> ExecutionResult:
         """Return the shortest avoid-set-compliant beacons per egress interface."""
-        extra = context.parameters.get("avoid_links", ())
-        forbidden = self.avoid_links | frozenset(
-            normalize_link_id(tuple(a), tuple(b)) for a, b in extra
-        )
+        forbidden = self.avoid_links
 
         def key(candidate: CandidateBeacon) -> Optional[Tuple[float, float]]:
             if not forbidden.isdisjoint(candidate.beacon.links()):

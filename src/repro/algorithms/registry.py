@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.algorithms.base import RoutingAlgorithm
 from repro.algorithms.criteria_algorithm import CriteriaSetAlgorithm
@@ -150,13 +150,9 @@ def encode_link_avoiding_payload(
     return json.dumps(document, sort_keys=True).encode("utf-8")
 
 
-def encode_builtin_payload(name: str, parameters: Optional[Mapping[str, object]] = None) -> bytes:
-    """Serialize a reference to a catalogued builtin algorithm."""
-    document = {
-        "kind": "builtin",
-        "name": name,
-        "parameters": dict(parameters or {}),
-    }
+def encode_builtin_payload(name: str) -> bytes:
+    """Serialize a reference to a catalogued builtin algorithm (no parameters)."""
+    document = {"kind": "builtin", "name": name, "parameters": {}}
     return json.dumps(document, sort_keys=True).encode("utf-8")
 
 
@@ -170,15 +166,13 @@ def encode_restricted_python_payload(source: str, paths_per_interface: int = 1) 
     return json.dumps(document, sort_keys=True).encode("utf-8")
 
 
-def decode_payload(
-    payload: bytes, catalog: Optional[AlgorithmCatalog] = None
-) -> RoutingAlgorithm:
+def decode_payload(payload: bytes) -> RoutingAlgorithm:
     """Reconstruct a routing algorithm from an on-demand payload.
+
+    ``builtin`` payloads are resolved in :func:`default_catalog`.
 
     Args:
         payload: The payload bytes as fetched from the origin AS.
-        catalog: Catalogue used to resolve ``builtin`` payloads; defaults to
-            :func:`default_catalog`.
 
     Raises:
         AlgorithmError: If the payload is malformed or of unknown kind.
@@ -192,16 +186,14 @@ def decode_payload(
 
     kind = document["kind"]
     try:
-        return _decode_document(kind, document, catalog)
+        return _decode_document(kind, document)
     except (KeyError, TypeError, ValueError, OverflowError, ConfigurationError) as exc:
         # A payload comes from a remote AS: a missing field or a value of
         # the wrong type fails its bucket, not the run.
         raise AlgorithmError(f"malformed {kind!r} algorithm payload: {exc!r}") from exc
 
 
-def _decode_document(
-    kind: object, document: Dict[str, object], catalog: Optional[AlgorithmCatalog]
-) -> RoutingAlgorithm:
+def _decode_document(kind: object, document: Dict[str, object]) -> RoutingAlgorithm:
     """Build the algorithm a parsed payload document describes."""
     if kind == "criteria_set":
         criteria_set = CriteriaSet.from_spec(document["spec"])
@@ -219,11 +211,10 @@ def _decode_document(
             paths_per_interface=int(document.get("paths_per_interface", 1)),
         )
     if kind == "builtin":
-        effective_catalog = catalog or default_catalog()
         parameters = document.get("parameters", {})
         if not isinstance(parameters, dict):
             raise AlgorithmError("builtin payload parameters must be an object")
-        return effective_catalog.create(str(document["name"]), **parameters)
+        return default_catalog().create(str(document["name"]), **parameters)
     if kind == "restricted_python":
         # Imported lazily to avoid a circular import at module load time
         # (the sandbox imports the algorithm base classes).

@@ -7,11 +7,14 @@ pulling in plotting dependencies.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
+
+
+#: How many points :meth:`EmpiricalCDF.points` keeps at most.
+MAX_POINTS = 200
 
 
 @dataclass(frozen=True)
@@ -34,12 +37,6 @@ class EmpiricalCDF:
         """Return the number of samples."""
         return len(self.values)
 
-    def probability_at_or_below(self, x: float) -> float:
-        """Return P(X <= x)."""
-        if not self.values:
-            return 0.0
-        return bisect_right(self.values, x) / len(self.values)
-
     def quantile(self, q: float) -> float:
         """Return the ``q``-quantile (0 <= q <= 1) of the sample."""
         if not 0.0 <= q <= 1.0:
@@ -60,16 +57,16 @@ class EmpiricalCDF:
             raise ValueError("cannot take the mean of an empty CDF")
         return float(np.mean(np.asarray(self.values)))
 
-    def points(self, max_points: int = 200) -> List[Tuple[float, float]]:
+    def points(self) -> List[Tuple[float, float]]:
         """Return (value, cumulative probability) pairs for plotting/tables.
 
-        Down-samples evenly to at most ``max_points`` points so that tables
-        over large samples stay readable.
+        Down-samples evenly to at most :data:`MAX_POINTS` points so that
+        tables over large samples stay readable.
         """
         n = len(self.values)
         if n == 0:
             return []
-        indices = np.unique(np.linspace(0, n - 1, num=min(max_points, n)).astype(int))
+        indices = np.unique(np.linspace(0, n - 1, num=min(MAX_POINTS, n)).astype(int))
         return [(self.values[i], (i + 1) / n) for i in indices]
 
 

@@ -25,13 +25,19 @@ from repro.topology.geo import propagation_delay_ms
 from repro.topology.pops import PointOfPresence, derive_pops
 
 
+#: How many PoP pairs :func:`evaluate_delay` evaluates per AS pair at most.
+MAX_POP_PAIRS_PER_AS_PAIR = 4
+
+
 @dataclass
 class DelayEvaluation:
     """Per-algorithm minimum PoP-pair delays and their ratios to a baseline."""
 
     baseline_tag: str
     #: PoP-pair keys in a fixed order: ((src_as, src_pop), (dst_as, dst_pop)).
-    pair_keys: List[Tuple[Tuple[int, int], Tuple[int, int]]] = field(default_factory=list)
+    pair_keys: List[Tuple[Tuple[int, int], Tuple[int, int]]] = field(
+        default_factory=list, init=False
+    )
     #: tag -> list of minimum delays (aligned with pair_keys, None = no path).
     delays_ms: Dict[str, List[Optional[float]]] = field(default_factory=dict)
 
@@ -93,7 +99,6 @@ def evaluate_delay(
     tags: Sequence[str],
     baseline_tag: str = "1sp",
     as_pairs: Optional[Sequence[Tuple[int, int]]] = None,
-    max_pop_pairs_per_as_pair: int = 4,
 ) -> DelayEvaluation:
     """Evaluate per-PoP-pair minimum delays for several criteria tags.
 
@@ -103,9 +108,9 @@ def evaluate_delay(
             "5sp", "don", "dob300")``.
         baseline_tag: Tag used as the denominator of the relative CDF.
         as_pairs: Source/destination AS pairs to evaluate; defaults to every
-            ordered pair of distinct ASes.
-        max_pop_pairs_per_as_pair: Cap on the number of PoP pairs evaluated
-            per AS pair, to keep large evaluations tractable.
+            ordered pair of distinct ASes.  At most
+            :data:`MAX_POP_PAIRS_PER_AS_PAIR` PoP pairs are evaluated per
+            AS pair, to keep large evaluations tractable.
 
     Returns:
         A :class:`DelayEvaluation` with one delay list per tag.
@@ -136,7 +141,7 @@ def evaluate_delay(
             (src_pop, dst_pop)
             for src_pop in pops_by_as.get(source_as, ())
             for dst_pop in pops_by_as.get(destination_as, ())
-        ][:max_pop_pairs_per_as_pair]
+        ][:MAX_POP_PAIRS_PER_AS_PAIR]
 
         for src_pop, dst_pop in pop_pairs:
             evaluation.pair_keys.append((src_pop.key, dst_pop.key))

@@ -71,20 +71,13 @@ class DisjointnessEvaluation:
     """Per-algorithm TLF values over a set of AS pairs."""
 
     #: AS pairs in evaluation order.
-    pair_keys: List[Tuple[int, int]] = field(default_factory=list)
+    pair_keys: List[Tuple[int, int]] = field(default_factory=list, init=False)
     #: tag -> list of TLF values aligned with pair_keys.
     tlf: Dict[str, List[int]] = field(default_factory=dict)
 
     def cdf(self, tag: str) -> EmpiricalCDF:
         """Return the CDF of TLF values for ``tag``."""
         return EmpiricalCDF.from_samples(self.tlf.get(tag, []))
-
-    def fraction_at_least(self, tag: str, threshold: int) -> float:
-        """Return the fraction of AS pairs with TLF >= ``threshold``."""
-        values = self.tlf.get(tag, [])
-        if not values:
-            return 0.0
-        return sum(1 for value in values if value >= threshold) / len(values)
 
     def tags(self) -> Tuple[str, ...]:
         """Return the evaluated criteria tags."""

@@ -101,7 +101,7 @@ def _on_demand_payload() -> bytes:
 
 
 def _build_on_demand_rac(
-    modelled_setup_ms: float, modelled_ipc_call_ms: float, paths_per_origin: int = 20
+    modelled_setup_ms: float, modelled_ipc_call_ms: float
 ) -> RoutingAlgorithmContainer:
     """Build an on-demand RAC that serves the legacy algorithm payload locally."""
     payload = _on_demand_payload()
@@ -110,7 +110,7 @@ def _build_on_demand_rac(
         return payload
 
     return RoutingAlgorithmContainer(
-        config=RACConfig(rac_id="bench-on-demand", max_paths_per_interface=paths_per_origin),
+        config=RACConfig(rac_id="bench-on-demand"),
         on_demand_manager=OnDemandAlgorithmManager(transport=transport),
         sandbox=SandboxRuntime(modelled_setup_ms=modelled_setup_ms),
         ipc=IPCChannel(per_call_latency_ms=modelled_ipc_call_ms),
@@ -134,14 +134,15 @@ def _flat_intra_latency(_interface_a: int, _interface_b: int) -> float:
 # ----------------------------------------------------------------------
 # Figure 6: latency
 # ----------------------------------------------------------------------
-def modelled_costs_ms(seed: int = 7) -> Tuple[float, float]:
+def modelled_costs_ms() -> Tuple[float, float]:
     """Return the modelled (set-up, per-call IPC) costs in ms on this host.
 
     Both are their stated multiples of the median execution, over five
-    unmodelled rounds after one warm-up, at :data:`CALIBRATION_SET_SIZE`.
+    unmodelled rounds after one warm-up, at :data:`CALIBRATION_SET_SIZE`
+    (seeds 7 to 12).
     """
     rounds = [
-        measure_rac_latency(CALIBRATION_SET_SIZE, seed + i, 0.0, 0.0).execution_ms
+        measure_rac_latency(CALIBRATION_SET_SIZE, 7 + i, 0.0, 0.0).execution_ms
         for i in range(6)
     ]
     execution_ms = median(rounds[1:])
@@ -198,17 +199,14 @@ def measure_legacy_latency(candidate_set_size: int, seed: int = 7) -> float:
 
 def latency_series(
     candidate_set_sizes: Sequence[int],
-    seed: int = 7,
-    modelled_setup_ms: Optional[float] = None,
-    modelled_ipc_call_ms: Optional[float] = None,
+    seed: int,
+    modelled_setup_ms: float,
+    modelled_ipc_call_ms: float,
 ) -> List[LatencyBreakdown]:
     """Measure the full Figure-6 series (IREC breakdown plus legacy baseline).
 
-    Unless both modelled costs are given, both are calibrated once for the
-    whole series (:func:`modelled_costs_ms`).
+    The modelled costs are the calibrated ones (:func:`modelled_costs_ms`).
     """
-    if modelled_setup_ms is None or modelled_ipc_call_ms is None:
-        modelled_setup_ms, modelled_ipc_call_ms = modelled_costs_ms(seed)
     return [
         replace(
             measure_rac_latency(size, seed, modelled_setup_ms, modelled_ipc_call_ms),

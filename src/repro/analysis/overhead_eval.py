@@ -26,7 +26,7 @@ class OverheadEvaluation:
         samples: Configuration label -> per-(interface, period) PCB counts.
     """
 
-    samples: Dict[str, List[int]] = field(default_factory=dict)
+    samples: Dict[str, List[int]] = field(default_factory=dict, init=False)
 
     def add(self, label: str, collector: MetricsCollector) -> None:
         """Record the overhead distribution of one simulation run."""

@@ -11,6 +11,12 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro.analysis.cdf import EmpiricalCDF
 
+#: Character width of :func:`format_timeseries`'s full-scale bar.
+BAR_WIDTH = 40
+
+#: The quantiles :func:`format_cdf_table` shows.
+QUANTILES = (0.1, 0.25, 0.5, 0.75, 0.9, 1.0)
+
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
     """Render a simple aligned text table.
@@ -47,7 +53,6 @@ def format_timeseries(
     value_label: str = "value",
     time_divisor: float = 1.0,
     time_label: str = "t",
-    width: int = 40,
 ) -> str:
     """Render a (time, value) series as an aligned table with bar gauges.
 
@@ -61,23 +66,22 @@ def format_timeseries(
         time_divisor: Divide times by this for display (e.g. 60 000.0 to
             show minutes when times are in milliseconds).
         time_label: Header of the time column.
-        width: Character width of the full-scale bar.
+
+    The full-scale bar is :data:`BAR_WIDTH` characters wide.
     """
     if not series:
         return "(empty series)"
     peak = max(value for _time, value in series)
     rows = []
     for time, value in series:
-        bar = "#" * int(round(width * value / peak)) if peak > 0 else ""
+        bar = "#" * int(round(BAR_WIDTH * value / peak)) if peak > 0 else ""
         rows.append([time / time_divisor, value, bar])
     return format_table([time_label, value_label, ""], rows)
 
 
-def format_cdf_table(
-    cdfs: Dict[str, EmpiricalCDF],
-    quantiles: Sequence[float] = (0.1, 0.25, 0.5, 0.75, 0.9, 1.0),
-) -> str:
-    """Render the quantiles of several CDFs side by side."""
+def format_cdf_table(cdfs: Dict[str, EmpiricalCDF]) -> str:
+    """Render the :data:`QUANTILES` of several CDFs side by side."""
+    quantiles = QUANTILES
     headers = ["series", "samples"] + [f"p{int(q * 100)}" for q in quantiles]
     rows: List[List[object]] = []
     for label in sorted(cdfs):

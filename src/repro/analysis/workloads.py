@@ -23,28 +23,27 @@ from repro.crypto.signer import Signer
 #: AS identifier of the AS "executing" the benchmark (never on the path).
 BENCHMARK_LOCAL_AS = 999_999
 
+#: Origin AS of every synthetic candidate (RAC buckets are per origin).
+SYNTHETIC_ORIGIN_AS = 1
+
+#: Maximum number of AS entries per synthetic beacon.
+SYNTHETIC_MAX_HOPS = 6
+
 
 def synthetic_candidate_set(
     size: int,
-    origin_as: int = 1,
     seed: int = 7,
-    max_hops: int = 6,
-    key_store: Optional[KeyStore] = None,
     extensions: Optional[ExtensionSet] = None,
 ) -> List[CandidateBeacon]:
-    """Build ``size`` candidate beacons originating at ``origin_as``.
+    """Build ``size`` candidate beacons originating at :data:`SYNTHETIC_ORIGIN_AS`.
 
     Every candidate describes a distinct path from the origin through a few
     intermediate ASes, with deterministic pseudo-random hop latencies and
-    bandwidths, and a valid signature chain.
+    bandwidths, and a valid signature chain under a private key store.
 
     Args:
         size: Number of candidates (|Φ|).
-        origin_as: Origin AS of every candidate (RAC buckets are per origin).
         seed: Seed for the deterministic variation of paths and metrics.
-        max_hops: Maximum number of AS entries per beacon.
-        key_store: Key store used for signing; a private one is created when
-            omitted.
         extensions: Extensions stamped on every beacon (e.g. an algorithm
             extension when benchmarking an on-demand RAC).
 
@@ -56,14 +55,14 @@ def synthetic_candidate_set(
     if size < 0:
         raise ValueError(f"size must be non-negative, got {size}")
     rng = random.Random(seed)
-    store = key_store or KeyStore()
+    store = KeyStore()
     candidates: List[CandidateBeacon] = []
     for index in range(size):
         beacon = _synthetic_beacon(
             index=index,
-            origin_as=origin_as,
+            origin_as=SYNTHETIC_ORIGIN_AS,
             rng=rng,
-            max_hops=max_hops,
+            max_hops=SYNTHETIC_MAX_HOPS,
             key_store=store,
             extensions=extensions,
         )

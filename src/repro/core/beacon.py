@@ -250,7 +250,7 @@ class Beacon:
 
     header: BeaconHeader
     entry: ASEntry
-    parent: Optional["Beacon"] = None
+    parent: Optional["Beacon"]
     _link: Optional[LinkID] = _slot()
     _as_path: Optional[Tuple[int, ...]] = _slot()
     _links: Optional[Tuple[LinkID, ...]] = _slot()
@@ -330,14 +330,6 @@ class Beacon:
     def last_as(self) -> int:
         """Return the AS that appended the last entry."""
         return self.entry.as_id
-
-    @property
-    def origin_interface(self) -> Optional[int]:
-        """Return the egress interface of the origin entry."""
-        beacon = self
-        while beacon.parent is not None:
-            beacon = beacon.parent
-        return beacon.entry.egress_interface
 
     @property
     def is_terminated(self) -> bool:
@@ -659,7 +651,7 @@ class BeaconBuilder:
                 self.as_id, created_at_ms, extensions, validity_ms
             )
         entry = self._signed_entry(header.wire(), None, egress_interface, static_info)
-        return Beacon(header, entry)
+        return Beacon(header, entry, None)
 
     def extend(
         self,

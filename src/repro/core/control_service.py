@@ -54,7 +54,7 @@ from repro.core.rac import (
     RACSelection,
     RoutingAlgorithmContainer,
 )
-from repro.core.revocation import DEFAULT_DEDUP_WINDOW_MS, RevocationState
+from repro.core.revocation import RevocationState
 from repro.core.transport import ControlPlaneTransport
 from repro.crypto.keys import KeyStore
 from repro.crypto.signer import Signer, Verifier
@@ -78,8 +78,6 @@ class ControlServiceConfig:
             ``ScenarioConfig.registration_limit``).
         originate_with_groups: Whether originated beacons carry the
             interface-group extension.
-        revocation_dedup_window_ms: How long the service remembers
-            processed revocation ``(origin, sequence)`` keys.
         register_down_segments: When enabled, every registration that adds
             a segment or a criteria tag to this AS's path service is
             additionally announced back along the segment as a
@@ -91,7 +89,6 @@ class ControlServiceConfig:
     verify_signatures: bool = True
     registration_limit: int = 20
     originate_with_groups: bool = True
-    revocation_dedup_window_ms: float = DEFAULT_DEDUP_WINDOW_MS
     register_down_segments: bool = False
 
 
@@ -101,7 +98,7 @@ class RoundReport:
 
     as_id: int
     now_ms: float
-    rac_reports: List[RACExecutionReport] = field(default_factory=list)
+    rac_reports: List[RACExecutionReport] = field(default_factory=list, init=False)
     propagated: int = 0
     registered: int = 0
 
@@ -137,9 +134,7 @@ class IrecControlService:
         #: invalidation hook.  The simulation attaches its scheduler as
         #: the frontend's clock.
         self.query_frontend = PathQueryFrontend(self.path_service)
-        self.revocations = RevocationState(
-            dedup_window_ms=config.revocation_dedup_window_ms
-        )
+        self.revocations = RevocationState()
         #: Sequence numbers of the down-segment announcements this service
         #: originates (revocations keep their own counter: their
         #: (origin, sequence) pairs are the flood's dedup identity).
@@ -168,10 +163,6 @@ class IrecControlService:
         self._grouped_interfaces = view.interface_ids()
         self.grouping: InterfaceGroupAssignment = self._grouping_policy.assign(view.as_info)
 
-    def set_policies(self, policies: Sequence) -> None:
-        """Replace the ingress gateway's admission policies atomically."""
-        self.ingress.policies = list(policies)
-
     # ------------------------------------------------------------------
     # routing algorithm containers
     # ------------------------------------------------------------------
@@ -179,41 +170,31 @@ class IrecControlService:
         self,
         rac_id: str,
         algorithm: RoutingAlgorithm,
-        max_paths_per_interface: int = 20,
         use_interface_groups: bool = True,
-        use_targets: bool = True,
     ) -> RoutingAlgorithmContainer:
         """Create, register and return a static RAC running ``algorithm``."""
-        config = RACConfig(
-            rac_id=rac_id,
-            max_paths_per_interface=max_paths_per_interface,
-            use_interface_groups=use_interface_groups,
-            use_targets=use_targets,
-        )
+        config = RACConfig(rac_id=rac_id, use_interface_groups=use_interface_groups)
         rac = RoutingAlgorithmContainer(config=config, algorithm=algorithm)
         self.racs.append(rac)
         return rac
 
-    def add_on_demand_rac(
-        self, rac_id: str, max_paths_per_interface: int = 20
-    ) -> RoutingAlgorithmContainer:
+    def add_on_demand_rac(self, rac_id: str) -> RoutingAlgorithmContainer:
         """Create, register and return an on-demand RAC."""
         manager = OnDemandAlgorithmManager(
             transport=lambda origin_as, algorithm_id: self.transport.fetch_algorithm(
                 self.as_id, origin_as, algorithm_id
             )
         )
-        config = RACConfig(rac_id=rac_id, max_paths_per_interface=max_paths_per_interface)
-        rac = RoutingAlgorithmContainer(config=config, on_demand_manager=manager)
+        rac = RoutingAlgorithmContainer(config=RACConfig(rac_id=rac_id), on_demand_manager=manager)
         self.racs.append(rac)
         return rac
 
     def remove_rac(self, rac_id: str) -> bool:
         """Remove the RAC with ``rac_id``; return whether one was removed.
 
-        Hot-swapping an algorithm (dynamic scenarios) is remove + add: the
-        replacement RAC starts from fresh algorithm state, as a freshly
-        deployed container would.
+        A churned AS's cold restart is remove + add: the reinstalled RAC
+        starts from fresh algorithm state, as a freshly deployed container
+        would.
         """
         remaining = [rac for rac in self.racs if rac.config.rac_id != rac_id]
         removed = len(remaining) != len(self.racs)
@@ -336,15 +317,6 @@ class IrecControlService:
             self._forward_revocation(message, arrival_interface=on_interface)
         return True
 
-    def set_revocation_forwarding(self, enabled: bool) -> None:
-        """Toggle re-forwarding of received revocations (Byzantine knob).
-
-        With forwarding disabled the service still applies withdrawals
-        locally but silently swallows the flood — the
-        :class:`~repro.simulation.events.ForwardingSuppression` behaviour.
-        """
-        self.revocations.suppress_forwarding = not enabled
-
     def _apply_revocation(self, message: RevocationMessage, now_ms: float) -> None:
         """Withdraw every revoked element's state locally; notify the listener.
 
@@ -412,7 +384,7 @@ class IrecControlService:
         instance at call time.  Messages are processed in order with one
         ``now_ms`` (every entry of a batch arrived at the same scheduler
         tick), so database state and withdrawal timestamps are identical to
-        ``batch_size=1`` delivery.  The batch enables one amortization
+        per-message delivery.  The batch enables one amortization
         per-message delivery cannot see: several copies of the *same*
         beacon arriving together (parallel links, simultaneous neighbours)
         pay one admission — signature-chain probe included — and the

@@ -311,11 +311,6 @@ def lowest_latency() -> CriteriaSet:
     return CriteriaSet(name="lowest-latency", criteria=(Criterion(LATENCY),))
 
 
-def fewest_hops() -> CriteriaSet:
-    """AS-hop-count-optimal paths (BGP-like shortest path)."""
-    return CriteriaSet(name="fewest-hops", criteria=(Criterion(HOP_COUNT),))
-
-
 def highest_bandwidth() -> CriteriaSet:
     """Bandwidth-optimal paths (the file-transfer example of Figure 1)."""
     return CriteriaSet(name="highest-bandwidth", criteria=(Criterion(BANDWIDTH),))

@@ -24,6 +24,11 @@ from repro.core.beacon import Beacon, BucketKey
 from repro.exceptions import GatewayError
 from repro.topology.entities import LinkID, normalize_link_id
 
+#: How long before its expiry a stored beacon, propagation record or
+#: registered path counts as expired.  One margin for the three per-AS
+#: stores, so a beacon never survives in one after another dropped it.
+EXPIRY_MARGIN_MS = 0.0
+
 
 def _indexed_under_as(by_link: Dict[LinkID, List[str]], as_id: int) -> Iterator[str]:
     """Yield the digests indexed under each link with an endpoint in ``as_id``.
@@ -94,7 +99,6 @@ class IngressDatabase:
     """
 
     local_as: int
-    expiry_margin_ms: float = 0.0
     _by_digest: Dict[str, CandidateBeacon] = field(default_factory=dict)
     #: Bucket → its records, in insertion order.
     _buckets: Dict[BucketKey, List[CandidateBeacon]] = field(default_factory=dict)
@@ -157,7 +161,7 @@ class IngressDatabase:
 
     def remove_expired(self, now_ms: float) -> int:
         """Drop beacons that are expired (or about to expire); return the count."""
-        horizon = now_ms + self.expiry_margin_ms
+        horizon = now_ms + EXPIRY_MARGIN_MS
         return self._remove_digests(
             digest
             for digest, stored in self._by_digest.items()
@@ -247,10 +251,8 @@ class EgressDatabase:
     for, it returns only the interfaces the beacon has *not* been sent on
     yet, and records them (paper §V-D).
 
-    ``expiry_margin_ms`` mirrors :class:`IngressDatabase`: expiry drops
-    records that expire within the margin, so the three per-AS stores share
-    one horizon and a beacon never survives here after the ingress database
-    dropped it.
+    Expiry drops records that expire within :data:`EXPIRY_MARGIN_MS`, the
+    horizon the ingress database uses too.
 
     The records share their expiry objects through ``_expiries``, one float
     per distinct expiry time rather than one per record, and
@@ -258,7 +260,6 @@ class EgressDatabase:
     has passed.
     """
 
-    expiry_margin_ms: float = 0.0
     _records: Dict[str, EgressRecord] = field(default_factory=dict)
     #: Expiry time -> the one float object every record expiring then holds.
     _expiries: Dict[float, float] = field(default_factory=dict)
@@ -279,14 +280,9 @@ class EgressDatabase:
             record.egress_interfaces = sent + tuple(dict.fromkeys(fresh))
         return fresh
 
-    def interfaces_for(self, digest: str) -> Set[int]:
-        """Return the interfaces ``digest`` was already propagated on."""
-        record = self._records.get(digest)
-        return set(record.egress_interfaces) if record is not None else set()
-
     def remove_expired(self, now_ms: float) -> int:
         """Drop records that are expired (or about to expire); return the count."""
-        horizon = now_ms + self.expiry_margin_ms
+        horizon = now_ms + EXPIRY_MARGIN_MS
         passed = [at_ms for at_ms in self._expiries if at_ms <= horizon]
         if not passed:
             return 0
@@ -313,24 +309,17 @@ class RegisteredPath:
             AS to the registering AS.
         criteria_tags: Names of the criteria (RACs) the path was optimized
             for — the usability tagging of paper §V-D.
-        registered_at_ms: Simulated time of the *first* registration.
-        last_registered_at_ms: Simulated time of the most recent
-            (re-)registration; re-registering a known segment merges tags
-            but still refreshes this timestamp, so convergence measurement
-            can see *when* a path came back rather than only that it is
-            present at the next period-boundary probe.
+        registered_at_ms: Simulated time of the *first* registration;
+            re-registering a known segment merges tags and keeps it.
     """
 
     segment: Beacon
     criteria_tags: Tuple[str, ...]
     registered_at_ms: float
-    last_registered_at_ms: Optional[float] = None
 
     def __post_init__(self) -> None:
         if not self.segment.is_terminated:
             raise GatewayError("only terminated beacons can be registered as paths")
-        if self.last_registered_at_ms is None:
-            object.__setattr__(self, "last_registered_at_ms", self.registered_at_ms)
 
 
 @dataclass
@@ -349,9 +338,8 @@ class PathService:
     Every index maps a key to a list of digests in insertion order;
     removing a digest costs O(paths under its keys).
 
-    ``expiry_margin_ms`` mirrors :class:`IngressDatabase`: expiry drops
-    paths whose segment expires within the margin, keeping all per-AS
-    stores on one horizon.
+    Expiry drops paths whose segment expires within
+    :data:`EXPIRY_MARGIN_MS`, the horizon of every per-AS store.
 
     Mutations that touch a digest (registration, merge, withdrawal, expiry
     purge) notify the registered invalidation listeners with the affected
@@ -360,7 +348,6 @@ class PathService:
     """
 
     max_paths_per_key: int = 20
-    expiry_margin_ms: float = 0.0
     _by_digest: Dict[str, RegisteredPath] = field(default_factory=dict)
     _quota: Dict[Tuple[str, int, Optional[int]], int] = field(default_factory=dict)
     #: Which criteria tags of each stored digest actually took a quota
@@ -397,18 +384,11 @@ class PathService:
             if merged_tags == existing.criteria_tags:
                 # Nothing new: keep holding the tuple the record already shares.
                 merged_tags = existing.criteria_tags
-            # Re-registration keeps the original registration time but
-            # refreshes the last-registered timestamp: recovery detection
-            # uses it to date a path's return sub-period instead of waiting
-            # for the next period-boundary probe.
+            # Re-registration keeps the original registration time.
             self._by_digest[digest] = RegisteredPath(
                 segment=existing.segment,
                 criteria_tags=merged_tags,
                 registered_at_ms=existing.registered_at_ms,
-                last_registered_at_ms=max(
-                    existing.last_registered_at_ms or existing.registered_at_ms,
-                    path.last_registered_at_ms or path.registered_at_ms,
-                ),
             )
             if self._invalidation_listeners:
                 self._notify_invalidation(existing.segment.origin_as)
@@ -445,17 +425,6 @@ class PathService:
         by_digest = self._by_digest
         return [by_digest[d] for d in self._by_origin.get(origin_as, ())]
 
-    def down_paths_to(self, terminal_as: int) -> List[RegisteredPath]:
-        """Return every registered segment *ending* at ``terminal_as``.
-
-        At a core AS that receives down-segment announcements
-        (path-registration messages), this is the destination-keyed view:
-        segments usable to reach ``terminal_as``.  A scan of the store in
-        store order: nothing in the control plane asks it per round, so no
-        index is kept for it.
-        """
-        return [path for path in self._by_digest.values() if path.segment.last_as == terminal_as]
-
     def get(self, digest: str) -> Optional[RegisteredPath]:
         """Return the registered path with segment ``digest``, if present.
 
@@ -465,34 +434,18 @@ class PathService:
         """
         return self._by_digest.get(digest)
 
-    def latest_registration_ms(self, origin_as: int) -> Optional[float]:
-        """Return the most recent (re-)registration time towards ``origin_as``.
-
-        ``None`` when no path to that origin is registered.  A staleness
-        query: merges refresh ``last_registered_at_ms``, so this tells how
-        recently the control plane confirmed *any* path to the origin.
-        (Recovery dating uses first-registration times of usable paths
-        instead — see ``BeaconingSimulation._usable_registration_times``.)
-        """
-        by_digest = self._by_digest
-        times = [
-            by_digest[d].last_registered_at_ms
-            for d in self._by_origin.get(origin_as, ())
-            if by_digest[d].last_registered_at_ms is not None
-        ]
-        return max(times) if times else None
-
-    def paths_with_tag(self, tag: str) -> List[RegisteredPath]:
-        """Return every registered path optimized for criteria ``tag``."""
-        return [p for p in self._by_digest.values() if tag in p.criteria_tags]
-
     def all_paths(self) -> List[RegisteredPath]:
         """Return every registered path."""
         return list(self._by_digest.values())
 
+    @property
+    def expiry_margin_ms(self) -> float:
+        """Return :data:`EXPIRY_MARGIN_MS`, the horizon the query tier applies."""
+        return EXPIRY_MARGIN_MS
+
     def remove_expired(self, now_ms: float) -> int:
         """Drop paths whose segments are expired (or about to); return the count."""
-        horizon = now_ms + self.expiry_margin_ms
+        horizon = now_ms + EXPIRY_MARGIN_MS
         return self._remove_digests(
             digest
             for digest, path in self._by_digest.items()

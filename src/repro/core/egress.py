@@ -40,29 +40,18 @@ from repro.topology.entities import LinkID
 class EgressStats:
     """Counters kept by the egress gateway."""
 
-    originated: int = 0
-    propagated: int = 0
-    returned_to_origin: int = 0
-    suppressed_duplicates: int = 0
-    suppressed_loops: int = 0
-    registered: int = 0
+    originated: int = field(default=0, init=False)
+    propagated: int = field(default=0, init=False)
+    returned_to_origin: int = field(default=0, init=False)
+    suppressed_duplicates: int = field(default=0, init=False)
+    suppressed_loops: int = field(default=0, init=False)
+    registered: int = field(default=0, init=False)
     #: Registrations that added neither a digest nor a criteria tag to the
     #: local path service, and down-segment announcements sent.  Both move
     #: only with ``collect_registered`` on; ``announced`` over ``registered``
     #: is the share of registrations that were news.
-    reregistered: int = 0
-    announced: int = 0
-
-    def reset(self) -> None:
-        """Zero all counters."""
-        self.originated = 0
-        self.propagated = 0
-        self.returned_to_origin = 0
-        self.suppressed_duplicates = 0
-        self.suppressed_loops = 0
-        self.registered = 0
-        self.reregistered = 0
-        self.announced = 0
+    reregistered: int = field(default=0, init=False)
+    announced: int = field(default=0, init=False)
 
 
 @dataclass

@@ -95,16 +95,6 @@ class ExtensionSet:
             parts.append(self.interface_group.encode())
         return "ext[" + ";".join(parts) + "]"
 
-    @property
-    def is_pull_based(self) -> bool:
-        """Return whether the beacon uses pull-based routing."""
-        return self.target is not None
-
-    @property
-    def is_on_demand(self) -> bool:
-        """Return whether the beacon uses on-demand routing."""
-        return self.algorithm is not None
-
     def with_target(self, target_as: int) -> "ExtensionSet":
         """Return a copy with the target extension set.
 

@@ -77,12 +77,8 @@ class VerifiedPrefixCache:
     def add(self, chain: Iterable[str], expires_at_ms: float) -> None:
         """Mark every digest of ``chain`` as verified until ``expires_at_ms``.
 
-        A non-positive ``max_entries`` disables the cache entirely (every
-        verification stays a full one).  A digest already cached keeps its
-        place and its expiry.
+        A digest already cached keeps its place and its expiry.
         """
-        if self.max_entries <= 0:
-            return
         digests = self._digests
         expires_at_ms = self._expiries.setdefault(expires_at_ms, expires_at_ms)
         for digest in chain:
@@ -121,29 +117,17 @@ class VerifiedPrefixCache:
 class IngressStats:
     """Counters kept by the ingress gateway for diagnostics and benchmarks."""
 
-    received: int = 0
-    accepted: int = 0
-    duplicates: int = 0
-    rejected_signature: int = 0
-    rejected_policy: int = 0
-    rejected_expired: int = 0
+    received: int = field(default=0, init=False)
+    accepted: int = field(default=0, init=False)
+    duplicates: int = field(default=0, init=False)
+    rejected_signature: int = field(default=0, init=False)
+    rejected_policy: int = field(default=0, init=False)
+    rejected_expired: int = field(default=0, init=False)
     #: Beacons verified entirely from scratch vs. via a cached prefix.
-    full_verifications: int = 0
-    incremental_verifications: int = 0
+    full_verifications: int = field(default=0, init=False)
+    incremental_verifications: int = field(default=0, init=False)
     #: Individual entry signatures actually checked (HMAC operations).
-    signatures_checked: int = 0
-
-    def reset(self) -> None:
-        """Zero all counters."""
-        self.received = 0
-        self.accepted = 0
-        self.duplicates = 0
-        self.rejected_signature = 0
-        self.rejected_policy = 0
-        self.rejected_expired = 0
-        self.full_verifications = 0
-        self.incremental_verifications = 0
-        self.signatures_checked = 0
+    signatures_checked: int = field(default=0, init=False)
 
 
 @dataclass
@@ -156,36 +140,29 @@ class IngressGateway:
         database: The ingress database shared with the AS's RACs; by
             default an empty one indexed for ``as_id``.
         policies: Additional admission policies applied after the built-in
-            signature, expiry and loop checks.
+            signature, expiry and loop checks; an operator appends to it.
         verify_signatures: Signature verification can be disabled for
             large-scale simulations where cryptography dominates runtime
             without affecting the studied behaviour.
         verified_prefixes: Cache of already-verified signature-chain
-            prefixes (see :class:`VerifiedPrefixCache`).
+            prefixes (see :class:`VerifiedPrefixCache`); it proves
+            verification against ``verifier``'s key store only, so a
+            gateway keeps one verifier for its lifetime.
     """
 
     as_id: int
     verifier: Verifier
     database: Optional[IngressDatabase] = None
-    policies: List[AdmissionPolicy] = field(default_factory=list)
+    policies: List[AdmissionPolicy] = field(default_factory=list, init=False)
     verify_signatures: bool = True
-    stats: IngressStats = field(default_factory=IngressStats)
-    verified_prefixes: VerifiedPrefixCache = field(default_factory=VerifiedPrefixCache)
+    stats: IngressStats = field(default_factory=IngressStats, init=False)
+    verified_prefixes: VerifiedPrefixCache = field(
+        default_factory=VerifiedPrefixCache, init=False
+    )
 
     def __post_init__(self) -> None:
         if self.database is None:
             self.database = IngressDatabase(local_as=self.as_id)
-
-    def use_verifier(self, verifier: Verifier) -> None:
-        """Replace the gateway's verifier (e.g. after a key-store rotation).
-
-        The verified-prefix cache only proves that prefixes verified against
-        the *previous* verifier's key store, so it is invalidated: keeping it
-        would let a beacon signed under the old keys skip re-verification
-        under the new ones.
-        """
-        self.verifier = verifier
-        self.verified_prefixes.clear()
 
     def receive(self, beacon: Beacon, on_interface: int, now_ms: float) -> bool:
         """Process one incoming beacon.

@@ -8,8 +8,7 @@ group identifier, and downstream ASes optimize per (origin AS, group).
 
 The paper's simulations build groups geographically: any two interfaces of
 the same group are at most 300 km (DOB300) or 2000 km (DOB2000) apart.
-:class:`GeographicGroupingPolicy` implements that; :class:`ExplicitGrouping`
-lets examples and tests assign groups by hand, and
+:class:`GeographicGroupingPolicy` implements that, and
 :class:`SingleGroupPolicy` reproduces the plain AS-granularity behaviour
 (every interface in group 0).
 """
@@ -17,7 +16,7 @@ lets examples and tests assign groups by hand, and
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.exceptions import ConfigurationError
@@ -37,19 +36,6 @@ class InterfaceGroupAssignment:
     as_id: int
     groups: Dict[int, Tuple[int, ...]]
 
-    def group_of(self, interface_id: int) -> int:
-        """Return the group containing ``interface_id``.
-
-        Raises:
-            ConfigurationError: If the interface is not assigned to a group.
-        """
-        for group_id, members in self.groups.items():
-            if interface_id in members:
-                return group_id
-        raise ConfigurationError(
-            f"interface {interface_id} of AS {self.as_id} is not assigned to any group"
-        )
-
     def group_ids(self) -> Tuple[int, ...]:
         """Return all group identifiers, sorted."""
         return tuple(sorted(self.groups))
@@ -62,11 +48,6 @@ class InterfaceGroupAssignment:
             raise ConfigurationError(
                 f"AS {self.as_id} has no interface group {group_id}"
             ) from None
-
-    @property
-    def num_groups(self) -> int:
-        """Return the number of groups."""
-        return len(self.groups)
 
 
 class InterfaceGroupingPolicy(abc.ABC):
@@ -86,19 +67,6 @@ class SingleGroupPolicy(InterfaceGroupingPolicy):
         return InterfaceGroupAssignment(
             as_id=as_info.as_id, groups={0: tuple(sorted(as_info.interfaces))}
         )
-
-
-@dataclass
-class PerInterfaceGroupPolicy(InterfaceGroupingPolicy):
-    """One group per interface — the fine-grained extreme of §IV-D."""
-
-    def assign(self, as_info: ASInfo) -> InterfaceGroupAssignment:
-        """Assign every interface of ``as_info`` to its own group."""
-        groups = {
-            index: (interface_id,)
-            for index, interface_id in enumerate(sorted(as_info.interfaces))
-        }
-        return InterfaceGroupAssignment(as_id=as_info.as_id, groups=groups)
 
 
 @dataclass
@@ -127,20 +95,3 @@ class GeographicGroupingPolicy(InterfaceGroupingPolicy):
             for group_id, members in enumerate(clusters)
         }
         return InterfaceGroupAssignment(as_id=as_info.as_id, groups=groups)
-
-
-@dataclass
-class ExplicitGrouping(InterfaceGroupingPolicy):
-    """A hand-written group assignment (used by examples and tests)."""
-
-    groups_by_as: Dict[int, Dict[int, Tuple[int, ...]]] = field(default_factory=dict)
-
-    def assign(self, as_info: ASInfo) -> InterfaceGroupAssignment:
-        """Return the configured assignment, defaulting to a single group."""
-        configured = self.groups_by_as.get(as_info.as_id)
-        if configured is None:
-            return SingleGroupPolicy().assign(as_info)
-        return InterfaceGroupAssignment(
-            as_id=as_info.as_id,
-            groups={int(gid): tuple(members) for gid, members in configured.items()},
-        )

@@ -33,10 +33,10 @@ from repro.core.beacon import Beacon
 class IPCStats:
     """Accumulated cost of gateway ↔ RAC exchanges."""
 
-    calls: int = 0
-    bytes_transferred: int = 0
-    elapsed_ms: float = 0.0
-    modelled_latency_ms: float = 0.0
+    calls: int = field(default=0, init=False)
+    bytes_transferred: int = field(default=0, init=False)
+    elapsed_ms: float = field(default=0.0, init=False)
+    modelled_latency_ms: float = field(default=0.0, init=False)
 
     def record(self, payload_bytes: int, elapsed_ms: float, modelled_ms: float) -> None:
         """Record one RPC exchange."""
@@ -49,13 +49,6 @@ class IPCStats:
     def total_ms(self) -> float:
         """Return measured plus modelled latency."""
         return self.elapsed_ms + self.modelled_latency_ms
-
-    def reset(self) -> None:
-        """Zero all counters."""
-        self.calls = 0
-        self.bytes_transferred = 0
-        self.elapsed_ms = 0.0
-        self.modelled_latency_ms = 0.0
 
 
 @dataclass

@@ -32,7 +32,7 @@ class LocalTopologyView:
 
     as_info: ASInfo
     intra_domain: IntraDomainModel
-    links_by_interface: Dict[int, Link] = field(default_factory=dict)
+    links_by_interface: Dict[int, Link]
     #: Lazily cached sorted interface tuple; the view only changes through
     #: :meth:`attach_link` (growth churn), which invalidates the memo, and
     #: ``interface_ids`` sits on per-message fast paths (beacon rounds,

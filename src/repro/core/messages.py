@@ -35,7 +35,7 @@ deserialized message, never stamped or altered.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import ClassVar, Optional, Tuple
 
 from repro.core.beacon import Beacon, _slot
@@ -118,12 +118,13 @@ class RevocationMessage(ControlMessage):
     Attributes:
         failed_links: Every revoked link named by this message.
         failed_ases: Every departed AS named by this message.
-        signature: Signature of ``origin_as`` over the canonical encoding.
+        signature: Signature of ``origin_as`` over the canonical encoding;
+            empty until :meth:`signed` fills it in a copy.
     """
 
     failed_links: Tuple[LinkID, ...] = ()
     failed_ases: Tuple[int, ...] = ()
-    signature: bytes = b""
+    signature: bytes = field(default=b"", init=False)
     _failed_link_set: Optional[frozenset] = _slot()
     _failed_as_set: Optional[frozenset] = _slot()
     _encoded_unsigned: Optional[str] = _slot()
@@ -192,8 +193,9 @@ class RevocationMessage(ControlMessage):
 
     def signed(self, signer: Signer) -> "RevocationMessage":
         """Return a copy carrying ``signer``'s signature over the encoding."""
-        signature = signer.sign(self.encode_unsigned().encode("utf-8"))
-        return replace(self, signature=signature)
+        signed = replace(self)
+        object.__setattr__(signed, "signature", signer.sign(self.encode_unsigned().encode("utf-8")))
+        return signed
 
     def verify(self, verifier: Verifier) -> None:
         """Raise :class:`SignatureError` unless the origin's signature is valid."""

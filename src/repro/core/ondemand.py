@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Tuple, Union
 
 from repro.algorithms.base import RoutingAlgorithm
-from repro.algorithms.registry import AlgorithmCatalog, decode_payload, default_catalog
+from repro.algorithms.registry import decode_payload
 from repro.core.beacon import Beacon
 from repro.core.sandbox import MAX_PAYLOAD_BYTES
 from repro.crypto.hashing import algorithm_hash
@@ -73,10 +73,6 @@ class AlgorithmRepository:
         """Return the hash of the payload published under ``algorithm_id``."""
         return algorithm_hash(self.fetch(algorithm_id))
 
-    def published_ids(self) -> Tuple[str, ...]:
-        """Return the published identifiers, sorted."""
-        return tuple(sorted(self._payloads))
-
     def __contains__(self, algorithm_id: str) -> bool:
         return algorithm_id in self._payloads
 
@@ -88,13 +84,11 @@ class OnDemandAlgorithmManager:
     Attributes:
         transport: ``(origin_as, algorithm_id) -> payload bytes``; fetches
             a payload from the AS that published it.
-        catalog: Resolves ``builtin`` payloads.
         cache_enabled: Whether resolved algorithms (and decode failures)
             are kept; when off, every resolve fetches and decodes.
     """
 
     transport: Callable[[int, str], bytes]
-    catalog: AlgorithmCatalog = field(default_factory=default_catalog)
     cache_enabled: bool = True
     #: ``(origin, algorithm id, hash)`` → the decoded algorithm, or the
     #: message of the error its payload failed to decode with.
@@ -119,7 +113,7 @@ class OnDemandAlgorithmManager:
         if cached is None:
             payload = self._fetch(*key)
             try:
-                cached = decode_payload(payload, catalog=self.catalog)
+                cached = decode_payload(payload)
             except AlgorithmError as exc:
                 if self.cache_enabled:
                     self._cache[key] = str(exc)

@@ -50,7 +50,7 @@ class PullIteration:
     algorithm_id: str
     started_at_ms: float
     avoid_links: Tuple[LinkID, ...]
-    accepted_beacon: Optional[Beacon] = None
+    accepted_beacon: Optional[Beacon] = field(default=None, init=False)
 
 
 @dataclass

@@ -172,14 +172,13 @@ class PathQueryFrontend:
     # Serving
     # ------------------------------------------------------------------
 
-    def query(self, query: PathQuery, now_ms: Optional[float] = None) -> QueryResult:
-        """Serve ``query``, from cache when a live entry exists."""
+    def query(self, query: PathQuery) -> QueryResult:
+        """Serve ``query`` at the ``clock``'s time, from cache when a live entry exists."""
         self.lookups += 1
+        now_ms = self.clock() if self.clock is not None else 0.0
         key = query.cache_key()
         entry = self._cache.get(key)
         if entry is not None:
-            if now_ms is None:
-                now_ms = self.clock() if self.clock is not None else 0.0
             if entry.valid_until_ms is None or now_ms < entry.valid_until_ms:
                 self.hits += 1
                 if not entry.result.paths:
@@ -191,16 +190,14 @@ class PathQueryFrontend:
             self.expired_entries += 1
             self._drop_key(key)
         self.misses += 1
-        if now_ms is None:
-            now_ms = self.clock() if self.clock is not None else 0.0
         return self._materialize(query, key, now_ms)
 
-    def paths(self, origin_as: int, now_ms: Optional[float] = None) -> Tuple[RegisteredPath, ...]:
+    def paths(self, origin_as: int) -> Tuple[RegisteredPath, ...]:
         """Serve the plain "all paths to ``origin_as``" lookup."""
         query = self._plain_queries.get(origin_as)
         if query is None:
             query = self._plain_queries[origin_as] = PathQuery(origin_as)
-        return self.query(query, now_ms=now_ms).paths
+        return self.query(query).paths
 
     def _materialize(
         self, query: PathQuery, key: Tuple[int, str], now_ms: float

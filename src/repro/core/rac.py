@@ -50,6 +50,11 @@ from repro.exceptions import AlgorithmError, RACError, SandboxError
 import time
 
 
+#: The maximally allowed size of the optimal set a RAC returns per egress
+#: interface (20 in the paper's simulations).
+MAX_PATHS_PER_INTERFACE = 20
+
+
 @dataclass(frozen=True)
 class RACConfig:
     """Configuration of one RAC.
@@ -57,26 +62,16 @@ class RACConfig:
     Attributes:
         rac_id: Identifier of the container (also used as the criteria tag
             when registering paths).
-        max_paths_per_interface: The maximally allowed size of the optimal
-            set returned per egress interface.
         use_interface_groups: Whether candidate buckets are split per
             interface group (§IV-D); when disabled, groups are merged.
-        use_targets: Whether pull-based buckets (with a target extension)
-            are processed; static RACs without pull support skip them.
     """
 
     rac_id: str
-    max_paths_per_interface: int = 20
     use_interface_groups: bool = True
-    use_targets: bool = True
 
     def __post_init__(self) -> None:
         if not self.rac_id:
             raise RACError("rac_id must be non-empty")
-        if self.max_paths_per_interface < 1:
-            raise RACError(
-                f"max_paths_per_interface must be positive, got {self.max_paths_per_interface}"
-            )
 
 
 @dataclass(slots=True)
@@ -103,24 +98,18 @@ class RACExecutionReport:
     """Timing and volume report of one RAC processing round (Figure 6/7)."""
 
     rac_id: str
-    buckets: int = 0
-    candidates: int = 0
-    selections: int = 0
-    setup_ms: float = 0.0
-    ipc_ms: float = 0.0
-    execution_ms: float = 0.0
-    failed_buckets: int = 0
+    buckets: int = field(default=0, init=False)
+    candidates: int = field(default=0, init=False)
+    selections: int = field(default=0, init=False)
+    setup_ms: float = field(default=0.0, init=False)
+    ipc_ms: float = field(default=0.0, init=False)
+    execution_ms: float = field(default=0.0, init=False)
+    failed_buckets: int = field(default=0, init=False)
 
     @property
     def total_ms(self) -> float:
         """Return the total processing latency of the round."""
         return self.setup_ms + self.ipc_ms + self.execution_ms
-
-    def throughput_pcbs_per_second(self) -> float:
-        """Return the candidate-processing throughput of the round."""
-        if self.total_ms <= 0.0:
-            return 0.0
-        return self.candidates / (self.total_ms / 1000.0)
 
 
 @dataclass
@@ -164,18 +153,14 @@ class RoutingAlgorithmContainer:
 
         A job is what one execution reads: one bucket, or — with interface
         groups merged — every bucket of one (origin, target, algorithm), in
-        key order.  Buckets of the other RAC type, and pull buckets when
-        targets are off, belong to no job.
+        key order.  Buckets of the other RAC type belong to no job.
         """
         on_demand = self.on_demand_manager is not None
-        use_targets = self.config.use_targets
         merge = not self.config.use_interface_groups
         jobs: Dict[Tuple, List[BucketKey]] = {}
         for key in bucket_keys:
             origin, _group, target, algorithm_id = key
             if on_demand != (algorithm_id is not None):
-                continue
-            if target is not None and not use_targets:
                 continue
             jobs.setdefault((origin, target, algorithm_id) if merge else key, []).append(key)
         return list(jobs.values())
@@ -235,7 +220,7 @@ class RoutingAlgorithmContainer:
             local_as=local_as,
             candidates=candidates,
             egress_interfaces=tuple(egress_interfaces),
-            max_paths_per_interface=self.config.max_paths_per_interface,
+            max_paths_per_interface=MAX_PATHS_PER_INTERFACE,
             intra_latency_ms=intra_latency_ms,
         )
         start = time.perf_counter()

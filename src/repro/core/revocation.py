@@ -155,7 +155,7 @@ class RevocationState:
             recently revoked element (see ``IrecControlService.receive_beacon``);
             cleared by the driver when the element recovers.
         revoked_ases: Negative cache for departed ASes, same shape.
-        suppress_forwarding: Byzantine knob (PR 7): a suppressing service
+        suppress_forwarding: Set by a ``ForwardingSuppression`` event: a suppressing service
             still receives, verifies and applies revocations — it just
             never re-forwards them, silently swallowing floods it should
             relay.  Its own originations still go out (suppression models
@@ -163,7 +163,7 @@ class RevocationState:
     """
 
     dedup_window_ms: float = DEFAULT_DEDUP_WINDOW_MS
-    suppress_forwarding: bool = False
+    suppress_forwarding: bool = field(default=False, init=False)
     #: (origin, sequence) → first-seen time, insertion-ordered for pruning.
     _seen: Dict[Tuple[int, int], float] = field(default_factory=dict)
     applied_at: WithdrawalLedger = field(default_factory=WithdrawalLedger, init=False)

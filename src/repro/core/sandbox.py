@@ -329,18 +329,13 @@ class RestrictedPythonAlgorithm(RoutingAlgorithm):
 class SandboxStats:
     """Accumulated sandbox setup cost (the Figure-6 "WASM setup" analogue)."""
 
-    setups: int = 0
-    elapsed_ms: float = 0.0
+    setups: int = field(default=0, init=False)
+    elapsed_ms: float = field(default=0.0, init=False)
 
     def record(self, elapsed_ms: float) -> None:
         """Record one sandbox setup."""
         self.setups += 1
         self.elapsed_ms += elapsed_ms
-
-    def reset(self) -> None:
-        """Zero all counters."""
-        self.setups = 0
-        self.elapsed_ms = 0.0
 
 
 @dataclass

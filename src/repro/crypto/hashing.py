@@ -40,20 +40,14 @@ _PERF_COUNTERS: Dict[str, int] = {
 }
 
 
-def count_crypto_op(name: str, amount: int = 1) -> None:
-    """Record ``amount`` occurrences of the cryptographic operation ``name``."""
-    _PERF_COUNTERS[name] = _PERF_COUNTERS.get(name, 0) + amount
+def count_crypto_op(name: str) -> None:
+    """Record one occurrence of the cryptographic operation ``name``."""
+    _PERF_COUNTERS[name] = _PERF_COUNTERS.get(name, 0) + 1
 
 
 def perf_counters() -> Dict[str, int]:
     """Return a snapshot of the performance counters."""
     return dict(_PERF_COUNTERS)
-
-
-def reset_perf_counters() -> None:
-    """Zero all performance counters (used between benchmark stages)."""
-    for key in _PERF_COUNTERS:
-        _PERF_COUNTERS[key] = 0
 
 
 def algorithm_hash(payload: bytes) -> str:
@@ -69,16 +63,3 @@ def beacon_digest(encoded_beacon: bytes) -> str:
         raise TypeError(f"encoded beacon must be bytes, got {type(encoded_beacon).__name__}")
     count_crypto_op("beacon_digest")
     return hashlib.sha256(bytes(encoded_beacon)).hexdigest()
-
-
-def short_hash(data: bytes, length: int = 12) -> str:
-    """Return a truncated hex digest, handy for logging and display.
-
-    Args:
-        data: Bytes to hash.
-        length: Number of hex characters to keep (must be positive and at
-            most 64, the length of a full SHA-256 hex digest).
-    """
-    if length <= 0 or length > 64:
-        raise ValueError(f"length must be in [1, 64], got {length}")
-    return hashlib.sha256(bytes(data)).hexdigest()[:length]

@@ -43,11 +43,3 @@ class Verifier:
         key = self.key_store.key_for(as_id)
         if not key.verify(message, signature):
             raise SignatureError(f"invalid signature from AS {as_id}")
-
-    def is_valid(self, as_id: int, message: bytes, signature: bytes) -> bool:
-        """Boolean variant of :meth:`verify`."""
-        try:
-            self.verify(as_id, message, signature)
-        except SignatureError:
-            return False
-        return True

@@ -56,7 +56,7 @@ class DataPlaneNetwork:
     """
 
     topology: Topology
-    intra_domain: IntraDomainRegistry = field(default_factory=IntraDomainRegistry)
+    intra_domain: IntraDomainRegistry = field(default_factory=IntraDomainRegistry, init=False)
     link_state: LinkState = field(default_factory=LinkState)
 
     def deliver(self, path: ForwardingPath) -> DeliveryReport:

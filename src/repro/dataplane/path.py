@@ -92,17 +92,6 @@ class ForwardingPath:
             for current, nxt in zip(self.hops, self.hops[1:])
         )
 
-    def hop_for(self, as_id: int) -> HopField:
-        """Return the hop field of ``as_id``.
-
-        Raises:
-            PathConstructionError: If the AS is not on the path.
-        """
-        for hop in self.hops:
-            if hop.as_id == as_id:
-                return hop
-        raise PathConstructionError(f"AS {as_id} is not on the forwarding path")
-
 
 def forwarding_path_from_segment(segment: Beacon) -> ForwardingPath:
     """Build the source-to-origin forwarding path from a registered segment.

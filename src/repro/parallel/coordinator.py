@@ -42,7 +42,8 @@ from repro.parallel.partition import Partition, partition_topology
 from repro.parallel.shard import shard_worker_main
 from repro.simulation.beaconing import PeriodDriver
 from repro.simulation.collector import MetricsCollector
-from repro.simulation.events import RACSwap, TimedEvent, TopologyGrowth
+from repro.simulation.events import GROWTH_LATENCY_MS, TimedEvent, TopologyGrowth
+from repro.simulation.network import PROCESSING_DELAY_MS
 from repro.simulation.scenario import ScenarioConfig
 from repro.topology.graph import Topology
 
@@ -67,11 +68,6 @@ class ShardedBeaconingSimulation(PeriodDriver):
                     "across ASes and cannot run sharded; use the "
                     "single-process BeaconingSimulation"
                 )
-        for timed in scenario.timeline:
-            if isinstance(timed.event, RACSwap) and timed.event.spec.on_demand:
-                raise ConfigurationError(
-                    "a RACSwap to an on-demand RAC cannot run sharded"
-                )
         super().__init__(topology, scenario)
         try:
             self._context = multiprocessing.get_context("fork")
@@ -90,9 +86,7 @@ class ShardedBeaconingSimulation(PeriodDriver):
         )
         self._owner: Dict[int, int] = dict(self.partition.owner)
         self._owned: List[set] = [set(shard) for shard in self.partition.shards]
-        self._lookahead_ms = self.partition.lookahead_ms(
-            topology, scenario.processing_delay_ms
-        )
+        self._lookahead_ms = self.partition.lookahead_ms(topology, PROCESSING_DELAY_MS)
         if self._lookahead_ms <= 0.0:
             raise ConfigurationError(
                 "sharded simulation needs positive cross-shard lookahead; "
@@ -279,7 +273,7 @@ class ShardedBeaconingSimulation(PeriodDriver):
             if self._owner[neighbor_as] != owner:
                 self._lookahead_ms = min(
                     self._lookahead_ms,
-                    event.latency_ms + self.scenario.processing_delay_ms,
+                    GROWTH_LATENCY_MS + PROCESSING_DELAY_MS,
                 )
 
     def flush(self, now_ms: float) -> None:

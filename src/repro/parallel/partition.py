@@ -48,11 +48,6 @@ class Partition:
     owner: Dict[int, int]
     seed: int
 
-    @property
-    def shard_count(self) -> int:
-        """Return how many shards the partition has."""
-        return len(self.shards)
-
     def cross_links(self, topology: Topology) -> List:
         """Return the links whose endpoints live on different shards."""
         return [

@@ -12,7 +12,7 @@ topology.  This package provides the equivalent machinery in pure Python:
 * :mod:`repro.simulation.scenario` — declarative description of which
   algorithms run in which ASes (the paper's 1SP/5SP/HD/DO/PD setups),
 * :mod:`repro.simulation.events` — typed dynamic events (link failures,
-  churn, policy/RAC swaps, period changes) that check themselves against
+  churn, period changes, adversarial events) that check themselves against
   their timeline, and seeded random failure/churn generators,
 * :mod:`repro.simulation.failures` — :class:`LinkState`, the live link and
   AS availability every layer (fabric, data plane, traffic) consults, and
@@ -34,12 +34,9 @@ from repro.simulation.events import (
     BeaconPeriodChange,
     LinkFailure,
     LinkRecovery,
-    PolicySwap,
-    RACSwap,
     ScenarioTimeline,
     TimedEvent,
     random_churn,
-    random_link_failures,
 )
 from repro.simulation.failures import LinkState
 from repro.simulation.network import SimulatedTransport
@@ -62,8 +59,6 @@ __all__ = [
     "LinkRecovery",
     "LinkState",
     "MetricsCollector",
-    "PolicySwap",
-    "RACSwap",
     "ScenarioConfig",
     "ScenarioTimeline",
     "SimulatedTransport",
@@ -71,5 +66,4 @@ __all__ = [
     "TimedEvent",
     "paper_algorithm_suite",
     "random_churn",
-    "random_link_failures",
 ]

@@ -56,6 +56,9 @@ from repro.exceptions import ConfigurationError, SimulationError, UnknownASError
 from repro.simulation.collector import ConvergenceCollector, MetricsCollector
 from repro.simulation.engine import EventScheduler
 from repro.simulation.events import (
+    FORGED_SEQUENCE_BASE,
+    GROWTH_BANDWIDTH_MBPS,
+    GROWTH_LATENCY_MS,
     ASJoin,
     ASLeave,
     BeaconPeriodChange,
@@ -65,8 +68,6 @@ from repro.simulation.events import (
     LinkFailure,
     LinkFlap,
     LinkRecovery,
-    PolicySwap,
-    RACSwap,
     RevocationForgery,
     RevocationReplay,
     TimedEvent,
@@ -75,7 +76,7 @@ from repro.simulation.events import (
 from repro.simulation.failures import LinkState
 from repro.simulation.network import SimulatedTransport
 from repro.simulation.scenario import AlgorithmSpec, ScenarioConfig, legacy_scion_spec
-from repro.topology.entities import ASInfo, Interface, Link, LinkID
+from repro.topology.entities import ASInfo, Interface, Link, LinkID, Relationship
 from repro.topology.geo import GeoCoordinate
 from repro.topology.graph import Topology
 from repro.topology.intra_domain import IntraDomainRegistry
@@ -131,21 +132,6 @@ class SimulationResult:
             return self.services[as_id]
         except KeyError:
             raise UnknownASError(as_id) from None
-
-    @property
-    def service_count(self) -> int:
-        """Return how many control services the run ended with."""
-        return len(self.revocation_stats)
-
-    @property
-    def rejected_invalid_total(self) -> int:
-        """Return revocations rejected for bad signatures, all ASes."""
-        return sum(rejected for rejected, _dupes in self.revocation_stats.values())
-
-    @property
-    def duplicates_total(self) -> int:
-        """Return duplicate revocations dropped inside dedup windows."""
-        return sum(dupes for _rejected, dupes in self.revocation_stats.values())
 
 
 class PeriodDriver:
@@ -355,13 +341,12 @@ class BeaconingSimulation(PeriodDriver):
         topology: Topology,
         scenario: ScenarioConfig,
         key_store: Optional[KeyStore] = None,
-        intra_domain: Optional[IntraDomainRegistry] = None,
         shard: Optional[ShardContext] = None,
     ) -> None:
         super().__init__(topology, scenario)
         self.shard = shard
         self.key_store = key_store or KeyStore()
-        self.intra_domain = intra_domain or IntraDomainRegistry()
+        self.intra_domain = IntraDomainRegistry()
         self.scheduler = EventScheduler()
         self.collector = MetricsCollector(period_ms=scenario.propagation_interval_ms)
         self.link_state = LinkState()
@@ -369,9 +354,7 @@ class BeaconingSimulation(PeriodDriver):
             topology=topology,
             scheduler=self.scheduler,
             collector=self.collector,
-            processing_delay_ms=scenario.processing_delay_ms,
             link_state=self.link_state,
-            batch_size=scenario.inbox_batch_size,
             loss_seed=scenario.loss_seed,
             exporter=shard.exporter if shard is not None else None,
         )
@@ -391,9 +374,6 @@ class BeaconingSimulation(PeriodDriver):
         #: multi-element messages (one flood per origin, not per element).
         self._pending_failed_links: List[Tuple] = []
         self._pending_failed_ases: List[int] = []
-        #: Per-AS deployed RAC specs, kept in sync by RACSwap so a churned
-        #: AS can be cold-restarted with its *current* deployment.
-        self._deployed_specs: Dict[int, Dict[str, AlgorithmSpec]] = {}
         #: Usable-path count of every probed pair that nothing has moved
         #: since it was counted; :meth:`probe` recounts the pairs missing
         #: here.  Entries are evicted by the two sources of truth only: the
@@ -436,16 +416,13 @@ class BeaconingSimulation(PeriodDriver):
             grouping_policy=SingleGroupPolicy() if legacy else self.scenario.grouping_policy,
             config=ControlServiceConfig(
                 verify_signatures=self.scenario.verify_signatures,
-                revocation_dedup_window_ms=self.scenario.revocation_dedup_window_ms,
                 originate_with_groups=not legacy,
                 register_down_segments=self.scenario.register_down_segments and not legacy,
                 registration_limit=self.scenario.registration_limit,
             ),
         )
-        specs = self._deployed_specs.setdefault(as_info.as_id, {})
-        for spec in (legacy_scion_spec(),) if legacy else self.scenario.algorithms:
+        for spec in self._deployed_specs(as_info.as_id):
             self._install_rac(service, spec)
-            specs[spec.rac_id] = spec
         # The serving tier reads simulated time from the scheduler, so
         # cached query responses expire on the simulation's clock.
         service.query_frontend.clock = lambda: self.scheduler.now_ms
@@ -456,19 +433,15 @@ class BeaconingSimulation(PeriodDriver):
 
     @staticmethod
     def _install_rac(service: IrecControlService, spec: AlgorithmSpec) -> None:
-        """Install one RAC described by ``spec`` (deployment and hot-swap)."""
+        """Install one RAC described by ``spec`` (deployment and cold restart)."""
         if spec.on_demand:
-            service.add_on_demand_rac(
-                rac_id=spec.rac_id, max_paths_per_interface=spec.max_paths_per_interface
-            )
+            service.add_on_demand_rac(rac_id=spec.rac_id)
         else:
             assert spec.factory is not None  # validated by AlgorithmSpec
             service.add_static_rac(
                 rac_id=spec.rac_id,
                 algorithm=spec.factory(),
-                max_paths_per_interface=spec.max_paths_per_interface,
                 use_interface_groups=spec.use_interface_groups,
-                use_targets=spec.use_targets,
             )
 
     # ------------------------------------------------------------------
@@ -499,7 +472,7 @@ class BeaconingSimulation(PeriodDriver):
     # ------------------------------------------------------------------
     def add_event_listener(self, listener) -> None:
         """Register a ``(event, now_ms)`` callback fired after each applied
-        timeline event (failures, recoveries, churn, swaps)."""
+        timeline event (failures, recoveries, churn, growth)."""
         self.event_listeners.append(listener)
 
     def _usable_paths(self, source_as: int, destination_as: int) -> List[RegisteredPath]:
@@ -532,8 +505,7 @@ class BeaconingSimulation(PeriodDriver):
         (its ``registered_at_ms`` post-dates the disruption), while a
         surviving path that is merely re-registered keeps its original
         timestamp — so routine periodic merges can never back-date a
-        recovery (``last_registered_at_ms`` is refreshed by exactly those
-        merges and would).
+        recovery.
         """
         return tuple(
             path.registered_at_ms for path in self._usable_paths(source_as, destination_as)
@@ -636,32 +608,6 @@ class BeaconingSimulation(PeriodDriver):
             self.link_state.set_as_online(event.as_id)
             for service in self._services_in_order():
                 service.revocations.clear_revoked_as(event.as_id)
-        elif isinstance(event, PolicySwap):
-            for service in self._event_targets(event.as_ids):
-                service.set_policies(list(event.policies))
-        elif isinstance(event, RACSwap):
-            for service in self._event_targets(event.as_ids):
-                if service.as_id in self.scenario.legacy_ases:
-                    if event.as_ids is None:
-                        continue  # broadcast swaps skip legacy ASes
-                    raise SimulationError(
-                        f"RAC swap explicitly targets AS {service.as_id}, "
-                        "which runs legacy SCION"
-                    )
-                if not service.remove_rac(event.target_rac_id):
-                    if event.as_ids is None:
-                        # Broadcast swaps tolerate ASes that (no longer)
-                        # deploy the target RAC — e.g. after an earlier
-                        # per-AS swap — just as they tolerate legacy ASes.
-                        continue
-                    raise SimulationError(
-                        f"RAC swap targets {event.target_rac_id!r}, which is not "
-                        f"deployed at AS {service.as_id}"
-                    )
-                self._install_rac(service, event.spec)
-                specs = self._deployed_specs.setdefault(service.as_id, {})
-                specs.pop(event.target_rac_id, None)
-                specs[event.spec.rac_id] = event.spec
         elif isinstance(event, LinkFlap):
             self._start_flap(event, now_ms)
         elif isinstance(event, GrayFailure):
@@ -680,7 +626,9 @@ class BeaconingSimulation(PeriodDriver):
                 self._replay_revocations(event)
         elif isinstance(event, ForwardingSuppression):
             for service in self._event_targets(event.as_ids):
-                service.set_revocation_forwarding(not event.suppress)
+                # The service still applies withdrawals locally but silently
+                # swallows the flood.
+                service.revocations.suppress_forwarding = True
         elif isinstance(event, TopologyGrowth):
             self._grow_topology(event)
         elif not isinstance(event, BeaconPeriodChange):
@@ -695,15 +643,21 @@ class BeaconingSimulation(PeriodDriver):
         A churned AS comes back as a freshly booted deployment: empty
         ingress database and path service, a cold verified-prefix cache,
         no returned pull beacons and freshly instantiated RACs of its
-        current deployment (algorithm state must not survive the restart).
+        deployment (algorithm state must not survive the restart).
         """
         service.ingress.database.remove_matching(lambda _stored: True)
         service.path_service.remove_matching(lambda _path: True)
         service.ingress.verified_prefixes.clear()
         service.pull_results.clear()
-        for spec in self._deployed_specs.get(service.as_id, {}).values():
+        for spec in self._deployed_specs(service.as_id):
             service.remove_rac(spec.rac_id)
             self._install_rac(service, spec)
+
+    def _deployed_specs(self, as_id: int) -> Tuple[AlgorithmSpec, ...]:
+        """Return the RACs ``as_id`` deploys: the legacy one or the scenario's."""
+        if as_id in self.scenario.legacy_ases:
+            return (legacy_scion_spec(),)
+        return self.scenario.algorithms
 
     def _event_targets(self, as_ids: Optional[Tuple[int, ...]]) -> List[IrecControlService]:
         """Return the local services an event addresses (``None``: all), in
@@ -776,12 +730,8 @@ class BeaconingSimulation(PeriodDriver):
         if event.loss_ba:
             self.link_state.set_link_loss(key, as_a, event.loss_ba)
         if event.loss_ab or event.loss_ba:
-            if event.duration_ms is not None:
-                clear_at = now_ms + event.duration_ms
-            else:
-                clear_at = now_ms + event.schedule[-1]
             self.scheduler.schedule_at(
-                clear_at,
+                now_ms + event.schedule[-1],
                 lambda _t, _key=key: self.link_state.clear_link_loss(_key),
             )
 
@@ -801,7 +751,7 @@ class BeaconingSimulation(PeriodDriver):
         for index in range(event.count):
             forged = RevocationMessage(
                 origin_as=event.claimed_origin,
-                sequence=event.sequence_base + index,
+                sequence=FORGED_SEQUENCE_BASE + index,
                 created_at_ms=now_ms,
                 failed_links=(event.link_id,),
             ).signed(attacker.builder.signer)
@@ -843,8 +793,7 @@ class BeaconingSimulation(PeriodDriver):
         the new interface), and builds + registers a control service so
         the newcomer participates from the next beaconing period on.
         """
-        latitude, longitude = event.location
-        location = GeoCoordinate(latitude=latitude, longitude=longitude)
+        location = GeoCoordinate(latitude=0.0, longitude=0.0)
         new_info = ASInfo(as_id=event.new_as, name=f"grown-{event.new_as}")
         for index in range(1, len(event.attach_to) + 1):
             new_info.add_interface(
@@ -868,9 +817,9 @@ class BeaconingSimulation(PeriodDriver):
             link = Link(
                 interface_a=(event.new_as, index),
                 interface_b=(neighbor_as, neighbor_if),
-                latency_ms=event.latency_ms,
-                bandwidth_mbps=event.bandwidth_mbps,
-                relationship=event.relationship,
+                latency_ms=GROWTH_LATENCY_MS,
+                bandwidth_mbps=GROWTH_BANDWIDTH_MBPS,
+                relationship=Relationship.CUSTOMER_PROVIDER,
             )
             self.topology.add_link(link)
             neighbor_service = self.services.get(neighbor_as)

@@ -36,13 +36,15 @@ MESSAGE_KINDS = (
 )
 
 
-def _ledger(zero, combine=operator.add):
-    """Declare one ledger: ``zero()`` is its empty value, ``combine`` folds
-    two shards' readings (per key for a dict).
-    :meth:`MetricsCollector.merge` and :meth:`MetricsCollector.reset` walk
-    the fields declared this way, so a new ledger is merged and reset by
-    being declared."""
-    return field(default_factory=zero, metadata={"combine": combine})
+#: A ledger's field metadata: ``combine`` folds two shards' readings (per
+#: key for a dict).  :meth:`MetricsCollector.merge` walks the fields that
+#: carry it, so a new ledger is merged by being declared with it.
+_ADD = {"combine": operator.add}
+_MAX = {"combine": max}
+
+
+def _no_ledger(kind: str) -> SimulationError:
+    return SimulationError(f"message kind {kind!r} has no ledger; add it to MESSAGE_KINDS")
 
 
 def _per_kind() -> Dict[str, int]:
@@ -79,16 +81,17 @@ class MetricsCollector:
     """
 
     period_ms: float = 600_000.0
-    sent: Dict[str, int] = _ledger(_per_kind)
-    dropped: Dict[str, int] = _ledger(_per_kind)
-    _counts: Dict[Tuple[InterfaceID, int], int] = _ledger(_tally)
-    _revocations: Dict[int, int] = _ledger(_tally)
-    _fetches: int = _ledger(int)
-    gray_dropped: Dict[str, int] = _ledger(_tally)
-    revocation_batches: int = _ledger(int)
-    revocation_batch_elements: int = _ledger(int)
-    revocation_batch_max: int = _ledger(int, max)
-    revocation_multi_batches: int = _ledger(int)
+    sent: Dict[str, int] = field(default_factory=_per_kind, init=False, metadata=_ADD)
+    dropped: Dict[str, int] = field(default_factory=_per_kind, init=False, metadata=_ADD)
+    _counts: Dict[Tuple[InterfaceID, int], int] = field(
+        default_factory=_tally, init=False, metadata=_ADD
+    )
+    _fetches: int = field(default_factory=int, init=False, metadata=_ADD)
+    gray_dropped: Dict[str, int] = field(default_factory=_tally, init=False, metadata=_ADD)
+    revocation_batches: int = field(default_factory=int, init=False, metadata=_ADD)
+    revocation_batch_elements: int = field(default_factory=int, init=False, metadata=_ADD)
+    revocation_batch_max: int = field(default_factory=int, init=False, metadata=_MAX)
+    revocation_multi_batches: int = field(default_factory=int, init=False, metadata=_ADD)
 
     total_sent = _kind_total("sent", "pcb", "PCB transmissions.")
     total_dropped = _kind_total("dropped", "pcb", "PCBs lost on unavailable links.")
@@ -104,22 +107,22 @@ class MetricsCollector:
         Raises:
             SimulationError: If ``kind`` has no ledger — silently
                 mis-binning it would corrupt the overhead accounting
-                (Figure 8c) without any error.
+                (Figure 8c) without any error.  The drop recorders raise
+                it too.
         """
         try:
             self.sent[kind] += 1
         except KeyError:
-            raise SimulationError(
-                f"message kind {kind!r} has no ledger; add it to MESSAGE_KINDS"
-            ) from None
+            raise _no_ledger(kind) from None
         if kind == "pcb":
             self._counts[((sender_as, interface_id), int(time_ms // self.period_ms))] += 1
-        elif kind == "revocation":
-            self._revocations[int(time_ms // self.period_ms)] += 1
 
     def record_drop(self, kind: str) -> None:
         """Record one ``kind`` message lost on an unavailable link."""
-        self.dropped[kind] += 1
+        try:
+            self.dropped[kind] += 1
+        except KeyError:
+            raise _no_ledger(kind) from None
 
     def record_algorithm_fetch(self) -> None:
         """Record one remote algorithm payload fetch."""
@@ -127,6 +130,8 @@ class MetricsCollector:
 
     def record_gray_drop(self, kind: str) -> None:
         """Record one message silently swallowed by a degraded link."""
+        if kind not in MESSAGE_KINDS:
+            raise _no_ledger(kind)
         self.gray_dropped[kind] += 1
 
     def record_revocation_batch(self, elements: int) -> None:
@@ -150,32 +155,9 @@ class MetricsCollector:
         """
         return sorted(self._counts.values())
 
-    def count_for(self, interface: InterfaceID, period: int) -> int:
-        """Return the transmissions of ``interface`` during ``period``."""
-        return self._counts.get((interface, period), 0)
-
-    def per_interface_totals(self) -> Dict[InterfaceID, int]:
-        """Return total transmissions per interface across all periods."""
-        totals: Dict[InterfaceID, int] = defaultdict(int)
-        for (interface, _period), count in self._counts.items():
-            totals[interface] += count
-        return dict(totals)
-
-    def periods_observed(self) -> int:
-        """Return the number of distinct periods with at least one send."""
-        return len({period for (_interface, period) in self._counts})
-
-    def returned_beacons(self) -> int:
-        """Return the total number of pull-based returns recorded."""
-        return self.sent["pull_return"]
-
     def algorithm_fetches(self) -> int:
         """Return the total number of remote payload fetches recorded."""
         return self._fetches
-
-    def revocations_in_period(self, period: int) -> int:
-        """Return the revocation messages sent during ``period``."""
-        return self._revocations.get(period, 0)
 
     def control_messages_total(self) -> int:
         """Return every control-plane message sent so far, all kinds.
@@ -209,12 +191,6 @@ class MetricsCollector:
             else:
                 setattr(self, ledger.name, combine(mine, theirs))
 
-    def reset(self) -> None:
-        """Empty every ledger (``period_ms`` is configuration and stays)."""
-        for ledger in fields(self):
-            if "combine" in ledger.metadata:
-                setattr(self, ledger.name, ledger.default_factory())
-
 
 @dataclass
 class DisruptionRecord:
@@ -242,9 +218,9 @@ class DisruptionRecord:
     paths_before: int
     paths_after: int
     messages_at_event: int
-    recovered_at_ms: Optional[float] = None
-    paths_at_recovery: int = 0
-    messages_at_recovery: Optional[int] = None
+    recovered_at_ms: Optional[float] = field(default=None, init=False)
+    paths_at_recovery: int = field(default=0, init=False)
+    messages_at_recovery: Optional[int] = field(default=None, init=False)
 
     @property
     def pair(self) -> Tuple[int, int]:
@@ -312,8 +288,8 @@ class ConvergenceCollector:
     test digests.
     """
 
-    records: List[DisruptionRecord] = field(default_factory=list)
-    trace: List[str] = field(default_factory=list)
+    records: List[DisruptionRecord] = field(default_factory=list, init=False)
+    trace: List[str] = field(default_factory=list, init=False)
     _open: Dict[Tuple[int, int], DisruptionRecord] = field(default_factory=dict)
 
     def on_event(
@@ -423,10 +399,6 @@ class ConvergenceCollector:
         if record is None:
             return 0.0
         return now_ms - record.event_time_ms
-
-    def open_disruptions(self) -> List[DisruptionRecord]:
-        """Return the disruptions that have not recovered yet."""
-        return [record for record in self.records if not record.recovered]
 
     def trace_text(self) -> str:
         """Return the full deterministic trace as one newline-joined string."""

@@ -22,7 +22,7 @@ EventCallback = Callable[[float], None]
 
 #: One heap entry, ``[time_ms, sequence, callback]``: a plain list, so heap
 #: pushes and pops compare entries in C, and the sequence is unique, so the
-#: comparison never reaches the callback (``None`` once cancelled).
+#: comparison never reaches the callback.
 ScheduledEvent = list
 
 
@@ -30,10 +30,10 @@ ScheduledEvent = list
 class EventScheduler:
     """Priority-queue based discrete-event scheduler."""
 
-    now_ms: float = 0.0
+    now_ms: float = field(default=0.0, init=False)
     _queue: List[ScheduledEvent] = field(default_factory=list)
     _sequence: "itertools.count" = field(default_factory=lambda: itertools.count())
-    processed_events: int = 0
+    processed_events: int = field(default=0, init=False)
 
     def schedule_at(self, time_ms: float, callback: EventCallback) -> ScheduledEvent:
         """Schedule ``callback`` at absolute time ``time_ms``.
@@ -59,10 +59,6 @@ class EventScheduler:
             raise SimulationError(f"delay must be non-negative, got {delay_ms}")
         return self.schedule_at(self.now_ms + delay_ms, callback)
 
-    def cancel(self, event: ScheduledEvent) -> None:
-        """Cancel a previously scheduled event (it will be skipped)."""
-        event[2] = None
-
     def run_until(self, horizon_ms: float, inclusive: bool = True) -> int:
         """Process events up to and including ``horizon_ms``.
 
@@ -82,8 +78,6 @@ class EventScheduler:
             queue[0][0] <= horizon_ms if inclusive else queue[0][0] < horizon_ms
         ):
             time_ms, _, callback = heapq.heappop(queue)
-            if callback is None:
-                continue
             self.now_ms = time_ms
             callback(time_ms)
             processed += 1
@@ -91,45 +85,15 @@ class EventScheduler:
         self.now_ms = max(self.now_ms, horizon_ms)
         return processed
 
-    def run_all(self, max_events: int = 1_000_000) -> int:
-        """Process every pending event (bounded by ``max_events``).
-
-        Raises:
-            SimulationError: If the bound is hit, which usually indicates a
-                runaway event loop.
-        """
-        processed = 0
-        while self._queue:
-            if processed >= max_events:
-                raise SimulationError(f"exceeded the limit of {max_events} events")
-            time_ms, _, callback = heapq.heappop(self._queue)
-            if callback is None:
-                continue
-            self.now_ms = time_ms
-            callback(time_ms)
-            processed += 1
-            self.processed_events += 1
-        return processed
-
     @property
     def pending(self) -> int:
-        """Return the number of pending (non-cancelled) events."""
-        return sum(1 for event in self._queue if event[2] is not None)
-
-    @property
-    def queue_size(self) -> int:
-        """Return the heap size, cancelled entries included; O(1), unlike :attr:`pending`."""
+        """Return the number of pending events."""
         return len(self._queue)
 
     def next_event_time(self) -> Optional[float]:
-        """Return the next pending event time; O(1) amortized.
+        """Return the next pending event time, or ``None`` with none pending.
 
-        Lazily pops cancelled entries off the heap head — safe, since a
-        cancelled event would be skipped by the run loops anyway.  The
-        sharded coordinator polls this after every window, so it must
-        not cost O(n log n) per call.
+        O(1): the sharded coordinator polls this after every window.
         """
         queue = self._queue
-        while queue and queue[0][2] is None:
-            heapq.heappop(queue)
         return queue[0][0] if queue else None

@@ -5,9 +5,9 @@ fixed deployment; real inter-domain control planes are dominated by churn
 and operator activity.  This module provides the vocabulary to script that
 dynamism:
 
-* **typed events** — link failure/recovery, AS leave/join (churn), per-AS
-  admission-policy swaps, RAC hot-swaps, beaconing-period changes, and
-  the adversarial family (PR 7): flapping links with per-direction loss,
+* **typed events** — link failure/recovery, AS leave/join (churn),
+  beaconing-period changes, and the adversarial family (PR 7): flapping
+  links with per-direction loss,
   silent gray failures, Byzantine revocation forgery/replay/forwarding
   suppression, and mid-run topology growth,
 * a **timeline** of ``(time, event)`` pairs attached to a scenario and
@@ -31,15 +31,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Set, Tuple, TYPE_CHECKING
+from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import ConfigurationError
 from repro.simulation.failures import LinkState
-from repro.topology.entities import LinkID, Relationship, normalize_link_id
+from repro.topology.entities import LinkID, normalize_link_id
 from repro.topology.graph import Topology
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (scenario ↔ events)
-    from repro.simulation.scenario import AlgorithmSpec
 
 
 def _format_link(link_id: LinkID) -> str:
@@ -47,20 +44,17 @@ def _format_link(link_id: LinkID) -> str:
     return f"{as_a}.{if_a}-{as_b}.{if_b}"
 
 
+#: The links a grown AS attaches with (:class:`TopologyGrowth`).
+GROWTH_LATENCY_MS = 10.0
+GROWTH_BANDWIDTH_MBPS = 1000.0
+
+#: The first sequence a forged revocation carries (:class:`RevocationForgery`).
+FORGED_SEQUENCE_BASE = 1_000_000
+
+
 def _check_finite(name: str, value: float) -> None:
     if not math.isfinite(value):
         raise ConfigurationError(f"{name} must be finite, got {value}")
-
-
-def _targets(event: "ScenarioEvent", as_ids: Optional[Sequence[int]]) -> Optional[Tuple[int, ...]]:
-    """Return ``as_ids`` as a tuple; ``None`` (every AS) stays, ``()`` is rejected."""
-    if as_ids is None:
-        return None
-    if not as_ids:
-        raise ConfigurationError(
-            f"{type(event).__name__} needs at least one AS (as_ids=None targets every AS)"
-        )
-    return tuple(as_ids)
 
 
 def _scope(as_ids: Optional[Tuple[int, ...]]) -> str:
@@ -76,9 +70,9 @@ class _Replay:
     when a topology is given.
     """
 
-    topology: Optional[Topology] = None
-    links: LinkState = field(default_factory=LinkState)
-    grown: Set[int] = field(default_factory=set)
+    topology: Optional[Topology]
+    links: LinkState = field(default_factory=LinkState, init=False)
+    grown: Set[int] = field(default_factory=set, init=False)
 
     def check_as(self, timed: "TimedEvent", role: str, *as_ids: int) -> None:
         """Reject an AS that is neither a member nor grown earlier."""
@@ -218,61 +212,6 @@ class ASJoin(ScenarioEvent):
 
 
 @dataclass(frozen=True)
-class PolicySwap(ScenarioEvent):
-    """Replace the admission policies of one AS (or of every AS).
-
-    Attributes:
-        policies: The new admission-policy callables (see
-            :mod:`repro.core.policies`); replaces the previous set.
-        as_ids: ASes to reconfigure; ``None`` means every IREC AS.
-        label: Stable human-readable name for traces (callables have no
-            deterministic repr).
-    """
-
-    policies: Tuple = ()
-    as_ids: Optional[Tuple[int, ...]] = None
-    label: str = "default"
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "policies", tuple(self.policies))
-        object.__setattr__(self, "as_ids", _targets(self, self.as_ids))
-
-    def trace_label(self) -> str:
-        return f"policy_swap {self.label} @ {_scope(self.as_ids)}"
-
-    def check(self, timed: "TimedEvent", replay: _Replay) -> None:
-        replay.check_as(timed, "targets", *(self.as_ids or ()))
-
-
-@dataclass(frozen=True)
-class RACSwap(ScenarioEvent):
-    """Hot-swap a routing algorithm container in one AS (or every AS).
-
-    The RAC named ``replace_rac_id`` (default: the new spec's ``rac_id``)
-    is removed and a fresh container built from ``spec`` is installed, as
-    if the operator deployed a new algorithm image.
-    """
-
-    spec: "AlgorithmSpec"
-    replace_rac_id: Optional[str] = None
-    as_ids: Optional[Tuple[int, ...]] = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "as_ids", _targets(self, self.as_ids))
-
-    @property
-    def target_rac_id(self) -> str:
-        """Return the id of the RAC being replaced."""
-        return self.replace_rac_id or self.spec.rac_id
-
-    def trace_label(self) -> str:
-        return f"rac_swap {self.target_rac_id}->{self.spec.rac_id} @ {_scope(self.as_ids)}"
-
-    def check(self, timed: "TimedEvent", replay: _Replay) -> None:
-        replay.check_as(timed, "targets", *(self.as_ids or ()))
-
-
-@dataclass(frozen=True)
 class BeaconPeriodChange(ScenarioEvent):
     """Change the beaconing period for all *subsequent* periods.
 
@@ -316,31 +255,25 @@ class LinkFlap(ScenarioEvent):
     failure.  An even-length schedule leaves the link up, an odd-length
     one leaves it down.
 
-    While the flap is active (from the event time until the last toggle,
-    or ``duration_ms`` when given), the link additionally drops each
+    While the flap is active (from the event time until the last toggle),
+    the link additionally drops each
     delivered message with a per-direction probability: ``loss_ab`` for
     messages travelling from the normalised link id's first endpoint
     toward its second, ``loss_ba`` for the reverse direction.  Loss draws
     come from the transport's seeded RNG, so a seeded scenario stays
     fully reproducible.
-
-    An empty schedule with a ``duration_ms`` degrades the link (loss
-    only, no toggles) for that long.
     """
 
     link_id: LinkID
     schedule: Tuple[float, ...] = ()
     loss_ab: float = 0.0
     loss_ba: float = 0.0
-    duration_ms: Optional[float] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "link_id", normalize_link_id(*self.link_id))
         object.__setattr__(self, "schedule", tuple(float(t) for t in self.schedule))
-        if not self.schedule and self.duration_ms is None:
-            raise ConfigurationError(
-                "a LinkFlap needs a toggle schedule or a loss duration_ms"
-            )
+        if not self.schedule:
+            raise ConfigurationError("a LinkFlap needs a toggle schedule")
         previous = -1.0
         for offset in self.schedule:
             _check_finite("flap schedule offsets", offset)
@@ -355,12 +288,6 @@ class LinkFlap(ScenarioEvent):
             previous = offset
         _check_rate("loss_ab", self.loss_ab)
         _check_rate("loss_ba", self.loss_ba)
-        if self.duration_ms is not None:
-            _check_finite("flap duration_ms", self.duration_ms)
-            if self.duration_ms <= 0.0:
-                raise ConfigurationError(
-                    f"flap duration_ms must be positive, got {self.duration_ms}"
-                )
 
     @property
     def ends_down(self) -> bool:
@@ -450,16 +377,15 @@ class RevocationForgery(ScenarioEvent):
     can only sign them with *its own* key — with signature verification
     enabled every receiver rejects the forgery (``rejected_invalid``)
     without marking the key seen, so no path is ever withdrawn.  Forged
-    sequences start at ``sequence_base`` (far above any honest sequence)
-    so a forgery can never shadow a legitimate revocation in the dedup
-    window.
+    sequences start at :data:`FORGED_SEQUENCE_BASE` (far above any honest
+    sequence) so a forgery can never shadow a legitimate revocation in the
+    dedup window.
     """
 
     attacker_as: int
     claimed_origin: int
     link_id: LinkID
     count: int = 1
-    sequence_base: int = 1_000_000
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "link_id", normalize_link_id(*self.link_id))
@@ -469,10 +395,6 @@ class RevocationForgery(ScenarioEvent):
             raise ConfigurationError(
                 "a forgery claiming the attacker's own origin is just a lie "
                 "it may tell — use a distinct claimed_origin"
-            )
-        if self.sequence_base < 1:
-            raise ConfigurationError(
-                f"sequence_base must be >= 1, got {self.sequence_base}"
             )
 
     def trace_label(self) -> str:
@@ -520,11 +442,9 @@ class ForwardingSuppression(ScenarioEvent):
     The targeted control services keep *applying* revocations (the
     attacker stays plausible) but stop re-forwarding them, so ASes whose
     only flood paths cross a suppressor learn of failures late or never.
-    ``suppress=False`` restores honest forwarding.
     """
 
     as_ids: Tuple[int, ...]
-    suppress: bool = True
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "as_ids", tuple(int(a) for a in self.as_ids))
@@ -532,8 +452,7 @@ class ForwardingSuppression(ScenarioEvent):
             raise ConfigurationError("ForwardingSuppression needs at least one AS")
 
     def trace_label(self) -> str:
-        mode = "on" if self.suppress else "off"
-        return f"suppress_forwarding {mode} @ {_scope(self.as_ids)}"
+        return f"suppress_forwarding on @ {_scope(self.as_ids)}"
 
     def check(self, timed: "TimedEvent", replay: _Replay) -> None:
         replay.check_as(timed, "suppresses at", *self.as_ids)
@@ -545,7 +464,8 @@ class TopologyGrowth(ScenarioEvent):
 
     Unlike :class:`ASJoin` (which revives a departed member), this grows
     the topology: a fresh AS with one interface per attachment point is
-    created, customer-provider links to each ``attach_to`` AS are added
+    created at (0, 0), customer-provider links of :data:`GROWTH_LATENCY_MS`
+    and :data:`GROWTH_BANDWIDTH_MBPS` to each ``attach_to`` AS are added
     (the new AS is the customer), a control service is built and
     registered on the fabric, and the newcomer starts originating in the
     next beaconing period.
@@ -553,10 +473,6 @@ class TopologyGrowth(ScenarioEvent):
 
     new_as: int
     attach_to: Tuple[int, ...]
-    latency_ms: float = 10.0
-    bandwidth_mbps: float = 1000.0
-    location: Tuple[float, float] = (0.0, 0.0)
-    relationship: Relationship = Relationship.CUSTOMER_PROVIDER
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "attach_to", tuple(int(a) for a in self.attach_to))
@@ -569,16 +485,6 @@ class TopologyGrowth(ScenarioEvent):
         if self.new_as in self.attach_to:
             raise ConfigurationError(
                 f"new AS {self.new_as} cannot attach to itself"
-            )
-        _check_finite("latency_ms", self.latency_ms)
-        _check_finite("bandwidth_mbps", self.bandwidth_mbps)
-        if self.latency_ms < 0.0:
-            raise ConfigurationError(
-                f"latency_ms must be non-negative, got {self.latency_ms}"
-            )
-        if self.bandwidth_mbps <= 0.0:
-            raise ConfigurationError(
-                f"bandwidth_mbps must be positive, got {self.bandwidth_mbps}"
             )
 
     def trace_label(self) -> str:
@@ -678,56 +584,13 @@ class ScenarioTimeline:
 # ----------------------------------------------------------------------
 # seeded random event generators
 # ----------------------------------------------------------------------
-def _draw_links(
-    topology: Topology,
-    count: int,
-    rng: random.Random,
-    candidates: Optional[Sequence[LinkID]],
-) -> List[LinkID]:
-    """Draw ``count`` distinct links from ``candidates`` (default: every link).
-
-    The pool is sorted before the draw, so a seeded ``rng`` makes it
-    reproducible.
-    """
+def _draw_links(topology: Topology, count: int, rng: random.Random) -> List[LinkID]:
+    """Draw ``count`` distinct links of ``topology``; a seeded ``rng`` makes
+    the draw reproducible."""
     if count < 0:
         raise ConfigurationError(f"count must be non-negative, got {count}")
-    if candidates is not None:
-        pool = sorted(normalize_link_id(*link) for link in candidates)
-    else:
-        pool = list(topology.link_ids())
+    pool = list(topology.link_ids())
     return rng.sample(pool, k=min(count, len(pool)))
-
-
-def random_link_failures(
-    topology: Topology,
-    count: int,
-    rng: random.Random,
-    start_ms: float,
-    spacing_ms: float,
-    recovery_after_ms: Optional[float] = None,
-    candidates: Optional[Sequence[LinkID]] = None,
-) -> List[TimedEvent]:
-    """Generate ``count`` failures of distinct random links.
-
-    Failures fire at ``start_ms, start_ms + spacing_ms, ...``; when
-    ``recovery_after_ms`` is given, each link recovers that long after its
-    failure.  Candidate links default to every link and are drawn in
-    sorted order, so a seeded ``rng`` makes the schedule fully
-    reproducible; restrict ``candidates`` (e.g. to the links of one AS) to
-    aim the failures.
-    """
-    events: List[TimedEvent] = []
-    for index, link in enumerate(_draw_links(topology, count, rng, candidates)):
-        fail_at = start_ms + index * spacing_ms
-        events.append(TimedEvent(time_ms=fail_at, event=LinkFailure(link_id=link)))
-        if recovery_after_ms is not None:
-            events.append(
-                TimedEvent(
-                    time_ms=fail_at + recovery_after_ms,
-                    event=LinkRecovery(link_id=link),
-                )
-            )
-    return events
 
 
 def random_churn(
@@ -775,7 +638,6 @@ def flapping_links(
     mean_down_ms: float = 30_000.0,
     mean_up_ms: float = 60_000.0,
     loss_rate: float = 0.0,
-    candidates: Optional[Sequence[LinkID]] = None,
 ) -> List[TimedEvent]:
     """Generate seeded link flaps: random links toggle down/up repeatedly.
 
@@ -788,7 +650,7 @@ def flapping_links(
     if cycles < 1:
         raise ConfigurationError(f"cycles must be >= 1, got {cycles}")
     events: List[TimedEvent] = []
-    for link in _draw_links(topology, count, rng, candidates):
+    for link in _draw_links(topology, count, rng):
         schedule: List[float] = []
         offset = 0.0
         for _cycle in range(cycles):
@@ -817,7 +679,6 @@ def gray_failures(
     at_ms: float,
     drop_rate: float = 1.0,
     duration_ms: Optional[float] = None,
-    candidates: Optional[Sequence[LinkID]] = None,
 ) -> List[TimedEvent]:
     """Generate silent gray failures of random links (plus optional recovery).
 
@@ -825,7 +686,7 @@ def gray_failures(
     stays blind and only end-host delivery quality degrades.
     """
     events: List[TimedEvent] = []
-    for link in _draw_links(topology, count, rng, candidates):
+    for link in _draw_links(topology, count, rng):
         events.append(
             TimedEvent(time_ms=at_ms, event=GrayFailure(link_id=link, drop_rate=drop_rate))
         )
@@ -893,8 +754,6 @@ def growth_churn(
     start_ms: float,
     spacing_ms: float,
     attach_degree: int = 2,
-    latency_ms: float = 10.0,
-    bandwidth_mbps: float = 1000.0,
 ) -> List[TimedEvent]:
     """Generate join churn that *grows* the topology with brand-new ASes.
 
@@ -914,12 +773,7 @@ def growth_churn(
         events.append(
             TimedEvent(
                 time_ms=start_ms + index * spacing_ms,
-                event=TopologyGrowth(
-                    new_as=next_id + index,
-                    attach_to=attach,
-                    latency_ms=latency_ms,
-                    bandwidth_mbps=bandwidth_mbps,
-                ),
+                event=TopologyGrowth(new_as=next_id + index, attach_to=attach),
             )
         )
     return events

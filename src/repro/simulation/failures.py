@@ -42,10 +42,10 @@ class LinkState:
     delivery dice and end-host-observed quality reveal it.
     """
 
-    failed_links: Set[LinkID] = field(default_factory=set)
-    offline_ases: Set[int] = field(default_factory=set)
-    gray_links: Dict[LinkID, float] = field(default_factory=dict)
-    link_loss: Dict[Tuple[LinkID, int], float] = field(default_factory=dict)
+    failed_links: Set[LinkID] = field(default_factory=set, init=False)
+    offline_ases: Set[int] = field(default_factory=set, init=False)
+    gray_links: Dict[LinkID, float] = field(default_factory=dict, init=False)
+    link_loss: Dict[Tuple[LinkID, int], float] = field(default_factory=dict, init=False)
 
     def fail_link(self, link_id: LinkID) -> None:
         """Mark one link as failed."""

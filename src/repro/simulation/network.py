@@ -23,7 +23,7 @@ one: they land in a **per-AS inbox** that is drained in batches at the
 scheduler tick they arrived on.  Every entry of a drained batch therefore
 shares its arrival timestamp, so database state and withdrawal
 (``applied_at``) timestamps are bit-identical to per-message delivery
-(``batch_size=1``) — pinned by the dispatch-equivalence property tests —
+— pinned by the dispatch-equivalence property tests —
 while the batch lets the control service amortize work across messages
 (e.g. one admission per duplicate beacon group, see
 :meth:`repro.core.control_service.IrecControlService.on_message_batch`).
@@ -44,15 +44,15 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.core.beacon import Beacon
 from repro.core.control_service import IrecControlService
 from repro.core.messages import ControlMessage, PCBMessage
-from repro.exceptions import (
-    AlgorithmError,
-    ConfigurationError,
-    UnknownASError,
-)
+from repro.exceptions import AlgorithmError, UnknownASError
 from repro.simulation.collector import MetricsCollector
 from repro.simulation.engine import EventScheduler
 from repro.simulation.failures import LinkState
 from repro.topology.graph import Topology
+
+#: Fixed per-hop control-plane processing delay, added to the link
+#: propagation delay of every message and of every returned pull beacon.
+PROCESSING_DELAY_MS = 1.0
 
 
 class _Inbox:
@@ -79,17 +79,11 @@ class SimulatedTransport:
         topology: The global topology (used to resolve links and delays).
         scheduler: The discrete-event scheduler driving delivery.
         collector: Transmission counters for the overhead evaluation.
-        processing_delay_ms: Fixed per-hop control-plane processing delay
-            added to the link propagation delay.
         link_state: Live link/AS availability (dynamic scenarios).  Checked
             both when a message is sent and when it would be delivered, so
             a link failing mid-flight loses the messages currently on it.
             The default empty state keeps every link available (static
             scenarios).
-        batch_size: Maximum messages handed to a control service per inbox
-            drain.  ``None`` (the default) drains everything pending at
-            the tick; ``1`` is per-message delivery, the behavioural
-            reference the equivalence tests compare against.
         exporter: Shard hook.  ``None`` (the default) keeps the
             single-process fabric: every AS must be registered locally
             and sends fail fast on unknown receivers.  In a shard
@@ -103,12 +97,10 @@ class SimulatedTransport:
     topology: Topology
     scheduler: EventScheduler
     collector: MetricsCollector = field(default_factory=MetricsCollector)
-    processing_delay_ms: float = 1.0
     link_state: LinkState = field(default_factory=LinkState)
-    batch_size: Optional[int] = None
     loss_seed: int = 0
     exporter: Optional[Callable[[tuple], None]] = None
-    services: Dict[int, IrecControlService] = field(default_factory=dict)
+    services: Dict[int, IrecControlService] = field(default_factory=dict, init=False)
     _inboxes: Dict[int, _Inbox] = field(default_factory=dict)
     #: (sender_as, egress_interface) → (link key, link latency, remote AS,
     #: remote interface, remote inbox).  The topology's link set only
@@ -122,10 +114,6 @@ class SimulatedTransport:
 
     def __post_init__(self) -> None:
         self._loss_rng = random.Random(self.loss_seed)
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ConfigurationError(
-                f"batch_size must be None or >= 1, got {self.batch_size}"
-            )
 
     def register(self, service: IrecControlService) -> None:
         """Register a control service under its AS identifier."""
@@ -203,7 +191,7 @@ class SimulatedTransport:
             # the shard that owns the remote AS.
             self.exporter(
                 (
-                    now_ms + latency_ms + self.processing_delay_ms,
+                    now_ms + latency_ms + PROCESSING_DELAY_MS,
                     remote_as,
                     remote_interface,
                     link_key,
@@ -213,7 +201,7 @@ class SimulatedTransport:
             return
 
         self.scheduler.schedule_in(
-            latency_ms + self.processing_delay_ms,
+            latency_ms + PROCESSING_DELAY_MS,
             partial(
                 self._deliver,
                 message,
@@ -303,9 +291,7 @@ class SimulatedTransport:
         the drain event is scheduled at the arrival timestamp, and
         messages arriving at a later tick schedule their own drain — so
         every entry of a batch shares ``now_ms`` with its per-message
-        delivery time.  With a finite :attr:`batch_size` the handler is
-        invoked repeatedly with at most that many entries per call, still
-        within this tick.
+        delivery time.
 
         Every delivery is scheduled, so no handler can append to the inbox
         while it is drained: one swap takes the whole tick's batch.
@@ -316,13 +302,7 @@ class SimulatedTransport:
         if not entries:
             return
         inbox.entries = []
-        service = self.services[as_id]
-        batch_size = self.batch_size
-        if batch_size is None:
-            service.on_message_batch(entries, now_ms)
-            return
-        for start in range(0, len(entries), batch_size):
-            service.on_message_batch(entries[start : start + batch_size], now_ms)
+        self.services[as_id].on_message_batch(entries, now_ms)
 
     # ------------------------------------------------------------------
     # path-travel deliveries (not link-routed)
@@ -351,7 +331,7 @@ class SimulatedTransport:
             origin.receive_returned_beacon(beacon, now_ms=now_ms)
 
         self.scheduler.schedule_in(
-            beacon.total_latency_ms() + self.processing_delay_ms, deliver
+            beacon.total_latency_ms() + PROCESSING_DELAY_MS, deliver
         )
 
     def fetch_algorithm(self, requester_as: int, origin_as: int, algorithm_id: str) -> bytes:

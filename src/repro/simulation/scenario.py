@@ -22,7 +22,6 @@ from repro.core.interface_groups import (
     InterfaceGroupingPolicy,
     SingleGroupPolicy,
 )
-from repro.core.revocation import DEFAULT_DEDUP_WINDOW_MS
 from repro.exceptions import ConfigurationError
 from repro.simulation.events import ScenarioTimeline
 from repro.units import minutes
@@ -39,17 +38,13 @@ class AlgorithmSpec:
     Attributes:
         rac_id: Container identifier and criteria tag (e.g. ``"1sp"``).
         factory: Creates the per-AS algorithm instance.
-        max_paths_per_interface: Per-interface selection limit of the RAC.
         use_interface_groups: Whether the RAC buckets by interface group.
-        use_targets: Whether the RAC processes pull-based buckets.
         on_demand: Whether this is an on-demand RAC (``factory`` is ignored).
     """
 
     rac_id: str
     factory: Optional[AlgorithmFactory] = None
-    max_paths_per_interface: int = 20
     use_interface_groups: bool = True
-    use_targets: bool = True
     on_demand: bool = False
 
     def __post_init__(self) -> None:
@@ -75,21 +70,9 @@ class ScenarioConfig:
             :func:`legacy_scion_spec` instead of ``algorithms``, a single
             interface group, beacons without the group extension and no
             down-segment announcements.
-        processing_delay_ms: Per-hop control-plane processing delay.  Also
-            the per-hop processing cost of revocation messages: one
-            revocation hop takes ``link latency + processing_delay_ms``.
-        timeline: Timed dynamic events (failures, churn, policy/RAC swaps,
+        timeline: Timed dynamic events (failures, churn, adversarial events,
             period changes) applied by the beaconing driver while the
             simulation runs; see :mod:`repro.simulation.events`.
-        revocation_dedup_window_ms: How long every control service
-            remembers processed revocation ``(origin, sequence)`` keys;
-            duplicates inside the window are dropped without re-applying
-            or re-forwarding (see :mod:`repro.core.revocation`).
-        inbox_batch_size: Maximum messages the transport fabric hands to a
-            control service per inbox drain.  ``None`` (the default)
-            drains everything pending at a scheduler tick — the batched
-            fast path; ``1`` forces per-message delivery, the behavioural
-            reference of the dispatch-equivalence tests.
         loss_seed: Seed of the transport's silent-loss RNG (gray failures,
             flap loss).  Degraded scenarios reroll deterministically under
             the same seed; healthy scenarios never touch the RNG.
@@ -110,10 +93,7 @@ class ScenarioConfig:
     periods: int = 4
     verify_signatures: bool = True
     legacy_ases: Tuple[int, ...] = ()
-    processing_delay_ms: float = 1.0
     timeline: ScenarioTimeline = field(default_factory=ScenarioTimeline)
-    revocation_dedup_window_ms: float = DEFAULT_DEDUP_WINDOW_MS
-    inbox_batch_size: Optional[int] = None
     loss_seed: int = 0
     register_down_segments: bool = False
     registration_limit: int = 20
@@ -123,31 +103,17 @@ class ScenarioConfig:
             raise ConfigurationError("a scenario needs at least one algorithm or legacy AS")
         if self.periods < 1:
             raise ConfigurationError(f"periods must be positive, got {self.periods}")
-        timings = ("propagation_interval_ms", "processing_delay_ms", "revocation_dedup_window_ms")
-        for name in timings:
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ConfigurationError(f"{name} must be finite, got {value}")
+        if not math.isfinite(self.propagation_interval_ms):
+            raise ConfigurationError(
+                f"propagation_interval_ms must be finite, got {self.propagation_interval_ms}"
+            )
         if self.propagation_interval_ms <= 0:
             raise ConfigurationError(
                 f"propagation interval must be positive, got {self.propagation_interval_ms}"
             )
-        if self.processing_delay_ms < 0:
-            raise ConfigurationError(
-                f"processing_delay_ms must not be negative, got {self.processing_delay_ms}"
-            )
-        if self.revocation_dedup_window_ms < 0:
-            raise ConfigurationError(
-                "revocation_dedup_window_ms must not be negative, "
-                f"got {self.revocation_dedup_window_ms}"
-            )
         if self.registration_limit < 1:
             raise ConfigurationError(
                 f"registration_limit must be positive, got {self.registration_limit}"
-            )
-        if self.inbox_batch_size is not None and self.inbox_batch_size < 1:
-            raise ConfigurationError(
-                f"inbox_batch_size must be None or >= 1, got {self.inbox_batch_size}"
             )
 
 

@@ -108,12 +108,6 @@ class Link:
             self.__dict__["_key"] = cached
         return cached
 
-    @property
-    def as_pair(self) -> Tuple[int, int]:
-        """Return the unordered pair of AS identifiers this link connects."""
-        a, b = self.interface_a[0], self.interface_b[0]
-        return (a, b) if a <= b else (b, a)
-
     def other_end(self, interface: InterfaceID) -> InterfaceID:
         """Return the endpoint opposite to ``interface``.
 
@@ -125,28 +119,6 @@ class Link:
         if interface == self.interface_b:
             return self.interface_a
         raise TopologyError(f"{interface} is not an endpoint of link {self.key}")
-
-    def endpoint_of(self, as_id: int) -> InterfaceID:
-        """Return the endpoint that belongs to ``as_id``."""
-        if self.interface_a[0] == as_id:
-            return self.interface_a
-        if self.interface_b[0] == as_id:
-            return self.interface_b
-        raise TopologyError(f"AS {as_id} is not an endpoint of link {self.key}")
-
-    def is_provider_of(self, as_id: int) -> bool:
-        """Return whether the link's other end is a provider of ``as_id``."""
-        return (
-            self.relationship is Relationship.CUSTOMER_PROVIDER
-            and self.interface_a[0] == as_id
-        )
-
-    def is_customer_of(self, as_id: int) -> bool:
-        """Return whether the link's other end is a customer of ``as_id``."""
-        return (
-            self.relationship is Relationship.CUSTOMER_PROVIDER
-            and self.interface_b[0] == as_id
-        )
 
 
 def normalize_link_id(a: InterfaceID, b: InterfaceID) -> LinkID:
@@ -166,7 +138,7 @@ class ASInfo:
     """
 
     as_id: int
-    interfaces: Dict[int, Interface] = field(default_factory=dict)
+    interfaces: Dict[int, Interface] = field(default_factory=dict, init=False)
     name: Optional[str] = None
 
     def add_interface(self, interface: Interface) -> None:
@@ -206,9 +178,4 @@ class ASInfo:
             yield self.interfaces[interface_id]
 
     def __len__(self) -> int:
-        return len(self.interfaces)
-
-    @property
-    def degree(self) -> int:
-        """Return the number of inter-domain interfaces (the AS degree)."""
         return len(self.interfaces)

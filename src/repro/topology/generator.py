@@ -31,6 +31,11 @@ from repro.topology.geo import WORLD_CITIES, GeoCoordinate, propagation_delay_ms
 from repro.topology.graph import Topology
 from repro.units import gbps
 
+#: The range link bandwidths are drawn from: stub links start at the
+#: minimum, core-to-core links reach the maximum.
+MIN_BANDWIDTH_MBPS = 400.0
+MAX_BANDWIDTH_MBPS = gbps(100.0)
+
 
 @dataclass(frozen=True)
 class TopologyConfig:
@@ -66,8 +71,6 @@ class TopologyConfig:
     max_pops_core: int = 8
     max_pops_transit: int = 4
     max_pops_stub: int = 2
-    min_bandwidth_mbps: float = 400.0
-    max_bandwidth_mbps: float = gbps(100.0)
     seed: int = 7
 
     def validate(self) -> None:
@@ -83,8 +86,6 @@ class TopologyConfig:
             raise ConfigurationError(
                 f"peering_probability must be in [0, 1], got {self.peering_probability}"
             )
-        if self.min_bandwidth_mbps <= 0 or self.max_bandwidth_mbps < self.min_bandwidth_mbps:
-            raise ConfigurationError("invalid bandwidth range")
 
 
 @dataclass
@@ -94,7 +95,7 @@ class _ASPlan:
     as_id: int
     tier: str
     pop_locations: List[GeoCoordinate]
-    next_interface_id: int = 1
+    next_interface_id: int = field(default=1, init=False)
     info: ASInfo = field(init=False)
 
     def __post_init__(self) -> None:
@@ -133,7 +134,7 @@ def generate_topology(config: Optional[TopologyConfig] = None) -> Topology:
     for plan in plans:
         topology.add_as(plan.info)
 
-    builder = _LinkBuilder(topology=topology, rng=rng, config=cfg)
+    builder = _LinkBuilder(topology=topology, rng=rng)
     core = [p for p in plans if p.tier == "core"]
     transit = [p for p in plans if p.tier == "transit"]
     stub = [p for p in plans if p.tier == "stub"]
@@ -172,7 +173,6 @@ class _LinkBuilder:
 
     topology: Topology
     rng: random.Random
-    config: TopologyConfig
 
     def connect(
         self,
@@ -180,7 +180,6 @@ class _LinkBuilder:
         b: _ASPlan,
         relationship: Relationship,
         location_a: Optional[GeoCoordinate] = None,
-        location_b: Optional[GeoCoordinate] = None,
     ) -> Link:
         """Create a link between ``a`` and ``b`` at (near-)matching PoPs.
 
@@ -190,8 +189,7 @@ class _LinkBuilder:
         """
         if location_a is None:
             location_a = self.rng.choice(a.pop_locations)
-        if location_b is None:
-            location_b = b.closest_pop(location_a)
+        location_b = b.closest_pop(location_a)
         interface_a = a.new_interface(location_a)
         interface_b = b.new_interface(location_b)
         latency = max(0.05, propagation_delay_ms(location_a, location_b))
@@ -208,16 +206,15 @@ class _LinkBuilder:
 
     def _bandwidth_for(self, tier_a: str, tier_b: str) -> float:
         """Draw a link bandwidth; links between larger ASes are fatter."""
-        cfg = self.config
         tiers = {tier_a, tier_b}
         if tiers == {"core"}:
-            low, high = cfg.max_bandwidth_mbps * 0.5, cfg.max_bandwidth_mbps
+            low, high = MAX_BANDWIDTH_MBPS * 0.5, MAX_BANDWIDTH_MBPS
         elif "core" in tiers:
-            low, high = cfg.max_bandwidth_mbps * 0.1, cfg.max_bandwidth_mbps * 0.6
+            low, high = MAX_BANDWIDTH_MBPS * 0.1, MAX_BANDWIDTH_MBPS * 0.6
         elif "stub" in tiers:
-            low, high = cfg.min_bandwidth_mbps, cfg.max_bandwidth_mbps * 0.1
+            low, high = MIN_BANDWIDTH_MBPS, MAX_BANDWIDTH_MBPS * 0.1
         else:
-            low, high = cfg.max_bandwidth_mbps * 0.05, cfg.max_bandwidth_mbps * 0.3
+            low, high = MAX_BANDWIDTH_MBPS * 0.05, MAX_BANDWIDTH_MBPS * 0.3
         return self.rng.uniform(low, high)
 
 
@@ -289,22 +286,5 @@ def paper_scale_config(seed: int = 7) -> TopologyConfig:
         max_pops_core=12,
         max_pops_transit=6,
         max_pops_stub=2,
-        seed=seed,
-    )
-
-
-def small_test_config(seed: int = 7) -> TopologyConfig:
-    """Return a deliberately small configuration for fast unit tests."""
-    return TopologyConfig(
-        num_ases=12,
-        num_core=3,
-        num_transit=4,
-        core_parallel_links=1,
-        transit_provider_count=2,
-        stub_provider_count=2,
-        peering_probability=0.3,
-        max_pops_core=3,
-        max_pops_transit=2,
-        max_pops_stub=1,
         seed=seed,
     )

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.units import fiber_delay_ms
 
@@ -192,23 +192,3 @@ WORLD_CITIES: Tuple[Tuple[str, GeoCoordinate], ...] = (
     ("reykjavik", GeoCoordinate(64.1466, -21.9426)),
     ("lisbon", GeoCoordinate(38.7223, -9.1393)),
 )
-
-
-def city_coordinates() -> List[GeoCoordinate]:
-    """Return the coordinates of the built-in city catalogue."""
-    return [coord for _name, coord in WORLD_CITIES]
-
-
-def bounding_delay_ms(points: Iterable[GeoCoordinate]) -> float:
-    """Return the largest pairwise fibre delay among ``points``.
-
-    Useful for sanity checks and for sizing simulation horizons: no single
-    propagation step can take longer than the topology's geographic extent
-    allows.
-    """
-    pts = list(points)
-    worst = 0.0
-    for i, a in enumerate(pts):
-        for b in pts[i + 1:]:
-            worst = max(worst, propagation_delay_ms(a, b))
-    return worst

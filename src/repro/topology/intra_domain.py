@@ -4,16 +4,14 @@ IREC's extended-path optimization (paper §IV-E) needs to know the latency
 of the intra-AS path between the interface on which a PCB was received and
 the egress interface towards which it is being optimized.  The paper's
 simulation estimates these latencies from interface geolocations, exactly
-as it does for inter-domain links; this module implements that model and an
-explicit-matrix variant for tests and small examples.
+as it does for inter-domain links; this module implements that model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
-from repro.exceptions import TopologyError
 from repro.topology.entities import ASInfo
 from repro.topology.geo import propagation_delay_ms
 
@@ -22,28 +20,14 @@ from repro.topology.geo import propagation_delay_ms
 class IntraDomainModel:
     """Latency between interface pairs inside one AS.
 
-    By default the latency between two interfaces is the fibre propagation
-    delay over the great-circle distance between their locations, plus a
-    constant processing overhead.  Individual pairs can be overridden with
-    measured values via :meth:`set_latency`, which the figure-4 style
-    examples use to construct specific sub-optimal scenarios.
+    The latency between two interfaces is the fibre propagation delay over
+    the great-circle distance between their locations.
 
     Attributes:
         as_info: The AS whose internal network is being modelled.
-        processing_overhead_ms: Constant added to every geodesic estimate.
     """
 
     as_info: ASInfo
-    processing_overhead_ms: float = 0.0
-    _overrides: Dict[Tuple[int, int], float] = field(default_factory=dict)
-
-    def set_latency(self, interface_a: int, interface_b: int, latency_ms: float) -> None:
-        """Override the latency between two local interfaces (symmetric)."""
-        if latency_ms < 0.0:
-            raise TopologyError(f"intra-domain latency must be non-negative, got {latency_ms}")
-        self.as_info.interface(interface_a)
-        self.as_info.interface(interface_b)
-        self._overrides[self._key(interface_a, interface_b)] = float(latency_ms)
 
     def latency_ms(self, interface_a: int, interface_b: int) -> float:
         """Return the latency between two local interfaces.
@@ -52,30 +36,9 @@ class IntraDomainModel:
         """
         if interface_a == interface_b:
             return 0.0
-        override = self._overrides.get(self._key(interface_a, interface_b))
-        if override is not None:
-            return override
         loc_a = self.as_info.interface(interface_a).location
         loc_b = self.as_info.interface(interface_b).location
-        return propagation_delay_ms(loc_a, loc_b) + self.processing_overhead_ms
-
-    def latency_from_location(self, interface_id: int, latitude: float, longitude: float) -> float:
-        """Return the estimated latency from an arbitrary point to an interface.
-
-        Used by the PoP-pair evaluation (paper §VIII-C): when no direct
-        inter-domain path terminates at the desired PoP, the intra-domain
-        great-circle delay between the path's end PoP and the desired PoP is
-        added.
-        """
-        from repro.topology.geo import GeoCoordinate  # local import to avoid cycle at module load
-
-        target = GeoCoordinate(latitude=latitude, longitude=longitude)
-        location = self.as_info.interface(interface_id).location
-        return propagation_delay_ms(location, target) + self.processing_overhead_ms
-
-    @staticmethod
-    def _key(interface_a: int, interface_b: int) -> Tuple[int, int]:
-        return (interface_a, interface_b) if interface_a <= interface_b else (interface_b, interface_a)
+        return propagation_delay_ms(loc_a, loc_b)
 
 
 @dataclass
@@ -88,8 +51,7 @@ class IntraDomainRegistry:
     full simulation object.
     """
 
-    models: Dict[int, IntraDomainModel] = field(default_factory=dict)
-    default_processing_overhead_ms: float = 0.0
+    models: Dict[int, IntraDomainModel] = field(default_factory=dict, init=False)
 
     def register(self, model: IntraDomainModel) -> None:
         """Register the model of one AS, replacing any previous one."""
@@ -99,10 +61,7 @@ class IntraDomainRegistry:
         """Return (creating on demand) the model for ``as_info``."""
         model = self.models.get(as_info.as_id)
         if model is None:
-            model = IntraDomainModel(
-                as_info=as_info,
-                processing_overhead_ms=self.default_processing_overhead_ms,
-            )
+            model = IntraDomainModel(as_info=as_info)
             self.models[as_info.as_id] = model
         return model
 

@@ -19,7 +19,7 @@ from repro.topology.graph import Topology
 #: Interfaces closer than this are considered to be at the same PoP.  The
 #: CAIDA geo-rel dataset reports link locations at city granularity, so a
 #: small co-location radius is appropriate.
-DEFAULT_COLOCATION_RADIUS_KM = 50.0
+COLOCATION_RADIUS_KM = 50.0
 
 
 @dataclass(frozen=True)
@@ -44,14 +44,11 @@ class PointOfPresence:
         return (self.as_id, self.pop_id)
 
 
-def derive_pops(
-    topology: Topology,
-    colocation_radius_km: float = DEFAULT_COLOCATION_RADIUS_KM,
-) -> Dict[int, List[PointOfPresence]]:
+def derive_pops(topology: Topology) -> Dict[int, List[PointOfPresence]]:
     """Derive the PoPs of every AS in ``topology``.
 
     Interfaces of the same AS are clustered greedily: two interfaces belong
-    to the same PoP whenever they are within ``colocation_radius_km`` of
+    to the same PoP whenever they are within :data:`COLOCATION_RADIUS_KM` of
     every other member of the PoP.
 
     Returns:
@@ -63,7 +60,7 @@ def derive_pops(
         labelled: List[Tuple[int, GeoCoordinate]] = [
             (interface.interface_id, interface.location) for interface in as_info
         ]
-        clusters = cluster_by_distance(labelled, colocation_radius_km)
+        clusters = cluster_by_distance(labelled, COLOCATION_RADIUS_KM)
         pops: List[PointOfPresence] = []
         for pop_id, members in enumerate(clusters):
             member_ids = sorted(int(m) for m in members)
@@ -78,21 +75,6 @@ def derive_pops(
             )
         result[as_info.as_id] = pops
     return result
-
-
-def pop_of_interface(
-    pops_by_as: Dict[int, List[PointOfPresence]], interface: InterfaceID
-) -> PointOfPresence:
-    """Return the PoP that contains ``interface``.
-
-    Raises:
-        KeyError: If the interface does not belong to any derived PoP.
-    """
-    as_id = interface[0]
-    for pop in pops_by_as.get(as_id, ()):
-        if interface in pop.interfaces:
-            return pop
-    raise KeyError(f"interface {interface} does not belong to any PoP")
 
 
 def pop_pairs(

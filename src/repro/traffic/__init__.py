@@ -10,13 +10,12 @@ millions of end-host flows actually use them?":
 * :mod:`repro.traffic.links` — the capacity-aware link model: finite
   per-link bandwidth and weighted max-min fair allocation per round,
 * :mod:`repro.traffic.selection` — end-host path-selection policies, the
-  one place an end host chooses paths (latency-greedy, bandwidth-aware,
-  criteria-ranked, ECMP splitting, disjoint multipath, criteria-tag
-  pinning),
+  one place an end host chooses paths (latency-greedy, criteria-ranked,
+  ECMP splitting, disjoint multipath),
 * :mod:`repro.traffic.engine` — the :class:`TrafficEngine` that advances
   flows in rounds on the discrete-event scheduler and couples to the
   dynamic-scenario engine (failures break flows, rounds re-select), with
-  optional :class:`ClosedLoopDemand` back-off under observed loss, and
+  optional closed-loop back-off under observed loss, and
 * :mod:`repro.traffic.collector` — goodput curves, loss accounting and
   time-to-reroute records, digest-pinnable like the golden trace.
 """
@@ -27,27 +26,21 @@ from repro.traffic.demand import (
     TrafficMatrix,
     gravity_matrix,
     hotspot_matrix,
-    random_matrix,
-    uniform_matrix,
 )
-from repro.traffic.engine import ClosedLoopDemand, TrafficEngine
+from repro.traffic.engine import TrafficEngine
 from repro.traffic.links import AllocationResult, CapacityLinkModel, PathLoad
 from repro.traffic.selection import (
-    BandwidthAwarePolicy,
     CriteriaPolicy,
     DisjointPolicy,
     EcmpPolicy,
     LatencyGreedyPolicy,
     PathPolicy,
-    TagPinnedPolicy,
     prefer_clean,
 )
 
 __all__ = [
     "AllocationResult",
-    "BandwidthAwarePolicy",
     "CapacityLinkModel",
-    "ClosedLoopDemand",
     "CriteriaPolicy",
     "DisjointPolicy",
     "EcmpPolicy",
@@ -57,13 +50,10 @@ __all__ = [
     "PathPolicy",
     "RerouteRecord",
     "RoundSample",
-    "TagPinnedPolicy",
     "TrafficCollector",
     "TrafficEngine",
     "TrafficMatrix",
     "gravity_matrix",
     "hotspot_matrix",
     "prefer_clean",
-    "random_matrix",
-    "uniform_matrix",
 ]

@@ -19,6 +19,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 
+#: How far, relative to the pre-event baseline, goodput may stay below it
+#: and still count as recovered.
+RECOVERY_TOLERANCE = 0.01
+
+
 @dataclass(frozen=True)
 class RoundSample:
     """Aggregate outcome of one traffic round.
@@ -47,11 +52,6 @@ class RoundSample:
     max_link_utilization: float
     mean_latency_ms: float = 0.0
 
-    @property
-    def lost_mbps(self) -> float:
-        """Return offered-but-not-carried demand (congestion + black holes)."""
-        return max(0.0, self.offered_mbps - self.carried_mbps)
-
 
 @dataclass
 class RerouteRecord:
@@ -71,7 +71,7 @@ class RerouteRecord:
     broken_at_ms: float
     cause: str
     flows: int
-    rerouted_at_ms: Optional[float] = None
+    rerouted_at_ms: Optional[float] = field(default=None, init=False)
 
     @property
     def rerouted(self) -> bool:
@@ -90,11 +90,11 @@ class RerouteRecord:
 class TrafficCollector:
     """Per-round goodput samples, reroute records and a deterministic trace."""
 
-    samples: List[RoundSample] = field(default_factory=list)
-    reroutes: List[RerouteRecord] = field(default_factory=list)
-    trace: List[str] = field(default_factory=list)
+    samples: List[RoundSample] = field(default_factory=list, init=False)
+    reroutes: List[RerouteRecord] = field(default_factory=list, init=False)
+    trace: List[str] = field(default_factory=list, init=False)
     _open: Dict[int, RerouteRecord] = field(default_factory=dict)
-    total_flow_rounds: int = 0
+    total_flow_rounds: int = field(default=0, init=False)
 
     # ------------------------------------------------------------------
     # recording (called by the engine)
@@ -155,10 +155,6 @@ class TrafficCollector:
         """Return the (time, carried Mbit/s) curve."""
         return [(sample.time_ms, sample.carried_mbps) for sample in self.samples]
 
-    def open_blackholes(self) -> List[RerouteRecord]:
-        """Return the groups still without a usable path."""
-        return [record for record in self.reroutes if not record.rerouted]
-
     def mean_time_to_reroute_ms(self) -> Optional[float]:
         """Return the mean reroute latency over recovered groups."""
         times = [
@@ -168,16 +164,14 @@ class TrafficCollector:
             return None
         return sum(times) / len(times)
 
-    def goodput_recovery_ms(
-        self, event_time_ms: float, tolerance: float = 0.01
-    ) -> Optional[float]:
+    def goodput_recovery_ms(self, event_time_ms: float) -> Optional[float]:
         """Return how long goodput stayed depressed after an event.
 
         The pre-event baseline is the last sample strictly before
         ``event_time_ms`` (a round sharing the event's timestamp runs
         *after* it — the scheduler breaks ties FIFO and events are
         scheduled first); recovery is the first in-band sample (carried
-        rate within ``tolerance``, relative, of the baseline) after the
+        rate within :data:`RECOVERY_TOLERANCE`, relative, of the baseline) after the
         *last* dip — an in-band sample followed by another dip is a
         transient, not a recovery, so oscillating goodput dates the
         recovery after the oscillation settles.  ``None`` means goodput
@@ -192,7 +186,7 @@ class TrafficCollector:
                 break
         if baseline is None or baseline <= 0.0:
             return None
-        floor = baseline * (1.0 - tolerance)
+        floor = baseline * (1.0 - RECOVERY_TOLERANCE)
         dipped = False
         recovered_at = None
         for sample in self.samples:

@@ -4,13 +4,11 @@ A flow-level traffic simulation needs a demand model before it needs a
 queueing model.  This module provides the classic inter-domain workload
 shapes as deterministic, seeded generators:
 
-* **uniform** — every ordered AS pair exchanges the same demand,
 * **gravity** — demand between two ASes is proportional to the product of
   their "masses" (interface degree here, the standard proxy when real
   ingress/egress volumes are unavailable),
 * **hotspot** — a gravity base load plus a configurable fraction of the
-  total demand focused on one destination AS (flash crowd / CDN origin),
-* **random** — seeded pairs with log-uniform demands for fuzzing.
+  total demand focused on one destination AS (flash crowd / CDN origin).
 
 Scalability comes from *flow aggregation*: a :class:`FlowGroup` represents
 ``flow_count`` identical end-host flows between one AS pair as a single
@@ -23,7 +21,6 @@ its member flows would individually.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -148,29 +145,6 @@ def _ordered_pairs(
     return pairs
 
 
-def uniform_matrix(
-    topology: Topology,
-    total_demand_mbps: float,
-    total_flows: int,
-    max_pairs: Optional[int] = None,
-    seed: int = 0,
-) -> TrafficMatrix:
-    """Every ordered AS pair offers the same demand.
-
-    Args:
-        topology: Source of the AS set.
-        total_demand_mbps: Aggregate demand spread evenly over the pairs.
-        total_flows: End-host flows to represent (aggregated per pair).
-        max_pairs: Optional cap on the number of pairs (seeded sample).
-        seed: Seed for the pair sample when ``max_pairs`` cuts it down.
-    """
-    pairs = _ordered_pairs(topology.as_ids(), max_pairs, random.Random(seed))
-    if not pairs:
-        return TrafficMatrix(groups=())
-    per_pair = total_demand_mbps / len(pairs)
-    return _build_matrix([(a, b, per_pair) for a, b in pairs], total_flows)
-
-
 def gravity_matrix(
     topology: Topology,
     total_demand_mbps: float,
@@ -237,29 +211,3 @@ def hotspot_matrix(
     entries = [(a, b, demand) for (a, b), demand in sorted(demand_by_pair.items())]
     return _build_matrix(entries, total_flows)
 
-
-def random_matrix(
-    topology: Topology,
-    pair_count: int,
-    total_flows: int,
-    rng: random.Random,
-    demand_range_mbps: Tuple[float, float] = (1.0, 1000.0),
-) -> TrafficMatrix:
-    """Seeded random demand: ``pair_count`` distinct pairs, log-uniform rates.
-
-    The caller owns the ``rng`` (determinism contract, as with the scenario
-    event generators).
-    """
-    low, high = demand_range_mbps
-    if low <= 0.0 or high < low:
-        raise ConfigurationError(f"invalid demand range {demand_range_mbps}")
-    pairs = _ordered_pairs(topology.as_ids(), None, None)
-    if pair_count > len(pairs):
-        pair_count = len(pairs)
-    chosen = rng.sample(pairs, k=pair_count)
-    chosen.sort()
-    entries = [
-        (a, b, math.exp(rng.uniform(math.log(low), math.log(high))))
-        for a, b in chosen
-    ]
-    return _build_matrix(entries, total_flows)

@@ -28,7 +28,7 @@ links.)  The next round re-selects from the withdrawn/re-registered path
 service, and the :class:`~repro.traffic.collector.TrafficCollector` turns
 the gap into time-to-reroute and goodput dip/recovery curves.
 
-Closed-loop demand (PR 7, opt-in via :class:`ClosedLoopDemand`): flow
+Closed-loop demand (PR 7, opt-in via ``closed_loop``): flow
 groups observe their own delivered fraction — congestion share times the
 silent-loss survival of their paths — back off their offered demand under
 loss, recover when the loss clears, and steer around silently lossy paths
@@ -63,46 +63,20 @@ from repro.traffic.links import CapacityLinkModel, PathLoad
 from repro.traffic.selection import LatencyGreedyPolicy, PathPolicy, prefer_clean
 
 
-@dataclass(frozen=True)
-class ClosedLoopDemand:
-    """Configuration of loss-adaptive (closed-loop) demand.
-
-    With closed-loop demand enabled, every flow group observes its own
-    delivered fraction each round — congestion share from the max-min
-    allocation times the silent-loss survival of its paths (gray
-    failures, flap loss) — and adapts: observed loss above
-    ``loss_threshold`` multiplies the group's offered demand by
-    ``backoff_factor`` (floored at ``min_demand_fraction`` of nominal),
-    a clean round multiplies it by ``recovery_factor`` (capped at
-    nominal).  Groups also steer *around* silently lossy paths when a
-    clean alternative is registered (see
-    :func:`repro.traffic.selection.prefer_clean`) — the end-host
-    rerouting that makes gray failures survivable despite a blind
-    control plane.
-    """
-
-    loss_threshold: float = 0.05
-    backoff_factor: float = 0.5
-    recovery_factor: float = 1.25
-    min_demand_fraction: float = 0.1
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.loss_threshold < 1.0:
-            raise ConfigurationError(
-                f"loss_threshold must be within (0, 1), got {self.loss_threshold}"
-            )
-        if not 0.0 < self.backoff_factor < 1.0:
-            raise ConfigurationError(
-                f"backoff_factor must be within (0, 1), got {self.backoff_factor}"
-            )
-        if self.recovery_factor < 1.0:
-            raise ConfigurationError(
-                f"recovery_factor must be >= 1, got {self.recovery_factor}"
-            )
-        if not 0.0 < self.min_demand_fraction <= 1.0:
-            raise ConfigurationError(
-                f"min_demand_fraction must be within (0, 1], got {self.min_demand_fraction}"
-            )
+# Loss-adaptive (closed-loop) demand.  With it on, every flow group
+# observes its own delivered fraction each round — congestion share from
+# the max-min allocation times the silent-loss survival of its paths (gray
+# failures, flap loss) — and adapts: observed loss above LOSS_THRESHOLD
+# multiplies the group's offered demand by BACKOFF_FACTOR (floored at
+# MIN_DEMAND_FRACTION of nominal), a clean round multiplies it by
+# RECOVERY_FACTOR (capped at nominal).  Groups also steer *around*
+# silently lossy paths when a clean alternative is registered (see
+# repro.traffic.selection.prefer_clean) — the end-host rerouting that makes
+# gray failures survivable despite a blind control plane.
+LOSS_THRESHOLD = 0.05
+BACKOFF_FACTOR = 0.5
+RECOVERY_FACTOR = 1.25
+MIN_DEMAND_FRACTION = 0.1
 
 
 @dataclass
@@ -118,10 +92,10 @@ class _PathUse:
 class _GroupState:
     """Mutable per-flow-group runtime state."""
 
-    uses: List[_PathUse] = field(default_factory=list)
+    uses: List[_PathUse] = field(default_factory=list, init=False)
     #: Closed-loop multiplier on the group's nominal demand (1.0 = open
     #: loop / fully recovered).
-    demand_factor: float = 1.0
+    demand_factor: float = field(default=1.0, init=False)
 
     @property
     def assigned(self) -> bool:
@@ -140,7 +114,8 @@ class TrafficEngine:
         scheduler: Discrete-event scheduler rounds are scheduled on.
         round_interval_ms: Gap between consecutive traffic rounds.
         link_model: Capacity model; built from the topology when omitted.
-        collector: Measurement sink; a fresh one when omitted.
+        closed_loop: Whether flow groups adapt their demand to observed
+            loss (the module's closed-loop constants).
     """
 
     def __init__(
@@ -153,8 +128,7 @@ class TrafficEngine:
         scheduler: Optional[EventScheduler] = None,
         round_interval_ms: float = 1_000.0,
         link_model: Optional[CapacityLinkModel] = None,
-        collector: Optional[TrafficCollector] = None,
-        closed_loop: Optional[ClosedLoopDemand] = None,
+        closed_loop: bool = False,
         query_frontends: Optional[Dict[int, PathQueryFrontend]] = None,
     ) -> None:
         if round_interval_ms <= 0.0:
@@ -170,7 +144,7 @@ class TrafficEngine:
         self.scheduler = scheduler if scheduler is not None else EventScheduler()
         self.round_interval_ms = round_interval_ms
         self.link_model = link_model if link_model is not None else CapacityLinkModel(topology)
-        self.collector = collector if collector is not None else TrafficCollector()
+        self.collector = TrafficCollector()
         self.rounds_run = 0
         #: Per-AS serving tier the engine's end hosts query through.  If
         #: none is supplied (standalone construction), one frontend per
@@ -218,8 +192,7 @@ class TrafficEngine:
         policy: Optional[PathPolicy] = None,
         round_interval_ms: float = 60_000.0,
         link_model: Optional[CapacityLinkModel] = None,
-        collector: Optional[TrafficCollector] = None,
-        closed_loop: Optional[ClosedLoopDemand] = None,
+        closed_loop: bool = False,
     ) -> "TrafficEngine":
         """Attach a traffic engine to a running beaconing simulation.
 
@@ -246,7 +219,6 @@ class TrafficEngine:
             scheduler=simulation.scheduler,
             round_interval_ms=round_interval_ms,
             link_model=link_model,
-            collector=collector,
             closed_loop=closed_loop,
         )
         simulation.add_event_listener(engine.on_scenario_event)
@@ -270,7 +242,7 @@ class TrafficEngine:
         """
         if isinstance(event, ASLeave):
             self._break_endpoint_groups(event.as_id, event, now_ms)
-        # Policy/RAC swaps and period changes do not invalidate forwarding
+        # Other events (period changes, ...) do not invalidate forwarding
         # state; withdrawn paths surface at the next round's revalidation.
 
     def on_revocation(self, as_id: int, message, removed, now_ms: float) -> None:
@@ -320,10 +292,9 @@ class TrafficEngine:
     # ------------------------------------------------------------------
     # rounds
     # ------------------------------------------------------------------
-    def schedule_rounds(
-        self, start_ms: float, count: int, interval_ms: Optional[float] = None
-    ) -> None:
-        """Schedule ``count`` traffic rounds starting at ``start_ms``.
+    def schedule_rounds(self, start_ms: float, count: int) -> None:
+        """Schedule ``count`` traffic rounds, ``round_interval_ms`` apart,
+        starting at ``start_ms``.
 
         Rounds are pinned to absolute times up front (not self-
         rescheduling), so they interleave deterministically with PCB
@@ -331,13 +302,13 @@ class TrafficEngine:
         """
         if count < 0:
             raise SimulationError(f"round count must be non-negative, got {count}")
-        interval = interval_ms if interval_ms is not None else self.round_interval_ms
+        interval = self.round_interval_ms
         for round_index in range(count):
             self.scheduler.schedule_at(start_ms + round_index * interval, self.run_round)
 
-    def run_rounds(self, count: int, start_ms: Optional[float] = None) -> TrafficCollector:
-        """Run ``count`` rounds standalone on the engine's own scheduler."""
-        begin = start_ms if start_ms is not None else self.scheduler.now_ms
+    def run_rounds(self, count: int) -> TrafficCollector:
+        """Run ``count`` rounds standalone on the engine's own scheduler, from now."""
+        begin = self.scheduler.now_ms
         self.schedule_rounds(begin, count)
         self.scheduler.run_until(begin + count * self.round_interval_ms)
         return self.collector
@@ -368,7 +339,7 @@ class TrafficEngine:
         for group_index, group in enumerate(self._groups):
             state = self._state[group_index]
             demand = group.demand_mbps
-            if closed_loop is not None:
+            if closed_loop:
                 demand *= state.demand_factor
             offered += demand
 
@@ -420,7 +391,7 @@ class TrafficEngine:
             else 0.0
         )
 
-        if closed_loop is not None:
+        if closed_loop:
             self._adapt_demand(batches, result, now_ms)
 
         sample = RoundSample(
@@ -450,7 +421,6 @@ class TrafficEngine:
         :meth:`TrafficCollector.on_backoff`; unchanged factors stay
         silent so steady state adds no trace lines.
         """
-        closed_loop = self.closed_loop
         degraded = self.link_state.degraded()
         for group_index, group in enumerate(self._groups):
             state = self._state[group_index]
@@ -465,15 +435,10 @@ class TrafficEngine:
                     fraction *= 1.0 - self._path_silent_loss(use.link_indices)
                 delivered += use.share * fraction
             loss = 1.0 - delivered
-            if loss > closed_loop.loss_threshold:
-                new_factor = max(
-                    closed_loop.min_demand_fraction,
-                    state.demand_factor * closed_loop.backoff_factor,
-                )
+            if loss > LOSS_THRESHOLD:
+                new_factor = max(MIN_DEMAND_FRACTION, state.demand_factor * BACKOFF_FACTOR)
             else:
-                new_factor = min(
-                    1.0, state.demand_factor * closed_loop.recovery_factor
-                )
+                new_factor = min(1.0, state.demand_factor * RECOVERY_FACTOR)
             if new_factor != state.demand_factor:
                 state.demand_factor = new_factor
                 self.collector.on_backoff(group.group_id, now_ms, new_factor, loss)
@@ -508,8 +473,7 @@ class TrafficEngine:
         this end-host check can).
         """
         service = self.path_services[group.source_as]
-        closed_loop = self.closed_loop
-        check_loss = closed_loop is not None and self.link_state.degraded()
+        check_loss = self.closed_loop and self.link_state.degraded()
         for use in state.uses:
             if failed_indices and not failed_indices.isdisjoint(use.link_indices):
                 return False
@@ -517,7 +481,7 @@ class TrafficEngine:
                 return False  # withdrawn or expired since selection
             if (
                 check_loss
-                and self._path_silent_loss(use.link_indices) > closed_loop.loss_threshold
+                and self._path_silent_loss(use.link_indices) > LOSS_THRESHOLD
             ):
                 return False
         return True
@@ -542,11 +506,11 @@ class TrafficEngine:
             if failed_indices and not failed_indices.isdisjoint(resolved[1]):
                 continue
             usable.append(path)
-        if self.closed_loop is not None and self.link_state.degraded():
+        if self.closed_loop and self.link_state.degraded():
             usable = prefer_clean(
                 usable,
                 lambda path: self._path_silent_loss(self._resolve(path)[1]),
-                self.closed_loop.loss_threshold,
+                LOSS_THRESHOLD,
             )
         weighted = self.policy(usable)
         if not weighted:
@@ -585,19 +549,3 @@ class TrafficEngine:
             cached = (link_indices, path.segment.total_latency_ms())
             self._path_cache[digest] = cached
         return digest, cached[0]
-
-    # ------------------------------------------------------------------
-    # reporting
-    # ------------------------------------------------------------------
-    def expected_latency_ms(self, group_id: int) -> Optional[float]:
-        """Return the demand-weighted latency of a group's selected paths."""
-        for group_index, group in enumerate(self._groups):
-            if group.group_id != group_id:
-                continue
-            state = self._state[group_index]
-            if not state.assigned:
-                return None
-            return sum(
-                self._path_cache[use.digest][1] * use.share for use in state.uses
-            )
-        raise ConfigurationError(f"unknown flow group {group_id}")

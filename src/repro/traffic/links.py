@@ -37,6 +37,10 @@ from repro.topology.graph import Topology
 _EPSILON = 1e-9
 
 
+#: The capacity of a link that states no bandwidth.
+DEFAULT_CAPACITY_MBPS = 10_000.0
+
+
 @dataclass(frozen=True)
 class PathLoad:
     """Aggregate demand routed over one concrete forwarding path.
@@ -74,11 +78,6 @@ class AllocationResult:
     offered_mbps: float
     total_carried_mbps: float
 
-    @property
-    def lost_mbps(self) -> float:
-        """Return the demand that found no capacity this round."""
-        return max(0.0, self.offered_mbps - self.total_carried_mbps)
-
 
 class CapacityLinkModel:
     """Finite-capacity view of a topology's inter-domain links.
@@ -87,15 +86,9 @@ class CapacityLinkModel:
         topology: Source of the link set and their nominal bandwidths.
         capacity_scale: Multiplier applied to every link capacity (e.g.
             ``0.1`` to provision a tenth of nominal and force congestion).
-        default_capacity_mbps: Fallback for links without bandwidth.
     """
 
-    def __init__(
-        self,
-        topology: Topology,
-        capacity_scale: float = 1.0,
-        default_capacity_mbps: float = 10_000.0,
-    ) -> None:
+    def __init__(self, topology: Topology, capacity_scale: float = 1.0) -> None:
         if capacity_scale <= 0.0:
             raise ConfigurationError(f"capacity scale must be positive, got {capacity_scale}")
         self.topology = topology
@@ -107,7 +100,7 @@ class CapacityLinkModel:
             link = topology.links[link_id]
             self._index_of[link_id] = len(self._capacity)
             self._link_ids.append(link_id)
-            bandwidth = link.bandwidth_mbps or default_capacity_mbps
+            bandwidth = link.bandwidth_mbps or DEFAULT_CAPACITY_MBPS
             self._capacity.append(bandwidth * capacity_scale)
 
     # ------------------------------------------------------------------

@@ -8,19 +8,14 @@ their shares of the demand out.  The traffic engine applies it to the
 paths its AS's query frontend serves:
 
 * :class:`LatencyGreedyPolicy` — all demand on the lowest-latency path,
-* :class:`BandwidthAwarePolicy` — all demand on the path with the largest
-  bottleneck bandwidth (ties broken by latency),
 * :class:`CriteriaPolicy` — all demand on the best path a
   :class:`~repro.core.criteria.CriteriaSet` admits (an application's
   criteria, paper Fig. 1),
-* :class:`EcmpPolicy` — split demand over the ``k`` best paths, equally or
-  proportional to bottleneck bandwidth (multipath transports),
+* :class:`EcmpPolicy` — split demand equally over the ``k`` lowest-latency
+  paths (multipath transports),
 * :class:`DisjointPolicy` — split demand equally over a greedily chosen,
   maximally link-disjoint path set (paper §II-C, *Usability*: a backup
-  that shares no link with the primary survives its failure),
-* :class:`TagPinnedPolicy` — restrict candidates to paths registered under
-  a criteria tag (an application trusting only one RAC's optimization),
-  then delegate to an inner policy.
+  that shares no link with the primary survives its failure).
 
 Every policy is deterministic: candidates are ranked by a stable
 metric key whose ties fall to the digest or to the candidates' order, so
@@ -30,7 +25,7 @@ order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Sequence, Set, Tuple
 
 from repro.core.criteria import CriteriaSet
@@ -53,11 +48,6 @@ def _by_latency(path: RegisteredPath) -> Tuple[float, int, str]:
     return (segment.total_latency_ms(), segment.hop_count, segment.digest())
 
 
-def _by_bandwidth(path: RegisteredPath) -> Tuple[float, float, str]:
-    segment = path.segment
-    return (-segment.bottleneck_bandwidth_mbps(), segment.total_latency_ms(), segment.digest())
-
-
 @dataclass(frozen=True)
 class LatencyGreedyPolicy:
     """Send everything over the single lowest-latency path."""
@@ -66,17 +56,6 @@ class LatencyGreedyPolicy:
         if not candidates:
             return []
         best = min(candidates, key=_by_latency)
-        return [(best, 1.0)]
-
-
-@dataclass(frozen=True)
-class BandwidthAwarePolicy:
-    """Send everything over the path with the widest bottleneck."""
-
-    def __call__(self, candidates: Sequence[RegisteredPath]) -> List[WeightedPath]:
-        if not candidates:
-            return []
-        best = min(candidates, key=_by_bandwidth)
         return [(best, 1.0)]
 
 
@@ -102,38 +81,22 @@ class CriteriaPolicy:
 
 @dataclass(frozen=True)
 class EcmpPolicy:
-    """Split demand over the ``max_paths`` best paths (multipath).
+    """Split demand equally over the ``max_paths`` lowest-latency paths (multipath).
 
     Attributes:
         max_paths: Upper bound on simultaneously used paths.
-        prefer: ``"latency"`` ranks candidates latency-first, ``"bandwidth"``
-            bottleneck-first.
-        weight_by_bandwidth: When set, shares are proportional to each
-            path's bottleneck bandwidth instead of equal.
     """
 
     max_paths: int = 2
-    prefer: str = "latency"
-    weight_by_bandwidth: bool = False
 
     def __post_init__(self) -> None:
         if self.max_paths < 1:
             raise ConfigurationError(f"max_paths must be positive, got {self.max_paths}")
-        if self.prefer not in ("latency", "bandwidth"):
-            raise ConfigurationError(f"unknown ECMP preference {self.prefer!r}")
 
     def __call__(self, candidates: Sequence[RegisteredPath]) -> List[WeightedPath]:
         if not candidates:
             return []
-        key = _by_latency if self.prefer == "latency" else _by_bandwidth
-        chosen = sorted(candidates, key=key)[: self.max_paths]
-        if self.weight_by_bandwidth:
-            widths = [path.segment.bottleneck_bandwidth_mbps() for path in chosen]
-            total = sum(widths)
-            if total > 0.0:
-                return [
-                    (path, width / total) for path, width in zip(chosen, widths)
-                ]
+        chosen = sorted(candidates, key=_by_latency)[: self.max_paths]
         share = 1.0 / len(chosen)
         return [(path, share) for path in chosen]
 
@@ -177,28 +140,6 @@ class DisjointPolicy:
             chosen.append(best)
             covered.update(best.segment.links())
         return [(path, 1.0 / len(chosen)) for path in chosen]
-
-
-@dataclass(frozen=True)
-class TagPinnedPolicy:
-    """Only use paths registered under one criteria tag.
-
-    Attributes:
-        tag: Required criteria tag (e.g. ``"hd"`` or ``"dob300"``).
-        inner: Policy applied to the tagged candidates.
-        fallback: When no tagged path exists, fall back to the full
-            candidate set instead of sending nothing.
-    """
-
-    tag: str
-    inner: PathPolicy = field(default_factory=LatencyGreedyPolicy)
-    fallback: bool = False
-
-    def __call__(self, candidates: Sequence[RegisteredPath]) -> List[WeightedPath]:
-        tagged = [path for path in candidates if self.tag in path.criteria_tags]
-        if not tagged and self.fallback:
-            tagged = list(candidates)
-        return self.inner(tagged)
 
 
 def prefer_clean(

@@ -26,9 +26,6 @@ MS_PER_SECOND = 1000.0
 #: Milliseconds in one minute.
 MS_PER_MINUTE = 60.0 * MS_PER_SECOND
 
-#: Milliseconds in one hour.
-MS_PER_HOUR = 60.0 * MS_PER_MINUTE
-
 
 def seconds(value: float) -> float:
     """Convert seconds to the library's millisecond unit."""
@@ -38,21 +35,6 @@ def seconds(value: float) -> float:
 def minutes(value: float) -> float:
     """Convert minutes to the library's millisecond unit."""
     return float(value) * MS_PER_MINUTE
-
-
-def hours(value: float) -> float:
-    """Convert hours to the library's millisecond unit."""
-    return float(value) * MS_PER_HOUR
-
-
-def milliseconds(value: float) -> float:
-    """Identity helper that documents a value as milliseconds."""
-    return float(value)
-
-
-def ms_to_seconds(value_ms: float) -> float:
-    """Convert a millisecond value to seconds."""
-    return float(value_ms) / MS_PER_SECOND
 
 
 def fiber_delay_ms(distance_km: float) -> float:
@@ -70,8 +52,3 @@ def fiber_delay_ms(distance_km: float) -> float:
 def gbps(value: float) -> float:
     """Convert gigabits per second to the library's Mbit/s unit."""
     return float(value) * 1000.0
-
-
-def mbps(value: float) -> float:
-    """Identity helper that documents a value as Mbit/s."""
-    return float(value)

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
+import random
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import pytest
@@ -12,16 +13,168 @@ from repro.core.control_service import ControlServiceConfig, IrecControlService
 from repro.core.extensions import ExtensionSet
 from repro.core.interface_groups import InterfaceGroupingPolicy
 from repro.core.local_view import LocalTopologyView
-from repro.core.messages import PCBMessage
+from repro.core.messages import ControlMessage, PCBMessage
 from repro.core.staticinfo import StaticInfo
 from repro.crypto.keys import KeyStore
 from repro.crypto.signer import Signer
+from repro.exceptions import SimulationError
 from repro.simulation.engine import EventScheduler
+from repro.simulation.events import LinkFailure, LinkRecovery, TimedEvent
 from repro.simulation.network import SimulatedTransport
 from repro.topology.entities import ASInfo, Interface, Link, Relationship
-from repro.topology.generator import generate_topology, small_test_config
+from repro.topology.generator import TopologyConfig, generate_topology
 from repro.topology.geo import GeoCoordinate
 from repro.topology.graph import Topology
+
+
+def small_test_config(seed: int = 7) -> TopologyConfig:
+    """Return a deliberately small configuration for fast unit tests."""
+    return TopologyConfig(
+        num_ases=12,
+        num_core=3,
+        num_transit=4,
+        core_parallel_links=1,
+        transit_provider_count=2,
+        stub_provider_count=2,
+        peering_probability=0.3,
+        max_pops_core=3,
+        max_pops_transit=2,
+        max_pops_stub=1,
+        seed=seed,
+    )
+
+
+def down_paths_to(service, terminal_as: int) -> list:
+    """Every path ``service`` registered that *ends* at ``terminal_as``, in
+    store order: the destination-keyed view of down-segment announcements."""
+    return [path for path in service.all_paths() if path.segment.last_as == terminal_as]
+
+
+def slice_batches(services: Dict[int, IrecControlService], size: int) -> None:
+    """Hand every service its inbox ``size`` messages at a time, within the
+    tick; ``1`` is per-message delivery, the reference the fabric's one
+    batch per tick must equal."""
+    for service in services.values():
+        handle = service.on_message_batch
+
+        def sliced(entries, now_ms, handle=handle):
+            for start in range(0, len(entries), size):
+                handle(entries[start : start + size], now_ms)
+
+        service.on_message_batch = sliced
+
+
+def random_link_failures(
+    topology: Topology,
+    count: int,
+    rng: random.Random,
+    start_ms: float,
+    spacing_ms: float,
+    recovery_after_ms: Optional[float] = None,
+) -> List[TimedEvent]:
+    """Generate ``count`` failures of distinct random links of ``topology``.
+
+    Failures fire at ``start_ms, start_ms + spacing_ms, ...``; with
+    ``recovery_after_ms`` each link recovers that long after its failure.
+    A seeded ``rng`` makes the schedule reproducible (the golden traces pin
+    it).
+    """
+    pool = list(topology.link_ids())
+    events: List[TimedEvent] = []
+    for index, link in enumerate(rng.sample(pool, k=min(count, len(pool)))):
+        fail_at = start_ms + index * spacing_ms
+        events.append(TimedEvent(time_ms=fail_at, event=LinkFailure(link_id=link)))
+        if recovery_after_ms is not None:
+            events.append(
+                TimedEvent(time_ms=fail_at + recovery_after_ms, event=LinkRecovery(link_id=link))
+            )
+    return events
+
+
+def is_connected(topology: Topology) -> bool:
+    """Whether the AS-level graph of ``topology`` is connected."""
+    as_ids = topology.as_ids()
+    if not as_ids:
+        return True
+    seen = {as_ids[0]}
+    frontier = [as_ids[0]]
+    while frontier:
+        for neighbor in topology.neighbors(frontier.pop()):
+            if neighbor not in seen:
+                seen.add(neighbor)
+                frontier.append(neighbor)
+    return len(seen) == len(as_ids)
+
+
+def query_at(frontend, query, now_ms: float):
+    """Serve ``query`` from ``frontend`` as if its clock read ``now_ms``."""
+    clock, frontend.clock = frontend.clock, lambda: now_ms
+    try:
+        return frontend.query(query)
+    finally:
+        frontend.clock = clock
+
+
+def paths_at(frontend, origin_as: int, now_ms: float):
+    """Serve all paths to ``origin_as`` from ``frontend`` as if its clock read ``now_ms``."""
+    clock, frontend.clock = frontend.clock, lambda: now_ms
+    try:
+        return frontend.paths(origin_as)
+    finally:
+        frontend.clock = clock
+
+
+def run_all(scheduler: EventScheduler, max_events: int = 1_000_000) -> int:
+    """Process every pending event of ``scheduler``; return how many ran.
+
+    Raises:
+        SimulationError: Past ``max_events`` events, which usually means a
+            runaway event loop.
+    """
+    processed = 0
+    while (next_time := scheduler.next_event_time()) is not None:
+        if processed >= max_events:
+            raise SimulationError(f"exceeded the limit of {max_events} events")
+        processed += scheduler.run_until(next_time)
+    return processed
+
+
+@dataclass
+class NullTransport:
+    """A transport that records outgoing messages but delivers nothing.
+
+    The recording fake for unit tests that exercise a single AS in
+    isolation; ``payloads`` is the table ``fetch_algorithm`` serves.
+    """
+
+    sent: List[Tuple[int, int, Beacon]] = field(default_factory=list, init=False)
+    returned: List[Tuple[int, Beacon]] = field(default_factory=list, init=False)
+    revoked: List[Tuple[int, int, object]] = field(default_factory=list, init=False)
+    messages: List[Tuple[int, int, ControlMessage]] = field(default_factory=list, init=False)
+    payloads: Dict[Tuple[int, str], bytes] = field(default_factory=dict)
+
+    def send_message(
+        self, sender_as: int, egress_interface: int, message: ControlMessage
+    ) -> None:
+        """Record the typed message without delivering it."""
+        self.messages.append((sender_as, egress_interface, message))
+        if isinstance(message, PCBMessage):
+            self.sent.append((sender_as, egress_interface, message.beacon))
+        elif message.kind == "revocation":
+            self.revoked.append((sender_as, egress_interface, message))
+
+    def return_beacon_to_origin(self, sender_as: int, beacon: Beacon) -> None:
+        """Record the return without delivering it."""
+        self.returned.append((sender_as, beacon))
+
+    def fetch_algorithm(self, requester_as: int, origin_as: int, algorithm_id: str) -> bytes:
+        """Serve a payload from the locally configured table."""
+        try:
+            return self.payloads[(origin_as, algorithm_id)]
+        except KeyError:
+            raise SimulationError(
+                f"no payload configured for ({origin_as}, {algorithm_id!r})"
+            ) from None
 
 
 @pytest.fixture

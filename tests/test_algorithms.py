@@ -6,7 +6,7 @@ from repro.algorithms.base import CandidateBeacon, ExecutionContext, ExecutionRe
 from repro.algorithms.criteria_algorithm import CriteriaSetAlgorithm
 from repro.algorithms.delay import DelayOptimizationAlgorithm
 from repro.algorithms.disjointness import HeuristicDisjointnessAlgorithm
-from repro.algorithms.pull_disjoint import LinkAvoidingAlgorithm, freeze_links
+from repro.algorithms.pull_disjoint import LinkAvoidingAlgorithm
 from repro.algorithms.shortest_path import (
     LEGACY_PATH_COUNT,
     KShortestPathAlgorithm,
@@ -29,14 +29,13 @@ def zero_intra(_a: int, _b: int) -> float:
     return 0.0
 
 
-def make_context(candidates, egress_interfaces=(1,), limit=20, intra=zero_intra, parameters=None):
+def make_context(candidates, egress_interfaces=(1,), limit=20, intra=zero_intra):
     return ExecutionContext(
         local_as=LOCAL_AS,
         candidates=tuple(candidates),
         egress_interfaces=tuple(egress_interfaces),
         max_paths_per_interface=limit,
         intra_latency_ms=intra,
-        parameters=parameters or {},
     )
 
 
@@ -322,9 +321,9 @@ class TestHeuristicDisjointness:
             algorithm.execute(make_context(candidate_set))
         exhausted = algorithm.execute(make_context(candidate_set))
         assert total_selected(exhausted) == 0
-        algorithm.reset_memory()
-        refreshed = algorithm.execute(make_context(candidate_set))
-        assert total_selected(refreshed) == total_selected(first)
+        # The memory is per instance: a fresh one selects as the first did.
+        fresh = HeuristicDisjointnessAlgorithm(paths_per_interface=2)
+        assert total_selected(fresh.execute(make_context(candidate_set))) == total_selected(first)
 
     def test_invalid_config(self):
         with pytest.raises(AlgorithmError):
@@ -336,7 +335,7 @@ class TestLinkAvoiding:
         through_forbidden = make_beacon(key_store, [(1, None, 7), (2, 3, 5)])
         clean = make_beacon(key_store, [(1, None, 8), (3, 4, 5)])
         forbidden_link = (((1, 7), (2, 3)),)
-        algorithm = LinkAvoidingAlgorithm(avoid_links=freeze_links(forbidden_link))
+        algorithm = LinkAvoidingAlgorithm(avoid_links=frozenset(forbidden_link))
         candidates = [
             CandidateBeacon(beacon=b, ingress_interface=1) for b in (through_forbidden, clean)
         ]
@@ -344,13 +343,6 @@ class TestLinkAvoiding:
         selected = result.beacons_for(1)
         assert len(selected) == 1
         assert selected[0].digest() == clean.digest()
-
-    def test_avoid_links_from_parameters(self, key_store):
-        through_forbidden = make_beacon(key_store, [(1, None, 7), (2, 3, 5)])
-        candidates = [CandidateBeacon(beacon=through_forbidden, ingress_interface=1)]
-        algorithm = LinkAvoidingAlgorithm()
-        context = make_context(candidates, parameters={"avoid_links": [((1, 7), (2, 3))]})
-        assert algorithm.execute(context).beacons_for(1) == []
 
     def test_empty_avoid_set_selects_shortest(self, candidate_set):
         result = LinkAvoidingAlgorithm(paths_per_interface=1).execute(make_context(candidate_set))

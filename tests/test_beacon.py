@@ -34,7 +34,7 @@ class TestOrigination:
         beacon = builder.originate(egress_interface=2, created_at_ms=100.0)
         assert beacon.origin_as == 1
         assert beacon.hop_count == 1
-        assert beacon.origin_interface == 2
+        assert beacon.entry.egress_interface == 2
         assert beacon.last_as == 1
         assert not beacon.is_terminated
 

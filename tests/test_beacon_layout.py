@@ -194,8 +194,8 @@ class TestOneHeaderPerOrigination:
             with pytest.raises(BeaconError):
                 dataclasses.replace(child, header=header)
         # A rebuilt chain under one header is fine.
-        assert Beacon(equal, child.entry, Beacon(equal, origin.entry)) == Beacon(
-            equal, child.entry, Beacon(equal, origin.entry)
+        assert Beacon(equal, child.entry, Beacon(equal, origin.entry, None)) == Beacon(
+            equal, child.entry, Beacon(equal, origin.entry, None)
         )
 
     def test_the_stores_keep_the_headers_expiry_and_bucket_key(self, key_store, simulation):

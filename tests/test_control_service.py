@@ -9,7 +9,7 @@ from repro.core.control_service import ControlServiceConfig
 from repro.core.interface_groups import GeographicGroupingPolicy
 from repro.exceptions import ConfigurationError, UnknownAlgorithmError
 
-from tests.conftest import build_services, figure1_topology, line_topology
+from tests.conftest import build_services, figure1_topology, line_topology, run_all
 
 ONE_SP = {"1sp": lambda: KShortestPathAlgorithm(k=1)}
 
@@ -25,7 +25,7 @@ def run_rounds(scheduler, services, rounds=3, originate=True):
         scheduler.run_until(now + 500.0)
         for service in services.values():
             service.run_round(now_ms=now + 500.0)
-    scheduler.run_all()
+    run_all(scheduler)
 
 
 class TestControlServiceBasics:
@@ -102,7 +102,7 @@ class TestFabricBeaconing:
         )
         for service in services.values():
             service.originate(now_ms=0.0)
-        scheduler.run_all()
+        run_all(scheduler)
         report = services[2].run_round(now_ms=scheduler.now_ms)
         assert report.as_id == 2
         assert len(report.rac_reports) == 1

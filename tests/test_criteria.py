@@ -17,7 +17,6 @@ from repro.core.criteria import (
     CriteriaSet,
     Criterion,
     StandardMetrics,
-    fewest_hops,
     highest_bandwidth,
     latency_bandwidth_pareto,
     lowest_latency,
@@ -139,7 +138,8 @@ class TestCriteriaSets:
 
     def test_fewest_hops(self, three_beacons):
         fast, wide, balanced = three_beacons
-        assert fewest_hops().best([wide, balanced, fast]) is fast
+        fewest_hops = CriteriaSet(name="fewest-hops", criteria=(Criterion(HOP_COUNT),))
+        assert fewest_hops.best([wide, balanced, fast]) is fast
 
     def test_latency_bounded_widest_matches_figure1(self, three_beacons):
         """Example #2 of the paper: widest path with latency <= 30 ms."""

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.crypto.hashing import algorithm_hash, beacon_digest, short_hash
+from repro.crypto.hashing import algorithm_hash, beacon_digest
 from repro.crypto.keys import ASKeyPair, KeyStore, derive_key
 from repro.crypto.signer import Signer, Verifier
 from repro.exceptions import SignatureError
@@ -41,7 +41,6 @@ class TestSignerVerifier:
         verifier = Verifier(key_store=store)
         signature = signer.sign(b"beacon bytes")
         verifier.verify(9, b"beacon bytes", signature)  # does not raise
-        assert verifier.is_valid(9, b"beacon bytes", signature)
 
     def test_wrong_as_rejected(self):
         store = KeyStore()
@@ -53,12 +52,14 @@ class TestSignerVerifier:
     def test_tampered_message_rejected(self):
         store = KeyStore()
         signature = Signer(as_id=9, key_store=store).sign(b"msg")
-        assert not Verifier(key_store=store).is_valid(9, b"other", signature)
+        with pytest.raises(SignatureError):
+            Verifier(key_store=store).verify(9, b"other", signature)
 
     def test_foreign_deployment_rejected(self):
         signature = Signer(as_id=9, key_store=KeyStore(deployment_secret=b"x")).sign(b"msg")
         verifier = Verifier(key_store=KeyStore(deployment_secret=b"y"))
-        assert not verifier.is_valid(9, b"msg", signature)
+        with pytest.raises(SignatureError):
+            verifier.verify(9, b"msg", signature)
 
 
 class TestHashing:
@@ -75,12 +76,3 @@ class TestHashing:
     def test_beacon_digest_rejects_non_bytes(self):
         with pytest.raises(TypeError):
             beacon_digest(42)  # type: ignore[arg-type]
-
-    def test_short_hash_length(self):
-        assert len(short_hash(b"x", length=8)) == 8
-
-    def test_short_hash_rejects_bad_length(self):
-        with pytest.raises(ValueError):
-            short_hash(b"x", length=0)
-        with pytest.raises(ValueError):
-            short_hash(b"x", length=65)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms.base import CandidateBeacon
+from repro.core import databases
 from repro.core.databases import (
     EgressDatabase,
     IngressDatabase,
@@ -19,7 +20,7 @@ from repro.crypto.keys import KeyStore
 from repro.exceptions import GatewayError
 from repro.topology.entities import normalize_link_id
 
-from tests.conftest import make_beacon
+from tests.conftest import down_paths_to, make_beacon
 
 
 #: The AS every ingress database in this module is held by.
@@ -99,8 +100,9 @@ class TestIngressDatabase:
         assert len(database) == 1
         assert database.get(lasting.digest()) is not None
 
-    def test_expiry_margin(self, key_store):
-        database = IngressDatabase(local_as=_LOCAL_AS, expiry_margin_ms=1000.0)
+    def test_expiry_margin(self, key_store, monkeypatch):
+        monkeypatch.setattr(databases, "EXPIRY_MARGIN_MS", 1000.0)
+        database = IngressDatabase(local_as=_LOCAL_AS)
         soon = make_beacon(key_store, [(1, None, 1), (2, 1, 2)], validity_ms=500.0)
         database.insert(stored(soon))
         # Not expired yet, but within the soon-to-expire margin.
@@ -122,10 +124,7 @@ class TestEgressDatabase:
         assert fresh == [1, 2, 3]
         again = database.filter_new_interfaces("digest", [2, 3, 4], expires_at_ms=100.0)
         assert again == [4]
-        assert database.interfaces_for("digest") == {1, 2, 3, 4}
-
-    def test_unknown_digest_has_no_interfaces(self):
-        assert EgressDatabase().interfaces_for("nope") == set()
+        assert database._records["digest"].egress_interfaces == (1, 2, 3, 4)
 
     def test_expiry(self):
         database = EgressDatabase()
@@ -156,7 +155,7 @@ class TestPathService:
         path = self._registered(key_store)
         assert service.register(path)
         assert len(service.paths_to(1)) == 1
-        assert len(service.paths_with_tag("1sp")) == 1
+        assert [p.criteria_tags for p in service.all_paths()] == [("1sp",)]
         assert service.paths_to(99) == []
 
     def test_duplicate_registration_merges_tags(self, key_store):
@@ -167,18 +166,13 @@ class TestPathService:
         assert len(service) == 1
         assert set(service.paths_to(1)[0].criteria_tags) == {"1sp", "don"}
 
-    def test_reregistration_refreshes_last_registered_timestamp(self, key_store):
+    def test_reregistration_keeps_the_first_registration_time(self, key_store):
         service = PathService()
         segment = make_beacon(key_store, [(1, None, 1), (2, 1, None)])
         service.register(RegisteredPath(segment=segment, criteria_tags=("1sp",), registered_at_ms=0.0))
-        assert service.latest_registration_ms(1) == pytest.approx(0.0)
         service.register(RegisteredPath(segment=segment, criteria_tags=("1sp",), registered_at_ms=7.0))
         merged = service.paths_to(1)[0]
-        # First-registration time is stable; the merge refreshes staleness.
         assert merged.registered_at_ms == pytest.approx(0.0)
-        assert merged.last_registered_at_ms == pytest.approx(7.0)
-        assert service.latest_registration_ms(1) == pytest.approx(7.0)
-        assert service.latest_registration_ms(99) is None
         assert service.get(segment.digest()) is merged
         assert service.get("missing") is None
 
@@ -236,13 +230,13 @@ class TestUnifiedExpiryMargins:
     expiry horizon, so a beacon never survives in one store after being
     dropped from another."""
 
-    def test_all_stores_drop_within_the_same_margin(self, key_store):
-        margin = 1_000.0
+    def test_all_stores_drop_within_the_same_margin(self, key_store, monkeypatch):
+        monkeypatch.setattr(databases, "EXPIRY_MARGIN_MS", 1_000.0)
         beacon = make_beacon(key_store, [(1, None, 1), (2, 1, 2)], validity_ms=500.0)
         segment = make_beacon(key_store, [(1, None, 1), (2, 1, None)], validity_ms=500.0)
-        ingress = IngressDatabase(local_as=_LOCAL_AS, expiry_margin_ms=margin)
-        egress = EgressDatabase(expiry_margin_ms=margin)
-        paths = PathService(expiry_margin_ms=margin)
+        ingress = IngressDatabase(local_as=_LOCAL_AS)
+        egress = EgressDatabase()
+        paths = PathService()
         ingress.insert(stored(beacon))
         egress.filter_new_interfaces(beacon.digest(), [1], expires_at_ms=beacon.expires_at_ms())
         paths.register(
@@ -254,13 +248,13 @@ class TestUnifiedExpiryMargins:
         assert egress.remove_expired(now_ms=0.0) == 1
         assert paths.remove_expired(now_ms=0.0) == 1
 
-    def test_all_stores_keep_entries_outside_the_margin(self, key_store):
-        margin = 100.0
+    def test_all_stores_keep_entries_outside_the_margin(self, key_store, monkeypatch):
+        monkeypatch.setattr(databases, "EXPIRY_MARGIN_MS", 100.0)
         beacon = make_beacon(key_store, [(1, None, 1), (2, 1, 2)], validity_ms=5_000.0)
         segment = make_beacon(key_store, [(1, None, 1), (2, 1, None)], validity_ms=5_000.0)
-        ingress = IngressDatabase(local_as=_LOCAL_AS, expiry_margin_ms=margin)
-        egress = EgressDatabase(expiry_margin_ms=margin)
-        paths = PathService(expiry_margin_ms=margin)
+        ingress = IngressDatabase(local_as=_LOCAL_AS)
+        egress = EgressDatabase()
+        paths = PathService()
         ingress.insert(stored(beacon))
         egress.filter_new_interfaces(beacon.digest(), [1], expires_at_ms=beacon.expires_at_ms())
         paths.register(
@@ -269,6 +263,13 @@ class TestUnifiedExpiryMargins:
         assert ingress.remove_expired(now_ms=0.0) == 0
         assert egress.remove_expired(now_ms=0.0) == 0
         assert paths.remove_expired(now_ms=0.0) == 0
+
+    def test_path_service_reports_the_margin_it_applies(self, monkeypatch):
+        """The query tier and the benchmark's soundness check read the
+        horizon as ``PathService.expiry_margin_ms``; it is the one margin."""
+        assert PathService().expiry_margin_ms == databases.EXPIRY_MARGIN_MS == 0.0
+        monkeypatch.setattr(databases, "EXPIRY_MARGIN_MS", 250.0)
+        assert PathService().expiry_margin_ms == 250.0
 
 
 class TestIndexedInvalidation:
@@ -425,7 +426,7 @@ def _assert_path_indexes_equal_a_rebuild(service):
     assert service._by_link == by_link
     assert service._by_origin == by_origin
     for terminal_as, paths in by_terminal.items():
-        assert list(map(id, service.down_paths_to(terminal_as))) == list(map(id, paths))
+        assert list(map(id, down_paths_to(service, terminal_as))) == list(map(id, paths))
     assert service._consumed.keys() == service._by_digest.keys()
     assert service._quota == quota
 
@@ -437,7 +438,7 @@ class TestPathServiceIndexConsistency:
         """Property: after every register / merge / withdrawal / purge the
         link and origin indexes equal a rebuild from ``_by_digest`` (AS
         departure derives from the link index, so there is no third one to
-        drift), ``down_paths_to`` returns the store's records filtered by
+        drift), the store's records filtered by
         terminal AS in store order, the quota equals a recount of the tags
         each path consumed (some register with two tags and take one slot),
         the crossing-link accessor equals a scan, and the listeners were
@@ -485,6 +486,7 @@ class TestPathServiceIndexConsistency:
 # ---------------------------------------------------------------------------
 # AS departure is derived from the link index: it must equal the predicate scan
 # ---------------------------------------------------------------------------
+
 
 @lru_cache(maxsize=1)
 def _departure_pools():
@@ -755,7 +757,13 @@ class TestEgressDatabaseEqualsASetReference:
         included), a record's expiry is the max it was given, its tuple
         holds each interface once in first-sent order, and expiry drops
         the same digests."""
-        database = EgressDatabase(expiry_margin_ms=margin)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(databases, "EXPIRY_MARGIN_MS", margin)
+            self._check_against_the_reference(operations, margin)
+
+    @staticmethod
+    def _check_against_the_reference(operations, margin):
+        database = EgressDatabase()
         reference = {}
         for name, *arguments in operations:
             if name == "filter":
@@ -778,7 +786,6 @@ class TestEgressDatabaseEqualsASetReference:
             for digest in ("a", "b", "c"):
                 assert (digest in database) == (digest in reference)
                 expiry, sent, order = reference.get(digest, (None, set(), []))
-                assert database.interfaces_for(digest) == sent
                 if digest in reference:
                     record = database._records[digest]
                     assert record.expires_at_ms == expiry

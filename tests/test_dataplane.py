@@ -89,12 +89,9 @@ class TestForwardingPath:
             links = forwarding_path_from_segment(segment).links()
             assert sorted(links) == sorted(segment.links())
 
-    def test_links_and_hop_for(self, segment):
+    def test_links(self, segment):
         path = forwarding_path_from_segment(segment)
         assert path.links() == (((1, 1), (2, 1)), ((2, 2), (3, 1)))
-        assert path.hop_for(2).as_id == 2
-        with pytest.raises(PathConstructionError):
-            path.hop_for(99)
 
 
 class TestPacketWalk:

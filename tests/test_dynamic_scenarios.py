@@ -14,8 +14,7 @@ import random
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from repro.exceptions import ConfigurationError, PolicyViolationError, SimulationError
-from repro.algorithms.shortest_path import KShortestPathAlgorithm
+from repro.exceptions import ConfigurationError
 from repro.simulation.beaconing import BeaconingSimulation
 from repro.simulation.events import (
     ASJoin,
@@ -27,8 +26,6 @@ from repro.simulation.events import (
     LinkFailure,
     LinkFlap,
     LinkRecovery,
-    PolicySwap,
-    RACSwap,
     RevocationForgery,
     RevocationReplay,
     ScenarioEvent,
@@ -36,19 +33,13 @@ from repro.simulation.events import (
     TimedEvent,
     TopologyGrowth,
     random_churn,
-    random_link_failures,
 )
 from repro.simulation.failures import LinkState
-from repro.simulation.scenario import (
-    AlgorithmSpec,
-    ScenarioConfig,
-    don_scenario,
-    one_shortest_path_spec,
-)
+from repro.simulation.scenario import don_scenario
 from repro.topology.generator import TopologyConfig, generate_topology
 from repro.units import minutes
 
-from tests.conftest import line_topology
+from tests.conftest import line_topology, run_all
 from tests.test_golden_trace import FAMILY_DIGESTS, run_family_scenario, run_scenario
 
 
@@ -82,11 +73,6 @@ class TestTimelineDSL:
     def test_trace_labels_are_stable(self):
         assert LinkFailure(((1, 2), (2, 1))).trace_label() == "fail_link 1.2-2.1"
         assert ASLeave(9).trace_label() == "as_leave 9"
-        assert PolicySwap(label="strict", as_ids=(3, 4)).trace_label() == (
-            "policy_swap strict @ 3,4"
-        )
-        spec = one_shortest_path_spec()
-        assert RACSwap(spec=spec).trace_label() == "rac_swap 1sp->1sp @ all"
 
     def test_extend_validates_type(self):
         with pytest.raises(ConfigurationError):
@@ -115,31 +101,11 @@ class TestEventConstruction:
             BeaconPeriodChange(interval_ms=value)
 
     @pytest.mark.parametrize("value", NON_FINITE)
-    def test_non_finite_flap_offset_and_duration_rejected(self, value):
+    def test_non_finite_flap_offset_rejected(self, value):
         with pytest.raises(ConfigurationError, match="finite"):
             LinkFlap(link_id=self.link, schedule=(0.0, value))
-        with pytest.raises(ConfigurationError, match="finite"):
-            LinkFlap(link_id=self.link, duration_ms=value)
-
-    @pytest.mark.parametrize("value", NON_FINITE)
-    def test_non_finite_growth_link_rejected(self, value):
-        with pytest.raises(ConfigurationError, match="finite"):
-            TopologyGrowth(new_as=9, attach_to=(1,), latency_ms=value)
-        with pytest.raises(ConfigurationError, match="finite"):
-            TopologyGrowth(new_as=9, attach_to=(1,), bandwidth_mbps=value)
-
-    def test_policy_swap_rejects_empty_targets(self):
-        with pytest.raises(ConfigurationError, match="at least one AS"):
-            PolicySwap(as_ids=())
-
-    def test_rac_swap_rejects_empty_targets(self):
-        with pytest.raises(ConfigurationError, match="at least one AS"):
-            RACSwap(spec=one_shortest_path_spec(), as_ids=())
 
     def test_sequences_are_stored_as_tuples(self):
-        swap = PolicySwap(policies=[], as_ids=[2, 3])
-        assert swap.policies == () and swap.as_ids == (2, 3)
-        assert RACSwap(spec=one_shortest_path_spec(), as_ids=[4]).as_ids == (4,)
         assert LinkFlap(link_id=self.link, schedule=[0.0, 1.0]).schedule == (0.0, 1.0)
 
 
@@ -155,26 +121,18 @@ def _event_fields(links):
     count = st.integers(min_value=-1, max_value=3)
     as_id = st.integers(min_value=0, max_value=15)
     as_list = st.lists(as_id, max_size=3).map(tuple)
-    targets = st.one_of(st.none(), as_list)
     link = st.sampled_from(links + [((98, 1), (99, 1))])
     return {
         LinkFailure: {"link_id": link},
         LinkRecovery: {"link_id": link},
         ASLeave: {"as_id": as_id},
         ASJoin: {"as_id": as_id},
-        PolicySwap: {"policies": st.lists(st.just(len)), "as_ids": targets},
-        RACSwap: {
-            "spec": st.just(one_shortest_path_spec()),
-            "replace_rac_id": st.sampled_from((None, "1sp", "gone")),
-            "as_ids": targets,
-        },
         BeaconPeriodChange: {"interval_ms": NUMBER},
         LinkFlap: {
             "link_id": link,
             "schedule": st.lists(NUMBER, max_size=4),
             "loss_ab": rate,
             "loss_ba": rate,
-            "duration_ms": st.one_of(st.none(), NUMBER),
         },
         GrayFailure: {"link_id": link, "drop_rate": rate},
         GrayRecovery: {"link_id": link},
@@ -183,16 +141,10 @@ def _event_fields(links):
             "claimed_origin": as_id,
             "link_id": link,
             "count": count,
-            "sequence_base": count,
         },
         RevocationReplay: {"attacker_as": as_id, "count": count},
-        ForwardingSuppression: {"as_ids": as_list, "suppress": st.booleans()},
-        TopologyGrowth: {
-            "new_as": as_id,
-            "attach_to": as_list,
-            "latency_ms": NUMBER,
-            "bandwidth_mbps": NUMBER,
-        },
+        ForwardingSuppression: {"as_ids": as_list},
+        TopologyGrowth: {"new_as": as_id, "attach_to": as_list},
     }
 
 
@@ -365,7 +317,7 @@ class TestFailureAndRecovery:
         simulation = BeaconingSimulation(topology, scenario)
         simulation.watch_pair(3, 1)
         result = simulation.run()
-        open_records = result.convergence.open_disruptions()
+        open_records = [record for record in result.convergence.records if not record.recovered]
         assert len(open_records) == 1
         assert open_records[0].time_to_recovery_ms is None
         outage = result.convergence.current_outage_ms(3, 1, result.final_time_ms)
@@ -434,66 +386,12 @@ class TestChurn:
 
 
 class TestOperatorEvents:
-    def test_policy_swap_applies_mid_run(self):
-        def reject_all(beacon, as_id):
-            raise PolicyViolationError("locked down")
-
-        topology = line_topology(3)
-        scenario = don_scenario(periods=3, verify_signatures=False)
-        scenario.timeline.add(
-            _mid_period(0), PolicySwap([reject_all], as_ids=[2], label="lockdown")
-        )
-        simulation = BeaconingSimulation(topology, scenario)
-        result = simulation.run()
-        stats = result.service(2).ingress.stats
-        assert stats.rejected_policy > 0
-        # Other ASes were not reconfigured.
-        assert result.service(3).ingress.stats.rejected_policy == 0
-
-    def test_policy_swap_applies_to_legacy_ases(self):
-        def reject_all(beacon, as_id):
-            raise PolicyViolationError("locked down")
-
-        topology = line_topology(3)
-        scenario = ScenarioConfig(
-            algorithms=(one_shortest_path_spec(),),
-            periods=3,
-            verify_signatures=False,
-            legacy_ases=(2,),
-        )
-        scenario.timeline.add(
-            _mid_period(0), PolicySwap([reject_all], as_ids=[2], label="lockdown")
-        )
-        result = BeaconingSimulation(topology, scenario).run()
-        assert result.service(2).ingress.stats.rejected_policy > 0
-
-    def test_swap_targeting_unknown_as_rejected_at_construction(self):
+    def test_event_targeting_unknown_as_rejected_at_construction(self):
         topology = line_topology(3)
         scenario = don_scenario(periods=1, verify_signatures=False)
-        scenario.timeline.add(10.0, PolicySwap([], as_ids=[99]))
+        scenario.timeline.add(10.0, ForwardingSuppression((99,)))
         with pytest.raises(ConfigurationError):
             BeaconingSimulation(topology, scenario)
-
-    def test_rac_hot_swap_replaces_container(self):
-        topology = line_topology(3)
-        scenario = ScenarioConfig(
-            algorithms=(one_shortest_path_spec(),),
-            periods=4,
-            verify_signatures=False,
-        )
-        replacement = AlgorithmSpec(
-            rac_id="2sp", factory=lambda: KShortestPathAlgorithm(k=2)
-        )
-        scenario.timeline.add(_mid_period(1), RACSwap(replacement, replace_rac_id="1sp"))
-        simulation = BeaconingSimulation(topology, scenario)
-        result = simulation.run()
-        for service in result.services.values():
-            assert [rac.config.rac_id for rac in service.racs] == ["2sp"]
-        # The swapped-in RAC keeps the control plane productive: paths
-        # registered after the swap carry the new criteria tag.
-        paths = result.service(3).path_service.paths_to(1)
-        assert paths
-        assert any("2sp" in path.criteria_tags for path in paths)
 
     def test_beacon_period_change_applies_to_later_periods(self):
         topology = line_topology(3)
@@ -530,41 +428,9 @@ class TestReviewRegressions:
         beacon = make_beacon(key_store, [(1, None, 2), (2, 1, 2)])
         transport.send_message(2, 2, pcb_message(2, beacon))  # in flight towards AS 3
         link_state.fail_link(((1, 2), (2, 1)))  # beacon's first hop fails
-        scheduler.run_all()
+        run_all(scheduler)
         assert len(transport.service_of(3).ingress.database) == 0
         assert transport.collector.total_dropped == 1
-
-    def test_rac_swap_of_unknown_rac_raises_when_targeted(self):
-        topology = line_topology(3)
-        scenario = ScenarioConfig(
-            algorithms=(one_shortest_path_spec(),), periods=2, verify_signatures=False
-        )
-        replacement = AlgorithmSpec(
-            rac_id="2sp", factory=lambda: KShortestPathAlgorithm(k=2)
-        )
-        scenario.timeline.add(
-            _mid_period(0), RACSwap(replacement, replace_rac_id="nope", as_ids=[2])
-        )
-        simulation = BeaconingSimulation(topology, scenario)
-        with pytest.raises(SimulationError):
-            simulation.run()
-
-    def test_broadcast_rac_swap_skips_ases_without_target(self):
-        # A broadcast swap tolerates ASes that do not deploy the target RAC
-        # (e.g. after an earlier per-AS swap) — and must NOT install the
-        # replacement there, which would silently double the deployment.
-        topology = line_topology(3)
-        scenario = ScenarioConfig(
-            algorithms=(one_shortest_path_spec(),), periods=2, verify_signatures=False
-        )
-        replacement = AlgorithmSpec(
-            rac_id="2sp", factory=lambda: KShortestPathAlgorithm(k=2)
-        )
-        scenario.timeline.add(_mid_period(0), RACSwap(replacement, replace_rac_id="nope"))
-        simulation = BeaconingSimulation(topology, scenario)
-        simulation.run()
-        for service in simulation.services.values():
-            assert [rac.config.rac_id for rac in service.racs] == ["1sp"]
 
     def test_event_past_horizon_is_deferred_not_applied(self):
         topology = line_topology(3)
@@ -581,24 +447,6 @@ class TestReviewRegressions:
         simulation.run(periods=1)
         assert not simulation.link_state.link_available(link)
         assert any("fail_link" in line for line in simulation.convergence.trace)
-
-    def test_rac_swap_explicitly_targeting_legacy_as_raises(self):
-        topology = line_topology(3)
-        scenario = ScenarioConfig(
-            algorithms=(one_shortest_path_spec(),),
-            periods=2,
-            verify_signatures=False,
-            legacy_ases=(2,),
-        )
-        replacement = AlgorithmSpec(
-            rac_id="2sp", factory=lambda: KShortestPathAlgorithm(k=2)
-        )
-        scenario.timeline.add(
-            _mid_period(0), RACSwap(replacement, replace_rac_id="1sp", as_ids=[2])
-        )
-        simulation = BeaconingSimulation(topology, scenario)
-        with pytest.raises(SimulationError):
-            simulation.run()
 
     def test_churned_as_restarts_with_fresh_racs(self):
         topology = line_topology(3)
@@ -641,21 +489,6 @@ class TestReviewRegressions:
 
 
 class TestRandomGenerators:
-    def test_random_link_failures_are_reproducible(self):
-        topology = line_topology(4)
-        events_a = random_link_failures(
-            topology, count=2, rng=random.Random(42), start_ms=10.0,
-            spacing_ms=5.0, recovery_after_ms=100.0,
-        )
-        events_b = random_link_failures(
-            topology, count=2, rng=random.Random(42), start_ms=10.0,
-            spacing_ms=5.0, recovery_after_ms=100.0,
-        )
-        assert [t.trace_label() for t in events_a] == [t.trace_label() for t in events_b]
-        assert len(events_a) == 4  # two failures + two recoveries
-        kinds = [type(t.event) for t in events_a]
-        assert kinds.count(LinkFailure) == 2 and kinds.count(LinkRecovery) == 2
-
     def test_random_churn_restricts_to_candidates(self):
         topology = line_topology(4)
         events = random_churn(
@@ -669,10 +502,10 @@ class TestRandomGenerators:
         topology = line_topology(4)
         scenario = don_scenario(periods=3, verify_signatures=False)
         scenario.timeline.extend(
-            random_link_failures(
+            random_churn(
                 topology, count=1, rng=random.Random(3),
                 start_ms=_mid_period(1), spacing_ms=minutes(10),
-                recovery_after_ms=minutes(10),
+                downtime_ms=minutes(10), candidates=[4],
             )
         )
         result = BeaconingSimulation(topology, scenario).run()

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+from tests.conftest import is_connected
+
 EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
 
 
@@ -64,7 +66,7 @@ class TestExampleScripts:
         topology = module.build_figure1_topology()
         assert topology.num_ases == 6
         assert topology.num_links == 7
-        assert topology.is_connected()
+        assert is_connected(topology)
 
     def test_on_demand_routing_runs(self, capsys):
         module = load_example("on_demand_routing.py")

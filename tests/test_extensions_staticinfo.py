@@ -52,18 +52,16 @@ class TestIndividualExtensions:
 class TestExtensionSet:
     def test_empty_set_properties(self):
         extensions = ExtensionSet()
-        assert not extensions.is_pull_based
-        assert not extensions.is_on_demand
+        assert extensions.target is None
+        assert extensions.algorithm is None
         assert extensions.encode() == "ext[]"
 
     def test_with_target(self):
         extensions = ExtensionSet().with_target(5)
-        assert extensions.is_pull_based
         assert extensions.target.target_as == 5
 
     def test_with_algorithm(self):
         extensions = ExtensionSet().with_algorithm("id", "hash")
-        assert extensions.is_on_demand
         assert extensions.algorithm.algorithm_id == "id"
 
     def test_with_interface_group(self):

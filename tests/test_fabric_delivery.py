@@ -30,7 +30,14 @@ from repro.simulation.failures import LinkState
 from repro.simulation.network import SimulatedTransport
 from repro.simulation.scenario import ScenarioConfig, don_scenario, one_shortest_path_spec
 
-from tests.conftest import build_services, line_topology, make_beacon, pcb_message
+from tests.conftest import (
+    build_services,
+    line_topology,
+    make_beacon,
+    pcb_message,
+    run_all,
+    slice_batches,
+)
 
 # line_topology(n): AS i's interface 2 faces AS i + 1's interface 1, every
 # link has 10 ms latency, and the fabric adds 1 ms processing per hop.
@@ -148,7 +155,7 @@ class TestShardExport:
         b_transport.inject_import(*exports[0])
         b_scheduler.run_until(5.0)
         b_transport.link_state.fail_link(_link(topology, 0))
-        b_scheduler.run_all()
+        run_all(b_scheduler)
         assert len(b_services[2].ingress.database) == 0
         assert b_transport.collector.total_dropped == 1
         assert a_transport.collector.total_dropped == 0
@@ -161,7 +168,7 @@ class TestShardExport:
         a_transport.send_message(2, 2, pcb_message(2, beacon))
         b_transport.link_state.fail_link(_link(topology, 0))  # the 1-2 link
         b_transport.inject_import(*exports[0])
-        b_scheduler.run_all()
+        run_all(b_scheduler)
         assert len(b_services[3].ingress.database) == 0
         assert b_transport.collector.total_dropped == 1
 
@@ -173,7 +180,7 @@ class TestShardExport:
             transport.send_message(1, 2, pcb_message(1, _beacon(key_store, 1)))
             scheduler.run_until(5.0)
             link_state.fail_link(_link(topology, 0))
-            scheduler.run_all()
+            run_all(scheduler)
 
         link_state = LinkState()
         scheduler, whole, _services = build_services(topology, key_store, link_state=link_state)
@@ -187,7 +194,7 @@ class TestShardExport:
             b_transport.inject_import(*export)
         b_scheduler.run_until(5.0)
         b_transport.link_state.fail_link(_link(topology, 0))
-        b_scheduler.run_all()
+        run_all(b_scheduler)
 
         merged = MetricsCollector()
         merged.merge(a_transport.collector)
@@ -215,7 +222,7 @@ class TestShardExport:
         # AS 3's interface 1 faces AS 2's interface 2: same arrival tick.
         local = make_beacon(key_store, [(3, None, 1)])
         b_transport.send_message(3, 1, pcb_message(3, local))
-        b_scheduler.run_all()
+        run_all(b_scheduler)
         assert batches == [[1, 2]]
 
     def test_registering_the_receiver_turns_exports_into_local_deliveries(self, key_store):
@@ -225,7 +232,7 @@ class TestShardExport:
         assert len(exports) == 1
         receiver = _service(topology, key_store, transport, 2)
         transport.send_message(1, 2, pcb_message(1, _beacon(key_store, 1)))
-        scheduler.run_all()
+        run_all(scheduler)
         assert len(exports) == 1
         assert len(receiver.ingress.database) == 1
 
@@ -282,12 +289,12 @@ class TestReceiversGetTheSentObject:
     @pytest.mark.parametrize("kind", ["pcb", "revocation", "path_registration"])
     def test_every_receiver_holds_the_sent_object(self, key_store, kind, batch_size):
         topology = line_topology(3)
-        scheduler, transport, services = build_services(
-            topology, key_store, batch_size=batch_size
-        )
+        scheduler, transport, services = build_services(topology, key_store)
         received = self._log_received(services)
+        if batch_size is not None:
+            slice_batches(services, batch_size)
         message, receivers = self._send(kind, topology, key_store, transport)
-        scheduler.run_all()
+        run_all(scheduler)
         assert sorted(received) == list(receivers)
         for as_id in receivers:
             (delivered,) = received[as_id]
@@ -315,7 +322,7 @@ class TestReceiversGetTheSentObject:
         message, receivers = self._send(kind, topology, key_store, a_transport)
         (export,) = exports
         b_transport.inject_import(*pickle.loads(pickle.dumps(export)))
-        b_scheduler.run_all()
+        run_all(b_scheduler)
         assert sorted(received) == list(receivers)
         (imported,) = received[2]
         assert imported is not message
@@ -359,7 +366,7 @@ class TestDeliveryChecks:
         transport.send_message(1, 2, pcb_message(1, _beacon(key_store)))
         scheduler.run_until(5.0)
         link_state.fail_link(_link(topology, 0))
-        scheduler.run_all()
+        run_all(scheduler)
         assert log == []
         assert transport.collector.dropped["pcb"] == 1
 
@@ -371,7 +378,7 @@ class TestDeliveryChecks:
         link_state.fail_link(_link(topology, 0))
         scheduler.run_until(6.0)
         link_state.restore_link(_link(topology, 0))
-        scheduler.run_all()
+        run_all(scheduler)
         assert len(services[2].ingress.database) == 1
         assert transport.collector.dropped["pcb"] == 0
 
@@ -380,7 +387,7 @@ class TestDeliveryChecks:
         transport.send_message(1, 2, pcb_message(1, _beacon(key_store)))
         scheduler.run_until(5.0)
         link_state.set_as_offline(2)
-        scheduler.run_all()
+        run_all(scheduler)
         assert len(services[2].ingress.database) == 0
         assert transport.collector.dropped["pcb"] == 1
 
@@ -389,7 +396,7 @@ class TestDeliveryChecks:
         beacon = make_beacon(key_store, [(1, None, 2), (2, 1, 2)])
         transport.send_message(2, 2, pcb_message(2, beacon))
         link_state.fail_link(_link(topology, 0))  # the 1-2 link, not the one crossed
-        scheduler.run_all()
+        run_all(scheduler)
         assert len(services[3].ingress.database) == 0
         assert transport.collector.dropped["pcb"] == 1
 
@@ -400,7 +407,7 @@ class TestDeliveryChecks:
         link_state.fail_link(_link(topology, 0))
         log = _record_deliveries(services[3])
         transport.send_message(2, 2, _revocation(topology))
-        scheduler.run_all()
+        run_all(scheduler)
         assert log == [("revocation", 1, HOP_MS)]
         assert services[3].revocations.received == 1
         assert transport.collector.dropped["revocation"] == 0
@@ -410,7 +417,7 @@ class TestDeliveryChecks:
         link_state.fail_link(_link(topology, 1))  # the 2-3 link
         transport.send_message(2, 2, _revocation(topology))
         transport.send_message(2, 2, _revocation(topology, sequence=2))
-        scheduler.run_all()
+        run_all(scheduler)
         assert transport.collector.revocations_dropped == 2
         assert transport.collector.total_dropped == 0
         assert transport.collector.gray_dropped_total() == 0
@@ -434,14 +441,14 @@ class TestSilentLoss:
         )
         for index in range(healthy_first):
             transport.send_message(1, 2, pcb_message(1, _beacon(key_store, 100 + index)))
-        scheduler.run_all()
+        run_all(scheduler)
         link_state.set_gray(_link(topology, 0), rate)
         sent = {}
         for index in range(count):
             beacon = _beacon(key_store, index)
             sent[beacon.digest()] = index
             transport.send_message(1, 2, pcb_message(1, beacon))
-        scheduler.run_all()
+        run_all(scheduler)
         delivered = sorted(
             sent[stored.beacon.digest()]
             for stored in services[2].ingress.database.all_beacons()
@@ -490,7 +497,7 @@ class TestSilentLoss:
         toward_1 = _record_deliveries(services[1])
         transport.send_message(1, 2, pcb_message(1, _beacon(key_store)))
         transport.send_message(2, 1, pcb_message(2, make_beacon(key_store, [(2, None, 1)])))
-        scheduler.run_all()
+        run_all(scheduler)
         assert len(services[2].ingress.database) == 0
         assert toward_1 == [("pcb", 2, HOP_MS)]
         assert transport.collector.gray_dropped["pcb"] == 1
@@ -561,8 +568,6 @@ class TestScenarioSettingRanges:
             ("propagation_interval_ms", -1.0),
             ("propagation_interval_ms", -math.inf),
             ("registration_limit", 0),
-            ("inbox_batch_size", 0),
-            ("inbox_batch_size", -2),
         ],
     )
     def test_scenario_rejects_out_of_range_settings(self, name, value):
@@ -571,7 +576,7 @@ class TestScenarioSettingRanges:
 
     @pytest.mark.parametrize(
         "name, value",
-        [("periods", 1), ("registration_limit", 1), ("inbox_batch_size", 1)],
+        [("periods", 1), ("registration_limit", 1)],
     )
     def test_scenario_accepts_the_smallest_legal_settings(self, name, value):
         scenario = ScenarioConfig(algorithms=(one_shortest_path_spec(),), **{name: value})

@@ -8,7 +8,9 @@ from repro.analysis.disjointness_eval import tolerable_link_failures
 from repro.simulation.beaconing import BeaconingSimulation
 from repro.simulation.failures import LinkState
 from repro.simulation.scenario import disjointness_scenario
-from repro.topology.generator import generate_topology, small_test_config
+from repro.topology.generator import generate_topology
+
+from tests.conftest import small_test_config
 
 
 class TestLinkFailures:

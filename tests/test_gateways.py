@@ -4,20 +4,20 @@ import pytest
 
 from repro.algorithms.base import CandidateBeacon
 from repro.core.beacon import BeaconBuilder
-from repro.core.databases import EgressDatabase, IngressDatabase, PathService
+from repro.core import databases
+from repro.core.databases import EgressDatabase, PathService
 from repro.core.egress import EgressGateway
 from repro.core.extensions import ExtensionSet
 from repro.core.ingress import IngressGateway
 from repro.core.local_view import LocalTopologyView
 from repro.core.rac import RACSelection
-from repro.core.transport import NullTransport
 from repro.crypto.hashing import perf_counters
 from repro.crypto.keys import KeyStore
 from repro.crypto.signer import Signer, Verifier
 from repro.exceptions import PolicyViolationError
 from repro.topology.entities import Link, Relationship
 
-from tests.conftest import figure1_topology, make_beacon
+from tests.conftest import NullTransport, figure1_topology, make_beacon
 
 
 @pytest.fixture
@@ -253,7 +253,7 @@ class TestEgressGateway:
         (path,) = egress.path_service.paths_to(1)
         assert path.segment is segment and stored._segment is segment
         assert path.criteria_tags == ("1sp", "don")
-        assert (path.registered_at_ms, path.last_registered_at_ms) == (5.0, 9.0)
+        assert path.registered_at_ms == 5.0
         assert notified == [1, 1, 1]
         assert egress.stats.registered == 3
 
@@ -275,7 +275,7 @@ class TestEgressGateway:
         egress.register([selection], now_ms=0.0)
         egress.register([selection], now_ms=1.0)
         (path,) = egress.path_service.paths_to(1)
-        assert path.criteria_tags is tags and path.last_registered_at_ms == 1.0
+        assert path.criteria_tags is tags and path.registered_at_ms == 0.0
         assert egress.path_service._consumed[path.segment.digest()] is tags
 
     def test_withdrawn_path_is_registered_again_from_the_kept_segment(self, topology, key_store):
@@ -330,23 +330,18 @@ class TestEgressGateway:
         assert path.segment is again._segment
 
     def test_the_segment_expires_with_its_record_on_the_shared_margin(
-        self, topology, key_store
+        self, topology, key_store, monkeypatch
     ):
         """With an expiry margin ``m``, ``expire(T - m/2)`` drops the ingress
         record of a beacon expiring at ``T``, with the segment it keeps, and
         the path service purges the registered copy at the same horizon."""
         margin, expires_at = 40.0, 100.0
-        ingress = IngressGateway(
-            as_id=3,
-            verifier=Verifier(key_store=key_store),
-            database=IngressDatabase(local_as=3, expiry_margin_ms=margin),
-        )
+        monkeypatch.setattr(databases, "EXPIRY_MARGIN_MS", margin)
+        ingress = IngressGateway(as_id=3, verifier=Verifier(key_store=key_store))
         egress = EgressGateway(
             view=view_for(topology, 3),
             builder=BeaconBuilder(as_id=3, signer=Signer(as_id=3, key_store=key_store)),
             transport=NullTransport(),
-            database=EgressDatabase(expiry_margin_ms=margin),
-            path_service=PathService(expiry_margin_ms=margin),
         )
         beacon = make_beacon(key_store, [(1, None, 1), (2, 1, 2)], validity_ms=expires_at)
         assert ingress.receive(beacon, on_interface=1, now_ms=0.0)

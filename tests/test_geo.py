@@ -112,13 +112,3 @@ class TestCatalogue:
         for _name, coord in geo.WORLD_CITIES:
             assert -90 <= coord.latitude <= 90
             assert -180 <= coord.longitude <= 180
-
-    def test_city_coordinates_list(self):
-        assert len(geo.city_coordinates()) == len(geo.WORLD_CITIES)
-
-    def test_bounding_delay_positive(self):
-        coords = geo.city_coordinates()[:5]
-        assert geo.bounding_delay_ms(coords) > 0.0
-
-    def test_bounding_delay_empty(self):
-        assert geo.bounding_delay_ms([]) == 0.0

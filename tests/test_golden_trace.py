@@ -31,13 +31,12 @@ from repro.simulation.events import (
     RevocationForgery,
     RevocationReplay,
     TopologyGrowth,
-    random_link_failures,
 )
 from repro.simulation.scenario import disjointness_scenario, dob_scenario, don_scenario
 from repro.topology.generator import TopologyConfig, generate_topology
 from repro.units import minutes
 
-from tests.conftest import line_topology
+from tests.conftest import line_topology, random_link_failures
 
 # Recovery records are dated at the sub-period registration timestamp of
 # the freshly re-registered (previously withdrawn) paths when those account
@@ -300,9 +299,9 @@ def run_family_scenario(family, factory=None):
         f" dropped={result.collector.total_dropped}"
         f" gray={result.collector.gray_dropped_total()}"
         f" revocations={result.collector.total_revocations}"
-        f" rejected={result.rejected_invalid_total}"
-        f" duplicates={result.duplicates_total}"
-        f" ases={result.service_count}"
+        f" rejected={sum(rejected for rejected, _ in result.revocation_stats.values())}"
+        f" duplicates={sum(dupes for _, dupes in result.revocation_stats.values())}"
+        f" ases={len(result.revocation_stats)}"
         f" final={result.final_time_ms:.3f}"
         f" records={len(result.convergence.records)}"
     )

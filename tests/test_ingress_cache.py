@@ -3,11 +3,11 @@
 Four properties the fast path must never lose:
 
 * the cache is **bounded** — insertion past ``max_entries`` evicts the
-  oldest entries, and a non-positive bound disables caching entirely,
-* the cache is **invalidated when the key store changes** — a cached
-  prefix only proves verification against the *old* keys, so replacing the
-  verifier through :meth:`IngressGateway.use_verifier` must clear it (and
-  beacons signed under the old keys must be rejected afterwards),
+  oldest entries,
+* the cache is **bound to its gateway's key store** — a cached prefix
+  only proves verification against the keys it was checked with, so a
+  gateway over another key store rejects a beacon whose prefix a gateway
+  over the old keys has cached,
 * a **tampered extension of a verified prefix is still rejected** — a
   cache hit on the prefix must not leak trust into the new entries, and a
   tampered copy of a beacon must not inherit the digest chain the genuine
@@ -59,72 +59,38 @@ class TestCacheBound:
         cache.add(["a"], expires_at_ms=1.0)  # already present: no insertion, no eviction
         assert "a" in cache and "b" in cache
 
-    def test_non_positive_bound_disables_caching(self):
-        cache = VerifiedPrefixCache(max_entries=0)
-        cache.add(["a"], expires_at_ms=1.0)
-        assert len(cache) == 0
-        assert cache.expire(now_ms=1.0) == 0
-
-        key_store = KeyStore()
-        gateway = IngressGateway(
-            as_id=999,
-            verifier=Verifier(key_store=key_store),
-            verified_prefixes=VerifiedPrefixCache(max_entries=0),
-        )
-        beacon = two_hop_beacon(key_store)
-        assert gateway.receive(beacon, on_interface=1, now_ms=0.0)
-        child = extend(beacon, key_store)
-        assert gateway.receive(child, on_interface=1, now_ms=0.0)
-        # Without a cache every verification is a full one.
-        assert gateway.stats.full_verifications == 2
-        assert gateway.stats.incremental_verifications == 0
-
     def test_gateway_respects_tiny_bound(self):
         key_store = KeyStore()
-        gateway = IngressGateway(
-            as_id=999,
-            verifier=Verifier(key_store=key_store),
-            verified_prefixes=VerifiedPrefixCache(max_entries=2),
-        )
+        gateway = IngressGateway(as_id=999, verifier=Verifier(key_store=key_store))
+        gateway.verified_prefixes = VerifiedPrefixCache(max_entries=2)
         for index in range(4):
             beacon = two_hop_beacon(key_store, created_at_ms=float(index))
             assert gateway.receive(beacon, on_interface=1, now_ms=float(index))
         assert len(gateway.verified_prefixes) <= 2
 
 
-class TestKeyStoreChangeInvalidation:
-    def test_use_verifier_clears_the_cache(self):
-        key_store = KeyStore()
-        gateway = IngressGateway(as_id=999, verifier=Verifier(key_store=key_store))
-        beacon = two_hop_beacon(key_store)
-        assert gateway.receive(beacon, on_interface=1, now_ms=0.0)
-        assert len(gateway.verified_prefixes) > 0
-
-        rotated = KeyStore(deployment_secret=b"rotated-secret")
-        gateway.use_verifier(Verifier(key_store=rotated))
-        assert len(gateway.verified_prefixes) == 0
-
-    def test_old_key_extension_rejected_after_rotation(self):
+class TestCacheBoundToItsKeyStore:
+    def test_old_key_extension_rejected_by_a_gateway_over_new_keys(self):
         old_store = KeyStore(deployment_secret=b"old")
         new_store = KeyStore(deployment_secret=b"new")
-        gateway = IngressGateway(as_id=999, verifier=Verifier(key_store=old_store))
+        old = IngressGateway(as_id=999, verifier=Verifier(key_store=old_store))
+        new = IngressGateway(as_id=999, verifier=Verifier(key_store=new_store))
 
         beacon = two_hop_beacon(old_store)
-        assert gateway.receive(beacon, on_interface=1, now_ms=0.0)
+        assert old.receive(beacon, on_interface=1, now_ms=0.0)
+        assert len(old.verified_prefixes) > 0 and len(new.verified_prefixes) == 0
 
-        # Key store rotates; an extension whose *new* entry is signed under
-        # the new keys but whose prefix is only valid under the old ones
-        # arrives.  With a stale cache the prefix would be trusted and only
-        # the (valid) new entry checked — the rotation-aware gateway must
-        # re-verify the whole chain and reject it.
-        gateway.use_verifier(Verifier(key_store=new_store))
+        # An extension whose *new* entry is signed under the new keys but
+        # whose prefix is only valid under the old ones: the old gateway's
+        # cached prefix must not vouch for it at the new gateway, which
+        # re-verifies the whole chain and rejects it.
         forged = extend(beacon, new_store)
-        assert not gateway.receive(forged, on_interface=1, now_ms=0.0)
-        assert gateway.stats.rejected_signature == 1
+        assert not new.receive(forged, on_interface=1, now_ms=0.0)
+        assert new.stats.rejected_signature == 1
 
         # Beacons fully signed under the new keys are accepted as usual.
         fresh = two_hop_beacon(new_store, created_at_ms=1.0)
-        assert gateway.receive(fresh, on_interface=1, now_ms=1.0)
+        assert new.receive(fresh, on_interface=1, now_ms=1.0)
 
 
 class TestTamperedExtensionStillRejected:
@@ -238,15 +204,10 @@ def verification_counts(gateway):
 
 class TestExpiryPruningIsCountExact:
     @settings(max_examples=60, deadline=None)
-    @given(
-        run=pruning_runs(),
-        max_entries=st.sampled_from((65536, 0, -1)),
-        rotate_at=st.integers(min_value=-1, max_value=30),
-    )
-    def test_pruned_gateway_counts_like_a_never_pruned_twin(self, run, max_entries, rotate_at):
+    @given(run=pruning_runs())
+    def test_pruned_gateway_counts_like_a_never_pruned_twin(self, run):
         """Property: a gateway pruning its cache at arbitrary instants and a
-        twin whose cache never forgets an entry verify alike, through key
-        rotations and with the cache disabled."""
+        twin whose cache never forgets an entry verify alike."""
         origins, arrivals = run
         key_store = KeyStore()
         beacons = [
@@ -256,18 +217,10 @@ class TestExpiryPruningIsCountExact:
         ]
 
         def gateway():
-            return IngressGateway(
-                as_id=999,
-                verifier=Verifier(key_store=key_store),
-                verified_prefixes=VerifiedPrefixCache(max_entries=max_entries),
-            )
+            return IngressGateway(as_id=999, verifier=Verifier(key_store=key_store))
 
         pruned, twin = gateway(), gateway()
-        for step, (now_ms, index, prune) in enumerate(arrivals):
-            if step == rotate_at:
-                for each in (pruned, twin):
-                    each.use_verifier(Verifier(key_store=key_store))
-                    assert len(each.verified_prefixes) == 0
+        for now_ms, index, prune in arrivals:
             if prune:
                 pruned.expire(now_ms)
                 # The twin's database forgets alike: only the caches differ.
@@ -278,9 +231,6 @@ class TestExpiryPruningIsCountExact:
             assert accepted == twin.receive(beacons[index], on_interface=1, now_ms=now_ms)
             assert verification_counts(pruned) == verification_counts(twin)
             assert set(pruned.verified_prefixes._digests) <= set(twin.verified_prefixes._digests)
-        if max_entries <= 0:
-            assert len(pruned.verified_prefixes) == len(twin.verified_prefixes) == 0
-            assert twin.stats.incremental_verifications == 0
 
     def test_expire_drops_exactly_the_expired_chains(self, key_store):
         gateway = IngressGateway(as_id=999, verifier=Verifier(key_store=key_store))

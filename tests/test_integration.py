@@ -28,10 +28,10 @@ from repro.simulation.scenario import (
     one_shortest_path_spec,
 )
 from repro.analysis.disjointness_eval import evaluate_disjointness
-from repro.topology.generator import generate_topology, small_test_config
+from repro.topology.generator import generate_topology
 from repro.traffic import CriteriaPolicy
 
-from tests.conftest import figure1_topology, line_topology
+from tests.conftest import figure1_topology, line_topology, small_test_config
 from tests.test_golden_trace import MIXED_LEGACY_ASES, _run_golden
 
 

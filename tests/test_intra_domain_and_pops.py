@@ -2,12 +2,14 @@
 
 import pytest
 
-from repro.exceptions import TopologyError
 from repro.topology.entities import ASInfo, Interface
-from repro.topology.generator import generate_topology, small_test_config
-from repro.topology.geo import GeoCoordinate, propagation_delay_ms
+from repro.topology.generator import generate_topology
+from repro.topology.geo import GeoCoordinate, great_circle_km, propagation_delay_ms
 from repro.topology.intra_domain import IntraDomainModel, IntraDomainRegistry
-from repro.topology.pops import derive_pops, pop_of_interface, pop_pairs
+from repro.topology import pops as pops_module
+from repro.topology.pops import derive_pops, pop_pairs
+
+from tests.conftest import small_test_config
 
 ZURICH = GeoCoordinate(47.3769, 8.5417)
 LONDON = GeoCoordinate(51.5074, -0.1278)
@@ -35,41 +37,20 @@ class TestIntraDomainModel:
         model = IntraDomainModel(as_info=as_with_interfaces())
         assert model.latency_ms(1, 3) == pytest.approx(model.latency_ms(3, 1))
 
-    def test_processing_overhead_added(self):
-        model = IntraDomainModel(as_info=as_with_interfaces(), processing_overhead_ms=2.0)
-        expected = propagation_delay_ms(ZURICH, LONDON) + 2.0
-        assert model.latency_ms(1, 2) == pytest.approx(expected)
-
-    def test_override(self):
-        model = IntraDomainModel(as_info=as_with_interfaces())
-        model.set_latency(1, 2, 42.0)
-        assert model.latency_ms(1, 2) == 42.0
-        assert model.latency_ms(2, 1) == 42.0
-
-    def test_negative_override_rejected(self):
-        model = IntraDomainModel(as_info=as_with_interfaces())
-        with pytest.raises(TopologyError):
-            model.set_latency(1, 2, -1.0)
-
-    def test_latency_from_location(self):
-        model = IntraDomainModel(as_info=as_with_interfaces())
-        value = model.latency_from_location(1, LONDON.latitude, LONDON.longitude)
-        assert value == pytest.approx(propagation_delay_ms(ZURICH, LONDON))
-
 
 class TestIntraDomainRegistry:
     def test_model_created_on_demand(self):
-        registry = IntraDomainRegistry(default_processing_overhead_ms=1.0)
+        registry = IntraDomainRegistry()
         info = as_with_interfaces()
         model = registry.model_for(info)
-        assert model.processing_overhead_ms == 1.0
+        assert model.as_info is info
         assert registry.model_for(info) is model
         assert registry.get(info.as_id) is model
 
     def test_register_replaces(self):
         registry = IntraDomainRegistry()
         info = as_with_interfaces()
-        custom = IntraDomainModel(as_info=info, processing_overhead_ms=9.0)
+        custom = IntraDomainModel(as_info=info)
         registry.register(custom)
         assert registry.model_for(info) is custom
 
@@ -85,23 +66,26 @@ class TestPops:
             member_count = sum(len(p.interfaces) for p in as_pops)
             assert member_count == small_topology.degree_of(as_id)
 
-    def test_colocated_interfaces_merge(self):
+    def test_colocated_interfaces_merge(self, monkeypatch):
         topology = generate_topology(small_test_config())
-        coarse = derive_pops(topology, colocation_radius_km=50_000.0)
+        monkeypatch.setattr(pops_module, "COLOCATION_RADIUS_KM", 50_000.0)
+        coarse = derive_pops(topology)
         for as_pops in coarse.values():
             assert len(as_pops) == 1
 
     def test_pop_of_interface(self, small_topology):
+        """Every interface of an AS sits in exactly one PoP of that AS,
+        within the co-location radius of the PoP's other members."""
         pops = derive_pops(small_topology)
-        some_as = small_topology.as_ids()[0]
-        interface = small_topology.interfaces_of(some_as)[0]
-        pop = pop_of_interface(pops, interface.key)
-        assert interface.key in pop.interfaces
-
-    def test_pop_of_unknown_interface(self, small_topology):
-        pops = derive_pops(small_topology)
-        with pytest.raises(KeyError):
-            pop_of_interface(pops, (10_000, 1))
+        for as_info in small_topology:
+            members = [key for pop in pops[as_info.as_id] for key in pop.interfaces]
+            assert sorted(members) == sorted(interface.key for interface in as_info)
+            for pop in pops[as_info.as_id]:
+                assert all(key[0] == as_info.as_id for key in pop.interfaces)
+                locations = [as_info.interface(key[1]).location for key in pop.interfaces]
+                for a in locations:
+                    for b in locations:
+                        assert great_circle_km(a, b) <= pops_module.COLOCATION_RADIUS_KM
 
     def test_pop_pairs_enumeration(self, small_topology):
         pops = derive_pops(small_topology)

@@ -14,23 +14,24 @@ from pathlib import Path
 
 import pytest
 
-from repro.algorithms.shortest_path import LEGACY_PATH_COUNT, KShortestPathAlgorithm
-from repro.core.transport import NullTransport
+from repro.algorithms.shortest_path import LEGACY_PATH_COUNT
 from repro.exceptions import SimulationError, UnknownASError, UnknownAlgorithmError
 from repro.simulation.beaconing import BeaconingSimulation
 from repro.simulation.engine import EventScheduler
-from repro.simulation.events import RACSwap
 from repro.simulation.network import SimulatedTransport
 from repro.simulation.scenario import (
-    AlgorithmSpec,
     ScenarioConfig,
     disjointness_scenario,
     don_scenario,
-    one_shortest_path_spec,
 )
-from repro.units import minutes
 
-from tests.conftest import line_topology, make_beacon, pcb_message, terminated_segments
+from tests.conftest import (
+    NullTransport,
+    line_topology,
+    make_beacon,
+    pcb_message,
+    terminated_segments,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -130,7 +131,7 @@ class TestLegacyControlService:
     def test_originates_without_the_interface_group_extension(self):
         simulation = legacy_simulation(3)
         beacons = simulation.services[2].originate(now_ms=0.0)
-        assert [b.origin_interface for b in beacons] == [1, 2]
+        assert [b.entry.egress_interface for b in beacons] == [1, 2]
         assert all(b.extensions.interface_group is None for b in beacons)
 
     def test_propagation_does_not_resend_same_interface(self):
@@ -173,21 +174,6 @@ class TestLegacyControlService:
         # They reached the legacy AS; it kept them and sent them nowhere.
         buckets = result.service(2).ingress.database.bucket_keys()
         assert any(algorithm_id is not None for _o, _g, _t, algorithm_id in buckets)
-
-    def test_broadcast_rac_swap_skips_legacy_ases(self):
-        scenario = ScenarioConfig(
-            algorithms=(one_shortest_path_spec(),),
-            periods=2,
-            verify_signatures=False,
-            legacy_ases=(2,),
-        )
-        replacement = AlgorithmSpec(
-            rac_id="2sp", factory=lambda: KShortestPathAlgorithm(k=2)
-        )
-        scenario.timeline.add(minutes(5), RACSwap(replacement, replace_rac_id="legacy"))
-        simulation = BeaconingSimulation(line_topology(3), scenario)
-        simulation.run()
-        assert [rac.config.rac_id for rac in simulation.services[2].racs] == ["legacy"]
 
 
 class TestNullTransport:

@@ -24,20 +24,26 @@ from repro.core.messages import (
     RevocationMessage,
 )
 from repro.core.query import PathQuery
-from repro.core.transport import NullTransport
 from repro.crypto.signer import Signer
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.simulation.beaconing import BeaconingSimulation
 from repro.simulation.collector import MESSAGE_KINDS
-from repro.simulation.engine import EventScheduler
 from repro.simulation.events import LinkFailure, LinkRecovery
 from repro.simulation.failures import LinkState
-from repro.simulation.network import SimulatedTransport
+from repro.simulation.network import PROCESSING_DELAY_MS
 from repro.simulation.scenario import don_scenario
 from repro.topology.entities import normalize_link_id
 from repro.units import minutes
 
-from tests.conftest import build_services, line_topology, make_beacon, pcb_message
+from tests.conftest import (
+    NullTransport,
+    build_services,
+    line_topology,
+    make_beacon,
+    pcb_message,
+    run_all,
+    slice_batches,
+)
 from tests.test_beacon_layout import reachable
 
 
@@ -183,7 +189,7 @@ class TestMessageMemos:
         message = services[2].originate_revocation(
             failed_links=(_link(topology, 0),), now_ms=0.0
         )
-        scheduler.run_all()
+        run_all(scheduler)
         for as_id in (2, 3, 4, 5):
             revocations = services[as_id].revocations
             (seen_key,) = revocations._seen
@@ -299,7 +305,7 @@ class TestRevocationScope:
         scheduler, _transport, services = build_services(topology, key_store)
         scheduler.run_until(5.0)
         services[2].originate_revocation(now_ms=5.0, failed_links=(_link(topology, 0),))
-        scheduler.run_all()
+        run_all(scheduler)
         assert services[4].revocations.applied_at != {}
 
 
@@ -378,18 +384,6 @@ class TestPathRegistrationTraffic:
 
 
 class TestInboxBatching:
-    def test_batch_size_validated(self):
-        with pytest.raises(ConfigurationError):
-            SimulatedTransport(
-                topology=line_topology(2), scheduler=EventScheduler(), batch_size=0
-            )
-
-    def test_scenario_batch_size_validated(self):
-        from repro.simulation.scenario import ScenarioConfig, one_shortest_path_spec
-
-        with pytest.raises(ConfigurationError):
-            ScenarioConfig(algorithms=(one_shortest_path_spec(),), inbox_batch_size=0)
-
     def test_same_tick_messages_drain_in_one_batch(self, key_store):
         """Copies of one beacon arriving together pay a single admission."""
         topology = line_topology(3)
@@ -397,8 +391,10 @@ class TestInboxBatching:
 
         def deliver_twice(batch_size):
             scheduler, transport, services = build_services(
-                topology, key_store, verify_signatures=True, batch_size=batch_size
+                topology, key_store, verify_signatures=True
             )
+            if batch_size is not None:
+                slice_batches(services, batch_size)
             receiver = services[2]
             # Two copies sent at the same instant land at the same tick
             # (e.g. simultaneous re-propagation over parallel links).
@@ -449,28 +445,18 @@ class TestInboxBatching:
         service.on_message_batch = recording
         return log
 
-    def _send_same_tick(self, key_store, count, **transport_kwargs):
-        scheduler, transport, services = build_services(
-            line_topology(3), key_store, **transport_kwargs
-        )
+    def _send_same_tick(self, key_store, count):
+        scheduler, transport, services = build_services(line_topology(3), key_store)
         log = self._record_batches(transport, services[2])
         for index in range(count):
             beacon = make_beacon(key_store, [(1, None, 2)], link_latencies=[10.0 + index])
             transport.send_message(1, 2, pcb_message(1, beacon))
-        scheduler.run_all()
+        run_all(scheduler)
         return log, services[2]
 
     def test_unbounded_drain_hands_over_the_whole_tick(self, key_store):
         log, receiver = self._send_same_tick(key_store, 5)
         assert [size for size, _pending, _now in log] == [5]
-        assert receiver.ingress.stats.received == 5
-
-    @pytest.mark.parametrize("batch_size, sizes", [(1, [1] * 5), (2, [2, 2, 1]), (5, [5])])
-    def test_finite_batch_size_slices_the_tick(self, key_store, batch_size, sizes):
-        log, receiver = self._send_same_tick(key_store, 5, batch_size=batch_size)
-        assert [size for size, _pending, _now in log] == sizes
-        # Every slice is handled within the one arrival tick.
-        assert len({now for _size, _pending, now in log}) == 1
         assert receiver.ingress.stats.received == 5
 
     def test_later_arrivals_drain_at_their_own_tick(self, key_store):
@@ -481,7 +467,7 @@ class TestInboxBatching:
         transport.send_message(1, 2, pcb_message(1, first))
         scheduler.run_until(5.0)
         transport.send_message(1, 2, pcb_message(1, second))
-        scheduler.run_all()
+        run_all(scheduler)
         assert [(size, now) for size, _pending, now in log] == [
             (1, pytest.approx(11.0)),
             (1, pytest.approx(16.0)),
@@ -489,13 +475,13 @@ class TestInboxBatching:
         assert len(services[2].ingress.database) == 2
 
     def test_inbox_is_empty_while_its_batch_is_handled(self, key_store):
-        log, _receiver = self._send_same_tick(key_store, 3, batch_size=2)
-        assert [pending for _size, pending, _now in log] == [0, 0]
+        log, _receiver = self._send_same_tick(key_store, 3)
+        assert [pending for _size, pending, _now in log] == [0]
 
     def test_delivery_lands_after_link_latency_plus_processing(self, key_store):
-        log, _receiver = self._send_same_tick(key_store, 1, processing_delay_ms=2.5)
+        log, _receiver = self._send_same_tick(key_store, 1)
         (_size, _pending, now_ms), = log
-        assert now_ms == pytest.approx(10.0 + 2.5)  # line_topology links: 10 ms
+        assert now_ms == pytest.approx(10.0 + PROCESSING_DELAY_MS)  # line_topology links: 10 ms
 
     def test_pull_return_is_scheduled_after_path_latency(self, key_store):
         scheduler, transport, services = build_services(line_topology(3), key_store)
@@ -506,9 +492,9 @@ class TestInboxBatching:
         transport.return_beacon_to_origin(3, beacon)
         assert origin.pull_results == []  # sending only schedules the return
         assert transport.collector.sent["pull_return"] == 1
-        scheduler.run_all()
+        run_all(scheduler)
         assert [(returned.digest(), now) for returned, now in origin.pull_results] == [
-            (beacon.digest(), pytest.approx(20.0 + transport.processing_delay_ms))
+            (beacon.digest(), pytest.approx(20.0 + PROCESSING_DELAY_MS))
         ]
 
     def test_pull_return_over_a_failed_link_is_a_dropped_pcb(self, key_store):
@@ -524,7 +510,7 @@ class TestInboxBatching:
         transport.return_beacon_to_origin(3, beacon)
         scheduler.run_until(5.0)
         link_state.fail_link(_link(topology, 0))  # fails while the return travels
-        scheduler.run_all()
+        run_all(scheduler)
         assert services[1].pull_results == []
         assert transport.collector.sent["pull_return"] == 1
         assert transport.collector.dropped["pcb"] == 1
@@ -549,13 +535,14 @@ def _fabric_state(result):
 def _run_dynamic(batch_size, link_index, fail_minute, recover):
     topology = line_topology(4)
     scenario = don_scenario(periods=4, verify_signatures=False)
-    scenario.inbox_batch_size = batch_size
     link = topology.link_ids()[link_index]
     fail_at = float(fail_minute) * 60_000.0
     scenario.timeline.add(fail_at, LinkFailure(link))
     if recover:
         scenario.timeline.add(fail_at + minutes(10), LinkRecovery(link))
     simulation = BeaconingSimulation(topology, scenario)
+    if batch_size is not None:
+        slice_batches(simulation.services, batch_size)
     result = simulation.run()
     counters = (
         result.collector.total_sent,
@@ -596,11 +583,12 @@ class TestDispatchEquivalence:
         def run(batch_size):
             topology = line_topology(5)
             scenario = don_scenario(periods=6, verify_signatures=False)
-            scenario.inbox_batch_size = batch_size
             link = topology.link_ids()[1]
             scenario.timeline.add(minutes(25), LinkFailure(link))
             scenario.timeline.add(minutes(45), LinkRecovery(link))
             simulation = BeaconingSimulation(topology, scenario)
+            if batch_size is not None:
+                slice_batches(simulation.services, batch_size)
             simulation.watch_pair(5, 1)
             result = simulation.run()
             return result.convergence.trace_text()

@@ -20,16 +20,19 @@ requires of its timeline and which ASes it ties to one shard live on the
 event class, so only the modules that apply events to their own private
 state may ``isinstance``-test one.
 
-A last rule keeps the control service and the transport free of test-only
-API: every public method of ``IrecControlService`` and of
-``SimulatedTransport`` is referenced — as an attribute, or by a string
-naming it — somewhere in ``src/``, ``benchmarks/`` or ``examples/``
-outside a test file.  Its companion holds the same line for settable
-values: every option of the classes and methods in ``API_OPTIONS`` is set
-there too, or is listed with its reason in ``KEPT_OPTIONS``.
+A last rule keeps the package free of test-only API: every public name
+under ``src/repro/`` — a module-level class or function, a method or a
+property — is referenced (as an attribute, a loaded name or a string)
+somewhere in ``src/``, ``benchmarks/`` or ``examples/`` outside a test
+file.  Its companion holds the same line for settable values: every
+option of every class, public method and public module-level function is
+set there too.  Both rules scan the whole tree once and report module by
+module, so a failure names the module it is in.  Each rule keeps one list
+of exceptions, ``KEPT_API`` and ``KEPT_OPTIONS``, with a reason per entry.
 """
 
 import ast
+import functools
 from pathlib import Path
 
 import pytest
@@ -221,81 +224,162 @@ def _non_test_sources():
                 yield path
 
 
-#: Classes whose public methods need a caller outside the tests: (file
-#: under ``src/repro/``, the methods the scan must see).
-API_CLASSES = {
-    "IrecControlService": ("core/control_service.py", {"on_message_batch", "run_round"}),
-    "SimulatedTransport": ("simulation/network.py", {"send_message", "inject_import"}),
-    "CriteriaSet": ("core/criteria.py", {"select", "sort_key"}),
-    "StandardMetrics": ("core/criteria.py", {"extract"}),
-    "PathVector": ("core/algebra.py", {"dominates"}),
-    "CriteriaSetAlgorithm": ("algorithms/criteria_algorithm.py", {"execute"}),
-    "ExecutionContext": ("algorithms/base.py", set()),
-    "ExecutionResult": ("algorithms/base.py", {"add", "beacons_for"}),
-}
+@functools.lru_cache(maxsize=None)
+def _public_api():
+    """``{qualified name: (module, name)}`` of every public name under
+    ``src/repro/``.
+
+    A public name is a module-level class or function, or a method or
+    property of any class, whose name does not start with ``_``.
+    """
+    api = {}
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        module = _module_name(path)
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                api[f"{module}.{node.name}"] = module, node.name
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        api[f"{module}.{node.name}.{item.name}"] = module, item.name
+    return api
 
 
-@pytest.mark.parametrize("class_name", sorted(API_CLASSES))
-def test_every_public_method_has_a_caller_outside_the_tests(class_name):
-    relative, sentinels = API_CLASSES[class_name]
-    path = SRC / "repro" / relative
-    (cls,) = [
-        node
-        for node in ast.parse(path.read_text(encoding="utf-8")).body
-        if isinstance(node, ast.ClassDef) and node.name == class_name
-    ]
-    methods = {
-        node.name
-        for node in cls.body
-        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
-    }
-    assert sentinels <= methods  # the scan sees the class
-    referenced = set()
-    for source in _non_test_sources():
-        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                referenced.add(node.value)
-    unused = methods - referenced
-    assert not unused, (
-        f"{class_name} method(s) only tests call: {sorted(unused)}; "
-        f"delete them or give them a caller"
+def _defining_modules():
+    """Every module under ``src/repro/`` that defines a class or function:
+    the rules below run once per module, so a failure names its module."""
+    return sorted(
+        _module_name(path)
+        for path in (SRC / "repro").rglob("*.py")
+        if any(
+            isinstance(node, (ast.ClassDef, ast.FunctionDef))
+            for node in ast.parse(path.read_text(encoding="utf-8")).body
+        )
     )
 
 
-#: Classes and methods whose options need a setter outside the tests, with
-#: their file under ``src/repro/``.  ``"Class"`` covers the class's init
-#: fields and ``__init__`` parameters, ``"Class.method"`` the method's
-#: parameters.  An option is one of those with a default: a value a caller
-#: may leave out.
-API_OPTIONS = {
-    "ControlMessage": "core/messages.py",
-    "RevocationMessage": "core/messages.py",
-    "RevocationState": "core/revocation.py",
-    "IrecControlService.originate_revocation": "core/control_service.py",
-    "IrecControlService.on_revocation": "core/control_service.py",
-    "IrecControlService.originate_pull": "core/control_service.py",
-    "SimulatedTransport.send_message": "simulation/network.py",
-    "SimulatedTransport.inject_import": "simulation/network.py",
-    "PathQueryFrontend": "core/query.py",
-    "PullBasedDisjointnessOrchestrator": "core/pull.py",
-    "BeaconingSimulation.add_pull_disjointness": "simulation/beaconing.py",
-    "EgressGateway": "core/egress.py",
-    "IPCChannel": "core/ipc.py",
-    "RestrictedPythonAlgorithm": "core/sandbox.py",
-    "SandboxRuntime": "core/sandbox.py",
-    "BeaconBuilder.originate": "core/beacon.py",
+@functools.lru_cache(maxsize=None)
+def _references():
+    """Every name a file outside the tests mentions: as an attribute, a
+    loaded name or a string.  A package ``__init__.py`` and an ``__all__``
+    list re-export names; they call nothing, so they are not read."""
+    referenced = set()
+    for source in _non_test_sources():
+        if source.name == "__init__.py":
+            continue
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        exported = {
+            id(constant)
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            and any(getattr(target, "id", None) == "__all__" for target in node.targets)
+            for constant in ast.walk(node.value)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                referenced.add(node.id)
+            elif (
+                isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and id(node) not in exported
+            ):
+                referenced.add(node.value)
+    return referenced
+
+
+#: Public names nothing outside the tests references, each with its reason.
+#: Compared for equality, module by module (and a kept name must still be
+#: defined), so the list can only shrink.
+KEPT_API = {
+    "repro.core.algebra.pareto_frontier_naive": (
+        "the reference implementation the property tests compare "
+        "pareto_frontier against"
+    ),
 }
 
-#: Options of ``API_OPTIONS`` kept although nothing outside the tests sets
-#: them, each with its reason.  Compared for equality, so the list can only
-#: shrink, except by the kept options of a target newly added to
-#: ``API_OPTIONS``.
+
+@functools.lru_cache(maxsize=None)
+def _unused_api():
+    """``{module: public names of it that nothing outside the tests references}``."""
+    referenced = _references()
+    unused = {}
+    for qualified, (module, name) in _public_api().items():
+        if name not in referenced:
+            unused.setdefault(module, set()).add(qualified)
+    return unused
+
+
+def test_the_name_rule_sees_the_tree():
+    api = _public_api()
+    assert len(api) > 500 and "repro.core.control_service.IrecControlService.run_round" in api
+    assert len(_defining_modules()) > 50
+    assert "repro.core.control_service.IrecControlService.run_round" not in set().union(
+        *_unused_api().values()
+    )
+
+
+def test_every_kept_name_is_a_public_name():
+    """A kept name whose definition is gone would belong to no module's test."""
+    gone = set(KEPT_API) - set(_public_api())
+    assert not gone, f"kept but no longer defined (drop from KEPT_API): {sorted(gone)}"
+
+
+@pytest.mark.parametrize("module", _defining_modules())
+def test_every_public_name_has_a_caller_outside_the_tests(module):
+    unused = _unused_api().get(module, set())
+    api = _public_api()
+    kept = {qualified for qualified in KEPT_API if api.get(qualified, (None,))[0] == module}
+    assert unused == kept, (
+        f"public name(s) only tests reference: {sorted(unused - kept)} — "
+        f"delete them or give them a caller; kept but now referenced "
+        f"(drop from KEPT_API): {sorted(kept - unused)}"
+    )
+
+
+def _option_targets():
+    """``(module, class or None, method or None)`` of every class, every
+    public method of a class and every public module-level function under
+    ``src/repro/``: ``(Class, None)`` covers the class's init fields and
+    ``__init__`` parameters, ``(Class, method)`` the method's parameters
+    and ``(None, function)`` the function's."""
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        module = _module_name(path)
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.ClassDef):
+                yield module, node.name, None
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield module, node.name, item.name
+            elif isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                yield module, None, node.name
+
+
+def _owner(class_name, method) -> str:
+    """The prefix an option's name carries: ``Class``, ``Class.method`` or ``function``."""
+    return ".".join(part for part in (class_name, method) if part)
+
+
+@functools.lru_cache(maxsize=None)
+def _kept_option_modules():
+    """``{kept option: the modules defining its owner}``."""
+    owners = {}
+    for module, class_name, method in _option_targets():
+        owners.setdefault(_owner(class_name, method), set()).add(module)
+    return {kept: owners.get(kept.rsplit(".", 1)[0], set()) for kept in KEPT_OPTIONS}
+
+
+#: Options nothing outside the tests sets, each with its reason, as
+#: ``"Class.option"``, ``"Class.method.option"`` or ``"function.option"``.
+#: An option is an init field or a parameter with a default: a value a
+#: caller may leave out.  Compared for equality, module by module (and a
+#: kept option's owner must still be defined), so the list can only shrink.
 KEPT_OPTIONS = {
     "PathQueryFrontend.capacity": (
-        "the LRU bound: tests shrink it to reach eviction, which the default "
-        "never reaches on a test-sized topology"
+        "a resource bound on foreign input: tests shrink the LRU bound to "
+        "reach eviction, which the default never reaches on a test-sized "
+        "topology"
     ),
     "RestrictedPythonAlgorithm.step_budget": (
         "a resource bound on a foreign payload: tests shrink it to reach "
@@ -305,13 +389,45 @@ KEPT_OPTIONS = {
         "a resource bound on a foreign payload: tests shrink it to reach "
         "SandboxResourceError"
     ),
-    "BeaconBuilder.originate.validity_ms": (
-        "tests build beacons that expire inside a test-sized run; the egress "
-        "gateway originates with the default, DEFAULT_VALIDITY_MS"
+    "MeteredEvaluator.step_budget": (
+        "a resource bound on a foreign payload: tests shrink it to reach "
+        "SandboxResourceError"
     ),
-    "RevocationMessage.signature": (
-        "the message's proof of origin, not a choice: ``signed()`` fills it "
-        "through ``dataclasses.replace``, which needs an init field"
+    "BeaconBuilder.originate.validity_ms": (
+        "a resource bound on foreign input: a beacon's validity bounds how "
+        "long a receiver keeps it, and tests shrink it to reach expiry "
+        "inside a test-sized run"
+    ),
+    "VerifiedPrefixCache.max_entries": (
+        "a resource bound on foreign input: tests shrink the cache bound to "
+        "reach eviction, which the default never reaches on a test-sized "
+        "topology"
+    ),
+    "RevocationState.dedup_window_ms": (
+        "a resource bound on foreign input: the window bounds how many "
+        "received revocation keys an AS remembers, and tests shrink it to "
+        "reach pruning"
+    ),
+    "ScenarioConfig.legacy_ases": (
+        "a value a pinned digest's scenario sets: MIXED_DIGEST and "
+        "GENERATED_MIXED_DIGESTS run legacy SCION ASes beside IREC ASes"
+    ),
+    "ShardedBeaconingSimulation.workers": (
+        "an option of repro.parallel, the sharded ≡ single-process oracle "
+        "(KNOWN_ORPHANS): its tests choose the shard count"
+    ),
+    "ShardedBeaconingSimulation.partition_seed": (
+        "an option of repro.parallel, the sharded ≡ single-process oracle "
+        "(KNOWN_ORPHANS): its tests vary the partition"
+    ),
+    "ShardedBeaconingSimulation.key_store": (
+        "an option of repro.parallel, the sharded ≡ single-process oracle "
+        "(KNOWN_ORPHANS): its tests share one key store with the "
+        "single-process run"
+    ),
+    "partition_topology.seed": (
+        "an option of repro.parallel, the sharded ≡ single-process oracle "
+        "(KNOWN_ORPHANS): its tests vary the partition"
     ),
 }
 
@@ -332,12 +448,13 @@ def _method(cls, name):
 
 
 def _parameters(function):
-    """``{name: (position after self, has a default)}`` of ``function``."""
+    """``{name: (position after self or cls, has a default)}`` of ``function``."""
     args = function.args
     positional = args.posonlyargs + args.args
     first_default = len(positional) - len(args.defaults)
+    bound = 1 if positional and positional[0].arg in ("self", "cls") else 0
     parameters = {
-        arg.arg: (index - 1, index >= first_default) for index, arg in enumerate(positional)
+        arg.arg: (index - bound, index >= first_default) for index, arg in enumerate(positional)
     }
     for arg, default in zip(args.kwonlyargs, args.kw_defaults):
         parameters[arg.arg] = (None, default is not None)
@@ -345,23 +462,22 @@ def _parameters(function):
     return parameters
 
 
-def _defaulted_field(node) -> bool:
-    """Whether a class-body statement declares an init field with a default."""
+def _init_field(node):
+    """``(name, has a default)`` if a class-body statement declares an init field."""
     if not (
         isinstance(node, ast.AnnAssign)
         and isinstance(node.target, ast.Name)
-        and node.value is not None
         and "ClassVar" not in ast.unparse(node.annotation)
     ):
-        return False
+        return None
     value = node.value
     if isinstance(value, ast.Call) and getattr(value.func, "id", None) in ("field", "_slot"):
         keywords = {keyword.arg: keyword.value for keyword in value.keywords}
         init = keywords.get("init")
         if value.func.id == "_slot" or (isinstance(init, ast.Constant) and init.value is False):
-            return False
-        return "default" in keywords or "default_factory" in keywords
-    return True
+            return None
+        return node.target.id, "default" in keywords or "default_factory" in keywords
+    return node.target.id, value is not None
 
 
 def _own_nodes(scope):
@@ -403,14 +519,18 @@ def _annotation_names(annotation):
     return names
 
 
+def _is_classmethod(function) -> bool:
+    return any(getattr(decorator, "id", None) == "classmethod" for decorator in function.decorator_list)
+
+
 class _Setters(ast.NodeVisitor):
     """Every call argument and attribute store of the given trees."""
 
     def __init__(self, trees):
-        #: (callee name, keyword or position, value, enclosing function, class)
-        self.arguments = []
-        #: (attribute name, receiver, enclosing function, class, module)
-        self.stores = []
+        #: callee name -> [(keyword or position, value, enclosing function, class)]
+        self.arguments = {}
+        #: attribute name -> [(receiver, enclosing function, class, module)]
+        self.stores = {}
         self._function = None
         self._class = None
         for tree in trees:
@@ -431,14 +551,17 @@ class _Setters(ast.NodeVisitor):
 
     def visit_Call(self, node):
         callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+        if callee == "cls" and self._function is not None and _is_classmethod(self._function):
+            callee = self._class  # ``cls(...)`` inside a classmethod builds its class
         context = (self._function, self._class)
+        arguments = self.arguments.setdefault(callee, [])
         for keyword in node.keywords:
             if keyword.arg is not None:
-                self.arguments.append((callee, keyword.arg, keyword.value, *context))
+                arguments.append((keyword.arg, keyword.value, *context))
         for position, arg in enumerate(node.args):
             if isinstance(arg, ast.Starred):
                 break
-            self.arguments.append((callee, position, arg, *context))
+            arguments.append((position, arg, *context))
         self.generic_visit(node)
 
     def visit_AugAssign(self, node):
@@ -448,8 +571,8 @@ class _Setters(ast.NodeVisitor):
 
     def visit_Attribute(self, node):
         if isinstance(node.ctx, ast.Store):
-            self.stores.append(
-                (node.attr, node.value, self._function, self._class, self._module)
+            self.stores.setdefault(node.attr, []).append(
+                (node.value, self._function, self._class, self._module)
             )
         self.generic_visit(node)
 
@@ -458,18 +581,22 @@ class _OptionScan:
     """Decides whether code outside the tests sets an option.
 
     An option is set by a keyword (or a positional argument) of a call to
-    its constructor, to a subclass's, to ``dataclasses.replace`` or to its
-    method, or — for a class's option — by an attribute store on an object
-    of that class or a subclass.  The receiver's class is read locally:
-    ``self``, a parameter's or variable's annotation, a constructor call it
-    was assigned, or an attribute of ``self`` that the enclosing class
-    annotates or assigns; a receiver whose class cannot be read sets
-    nothing.  Writes from the option's own class do not count: a class
-    filling in its own field is not a caller choosing a value.  A value
-    that forwards — reads a defaulted parameter of the calling method, a
-    field of the calling dataclass, an option of another object whose
-    class the scan can read, or a local assigned only such values — sets
-    the option only if everything it forwards is set.
+    its constructor (``cls(...)`` in a classmethod included), to a
+    subclass's, to ``dataclasses.replace``, to its method or to its
+    function, or — for a class's option — by an attribute store on an
+    object of that class or a subclass.  The receiver's class is read
+    locally: ``self``, a parameter's or variable's annotation (a module
+    variable's too), a constructor call it was assigned, a call of an item
+    of a container whose annotation names the class, or an attribute of
+    ``self`` that the enclosing class annotates or assigns; a receiver
+    whose class cannot be read sets nothing.  Writes from the option's own
+    class do not count unless they pass on a parameter of the enclosing
+    method: a class filling in its own field is not a caller choosing a
+    value, a factory handing on its caller's argument is.  A value that
+    forwards — reads a defaulted parameter of the calling method or
+    function, a field of the calling dataclass, an option of another
+    object whose class the scan can read, or a local assigned only such
+    values — sets the option only if everything it forwards is set.
     """
 
     def __init__(self, sources=None):
@@ -478,25 +605,37 @@ class _OptionScan:
                 path: path.read_text(encoding="utf-8") for path in _non_test_sources()
             }
         trees = [ast.parse(text) for text in sources.values()]
-        #: Every class, by name; ``src/`` comes first, so it wins a clash.
+        #: Every class and module-level function, by name; ``src/`` comes
+        #: first, so it wins a clash.
         self.classes = {}
+        self.functions = {}
         for tree in trees:
             for node in ast.walk(tree):
                 if isinstance(node, ast.ClassDef):
                     self.classes.setdefault(node.name, node)
+            for node in tree.body:
+                if isinstance(node, ast.FunctionDef):
+                    self.functions.setdefault(node.name, node)
         self.setters = _Setters(trees)
         self._decided = {}
 
     def options(self, class_name, method=None):
-        """``{option: position or None}`` of a class or one of its methods."""
-        cls = self.classes[class_name]
-        function = _method(cls, method or "__init__")
-        if method is not None:
-            assert function is not None, f"{class_name}.{method} not found"
+        """``{option: position or None}`` of a class, one of its methods or,
+        with ``class_name`` None, a module-level function."""
+        if class_name is None:
+            function = self.functions[method]
+            cls = None
+        else:
+            cls = self.classes[class_name]
+            function = _method(cls, method or "__init__")
+            if method is not None:
+                assert function is not None, f"{class_name}.{method} not found"
         options = {}
-        if method is None and _is_dataclass(cls):
+        if cls is not None and method is None and _is_dataclass(cls):
             options.update(
-                (node.target.id, None) for node in cls.body if _defaulted_field(node)
+                (name, position)
+                for position, (name, defaulted) in enumerate(self._init_fields(class_name))
+                if defaulted
             )
         if function is not None:
             options.update(
@@ -505,6 +644,26 @@ class _OptionScan:
                 if defaulted
             )
         return {name: at for name, at in options.items() if not name.startswith("_")}
+
+    def _init_fields(self, class_name):
+        """``[(name, has a default)]`` of a dataclass's ``__init__``, in order:
+        the fields of its dataclass bases first, a redeclared one in place."""
+        cls = self.classes[class_name]
+        fields = []
+        for base in cls.bases:
+            name = getattr(base, "id", getattr(base, "attr", None))
+            if name in self.classes and _is_dataclass(self.classes[name]):
+                fields += self._init_fields(name)
+        for node in cls.body:
+            declared = _init_field(node)
+            if declared is None:
+                continue
+            names = [name for name, _ in fields]
+            if declared[0] in names:
+                fields[names.index(declared[0])] = declared
+            else:
+                fields.append(declared)
+        return fields
 
     def family(self, class_name):
         """``class_name`` and every class that inherits from it."""
@@ -534,7 +693,7 @@ class _OptionScan:
         return lineage
 
     def _callees(self, class_name, method):
-        if method not in (None, "__init__"):
+        if class_name is None or method not in (None, "__init__"):
             return {method}
         callees = self.family(class_name)
         if _is_dataclass(self.classes[class_name]):
@@ -544,7 +703,13 @@ class _OptionScan:
     def types(self, expr, function, class_name, module, seen=frozenset()):
         """The classes ``expr`` may hold, as far as a local reading tells."""
         if isinstance(expr, ast.Call):
-            callee = getattr(expr.func, "id", None)
+            func = expr.func
+            if isinstance(func, ast.Subscript):
+                # An item of an annotated container: what the annotation names.
+                return self.types(func.value, function, class_name, module, seen)
+            callee = getattr(func, "id", None)
+            if callee == "cls" and function is not None and _is_classmethod(function):
+                callee = class_name
             return {callee} if callee in self.classes else set()
         if isinstance(expr, ast.Name) and expr.id == "self":
             return {class_name} if class_name is not None else set()
@@ -575,6 +740,9 @@ class _OptionScan:
                     for arg in args.posonlyargs + args.args + args.kwonlyargs
                     if arg.arg == target
                 ]
+                if not bindings and module is not None:
+                    # A name the function does not bind is the module's.
+                    bindings += [(annotation, None) for annotation, _ in _assignments(module, target)]
         else:
             bindings += [
                 (node.annotation, None)
@@ -605,25 +773,21 @@ class _OptionScan:
         return self._decided[key]
 
     def _find_setter(self, class_name, method, name):
-        own_class = method in (None, "__init__")
+        own_class = class_name is not None and method in (None, "__init__")
         if own_class:
             family = self.family(class_name)
-            for attr, receiver, function, cls, module in self.setters.stores:
-                if (
-                    attr == name
-                    and cls != class_name
-                    and self.types(receiver, function, cls, module) & family
-                ):
+            for receiver, function, cls, module in self.setters.stores.get(name, ()):
+                if cls != class_name and self.types(receiver, function, cls, module) & family:
                     return True
         position = self.options(class_name, None if own_class else method).get(name)
-        callees = self._callees(class_name, method)
-        for callee, argument, value, function, cls in self.setters.arguments:
-            if callee not in callees or argument not in (name, position):
-                continue
-            if own_class and cls == class_name:
-                continue
-            if self._value_sets(value, function, cls):
-                return True
+        for callee in self._callees(class_name, method):
+            for argument, value, function, cls in self.setters.arguments.get(callee, ()):
+                if argument not in (name, position) or (callee == "replace" and argument != name):
+                    continue  # ``replace``'s one positional argument is the object
+                if own_class and cls == class_name and not _reads_a_parameter(value, function):
+                    continue
+                if self._value_sets(value, function, cls):
+                    return True
         return False
 
     def _value_sets(self, value, function, class_name, followed=frozenset()):
@@ -634,15 +798,17 @@ class _OptionScan:
             return True
         cls = self.classes.get(class_name)
         in_method = cls is not None and _method(cls, function.name) is function
+        owner = class_name if in_method else None
+        followable = in_method or self.functions.get(function.name) is function
         parameters = _parameters(function)
         fields = set(self.options(class_name)) if in_method and _is_dataclass(cls) else set()
         for node in ast.walk(value):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 parameter = parameters.get(node.id)
                 if parameter is not None:
-                    # A plain or nested function's parameter is not followed.
-                    if parameter[1] and in_method and not self.is_set(
-                        class_name, function.name, node.id
+                    # A nested function's parameter is not followed.
+                    if parameter[1] and followable and not self.is_set(
+                        owner, function.name, node.id
                     ):
                         return False
                     continue
@@ -683,27 +849,58 @@ class _OptionScan:
                     return True
         return False
 
+    def unset(self):
+        """``{module: options}`` of every option of ``_option_targets()``
+        that nothing sets, as ``"Class.option"``, ``"Class.method.option"``
+        or ``"function.option"``."""
+        unset = {}
+        for module, class_name, method in _option_targets():
+            for name in self.options(class_name, method):
+                if not self.is_set(class_name, method, name):
+                    unset.setdefault(module, set()).add(f"{_owner(class_name, method)}.{name}")
+        return unset
 
-@pytest.fixture(scope="module")
-def option_scan():
+
+def _reads_a_parameter(value, function) -> bool:
+    """Whether ``value`` reads a parameter of ``function`` other than ``self`` / ``cls``."""
+    if function is None:
+        return False
+    parameters = set(_parameters(function)) - {"cls"}
+    return any(
+        isinstance(node, ast.Name) and node.id in parameters for node in ast.walk(value)
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _option_scan():
     return _OptionScan()
 
 
-@pytest.mark.parametrize("target", sorted(API_OPTIONS))
-def test_every_option_has_a_setter_outside_the_tests(option_scan, target):
-    class_name, _, method = target.partition(".")
-    path = SRC / "repro" / API_OPTIONS[target]
-    assert any(
-        isinstance(node, ast.ClassDef) and node.name == class_name
-        for node in ast.parse(path.read_text(encoding="utf-8")).body
-    ), f"{class_name} is not defined in {API_OPTIONS[target]}"
-    options = option_scan.options(class_name, method or None)
-    unset = {
-        f"{target}.{name}"
-        for name in options
-        if not option_scan.is_set(class_name, method or None, name)
-    }
-    kept = {option for option in KEPT_OPTIONS if option.rpartition(".")[0] == target}
+@functools.lru_cache(maxsize=None)
+def _unset_options():
+    return _option_scan().unset()
+
+
+def test_the_option_rule_sees_the_tree():
+    scan = _option_scan()
+    assert "ScenarioConfig" in scan.classes and "generate_topology" in scan.functions
+    assert scan.is_set("ScenarioConfig", None, "periods")
+    assert not scan.is_set("ScenarioConfig", None, "legacy_ases")
+
+
+def test_every_kept_option_belongs_to_a_scanned_target():
+    """A kept option whose owner is gone would belong to no module's test."""
+    orphaned = {kept for kept, modules in _kept_option_modules().items() if not modules}
+    assert not orphaned, (
+        f"kept but no class, method or function declares them (drop from "
+        f"KEPT_OPTIONS): {sorted(orphaned)}"
+    )
+
+
+@pytest.mark.parametrize("module", _defining_modules())
+def test_every_option_has_a_setter_outside_the_tests(module):
+    unset = _unset_options().get(module, set())
+    kept = {kept for kept, modules in _kept_option_modules().items() if module in modules}
     assert unset == kept, (
         f"option(s) only tests set: {sorted(unset - kept)} — delete them or make "
         f"them constants; kept but now set or gone (drop from KEPT_OPTIONS): "
@@ -711,13 +908,10 @@ def test_every_option_has_a_setter_outside_the_tests(option_scan, target):
     )
 
 
-def test_every_kept_option_belongs_to_a_scanned_target():
-    assert {option.rpartition(".")[0] for option in KEPT_OPTIONS} <= set(API_OPTIONS)
-
-
-#: A small tree for the option rule's own tests: an options class, one
-#: subclass, an unrelated class with a colliding attribute name and a
-#: planner whose method forwards a defaulted parameter.
+#: A small tree for the option rule's own tests: an options class with a
+#: factory classmethod, one subclass, an unrelated class with a colliding
+#: attribute name and a planner whose method forwards a defaulted
+#: parameter.
 RULE_TREE = '''
 from dataclasses import dataclass
 
@@ -728,6 +922,10 @@ class Knobs:
 
     def __post_init__(self):
         self.budget = 2
+
+    @classmethod
+    def named(cls, label="knobs"):
+        return cls(name=label)
 
 class Tuned(Knobs):
     pass
@@ -805,6 +1003,30 @@ class Planner:
             True,
         ),
         ("Tuned(budget=3)", "budget", True),
+        # A dataclass takes its fields positionally too, a base's first.
+        ("Knobs('x')", "name", True),
+        ("Knobs('x', 3)", "budget", True),
+        ("Tuned('x', 3)", "budget", True),
+        ("def copy(knobs: Knobs):\n    return replace(knobs)", "name", False),
+        # ``cls(...)`` in a classmethod builds the class: what it hands on
+        # is set when its caller sets it.
+        ("Knobs.named()", "name", False),
+        ("Knobs.named(label='x')", "name", True),
+        ("Knobs.named('x')", "name", True),
+        # A call of an annotated container's item holds what the
+        # annotation names.
+        (
+            "FACTORIES: Dict[str, Callable[[], Knobs]] = {'k': Knobs}\n"
+            "def pick(kind):\n    knobs = FACTORIES[kind]()\n    knobs.name = 'x'",
+            "name",
+            True,
+        ),
+        (
+            "FACTORIES: Dict[str, Callable[[], Unrelated]] = {'u': Unrelated}\n"
+            "def pick(kind):\n    other = FACTORIES[kind]()\n    other.name = 'x'",
+            "name",
+            False,
+        ),
     ],
 )
 def test_the_option_rule_reads_receivers_and_forwarded_values(caller, option, is_set):

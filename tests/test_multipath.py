@@ -15,7 +15,7 @@ from repro.dataplane.path import forwarding_path_from_segment
 from repro.exceptions import ConfigurationError
 from repro.simulation.failures import LinkState
 from repro.topology.entities import Relationship
-from repro.traffic import DisjointPolicy, FlowGroup, TagPinnedPolicy, TrafficEngine, TrafficMatrix
+from repro.traffic import DisjointPolicy, FlowGroup, TrafficEngine, TrafficMatrix
 
 from tests.conftest import build_topology, make_beacon
 
@@ -70,20 +70,6 @@ class TestDisjointPolicy:
         selected = DisjointPolicy(max_paths=10)(service.paths_to(4))
         assert len(selected) == 3
         assert [share for _path, share in selected] == [pytest.approx(1 / 3)] * 3
-
-    def test_tag_filter(self, key_store):
-        service, *_paths = diamond_path_service(key_store)
-        policy = TagPinnedPolicy(tag="missing-tag", inner=DisjointPolicy())
-        assert policy(service.paths_to(4)) == []
-
-    def test_tag_pinned_disjoint_set(self, key_store):
-        """Only the pinned RAC's paths enter the disjoint pick."""
-        service, upper, *_paths = diamond_path_service(key_store)
-        service.register(
-            RegisteredPath(segment=upper, criteria_tags=("1sp",), registered_at_ms=3.0)
-        )
-        policy = TagPinnedPolicy(tag="1sp", inner=DisjointPolicy(max_paths=2))
-        assert digests(policy(service.paths_to(4))) == [upper.digest()]
 
     def test_deterministic_whatever_the_candidate_order(self, key_store):
         service, upper, lower, overlap = diamond_path_service(key_store)

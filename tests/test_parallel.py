@@ -13,20 +13,18 @@ import hashlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.algorithms.shortest_path import KShortestPathAlgorithm
 from repro.exceptions import ConfigurationError, UnknownASError
 from repro.parallel import ShardedBeaconingSimulation, partition_topology
 from repro.simulation.beaconing import BeaconingSimulation
 from repro.simulation.events import (
     ASJoin,
     ASLeave,
+    ForwardingSuppression,
     GrayFailure,
     LinkFlap,
-    PolicySwap,
-    RACSwap,
     TopologyGrowth,
 )
-from repro.simulation.scenario import AlgorithmSpec, don_scenario
+from repro.simulation.scenario import don_scenario
 from repro.units import minutes
 
 from tests.conftest import line_topology
@@ -75,7 +73,7 @@ class TestPartitioner:
     def test_more_shards_than_ases_leaves_empty_shards(self):
         topology = line_topology(3)
         partition = partition_topology(topology, 5)
-        assert partition.shard_count == 5
+        assert len(partition.shards) == 5
         assert sum(len(shard) for shard in partition.shards) == 3
 
     def test_rejections(self):
@@ -185,7 +183,7 @@ class TestCoordinatorContract:
         assert counters["barrier_wait_s"] >= 0.0
         assert len(simulation.utilization()) == 2
         assert result.periods_run == 1
-        assert result.service_count == 4
+        assert len(result.revocation_stats) == 4
 
     def test_sync_counters_are_the_coordinators_attributes(self):
         topology = line_topology(4)
@@ -280,7 +278,7 @@ class TestShardedGoldenTraces:
         assert len(periods[1]) == len(periods[0]) == single.periods_run
         assert periods[1] == periods[0]
         assert sharded.revocation_stats == single.revocation_stats
-        assert sharded.service_count == len(single.services)
+        assert len(sharded.revocation_stats) == len(single.services)
 
     @pytest.mark.parametrize("family", sorted(FAMILY_DIGESTS))
     def test_sharded_run_matches_family_digests(self, family):
@@ -294,19 +292,12 @@ class TestShardedGoldenTraces:
         )
 
 
-def _two_shortest_paths():
-    # Module level: a swapped-in spec is pickled to the shard workers.
-    return KShortestPathAlgorithm(k=2)
-
-
 def _run_events_at_grown_as(factory):
-    """Grow AS 6, then swap its policies and a RAC, churn it out and back."""
+    """Grow AS 6, make it suppress revocation forwarding, churn it out and back."""
     topology = line_topology(5)
     scenario = don_scenario(periods=8, verify_signatures=False)
-    replacement = AlgorithmSpec(rac_id="2sp", factory=_two_shortest_paths)
     scenario.timeline.add(minutes(15), TopologyGrowth(6, attach_to=(3, 5)))
-    scenario.timeline.add(minutes(25), PolicySwap([], as_ids=[6], label="open"))
-    scenario.timeline.add(minutes(35), RACSwap(replacement, replace_rac_id="5sp", as_ids=[6]))
+    scenario.timeline.add(minutes(25), ForwardingSuppression((6,)))
     scenario.timeline.add(minutes(45), ASLeave(6))
     scenario.timeline.add(minutes(55), ASJoin(6))
     scenario.timeline.validate(topology)
@@ -323,6 +314,6 @@ class TestEventsAtGrownAS:
         accepted and applied identically by both providers."""
         trace, sent = _run_events_at_grown_as(BeaconingSimulation)
         assert "as_leave 6" in trace and "as_join 6" in trace
-        assert "rac_swap 5sp->2sp @ 6" in trace
+        assert "suppress_forwarding on @ 6" in trace
         assert sum(sent.values()) > 0
         assert _run_events_at_grown_as(_sharded_factory(2, 0)) == (trace, sent)

@@ -70,7 +70,8 @@ from repro.core.criteria import (
     BANDWIDTH,
     HOP_COUNT,
     LATENCY,
-    fewest_hops,
+    CriteriaSet,
+    Criterion,
     highest_bandwidth,
     latency_bandwidth_pareto,
     lowest_latency,
@@ -82,7 +83,13 @@ from repro.core.extensions import ExtensionSet
 from repro.core.ingress import IngressGateway, VerifiedPrefixCache
 from repro.core.local_view import LocalTopologyView
 from repro.core.ondemand import OnDemandAlgorithmManager
-from repro.core.rac import RACConfig, RACExecutionReport, RACSelection, RoutingAlgorithmContainer
+from repro.core.rac import (
+    MAX_PATHS_PER_INTERFACE,
+    RACConfig,
+    RACExecutionReport,
+    RACSelection,
+    RoutingAlgorithmContainer,
+)
 from repro.core.sandbox import REJECTION_THRESHOLD, RestrictedPythonAlgorithm
 from repro.core.staticinfo import StaticInfo
 from repro.crypto.hashing import algorithm_hash
@@ -94,7 +101,6 @@ from repro.simulation.engine import EventScheduler
 from repro.simulation.scenario import disjointness_scenario
 from repro.topology.entities import Link, Relationship, normalize_link_id
 from repro.traffic.selection import (
-    BandwidthAwarePolicy,
     DisjointPolicy,
     EcmpPolicy,
     LatencyGreedyPolicy,
@@ -443,7 +449,6 @@ class TestRegisteredSegmentsHoldNoReaderMemo:
     def test_traffic_selection(self, simulation):
         policies = (
             LatencyGreedyPolicy(),
-            BandwidthAwarePolicy(),
             EcmpPolicy(max_paths=3),
             DisjointPolicy(max_paths=3),
         )
@@ -573,25 +578,23 @@ class _Incomparable:
 
 
 class TestEventQueueOrder:
-    def test_time_then_sequence_with_cancellations_and_incomparable_callbacks(self):
+    def test_time_then_sequence_with_incomparable_callbacks(self):
         scheduler = EventScheduler()
         fired = []
-        events = {
-            label: scheduler.schedule_at(time_ms, _Incomparable(label, fired))
-            for label, time_ms in [("a", 10.0), ("b", 5.0), ("c", 10.0), ("d", 10.0), ("e", 5.0)]
-        }
-        scheduler.cancel(events["b"])
-        scheduler.cancel(events["c"])
-        # Equal-time events scheduled after a cancellation queue behind the live ones.
+        for label, time_ms in [("a", 10.0), ("b", 5.0), ("c", 10.0), ("d", 10.0), ("e", 5.0)]:
+            scheduler.schedule_at(time_ms, _Incomparable(label, fired))
+        # Equal-time events scheduled later queue behind the earlier ones.
         scheduler.schedule_at(10.0, _Incomparable("f", fired))
         scheduler.schedule_at(5.0, _Incomparable("g", fired))
-        assert scheduler.queue_size == 7 and scheduler.pending == 5
+        assert scheduler.pending == 7
         assert scheduler.next_event_time() == 5.0
-        assert scheduler.run_until(10.0, inclusive=False) == 2
+        assert scheduler.run_until(10.0, inclusive=False) == 3
         assert scheduler.next_event_time() == 10.0
-        assert scheduler.run_all() == 3
-        assert fired == [("e", 5.0), ("g", 5.0), ("a", 10.0), ("d", 10.0), ("f", 10.0)]
-        assert scheduler.queue_size == scheduler.pending == 0
+        assert scheduler.run_until(10.0) == 4
+        assert fired == [
+            ("b", 5.0), ("e", 5.0), ("g", 5.0), ("a", 10.0), ("c", 10.0), ("d", 10.0), ("f", 10.0)
+        ]
+        assert scheduler.pending == 0 and scheduler.next_event_time() is None
 
 
 # ----------------------------------------------------------------------
@@ -951,7 +954,9 @@ SKELETON_ALGORITHMS = {
         None,
     ),
     "fewest-hops": (
-        lambda: CriteriaSetAlgorithm(fewest_hops(), paths_per_interface=3),
+        lambda: CriteriaSetAlgorithm(
+            CriteriaSet(name="fewest-hops", criteria=(Criterion(HOP_COUNT),)), paths_per_interface=3
+        ),
         3,
         lambda c, _e, _ctx: (float(c.beacon.hop_count),),
         None,
@@ -1083,7 +1088,7 @@ interface_sets = st.lists(st.integers(1, 4), max_size=4, unique=True)
 intra_tables = st.lists(st.sampled_from((0.0, 5.0)), min_size=16, max_size=16)
 
 
-def selection_context(pool, specs, interfaces, limit, intra, parameters=None):
+def selection_context(pool, specs, interfaces, limit, intra):
     return ExecutionContext(
         local_as=LOCAL_AS,
         candidates=tuple(
@@ -1093,7 +1098,6 @@ def selection_context(pool, specs, interfaces, limit, intra, parameters=None):
         egress_interfaces=tuple(interfaces),
         max_paths_per_interface=limit,
         intra_latency_ms=lambda a, b: intra[(a % 4) * 4 + b % 4],
-        parameters=parameters or {},
     )
 
 
@@ -1169,17 +1173,14 @@ class TestSelectionEquivalence:
 
     @given(specs=candidate_specs, interfaces=interface_sets, intra=intra_tables)
     @settings(max_examples=40, deadline=None)
-    def test_link_avoiding_unions_the_context_avoid_set(
+    def test_link_avoiding_matches_the_reference(
         self, beacon_pool, specs, interfaces, intra
     ):
-        extra = [((1, 2), (3, 7))]
-        context = selection_context(
-            beacon_pool, specs, interfaces, 4, intra, {"avoid_links": [list(map(list, extra[0]))]}
-        )
+        context = selection_context(beacon_pool, specs, interfaces, 4, intra)
         algorithm = LinkAvoidingAlgorithm(
             avoid_links=frozenset({AVOIDED_LINK}), paths_per_interface=3
         )
-        expected = naive_select(context, 3, _hops_then_latency, _avoids(extra))
+        expected = naive_select(context, 3, _hops_then_latency, _avoids())
         assert digests_of(algorithm.execute(context).selections) == digests_of(expected)
 
     @given(
@@ -1298,7 +1299,7 @@ def reference_round(rac, database, egress_interfaces, intra, local_as):
     buckets = [
         key
         for key in database.bucket_keys()
-        if on_demand == (key[3] is not None) and (key[2] is None or config.use_targets)
+        if on_demand == (key[3] is not None)
     ]
     if not config.use_interface_groups:
         first_of_job = {}
@@ -1332,7 +1333,7 @@ def reference_round(rac, database, egress_interfaces, intra, local_as):
                     local_as=local_as,
                     candidates=candidates,
                     egress_interfaces=tuple(egress_interfaces),
-                    max_paths_per_interface=config.max_paths_per_interface,
+                    max_paths_per_interface=MAX_PATHS_PER_INTERFACE,
                     intra_latency_ms=intra,
                 )
             )
@@ -1409,13 +1410,8 @@ ROUND_ALGORITHMS = {
 }
 
 
-def _container(name, use_interface_groups, use_targets):
-    config = RACConfig(
-        rac_id=name,
-        max_paths_per_interface=4,
-        use_interface_groups=use_interface_groups,
-        use_targets=use_targets,
-    )
+def _container(name, use_interface_groups):
+    config = RACConfig(rac_id=name, use_interface_groups=use_interface_groups)
     if name == "on-demand":
         manager = OnDemandAlgorithmManager(transport=lambda _origin, _algorithm_id: _PAYLOAD)
         return RoutingAlgorithmContainer(config=config, on_demand_manager=manager)
@@ -1431,18 +1427,16 @@ class TestRACRoundEquivalence:
         ),
         departures=st.lists(st.integers(0, 143), max_size=6),
         interfaces=st.lists(st.integers(1, 4), min_size=1, max_size=3, unique=True),
-        use_targets=st.booleans(),
     )
     @settings(max_examples=40, deadline=None)
     def test_round_matches_the_wrap_rescan_merge_reference(
-        self, bucket_pool, name, use_interface_groups, arrivals, departures, interfaces,
-        use_targets,
+        self, bucket_pool, name, use_interface_groups, arrivals, departures, interfaces
     ):
         database = IngressDatabase(local_as=LOCAL_AS)
         for index, ingress in arrivals:
             database.insert(CandidateBeacon(bucket_pool[index], ingress_interface=ingress))
-        rac = _container(name, use_interface_groups, use_targets)
-        reference = _container(name, use_interface_groups, use_targets)
+        rac = _container(name, use_interface_groups)
+        reference = _container(name, use_interface_groups)
         # Two rounds around a removal: HD's memory and the cached bucket
         # order both carry over.
         for round_index in range(2):

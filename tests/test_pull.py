@@ -91,7 +91,7 @@ class TestPullOrchestrator:
             orchestrator.advance(now_ms=(round_index + 1) * 1000.0)
             if orchestrator.state is PullState.DONE:
                 break
-        published = services[1].repository.published_ids()
+        published = tuple(services[1].repository._payloads)
         assert len(published) == len(orchestrator.iterations)
         # Later iterations carry strictly larger avoid sets.
         sizes = [len(iteration.avoid_links) for iteration in orchestrator.iterations]
@@ -118,7 +118,7 @@ class TestPullOrchestrator:
         assert orchestrator.advance(now_ms=3000.0) is PullState.EXHAUSTED
         assert orchestrator.disjoint_path_count() == 1
         assert len(orchestrator.iterations) == 1
-        assert services[1].repository.published_ids() == ("pd-1-4-0",)
+        assert tuple(services[1].repository._payloads) == ("pd-1-4-0",)
 
     def test_advance_without_results_keeps_waiting(self, fabric):
         _scheduler, services = fabric

@@ -73,7 +73,11 @@ class TestPayloadRoundTrips:
         assert ((1, 2), (3, 4)) in algorithm.avoid_links
 
     def test_builtin_payload(self):
-        payload = encode_builtin_payload("delay", {"paths_per_interface": 2})
+        # A foreign origin may pass builtin parameters; ours passes none.
+        assert json.loads(encode_builtin_payload("delay"))["parameters"] == {}
+        payload = json.dumps(
+            {"kind": "builtin", "name": "delay", "parameters": {"paths_per_interface": 2}}
+        ).encode("utf-8")
         algorithm = decode_payload(payload)
         assert isinstance(algorithm, DelayOptimizationAlgorithm)
         assert algorithm.paths_per_interface == 2
@@ -108,7 +112,7 @@ class TestAlgorithmRepository:
         assert repository.fetch("my-algo") == payload
         assert repository.hash_of("my-algo") == digest
         assert "my-algo" in repository
-        assert repository.published_ids() == ("my-algo",)
+        assert tuple(repository._payloads) == ("my-algo",)
 
     def test_fetch_unknown(self):
         with pytest.raises(UnknownAlgorithmError):

@@ -28,8 +28,15 @@ from repro.simulation.scenario import don_scenario
 from repro.topology.entities import normalize_link_id
 from repro.units import minutes
 
-from tests.conftest import build_services, line_topology, make_beacon, pcb_message
+from tests.conftest import build_services, line_topology, make_beacon, pcb_message, run_all
 from tests.test_beacon_layout import reachable
+
+
+def _with_signature(message: RevocationMessage, signature: bytes) -> RevocationMessage:
+    """Return a copy of ``message`` carrying ``signature`` (a forger's bytes)."""
+    copy = replace(message)
+    object.__setattr__(copy, "signature", signature)
+    return copy
 
 
 def _applied_from(service, origin_as):
@@ -148,12 +155,14 @@ class TestRevocationMessage:
         assert message.signature
         assert message.encode_unsigned() == unsigned.encode_unsigned()
         message.verify(verifier)  # must not raise
-        forged = RevocationMessage(
-            origin_as=4,
-            sequence=8,  # different content, reused signature
-            created_at_ms=123.0,
-            failed_ases=(9,),
-            signature=message.signature,
+        forged = _with_signature(
+            RevocationMessage(
+                origin_as=4,
+                sequence=8,  # different content, reused signature
+                created_at_ms=123.0,
+                failed_ases=(9,),
+            ),
+            message.signature,
         )
         from repro.exceptions import SignatureError
 
@@ -325,7 +334,7 @@ class TestWithdrawalLedger:
                 services[origin_as].originate_revocation(
                     failed_links=(_link(topology, index),), now_ms=now_ms
                 )
-            scheduler.run_all()
+            run_all(scheduler)
         for as_id, service in services.items():
             ledger = service.revocations.applied_at
             assert len(ledger) == (6 if 2 <= as_id <= 4 else 3), as_id
@@ -375,12 +384,14 @@ class TestHandlerDedupAndVerification:
         _scheduler, transport, services = build_services(
             topology, key_store, verify_signatures=True
         )
-        message = RevocationMessage(
-            origin_as=1,
-            sequence=1,
-            created_at_ms=0.0,
-            failed_links=(_link(topology, 0),),
-            signature=b"forged",
+        message = _with_signature(
+            RevocationMessage(
+                origin_as=1,
+                sequence=1,
+                created_at_ms=0.0,
+                failed_links=(_link(topology, 0),),
+            ),
+            b"forged",
         )
         receiver = services[2]
         assert receiver.on_revocation(message, on_interface=1, now_ms=5.0) is False
@@ -501,10 +512,8 @@ class TestOverheadAccounting:
         # sends and pull returns in the overall message count.
         assert (
             collector.control_messages_total()
-            == collector.total_sent + collector.returned_beacons() + 3
+            == collector.total_sent + collector.sent["pull_return"] + 3
         )
-        # They are binned into the period the failure fired in.
-        assert collector.revocations_in_period(1) == 3
 
     def test_revocation_send_does_not_touch_pcb_counters(self):
         from repro.simulation.collector import MetricsCollector
@@ -758,14 +767,14 @@ class TestByzantineRejection:
         if tamper == "signature":
             # Flip, not overwrite: one signature in 256 already starts with 0x00.
             flipped = bytes([authentic.signature[0] ^ 0xFF])
-            forged = replace(authentic, signature=flipped + authentic.signature[1:])
+            forged = _with_signature(authentic, flipped + authentic.signature[1:])
         elif tamper == "origin":
             # Same signature bytes, different claimed origin.
-            forged = replace(authentic, origin_as=3)
+            forged = _with_signature(replace(authentic, origin_as=3), authentic.signature)
         else:
             # Same origin/signature, different revoked element.
-            forged = replace(
-                authentic, failed_links=(_link(topology, 1),)
+            forged = _with_signature(
+                replace(authentic, failed_links=(_link(topology, 1),)), authentic.signature
             )
 
         assert receiver.on_revocation(forged, on_interface=1, now_ms=1.0) is False

@@ -232,9 +232,8 @@ class TestSandboxRuntime:
         assert elapsed >= 3.0
         assert runtime.stats.elapsed_ms >= 3.0
 
-    def test_stats_reset(self):
+    def test_stats_count_setups(self):
         runtime = SandboxRuntime()
         runtime.setup(RestrictedPythonAlgorithm(source="1"))
-        runtime.stats.reset()
-        assert runtime.stats.setups == 0
-        assert runtime.stats.elapsed_ms == 0.0
+        assert runtime.stats.setups == 1
+        assert runtime.stats.elapsed_ms >= 0.0

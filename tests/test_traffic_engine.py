@@ -1,6 +1,5 @@
 """Tests for the flow-level traffic engine and its building blocks."""
 
-import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -21,22 +20,17 @@ from repro.simulation.scenario import don_scenario
 from repro.simulation.failures import LinkState
 from repro.topology.generator import TopologyConfig, generate_topology
 from repro.traffic import (
-    BandwidthAwarePolicy,
     CapacityLinkModel,
-    ClosedLoopDemand,
     CriteriaPolicy,
     EcmpPolicy,
     FlowGroup,
     LatencyGreedyPolicy,
     PathLoad,
-    TagPinnedPolicy,
     TrafficEngine,
     TrafficMatrix,
     gravity_matrix,
     hotspot_matrix,
     prefer_clean,
-    random_matrix,
-    uniform_matrix,
 )
 from repro.units import minutes
 
@@ -109,13 +103,6 @@ class TestDemand:
         with pytest.raises(ConfigurationError):
             FlowGroup(group_id=0, source_as=1, destination_as=2, demand_mbps=1.0, flow_count=0)
 
-    def test_uniform_conserves_totals(self, fig1):
-        matrix = uniform_matrix(fig1, total_demand_mbps=600.0, total_flows=6_000)
-        assert matrix.total_flows == 6_000
-        assert matrix.total_demand_mbps == pytest.approx(600.0)
-        demands = {group.demand_mbps for group in matrix}
-        assert len(demands) == 1  # uniform means uniform
-
     def test_gravity_weighs_by_degree(self, fig1):
         matrix = gravity_matrix(fig1, total_demand_mbps=1_000.0, total_flows=10_000)
         assert matrix.total_demand_mbps == pytest.approx(1_000.0)
@@ -143,16 +130,9 @@ class TestDemand:
         assert matrix.total_demand_mbps == pytest.approx(100.0)
         assert all(group.destination_as == 3 for group in matrix)
 
-    def test_random_matrix_is_seed_deterministic(self, fig1):
-        one = random_matrix(fig1, pair_count=8, total_flows=800, rng=random.Random(5))
-        two = random_matrix(fig1, pair_count=8, total_flows=800, rng=random.Random(5))
-        assert one == two
-        other = random_matrix(fig1, pair_count=8, total_flows=800, rng=random.Random(6))
-        assert one != other
-
     def test_aggregation_needs_one_flow_per_pair(self, fig1):
         with pytest.raises(ConfigurationError):
-            uniform_matrix(fig1, total_demand_mbps=10.0, total_flows=3)
+            gravity_matrix(fig1, total_demand_mbps=10.0, total_flows=3)
 
 
 # ----------------------------------------------------------------------
@@ -166,7 +146,7 @@ class TestCapacityLinkModel:
             [PathLoad(key="a", link_indices=(link,), demand_mbps=10.0)]
         )
         assert result.carried_mbps["a"] == pytest.approx(10.0)
-        assert result.lost_mbps == pytest.approx(0.0)
+        assert result.total_carried_mbps == pytest.approx(result.offered_mbps)
 
     def test_equal_shares_on_saturated_link(self, fig1):
         model = CapacityLinkModel(fig1)
@@ -250,33 +230,12 @@ class TestSelectionPolicies:
         assert path.segment.total_latency_ms() == pytest.approx(20.0)
         assert weight == pytest.approx(1.0)
 
-    def test_bandwidth_aware(self, fig1_service):
-        [(path, _weight)] = select(fig1_service, BandwidthAwarePolicy())
-        assert path.segment.bottleneck_bandwidth_mbps() == pytest.approx(10_000.0)
-
     def test_ecmp_splits_evenly(self, fig1_service):
         selected = select(fig1_service, EcmpPolicy(max_paths=2))
         assert len(selected) == 2
         assert [weight for _path, weight in selected] == [0.5, 0.5]
         latencies = [path.segment.total_latency_ms() for path, _ in selected]
         assert latencies == sorted(latencies)  # best paths first
-
-    def test_ecmp_bandwidth_weighted(self, fig1_service):
-        selected = select(
-            fig1_service, EcmpPolicy(max_paths=3, prefer="bandwidth", weight_by_bandwidth=True)
-        )
-        weights = {
-            path.segment.bottleneck_bandwidth_mbps(): weight for path, weight in selected
-        }
-        assert weights[10_000.0] > weights[1_000.0] > weights[100.0]
-        assert sum(weights.values()) == pytest.approx(1.0)
-
-    def test_tag_pinning_and_fallback(self, fig1_service):
-        [(path, _)] = select(fig1_service, TagPinnedPolicy(tag="hd"))
-        assert "hd" in path.criteria_tags
-        assert select(fig1_service, TagPinnedPolicy(tag="nope")) == []
-        [(fallback, _)] = select(fig1_service, TagPinnedPolicy(tag="nope", fallback=True))
-        assert fallback.segment.total_latency_ms() == pytest.approx(20.0)
 
     def test_criteria_policy_ranks_by_the_application_criteria(self, fig1_service):
         [(fast, weight)] = select(fig1_service, CriteriaPolicy(lowest_latency()))
@@ -290,13 +249,6 @@ class TestSelectionPolicies:
         assert bounded.segment.total_latency_ms() <= 30.0
         assert bounded.segment.bottleneck_bandwidth_mbps() == pytest.approx(1_000.0)
         assert select(fig1_service, CriteriaPolicy(widest_with_latency_bound(5.0))) == []
-
-    def test_tag_pinned_criteria_policy(self, fig1_service):
-        """Required tags pin the candidates before the criteria rank them."""
-        policy = TagPinnedPolicy(tag="hd", inner=CriteriaPolicy(lowest_latency()))
-        [(path, _)] = select(fig1_service, policy)
-        assert "hd" in path.criteria_tags
-        assert path.segment.total_latency_ms() == pytest.approx(40.0)
 
     def test_criteria_policy_ties_keep_candidate_order(self, key_store):
         upper = make_beacon(key_store, [(4, None, 1), (2, 2, 1), (1, 1, None)])
@@ -348,18 +300,14 @@ class TestSelectionPolicies:
     def test_policies_on_empty_candidates(self):
         for policy in (
             LatencyGreedyPolicy(),
-            BandwidthAwarePolicy(),
             CriteriaPolicy(lowest_latency()),
             EcmpPolicy(max_paths=2),
-            TagPinnedPolicy(tag="x", fallback=True),
         ):
             assert policy([]) == []
 
     def test_ecmp_validation(self):
         with pytest.raises(ConfigurationError):
             EcmpPolicy(max_paths=0)
-        with pytest.raises(ConfigurationError):
-            EcmpPolicy(prefer="hops")
 
 
 # ----------------------------------------------------------------------
@@ -400,7 +348,7 @@ class TestTrafficEngineStandalone:
         engine = self._engine(fig1, fig1_service, LatencyGreedyPolicy(), demand=400.0)
         sample = engine.run_rounds(1).samples[0]
         assert sample.carried_mbps == pytest.approx(100.0)
-        assert sample.lost_mbps == pytest.approx(300.0)
+        assert sample.offered_mbps - sample.carried_mbps == pytest.approx(300.0)
         assert sample.max_link_utilization == pytest.approx(1.0)
 
     def test_ecmp_uses_parallel_capacity(self, fig1, fig1_service):
@@ -524,7 +472,7 @@ class TestTrafficEngineCoupled:
             assert record.cause.startswith("revoke link")
         # Groups towards the cut-off stub stay black-holed (no recovery
         # was scheduled); their demand shows up as unserved.
-        assert collector.open_blackholes()
+        assert any(not record.rerouted for record in collector.reroutes)
         assert any(
             sample.blackholed_groups > 0 for sample in collector.samples
         )
@@ -600,17 +548,17 @@ class TestGoodputRecovery:
             [(0.0, 100.0), (100.0, 50.0), (200.0, 60.0), (300.0, 100.0),
              (400.0, 55.0), (500.0, 99.5), (600.0, 100.0)]
         )
-        assert collector.goodput_recovery_ms(50.0, tolerance=0.01) == 450.0
+        assert collector.goodput_recovery_ms(50.0) == 450.0
 
     def test_monotone_recovery_unchanged(self):
         collector = _trace(
             [(0.0, 100.0), (100.0, 50.0), (200.0, 100.0), (300.0, 100.0)]
         )
-        assert collector.goodput_recovery_ms(50.0, tolerance=0.01) == 150.0
+        assert collector.goodput_recovery_ms(50.0) == 150.0
 
     def test_trace_ending_in_a_dip_is_unrecovered(self):
         collector = _trace([(0.0, 100.0), (100.0, 50.0), (200.0, 100.0), (300.0, 40.0)])
-        assert collector.goodput_recovery_ms(50.0, tolerance=0.01) is None
+        assert collector.goodput_recovery_ms(50.0) is None
 
     def test_no_dip_returns_none(self):
         collector = _trace([(0.0, 100.0), (100.0, 100.0), (200.0, 100.0)])
@@ -660,27 +608,11 @@ class TestClosedLoopDemand:
             closed_loop=closed_loop,
         )
 
-    def test_config_validation(self):
-        ClosedLoopDemand()  # defaults are valid
-        with pytest.raises(ConfigurationError):
-            ClosedLoopDemand(loss_threshold=0.0)
-        with pytest.raises(ConfigurationError):
-            ClosedLoopDemand(backoff_factor=1.0)
-        with pytest.raises(ConfigurationError):
-            ClosedLoopDemand(recovery_factor=0.9)
-        with pytest.raises(ConfigurationError):
-            ClosedLoopDemand(min_demand_fraction=0.0)
-
     def test_backoff_under_silent_loss_and_recovery_after(self, fig1, fig1_service):
         state = LinkState()
         for link in fig1.link_ids():
             state.set_gray(link, 1.0)  # every path silently black-holes
-        engine = self._engine(
-            fig1, fig1_service, state,
-            ClosedLoopDemand(
-                backoff_factor=0.5, recovery_factor=2.0, min_demand_fraction=0.1
-            ),
-        )
+        engine = self._engine(fig1, fig1_service, state, closed_loop=True)
         collector = engine.run_rounds(5)
 
         offered = [sample.offered_mbps for sample in collector.samples]
@@ -694,17 +626,17 @@ class TestClosedLoopDemand:
         assert any(" backoff " in line for line in collector.trace)
 
         # The gray failure clears: demand multiplicatively recovers to
-        # nominal and stays there.
+        # nominal (x1.25 a round from 5.0: eleven rounds) and stays there.
         for link in fig1.link_ids():
             state.clear_gray(link)
-        collector = engine.run_rounds(8)
+        collector = engine.run_rounds(12)
         assert collector.samples[-1].offered_mbps == pytest.approx(50.0)
 
     def test_open_loop_engine_ignores_degradation(self, fig1, fig1_service):
         state = LinkState()
         for link in fig1.link_ids():
             state.set_gray(link, 1.0)
-        engine = self._engine(fig1, fig1_service, state, closed_loop=None)
+        engine = self._engine(fig1, fig1_service, state, closed_loop=False)
         collector = engine.run_rounds(3)
         assert all(s.offered_mbps == pytest.approx(50.0) for s in collector.samples)
         assert not any(" backoff " in line for line in collector.trace)
@@ -715,7 +647,7 @@ class TestClosedLoopDemand:
         state = LinkState()
         for link in short.links():
             state.set_gray(link, 1.0)
-        engine = self._engine(fig1, fig1_service, state, ClosedLoopDemand())
+        engine = self._engine(fig1, fig1_service, state, closed_loop=True)
         collector = engine.run_rounds(2)
         # Latency-greedy would pick the 20 ms short path; prefer_clean
         # forces the clean 30 ms middle path instead, and no back-off
@@ -729,8 +661,8 @@ class TestClosedLoopDemand:
         state = LinkState()
         for link in fig1.link_ids():
             state.set_gray(link, 1.0)
-        closed = self._engine(fig1, fig1_service, state, ClosedLoopDemand())
-        open_loop = self._engine(fig1, fig1_service, state, None)
+        closed = self._engine(fig1, fig1_service, state, closed_loop=True)
+        open_loop = self._engine(fig1, fig1_service, state, closed_loop=False)
         assert (
             closed.run_rounds(3).trace_digest()
             != open_loop.run_rounds(3).trace_digest()

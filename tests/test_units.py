@@ -14,22 +14,10 @@ class TestTimeConversions:
     def test_minutes_to_milliseconds(self):
         assert units.minutes(10) == 600_000.0
 
-    def test_hours_to_milliseconds(self):
-        assert units.hours(2) == 7_200_000.0
-
-    def test_milliseconds_identity(self):
-        assert units.milliseconds(42.5) == 42.5
-
-    def test_ms_to_seconds_round_trip(self):
-        assert units.ms_to_seconds(units.seconds(3.25)) == pytest.approx(3.25)
-
 
 class TestBandwidthConversions:
     def test_gbps(self):
         assert units.gbps(1) == 1000.0
-
-    def test_mbps_identity(self):
-        assert units.mbps(250.0) == 250.0
 
 
 class TestFiberDelay:
