@@ -23,7 +23,6 @@ from repro.analysis.reporting import format_table
 from repro.core.criteria import lowest_latency
 from repro.simulation.beaconing import BeaconingSimulation
 from repro.simulation.scenario import (
-    AlgorithmSpec,
     ScenarioConfig,
     delay_optimization_spec,
     one_shortest_path_spec,

@@ -13,10 +13,6 @@ from typing import Iterable, List, Sequence, Tuple
 import numpy as np
 
 
-#: How many points :meth:`EmpiricalCDF.points` keeps at most.
-MAX_POINTS = 200
-
-
 @dataclass(frozen=True)
 class EmpiricalCDF:
     """An empirical CDF over a finite sample."""
@@ -56,18 +52,6 @@ class EmpiricalCDF:
         if not self.values:
             raise ValueError("cannot take the mean of an empty CDF")
         return float(np.mean(np.asarray(self.values)))
-
-    def points(self) -> List[Tuple[float, float]]:
-        """Return (value, cumulative probability) pairs for plotting/tables.
-
-        Down-samples evenly to at most :data:`MAX_POINTS` points so that
-        tables over large samples stay readable.
-        """
-        n = len(self.values)
-        if n == 0:
-            return []
-        indices = np.unique(np.linspace(0, n - 1, num=min(MAX_POINTS, n)).astype(int))
-        return [(self.values[i], (i + 1) / n) for i in indices]
 
 
 def relative_to_baseline(

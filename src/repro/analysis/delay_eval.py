@@ -55,17 +55,6 @@ class DelayEvaluation:
             return None
         return cdf.median
 
-    def coverage(self, tag: str) -> float:
-        """Return the fraction of PoP pairs for which ``tag`` found a path."""
-        delays = self.delays_ms.get(tag, [])
-        if not delays:
-            return 0.0
-        return sum(1 for d in delays if d is not None) / len(delays)
-
-    def tags(self) -> Tuple[str, ...]:
-        """Return the evaluated criteria tags."""
-        return tuple(sorted(self.delays_ms))
-
 
 def _path_end_delay_to_pops(
     path: RegisteredPath,

@@ -79,10 +79,6 @@ class DisjointnessEvaluation:
         """Return the CDF of TLF values for ``tag``."""
         return EmpiricalCDF.from_samples(self.tlf.get(tag, []))
 
-    def tags(self) -> Tuple[str, ...]:
-        """Return the evaluated criteria tags."""
-        return tuple(sorted(self.tlf))
-
 
 def evaluate_disjointness(
     result: SimulationResult,

@@ -26,11 +26,11 @@ transport delivers it over the beacon's own path straight to
 :meth:`repro.core.control_service.IrecControlService.receive_returned_beacon`
 and counts it under the ledger kind ``"pull_return"``.
 
-A message is never copied or altered in flight.  Within one process every
-receiver gets the very object its sender sent, so a revocation flood
-forwards the one original object per branch and costs O(1) per delivered
-copy; a cross-shard send is serialized, and the receiving shard holds the
-deserialized message, never stamped or altered.
+A message is never copied or altered in flight.  Every receiver gets the
+very object its sender sent, so a revocation flood forwards the one
+original object per branch and costs O(1) per delivered copy.  No
+receiver relies on that sharing: every pinned digest holds when each
+delivery is a deserialized copy instead.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Per-AS key material.
 
 Every AS owns a symmetric signing key derived deterministically from the AS
-identifier and an optional deployment secret.  A :class:`KeyStore` plays the
+identifier and a fixed deployment secret.  A :class:`KeyStore` plays the
 role of the control-plane PKI: it hands out the *verification* material for
 any AS, which in this simulation equals the signing key (see the package
 docstring for why an HMAC-based simulation is sufficient for the
@@ -42,14 +42,18 @@ class ASKeyPair:
         return hmac.compare_digest(expected, signature)
 
 
-def derive_key(as_id: int, deployment_secret: bytes = b"irec-repro") -> ASKeyPair:
+#: The deployment-wide secret mixed into every derived key.
+DEPLOYMENT_SECRET = b"irec-repro"
+
+
+def derive_key(as_id: int) -> ASKeyPair:
     """Derive the deterministic key pair of an AS.
 
-    Keys are derived from the AS identifier and a deployment-wide secret so
-    that simulations are reproducible without persisting key material.
+    Keys are derived from the AS identifier and the deployment-wide secret
+    so that simulations are reproducible without persisting key material.
     """
     material = hashlib.sha256(
-        deployment_secret + b"|" + str(int(as_id)).encode("ascii")
+        DEPLOYMENT_SECRET + b"|" + str(int(as_id)).encode("ascii")
     ).digest()
     return ASKeyPair(as_id=int(as_id), secret=material)
 
@@ -60,22 +64,16 @@ class KeyStore:
 
     The store lazily derives keys for any AS that is queried, which keeps
     large simulated topologies cheap: no setup pass over all ASes is needed.
-
-    Attributes:
-        deployment_secret: Secret mixed into every derived key.  Two stores
-            created with different secrets produce mutually unverifiable
-            signatures, which the tests use to model a foreign attacker.
     """
 
-    deployment_secret: bytes = b"irec-repro"
-    _keys: Dict[int, ASKeyPair] = field(default_factory=dict)
+    _keys: Dict[int, ASKeyPair] = field(default_factory=dict, init=False)
 
     def key_for(self, as_id: int) -> ASKeyPair:
         """Return (and cache) the key pair of ``as_id``."""
         as_id = int(as_id)
         key = self._keys.get(as_id)
         if key is None:
-            key = derive_key(as_id, self.deployment_secret)
+            key = derive_key(as_id)
             self._keys[as_id] = key
         return key
 

@@ -13,12 +13,12 @@ simulation.
 
 Dynamic scenarios add a timeline of typed events
 (:mod:`repro.simulation.events`).  Timeline events do not live on the
-discrete-event scheduler: :class:`PeriodDriver` keeps them on a barrier
-heap, runs the scheduler up to (not including) each event's time, applies
-the events sharing that time and flushes their revocations once — so a
-link failure scheduled mid-period really interrupts propagation: in-flight
-PCBs on the link are lost, the ASes adjacent to the failure originate
-signed :class:`~repro.core.messages.RevocationMessage`\\ s that flood
+discrete-event scheduler: :class:`BeaconingSimulation` keeps them on a
+barrier heap, runs the scheduler up to (not including) each event's time,
+applies the events sharing that time and flushes their revocations once —
+so a link failure scheduled mid-period really interrupts propagation:
+in-flight PCBs on the link are lost, the ASes adjacent to the failure
+originate signed :class:`~repro.core.messages.RevocationMessage`\\ s that flood
 hop-by-hop through the simulated transport (each AS withdraws state
 crossing the failed element when the revocation *arrives*, then
 re-forwards it), and the
@@ -26,20 +26,16 @@ re-forwards it), and the
 watched AS pairs recover over the following periods — with withdrawal
 timing topology-dependent instead of instantaneous.
 
-The period structure exists once, in :class:`PeriodDriver`, written
-against six operations plus a final gather.  :class:`BeaconingSimulation`
-provides them over its own scheduler and services (the 1-shard case);
-:class:`repro.parallel.ShardedBeaconingSimulation` provides them by
-broadcasting the same commands to forked shard workers, each of which
-answers with the operations of its own shard-mode
-:class:`BeaconingSimulation`.
+Control services share nothing but the messages they exchange: each AS
+owns its ingress database, RACs, egress gateway, path service and
+revocation state, and reaches another AS only through the transport.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.control_service import (
     ControlServiceConfig,
@@ -83,38 +79,8 @@ from repro.topology.intra_domain import IntraDomainRegistry
 
 
 @dataclass
-class ShardContext:
-    """Marks a :class:`BeaconingSimulation` as one shard of a sharded run.
-
-    A shard materializes control services only for the ASes it owns and
-    hands every fabric send towards a non-owned AS to ``exporter`` (the
-    coordinator routes it to the owning shard, which replays the receiver
-    side via
-    :meth:`~repro.simulation.network.SimulatedTransport.inject_import`).
-    A shard never calls :meth:`PeriodDriver.run_period`: the coordinator
-    drives the period and invokes the shard's operations, so probes and
-    the aggregated revocation flush see a consistent cross-shard state.
-
-    Attributes:
-        owned_ases: AS ids whose control services this shard runs.  The
-            coordinator may add grown ASes mid-run.
-        exporter: Sink for cross-shard fabric sends; receives the
-            serialized-delivery tuples documented on the transport's
-            ``exporter`` attribute.
-    """
-
-    owned_ases: Set[int]
-    exporter: Callable[[tuple], None]
-
-
-@dataclass
 class SimulationResult:
-    """Everything a finished simulation exposes to the analysis code.
-
-    A sharded run returns the same type: its control services live (and
-    die) in the worker processes, so ``services`` is empty there and the
-    per-AS ``revocation_stats`` carry what the analyses read off services.
-    """
+    """Everything a finished simulation exposes to the analysis code."""
 
     topology: Topology
     services: Dict[int, IrecControlService]
@@ -123,8 +89,6 @@ class SimulationResult:
     final_time_ms: float = 0.0
     convergence: ConvergenceCollector = field(default_factory=ConvergenceCollector)
     link_state: LinkState = field(default_factory=LinkState)
-    #: AS id → (revocations rejected as invalid, duplicate revocations).
-    revocation_stats: Dict[int, Tuple[int, int]] = field(default_factory=dict)
 
     def service(self, as_id: int) -> IrecControlService:
         """Return the control service of ``as_id``."""
@@ -134,40 +98,19 @@ class SimulationResult:
             raise UnknownASError(as_id) from None
 
 
-class PeriodDriver:
-    """The one implementation of the beaconing period structure.
-
-    Written against operations its two providers implement — the
-    in-process :class:`BeaconingSimulation` and the fork coordinator
-    :class:`repro.parallel.ShardedBeaconingSimulation`:
-
-    * ``now_ms`` — the provider's simulated clock,
-    * ``advance(target_ms, inclusive=True)`` — deliver in-flight messages
-      up to (``inclusive``) or strictly before ``target_ms``,
-    * ``originate(now_ms)`` / ``rac_round(now_ms)`` — the two per-period
-      passes over the online ASes; the latter returns the
-      :class:`RoundReport`\\ s in AS order,
-    * ``apply_event(timed)`` — one timeline event's state changes,
-    * ``flush(now_ms)`` — originate the revocations queued since the last
-      flush, one aggregated message per origin,
-    * ``probe(pairs, with_times=False)`` — ``(usable-path count per pair,
-      first-registration times per pair or None, control messages sent)``;
-      the counts are current at every call, however the provider
-      maintains them,
-    * ``gather()`` — ``(collector, link_state, revocation_stats)`` of the
-      finished run.
+class BeaconingSimulation:
+    """Drives periodic beaconing over a topology according to a scenario.
 
     Timeline events are *barriers*: they sit on a heap ordered by
     ``(time, insertion)``, everything strictly earlier is delivered before
     a barrier applies, and all barriers sharing a timestamp apply before
-    anything else scheduled at that time — the flush included, so same-time
-    failures batch into one revocation per origin.
+    anything else scheduled at that time — the revocation flush included,
+    so same-time failures batch into one revocation per origin.
     """
 
     def __init__(self, topology: Topology, scenario: ScenarioConfig) -> None:
         self.topology = topology
         self.scenario = scenario
-        #: Empty when the services live in shard workers.
         self.services: Dict[int, IrecControlService] = {}
         self.convergence = ConvergenceCollector()
         self.watched_pairs: List[Tuple[int, int]] = []
@@ -181,6 +124,46 @@ class PeriodDriver:
         self._barriers: List[Tuple[float, int, TimedEvent]] = []
         self._barrier_seq = 0
         self._load_timeline()
+        self.key_store = KeyStore()
+        self.intra_domain = IntraDomainRegistry()
+        self.scheduler = EventScheduler()
+        self.collector = MetricsCollector(period_ms=scenario.propagation_interval_ms)
+        self.link_state = LinkState()
+        self.transport = SimulatedTransport(
+            topology=topology,
+            scheduler=self.scheduler,
+            collector=self.collector,
+            link_state=self.link_state,
+            loss_seed=scenario.loss_seed,
+        )
+        self.orchestrators: List[PullBasedDisjointnessOrchestrator] = []
+        #: Callbacks ``(event, now_ms)`` invoked after a timeline event has
+        #: been applied; the traffic engine subscribes here so failures
+        #: break active flows the instant they fire.
+        self.event_listeners: List = []
+        #: Callbacks ``(as_id, message, removed, now_ms)`` invoked when a
+        #: revocation message withdraws state at one AS — i.e. when the
+        #: flood *reaches* that AS, not when the failure fired.  The
+        #: traffic engine subscribes here to break flows at withdrawal
+        #: time.
+        self.revocation_listeners: List = []
+        #: Failures queued by same-tick events for aggregated revocation
+        #: origination: one flush per tick batches co-owned failures into
+        #: multi-element messages (one flood per origin, not per element).
+        self._pending_failed_links: List[Tuple] = []
+        self._pending_failed_ases: List[int] = []
+        #: Usable-path count of every probed pair that nothing has moved
+        #: since it was counted; :meth:`probe` recounts the pairs missing
+        #: here.  Entries are evicted by the two sources of truth only: the
+        #: invalidation listener on the path service of each watched source
+        #: AS (``_probe_sources``), and the difference between the link
+        #: state and the copy of it the previous probe saw.
+        self._probe_counts: Dict[Tuple[int, int], int] = {}
+        self._probe_sources: Dict[int, PathService] = {}
+        self._probed_failed_links: Set[LinkID] = set()
+        self._probed_offline_ases: Set[int] = set()
+        for as_info in self.topology:
+            self._build_service(as_info)
 
     def _load_timeline(self) -> None:
         """Validate the scenario timeline and queue it as barriers.
@@ -210,11 +193,6 @@ class PeriodDriver:
         if pair not in self.watched_pairs:
             self.watched_pairs.append(pair)
 
-    def end_period(self, now_ms: float) -> None:
-        """Provider hook after a period's last delivery phase, before its
-        convergence probe; the in-process simulation advances its pull
-        orchestrators here."""
-
     def _run_to(self, target_ms: float) -> None:
         """Advance to ``target_ms``, applying the barriers on the way.
 
@@ -227,13 +205,13 @@ class PeriodDriver:
         barriers = self._barriers
         while barriers and barriers[0][0] <= target_ms:
             now_ms = max(barriers[0][0], self.now_ms)
-            self.advance(now_ms, inclusive=False)
+            self.scheduler.run_until(now_ms, inclusive=False)
             # Popped one by one: a flap toggle pushed at this very
             # timestamp joins the group and shares its flush.
             while barriers and barriers[0][0] <= now_ms:
                 self._apply_barrier(heapq.heappop(barriers)[2], now_ms)
             self.flush(now_ms)
-        self.advance(target_ms)
+        self.scheduler.run_until(target_ms)
 
     def _apply_barrier(self, timed: TimedEvent, now_ms: float) -> None:
         """Apply one timeline event between two watched-pair probes and
@@ -289,12 +267,15 @@ class PeriodDriver:
         period_end_ms = period_start_ms + self._interval_ms
 
         self._run_to(period_start_ms)
-        self.originate(self.now_ms)
+        now_ms = self.now_ms
+        for service in self._online_services():
+            service.originate(now_ms=now_ms)
         self._run_to(mid_period_ms)
-        reports = self.rac_round(self.now_ms)
+        now_ms = self.now_ms
+        reports = [service.run_round(now_ms=now_ms) for service in self._online_services()]
         self._run_to(period_end_ms)
         now_ms = self.now_ms
-        self.end_period(now_ms)
+        self._advance_orchestrators(now_ms)
 
         counts, registered_at, messages_total = self.probe(
             self.watched_pairs, with_times=True
@@ -318,82 +299,20 @@ class PeriodDriver:
         # Flush any remaining in-flight deliveries.  Timeline events in the
         # flush window are beyond the horizon — no period of this run would
         # observe their effects — and stay queued for a continuing run().
-        self.advance(self._next_period_start_ms + 1.0)
-        final_time_ms = self.now_ms
-        collector, link_state, revocation_stats = self.gather()
+        self.scheduler.run_until(self._next_period_start_ms + 1.0)
         return SimulationResult(
             topology=self.topology,
             services=dict(self.services),
-            collector=collector,
-            periods_run=self.periods_run,
-            final_time_ms=final_time_ms,
-            convergence=self.convergence,
-            link_state=link_state,
-            revocation_stats=revocation_stats,
-        )
-
-
-class BeaconingSimulation(PeriodDriver):
-    """Drives periodic beaconing over a topology according to a scenario."""
-
-    def __init__(
-        self,
-        topology: Topology,
-        scenario: ScenarioConfig,
-        key_store: Optional[KeyStore] = None,
-        shard: Optional[ShardContext] = None,
-    ) -> None:
-        super().__init__(topology, scenario)
-        self.shard = shard
-        self.key_store = key_store or KeyStore()
-        self.intra_domain = IntraDomainRegistry()
-        self.scheduler = EventScheduler()
-        self.collector = MetricsCollector(period_ms=scenario.propagation_interval_ms)
-        self.link_state = LinkState()
-        self.transport = SimulatedTransport(
-            topology=topology,
-            scheduler=self.scheduler,
             collector=self.collector,
+            periods_run=self.periods_run,
+            final_time_ms=self.now_ms,
+            convergence=self.convergence,
             link_state=self.link_state,
-            loss_seed=scenario.loss_seed,
-            exporter=shard.exporter if shard is not None else None,
         )
-        self.orchestrators: List[PullBasedDisjointnessOrchestrator] = []
-        #: Callbacks ``(event, now_ms)`` invoked after a timeline event has
-        #: been applied; the traffic engine subscribes here so failures
-        #: break active flows the instant they fire.
-        self.event_listeners: List = []
-        #: Callbacks ``(as_id, message, removed, now_ms)`` invoked when a
-        #: revocation message withdraws state at one AS — i.e. when the
-        #: flood *reaches* that AS, not when the failure fired.  The
-        #: traffic engine subscribes here to break flows at withdrawal
-        #: time.
-        self.revocation_listeners: List = []
-        #: Failures queued by same-tick events for aggregated revocation
-        #: origination: one flush per tick batches co-owned failures into
-        #: multi-element messages (one flood per origin, not per element).
-        self._pending_failed_links: List[Tuple] = []
-        self._pending_failed_ases: List[int] = []
-        #: Usable-path count of every probed pair that nothing has moved
-        #: since it was counted; :meth:`probe` recounts the pairs missing
-        #: here.  Entries are evicted by the two sources of truth only: the
-        #: invalidation listener on the path service of each watched source
-        #: AS (``_probe_sources``), and the difference between the link
-        #: state and the copy of it the previous probe saw.
-        self._probe_counts: Dict[Tuple[int, int], int] = {}
-        self._probe_sources: Dict[int, PathService] = {}
-        self._probed_failed_links: Set[LinkID] = set()
-        self._probed_offline_ases: Set[int] = set()
-        self._build_services()
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
-    def _build_services(self) -> None:
-        for as_info in self.topology:
-            if self.shard is None or as_info.as_id in self.shard.owned_ases:
-                self._build_service(as_info)
-
     def _build_service(self, as_info: ASInfo) -> IrecControlService:
         """Build, wire and register the control service of one AS.
 
@@ -512,7 +431,8 @@ class BeaconingSimulation(PeriodDriver):
         )
 
     def probe(self, pairs: Sequence[Tuple[int, int]], with_times: bool = False):
-        """Probe ``pairs`` and the collector totals (see :class:`PeriodDriver`).
+        """Return ``(usable-path count per pair, first-registration times
+        per pair or None, control messages sent so far)``.
 
         Counts are maintained state: a pair is recounted only when it was
         never probed, a path towards its origin was registered, merged,
@@ -580,9 +500,8 @@ class BeaconingSimulation(PeriodDriver):
     def apply_event(self, timed: TimedEvent) -> None:
         """Apply one timeline event's state changes, then tell the listeners.
 
-        In a sharded run every shard applies its replica of the event,
-        guarded to the services it owns (``as_id in self.services``); the
-        probes and convergence bookkeeping around it are the driver's.
+        The probes and convergence bookkeeping around it are
+        :meth:`_apply_barrier`'s.
         """
         event = timed.event
         now_ms = self.scheduler.now_ms
@@ -601,8 +520,7 @@ class BeaconingSimulation(PeriodDriver):
             # The departing AS restarts cold; its neighbours detect the
             # loss and originate revocations, so everyone *reachable*
             # withdraws state crossing it as the flood arrives.
-            if event.as_id in self.services:
-                self._cold_restart(self.services[event.as_id])
+            self._cold_restart(self.services[event.as_id])
             self._pending_failed_ases.append(event.as_id)
         elif isinstance(event, ASJoin):
             self.link_state.set_as_online(event.as_id)
@@ -619,10 +537,10 @@ class BeaconingSimulation(PeriodDriver):
         elif isinstance(event, GrayRecovery):
             self.link_state.clear_gray(event.link_id)
         elif isinstance(event, RevocationForgery):
-            if self._attacks(event.attacker_as):
+            if self.link_state.is_as_up(event.attacker_as):
                 self._forge_revocations(event, now_ms)
         elif isinstance(event, RevocationReplay):
-            if self._attacks(event.attacker_as):
+            if self.link_state.is_as_up(event.attacker_as):
                 self._replay_revocations(event)
         elif isinstance(event, ForwardingSuppression):
             for service in self._event_targets(event.as_ids):
@@ -632,7 +550,7 @@ class BeaconingSimulation(PeriodDriver):
         elif isinstance(event, TopologyGrowth):
             self._grow_topology(event)
         elif not isinstance(event, BeaconPeriodChange):
-            # (The period length is driver state: PeriodDriver applies it.)
+            # (The period length is driver state: _apply_barrier applies it.)
             raise SimulationError(f"unsupported scenario event {event!r}")
         for listener in self.event_listeners:
             listener(event, now_ms)
@@ -660,16 +578,11 @@ class BeaconingSimulation(PeriodDriver):
         return self.scenario.algorithms
 
     def _event_targets(self, as_ids: Optional[Tuple[int, ...]]) -> List[IrecControlService]:
-        """Return the local services an event addresses (``None``: all), in
-        AS order.  The driver validated explicit targets up front; in a
-        sharded run the ones on other shards are theirs to apply."""
+        """Return the services an event addresses (``None``: all), in AS
+        order.  The timeline validated explicit targets up front."""
         if as_ids is None:
             return self._services_in_order()
-        return [self.services[as_id] for as_id in sorted(as_ids) if as_id in self.services]
-
-    def _attacks(self, attacker_as: int) -> bool:
-        """Return whether a Byzantine event's attacker acts here and now."""
-        return attacker_as in self.services and self.link_state.is_as_up(attacker_as)
+        return [self.services[as_id] for as_id in sorted(as_ids)]
 
     def flush(self, now_ms: float) -> None:
         """Originate the queued failures' revocations, one message per origin.
@@ -700,10 +613,7 @@ class BeaconingSimulation(PeriodDriver):
             for as_id in self.topology.neighbors(gone_as):
                 per_origin.setdefault(as_id, ([], []))[1].append(gone_as)
         for as_id in sorted(per_origin):
-            # In a sharded run another shard may own this origin; it queued
-            # (and will flush) the same failure from its own replica of the
-            # event, so exactly one shard originates per origin.
-            if as_id not in self.services or not self.link_state.is_as_up(as_id):
+            if not self.link_state.is_as_up(as_id):
                 continue
             links, ases = per_origin[as_id]
             self.collector.record_revocation_batch(len(links) + len(ases))
@@ -822,15 +732,8 @@ class BeaconingSimulation(PeriodDriver):
                 relationship=Relationship.CUSTOMER_PROVIDER,
             )
             self.topology.add_link(link)
-            neighbor_service = self.services.get(neighbor_as)
-            if neighbor_service is not None:
-                neighbor_service.view.attach_link(neighbor_if, link)
-        if self.shard is None or event.new_as in self.shard.owned_ases:
-            # In a sharded run the coordinator designates exactly one
-            # owning shard for the newcomer (adding it to that shard's
-            # owned set before dispatch); every other shard only extends
-            # its topology replica and exports traffic towards it.
-            self._build_service(new_info)
+            self.services[neighbor_as].view.attach_link(neighbor_if, link)
+        self._build_service(new_info)
 
     def add_revocation_listener(self, listener) -> None:
         """Register an ``(as_id, message, removed, now_ms)`` callback fired
@@ -847,32 +750,14 @@ class BeaconingSimulation(PeriodDriver):
         return notify
 
     # ------------------------------------------------------------------
-    # the driver's operations, in process
+    # the period's passes
     # ------------------------------------------------------------------
     @property
     def now_ms(self) -> float:
         """Return the simulated clock (the scheduler's)."""
         return self.scheduler.now_ms
 
-    def advance(self, target_ms: float, inclusive: bool = True) -> None:
-        """Deliver everything in flight up to ``target_ms``."""
-        self.scheduler.run_until(target_ms, inclusive)
-
-    def originate(self, now_ms: float) -> None:
-        """Originate PCBs at every online AS."""
-        for service in self._services_in_order():
-            if self.link_state.is_as_up(service.as_id):
-                service.originate(now_ms=now_ms)
-
-    def rac_round(self, now_ms: float) -> List[RoundReport]:
-        """Run one RAC round at every online AS; return the reports."""
-        return [
-            service.run_round(now_ms=now_ms)
-            for service in self._services_in_order()
-            if self.link_state.is_as_up(service.as_id)
-        ]
-
-    def end_period(self, now_ms: float) -> None:
+    def _advance_orchestrators(self, now_ms: float) -> None:
         """Start or advance every pull orchestrator of an online AS."""
         for orchestrator in self.orchestrators:
             if not self.link_state.is_as_up(orchestrator.service.as_id):
@@ -882,16 +767,12 @@ class BeaconingSimulation(PeriodDriver):
             else:
                 orchestrator.advance(now_ms=now_ms)
 
-    def gather(self):
-        """Return ``(collector, link_state, per-AS revocation stats)``."""
-        return (
-            self.collector,
-            self.link_state,
-            {
-                as_id: (service.revocations.rejected_invalid, service.revocations.duplicates)
-                for as_id, service in sorted(self.services.items())
-            },
-        )
+    def _online_services(self) -> List[IrecControlService]:
+        return [
+            service
+            for service in self._services_in_order()
+            if self.link_state.is_as_up(service.as_id)
+        ]
 
     def _services_in_order(self) -> List[IrecControlService]:
         return [self.services[as_id] for as_id in sorted(self.services)]

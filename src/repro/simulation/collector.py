@@ -16,9 +16,8 @@ converging.
 
 from __future__ import annotations
 
-import operator
 from collections import defaultdict
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.exceptions import SimulationError
@@ -34,13 +33,6 @@ MESSAGE_KINDS = (
     "path_registration",
     "pull_return",
 )
-
-
-#: A ledger's field metadata: ``combine`` folds two shards' readings (per
-#: key for a dict).  :meth:`MetricsCollector.merge` walks the fields that
-#: carry it, so a new ledger is merged by being declared with it.
-_ADD = {"combine": operator.add}
-_MAX = {"combine": max}
 
 
 def _no_ledger(kind: str) -> SimulationError:
@@ -81,17 +73,15 @@ class MetricsCollector:
     """
 
     period_ms: float = 600_000.0
-    sent: Dict[str, int] = field(default_factory=_per_kind, init=False, metadata=_ADD)
-    dropped: Dict[str, int] = field(default_factory=_per_kind, init=False, metadata=_ADD)
-    _counts: Dict[Tuple[InterfaceID, int], int] = field(
-        default_factory=_tally, init=False, metadata=_ADD
-    )
-    _fetches: int = field(default_factory=int, init=False, metadata=_ADD)
-    gray_dropped: Dict[str, int] = field(default_factory=_tally, init=False, metadata=_ADD)
-    revocation_batches: int = field(default_factory=int, init=False, metadata=_ADD)
-    revocation_batch_elements: int = field(default_factory=int, init=False, metadata=_ADD)
-    revocation_batch_max: int = field(default_factory=int, init=False, metadata=_MAX)
-    revocation_multi_batches: int = field(default_factory=int, init=False, metadata=_ADD)
+    sent: Dict[str, int] = field(default_factory=_per_kind, init=False)
+    dropped: Dict[str, int] = field(default_factory=_per_kind, init=False)
+    _counts: Dict[Tuple[InterfaceID, int], int] = field(default_factory=_tally, init=False)
+    _fetches: int = field(default_factory=int, init=False)
+    gray_dropped: Dict[str, int] = field(default_factory=_tally, init=False)
+    revocation_batches: int = field(default_factory=int, init=False)
+    revocation_batch_elements: int = field(default_factory=int, init=False)
+    revocation_batch_max: int = field(default_factory=int, init=False)
+    revocation_multi_batches: int = field(default_factory=int, init=False)
 
     total_sent = _kind_total("sent", "pcb", "PCB transmissions.")
     total_dropped = _kind_total("dropped", "pcb", "PCBs lost on unavailable links.")
@@ -171,26 +161,6 @@ class MetricsCollector:
         """Return every message silently lost to degraded links so far."""
         return sum(self.gray_dropped.values())
 
-    def merge(self, other: "MetricsCollector") -> None:
-        """Fold another collector's ledgers into this one.
-
-        The sharded coordinator aggregates per-worker collectors with
-        this: every message is recorded by exactly one shard (sends by
-        the sender's, deliveries/drops by the receiver's), so combining
-        the disjoint ledgers reproduces the single-process totals.
-        Counts add; the largest revocation batch takes the max.
-        """
-        for ledger in fields(self):
-            if "combine" not in ledger.metadata:
-                continue
-            combine = ledger.metadata["combine"]
-            mine, theirs = getattr(self, ledger.name), getattr(other, ledger.name)
-            if isinstance(mine, dict):
-                for key, value in theirs.items():
-                    mine[key] = combine(mine.get(key, 0), value)
-            else:
-                setattr(self, ledger.name, combine(mine, theirs))
-
 
 @dataclass
 class DisruptionRecord:
@@ -221,11 +191,6 @@ class DisruptionRecord:
     recovered_at_ms: Optional[float] = field(default=None, init=False)
     paths_at_recovery: int = field(default=0, init=False)
     messages_at_recovery: Optional[int] = field(default=None, init=False)
-
-    @property
-    def pair(self) -> Tuple[int, int]:
-        """Return the watched (source, destination) pair."""
-        return (self.source_as, self.destination_as)
 
     @property
     def paths_lost(self) -> int:

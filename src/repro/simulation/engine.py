@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 from repro.exceptions import SimulationError
 
@@ -64,9 +64,7 @@ class EventScheduler:
 
         With ``inclusive=False`` only events *strictly before* the horizon
         are processed — what a timeline barrier needs (the barrier applies
-        before anything else scheduled at its time) and what the sharded
-        simulation's conservative-lookahead window needs (cross-shard
-        imports may still land exactly on the window boundary).
+        before anything else scheduled at its time).
 
         Returns:
             The number of events processed.  The current time advances to
@@ -84,16 +82,3 @@ class EventScheduler:
             self.processed_events += 1
         self.now_ms = max(self.now_ms, horizon_ms)
         return processed
-
-    @property
-    def pending(self) -> int:
-        """Return the number of pending events."""
-        return len(self._queue)
-
-    def next_event_time(self) -> Optional[float]:
-        """Return the next pending event time, or ``None`` with none pending.
-
-        O(1): the sharded coordinator polls this after every window.
-        """
-        queue = self._queue
-        return queue[0][0] if queue else None

@@ -19,8 +19,7 @@ dynamism:
   experiments.
 
 Each event class owns its fields, the checks its constructor runs, what
-it requires of the timeline before it (:meth:`ScenarioEvent.check`), the
-ASes a sharded run keeps on one shard (:meth:`ScenarioEvent.affinity`)
+it requires of the timeline before it (:meth:`ScenarioEvent.check`)
 and a stable one-line ``trace_label`` used by the golden-trace regression
 tests: two runs of the same seeded scenario must produce bit-for-bit
 identical traces.  Applying an event is the beaconing driver's job.
@@ -109,14 +108,6 @@ class ScenarioEvent:
         timeline's state just before it.  Raises
         :class:`ConfigurationError`; the default requires nothing.
         """
-
-    def affinity(self) -> Tuple[int, ...]:
-        """Return the ASes a sharded run must place on one shard.
-
-        Silent loss is rolled from the transport's seeded RNG on the
-        receiver's shard, so both endpoints of a lossy link share one.
-        """
-        return ()
 
 
 @dataclass(frozen=True)
@@ -237,11 +228,6 @@ def _check_rate(name: str, rate: float) -> None:
         raise ConfigurationError(f"{name} must be within [0, 1], got {rate}")
 
 
-def _endpoints(link_id: LinkID) -> Tuple[int, int]:
-    (as_a, _if_a), (as_b, _if_b) = link_id
-    return (as_a, as_b)
-
-
 @dataclass(frozen=True)
 class LinkFlap(ScenarioEvent):
     """A link flaps: a scripted on/off schedule with per-direction loss.
@@ -309,9 +295,6 @@ class LinkFlap(ScenarioEvent):
         else:
             replay.links.restore_link(self.link_id)
 
-    def affinity(self) -> Tuple[int, ...]:
-        return _endpoints(self.link_id) if self.loss_ab or self.loss_ba else ()
-
 
 @dataclass(frozen=True)
 class GrayFailure(ScenarioEvent):
@@ -340,9 +323,6 @@ class GrayFailure(ScenarioEvent):
     def check(self, timed: "TimedEvent", replay: _Replay) -> None:
         replay.check_link(timed, self.link_id)
         replay.links.set_gray(self.link_id, self.drop_rate)
-
-    def affinity(self) -> Tuple[int, ...]:
-        return _endpoints(self.link_id)
 
 
 @dataclass(frozen=True)
@@ -547,11 +527,6 @@ class ScenarioTimeline:
                 raise ConfigurationError(f"expected TimedEvent, got {timed!r}")
             self._events.append(timed)
         return self
-
-    @property
-    def events(self) -> Tuple[TimedEvent, ...]:
-        """Return the timed events in insertion order."""
-        return tuple(self._events)
 
     def validate(self, topology: Optional[Topology] = None) -> None:
         """Reject schedules that would silently no-op when executed.

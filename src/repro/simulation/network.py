@@ -39,7 +39,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.beacon import Beacon
 from repro.core.control_service import IrecControlService
@@ -84,14 +84,6 @@ class SimulatedTransport:
             a link failing mid-flight loses the messages currently on it.
             The default empty state keeps every link available (static
             scenarios).
-        exporter: Shard hook.  ``None`` (the default) keeps the
-            single-process fabric: every AS must be registered locally
-            and sends fail fast on unknown receivers.  In a shard
-            worker, sends whose receiving AS is not registered here are
-            handed to this callback as ``(delivery_time_ms, remote_as,
-            remote_interface, link_key, message)`` after the sender-side
-            metrics and availability checks ran; the owning shard
-            replays the receiver side via :meth:`inject_import`.
     """
 
     topology: Topology
@@ -99,7 +91,6 @@ class SimulatedTransport:
     collector: MetricsCollector = field(default_factory=MetricsCollector)
     link_state: LinkState = field(default_factory=LinkState)
     loss_seed: int = 0
-    exporter: Optional[Callable[[tuple], None]] = None
     services: Dict[int, IrecControlService] = field(default_factory=dict, init=False)
     _inboxes: Dict[int, _Inbox] = field(default_factory=dict)
     #: (sender_as, egress_interface) → (link key, link latency, remote AS,
@@ -142,19 +133,13 @@ class SimulatedTransport:
         if route is None:
             link = self.topology.link_of_interface(endpoint)
             remote_as, remote_interface = link.other_end(endpoint)
-            if remote_as in self._inboxes or self.exporter is None:
-                self.service_of(remote_as)  # fail fast on unknown receivers
-                inbox = self._inboxes[remote_as]
-            else:
-                # Cross-shard receiver: delivery (and its checks) happen in
-                # the owning worker; a ``None`` inbox marks the export path.
-                inbox = None
+            self.service_of(remote_as)  # fail fast on unknown receivers
             route = (
                 link.key,
                 link.latency_ms,
                 remote_as,
                 remote_interface,
-                inbox,
+                self._inboxes[remote_as],
             )
             self._routes[endpoint] = route
         return route
@@ -185,21 +170,6 @@ class SimulatedTransport:
             self.collector.record_drop(message.kind)
             return
 
-        if inbox is None:
-            # Cross-shard send: the sender side (metrics, send-time
-            # availability) ran above; serialize the receiver side out to
-            # the shard that owns the remote AS.
-            self.exporter(
-                (
-                    now_ms + latency_ms + PROCESSING_DELAY_MS,
-                    remote_as,
-                    remote_interface,
-                    link_key,
-                    message,
-                )
-            )
-            return
-
         self.scheduler.schedule_in(
             latency_ms + PROCESSING_DELAY_MS,
             partial(
@@ -223,13 +193,10 @@ class SimulatedTransport:
     ) -> None:
         """Receiver side of one delivery (the scheduled fabric callback).
 
-        Shared verbatim between local sends (scheduled by
-        :meth:`send_message`) and cross-shard imports (scheduled by
-        :meth:`inject_import`), so a message crossing a shard boundary
-        passes exactly the checks it would have passed in one process.
-        The inbox receives the object this call was handed, unaltered: for a
-        local send the very object the sender sent, for a cross-shard
-        import the message its shard deserialized.
+        The inbox receives the object this call was handed, unaltered: the
+        very object the sender sent.  No receiver may rely on that
+        sharing; the golden digests hold when every delivery is a
+        deserialized copy instead.
         """
         link_state = self.link_state
         if link_state.impaired():
@@ -253,36 +220,6 @@ class SimulatedTransport:
         if not inbox.drain_scheduled:
             inbox.drain_scheduled = True
             self.scheduler.schedule_at(now_ms, self._drain_callbacks[remote_as])
-
-    def inject_import(
-        self,
-        delivery_ms: float,
-        remote_as: int,
-        remote_interface: int,
-        link_key: tuple,
-        message: ControlMessage,
-    ) -> None:
-        """Schedule a cross-shard import for local receiver-side delivery.
-
-        The sending shard already recorded the transmission and passed
-        the send-time availability check; this schedules the same
-        :meth:`_deliver` callback a local send would have, at the
-        precomputed delivery time.
-        """
-        inbox = self._inboxes.get(remote_as)
-        if inbox is None:
-            raise UnknownASError(remote_as)
-        self.scheduler.schedule_at(
-            delivery_ms,
-            partial(
-                self._deliver,
-                message,
-                remote_as,
-                remote_interface,
-                link_key,
-                inbox,
-            ),
-        )
 
     def _drain(self, as_id: int, now_ms: float) -> None:
         """Hand the inbox's pending messages to the control service.

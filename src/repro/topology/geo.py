@@ -38,14 +38,6 @@ class GeoCoordinate:
         if not -180.0 <= self.longitude <= 180.0:
             raise ValueError(f"longitude out of range: {self.longitude}")
 
-    def distance_km(self, other: "GeoCoordinate") -> float:
-        """Great-circle distance to ``other`` in kilometres."""
-        return great_circle_km(self, other)
-
-    def delay_ms(self, other: "GeoCoordinate") -> float:
-        """Fibre propagation delay to ``other`` in milliseconds."""
-        return propagation_delay_ms(self, other)
-
 
 def great_circle_km(a: GeoCoordinate, b: GeoCoordinate) -> float:
     """Return the great-circle distance between two coordinates.

@@ -79,13 +79,6 @@ class TrafficMatrix:
         """Return the aggregate offered rate."""
         return sum(group.demand_mbps for group in self.groups)
 
-    def pairs(self) -> Tuple[Tuple[int, int], ...]:
-        """Return the distinct ordered (source, destination) pairs."""
-        seen: Dict[Tuple[int, int], None] = {}
-        for group in self.groups:
-            seen.setdefault((group.source_as, group.destination_as), None)
-        return tuple(seen)
-
     def __len__(self) -> int:
         return len(self.groups)
 

@@ -233,9 +233,3 @@ class CapacityLinkModel:
             total_carried_mbps=total_carried,
         )
 
-    def utilization(self, result: AllocationResult) -> Dict[int, float]:
-        """Return per-link utilization (load / capacity) of one round."""
-        return {
-            index: load / self._capacity[index] if self._capacity[index] > 0 else 0.0
-            for index, load in result.link_load_mbps.items()
-        }

@@ -132,10 +132,11 @@ def run_all(scheduler: EventScheduler, max_events: int = 1_000_000) -> int:
             runaway event loop.
     """
     processed = 0
-    while (next_time := scheduler.next_event_time()) is not None:
+    queue = scheduler._queue
+    while queue:
         if processed >= max_events:
             raise SimulationError(f"exceeded the limit of {max_events} events")
-        processed += scheduler.run_until(next_time)
+        processed += scheduler.run_until(queue[0][0])
     return processed
 
 
@@ -175,6 +176,18 @@ class NullTransport:
             raise SimulationError(
                 f"no payload configured for ({origin_as}, {algorithm_id!r})"
             ) from None
+
+
+class ForeignKeyStore(KeyStore):
+    """A key store that holds, for every AS, the key of AS ``as_id + 1000``.
+
+    What it signs fails verification against an honest :class:`KeyStore`
+    and the reverse: a forger signing with another AS's key, or the keys
+    after a rollover.
+    """
+
+    def key_for(self, as_id: int):
+        return super().key_for(int(as_id) + 1000)
 
 
 @pytest.fixture

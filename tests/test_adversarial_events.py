@@ -15,6 +15,8 @@ import pytest
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.simulation.beaconing import BeaconingSimulation
 from repro.simulation.events import (
+    ASJoin,
+    ASLeave,
     ForwardingSuppression,
     GrayFailure,
     GrayRecovery,
@@ -394,6 +396,26 @@ class TestTopologyGrowth:
         as_paths = {p.segment.as_path() for p in result.service(6).path_service.paths_to(3)}
         assert (3, 6) in as_paths
         assert (3, 4, 5, 6) in as_paths
+
+    def test_events_aimed_at_a_grown_as_apply(self):
+        """Suppression, departure and return of an AS grown earlier in the
+        timeline act on the newcomer's own service."""
+        topology = line_topology(5)
+        scenario = don_scenario(periods=8, verify_signatures=False)
+        scenario.timeline.add(minutes(15), TopologyGrowth(6, attach_to=(3, 5)))
+        scenario.timeline.add(minutes(25), ForwardingSuppression((6,)))
+        scenario.timeline.add(minutes(45), ASLeave(6))
+        scenario.timeline.add(minutes(55), ASJoin(6))
+
+        result = _run(topology, scenario, pairs=[(5, 1), (3, 1)])
+
+        trace = result.convergence.trace_text()
+        assert "suppress_forwarding on @ 6" in trace
+        assert "as_leave 6" in trace and "as_join 6" in trace
+        assert result.service(6).revocations.suppress_forwarding
+        assert result.link_state.is_as_up(6)
+        # The newcomer's neighbours revoked it when it left.
+        assert result.collector.total_revocations > 0
 
     def test_growth_churn_generator_allocates_fresh_ids(self):
         topology = line_topology(4)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.cdf import MAX_POINTS, EmpiricalCDF, relative_to_baseline
+from repro.analysis.cdf import EmpiricalCDF, relative_to_baseline
 from repro.analysis.delay_eval import evaluate_delay
 from repro.analysis.disjointness_eval import (
     evaluate_disjointness,
@@ -25,7 +25,7 @@ from repro.analysis.workloads import (
 )
 from repro.core.databases import IngressDatabase
 from repro.simulation.beaconing import BeaconingSimulation
-from repro.simulation.scenario import disjointness_scenario, don_scenario
+from repro.simulation.scenario import don_scenario
 from repro.topology.generator import generate_topology
 
 from tests.conftest import small_test_config
@@ -46,7 +46,7 @@ class TestEmpiricalCDF:
 
     def test_empty_cdf(self):
         cdf = EmpiricalCDF.from_samples([])
-        assert cdf.points() == []
+        assert cdf.sample_count == 0
         with pytest.raises(ValueError):
             cdf.quantile(0.5)
         with pytest.raises(ValueError):
@@ -56,12 +56,6 @@ class TestEmpiricalCDF:
         cdf = EmpiricalCDF.from_samples([1.0])
         with pytest.raises(ValueError):
             cdf.quantile(1.5)
-
-    def test_points_downsampling(self):
-        cdf = EmpiricalCDF.from_samples(range(1000))
-        points = cdf.points()
-        assert len(points) <= MAX_POINTS < 1000
-        assert points[-1][1] == 1.0
 
     def test_relative_to_baseline(self):
         ratios = relative_to_baseline([2.0, None, 6.0, 4.0], [1.0, 2.0, 3.0, 0.0])
@@ -180,8 +174,8 @@ class TestSimulationEvaluations:
         evaluation = evaluate_delay(
             small_simulation_result, tags=["5sp", "don"], baseline_tag="1sp", as_pairs=pairs
         )
-        assert set(evaluation.tags()) == {"1sp", "5sp", "don"}
-        assert evaluation.coverage("1sp") > 0.0
+        assert set(evaluation.delays_ms) == {"1sp", "5sp", "don"}
+        assert any(delay is not None for delay in evaluation.delays_ms["1sp"])
         cdf = evaluation.cdf_relative_to_baseline("don")
         assert cdf.sample_count > 0
         # Delay optimization can never be worse than the baseline by more

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.crypto.hashing import algorithm_hash, beacon_digest
-from repro.crypto.keys import ASKeyPair, KeyStore, derive_key
+from repro.crypto.keys import KeyStore, derive_key
 from repro.crypto.signer import Signer, Verifier
 from repro.exceptions import SignatureError
 
@@ -14,9 +14,6 @@ class TestKeys:
 
     def test_different_ases_get_different_keys(self):
         assert derive_key(5).secret != derive_key(6).secret
-
-    def test_deployment_secret_changes_keys(self):
-        assert derive_key(5, b"a") != derive_key(5, b"b")
 
     def test_sign_and_verify(self):
         key = derive_key(7)
@@ -55,11 +52,11 @@ class TestSignerVerifier:
         with pytest.raises(SignatureError):
             Verifier(key_store=store).verify(9, b"other", signature)
 
-    def test_foreign_deployment_rejected(self):
-        signature = Signer(as_id=9, key_store=KeyStore(deployment_secret=b"x")).sign(b"msg")
-        verifier = Verifier(key_store=KeyStore(deployment_secret=b"y"))
+    def test_a_signature_forged_with_another_ases_key_is_rejected(self):
+        store = KeyStore()
+        forged = store.key_for(10).sign(b"msg")
         with pytest.raises(SignatureError):
-            verifier.verify(9, b"msg", signature)
+            Verifier(key_store=store).verify(9, b"msg", forged)
 
 
 class TestHashing:

@@ -1,14 +1,11 @@
-"""Tests of where a fabric delivery ends up: delivered, dropped or exported.
+"""Tests of where a fabric delivery ends up: delivered or dropped.
 
 :class:`~repro.simulation.network.SimulatedTransport` has one delivery
 path.  A message is counted when it is sent, checked against the live
 :class:`~repro.simulation.failures.LinkState` at send time and again at
 delivery time, rolled against a degraded link's loss rate, and appended
-to the receiver's inbox.  A shard worker exports a send whose receiver it
-does not own, and the owning shard replays the receiver side with
-:meth:`~repro.simulation.network.SimulatedTransport.inject_import`.
-These tests pin each outcome and the ledger it lands in, the shard hook's
-round trip, the on-demand algorithm fetch and the totals the convergence
+to the receiver's inbox.  These tests pin each outcome and the ledger it
+lands in, the on-demand algorithm fetch and the totals the convergence
 probe reads.
 """
 
@@ -24,7 +21,6 @@ from repro.core.databases import RegisteredPath
 from repro.core.messages import PathRegistrationMessage, RevocationMessage
 from repro.exceptions import AlgorithmError, ConfigurationError, UnknownASError
 from repro.simulation.beaconing import BeaconingSimulation
-from repro.simulation.collector import MetricsCollector
 from repro.simulation.engine import EventScheduler
 from repro.simulation.failures import LinkState
 from repro.simulation.network import SimulatedTransport
@@ -75,22 +71,6 @@ def _revocation(topology, sequence=1):
     )
 
 
-def _shard(topology, key_store, owned):
-    """One shard worker's fabric: services for ``owned`` ASes, exports logged."""
-    scheduler = EventScheduler()
-    exports = []
-    transport = SimulatedTransport(
-        topology=topology,
-        scheduler=scheduler,
-        link_state=LinkState(),
-        exporter=exports.append,
-    )
-    services = {}
-    for as_id in owned:
-        services[as_id] = _service(topology, key_store, transport, as_id)
-    return scheduler, transport, services, exports
-
-
 def _service(topology, key_store, transport, as_id):
     service = IrecControlService(
         view=LocalTopologyView.from_topology(topology, as_id),
@@ -102,148 +82,35 @@ def _service(topology, key_store, transport, as_id):
     return service
 
 
-class TestShardExport:
-    """A send to an AS this worker does not own leaves through the exporter."""
+class TestLocalDelivery:
+    """Deliveries land in the receiver's inbox and drain at their arrival tick."""
 
-    def test_send_to_an_unowned_as_is_exported_with_its_delivery_time(self, key_store):
+    def test_arrivals_from_two_neighbours_in_one_tick_share_one_drain(self, key_store):
         topology = line_topology(3)
-        scheduler, transport, _services, exports = _shard(topology, key_store, owned=[1])
-        message = pcb_message(1, _beacon(key_store))
-        transport.send_message(1, 2, message)
-        assert exports == [(HOP_MS, 2, 1, _link(topology, 0), message)]
-        # The sender side is recorded here; nothing is scheduled locally.
-        assert transport.collector.total_sent == 1
-        assert scheduler.pending == 0
-
-    def test_send_over_a_failed_link_is_dropped_before_export(self, key_store):
-        topology = line_topology(3)
-        _scheduler, transport, _services, exports = _shard(topology, key_store, owned=[1])
-        transport.link_state.fail_link(_link(topology, 0))
-        transport.send_message(1, 2, pcb_message(1, _beacon(key_store)))
-        assert exports == []
-        assert transport.collector.total_sent == 1
-        assert transport.collector.total_dropped == 1
-
-    def test_import_is_delivered_at_the_exported_time(self, key_store):
-        topology = line_topology(3)
-        _a_scheduler, a_transport, _a, exports = _shard(topology, key_store, owned=[1])
-        b_scheduler, b_transport, b_services, _ = _shard(topology, key_store, owned=[2, 3])
-        log = _record_deliveries(b_services[2])
-        a_transport.send_message(1, 2, pcb_message(1, _beacon(key_store)))
-        (export,) = exports
-        b_transport.inject_import(*export)
-        b_scheduler.run_until(HOP_MS, inclusive=False)
-        assert log == []
-        b_scheduler.run_until(HOP_MS)
-        assert log == [("pcb", 1, HOP_MS)]
-        assert len(b_services[2].ingress.database) == 1
-        # The receiving shard records no send: the sender's shard did.
-        assert b_transport.collector.control_messages_total() == 0
-
-    def test_import_to_an_unowned_as_raises(self, key_store):
-        topology = line_topology(3)
-        _scheduler, transport, _services, _exports = _shard(topology, key_store, owned=[1])
-        message = pcb_message(1, _beacon(key_store))
-        with pytest.raises(UnknownASError):
-            transport.inject_import(HOP_MS, 2, 1, _link(topology, 0), message)
-
-    def test_import_over_a_link_failed_in_flight_is_dropped_by_the_receiver(self, key_store):
-        topology = line_topology(3)
-        _a_scheduler, a_transport, _a, exports = _shard(topology, key_store, owned=[1])
-        b_scheduler, b_transport, b_services, _ = _shard(topology, key_store, owned=[2, 3])
-        a_transport.send_message(1, 2, pcb_message(1, _beacon(key_store)))
-        b_transport.inject_import(*exports[0])
-        b_scheduler.run_until(5.0)
-        b_transport.link_state.fail_link(_link(topology, 0))
-        run_all(b_scheduler)
-        assert len(b_services[2].ingress.database) == 0
-        assert b_transport.collector.total_dropped == 1
-        assert a_transport.collector.total_dropped == 0
-
-    def test_import_of_a_pcb_whose_advertised_link_failed_is_dropped(self, key_store):
-        topology = line_topology(3)
-        _a_scheduler, a_transport, _a, exports = _shard(topology, key_store, owned=[2])
-        b_scheduler, b_transport, b_services, _ = _shard(topology, key_store, owned=[3])
-        beacon = make_beacon(key_store, [(1, None, 2), (2, 1, 2)])
-        a_transport.send_message(2, 2, pcb_message(2, beacon))
-        b_transport.link_state.fail_link(_link(topology, 0))  # the 1-2 link
-        b_transport.inject_import(*exports[0])
-        run_all(b_scheduler)
-        assert len(b_services[3].ingress.database) == 0
-        assert b_transport.collector.total_dropped == 1
-
-    def test_split_ledgers_merge_into_the_single_process_ledger(self, key_store):
-        topology = line_topology(3)
-
-        def send_and_fail(transport, scheduler, link_state):
-            transport.send_message(1, 2, pcb_message(1, _beacon(key_store, 0)))
-            transport.send_message(1, 2, pcb_message(1, _beacon(key_store, 1)))
-            scheduler.run_until(5.0)
-            link_state.fail_link(_link(topology, 0))
-            run_all(scheduler)
-
-        link_state = LinkState()
-        scheduler, whole, _services = build_services(topology, key_store, link_state=link_state)
-        send_and_fail(whole, scheduler, link_state)
-
-        _a_scheduler, a_transport, _a, exports = _shard(topology, key_store, owned=[1])
-        b_scheduler, b_transport, _b, _ = _shard(topology, key_store, owned=[2, 3])
-        a_transport.send_message(1, 2, pcb_message(1, _beacon(key_store, 0)))
-        a_transport.send_message(1, 2, pcb_message(1, _beacon(key_store, 1)))
-        for export in exports:
-            b_transport.inject_import(*export)
-        b_scheduler.run_until(5.0)
-        b_transport.link_state.fail_link(_link(topology, 0))
-        run_all(b_scheduler)
-
-        merged = MetricsCollector()
-        merged.merge(a_transport.collector)
-        merged.merge(b_transport.collector)
-        assert merged.sent == whole.collector.sent
-        assert merged.total_sent == 2
-        assert merged.dropped == whole.collector.dropped
-        assert merged.total_dropped == 2
-        assert merged.pcbs_per_interface_per_period() == [2]
-
-    def test_import_and_local_send_of_one_tick_share_one_drain(self, key_store):
-        topology = line_topology(3)
-        _a_scheduler, a_transport, _a, exports = _shard(topology, key_store, owned=[1])
-        b_scheduler, b_transport, b_services, _ = _shard(topology, key_store, owned=[2, 3])
+        scheduler, transport, services = build_services(topology, key_store)
         batches = []
-        handle = b_services[2].on_message_batch
+        handle = services[2].on_message_batch
 
         def recording(entries, now_ms):
             batches.append(sorted(interface for _message, interface in entries))
             return handle(entries, now_ms)
 
-        b_services[2].on_message_batch = recording
-        a_transport.send_message(1, 2, pcb_message(1, _beacon(key_store)))
-        b_transport.inject_import(*exports[0])
+        services[2].on_message_batch = recording
+        transport.send_message(1, 2, pcb_message(1, _beacon(key_store)))
         # AS 3's interface 1 faces AS 2's interface 2: same arrival tick.
-        local = make_beacon(key_store, [(3, None, 1)])
-        b_transport.send_message(3, 1, pcb_message(3, local))
-        run_all(b_scheduler)
-        assert batches == [[1, 2]]
-
-    def test_registering_the_receiver_turns_exports_into_local_deliveries(self, key_store):
-        topology = line_topology(3)
-        scheduler, transport, _services, exports = _shard(topology, key_store, owned=[1])
-        transport.send_message(1, 2, pcb_message(1, _beacon(key_store, 0)))
-        assert len(exports) == 1
-        receiver = _service(topology, key_store, transport, 2)
-        transport.send_message(1, 2, pcb_message(1, _beacon(key_store, 1)))
+        transport.send_message(3, 1, pcb_message(3, make_beacon(key_store, [(3, None, 1)])))
         run_all(scheduler)
-        assert len(exports) == 1
-        assert len(receiver.ingress.database) == 1
+        assert batches == [[1, 2]]
 
 
 class TestReceiversGetTheSentObject:
     """No message is copied in flight: the inbox holds what the sender sent.
 
-    In one process a relay forwards the object it received, so every AS a
-    revocation flood or a down-segment announcement reaches holds the one
-    object its origin sent, whatever the drain's batch size.  A cross-shard
-    send is serialized: the importing shard holds an equal message.
+    A relay forwards the object it received, so every AS a revocation
+    flood or a down-segment announcement reaches holds the one object its
+    origin sent, whatever the drain's batch size.  No receiver may rely on
+    that sharing: ``tests/test_message_only_sharing.py`` reproduces every
+    pinned digest with each delivery a deserialized copy.
     """
 
     @staticmethod
@@ -314,23 +181,28 @@ class TestReceiversGetTheSentObject:
         return type(message), message.key, message.created_at_ms, payload
 
     @pytest.mark.parametrize("kind", ["pcb", "revocation", "path_registration"])
-    def test_a_cross_shard_import_is_the_unaltered_deserialized_message(self, key_store, kind):
+    def test_a_deserialized_copy_arrives_unaltered(self, key_store, kind):
+        """The copying transport of the message-only sharing check hands
+        every receiver, relays included, a distinct object that says what
+        the sent one says."""
         topology = line_topology(3)
-        _a_scheduler, a_transport, _a, exports = _shard(topology, key_store, owned=[1])
-        b_scheduler, b_transport, b_services, _ = _shard(topology, key_store, owned=[2, 3])
-        received = self._log_received(b_services)
-        message, receivers = self._send(kind, topology, key_store, a_transport)
-        (export,) = exports
-        b_transport.inject_import(*pickle.loads(pickle.dumps(export)))
-        run_all(b_scheduler)
+        scheduler, transport, services = build_services(topology, key_store)
+        received = self._log_received(services)
+        send = transport.send_message
+        transport.send_message = lambda sender_as, egress_interface, message: send(
+            sender_as, egress_interface, pickle.loads(pickle.dumps(message))
+        )
+        message, receivers = self._send(kind, topology, key_store, transport)
+        run_all(scheduler)
         assert sorted(received) == list(receivers)
-        (imported,) = received[2]
-        assert imported is not message
-        assert self._content(imported) == self._content(message)
-        # Inside the importing shard the relay forwards what it received.
-        for as_id in receivers[1:]:
-            (relayed,) = received[as_id]
-            assert relayed is imported
+        delivered = []
+        for as_id in receivers:
+            (copy,) = received[as_id]
+            delivered.append(copy)
+        assert len({id(copy) for copy in [message, *delivered]}) == 1 + len(receivers)
+        for copy in delivered:
+            assert self._content(copy) == self._content(message)
+        assert transport.collector.sent[kind] == len(receivers)
 
 
 class TestDeliveryChecks:
@@ -344,7 +216,7 @@ class TestDeliveryChecks:
         )
         return topology, link_state, scheduler, transport, services
 
-    def test_without_an_exporter_an_unknown_receiver_raises_before_counting(self, key_store):
+    def test_an_unknown_receiver_raises_before_counting(self, key_store):
         transport = SimulatedTransport(topology=line_topology(2), scheduler=EventScheduler())
         transport.register(_service(line_topology(2), key_store, transport, 1))
         with pytest.raises(UnknownASError):
@@ -355,7 +227,7 @@ class TestDeliveryChecks:
         topology, link_state, scheduler, transport, services = self._fabric(key_store)
         link_state.fail_link(_link(topology, 0))
         transport.send_message(1, 2, pcb_message(1, _beacon(key_store)))
-        assert scheduler.pending == 0
+        assert run_all(scheduler) == 0
         assert transport.collector.sent["pcb"] == 1
         assert transport.collector.dropped["pcb"] == 1
         assert len(services[2].ingress.database) == 0

@@ -12,12 +12,11 @@ from repro.core.ingress import IngressGateway
 from repro.core.local_view import LocalTopologyView
 from repro.core.rac import RACSelection
 from repro.crypto.hashing import perf_counters
-from repro.crypto.keys import KeyStore
 from repro.crypto.signer import Signer, Verifier
 from repro.exceptions import PolicyViolationError
 from repro.topology.entities import Link, Relationship
 
-from tests.conftest import NullTransport, figure1_topology, make_beacon
+from tests.conftest import ForeignKeyStore, NullTransport, figure1_topology, make_beacon
 
 
 @pytest.fixture
@@ -68,14 +67,14 @@ class TestIngressGateway:
         assert ingress.stats.rejected_expired == 1
 
     def test_rejects_invalid_signature(self, topology, key_store):
-        foreign_store = KeyStore(deployment_secret=b"other-deployment")
+        foreign_store = ForeignKeyStore()
         ingress, _egress, _transport = gateway_pair(topology, 3, key_store)
         forged = make_beacon(foreign_store, [(1, None, 1), (2, 1, 2)])
         assert not ingress.receive(forged, on_interface=1, now_ms=0.0)
         assert ingress.stats.rejected_signature == 1
 
     def test_signature_verification_can_be_disabled(self, topology, key_store):
-        foreign_store = KeyStore(deployment_secret=b"other-deployment")
+        foreign_store = ForeignKeyStore()
         ingress, _egress, _transport = gateway_pair(topology, 3, key_store)
         ingress.verify_signatures = False
         forged = make_beacon(foreign_store, [(1, None, 1), (2, 1, 2)])

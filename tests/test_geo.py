@@ -20,11 +20,11 @@ class TestGeoCoordinate:
         with pytest.raises(ValueError):
             geo.GeoCoordinate(0.0, -181.0)
 
-    def test_distance_and_delay_methods(self):
+    def test_distance_and_delay_between_two_cities(self):
         zurich = geo.GeoCoordinate(47.3769, 8.5417)
         london = geo.GeoCoordinate(51.5074, -0.1278)
-        assert zurich.distance_km(london) == pytest.approx(776, rel=0.05)
-        assert zurich.delay_ms(london) > 0.0
+        assert geo.great_circle_km(zurich, london) == pytest.approx(776, rel=0.05)
+        assert geo.propagation_delay_ms(zurich, london) > 0.0
 
 
 class TestGreatCircle:

@@ -55,10 +55,9 @@ GOLDEN_DIGEST = "5ce362c5870d1b961141d110321bed2360d38f20be418884cfa6aac7ee21ed8
 # deployment): the 2-3 failure floods through a legacy AS, and legacy AS 4
 # leaves, cold-restarts and rejoins.  Pinned while a legacy AS still ran a
 # control service class of its own, so "unchanged" holds the legacy
-# configuration of the one class to it.  `MIXED_DIGEST` is the part
-# both providers can reproduce (trace + fabric counters); a sharded run's
-# services die with its workers, so the per-AS registered segments are
-# pinned separately and checked in process only.
+# configuration of the one class to it.  `MIXED_DIGEST` pins the trace and
+# the fabric counters, `MIXED_SEGMENTS_DIGEST` every AS's registered
+# segments.
 MIXED_LEGACY_ASES = (2, 4)
 MIXED_DIGEST = "7f34fe8712fca68e276cf0f53cfe7e4130f724c5df11df19293d6fc9445a07a7"
 MIXED_SEGMENTS_DIGEST = "762f660ec2d4f1f1ed0bbac5ec8f600cb743099eb67758befdebd743359e27be"
@@ -112,11 +111,11 @@ def run_scenario(instrument=None, factory=None):
     """Run the pinned golden scenario; return its trace text.
 
     ``instrument`` (if given) receives the built simulation right before
-    ``run()`` — the query-tier and sharded tests use it to attach probes
-    and prove the digest is unchanged with them attached.  ``factory``
-    (default :class:`BeaconingSimulation`) builds the simulation from
-    ``(topology, scenario)`` — the sharded tests pass a coordinator
-    factory to prove a multi-process run reproduces this exact trace.
+    ``run()`` — the query-tier tests use it to attach probes and prove the
+    digest is unchanged with them attached.  ``factory`` (default
+    :class:`BeaconingSimulation`) builds the simulation from
+    ``(topology, scenario)`` — the message-only sharing check passes one
+    whose transport delivers copies.
     """
     return _trace(_run_golden(instrument, factory))
 
@@ -125,8 +124,7 @@ def run_mixed_scenario(factory=None):
     """Run the golden scenario with legacy ASes; return ``(trace, segments)``.
 
     ``segments`` lists every AS's registered segments (sorted digests, one
-    line per AS) and is empty when the provider keeps no services in this
-    process (a sharded run).
+    line per AS).
     """
     result = _run_golden(factory=factory, legacy_ases=MIXED_LEGACY_ASES)
     segments = "\n".join(
@@ -181,8 +179,10 @@ GENERATED_MIXED_DIGESTS = {
 }
 
 
-def run_generated_mixed(case):
+def run_generated_mixed(case, factory=None):
     """Run one generated mixed deployment; return its digested text."""
+    if factory is None:
+        factory = BeaconingSimulation
     topology = generate_topology(
         TopologyConfig(num_ases=13, num_core=3, num_transit=5, seed=1)
     )
@@ -204,7 +204,7 @@ def run_generated_mixed(case):
             recovery_after_ms=minutes(10),
         )
     )
-    simulation = BeaconingSimulation(topology, scenario)
+    simulation = factory(topology, scenario)
     for source_as in as_ids[1:]:
         simulation.watch_pair(source_as, as_ids[0])
     result = simulation.run()
@@ -299,9 +299,9 @@ def run_family_scenario(family, factory=None):
         f" dropped={result.collector.total_dropped}"
         f" gray={result.collector.gray_dropped_total()}"
         f" revocations={result.collector.total_revocations}"
-        f" rejected={sum(rejected for rejected, _ in result.revocation_stats.values())}"
-        f" duplicates={sum(dupes for _, dupes in result.revocation_stats.values())}"
-        f" ases={len(result.revocation_stats)}"
+        f" rejected={sum(s.revocations.rejected_invalid for s in result.services.values())}"
+        f" duplicates={sum(s.revocations.duplicates for s in result.services.values())}"
+        f" ases={len(result.services)}"
         f" final={result.final_time_ms:.3f}"
         f" records={len(result.convergence.records)}"
     )

@@ -28,7 +28,7 @@ from repro.core.ingress import IngressGateway, VerifiedPrefixCache
 from repro.crypto.keys import KeyStore
 from repro.crypto.signer import Signer, Verifier
 
-from tests.conftest import make_beacon, rebuild_chain
+from tests.conftest import ForeignKeyStore, make_beacon, rebuild_chain
 
 
 def two_hop_beacon(key_store, created_at_ms=0.0):
@@ -71,8 +71,8 @@ class TestCacheBound:
 
 class TestCacheBoundToItsKeyStore:
     def test_old_key_extension_rejected_by_a_gateway_over_new_keys(self):
-        old_store = KeyStore(deployment_secret=b"old")
-        new_store = KeyStore(deployment_secret=b"new")
+        old_store = KeyStore()
+        new_store = ForeignKeyStore()
         old = IngressGateway(as_id=999, verifier=Verifier(key_store=old_store))
         new = IngressGateway(as_id=999, verifier=Verifier(key_store=new_store))
 

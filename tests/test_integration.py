@@ -11,7 +11,6 @@ import pytest
 
 from repro.algorithms.criteria_algorithm import CriteriaSetAlgorithm
 from repro.algorithms.registry import encode_criteria_payload
-from repro.algorithms.shortest_path import KShortestPathAlgorithm
 from repro.core.criteria import (
     highest_bandwidth,
     lowest_latency,
@@ -31,7 +30,7 @@ from repro.analysis.disjointness_eval import evaluate_disjointness
 from repro.topology.generator import generate_topology
 from repro.traffic import CriteriaPolicy
 
-from tests.conftest import figure1_topology, line_topology, small_test_config
+from tests.conftest import figure1_topology, small_test_config
 from tests.test_golden_trace import MIXED_LEGACY_ASES, _run_golden
 
 

@@ -138,7 +138,7 @@ class TestLegacyControlService:
         simulation = legacy_simulation(3)
         for service in simulation.services.values():
             service.originate(now_ms=0.0)
-        simulation.advance(100.0)
+        simulation.scheduler.run_until(100.0)
         collector = simulation.collector
         before = collector.total_sent
         simulation.services[2].run_round(now_ms=100.0)

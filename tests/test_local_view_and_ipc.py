@@ -11,7 +11,7 @@ from repro.core.local_view import LocalTopologyView
 from repro.crypto.keys import KeyStore
 from repro.exceptions import UnknownLinkError
 
-from tests.conftest import figure1_topology, make_beacon
+from tests.conftest import figure1_topology
 from tests.test_perf_equivalence import build_chain, hop_specs, naive_encode
 
 

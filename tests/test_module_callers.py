@@ -3,28 +3,27 @@
 An AST scan of ``src/``, ``benchmarks/`` and ``examples/``: a module counts
 as called when a file that is neither a test nor a package ``__init__.py``
 imports it — directly, or by importing one of its names through the
-``__init__`` that re-exports it.  The modules known to fail that rule are
-listed, and the list may only shrink: it is compared for equality, so the
-test also fails when a listed module has gained a caller or is gone.
+``__init__`` that re-exports it.  The list of modules known to fail that
+rule is empty, and it is compared for equality, so it stays empty.
 
-The same scan of ``src/`` holds three import rules.  Two are the sharded
-runtime's: one module starts processes, and the simulation never imports
-the package that shards it.  The third keeps one data plane per question:
-``repro.traffic`` reads availability from the shared ``LinkState``, chooses
-paths with its own policies, and imports nothing from ``repro.dataplane``,
-so neither a second availability check nor a second end-host selection
-layer can come back unnoticed.
+The same scan of ``src/`` holds two import rules.  The simulation runs in
+one process, so no module imports a process API.  And there is one data
+plane per question: ``repro.traffic`` reads availability from the shared
+``LinkState``, chooses paths with its own policies, and imports nothing
+from ``repro.dataplane``, so neither a second availability check nor a
+second end-host selection layer can come back unnoticed.
 
 A rule keeps each scenario event checking itself: what an event
-requires of its timeline and which ASes it ties to one shard live on the
-event class, so only the modules that apply events to their own private
-state may ``isinstance``-test one.
+requires of its timeline lives on the event class, so only the modules
+that apply events to their own private state may ``isinstance``-test one.
 
 A last rule keeps the package free of test-only API: every public name
 under ``src/repro/`` — a module-level class or function, a method or a
-property — is referenced (as an attribute, a loaded name or a string)
-somewhere in ``src/``, ``benchmarks/`` or ``examples/`` outside a test
-file.  Its companion holds the same line for settable values: every
+property — is referenced somewhere in ``src/``, ``benchmarks/`` or
+``examples/`` outside a test file.  A method or property counts as
+referenced only as an attribute or a string; a module-level name also as a
+loaded name, so a local variable that shares a method's name hides
+nothing.  Its companion holds the same line for settable values: every
 option of every class, public method and public module-level function is
 set there too.  Both rules scan the whole tree once and report module by
 module, so a failure names the module it is in.  Each rule keeps one list
@@ -40,8 +39,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
-#: The one module that imports a process API, and those APIs.
-PROCESS_SPAWNER = "repro.parallel.coordinator"
+#: The process APIs no module under ``src/`` imports.
 PROCESS_MODULES = ("multiprocessing", "concurrent.futures")
 
 #: The modules that may ``isinstance``-test a scenario event.  Compared for
@@ -49,17 +47,10 @@ PROCESS_MODULES = ("multiprocessing", "concurrent.futures")
 EVENT_APPLIERS = {
     "repro.simulation.beaconing",
     "repro.traffic.engine",
-    "repro.parallel.coordinator",
 }
 
-#: Delete these or wire them to a real caller.
-KNOWN_ORPHANS = {
-    # Its caller was the legacy harness's ``parallel_e2e`` stage.  ROADMAP
-    # item 2 drops irecbench's planned ``--workers N`` mode, and item 7's
-    # sharding verdict keeps the package as the sharded ≡ single-process
-    # oracle its tests drive.
-    "repro.parallel.coordinator",
-}
+#: Modules only tests import.  Compared for equality: it stays empty.
+KNOWN_ORPHANS = set()
 
 
 def _module_name(path: Path) -> str:
@@ -153,20 +144,11 @@ def _src_imports():
                 yield module, f"{base}.{name}"
 
 
-def test_only_the_coordinator_imports_a_process_api():
+def test_no_module_imports_a_process_api():
     importers = {
         module
         for module, target in _src_imports()
         if any(_within(target, api) for api in PROCESS_MODULES)
-    }
-    assert importers == {PROCESS_SPAWNER}
-
-
-def test_the_simulation_does_not_import_the_sharded_runtime():
-    importers = {
-        module
-        for module, target in _src_imports()
-        if _within(module, "repro.simulation") and _within(target, "repro.parallel")
     }
     assert importers == set()
 
@@ -226,22 +208,22 @@ def _non_test_sources():
 
 @functools.lru_cache(maxsize=None)
 def _public_api():
-    """``{qualified name: (module, name)}`` of every public name under
-    ``src/repro/``.
+    """``{qualified name: (module, name, is a member)}`` of every public
+    name under ``src/repro/``.
 
     A public name is a module-level class or function, or a method or
-    property of any class, whose name does not start with ``_``.
+    property of any class (a member), whose name does not start with ``_``.
     """
     api = {}
     for path in sorted((SRC / "repro").rglob("*.py")):
         module = _module_name(path)
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                api[f"{module}.{node.name}"] = module, node.name
+                api[f"{module}.{node.name}"] = module, node.name, False
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                        api[f"{module}.{node.name}.{item.name}"] = module, item.name
+                        api[f"{module}.{node.name}.{item.name}"] = module, item.name, True
     return api
 
 
@@ -258,16 +240,16 @@ def _defining_modules():
     )
 
 
-@functools.lru_cache(maxsize=None)
-def _references():
-    """Every name a file outside the tests mentions: as an attribute, a
-    loaded name or a string.  A package ``__init__.py`` and an ``__all__``
-    list re-export names; they call nothing, so they are not read."""
-    referenced = set()
-    for source in _non_test_sources():
-        if source.name == "__init__.py":
-            continue
-        tree = ast.parse(source.read_text(encoding="utf-8"))
+def _mentions(trees):
+    """``(members, names)`` the trees mention.
+
+    ``members`` holds every attribute and string: what can name a method or
+    a property.  ``names`` holds those and every loaded name: what can name
+    a module-level class or function.  An ``__all__`` list re-exports
+    names; it calls nothing, so it is not read.
+    """
+    members, names = set(), set()
+    for tree in trees:
         exported = {
             id(constant)
             for node in tree.body
@@ -277,16 +259,38 @@ def _references():
         }
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
+                members.add(node.attr)
             elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                referenced.add(node.id)
+                names.add(node.id)
             elif (
                 isinstance(node, ast.Constant)
                 and isinstance(node.value, str)
                 and id(node) not in exported
             ):
-                referenced.add(node.value)
-    return referenced
+                members.add(node.value)
+    return members, names | members
+
+
+@functools.lru_cache(maxsize=None)
+def _references():
+    """What the files outside the tests mention (see :func:`_mentions`).  A
+    package ``__init__.py`` re-exports names; it calls nothing, so it is
+    not read."""
+    return _mentions(
+        ast.parse(source.read_text(encoding="utf-8"))
+        for source in _non_test_sources()
+        if source.name != "__init__.py"
+    )
+
+
+def _unreferenced(api, references):
+    """``{module: public names of it that ``references`` do not mention}``."""
+    members, names = references
+    unused = {}
+    for qualified, (module, name, is_member) in api.items():
+        if name not in (members if is_member else names):
+            unused.setdefault(module, set()).add(qualified)
+    return unused
 
 
 #: Public names nothing outside the tests references, each with its reason.
@@ -303,12 +307,7 @@ KEPT_API = {
 @functools.lru_cache(maxsize=None)
 def _unused_api():
     """``{module: public names of it that nothing outside the tests references}``."""
-    referenced = _references()
-    unused = {}
-    for qualified, (module, name) in _public_api().items():
-        if name not in referenced:
-            unused.setdefault(module, set()).add(qualified)
-    return unused
+    return _unreferenced(_public_api(), _references())
 
 
 def test_the_name_rule_sees_the_tree():
@@ -318,6 +317,29 @@ def test_the_name_rule_sees_the_tree():
     assert "repro.core.control_service.IrecControlService.run_round" not in set().union(
         *_unused_api().values()
     )
+
+
+@pytest.mark.parametrize(
+    "caller, unused",
+    [
+        # A loaded name (a local variable, a call of the module-level
+        # function) counts for the function, never for the method ...
+        ("def fold(ledgers):\n    merge = {}\n    return merge", {"Ledger.merge"}),
+        ("def fold():\n    return merge()", {"Ledger.merge"}),
+        # ... while an attribute or a string counts for both.
+        ("def fold(ledger):\n    return ledger.merge", set()),
+        ("def fold(ledger):\n    return getattr(ledger, 'merge')", set()),
+    ],
+    ids=["local-variable", "function-call", "attribute", "string"],
+)
+def test_the_name_rule_counts_a_member_only_through_an_attribute(caller, unused):
+    api = {
+        "Ledger": ("rule", "Ledger", False),
+        "Ledger.merge": ("rule", "merge", True),
+        "merge": ("rule", "merge", False),
+    }
+    references = _mentions([ast.parse(caller)])
+    assert _unreferenced(api, references).get("rule", set()) == unused | {"Ledger"}
 
 
 def test_every_kept_name_is_a_public_name():
@@ -411,23 +433,6 @@ KEPT_OPTIONS = {
     "ScenarioConfig.legacy_ases": (
         "a value a pinned digest's scenario sets: MIXED_DIGEST and "
         "GENERATED_MIXED_DIGESTS run legacy SCION ASes beside IREC ASes"
-    ),
-    "ShardedBeaconingSimulation.workers": (
-        "an option of repro.parallel, the sharded ≡ single-process oracle "
-        "(KNOWN_ORPHANS): its tests choose the shard count"
-    ),
-    "ShardedBeaconingSimulation.partition_seed": (
-        "an option of repro.parallel, the sharded ≡ single-process oracle "
-        "(KNOWN_ORPHANS): its tests vary the partition"
-    ),
-    "ShardedBeaconingSimulation.key_store": (
-        "an option of repro.parallel, the sharded ≡ single-process oracle "
-        "(KNOWN_ORPHANS): its tests share one key store with the "
-        "single-process run"
-    ),
-    "partition_topology.seed": (
-        "an option of repro.parallel, the sharded ≡ single-process oracle "
-        "(KNOWN_ORPHANS): its tests vary the partition"
     ),
 }
 

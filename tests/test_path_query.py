@@ -416,7 +416,7 @@ class TestQueryFabric:
         result = query_at(services[2].query_frontend, PathQuery(origin_as=3), 0.0)
         # The answer is the return value: nothing was scheduled to carry it.
         assert [p.segment.origin_as for p in result.paths] == [3]
-        assert scheduler.pending == 0
+        assert run_all(scheduler) == 0
 
 
 class TestTypedPullReturn:

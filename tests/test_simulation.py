@@ -2,16 +2,13 @@
 
 import dataclasses
 import math
-import pickle
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.simulation.beaconing import BeaconingSimulation
-from repro.simulation.collector import MESSAGE_KINDS, MetricsCollector
+from repro.simulation.collector import MetricsCollector
 from repro.simulation.engine import EventScheduler
 from repro.simulation.events import LinkFailure
 from repro.simulation.network import SimulatedTransport
@@ -60,12 +57,6 @@ class TestEventScheduler:
         with pytest.raises(SimulationError):
             scheduler.schedule_in(-1.0, lambda now: None)
 
-    def test_next_event_time(self):
-        scheduler = EventScheduler()
-        assert scheduler.next_event_time() is None
-        scheduler.schedule_at(5.0, lambda now: None)
-        assert scheduler.next_event_time() == 5.0
-
 
 class TestMetricsCollector:
     def test_binning_by_period(self):
@@ -105,56 +96,12 @@ class TestMetricsCollector:
         assert _ledgers(collector) == _ledgers(MetricsCollector())
 
 
-_KIND = st.sampled_from(MESSAGE_KINDS)
-_AS = st.integers(min_value=1, max_value=4)
-#: One strategy per recorder, so a generated stream reaches every ledger.
-_RECORDS = (
-    st.tuples(
-        st.just("record"), _KIND, _AS, st.integers(1, 3), st.floats(0.0, 399.0)
-    ),
-    st.tuples(st.just("record_drop"), _KIND),
-    st.tuples(st.just("record_gray_drop"), _KIND),
-    st.tuples(st.just("record_revocation_batch"), st.integers(1, 6)),
-    st.tuples(st.just("record_algorithm_fetch")),
-)
-
-
 def _ledgers(collector):
     """Every dataclass field of ``collector``."""
     return {
         ledger.name: getattr(collector, ledger.name)
         for ledger in dataclasses.fields(collector)
     }
-
-
-class TestCollectorMerge:
-    """``merge`` is what a sharded run's totals rest on: two collectors that
-    split a stream and merge must read as one that saw all of it."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        one_of_each=st.tuples(*_RECORDS),
-        extra=st.lists(st.one_of(*_RECORDS), max_size=40),
-        sides=st.lists(st.booleans(), min_size=50, max_size=50),
-        order=st.randoms(use_true_random=False),
-    )
-    def test_merge_equals_one_collector(
-        self, one_of_each, extra, sides, order
-    ):
-        stream = list(one_of_each) + extra
-        order.shuffle(stream)
-        whole = MetricsCollector(period_ms=100.0)
-        halves = (MetricsCollector(period_ms=100.0), MetricsCollector(period_ms=100.0))
-        for (name, *args), side in zip(stream, sides):
-            getattr(whole, name)(*args)
-            getattr(halves[side], name)(*args)
-        left, right = halves
-        # What a fork worker ships at ``gather`` is a pickle.
-        shipped = pickle.loads(pickle.dumps(right))
-        assert _ledgers(shipped) == _ledgers(right)
-        left.merge(shipped)
-        assert _ledgers(left) == _ledgers(whole)
-        assert left.control_messages_total() == whole.control_messages_total()
 
 
 class TestScenarioConfig:

@@ -1,7 +1,5 @@
 """Tests for unit conversion helpers."""
 
-import math
-
 import pytest
 
 from repro import units
