@@ -146,7 +146,7 @@ class HeuristicDisjointnessAlgorithm(RoutingAlgorithm):
     paths_per_interface: int = 1
     remember_propagations: bool = True
     name: ClassVar[str] = "hd"
-    _state: Dict[Tuple[int, int], _PairState] = field(default_factory=dict)
+    _state: Dict[Tuple[int, int], _PairState] = field(default_factory=dict, init=False)
 
     def __post_init__(self) -> None:
         if self.paths_per_interface < 1:

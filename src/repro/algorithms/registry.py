@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence
 
 from repro.algorithms.base import RoutingAlgorithm
 from repro.algorithms.criteria_algorithm import CriteriaSetAlgorithm
@@ -61,7 +61,7 @@ class AlgorithmCatalog:
     on-demand payloads.
     """
 
-    _factories: Dict[str, AlgorithmFactory] = field(default_factory=dict)
+    _factories: Dict[str, AlgorithmFactory] = field(default_factory=dict, init=False)
 
     def register(self, name: str, factory: AlgorithmFactory) -> None:
         """Register a factory under ``name`` (append-only).
@@ -83,10 +83,6 @@ class AlgorithmCatalog:
         if factory is None:
             raise UnknownAlgorithmError(name)
         return factory(**parameters)
-
-    def names(self) -> Tuple[str, ...]:
-        """Return the registered algorithm names, sorted."""
-        return tuple(sorted(self._factories))
 
     def __contains__(self, name: str) -> bool:
         return name in self._factories

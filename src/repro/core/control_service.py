@@ -20,7 +20,6 @@ selects, not in what it speaks.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -99,8 +98,6 @@ class RoundReport:
     as_id: int
     now_ms: float
     rac_reports: List[RACExecutionReport] = field(default_factory=list, init=False)
-    propagated: int = 0
-    registered: int = 0
 
 
 class IrecControlService:
@@ -135,10 +132,6 @@ class IrecControlService:
         #: the frontend's clock.
         self.query_frontend = PathQueryFrontend(self.path_service)
         self.revocations = RevocationState()
-        #: Sequence numbers of the down-segment announcements this service
-        #: originates (revocations keep their own counter: their
-        #: (origin, sequence) pairs are the flood's dedup identity).
-        self._message_sequence = itertools.count(1)
         #: Optional ``(message, removed_counts, now_ms)`` callback invoked
         #: after a revocation withdrew local state; the beaconing driver
         #: fans it out to its revocation listeners (e.g. the traffic
@@ -578,8 +571,8 @@ class IrecControlService:
             report.rac_reports.append(rac_report)
             all_selections.extend(selections)
 
-        report.propagated = self.egress.propagate(all_selections, now_ms=now_ms)
-        report.registered = self.egress.register(all_selections, now_ms=now_ms)
+        self.egress.propagate(all_selections)
+        self.egress.register(all_selections, now_ms=now_ms)
         if self.config.register_down_segments:
             # Announce each registration that was news to the local path
             # service (EgressGateway.register holds the rule) back along its
@@ -588,13 +581,9 @@ class IrecControlService:
             for path, arrival_interface in self.egress.take_registered():
                 if arrival_interface is None:
                     continue
-                announcement = PathRegistrationMessage(
-                    origin_as=self.as_id,
-                    sequence=next(self._message_sequence),
-                    created_at_ms=now_ms,
-                    path=path,
+                self.transport.send_message(
+                    self.as_id, arrival_interface, PathRegistrationMessage(path)
                 )
-                self.transport.send_message(self.as_id, arrival_interface, announcement)
                 self.egress.stats.announced += 1
         self.ingress.expire(now_ms)
         self.egress.expire(now_ms)

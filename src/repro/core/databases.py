@@ -99,15 +99,15 @@ class IngressDatabase:
     """
 
     local_as: int
-    _by_digest: Dict[str, CandidateBeacon] = field(default_factory=dict)
+    _by_digest: Dict[str, CandidateBeacon] = field(default_factory=dict, init=False)
     #: Bucket → its records, in insertion order.
-    _buckets: Dict[BucketKey, List[CandidateBeacon]] = field(default_factory=dict)
+    _buckets: Dict[BucketKey, List[CandidateBeacon]] = field(default_factory=dict, init=False)
     #: What :meth:`bucket_keys` returns; ``None`` once a bucket appeared or emptied.
     _bucket_order: Optional[Tuple[BucketKey, ...]] = field(
         default=None, init=False, repr=False, compare=False
     )
     #: Link → digests of beacons crossing it, arrival link included.
-    _by_link: Dict[LinkID, List[str]] = field(default_factory=dict)
+    _by_link: Dict[LinkID, List[str]] = field(default_factory=dict, init=False)
 
     def insert(self, stored: CandidateBeacon) -> bool:
         """Insert a beacon; return ``False`` if it was already present."""
@@ -260,9 +260,9 @@ class EgressDatabase:
     has passed.
     """
 
-    _records: Dict[str, EgressRecord] = field(default_factory=dict)
+    _records: Dict[str, EgressRecord] = field(default_factory=dict, init=False)
     #: Expiry time -> the one float object every record expiring then holds.
-    _expiries: Dict[float, float] = field(default_factory=dict)
+    _expiries: Dict[float, float] = field(default_factory=dict, init=False)
 
     def filter_new_interfaces(
         self, digest: str, interfaces: Iterable[int], expires_at_ms: float
@@ -348,23 +348,23 @@ class PathService:
     """
 
     max_paths_per_key: int = 20
-    _by_digest: Dict[str, RegisteredPath] = field(default_factory=dict)
-    _quota: Dict[Tuple[str, int, Optional[int]], int] = field(default_factory=dict)
+    _by_digest: Dict[str, RegisteredPath] = field(default_factory=dict, init=False)
+    _quota: Dict[Tuple[str, int, Optional[int]], int] = field(default_factory=dict, init=False)
     #: Which criteria tags of each stored digest actually took a quota
     #: slot — the path's own ``criteria_tags`` when all of them did — so
     #: removal releases exactly what registration took (merged criteria
     #: tags do not consume — and therefore do not release — extra slots).
     #: Release rebuilds each quota key from the segment.
-    _consumed: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
+    _consumed: Dict[str, Tuple[str, ...]] = field(default_factory=dict, init=False)
     #: Link → digests of registered segments crossing it.
-    _by_link: Dict[LinkID, List[str]] = field(default_factory=dict)
+    _by_link: Dict[LinkID, List[str]] = field(default_factory=dict, init=False)
     #: Origin AS → digests of registered segments starting there, in
     #: insertion order, so ``paths_to`` is indexed instead of a full
     #: ``_by_digest`` scan.  Merges replace the record in ``_by_digest``
     #: without moving it, so per-origin insertion order equals the scan's
     #: filtered order and results are identical.
-    _by_origin: Dict[int, List[str]] = field(default_factory=dict)
-    _invalidation_listeners: List[Callable[[int], None]] = field(default_factory=list)
+    _by_origin: Dict[int, List[str]] = field(default_factory=dict, init=False)
+    _invalidation_listeners: List[Callable[[int], None]] = field(default_factory=list, init=False)
 
     def add_invalidation_listener(self, listener: Callable[[int], None]) -> None:
         """Call ``listener(origin_as)`` whenever a digest with that origin

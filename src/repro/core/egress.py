@@ -21,7 +21,6 @@ control plane:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -42,9 +41,7 @@ class EgressStats:
 
     originated: int = field(default=0, init=False)
     propagated: int = field(default=0, init=False)
-    returned_to_origin: int = field(default=0, init=False)
     suppressed_duplicates: int = field(default=0, init=False)
-    suppressed_loops: int = field(default=0, init=False)
     registered: int = field(default=0, init=False)
     #: Registrations that added neither a digest nor a criteria tag to the
     #: local path service, and down-segment announcements sent.  Both move
@@ -77,10 +74,8 @@ class EgressGateway:
     #: the registration hot path stays allocation-free.
     collect_registered: bool = False
     _registered_feed: List[Tuple[RegisteredPath, Optional[int]]] = field(
-        default_factory=list
+        default_factory=list, init=False
     )
-    #: Envelope sequence numbers of the PCB messages this gateway sends.
-    _sequence: "itertools.count" = field(default_factory=lambda: itertools.count(1))
 
     def take_registered(self) -> List[Tuple[RegisteredPath, Optional[int]]]:
         """Drain and return the collected ``(path, arrival_interface)`` pairs."""
@@ -127,16 +122,7 @@ class EgressGateway:
                 static_info=static_info,
                 extensions=extensions,
             )
-            self.transport.send_message(
-                self.as_id,
-                interface_id,
-                PCBMessage(
-                    origin_as=self.as_id,
-                    sequence=next(self._sequence),
-                    created_at_ms=now_ms,
-                    beacon=beacon,
-                ),
-            )
+            self.transport.send_message(self.as_id, interface_id, PCBMessage(beacon))
             self.stats.originated += 1
             originated.append(beacon)
         return originated
@@ -144,7 +130,7 @@ class EgressGateway:
     # ------------------------------------------------------------------
     # propagation
     # ------------------------------------------------------------------
-    def propagate(self, selections: Iterable[RACSelection], now_ms: float) -> int:
+    def propagate(self, selections: Iterable[RACSelection]) -> int:
         """Propagate RAC-selected beacons to the corresponding neighbours.
 
         Pull-based beacons whose target is the local AS are returned to
@@ -179,16 +165,7 @@ class EgressGateway:
                     static_info=self.view.static_info_for(ingress_interface, egress_interface),
                     arrival=arrival,
                 )
-                self.transport.send_message(
-                    self.as_id,
-                    egress_interface,
-                    PCBMessage(
-                        origin_as=self.as_id,
-                        sequence=next(self._sequence),
-                        created_at_ms=now_ms,
-                        beacon=extended,
-                    ),
-                )
+                self.transport.send_message(self.as_id, egress_interface, PCBMessage(extended))
                 self.stats.propagated += 1
                 sent += 1
         return sent
@@ -205,10 +182,8 @@ class EgressGateway:
         result = []
         neighbor_as = self.view.neighbor_as
         for interface_id in interfaces:
-            if beacon.contains_as(neighbor_as(interface_id)):
-                self.stats.suppressed_loops += 1
-                continue
-            result.append(interface_id)
+            if not beacon.contains_as(neighbor_as(interface_id)):
+                result.append(interface_id)
         return result
 
     def _return_to_origin(self, selection: RACSelection, digest: str) -> None:
@@ -227,7 +202,6 @@ class EgressGateway:
             arrival=self._arrival(ingress_interface),
         )
         self.transport.return_beacon_to_origin(self.as_id, terminated)
-        self.stats.returned_to_origin += 1
 
     # ------------------------------------------------------------------
     # registration

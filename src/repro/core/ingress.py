@@ -63,10 +63,10 @@ class VerifiedPrefixCache:
     """
 
     max_entries: int = 65536
-    _digests: Dict[str, float] = field(default_factory=dict)
+    _digests: Dict[str, float] = field(default_factory=dict, init=False)
     #: Every expiry a cached digest may hold, mapped to itself: the one
     #: float object all digests expiring then point at.
-    _expiries: Dict[float, float] = field(default_factory=dict)
+    _expiries: Dict[float, float] = field(default_factory=dict, init=False)
 
     def __contains__(self, digest: str) -> bool:
         return digest in self._digests
@@ -126,8 +126,6 @@ class IngressStats:
     #: Beacons verified entirely from scratch vs. via a cached prefix.
     full_verifications: int = field(default=0, init=False)
     incremental_verifications: int = field(default=0, init=False)
-    #: Individual entry signatures actually checked (HMAC operations).
-    signatures_checked: int = field(default=0, init=False)
 
 
 @dataclass
@@ -235,7 +233,6 @@ class IngressGateway:
             self.stats.incremental_verifications += 1
         else:
             beacon.verify_suffix(self.verifier, first_entry=first_unverified)
-            self.stats.signatures_checked += len(chain) - first_unverified
             if first_unverified > 0:
                 self.stats.incremental_verifications += 1
             else:

@@ -16,39 +16,19 @@ gateway↔RAC exchange through this module, which
 * optionally adds a configurable per-call latency to model the RPC
   overhead of a multi-machine deployment (Fig. 6's modelled IPC cost).
 
-The measured wall-clock time of each exchange is accumulated in an
-:class:`IPCStats` object that the micro-benchmarks read.
+Each exchange returns its measured wall-clock time plus the modelled
+latency; the RAC adds both exchanges of a job to
+:attr:`repro.core.rac.RACExecutionReport.ipc_ms`, which the
+micro-benchmarks read.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Mapping, Sequence, Tuple
 
 from repro.core.beacon import Beacon
-
-
-@dataclass
-class IPCStats:
-    """Accumulated cost of gateway ↔ RAC exchanges."""
-
-    calls: int = field(default=0, init=False)
-    bytes_transferred: int = field(default=0, init=False)
-    elapsed_ms: float = field(default=0.0, init=False)
-    modelled_latency_ms: float = field(default=0.0, init=False)
-
-    def record(self, payload_bytes: int, elapsed_ms: float, modelled_ms: float) -> None:
-        """Record one RPC exchange."""
-        self.calls += 1
-        self.bytes_transferred += payload_bytes
-        self.elapsed_ms += elapsed_ms
-        self.modelled_latency_ms += modelled_ms
-
-    @property
-    def total_ms(self) -> float:
-        """Return measured plus modelled latency."""
-        return self.elapsed_ms + self.modelled_latency_ms
 
 
 @dataclass
@@ -62,34 +42,28 @@ class IPCChannel:
     """
 
     per_call_latency_ms: float = 0.0
-    stats: IPCStats = field(default_factory=IPCStats, init=False)
 
     def marshal_beacons(self, beacons: Sequence[Beacon]) -> Tuple[List[bytes], float]:
         """Gather ``beacons`` for transfer; return (wire form, elapsed ms).
 
         The wire form is the beacons' encoding parts in order, so it joins to
         their concatenated encodings and ``sum(map(len, wire))`` is the
-        payload charged.
+        payload.
         """
         start = time.perf_counter()
         wire: List[bytes] = []
-        payload = 0
         for beacon in beacons:
             wire += beacon.wire()
-            payload += beacon.encoded_size()
-        elapsed_ms = (time.perf_counter() - start) * 1000.0
-        modelled = self.per_call_latency_ms
-        self.stats.record(payload, elapsed_ms, modelled)
-        return wire, elapsed_ms + modelled
+        return wire, (time.perf_counter() - start) * 1000.0 + self.per_call_latency_ms
 
     def transfer_results(self, selections: Mapping[int, Sequence[Beacon]]) -> float:
-        """Model the transfer of interface → selected beacons to the egress gateway (ms)."""
+        """Model the transfer of interface → selected beacons to the egress gateway (ms).
+
+        The measured part sizes every selected beacon's encoding, as a
+        marshaller does before it writes a reply.
+        """
         start = time.perf_counter()
-        payload = 0
         for beacons in selections.values():
             for beacon in beacons:
-                payload += beacon.encoded_size() + 8
-        elapsed_ms = (time.perf_counter() - start) * 1000.0
-        modelled = self.per_call_latency_ms
-        self.stats.record(payload, elapsed_ms, modelled)
-        return elapsed_ms + modelled
+                beacon.encoded_size()
+        return (time.perf_counter() - start) * 1000.0 + self.per_call_latency_ms

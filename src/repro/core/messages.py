@@ -2,18 +2,20 @@
 
 The control plane of the paper is one conversation among ASes — beacons,
 down-segment announcements and revocations all travel over the same
-inter-AS links.  Every such interaction is a :class:`ControlMessage`
-carrying its origin AS, a per-origin sequence number and its origination
-time, and one generic transport path
+inter-AS links.  Every such interaction is a :class:`ControlMessage`,
+and one generic transport path
 (:meth:`repro.simulation.network.SimulatedTransport.send_message`) routes
 all of them with uniform per-hop latency, loss and metrics treatment.
+A PCB or a down-segment announcement carries only its payload: the
+beacon's header already names its origin and creation time.  A
+revocation, which every receiver deduplicates and verifies, also carries
+its origin, a per-origin sequence number and its origination time.
 
 Message types
 -------------
 
 * :class:`PCBMessage` — one path-construction beacon in flight over one
-  link (the fabric's framing of :class:`repro.core.beacon.Beacon`, built
-  by the sending AS: its id as origin, its own sequence).
+  link (the fabric's framing of :class:`repro.core.beacon.Beacon`).
 * :class:`RevocationMessage` — the signed withdrawal of one **or several**
   failed elements (inter-domain links and/or departed ASes), with
   *batching* (several failed elements in one message).
@@ -42,62 +44,29 @@ from repro.core.beacon import Beacon, _slot
 from repro.core.databases import RegisteredPath
 from repro.crypto.signer import Signer, Verifier
 from repro.exceptions import ConfigurationError
-from repro.topology.entities import LinkID, normalize_link_id
-
-def _format_link(link_id: LinkID) -> str:
-    (as_a, if_a), (as_b, if_b) = link_id
-    return f"{as_a}.{if_a}-{as_b}.{if_b}"
+from repro.topology.entities import LinkID, format_link, normalize_link_id
 
 
 @dataclass(frozen=True, slots=True)
 class ControlMessage:
-    """Base of every typed control-plane message.
-
-    Attributes:
-        origin_as: AS that originated the message.
-        sequence: Per-origin sequence number; ``(origin_as, sequence)`` is
-            the message's network-wide identity for types that deduplicate.
-        created_at_ms: Simulated origination time.
-    """
-
-    origin_as: int
-    sequence: int
-    created_at_ms: float
-    #: Memo of :attr:`key`: a declared slot (``init=False``), so copies
-    #: start cold, and every AS a flood reaches stores the one tuple the
-    #: shared message carries.
-    _key: Optional[Tuple[int, int]] = _slot()
+    """Base of every typed control-plane message."""
 
     #: Stable short name used by the transport's per-kind metrics routing.
     kind: ClassVar[str] = "control"
-
-    @property
-    def key(self) -> Tuple[int, int]:
-        """Return the network-wide identity ``(origin_as, sequence)`` (memoized)."""
-        key = self._key
-        if key is None:
-            key = (self.origin_as, self.sequence)
-            object.__setattr__(self, "_key", key)
-        return key
 
 
 @dataclass(frozen=True, slots=True)
 class PCBMessage(ControlMessage):
     """One path-construction beacon in flight over one inter-AS link.
 
-    The fabric's framing of a :class:`~repro.core.beacon.Beacon`: the
-    beacon itself is immutable and shared, the message adds the sender's
-    origin, sequence and send time (the beacon's own AS path doubles as its
-    hop record).
+    The fabric's framing of a :class:`~repro.core.beacon.Beacon`, which is
+    immutable and shared: its header names its origin and creation time,
+    and its own AS path doubles as its hop record.
     """
 
-    beacon: Optional[Beacon] = None
+    beacon: Beacon
 
     kind: ClassVar[str] = "pcb"
-
-    def __post_init__(self) -> None:
-        if self.beacon is None:
-            raise ConfigurationError("a PCB message carries exactly one beacon")
 
 
 @dataclass(frozen=True, slots=True)
@@ -116,15 +85,26 @@ class RevocationMessage(ControlMessage):
     64-bit field: at least 1, below 2**63.
 
     Attributes:
+        origin_as: AS that originated the message.
+        sequence: Per-origin sequence number; ``(origin_as, sequence)`` is
+            the message's network-wide identity.
+        created_at_ms: Simulated origination time.
         failed_links: Every revoked link named by this message.
         failed_ases: Every departed AS named by this message.
         signature: Signature of ``origin_as`` over the canonical encoding;
             empty until :meth:`signed` fills it in a copy.
     """
 
+    origin_as: int
+    sequence: int
+    created_at_ms: float
     failed_links: Tuple[LinkID, ...] = ()
     failed_ases: Tuple[int, ...] = ()
     signature: bytes = field(default=b"", init=False)
+    #: Memo of :attr:`key`: a declared slot (``init=False``), so copies
+    #: start cold, and every AS a flood reaches stores the one tuple the
+    #: shared message carries.
+    _key: Optional[Tuple[int, int]] = _slot()
     _failed_link_set: Optional[frozenset] = _slot()
     _failed_as_set: Optional[frozenset] = _slot()
     _encoded_unsigned: Optional[str] = _slot()
@@ -155,6 +135,15 @@ class RevocationMessage(ControlMessage):
             )
 
     @property
+    def key(self) -> Tuple[int, int]:
+        """Return the network-wide identity ``(origin_as, sequence)`` (memoized)."""
+        key = self._key
+        if key is None:
+            key = (self.origin_as, self.sequence)
+            object.__setattr__(self, "_key", key)
+        return key
+
+    @property
     def failed_link_set(self) -> frozenset:
         """Return the revoked links as a frozenset (memoized)."""
         links = self._failed_link_set
@@ -181,7 +170,7 @@ class RevocationMessage(ControlMessage):
         encoded = self._encoded_unsigned
         if encoded is not None:
             return encoded
-        parts = [f"link={_format_link(link)}" for link in self.failed_links]
+        parts = [f"link={format_link(link)}" for link in self.failed_links]
         parts.extend(f"as={as_id}" for as_id in self.failed_ases)
         element = ";".join(parts)
         encoded = (
@@ -210,7 +199,7 @@ class RevocationMessage(ControlMessage):
         the golden traces); batched messages join their elements with
         ``+``.
         """
-        parts = [f"link {_format_link(link)}" for link in self.failed_links]
+        parts = [f"link {format_link(link)}" for link in self.failed_links]
         parts.extend(f"as {as_id}" for as_id in self.failed_ases)
         element = "+".join(parts)
         return f"revoke {element} origin={self.origin_as} seq={self.sequence}"
@@ -232,12 +221,6 @@ class PathRegistrationMessage(ControlMessage):
     on).
     """
 
-    path: Optional[RegisteredPath] = None
+    path: RegisteredPath
 
     kind: ClassVar[str] = "path_registration"
-
-    def __post_init__(self) -> None:
-        if self.path is None:
-            raise ConfigurationError(
-                "a path-registration message carries exactly one registered path"
-            )

@@ -40,7 +40,7 @@ class AlgorithmRepository:
     """Payloads published by one origin AS."""
 
     as_id: int
-    _payloads: Dict[str, bytes] = field(default_factory=dict)
+    _payloads: Dict[str, bytes] = field(default_factory=dict, init=False)
 
     def publish(self, algorithm_id: str, payload: bytes) -> str:
         """Publish ``payload`` under ``algorithm_id`` and return its hash.
@@ -93,7 +93,7 @@ class OnDemandAlgorithmManager:
     #: ``(origin, algorithm id, hash)`` → the decoded algorithm, or the
     #: message of the error its payload failed to decode with.
     _cache: Dict[Tuple[int, str, str], Union[RoutingAlgorithm, str]] = field(
-        default_factory=dict
+        default_factory=dict, init=False
     )
 
     def resolve(self, beacon: Beacon) -> RoutingAlgorithm:

@@ -48,7 +48,6 @@ class PullIteration:
 
     index: int
     algorithm_id: str
-    started_at_ms: float
     avoid_links: Tuple[LinkID, ...]
     accepted_beacon: Optional[Beacon] = field(default=None, init=False)
 
@@ -78,7 +77,7 @@ class PullBasedDisjointnessOrchestrator:
     state: PullState = field(default=PullState.IDLE, init=False)
     collected: List[Beacon] = field(default_factory=list, init=False)
     iterations: List[PullIteration] = field(default_factory=list, init=False)
-    _used_links: Set[LinkID] = field(default_factory=set)
+    _used_links: Set[LinkID] = field(default_factory=set, init=False)
 
     def __post_init__(self) -> None:
         if self.desired_paths < 1:
@@ -140,7 +139,6 @@ class PullBasedDisjointnessOrchestrator:
             PullIteration(
                 index=index,
                 algorithm_id=algorithm_id,
-                started_at_ms=now_ms,
                 avoid_links=avoid,
             )
         )

@@ -272,10 +272,6 @@ class PathQueryFrontend:
     # ------------------------------------------------------------------
 
     @property
-    def cache_size(self) -> int:
-        return len(self._cache)
-
-    @property
     def cache_hit_ratio(self) -> float:
         """Hits over lookups; 0.0 before the first lookup."""
         return self.hits / self.lookups if self.lookups else 0.0

@@ -165,7 +165,7 @@ class RevocationState:
     dedup_window_ms: float = DEFAULT_DEDUP_WINDOW_MS
     suppress_forwarding: bool = field(default=False, init=False)
     #: (origin, sequence) → first-seen time, insertion-ordered for pruning.
-    _seen: Dict[Tuple[int, int], float] = field(default_factory=dict)
+    _seen: Dict[Tuple[int, int], float] = field(default_factory=dict, init=False)
     applied_at: WithdrawalLedger = field(default_factory=WithdrawalLedger, init=False)
     revoked_links: Dict[LinkID, Tuple[RevocationMessage, float]] = field(
         default_factory=dict, init=False
@@ -173,7 +173,7 @@ class RevocationState:
     revoked_ases: Dict[int, Tuple[RevocationMessage, float]] = field(
         default_factory=dict, init=False
     )
-    _sequence: "itertools.count" = field(default_factory=lambda: itertools.count(1))
+    _sequence: "itertools.count" = field(default_factory=lambda: itertools.count(1), init=False)
     received: int = field(default=0, init=False)
     duplicates: int = field(default=0, init=False)
     originated: int = field(default=0, init=False)

@@ -132,7 +132,7 @@ class MeteredEvaluator:
 
     tree: ast.Expression
     step_budget: int = DEFAULT_STEP_BUDGET
-    _steps: int = 0
+    _steps: int = field(default=0, init=False)
 
     def evaluate(self, variables: Dict[str, float]) -> float:
         """Evaluate the expression over ``variables``.
@@ -326,30 +326,17 @@ class RestrictedPythonAlgorithm(RoutingAlgorithm):
 
 
 @dataclass
-class SandboxStats:
-    """Accumulated sandbox setup cost (the Figure-6 "WASM setup" analogue)."""
-
-    setups: int = field(default=0, init=False)
-    elapsed_ms: float = field(default=0.0, init=False)
-
-    def record(self, elapsed_ms: float) -> None:
-        """Record one sandbox setup."""
-        self.setups += 1
-        self.elapsed_ms += elapsed_ms
-
-
-@dataclass
 class SandboxRuntime:
     """Creates fresh, isolated execution environments for payloads.
 
     ``setup`` re-validates the payload and rebuilds the metered evaluator,
     mirroring the per-execution Wasmtime environment setup the paper
-    measures; its cost is accumulated in :attr:`stats`.  The fresh
+    measures; the RAC adds its cost to
+    :attr:`repro.core.rac.RACExecutionReport.setup_ms`.  The fresh
     environment keeps the algorithm's own step and time budgets.
     """
 
     modelled_setup_ms: float = 0.0
-    stats: SandboxStats = field(default_factory=SandboxStats, init=False)
 
     def setup(self, algorithm: RoutingAlgorithm) -> Tuple[RoutingAlgorithm, float]:
         """Prepare ``algorithm`` for one sandboxed execution.
@@ -370,6 +357,4 @@ class SandboxRuntime:
                 step_budget=algorithm.step_budget,
                 time_budget_ms=algorithm.time_budget_ms,
             )
-        elapsed_ms = (time.perf_counter() - start) * 1000.0 + self.modelled_setup_ms
-        self.stats.record(elapsed_ms)
-        return prepared, elapsed_ms
+        return prepared, (time.perf_counter() - start) * 1000.0 + self.modelled_setup_ms

@@ -16,7 +16,7 @@ origin signature — are all preserved; see DESIGN.md for the substitution
 rationale.
 """
 
-from repro.crypto.hashing import algorithm_hash, beacon_digest
+from repro.crypto.hashing import algorithm_hash
 from repro.crypto.keys import ASKeyPair, KeyStore
 from repro.crypto.signer import Signer, Verifier
 
@@ -26,5 +26,4 @@ __all__ = [
     "Signer",
     "Verifier",
     "algorithm_hash",
-    "beacon_digest",
 ]

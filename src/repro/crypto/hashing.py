@@ -55,11 +55,3 @@ def algorithm_hash(payload: bytes) -> str:
     if not isinstance(payload, (bytes, bytearray)):
         raise TypeError(f"algorithm payload must be bytes, got {type(payload).__name__}")
     return hashlib.sha256(bytes(payload)).hexdigest()
-
-
-def beacon_digest(encoded_beacon: bytes) -> str:
-    """Return the hex digest of an encoded PCB (used by the egress DB)."""
-    if not isinstance(encoded_beacon, (bytes, bytearray)):
-        raise TypeError(f"encoded beacon must be bytes, got {type(encoded_beacon).__name__}")
-    count_crypto_op("beacon_digest")
-    return hashlib.sha256(bytes(encoded_beacon)).hexdigest()

@@ -41,14 +41,9 @@ class ForwardingPath:
 
     Attributes:
         hops: Hop fields from the source AS to the destination AS.
-        expected_latency_ms: Latency the control plane predicted for the
-            path (accumulated static info of the underlying segment).
-        expected_bandwidth_mbps: Bottleneck bandwidth predicted for the path.
     """
 
     hops: Tuple[HopField, ...]
-    expected_latency_ms: float
-    expected_bandwidth_mbps: float
 
     def __post_init__(self) -> None:
         if len(self.hops) < 2:
@@ -113,8 +108,4 @@ def forwarding_path_from_segment(segment: Beacon) -> ForwardingPath:
         )
         for entry in reversed(segment.entries)
     ]
-    return ForwardingPath(
-        hops=tuple(hops),
-        expected_latency_ms=segment.total_latency_ms(),
-        expected_bandwidth_mbps=segment.bottleneck_bandwidth_mbps(),
-    )
+    return ForwardingPath(hops=tuple(hops))

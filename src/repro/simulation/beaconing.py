@@ -616,7 +616,6 @@ class BeaconingSimulation:
             if not self.link_state.is_as_up(as_id):
                 continue
             links, ases = per_origin[as_id]
-            self.collector.record_revocation_batch(len(links) + len(ases))
             self.services[as_id].originate_revocation(
                 now_ms=now_ms,
                 failed_links=tuple(links),

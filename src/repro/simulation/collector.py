@@ -6,7 +6,7 @@ the fabric already dispatches on — and PCBs additionally per sending
 interface and beaconing period: the raw material of Figure 8c ("PCBs per
 interface per period") and of the message-complexity discussion in
 §VIII-C.  Beside the per-kind ``sent`` / ``dropped`` counters it keeps the
-silent-loss (gray failure) and revocation aggregation ledgers.
+silent-loss (gray failure) ledger.
 
 Dynamic scenarios additionally record — through the
 :class:`ConvergenceCollector` — per-event disruption records: paths lost,
@@ -66,10 +66,6 @@ class MetricsCollector:
         gray_dropped: Messages silently swallowed by a degraded link (gray
             failure, flap loss), per kind — disjoint from ``dropped``, so
             a gray failure never perturbs the loud-failure accounting.
-        revocation_batches: Aggregated revocation originations (the driver
-            batches the simultaneous failures one origin detects into one
-            multi-element ``RevocationMessage``), with their total and
-            largest element counts and how many carried more than one.
     """
 
     period_ms: float = 600_000.0
@@ -78,18 +74,11 @@ class MetricsCollector:
     _counts: Dict[Tuple[InterfaceID, int], int] = field(default_factory=_tally, init=False)
     _fetches: int = field(default_factory=int, init=False)
     gray_dropped: Dict[str, int] = field(default_factory=_tally, init=False)
-    revocation_batches: int = field(default_factory=int, init=False)
-    revocation_batch_elements: int = field(default_factory=int, init=False)
-    revocation_batch_max: int = field(default_factory=int, init=False)
-    revocation_multi_batches: int = field(default_factory=int, init=False)
 
     total_sent = _kind_total("sent", "pcb", "PCB transmissions.")
     total_dropped = _kind_total("dropped", "pcb", "PCBs lost on unavailable links.")
     total_revocations = _kind_total("sent", "revocation", "Revocation transmissions.")
     revocations_dropped = _kind_total("dropped", "revocation", "Revocations lost in flight.")
-    total_registrations = _kind_total(
-        "sent", "path_registration", "Path-registration transmissions."
-    )
 
     def record(self, kind: str, sender_as: int, interface_id: int, time_ms: float) -> None:
         """Record one transmission of a ``kind`` message.
@@ -123,15 +112,6 @@ class MetricsCollector:
         if kind not in MESSAGE_KINDS:
             raise _no_ledger(kind)
         self.gray_dropped[kind] += 1
-
-    def record_revocation_batch(self, elements: int) -> None:
-        """Record one aggregated revocation origination of ``elements`` failures."""
-        self.revocation_batches += 1
-        self.revocation_batch_elements += elements
-        if elements > self.revocation_batch_max:
-            self.revocation_batch_max = elements
-        if elements > 1:
-            self.revocation_multi_batches += 1
 
     # ------------------------------------------------------------------
     # queries
@@ -255,7 +235,7 @@ class ConvergenceCollector:
 
     records: List[DisruptionRecord] = field(default_factory=list, init=False)
     trace: List[str] = field(default_factory=list, init=False)
-    _open: Dict[Tuple[int, int], DisruptionRecord] = field(default_factory=dict)
+    _open: Dict[Tuple[int, int], DisruptionRecord] = field(default_factory=dict, init=False)
 
     def on_event(
         self,

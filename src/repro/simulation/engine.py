@@ -31,8 +31,8 @@ class EventScheduler:
     """Priority-queue based discrete-event scheduler."""
 
     now_ms: float = field(default=0.0, init=False)
-    _queue: List[ScheduledEvent] = field(default_factory=list)
-    _sequence: "itertools.count" = field(default_factory=lambda: itertools.count())
+    _queue: List[ScheduledEvent] = field(default_factory=list, init=False)
+    _sequence: "itertools.count" = field(default_factory=lambda: itertools.count(), init=False)
     processed_events: int = field(default=0, init=False)
 
     def schedule_at(self, time_ms: float, callback: EventCallback) -> ScheduledEvent:

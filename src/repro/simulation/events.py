@@ -34,13 +34,8 @@ from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import ConfigurationError
 from repro.simulation.failures import LinkState
-from repro.topology.entities import LinkID, normalize_link_id
+from repro.topology.entities import LinkID, format_link, normalize_link_id
 from repro.topology.graph import Topology
-
-
-def _format_link(link_id: LinkID) -> str:
-    (as_a, if_a), (as_b, if_b) = link_id
-    return f"{as_a}.{if_a}-{as_b}.{if_b}"
 
 
 #: The links a grown AS attaches with (:class:`TopologyGrowth`).
@@ -89,7 +84,7 @@ class _Replay:
         if self.topology is not None and link_id not in self.topology.links:
             raise ConfigurationError(
                 f"timeline event {timed.trace_label()!r} targets "
-                f"unknown link {_format_link(link_id)}"
+                f"unknown link {format_link(link_id)}"
             )
 
 
@@ -128,7 +123,7 @@ class LinkFailure(ScenarioEvent):
         object.__setattr__(self, "link_id", normalize_link_id(*self.link_id))
 
     def trace_label(self) -> str:
-        return f"fail_link {_format_link(self.link_id)}"
+        return f"fail_link {format_link(self.link_id)}"
 
     def check(self, timed: "TimedEvent", replay: _Replay) -> None:
         replay.check_link(timed, self.link_id)
@@ -149,7 +144,7 @@ class LinkRecovery(ScenarioEvent):
         object.__setattr__(self, "link_id", normalize_link_id(*self.link_id))
 
     def trace_label(self) -> str:
-        return f"recover_link {_format_link(self.link_id)}"
+        return f"recover_link {format_link(self.link_id)}"
 
     def check(self, timed: "TimedEvent", replay: _Replay) -> None:
         replay.check_link(timed, self.link_id)
@@ -282,7 +277,7 @@ class LinkFlap(ScenarioEvent):
 
     def trace_label(self) -> str:
         return (
-            f"flap_link {_format_link(self.link_id)} x{len(self.schedule)} "
+            f"flap_link {format_link(self.link_id)} x{len(self.schedule)} "
             f"loss={self.loss_ab:.2f}/{self.loss_ba:.2f}"
         )
 
@@ -318,7 +313,7 @@ class GrayFailure(ScenarioEvent):
             raise ConfigurationError("a gray failure needs a positive drop_rate")
 
     def trace_label(self) -> str:
-        return f"gray_fail {_format_link(self.link_id)} rate={self.drop_rate:.2f}"
+        return f"gray_fail {format_link(self.link_id)} rate={self.drop_rate:.2f}"
 
     def check(self, timed: "TimedEvent", replay: _Replay) -> None:
         replay.check_link(timed, self.link_id)
@@ -335,7 +330,7 @@ class GrayRecovery(ScenarioEvent):
         object.__setattr__(self, "link_id", normalize_link_id(*self.link_id))
 
     def trace_label(self) -> str:
-        return f"gray_recover {_format_link(self.link_id)}"
+        return f"gray_recover {format_link(self.link_id)}"
 
     def check(self, timed: "TimedEvent", replay: _Replay) -> None:
         replay.check_link(timed, self.link_id)
@@ -380,7 +375,7 @@ class RevocationForgery(ScenarioEvent):
     def trace_label(self) -> str:
         return (
             f"forge_revocation {self.attacker_as} as-origin={self.claimed_origin} "
-            f"link {_format_link(self.link_id)} x{self.count}"
+            f"link {format_link(self.link_id)} x{self.count}"
         )
 
     def check(self, timed: "TimedEvent", replay: _Replay) -> None:
@@ -513,7 +508,7 @@ class ScenarioTimeline:
         timeline.add(minutes(15), LinkFailure(link)).add(minutes(35), LinkRecovery(link))
     """
 
-    _events: List[TimedEvent] = field(default_factory=list)
+    _events: List[TimedEvent] = field(default_factory=list, init=False)
 
     def add(self, time_ms: float, event: ScenarioEvent) -> "ScenarioTimeline":
         """Append one event at ``time_ms``; return the timeline (chainable)."""

@@ -92,16 +92,16 @@ class SimulatedTransport:
     link_state: LinkState = field(default_factory=LinkState)
     loss_seed: int = 0
     services: Dict[int, IrecControlService] = field(default_factory=dict, init=False)
-    _inboxes: Dict[int, _Inbox] = field(default_factory=dict)
+    _inboxes: Dict[int, _Inbox] = field(default_factory=dict, init=False)
     #: (sender_as, egress_interface) → (link key, link latency, remote AS,
     #: remote interface, remote inbox).  The topology's link set only
     #: changes when a new AS registers (growth churn), which clears this
     #: cache, so egress resolution is memoized — the flood fast path pays
     #: one dict hit instead of a link lookup + endpoint resolution per
     #: message.
-    _routes: Dict[Tuple[int, int], tuple] = field(default_factory=dict)
+    _routes: Dict[Tuple[int, int], tuple] = field(default_factory=dict, init=False)
     #: Pre-bound per-AS drain callbacks (no per-tick lambda allocation).
-    _drain_callbacks: Dict[int, object] = field(default_factory=dict)
+    _drain_callbacks: Dict[int, object] = field(default_factory=dict, init=False)
 
     def __post_init__(self) -> None:
         self._loss_rng = random.Random(self.loss_seed)

@@ -126,6 +126,12 @@ def normalize_link_id(a: InterfaceID, b: InterfaceID) -> LinkID:
     return (a, b) if a <= b else (b, a)
 
 
+def format_link(link_id: LinkID) -> str:
+    """Return the trace form ``"as.if-as.if"`` of a link identifier."""
+    (as_a, if_a), (as_b, if_b) = link_id
+    return f"{as_a}.{if_a}-{as_b}.{if_b}"
+
+
 @dataclass
 class ASInfo:
     """All locally-owned information about one AS.

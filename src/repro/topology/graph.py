@@ -30,8 +30,8 @@ class Topology:
 
     ases: Dict[int, ASInfo] = field(default_factory=dict, init=False)
     links: Dict[LinkID, Link] = field(default_factory=dict, init=False)
-    _links_by_interface: Dict[InterfaceID, Link] = field(default_factory=dict)
-    _neighbors: Dict[int, Set[int]] = field(default_factory=dict)
+    _links_by_interface: Dict[InterfaceID, Link] = field(default_factory=dict, init=False)
+    _neighbors: Dict[int, Set[int]] = field(default_factory=dict, init=False)
 
     # ------------------------------------------------------------------
     # construction

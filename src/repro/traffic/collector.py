@@ -93,7 +93,7 @@ class TrafficCollector:
     samples: List[RoundSample] = field(default_factory=list, init=False)
     reroutes: List[RerouteRecord] = field(default_factory=list, init=False)
     trace: List[str] = field(default_factory=list, init=False)
-    _open: Dict[int, RerouteRecord] = field(default_factory=dict)
+    _open: Dict[int, RerouteRecord] = field(default_factory=dict, init=False)
     total_flow_rounds: int = field(default=0, init=False)
 
     # ------------------------------------------------------------------

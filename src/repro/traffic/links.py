@@ -92,7 +92,6 @@ class CapacityLinkModel:
         if capacity_scale <= 0.0:
             raise ConfigurationError(f"capacity scale must be positive, got {capacity_scale}")
         self.topology = topology
-        self.capacity_scale = capacity_scale
         self._index_of: Dict[LinkID, int] = {}
         self._link_ids: List[LinkID] = []
         self._capacity: List[float] = []

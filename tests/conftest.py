@@ -428,11 +428,6 @@ def terminated_segments(service: IrecControlService) -> List[Beacon]:
     return [stored._segment for stored in records if stored._segment is not None]
 
 
-def pcb_message(sender_as: int, beacon: Beacon) -> PCBMessage:
-    """Frame ``beacon`` the way a sending control service does."""
-    return PCBMessage(origin_as=sender_as, sequence=1, created_at_ms=0.0, beacon=beacon)
-
-
 @pytest.fixture
 def beacon_factory(key_store):
     """Expose :func:`make_beacon` bound to the test's key store."""

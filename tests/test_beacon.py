@@ -203,7 +203,7 @@ class TestInheritedState:
         relay = SimpleNamespace(
             as_id=7, transport=SimpleNamespace(send_message=lambda *sent: relayed.append(sent))
         )
-        message = PathRegistrationMessage(origin_as=13, sequence=1, created_at_ms=0.0, path=path)
+        message = PathRegistrationMessage(path=path)
         assert IrecControlService.receive_path_registration(relay, message, now_ms=0.0)
         assert relayed == [(7, 2, message)] and segment._as_path is None
         # What a RAC candidate keeps beside its link id: its AS path and

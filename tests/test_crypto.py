@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.crypto.hashing import algorithm_hash, beacon_digest
+from repro.crypto.hashing import algorithm_hash
 from repro.crypto.keys import KeyStore, derive_key
 from repro.crypto.signer import Signer, Verifier
 from repro.exceptions import SignatureError
@@ -69,7 +69,3 @@ class TestHashing:
     def test_algorithm_hash_rejects_non_bytes(self):
         with pytest.raises(TypeError):
             algorithm_hash("not bytes")  # type: ignore[arg-type]
-
-    def test_beacon_digest_rejects_non_bytes(self):
-        with pytest.raises(TypeError):
-            beacon_digest(42)  # type: ignore[arg-type]

@@ -16,11 +16,7 @@ from tests.conftest import figure1_topology, line_topology, make_beacon
 
 def path_of(*hops):
     """A forwarding path over ``(as_id, ingress, egress)`` hop triples."""
-    return ForwardingPath(
-        hops=tuple(HopField(*hop) for hop in hops),
-        expected_latency_ms=0.0,
-        expected_bandwidth_mbps=1.0,
-    )
+    return ForwardingPath(hops=tuple(HopField(*hop) for hop in hops))
 
 
 @pytest.fixture
@@ -45,8 +41,6 @@ class TestForwardingPath:
         assert path.hops[0] == HopField(as_id=1, ingress_interface=None, egress_interface=1)
         assert path.hops[1] == HopField(as_id=2, ingress_interface=1, egress_interface=2)
         assert path.hops[2] == HopField(as_id=3, ingress_interface=1, egress_interface=None)
-        assert path.expected_latency_ms == pytest.approx(20.0)
-        assert path.expected_bandwidth_mbps == pytest.approx(100.0)
 
     def test_only_terminated_segments(self, key_store):
         not_terminated = make_beacon(key_store, [(3, None, 1), (2, 2, 1)])
@@ -55,15 +49,9 @@ class TestForwardingPath:
 
     def test_structural_validation(self):
         with pytest.raises(PathConstructionError):
-            ForwardingPath(
-                hops=(HopField(1, None, 1),), expected_latency_ms=0.0, expected_bandwidth_mbps=1.0
-            )
+            ForwardingPath(hops=(HopField(1, None, 1),))
         with pytest.raises(PathConstructionError):
-            ForwardingPath(
-                hops=(HopField(1, 1, 1), HopField(2, 1, None)),
-                expected_latency_ms=0.0,
-                expected_bandwidth_mbps=1.0,
-            )
+            ForwardingPath(hops=(HopField(1, 1, 1), HopField(2, 1, None)))
 
     def test_only_the_destination_hop_may_lack_an_egress(self):
         """A hop short of the destination without an egress interface would

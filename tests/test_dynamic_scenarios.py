@@ -411,7 +411,8 @@ class TestReviewRegressions:
         from repro.core.local_view import LocalTopologyView
         from repro.simulation.engine import EventScheduler
         from repro.simulation.network import SimulatedTransport
-        from tests.conftest import make_beacon, pcb_message
+        from repro.core.messages import PCBMessage
+        from tests.conftest import make_beacon
 
         topology = line_topology(3)
         scheduler = EventScheduler()
@@ -425,7 +426,7 @@ class TestReviewRegressions:
             transport.register(service)
 
         beacon = make_beacon(key_store, [(1, None, 2), (2, 1, 2)])
-        transport.send_message(2, 2, pcb_message(2, beacon))  # in flight towards AS 3
+        transport.send_message(2, 2, PCBMessage(beacon))  # in flight towards AS 3
         link_state.fail_link(((1, 2), (2, 1)))  # beacon's first hop fails
         run_all(scheduler)
         assert len(transport.service_of(3).ingress.database) == 0

@@ -18,7 +18,7 @@ from repro.algorithms.registry import encode_builtin_payload
 from repro.core.control_service import ControlServiceConfig, IrecControlService
 from repro.core.local_view import LocalTopologyView
 from repro.core.databases import RegisteredPath
-from repro.core.messages import PathRegistrationMessage, RevocationMessage
+from repro.core.messages import PCBMessage, PathRegistrationMessage, RevocationMessage
 from repro.exceptions import AlgorithmError, ConfigurationError, UnknownASError
 from repro.simulation.beaconing import BeaconingSimulation
 from repro.simulation.engine import EventScheduler
@@ -30,7 +30,6 @@ from tests.conftest import (
     build_services,
     line_topology,
     make_beacon,
-    pcb_message,
     run_all,
     slice_batches,
 )
@@ -96,9 +95,9 @@ class TestLocalDelivery:
             return handle(entries, now_ms)
 
         services[2].on_message_batch = recording
-        transport.send_message(1, 2, pcb_message(1, _beacon(key_store)))
+        transport.send_message(1, 2, PCBMessage(_beacon(key_store)))
         # AS 3's interface 1 faces AS 2's interface 2: same arrival tick.
-        transport.send_message(3, 1, pcb_message(3, make_beacon(key_store, [(3, None, 1)])))
+        transport.send_message(3, 1, PCBMessage(make_beacon(key_store, [(3, None, 1)])))
         run_all(scheduler)
         assert batches == [[1, 2]]
 
@@ -131,7 +130,7 @@ class TestReceiversGetTheSentObject:
     def _send(kind, topology, key_store, transport):
         """AS 1 sends one message of ``kind`` toward AS 2; return it and its receivers."""
         if kind == "pcb":
-            message = pcb_message(1, _beacon(key_store))
+            message = PCBMessage(_beacon(key_store))
             receivers = (2,)
         elif kind == "revocation":
             # Names the 1-2 link, so AS 2 forwards it on to AS 3.
@@ -143,10 +142,7 @@ class TestReceiversGetTheSentObject:
             # A segment originated by AS 3, relayed by AS 2, terminated at AS 1.
             segment = make_beacon(key_store, [(3, None, 1), (2, 2, 1), (1, 2, None)])
             message = PathRegistrationMessage(
-                origin_as=1,
-                sequence=1,
-                created_at_ms=0.0,
-                path=RegisteredPath(segment=segment, criteria_tags=("1sp",), registered_at_ms=0.0),
+                RegisteredPath(segment=segment, criteria_tags=("1sp",), registered_at_ms=0.0)
             )
             receivers = (2, 3)
         transport.send_message(1, 2, message)
@@ -178,7 +174,7 @@ class TestReceiversGetTheSentObject:
         else:
             path = message.path
             payload = (path.segment.digest(), path.criteria_tags, path.registered_at_ms)
-        return type(message), message.key, message.created_at_ms, payload
+        return type(message), payload
 
     @pytest.mark.parametrize("kind", ["pcb", "revocation", "path_registration"])
     def test_a_deserialized_copy_arrives_unaltered(self, key_store, kind):
@@ -220,13 +216,13 @@ class TestDeliveryChecks:
         transport = SimulatedTransport(topology=line_topology(2), scheduler=EventScheduler())
         transport.register(_service(line_topology(2), key_store, transport, 1))
         with pytest.raises(UnknownASError):
-            transport.send_message(1, 2, pcb_message(1, _beacon(key_store)))
+            transport.send_message(1, 2, PCBMessage(_beacon(key_store)))
         assert transport.collector.control_messages_total() == 0
 
     def test_send_time_failure_drops_without_scheduling(self, key_store):
         topology, link_state, scheduler, transport, services = self._fabric(key_store)
         link_state.fail_link(_link(topology, 0))
-        transport.send_message(1, 2, pcb_message(1, _beacon(key_store)))
+        transport.send_message(1, 2, PCBMessage(_beacon(key_store)))
         assert run_all(scheduler) == 0
         assert transport.collector.sent["pcb"] == 1
         assert transport.collector.dropped["pcb"] == 1
@@ -235,7 +231,7 @@ class TestDeliveryChecks:
     def test_link_failing_in_flight_loses_the_message(self, key_store):
         topology, link_state, scheduler, transport, services = self._fabric(key_store)
         log = _record_deliveries(services[2])
-        transport.send_message(1, 2, pcb_message(1, _beacon(key_store)))
+        transport.send_message(1, 2, PCBMessage(_beacon(key_store)))
         scheduler.run_until(5.0)
         link_state.fail_link(_link(topology, 0))
         run_all(scheduler)
@@ -245,7 +241,7 @@ class TestDeliveryChecks:
     def test_outage_healed_before_arrival_is_not_seen(self, key_store):
         """Availability is checked at send and at delivery time only."""
         topology, link_state, scheduler, transport, services = self._fabric(key_store)
-        transport.send_message(1, 2, pcb_message(1, _beacon(key_store)))
+        transport.send_message(1, 2, PCBMessage(_beacon(key_store)))
         scheduler.run_until(3.0)
         link_state.fail_link(_link(topology, 0))
         scheduler.run_until(6.0)
@@ -256,7 +252,7 @@ class TestDeliveryChecks:
 
     def test_receiver_going_offline_in_flight_loses_the_message(self, key_store):
         _topology, link_state, scheduler, transport, services = self._fabric(key_store)
-        transport.send_message(1, 2, pcb_message(1, _beacon(key_store)))
+        transport.send_message(1, 2, PCBMessage(_beacon(key_store)))
         scheduler.run_until(5.0)
         link_state.set_as_offline(2)
         run_all(scheduler)
@@ -266,7 +262,7 @@ class TestDeliveryChecks:
     def test_pcb_whose_advertised_link_failed_is_dropped_on_delivery(self, key_store):
         topology, link_state, scheduler, transport, services = self._fabric(key_store)
         beacon = make_beacon(key_store, [(1, None, 2), (2, 1, 2)])
-        transport.send_message(2, 2, pcb_message(2, beacon))
+        transport.send_message(2, 2, PCBMessage(beacon))
         link_state.fail_link(_link(topology, 0))  # the 1-2 link, not the one crossed
         run_all(scheduler)
         assert len(services[3].ingress.database) == 0
@@ -312,14 +308,14 @@ class TestSilentLoss:
             topology, key_store, link_state=link_state, loss_seed=loss_seed
         )
         for index in range(healthy_first):
-            transport.send_message(1, 2, pcb_message(1, _beacon(key_store, 100 + index)))
+            transport.send_message(1, 2, PCBMessage(_beacon(key_store, 100 + index)))
         run_all(scheduler)
         link_state.set_gray(_link(topology, 0), rate)
         sent = {}
         for index in range(count):
             beacon = _beacon(key_store, index)
             sent[beacon.digest()] = index
-            transport.send_message(1, 2, pcb_message(1, beacon))
+            transport.send_message(1, 2, PCBMessage(beacon))
         run_all(scheduler)
         delivered = sorted(
             sent[stored.beacon.digest()]
@@ -367,8 +363,8 @@ class TestSilentLoss:
         )
         link_state.set_link_loss(_link(topology, 0), toward_as=2, rate=1.0)
         toward_1 = _record_deliveries(services[1])
-        transport.send_message(1, 2, pcb_message(1, _beacon(key_store)))
-        transport.send_message(2, 1, pcb_message(2, make_beacon(key_store, [(2, None, 1)])))
+        transport.send_message(1, 2, PCBMessage(_beacon(key_store)))
+        transport.send_message(2, 1, PCBMessage(make_beacon(key_store, [(2, None, 1)])))
         run_all(scheduler)
         assert len(services[2].ingress.database) == 0
         assert toward_1 == [("pcb", 2, HOP_MS)]

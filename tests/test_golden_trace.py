@@ -132,7 +132,7 @@ def run_mixed_scenario(factory=None):
         + ",".join(sorted(p.segment.digest() for p in service.path_service.all_paths()))
         for as_id, service in sorted(result.services.items())
     )
-    registrations = f" registrations={result.collector.total_registrations}"
+    registrations = f" registrations={result.collector.sent['path_registration']}"
     return _trace(result, registrations), segments
 
 
@@ -218,7 +218,7 @@ def run_generated_mixed(case, factory=None):
         )
         for as_id, service in sorted(result.services.items())
     ]
-    registrations = f" registrations={result.collector.total_registrations}"
+    registrations = f" registrations={result.collector.sent['path_registration']}"
     return "\n".join([_trace(result, registrations), *segments])
 
 

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from repro.algorithms.shortest_path import LEGACY_PATH_COUNT
+from repro.core.messages import PCBMessage
 from repro.exceptions import SimulationError, UnknownASError, UnknownAlgorithmError
 from repro.simulation.beaconing import BeaconingSimulation
 from repro.simulation.engine import EventScheduler
@@ -29,7 +30,6 @@ from tests.conftest import (
     NullTransport,
     line_topology,
     make_beacon,
-    pcb_message,
     terminated_segments,
 )
 
@@ -180,7 +180,7 @@ class TestNullTransport:
     def test_records_messages(self, key_store):
         transport = NullTransport()
         beacon = make_beacon(key_store, [(1, None, 1)])
-        transport.send_message(1, 1, pcb_message(1, beacon))
+        transport.send_message(1, 1, PCBMessage(beacon))
         transport.return_beacon_to_origin(2, beacon)
         assert len(transport.sent) == 1
         assert len(transport.returned) == 1
@@ -203,7 +203,7 @@ class TestFabricFailFast:
         transport = self._empty_fabric()
         beacon = make_beacon(key_store, [(1, None, 2)])
         with pytest.raises(UnknownASError):
-            transport.send_message(1, 2, pcb_message(1, beacon))
+            transport.send_message(1, 2, PCBMessage(beacon))
 
     def test_unknown_origin_for_return(self, key_store):
         transport = self._empty_fabric()

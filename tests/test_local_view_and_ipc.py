@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.ipc import IPCChannel, IPCStats
+from repro.core.ipc import IPCChannel
 from repro.core.local_view import LocalTopologyView
 from repro.crypto.keys import KeyStore
 from repro.exceptions import UnknownLinkError
@@ -71,29 +71,16 @@ class TestIPCChannel:
             beacon_factory([(origin, None, 1), (2, 1, 2), (3, 1, 2)])
             for origin in range(10, 40)
         ]
-        _wire_small, _ = channel.marshal_beacons(small)
-        bytes_small = channel.stats.bytes_transferred
-        _wire_large, _ = channel.marshal_beacons(large)
-        assert channel.stats.bytes_transferred - bytes_small > bytes_small
-        assert channel.stats.calls == 2
+        wire_small, _ = channel.marshal_beacons(small)
+        wire_large, _ = channel.marshal_beacons(large)
+        assert sum(map(len, wire_large)) > 10 * sum(map(len, wire_small))
 
     def test_modelled_latency_added(self, key_store, beacon_factory):
         channel = IPCChannel(per_call_latency_ms=5.0)
         beacons = [beacon_factory([(1, None, 1), (2, 1, 2)])]
         _wire, cost_ms = channel.marshal_beacons(beacons)
         assert cost_ms >= 5.0
-        channel.transfer_results({1: beacons * 10})
-        # The model is per call, whatever the payload.
-        assert channel.stats.modelled_latency_ms == 10.0
-        assert channel.stats.total_ms >= channel.stats.modelled_latency_ms
-
-    def test_transfer_results_counts_payload(self, key_store, beacon_factory):
-        channel = IPCChannel()
-        beacon = beacon_factory([(1, None, 1), (2, 1, 2)])
-        cost_ms = channel.transfer_results({1: [beacon], 2: [beacon]})
-        assert cost_ms >= 0.0
-        assert channel.stats.bytes_transferred > 0
-        assert channel.stats.calls == 1
+        assert channel.transfer_results({1: beacons * 10}) >= 5.0
 
     @given(
         chains=st.lists(
@@ -102,7 +89,7 @@ class TestIPCChannel:
         repeat=st.integers(min_value=1, max_value=2),
     )
     @settings(max_examples=30, deadline=None)
-    def test_wire_bytes_are_the_bytes_charged_and_the_encodings(self, chains, repeat):
+    def test_wire_bytes_are_the_encodings(self, chains, repeat):
         # irecbench's traced ``core.ipc.marshal_bytes`` sums ``len`` over the
         # returned wire, so the wire must carry exactly the encodings' bytes.
         key_store = KeyStore()
@@ -115,15 +102,4 @@ class TestIPCChannel:
         encodings = [naive_encode(beacon) for beacon in beacons]
         channel = IPCChannel()
         wire, _ = channel.marshal_beacons(beacons)
-        assert sum(map(len, wire)) == channel.stats.bytes_transferred == sum(map(len, encodings))
         assert b"".join(wire) == b"".join(encodings)
-        marshalled = channel.stats.bytes_transferred
-        channel.transfer_results({1: beacons, 2: beacons[:1]})
-        charged = sum(len(encoded) + 8 for encoded in encodings + encodings[:1])
-        assert channel.stats.bytes_transferred - marshalled == charged
-
-    def test_stats_record(self):
-        stats = IPCStats()
-        stats.record(payload_bytes=100, elapsed_ms=1.0, modelled_ms=2.0)
-        assert stats.total_ms == 3.0
-        assert (stats.calls, stats.bytes_transferred) == (1, 100)

@@ -40,7 +40,6 @@ from tests.conftest import (
     build_services,
     line_topology,
     make_beacon,
-    pcb_message,
     run_all,
     slice_batches,
 )
@@ -57,26 +56,26 @@ def _pending(transport, as_id):
 
 
 class TestEnvelope:
-    def test_pcb_message_envelope(self, key_store):
-        """The header every message carries: origin, sequence, time."""
-        beacon = make_beacon(key_store, [(1, None, 2)])
-        message = PCBMessage(
-            origin_as=1, sequence=7, created_at_ms=42.0, beacon=beacon
-        )
-        assert message.origin_as == 1
-        assert message.sequence == 7
-        assert message.created_at_ms == 42.0
+    def test_pcb_message_carries_only_its_beacon(self, key_store):
+        """The beacon's header already names the origin and creation time."""
+        beacon = make_beacon(key_store, [(1, None, 2)], created_at_ms=42.0)
+        message = PCBMessage(beacon)
         assert message.beacon is beacon
         assert message.kind == "pcb"
-        assert message.key == (1, 7)
+        assert (message.beacon.origin_as, message.beacon.created_at_ms) == (1, 42.0)
+
+    def test_payload_messages_declare_exactly_one_field(self):
+        assert dataclasses.fields(ControlMessage) == ()
+        assert [f.name for f in dataclasses.fields(PCBMessage)] == ["beacon"]
+        assert [f.name for f in dataclasses.fields(PathRegistrationMessage)] == ["path"]
 
     def test_pcb_message_requires_beacon(self):
-        with pytest.raises(ConfigurationError):
-            PCBMessage(origin_as=1, sequence=1, created_at_ms=0.0)
+        with pytest.raises(TypeError):
+            PCBMessage()
 
     def test_path_registration_requires_path(self):
-        with pytest.raises(ConfigurationError):
-            PathRegistrationMessage(origin_as=1, sequence=1, created_at_ms=0.0)
+        with pytest.raises(TypeError):
+            PathRegistrationMessage()
 
     def test_kinds_are_distinct(self):
         kinds = {PCBMessage.kind, RevocationMessage.kind, PathRegistrationMessage.kind}
@@ -91,7 +90,7 @@ class TestEnvelope:
         _scheduler, transport, services = build_services(
             line_topology(2), key_store
         )
-        bare = ControlMessage(origin_as=1, sequence=1, created_at_ms=0.0)
+        bare = ControlMessage()
         with pytest.raises(SimulationError):
             transport.send_message(1, 2, bare)
         assert transport.collector.control_messages_total() == 0
@@ -104,41 +103,35 @@ class TestMessageMemos:
     """Derived values live in declared slots: cold on copies, outside identity."""
 
     @pytest.fixture
-    def messages(self, key_store):
-        beacon = make_beacon(key_store, [(1, None, 2)])
-        return [
-            PCBMessage(origin_as=1, sequence=1, created_at_ms=0.0, beacon=beacon),
-            RevocationMessage(
-                origin_as=1, sequence=2, created_at_ms=0.0, failed_links=(((1, 2), (2, 1)),)
-            ),
-        ]
+    def revocation(self):
+        return RevocationMessage(
+            origin_as=1, sequence=2, created_at_ms=0.0, failed_links=(((1, 2), (2, 1)),)
+        )
 
-    def test_messages_carry_no_instance_dict(self, messages):
-        for message in messages:
+    def test_messages_carry_no_instance_dict(self, key_store, revocation):
+        beacon = make_beacon(key_store, [(1, None, 2)])
+        for message in (PCBMessage(beacon), revocation):
             assert not hasattr(message, "__dict__")
 
-    def test_key_memo_is_outside_equality_hash_and_repr(self, messages):
-        for message in messages:
-            twin = pickle.loads(pickle.dumps(message))
-            assert message.key is message.key
-            assert message.key == (message.origin_as, message.sequence)
-            assert twin._key is None
-            assert message == twin and hash(message) == hash(twin)
-            assert "_key" not in repr(message)
+    def test_key_memo_is_outside_equality_hash_and_repr(self, revocation):
+        twin = pickle.loads(pickle.dumps(revocation))
+        assert revocation.key is revocation.key
+        assert revocation.key == (revocation.origin_as, revocation.sequence)
+        assert twin._key is None
+        assert revocation == twin and hash(revocation) == hash(twin)
+        assert "_key" not in repr(revocation)
 
-    def test_key_memo_is_cold_on_copies(self, messages):
-        for message in messages:
-            key = message.key
-            copy = dataclasses.replace(message)
-            assert copy._key is None
-            assert copy.key == key and copy.key is not key
+    def test_key_memo_is_cold_on_copies(self, revocation):
+        key = revocation.key
+        copy = dataclasses.replace(revocation)
+        assert copy._key is None
+        assert copy.key == key and copy.key is not key
 
-    def test_pickle_carries_a_warm_key(self, messages):
-        for message in messages:
-            key = message.key
-            restored = pickle.loads(pickle.dumps(message))
-            assert restored._key == key
-            assert restored.key is restored._key
+    def test_pickle_carries_a_warm_key(self, revocation):
+        key = revocation.key
+        restored = pickle.loads(pickle.dumps(revocation))
+        assert restored._key == key
+        assert restored.key is restored._key
 
     @staticmethod
     def _revocation_memos(message):
@@ -321,10 +314,7 @@ class TestPathRegistrationTraffic:
     def _announce(transport, segment):
         """AS 1 announces ``segment`` out the interface its beacon arrived on."""
         message = PathRegistrationMessage(
-            origin_as=1,
-            sequence=1,
-            created_at_ms=0.0,
-            path=RegisteredPath(segment=segment, criteria_tags=("1sp",), registered_at_ms=0.0),
+            RegisteredPath(segment=segment, criteria_tags=("1sp",), registered_at_ms=0.0)
         )
         transport.send_message(1, 2, message)
         return message
@@ -345,7 +335,7 @@ class TestPathRegistrationTraffic:
         assert registered[0].registered_at_ms == 22.0
         assert registered[0].criteria_tags == ("1sp",)
         # Counted as fabric traffic (one send per hop), disjoint from PCBs.
-        assert transport.collector.total_registrations == 2
+        assert transport.collector.sent["path_registration"] == 2
         assert transport.collector.total_sent == 0
         assert transport.collector.control_messages_total() == 2
 
@@ -356,7 +346,7 @@ class TestPathRegistrationTraffic:
         scheduler.run_until(100.0)  # reaches AS 2 at 11 ms, expired at 5 ms
         assert services[3].path_service.paths_to(3) == []
         # Dropped at the transit AS, not relayed.
-        assert transport.collector.total_registrations == 1
+        assert transport.collector.sent["path_registration"] == 1
 
     def test_registration_lost_on_failed_link(self, key_store):
         topology = line_topology(3)
@@ -374,10 +364,7 @@ class TestPathRegistrationTraffic:
         transport = NullTransport()
         segment = self._terminated_segment(key_store)
         message = PathRegistrationMessage(
-            origin_as=1,
-            sequence=1,
-            created_at_ms=0.0,
-            path=RegisteredPath(segment=segment, criteria_tags=(), registered_at_ms=0.0),
+            RegisteredPath(segment=segment, criteria_tags=(), registered_at_ms=0.0)
         )
         transport.send_message(1, 2, message)
         assert transport.messages == [(1, 2, message)]
@@ -398,8 +385,8 @@ class TestInboxBatching:
             receiver = services[2]
             # Two copies sent at the same instant land at the same tick
             # (e.g. simultaneous re-propagation over parallel links).
-            transport.send_message(1, 2, pcb_message(1, beacon))
-            transport.send_message(1, 2, pcb_message(1, beacon))
+            transport.send_message(1, 2, PCBMessage(beacon))
+            transport.send_message(1, 2, PCBMessage(beacon))
             scheduler.run_until(20.0)
             return receiver
 
@@ -426,7 +413,7 @@ class TestInboxBatching:
         topology = line_topology(3)
         scheduler, transport, services = build_services(topology, key_store)
         beacon = make_beacon(key_store, [(1, None, 2)])
-        transport.send_message(1, 2, pcb_message(1, beacon))
+        transport.send_message(1, 2, PCBMessage(beacon))
         assert _pending(transport, 2) == 0  # still in flight
         scheduler.run_until(100.0)
         assert _pending(transport, 2) == 0  # drained at its tick
@@ -450,7 +437,7 @@ class TestInboxBatching:
         log = self._record_batches(transport, services[2])
         for index in range(count):
             beacon = make_beacon(key_store, [(1, None, 2)], link_latencies=[10.0 + index])
-            transport.send_message(1, 2, pcb_message(1, beacon))
+            transport.send_message(1, 2, PCBMessage(beacon))
         run_all(scheduler)
         return log, services[2]
 
@@ -464,9 +451,9 @@ class TestInboxBatching:
         log = self._record_batches(transport, services[2])
         first = make_beacon(key_store, [(1, None, 2)], link_latencies=[10.0])
         second = make_beacon(key_store, [(1, None, 2)], link_latencies=[11.0])
-        transport.send_message(1, 2, pcb_message(1, first))
+        transport.send_message(1, 2, PCBMessage(first))
         scheduler.run_until(5.0)
-        transport.send_message(1, 2, pcb_message(1, second))
+        transport.send_message(1, 2, PCBMessage(second))
         run_all(scheduler)
         assert [(size, now) for size, _pending, now in log] == [
             (1, pytest.approx(11.0)),

@@ -86,8 +86,6 @@ class RecordingFactory:
                     (
                         report.as_id,
                         report.now_ms,
-                        report.propagated,
-                        report.registered,
                         [
                             (rac.rac_id, rac.buckets, rac.candidates, rac.selections,
                              rac.failed_buckets)
@@ -119,9 +117,18 @@ class RecordingFactory:
         ases = {}
         for as_id, service in simulation.services.items():
             revocations = service.revocations
+            egress = service.egress.stats
             ases[as_id] = (
                 len(service.ingress.database),
                 len(service.egress.database),
+                (
+                    egress.originated,
+                    egress.propagated,
+                    egress.suppressed_duplicates,
+                    egress.registered,
+                    egress.reregistered,
+                    egress.announced,
+                ),
                 sorted(
                     (path.segment.digest(), path.criteria_tags)
                     for path in service.path_service.all_paths()
@@ -143,12 +150,6 @@ class RecordingFactory:
             "sent": dict(collector.sent),
             "dropped": dict(collector.dropped),
             "gray_dropped": dict(collector.gray_dropped),
-            "revocation_batches": (
-                collector.revocation_batches,
-                collector.revocation_batch_elements,
-                collector.revocation_batch_max,
-                collector.revocation_multi_batches,
-            ),
             "ases": ases,
         }
 

@@ -17,17 +17,24 @@ A rule keeps each scenario event checking itself: what an event
 requires of its timeline lives on the event class, so only the modules
 that apply events to their own private state may ``isinstance``-test one.
 
-A last rule keeps the package free of test-only API: every public name
-under ``src/repro/`` — a module-level class or function, a method or a
-property — is referenced somewhere in ``src/``, ``benchmarks/`` or
-``examples/`` outside a test file.  A method or property counts as
-referenced only as an attribute or a string; a module-level name also as a
-loaded name, so a local variable that shares a method's name hides
-nothing.  Its companion holds the same line for settable values: every
-option of every class, public method and public module-level function is
-set there too.  Both rules scan the whole tree once and report module by
-module, so a failure names the module it is in.  Each rule keeps one list
-of exceptions, ``KEPT_API`` and ``KEPT_OPTIONS``, with a reason per entry.
+Three caller rules keep the package free of what only tests use.  Every
+public name under ``src/repro/`` — a module-level class or function, a
+method or a property — is referenced somewhere in ``src/``,
+``benchmarks/`` or ``examples/`` outside a test file.  A method or
+property counts as referenced only as an attribute or a string; a
+module-level name also as a loaded name, so a local variable that shares a
+method's name hides nothing.  Every option of every class, public method
+and public module-level function is set there too, and no ``_``-named
+value is a constructor parameter: private state is ``field(init=False)``.
+And every public stored value of a class — a dataclass field, an
+attribute ``__init__`` assigns, a class-level value built by a call — is
+read there: by an attribute load or a string, never by a write such as
+``x.f += 1``.  A string counts because code reads values by name
+(``benchmarks/run_experiments.py`` hands dict keys to ``getattr``).  The
+rules read one parsed tree per file, scan the whole tree once and report
+module by module, so a failure names the module it is in.  Each keeps one
+list of exceptions, ``KEPT_API``, ``KEPT_OPTIONS`` and ``KEPT_STATE``,
+with a reason per entry.
 """
 
 import ast
@@ -53,6 +60,12 @@ EVENT_APPLIERS = {
 KNOWN_ORPHANS = set()
 
 
+@functools.lru_cache(maxsize=None)
+def _tree(path: Path) -> ast.Module:
+    """The parsed file: every rule reads the one tree per file."""
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
 def _module_name(path: Path) -> str:
     parts = path.relative_to(SRC).with_suffix("").parts
     return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
@@ -60,7 +73,7 @@ def _module_name(path: Path) -> str:
 
 def _imports(path: Path, module: str, is_package: bool):
     """Yield ``(module, name or None)`` for every import statement of ``path``."""
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for node in ast.walk(_tree(path)):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 yield alias.name, None
@@ -166,7 +179,7 @@ def _event_classes():
     """Return the names of ``ScenarioEvent`` and every subclass of it."""
     path = SRC / "repro" / "simulation" / "events.py"
     names = {"ScenarioEvent"}
-    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+    for node in _tree(path).body:
         if isinstance(node, ast.ClassDef) and any(
             isinstance(base, ast.Name) and base.id in names for base in node.bases
         ):
@@ -179,7 +192,7 @@ def test_only_the_event_appliers_isinstance_test_an_event():
     assert {"LinkFailure", "TopologyGrowth"} <= events  # the scan sees the classes
     testers = set()
     for path in sorted(SRC.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        for node in ast.walk(_tree(path)):
             if not (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Name)
@@ -206,6 +219,12 @@ def _non_test_sources():
                 yield path
 
 
+def _caller_trees():
+    """The trees of :func:`_non_test_sources` but a package ``__init__.py``,
+    which re-exports names and reads nothing."""
+    return [_tree(path) for path in _non_test_sources() if path.name != "__init__.py"]
+
+
 @functools.lru_cache(maxsize=None)
 def _public_api():
     """``{qualified name: (module, name, is a member)}`` of every public
@@ -217,7 +236,7 @@ def _public_api():
     api = {}
     for path in sorted((SRC / "repro").rglob("*.py")):
         module = _module_name(path)
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        for node in _tree(path).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
                 api[f"{module}.{node.name}"] = module, node.name, False
             if isinstance(node, ast.ClassDef):
@@ -235,9 +254,20 @@ def _defining_modules():
         for path in (SRC / "repro").rglob("*.py")
         if any(
             isinstance(node, (ast.ClassDef, ast.FunctionDef))
-            for node in ast.parse(path.read_text(encoding="utf-8")).body
+            for node in _tree(path).body
         )
     )
+
+
+def _exported(tree):
+    """The ``id`` of every node of the tree's ``__all__`` list."""
+    return {
+        id(constant)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(getattr(target, "id", None) == "__all__" for target in node.targets)
+        for constant in ast.walk(node.value)
+    }
 
 
 def _mentions(trees):
@@ -250,13 +280,7 @@ def _mentions(trees):
     """
     members, names = set(), set()
     for tree in trees:
-        exported = {
-            id(constant)
-            for node in tree.body
-            if isinstance(node, ast.Assign)
-            and any(getattr(target, "id", None) == "__all__" for target in node.targets)
-            for constant in ast.walk(node.value)
-        }
+        exported = _exported(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute):
                 members.add(node.attr)
@@ -273,14 +297,8 @@ def _mentions(trees):
 
 @functools.lru_cache(maxsize=None)
 def _references():
-    """What the files outside the tests mention (see :func:`_mentions`).  A
-    package ``__init__.py`` re-exports names; it calls nothing, so it is
-    not read."""
-    return _mentions(
-        ast.parse(source.read_text(encoding="utf-8"))
-        for source in _non_test_sources()
-        if source.name != "__init__.py"
-    )
+    """What the files outside the tests mention (see :func:`_mentions`)."""
+    return _mentions(_caller_trees())
 
 
 def _unreferenced(api, references):
@@ -360,6 +378,149 @@ def test_every_public_name_has_a_caller_outside_the_tests(module):
     )
 
 
+def _stored_names(cls):
+    """Every name a class stores a value under: a dataclass field, an
+    attribute ``__init__`` assigns on ``self``, or a class-level value built
+    by a call (a ``property`` factory such as the collector's
+    ``_kind_total``)."""
+    dataclass = _is_dataclass(cls)
+    for node in cls.body:
+        if (
+            dataclass
+            and isinstance(node, ast.AnnAssign)
+            and isinstance(node.target, ast.Name)
+            and "ClassVar" not in ast.unparse(node.annotation)
+        ):
+            yield node.target.id
+        elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+            yield from (target.id for target in node.targets if isinstance(target, ast.Name))
+        elif isinstance(node, ast.FunctionDef) and node.name == "__init__":
+            for store in ast.walk(node):
+                if (
+                    isinstance(store, ast.Attribute)
+                    and isinstance(store.ctx, ast.Store)
+                    and getattr(store.value, "id", None) == "self"
+                ):
+                    yield store.attr
+
+
+@functools.lru_cache(maxsize=None)
+def _stored_values():
+    """``{qualified name: (module, name)}`` of every public stored value of
+    a class under ``src/repro/`` (see :func:`_stored_names`)."""
+    stored = {}
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        module = _module_name(path)
+        for cls in ast.walk(_tree(path)):
+            if isinstance(cls, ast.ClassDef):
+                for name in _stored_names(cls):
+                    if not name.startswith("_"):
+                        stored[f"{module}.{cls.name}.{name}"] = module, name
+    return stored
+
+
+def _reads(trees):
+    """Every name the trees read a value by: an attribute load or a string.
+
+    An assignment writes, ``x.f += 1`` included, and a keyword argument
+    names a parameter, so neither reads.  A string does, because code reads
+    values by name: ``benchmarks/run_experiments.py`` hands the keys of a
+    dict to ``getattr``.  An ``__all__`` list reads nothing.
+    """
+    reads = set()
+    for tree in trees:
+        exported = _exported(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+            elif (
+                isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and id(node) not in exported
+            ):
+                reads.add(node.value)
+    return reads
+
+
+def _unread(stored, reads):
+    """``{module: stored values of it that nothing in ``reads`` reads}``."""
+    unread = {}
+    for qualified, (module, name) in stored.items():
+        if name not in reads:
+            unread.setdefault(module, set()).add(qualified)
+    return unread
+
+
+@functools.lru_cache(maxsize=None)
+def _unread_state():
+    return _unread(_stored_values(), _reads(_caller_trees()))
+
+
+#: Stored values nothing outside the tests reads, each with its reason.
+#: Compared for equality, module by module (and a kept value must still be
+#: stored), so the list can only shrink.
+KEPT_STATE = {
+    "repro.core.egress.EgressStats.announced": (
+        "the news half of the registration news/repeat split that ROADMAP "
+        "items 2 and 13 measure: announced over registered is the share of "
+        "registrations that were news"
+    ),
+    "repro.core.egress.EgressStats.reregistered": (
+        "the repeat half of the registration news/repeat split that ROADMAP "
+        "items 2 and 13 measure: the registrations that changed nothing"
+    ),
+    "repro.dataplane.network.DeliveryReport.hops_traversed": (
+        "the only observable of where a forwarding walk stopped"
+    ),
+    "repro.traffic.collector.RoundSample.mean_latency_ms": (
+        "the traffic engine's only per-round observable of which paths "
+        "carry the demand; ROADMAP item 10 decides that engine as a whole"
+    ),
+}
+
+
+def test_the_state_rule_sees_the_tree():
+    stored = _stored_values()
+    assert len(stored) > 300
+    read = "repro.core.egress.EgressStats.propagated"
+    assert read in stored and read not in set().union(*_unread_state().values())
+    assert "repro.simulation.collector.MetricsCollector.total_sent" in stored  # a property factory
+    assert "repro.traffic.links.CapacityLinkModel.topology" in stored  # assigned by __init__
+
+
+@pytest.mark.parametrize(
+    "reader, unread",
+    [
+        ("def report(ledger):\n    return ledger.total", set()),
+        ("def bump(ledger):\n    ledger.total += 1", {"Ledger.total"}),
+        ("def build():\n    return Ledger(total=1)", {"Ledger.total"}),
+        ("def report(ledger):\n    return getattr(ledger, 'total')", set()),
+    ],
+    ids=["load", "augmented-assignment", "keyword-argument", "string"],
+)
+def test_the_state_rule_counts_only_a_load_or_a_string(reader, unread):
+    stored = {"Ledger.total": ("rule", "total")}
+    assert _unread(stored, _reads([ast.parse(reader)])).get("rule", set()) == unread
+
+
+def test_every_kept_value_is_a_stored_value():
+    """A kept value no class stores any more would belong to no module's test."""
+    gone = set(KEPT_STATE) - set(_stored_values())
+    assert not gone, f"kept but no longer stored (drop from KEPT_STATE): {sorted(gone)}"
+
+
+@pytest.mark.parametrize("module", _defining_modules())
+def test_every_stored_value_has_a_reader_outside_the_tests(module):
+    unread = _unread_state().get(module, set())
+    stored = _stored_values()
+    kept = {qualified for qualified in KEPT_STATE if stored.get(qualified, (None,))[0] == module}
+    assert unread == kept, (
+        f"stored value(s) only tests read: {sorted(unread - kept)} — delete them "
+        f"with their writes or give them a reader; kept but now read (drop from "
+        f"KEPT_STATE): {sorted(kept - unread)}"
+    )
+
+
 def _option_targets():
     """``(module, class or None, method or None)`` of every class, every
     public method of a class and every public module-level function under
@@ -368,7 +529,7 @@ def _option_targets():
     and ``(None, function)`` the function's."""
     for path in sorted((SRC / "repro").rglob("*.py")):
         module = _module_name(path)
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        for node in _tree(path).body:
             if isinstance(node, ast.ClassDef):
                 yield module, node.name, None
                 for item in node.body:
@@ -604,12 +765,9 @@ class _OptionScan:
     values — sets the option only if everything it forwards is set.
     """
 
-    def __init__(self, sources=None):
-        if sources is None:
-            sources = {
-                path: path.read_text(encoding="utf-8") for path in _non_test_sources()
-            }
-        trees = [ast.parse(text) for text in sources.values()]
+    def __init__(self, trees=None):
+        if trees is None:
+            trees = [_tree(path) for path in _non_test_sources()]
         #: Every class and module-level function, by name; ``src/`` comes
         #: first, so it wins a clash.
         self.classes = {}
@@ -902,6 +1060,27 @@ def test_every_kept_option_belongs_to_a_scanned_target():
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _private_parameters():
+    """``{module: "Class.name"}`` of every ``_``-named init field of a
+    dataclass, or parameter of an ``__init__``, under ``src/repro/``."""
+    found = {}
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        for cls in ast.walk(_tree(path)):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            names = []
+            if _is_dataclass(cls):
+                names += [declared[0] for declared in map(_init_field, cls.body) if declared]
+            init = _method(cls, "__init__")
+            if init is not None:
+                names += list(_parameters(init))
+            found.setdefault(_module_name(path), set()).update(
+                f"{cls.name}.{name}" for name in names if name.startswith("_")
+            )
+    return found
+
+
 @pytest.mark.parametrize("module", _defining_modules())
 def test_every_option_has_a_setter_outside_the_tests(module):
     unset = _unset_options().get(module, set())
@@ -911,6 +1090,9 @@ def test_every_option_has_a_setter_outside_the_tests(module):
         f"them constants; kept but now set or gone (drop from KEPT_OPTIONS): "
         f"{sorted(kept - unset)}"
     )
+    # Private state is no caller's choice: it is ``field(init=False)``.
+    private = _private_parameters().get(module, set())
+    assert not private, f"private value(s) a constructor takes: {sorted(private)}"
 
 
 #: A small tree for the option rule's own tests: an options class with a
@@ -1035,5 +1217,5 @@ class Planner:
     ],
 )
 def test_the_option_rule_reads_receivers_and_forwarded_values(caller, option, is_set):
-    scan = _OptionScan({"rule": RULE_TREE + "\n" + caller + "\n"})
+    scan = _OptionScan([ast.parse(RULE_TREE + "\n" + caller + "\n")])
     assert scan.is_set("Knobs", None, option) is is_set

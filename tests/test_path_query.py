@@ -263,9 +263,9 @@ class TestFrontendCache:
         frontend = PathQueryFrontend(service)
         frontend.query(PathQuery(origin_as=1))
         frontend.query(PathQuery(origin_as=3))
-        assert frontend.cache_size == 2
+        assert frontend.counters()["cache_size"] == 2
         service.register(_registered(key_store, origin=1, via=5))
-        assert frontend.cache_size == 1
+        assert frontend.counters()["cache_size"] == 1
         assert frontend.invalidations == 1
         # Origin 3's entry survived; origin 1 re-materializes with the new path.
         assert frontend.query(PathQuery(origin_as=3)).cache_hit
@@ -293,7 +293,7 @@ class TestFrontendCache:
         frontend = PathQueryFrontend(service, capacity=2)
         for origin in (1, 2, 3):
             frontend.query(PathQuery(origin_as=origin))
-        assert frontend.cache_size == 2
+        assert frontend.counters()["cache_size"] == 2
         assert frontend.evictions == 1
         # Origin 1 was the least recently used: it misses again.
         assert not frontend.query(PathQuery(origin_as=1)).cache_hit
@@ -313,7 +313,7 @@ class TestFrontendCache:
         assert counters["lookups"] == frontend.lookups == 2
         assert counters["hits"] == frontend.hits == 1
         assert counters["hit_ratio"] == frontend.cache_hit_ratio == pytest.approx(0.5)
-        assert counters["cache_size"] == frontend.cache_size == 1
+        assert counters["cache_size"] == frontend.counters()["cache_size"] == 1
 
 
 class TestExpiryCoherence:
@@ -324,7 +324,7 @@ class TestExpiryCoherence:
         service.register(_registered(key_store, origin=1, validity_ms=500.0))
         frontend = PathQueryFrontend(service)
         assert len(paths_at(frontend, 1, 0.0)) == 1
-        assert frontend.cache_size == 1
+        assert frontend.counters()["cache_size"] == 1
         # The segment expired but no purge ran: the service still holds it,
         # the cache still holds the response — serving must refuse both.
         assert paths_at(frontend, 1, 600.0) == ()
@@ -446,12 +446,7 @@ class TestDownSegmentRegistration:
         scheduler, _transport, services = build_services(topology, key_store)
         segment = make_beacon(key_store, [(1, None, 2), (2, 1, 2), (3, 1, None)])
         message = PathRegistrationMessage(
-            origin_as=3,
-            sequence=1,
-            created_at_ms=0.0,
-            path=RegisteredPath(
-                segment=segment, criteria_tags=("1sp",), registered_at_ms=0.0
-            ),
+            RegisteredPath(segment=segment, criteria_tags=("1sp",), registered_at_ms=0.0)
         )
         # AS 3 announces toward AS 2 (its beacon-arrival interface).
         _transport.send_message(3, 1, message)
@@ -466,10 +461,7 @@ class TestDownSegmentRegistration:
     @staticmethod
     def _announcement(segment):
         return PathRegistrationMessage(
-            origin_as=segment.last_as,
-            sequence=1,
-            created_at_ms=0.0,
-            path=RegisteredPath(segment=segment, criteria_tags=("1sp",), registered_at_ms=0.0),
+            RegisteredPath(segment=segment, criteria_tags=("1sp",), registered_at_ms=0.0)
         )
 
     @staticmethod

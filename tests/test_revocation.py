@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.messages import RevocationMessage
+from repro.core.messages import PCBMessage, RevocationMessage
 from repro.core.revocation import DEFAULT_DEDUP_WINDOW_MS, RevocationState, WithdrawalLedger
 from repro.crypto.keys import KeyStore
 from repro.crypto.signer import Signer, Verifier
@@ -28,7 +28,7 @@ from repro.simulation.scenario import don_scenario
 from repro.topology.entities import normalize_link_id
 from repro.units import minutes
 
-from tests.conftest import build_services, line_topology, make_beacon, pcb_message, run_all
+from tests.conftest import build_services, line_topology, make_beacon, run_all
 from tests.test_beacon_layout import reachable
 
 
@@ -526,10 +526,26 @@ class TestOverheadAccounting:
         assert collector.control_messages_total() == 1
 
 
-class TestRevocationBatchLedger:
-    """Driver-side aggregation of simultaneous failures, as the collector records it."""
+def originated_batches(simulation):
+    """Return the list the element count of every revocation an AS of
+    ``simulation`` originates is appended to."""
+    batches = []
+    for service in simulation.services.values():
 
-    def test_aggregation_counters_for_simultaneous_failures(self):
+        def originate(original=service.originate_revocation, **kwargs):
+            message = original(**kwargs)
+            batches.append(len(message.failed_links) + len(message.failed_ases))
+            return message
+
+        service.originate_revocation = originate
+    return batches
+
+
+class TestRevocationBatching:
+    """Driver-side aggregation of simultaneous failures, counted in the
+    messages the ASes originate."""
+
+    def test_simultaneous_failures_batch_into_one_message_per_origin(self):
         topology = line_topology(5)
         scenario = don_scenario(periods=6, verify_signatures=False)
         links = topology.link_ids()
@@ -538,24 +554,19 @@ class TestRevocationBatchLedger:
         scenario.timeline.add(minutes(25), LinkFailure(links[1]))
         scenario.timeline.add(minutes(25), LinkFailure(links[2]))
         simulation = BeaconingSimulation(topology, scenario)
+        batches = originated_batches(simulation)
         simulation.run()
-        collector = simulation.collector
-        assert collector.revocation_batches >= 2  # each endpoint originates
-        assert collector.revocation_multi_batches >= 1  # AS 3 batched two
-        assert collector.revocation_batch_max == 2
-        assert collector.revocation_batch_elements > collector.revocation_batches
+        # Each endpoint originates; AS 3 borders both links and batches them.
+        assert sorted(batches) == [1, 1, 2]
 
     def test_single_failure_batches_are_single_element(self):
         topology = line_topology(5)
         scenario = don_scenario(periods=6, verify_signatures=False)
         scenario.timeline.add(minutes(25), LinkFailure(topology.link_ids()[1]))
         simulation = BeaconingSimulation(topology, scenario)
+        batches = originated_batches(simulation)
         simulation.run()
-        collector = simulation.collector
-        assert collector.revocation_batches == 2  # both endpoints
-        assert collector.revocation_multi_batches == 0
-        assert collector.revocation_batch_max == 1
-        assert collector.revocation_batch_elements == 2
+        assert batches == [1, 1]  # both endpoints, one element each
 
 
 class TestRevocationStorm:
@@ -621,7 +632,7 @@ class TestNegativeCache:
 
         # A stale beacon crossing the revoked link arrives at AS 3.
         beacon = make_beacon(key_store, [(1, None, 2), (2, 1, 2)])
-        transport.send_message(2, 2, pcb_message(2, beacon))
+        transport.send_message(2, 2, PCBMessage(beacon))
         scheduler.run_until(60.0)
         # AS 3 refused it and bounced the cached revocation to the sender,
         # which deduplicates it (it already processed that revocation).
@@ -640,7 +651,7 @@ class TestNegativeCache:
         # The element recovered (the driver clears caches network-wide).
         services[3].revocations.clear_revoked_link(revoked)
         beacon = make_beacon(key_store, [(1, None, 2), (2, 1, 2)])
-        transport.send_message(2, 2, pcb_message(2, beacon))
+        transport.send_message(2, 2, PCBMessage(beacon))
         scheduler.run_until(60.0)
         assert services[3].revocations.reoriginated == 0
         assert len(services[3].ingress.database) == 1

@@ -206,7 +206,6 @@ class TestSandboxRuntime:
         assert prepared is not algorithm
         assert isinstance(prepared, RestrictedPythonAlgorithm)
         assert elapsed >= 0.0
-        assert runtime.stats.setups == 1
 
     def test_setup_keeps_the_algorithms_budgets(self, key_store):
         beacon = make_beacon(key_store, [(1, None, 1), (2, 1, 2)])
@@ -230,10 +229,3 @@ class TestSandboxRuntime:
         prepared, elapsed = runtime.setup(algorithm)
         assert prepared is algorithm
         assert elapsed >= 3.0
-        assert runtime.stats.elapsed_ms >= 3.0
-
-    def test_stats_count_setups(self):
-        runtime = SandboxRuntime()
-        runtime.setup(RestrictedPythonAlgorithm(source="1"))
-        assert runtime.stats.setups == 1
-        assert runtime.stats.elapsed_ms >= 0.0
