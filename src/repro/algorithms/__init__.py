@@ -30,7 +30,6 @@ from repro.algorithms.criteria_algorithm import CriteriaSetAlgorithm
 from repro.algorithms.delay import DelayOptimizationAlgorithm
 from repro.algorithms.disjointness import HeuristicDisjointnessAlgorithm
 from repro.algorithms.pull_disjoint import LinkAvoidingAlgorithm
-from repro.algorithms.registry import AlgorithmCatalog, default_catalog
 from repro.algorithms.shortest_path import (
     LEGACY_PATH_COUNT,
     KShortestPathAlgorithm,
@@ -38,7 +37,6 @@ from repro.algorithms.shortest_path import (
 )
 
 __all__ = [
-    "AlgorithmCatalog",
     "CandidateBeacon",
     "CriteriaSetAlgorithm",
     "DelayOptimizationAlgorithm",
@@ -49,6 +47,5 @@ __all__ = [
     "LEGACY_PATH_COUNT",
     "LinkAvoidingAlgorithm",
     "RoutingAlgorithm",
-    "default_catalog",
     "legacy_scion_algorithm",
 ]

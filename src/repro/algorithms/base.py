@@ -90,10 +90,6 @@ class ExecutionResult:
 
     selections: Dict[int, List[Beacon]] = field(default_factory=dict, init=False)
 
-    def add(self, egress_interface: int, beacon: Beacon) -> None:
-        """Append ``beacon`` to the selection of ``egress_interface``."""
-        self.selections.setdefault(egress_interface, []).append(beacon)
-
     def beacons_for(self, egress_interface: int) -> List[Beacon]:
         """Return the selection for one egress interface (may be empty)."""
         return list(self.selections.get(egress_interface, ()))
@@ -113,13 +109,6 @@ class RoutingAlgorithm(abc.ABC):
     @abc.abstractmethod
     def execute(self, context: ExecutionContext) -> ExecutionResult:
         """Compute the optimal beacon set per egress interface."""
-
-    def describe(self) -> str:
-        """Return a one-line human-readable description."""
-        return self.name
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<{type(self).__name__} {self.describe()}>"
 
 
 #: Per-candidate sort key (lower is better); ``None`` excludes the candidate.

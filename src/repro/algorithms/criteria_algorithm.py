@@ -74,6 +74,3 @@ class CriteriaSetAlgorithm(RoutingAlgorithm):
             for egress_interface in context.egress_interfaces:
                 result.selections[egress_interface] = list(selected)
         return result
-
-    def describe(self) -> str:
-        return f"criteria set {self.criteria_set.name!r}, {self.paths_per_interface} per interface"

@@ -74,7 +74,3 @@ class DelayOptimizationAlgorithm(RoutingAlgorithm):
                 return (key[0] + intra_latency_ms(candidate.ingress_interface, egress_interface),)
 
         return select_per_interface(context, self.paths_per_interface, _latency, term)
-
-    def describe(self) -> str:
-        variant = "extended paths" if self.use_extended_paths else "received paths"
-        return f"delay optimization on {variant}, {self.paths_per_interface} per interface"

@@ -133,18 +133,16 @@ class _PairState:
 class HeuristicDisjointnessAlgorithm(RoutingAlgorithm):
     """Greedy link-disjointness maximization per origin AS.
 
+    The per-(egress interface, origin) state is kept across executions:
+    the paper's low-steady-state-overhead behaviour.
+
     Attributes:
         paths_per_interface: Number of beacons selected per egress
             interface and origin in the first round (capped by the RAC
             limit).
-        remember_propagations: Whether to keep the per-pair state across
-            executions (the paper's low-steady-state-overhead behaviour).
-            Disabling it makes every execution behave like a first round,
-            which is useful for isolated unit tests.
     """
 
     paths_per_interface: int = 1
-    remember_propagations: bool = True
     name: ClassVar[str] = "hd"
     _state: Dict[Tuple[int, int], _PairState] = field(default_factory=dict, init=False)
 
@@ -179,16 +177,14 @@ class HeuristicDisjointnessAlgorithm(RoutingAlgorithm):
         covered = None
 
         for egress_interface in context.egress_interfaces:
-            state = _PairState()
-            if self.remember_propagations:
-                state = self._state.setdefault((egress_interface, origin), state)
-                if state.next_expiry_ms <= newest_ms:
-                    if covered is None:
-                        covered = (
-                            {_bucket(beacon) for beacon in loop_free},
-                            frozenset(item[0] for item in ordered),
-                        )
-                    state.forget_expired(*covered, newest_ms)
+            state = self._state.setdefault((egress_interface, origin), _PairState())
+            if state.next_expiry_ms <= newest_ms:
+                if covered is None:
+                    covered = (
+                        {_bucket(beacon) for beacon in loop_free},
+                        frozenset(item[0] for item in ordered),
+                    )
+                state.forget_expired(*covered, newest_ms)
             selected = self._select_for_pair(ordered, state, limit)
             if selected:
                 result.selections.setdefault(egress_interface, []).extend(selected)
@@ -237,9 +233,3 @@ class HeuristicDisjointnessAlgorithm(RoutingAlgorithm):
                 used[link] = used.get(link, 0) + 1
         state.first_round_done = True
         return selected
-
-    def describe(self) -> str:
-        return (
-            f"heuristic link disjointness, {self.paths_per_interface} per interface, "
-            f"{'with' if self.remember_propagations else 'without'} propagation memory"
-        )

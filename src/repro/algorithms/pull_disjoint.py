@@ -66,9 +66,3 @@ class LinkAvoidingAlgorithm(RoutingAlgorithm):
             return hops_then_latency(candidate)
 
         return select_per_interface(context, self.paths_per_interface, key)
-
-    def describe(self) -> str:
-        return (
-            f"shortest paths avoiding {len(self.avoid_links)} links, "
-            f"{self.paths_per_interface} per interface"
-        )

@@ -20,10 +20,10 @@ A payload is a JSON document with a ``kind`` discriminator:
 ``{"kind": "link_avoiding", "avoid_links": [...], "paths_per_interface": n}``
     The PD helper algorithm with an explicit link avoid set.
 
-``{"kind": "builtin", "name": "...", "parameters": {...}}``
-    One of the catalogued built-in algorithms with keyword parameters:
-    ``ksp``, ``1sp``, ``5sp``, ``20sp``, ``delay``, ``hd`` and
-    ``link-avoiding`` (:func:`default_catalog`).
+``{"kind": "builtin", "name": "..."}``
+    One of the catalogued built-in algorithms, by name and without
+    parameters: ``1sp``, ``5sp``, ``20sp``, ``delay``, ``hd`` and
+    ``link-avoiding`` (:data:`BUILTIN_ALGORITHMS`).
 
 ``{"kind": "restricted_python", "source": "..."}``
     A restricted Python scoring function, validated and executed by the
@@ -34,7 +34,6 @@ A payload is a JSON document with a ``kind`` discriminator:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Sequence
 
 from repro.algorithms.base import RoutingAlgorithm
@@ -47,75 +46,18 @@ from repro.core.criteria import CriteriaSet
 from repro.exceptions import AlgorithmError, ConfigurationError, UnknownAlgorithmError
 from repro.topology.entities import normalize_link_id
 
-#: Signature of a builtin algorithm factory: keyword parameters -> algorithm.
-AlgorithmFactory = Callable[..., RoutingAlgorithm]
-
-
-@dataclass
-class AlgorithmCatalog:
-    """Registry of named algorithm factories.
-
-    The catalogue corresponds to the *beta tier* of the paper's
-    standardization model (§VI): a public, append-only list of algorithm
-    names that ASes may deploy in static RACs or reference from builtin
-    on-demand payloads.
-    """
-
-    _factories: Dict[str, AlgorithmFactory] = field(default_factory=dict, init=False)
-
-    def register(self, name: str, factory: AlgorithmFactory) -> None:
-        """Register a factory under ``name`` (append-only).
-
-        Raises:
-            AlgorithmError: If the name is already taken.
-        """
-        if name in self._factories:
-            raise AlgorithmError(f"algorithm {name!r} is already registered")
-        self._factories[name] = factory
-
-    def create(self, name: str, **parameters: object) -> RoutingAlgorithm:
-        """Instantiate the algorithm registered under ``name``.
-
-        Raises:
-            UnknownAlgorithmError: If no factory is registered for ``name``.
-        """
-        factory = self._factories.get(name)
-        if factory is None:
-            raise UnknownAlgorithmError(name)
-        return factory(**parameters)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._factories
-
-
-def default_catalog() -> AlgorithmCatalog:
-    """Return a catalogue pre-populated with every built-in algorithm."""
-    catalog = AlgorithmCatalog()
-    catalog.register("ksp", lambda k=1, **kw: KShortestPathAlgorithm(k=int(k)))
-    catalog.register("1sp", lambda **kw: KShortestPathAlgorithm(k=1))
-    catalog.register("5sp", lambda **kw: KShortestPathAlgorithm(k=5))
-    catalog.register("20sp", lambda **kw: KShortestPathAlgorithm(k=20))
-    catalog.register(
-        "delay",
-        lambda paths_per_interface=1, use_extended_paths=False, **kw: DelayOptimizationAlgorithm(
-            paths_per_interface=int(paths_per_interface),
-            use_extended_paths=bool(use_extended_paths),
-        ),
-    )
-    catalog.register(
-        "hd",
-        lambda paths_per_interface=1, remember_propagations=True, **kw: HeuristicDisjointnessAlgorithm(
-            paths_per_interface=int(paths_per_interface),
-            remember_propagations=bool(remember_propagations),
-        ),
-    )
-    catalog.register(
-        "link-avoiding",
-        lambda paths_per_interface=1, **kw: LinkAvoidingAlgorithm(
-            paths_per_interface=int(paths_per_interface)
-        ),
-    )
-    return catalog
+#: The catalogued built-in algorithms by name, each a zero-argument
+#: factory: the *beta tier* of the paper's standardization model (§VI), a
+#: public list of algorithm names that ASes may reference from builtin
+#: on-demand payloads.
+BUILTIN_ALGORITHMS: Dict[str, Callable[[], RoutingAlgorithm]] = {
+    "1sp": lambda: KShortestPathAlgorithm(k=1),
+    "5sp": lambda: KShortestPathAlgorithm(k=5),
+    "20sp": lambda: KShortestPathAlgorithm(k=20),
+    "delay": DelayOptimizationAlgorithm,
+    "hd": HeuristicDisjointnessAlgorithm,
+    "link-avoiding": LinkAvoidingAlgorithm,
+}
 
 
 # ----------------------------------------------------------------------
@@ -147,8 +89,8 @@ def encode_link_avoiding_payload(
 
 
 def encode_builtin_payload(name: str) -> bytes:
-    """Serialize a reference to a catalogued builtin algorithm (no parameters)."""
-    document = {"kind": "builtin", "name": name, "parameters": {}}
+    """Serialize a reference to a catalogued builtin algorithm."""
+    document = {"kind": "builtin", "name": name}
     return json.dumps(document, sort_keys=True).encode("utf-8")
 
 
@@ -165,7 +107,7 @@ def encode_restricted_python_payload(source: str, paths_per_interface: int = 1) 
 def decode_payload(payload: bytes) -> RoutingAlgorithm:
     """Reconstruct a routing algorithm from an on-demand payload.
 
-    ``builtin`` payloads are resolved in :func:`default_catalog`.
+    ``builtin`` payloads are resolved in :data:`BUILTIN_ALGORITHMS`.
 
     Args:
         payload: The payload bytes as fetched from the origin AS.
@@ -207,10 +149,11 @@ def _decode_document(kind: object, document: Dict[str, object]) -> RoutingAlgori
             paths_per_interface=int(document.get("paths_per_interface", 1)),
         )
     if kind == "builtin":
-        parameters = document.get("parameters", {})
-        if not isinstance(parameters, dict):
-            raise AlgorithmError("builtin payload parameters must be an object")
-        return default_catalog().create(str(document["name"]), **parameters)
+        name = str(document["name"])
+        factory = BUILTIN_ALGORITHMS.get(name)
+        if factory is None:
+            raise UnknownAlgorithmError(name)
+        return factory()
     if kind == "restricted_python":
         # Imported lazily to avoid a circular import at module load time
         # (the sandbox imports the algorithm base classes).

@@ -57,9 +57,6 @@ class KShortestPathAlgorithm(RoutingAlgorithm):
         """Return the ``k`` hop-count-shortest beacons for every egress interface."""
         return select_per_interface(context, self.k, hops_then_latency)
 
-    def describe(self) -> str:
-        return f"{self.k} shortest paths by AS-hop count"
-
 
 def legacy_scion_algorithm() -> KShortestPathAlgorithm:
     """Return the legacy SCION selection: the 20 shortest paths per origin.

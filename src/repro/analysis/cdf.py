@@ -46,13 +46,6 @@ class EmpiricalCDF:
         """Return the median of the sample."""
         return self.quantile(0.5)
 
-    @property
-    def mean(self) -> float:
-        """Return the mean of the sample."""
-        if not self.values:
-            raise ValueError("cannot take the mean of an empty CDF")
-        return float(np.mean(np.asarray(self.values)))
-
 
 def relative_to_baseline(
     values: Sequence[float], baseline: Sequence[float]

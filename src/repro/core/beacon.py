@@ -91,14 +91,14 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.crypto.hashing import count_crypto_op
 from repro.crypto.signer import Signer, Verifier
 from repro.exceptions import BeaconError, LoopError
 from repro.core.extensions import ExtensionSet
 from repro.core.staticinfo import StaticInfo
-from repro.topology.entities import InterfaceID, LinkID, normalize_link_id
+from repro.topology.entities import LinkID, normalize_link_id
 
 #: Default beacon validity: SCION caps PCB lifetimes with a global upper
 #: bound; we use six hours of simulated time.
@@ -274,16 +274,6 @@ class Beacon:
         return self.header.origin_as
 
     @property
-    def created_at_ms(self) -> float:
-        """Return the simulated creation timestamp."""
-        return self.header.created_at_ms
-
-    @property
-    def validity_ms(self) -> float:
-        """Return the lifetime after which the beacon expires."""
-        return self.header.validity_ms
-
-    @property
     def extensions(self) -> ExtensionSet:
         """Return the IREC extensions set by the origin AS."""
         return self.header.extensions
@@ -419,16 +409,6 @@ class Beacon:
         object.__setattr__(self, "_link", link)
         return link
 
-    def interfaces(self) -> Tuple[InterfaceID, ...]:
-        """Return every (AS, interface) pair that appears on the beacon."""
-        result: List[InterfaceID] = []
-        for entry in self.entries:
-            if entry.ingress_interface is not None:
-                result.append((entry.as_id, entry.ingress_interface))
-            if entry.egress_interface is not None:
-                result.append((entry.as_id, entry.egress_interface))
-        return tuple(result)
-
     # ------------------------------------------------------------------
     # accumulated metrics
     # ------------------------------------------------------------------
@@ -540,14 +520,6 @@ class Beacon:
             digest = state.hexdigest()
             object.__setattr__(self, "_digest", digest)
         return digest
-
-    def verify(self, verifier: Verifier) -> None:
-        """Verify the complete signature chain.
-
-        Raises:
-            SignatureError: If any entry's signature is invalid.
-        """
-        self.verify_suffix(verifier, first_entry=0)
 
     def verify_suffix(self, verifier: Verifier, first_entry: int) -> None:
         """Verify the signatures of entries ``first_entry`` onwards.

@@ -143,12 +143,11 @@ class IrecControlService:
             transport=transport,
             database=EgressDatabase(),
             path_service=self.path_service,
+            register_down_segments=config.register_down_segments,
         )
         self.racs: List[RoutingAlgorithmContainer] = []
         self.repository = AlgorithmRepository(as_id=view.as_id)
         self.pull_results: List[Tuple[Beacon, float]] = []
-        if config.register_down_segments:
-            self.egress.collect_registered = True
         self._grouping_policy = grouping_policy or SingleGroupPolicy()
         #: The view's interface tuple the grouping was assigned for; a
         #: link attached by topology growth replaces the tuple, and the
@@ -281,34 +280,32 @@ class IrecControlService:
 
     def on_revocation(
         self, message: RevocationMessage, on_interface: int, now_ms: float
-    ) -> bool:
+    ) -> None:
         """Handle a revocation delivered by a neighbouring AS.
 
         Deduplicates by ``(origin, sequence)``, verifies the origin
         signature (when signature checking is enabled), withdraws matching
         state via :meth:`invalidate_link` / :meth:`invalidate_as` and
         re-forwards the message to the other neighbours unless forwarding
-        is suppressed.  Returns ``True`` when the message was fresh and
-        applied; ``False`` for duplicates and invalid signatures.
+        is suppressed.
         """
         state = self.revocations
         state.received += 1
         key = message.key
         if state.is_duplicate(key, now_ms):
             state.duplicates += 1
-            return False
+            return
         if self.ingress.verify_signatures:
             try:
                 message.verify(self.ingress.verifier)
             except SignatureError:
                 # Not marked seen: a later authentic copy must still process.
                 state.rejected_invalid += 1
-                return False
+                return
         state.mark_seen(key, now_ms)
         self._apply_revocation(message, now_ms)
         if not state.suppress_forwarding:
             self._forward_revocation(message, arrival_interface=on_interface)
-        return True
 
     def _apply_revocation(self, message: RevocationMessage, now_ms: float) -> None:
         """Withdraw every revoked element's state locally; notify the listener.
@@ -368,7 +365,7 @@ class IrecControlService:
     # ------------------------------------------------------------------
     def on_message_batch(
         self, entries: Sequence[Tuple[ControlMessage, int]], now_ms: float
-    ):
+    ) -> None:
         """Handle one drained inbox batch in arrival order.
 
         The one fabric entry point: dispatches on ``message.kind``, the key
@@ -385,26 +382,20 @@ class IrecControlService:
         digest means a byte-identical beacon whose admission verdict cannot
         differ and whose database insert would be refused as a duplicate
         anyway.
-
-        Returns:
-            Per-entry handler results, in entry order.
         """
-        results = []
-        append = results.append
         accepted_digests = None
         # Kind strings instead of isinstance checks: this loop is the flood
         # fast path (one call per delivered message network-wide).
         for message, on_interface in entries:
             kind = message.kind
             if kind == "revocation":
-                append(self.on_revocation(message, on_interface=on_interface, now_ms=now_ms))
+                self.on_revocation(message, on_interface=on_interface, now_ms=now_ms)
             elif kind == "pcb":
                 digest = message.beacon.digest()
                 if accepted_digests is not None and digest in accepted_digests:
                     stats = self.ingress.stats
                     stats.received += 1
                     stats.duplicates += 1
-                    append(False)
                     continue
                 accepted = self.receive_beacon(
                     message.beacon, on_interface=on_interface, now_ms=now_ms
@@ -413,12 +404,10 @@ class IrecControlService:
                     if accepted_digests is None:
                         accepted_digests = set()
                     accepted_digests.add(digest)
-                append(accepted)
             elif kind == "path_registration":
-                append(self.receive_path_registration(message, now_ms))
+                self.receive_path_registration(message, now_ms)
             else:
                 raise SimulationError(f"unsupported control message {message!r}")
-        return results
 
     def receive_beacon(self, beacon: Beacon, on_interface: int, now_ms: float) -> bool:
         """Handle a PCB delivered by a neighbouring AS.
@@ -457,7 +446,7 @@ class IrecControlService:
 
     def receive_path_registration(
         self, message: PathRegistrationMessage, now_ms: float
-    ) -> bool:
+    ) -> None:
         """Relay a down-segment announcement, or register it at its origin.
 
         A transit AS on the segment forwards the message one hop toward the
@@ -479,19 +468,17 @@ class IrecControlService:
         path = message.path
         segment = path.segment
         if segment.is_expired(now_ms):
-            return False
+            return
         as_id = self.as_id
         if segment.origin_as != as_id:
             # The own hop, read off the entries: a relayed segment memoizes no AS path.
             hop = next((entry for entry in segment.entries if entry.as_id == as_id), None)
-            if hop is None:
-                # Not on the segment's path: a misrouted announcement, drop it.
-                return False
-            if hop.ingress_interface is None:
-                return False
-            self.transport.send_message(as_id, hop.ingress_interface, message)
-            return True
-        return self.path_service.register(
+            # Off the segment's path (a misrouted announcement) or with no
+            # hop toward the origin: drop it.
+            if hop is not None and hop.ingress_interface is not None:
+                self.transport.send_message(as_id, hop.ingress_interface, message)
+            return
+        self.path_service.register(
             RegisteredPath(
                 segment=segment,
                 criteria_tags=path.criteria_tags,
@@ -573,18 +560,6 @@ class IrecControlService:
 
         self.egress.propagate(all_selections)
         self.egress.register(all_selections, now_ms=now_ms)
-        if self.config.register_down_segments:
-            # Announce each registration that was news to the local path
-            # service (EgressGateway.register holds the rule) back along its
-            # segment: the message hops toward the origin, which registers it
-            # as a down-segment on arrival (see receive_path_registration).
-            for path, arrival_interface in self.egress.take_registered():
-                if arrival_interface is None:
-                    continue
-                self.transport.send_message(
-                    self.as_id, arrival_interface, PathRegistrationMessage(path)
-                )
-                self.egress.stats.announced += 1
         self.ingress.expire(now_ms)
         self.egress.expire(now_ms)
         return report

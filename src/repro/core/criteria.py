@@ -105,15 +105,6 @@ class Constraint:
             return False
         return True
 
-    def describe(self) -> str:
-        """Return a human-readable rendering of the constraint."""
-        parts = []
-        if self.minimum is not None:
-            parts.append(f"{self.metric.name} >= {self.minimum:g}")
-        if self.maximum is not None:
-            parts.append(f"{self.metric.name} <= {self.maximum:g}")
-        return " and ".join(parts)
-
 
 @dataclass(frozen=True)
 class Criterion:

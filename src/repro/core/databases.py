@@ -329,7 +329,7 @@ class PathService:
     Registration enforces the per-(criteria, origin, interface-group) limit
     the paper uses in its simulations (20 paths); re-registration of an
     already-known segment merges the criteria tags instead of consuming
-    quota.
+    quota, and one that adds no tag changes nothing.
 
     Registered segments are additionally indexed by the inter-domain links
     they traverse, so revocation-driven withdrawal
@@ -376,15 +376,15 @@ class PathService:
             listener(origin_as)
 
     def register(self, path: RegisteredPath) -> bool:
-        """Register ``path``; return whether it was accepted (or merged)."""
+        """Register ``path``; return whether the store holds it (new, merged or known)."""
         digest = path.segment.digest()
         existing = self._by_digest.get(digest)
         if existing is not None:
             merged_tags = tuple(sorted(set(existing.criteria_tags) | set(path.criteria_tags)))
             if merged_tags == existing.criteria_tags:
-                # Nothing new: keep holding the tuple the record already shares.
-                merged_tags = existing.criteria_tags
-            # Re-registration keeps the original registration time.
+                # A repeat changes nothing: no new record, no notification.
+                return True
+            # A merge keeps the original registration time.
             self._by_digest[digest] = RegisteredPath(
                 segment=existing.segment,
                 criteria_tags=merged_tags,

@@ -16,7 +16,8 @@ control plane:
   back to their origin instead of propagating them, and
 * **path registration** — terminating selected beacons (once per stored
   ingress record, which keeps the segment) and registering them at the
-  local path service, tagged with the criteria they were optimized for.
+  local path service, tagged with the criteria they were optimized for,
+  and announcing each registration that was news back along its segment.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from repro.core.beacon import Beacon, BeaconBuilder
 from repro.core.databases import EgressDatabase, PathService, RegisteredPath
 from repro.core.extensions import ExtensionSet
 from repro.core.local_view import LocalTopologyView
-from repro.core.messages import PCBMessage
+from repro.core.messages import PathRegistrationMessage, PCBMessage
 from repro.core.rac import RACSelection
 from repro.core.transport import ControlPlaneTransport
 from repro.exceptions import GatewayError, LoopError
@@ -45,8 +46,8 @@ class EgressStats:
     registered: int = field(default=0, init=False)
     #: Registrations that added neither a digest nor a criteria tag to the
     #: local path service, and down-segment announcements sent.  Both move
-    #: only with ``collect_registered`` on; ``announced`` over ``registered``
-    #: is the share of registrations that were news.
+    #: only with ``register_down_segments`` on; ``announced`` over
+    #: ``registered`` is the share of registrations that were news.
     reregistered: int = field(default=0, init=False)
     announced: int = field(default=0, init=False)
 
@@ -66,22 +67,11 @@ class EgressGateway:
     transport: ControlPlaneTransport
     database: EgressDatabase = field(default_factory=EgressDatabase)
     path_service: PathService = field(default_factory=PathService)
+    #: When enabled, every registration that was news to the local path
+    #: service (:meth:`register` holds the rule) is announced back along its
+    #: segment as a :class:`PathRegistrationMessage`.
+    register_down_segments: bool = False
     stats: EgressStats = field(default_factory=EgressStats, init=False)
-    #: When enabled, the registrations that were news to the local path
-    #: service (:meth:`register` holds the rule) are additionally collected
-    #: as ``(path, arrival_interface)`` pairs until :meth:`take_registered`
-    #: drains them — the down-segment announcement feed.  Off by default so
-    #: the registration hot path stays allocation-free.
-    collect_registered: bool = False
-    _registered_feed: List[Tuple[RegisteredPath, Optional[int]]] = field(
-        default_factory=list, init=False
-    )
-
-    def take_registered(self) -> List[Tuple[RegisteredPath, Optional[int]]]:
-        """Drain and return the collected ``(path, arrival_interface)`` pairs."""
-        drained = self._registered_feed
-        self._registered_feed = []
-        return drained
 
     @property
     def as_id(self) -> int:
@@ -130,17 +120,13 @@ class EgressGateway:
     # ------------------------------------------------------------------
     # propagation
     # ------------------------------------------------------------------
-    def propagate(self, selections: Iterable[RACSelection]) -> int:
+    def propagate(self, selections: Iterable[RACSelection]) -> None:
         """Propagate RAC-selected beacons to the corresponding neighbours.
 
         Pull-based beacons whose target is the local AS are returned to
         their origin instead (once per beacon, regardless of how many RACs
         selected them).
-
-        Returns:
-            The number of PCBs actually sent to neighbours.
         """
-        sent = 0
         for selection in selections:
             beacon = selection.beacon
             digest = beacon.digest()
@@ -167,8 +153,6 @@ class EgressGateway:
                 )
                 self.transport.send_message(self.as_id, egress_interface, PCBMessage(extended))
                 self.stats.propagated += 1
-                sent += 1
-        return sent
 
     def _arrival(self, interface_id: Optional[int]) -> Optional[LinkID]:
         """Return the topology's ``Link.key`` of the link on a local interface, if any."""
@@ -206,7 +190,7 @@ class EgressGateway:
     # ------------------------------------------------------------------
     # registration
     # ------------------------------------------------------------------
-    def register(self, selections: Iterable[RACSelection], now_ms: float) -> int:
+    def register(self, selections: Iterable[RACSelection], now_ms: float) -> None:
         """Terminate and register selected beacons at the local path service.
 
         Each RAC's registrations are capped by its configured registration
@@ -217,21 +201,17 @@ class EgressGateway:
         segment along, so a beacon received again is terminated again, to a
         segment with an equal digest.
 
-        With ``collect_registered`` on, a registration is fed to
-        :meth:`take_registered` only when it is news to the local path
-        service: the segment's digest was not held, or the stored record did
-        not carry one of the selection's criteria tags.  A repeat of a known
-        ``(digest, tag)`` is registered like any other (timestamp refresh,
-        listener notification, ``stats.registered``) and counted in
-        ``stats.reregistered``.  The path service is the only memory of what
-        was fed before, so a path withdrawn by revocation, AS departure or
-        expiry is news again when it returns.
-
-        Returns:
-            The number of paths newly registered (or merged).
+        With ``register_down_segments`` on, a registration is announced
+        back along its segment (out the interface the beacon arrived on)
+        only when it is news to the local path service: the segment's digest
+        was not held, or the stored record did not carry one of the
+        selection's criteria tags.  A repeat of a known ``(digest, tag)``
+        changes nothing in the path service, counts in ``stats.registered``
+        and ``stats.reregistered``, and sends nothing.  The path service is
+        the only memory of what was announced before, so a path withdrawn by
+        revocation, AS departure or expiry is news again when it returns.
         """
-        registered = 0
-        collect = self.collect_registered
+        announce = self.register_down_segments
         for selection in selections:
             stored = selection.stored
             beacon = stored.beacon
@@ -254,16 +234,19 @@ class EgressGateway:
                 object.__setattr__(stored, "_segment", segment)
             tags = selection.criteria_tags
             path = RegisteredPath(segment=segment, criteria_tags=tags, registered_at_ms=now_ms)
-            known = self.path_service.get(segment.digest()) if collect else None
-            if self.path_service.register(path):
-                self.stats.registered += 1
-                registered += 1
-                if collect:
-                    if known is None or any(tag not in known.criteria_tags for tag in tags):
-                        self._registered_feed.append((path, arrival_interface))
-                    else:
-                        self.stats.reregistered += 1
-        return registered
+            known = self.path_service.get(segment.digest()) if announce else None
+            if not self.path_service.register(path):
+                continue
+            self.stats.registered += 1
+            if not announce:
+                continue
+            if known is not None and all(tag in known.criteria_tags for tag in tags):
+                self.stats.reregistered += 1
+            elif arrival_interface is not None:
+                self.transport.send_message(
+                    self.as_id, arrival_interface, PathRegistrationMessage(path)
+                )
+                self.stats.announced += 1
 
     def expire(self, now_ms: float) -> Tuple[int, int]:
         """Expire outdated entries from the egress database and path service."""

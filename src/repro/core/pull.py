@@ -157,7 +157,3 @@ class PullBasedDisjointnessOrchestrator:
     def disjoint_path_count(self) -> int:
         """Return the number of collected paths."""
         return len(self.collected)
-
-    def used_links(self) -> Set[LinkID]:
-        """Return the links covered by the collected paths."""
-        return set(self._used_links)

@@ -112,10 +112,9 @@ class PathQuery:
 
 
 class QueryResult(NamedTuple):
-    """One served lookup: the materialized paths and whether it was cached."""
+    """One served lookup: the materialized paths."""
 
     paths: Tuple[RegisteredPath, ...]
-    cache_hit: bool
 
 
 class _CacheEntry:
@@ -224,11 +223,8 @@ class PathQueryFrontend:
             # cached answer (counted separately), kept until the origin is
             # invalidated.
             self.negative_inserts += 1
-        # The entry stores a hit-labelled result so the (hot) hit path can
-        # return it without allocating; only this cold path builds the
-        # miss-labelled twin.
-        result = QueryResult(members, False)
-        self._cache[key] = _CacheEntry(QueryResult(members, True), valid_until)
+        result = QueryResult(members)
+        self._cache[key] = _CacheEntry(result, valid_until)
         self._keys_by_origin.setdefault(query.origin_as, set()).add(key)
         if len(self._cache) > self.capacity:
             evicted_key, _ = self._cache.popitem(last=False)
@@ -261,11 +257,6 @@ class PathQueryFrontend:
             keys.discard(key)
             if not keys:
                 del self._keys_by_origin[key[0]]
-
-    def clear(self) -> None:
-        """Drop every cached response (counters are kept)."""
-        self._cache.clear()
-        self._keys_by_origin.clear()
 
     # ------------------------------------------------------------------
     # Introspection

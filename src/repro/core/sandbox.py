@@ -321,9 +321,6 @@ class RestrictedPythonAlgorithm(RoutingAlgorithm):
             variables["egress_interface"] = float(egress_interface)
         return self._evaluator.evaluate(variables)
 
-    def describe(self) -> str:
-        return f"restricted python payload ({len(self.source)} chars)"
-
 
 @dataclass
 class SandboxRuntime:

@@ -15,7 +15,6 @@ from typing import Optional, Tuple
 
 from repro.core.beacon import Beacon
 from repro.exceptions import PathConstructionError
-from repro.topology.entities import LinkID, normalize_link_id
 
 
 @dataclass(frozen=True)
@@ -64,28 +63,9 @@ class ForwardingPath:
         """Return the source AS."""
         return self.hops[0].as_id
 
-    @property
-    def destination_as(self) -> int:
-        """Return the destination AS."""
-        return self.hops[-1].as_id
-
-    @property
-    def hop_count(self) -> int:
-        """Return the number of AS hops."""
-        return len(self.hops)
-
     def as_path(self) -> Tuple[int, ...]:
         """Return the AS-level path."""
         return tuple(hop.as_id for hop in self.hops)
-
-    def links(self) -> Tuple[LinkID, ...]:
-        """Return the inter-domain links the path traverses."""
-        return tuple(
-            normalize_link_id(
-                (current.as_id, current.egress_interface), (nxt.as_id, nxt.ingress_interface)
-            )
-            for current, nxt in zip(self.hops, self.hops[1:])
-        )
 
 
 def forwarding_path_from_segment(segment: Beacon) -> ForwardingPath:

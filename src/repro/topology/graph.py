@@ -13,7 +13,6 @@ from typing import Dict, Iterator, Set, Tuple
 from repro.exceptions import TopologyError, UnknownASError, UnknownLinkError
 from repro.topology.entities import (
     ASInfo,
-    Interface,
     InterfaceID,
     Link,
     LinkID,
@@ -80,25 +79,12 @@ class Topology:
         except KeyError:
             raise UnknownASError(as_id) from None
 
-    def interface(self, interface: InterfaceID) -> Interface:
-        """Return the :class:`Interface` object for a global identifier."""
-        as_id, interface_id = interface
-        return self.as_info(as_id).interface(interface_id)
-
     def link_of_interface(self, interface: InterfaceID) -> Link:
         """Return the link attached to ``interface``."""
         link = self._links_by_interface.get(interface)
         if link is None:
             raise UnknownLinkError(f"no link attached to interface {interface}")
         return link
-
-    def remote_interface(self, interface: InterfaceID) -> InterfaceID:
-        """Return the interface at the far end of the link attached here."""
-        return self.link_of_interface(interface).other_end(interface)
-
-    def neighbor_of(self, interface: InterfaceID) -> int:
-        """Return the AS at the far end of the link attached to ``interface``."""
-        return self.remote_interface(interface)[0]
 
     def neighbors(self, as_id: int) -> Tuple[int, ...]:
         """Return the sorted identifiers of all neighbouring ASes."""

@@ -10,7 +10,7 @@ as it does for inter-domain links; this module implements that model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.topology.entities import ASInfo
 from repro.topology.geo import propagation_delay_ms
@@ -53,10 +53,6 @@ class IntraDomainRegistry:
 
     models: Dict[int, IntraDomainModel] = field(default_factory=dict, init=False)
 
-    def register(self, model: IntraDomainModel) -> None:
-        """Register the model of one AS, replacing any previous one."""
-        self.models[model.as_info.as_id] = model
-
     def model_for(self, as_info: ASInfo) -> IntraDomainModel:
         """Return (creating on demand) the model for ``as_info``."""
         model = self.models.get(as_info.as_id)
@@ -64,7 +60,3 @@ class IntraDomainRegistry:
             model = IntraDomainModel(as_info=as_info)
             self.models[as_info.as_id] = model
         return model
-
-    def get(self, as_id: int) -> Optional[IntraDomainModel]:
-        """Return the model for ``as_id`` if one has been registered."""
-        return self.models.get(as_id)

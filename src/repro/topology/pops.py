@@ -10,7 +10,7 @@ at (almost) the same location.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.topology.entities import InterfaceID
 from repro.topology.geo import GeoCoordinate, centroid, cluster_by_distance
@@ -74,21 +74,4 @@ def derive_pops(topology: Topology) -> Dict[int, List[PointOfPresence]]:
                 )
             )
         result[as_info.as_id] = pops
-    return result
-
-
-def pop_pairs(
-    pops_by_as: Dict[int, List[PointOfPresence]],
-    as_pairs: Sequence[Tuple[int, int]],
-) -> List[Tuple[PointOfPresence, PointOfPresence]]:
-    """Enumerate all PoP pairs for the given AS pairs.
-
-    Used by the Figure-8a evaluation, which considers every pair of PoPs in
-    two different ASes.
-    """
-    result: List[Tuple[PointOfPresence, PointOfPresence]] = []
-    for src_as, dst_as in as_pairs:
-        for src_pop in pops_by_as.get(src_as, ()):
-            for dst_pop in pops_by_as.get(dst_as, ()):
-                result.append((src_pop, dst_pop))
     return result

@@ -127,11 +127,6 @@ class CapacityLinkModel:
         """Return the provisioned capacity of link ``index`` in Mbit/s."""
         return self._capacity[index]
 
-    @property
-    def num_links(self) -> int:
-        """Return the number of modelled links."""
-        return len(self._capacity)
-
     # ------------------------------------------------------------------
     # allocation
     # ------------------------------------------------------------------

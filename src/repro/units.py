@@ -27,11 +27,6 @@ MS_PER_SECOND = 1000.0
 MS_PER_MINUTE = 60.0 * MS_PER_SECOND
 
 
-def seconds(value: float) -> float:
-    """Convert seconds to the library's millisecond unit."""
-    return float(value) * MS_PER_SECOND
-
-
 def minutes(value: float) -> float:
     """Convert minutes to the library's millisecond unit."""
     return float(value) * MS_PER_MINUTE

@@ -63,12 +63,12 @@ def candidate_set(key_store):
 
 
 class TestExecutionResult:
-    def test_add_and_query(self, candidate_set):
+    def test_query(self, candidate_set):
         result = ExecutionResult()
-        result.add(1, candidate_set[0].beacon)
-        result.add(1, candidate_set[1].beacon)
-        result.add(2, candidate_set[0].beacon)
+        result.selections[1] = [candidate_set[0].beacon, candidate_set[1].beacon]
+        result.selections[2] = [candidate_set[0].beacon]
         assert len(result.beacons_for(1)) == 2
+        assert result.beacons_for(3) == []
         assert total_selected(result) == 3
 
 
@@ -298,7 +298,7 @@ class TestHeuristicDisjointness:
             CandidateBeacon(beacon=b, ingress_interface=1)
             for b in (shared_prefix_a, shared_prefix_b, disjoint)
         ]
-        algorithm = HeuristicDisjointnessAlgorithm(paths_per_interface=2, remember_propagations=False)
+        algorithm = HeuristicDisjointnessAlgorithm(paths_per_interface=2)
         result = algorithm.execute(make_context(candidates))
         selected = result.beacons_for(1)
         assert len(selected) == 2

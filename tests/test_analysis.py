@@ -36,7 +36,6 @@ class TestEmpiricalCDF:
         cdf = EmpiricalCDF.from_samples([3.0, 1.0, 2.0, 4.0])
         assert cdf.sample_count == 4
         assert cdf.median == pytest.approx(2.5)
-        assert cdf.mean == pytest.approx(2.5)
         assert cdf.quantile(0.0) == 1.0
         assert cdf.quantile(1.0) == 4.0
 
@@ -49,8 +48,6 @@ class TestEmpiricalCDF:
         assert cdf.sample_count == 0
         with pytest.raises(ValueError):
             cdf.quantile(0.5)
-        with pytest.raises(ValueError):
-            _ = cdf.mean
 
     def test_quantile_bounds(self):
         cdf = EmpiricalCDF.from_samples([1.0])

@@ -90,12 +90,6 @@ class TestConstraint:
         assert constraint.satisfied_by(100.0)
         assert not constraint.satisfied_by(99.0)
 
-    def test_describe(self):
-        constraint = Constraint(metric=LATENCY, maximum=30.0, minimum=1.0)
-        text = constraint.describe()
-        assert "latency_ms >= 1" in text
-        assert "latency_ms <= 30" in text
-
     @pytest.mark.parametrize(
         "bounds",
         [

@@ -176,6 +176,43 @@ class TestPathService:
         assert service.get(segment.digest()) is merged
         assert service.get("missing") is None
 
+    def test_repeat_registration_keeps_the_record_and_notifies_no_one(self, key_store):
+        service = PathService()
+        notified = []
+        service.add_invalidation_listener(notified.append)
+        first = self._registered(key_store)
+        assert service.register(first)
+        repeat = RegisteredPath(
+            segment=first.segment, criteria_tags=("1sp",), registered_at_ms=7.0
+        )
+        assert service.register(repeat)
+        assert service.get(first.segment.digest()) is first
+        assert notified == [1]
+
+    def test_repeat_of_a_subset_of_the_stored_tags_changes_nothing(self, key_store):
+        service = PathService()
+        notified = []
+        service.add_invalidation_listener(notified.append)
+        first = self._registered(key_store, tags=("1sp", "don"))
+        assert service.register(first)
+        subset = RegisteredPath(segment=first.segment, criteria_tags=("don",), registered_at_ms=3.0)
+        assert service.register(subset)
+        assert service.get(first.segment.digest()) is first
+        assert notified == [1]
+
+    def test_merge_replaces_the_record_and_notifies_its_origin(self, key_store):
+        service = PathService()
+        notified = []
+        service.add_invalidation_listener(notified.append)
+        first = self._registered(key_store, origin=4)
+        service.register(first)
+        merge = RegisteredPath(segment=first.segment, criteria_tags=("don",), registered_at_ms=3.0)
+        assert service.register(merge)
+        merged = service.get(first.segment.digest())
+        assert merged is not first and merged is not merge
+        assert merged.criteria_tags == ("1sp", "don") and merged.registered_at_ms == 0.0
+        assert notified == [4, 4]
+
     def test_quota_per_tag_origin_group(self, key_store):
         service = PathService(max_paths_per_key=2)
         accepted = 0
@@ -394,7 +431,7 @@ _PATH_SERVICE_OPS = st.one_of(
 
 
 def _records_by_origin(service):
-    """Origin → [(digest, record object)], in store order."""
+    """Origin → [(digest, record)], in store order."""
     snapshot = {}
     for digest, path in service._by_digest.items():
         snapshot.setdefault(path.segment.origin_as, []).append((digest, path))
@@ -403,7 +440,7 @@ def _records_by_origin(service):
 
 def _same_records(before, after):
     return len(before) == len(after) and all(
-        old_digest == new_digest and old is new
+        old_digest == new_digest and old == new
         for (old_digest, old), (new_digest, new) in zip(before, after)
     )
 
@@ -442,7 +479,8 @@ class TestPathServiceIndexConsistency:
         terminal AS in store order, the quota equals a recount of the tags
         each path consumed (some register with two tags and take one slot),
         the crossing-link accessor equals a scan, and the listeners were
-        told exactly the origins whose digest set or record changed."""
+        told exactly the origins whose digest set or record changed by value
+        (a repeat registration changes nothing and tells no one)."""
         pool, links = _segment_pool(), _pool_links()
         service = PathService(max_paths_per_key=1)
         notified = []

@@ -151,8 +151,8 @@ class TestEgressGateway:
         _ingress, egress, transport = gateway_pair(topology, 3, key_store)
         beacon = make_beacon(key_store, [(1, None, 1), (2, 1, 2)])
         selection = self._selection(key_store, beacon, egress_interfaces=[2, 3], received_on=1)
-        sent = egress.propagate([selection])
-        assert sent == 2
+        egress.propagate([selection])
+        assert egress.stats.propagated == len(transport.sent) == 2
         for _sender, interface, extended in transport.sent:
             assert extended.last_as == 3
             assert extended.hop_count == 3
@@ -164,7 +164,8 @@ class TestEgressGateway:
         _ingress, egress, transport = gateway_pair(topology, 3, key_store)
         beacon = make_beacon(key_store, [(1, None, 1), (2, 1, 2)])
         selection = self._selection(key_store, beacon, egress_interfaces=[1], received_on=1)
-        assert egress.propagate([selection]) == 0
+        egress.propagate([selection])
+        assert egress.stats.propagated == 0
         assert transport.sent == []
 
     def test_propagation_deduplicates_across_racs(self, topology, key_store):
@@ -172,9 +173,9 @@ class TestEgressGateway:
         beacon = make_beacon(key_store, [(1, None, 1), (2, 1, 2)])
         first = self._selection(key_store, beacon, egress_interfaces=[2], tag="1sp")
         second = self._selection(key_store, beacon, egress_interfaces=[2, 3], tag="don")
-        sent = egress.propagate([first, second])
+        egress.propagate([first, second])
         # Interface 2 only once; interface 3 newly added by the second RAC.
-        assert sent == 2
+        assert [interface for _sender, interface, _beacon in transport.sent] == [2, 3]
         assert egress.stats.propagated == 2
 
     def test_pull_beacon_at_target_returned_to_origin(self, topology, key_store):
@@ -185,8 +186,8 @@ class TestEgressGateway:
             extensions=ExtensionSet().with_target(3),
         )
         selection = self._selection(key_store, pull, egress_interfaces=[2], received_on=1)
-        sent = egress.propagate([selection])
-        assert sent == 0
+        egress.propagate([selection])
+        assert egress.stats.propagated == 0
         assert len(transport.returned) == 1
         _sender, returned = transport.returned[0]
         assert returned.is_terminated
@@ -200,8 +201,8 @@ class TestEgressGateway:
         _ingress, egress, _transport = gateway_pair(topology, 3, key_store)
         beacon = make_beacon(key_store, [(1, None, 1), (2, 1, 2)])
         selection = self._selection(key_store, beacon, egress_interfaces=[2], tag="don")
-        registered = egress.register([selection], now_ms=5.0)
-        assert registered == 1
+        egress.register([selection], now_ms=5.0)
+        assert egress.stats.registered == 1
         paths = egress.path_service.paths_to(1)
         assert len(paths) == 1
         assert paths[0].criteria_tags == ("don",)
@@ -212,7 +213,8 @@ class TestEgressGateway:
         _ingress, egress, _transport = gateway_pair(topology, 3, key_store)
         own = make_beacon(key_store, [(3, None, 2)])
         selection = self._selection(key_store, own, egress_interfaces=[2])
-        assert egress.register([selection], now_ms=0.0) == 0
+        egress.register([selection], now_ms=0.0)
+        assert egress.stats.registered == 0 and len(egress.path_service) == 0
 
     def test_expire(self, topology, key_store):
         _ingress, egress, _transport = gateway_pair(topology, 3, key_store)
@@ -229,7 +231,7 @@ class TestEgressGateway:
     ):
         """Round after round the same selection comes back: the stored record
         is terminated and signed once and keeps its segment, while the path
-        service still sees every registration."""
+        service records each registration and notifies only a change."""
         _ingress, egress, _transport = gateway_pair(topology, 3, key_store)
         notified = []
         egress.path_service.add_invalidation_listener(notified.append)
@@ -241,19 +243,22 @@ class TestEgressGateway:
         second = RACSelection(stored, egress_interfaces=[3], criteria_tags=("don",))
 
         signed = perf_counters()["signature_sign"]
-        assert egress.register([first], now_ms=5.0) == 1
+        egress.register([first], now_ms=5.0)
+        assert egress.stats.registered == 1
         assert perf_counters()["signature_sign"] == signed + 1
         segment = stored._segment
         assert egress.path_service.paths_to(1)[0].segment is segment
 
         # Same record, another RAC, a later round.
-        assert egress.register([first, second], now_ms=9.0) == 2
+        egress.register([first, second], now_ms=9.0)
         assert perf_counters()["signature_sign"] == signed + 1
         (path,) = egress.path_service.paths_to(1)
         assert path.segment is segment and stored._segment is segment
         assert path.criteria_tags == ("1sp", "don")
         assert path.registered_at_ms == 5.0
-        assert notified == [1, 1, 1]
+        # The first registration and the merge adding "don"; the repeat
+        # of "1sp" changes nothing and notifies no one.
+        assert notified == [1, 1]
         assert egress.stats.registered == 3
 
         # A record never registered is signed: another arrival, another beacon.
@@ -263,6 +268,47 @@ class TestEgressGateway:
         assert perf_counters()["signature_sign"] == signed + 3
         assert stored._segment is segment
         assert elsewhere.stored._segment is not None and unseen.stored._segment is not None
+
+    def test_registration_announces_news_out_the_arrival_interface(self, topology, key_store):
+        _ingress, egress, transport = gateway_pair(topology, 3, key_store)
+        egress.register_down_segments = True
+        beacon = make_beacon(key_store, [(1, None, 1), (2, 1, 2)])
+        selection = self._selection(key_store, beacon, egress_interfaces=[2], received_on=1)
+        egress.register([selection], now_ms=0.0)
+        ((sender, interface, message),) = transport.messages
+        assert (sender, interface, message.kind) == (3, 1, "path_registration")
+        assert message.path is egress.path_service.paths_to(1)[0]
+        # The next round's repeat is no news: counted, not sent.
+        egress.register([selection], now_ms=1.0)
+        assert len(transport.messages) == 1
+        assert (egress.stats.registered, egress.stats.announced) == (2, 1)
+        assert egress.stats.reregistered == 1
+
+    def test_a_new_tag_on_a_known_segment_is_announced(self, topology, key_store):
+        _ingress, egress, transport = gateway_pair(topology, 3, key_store)
+        egress.register_down_segments = True
+        beacon = make_beacon(key_store, [(1, None, 1), (2, 1, 2)])
+        stored = CandidateBeacon(beacon=beacon, ingress_interface=1, received_at_ms=0.0)
+        egress.register([RACSelection(stored, [2], criteria_tags=("1sp",))], now_ms=0.0)
+        egress.register([RACSelection(stored, [2], criteria_tags=("don",))], now_ms=1.0)
+        assert [message.path.criteria_tags for _as, _interface, message in transport.messages] == [
+            ("1sp",),
+            ("don",),
+        ]
+        assert (egress.stats.announced, egress.stats.reregistered) == (2, 0)
+
+    def test_registration_sends_nothing_with_down_segments_off(self, topology, key_store):
+        _ingress, egress, transport = gateway_pair(topology, 3, key_store)
+        beacon = make_beacon(key_store, [(1, None, 1), (2, 1, 2)])
+        selection = self._selection(key_store, beacon, egress_interfaces=[2], received_on=1)
+        egress.register([selection], now_ms=0.0)
+        egress.register([selection], now_ms=1.0)
+        assert transport.messages == []
+        assert (egress.stats.registered, egress.stats.announced, egress.stats.reregistered) == (
+            2,
+            0,
+            0,
+        )
 
     def test_a_registered_path_holds_the_selections_tag_tuple(self, topology, key_store):
         """The path and the path service's quota ledger hold the selection's
@@ -289,7 +335,8 @@ class TestEgressGateway:
         # The beacon is still in the ingress database, so the next round
         # selects it again: it must come back, dated by that round.
         signed = perf_counters()["signature_sign"]
-        assert egress.register([selection], now_ms=7.0) == 1
+        egress.register([selection], now_ms=7.0)
+        assert egress.stats.registered == 2
         (path,) = egress.path_service.paths_to(1)
         assert path.segment.digest() == digest
         assert path.registered_at_ms == 7.0
@@ -358,7 +405,8 @@ class TestEgressGateway:
         _ingress, egress, transport = gateway_pair(topology, 3, key_store)
         beacon = make_beacon(key_store, [(1, None, 1), (2, 1, 2)])
         selection = self._selection(key_store, beacon, egress_interfaces=[1, 2, 3])
-        assert egress.propagate([selection]) == 2
+        egress.propagate([selection])
+        assert egress.stats.propagated == 2
         # Interface 1 leads back to AS 2.
         assert [interface for _sender, interface, _beacon in transport.sent] == [2, 3]
         assert egress.view.neighbor_as(3) == 5
@@ -375,5 +423,6 @@ class TestEgressGateway:
             ),
         )
         again = make_beacon(key_store, [(1, None, 1), (2, 1, 2)], created_at_ms=1.0)
-        assert egress.propagate([self._selection(key_store, again, [1, 2, 3])]) == 1
+        egress.propagate([self._selection(key_store, again, [1, 2, 3])])
+        assert egress.stats.propagated == 3
         assert [interface for _sender, interface, _beacon in transport.sent[2:]] == [2]

@@ -7,7 +7,7 @@ from repro.topology.generator import generate_topology
 from repro.topology.geo import GeoCoordinate, great_circle_km, propagation_delay_ms
 from repro.topology.intra_domain import IntraDomainModel, IntraDomainRegistry
 from repro.topology import pops as pops_module
-from repro.topology.pops import derive_pops, pop_pairs
+from repro.topology.pops import derive_pops
 
 from tests.conftest import small_test_config
 
@@ -45,17 +45,7 @@ class TestIntraDomainRegistry:
         model = registry.model_for(info)
         assert model.as_info is info
         assert registry.model_for(info) is model
-        assert registry.get(info.as_id) is model
-
-    def test_register_replaces(self):
-        registry = IntraDomainRegistry()
-        info = as_with_interfaces()
-        custom = IntraDomainModel(as_info=info)
-        registry.register(custom)
-        assert registry.model_for(info) is custom
-
-    def test_get_missing_returns_none(self):
-        assert IntraDomainRegistry().get(123) is None
+        assert registry.models == {info.as_id: model}
 
 
 class TestPops:
@@ -86,10 +76,3 @@ class TestPops:
                 for a in locations:
                     for b in locations:
                         assert great_circle_km(a, b) <= pops_module.COLOCATION_RADIUS_KM
-
-    def test_pop_pairs_enumeration(self, small_topology):
-        pops = derive_pops(small_topology)
-        as_ids = small_topology.as_ids()[:2]
-        pairs = pop_pairs(pops, [(as_ids[0], as_ids[1])])
-        expected = len(pops[as_ids[0]]) * len(pops[as_ids[1]])
-        assert len(pairs) == expected

@@ -62,7 +62,7 @@ class TestEnvelope:
         message = PCBMessage(beacon)
         assert message.beacon is beacon
         assert message.kind == "pcb"
-        assert (message.beacon.origin_as, message.beacon.created_at_ms) == (1, 42.0)
+        assert (message.beacon.origin_as, message.beacon.header.created_at_ms) == (1, 42.0)
 
     def test_payload_messages_declare_exactly_one_field(self):
         assert dataclasses.fields(ControlMessage) == ()
@@ -279,7 +279,7 @@ class TestBatchedRevocationElements:
             created_at_ms=minutes(30),
             failed_links=(link_a, link_b),
         ).signed(simulation.services[2].builder.signer)
-        assert service.on_revocation(message, on_interface=1, now_ms=minutes(30)) is True
+        service.on_revocation(message, on_interface=1, now_ms=minutes(30))
         for stored in service.ingress.database.all_beacons():
             assert link_a not in stored.beacon.links()
             assert link_b not in stored.beacon.links()

@@ -22,12 +22,14 @@ public name under ``src/repro/`` — a module-level class or function, a
 method or a property — is referenced somewhere in ``src/``,
 ``benchmarks/`` or ``examples/`` outside a test file.  A method or
 property counts as referenced only as an attribute or a string; a
-module-level name also as a loaded name, so a local variable that shares a
-method's name hides nothing.  Every option of every class, public method
+module-level name also as a name loaded outside the functions that bind
+it, so a local variable or a parameter that shares a method's or a
+function's name hides nothing.  Every option of every class, public method
 and public module-level function is set there too, and no ``_``-named
 value is a constructor parameter: private state is ``field(init=False)``.
-And every public stored value of a class — a dataclass field, an
-attribute ``__init__`` assigns, a class-level value built by a call — is
+And every public stored value of a class — a dataclass or ``NamedTuple``
+field, an attribute ``__init__`` assigns, a class-level value built by a
+call — is
 read there: by an attribute load or a string, never by a write such as
 ``x.f += 1``.  A string counts because code reads values by name
 (``benchmarks/run_experiments.py`` hands dict keys to ``getattr``).  The
@@ -270,22 +272,69 @@ def _exported(tree):
     }
 
 
+def _bound_names(function):
+    """The names a function or lambda binds in its own scope: its parameters
+    and what its body stores or defines outside nested functions.  An
+    import binds none: a name imported inside a function still names the
+    module-level one."""
+    arguments = function.args
+    bound = {
+        argument.arg
+        for argument in (
+            *arguments.posonlyargs,
+            *arguments.args,
+            *arguments.kwonlyargs,
+            arguments.vararg,
+            arguments.kwarg,
+        )
+        if argument is not None
+    }
+    stack = list(function.body) if isinstance(function.body, list) else [function.body]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+            continue
+        if isinstance(node, ast.Lambda):
+            continue
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            bound.add(node.id)
+        stack.extend(ast.iter_child_nodes(node))
+    return bound
+
+
+def _loaded_names(tree):
+    """Every name the tree loads outside the functions that bind it: a
+    function-local name never means a module-level class or function."""
+    names = set()
+    stack = [(tree, frozenset())]
+    while stack:
+        node, local = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            local = local | _bound_names(node)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            if node.id not in local:
+                names.add(node.id)
+        stack.extend((child, local) for child in ast.iter_child_nodes(node))
+    return names
+
+
 def _mentions(trees):
     """``(members, names)`` the trees mention.
 
     ``members`` holds every attribute and string: what can name a method or
-    a property.  ``names`` holds those and every loaded name: what can name
-    a module-level class or function.  An ``__all__`` list re-exports
-    names; it calls nothing, so it is not read.
+    a property.  ``names`` holds those and every name loaded outside the
+    functions that bind it: what can name a module-level class or function.
+    An ``__all__`` list re-exports names; it calls nothing, so it is not
+    read.
     """
     members, names = set(), set()
     for tree in trees:
         exported = _exported(tree)
+        names |= _loaded_names(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute):
                 members.add(node.attr)
-            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                names.add(node.id)
             elif (
                 isinstance(node, ast.Constant)
                 and isinstance(node.value, str)
@@ -340,15 +389,19 @@ def test_the_name_rule_sees_the_tree():
 @pytest.mark.parametrize(
     "caller, unused",
     [
-        # A loaded name (a local variable, a call of the module-level
-        # function) counts for the function, never for the method ...
-        ("def fold(ledgers):\n    merge = {}\n    return merge", {"Ledger.merge"}),
+        # A loaded name counts for the module-level function, never for
+        # the method ...
         ("def fold():\n    return merge()", {"Ledger.merge"}),
+        ("def fold():\n    def inner():\n        return merge()\n    return inner", {"Ledger.merge"}),
+        # ... unless a function binds it: a local variable or a parameter
+        # counts for neither ...
+        ("def fold(ledgers):\n    merge = {}\n    return merge", {"Ledger.merge", "merge"}),
+        ("def fold(merge):\n    return lambda: merge", {"Ledger.merge", "merge"}),
         # ... while an attribute or a string counts for both.
         ("def fold(ledger):\n    return ledger.merge", set()),
         ("def fold(ledger):\n    return getattr(ledger, 'merge')", set()),
     ],
-    ids=["local-variable", "function-call", "attribute", "string"],
+    ids=["function-call", "nested-call", "local-variable", "parameter", "attribute", "string"],
 )
 def test_the_name_rule_counts_a_member_only_through_an_attribute(caller, unused):
     api = {
@@ -379,14 +432,16 @@ def test_every_public_name_has_a_caller_outside_the_tests(module):
 
 
 def _stored_names(cls):
-    """Every name a class stores a value under: a dataclass field, an
-    attribute ``__init__`` assigns on ``self``, or a class-level value built
-    by a call (a ``property`` factory such as the collector's
+    """Every name a class stores a value under: a dataclass or ``NamedTuple``
+    field, an attribute ``__init__`` assigns on ``self``, or a class-level
+    value built by a call (a ``property`` factory such as the collector's
     ``_kind_total``)."""
-    dataclass = _is_dataclass(cls)
+    fields = _is_dataclass(cls) or any(
+        getattr(base, "id", None) == "NamedTuple" for base in cls.bases
+    )
     for node in cls.body:
         if (
-            dataclass
+            fields
             and isinstance(node, ast.AnnAssign)
             and isinstance(node.target, ast.Name)
             and "ClassVar" not in ast.unparse(node.annotation)
@@ -486,6 +541,7 @@ def test_the_state_rule_sees_the_tree():
     assert read in stored and read not in set().union(*_unread_state().values())
     assert "repro.simulation.collector.MetricsCollector.total_sent" in stored  # a property factory
     assert "repro.traffic.links.CapacityLinkModel.topology" in stored  # assigned by __init__
+    assert "repro.core.query.QueryResult.paths" in stored  # a NamedTuple field
 
 
 @pytest.mark.parametrize(
@@ -501,6 +557,23 @@ def test_the_state_rule_sees_the_tree():
 def test_the_state_rule_counts_only_a_load_or_a_string(reader, unread):
     stored = {"Ledger.total": ("rule", "total")}
     assert _unread(stored, _reads([ast.parse(reader)])).get("rule", set()) == unread
+
+
+@pytest.mark.parametrize(
+    "source, stored",
+    [
+        ("@dataclass\nclass Ledger:\n    total: int = 0", {"total"}),
+        ("class Ledger(NamedTuple):\n    total: int", {"total"}),
+        ("class Ledger:\n    def __init__(self):\n        self.total = 0", {"total"}),
+        ("class Ledger:\n    total = property(lambda self: 0)", {"total"}),
+        ("@dataclass\nclass Ledger:\n    total: ClassVar[int] = 0", set()),
+        ("class Ledger:\n    total: int", set()),
+    ],
+    ids=["dataclass-field", "namedtuple-field", "init-assignment", "call-built", "classvar", "annotation"],
+)
+def test_the_state_rule_sees_every_way_a_class_stores_a_value(source, stored):
+    (cls,) = ast.parse(source).body
+    assert set(_stored_names(cls)) == stored
 
 
 def test_every_kept_value_is_a_stored_value():

@@ -238,9 +238,10 @@ class TestFrontendCache:
         service.register(_registered(key_store, origin=1))
         frontend = PathQueryFrontend(service)
         first = frontend.query(PathQuery(origin_as=1))
-        assert not first.cache_hit and len(first.paths) == 1
+        assert len(first.paths) == 1 and frontend.misses == 1
+        # A hit returns the result the miss stored.
         second = frontend.query(PathQuery(origin_as=1))
-        assert second.cache_hit and second.paths == first.paths
+        assert second is first
         assert (frontend.lookups, frontend.hits, frontend.misses) == (2, 1, 1)
         assert frontend.cache_hit_ratio == pytest.approx(0.5)
         assert frontend.counters()["cache_size"] == 1
@@ -268,9 +269,10 @@ class TestFrontendCache:
         assert frontend.counters()["cache_size"] == 1
         assert frontend.invalidations == 1
         # Origin 3's entry survived; origin 1 re-materializes with the new path.
-        assert frontend.query(PathQuery(origin_as=3)).cache_hit
+        frontend.query(PathQuery(origin_as=3))
+        assert (frontend.hits, frontend.misses) == (1, 2)
         refreshed = frontend.query(PathQuery(origin_as=1))
-        assert not refreshed.cache_hit and len(refreshed.paths) == 2
+        assert (frontend.hits, frontend.misses) == (1, 3) and len(refreshed.paths) == 2
 
     def test_withdrawal_is_never_served_from_cache(self, key_store):
         service = PathService()
@@ -296,8 +298,10 @@ class TestFrontendCache:
         assert frontend.counters()["cache_size"] == 2
         assert frontend.evictions == 1
         # Origin 1 was the least recently used: it misses again.
-        assert not frontend.query(PathQuery(origin_as=1)).cache_hit
-        assert frontend.query(PathQuery(origin_as=3)).cache_hit
+        frontend.query(PathQuery(origin_as=1))
+        assert (frontend.hits, frontend.misses) == (0, 4)
+        frontend.query(PathQuery(origin_as=3))
+        assert (frontend.hits, frontend.misses) == (1, 4)
 
     def test_invalid_capacity_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -396,12 +400,12 @@ class TestQueryFabric:
         _scheduler, _transport, services = _service_with_path_to(key_store, 2, 3)
         frontend = services[2].query_frontend
         first = query_at(frontend, PathQuery(origin_as=3), 0.0)
-        assert not first.cache_hit
+        assert (frontend.hits, frontend.misses) == (0, 1)
         assert [p.segment.origin_as for p in first.paths] == [3]
         # The second ask is served from the AS's response cache.
         second = query_at(frontend, PathQuery(origin_as=3), 1.0)
-        assert second.cache_hit
-        assert second.paths == first.paths
+        assert (frontend.hits, frontend.misses) == (1, 1)
+        assert second is first
 
     def test_simulated_fabric_counts_query_traffic(self, key_store):
         scheduler, transport, services = _service_with_path_to(key_store, 2, 3)
@@ -481,23 +485,23 @@ class TestDownSegmentRegistration:
             via_loop = next(
                 entry.ingress_interface for entry in segment.entries if entry.as_id == as_id
             )
-            assert service.on_message_batch([(message, 7)], now_ms=1.0) == [True]
+            service.on_message_batch([(message, 7)], now_ms=1.0)
             assert service.transport.messages == [(as_id, via_loop, message)]
             assert service.path_service.all_paths() == []
         origin = self._isolated_service(1)
-        assert origin.on_message_batch([(message, 7)], now_ms=1.0) == [True]
+        origin.on_message_batch([(message, 7)], now_ms=1.0)
         assert origin.transport.messages == []
         assert [p.segment for p in down_paths_to(origin.path_service, 12)] == [segment]
 
     def test_misrouted_and_origin_entry_announcements_are_dropped_unsent(self, key_store):
         segment = make_beacon(key_store, [(1, None, 2), (2, 1, 2), (3, 1, None)])
         stranger = self._isolated_service(9)
-        assert stranger.on_message_batch([(self._announcement(segment), 7)], 1.0) == [False]
+        stranger.on_message_batch([(self._announcement(segment), 7)], 1.0)
         # A header naming another origin leaves AS 1 with the origin-side
         # entry, which has no ingress interface to relay out of.
         renamed = rebuild_chain(dataclasses.replace(segment.header, origin_as=5), segment.entries)
         first_hop = self._isolated_service(1)
-        assert first_hop.on_message_batch([(self._announcement(renamed), 7)], 1.0) == [False]
+        first_hop.on_message_batch([(self._announcement(renamed), 7)], 1.0)
         for service in (stranger, first_hop):
             assert service.transport.messages == []
             assert service.path_service.all_paths() == []
@@ -556,50 +560,47 @@ def _shaped_topology(shape, count):
     return build_topology(interfaces, links)
 
 
-def _feed_every_accepted_registration(gateway):
-    """Test oracle, the rule this PR replaced: announce always.
+def _announce_every_accepted_registration(gateway):
+    """Test oracle, the rule the news rule replaced: announce always.
 
-    Registers selection by selection through the real method and feeds the
-    repeats it kept back, so merges are re-announced every round.
+    Registers selection by selection through the real method and sends the
+    repeats it kept back itself, so merges are re-announced every round.
     """
+    stats = gateway.stats
 
     def register(selections, now_ms):
-        accepted = 0
         for selection in selections:
-            fed = len(gateway._registered_feed)
-            if EgressGateway.register(gateway, [selection], now_ms):
-                accepted += 1
-                if len(gateway._registered_feed) == fed:
-                    stored = selection.stored
-                    repeat = RegisteredPath(
-                        segment=stored._segment,
-                        criteria_tags=selection.criteria_tags,
-                        registered_at_ms=now_ms,
-                    )
-                    gateway._registered_feed.append((repeat, stored.ingress_interface))
-        return accepted
+            registered, announced = stats.registered, stats.announced
+            EgressGateway.register(gateway, [selection], now_ms)
+            if stats.registered > registered and stats.announced == announced:
+                stored = selection.stored
+                repeat = RegisteredPath(
+                    segment=stored._segment,
+                    criteria_tags=selection.criteria_tags,
+                    registered_at_ms=now_ms,
+                )
+                gateway.transport.send_message(
+                    gateway.as_id, stored.ingress_interface, PathRegistrationMessage(repeat)
+                )
 
     gateway.register = register
 
 
-def _feed_new_digests_only(gateway):
+def _announce_new_digests_only(gateway):
     """Mutant: a new criteria tag on a segment already held is not news."""
 
     def register(selections, now_ms):
-        accepted = 0
         for selection in selections:
             segment = selection.stored._segment
             held = segment is not None and gateway.path_service.get(segment.digest())
-            fed = len(gateway._registered_feed)
-            accepted += EgressGateway.register(gateway, [selection], now_ms)
-            if held:
-                del gateway._registered_feed[fed:]
-        return accepted
+            gateway.register_down_segments = not held
+            EgressGateway.register(gateway, [selection], now_ms)
+        gateway.register_down_segments = True
 
     gateway.register = register
 
 
-def _down_segment_simulation(topology, periods, specs, feed_rule=None, **scenario_kwargs):
+def _down_segment_simulation(topology, periods, specs, announce_rule=None, **scenario_kwargs):
     scenario = ScenarioConfig(
         algorithms=specs,
         periods=periods,
@@ -612,8 +613,8 @@ def _down_segment_simulation(topology, periods, specs, feed_rule=None, **scenari
         # The quota must not bind: a rejected announcement is no longer
         # retried, which is the documented difference from announce-always.
         service.path_service.max_paths_per_key = 10_000
-        if feed_rule is not None:
-            feed_rule(service.egress)
+        if announce_rule is not None:
+            announce_rule(service.egress)
     return simulation
 
 
@@ -639,7 +640,7 @@ def _assert_announces_like_the_oracle(topology, periods, specs, subject_rule=Non
     sides' total ``sent["path_registration"]``."""
     subject = _down_segment_simulation(topology, periods, specs, subject_rule)
     oracle = _down_segment_simulation(
-        topology, periods, specs, _feed_every_accepted_registration
+        topology, periods, specs, _announce_every_accepted_registration
     )
     totals = (0, 0)
     for _period in range(periods):
@@ -682,7 +683,7 @@ class TestAnnounceWhenNews:
         # 1SP and 5SP select the same beacon: the second tag must travel too.
         with pytest.raises(AssertionError):
             _assert_announces_like_the_oracle(
-                topology, 4, _ONE_OR_TWO_RACS[1], _feed_new_digests_only
+                topology, 4, _ONE_OR_TWO_RACS[1], _announce_new_digests_only
             )
 
     def test_counters_split_registrations_into_news_and_repeats(self):
@@ -704,7 +705,7 @@ class TestAnnounceWhenNews:
             stats = service.egress.stats
             assert stats.registered > 0
             assert (stats.reregistered, stats.announced) == (0, 0)
-            assert service.egress.take_registered() == []
+        assert result.collector.sent["path_registration"] == 0
 
     def test_withdrawn_segment_is_announced_again_when_it_returns(self):
         """The path service is the only memory of "already announced":
@@ -758,7 +759,6 @@ class TestAnnounceWhenNews:
                 as_id: (
                     len(terminated_segments(service)),
                     len(service.egress.database),
-                    len(service.egress._registered_feed),
                     len(service.path_service),
                 )
                 for as_id, service in simulation.services.items()
@@ -770,8 +770,7 @@ class TestAnnounceWhenNews:
             by_period.append(sizes())
         for k in range(validity - 1, validity + 3):
             assert by_period[k] == by_period[k + validity]
-        assert all(feed == 0 for _t, _d, feed, _p in by_period[-1].values())
-        assert any(terminated > 0 for terminated, _d, _f, _p in by_period[-1].values())
+        assert any(terminated > 0 for terminated, _d, _p in by_period[-1].values())
 
 
 # ---------------------------------------------------------------------------
@@ -887,11 +886,11 @@ class TestNegativeCache:
         service = PathService()
         frontend = PathQueryFrontend(service)
         first = frontend.query(PathQuery(origin_as=9))
-        assert not first.cache_hit and first.paths == ()
+        assert first.paths == () and frontend.misses == 1
         assert frontend.negative_inserts == 1
         assert frontend.negative_hits == 0
         second = frontend.query(PathQuery(origin_as=9))
-        assert second.cache_hit and second.paths == ()
+        assert second is first and frontend.hits == 1
         assert frontend.negative_hits == 1
         # A non-empty materialization is not a negative insert.
         service.register(_registered(key_store, origin=1))
@@ -906,12 +905,13 @@ class TestNegativeCache:
         frontend = PathQueryFrontend(service)
         frontend.query(PathQuery(origin_as=1))
         # Far-future lookups still hit the cached empty entry.
-        assert query_at(frontend, PathQuery(origin_as=1), minutes(10_000)).cache_hit
+        query_at(frontend, PathQuery(origin_as=1), minutes(10_000))
+        assert frontend.hits == 1
         assert frontend.expired_entries == 0
         service.register(_registered(key_store, origin=1))
         assert frontend.invalidations == 1
         refreshed = frontend.query(PathQuery(origin_as=1))
-        assert not refreshed.cache_hit and len(refreshed.paths) == 1
+        assert frontend.misses == 2 and len(refreshed.paths) == 1
 
     def test_counters_expose_negative_keys(self):
         frontend = PathQueryFrontend(PathService())

@@ -163,8 +163,8 @@ def build_chain(key_store, hops, terminate=False, extensions=None, before_extend
 def naive_encode(beacon: Beacon) -> bytes:
     """Re-encode a beacon from its raw fields, bypassing every memo."""
     parts = [
-        f"pcb(origin={beacon.origin_as},created={beacon.created_at_ms:.3f},"
-        f"validity={beacon.validity_ms:.3f},{beacon.extensions.encode()})"
+        f"pcb(origin={beacon.origin_as},created={beacon.header.created_at_ms:.3f},"
+        f"validity={beacon.header.validity_ms:.3f},{beacon.extensions.encode()})"
     ]
     for entry in beacon.entries:
         unsigned = (
@@ -729,7 +729,7 @@ class TestIncrementalVerification:
         key_store = KeyStore()
         beacon = build_chain(key_store, hops)
         verifier = Verifier(key_store=key_store)
-        beacon.verify(verifier)  # full verification accepts
+        beacon.verify_suffix(verifier, first_entry=0)  # full verification accepts
 
         gateway = IngressGateway(as_id=999_999, verifier=verifier)
         checked = perf_counters()["signature_verify"]
@@ -755,7 +755,7 @@ class TestIncrementalVerification:
         )
         forged = tamper(beacon, position)
         with pytest.raises(SignatureError):
-            forged.verify(verifier)
+            forged.verify_suffix(verifier, first_entry=0)
         gateway = IngressGateway(as_id=999_999, verifier=verifier)
         assert not gateway.receive(forged, on_interface=1, now_ms=0.0)
         assert gateway.stats.rejected_signature == 1
@@ -826,9 +826,8 @@ def naive_select(context, paths_per_interface, score, admit=None):
 class NaiveHeuristicDisjointness:
     """The pre-fast-path HD: re-scores every candidate for every pick."""
 
-    def __init__(self, paths_per_interface, remember_propagations):
+    def __init__(self, paths_per_interface):
         self.paths_per_interface = paths_per_interface
-        self.remember_propagations = remember_propagations
         self.state = {}
 
     def execute(self, context):
@@ -842,9 +841,7 @@ class NaiveHeuristicDisjointness:
         origin = loop_free[0].origin_as
         for egress_interface in context.egress_interfaces:
             fresh = {"used": {}, "served": set(), "done": False}
-            state = fresh
-            if self.remember_propagations:
-                state = self.state.setdefault((egress_interface, origin), fresh)
+            state = self.state.setdefault((egress_interface, origin), fresh)
             used = dict(state["used"])
             remaining = [b for b in loop_free if b.digest() not in state["served"]]
             selected = []
@@ -1188,16 +1185,13 @@ class TestSelectionEquivalence:
         interfaces=interface_sets,
         limit=st.sampled_from((0, 1, 4)),
         paths_per_interface=st.sampled_from((1, 3)),
-        remember=st.booleans(),
     )
     @settings(max_examples=120, deadline=None)
     def test_hd_matches_reference_over_consecutive_executions(
-        self, beacon_pool, rounds, interfaces, limit, paths_per_interface, remember
+        self, beacon_pool, rounds, interfaces, limit, paths_per_interface
     ):
-        algorithm = HeuristicDisjointnessAlgorithm(
-            paths_per_interface=paths_per_interface, remember_propagations=remember
-        )
-        reference = NaiveHeuristicDisjointness(paths_per_interface, remember)
+        algorithm = HeuristicDisjointnessAlgorithm(paths_per_interface=paths_per_interface)
+        reference = NaiveHeuristicDisjointness(paths_per_interface)
         for specs in rounds:
             context = selection_context(beacon_pool, specs, interfaces, limit, [0.0] * 16)
             result = algorithm.execute(context)
@@ -1236,7 +1230,7 @@ class TestSelectionEquivalence:
         selects.  Once everything else expired, one more round forgets all
         of it."""
         algorithm = HeuristicDisjointnessAlgorithm(paths_per_interface=paths_per_interface)
-        reference = NaiveHeuristicDisjointness(paths_per_interface, True)
+        reference = NaiveHeuristicDisjointness(paths_per_interface)
         stored = {}
         for period in range(6):
             now_ms = period * 10.0

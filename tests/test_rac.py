@@ -218,9 +218,10 @@ class _Appends(RoutingAlgorithm):
 
     def execute(self, context):
         result = ExecutionResult()
-        for candidate in context.candidates:
-            result.add(context.egress_interfaces[0], candidate.beacon)
-        result.add(context.egress_interfaces[0], self.extra)
+        result.selections[context.egress_interfaces[0]] = [
+            *(candidate.beacon for candidate in context.candidates),
+            self.extra,
+        ]
         return result
 
 
@@ -236,7 +237,7 @@ class _Remembers(RoutingAlgorithm):
         if self.kept is None:
             self.kept = context.candidates[0].beacon
         result = ExecutionResult()
-        result.add(context.egress_interfaces[0], self.kept)
+        result.selections[context.egress_interfaces[0]] = [self.kept]
         return result
 
 

@@ -10,9 +10,8 @@ from repro.algorithms.criteria_algorithm import CriteriaSetAlgorithm
 from repro.algorithms.delay import DelayOptimizationAlgorithm
 from repro.algorithms.pull_disjoint import LinkAvoidingAlgorithm
 from repro.algorithms.registry import (
-    AlgorithmCatalog,
+    BUILTIN_ALGORITHMS,
     decode_payload,
-    default_catalog,
     encode_builtin_payload,
     encode_criteria_payload,
     encode_link_avoiding_payload,
@@ -32,30 +31,31 @@ from repro.exceptions import (
 
 class TestAlgorithmCatalog:
     def test_default_catalog_contains_paper_algorithms(self):
-        catalog = default_catalog()
-        for name in ("1sp", "5sp", "20sp", "delay", "hd", "link-avoiding"):
-            assert name in catalog
         # Widest, shortest-widest, latency-bounded and Pareto selection are
         # criteria sets, shipped as ``criteria_set`` payloads.
-        for name in ("widest", "shortest-widest", "widest-bounded", "pareto"):
-            assert name not in catalog
+        assert set(BUILTIN_ALGORITHMS) == {"1sp", "5sp", "20sp", "delay", "hd", "link-avoiding"}
 
-    def test_create_with_parameters(self):
-        catalog = default_catalog()
-        algorithm = catalog.create("ksp", k=7)
-        assert isinstance(algorithm, KShortestPathAlgorithm)
-        assert algorithm.k == 7
+    def test_every_builtin_decodes_from_its_name(self):
+        for name, factory in BUILTIN_ALGORITHMS.items():
+            assert type(decode_payload(encode_builtin_payload(name))) is type(factory())
+        shortest = [BUILTIN_ALGORITHMS[name]() for name in ("1sp", "5sp", "20sp")]
+        assert all(isinstance(algorithm, KShortestPathAlgorithm) for algorithm in shortest)
+        assert [algorithm.k for algorithm in shortest] == [1, 5, 20]
+
+    def test_ksp_is_not_a_builtin(self):
+        # A builtin names a fixed algorithm: k is in the name, never a parameter.
+        with pytest.raises(UnknownAlgorithmError):
+            decode_payload(encode_builtin_payload("ksp"))
+
+    def test_every_decode_builds_a_fresh_algorithm(self):
+        for name in BUILTIN_ALGORITHMS:
+            first = decode_payload(encode_builtin_payload(name))
+            second = decode_payload(encode_builtin_payload(name))
+            assert first is not second and first == second
 
     def test_unknown_name(self):
         with pytest.raises(UnknownAlgorithmError):
-            default_catalog().create("does-not-exist")
-
-    def test_register_is_append_only(self):
-        catalog = AlgorithmCatalog()
-        catalog.register("mine", lambda **kw: KShortestPathAlgorithm(k=1))
-        with pytest.raises(AlgorithmError):
-            catalog.register("mine", lambda **kw: KShortestPathAlgorithm(k=2))
-        assert "mine" in catalog and catalog.create("mine").k == 1
+            decode_payload(encode_builtin_payload("does-not-exist"))
 
 
 class TestPayloadRoundTrips:
@@ -73,14 +73,12 @@ class TestPayloadRoundTrips:
         assert ((1, 2), (3, 4)) in algorithm.avoid_links
 
     def test_builtin_payload(self):
-        # A foreign origin may pass builtin parameters; ours passes none.
-        assert json.loads(encode_builtin_payload("delay"))["parameters"] == {}
-        payload = json.dumps(
-            {"kind": "builtin", "name": "delay", "parameters": {"paths_per_interface": 2}}
-        ).encode("utf-8")
+        # A builtin payload names an algorithm and carries no parameters.
+        payload = encode_builtin_payload("delay")
+        assert json.loads(payload) == {"kind": "builtin", "name": "delay"}
         algorithm = decode_payload(payload)
         assert isinstance(algorithm, DelayOptimizationAlgorithm)
-        assert algorithm.paths_per_interface == 2
+        assert algorithm.paths_per_interface == 1
 
     def test_restricted_python_payload(self):
         payload = encode_restricted_python_payload("latency_ms + hop_count", paths_per_interface=2)
@@ -177,15 +175,7 @@ _DOCUMENTS = {
     "builtin": _document(
         "builtin",
         {
-            "name": st.sampled_from(["ksp", "1sp", "5sp", "20sp", "delay", "hd", "link-avoiding"])
-            | _JSON,
-            "parameters": st.dictionaries(
-                st.sampled_from(
-                    ["k", "paths_per_interface", "use_extended_paths", "latency_bound_ms"]
-                ),
-                _COUNT,
-                max_size=3,
-            )
+            "name": st.sampled_from(["1sp", "5sp", "20sp", "delay", "hd", "link-avoiding"])
             | _JSON,
         },
     ),
@@ -222,7 +212,7 @@ class TestMalformedPayloadsFailTyped:
             {"kind": "criteria_set"},
             {"kind": "criteria_set", "spec": {"name": "x", "criteria": [{"metric": "nope"}]}},
             {"kind": "link_avoiding", "avoid_links": [[[1, 2]]]},
-            {"kind": "builtin", "name": "ksp", "parameters": {"k": "many"}},
+            {"kind": "builtin"},
             {"kind": "restricted_python"},
             {"kind": "restricted_python", "source": "1", "paths_per_interface": "two"},
         ),

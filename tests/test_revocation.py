@@ -368,8 +368,8 @@ class TestHandlerDedupAndVerification:
         ).signed(origin.builder.signer)
 
         receiver = services[2]
-        assert receiver.on_revocation(message, on_interface=1, now_ms=5.0) is True
-        assert receiver.on_revocation(message, on_interface=1, now_ms=6.0) is False
+        receiver.on_revocation(message, on_interface=1, now_ms=5.0)
+        receiver.on_revocation(message, on_interface=1, now_ms=6.0)
         assert receiver.revocations.received == 2
         assert receiver.revocations.duplicates == 1
         # Applied exactly once, at the first delivery.
@@ -394,7 +394,7 @@ class TestHandlerDedupAndVerification:
             b"forged",
         )
         receiver = services[2]
-        assert receiver.on_revocation(message, on_interface=1, now_ms=5.0) is False
+        receiver.on_revocation(message, on_interface=1, now_ms=5.0)
         assert receiver.revocations.rejected_invalid == 1
         assert receiver.revocations.applied_at == {}
         assert transport.collector.sent["revocation"] == 0
@@ -405,7 +405,8 @@ class TestHandlerDedupAndVerification:
             created_at_ms=0.0,
             failed_links=(_link(topology, 0),),
         ).signed(services[1].builder.signer)
-        assert receiver.on_revocation(valid, on_interface=1, now_ms=6.0) is True
+        receiver.on_revocation(valid, on_interface=1, now_ms=6.0)
+        assert receiver.revocations.applied_at[(1, 1)] == 6.0
 
     def test_verification_skipped_when_disabled(self, key_store):
         topology = line_topology(3)
@@ -416,7 +417,8 @@ class TestHandlerDedupAndVerification:
             created_at_ms=0.0,
             failed_links=(_link(topology, 0),),
         )
-        assert services[2].on_revocation(unsigned, on_interface=1, now_ms=5.0) is True
+        services[2].on_revocation(unsigned, on_interface=1, now_ms=5.0)
+        assert services[2].revocations.applied_at[(1, 1)] == 5.0
 
 
 class TestPropagationOrderedWithdrawal:
@@ -726,14 +728,14 @@ class TestByzantineRejection:
             origin_as=1, sequence=7, created_at_ms=0.0, failed_links=(link,)
         ).signed(attacker)
 
-        assert receiver.on_revocation(forged, on_interface=1, now_ms=1.0) is False
+        receiver.on_revocation(forged, on_interface=1, now_ms=1.0)
         assert receiver.revocations.rejected_invalid == 1
         assert receiver.revocations.applied_at == {}
 
         authentic = RevocationMessage(
             origin_as=1, sequence=7, created_at_ms=0.0, failed_links=(link,)
         ).signed(Signer(as_id=1, key_store=key_store))
-        assert receiver.on_revocation(authentic, on_interface=1, now_ms=2.0) is True
+        receiver.on_revocation(authentic, on_interface=1, now_ms=2.0)
         assert receiver.revocations.applied_at[(1, 7)] == 2.0
 
     def test_replayed_key_counted_as_duplicate_and_applies_once(self, key_store):
@@ -746,13 +748,11 @@ class TestByzantineRejection:
             origin_as=1, sequence=4, created_at_ms=0.0, failed_links=(_link(topology, 0),)
         ).signed(Signer(as_id=1, key_store=key_store))
 
-        assert receiver.on_revocation(message, on_interface=1, now_ms=1.0) is True
+        receiver.on_revocation(message, on_interface=1, now_ms=1.0)
+        assert receiver.revocations.applied_at[(1, 4)] == 1.0
         before = dict(receiver.revocations.applied_at)
         for replay in range(3):
-            assert (
-                receiver.on_revocation(message, on_interface=1, now_ms=2.0 + replay)
-                is False
-            )
+            receiver.on_revocation(message, on_interface=1, now_ms=2.0 + replay)
         assert receiver.revocations.duplicates == 3
         assert receiver.revocations.applied_at == before
 
@@ -788,9 +788,9 @@ class TestByzantineRejection:
                 replace(authentic, failed_links=(_link(topology, 1),)), authentic.signature
             )
 
-        assert receiver.on_revocation(forged, on_interface=1, now_ms=1.0) is False
+        receiver.on_revocation(forged, on_interface=1, now_ms=1.0)
         assert receiver.revocations.rejected_invalid == 1
         assert receiver.revocations.applied_at == {}
         # The authentic copy is never shadowed by the rejected forgery.
-        assert receiver.on_revocation(authentic, on_interface=1, now_ms=2.0) is True
+        receiver.on_revocation(authentic, on_interface=1, now_ms=2.0)
         assert authentic.key in receiver.revocations.applied_at

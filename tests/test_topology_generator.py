@@ -116,8 +116,8 @@ class TestGenerateTopology:
         topology = generate_topology(small_test_config())
         for link in topology.links.values():
             geodesic = propagation_delay_ms(
-                topology.interface(link.interface_a).location,
-                topology.interface(link.interface_b).location,
+                topology.as_info(link.interface_a[0]).interface(link.interface_a[1]).location,
+                topology.as_info(link.interface_b[0]).interface(link.interface_b[1]).location,
             )
             assert link.latency_ms >= geodesic
             assert link.latency_ms == pytest.approx(max(0.05, geodesic))

@@ -78,11 +78,6 @@ class TestLookups:
         with pytest.raises(UnknownLinkError):
             topology.link_of_interface((1, 9))
 
-    def test_remote_interface_and_neighbor(self):
-        topology = simple_triangle()
-        assert topology.remote_interface((1, 1)) == (2, 1)
-        assert topology.neighbor_of((1, 1)) == 2
-
     def test_links_of(self):
         topology = simple_triangle()
         assert len(topology.links_of(1)) == 2

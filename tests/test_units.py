@@ -6,9 +6,6 @@ from repro import units
 
 
 class TestTimeConversions:
-    def test_seconds_to_milliseconds(self):
-        assert units.seconds(1.5) == 1500.0
-
     def test_minutes_to_milliseconds(self):
         assert units.minutes(10) == 600_000.0
 
