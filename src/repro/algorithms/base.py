@@ -24,7 +24,7 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.core.beacon import Beacon, _slot
 
@@ -59,14 +59,19 @@ class CandidateBeacon:
     _segment: Optional[Beacon] = _slot()
 
 
-@dataclass(frozen=True)
-class ExecutionContext:
+class ExecutionContext(NamedTuple):
     """Everything an algorithm may use for one execution.
 
     The candidates all share the same origin AS and, when present, the same
     interface group and target AS — the RAC buckets them before invoking
     the algorithm (paper §V-C: "The PCBs provided as input are specific for
     an origin AS, as well as interface group and target AS").
+
+    A ``NamedTuple``: immutable like a frozen dataclass, and a RAC builds
+    one per job at the cost of a tuple.  Being a tuple, it can also be
+    built and unpacked positionally, compares equal to a plain tuple of
+    the same fields, and is changed with ``_replace`` (not
+    ``dataclasses.replace``).
 
     Attributes:
         local_as: The AS executing the algorithm.
@@ -143,31 +148,37 @@ def select_per_interface(
     """
     result = ExecutionResult()
     limit = min(paths_per_interface, context.max_paths_per_interface)
-    if limit <= 0 or not context.egress_interfaces:
+    interfaces = context.egress_interfaces
+    if limit <= 0 or not interfaces:
         return result
-    # (key, tie-break, candidate) per admissible candidate; the tie-break
-    # leans on the beacon's memoized as_path/digest.
+    # (key, tie-break, candidate) per admissible candidate; the loop check
+    # and the tie-break share the beacon's memoized as_path.
     keyed: List[Tuple[Tuple, Tuple, CandidateBeacon]] = []
     local_as = context.local_as
     for candidate in context.candidates:
         beacon = candidate.beacon
-        if beacon.contains_as(local_as):
+        path = beacon.as_path()
+        if local_as in path:
             continue
         base = key(candidate)
         if base is not None:
-            keyed.append((base, (beacon.as_path(), beacon.digest()), candidate))
-    shared = None if interface_term is not None else _best(keyed, limit)
-    for egress_interface in context.egress_interfaces:
-        best = shared
-        if best is None:
-            refined = []
-            for base, tie_break, candidate in keyed:
-                final = interface_term(candidate, base, egress_interface)
-                if final is not None:
-                    refined.append((final, tie_break, candidate))
-            best = _best(refined, limit)
+            keyed.append((base, (path, beacon.digest()), candidate))
+    selections = result.selections
+    if interface_term is None:
+        best = _best(keyed, limit)
         if best:
-            result.selections.setdefault(egress_interface, []).extend(best)
+            for egress_interface in interfaces:
+                selections[egress_interface] = best.copy()
+        return result
+    for egress_interface in interfaces:
+        refined = []
+        for base, tie_break, candidate in keyed:
+            final = interface_term(candidate, base, egress_interface)
+            if final is not None:
+                refined.append((final, tie_break, candidate))
+        best = _best(refined, limit)
+        if best:
+            selections[egress_interface] = best
     return result
 
 
@@ -175,6 +186,10 @@ _KEY_THEN_TIE_BREAK = itemgetter(0, 1)
 
 
 def _best(keyed: List[Tuple[Tuple, Tuple, CandidateBeacon]], limit: int) -> List[Beacon]:
-    """Return the beacons of the ``limit`` lowest ``(key, tie-break)`` entries."""
+    """Return the beacons of the ``limit`` lowest ``(key, tie-break)`` entries.
+
+    The sort key stops at the tie-break: two entries of one candidate
+    listed twice tie there, and candidates do not order.
+    """
     keyed.sort(key=_KEY_THEN_TIE_BREAK)
     return [candidate.beacon for _key, _tie_break, candidate in keyed[:limit]]

@@ -17,6 +17,7 @@ persistence across process restarts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from enum import IntEnum
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.algorithms.base import CandidateBeacon
@@ -300,6 +301,17 @@ class EgressDatabase:
         return digest in self._records
 
 
+class Registration(IntEnum):
+    """What :meth:`PathService.register` did; false only when it refused."""
+
+    #: The quota of every criteria tag of a new segment was used up.
+    REFUSED = 0
+    #: The segment was held with every tag already: nothing changed.
+    REPEAT = 1
+    #: A new segment, or a known one that gained a criteria tag.
+    NEWS = 2
+
+
 @dataclass(frozen=True, slots=True)
 class RegisteredPath:
     """A path registered at the local path service.
@@ -375,15 +387,19 @@ class PathService:
         for listener in self._invalidation_listeners:
             listener(origin_as)
 
-    def register(self, path: RegisteredPath) -> bool:
-        """Register ``path``; return whether the store holds it (new, merged or known)."""
+    def register(self, path: RegisteredPath) -> Registration:
+        """Register ``path``; return whether it was news, a repeat or refused.
+
+        Only a refusal leaves the path out of the store, and only news
+        changes it.
+        """
         digest = path.segment.digest()
         existing = self._by_digest.get(digest)
         if existing is not None:
             merged_tags = tuple(sorted(set(existing.criteria_tags) | set(path.criteria_tags)))
             if merged_tags == existing.criteria_tags:
                 # A repeat changes nothing: no new record, no notification.
-                return True
+                return Registration.REPEAT
             # A merge keeps the original registration time.
             self._by_digest[digest] = RegisteredPath(
                 segment=existing.segment,
@@ -392,7 +408,7 @@ class PathService:
             )
             if self._invalidation_listeners:
                 self._notify_invalidation(existing.segment.origin_as)
-            return True
+            return Registration.NEWS
 
         segment = path.segment
         origin_as = segment.origin_as
@@ -406,7 +422,7 @@ class PathService:
                 self._quota[key] = used + 1
                 consumed.append(tag)
         if not consumed:
-            return False
+            return Registration.REFUSED
         self._by_digest[digest] = path
         self._consumed[digest] = tags if len(consumed) == len(tags) else tuple(consumed)
         for link in segment.walk_links():
@@ -414,7 +430,7 @@ class PathService:
         _index(self._by_origin, origin_as, digest)
         if self._invalidation_listeners:
             self._notify_invalidation(origin_as)
-        return True
+        return Registration.NEWS
 
     def paths_to(self, origin_as: int) -> List[RegisteredPath]:
         """Return every registered path whose origin is ``origin_as``.

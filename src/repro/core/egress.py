@@ -23,10 +23,10 @@ control plane:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence
 
 from repro.core.beacon import Beacon, BeaconBuilder
-from repro.core.databases import EgressDatabase, PathService, RegisteredPath
+from repro.core.databases import EgressDatabase, PathService, RegisteredPath, Registration
 from repro.core.extensions import ExtensionSet
 from repro.core.local_view import LocalTopologyView
 from repro.core.messages import PathRegistrationMessage, PCBMessage
@@ -203,11 +203,12 @@ class EgressGateway:
 
         With ``register_down_segments`` on, a registration is announced
         back along its segment (out the interface the beacon arrived on)
-        only when it is news to the local path service: the segment's digest
-        was not held, or the stored record did not carry one of the
-        selection's criteria tags.  A repeat of a known ``(digest, tag)``
-        changes nothing in the path service, counts in ``stats.registered``
-        and ``stats.reregistered``, and sends nothing.  The path service is
+        only when the local path service reports it as news
+        (:class:`Registration`): the segment's digest was not held, or the
+        stored record did not carry one of the selection's criteria tags.
+        A repeat of a known ``(digest, tag)`` changes nothing in the path
+        service, counts in ``stats.registered`` and ``stats.reregistered``,
+        and sends nothing.  The path service is
         the only memory of what was announced before, so a path withdrawn by
         revocation, AS departure or expiry is news again when it returns.
         """
@@ -232,15 +233,16 @@ class EgressGateway:
                         f"cannot terminate beacon for registration: {exc}"
                     ) from exc
                 object.__setattr__(stored, "_segment", segment)
-            tags = selection.criteria_tags
-            path = RegisteredPath(segment=segment, criteria_tags=tags, registered_at_ms=now_ms)
-            known = self.path_service.get(segment.digest()) if announce else None
-            if not self.path_service.register(path):
+            path = RegisteredPath(
+                segment=segment, criteria_tags=selection.criteria_tags, registered_at_ms=now_ms
+            )
+            outcome = self.path_service.register(path)
+            if not outcome:
                 continue
             self.stats.registered += 1
             if not announce:
                 continue
-            if known is not None and all(tag in known.criteria_tags for tag in tags):
+            if outcome is Registration.REPEAT:
                 self.stats.reregistered += 1
             elif arrival_interface is not None:
                 self.transport.send_message(
@@ -248,9 +250,7 @@ class EgressGateway:
                 )
                 self.stats.announced += 1
 
-    def expire(self, now_ms: float) -> Tuple[int, int]:
+    def expire(self, now_ms: float) -> None:
         """Expire outdated entries from the egress database and path service."""
-        return (
-            self.database.remove_expired(now_ms),
-            self.path_service.remove_expired(now_ms),
-        )
+        self.database.remove_expired(now_ms)
+        self.path_service.remove_expired(now_ms)

@@ -239,10 +239,7 @@ class IngressGateway:
                 self.stats.full_verifications += 1
         self.verified_prefixes.add(chain, beacon.expires_at_ms())
 
-    def expire(self, now_ms: float) -> int:
-        """Remove expired beacons from the ingress database and the prefix cache.
-
-        Returns the number of beacons removed from the database.
-        """
+    def expire(self, now_ms: float) -> None:
+        """Remove expired beacons from the ingress database and the prefix cache."""
         self.verified_prefixes.expire(now_ms)
-        return self.database.remove_expired(now_ms)
+        self.database.remove_expired(now_ms)

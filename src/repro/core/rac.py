@@ -23,17 +23,21 @@ One round is linear in the ingress database.  A single pass over the
 sorted bucket keys groups them into jobs (one bucket each, or every
 interface group of one origin/target/algorithm when groups are merged);
 a job's candidates are the database's own records, fetched once per
-bucket.  The result is merged in O(selections): a returned beacon is
-looked up by digest in the job's buckets — a beacon that is not among the
-job's candidates fails the job — and an interface is appended to its
-selection unless it is already the last one there.
+bucket.  A job costs its algorithm plus a constant: one loop runs every
+job with the round's constants bound once, and each job still pays one
+sandbox setup, one marshalling, one execution and one transfer, so the
+decomposition above is per job.  The result is merged in O(selections):
+a returned beacon is looked up by digest in the database, where its
+bucket must be one of the job's — a beacon that is not among the job's
+candidates fails the job — and an interface is appended to its selection
+unless it is already the last one there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.algorithms.base import (
     CandidateBeacon,
@@ -156,13 +160,13 @@ class RoutingAlgorithmContainer:
         key order.  Buckets of the other RAC type belong to no job.
         """
         on_demand = self.on_demand_manager is not None
-        merge = not self.config.use_interface_groups
+        if self.config.use_interface_groups:
+            return [[key] for key in bucket_keys if on_demand == (key[3] is not None)]
         jobs: Dict[Tuple, List[BucketKey]] = {}
         for key in bucket_keys:
             origin, _group, target, algorithm_id = key
-            if on_demand != (algorithm_id is not None):
-                continue
-            jobs.setdefault((origin, target, algorithm_id) if merge else key, []).append(key)
+            if on_demand == (algorithm_id is not None):
+                jobs.setdefault((origin, target, algorithm_id), []).append(key)
         return list(jobs.values())
 
     # ------------------------------------------------------------------
@@ -177,64 +181,60 @@ class RoutingAlgorithmContainer:
     ) -> Tuple[List[RACSelection], RACExecutionReport]:
         """Run the RAC over every relevant bucket of the ingress database.
 
+        Each job gets one sandbox setup, one marshalling of its candidates,
+        one execution and one transfer of its result, each through the
+        instance attribute a tracer may wrap; the round's counts and times
+        are summed locally and stored on the report at the end.
+
         Returns:
             The selections to hand to the egress gateway, and the timing
             report of the round.
         """
-        report = RACExecutionReport(rac_id=self.config.rac_id)
+        fetch = database.beacons_in_bucket
+        setup = self.sandbox.setup
+        marshal = self.ipc.marshal_beacons
+        transfer = self.ipc.transfer_results
+        static = self.algorithm
+        interfaces = tuple(egress_interfaces)
+        clock = time.perf_counter
         selections: List[RACSelection] = []
+        buckets = failed = candidate_count = 0
+        setup_ms = ipc_ms = execution_ms = 0.0
         for job in self._jobs(database.bucket_keys()):
-            candidates = tuple(chain.from_iterable(map(database.beacons_in_bucket, job)))
+            candidates = tuple(chain.from_iterable(map(fetch, job)))
             try:
-                job_selections = self._process_job(
-                    database, job, candidates, egress_interfaces, intra_latency_ms, local_as, report
+                algorithm = static if static is not None else self._resolve_algorithm(candidates)
+                prepared, elapsed_ms = setup(algorithm)
+                setup_ms += elapsed_ms
+                candidate_count += len(candidates)
+                _wire, elapsed_ms = marshal([candidate.beacon for candidate in candidates])
+                ipc_ms += elapsed_ms
+                context = ExecutionContext(
+                    local_as, candidates, interfaces, MAX_PATHS_PER_INTERFACE, intra_latency_ms
                 )
+                start = clock()
+                result = prepared.execute(context)
+                execution_ms += (clock() - start) * 1000.0
+                ipc_ms += transfer(result.selections)
+                merged = self._merge_result(database, job, result, prepared)
             except (AlgorithmError, SandboxError):
-                report.failed_buckets += 1
+                failed += 1
                 continue
-            selections.extend(job_selections)
-            report.buckets += 1
-        report.selections = sum(len(s.egress_interfaces) for s in selections)
+            selections += merged
+            buckets += 1
+        report = RACExecutionReport(rac_id=self.config.rac_id)
+        report.buckets = buckets
+        report.failed_buckets = failed
+        report.candidates = candidate_count
+        report.selections = sum(len(selection.egress_interfaces) for selection in selections)
+        report.setup_ms = setup_ms
+        report.ipc_ms = ipc_ms
+        report.execution_ms = execution_ms
         return selections, report
 
-    def _process_job(
-        self,
-        database: IngressDatabase,
-        job: List[BucketKey],
-        candidates: Tuple[CandidateBeacon, ...],
-        egress_interfaces: Tuple[int, ...],
-        intra_latency_ms,
-        local_as: int,
-        report: RACExecutionReport,
-    ) -> List[RACSelection]:
-        """Process one job end to end."""
-        algorithm = self._resolve_algorithm(candidates)
-        prepared, setup_ms = self.sandbox.setup(algorithm)
-        report.setup_ms += setup_ms
-
-        report.candidates += len(candidates)
-        _wire, marshal_ms = self.ipc.marshal_beacons([c.beacon for c in candidates])
-        report.ipc_ms += marshal_ms
-
-        context = ExecutionContext(
-            local_as=local_as,
-            candidates=candidates,
-            egress_interfaces=tuple(egress_interfaces),
-            max_paths_per_interface=MAX_PATHS_PER_INTERFACE,
-            intra_latency_ms=intra_latency_ms,
-        )
-        start = time.perf_counter()
-        result = prepared.execute(context)
-        report.execution_ms += (time.perf_counter() - start) * 1000.0
-
-        report.ipc_ms += self.ipc.transfer_results(result.selections)
-        return self._merge_result(database, job, result, prepared)
-
     def _resolve_algorithm(self, candidates: Tuple[CandidateBeacon, ...]) -> RoutingAlgorithm:
-        """Return the algorithm to run for this job."""
-        if self.on_demand_manager is None:
-            assert self.algorithm is not None  # enforced in __post_init__
-            return self.algorithm
+        """Return the payload algorithm an on-demand job runs."""
+        assert self.on_demand_manager is not None  # enforced in __post_init__
         reference_beacon = candidates[0].beacon
         if reference_beacon.extensions.algorithm is None:
             raise AlgorithmError("on-demand bucket contains a beacon without algorithm extension")
@@ -246,7 +246,7 @@ class RoutingAlgorithmContainer:
         job: List[BucketKey],
         result: ExecutionResult,
         algorithm: RoutingAlgorithm,
-    ) -> List[RACSelection]:
+    ) -> Iterable[RACSelection]:
         """Convert an execution result into per-beacon selections."""
         merged: Dict[str, RACSelection] = {}
         tags = self.criteria_tags
@@ -262,10 +262,8 @@ class RoutingAlgorithmContainer:
                         raise AlgorithmError(
                             f"algorithm {algorithm.name} returned an unknown beacon"
                         )
-                    merged[digest] = RACSelection(
-                        stored=stored, egress_interfaces=[egress_interface], criteria_tags=tags
-                    )
+                    merged[digest] = RACSelection(stored, [egress_interface], tags)
                 elif selection.egress_interfaces[-1] != egress_interface:
                     # Interfaces arrive grouped, so a repeat can only be the last one.
                     selection.egress_interfaces.append(egress_interface)
-        return list(merged.values())
+        return merged.values()

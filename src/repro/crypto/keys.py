@@ -33,13 +33,12 @@ class ASKeyPair:
     def sign(self, message: bytes) -> bytes:
         """Return the signature over ``message``."""
         count_crypto_op("signature_sign")
-        return hmac.new(self.secret, message, hashlib.sha256).digest()
+        return hmac.digest(self.secret, message, "sha256")
 
     def verify(self, message: bytes, signature: bytes) -> bool:
         """Return ``True`` if ``signature`` is valid for ``message``."""
         count_crypto_op("signature_verify")
-        expected = hmac.new(self.secret, message, hashlib.sha256).digest()
-        return hmac.compare_digest(expected, signature)
+        return hmac.compare_digest(hmac.digest(self.secret, message, "sha256"), signature)
 
 
 #: The deployment-wide secret mixed into every derived key.

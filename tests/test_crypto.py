@@ -1,5 +1,8 @@
 """Tests for the crypto substrate: keys, signatures and hashes."""
 
+import hashlib
+import hmac
+
 import pytest
 
 from repro.crypto.hashing import algorithm_hash
@@ -20,6 +23,16 @@ class TestKeys:
         signature = key.sign(b"hello")
         assert key.verify(b"hello", signature)
         assert not key.verify(b"tampered", signature)
+
+    @pytest.mark.parametrize(
+        "message", [b"", b"hello", bytes(range(256)) * 3], ids=("empty", "short", "long")
+    )
+    def test_signatures_equal_the_hmac_sha256_reference(self, message):
+        key = derive_key(11)
+        reference = hmac.new(key.secret, message, hashlib.sha256).digest()
+        assert key.sign(message) == reference
+        assert key.verify(message, reference)
+        assert not key.verify(message, reference[:-1] + bytes([reference[-1] ^ 1]))
 
     def test_key_store_caches(self):
         store = KeyStore()

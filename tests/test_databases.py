@@ -13,6 +13,7 @@ from repro.core.databases import (
     IngressDatabase,
     PathService,
     RegisteredPath,
+    Registration,
     bucket_of,
 )
 from repro.core.extensions import ExtensionSet
@@ -158,6 +159,21 @@ class TestPathService:
         assert [p.criteria_tags for p in service.all_paths()] == [("1sp",)]
         assert service.paths_to(99) == []
 
+    def test_register_reports_news_repeat_and_refusal(self, key_store):
+        """The outcome is false only for a refusal, and news only when the
+        store changed."""
+        service = PathService(max_paths_per_key=1)
+        first = self._registered(key_store, via=2, tags=("1sp",))
+        assert service.register(first) is Registration.NEWS
+        again = RegisteredPath(first.segment, criteria_tags=("1sp",), registered_at_ms=1.0)
+        assert service.register(again) is Registration.REPEAT
+        gained = RegisteredPath(first.segment, criteria_tags=("don",), registered_at_ms=2.0)
+        assert service.register(gained) is Registration.NEWS
+        assert service.register(gained) is Registration.REPEAT
+        outcome = service.register(self._registered(key_store, via=3, tags=("1sp",)))
+        assert outcome is Registration.REFUSED and not outcome
+        assert len(service) == 1
+
     def test_duplicate_registration_merges_tags(self, key_store):
         service = PathService()
         segment = make_beacon(key_store, [(1, None, 1), (2, 1, None)])
@@ -185,7 +201,7 @@ class TestPathService:
         repeat = RegisteredPath(
             segment=first.segment, criteria_tags=("1sp",), registered_at_ms=7.0
         )
-        assert service.register(repeat)
+        assert service.register(repeat) is Registration.REPEAT
         assert service.get(first.segment.digest()) is first
         assert notified == [1]
 
@@ -196,7 +212,7 @@ class TestPathService:
         first = self._registered(key_store, tags=("1sp", "don"))
         assert service.register(first)
         subset = RegisteredPath(segment=first.segment, criteria_tags=("don",), registered_at_ms=3.0)
-        assert service.register(subset)
+        assert service.register(subset) is Registration.REPEAT
         assert service.get(first.segment.digest()) is first
         assert notified == [1]
 
@@ -207,7 +223,7 @@ class TestPathService:
         first = self._registered(key_store, origin=4)
         service.register(first)
         merge = RegisteredPath(segment=first.segment, criteria_tags=("don",), registered_at_ms=3.0)
-        assert service.register(merge)
+        assert service.register(merge) is Registration.NEWS
         merged = service.get(first.segment.digest())
         assert merged is not first and merged is not merge
         assert merged.criteria_tags == ("1sp", "don") and merged.registered_at_ms == 0.0
@@ -228,7 +244,9 @@ class TestPathService:
         # A different criteria tag has its own quota.
         assert service.register(self._registered(key_store, via=3, tags=("don",)))
         # Same tag again: rejected.
-        assert not service.register(self._registered(key_store, via=4, tags=("1sp",)))
+        refused = self._registered(key_store, via=4, tags=("1sp",))
+        assert service.register(refused) is Registration.REFUSED
+        assert service.get(refused.segment.digest()) is None
 
     def test_expiry(self, key_store):
         service = PathService()

@@ -120,7 +120,10 @@ class TestIngressGateway:
         ingress, _egress, _transport = gateway_pair(topology, 3, key_store)
         beacon = make_beacon(key_store, [(1, None, 1), (2, 1, 2)], validity_ms=10.0)
         ingress.receive(beacon, on_interface=1, now_ms=0.0)
-        assert ingress.expire(now_ms=100.0) == 1
+        ingress.expire(now_ms=5.0)
+        assert beacon.digest() in ingress.database
+        ingress.expire(now_ms=100.0)
+        assert len(ingress.database) == 0
 
 
 class TestEgressGateway:
@@ -222,9 +225,9 @@ class TestEgressGateway:
         selection = self._selection(key_store, beacon, egress_interfaces=[2])
         egress.propagate([selection])
         egress.register([selection], now_ms=0.0)
-        removed_egress, removed_paths = egress.expire(now_ms=1_000.0)
-        assert removed_egress == 1
-        assert removed_paths == 1
+        assert (len(egress.database), len(egress.path_service)) == (1, 1)
+        egress.expire(now_ms=1_000.0)
+        assert (len(egress.database), len(egress.path_service)) == (0, 0)
 
     def test_repeated_registration_terminates_once_and_keeps_path_service_semantics(
         self, topology, key_store
@@ -396,9 +399,14 @@ class TestEgressGateway:
         egress.propagate([selection])
         egress.register([selection], now_ms=0.0)
         assert stored._segment is not None
-        assert ingress.expire(now_ms=expires_at - margin / 2) == 1
-        assert beacon.digest() not in ingress.database
-        assert egress.expire(now_ms=expires_at - margin / 2) == (1, 1)
+        ingress.expire(now_ms=expires_at - 2 * margin)
+        egress.expire(now_ms=expires_at - 2 * margin)
+        assert beacon.digest() in ingress.database
+        assert (len(egress.database), len(egress.path_service)) == (1, 1)
+        ingress.expire(now_ms=expires_at - margin / 2)
+        assert len(ingress.database) == 0
+        egress.expire(now_ms=expires_at - margin / 2)
+        assert (len(egress.database), len(egress.path_service)) == (0, 0)
 
     def test_loop_suppression_follows_links_attached_later(self, topology, key_store):
         """The interface -> neighbour memo is dropped by ``attach_link``."""

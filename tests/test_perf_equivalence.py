@@ -51,7 +51,12 @@ from dataclasses import dataclass, field, replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.algorithms.base import CandidateBeacon, ExecutionContext
+from repro.algorithms.base import (
+    CandidateBeacon,
+    ExecutionContext,
+    ExecutionResult,
+    RoutingAlgorithm,
+)
 from repro.algorithms.criteria_algorithm import CriteriaSetAlgorithm
 from repro.algorithms.registry import encode_builtin_payload
 from repro.algorithms.delay import DelayOptimizationAlgorithm
@@ -1133,6 +1138,28 @@ class TestSelectionEquivalence:
         assert all(id(b) in offered for bs in result.selections.values() for b in bs)
         assert_lists_are_not_shared(result.selections)
 
+    @pytest.mark.parametrize("name", sorted(SKELETON_ALGORITHMS))
+    @given(
+        specs=candidate_specs.filter(bool),
+        interfaces=interface_sets,
+        limit=st.sampled_from((1, 4, 20)),
+        intra=intra_tables,
+        data=st.data(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_a_duplicate_candidate_selects_like_the_per_pair_reference(
+        self, beacon_pool, name, specs, interfaces, limit, intra, data
+    ):
+        """A context built outside the ingress database may list one record
+        twice, or two equal records: both tie on key and tie-break."""
+        factory, paths_per_interface, score, admit = SKELETON_ALGORITHMS[name]
+        context = selection_context(beacon_pool, specs, interfaces, limit, intra)
+        twice = data.draw(st.sampled_from(context.candidates), label="twice")
+        equal = CandidateBeacon(twice.beacon, twice.ingress_interface, twice.received_at_ms)
+        doubled = context._replace(candidates=context.candidates + (twice, equal))
+        expected = naive_select(doubled, paths_per_interface, score, admit)
+        assert digests_of(factory().execute(doubled).selections) == digests_of(expected)
+
     @pytest.mark.parametrize("name", sorted(ORDER_FREE_ALGORITHMS))
     @given(
         specs=candidate_specs,
@@ -1394,6 +1421,43 @@ def bucket_pool():
     return pool
 
 
+class _Careless(RoutingAlgorithm):
+    """Returns what a careless or hostile algorithm could, chosen by digest.
+
+    Per interface and candidate: its own beacon, an equal copy or nothing,
+    and now and then the beacon it extends (never stored here).  A quarter
+    of the jobs also get the first beacon it ever saw, which sits in
+    another bucket or left the store.
+    """
+
+    name = "careless"
+
+    def __init__(self):
+        self.first = None
+
+    def execute(self, context):
+        result = ExecutionResult()
+        if not context.candidates:
+            return result
+        if self.first is None:
+            self.first = context.candidates[0].beacon
+        for interface in context.egress_interfaces:
+            chosen = []
+            for candidate in context.candidates:
+                beacon = candidate.beacon
+                mode = (int(beacon.digest()[-2:], 16) + interface) % 19
+                if mode < 9:
+                    chosen.append(beacon)
+                elif mode < 16:
+                    chosen.append(pickle.loads(pickle.dumps(beacon)))
+                elif mode == 18:
+                    chosen.append(beacon.parent)
+            if int(context.candidates[0].beacon.digest()[0], 16) % 4 == 0:
+                chosen.append(self.first)
+            result.selections[interface] = chosen
+        return result
+
+
 #: name -> algorithm factory (HD remembers what it propagated).
 ROUND_ALGORITHMS = {
     "1sp": lambda: KShortestPathAlgorithm(k=1),
@@ -1449,11 +1513,46 @@ class TestRACRoundEquivalence:
     def test_round_matches_the_wrap_rescan_merge_reference(
         self, bucket_pool, name, use_interface_groups, arrivals, departures, interfaces
     ):
+        self.assert_rounds_agree(
+            bucket_pool,
+            _container(name, use_interface_groups),
+            _container(name, use_interface_groups),
+            arrivals,
+            departures,
+            interfaces,
+        )
+
+    @pytest.mark.parametrize("use_interface_groups", (True, False))
+    @given(
+        arrivals=st.lists(
+            st.tuples(st.integers(0, 143), st.sampled_from((1, 2, 3))), min_size=10, max_size=80
+        ),
+        departures=st.lists(st.integers(0, 143), max_size=12),
+        interfaces=st.lists(st.integers(1, 4), min_size=1, max_size=3, unique=True),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_returned_copies_and_strangers_merge_like_the_reference(
+        self, bucket_pool, use_interface_groups, arrivals, departures, interfaces
+    ):
+        """A copy merges onto its record and a stranger fails its job, as in
+        the digest-map reference."""
+
+        def container():
+            return RoutingAlgorithmContainer(
+                config=RACConfig(rac_id="careless", use_interface_groups=use_interface_groups),
+                algorithm=_Careless(),
+                ipc=_MeteredChannel(),
+            )
+
+        self.assert_rounds_agree(
+            bucket_pool, container(), container(), arrivals, departures, interfaces
+        )
+
+    @staticmethod
+    def assert_rounds_agree(bucket_pool, rac, reference, arrivals, departures, interfaces):
         database = IngressDatabase(local_as=LOCAL_AS)
         for index, ingress in arrivals:
             database.insert(CandidateBeacon(bucket_pool[index], ingress_interface=ingress))
-        rac = _container(name, use_interface_groups)
-        reference = _container(name, use_interface_groups)
         # Two rounds around a removal: HD's memory and the cached bucket
         # order both carry over.
         for round_index in range(2):

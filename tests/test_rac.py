@@ -1,10 +1,16 @@
 """Tests for routing algorithm containers (RACs)."""
 
 import json
+import pickle
 
 import pytest
 
-from repro.algorithms.base import CandidateBeacon, ExecutionResult, RoutingAlgorithm
+from repro.algorithms.base import (
+    CandidateBeacon,
+    ExecutionContext,
+    ExecutionResult,
+    RoutingAlgorithm,
+)
 from repro.algorithms.registry import encode_builtin_payload, encode_criteria_payload
 from repro.algorithms.disjointness import HeuristicDisjointnessAlgorithm
 from repro.algorithms.shortest_path import KShortestPathAlgorithm
@@ -241,6 +247,33 @@ class _Remembers(RoutingAlgorithm):
         return result
 
 
+class _Copies(RoutingAlgorithm):
+    """Selects an equal, non-identical copy of every candidate's beacon."""
+
+    name = "copies"
+
+    def execute(self, context):
+        result = ExecutionResult()
+        for interface in context.egress_interfaces:
+            result.selections[interface] = [
+                pickle.loads(pickle.dumps(candidate.beacon)) for candidate in context.candidates
+            ]
+        return result
+
+
+def test_the_execution_context_rejects_assignment():
+    context = ExecutionContext(
+        local_as=100,
+        candidates=(),
+        egress_interfaces=(9,),
+        max_paths_per_interface=1,
+        intra_latency_ms=zero_intra,
+    )
+    with pytest.raises(AttributeError):
+        context.local_as = 5
+    assert context.local_as == 100
+
+
 class TestUnknownBeacons:
     """A returned beacon that is not among the job's candidates fails the job."""
 
@@ -296,6 +329,32 @@ class TestUnknownBeacons:
         selections, report = self.run(algorithm, database)
         assert selections == []
         assert (report.buckets, report.failed_buckets) == (0, 2)
+
+    def test_an_equal_copy_of_a_candidate_merges_onto_its_stored_record(self, key_store):
+        database = database_with(key_store, [([(1, None, k), (2, 1, 2)], None) for k in (1, 2)])
+        stored = database.all_beacons()
+        copy = pickle.loads(pickle.dumps(stored[0].beacon))
+        assert copy is not stored[0].beacon and copy == stored[0].beacon
+        rac = RoutingAlgorithmContainer(config=RACConfig(rac_id="x"), algorithm=_Copies())
+        selections, report = rac.process(
+            database=database, egress_interfaces=(8, 9), intra_latency_ms=zero_intra, local_as=100
+        )
+        assert [(id(s.stored), s.egress_interfaces) for s in selections] == [
+            (id(record), [8, 9]) for record in stored
+        ]
+        assert (report.buckets, report.failed_buckets, report.selections) == (1, 0, 4)
+
+    def test_a_kept_beacon_fails_every_job_it_is_no_candidate_of(self, key_store):
+        """The kept object is stored, in another bucket, and that job fails."""
+        database = database_with(
+            key_store,
+            [([(origin, None, k), (2, 1, 2)], None) for origin in (1, 5) for k in (1, 2)],
+        )
+        kept = database.all_beacons()[0]
+        selections, report = self.run(_Remembers(), database)
+        assert [(s.stored, s.egress_interfaces) for s in selections] == [(kept, [9])]
+        assert selections[0].stored is kept
+        assert (report.buckets, report.failed_buckets, report.candidates) == (1, 1, 4)
 
 
 class TestOnDemandRAC:
