@@ -16,14 +16,16 @@ of three pieces:
 * :class:`RoutingAlgorithm` — the abstract algorithm itself.
 
 The module also provides :func:`select_per_interface`, the selection
-skeleton most concrete algorithms share.
+skeleton most concrete algorithms share: it ranks each admissible
+candidate as one flat ``(key, as_path, digest, position)`` tuple, takes
+the best by plain tuple comparison, and hands interfaces whose ranking
+cannot differ one shared list.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.core.beacon import Beacon, _slot
@@ -91,7 +93,13 @@ class ExecutionContext(NamedTuple):
 
 @dataclass
 class ExecutionResult:
-    """The per-egress-interface optimal beacon sets returned by an algorithm."""
+    """The per-egress-interface optimal beacon sets returned by an algorithm.
+
+    Interfaces that share one ranking may share one list object (the
+    selection skeleton hands every interface the same list when its key
+    ignores the interface), so a reader must not mutate a list it did
+    not build; :meth:`beacons_for` returns a copy.
+    """
 
     selections: Dict[int, List[Beacon]] = field(default_factory=dict, init=False)
 
@@ -124,6 +132,9 @@ CandidateKey = Callable[[CandidateBeacon], Optional[Tuple]]
 #: candidate on that interface.
 InterfaceTerm = Callable[[CandidateBeacon, Tuple, int], Optional[Tuple]]
 
+#: A ranked candidate: (key, AS path, digest, position in the candidates).
+_Ranked = Tuple[Tuple, Tuple[int, ...], str, int]
+
 
 def select_per_interface(
     context: ExecutionContext,
@@ -133,14 +144,18 @@ def select_per_interface(
 ) -> ExecutionResult:
     """Shared selection skeleton: rank candidates per egress interface.
 
-    Every loop-free candidate is keyed **once** by ``key``; ties are broken
-    deterministically by AS path then beacon digest, and the best
+    Every loop-free candidate is keyed **once** by ``key`` into one flat
+    tuple ``(key, as_path, digest, position)``, ``position`` being its
+    index in ``context.candidates``: ties are broken deterministically by
+    AS path, then beacon digest, then listing order, and since positions
+    are unique a comparison never reaches a candidate.  The best
     ``min(paths_per_interface, context.max_paths_per_interface)`` are
     selected.  Without an ``interface_term`` the key cannot depend on the
     egress interface, so candidates are ranked once and every interface
-    gets its own copy of that one ranking.  With one, the per-candidate key
-    is refined and the candidates re-ranked per interface — only algorithms
-    whose criterion really reads the interface (extended paths) pay
+    is handed the same list (:class:`ExecutionResult` lists may be
+    shared).  With one, the per-candidate key is refined and the
+    candidates re-ranked per interface — only algorithms whose criterion
+    really reads the interface (extended paths) pay
     O(candidates × interfaces).
 
     Beacons whose path already contains the local AS are never selected:
@@ -151,45 +166,48 @@ def select_per_interface(
     interfaces = context.egress_interfaces
     if limit <= 0 or not interfaces:
         return result
-    # (key, tie-break, candidate) per admissible candidate; the loop check
-    # and the tie-break share the beacon's memoized as_path.
-    keyed: List[Tuple[Tuple, Tuple, CandidateBeacon]] = []
+    # One flat tuple per admissible candidate; the loop check and the
+    # tie-break share the beacon's memoized as_path.
+    candidates = context.candidates
     local_as = context.local_as
-    for candidate in context.candidates:
+    ranked: List[_Ranked] = []
+    for position, candidate in enumerate(candidates):
         beacon = candidate.beacon
         path = beacon.as_path()
         if local_as in path:
             continue
         base = key(candidate)
         if base is not None:
-            keyed.append((base, (path, beacon.digest()), candidate))
+            ranked.append((base, path, beacon.digest(), position))
     selections = result.selections
     if interface_term is None:
-        best = _best(keyed, limit)
+        best = _best(ranked, limit, candidates)
         if best:
             for egress_interface in interfaces:
-                selections[egress_interface] = best.copy()
+                selections[egress_interface] = best
         return result
     for egress_interface in interfaces:
         refined = []
-        for base, tie_break, candidate in keyed:
-            final = interface_term(candidate, base, egress_interface)
+        for base, path, digest, position in ranked:
+            final = interface_term(candidates[position], base, egress_interface)
             if final is not None:
-                refined.append((final, tie_break, candidate))
-        best = _best(refined, limit)
+                refined.append((final, path, digest, position))
+        best = _best(refined, limit, candidates)
         if best:
             selections[egress_interface] = best
     return result
 
 
-_KEY_THEN_TIE_BREAK = itemgetter(0, 1)
+def _best(
+    ranked: List[_Ranked], limit: int, candidates: Tuple[CandidateBeacon, ...]
+) -> List[Beacon]:
+    """Return the beacons of the ``limit`` lowest ranked entries, best first.
 
-
-def _best(keyed: List[Tuple[Tuple, Tuple, CandidateBeacon]], limit: int) -> List[Beacon]:
-    """Return the beacons of the ``limit`` lowest ``(key, tie-break)`` entries.
-
-    The sort key stops at the tie-break: two entries of one candidate
-    listed twice tie there, and candidates do not order.
+    Plain tuple comparison: the unique position ends every tie, so a
+    candidate listed twice keeps its listing order and a candidate is
+    never compared.  One pass of ``min`` for a limit of 1, a sort otherwise.
     """
-    keyed.sort(key=_KEY_THEN_TIE_BREAK)
-    return [candidate.beacon for _key, _tie_break, candidate in keyed[:limit]]
+    if limit == 1:
+        return [candidates[min(ranked)[3]].beacon] if ranked else []
+    ranked.sort()
+    return [candidates[entry[3]].beacon for entry in ranked[:limit]]

@@ -22,7 +22,10 @@ disjointness grow as genuinely new disjoint paths appear.
 
 Only the link overlap of a candidate depends on the pair; hop count,
 latency, AS path and link tuple are read once per execution and the
-candidates ordered by them once, so a pair costs its overlap checks only.
+candidates ordered once, by one flat ``(hop_count, latency, as_path,
+position)`` tuple each (the position is the candidate's index, so full
+ties keep their bucket order and no beacon is ever compared), so a pair
+costs its overlap checks only.
 
 The served digests of a pair are pruned exactly.  A served digest is kept
 with its beacon's expiry and filed under its beacon's bucket (interface
@@ -159,18 +162,22 @@ class HeuristicDisjointnessAlgorithm(RoutingAlgorithm):
         if limit <= 0:
             return result
 
-        loop_free = [
-            candidate.beacon
-            for candidate in context.candidates
-            if not candidate.beacon.contains_as(context.local_as)
-        ]
-        if not loop_free:
-            return result
-        origin = loop_free[0].origin_as
         # Everything but the overlap is the same for every pair: order the
-        # candidates once by the overlap-independent rest of the score (the
-        # sort is stable, so full ties keep their bucket order).
-        loop_free.sort(key=lambda b: (b.hop_count, b.total_latency_ms(), b.as_path()))
+        # loop-free candidates once by the rest of the score, one flat
+        # tuple each, whose position keeps full ties in bucket order.
+        candidates = context.candidates
+        local_as = context.local_as
+        keyed = []
+        for position, candidate in enumerate(candidates):
+            beacon = candidate.beacon
+            path = beacon.as_path()
+            if local_as not in path:
+                keyed.append((len(path), beacon.total_latency_ms(), path, position))
+        if not keyed:
+            return result
+        origin = candidates[keyed[0][3]].beacon.origin_as
+        keyed.sort()
+        loop_free = [candidates[entry[3]].beacon for entry in keyed]
         ordered = [(beacon.digest(), beacon.links(), beacon) for beacon in loop_free]
         newest_ms = max(candidate.received_at_ms for candidate in context.candidates)
         # The buckets and digests of this call, read once a pair may forget.

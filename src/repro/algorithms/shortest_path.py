@@ -26,10 +26,10 @@ from repro.exceptions import AlgorithmError
 LEGACY_PATH_COUNT = 20
 
 
-def hops_then_latency(candidate: CandidateBeacon) -> Tuple[float, float]:
+def hops_then_latency(candidate: CandidateBeacon) -> Tuple[int, float]:
     """Per-candidate key: AS-hop count, ties broken by accumulated latency."""
     beacon = candidate.beacon
-    return (float(beacon.hop_count), beacon.total_latency_ms())
+    return (len(beacon.as_path()), beacon.total_latency_ms())
 
 
 @dataclass

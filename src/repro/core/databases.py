@@ -147,10 +147,14 @@ class IngressDatabase:
             order = self._bucket_order = tuple(sorted(self._buckets, key=_bucket_sort_key))
         return order
 
-    def beacons_in_bucket(self, bucket: BucketKey) -> List[CandidateBeacon]:
-        """Return the stored beacons of one bucket (insertion order)."""
+    def beacons_in_bucket(self, bucket: BucketKey) -> Tuple[CandidateBeacon, ...]:
+        """Return the stored beacons of one bucket (insertion order).
+
+        A tuple, the type of ``ExecutionContext.candidates``: a RAC hands a
+        one-bucket job's fetch to its algorithm as it is.
+        """
         members = self._buckets.get(bucket)
-        return list(members) if members is not None else []
+        return tuple(members) if members is not None else ()
 
     def all_beacons(self) -> List[CandidateBeacon]:
         """Return every stored beacon (insertion order within buckets)."""

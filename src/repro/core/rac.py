@@ -26,11 +26,12 @@ a job's candidates are the database's own records, fetched once per
 bucket.  A job costs its algorithm plus a constant: one loop runs every
 job with the round's constants bound once, and each job still pays one
 sandbox setup, one marshalling, one execution and one transfer, so the
-decomposition above is per job.  The result is merged in O(selections):
-a returned beacon is looked up by digest in the database, where its
-bucket must be one of the job's — a beacon that is not among the job's
-candidates fails the job — and an interface is appended to its selection
-unless it is already the last one there.
+decomposition above is per job.  The result is merged in one walk of
+each distinct ranking: consecutive interfaces handed the same list
+object form a run, each beacon of a run is looked up once by digest in
+the database, where its bucket must be one of the job's — a beacon that
+is not among the job's candidates fails the job — and gets the run's
+interfaces in one ``extend`` unless it already holds them.
 """
 
 from __future__ import annotations
@@ -201,7 +202,9 @@ class RoutingAlgorithmContainer:
         buckets = failed = candidate_count = 0
         setup_ms = ipc_ms = execution_ms = 0.0
         for job in self._jobs(database.bucket_keys()):
-            candidates = tuple(chain.from_iterable(map(fetch, job)))
+            candidates = (
+                fetch(job[0]) if len(job) == 1 else tuple(chain.from_iterable(map(fetch, job)))
+            )
             try:
                 algorithm = static if static is not None else self._resolve_algorithm(candidates)
                 prepared, elapsed_ms = setup(algorithm)
@@ -247,10 +250,23 @@ class RoutingAlgorithmContainer:
         result: ExecutionResult,
         algorithm: RoutingAlgorithm,
     ) -> Iterable[RACSelection]:
-        """Convert an execution result into per-beacon selections."""
+        """Convert an execution result into per-beacon selections.
+
+        Consecutive interfaces holding the same list object form one run,
+        and each run's list is walked once: a beacon gets all of the run's
+        interfaces in one ``extend``.  The result equals a walk of every
+        (interface, beacon) pair in order.
+        """
+        runs: List[Tuple[List[Beacon], List[int]]] = []
+        for egress_interface, beacons in result.selections.items():
+            if runs and beacons is runs[-1][0]:
+                runs[-1][1].append(egress_interface)
+            else:
+                runs.append((beacons, [egress_interface]))
         merged: Dict[str, RACSelection] = {}
         tags = self.criteria_tags
-        for egress_interface, beacons in result.selections.items():
+        for beacons, run in runs:
+            last = run[-1]
             for beacon in beacons:
                 digest = beacon.digest()
                 selection = merged.get(digest)
@@ -262,8 +278,9 @@ class RoutingAlgorithmContainer:
                         raise AlgorithmError(
                             f"algorithm {algorithm.name} returned an unknown beacon"
                         )
-                    merged[digest] = RACSelection(stored, [egress_interface], tags)
-                elif selection.egress_interfaces[-1] != egress_interface:
-                    # Interfaces arrive grouped, so a repeat can only be the last one.
-                    selection.egress_interfaces.append(egress_interface)
+                    merged[digest] = RACSelection(stored, run.copy(), tags)
+                elif selection.egress_interfaces[-1] != last:
+                    # Interfaces arrive grouped and runs are disjoint, so a
+                    # beacon already holding this run ends with its last one.
+                    selection.egress_interfaces += run
         return merged.values()

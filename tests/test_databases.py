@@ -717,9 +717,9 @@ class TestCachedBucketOrder:
             held = database.all_beacons()
             assert set(fresh) == {bucket_of(record.beacon) for record in held}
             for bucket in fresh:
-                assert database.beacons_in_bucket(bucket) == [
+                assert database.beacons_in_bucket(bucket) == tuple(
                     record for record in held if bucket_of(record.beacon) == bucket
-                ]
+                )
 
 
 # ---------------------------------------------------------------------------

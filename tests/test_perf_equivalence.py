@@ -38,7 +38,12 @@ property tests pin that down:
 * a RAC round that hands the stored records to the algorithm, builds its
   jobs in one pass and merges by lookup selects, reports and transfers
   exactly what wrapping every candidate per bucket, rescanning the bucket
-  keys per merged bucket and merging through a digest map did.
+  keys per merged bucket and merging through a digest map did, and
+* the ranking kernel's flat ``(key, as_path, digest, position)`` tuples
+  select the same beacon objects as the nested stable sort on
+  ``(key, (as_path, digest))``, the RAC's merge of runs of interfaces
+  sharing one ranking equals the per-(interface, beacon) merge, failure
+  included, and HD's flat-tuple order equals its lambda sort.
 """
 
 from __future__ import annotations
@@ -49,18 +54,23 @@ import pickle
 from dataclasses import dataclass, field, replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from repro.algorithms.base import (
     CandidateBeacon,
     ExecutionContext,
     ExecutionResult,
     RoutingAlgorithm,
+    select_per_interface,
 )
 from repro.algorithms.criteria_algorithm import CriteriaSetAlgorithm
 from repro.algorithms.registry import encode_builtin_payload
 from repro.algorithms.delay import DelayOptimizationAlgorithm
-from repro.algorithms.disjointness import HeuristicDisjointnessAlgorithm
+from repro.algorithms.disjointness import (
+    HeuristicDisjointnessAlgorithm,
+    _PairState,
+    _bucket as hd_bucket,
+)
 from repro.algorithms.pull_disjoint import LinkAvoidingAlgorithm
 from repro.algorithms.shortest_path import KShortestPathAlgorithm, legacy_scion_algorithm
 from repro.core.algebra import (
@@ -83,7 +93,7 @@ from repro.core.criteria import (
     shortest_widest,
     widest_with_latency_bound,
 )
-from repro.core.databases import IngressDatabase
+from repro.core.databases import IngressDatabase, bucket_of
 from repro.core.extensions import ExtensionSet
 from repro.core.ingress import IngressGateway, VerifiedPrefixCache
 from repro.core.ipc import IPCChannel
@@ -1136,7 +1146,8 @@ class TestSelectionEquivalence:
         # Selected beacons are the candidates' own objects, never copies.
         offered = {id(candidate.beacon) for candidate in context.candidates}
         assert all(id(b) in offered for bs in result.selections.values() for b in bs)
-        assert_lists_are_not_shared(result.selections)
+        # Interfaces may share one ranking's list; ``beacons_for`` copies.
+        assert_lists_are_not_shared({i: result.beacons_for(i) for i in result.selections})
 
     @pytest.mark.parametrize("name", sorted(SKELETON_ALGORITHMS))
     @given(
@@ -1571,3 +1582,290 @@ class TestRACRoundEquivalence:
                 getattr(expected_report, c) for c in counts
             ]
             assert rac.ipc.exchanges == reference.ipc.exchanges
+
+
+# ----------------------------------------------------------------------
+# (f) one ranking kernel: flat tuples ≡ the nested stable sort, runs ≡ pairs
+# ----------------------------------------------------------------------
+def nested_select_per_interface(context, paths_per_interface, key, interface_term=None):
+    """``select_per_interface`` as it ranked before its tuples were flat.
+
+    Kept here as the reference: a ``(key, (as_path, digest), candidate)``
+    triple per admissible candidate, a stable sort on the first two, and
+    a list of its own per interface.
+    """
+    selections = {}
+    limit = min(paths_per_interface, context.max_paths_per_interface)
+    if limit <= 0 or not context.egress_interfaces:
+        return selections
+    keyed = []
+    for candidate in context.candidates:
+        beacon = candidate.beacon
+        path = beacon.as_path()
+        if context.local_as in path:
+            continue
+        base = key(candidate)
+        if base is not None:
+            keyed.append((base, (path, beacon.digest()), candidate))
+    for egress_interface in context.egress_interfaces:
+        if interface_term is None:
+            ranked = list(keyed)
+        else:
+            ranked = []
+            for base, tie_break, candidate in keyed:
+                final = interface_term(candidate, base, egress_interface)
+                if final is not None:
+                    ranked.append((final, tie_break, candidate))
+        ranked.sort(key=operator.itemgetter(0, 1))
+        if ranked[:limit]:
+            selections[egress_interface] = [entry[2].beacon for entry in ranked[:limit]]
+    return selections
+
+
+def per_pair_merge(database, job, result, rac_id):
+    """The RAC's merge as it walked every (interface, beacon) pair.
+
+    Kept here as the reference for the run merge: one digest lookup per
+    pair, the stored record and bucket check on a digest's first pair, an
+    interface appended unless it is already the last one.
+    """
+    merged = {}
+    for egress_interface, beacons in result.selections.items():
+        for beacon in beacons:
+            digest = beacon.digest()
+            selection = merged.get(digest)
+            if selection is None:
+                stored = database.get(digest)
+                if stored is None or bucket_of(stored.beacon) not in job:
+                    raise AlgorithmError("unknown beacon")
+                merged[digest] = RACSelection(stored, [egress_interface], (rac_id,))
+            elif selection.egress_interfaces[-1] != egress_interface:
+                selection.egress_interfaces.append(egress_interface)
+    return list(merged.values())
+
+
+class _LambdaOrderedHD(HeuristicDisjointnessAlgorithm):
+    """HD ordering its loop-free candidates with the stable lambda sort.
+
+    Kept here as the reference for the flat-tuple order: the rest of the
+    execution is HD's own.
+    """
+
+    def execute(self, context):
+        result = ExecutionResult()
+        limit = min(self.paths_per_interface, context.max_paths_per_interface)
+        if limit <= 0:
+            return result
+        loop_free = [
+            candidate.beacon
+            for candidate in context.candidates
+            if not candidate.beacon.contains_as(context.local_as)
+        ]
+        if not loop_free:
+            return result
+        origin = loop_free[0].origin_as
+        loop_free.sort(key=lambda b: (b.hop_count, b.total_latency_ms(), b.as_path()))
+        ordered = [(beacon.digest(), beacon.links(), beacon) for beacon in loop_free]
+        newest_ms = max(candidate.received_at_ms for candidate in context.candidates)
+        covered = None
+        for egress_interface in context.egress_interfaces:
+            state = self._state.setdefault((egress_interface, origin), _PairState())
+            if state.next_expiry_ms <= newest_ms:
+                if covered is None:
+                    covered = (
+                        {hd_bucket(beacon) for beacon in loop_free},
+                        frozenset(item[0] for item in ordered),
+                    )
+                state.forget_expired(*covered, newest_ms)
+            selected = self._select_for_pair(ordered, state, limit)
+            if selected:
+                result.selections.setdefault(egress_interface, []).extend(selected)
+        return result
+
+
+def ids_of(selections):
+    return {interface: [id(b) for b in beacons] for interface, beacons in selections.items()}
+
+
+#: Per-pool-beacon keys from three values and ``None``: many equal keys,
+#: told apart by AS path or digest alone.
+key_tables = st.lists(st.one_of(st.none(), st.tuples(st.integers(0, 2))), min_size=64, max_size=64)
+#: Per (ingress, egress) interface pair: an added term, or ``None`` to
+#: exclude the candidate there; ``None`` for the whole table: no term.
+term_tables = st.one_of(
+    st.none(), st.lists(st.one_of(st.none(), st.integers(0, 1)), min_size=16, max_size=16)
+)
+#: Listed again: (index into the candidates, as an equal copy of the beacon).
+repeats = st.lists(st.tuples(st.integers(0, 13), st.booleans()), max_size=3)
+#: Candidates drawn half the time from the first eight pool beacons: one AS
+#: path over two origin links with two latencies and two bandwidths, so
+#: full ties on (hops, latency, path) are common.
+tied_specs = st.lists(
+    st.tuples(
+        st.one_of(st.integers(0, 7), st.integers(0, 63)), st.sampled_from((None, 1, 2, 3))
+    ),
+    min_size=1,
+    max_size=14,
+)
+some_interfaces = st.lists(st.integers(1, 4), min_size=1, max_size=4, unique=True)
+
+
+def with_repeats(context, repeated):
+    """``context`` with some of its candidates listed again, as the same
+    record or as a record holding an equal copy of the beacon."""
+    candidates = context.candidates
+    if not candidates:
+        return context
+    extra = []
+    for index, copy in repeated:
+        candidate = candidates[index % len(candidates)]
+        if copy:
+            candidate = CandidateBeacon(
+                pickle.loads(pickle.dumps(candidate.beacon)), candidate.ingress_interface
+            )
+        extra.append(candidate)
+    return context._replace(candidates=candidates + tuple(extra))
+
+
+class TestRankingKernelEquivalence:
+    @given(
+        specs=st.one_of(tied_specs, candidate_specs),
+        repeated=repeats,
+        interfaces=st.one_of(some_interfaces, interface_sets),
+        limit=st.one_of(st.sampled_from((0, 1, 2)), st.integers(0, 20)),
+        paths_per_interface=st.sampled_from((1, 2, 5, 100)),
+        keys=key_tables,
+        terms=term_tables,
+    )
+    @seed(5001)
+    @settings(max_examples=300, deadline=None)
+    def test_flat_tuples_select_what_the_nested_stable_sort_selected(
+        self, beacon_pool, specs, repeated, interfaces, limit, paths_per_interface, keys, terms
+    ):
+        """Limits from 0 to past the candidate count, candidates listed
+        twice, keys that exclude, ties on the key alone, looping
+        candidates, with and without an interface term: the same beacon
+        objects in the same order on every interface."""
+        index_of = {beacon.digest(): index for index, beacon in enumerate(beacon_pool)}
+        context = with_repeats(
+            selection_context(beacon_pool, specs, interfaces, limit, [0.0] * 16), repeated
+        )
+
+        def key(candidate):
+            return keys[index_of[candidate.beacon.digest()]]
+
+        term = None
+        if terms is not None:
+
+            def term(candidate, base, egress_interface):
+                added = terms[((candidate.ingress_interface or 0) % 4) * 4 + egress_interface % 4]
+                return None if added is None else base + (added,)
+
+        result = select_per_interface(context, paths_per_interface, key, term)
+        expected = nested_select_per_interface(context, paths_per_interface, key, term)
+        assert ids_of(result.selections) == ids_of(expected)
+        if term is None:
+            # One ranking: every interface holds the same list.
+            assert len({id(beacons) for beacons in result.selections.values()}) <= 1
+
+    @given(
+        arrivals=st.lists(
+            st.tuples(st.integers(0, 143), st.sampled_from((1, 2))), min_size=1, max_size=40
+        ),
+        job_index=st.integers(0, 40),
+        # Per interface: which of three rankings it holds, and whether as
+        # that list object or an equal list of its own.
+        holders=st.lists(
+            st.tuples(st.integers(0, 2), st.sampled_from((True, True, False))),
+            min_size=1,
+            max_size=6,
+        ),
+        # Per ranking: its beacons, each (job candidate index, how it is
+        # returned); a stranger or a parent fails the job.
+        rankings=st.lists(
+            st.lists(
+                st.tuples(
+                    st.integers(0, 3),
+                    st.sampled_from(("own",) * 12 + ("copy",) * 4 + ("stranger", "parent")),
+                ),
+                max_size=5,
+            ),
+            min_size=3,
+            max_size=3,
+        ),
+        merged_groups=st.booleans(),
+    )
+    @seed(5002)
+    @settings(max_examples=300, deadline=None)
+    def test_run_merge_equals_the_per_pair_merge(
+        self, bucket_pool, arrivals, job_index, holders, rankings, merged_groups
+    ):
+        """Consecutive interfaces sharing a ranking, alternating rankings
+        (A, B, A), a beacon twice in one ranking, copies, and strangers in
+        any run: the same selections, interface order and failure."""
+        database = IngressDatabase(local_as=LOCAL_AS)
+        for index, ingress in arrivals:
+            database.insert(CandidateBeacon(bucket_pool[index], ingress_interface=ingress))
+        rac = RoutingAlgorithmContainer(
+            config=RACConfig(rac_id="merge", use_interface_groups=not merged_groups),
+            algorithm=KShortestPathAlgorithm(k=1),
+        )
+        jobs = rac._jobs(database.bucket_keys()) or [[(1, None, None, None)]]
+        job = jobs[job_index % len(jobs)]
+        candidates = [record.beacon for key in job for record in database.beacons_in_bucket(key)]
+
+        def returned(index, how):
+            if not candidates or how == "stranger":
+                return bucket_pool[index * 7 % len(bucket_pool)]
+            beacon = candidates[index % len(candidates)]
+            if how == "copy":
+                return pickle.loads(pickle.dumps(beacon))
+            return beacon.parent if how == "parent" else beacon
+
+        lists = [[returned(*entry) for entry in ranking] for ranking in rankings]
+        result = ExecutionResult()
+        for interface, (ranking, shared) in enumerate(holders, start=1):
+            result.selections[interface] = lists[ranking] if shared else list(lists[ranking])
+
+        def outcome(merge):
+            try:
+                merged = list(merge())
+            except AlgorithmError:
+                return "fails"
+            assert len({id(s.egress_interfaces) for s in merged}) == len(merged)
+            return [(id(s.stored), s.egress_interfaces, s.criteria_tags) for s in merged]
+
+        assert outcome(lambda: rac._merge_result(database, job, result, rac.algorithm)) == outcome(
+            lambda: per_pair_merge(database, job, result, "merge")
+        )
+
+    @given(
+        rounds=st.lists(st.tuples(tied_specs, repeats), min_size=2, max_size=4),
+        interfaces=some_interfaces,
+        limit=st.sampled_from((0, 1, 1, 4, 4)),
+        paths_per_interface=st.sampled_from((1, 3)),
+    )
+    @seed(5003)
+    @settings(max_examples=150, deadline=None)
+    def test_hd_flat_order_equals_the_lambda_sort(
+        self, beacon_pool, rounds, interfaces, limit, paths_per_interface
+    ):
+        """The pool ties fully on (hops, latency, path) over parallel links,
+        and a candidate may be listed again, as itself or an equal copy:
+        HD selects the same beacon objects and keeps the same memory."""
+        algorithm = HeuristicDisjointnessAlgorithm(paths_per_interface=paths_per_interface)
+        reference = _LambdaOrderedHD(paths_per_interface=paths_per_interface)
+        for specs, repeated in rounds:
+            context = with_repeats(
+                selection_context(beacon_pool, specs, interfaces, limit, [0.0] * 16), repeated
+            )
+            assert ids_of(algorithm.execute(context).selections) == ids_of(
+                reference.execute(context).selections
+            )
+        assert {
+            pair: (state.used_links, state.served_digests, state.first_round_done)
+            for pair, state in algorithm._state.items()
+        } == {
+            pair: (state.used_links, state.served_digests, state.first_round_done)
+            for pair, state in reference._state.items()
+        }
